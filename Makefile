@@ -18,7 +18,8 @@ vet:
 fuzz:
 	FUZZTIME=$(FUZZTIME) ./scripts/check.sh
 
-# The full gate CI runs: vet + build + race tests + short fuzz.
+# The full gate CI runs: vet + build + race tests + the bench/ module's
+# build, vet and smoke test + short fuzz.
 check:
 	FUZZTIME=$(FUZZTIME) ./scripts/check.sh
 

@@ -13,7 +13,7 @@
 //	vadalink whatif    -in graph.json -ops ops.json [-t 0.2]
 //	vadalink serve     -in graph.json [-addr :8080] [-timeout 30s]
 //	                   [-max-facts N] [-max-rounds N] [-metrics=true]
-//	                   [-min-agg-delta 1e-4] [-no-ivm]
+//	                   [-min-agg-delta 1e-4]
 //	                   [-pprof] [-log-format text|json|off]
 //	                   [-data-dir DIR] [-fsync 2ms]
 //	                   [-replicate :7070] [-follow HOST:7070]
@@ -492,7 +492,6 @@ func cmdServe(args []string) {
 	maxFacts := fs.Int("max-facts", 0, "chase budget: max derived facts per request (0 = unlimited)")
 	maxRounds := fs.Int("max-rounds", 0, "chase budget: max evaluation rounds per request (0 = engine default)")
 	minAggDelta := fs.Float64("min-agg-delta", 0, "aggregate convergence step for every chase (0 = 1e-4 default, negative = exact fixpoint; exact is exponential on cyclic ownership)")
-	noIVM := fs.Bool("no-ivm", false, "disable incremental view maintenance; every read after a commit re-chases from scratch")
 	queryCache := fs.Int64("query-cache-bytes", 0, "point-query result cache budget in bytes (0 = 64 MiB default, negative = disable)")
 	metrics := fs.Bool("metrics", true, "collect per-endpoint metrics and serve GET /v1/metrics")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -511,7 +510,6 @@ func cmdServe(args []string) {
 	cfg := vadalink.APIConfig{Timeout: *timeout, MaxRounds: *maxRounds}
 	cfg.Budget.MaxFacts = *maxFacts
 	cfg.MinAggDelta = *minAggDelta
-	cfg.DisableIVM = *noIVM
 	cfg.QueryCacheBytes = *queryCache
 	cfg.DisableMetrics = !*metrics
 	cfg.Pprof = *pprofOn

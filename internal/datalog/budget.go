@@ -55,7 +55,7 @@ const (
 	LimitFacts Limit = "max-facts"
 	// LimitDeltaQueue: Budget.MaxDeltaQueue pending delta facts were exceeded.
 	LimitDeltaQueue Limit = "max-delta-queue"
-	// LimitRounds: Options.MaxRounds semi-naive rounds were exceeded.
+	// LimitRounds: the WithMaxRounds bound on semi-naive rounds was exceeded.
 	LimitRounds Limit = "max-rounds"
 	// LimitIndexMemory: Budget.MaxIndexBytes of positional-index memory were
 	// exceeded.
@@ -92,7 +92,7 @@ func (e *BudgetExceededError) Error() string {
 		e.Limit, e.Rounds, e.Facts, e.Stratum)
 	switch e.Limit {
 	case LimitRounds:
-		return fmt.Sprintf("%s: the chase hit Options.MaxRounds=%d without reaching a fixpoint; "+
+		return fmt.Sprintf("%s: the chase hit MaxRounds=%d without reaching a fixpoint; "+
 			"if the program is warded (see CheckWarded) raise MaxRounds, "+
 			"otherwise the rule set likely diverges on this input — fix the recursion or set a wall-clock deadline",
 			head, e.Bound)
@@ -101,7 +101,7 @@ func (e *BudgetExceededError) Error() string {
 	case LimitDeltaQueue:
 		return fmt.Sprintf("%s: Budget.MaxDeltaQueue=%d; raise the budget or restrict the program/input", head, e.Bound)
 	case LimitIndexMemory:
-		return fmt.Sprintf("%s: Budget.MaxIndexBytes=%d; raise the budget, shrink the input, or disable indexing (Options.NoIndex)", head, e.Bound)
+		return fmt.Sprintf("%s: Budget.MaxIndexBytes=%d; raise the budget, shrink the input, or disable indexing (WithNoIndex)", head, e.Bound)
 	case LimitDeadline:
 		return head + ": the deadline expired mid-chase; raise the timeout or tighten MaxFacts to fail faster"
 	case LimitCancelled:

@@ -14,13 +14,13 @@ import (
 )
 
 // Builtin is a host function callable from rule bodies as #name(args...).
-// When the engine runs with Options.Parallel > 1, builtins may be called from
-// several chase workers at once and must be safe for concurrent use (the
-// shipped #linkprob and Skolem builtins are).
+// When the engine runs with more than one worker (WithParallel), builtins
+// may be called from several chase workers at once and must be safe for
+// concurrent use (the shipped #linkprob and Skolem builtins are).
 type Builtin func(args []any) (any, error)
 
-// Options configure engine evaluation.
-type Options struct {
+// options is the engine configuration the functional Options fill in.
+type options struct {
 	// MinAggDelta is the minimum improvement of a monotonic aggregate that
 	// triggers a new derivation. On cyclic inputs (e.g. accumulated ownership
 	// over share cycles) the exact fixpoint is a geometric limit; stopping at
@@ -95,7 +95,7 @@ type Derivation struct {
 // internally synchronized.
 type Engine struct {
 	prog     *Program
-	opts     Options
+	opts     options
 	builtins map[string]Builtin
 
 	rels     map[string]*relation
@@ -117,8 +117,8 @@ type Engine struct {
 	dupCount     int // emissions absorbed as already-known facts
 	curStratum   int
 
-	// stats is the live collector of the current Run (nil when Options.Stats
-	// is off); lastStats is the frozen report of the last Run.
+	// stats is the live collector of the current Run (nil without
+	// WithStats); lastStats is the frozen report of the last Run.
 	stats     *statsCollector
 	lastStats *ChaseStats
 
@@ -131,7 +131,7 @@ type Engine struct {
 	// early MaxFacts backstop for workers whose emissions have not merged yet.
 	bufferedFacts atomic.Int64
 
-	// prov holds the first derivation per fact key (Options.Provenance).
+	// prov holds the first derivation per fact key (WithProvenance).
 	prov map[string]Derivation
 }
 
@@ -302,17 +302,11 @@ type aggGroup struct {
 // NewEngine prepares a program for evaluation, configured by functional
 // options (WithBudget, WithParallel, WithStats, ...). It returns an error if
 // a rule is invalid or negation is not stratifiable.
-func NewEngine(prog *Program, opts ...Option) (*Engine, error) {
-	var o Options
-	for _, opt := range opts {
-		opt(&o)
+func NewEngine(prog *Program, with ...Option) (*Engine, error) {
+	var opts options
+	for _, opt := range with {
+		opt(&opts)
 	}
-	return newEngine(prog, o)
-}
-
-// newEngine is the construction path shared by NewEngine and the deprecated
-// NewEngineWith shim.
-func newEngine(prog *Program, opts Options) (*Engine, error) {
 	if opts.MinAggDelta == 0 {
 		opts.MinAggDelta = 1e-9
 	}
@@ -639,7 +633,7 @@ func (e *Engine) Rounds() int { return e.rounds }
 
 // Explain returns the first derivation of a derived fact. It returns false
 // for extensional facts, unknown facts, or when the engine runs without
-// Options.Provenance.
+// WithProvenance.
 func (e *Engine) Explain(f Fact) (Derivation, bool) {
 	if e.prov == nil {
 		return Derivation{}, false
@@ -696,7 +690,7 @@ func ruleHead(rule string) string {
 }
 
 // Run evaluates the program to fixpoint (stratum by stratum) with no
-// deadline; resource limits from Options.Budget still apply.
+// deadline; resource limits from WithBudget still apply.
 func (e *Engine) Run() error { return e.RunContext(context.Background()) }
 
 // RunContext evaluates the program to fixpoint under the context's deadline
@@ -739,7 +733,7 @@ func (e *Engine) RunContext(ctx context.Context) error {
 // including a partial Run stopped by the budget.
 func (e *Engine) DerivedCount() int { return e.derivedCount }
 
-// workerCount resolves Options.Parallel against GOMAXPROCS and the number of
+// workerCount resolves WithParallel against GOMAXPROCS and the number of
 // parallel-safe jobs of a round.
 func (e *Engine) workerCount(parallelJobs int) int {
 	w := e.opts.Parallel

@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -455,5 +456,47 @@ func TestIntFloatEquivalence(t *testing.T) {
 	e := run(t, src, edb)
 	if e.NumFacts("same") != 1 {
 		t.Errorf("int/float comparison failed: %v", e.Facts("same"))
+	}
+}
+
+// TestFactsDefensiveCopy: mutating what Facts/FactsN return must not reach
+// the engine's store or its indexes.
+func TestFactsDefensiveCopy(t *testing.T) {
+	e := statsEngine(t)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	before := e.NumFacts("path")
+
+	fs := e.Facts("path")
+	if len(fs) == 0 {
+		t.Fatal("no path facts")
+	}
+	orig := Fact{Pred: fs[0].Pred, Args: append([]any(nil), fs[0].Args...)}
+	fs[0].Pred = "corrupted"
+	fs[0].Args[0] = "clobbered"
+
+	if !e.Has(orig) {
+		t.Error("mutating Facts result reached the store: original fact gone")
+	}
+	if got := e.Facts("path"); !reflect.DeepEqual(got[0], orig) && !e.Has(orig) {
+		t.Errorf("store changed after caller mutation: %v", got[0])
+	}
+	if e.NumFacts("path") != before {
+		t.Errorf("fact count changed: %d -> %d", before, e.NumFacts("path"))
+	}
+	// Indexed lookups still see the uncorrupted argument.
+	if got := e.Match("path", orig.Args[0], nil); len(got) == 0 {
+		t.Errorf("Match(path, %v, _) empty after caller mutation", orig.Args[0])
+	}
+
+	page := e.FactsN("path", 2)
+	if len(page) != 2 {
+		t.Fatalf("FactsN(2) returned %d facts", len(page))
+	}
+	keep := Fact{Pred: page[1].Pred, Args: append([]any(nil), page[1].Args...)}
+	page[1].Args[0] = "clobbered too"
+	if !e.Has(keep) {
+		t.Error("mutating FactsN result reached the store")
 	}
 }

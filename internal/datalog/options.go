@@ -4,62 +4,52 @@ package datalog
 //
 //	e, err := NewEngine(prog, WithBudget(b), WithParallel(4), WithStats())
 //
-// Options compose left to right; later options win. The Options struct
-// behind them remains exported as the compatibility carrier for code written
-// against the pre-option constructor — bridge it with WithOptions or the
-// deprecated NewEngineWith.
-type Option func(*Options)
-
-// WithOptions replaces the whole configuration with a hand-built Options
-// struct. It is the bridge for legacy call sites: place it first so later
-// functional options still apply on top.
-func WithOptions(opts Options) Option {
-	return func(o *Options) { *o = opts }
-}
+// Options compose left to right; later options win.
+type Option func(*options)
 
 // WithMinAggDelta sets the minimum monotonic-aggregate improvement that
 // triggers a new derivation (termination epsilon on cyclic inputs).
 func WithMinAggDelta(eps float64) Option {
-	return func(o *Options) { o.MinAggDelta = eps }
+	return func(o *options) { o.MinAggDelta = eps }
 }
 
 // WithMaxRounds bounds the semi-naive rounds of one Run.
 func WithMaxRounds(n int) Option {
-	return func(o *Options) { o.MaxRounds = n }
+	return func(o *options) { o.MaxRounds = n }
 }
 
 // WithBudget bounds the resources of one Run (derived facts, delta queue,
 // index memory, cancellation cadence).
 func WithBudget(b Budget) Option {
-	return func(o *Options) { o.Budget = b }
+	return func(o *options) { o.Budget = b }
 }
 
 // WithTrace installs a per-derivation trace callback (debugging aid).
 func WithTrace(fn func(string)) Option {
-	return func(o *Options) { o.TraceFn = fn }
+	return func(o *options) { o.TraceFn = fn }
 }
 
 // WithNaive disables semi-naive delta restriction (ablation baseline).
 func WithNaive() Option {
-	return func(o *Options) { o.Naive = true }
+	return func(o *options) { o.Naive = true }
 }
 
 // WithProvenance records the first derivation of every fact, enabling
 // Explain and ExplainTree.
 func WithProvenance() Option {
-	return func(o *Options) { o.Provenance = true }
+	return func(o *options) { o.Provenance = true }
 }
 
 // WithParallel sets the chase worker count: 0 means GOMAXPROCS, 1 forces
 // the sequential path.
 func WithParallel(n int) Option {
-	return func(o *Options) { o.Parallel = n }
+	return func(o *options) { o.Parallel = n }
 }
 
 // WithNoIndex disables the positional hash indexes (scan-mode ablation
 // baseline).
 func WithNoIndex() Option {
-	return func(o *Options) { o.NoIndex = true }
+	return func(o *options) { o.NoIndex = true }
 }
 
 // WithStats enables ChaseStats collection: per-rule firings, derivations,
@@ -68,21 +58,11 @@ func WithNoIndex() Option {
 // Collection costs a few percent of chase time; engines built without it
 // pay nothing.
 func WithStats() Option {
-	return func(o *Options) { o.Stats = true }
+	return func(o *options) { o.Stats = true }
 }
 
 // WithHook installs chase lifecycle callbacks (see Hook) — the tracing seam
 // for progress reporting and test instrumentation.
 func WithHook(h Hook) Option {
-	return func(o *Options) { o.Hook = h }
-}
-
-// NewEngineWith prepares a program for evaluation with a hand-built Options
-// struct.
-//
-// Deprecated: use NewEngine with functional options (WithBudget,
-// WithParallel, WithStats, ...); wholesale Options structs still bridge in
-// through WithOptions. Kept so pre-redesign call sites compile unchanged.
-func NewEngineWith(prog *Program, opts Options) (*Engine, error) {
-	return newEngine(prog, opts)
+	return func(o *options) { o.Hook = h }
 }

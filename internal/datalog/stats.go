@@ -6,7 +6,7 @@ import (
 )
 
 // Hook receives chase lifecycle events — the tracing seam of the engine.
-// Every field is optional; a nil callback is skipped. With Options.Parallel
+// Every field is optional; a nil callback is skipped. With WithParallel
 // greater than one, RuleStart and BudgetTrip may fire concurrently from
 // several chase workers, so the callbacks must be safe for concurrent use;
 // RuleDone and RoundDone always fire on the goroutine that called Run.

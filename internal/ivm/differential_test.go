@@ -73,11 +73,18 @@ func randomCommit(rng *rand.Rand, o *pg.Overlay) int {
 // share adds and removals, reweights, cycle-creating edges, node churn —
 // the maintained baseline must agree with a from-scratch full chase of the
 // post-commit graph on the control relation, the close-link relation and
-// the threshold-crossing accown rows, after every single commit.
+// the threshold-crossing accown rows, after every single commit — whether
+// the journal is applied eagerly (Apply) or queued by Observe and drained by
+// the read (BaselineAt), the way the serving layer feeds it.
 func TestDifferentialMaintenance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential harness is not short")
 	}
+	t.Run("Apply", func(t *testing.T) { differentialMaintenance(t, false) })
+	t.Run("ObserveBaselineAt", func(t *testing.T) { differentialMaintenance(t, true) })
+}
+
+func differentialMaintenance(t *testing.T, lazy bool) {
 	thresholds := []float64{0.1, 0.2, 0.3}
 
 	const cases = 105
@@ -95,7 +102,7 @@ func TestDifferentialMaintenance(t *testing.T) {
 			base = graphgen.Barabasi(8+rng.Intn(16), 1+rng.Intn(3), int64(i+1))
 		}
 		threshold := thresholds[i%len(thresholds)]
-		d := newDriver(t, base, threshold)
+		d := newDriverFed(t, base, threshold, lazy)
 		name := fmt.Sprintf("case %d (t=%v, %d nodes)", i, threshold, base.NumNodes())
 
 		commits := 0
@@ -121,8 +128,9 @@ func TestDifferentialMaintenance(t *testing.T) {
 			ran++
 		}
 		st := d.m.Stats()
-		if got := st.IncrementalCommits + st.SkippedCommits; got != int64(commits) {
-			t.Fatalf("%s: stats account for %d commits, want %d (%+v)", name, got, commits, st)
+		if got := st.IncrementalCommits + st.SkippedCommits; got != int64(commits) || st.FullRebuilds != 1 {
+			t.Fatalf("%s: stats account for %d commits and %d full rebuilds, want %d and 1 (%+v)",
+				name, got, st.FullRebuilds, commits, st)
 		}
 	}
 	if ran < 100 {

@@ -24,10 +24,16 @@
 // of maintenance; the randomized differential harness in this package pins
 // incremental == full re-chase across mutation streams.
 //
-// A Maintainer is invalid until seeded and after any error; callers fall
-// back to a full baseline computation and re-seed. All methods are safe for
-// concurrent use; Apply runs under the maintainer's lock while published
-// baselines stay immutable, so readers never block on maintenance.
+// Maintenance is lazy: the commit stream only hands journals to Observe,
+// which queues them, and the reader that next asks BaselineAt for a newer
+// sequence pays for the catch-up. Commits therefore never run a chase — not
+// under the MVCC commit lock, not under a follower's frame-apply lock — and
+// a maintainer nobody reads from does no work at all.
+//
+// A Maintainer is invalid until seeded and after any error; BaselineAt then
+// falls back to a full baseline computation and re-seeds. All methods are
+// safe for concurrent use; published baselines are immutable, so a reader
+// holding one never blocks on maintenance.
 package ivm
 
 import (
@@ -35,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vadalink/internal/datalog"
@@ -55,6 +62,10 @@ const closeLinkDeltaProgram = `
 	clcand(X, Y) -> clcand(Y, X).
 	clcand(X, Y) -> closelink(X, Y).
 `
+
+// queueCap bounds the observed-but-undrained journal, in mutations; beyond it
+// a full rebuild on the next read beats replaying the backlog.
+const queueCap = 1 << 16
 
 // ErrInvalid reports a maintainer with no valid derived state (never seeded,
 // or invalidated by an error); the caller must recompute a full baseline and
@@ -98,7 +109,35 @@ type Maintainer struct {
 	bl    *whatif.Baseline // published: immutable once stored here
 	cl    *datalog.Engine  // close-link mini-engine (strong/iscompany EDB)
 
+	// queue holds the journals observed since the maintained sequence, in
+	// commit order and gap-free while valid; pending counts their mutations
+	// against queueCap. newest is the last sequence Observe saw. While the
+	// maintainer is invalid every journal up to it is gone — never queued, or
+	// discarded by the invalidation — so a seed below it could never be
+	// advanced without silently skipping those commits, and Seed refuses it.
+	queue   []observed
+	pending int
+	newest  uint64
+
+	// other caches the baseline of one (sequence, threshold) pair at a
+	// threshold this maintainer does not maintain, so a burst of what-ifs
+	// against one version chases the base graph once, not once per request.
+	other atomic.Pointer[otherBaseline]
+
 	stats Stats
+}
+
+// observed is one committed journal: the mutations that produced the state
+// at seq from the one before it.
+type observed struct {
+	seq  uint64
+	muts []pg.Mutation
+}
+
+type otherBaseline struct {
+	seq       uint64
+	threshold float64
+	bl        *whatif.Baseline
 }
 
 // New creates an empty (invalid) maintainer for one close-link threshold;
@@ -115,9 +154,6 @@ func New(threshold float64, engineOpts ...datalog.Option) *Maintainer {
 	return &Maintainer{threshold: threshold, opts: opts}
 }
 
-// Threshold reports the close-link threshold this maintainer maintains.
-func (m *Maintainer) Threshold() float64 { return m.threshold }
-
 // Init computes a full baseline of v and seeds the maintainer with it.
 func (m *Maintainer) Init(ctx context.Context, v pg.View, seq uint64) error {
 	bl, err := whatif.ComputeBaseline(ctx, v, m.threshold, m.opts...)
@@ -130,10 +166,11 @@ func (m *Maintainer) Init(ctx context.Context, v pg.View, seq uint64) error {
 // Seed installs an externally computed full baseline of v at seq as the
 // maintained state and materializes the close-link mini-engine from it. The
 // baseline must have been computed with this maintainer's threshold and
-// engine options (reasonapi reuses its /v1/whatif baseline cache here, so
-// one full chase serves both). A seed never regresses: when the maintainer
-// already holds valid state at seq or later (a commit advanced it while
-// this baseline was being computed), the stale seed is dropped.
+// engine options. A seed never regresses: when the maintainer already holds
+// valid state at seq or later (a reader advanced it while this baseline was
+// being computed), the stale seed is dropped — as is one older than a
+// journal the maintainer no longer holds (observed while invalid, or queued
+// and then discarded by an invalidation), since it could never catch up.
 func (m *Maintainer) Seed(ctx context.Context, v pg.View, seq uint64, bl *whatif.Baseline) error {
 	if bl.Threshold != m.threshold {
 		return fmt.Errorf("ivm: baseline threshold %v does not match maintainer %v", bl.Threshold, m.threshold)
@@ -144,9 +181,10 @@ func (m *Maintainer) Seed(ctx context.Context, v pg.View, seq uint64, bl *whatif
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.valid && m.seq >= seq {
+	if (m.valid && m.seq >= seq) || (!m.valid && m.newest > seq) {
 		return nil
 	}
+	m.dropQueued(m.queuedThrough(seq))
 	m.valid = true
 	m.seq = seq
 	m.bl = bl
@@ -207,21 +245,131 @@ func (m *Maintainer) Baseline(seq uint64, threshold float64) *whatif.Baseline {
 	return m.bl
 }
 
-// Invalidate discards the maintained state (e.g. after a follower snapshot
-// bootstrap replaced the graph wholesale).
-func (m *Maintainer) Invalidate() {
+// Observe hands the maintainer one committed journal: muts produced the
+// state at seq from the previous one. It only queues — the chase runs when a
+// reader next asks BaselineAt for seq or later — and is a no-op while nothing
+// is seeded, so a commit or frame-apply lock that calls it never runs a chase
+// of its own. It can still wait for one: it shares the maintainer's mutex
+// with a reader's in-flight drain. A backlog past queueCap invalidates
+// instead of growing.
+func (m *Maintainer) Observe(seq uint64, muts ...pg.Mutation) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.newest = seq
+	if !m.valid {
+		return
+	}
+	m.queue = append(m.queue, observed{seq, muts})
+	if m.pending += len(muts); m.pending > queueCap {
+		m.stats.Invalidations++
+		m.invalidateLocked()
+	}
+}
+
+// BaselineAt returns the baseline of v, which the caller has pinned at seq,
+// for threshold (0 means whatif.DefaultThreshold). At the maintained
+// threshold it catches the maintained state up to seq from the observed
+// journals — only those at or below seq, re-chased against v, so a reader
+// pinned behind the newest commit is never served a newer state — and the
+// maintained sequence never moves backwards for a reader pinned behind it.
+// Whatever that cannot answer (nothing seeded yet, an invalidation, a reader
+// behind the maintained state, another threshold) is chased in full; at the
+// maintained threshold the result re-seeds the maintainer, elsewhere it
+// fills a single-entry cache.
+func (m *Maintainer) BaselineAt(ctx context.Context, v pg.View, seq uint64, threshold float64) (*whatif.Baseline, error) {
+	if threshold == 0 {
+		threshold = whatif.DefaultThreshold
+	}
+	if threshold == m.threshold {
+		if bl := m.catchUp(ctx, v, seq); bl != nil {
+			return bl, nil
+		}
+	} else if e := m.other.Load(); e != nil && e.seq == seq && e.threshold == threshold {
+		return e.bl, nil
+	}
+	bl, err := whatif.ComputeBaseline(ctx, v, threshold, m.opts...)
+	if err != nil {
+		return nil, err
+	}
+	if threshold == m.threshold {
+		// Best-effort: a failed or stale seed leaves bl a correct answer for
+		// this caller, and the next reader chases again.
+		_ = m.Seed(ctx, v, seq, bl)
+	} else {
+		m.other.Store(&otherBaseline{seq, threshold, bl})
+	}
+	return bl, nil
+}
+
+// catchUp drains the observed journals up to seq into the maintained state
+// and returns the maintained baseline if it then stands at seq; nil sends
+// the caller to a full chase.
+func (m *Maintainer) catchUp(ctx context.Context, v pg.View, seq uint64) *whatif.Baseline {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.valid || m.seq > seq {
+		return nil
+	}
+	if m.seq < seq {
+		n := m.queuedThrough(seq)
+		// v is the post-state of the drained journals only if they end
+		// exactly at seq. They may not yet: a version is pinnable a moment
+		// before its commit hook delivers the journal.
+		if n == 0 || m.queue[n-1].seq != seq {
+			return nil
+		}
+		var muts []pg.Mutation
+		for _, o := range m.queue[:n] {
+			if o.seq > m.seq { // older ones predate the seed
+				muts = append(muts, o.muts...)
+			}
+		}
+		m.dropQueued(n)
+		if m.applyLocked(ctx, v, seq, muts) != nil {
+			return nil
+		}
+	}
+	return m.bl
+}
+
+// queuedThrough counts the queued journals at or below seq.
+func (m *Maintainer) queuedThrough(seq uint64) int {
+	n := 0
+	for n < len(m.queue) && m.queue[n].seq <= seq {
+		n++
+	}
+	return n
+}
+
+// dropQueued removes the first n queued journals and lets go of their
+// mutations.
+func (m *Maintainer) dropQueued(n int) {
+	for _, o := range m.queue[:n] {
+		m.pending -= len(o.muts)
+	}
+	clear(m.queue[:n])
+	m.queue = m.queue[n:]
+}
+
+// Reset discards the maintained state and every observed journal (e.g. after
+// a follower snapshot bootstrap replaced the graph wholesale: no journal
+// describes that jump).
+func (m *Maintainer) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.valid {
 		m.stats.Invalidations++
 	}
 	m.invalidateLocked()
+	m.newest = 0 // the sequence may restart below it
+	m.other.Store(nil)
 }
 
 func (m *Maintainer) invalidateLocked() {
 	m.valid = false
 	m.bl = nil
 	m.cl = nil
+	m.queue, m.pending = nil, 0
 	m.stats.Valid = false
 }
 
@@ -232,23 +380,15 @@ func (m *Maintainer) Stats() Stats {
 	return m.stats
 }
 
-// Seq reports the sequence the maintained state corresponds to; ok is false
-// when the maintainer is invalid.
-func (m *Maintainer) Seq() (uint64, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.seq, m.valid
-}
-
 // Apply advances the maintained state from fromSeq to toSeq under one
-// committed journal. post must be the post-commit view and muts the exact,
-// ordered mutations that produced it from the state at fromSeq — the
-// leader's commit hook and the follower's frame observer both guarantee
-// that by construction. A fromSeq that does not match the maintained
-// sequence means a journal was missed (e.g. a commit landed between a full
-// baseline chase and its Seed); the maintainer invalidates itself rather
-// than silently diverge. On any error the maintainer invalidates itself and
-// the caller must fall back to a full baseline.
+// committed journal, eagerly — the primitive BaselineAt drains the observed
+// queue through, exported for callers that hold the journal and the
+// post-commit view in hand. post must be the post-commit view and muts the
+// exact, ordered mutations that produced it from the state at fromSeq. A
+// fromSeq that does not match the maintained sequence means a journal was
+// missed; the maintainer invalidates itself rather than silently diverge.
+// On any error the maintainer invalidates itself and the caller must fall
+// back to a full baseline.
 func (m *Maintainer) Apply(ctx context.Context, post pg.View, fromSeq, toSeq uint64, muts []pg.Mutation) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -258,6 +398,12 @@ func (m *Maintainer) Apply(ctx context.Context, post pg.View, fromSeq, toSeq uin
 	if fromSeq != m.seq {
 		return m.failLocked(fmt.Errorf("ivm: journal gap: maintained state at seq %d, journal starts at %d", m.seq, fromSeq))
 	}
+	return m.applyLocked(ctx, post, toSeq, muts)
+}
+
+// applyLocked advances the valid maintained state to toSeq under muts, whose
+// post-state is post. Callers hold m.mu.
+func (m *Maintainer) applyLocked(ctx context.Context, post pg.View, toSeq uint64, muts []pg.Mutation) error {
 	start := time.Now()
 
 	// Classify the journal: the owner-side endpoints of every mutated

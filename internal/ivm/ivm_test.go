@@ -11,12 +11,15 @@ import (
 	"vadalink/internal/whatif"
 )
 
-// driver wires a Maintainer onto a Versioned store exactly the way the
-// serving layer does: Init from version 0, commit hook feeds every journal.
+// driver wires a Maintainer onto a Versioned store: Init from version 0,
+// commit hook feeds every journal — eagerly through Apply, or, when lazy, the
+// way the serving layer does: Observe queues it and the next maintained()
+// read drains it through BaselineAt.
 type driver struct {
-	t  *testing.T
-	vs *store.Versioned
-	m  *Maintainer
+	t    *testing.T
+	vs   *store.Versioned
+	m    *Maintainer
+	lazy bool
 	// applyErrs records maintenance errors; the incremental path is allowed
 	// to fail (callers fall back to full recompute) but tests that expect it
 	// to work assert this stays empty.
@@ -24,13 +27,21 @@ type driver struct {
 }
 
 func newDriver(t *testing.T, g *pg.Graph, threshold float64) *driver {
+	return newDriverFed(t, g, threshold, false)
+}
+
+func newDriverFed(t *testing.T, g *pg.Graph, threshold float64, lazy bool) *driver {
 	t.Helper()
-	d := &driver{t: t, vs: store.NewVersioned(g), m: New(threshold)}
+	d := &driver{t: t, vs: store.NewVersioned(g), m: New(threshold), lazy: lazy}
 	cur := d.vs.Current()
 	if err := d.m.Init(context.Background(), cur.View(), cur.Seq()); err != nil {
 		t.Fatalf("Init: %v", err)
 	}
 	d.vs.SetCommitHook(func(next *store.Version, journal []pg.Mutation) {
+		if lazy {
+			d.m.Observe(next.Seq(), journal...)
+			return
+		}
 		if err := d.m.Apply(context.Background(), next.View(), next.Seq()-1, next.Seq(), journal); err != nil {
 			d.applyErrs = append(d.applyErrs, err)
 		}
@@ -55,7 +66,14 @@ func (d *driver) commit(fn func(o *pg.Overlay)) *store.Version {
 func (d *driver) maintained() *whatif.Baseline {
 	d.t.Helper()
 	cur := d.vs.Current()
-	bl := d.m.Baseline(cur.Seq(), d.m.Threshold())
+	if d.lazy {
+		bl, err := d.m.BaselineAt(context.Background(), cur.View(), cur.Seq(), d.m.threshold)
+		if err != nil {
+			d.t.Fatalf("BaselineAt seq %d: %v", cur.Seq(), err)
+		}
+		return bl
+	}
+	bl := d.m.Baseline(cur.Seq(), d.m.threshold)
 	if bl == nil {
 		d.t.Fatalf("maintainer has no baseline at seq %d (errors: %v)", cur.Seq(), d.applyErrs)
 	}
@@ -65,11 +83,7 @@ func (d *driver) maintained() *whatif.Baseline {
 // oracle recomputes the full baseline of the current version from scratch.
 func (d *driver) oracle() *whatif.Baseline {
 	d.t.Helper()
-	bl, err := whatif.ComputeBaseline(context.Background(), d.vs.Current().View(), d.m.Threshold())
-	if err != nil {
-		d.t.Fatalf("oracle chase: %v", err)
-	}
-	return bl
+	return d.oracleAt(d.vs.Current())
 }
 
 func checkAgainstOracle(t *testing.T, name string, got, want *whatif.Baseline) {
@@ -277,13 +291,13 @@ func TestBaselineMismatches(t *testing.T) {
 	d := newDriver(t, g, whatif.DefaultThreshold)
 	seq := d.vs.Current().Seq()
 
-	if d.m.Baseline(seq+1, d.m.Threshold()) != nil {
+	if d.m.Baseline(seq+1, d.m.threshold) != nil {
 		t.Error("Baseline returned state for a future sequence")
 	}
-	if d.m.Baseline(seq, d.m.Threshold()+0.1) != nil {
+	if d.m.Baseline(seq, d.m.threshold+0.1) != nil {
 		t.Error("Baseline returned state for a different threshold")
 	}
-	if d.m.Baseline(seq, 0) == nil && d.m.Threshold() == whatif.DefaultThreshold {
+	if d.m.Baseline(seq, 0) == nil && d.m.threshold == whatif.DefaultThreshold {
 		t.Error("Baseline(seq, 0) should resolve 0 to the default threshold")
 	}
 }
@@ -301,15 +315,15 @@ func TestSeedRejectsThresholdMismatch(t *testing.T) {
 	}
 }
 
-func TestInvalidateAndReseed(t *testing.T) {
+func TestResetAndReseed(t *testing.T) {
 	g, _ := chainGraph()
 	d := newDriver(t, g, whatif.DefaultThreshold)
 	ctx := context.Background()
 	cur := d.vs.Current()
 
-	d.m.Invalidate()
-	if d.m.Baseline(cur.Seq(), d.m.Threshold()) != nil {
-		t.Fatal("Baseline served after Invalidate")
+	d.m.Reset()
+	if d.m.Baseline(cur.Seq(), d.m.threshold) != nil {
+		t.Fatal("Baseline served after Reset")
 	}
 	if err := d.m.Apply(ctx, cur.View(), cur.Seq(), cur.Seq()+1, nil); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("Apply on invalid maintainer = %v, want ErrInvalid", err)
@@ -322,7 +336,7 @@ func TestInvalidateAndReseed(t *testing.T) {
 	if err := d.m.Init(ctx, cur.View(), cur.Seq()); err != nil {
 		t.Fatalf("re-Init: %v", err)
 	}
-	if d.m.Baseline(cur.Seq(), d.m.Threshold()) == nil {
+	if d.m.Baseline(cur.Seq(), d.m.threshold) == nil {
 		t.Fatal("Baseline missing after re-Init")
 	}
 }
@@ -336,7 +350,7 @@ func TestMalformedJournalInvalidates(t *testing.T) {
 	if err == nil {
 		t.Fatal("Apply accepted a malformed mutation")
 	}
-	if d.m.Baseline(cur.Seq(), d.m.Threshold()) != nil {
+	if d.m.Baseline(cur.Seq(), d.m.threshold) != nil {
 		t.Fatal("Baseline survived a malformed journal")
 	}
 }
@@ -359,10 +373,237 @@ func TestJournalGapInvalidates(t *testing.T) {
 	if err := d.m.Apply(context.Background(), o, cur.Seq()+1, cur.Seq()+2, journal); err == nil {
 		t.Fatal("Apply accepted a journal with a sequence gap")
 	}
-	if d.m.Baseline(cur.Seq(), d.m.Threshold()) != nil {
+	if d.m.Baseline(cur.Seq(), d.m.threshold) != nil {
 		t.Fatal("Baseline survived a journal gap")
 	}
 	if st := d.m.Stats(); st.Invalidations != 1 {
 		t.Errorf("stats = %+v, want one invalidation", st)
+	}
+}
+
+// oracleAt recomputes the full baseline of one version from scratch.
+func (d *driver) oracleAt(ver *store.Version) *whatif.Baseline {
+	d.t.Helper()
+	bl, err := whatif.ComputeBaseline(context.Background(), ver.View(), d.m.threshold)
+	if err != nil {
+		d.t.Fatalf("oracle chase: %v", err)
+	}
+	return bl
+}
+
+// baselineAt asks the lazy maintainer for the baseline of one pinned version.
+func (d *driver) baselineAt(ver *store.Version, threshold float64) *whatif.Baseline {
+	d.t.Helper()
+	bl, err := d.m.BaselineAt(context.Background(), ver.View(), ver.Seq(), threshold)
+	if err != nil {
+		d.t.Fatalf("BaselineAt seq %d: %v", ver.Seq(), err)
+	}
+	return bl
+}
+
+// TestLazyDrainStopsAtThePin: a reader pinned behind the newest commit is
+// answered for ITS view — journals past its pin stay queued — a later reader
+// drains the rest incrementally, and a reader behind the maintained state
+// gets a full chase that does not drag the maintainer backwards.
+func TestLazyDrainStopsAtThePin(t *testing.T) {
+	g, ids := chainGraph()
+	a, b, c := ids[0], ids[1], ids[2]
+	d := newDriverFed(t, g, whatif.DefaultThreshold, true)
+	v1 := d.commit(func(o *pg.Overlay) { o.AddShare(b, c, 0.6) })
+	v2 := d.commit(func(o *pg.Overlay) { o.AddShare(a, c, 0.1) })
+	v3 := d.commit(func(o *pg.Overlay) { o.RemoveEdge(o.EdgesWithLabel(pg.LabelShareholding)[0]) })
+	if st := d.m.Stats(); st.IncrementalCommits+st.SkippedCommits != 0 {
+		t.Fatalf("Observe ran maintenance at commit time: %+v", st)
+	}
+
+	checkAgainstOracle(t, "reader at v1", d.baselineAt(v1, 0), d.oracleAt(v1))
+	if st := d.m.Stats(); st.IncrementalCommits != 1 || st.Seq != v1.Seq() {
+		t.Fatalf("after the v1 reader: %+v, want exactly v1's journal drained", st)
+	}
+	checkAgainstOracle(t, "reader at v3", d.baselineAt(v3, 0), d.oracleAt(v3))
+	checkAgainstOracle(t, "reader behind, at v2", d.baselineAt(v2, 0), d.oracleAt(v2))
+	st := d.m.Stats()
+	if st.FullRebuilds != 1 || st.Invalidations != 0 || st.Seq != v3.Seq() || !st.Valid {
+		t.Fatalf("stats = %+v, want the one Init rebuild, no invalidation, still at v3", st)
+	}
+	if d.m.Baseline(v3.Seq(), 0) == nil {
+		t.Fatal("the reader behind regressed the maintained state")
+	}
+}
+
+// TestOtherThresholdIsCachedPerVersion: a threshold the maintainer does not
+// maintain is chased once per version, not once per call.
+func TestOtherThresholdIsCachedPerVersion(t *testing.T) {
+	g, ids := chainGraph()
+	d := newDriverFed(t, g, whatif.DefaultThreshold, true)
+	v0 := d.vs.Current()
+	first := d.baselineAt(v0, 0.35)
+	if first.Threshold != 0.35 {
+		t.Fatalf("baseline threshold = %v, want 0.35", first.Threshold)
+	}
+	if again := d.baselineAt(v0, 0.35); again != first {
+		t.Fatal("second BaselineAt at the same (seq, threshold) re-chased")
+	}
+	v1 := d.commit(func(o *pg.Overlay) { o.AddShare(ids[1], ids[2], 0.6) })
+	if next := d.baselineAt(v1, 0.35); next == first {
+		t.Fatal("cached baseline served across a commit")
+	}
+	d.m.Reset()
+	if d.m.other.Load() != nil {
+		t.Fatal("Reset kept the other-threshold cache")
+	}
+	if st := d.m.Stats(); st.FullRebuilds != 1 {
+		t.Fatalf("other-threshold chases touched the maintained state: %+v", st)
+	}
+}
+
+// TestUnseededMaintainerDropsJournals: Observe is free until something is
+// seeded, a seed older than a dropped journal is refused (it could never
+// catch up), and the first BaselineAt seeds.
+func TestUnseededMaintainerDropsJournals(t *testing.T) {
+	g, ids := chainGraph()
+	ctx := context.Background()
+	vs := store.NewVersioned(g)
+	m := New(0)
+	vs.SetCommitHook(func(next *store.Version, journal []pg.Mutation) { m.Observe(next.Seq(), journal...) })
+	v0 := vs.Current()
+	stale, err := whatif.ComputeBaseline(ctx, v0.View(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txn := vs.Begin()
+	if _, err := txn.Overlay().AddShare(ids[1], ids[2], 0.6); err != nil {
+		t.Fatal(err)
+	}
+	v1, err := txn.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.queue) != 0 {
+		t.Fatal("Observe queued a journal with nothing seeded")
+	}
+	if err := m.Seed(ctx, v0.View(), v0.Seq(), stale); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Stats(); st.Valid || st.FullRebuilds != 0 {
+		t.Fatalf("a seed behind a dropped journal was accepted: %+v", st)
+	}
+	bl, err := m.BaselineAt(ctx, v1.View(), v1.Seq(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Stats(); !st.Valid || st.FullRebuilds != 1 || st.Seq != v1.Seq() {
+		t.Fatalf("first BaselineAt did not seed: %+v", st)
+	}
+	if !bl.Control[whatif.Pair{ids[1], ids[2]}] {
+		t.Fatalf("seeded baseline misses control(b, c): %v", bl.Control)
+	}
+
+	// A Reset forgets the dropped journal too: after a follower bootstrap
+	// the sequence may restart below it, and seeds there must land.
+	m.Reset()
+	m.Observe(v1.Seq())
+	m.Reset()
+	if err := m.Seed(ctx, v0.View(), v0.Seq(), stale); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Stats(); !st.Valid || st.Seq != v0.Seq() {
+		t.Fatalf("a seed after Reset was refused: %+v", st)
+	}
+}
+
+// TestJournalBehindThePinReseeds: a version is pinnable a moment before its
+// commit hook delivers the journal. The maintainer must not advance to that
+// pin on the journals it has — it chases in full and re-seeds — and the late
+// journal, already reflected, is skipped by the next drain.
+func TestJournalBehindThePinReseeds(t *testing.T) {
+	g, ids := chainGraph()
+	d := newDriverFed(t, g, whatif.DefaultThreshold, true)
+	var late [][]pg.Mutation
+	d.vs.SetCommitHook(func(_ *store.Version, journal []pg.Mutation) { late = append(late, journal) })
+	v1 := d.commit(func(o *pg.Overlay) { o.AddShare(ids[1], ids[2], 0.6) })
+
+	checkAgainstOracle(t, "reader ahead of the journal", d.baselineAt(v1, 0), d.oracleAt(v1))
+	if st := d.m.Stats(); st.FullRebuilds != 2 || st.IncrementalCommits != 0 {
+		t.Fatalf("stats = %+v, want a second full rebuild and nothing incremental", st)
+	}
+	d.m.Observe(v1.Seq(), late[0]...)
+	v2 := d.commit(func(o *pg.Overlay) { o.AddShare(ids[0], ids[2], 0.1) })
+	d.m.Observe(v2.Seq(), late[1]...)
+	checkAgainstOracle(t, "reader at v2", d.baselineAt(v2, 0), d.oracleAt(v2))
+	if st := d.m.Stats(); st.FullRebuilds != 2 || st.IncrementalCommits != 1 {
+		t.Fatalf("stats = %+v, want v2 maintained incrementally on top of the re-seed", st)
+	}
+}
+
+// TestObserveBacklogInvalidates: past queueCap mutations a rebuild on the
+// next read beats replaying the backlog, so the backlog is dropped.
+func TestObserveBacklogInvalidates(t *testing.T) {
+	g, _ := chainGraph()
+	d := newDriverFed(t, g, whatif.DefaultThreshold, true)
+	d.m.Observe(1, make([]pg.Mutation, queueCap)...)
+	if st := d.m.Stats(); !st.Valid || st.Invalidations != 0 {
+		t.Fatalf("a backlog at the cap invalidated: %+v", st)
+	}
+	d.m.Observe(2, pg.Mutation{})
+	if st := d.m.Stats(); st.Valid || st.Invalidations != 1 {
+		t.Fatalf("stats = %+v, want the overflow to invalidate", st)
+	}
+	if d.m.queue != nil || d.m.pending != 0 {
+		t.Fatal("invalidation kept the backlog")
+	}
+}
+
+// TestInvalidationFencesDiscardedJournals: an invalidation throws the queued
+// journals away, so a reader pinned behind them must not re-seed the
+// maintainer at its own sequence — the next drain would apply only the newer
+// journals and silently skip the discarded commits.
+func TestInvalidationFencesDiscardedJournals(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		overflow bool // v2's journal overflows queueCap; else v2's drain is cancelled
+	}{
+		{"failed drain", false},
+		{"backlog overflow", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, ids := chainGraph()
+			a, c := ids[0], ids[2]
+			dd := g.AddNode(pg.LabelCompany, pg.Properties{"name": "D"})
+			e := g.AddNode(pg.LabelCompany, pg.Properties{"name": "E"})
+			d := newDriverFed(t, g, whatif.DefaultThreshold, true)
+			d.vs.SetCommitHook(func(next *store.Version, journal []pg.Mutation) {
+				if tc.overflow && next.Seq() == 2 {
+					journal = append(make([]pg.Mutation, queueCap), journal...)
+				}
+				d.m.Observe(next.Seq(), journal...)
+			})
+			v1 := d.commit(func(o *pg.Overlay) { o.AddShare(a, c, 0.1) })
+			v2 := d.commit(func(o *pg.Overlay) { o.AddShare(dd, e, 0.7) })
+			if !tc.overflow {
+				cancelled, cancel := context.WithCancel(context.Background())
+				cancel()
+				if _, err := d.m.BaselineAt(cancelled, v2.View(), v2.Seq(), 0); err == nil {
+					t.Fatal("BaselineAt answered under a cancelled context")
+				}
+			}
+			if st := d.m.Stats(); st.Valid || st.Invalidations != 1 {
+				t.Fatalf("stats = %+v, want one invalidation", st)
+			}
+
+			checkAgainstOracle(t, "reader behind, at v1", d.baselineAt(v1, 0), d.oracleAt(v1))
+			if st := d.m.Stats(); st.Valid {
+				t.Fatalf("a seed behind the discarded v2 journal was accepted: %+v", st)
+			}
+			v3 := d.commit(func(o *pg.Overlay) { o.AddShare(a, c, 0.2) })
+			got := d.baselineAt(v3, 0)
+			if !got.Control[whatif.Pair{dd, e}] {
+				t.Fatalf("baseline at v3 lost v2's control(D, E): %v", sortedPairs(got.Control))
+			}
+			checkAgainstOracle(t, "reader at v3", got, d.oracleAt(v3))
+			if st := d.m.Stats(); !st.Valid || st.Seq != v3.Seq() || st.IncrementalCommits != 0 || st.FullRebuilds != 2 {
+				t.Fatalf("stats = %+v, want a re-seed at v3 and nothing incremental", st)
+			}
+		})
 	}
 }

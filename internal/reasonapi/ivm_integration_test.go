@@ -3,7 +3,6 @@ package reasonapi
 import (
 	"context"
 	"fmt"
-	"net/http/httptest"
 	"testing"
 
 	"vadalink/internal/datalog"
@@ -108,9 +107,10 @@ func TestMinAggDeltaGovernsCyclicChase(t *testing.T) {
 }
 
 // TestCommitsMaintainWhatifBaseline exercises the serving-tier loop: the
-// first what-if seeds the maintainer, committed shareholding mutations are
-// maintained incrementally (no full re-chase), irrelevant commits are
-// skipped, and /v1/metrics reports the counters.
+// first what-if seeds the maintainer, a committed shareholding mutation is
+// only queued at commit time and maintained incrementally by the next read
+// (no full re-chase), irrelevant commits are skipped, and /v1/metrics reports
+// the counters.
 func TestCommitsMaintainWhatifBaseline(t *testing.T) {
 	srv, s, alpha, beta := acquisitionServer(t)
 	ctx := context.Background()
@@ -124,30 +124,33 @@ func TestCommitsMaintainWhatifBaseline(t *testing.T) {
 		t.Fatalf("after first whatif: stats = %+v, want one full rebuild, valid", st)
 	}
 
-	// A committed shareholding change is maintained incrementally and the
-	// maintained baseline serves the next what-if at the new version.
-	txn := s.vs.Begin()
-	if _, err := txn.Overlay().AddShare(alpha, beta, 0.30); err != nil {
+	// A committed shareholding change costs the commit nothing: its journal
+	// is queued, and the read that next pins the new version maintains it.
+	if err := s.src.write(func(o *pg.Overlay) {
+		if _, err := o.AddShare(alpha, beta, 0.30); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
-	ver, err := txn.Commit()
+	if st := s.ivmM.Stats(); st.IncrementalCommits != 0 {
+		t.Fatalf("the commit ran maintenance itself: stats = %+v", st)
+	}
+	v, seq, release := s.src.pin()
+	defer release()
+	bl, err := s.ivmM.BaselineAt(ctx, v, seq, whatif.DefaultThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.ivmM.Stats()
-	if st.IncrementalCommits != 1 || st.FullRebuilds != 1 {
-		t.Fatalf("after commit: stats = %+v, want 1 incremental commit, still 1 full rebuild", st)
-	}
-	bl := s.ivmM.Baseline(ver.Seq(), whatif.DefaultThreshold)
-	if bl == nil {
-		t.Fatal("maintainer lost the baseline across the commit")
+	if st := s.ivmM.Stats(); st.IncrementalCommits != 1 || st.FullRebuilds != 1 {
+		t.Fatalf("after the read: stats = %+v, want 1 incremental commit, still 1 full rebuild", st)
 	}
 	// Alpha now holds 55% of Beta: control must be maintained into the
 	// baseline without a re-chase, and it must equal the oracle.
 	if !bl.Control[whatif.Pair{alpha, beta}] {
 		t.Fatalf("maintained baseline misses control(alpha, beta): %v", bl.Control)
 	}
-	oracle, err := whatif.ComputeBaseline(ctx, ver.View(), whatif.DefaultThreshold, s.engineOptions()...)
+	oracle, err := whatif.ComputeBaseline(ctx, v, whatif.DefaultThreshold, s.engineOptions()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +175,10 @@ func TestCommitsMaintainWhatifBaseline(t *testing.T) {
 	if resp, raw := postJSON(t, srv.URL+"/v1/augment", `{"classes":["family"],"noCluster":true}`); resp.StatusCode != 200 {
 		t.Fatalf("augment status %d: %v", resp.StatusCode, raw)
 	}
-	st = s.ivmM.Stats()
-	if st.SkippedCommits == 0 {
+	if resp, raw := postJSON(t, srv.URL+"/v1/whatif", body); resp.StatusCode != 200 {
+		t.Fatalf("whatif status %d: %v", resp.StatusCode, raw)
+	}
+	if st := s.ivmM.Stats(); st.SkippedCommits == 0 || st.FullRebuilds != 1 {
 		t.Fatalf("augment commit was not skipped: %+v", st)
 	}
 
@@ -192,34 +197,5 @@ func TestCommitsMaintainWhatifBaseline(t *testing.T) {
 	if m.Incremental == nil || m.Incremental.IncrementalCommits != 1 ||
 		m.Incremental.SkippedCommits == 0 || !m.Incremental.Valid {
 		t.Fatalf("metrics incremental = %+v, want maintained counters", m.Incremental)
-	}
-}
-
-// TestDisableIVM keeps the pre-maintenance behavior reachable.
-func TestDisableIVM(t *testing.T) {
-	g := pg.New()
-	a := g.AddNode(pg.LabelCompany, pg.Properties{"name": "A"})
-	b := g.AddNode(pg.LabelCompany, pg.Properties{"name": "B"})
-	if _, err := g.AddShare(a, b, 0.6); err != nil {
-		t.Fatal(err)
-	}
-	s := NewServerWith(g, Config{DisableIVM: true})
-	if s.ivmM != nil {
-		t.Fatal("DisableIVM still constructed a maintainer")
-	}
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	body := fmt.Sprintf(`{"ops":[{"op":"addShare","from":%d,"to":%d,"w":0.1}]}`, a, b)
-	if resp, raw := postJSON(t, srv.URL+"/v1/whatif", body); resp.StatusCode != 200 {
-		t.Fatalf("whatif status %d: %v", resp.StatusCode, raw)
-	}
-	var m struct {
-		Incremental any `json:"incremental"`
-	}
-	if code := getJSON(t, srv.URL+"/v1/metrics", &m); code != 200 {
-		t.Fatalf("metrics status %d", code)
-	}
-	if m.Incremental != nil {
-		t.Fatalf("metrics reported incremental stats with IVM disabled: %v", m.Incremental)
 	}
 }

@@ -77,8 +77,9 @@ type Metrics struct {
 	// request triggered (/v1/reason, /v1/explain), nil before the first.
 	LastChase *datalog.ChaseStats `json:"lastChase,omitempty"`
 	// Incremental is the incremental view maintenance counter set
-	// (commits maintained vs skipped vs full rebuilds, last apply cost);
-	// absent when maintenance is disabled.
+	// (commits maintained vs skipped vs full rebuilds, last apply cost). It
+	// advances when a what-if drains the queued journals, not at commit
+	// time.
 	Incremental *ivm.Stats `json:"incremental,omitempty"`
 	// Recovery reports what startup recovery replayed (snapshot generation,
 	// WAL records, torn tails, duration) when the server is backed by a

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"vadalink/internal/persist"
+	"vadalink/internal/pg"
 	"vadalink/internal/replication"
 )
 
@@ -17,12 +19,20 @@ import (
 // a reasonapi server in node mode on top of it.
 func startAPINode(t *testing.T, peers func() []string, cfg Config) (*replication.Node, *httptest.Server, string) {
 	t.Helper()
+	node, _, srv, addr := startAPINodeIn(t, t.TempDir(), peers, cfg)
+	return node, srv, addr
+}
+
+// startAPINodeIn is startAPINode over a chosen data directory, so a test can
+// hand the member a store it seeded first.
+func startAPINodeIn(t *testing.T, dir string, peers func() []string, cfg Config) (*replication.Node, *Server, *httptest.Server, string) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := ln.Addr().String()
-	node, err := replication.OpenNode(t.TempDir(), replication.NodeOptions{
+	node, err := replication.OpenNode(dir, replication.NodeOptions{
 		Self:      addr,
 		API:       "http://api-" + addr,
 		PeersFunc: peers,
@@ -54,7 +64,28 @@ func startAPINode(t *testing.T, peers func() []string, cfg Config) (*replication
 	})
 	srv := httptest.NewServer(api.Handler())
 	t.Cleanup(srv.Close)
-	return node, srv, addr
+	return node, api, srv, addr
+}
+
+// leadingAPINode serves g from a single-member replica group: the member's
+// store is seeded with g before it opens, and the call returns once it has
+// promoted itself.
+func leadingAPINode(t *testing.T, g *pg.Graph, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	dir := t.TempDir()
+	ps, err := persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Import(g); err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+	node, api, srv, _ := startAPINodeIn(t, dir, func() []string { return nil }, cfg)
+	waitCond(t, "self-promotion", node.IsLeader)
+	return api, srv
 }
 
 func waitCond(t *testing.T, what string, cond func() bool) {

@@ -10,7 +10,6 @@ package reasonapi
 // is exact for ("seq" in the body) and an X-Cache: hit|miss header.
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,29 +18,9 @@ import (
 	"sort"
 
 	"vadalink/internal/datalog"
-	"vadalink/internal/pg"
 	"vadalink/internal/qcache"
 	"vadalink/internal/vadalog"
 )
-
-// viewSeq pins the read view for one request together with the sequence
-// number the view answers for. In MVCC mode both come from the same pinned
-// version, so they cannot disagree; in follower mode the sequence is the
-// follower's applied position, read under the same lock as the graph.
-func (s *Server) viewSeq() (pg.View, uint64, func()) {
-	if s.vs != nil {
-		ver := s.vs.Current()
-		return ver.View(), ver.Seq(), func() {}
-	}
-	s.mu.RLock()
-	var seq uint64
-	if fl := s.cfg.Follower; fl != nil {
-		if n := fl.Seq(); n > 0 {
-			seq = uint64(n)
-		}
-	}
-	return s.g, seq, s.mu.RUnlock
-}
 
 // servePoint answers one point query through the result cache: on a hit the
 // marshaled payload is replayed as-is (its embedded "seq" names the version
@@ -55,6 +34,15 @@ func (s *Server) viewSeq() (pg.View, uint64, func()) {
 // (budget-truncated) answer, served with 200 but never cached; a nil body is
 // a hard failure, answered as a 500.
 func (s *Server) servePoint(w http.ResponseWriter, r *http.Request, seq uint64, key string, class qcache.Class, build func() (map[string]any, error)) {
+	if err := s.answerPoint(w, seq, key, class, build); err != nil {
+		writeErr(w, r, http.StatusInternalServerError, "internal", "query failed: %v", err)
+	}
+}
+
+// answerPoint is servePoint without the verdict on a hard failure: it
+// returns build's error, having written nothing, for callers that answer
+// that case differently.
+func (s *Server) answerPoint(w http.ResponseWriter, seq uint64, key string, class qcache.Class, build func() (map[string]any, error)) error {
 	compute := func() ([]byte, error) {
 		body, err := build()
 		if body == nil {
@@ -81,8 +69,7 @@ func (s *Server) servePoint(w http.ResponseWriter, r *http.Request, seq uint64, 
 		payload, err = compute()
 	}
 	if payload == nil {
-		writeErr(w, r, http.StatusInternalServerError, "internal", "query failed: %v", err)
-		return
+		return err
 	}
 	cache := "miss"
 	if hit {
@@ -92,6 +79,7 @@ func (s *Server) servePoint(w http.ResponseWriter, r *http.Request, seq uint64, 
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(payload)
+	return nil
 }
 
 // queryRequest is the body of POST /v1/query: a goal atom, optionally with
@@ -149,11 +137,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		opts = append(opts, datalog.WithBudget(b))
 	}
 
-	v, seq, release := s.viewSeq()
+	v, seq, release := s.src.pin()
 	defer release()
 
-	key := queryKey(class, goal, progSrc, req.MaxFacts)
-	compute := func() ([]byte, error) {
+	err = s.answerPoint(w, seq, queryKey(class, goal, progSrc, req.MaxFacts), class, func() (map[string]any, error) {
 		res, err := vadalog.EvalGoal(r.Context(), v, progSrc, goal, opts...)
 		if err != nil {
 			return nil, err
@@ -161,49 +148,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if res.Engine != nil {
 			s.recordChase(res.Engine.Stats())
 		}
-		runErr := res.RunErr
-		var be *datalog.BudgetExceededError
-		if runErr != nil && !errors.As(runErr, &be) &&
-			!errors.Is(runErr, context.DeadlineExceeded) && !errors.Is(runErr, context.Canceled) {
-			return nil, runErr
+		if res.RunErr != nil && !interrupted(res.RunErr) {
+			return nil, res.RunErr
 		}
 		resp := map[string]any{
 			"goal":    goal.String(),
 			"mode":    res.Mode,
 			"answers": answerRows(res.Answers),
 			"count":   len(res.Answers),
-			"seq":     seq,
 		}
-		for k, vv := range truncMeta(runErr) {
+		for k, vv := range truncMeta(res.RunErr) {
 			resp[k] = vv
 		}
-		payload, merr := json.Marshal(resp)
-		if merr != nil {
-			return nil, merr
-		}
-		return payload, runErr
-	}
-	var (
-		payload []byte
-		hit     bool
-	)
-	if s.qc != nil {
-		payload, _, hit, err = s.qc.Do(key, class, seq, compute)
-	} else {
-		payload, err = compute()
-	}
-	if payload == nil {
+		return resp, res.RunErr
+	})
+	if err != nil {
 		writeErr(w, r, http.StatusUnprocessableEntity, "unprocessable", "evaluating goal: %v", err)
-		return
 	}
-	cache := "miss"
-	if hit {
-		cache = "hit"
-	}
-	w.Header().Set("X-Cache", cache)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(payload)
 }
 
 // answerRows renders goal bindings as JSON objects keyed by variable name,

@@ -232,9 +232,9 @@ func TestQueryCacheInvalidationFollowsCommitClassifier(t *testing.T) {
 	seq0 := body0["seq"]
 
 	// Irrelevant commit: a bare person node cannot move the control relation.
-	txn := s.vs.Begin()
-	txn.Overlay().AddNode(pg.LabelPerson, pg.Properties{"name": "bystander"})
-	if _, err := txn.Commit(); err != nil {
+	if err := s.src.write(func(o *pg.Overlay) {
+		o.AddNode(pg.LabelPerson, pg.Properties{"name": "bystander"})
+	}); err != nil {
 		t.Fatal(err)
 	}
 	resp, body1 := postQuery(t, srv.URL, goal)
@@ -246,11 +246,11 @@ func TestQueryCacheInvalidationFollowsCommitClassifier(t *testing.T) {
 	}
 
 	// Relevant commit: a shareholding edge can move every derived relation.
-	txn = s.vs.Begin()
-	if _, err := txn.Overlay().AddShare(b.ID("P2"), b.ID("C4"), 0.9); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := txn.Commit(); err != nil {
+	if err := s.src.write(func(o *pg.Overlay) {
+		if _, err := o.AddShare(b.ID("P2"), b.ID("C4"), 0.9); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
 	resp, body2 := postQuery(t, srv.URL, goal)

@@ -16,6 +16,7 @@ import (
 	"vadalink/internal/faultinject"
 	"vadalink/internal/graphgen"
 	"vadalink/internal/pg"
+	"vadalink/internal/qcache"
 )
 
 // divergingProgram never reaches a fixpoint: every p(X) invents a fresh
@@ -223,10 +224,35 @@ func TestServeGracefulDrain(t *testing.T) {
 // TestConcurrentReadsDuringAugment is the satellite concurrency test: read
 // endpoints are hammered while /v1/augment mutates the graph, under -race.
 // A second concurrent augment must get an immediate 503 with Retry-After.
+// It holds wherever the graph lives: on a standalone server's version chain
+// and on a replica-group leader's locked graph (which used to run the whole
+// augmentation under the write lock, and told neither the cache nor the
+// maintainer about it).
 func TestConcurrentReadsDuringAugment(t *testing.T) {
-	it := graphgen.NewItalian(graphgen.ItalianConfig{Persons: 60, Companies: 20, Seed: 3})
-	srv := httptest.NewServer(NewServerWith(it.Graph, Config{Timeout: 30 * time.Second}).Handler())
-	defer srv.Close()
+	cfg := Config{Timeout: 30 * time.Second}
+	for _, mode := range []struct {
+		name  string
+		start func(t *testing.T, g *pg.Graph) (*Server, *httptest.Server)
+	}{
+		{"standalone", func(t *testing.T, g *pg.Graph) (*Server, *httptest.Server) {
+			s := NewServerWith(g, cfg)
+			srv := httptest.NewServer(s.Handler())
+			t.Cleanup(srv.Close)
+			return s, srv
+		}},
+		{"replica-group leader", func(t *testing.T, g *pg.Graph) (*Server, *httptest.Server) {
+			return leadingAPINode(t, g, cfg)
+		}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			it := graphgen.NewItalian(graphgen.ItalianConfig{Persons: 60, Companies: 20, Seed: 3})
+			s, srv := mode.start(t, it.Graph)
+			readsDuringAugment(t, s, srv, it.Graph.Nodes())
+		})
+	}
+}
+
+func readsDuringAugment(t *testing.T, s *Server, srv *httptest.Server, nodes []pg.NodeID) {
 	t.Cleanup(faultinject.Reset)
 
 	// Gate the first augmentation round so the busy window is deterministic,
@@ -240,7 +266,10 @@ func TestConcurrentReadsDuringAugment(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	})
 
-	nodes := it.Graph.Nodes()
+	// A caller-program answer any commit must flush: the probe for whether
+	// the augmentation's journal reaches the cache.
+	s.qc.Put("probe", qcache.ClassAny, 0, []byte("{}"))
+
 	augDone := make(chan int, 1)
 	go func() {
 		resp, err := http.Post(srv.URL+"/v1/augment", "application/json",
@@ -340,6 +369,20 @@ func TestConcurrentReadsDuringAugment(t *testing.T) {
 
 	if code := <-augDone; code != 200 {
 		t.Errorf("gated augment finished with status %d, want 200", code)
+	}
+
+	// The commit was announced once, to both subscribers: the cache dropped
+	// the caller-program entry, and the maintainer — seeded by the what-if
+	// above — catches up on the (derived-irrelevant) journal at the next read
+	// instead of re-chasing.
+	if _, _, ok := s.qc.Get("probe"); ok {
+		t.Error("the augmentation's journal never reached qcache.OnCommit")
+	}
+	if resp, raw := postJSON(t, srv.URL+"/v1/whatif", `{"ops":[{"op":"addNode","name":"Hypothetical"}]}`); resp.StatusCode != 200 {
+		t.Fatalf("what-if after augment: status %d: %v", resp.StatusCode, raw)
+	}
+	if st := s.ivmM.Stats(); st.SkippedCommits == 0 || st.FullRebuilds != 1 {
+		t.Errorf("the augmentation's journal never reached the maintainer: %+v", st)
 	}
 }
 

@@ -31,15 +31,17 @@
 // commits invalidate which entries — write traffic that cannot move the
 // derived relations keeps hot point answers alive.
 //
-// Reads are MVCC snapshots: the graph is published through a store.Versioned
-// chain of immutable versions, read handlers pin the current version without
-// taking any lock, and /v1/augment builds the successor in a copy-on-write
-// overlay transaction — an in-flight augmentation never blocks a read, and a
-// reader never observes a half-applied mutation. /v1/whatif layers a further
-// private overlay on the pinned version, so counterfactuals touch neither
-// the published chain nor the WAL. Follower mode keeps the locked read path:
-// there the replication stream rewrites the graph in place under the write
-// lock.
+// There is one serving path. Every handler pins a consistent (view, seq)
+// through the server's source and /v1/augment writes through it: the run
+// happens on a copy-on-write overlay while reads keep being served, then the
+// overlay's journal is applied in a short critical section — an in-flight
+// augmentation never blocks a read, and a reader never observes a
+// half-applied mutation. /v1/whatif layers a further private overlay on the
+// pinned view, so counterfactuals touch neither the served graph nor the
+// WAL. Where the graph lives — a store.Versioned chain of immutable versions
+// (standalone, static leader) or the graph a replication follower applies
+// frames to under a lock (followers and replica-group members) — is the
+// source's business alone; see source.go.
 //
 // Every request runs under a wall-clock deadline (Config.Timeout) and the
 // chase-backed endpoints under a resource Budget; when a limit trips, the
@@ -78,7 +80,6 @@ import (
 	"vadalink/internal/qcache"
 	"vadalink/internal/relstore"
 	"vadalink/internal/replication"
-	"vadalink/internal/store"
 	"vadalink/internal/vadalog"
 	"vadalink/internal/whatif"
 )
@@ -86,10 +87,6 @@ import (
 // DefaultTimeout is the per-request wall-clock budget when Config.Timeout
 // is zero.
 const DefaultTimeout = 30 * time.Second
-
-// ivmQueueCap bounds the follower's pending-maintenance journal; beyond it
-// a full rebuild on next read beats replaying the backlog.
-const ivmQueueCap = 1 << 16
 
 // Config tunes the resource governance of the reasoning API.
 type Config struct {
@@ -113,11 +110,6 @@ type Config struct {
 	// chases into minutes. A negative value restores the engine default for
 	// callers that need near-exact totals and accept the cost.
 	MinAggDelta float64
-
-	// DisableIVM turns off incremental view maintenance: every /v1/whatif
-	// baseline is then recomputed from scratch when the version changes.
-	// Maintenance is on by default in both leader and follower modes.
-	DisableIVM bool
 
 	// QueryCacheBytes bounds the query-result cache behind the point
 	// endpoints (/v1/query and the goal forms of the reasoning reads).
@@ -240,20 +232,14 @@ func (c Config) minAggDelta() float64 {
 
 // Server serves the reasoning API over a company graph.
 type Server struct {
-	mu  sync.RWMutex
-	g   *pg.Graph
 	cfg Config
 
-	// vs is the MVCC version chain in leader/standalone mode: reads pin
-	// Current() lock-free, /v1/augment commits overlay transactions against
-	// it, and s.g stays the private writer master the WAL hook hangs on.
-	// nil in follower mode, where reads stay under mu.
-	vs *store.Versioned
-
-	// blCache holds the what-if baseline of one (version, threshold) pair;
-	// every /v1/whatif against the same published version reuses it instead
-	// of re-chasing the base graph.
-	blCache atomic.Pointer[baselineEntry]
+	// src is where the served graph lives: every read pins it, /v1/augment
+	// writes through it, and it reports every applied journal to committed.
+	src source
+	// mu is the lock src mutates the durable graph under — the admin
+	// snapshot takes it so it never captures a half-applied journal.
+	mu sync.RWMutex
 
 	// qc caches marshaled point-query responses keyed by goal and stamped
 	// with the sequence they were computed at; invalidated from the commit
@@ -261,15 +247,9 @@ type Server struct {
 	// Config.QueryCacheBytes is negative.
 	qc *qcache.Cache
 
-	// ivmM maintains the derived ownership baseline incrementally across
-	// commits (leader: fed by the store's commit hook; follower: fed lazily
-	// from the queued replication journal). nil when Config.DisableIVM.
+	// ivmM maintains the /v1/whatif baseline incrementally across commits:
+	// committed queues each journal, the next what-if drains them.
 	ivmM *ivm.Maintainer
-	// ivmQ buffers follower-observed mutations until a read drains them
-	// into the maintainer — frames apply under the write lock, where running
-	// a maintenance chase would stall the replication stream.
-	ivmQMu sync.Mutex
-	ivmQ   []pg.Mutation
 
 	// augMu serializes /v1/augment; TryLock turns contention into 503
 	// instead of an unbounded queue on mu.
@@ -304,10 +284,10 @@ func NewServer(g *pg.Graph) *Server { return NewServerWith(g, Config{}) }
 // follower's recovered graph and tracks it across snapshot bootstraps.
 func NewServerWith(g *pg.Graph, cfg Config) *Server {
 	if nd := cfg.Node; nd != nil {
-		// Replica-group mode reuses the whole follower wiring (read lock,
-		// bootstrap swap, IVM/cache invalidation) on the node's tailing
-		// half, and the leader half for stream metrics. The store is the
-		// node's own, so durability plumbing stays consistent too.
+		// Replica-group mode serves the graph of the node's tailing half —
+		// whatever the node's current role — and reports the leader half's
+		// stream metrics. The store is the node's own, so durability
+		// plumbing stays consistent too.
 		cfg.Follower = nd.Follower()
 		if cfg.Leader == nil {
 			cfg.Leader = nd.Leader()
@@ -316,100 +296,41 @@ func NewServerWith(g *pg.Graph, cfg Config) *Server {
 			cfg.Persist = nd.Store()
 		}
 	}
-	s := &Server{g: g, cfg: cfg}
-	if !cfg.DisableIVM {
-		s.ivmM = ivm.New(whatif.DefaultThreshold, s.engineOptions()...)
-	}
+	s := &Server{cfg: cfg}
+	s.ivmM = ivm.New(whatif.DefaultThreshold, s.engineOptions()...)
 	if cfg.QueryCacheBytes >= 0 {
 		s.qc = qcache.New(cfg.QueryCacheBytes)
 	}
+	// The one place that chooses where the graph lives.
 	if fl := cfg.Follower; fl != nil {
-		if s.g == nil {
-			s.g = fl.Graph()
-		}
-		// Frames apply under the server's write lock, so readers never see
-		// a half-applied mutation; a bootstrap re-points the served graph
-		// inside the same critical section.
-		fl.SetLock(&s.mu)
-		fl.OnSwap(func(ng *pg.Graph) {
-			s.g = ng
-			if s.qc != nil {
-				// No journal describes a snapshot bootstrap: drop everything.
-				s.qc.Flush()
-			}
-			if s.ivmM != nil {
-				// A bootstrap replaced the graph wholesale; the journal the
-				// queue holds describes the old object.
-				s.ivmQMu.Lock()
-				s.ivmQ = nil
-				s.ivmQMu.Unlock()
-				s.ivmM.Invalidate()
-			}
-		})
-		if s.qc != nil {
-			// Invalidate cached point answers from the replication stream,
-			// classified exactly like leader-side commits: a frame that cannot
-			// move the derived relations keeps derived entries alive.
-			fl.OnMutation(func(mut pg.Mutation) {
-				s.qc.OnCommit(uint64(fl.Seq()), ivm.RelevantMutations([]pg.Mutation{mut}))
-			})
-		}
-		if s.ivmM != nil {
-			// Enqueue only: the observer runs under the write lock, where a
-			// maintenance chase would stall frame application. The next read
-			// drains the queue (see followerBaselineLocked). A runaway queue
-			// (no reads at the maintained threshold for a long stretch of
-			// writes) is cheaper to rebuild than to replay, so it drops.
-			fl.OnMutation(func(mut pg.Mutation) {
-				s.ivmQMu.Lock()
-				s.ivmQ = append(s.ivmQ, mut)
-				drop := len(s.ivmQ) > ivmQueueCap
-				if drop {
-					s.ivmQ = nil
-				}
-				s.ivmQMu.Unlock()
-				if drop {
-					s.ivmM.Invalidate()
-				}
-			})
-		}
-		return s
-	}
-	// Leader/standalone: publish the graph as version 0 and serve reads from
-	// the immutable version chain. s.g remains the writer master — commits
-	// replay onto it, so a WAL capture hook set by persistence keeps seeing
-	// exactly the committed mutations.
-	s.vs = store.NewVersioned(g)
-	if s.ivmM != nil {
-		// Maintain derived state at commit time: the hook runs under the
-		// commit lock after the version is published, so maintenance sees
-		// commits in order, exactly once. Any maintenance error invalidates
-		// the maintainer and the next what-if falls back to a full chase.
-		s.vs.SetCommitHook(func(next *store.Version, journal []pg.Mutation) {
-			_ = s.ivmM.Apply(context.Background(), next.View(), next.Seq()-1, next.Seq(), journal)
-		})
-	}
-	if s.qc != nil {
-		// The cache invalidation composes with the maintenance hook above:
-		// every commit is classified once by the shared IVM relevance rules,
-		// and irrelevant commits leave the derived-class entries standing.
-		s.vs.AddCommitHook(func(next *store.Version, journal []pg.Mutation) {
-			s.qc.OnCommit(next.Seq(), ivm.RelevantMutations(journal))
-		})
+		s.src = newLockedSource(g, fl, &s.mu, s.committed, s.reset)
+	} else {
+		s.src = newMVCCSource(g, &s.mu, s.committed)
 	}
 	return s
 }
 
-// view returns the read view for one request plus a release function. In
-// MVCC mode it pins the currently published immutable version — no lock, no
-// contention with an in-flight augment. In follower mode it takes the read
-// lock, because the replication stream mutates the served graph in place.
-func (s *Server) view() (pg.View, func()) {
-	if s.vs != nil {
-		return s.vs.Current().View(), func() {}
+// committed is the single subscription to the commit stream: src calls it
+// once per journal applied to the served graph — an /v1/augment commit or a
+// replicated frame alike — with the sequence the graph then stands at. The
+// cache drops what the journal can have moved (classified by the shared IVM
+// relevance rules: a journal that cannot move the derived relations leaves
+// derived answers standing), and the maintainer queues the journal for the
+// next what-if. Both are cheap: src calls this under its commit lock.
+func (s *Server) committed(seq uint64, journal []pg.Mutation) {
+	if s.qc != nil {
+		s.qc.OnCommit(seq, ivm.RelevantMutations(journal))
 	}
-	s.mu.RLock()
-	return s.g, s.mu.RUnlock
+	s.ivmM.Observe(seq, journal...)
+}
+
+// reset is committed's counterpart for a jump no journal describes (a
+// follower's snapshot bootstrap): everything derived from the old graph goes.
+func (s *Server) reset() {
+	if s.qc != nil {
+		s.qc.Flush()
+	}
+	s.ivmM.Reset()
 }
 
 // engineOptions is the budgeted engine configuration for request-triggered
@@ -703,10 +624,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m := s.metrics.snapshot(s.lastChase.Load())
-	if s.ivmM != nil {
-		st := s.ivmM.Stats()
-		m.Incremental = &st
-	}
+	ist := s.ivmM.Stats()
+	m.Incremental = &ist
 	if ps := s.cfg.Persist; ps != nil {
 		rec, st := ps.Recovery(), ps.Stats()
 		m.Recovery, m.Persistence = &rec, &st
@@ -728,6 +647,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		m.Cache = &st
 	}
 	writeJSON(w, http.StatusOK, m)
+}
+
+// interrupted reports whether err is a tripped limit — chase budget, request
+// deadline or cancellation — rather than a genuine evaluation failure.
+func interrupted(err error) bool {
+	var be *datalog.BudgetExceededError
+	return errors.As(err, &be) ||
+		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 }
 
 // truncMeta classifies an interruption error into the JSON metadata of a
@@ -753,14 +680,12 @@ func truncMeta(err error) map[string]any {
 }
 
 // handleUBO lists the ultimate beneficial owners of a company:
-// GET /v1/ubo?node=ID.
-// handleUBO lists the ultimate beneficial owners of a company:
 // GET /v1/ubo?node=ID. The reverse question ("who controls this company?")
 // is where demand transformation pays most: the goal control(X, node) binds
 // the second argument, so only node's reverse ownership cone is derived
 // instead of running the control fixpoint from every person in the graph.
 func (s *Server) handleUBO(w http.ResponseWriter, r *http.Request) {
-	v, seq, release := s.viewSeq()
+	v, seq, release := s.src.pin()
 	defer release()
 	node, err := parseNode(v, r, "node")
 	if err != nil {
@@ -788,7 +713,7 @@ func (s *Server) handleUBO(w http.ResponseWriter, r *http.Request) {
 // handleNeighborhood returns the ego network of a node as graph JSON:
 // GET /v1/neighborhood?node=ID&hops=2.
 func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
-	v, release := s.view()
+	v, _, release := s.src.pin()
 	defer release()
 	node, err := parseNode(v, r, "node")
 	if err != nil {
@@ -812,7 +737,7 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 // handleExplain returns the derivation tree of a control decision — the §5
 // explainability property over HTTP: GET /v1/explain?from=ID&to=ID.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	v, seq, release := s.viewSeq()
+	v, seq, release := s.src.pin()
 	defer release()
 	from, err := parseNode(v, r, "from")
 	if err != nil {
@@ -832,29 +757,14 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		goal := datalog.Atom{Pred: "control", Terms: []datalog.Term{
 			datalog.Int(int64(from)), datalog.Int(int64(to)),
 		}}
-		prog, perr := datalog.Parse(vadalog.ControlProgram)
-		if perr != nil {
-			return nil, perr
-		}
 		opts := append(s.engineOptions(), datalog.WithProvenance())
-		mode := vadalog.GoalModeMagic
-		e, eerr := datalog.NewGoalEngine(prog, goal, opts...)
-		if eerr != nil {
-			var nd *datalog.ErrNotDemandable
-			if !errors.As(eerr, &nd) {
-				return nil, eerr
-			}
-			mode = vadalog.GoalModeFull
-			if e, eerr = datalog.NewEngine(prog, opts...); eerr != nil {
-				return nil, eerr
-			}
+		res, err := vadalog.EvalGoal(r.Context(), v, vadalog.ControlProgram, goal, opts...)
+		if err != nil {
+			return nil, err
 		}
-		e.AssertAll(relstore.CompanyGraphFacts(v))
-		runErr := e.RunContext(r.Context())
+		e, runErr := res.Engine, res.RunErr
 		s.recordChase(e.Stats())
-		var be *datalog.BudgetExceededError
-		if runErr != nil && !errors.As(runErr, &be) &&
-			!errors.Is(runErr, context.DeadlineExceeded) && !errors.Is(runErr, context.Canceled) {
+		if runErr != nil && !interrupted(runErr) {
 			return nil, runErr
 		}
 		// On a budget trip the partial derivations remain readable: the tree
@@ -870,7 +780,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			"to":       to,
 			"controls": tree != nil,
 			"why":      tree,
-			"mode":     mode,
+			"mode":     res.Mode,
 		}
 		for k, vv := range truncMeta(runErr) {
 			resp[k] = vv
@@ -903,7 +813,7 @@ func writeErr(w http.ResponseWriter, r *http.Request, status int, code string, f
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	v, release := s.view()
+	v, _, release := s.src.pin()
 	defer release()
 	writeJSON(w, http.StatusOK, graphstats.Compute(v))
 }
@@ -929,7 +839,7 @@ func parseNode(v pg.View, r *http.Request, param string) (pg.NodeID, error) {
 // boolean (fully bound demand — only the derivation cone connecting the two
 // is explored). Both route through the goal engine and the result cache.
 func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
-	v, seq, release := s.viewSeq()
+	v, seq, release := s.src.pin()
 	defer release()
 	node, err := parseNode(v, r, "node")
 	if err != nil {
@@ -975,7 +885,7 @@ func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
 // The response is the {"pairs": [{"from", "to"}, ...]} envelope — earlier
 // releases leaked a bare capitalized array on the success path; see API.md.
 func (s *Server) handleControlPairs(w http.ResponseWriter, r *http.Request) {
-	v, seq, release := s.viewSeq()
+	v, seq, release := s.src.pin()
 	defer release()
 	s.servePoint(w, r, seq, "control/pairs", qcache.ClassDerived, func() (map[string]any, error) {
 		pairs, runErr := control.AllPairsCtx(r.Context(), v)
@@ -992,7 +902,7 @@ func (s *Server) handleControlPairs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCloseLinks(w http.ResponseWriter, r *http.Request) {
-	v, seq, release := s.viewSeq()
+	v, seq, release := s.src.pin()
 	defer release()
 	t := closelink.DefaultThreshold
 	if raw := r.URL.Query().Get("t"); raw != "" {
@@ -1032,7 +942,7 @@ func (s *Server) handleCloseLinks(w http.ResponseWriter, r *http.Request) {
 // cyclic graphs are part of the endpoint's contract); the response rides the
 // result cache and carries the seq and X-Cache stamps like every point read.
 func (s *Server) handleAccumulated(w http.ResponseWriter, r *http.Request) {
-	v, seq, release := s.viewSeq()
+	v, seq, release := s.src.pin()
 	defer release()
 	from, err := parseNode(v, r, "from")
 	if err != nil {
@@ -1113,29 +1023,17 @@ func (s *Server) handleAugment(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.augMu.Unlock()
 	s.activeMut.Add(1)
+	// The run happens on a copy-on-write overlay: readers keep being served
+	// the untouched graph for as long as it takes. Its journal is committed
+	// even after an interrupted run, because completed rounds are monotone
+	// and must persist.
 	var res *core.Result
-	if s.vs != nil {
-		// Run the augmentation on a copy-on-write overlay transaction:
-		// readers keep serving the published version untouched for the whole
-		// run. Commit replays the journal onto the writer master (where the
-		// WAL capture hook lives) and publishes the successor version; it
-		// runs even after an interrupted chase, because completed rounds are
-		// monotone and must persist. s.mu guards the master against a
-		// concurrent admin snapshot reading it mid-replay.
-		txn := s.vs.Begin()
-		res, err = aug.RunContext(r.Context(), txn.Overlay())
-		s.mu.Lock()
-		_, cerr := txn.Commit()
-		s.mu.Unlock()
-		if cerr != nil {
-			s.activeMut.Add(-1)
-			writeErr(w, r, http.StatusInternalServerError, "internal", "commit failed: %v", cerr)
-			return
-		}
-	} else {
-		s.mu.Lock()
-		res, err = aug.RunContext(r.Context(), s.g)
-		s.mu.Unlock()
+	if cerr := s.src.write(func(o *pg.Overlay) {
+		res, err = aug.RunContext(r.Context(), o)
+	}); cerr != nil {
+		s.activeMut.Add(-1)
+		s.writeCommitErr(w, r, cerr)
+		return
 	}
 	// Durability before acknowledgement: whatever the run added (even the
 	// completed rounds of an interrupted run) must be in the WAL and synced
@@ -1191,86 +1089,6 @@ func (s *Server) handleAugment(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// baselineEntry caches the derived baseline of one (published version,
-// threshold) pair, so a burst of what-if scenarios against the same version
-// re-chases the base graph once, not once per request.
-type baselineEntry struct {
-	seq       uint64
-	threshold float64
-	bl        *whatif.Baseline
-}
-
-// baselineFor returns the what-if baseline of a published version. The
-// incrementally maintained baseline answers first (at the maintainer's
-// threshold it stays current across commits without any re-chase); the
-// single-entry cache covers other thresholds; a full chase is the fallback,
-// and its result re-seeds the maintainer so subsequent commits go back to
-// incremental maintenance.
-func (s *Server) baselineFor(ctx context.Context, ver *store.Version, threshold float64) (*whatif.Baseline, error) {
-	if m := s.ivmM; m != nil {
-		if bl := m.Baseline(ver.Seq(), threshold); bl != nil {
-			return bl, nil
-		}
-	}
-	if e := s.blCache.Load(); e != nil && e.seq == ver.Seq() && e.threshold == threshold {
-		return e.bl, nil
-	}
-	bl, err := whatif.ComputeBaseline(ctx, ver.View(), threshold, s.engineOptions()...)
-	if err != nil {
-		return nil, err
-	}
-	s.blCache.Store(&baselineEntry{seq: ver.Seq(), threshold: threshold, bl: bl})
-	if m := s.ivmM; m != nil && threshold == m.Threshold() {
-		// Best-effort: if a commit published a newer version while this
-		// baseline was being chased, the seed is stale — Seed drops it and
-		// the commit hook's gap check keeps the maintainer honest.
-		_ = m.Seed(ctx, ver.View(), ver.Seq(), bl)
-	}
-	return bl, nil
-}
-
-// followerBaselineLocked returns the baseline for the follower's current
-// graph, maintained incrementally from the queued replication journal.
-// Callers must hold s.mu.RLock (or stronger): that excludes frame
-// application, so the queue and the graph cannot advance mid-drain; the
-// queue mutex serializes concurrent readers draining at once.
-func (s *Server) followerBaselineLocked(ctx context.Context, threshold float64) (*whatif.Baseline, error) {
-	m := s.ivmM
-	if m == nil {
-		return whatif.ComputeBaseline(ctx, s.g, threshold, s.engineOptions()...)
-	}
-	curSeq := uint64(s.cfg.Follower.Seq())
-	s.ivmQMu.Lock()
-	if pending := s.ivmQ; len(pending) > 0 {
-		if from, ok := m.Seq(); ok {
-			s.ivmQ = nil
-			_ = m.Apply(ctx, s.g, from, curSeq, pending)
-		}
-		// Invalid maintainer: leave the queue alone — it is cleared when a
-		// full chase re-seeds below, and unbounded growth is impossible
-		// because every read that recomputes also reseeds.
-	}
-	s.ivmQMu.Unlock()
-	if bl := m.Baseline(curSeq, threshold); bl != nil {
-		return bl, nil
-	}
-	bl, err := whatif.ComputeBaseline(ctx, s.g, threshold, s.engineOptions()...)
-	if err != nil {
-		return nil, err
-	}
-	if threshold == m.Threshold() {
-		// The chase ran under the read lock, so the graph could not advance:
-		// the queued journal (if any) predates this baseline. Drop it before
-		// seeding, or the next drain would re-apply already-reflected
-		// mutations.
-		s.ivmQMu.Lock()
-		s.ivmQ = nil
-		s.ivmQMu.Unlock()
-		_ = m.Seed(ctx, s.g, curSeq, bl)
-	}
-	return bl, nil
-}
-
 // whatifRequest describes a POST /v1/whatif counterfactual: a batch of
 // hypothetical graph operations plus the close-link threshold to reason at.
 type whatifRequest struct {
@@ -1306,42 +1124,25 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	opt := whatif.Options{Threshold: threshold, Engine: s.engineOptions()}
-	var (
-		res *whatif.Result
-		seq uint64
-		err error
-	)
-	if s.vs != nil {
-		ver := s.vs.Current()
-		seq = ver.Seq()
-		var bl *whatif.Baseline
-		if bl, err = s.baselineFor(r.Context(), ver, threshold); err == nil {
-			res, err = whatif.Evaluate(r.Context(), ver.View(), bl, req.Ops, opt)
-		}
-	} else {
-		// Follower mode: no version chain — evaluate under the read lock so
-		// the replication stream cannot rewrite the graph mid-chase. The
-		// baseline is maintained incrementally from the queued replication
-		// journal (followerBaselineLocked), so steady-state reads skip the
-		// full re-chase the stream's out-of-band writes would otherwise
-		// force on every request.
-		s.mu.RLock()
-		var bl *whatif.Baseline
-		if bl, err = s.followerBaselineLocked(r.Context(), threshold); err == nil {
-			res, err = whatif.Evaluate(r.Context(), s.g, bl, req.Ops, opt)
-		}
-		s.mu.RUnlock()
+	// The pin is held across the chase: the baseline must describe exactly
+	// the view the scenario is evaluated on. The maintainer answers from its
+	// incrementally maintained state where it can and falls back to a full
+	// chase where it cannot, so steady-state what-ifs skip the re-chase every
+	// out-of-band write would otherwise force.
+	v, seq, release := s.src.pin()
+	defer release()
+	var res *whatif.Result
+	bl, err := s.ivmM.BaselineAt(r.Context(), v, seq, threshold)
+	if err == nil {
+		res, err = whatif.Evaluate(r.Context(), v, bl, req.Ops,
+			whatif.Options{Threshold: threshold, Engine: s.engineOptions()})
 	}
 	if err != nil {
 		var oe *whatif.OpError
-		var be *datalog.BudgetExceededError
 		switch {
 		case errors.As(err, &oe):
 			writeErr(w, r, http.StatusBadRequest, "bad_op", "op %d: %v", oe.Index, oe.Err)
-		case errors.As(err, &be),
-			errors.Is(err, context.DeadlineExceeded),
-			errors.Is(err, context.Canceled):
+		case interrupted(err):
 			// The counterfactual chase tripped a limit: nothing partial is
 			// worth returning (a truncated diff would lie), so report 503
 			// like an interrupted augment.
@@ -1436,18 +1237,16 @@ func (s *Server) handleReason(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Extract the relational image of the pinned read view (in follower
-	// mode: under the read lock), then run the chase without holding it.
-	v, release := s.view()
+	// Extract the relational image of the pinned read view, then run the
+	// chase without holding the pin.
+	v, _, release := s.src.pin()
 	facts := relstore.CompanyGraphFacts(v)
 	release()
 	engine.AssertAll(facts)
 
 	runErr := engine.RunContext(r.Context())
 	s.recordChase(engine.Stats())
-	var be *datalog.BudgetExceededError
-	if runErr != nil && !errors.As(runErr, &be) &&
-		!errors.Is(runErr, context.DeadlineExceeded) && !errors.Is(runErr, context.Canceled) {
+	if runErr != nil && !interrupted(runErr) {
 		// A genuine evaluation error (bad builtin, type error), not a
 		// budget trip.
 		writeErr(w, r, http.StatusUnprocessableEntity, "unprocessable", "evaluating program: %v", runErr)
@@ -1511,7 +1310,7 @@ func jsonValue(v any) any {
 }
 
 func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
-	v, release := s.view()
+	v, _, release := s.src.pin()
 	defer release()
 	w.Header().Set("Content-Type", "application/json")
 	_ = pg.WriteJSONView(v, w)

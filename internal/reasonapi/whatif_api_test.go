@@ -8,17 +8,17 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"vadalink/internal/pg"
 )
 
-// acquisitionServer serves the README scenario: Alpha holds 25% of Beta,
-// Delta holds 40%, Carol holds the majority of Alpha.
-func acquisitionServer(t *testing.T) (*httptest.Server, *Server, pg.NodeID, pg.NodeID) {
+// acquisitionGraph loads the README scenario into g: Alpha holds 25% of
+// Beta, Delta holds 40%, Carol holds the majority of Alpha.
+func acquisitionGraph(t *testing.T, g *pg.Graph) (alpha, beta pg.NodeID) {
 	t.Helper()
-	g := pg.New()
-	alpha := g.AddNode(pg.LabelCompany, pg.Properties{"name": "Alpha"})
-	beta := g.AddNode(pg.LabelCompany, pg.Properties{"name": "Beta"})
+	alpha = g.AddNode(pg.LabelCompany, pg.Properties{"name": "Alpha"})
+	beta = g.AddNode(pg.LabelCompany, pg.Properties{"name": "Beta"})
 	delta := g.AddNode(pg.LabelCompany, pg.Properties{"name": "Delta"})
 	carol := g.AddNode(pg.LabelPerson, pg.Properties{"name": "Carol"})
 	for _, e := range []struct {
@@ -29,6 +29,14 @@ func acquisitionServer(t *testing.T) (*httptest.Server, *Server, pg.NodeID, pg.N
 			t.Fatal(err)
 		}
 	}
+	return alpha, beta
+}
+
+// acquisitionServer serves the README scenario standalone.
+func acquisitionServer(t *testing.T) (*httptest.Server, *Server, pg.NodeID, pg.NodeID) {
+	t.Helper()
+	g := pg.New()
+	alpha, beta := acquisitionGraph(t, g)
 	s := NewServer(g)
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
@@ -51,16 +59,53 @@ type whatifResponse struct {
 	} `json:"closeLinks"`
 }
 
+// TestWhatifEndpoint runs the README scenario against every serving mode:
+// the answer is the same, and "version" is the sequence the baseline was
+// evaluated at — the commit count on a standalone server, the applied
+// replication position on a follower and on a replica-group leader (both
+// used to stamp 0).
 func TestWhatifEndpoint(t *testing.T) {
-	srv, s, alpha, beta := acquisitionServer(t)
+	const loaded = 7 // mutation records that build the scenario: 4 nodes + 3 edges
+	for _, mode := range []struct {
+		name    string
+		version uint64
+		start   func(t *testing.T) (url string, alpha, beta pg.NodeID)
+	}{
+		{"standalone", 0, func(t *testing.T) (string, pg.NodeID, pg.NodeID) {
+			srv, _, alpha, beta := acquisitionServer(t)
+			return srv.URL, alpha, beta
+		}},
+		{"follower", loaded, func(t *testing.T) (string, pg.NodeID, pg.NodeID) {
+			st, fl, srv := replicatedPair(t, Config{MaxStaleness: time.Minute})
+			alpha, beta := acquisitionGraph(t, st.Graph())
+			if err := st.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			waitFollowerSeq(t, fl, st.Seq())
+			return srv.URL, alpha, beta
+		}},
+		{"replica-group leader", loaded, func(t *testing.T) (string, pg.NodeID, pg.NodeID) {
+			g := pg.New()
+			alpha, beta := acquisitionGraph(t, g)
+			_, srv := leadingAPINode(t, g, Config{})
+			return srv.URL, alpha, beta
+		}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			url, alpha, beta := mode.start(t)
+			whatifScenario(t, url, alpha, beta, mode.version)
+		})
+	}
+}
 
+func whatifScenario(t *testing.T, url string, alpha, beta pg.NodeID, version uint64) {
 	var before, after struct{ Nodes, Edges int }
-	if code := getJSON(t, srv.URL+"/v1/stats", &before); code != 200 {
+	if code := getJSON(t, url+"/v1/stats", &before); code != 200 {
 		t.Fatalf("stats status %d", code)
 	}
 
 	body := fmt.Sprintf(`{"ops":[{"op":"addShare","from":%d,"to":%d,"w":0.30}]}`, alpha, beta)
-	resp, raw := postJSON(t, srv.URL+"/v1/whatif", body)
+	resp, raw := postJSON(t, url+"/v1/whatif", body)
 	if resp.StatusCode != 200 {
 		t.Fatalf("whatif status %d: %v", resp.StatusCode, raw)
 	}
@@ -68,6 +113,9 @@ func TestWhatifEndpoint(t *testing.T) {
 	var out whatifResponse
 	if err := json.Unmarshal(b, &out); err != nil {
 		t.Fatal(err)
+	}
+	if out.Version != version {
+		t.Errorf("version = %d, want %d, the sequence the baseline was evaluated at", out.Version, version)
 	}
 	if out.Threshold != 0.2 {
 		t.Errorf("threshold = %v, want the 0.2 default", out.Threshold)
@@ -97,25 +145,31 @@ func TestWhatifEndpoint(t *testing.T) {
 	}
 
 	// The counterfactual left the served graph untouched.
-	if code := getJSON(t, srv.URL+"/v1/stats", &after); code != 200 {
+	if code := getJSON(t, url+"/v1/stats", &after); code != 200 {
 		t.Fatalf("stats status %d", code)
 	}
 	if after != before {
 		t.Errorf("graph changed across a what-if: %+v -> %+v", before, after)
 	}
 
-	// A second scenario against the same version hits the cached baseline
-	// and must produce the same answer.
-	if e := s.blCache.Load(); e == nil {
-		t.Fatal("baseline cache empty after a what-if")
-	}
-	resp2, raw2 := postJSON(t, srv.URL+"/v1/whatif", body)
+	// A second scenario against the same version reuses the seeded baseline
+	// — one full chase, not one per request — and must produce the same
+	// answer.
+	resp2, raw2 := postJSON(t, url+"/v1/whatif", body)
 	if resp2.StatusCode != 200 {
 		t.Fatalf("second whatif status %d", resp2.StatusCode)
 	}
 	b2, _ := json.Marshal(raw2)
 	if !bytes.Equal(b, b2) {
 		t.Errorf("cached-baseline response differs:\n%s\n%s", b, b2)
+	}
+	var m struct {
+		Incremental struct {
+			FullRebuilds int64 `json:"fullRebuilds"`
+		} `json:"incremental"`
+	}
+	if code := getJSON(t, url+"/v1/metrics", &m); code != 200 || m.Incremental.FullRebuilds != 1 {
+		t.Errorf("metrics = %d %+v, want one full baseline chase across both what-ifs", code, m)
 	}
 }
 

@@ -118,25 +118,6 @@ func (vs *Versioned) SetCommitHook(fn func(next *Version, journal []pg.Mutation)
 	vs.onCommit = fn
 }
 
-// AddCommitHook chains fn after any previously installed commit observers,
-// under the same contract as SetCommitHook: hooks run synchronously inside
-// Commit, in installation order, after the version is published. Use it when
-// several subsystems (view maintenance, cache invalidation) need to observe
-// the same commit stream without clobbering each other's hook.
-func (vs *Versioned) AddCommitHook(fn func(next *Version, journal []pg.Mutation)) {
-	vs.mu.Lock()
-	defer vs.mu.Unlock()
-	prev := vs.onCommit
-	if prev == nil {
-		vs.onCommit = fn
-		return
-	}
-	vs.onCommit = func(next *Version, journal []pg.Mutation) {
-		prev(next, journal)
-		fn(next, journal)
-	}
-}
-
 // Txn is one writer transaction: an overlay over the version that was
 // current at Begin. It is not safe for concurrent use; the overlay is
 // frozen the moment Commit publishes it.
@@ -178,7 +159,7 @@ func (t *Txn) Commit() (*Version, error) {
 	if vs.curr.Load() != t.base {
 		return nil, ErrConflict
 	}
-	if err := replay(vs.master, journal); err != nil {
+	if err := Replay(vs.master, journal); err != nil {
 		return nil, err
 	}
 	t.done = true
@@ -199,12 +180,14 @@ func (t *Txn) Commit() (*Version, error) {
 // visible to readers or the master.
 func (t *Txn) Abort() { t.done = true }
 
-// replay applies an overlay journal onto the master graph. Overlays assign
-// IDs continuing from their base's counters and the master tracks the
-// published chain exactly, so replayed IDs must come out identical; any
-// divergence means the master was mutated outside a transaction and the
-// store must fail loudly rather than publish a forked history.
-func replay(g *pg.Graph, journal []pg.Mutation) error {
+// Replay applies an overlay journal onto g, the graph the overlay's base
+// mirrors — the writer master of a Versioned store, or any graph that has not
+// changed since the overlay was stacked on it. Each mutation fires g's
+// mutation hook, which is where WAL records originate. Overlays assign IDs
+// continuing from their base's counters, so replayed IDs must come out
+// identical; any divergence means g was mutated behind the overlay's back
+// and Replay fails loudly rather than fork the history.
+func Replay(g *pg.Graph, journal []pg.Mutation) error {
 	for _, m := range journal {
 		switch m.Kind {
 		case pg.MutAddNode:

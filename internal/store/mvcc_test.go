@@ -166,7 +166,7 @@ func TestVersionedHookFiresOnCommitOnly(t *testing.T) {
 	}
 }
 
-func TestVersionedCommitHooksCompose(t *testing.T) {
+func TestVersionedCommitHook(t *testing.T) {
 	vs := NewVersioned(seedGraph())
 
 	commit := func() *Version {
@@ -179,33 +179,24 @@ func TestVersionedCommitHooksCompose(t *testing.T) {
 		return next
 	}
 
-	// AddCommitHook on an empty slot behaves exactly like SetCommitHook.
+	// The hook observes each commit once, with its journal, after the
+	// version is published.
 	var order []string
-	vs.AddCommitHook(func(next *Version, journal []pg.Mutation) {
+	vs.SetCommitHook(func(next *Version, journal []pg.Mutation) {
 		if len(journal) != 1 || journal[0].Kind != pg.MutAddNode {
 			t.Errorf("hook a observed journal %v, want one MutAddNode", journal)
 		}
+		if next != vs.Current() {
+			t.Errorf("hook saw seq %d, current is %d", next.Seq(), vs.Current().Seq())
+		}
 		order = append(order, "a")
 	})
-	next := commit()
+	commit()
 	if len(order) != 1 || order[0] != "a" {
 		t.Fatalf("after first commit hooks ran %v, want [a]", order)
 	}
-	if next.Seq() != vs.Current().Seq() {
-		t.Fatalf("hook saw seq %d, current is %d", next.Seq(), vs.Current().Seq())
-	}
 
-	// A second AddCommitHook chains after the first, in installation order.
-	vs.AddCommitHook(func(next *Version, journal []pg.Mutation) {
-		order = append(order, "b")
-	})
-	order = nil
-	commit()
-	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
-		t.Fatalf("chained hooks ran %v, want [a b]", order)
-	}
-
-	// SetCommitHook replaces the whole chain; nil removes it.
+	// SetCommitHook replaces the observer; nil removes it.
 	vs.SetCommitHook(func(next *Version, journal []pg.Mutation) {
 		order = append(order, "c")
 	})

@@ -15,6 +15,15 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== benchmark driver (bench/ is a nested module: none of the above sees it) =="
+# The benchmark harness compiles against internal/* names, so a rename there
+# silently breaks the driver until someone runs it. Build and vet it, then
+# run its smoke test (all six workloads at a tenth of the size). The binary
+# go build leaves in bench/ is ignored by the root .gitignore.
+go build -C bench ./...
+go vet -C bench ./...
+go test -C bench ./...
+
 echo "== coverage floor (internal/datalog) =="
 # The engine is the hottest and most-refactored code in the repo; hold its
 # statement coverage at the level the indexing/parallelism PR established

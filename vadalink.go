@@ -476,19 +476,6 @@ type Budget = datalog.Budget
 // returns; it names the tripped limit and the partial progress.
 type BudgetExceededError = datalog.BudgetExceededError
 
-// NewEngineWith prepares a rule program with a hand-built options struct.
-//
-// Deprecated: use NewEngine with functional options (WithBudget,
-// WithParallel, WithStats, ...). Kept so pre-redesign call sites compile.
-func NewEngineWith(p *datalog.Program, opts datalog.Options) (*datalog.Engine, error) {
-	return datalog.NewEngineWith(p, opts)
-}
-
-// EngineOptions tunes the embedded Datalog± engine.
-//
-// Deprecated: configure engines with EngineOption values instead.
-type EngineOptions = datalog.Options
-
 // EngineOption is one functional engine option (see the With* constructors).
 type EngineOption = datalog.Option
 
