@@ -63,7 +63,7 @@ func (e *Engine) incrementalOK() (map[string]bool, error) {
 	heads := make(map[string]bool)
 	for ri, rule := range e.prog.Rules {
 		meta := e.ruleMeta[ri]
-		if meta.aggIdx >= 0 {
+		if meta.aggLit >= 0 {
 			return nil, &ErrNotIncremental{Reason: fmt.Sprintf("rule %q aggregates", rule.Label)}
 		}
 		if len(meta.existVars) > 0 {
@@ -118,19 +118,27 @@ func (e *Engine) ApplyDelta(ctx context.Context, dels, adds []Fact) (DeltaResult
 	e.rounds = 0
 	e.derivedCount = 0
 	e.dupCount = 0
-	e.stats = nil // the stats collector belongs to full Runs
+	defer e.startStats()()
 	ec := e.newEvalCtx()
 
 	// Phase 1 — overdelete. The store stays untouched so delta-joins see the
 	// pre-delta database: a head supported by two deleted facts in different
 	// positions is still found through either one.
+	//
+	// deleted is the membership set; overdel lists the same facts in discovery
+	// order, and removal and rederivation walk that list rather than the map:
+	// both decide the enumeration order of the surviving store, so walking
+	// them in map order would make a delta's cost (and which derivation
+	// provenance records) differ from run to run.
 	deleted := make(map[string]Fact)
+	var overdel []pendingFact
 	delta := make(map[string][]Fact)
 	for _, f := range dels {
-		if e.Has(f) {
-			k := f.Key()
+		k := f.Key()
+		if r, ok := e.rels[f.Pred]; ok && r.keys[k] {
 			if _, dup := deleted[k]; !dup {
 				deleted[k] = f
+				overdel = append(overdel, pendingFact{f: f, key: k})
 				delta[f.Pred] = append(delta[f.Pred], f)
 			}
 		}
@@ -152,6 +160,7 @@ func (e *Engine) ApplyDelta(ctx context.Context, dels, adds []Fact) (DeltaResult
 				return
 			}
 			deleted[k] = h
+			overdel = append(overdel, pendingFact{f: h, key: k})
 			next[h.Pred] = append(next[h.Pred], h)
 		}
 		if err := e.deltaJoin(ec, delta, emit); err != nil {
@@ -162,16 +171,17 @@ func (e *Engine) ApplyDelta(ctx context.Context, dels, adds []Fact) (DeltaResult
 	res.Overdeleted = len(deleted) - nDels
 
 	// Phase 2 — physically remove the overestimate.
-	for _, f := range deleted {
-		e.rel(f.Pred).remove(f)
+	for _, p := range overdel {
+		e.rel(p.f.Pred).remove(p.f)
 		if e.prov != nil {
-			delete(e.prov, f.Key())
+			delete(e.prov, p.key)
 		}
 	}
 	// The extensional retractions are gone for good; the rest may rederive.
-	for _, f := range dels {
-		delete(deleted, f.Key())
+	for _, p := range overdel[:nDels] {
+		delete(deleted, p.key)
 	}
+	overdel = overdel[nDels:]
 
 	// Phase 3 — rederive from the surviving store, to fixpoint: a fact
 	// restored by an alternative derivation can in turn restore others.
@@ -180,7 +190,11 @@ func (e *Engine) ApplyDelta(ctx context.Context, dels, adds []Fact) (DeltaResult
 			return res, err
 		}
 		changed = false
-		for k, f := range deleted {
+		for _, p := range overdel {
+			k, f := p.key, p.f
+			if _, gone := deleted[k]; !gone {
+				continue // rederived in an earlier pass
+			}
 			ok, premises, err := e.rederive(ec, f)
 			if err != nil {
 				return res, err
@@ -188,7 +202,7 @@ func (e *Engine) ApplyDelta(ctx context.Context, dels, adds []Fact) (DeltaResult
 			if !ok {
 				continue
 			}
-			_, bytes := e.rel(f.Pred).insert(f)
+			_, bytes := e.rel(f.Pred).insert(f, k)
 			e.addIndexBytes(bytes)
 			if e.prov != nil {
 				e.prov[k] = Derivation{Rule: premises.rule, Premises: premises.facts}
@@ -216,7 +230,8 @@ func (e *Engine) ApplyDelta(ctx context.Context, dels, adds []Fact) (DeltaResult
 		}
 		next := make(map[string][]Fact)
 		emit := func(h Fact, ec *evalCtx) {
-			isNew, bytes := e.rel(h.Pred).insert(h)
+			k := h.Key()
+			isNew, bytes := e.rel(h.Pred).insert(h, k)
 			e.addIndexBytes(bytes)
 			if !isNew {
 				e.dupCount++
@@ -226,7 +241,6 @@ func (e *Engine) ApplyDelta(ctx context.Context, dels, adds []Fact) (DeltaResult
 			if b := e.opts.Budget; b.MaxFacts > 0 && e.derivedCount > b.MaxFacts {
 				e.trip(LimitFacts, b.MaxFacts, nil)
 			}
-			k := h.Key()
 			if e.prov != nil {
 				e.prov[k] = Derivation{Rule: ec.curRule, Premises: ec.snapshotPremises()}
 			}
@@ -297,7 +311,7 @@ func (e *Engine) deltaJoin(ec *evalCtx, delta map[string][]Fact, emit emitFn) er
 			if len(df) == 0 {
 				continue
 			}
-			if err := e.evalJob(ec, chaseJob{ri: ri, deltaFacts: df, deltaLit: li}, emit); err != nil {
+			if err := e.evalJobObserved(ec, chaseJob{ri: ri, deltaFacts: df, deltaLit: li}, emit); err != nil {
 				return err
 			}
 		}
@@ -317,13 +331,15 @@ type derivationTrace struct {
 // The check stops at the first satisfying assignment.
 func (e *Engine) rederive(ec *evalCtx, f Fact) (bool, derivationTrace, error) {
 	var trace derivationTrace
-	for ri, rule := range e.prog.Rules {
-		meta := e.ruleMeta[ri]
+	binding := ec.binding
+	for ri := range e.prog.Rules {
+		rule, meta := &e.prog.Rules[ri], &e.ruleMeta[ri]
 		for _, h := range rule.Head {
 			if h.Pred != f.Pred || len(h.Terms) != len(f.Args) {
 				continue
 			}
-			binding := make(map[Variable]any)
+			clear(binding)
+			ec.trail = ec.trail[:0]
 			ok := true
 			for i, t := range h.Terms {
 				switch tt := t.(type) {
@@ -346,7 +362,11 @@ func (e *Engine) rederive(ec *evalCtx, f Fact) (bool, derivationTrace, error) {
 			if e.prov != nil {
 				trace.facts = trace.facts[:0]
 			}
-			sat, err := e.bodySatisfiable(ec, rule, meta, 0, binding, &trace)
+			c0 := ec.candidates
+			sat, err := e.bodySatisfiable(ec, rule, meta.order, 0, &trace)
+			if st := e.stats; st != nil {
+				st.rules[ri].Candidates += ec.candidates - c0
+			}
 			if err != nil {
 				return false, trace, err
 			}
@@ -359,28 +379,29 @@ func (e *Engine) rederive(ec *evalCtx, f Fact) (bool, derivationTrace, error) {
 	return false, trace, nil
 }
 
-// bodySatisfiable walks the rule body in plan order looking for one
-// satisfying assignment, backtracking like evalBody but returning at the
-// first success. When provenance is on, trace accumulates the matched body
-// facts of the successful path.
-func (e *Engine) bodySatisfiable(ec *evalCtx, rule Rule, meta ruleMeta, pos int,
-	binding map[Variable]any, trace *derivationTrace) (bool, error) {
-
+// bodySatisfiable walks the rule body in plan order under ec's binding (the
+// head binding on entry) looking for one satisfying assignment, backtracking
+// like evalBody but returning at the first success. When provenance is on,
+// trace accumulates the matched body facts of the successful path.
+func (e *Engine) bodySatisfiable(ec *evalCtx, rule *Rule, order []int, pos int, trace *derivationTrace) (bool, error) {
 	if err := ec.step(); err != nil {
 		return false, err
 	}
-	if pos == len(meta.order) {
+	if pos == len(order) {
 		return true, nil
 	}
-	l := rule.Body[meta.order[pos]]
+	l := &rule.Body[order[pos]]
+	binding := ec.binding
 	switch l.Kind {
 	case LitAtom:
-		for _, f := range e.lookup(l.Atom, binding) {
-			undo, ok := bindAtom(l.Atom, f, binding)
-			if !ok {
+		mark := len(ec.trail)
+		for c, i := e.lookup(l.Atom, binding), 0; i < c.len(); i++ {
+			f := c.at(i)
+			ec.candidates++
+			if !bindAtom(l.Atom, f, binding, &ec.trail) {
 				continue
 			}
-			sat, err := e.bodySatisfiable(ec, rule, meta, pos+1, binding, trace)
+			sat, err := e.bodySatisfiable(ec, rule, order, pos+1, trace)
 			if err != nil {
 				return false, err
 			}
@@ -391,7 +412,7 @@ func (e *Engine) bodySatisfiable(ec *evalCtx, rule Rule, meta ruleMeta, pos int,
 				// Leave the binding as-is: the caller discards it.
 				return true, nil
 			}
-			undo(binding)
+			unbind(binding, &ec.trail, mark)
 		}
 		return false, nil
 
@@ -407,7 +428,7 @@ func (e *Engine) bodySatisfiable(ec *evalCtx, rule Rule, meta ruleMeta, pos int,
 		if !compare(l.Cmp, lv, rv) {
 			return false, nil
 		}
-		return e.bodySatisfiable(ec, rule, meta, pos+1, binding, trace)
+		return e.bodySatisfiable(ec, rule, order, pos+1, trace)
 
 	case LitAssign:
 		v, err := e.evalExpr(l.Expr, binding)
@@ -418,10 +439,10 @@ func (e *Engine) bodySatisfiable(ec *evalCtx, rule Rule, meta ruleMeta, pos int,
 			if !valueEqual(old, v) {
 				return false, nil
 			}
-			return e.bodySatisfiable(ec, rule, meta, pos+1, binding, trace)
+			return e.bodySatisfiable(ec, rule, order, pos+1, trace)
 		}
 		binding[l.Var] = v
-		sat, err := e.bodySatisfiable(ec, rule, meta, pos+1, binding, trace)
+		sat, err := e.bodySatisfiable(ec, rule, order, pos+1, trace)
 		if !sat {
 			delete(binding, l.Var)
 		}

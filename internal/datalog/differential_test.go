@@ -56,7 +56,8 @@ func randomEDB(rng *rand.Rand) []Fact {
 // IDB predicates are layered (p0, p1, ...) so that negation only ever looks
 // down the layering — stratified by construction. Aggregates are excluded
 // (the reference evaluator does not implement them; they get their own
-// deterministic tests).
+// deterministic tests). Bodies run to three atoms and include self-joins, so
+// every permutation the delta planner produces is held against the reference.
 func randomProgram(rng *rand.Rand) string {
 	var rules []string
 	layers := 2 + rng.Intn(3) // IDB layers
@@ -69,6 +70,9 @@ func randomProgram(rng *rand.Rand) string {
 		"company(X, N, _, _, S) -> p0(X, X).",
 		"own(X, Y, W), V = W * 2.0, V > 0.5 -> p0(Y, X).",
 		"own(X, Y, W), own(Y, Z, U), X != Z -> p0(X, Z).",
+		// three-atom chain and a self-join on the owner
+		"own(X, Y, _), own(Y, Z, _), own(Z, V, _), X != V -> p0(X, V).",
+		"own(Z, X, W), W > 0.3, own(Z, Y, U), X != Y -> p0(X, Y).",
 	}
 	nBase := 1 + rng.Intn(3)
 	for i := 0; i < nBase; i++ {
@@ -93,6 +97,15 @@ func randomProgram(rng *rand.Rand) string {
 			fmt.Sprintf("%s(X, Y) -> %s(Y, X).", prev, cur),
 			// constant head argument + arithmetic
 			fmt.Sprintf("%s(X, Y), own(X, Y, W), V = W + 1.0 -> q%d(X, V).", prev, layer),
+			// Bodies whose in-stratum occurrence is not the first atom, so the
+			// delta plans reorder them: the accumulated-ownership shape
+			// (recursive atom second), a recursive self-join (two delta
+			// occurrences of one predicate), the recursive atom in the middle
+			// of a three-atom body, and the common-owner self-join.
+			fmt.Sprintf("own(X, Z, _), X != Z, %s(Z, Y), X != Y -> %s(X, Y).", cur, cur),
+			fmt.Sprintf("%s(X, Y), %s(Y, Z), X != Z -> %s(X, Z).", cur, cur, cur),
+			fmt.Sprintf("own(X, A, _), %s(A, B), own(B, Y, W), W > 0.1 -> %s(X, Y).", cur, cur),
+			fmt.Sprintf("%s(Z, X), %s(Z, Y), X != Y -> %s(X, Y).", prev, prev, cur),
 		}
 		nRules := 1 + rng.Intn(3)
 		seeded := false

@@ -136,14 +136,33 @@ type Engine struct {
 }
 
 // evalCtx is the per-goroutine evaluation state of one chase worker: the
-// cooperative-cancellation step counter plus the provenance premise stack of
-// the rule instantiation in flight. The engine's shared state stays read-only
-// while workers hold evalCtxs; everything mutable lives here or in the
-// per-job emission buffers.
+// cooperative-cancellation step counter, the frame of the chase job in flight
+// (rule, plan, delta, binding and its undo trail), and the provenance premise
+// stack of the rule instantiation in flight. The engine's shared state stays
+// read-only while workers hold evalCtxs; everything mutable lives here or in
+// the per-job emission buffers.
 type evalCtx struct {
 	e         *Engine
 	steps     int
 	nextCheck int
+
+	// The job in flight, set by evalJob: evalBody recurses over order with
+	// nothing but a position, so a join level costs no argument copying.
+	ri         int
+	rule       *Rule
+	meta       *ruleMeta
+	order      []int // the plan being followed: meta.order or one of meta.deltaOrder
+	deltaFacts []Fact
+	deltaLit   int
+	emit       emitFn
+	binding    map[Variable]any
+	// trail lists the variables bound so far, in binding order; a join level
+	// undoes its bindings by unwinding to the mark it took (see bindAtom).
+	trail []Variable
+
+	// candidates counts the facts offered to unification (ChaseStats). A
+	// plain add per join level, folded into the report only under WithStats.
+	candidates int64
 
 	// provenance state: the rule being evaluated, the premise stack of the
 	// evaluation in flight, and the prior contributions of the active
@@ -154,7 +173,7 @@ type evalCtx struct {
 }
 
 func (e *Engine) newEvalCtx() *evalCtx {
-	return &evalCtx{e: e, nextCheck: e.opts.Budget.checkEvery()}
+	return &evalCtx{e: e, nextCheck: e.opts.Budget.checkEvery(), binding: make(map[Variable]any)}
 }
 
 // emitFn receives a head instantiation together with the evalCtx that
@@ -196,11 +215,12 @@ func (r *relation) hasIndex(pos int) bool {
 	return pos < 64 && r.built.Load()&(1<<uint(pos)) != 0
 }
 
-// insert adds a fact, maintaining every built index. It reports whether the
-// fact is new and the estimated index bytes the insertion added. Insert
-// requires exclusive access (engine mutation contract).
-func (r *relation) insert(f Fact) (bool, int) {
-	k := f.Key()
+// insert adds a fact under its key k == f.Key() (callers need the key again
+// for provenance and delta bookkeeping, so they build it once and pass it),
+// maintaining every built index. It reports whether the fact is new and the
+// estimated index bytes the insertion added. Insert requires exclusive access
+// (engine mutation contract).
+func (r *relation) insert(f Fact, k string) (bool, int) {
 	if r.keys[k] {
 		return false, 0
 	}
@@ -269,21 +289,49 @@ func (r *relation) bucket(pos int, key string) []int {
 	return r.index[pos][key]
 }
 
+// probe is the candidate set of one lookup: the facts at idxs when the lookup
+// went through an index bucket, every fact otherwise. Both slices are headers
+// taken at lookup time, so a join level iterating a probe sees the relation as
+// of its lookup even while its own emissions append to the same relation and
+// bucket (insert only ever appends; remove never runs during a join).
+type probe struct {
+	facts   []Fact
+	idxs    []int
+	indexed bool
+}
+
+func (p probe) len() int {
+	if p.indexed {
+		return len(p.idxs)
+	}
+	return len(p.facts)
+}
+
+func (p probe) at(i int) Fact {
+	if p.indexed {
+		return p.facts[p.idxs[i]]
+	}
+	return p.facts[i]
+}
+
 // ruleMeta is the per-rule evaluation plan computed at engine construction.
 type ruleMeta struct {
-	order     []int             // body literal evaluation order
-	headVars  []Variable        // universally-quantified head variables
-	existVars map[Variable]bool // head variables that are existential
-	aggIdx    int               // index (into order) of the aggregate literal, -1 if none
-	aggHead   int               // head atom defining the aggregation group
-	aggSkip   map[int]bool      // positions of aggHead holding the aggregate target
-	label     string            // cached "label: rule text" for provenance
+	order []int // body literal evaluation order of round 0 (no delta occurrence)
+	// deltaOrder[i] is the order of the jobs whose body atom i is restricted
+	// to a delta; nil where body literal i is not a positive atom.
+	deltaOrder [][]int
+	headVars   []Variable        // universally-quantified head variables
+	existVars  map[Variable]bool // head variables that are existential
+	aggLit     int               // body index of the aggregate literal, -1 if none
+	aggHead    int               // head atom defining the aggregation group
+	aggSkip    map[int]bool      // positions of aggHead holding the aggregate target
+	label      string            // cached "label: rule text" for provenance
 }
 
 // parallelSafe reports whether the rule may evaluate on a chase worker.
 // Aggregate rules mutate the shared monotonic-aggregation state, so they
 // always run on the merging goroutine in deterministic order.
-func (m ruleMeta) parallelSafe() bool { return m.aggIdx < 0 }
+func (m ruleMeta) parallelSafe() bool { return m.aggLit < 0 }
 
 // aggGroup is the monotonic aggregation state of one (rule, group) pair.
 type aggGroup struct {
@@ -351,7 +399,7 @@ func (e *Engine) RegisterBuiltin(name string, fn Builtin) {
 
 // Assert adds an extensional fact. It reports whether the fact is new.
 func (e *Engine) Assert(f Fact) bool {
-	ok, bytes := e.rel(f.Pred).insert(f)
+	ok, bytes := e.rel(f.Pred).insert(f, f.Key())
 	if bytes > 0 {
 		e.indexBytes.Add(int64(bytes))
 	}
@@ -552,6 +600,7 @@ func (e *Engine) Query(goal ...Atom) []Binding {
 	var out []Binding
 	seen := map[string]bool{}
 	binding := make(map[Variable]any)
+	var trail []Variable
 	var rec func(i int)
 	rec = func(i int) {
 		if i == len(goal) {
@@ -575,10 +624,11 @@ func (e *Engine) Query(goal ...Atom) []Binding {
 			}
 			return
 		}
-		for _, f := range e.lookup(goal[i], binding) {
-			if undo, ok := bindAtom(goal[i], f, binding); ok {
+		mark := len(trail)
+		for c, j := e.lookup(goal[i], binding), 0; j < c.len(); j++ {
+			if bindAtom(goal[i], c.at(j), binding, &trail) {
 				rec(i + 1)
-				undo(binding)
+				unbind(binding, &trail, mark)
 			}
 		}
 	}
@@ -707,16 +757,7 @@ func (e *Engine) RunContext(ctx context.Context) error {
 	e.rounds = 0
 	e.derivedCount = 0
 	e.dupCount = 0
-	e.stats = nil
-	if e.opts.Stats {
-		labels := make([]string, len(e.ruleMeta))
-		for i := range e.ruleMeta {
-			labels[i] = e.ruleMeta[i].label
-		}
-		e.stats = newStatsCollector(labels)
-		// Freeze the report on every return path, including budget trips.
-		defer func() { e.lastStats = e.stats.snapshot(e) }()
-	}
+	defer e.startStats()()
 	for si, stratum := range e.strata {
 		e.curStratum = si
 		if err := e.runStratum(stratum); err != nil {
@@ -899,7 +940,8 @@ func (e *Engine) runRound(jobs []chaseJob) (map[string][]Fact, error) {
 	if e.workerCount(parallelJobs) <= 1 {
 		// Sequential path: direct insertion, premises snapshotted at insert.
 		emit := func(f Fact, ec *evalCtx) {
-			isNew, bytes := e.rel(f.Pred).insert(f)
+			key := f.Key()
+			isNew, bytes := e.rel(f.Pred).insert(f, key)
 			e.addIndexBytes(bytes)
 			if !isNew {
 				e.dupCount++
@@ -911,15 +953,11 @@ func (e *Engine) runRound(jobs []chaseJob) (map[string][]Fact, error) {
 				premises = ec.snapshotPremises()
 				rule = ec.curRule
 			}
-			afterInsert(f, f.Key(), rule, premises)
+			afterInsert(f, key, rule, premises)
 		}
 		ec := e.newEvalCtx()
 		for _, j := range jobs {
-			jt := e.ruleStart(j.ri)
-			d0, dup0 := e.derivedCount, e.dupCount
-			err := e.evalJob(ec, j, emit)
-			e.ruleDone(j.ri, jt, e.derivedCount-d0, e.dupCount-dup0)
-			if err != nil {
+			if err := e.evalJobObserved(ec, j, emit); err != nil {
 				return delta, err
 			}
 		}
@@ -948,11 +986,24 @@ func (e *Engine) runRound(jobs []chaseJob) (map[string][]Fact, error) {
 	// slots of the jobs it runs, and the merge (single goroutine) folds them
 	// into the per-rule statistics together with the insert counts.
 	instr := e.instrumenting()
-	var jobNanos []int64
+	var jobNanos, jobCands []int64
 	var jobDups []int
 	if instr {
 		jobNanos = make([]int64, len(jobs))
+		jobCands = make([]int64, len(jobs))
 		jobDups = make([]int, len(jobs))
+	}
+	// evalTimed evaluates job idx into its buffer and fills its slots.
+	evalTimed := func(ec *evalCtx, idx int) {
+		jt := e.ruleStart(jobs[idx].ri)
+		c0 := ec.candidates
+		dups, err := e.evalJobBuffered(ec, jobs[idx], &buffers[idx])
+		errs[idx] = err
+		if instr {
+			jobNanos[idx] = int64(time.Since(jt))
+			jobCands[idx] = ec.candidates - c0
+			jobDups[idx] = dups
+		}
 	}
 
 	workers := e.workerCount(len(parIdx))
@@ -977,13 +1028,7 @@ func (e *Engine) runRound(jobs []chaseJob) (map[string][]Fact, error) {
 							panics[idx] = r
 						}
 					}()
-					jt := e.ruleStart(jobs[idx].ri)
-					dups, err := e.evalJobBuffered(ec, jobs[idx], &buffers[idx])
-					errs[idx] = err
-					if instr {
-						jobNanos[idx] = int64(time.Since(jt))
-						jobDups[idx] = dups
-					}
+					evalTimed(ec, idx)
 				}()
 			}
 		}()
@@ -1005,13 +1050,7 @@ func (e *Engine) runRound(jobs []chaseJob) (map[string][]Fact, error) {
 	// must be the deterministic job order.
 	ec := e.newEvalCtx()
 	for _, idx := range seqIdx {
-		jt := e.ruleStart(jobs[idx].ri)
-		dups, err := e.evalJobBuffered(ec, jobs[idx], &buffers[idx])
-		errs[idx] = err
-		if instr {
-			jobNanos[idx] = int64(time.Since(jt))
-			jobDups[idx] = dups
-		}
+		evalTimed(ec, idx)
 	}
 
 	// Re-panic worker panics on the calling goroutine, preserving the
@@ -1028,7 +1067,7 @@ func (e *Engine) runRound(jobs []chaseJob) (map[string][]Fact, error) {
 	for i := range jobs {
 		inserted, mergeDups := 0, 0
 		for _, p := range buffers[i] {
-			isNew, bytes := e.rel(p.f.Pred).insert(p.f)
+			isNew, bytes := e.rel(p.f.Pred).insert(p.f, p.key)
 			e.addIndexBytes(bytes)
 			if !isNew {
 				mergeDups++
@@ -1040,7 +1079,7 @@ func (e *Engine) runRound(jobs []chaseJob) (map[string][]Fact, error) {
 		if instr {
 			dups := jobDups[i] + mergeDups
 			e.dupCount += dups
-			e.ruleDoneNanos(jobs[i].ri, jobNanos[i], inserted, dups)
+			e.ruleDoneNanos(jobs[i].ri, jobNanos[i], inserted, dups, jobCands[i])
 		}
 		if errs[i] != nil && firstErr == nil {
 			firstErr = errs[i]
@@ -1075,16 +1114,35 @@ func (ec *evalCtx) snapshotPremises() []Fact {
 	return premises
 }
 
-// evalJob evaluates one job with the given emitter.
+// evalJob evaluates one job with the given emitter: it loads the job into
+// the evalCtx's frame — following the plan that starts at the job's delta
+// occurrence, or the round-0 plan without one — and walks the body.
 func (e *Engine) evalJob(ec *evalCtx, j chaseJob, emit emitFn) error {
-	rule := e.prog.Rules[j.ri]
-	meta := e.ruleMeta[j.ri]
-	binding := make(map[Variable]any)
+	meta := &e.ruleMeta[j.ri]
+	ec.ri, ec.rule, ec.meta = j.ri, &e.prog.Rules[j.ri], meta
+	ec.order = meta.order
+	if j.deltaLit >= 0 {
+		ec.order = meta.deltaOrder[j.deltaLit]
+	}
+	ec.deltaFacts, ec.deltaLit, ec.emit = j.deltaFacts, j.deltaLit, emit
+	clear(ec.binding) // a job stopped by an error or a panic leaves bindings behind
+	ec.trail = ec.trail[:0]
 	if e.prov != nil {
 		ec.curRule = meta.label
 		ec.curPremises = ec.curPremises[:0]
 	}
-	return e.evalBody(ec, j.ri, rule, meta, 0, binding, j.deltaFacts, j.deltaLit, emit)
+	return e.evalBody(ec, 0)
+}
+
+// evalJobObserved is evalJob for a job whose emitter inserts as it goes (the
+// sequential chase, ApplyDelta's delta rounds): what the job did is read off
+// the engine's counters and folded into the per-rule statistics and hooks.
+func (e *Engine) evalJobObserved(ec *evalCtx, j chaseJob, emit emitFn) error {
+	jt := e.ruleStart(j.ri)
+	d0, dup0, c0 := e.derivedCount, e.dupCount, ec.candidates
+	err := e.evalJob(ec, j, emit)
+	e.ruleDone(j.ri, jt, e.derivedCount-d0, e.dupCount-dup0, ec.candidates-c0)
+	return err
 }
 
 // evalJobBuffered evaluates one job into its buffer: emissions deduplicate
@@ -1123,51 +1181,55 @@ func (e *Engine) evalJobBuffered(ec *evalCtx, j chaseJob, buf *[]pendingFact) (i
 	return dups, err
 }
 
-func (e *Engine) evalBody(ec *evalCtx, ri int, rule Rule, meta ruleMeta, pos int, binding map[Variable]any,
-	deltaFacts []Fact, deltaLit int, emit emitFn) error {
-
+// evalBody extends the frame's binding over the plan from position pos on,
+// firing the head for every complete match. The delta occurrence comes first
+// in its plan (planOrder), so it is the outer loop and every other atom is an
+// index probe under the variables bound so far.
+func (e *Engine) evalBody(ec *evalCtx, pos int) error {
 	// Cooperative cancellation: every body-literal expansion is a step, so
 	// even a single enormous join round honors deadlines and budgets.
 	if err := ec.step(); err != nil {
 		return err
 	}
-	if pos == len(meta.order) {
-		return e.fireHead(ec, ri, rule, meta, binding, emit)
+	if pos == len(ec.order) {
+		return e.fireHead(ec)
 	}
-	li := meta.order[pos]
-	l := rule.Body[li]
+	li := ec.order[pos]
+	l := &ec.rule.Body[li]
+	binding := ec.binding
 	switch l.Kind {
 	case LitAtom:
-		var candidates []Fact
-		if li == deltaLit {
-			candidates = deltaFacts
-		} else {
-			candidates = e.lookup(l.Atom, binding)
+		c := probe{facts: ec.deltaFacts}
+		if li != ec.deltaLit {
+			c = e.lookup(l.Atom, binding)
 		}
+		n := c.len()
+		ec.candidates += int64(n)
 		prov := e.prov != nil
-		for _, f := range candidates {
-			undo, ok := bindAtom(l.Atom, f, binding)
-			if !ok {
+		mark := len(ec.trail)
+		for i := 0; i < n; i++ {
+			f := c.at(i)
+			if !bindAtom(l.Atom, f, binding, &ec.trail) {
 				continue
 			}
 			if prov {
 				ec.curPremises = append(ec.curPremises, f)
 			}
-			if err := e.evalBody(ec, ri, rule, meta, pos+1, binding, deltaFacts, deltaLit, emit); err != nil {
+			if err := e.evalBody(ec, pos+1); err != nil {
 				return err
 			}
 			if prov {
 				ec.curPremises = ec.curPremises[:len(ec.curPremises)-1]
 			}
-			undo(binding)
+			unbind(binding, &ec.trail, mark)
 		}
 		return nil
 
 	case LitNot:
-		if e.existsMatch(l.Atom, binding) {
+		if e.existsMatch(ec, l.Atom) {
 			return nil
 		}
-		return e.evalBody(ec, ri, rule, meta, pos+1, binding, deltaFacts, deltaLit, emit)
+		return e.evalBody(ec, pos+1)
 
 	case LitCmp:
 		lv, err := e.evalExpr(l.Left, binding)
@@ -1181,7 +1243,7 @@ func (e *Engine) evalBody(ec *evalCtx, ri int, rule Rule, meta ruleMeta, pos int
 		if !compare(l.Cmp, lv, rv) {
 			return nil
 		}
-		return e.evalBody(ec, ri, rule, meta, pos+1, binding, deltaFacts, deltaLit, emit)
+		return e.evalBody(ec, pos+1)
 
 	case LitAssign:
 		v, err := e.evalExpr(l.Expr, binding)
@@ -1193,10 +1255,10 @@ func (e *Engine) evalBody(ec *evalCtx, ri int, rule Rule, meta ruleMeta, pos int
 			if !valueEqual(old, v) {
 				return nil
 			}
-			return e.evalBody(ec, ri, rule, meta, pos+1, binding, deltaFacts, deltaLit, emit)
+			return e.evalBody(ec, pos+1)
 		}
 		binding[l.Var] = v
-		err = e.evalBody(ec, ri, rule, meta, pos+1, binding, deltaFacts, deltaLit, emit)
+		err = e.evalBody(ec, pos+1)
 		delete(binding, l.Var)
 		return err
 
@@ -1207,14 +1269,14 @@ func (e *Engine) evalBody(ec *evalCtx, ri int, rule Rule, meta ruleMeta, pos int
 		}
 		fv, ok := toFloat(v)
 		if !ok {
-			return fmt.Errorf("datalog: rule %q: aggregate value %v is not numeric", rule.Label, v)
+			return fmt.Errorf("datalog: rule %q: aggregate value %v is not numeric", ec.rule.Label, v)
 		}
-		groupKey, err := e.groupKey(ri, rule, meta, binding)
+		groupKey, err := e.groupKey(ec)
 		if err != nil {
 			return err
 		}
-		contribKey := fmt.Sprintf("r%d|%s", ri, contributorKey(l.Contributors, binding))
-		total, changed := e.updateAgg(ri, groupKey, l.Agg, contribKey, fv)
+		contribKey := fmt.Sprintf("r%d|%s", ec.ri, contributorKey(l.Contributors, binding))
+		total, changed := e.updateAgg(ec.ri, groupKey, l.Agg, contribKey, fv)
 		if !changed {
 			// The contribution is absorbed without a new derivation, but its
 			// premises still belong to the group's explanation.
@@ -1233,7 +1295,7 @@ func (e *Engine) evalBody(ec *evalCtx, ri int, rule Rule, meta ruleMeta, pos int
 			e.recordAggPremises(ec, groupKey)
 		}
 		binding[l.Var] = total
-		err = e.evalBody(ec, ri, rule, meta, pos+1, binding, deltaFacts, deltaLit, emit)
+		err = e.evalBody(ec, pos+1)
 		delete(binding, l.Var)
 		if e.prov != nil {
 			ec.aggExtra = savedExtra
@@ -1245,10 +1307,11 @@ func (e *Engine) evalBody(ec *evalCtx, ri int, rule Rule, meta ruleMeta, pos int
 
 // fireHead instantiates the head atoms under the binding, inventing nulls for
 // existential variables.
-func (e *Engine) fireHead(ec *evalCtx, ri int, rule Rule, meta ruleMeta, binding map[Variable]any, emit emitFn) error {
+func (e *Engine) fireHead(ec *evalCtx) error {
+	rule, meta, binding := ec.rule, ec.meta, ec.binding
 	var frontier string
 	if len(meta.existVars) > 0 {
-		frontier = frontierKey(ri, meta.headVars, binding)
+		frontier = frontierKey(ec.ri, meta.headVars, binding)
 	}
 	for _, h := range rule.Head {
 		args := make([]any, len(h.Terms))
@@ -1266,7 +1329,7 @@ func (e *Engine) fireHead(ec *evalCtx, ri int, rule Rule, meta ruleMeta, binding
 				}
 			}
 		}
-		emit(Fact{Pred: h.Pred, Args: args}, ec)
+		ec.emit(Fact{Pred: h.Pred, Args: args}, ec)
 	}
 	return nil
 }
@@ -1291,7 +1354,8 @@ func frontierKey(ri int, headVars []Variable, binding map[Variable]any) string {
 // one total, as the paper requires for Algorithm 8 ("the two monotonic
 // summations of Rules (2) and (3) contribute to the same total, one for each
 // (F, y) pair").
-func (e *Engine) groupKey(ri int, rule Rule, meta ruleMeta, binding map[Variable]any) (string, error) {
+func (e *Engine) groupKey(ec *evalCtx) (string, error) {
+	rule, meta, binding := ec.rule, ec.meta, ec.binding
 	h := rule.Head[meta.aggHead]
 	var sb strings.Builder
 	sb.WriteString(h.Pred)
@@ -1421,18 +1485,19 @@ func (e *Engine) updateAgg(ri int, groupKey string, op AggOp, contribKey string,
 // probing the best available positional index: the smallest bucket among
 // built indexes of bound positions, or a freshly built index on the first
 // bound position when none exists yet. Unbound atoms (or NoIndex mode) fall
-// back to the full relation.
-func (e *Engine) lookup(a Atom, binding map[Variable]any) []Fact {
+// back to the full relation. The probe aliases the relation's storage rather
+// than copying the bucket (see probe).
+func (e *Engine) lookup(a Atom, binding map[Variable]any) probe {
 	r, ok := e.rels[a.Pred]
 	if !ok {
-		return nil
+		return probe{}
 	}
 	st := e.stats
 	if e.opts.NoIndex {
 		if st != nil {
 			st.indexScans.Add(1)
 		}
-		return r.facts
+		return probe{facts: r.facts}
 	}
 	bestPos, bestLen := -1, -1
 	var bestKey string
@@ -1478,52 +1543,43 @@ func (e *Engine) lookup(a Atom, binding map[Variable]any) []Fact {
 		if st != nil {
 			st.indexHits.Add(1)
 		}
-		idxs := r.bucket(bestPos, bestKey)
-		if len(idxs) == 0 {
-			return nil
-		}
-		out := make([]Fact, len(idxs))
-		for j, i := range idxs {
-			out[j] = r.facts[i]
-		}
-		return out
+		return probe{facts: r.facts, idxs: r.bucket(bestPos, bestKey), indexed: true}
 	}
 	if st != nil {
 		st.indexScans.Add(1)
 	}
-	return r.facts
+	return probe{facts: r.facts}
 }
 
 // existsMatch reports whether any stored fact unifies with the (fully bound)
-// atom.
-func (e *Engine) existsMatch(a Atom, binding map[Variable]any) bool {
-	for _, f := range e.lookup(a, binding) {
-		if undo, ok := bindAtom(a, f, binding); ok {
-			undo(binding)
+// atom under the frame's binding, which it leaves unchanged.
+func (e *Engine) existsMatch(ec *evalCtx, a Atom) bool {
+	mark := len(ec.trail)
+	for c, i := e.lookup(a, ec.binding), 0; i < c.len(); i++ {
+		ec.candidates++
+		if bindAtom(a, c.at(i), ec.binding, &ec.trail) {
+			unbind(ec.binding, &ec.trail, mark)
 			return true
 		}
 	}
 	return false
 }
 
-// bindAtom unifies an atom with a fact under the binding. On success it
-// returns an undo function restoring the binding.
-func bindAtom(a Atom, f Fact, binding map[Variable]any) (func(map[Variable]any), bool) {
+// bindAtom unifies an atom with a fact under the binding, pushing every
+// variable it binds onto the trail. A failed unification undoes its own
+// bindings; a successful one is undone by unbind to the trail length the
+// caller noted before the call.
+func bindAtom(a Atom, f Fact, binding map[Variable]any, trail *[]Variable) bool {
 	if len(a.Terms) != len(f.Args) || a.Pred != f.Pred {
-		return nil, false
+		return false
 	}
-	var added []Variable
-	undo := func(b map[Variable]any) {
-		for _, v := range added {
-			delete(b, v)
-		}
-	}
+	mark := len(*trail)
 	for i, t := range a.Terms {
 		switch tt := t.(type) {
 		case Constant:
 			if !valueEqual(tt.Value, f.Args[i]) {
-				undo(binding)
-				return nil, false
+				unbind(binding, trail, mark)
+				return false
 			}
 		case Variable:
 			if tt == "_" {
@@ -1531,16 +1587,24 @@ func bindAtom(a Atom, f Fact, binding map[Variable]any) (func(map[Variable]any),
 			}
 			if v, bound := binding[tt]; bound {
 				if !valueEqual(v, f.Args[i]) {
-					undo(binding)
-					return nil, false
+					unbind(binding, trail, mark)
+					return false
 				}
 			} else {
 				binding[tt] = f.Args[i]
-				added = append(added, tt)
+				*trail = append(*trail, tt)
 			}
 		}
 	}
-	return undo, true
+	return true
+}
+
+// unbind removes the variables bound since the trail was mark long.
+func unbind(binding map[Variable]any, trail *[]Variable, mark int) {
+	for _, v := range (*trail)[mark:] {
+		delete(binding, v)
+	}
+	*trail = (*trail)[:mark]
 }
 
 // evalExpr evaluates an expression under a binding. It delegates to
@@ -1667,115 +1731,24 @@ func compare(op CmpOp, l, r any) bool {
 	return false
 }
 
-// planRule computes the evaluation plan: a greedy literal order (atoms as
-// they appear; assignments, conditions, negations and aggregates as soon as
-// their inputs are bound, aggregates after everything else they need), the
-// head variables, and the existential set.
+// planRule computes the per-rule evaluation plans — the round-0 order and
+// one order per positive body atom for the jobs that restrict that atom to a
+// delta (planOrder) — plus the head variables and the existential set.
 func planRule(r Rule) (ruleMeta, error) {
-	n := len(r.Body)
-	used := make([]bool, n)
-	bound := make(map[Variable]bool)
-	var order []int
-	aggIdx := -1
-
-	ready := func(l Literal) bool {
+	order, bound, err := planOrder(r, -1)
+	if err != nil {
+		return ruleMeta{}, err
+	}
+	deltaOrder := make([][]int, len(r.Body))
+	aggLit := -1
+	for i, l := range r.Body {
 		switch l.Kind {
 		case LitAtom:
-			return true
-		case LitAssign:
-			set := map[Variable]bool{}
-			l.Expr.vars(set)
-			for v := range set {
-				if !bound[v] {
-					return false
-				}
+			if deltaOrder[i], _, err = planOrder(r, i); err != nil {
+				return ruleMeta{}, err
 			}
-			return true
-		case LitCmp:
-			set := map[Variable]bool{}
-			l.Left.vars(set)
-			l.Right.vars(set)
-			for v := range set {
-				if !bound[v] {
-					return false
-				}
-			}
-			return true
-		case LitNot:
-			set := map[Variable]bool{}
-			bodyVarsOfAtom(l.Atom, set)
-			for v := range set {
-				if !bound[v] {
-					return false
-				}
-			}
-			return true
 		case LitAgg:
-			set := map[Variable]bool{}
-			l.AggValue.vars(set)
-			for _, c := range l.Contributors {
-				set[c] = true
-			}
-			for v := range set {
-				if !bound[v] {
-					return false
-				}
-			}
-			return true
-		}
-		return false
-	}
-	markBound := func(l Literal) {
-		switch l.Kind {
-		case LitAtom:
-			bodyVarsOfAtom(l.Atom, bound)
-		case LitAssign, LitAgg:
-			bound[l.Var] = true
-		}
-	}
-
-	for len(order) < n {
-		progress := false
-		// Prefer non-atom literals that are ready (cheap filters first),
-		// except aggregates, which run as late as possible.
-		for pass := 0; pass < 3 && len(order) < n; pass++ {
-			for i := 0; i < n; i++ {
-				if used[i] {
-					continue
-				}
-				l := r.Body[i]
-				switch pass {
-				case 0: // ready filters/assignments
-					if (l.Kind == LitCmp || l.Kind == LitAssign || l.Kind == LitNot) && ready(l) {
-						used[i] = true
-						order = append(order, i)
-						markBound(l)
-						progress = true
-					}
-				case 1: // next positive atom in textual order
-					if l.Kind == LitAtom {
-						used[i] = true
-						order = append(order, i)
-						markBound(l)
-						progress = true
-						pass = -1 // restart filter pass after each atom
-					}
-				case 2: // aggregates once everything else is in place
-					if l.Kind == LitAgg && ready(l) {
-						used[i] = true
-						order = append(order, i)
-						markBound(l)
-						aggIdx = len(order) - 1
-						progress = true
-					}
-				}
-				if pass == -1 {
-					break
-				}
-			}
-		}
-		if !progress {
-			return ruleMeta{}, fmt.Errorf("cannot order body literals (unbound inputs): %s", r)
+			aggLit = i
 		}
 	}
 
@@ -1796,8 +1769,8 @@ func planRule(r Rule) (ruleMeta, error) {
 
 	aggHead := 0
 	aggSkip := map[int]bool{}
-	if aggIdx >= 0 {
-		target := r.Body[order[aggIdx]].Var
+	if aggLit >= 0 {
+		target := r.Body[aggLit].Var
 		// The group is defined by the first head atom mentioning the target;
 		// if none mentions it (e.g. the msum only feeds a condition, as in
 		// Algorithm 5), the whole first head atom is the group.
@@ -1820,7 +1793,113 @@ func planRule(r Rule) (ruleMeta, error) {
 			}
 		}
 	}
-	return ruleMeta{order: order, headVars: headVars, existVars: exist, aggIdx: aggIdx, aggHead: aggHead, aggSkip: aggSkip}, nil
+	return ruleMeta{order: order, deltaOrder: deltaOrder, headVars: headVars, existVars: exist,
+		aggLit: aggLit, aggHead: aggHead, aggSkip: aggSkip}, nil
+}
+
+// planOrder orders a rule body greedily: filters, assignments and negations
+// as soon as their inputs are bound, then one more atom, aggregates once
+// nothing else can be placed. It returns the order and the variables bound.
+//
+// first < 0 gives the round-0 plan: atoms in textual order, every one a probe
+// under whatever the atoms before it bound. first >= 0 gives the plan of the
+// jobs whose body atom first is restricted to a delta: that atom comes first,
+// and each next atom is the textually first one sharing an already-bound
+// variable (any atom only when none does), so the join walks outward from the
+// delta through index probes. Left in its textual place, a delta occurrence
+// behind another atom made every round scan that atom's whole relation and,
+// per row, the whole delta.
+func planOrder(r Rule, first int) ([]int, map[Variable]bool, error) {
+	n := len(r.Body)
+	used := make([]bool, n)
+	bound := make(map[Variable]bool)
+	order := make([]int, 0, n)
+	place := func(i int) {
+		used[i] = true
+		order = append(order, i)
+		switch l := r.Body[i]; l.Kind {
+		case LitAtom:
+			bodyVarsOfAtom(l.Atom, bound)
+		case LitAssign, LitAgg:
+			bound[l.Var] = true
+		}
+	}
+	// ready reports whether every input variable of a non-atom literal is bound.
+	ready := func(l Literal) bool {
+		set := map[Variable]bool{}
+		switch l.Kind {
+		case LitAssign:
+			l.Expr.vars(set)
+		case LitCmp:
+			l.Left.vars(set)
+			l.Right.vars(set)
+		case LitNot:
+			bodyVarsOfAtom(l.Atom, set)
+		case LitAgg:
+			l.AggValue.vars(set)
+			for _, c := range l.Contributors {
+				set[c] = true
+			}
+		}
+		for v := range set {
+			if !bound[v] {
+				return false
+			}
+		}
+		return true
+	}
+	nextAtom := func() int {
+		fallback := -1
+		for i, l := range r.Body {
+			if used[i] || l.Kind != LitAtom {
+				continue
+			}
+			if first < 0 || sharesVar(l.Atom, bound) {
+				return i
+			}
+			if fallback < 0 {
+				fallback = i
+			}
+		}
+		return fallback
+	}
+
+	if first >= 0 {
+		place(first)
+	}
+	for len(order) < n {
+		progress := false
+		for i, l := range r.Body {
+			if !used[i] && (l.Kind == LitCmp || l.Kind == LitAssign || l.Kind == LitNot) && ready(l) {
+				place(i)
+				progress = true
+			}
+		}
+		if i := nextAtom(); i >= 0 {
+			place(i)
+			continue
+		}
+		for i, l := range r.Body {
+			if !used[i] && l.Kind == LitAgg && ready(l) {
+				place(i)
+				progress = true
+			}
+		}
+		if !progress {
+			return nil, nil, fmt.Errorf("cannot order body literals (unbound inputs): %s", r)
+		}
+	}
+	return order, bound, nil
+}
+
+// sharesVar reports whether the atom mentions a variable of the set.
+func sharesVar(a Atom, set map[Variable]bool) bool {
+	for _, t := range a.Terms {
+		if v, ok := t.(Variable); ok && v != "_" && set[v] {
+			return true
+		}
+	}
+	return false
 }
 
 // stratify partitions rules into strata such that negated predicates are

@@ -49,6 +49,13 @@ type RuleStats struct {
 	Derived int `json:"derived"`
 	// Duplicates counts head instantiations absorbed as already known.
 	Duplicates int `json:"duplicates"`
+	// Candidates counts the facts the rule's jobs offered to unification:
+	// every fact of every index bucket, relation scan and delta walked while
+	// joining the body. Candidates / (Derived + Duplicates) is the join work
+	// per head instantiation: near the body length under a good plan,
+	// growing with the relation under a bad one, whatever the index hit
+	// ratio says.
+	Candidates int64 `json:"candidates"`
 	// EvalNanos is the total evaluation time of the rule's jobs. Under a
 	// parallel chase jobs overlap, so the per-rule times can sum to more
 	// than the wall clock.
@@ -67,9 +74,10 @@ type RoundStats struct {
 	Nanos int64 `json:"nanos"`
 }
 
-// ChaseStats is the evaluation report of one Run, collected when the engine
-// is built with WithStats. It is the data source for rule-ordering and
-// caching decisions and for the /v1/metrics endpoint of the reasoning API.
+// ChaseStats is the evaluation report of one Run or ApplyDelta, collected
+// when the engine is built with WithStats. It is the data source for
+// rule-ordering and caching decisions and for the /v1/metrics endpoint of the
+// reasoning API.
 type ChaseStats struct {
 	// Rounds is the number of semi-naive rounds evaluated.
 	Rounds int `json:"rounds"`
@@ -77,6 +85,8 @@ type ChaseStats struct {
 	// absorbed as already known, across all rules.
 	Derived    int `json:"derived"`
 	Duplicates int `json:"duplicates"`
+	// Candidates is the sum of the rules' Candidates (see RuleStats).
+	Candidates int64 `json:"candidates"`
 	// TotalNanos is the wall-clock time of the Run.
 	TotalNanos int64 `json:"totalNanos"`
 
@@ -148,12 +158,22 @@ type statsCollector struct {
 	parBusyNanos int64
 }
 
-func newStatsCollector(labels []string) *statsCollector {
-	st := &statsCollector{start: time.Now(), rules: make([]RuleStats, len(labels))}
-	for i, l := range labels {
-		st.rules[i].Rule = l
+// startStats installs a fresh collector for one evaluation under WithStats
+// and returns the function that freezes it into the report; without WithStats
+// it clears the collector and the returned function does nothing. Deferred by
+// the caller, so the report freezes on every return path, budget trips
+// included.
+func (e *Engine) startStats() func() {
+	e.stats = nil
+	if !e.opts.Stats {
+		return func() {}
 	}
-	return st
+	st := &statsCollector{start: time.Now(), rules: make([]RuleStats, len(e.ruleMeta))}
+	for i := range e.ruleMeta {
+		st.rules[i].Rule = e.ruleMeta[i].label
+	}
+	e.stats = st
+	return func() { e.lastStats = st.snapshot(e) }
 }
 
 // snapshot freezes the collector into an immutable report.
@@ -173,6 +193,9 @@ func (st *statsCollector) snapshot(e *Engine) *ChaseStats {
 		Rules:           append([]RuleStats(nil), st.rules...),
 		PerRound:        append([]RoundStats(nil), st.perRound...),
 	}
+	for i := range out.Rules {
+		out.Candidates += out.Rules[i].Candidates
+	}
 	if out.Workers < 1 {
 		out.Workers = 1
 	}
@@ -186,9 +209,10 @@ func (st *statsCollector) snapshot(e *Engine) *ChaseStats {
 	return out
 }
 
-// Stats returns the report of the last Run, or nil when the engine runs
-// without WithStats (or has not run yet). The report is a snapshot: later
-// Runs replace it, and reading it concurrently with the accessors is safe.
+// Stats returns the report of the last Run or ApplyDelta, or nil when the
+// engine runs without WithStats (or has not run yet). The report is a
+// snapshot: later evaluations replace it, and reading it concurrently with
+// the accessors is safe.
 func (e *Engine) Stats() *ChaseStats { return e.lastStats }
 
 // instrumenting reports whether the current Run collects per-job timings
@@ -211,21 +235,22 @@ func (e *Engine) ruleStart(ri int) time.Time {
 
 // ruleDone folds one finished chase job into the per-rule statistics and
 // fires the RuleDone hook. Called only on the goroutine driving the chase.
-func (e *Engine) ruleDone(ri int, t0 time.Time, derived, duplicates int) {
+func (e *Engine) ruleDone(ri int, t0 time.Time, derived, duplicates int, candidates int64) {
 	if t0.IsZero() {
 		return
 	}
-	e.ruleDoneNanos(ri, int64(time.Since(t0)), derived, duplicates)
+	e.ruleDoneNanos(ri, int64(time.Since(t0)), derived, duplicates, candidates)
 }
 
 // ruleDoneNanos is ruleDone for jobs whose duration was measured elsewhere
 // (parallel workers time their own jobs; the merge applies the result here).
-func (e *Engine) ruleDoneNanos(ri int, nanos int64, derived, duplicates int) {
+func (e *Engine) ruleDoneNanos(ri int, nanos int64, derived, duplicates int, candidates int64) {
 	if st := e.stats; st != nil {
 		rs := &st.rules[ri]
 		rs.Firings++
 		rs.Derived += derived
 		rs.Duplicates += duplicates
+		rs.Candidates += candidates
 		rs.EvalNanos += nanos
 	}
 	if fn := e.opts.Hook.RuleDone; fn != nil {

@@ -75,6 +75,7 @@ func TestChaseStatsSequential(t *testing.T) {
 		t.Fatalf("len(Rules) = %d, want 2", len(st.Rules))
 	}
 	sumDerived, sumDup, sumFirings := 0, 0, 0
+	var sumCand int64
 	for _, r := range st.Rules {
 		if r.Rule == "" {
 			t.Error("rule row without a label")
@@ -82,6 +83,12 @@ func TestChaseStatsSequential(t *testing.T) {
 		sumDerived += r.Derived
 		sumDup += r.Duplicates
 		sumFirings += r.Firings
+		sumCand += r.Candidates
+	}
+	// Every head instantiation unified at least one candidate fact.
+	if sumCand != st.Candidates || st.Candidates < int64(st.Derived+st.Duplicates) {
+		t.Errorf("per-rule Candidates sums to %d, total %d, for %d head instantiations",
+			sumCand, st.Candidates, st.Derived+st.Duplicates)
 	}
 	if sumDerived != st.Derived {
 		t.Errorf("per-rule Derived sums to %d, total %d", sumDerived, st.Derived)
@@ -169,11 +176,18 @@ func TestChaseStatsParallelMatchesSequential(t *testing.T) {
 		}
 	}
 	sum := 0
+	var cands int64
 	for _, r := range ps.Rules {
 		sum += r.Derived
+		cands += r.Candidates
 	}
 	if sum != ps.Derived {
 		t.Errorf("parallel per-rule Derived sums to %d, total %d", sum, ps.Derived)
+	}
+	// Workers count candidates on their own evalCtx; the merge folds them.
+	if cands != ps.Candidates || ps.Candidates < int64(ps.Derived+ps.Duplicates) {
+		t.Errorf("parallel per-rule Candidates sums to %d, total %d, for %d head instantiations",
+			cands, ps.Candidates, ps.Derived+ps.Duplicates)
 	}
 }
 

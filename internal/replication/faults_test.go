@@ -197,22 +197,29 @@ func TestRunningFollowerLagsPastTruncation(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	runFollower := func() (*Follower, func()) {
+	// Opening (local recovery) and running (streaming) are separate steps:
+	// what recovery restored can only be read before Run starts, because a
+	// running follower may bootstrap past it at any moment.
+	openFollower := func() *Follower {
 		fl, err := OpenFollower(dir, FollowerOptions{Leader: addr, Backoff: backoffFast()})
 		if err != nil {
 			t.Fatal(err)
 		}
+		return fl
+	}
+	runFollower := func(fl *Follower) (stop func()) {
 		ctx, cancel := newTestCtx()
 		done := make(chan struct{})
 		go func() { defer close(done); fl.Run(ctx) }()
-		return fl, func() {
+		return func() {
 			cancel()
 			<-done
 			fl.Close()
 		}
 	}
 
-	fl, stop := runFollower()
+	fl := openFollower()
+	stop := runFollower(fl)
 	waitSeq(t, fl, 5)
 	stop() // follower goes offline at seq 5
 
@@ -231,10 +238,11 @@ func TestRunningFollowerLagsPastTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fl2, stop2 := runFollower()
-	defer stop2()
-	if fl2.Seq() != 5 {
-		t.Fatalf("recovered follower seq = %d, want 5", fl2.Seq())
+	fl2 := openFollower()
+	recovered := fl2.Seq()
+	defer runFollower(fl2)()
+	if recovered != 5 {
+		t.Fatalf("recovered follower seq = %d, want 5", recovered)
 	}
 	waitSeq(t, fl2, st.Seq())
 	sameFacts(t, g, fl2.Graph())
