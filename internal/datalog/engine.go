@@ -406,8 +406,21 @@ func (e *Engine) Assert(f Fact) bool {
 	return ok
 }
 
-// AssertAll adds many extensional facts.
+// AssertAll adds many extensional facts. The fact slice of a relation the
+// batch starts is sized for it up front, so loading a graph's relational
+// image does not regrow it log(n) times. (The key set is left to grow: a
+// map sized from a hint can come out a third larger than a grown one, and
+// long-lived engines keep it.)
 func (e *Engine) AssertAll(fs []Fact) {
+	n := map[string]int{}
+	for _, f := range fs {
+		n[f.Pred]++
+	}
+	for pred, k := range n {
+		if r := e.rel(pred); len(r.facts) == 0 {
+			r.facts = make([]Fact, 0, k)
+		}
+	}
 	for _, f := range fs {
 		e.Assert(f)
 	}

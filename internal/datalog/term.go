@@ -123,28 +123,30 @@ func encodeValue(v any) string {
 
 // appendValue writes the canonical encoding of a ground value into a builder
 // without allocating an intermediate string — the hot-path form of
-// encodeValue, used when building fact keys and index probes.
+// encodeValue, used when building fact keys and index probes. Numbers are
+// formatted into a stack buffer: every fact a bulk load asserts passes
+// through here.
 func appendValue(sb *strings.Builder, v any) {
+	var num [32]byte
 	switch x := v.(type) {
 	case string:
 		sb.WriteByte('s')
 		sb.WriteString(x)
 	case float64:
+		sb.WriteByte('f')
 		if x == math.Trunc(x) && math.Abs(x) < 1e15 {
 			// Normalize integral floats so 1.0 and 1 compare equal when both
 			// arrive as float64 through different arithmetic paths.
-			sb.WriteByte('f')
-			sb.WriteString(strconv.FormatFloat(x, 'f', 1, 64))
+			sb.Write(strconv.AppendFloat(num[:0], x, 'f', 1, 64))
 			return
 		}
-		sb.WriteByte('f')
-		sb.WriteString(strconv.FormatFloat(x, 'g', 17, 64))
+		sb.Write(strconv.AppendFloat(num[:0], x, 'g', 17, 64))
 	case int64:
 		sb.WriteByte('i')
-		sb.WriteString(strconv.FormatInt(x, 10))
+		sb.Write(strconv.AppendInt(num[:0], x, 10))
 	case int:
 		sb.WriteByte('i')
-		sb.WriteString(strconv.Itoa(x))
+		sb.Write(strconv.AppendInt(num[:0], int64(x), 10))
 	case bool:
 		sb.WriteByte('b')
 		sb.WriteString(strconv.FormatBool(x))
@@ -213,6 +215,10 @@ type Fact struct {
 // Key returns the canonical identity of the fact (set semantics).
 func (f Fact) Key() string {
 	var sb strings.Builder
+	// One scratch buffer for a typical row instead of one per doubling; the
+	// key itself is copied out at its exact length, since a relation's key
+	// set keeps it for as long as the engine lives.
+	sb.Grow(len(f.Pred) + 2 + 16*len(f.Args))
 	sb.WriteString(f.Pred)
 	sb.WriteByte('(')
 	for i, a := range f.Args {
@@ -222,7 +228,7 @@ func (f Fact) Key() string {
 		appendValue(&sb, a)
 	}
 	sb.WriteByte(')')
-	return sb.String()
+	return strings.Clone(sb.String())
 }
 
 func (f Fact) String() string {

@@ -11,62 +11,6 @@ import (
 	"vadalink/internal/whatif"
 )
 
-// randomCommit mutates the overlay with 1–4 random operations — share adds
-// (including cycle-creating ones: any source, any target), reweights, edge
-// removals, node removals and node additions — and reports how many applied.
-func randomCommit(rng *rand.Rand, o *pg.Overlay) int {
-	applied := 0
-	for i := 0; i < 1+rng.Intn(4); i++ {
-		switch rng.Intn(6) {
-		case 0, 1: // bias toward adds so graphs don't wither
-			nodes := o.Nodes()
-			if len(nodes) < 2 {
-				continue
-			}
-			from := nodes[rng.Intn(len(nodes))]
-			to := nodes[rng.Intn(len(nodes))]
-			if from == to && rng.Intn(4) != 0 {
-				continue // keep a few self-loops, not many
-			}
-			if _, err := o.AddShare(from, to, 0.05+0.9*rng.Float64()); err == nil {
-				applied++
-			}
-		case 2:
-			shares := o.EdgesWithLabel(pg.LabelShareholding)
-			if len(shares) == 0 {
-				continue
-			}
-			if err := o.SetEdgeWeight(shares[rng.Intn(len(shares))], 0.05+0.9*rng.Float64()); err == nil {
-				applied++
-			}
-		case 3:
-			shares := o.EdgesWithLabel(pg.LabelShareholding)
-			if len(shares) == 0 {
-				continue
-			}
-			if o.RemoveEdge(shares[rng.Intn(len(shares))]) {
-				applied++
-			}
-		case 4:
-			nodes := o.Nodes()
-			if len(nodes) < 5 {
-				continue
-			}
-			if o.RemoveNode(nodes[rng.Intn(len(nodes))]) {
-				applied++
-			}
-		case 5:
-			label := pg.LabelCompany
-			if rng.Intn(4) == 0 {
-				label = pg.LabelPerson
-			}
-			o.AddNode(label, pg.Properties{"name": fmt.Sprintf("new%d", rng.Int())})
-			applied++
-		}
-	}
-	return applied
-}
-
 // TestDifferentialMaintenance is the ground-truth harness for incremental
 // view maintenance: across 100+ randomized generated graphs (Barabási
 // scale-free and Italian-style) and random committed mutation streams —
@@ -108,7 +52,7 @@ func differentialMaintenance(t *testing.T, lazy bool) {
 		commits := 0
 		for c := 0; c < 6; c++ {
 			txn := d.vs.Begin()
-			if randomCommit(rng, txn.Overlay()) == 0 {
+			if graphgen.RandomCommit(rng, txn.Overlay()) == 0 {
 				txn.Abort()
 				continue
 			}
@@ -185,7 +129,7 @@ func TestConcurrentReadsDuringApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for c := 0; c < 25; c++ {
 		txn := d.vs.Begin()
-		if randomCommit(rng, txn.Overlay()) == 0 {
+		if graphgen.RandomCommit(rng, txn.Overlay()) == 0 {
 			txn.Abort()
 			continue
 		}

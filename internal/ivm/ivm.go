@@ -406,60 +406,35 @@ func (m *Maintainer) Apply(ctx context.Context, post pg.View, fromSeq, toSeq uin
 func (m *Maintainer) applyLocked(ctx context.Context, post pg.View, toSeq uint64, muts []pg.Mutation) error {
 	start := time.Now()
 
-	// Classify the journal: the owner-side endpoints of every mutated
-	// shareholding edge and every removed node seed the affected set;
-	// company-node churn feeds the iscompany relation of the close-link
-	// engine. Everything else (family/control/closelink edges materialized
-	// by augmentation, person nodes) cannot move the derived state.
-	changed := map[pg.NodeID]bool{}
-	companyChurn := map[pg.NodeID]bool{}
-	for _, mut := range muts {
-		switch mut.Kind {
-		case pg.MutAddNode:
-			if mut.Node != nil && mut.Node.Label == pg.LabelCompany {
-				companyChurn[mut.Node.ID] = true
-			}
-		case pg.MutRemoveNode:
-			if mut.Node == nil {
-				return m.failLocked(fmt.Errorf("ivm: node removal without node"))
-			}
-			changed[mut.Node.ID] = true
-			if mut.Node.Label == pg.LabelCompany {
-				companyChurn[mut.Node.ID] = true
-			}
-		case pg.MutAddEdge, pg.MutRemoveEdge, pg.MutSetEdgeWeight:
-			if mut.Edge == nil {
-				return m.failLocked(fmt.Errorf("ivm: edge mutation without edge"))
-			}
-			if mut.Edge.Label == pg.LabelShareholding {
-				changed[mut.Edge.From] = true
-			}
-		default:
-			return m.failLocked(fmt.Errorf("ivm: unknown mutation kind %d", mut.Kind))
-		}
+	// Classify the journal (relevance.go, shared with the query cache): the
+	// owner sides seed the affected set; company churn feeds the iscompany
+	// relation of the close-link engine.
+	sd, err := classify(muts)
+	if err != nil {
+		return m.failLocked(err)
+	}
+	if len(sd.owners) == 0 && len(sd.companies) == 0 {
+		m.seq = toSeq
+		m.stats.Seq = toSeq
+		m.stats.SkippedCommits++
+		return nil
 	}
 	// Company churn resolves against the post view (a node added and removed
 	// in the same journal nets to absent; ApplyDelta tolerates no-op deltas).
 	var iscoDels, iscoAdds []datalog.Fact
-	for id := range companyChurn {
+	for id := range sd.companies {
 		if n := post.Node(id); n != nil && n.Label == pg.LabelCompany {
 			iscoAdds = append(iscoAdds, iscompanyFact(id))
 		} else {
 			iscoDels = append(iscoDels, iscompanyFact(id))
 		}
 	}
-	if len(changed) == 0 && len(iscoDels) == 0 && len(iscoAdds) == 0 {
-		m.seq = toSeq
-		m.stats.Seq = toSeq
-		m.stats.SkippedCommits++
-		return nil
-	}
 
-	// Affected sources: reverse shareholding reachability from the changed
-	// set over the post view. The post view alone suffices: a reverse path
-	// that existed only pre-commit must start with a removed edge, and that
-	// edge's owner side is already in the changed set.
-	affected := whatif.ReverseReachable(changed, post)
+	// Affected sources: reverse shareholding reachability from the owner
+	// sides over the post view — the Up set of ReachOf. The post view alone
+	// suffices: a reverse path that existed only pre-commit must start with
+	// a removed edge, and that edge's owner side is already a seed.
+	affected := whatif.ReverseReachable(sd.owners, post)
 
 	// The scoped chase reads the forward ownership closure of the affected
 	// set: every cone an affected source can reach.

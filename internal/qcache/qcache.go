@@ -3,39 +3,107 @@
 // with the store.Versioned sequence they were computed at, and invalidated
 // by the commit stream.
 //
-// The invalidation contract leans on the IVM commit classifier
-// (ivm.RelevantMutations): a commit that cannot move the derived relations
-// — a person node, a family edge, an augmentation-materialized link — keeps
-// every derived-class entry alive, so hot point queries survive unrelated
-// write traffic; a relevant commit flushes everything. Entries computed
-// from caller-supplied programs (ClassAny) cannot be classified against a
-// fixed rule set and drop on every commit.
+// The invalidation contract leans on the IVM commit classifier (ivm.ReachOf),
+// which reports per commit whether it can move the derived relations at all
+// and, if so, its reach: the sources (Up) and targets (Down) whose answers it
+// can move. An entry anchored at the bound nodes of its question — a source
+// x, a target y, or both — is evicted only when the commit reaches its
+// anchor, so a shareholding edit in one corner of the registry leaves every
+// other point answer standing at its older, still-exact seq. Unanchored
+// derived entries (all-pairs and close-link answers, other goal predicates)
+// drop on every relevant commit; entries computed from caller-supplied
+// programs (ClassAny) cannot be classified against a fixed rule set and drop
+// on every commit.
 //
 // Concurrency: lookups and stores take one mutex; misses are single-flight
 // per key, so a thundering herd on a cold hot-key runs one chase, not N.
-// A flush during an in-flight computation orphans the call — waiters still
-// get its result (their requests began before the commit), but the result
-// is not stored, so no reader that arrives after the commit can observe
-// pre-commit state.
+// A computation pinned at a sequence older than the newest commit the cache
+// has been told about — a commit landed before it was stored, whether before
+// or during the computation — is still returned to its waiters (their
+// requests pinned the older version) but never stored, so no reader that
+// arrives after the commit can observe pre-commit state.
 package qcache
 
 import (
 	"container/list"
 	"sync"
+
+	"vadalink/internal/pg"
 )
 
-// Class partitions entries by what can invalidate them.
-type Class int
+// Class says what can invalidate an entry. It is a small comparable value:
+// ClassDerived and ClassAny are the unanchored classes, Anchored builds the
+// anchored ones.
+type Class struct {
+	kind           classKind
+	source, target pg.NodeID
+}
+
+type classKind uint8
 
 const (
+	derived classKind = iota
+	anyCommit
+	sourceAnchored
+	targetAnchored
+	pairAnchored
+)
+
+var (
 	// ClassDerived marks answers over the built-in derived relations
-	// (control, accown, closeLink, and their goal forms): invalidated only
-	// by commits the IVM classifier deems relevant.
-	ClassDerived Class = iota
+	// (control, accown, closeLink, and their goal forms) with no anchor:
+	// invalidated by every commit the IVM classifier deems relevant.
+	ClassDerived = Class{kind: derived}
 	// ClassAny marks answers of arbitrary caller-supplied programs: any
 	// commit may change them, so every commit invalidates.
-	ClassAny
+	ClassAny = Class{kind: anyCommit}
 )
+
+// Anchored classifies an answer over the built-in derived relations by the
+// bound nodes of its question: source for "what does x control", target for
+// "who controls y", both for a pair. nil leaves a side free; with both free
+// the answer is plain ClassDerived. Such an answer reads only shareholding
+// edges on paths from its source, into its target, or between the two, so
+// it is evicted only by a commit whose reach covers every bound side.
+func Anchored(source, target *pg.NodeID) Class {
+	switch {
+	case source != nil && target != nil:
+		return Class{kind: pairAnchored, source: *source, target: *target}
+	case source != nil:
+		return Class{kind: sourceAnchored, source: *source}
+	case target != nil:
+		return Class{kind: targetAnchored, target: *target}
+	}
+	return ClassDerived
+}
+
+// Reach is the commit classifier's verdict on one journal (ivm.Reach
+// implements it).
+type Reach interface {
+	// Relevant reports whether the commit can move any derived relation.
+	Relevant() bool
+	// Up reports whether it can move an answer anchored at source x.
+	Up(x pg.NodeID) bool
+	// Down reports whether it can move an answer anchored at target y.
+	Down(y pg.NodeID) bool
+}
+
+// moved reports whether a commit with reach r can have changed an answer of
+// class c.
+func (c Class) moved(r Reach) bool {
+	switch c.kind {
+	case anyCommit:
+		return true
+	case derived:
+		return r.Relevant()
+	case sourceAnchored:
+		return r.Relevant() && r.Up(c.source)
+	case targetAnchored:
+		return r.Relevant() && r.Down(c.target)
+	default:
+		return r.Relevant() && r.Up(c.source) && r.Down(c.target)
+	}
+}
 
 // DefaultMaxBytes sizes the cache when the caller does not: 64 MiB of
 // marshaled responses.
@@ -47,9 +115,13 @@ type Stats struct {
 	Misses        uint64 `json:"misses"`
 	Evictions     uint64 `json:"evictions"`
 	Invalidations uint64 `json:"invalidations"`
-	Entries       int    `json:"entries"`
-	Bytes         int64  `json:"bytes"`
-	MaxBytes      int64  `json:"maxBytes"`
+	// Kept counts derived entries left standing by a relevant commit: the
+	// anchored answers its reach did not cover. Zero under write load with
+	// invalidations growing means every commit flushes.
+	Kept     uint64 `json:"kept"`
+	Entries  int    `json:"entries"`
+	Bytes    int64  `json:"bytes"`
+	MaxBytes int64  `json:"maxBytes"`
 }
 
 type entry struct {
@@ -77,9 +149,13 @@ type Cache struct {
 	entries  map[string]*entry
 	lru      *list.List // front = most recent; values are *entry
 	inflight map[string]*call
-	gen      uint64 // bumped on every invalidation; stales in-flight calls
+	gen      uint64 // bumped on every Flush; stales in-flight calls
+	// committed is the newest sequence OnCommit was told about: a
+	// computation pinned below it may have read a version a commit since
+	// moved, and is not stored.
+	committed uint64
 
-	hits, misses, evictions, invalidations uint64
+	hits, misses, evictions, invalidations, kept uint64
 }
 
 // New builds a cache holding at most maxBytes of response payloads;
@@ -102,7 +178,7 @@ const entryOverhead = 128
 
 // Get returns the cached payload and the sequence it answers for, if
 // present. The sequence may trail the store's current one: entries survive
-// commits classified irrelevant, and the stamped seq tells the client which
+// commits that cannot reach them, and the stamped seq tells the client which
 // version the answer is exact for.
 func (c *Cache) Get(key string) ([]byte, uint64, bool) {
 	c.mu.Lock()
@@ -148,10 +224,11 @@ func (c *Cache) Do(key string, class Class, seq uint64, compute func() ([]byte, 
 	if c.inflight[key] == cl {
 		delete(c.inflight, key)
 	}
-	// Store only if no invalidation raced the computation: a flush bumps gen,
-	// and a payload computed against the pre-commit view must not serve
-	// post-commit readers.
-	if cl.err == nil && gen == c.gen {
+	// Store only if no commit or flush has overtaken the pinned version: a
+	// payload computed against a pre-commit view must not serve post-commit
+	// readers, whether the commit landed before the computation started or
+	// while it ran.
+	if cl.err == nil && gen == c.gen && seq >= c.committed {
 		c.storeLocked(key, cl.val, seq, class)
 	}
 	c.mu.Unlock()
@@ -196,35 +273,40 @@ func (c *Cache) removeLocked(e *entry) {
 	delete(c.entries, e.key)
 }
 
-// OnCommit applies the invalidation contract for one committed journal:
-// relevant commits flush every entry; irrelevant ones flush only ClassAny
-// entries (arbitrary programs can observe any mutation) and leave derived
-// answers alive. In-flight computations are staled either way — their
-// results will not be stored. The seq parameter is the post-commit sequence
-// (accepted for symmetry with the commit hook; the contract needs only the
-// classification).
-func (c *Cache) OnCommit(seq uint64, relevant bool) {
-	_ = seq
+// OnCommit applies the invalidation contract for one committed journal,
+// whose post-commit sequence is seq: every entry the commit's reach can have
+// moved goes (ClassAny always; unanchored derived answers when the commit is
+// relevant; anchored ones when it reaches every bound side), and the rest
+// keep their older, still-exact seq. From here on, computations pinned below
+// seq are no longer stored.
+func (c *Cache) OnCommit(seq uint64, r Reach) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.gen++
+	c.committed = max(c.committed, seq)
+	relevant := r.Relevant()
 	var next *list.Element
 	for el := c.lru.Front(); el != nil; el = next {
 		next = el.Next()
 		e := el.Value.(*entry)
-		if relevant || e.class == ClassAny {
+		switch {
+		case e.class.moved(r):
 			c.removeLocked(e)
 			c.invalidations++
+		case relevant: // only an anchored entry survives a relevant commit
+			c.kept++
 		}
 	}
 }
 
-// Flush drops every entry (used on baseline rebuilds and follower snapshot
-// re-bootstraps, where no journal describes the jump).
+// Flush drops every entry (used on follower snapshot re-bootstraps, where no
+// journal describes the jump) and stales in-flight computations. The
+// sequence may restart below the newest one committed before, so the cache
+// forgets it.
 func (c *Cache) Flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gen++
+	c.committed = 0
 	for el := c.lru.Front(); el != nil; {
 		next := el.Next()
 		c.removeLocked(el.Value.(*entry))
@@ -242,6 +324,7 @@ func (c *Cache) Stats() Stats {
 		Misses:        c.misses,
 		Evictions:     c.evictions,
 		Invalidations: c.invalidations,
+		Kept:          c.kept,
 		Entries:       len(c.entries),
 		Bytes:         c.bytes,
 		MaxBytes:      c.max,

@@ -97,70 +97,150 @@ func TestByteBudgetEviction(t *testing.T) {
 	}
 }
 
-// journal builders matching the IVM vocabulary.
-func shareholdingEdge(from, to pg.NodeID) []pg.Mutation {
-	return []pg.Mutation{{Kind: pg.MutAddEdge, Edge: &pg.Edge{From: from, To: to, Label: pg.LabelShareholding, Props: pg.Properties{pg.WeightProp: 0.5}}}}
-}
+// Reaches with no graph behind them: the empty journal moves nothing, a
+// malformed one (a mutation of kind 0) everything.
+var (
+	reachesNothing    = ivm.ReachOf(pg.New(), nil)
+	reachesEverything = ivm.ReachOf(pg.New(), []pg.Mutation{{}})
+)
 
-func personNode(id pg.NodeID) []pg.Mutation {
-	return []pg.Mutation{{Kind: pg.MutAddNode, Node: &pg.Node{ID: id, Label: pg.LabelPerson}}}
-}
-
+// TestInvalidationFollowsIVMClassifier pins the eviction rule end to end on
+// one fixture — P owns A owns B, B and C hold each other, D owns E in a
+// component of its own — against the reach ivm.ReachOf computes for each
+// journal: ClassAny goes on every commit, unanchored derived entries on
+// every relevant one, and an anchored entry only when the commit reaches
+// every side it binds. Survivors keep their original seq, and each one a
+// relevant commit leaves standing counts as Kept.
 func TestInvalidationFollowsIVMClassifier(t *testing.T) {
-	c := New(1 << 20)
-	c.Put("control(4,Y)", ClassDerived, 10, []byte("derived"))
-	c.Put("custom-program", ClassAny, 10, []byte("custom"))
+	g := pg.New()
+	id := map[string]pg.NodeID{"P": g.AddNode(pg.LabelPerson, nil)}
+	for _, n := range []string{"A", "B", "C", "D", "E"} {
+		id[n] = g.AddNode(pg.LabelCompany, nil)
+	}
+	g.MustAddEdgeWeighted(id["P"], id["A"], 0.6)
+	ab := g.MustAddEdgeWeighted(id["A"], id["B"], 0.6)
+	g.MustAddEdgeWeighted(id["B"], id["C"], 0.7)
+	cb := g.MustAddEdgeWeighted(id["C"], id["B"], 0.3)
+	g.MustAddEdgeWeighted(id["D"], id["E"], 0.8)
+	node := func(n string) *pg.NodeID { v := id[n]; return &v }
 
-	// Irrelevant commit (person node, no edges): derived entries survive,
-	// custom-program entries drop.
-	muts := personNode(99)
-	if ivm.RelevantMutations(muts) {
-		t.Fatal("person node should classify irrelevant")
+	classes := map[string]Class{
+		"control:P": Anchored(node("P"), nil),
+		"control:D": Anchored(node("D"), nil),
+		"ubo:C":     Anchored(nil, node("C")),
+		"ubo:E":     Anchored(nil, node("E")),
+		"pair:P:C":  Anchored(node("P"), node("C")),
+		"pair:D:E":  Anchored(node("D"), node("E")),
+		"pair:P:E":  Anchored(node("P"), node("E")), // needs both sides reached
+		"pairs":     Anchored(nil, nil),             // == ClassDerived
+		"custom":    ClassAny,
 	}
-	c.OnCommit(11, ivm.RelevantMutations(muts))
-	if _, seq, ok := c.Get("control(4,Y)"); !ok || seq != 10 {
-		t.Fatalf("derived entry must survive an irrelevant commit (ok=%v seq=%d)", ok, seq)
-	}
-	if _, _, ok := c.Get("custom-program"); ok {
-		t.Fatal("ClassAny entry must drop on every commit")
-	}
+	anchored := []string{"control:P", "control:D", "ubo:C", "ubo:E", "pair:P:C", "pair:D:E", "pair:P:E"}
+	derived := append([]string{"pairs"}, anchored...)
+	pSide := []string{"control:P", "ubo:C", "pair:P:C"}
+	dSide := []string{"control:D", "ubo:E", "pair:D:E"}
 
-	// Relevant commit (shareholding edge): everything flushes.
-	muts = shareholdingEdge(1, 2)
-	if !ivm.RelevantMutations(muts) {
-		t.Fatal("shareholding edge should classify relevant")
-	}
-	c.OnCommit(12, ivm.RelevantMutations(muts))
-	if _, _, ok := c.Get("control(4,Y)"); ok {
-		t.Fatal("derived entry must drop on a relevant commit")
-	}
-	st := c.Stats()
-	if st.Invalidations != 2 {
-		t.Fatalf("invalidations: %+v", st)
-	}
-}
-
-func TestRelevantMutationsClassification(t *testing.T) {
 	cases := []struct {
-		name string
-		muts []pg.Mutation
-		want bool
+		name     string
+		mutate   func(o *pg.Overlay)
+		journal  []pg.Mutation // used instead of mutate when set
+		relevant bool
+		survive  []string
 	}{
-		{"empty", nil, false},
-		{"person add", personNode(1), false},
-		{"company add", []pg.Mutation{{Kind: pg.MutAddNode, Node: &pg.Node{ID: 1, Label: pg.LabelCompany}}}, true},
-		{"node remove", []pg.Mutation{{Kind: pg.MutRemoveNode, Node: &pg.Node{ID: 1, Label: pg.LabelPerson}}}, true},
-		{"shareholding edge", shareholdingEdge(1, 2), true},
-		{"weight change", []pg.Mutation{{Kind: pg.MutSetEdgeWeight, Edge: &pg.Edge{From: 1, To: 2, Label: pg.LabelShareholding, Props: pg.Properties{pg.WeightProp: 0.9}}}}, true},
-		{"family edge", []pg.Mutation{{Kind: pg.MutAddEdge, Edge: &pg.Edge{From: 1, To: 2, Label: pg.LabelFamily}}}, false},
-		{"nil node", []pg.Mutation{{Kind: pg.MutAddNode}}, true},
-		{"nil edge", []pg.Mutation{{Kind: pg.MutAddEdge}}, true},
-		{"mixed irrelevant+relevant", append(personNode(3), shareholdingEdge(1, 2)...), true},
+		{name: "person add", mutate: func(o *pg.Overlay) { o.AddNode(pg.LabelPerson, nil) }, survive: derived},
+		{name: "family edge", mutate: func(o *pg.Overlay) {
+			if _, err := o.AddEdge(pg.LabelFamily, id["P"], id["D"], nil); err != nil {
+				t.Fatal(err)
+			}
+		}, survive: derived},
+		{name: "company add", relevant: true, survive: anchored,
+			mutate: func(o *pg.Overlay) { o.AddNode(pg.LabelCompany, nil) }},
+		// Up = {A, P}, Down = {B, C}: P's own answers go, but P-about-E
+		// stays — E is not downstream of the edit.
+		{name: "reweight A->B", relevant: true, survive: append([]string{"pair:P:E"}, dSide...),
+			mutate: func(o *pg.Overlay) {
+				if err := o.SetEdgeWeight(ab, 0.9); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		// Up = {C, B, A, P} over the post view (B still owns C), Down = {B, C}.
+		{name: "edge removal inside a cycle", relevant: true, survive: append([]string{"pair:P:E"}, dSide...),
+			mutate: func(o *pg.Overlay) { o.RemoveEdge(cb) }},
+		// The journal removes D->E first, then D: Up = {D}, Down = {D, E}.
+		{name: "node removal", relevant: true, survive: append([]string{"pair:P:E"}, pSide...),
+			mutate: func(o *pg.Overlay) { o.RemoveNode(id["D"]) }},
+		{name: "edge without edge", journal: []pg.Mutation{{Kind: pg.MutAddEdge}}, relevant: true},
+		{name: "node without node", journal: []pg.Mutation{{Kind: pg.MutAddNode}}, relevant: true},
+		{name: "unknown kind", journal: []pg.Mutation{{Kind: 99}}, relevant: true},
 	}
 	for _, tc := range cases {
-		if got := ivm.RelevantMutations(tc.muts); got != tc.want {
-			t.Errorf("%s: RelevantMutations = %v, want %v", tc.name, got, tc.want)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(1 << 20)
+			for key, class := range classes {
+				c.Put(key, class, 10, []byte(key))
+			}
+			var post pg.View = g
+			journal := tc.journal
+			if journal == nil {
+				o := pg.NewOverlay(g)
+				tc.mutate(o)
+				journal, _ = o.Journal()
+				post = o
+			}
+			r := ivm.ReachOf(post, journal)
+			if r.Relevant() != tc.relevant {
+				t.Fatalf("Relevant() = %v, want %v", r.Relevant(), tc.relevant)
+			}
+			c.OnCommit(11, r)
+			want := map[string]bool{}
+			for _, key := range tc.survive {
+				want[key] = true
+			}
+			for key := range classes {
+				_, seq, ok := c.Get(key)
+				if ok != want[key] {
+					t.Errorf("%s: survived = %v, want %v", key, ok, want[key])
+				}
+				if ok && seq != 10 {
+					t.Errorf("%s: survivor re-stamped seq %d, want its original 10", key, seq)
+				}
+			}
+			st := c.Stats()
+			wantKept := uint64(0)
+			if tc.relevant {
+				wantKept = uint64(len(tc.survive))
+			}
+			if st.Kept != wantKept || st.Invalidations != uint64(len(classes)-len(tc.survive)) {
+				t.Errorf("stats = %+v, want kept %d and %d invalidations", st, wantKept, len(classes)-len(tc.survive))
+			}
+		})
+	}
+}
+
+// TestComputationBehindACommitIsNotStored is the race a handler runs into
+// when it pins version S, a commit S+1 lands and is announced, and only then
+// does its Do start: the answer computed on S is returned to the caller but
+// never stored, so later readers cannot be served the pre-commit state.
+func TestComputationBehindACommitIsNotStored(t *testing.T) {
+	c := New(1 << 20)
+	c.OnCommit(6, reachesNothing)
+	v, seq, hit, err := c.Do("k", ClassDerived, 5, func() ([]byte, error) { return []byte("pinned at 5"), nil })
+	if err != nil || hit || seq != 5 || string(v) != "pinned at 5" {
+		t.Fatalf("Do behind the commit: v=%q seq=%d hit=%v err=%v", v, seq, hit, err)
+	}
+	if _, _, ok := c.Get("k"); ok {
+		t.Fatal("a computation pinned below the newest commit was stored")
+	}
+	// At (or past) the announced seq the answer is stored as usual.
+	c.Do("k", ClassDerived, 6, func() ([]byte, error) { return []byte("pinned at 6"), nil })
+	if _, seq, ok := c.Get("k"); !ok || seq != 6 {
+		t.Fatalf("a computation at the committed seq was not stored (ok=%v seq=%d)", ok, seq)
+	}
+	// A bootstrap may restart the sequence below it: Flush forgets it.
+	c.Flush()
+	c.Do("k", ClassDerived, 2, func() ([]byte, error) { return []byte("after bootstrap"), nil })
+	if _, seq, ok := c.Get("k"); !ok || seq != 2 {
+		t.Fatalf("after Flush a computation at seq 2 was not stored (ok=%v seq=%d)", ok, seq)
 	}
 }
 
@@ -182,7 +262,7 @@ func TestFlushDuringInflightIsNotStored(t *testing.T) {
 		}
 	}()
 	<-started
-	c.OnCommit(6, true) // relevant commit lands mid-computation
+	c.OnCommit(6, reachesEverything) // a commit lands mid-computation
 	close(finish)
 	<-done
 	// …but the stale result must not serve post-commit readers.

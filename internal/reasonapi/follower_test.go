@@ -19,11 +19,25 @@ import (
 // whose graph is served by a reasonapi Server in read-only replica mode.
 func replicatedPair(t *testing.T, cfg Config) (*persist.Store, *replication.Follower, *httptest.Server) {
 	t.Helper()
+	st, fl, _, srv := replicatedServer(t, nil, cfg)
+	return st, fl, srv
+}
+
+// replicatedServer is replicatedPair with the leader store seeded from base
+// (nil: empty) before the stream starts, also returning the follower-mode
+// Server itself.
+func replicatedServer(t *testing.T, base *pg.Graph, cfg Config) (*persist.Store, *replication.Follower, *Server, *httptest.Server) {
+	t.Helper()
 	st, err := persist.Open(t.TempDir(), persist.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
+	if base != nil {
+		if err := st.Import(base); err != nil {
+			t.Fatal(err)
+		}
+	}
 	ld := replication.NewLeader(st, replication.LeaderOptions{Heartbeat: 20 * time.Millisecond})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -62,7 +76,7 @@ func replicatedPair(t *testing.T, cfg Config) (*persist.Store, *replication.Foll
 	})
 	srv := httptest.NewServer(api.Handler())
 	t.Cleanup(srv.Close)
-	return st, fl, srv
+	return st, fl, api, srv
 }
 
 // waitFollowerSeq polls until the follower has applied through seq.

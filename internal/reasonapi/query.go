@@ -5,7 +5,8 @@ package reasonapi
 // the point forms of the reasoning endpoints route through the same
 // machinery. Responses are cached in a byte-budgeted, seq-stamped result
 // cache (internal/qcache) keyed on the goal and the version the answer was
-// computed at; the IVM commit classifier decides which commits invalidate.
+// computed at; each commit invalidates the entries its ownership reach can
+// have moved (ivm.ReachOf).
 // Every response answered here carries the sequence number of the version it
 // is exact for ("seq" in the body) and an X-Cache: hit|miss header.
 
@@ -18,16 +19,17 @@ import (
 	"sort"
 
 	"vadalink/internal/datalog"
+	"vadalink/internal/pg"
 	"vadalink/internal/qcache"
 	"vadalink/internal/vadalog"
 )
 
 // servePoint answers one point query through the result cache: on a hit the
 // marshaled payload is replayed as-is (its embedded "seq" names the version
-// it was computed at, which may trail the current one across irrelevant
-// commits); on a miss, build runs once — concurrent misses on the same key
-// share the computation — and the payload is stored unless the build was
-// truncated or a commit raced it.
+// it was computed at, which may trail the current one across commits that
+// cannot reach the answer); on a miss, build runs once — concurrent misses
+// on the same key share the computation — and the payload is stored unless
+// the build was truncated or a commit overtook the pinned version.
 //
 // build returns the response body (which servePoint stamps with "seq") plus
 // the chase error, if any: a non-nil body with a non-nil error is a partial
@@ -125,7 +127,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				"no built-in program defines %q; supply one in \"program\"", goal.Pred)
 			return
 		}
-		class = qcache.ClassDerived
+		class = goalClass(goal)
 	} else if _, perr := datalog.Parse(progSrc); perr != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "parsing program: %v", perr)
 		return
@@ -140,7 +142,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	v, seq, release := s.src.pin()
 	defer release()
 
-	err = s.answerPoint(w, seq, queryKey(class, goal, progSrc, req.MaxFacts), class, func() (map[string]any, error) {
+	err = s.answerPoint(w, seq, queryKey(goal, progSrc, req.MaxFacts), class, func() (map[string]any, error) {
 		res, err := vadalog.EvalGoal(r.Context(), v, progSrc, goal, opts...)
 		if err != nil {
 			return nil, err
@@ -203,11 +205,38 @@ func (s *rowSorter) Swap(i, j int) {
 	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
 }
 
+// goalClass is the cache class of a goal over the built-in programs: a
+// control goal is anchored at the nodes it binds (control(x, Y) at source x,
+// control(X, y) at target y, both for a pair); any other predicate, or a
+// position bound to something other than a node ID, stays unanchored.
+func goalClass(goal datalog.Atom) qcache.Class {
+	if goal.Pred != "control" || len(goal.Terms) != 2 {
+		return qcache.ClassDerived
+	}
+	var ends [2]*pg.NodeID
+	for i, t := range goal.Terms {
+		switch t := t.(type) {
+		case datalog.Variable:
+		case datalog.Constant:
+			id, ok := t.Value.(int64)
+			if !ok {
+				return qcache.ClassDerived
+			}
+			n := pg.NodeID(id)
+			ends[i] = &n
+		default:
+			return qcache.ClassDerived
+		}
+	}
+	return qcache.Anchored(ends[0], ends[1])
+}
+
 // queryKey builds the cache key of one /v1/query evaluation. The program
-// text is folded to a hash so an arbitrary caller program cannot blow the
-// key budget; the goal stays readable for debugging.
-func queryKey(class qcache.Class, goal datalog.Atom, progSrc string, maxFacts int) string {
+// text — the built-in one when the caller sent none — is folded to a hash so
+// an arbitrary caller program cannot blow the key budget; the goal stays
+// readable for debugging.
+func queryKey(goal datalog.Atom, progSrc string, maxFacts int) string {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(progSrc))
-	return fmt.Sprintf("query:%d:%s:%x:%d", class, goal.String(), h.Sum64(), maxFacts)
+	return fmt.Sprintf("query:%s:%x:%d", goal.String(), h.Sum64(), maxFacts)
 }

@@ -4,17 +4,20 @@ package reasonapi
 // malformed input, not-demandable fallback, budget truncation, custom
 // programs, follower mode), the seq + X-Cache stamps on the point endpoints,
 // the target form of /v1/control, the {"pairs": [...]} envelope, and the
-// end-to-end invalidation contract — irrelevant commits keep cached answers
-// alive at their original seq, relevant commits flush them.
+// end-to-end invalidation contract — commits that cannot reach an answer
+// keep it alive at its original seq, commits that reach it drop it.
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"vadalink/internal/control"
 	"vadalink/internal/pg"
+	"vadalink/internal/qcache"
 )
 
 // postQuery issues one POST /v1/query and returns the response + body map.
@@ -219,8 +222,10 @@ func TestControlPairsEnvelope(t *testing.T) {
 
 // The invalidation contract end to end on the MVCC chain: a commit the IVM
 // classifier deems irrelevant (a person node) keeps cached point answers
-// alive at their original seq; a relevant commit (a shareholding edge)
-// flushes them and the next read recomputes at the new seq.
+// alive at their original seq, and so does a relevant commit elsewhere in
+// the registry (a new ownership pair P2 cannot reach); a shareholding edge
+// out of P2 reaches the answer's anchor, drops it, and the next read
+// recomputes at the new seq.
 func TestQueryCacheInvalidationFollowsCommitClassifier(t *testing.T) {
 	g, b := pg.Figure2()
 	s := NewServerWith(g, Config{})
@@ -245,7 +250,28 @@ func TestQueryCacheInvalidationFollowsCommitClassifier(t *testing.T) {
 		t.Fatalf("surviving entry seq = %v, want original %v", body1["seq"], seq0)
 	}
 
-	// Relevant commit: a shareholding edge can move every derived relation.
+	// Relevant commit elsewhere: two new companies and a stake between them
+	// move derived relations, but nothing P2 owns into.
+	if err := s.src.write(func(o *pg.Overlay) {
+		x := o.AddNode(pg.LabelCompany, pg.Properties{"name": "X"})
+		y := o.AddNode(pg.LabelCompany, pg.Properties{"name": "Y"})
+		if _, err := o.AddShare(x, y, 0.7); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	resp, body1 = postQuery(t, srv.URL, goal)
+	if resp.Header.Get("X-Cache") != "hit" || body1["seq"] != seq0 {
+		t.Fatalf("after a commit outside P2's reach: X-Cache = %q seq = %v, want a hit at %v",
+			resp.Header.Get("X-Cache"), body1["seq"], seq0)
+	}
+	var m Metrics
+	if code := getJSON(t, srv.URL+"/v1/metrics", &m); code != 200 || m.Cache == nil || m.Cache.Kept == 0 {
+		t.Fatalf("metrics = %d, cache = %+v: want the survivor counted as kept", code, m.Cache)
+	}
+
+	// Relevant commit reaching the anchor: a new stake held by P2.
 	if err := s.src.write(func(o *pg.Overlay) {
 		if _, err := o.AddShare(b.ID("P2"), b.ID("C4"), 0.9); err != nil {
 			t.Error(err)
@@ -353,6 +379,20 @@ func TestQueryOnFollower(t *testing.T) {
 		t.Fatalf("after irrelevant frame X-Cache = %q, want hit", resp.Header.Get("X-Cache"))
 	}
 
+	// Relevant frames elsewhere (a stake between two new companies): A
+	// cannot reach them, so the entry survives at its original seq.
+	x := g.AddNode(pg.LabelCompany, pg.Properties{"name": "X"})
+	g.MustAddEdgeWeighted(x, g.AddNode(pg.LabelCompany, pg.Properties{"name": "Y"}), 0.6)
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	waitFollowerSeq(t, fl, st.Seq())
+	resp, body2 := postQuery(t, srv.URL, goal)
+	if resp.Header.Get("X-Cache") != "hit" || body2["seq"] != body["seq"] {
+		t.Fatalf("after frames outside A's reach: X-Cache = %q seq = %v, want a hit at %v",
+			resp.Header.Get("X-Cache"), body2["seq"], body["seq"])
+	}
+
 	// Relevant frame (shareholding edge): the entry drops, the answer grows.
 	d := g.AddNode(pg.LabelCompany, pg.Properties{"name": "D"})
 	g.MustAddEdgeWeighted(c, d, 0.9)
@@ -374,5 +414,72 @@ func TestQueryOnFollower(t *testing.T) {
 	answers, _ = body["answers"].([]any)
 	if len(answers) != 2 {
 		t.Fatalf("post-frame answers = %v, want A's grown cone {B, D}", answers)
+	}
+}
+
+// TestAnswerPinnedBeforeACommitIsNotCached is the race DESIGN.md §13.3 rules
+// out, made deterministic on the MVCC source: a handler pins version S, a
+// commit S+1 reaching its anchor lands and is announced, and only then does
+// the handler's cache lookup run. The answer it computes on S is served, but
+// not stored: the next reader misses and sees S+1.
+func TestAnswerPinnedBeforeACommitIsNotCached(t *testing.T) {
+	g, b := pg.Figure2()
+	s := NewServerWith(g, Config{})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	p2, c4 := b.ID("P2"), b.ID("C4")
+
+	v, seq, release := s.src.pin()
+	defer release()
+	if err := s.src.write(func(o *pg.Overlay) {
+		if _, err := o.AddShare(p2, c4, 0.9); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	w := httptest.NewRecorder()
+	err := s.answerPoint(w, seq, fmt.Sprintf("control:%d", p2), qcache.Anchored(&p2, nil), func() (map[string]any, error) {
+		ids, _, err := control.GoalControls(context.Background(), v, p2)
+		return map[string]any{"node": p2, "controls": ids}, err
+	})
+	if err != nil || w.Header().Get("X-Cache") != "miss" {
+		t.Fatalf("pinned answer: err = %v, X-Cache = %q", err, w.Header().Get("X-Cache"))
+	}
+
+	resp, body := doReq(t, "GET", srv.URL+"/v1/control?node="+itoa(p2), "")
+	if resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("the answer pinned before the commit was cached: X-Cache = %q, body %v", resp.Header.Get("X-Cache"), body)
+	}
+	if body["seq"] != float64(seq+1) {
+		t.Fatalf("next read stamped seq %v, want %d", body["seq"], seq+1)
+	}
+}
+
+// TestFollowerAnnouncesPostFrameSeq pins what the follower source hands the
+// cache: OnMutation observers run after persist.Apply, whose mutation hook
+// has already advanced the store, so fl.Seq() inside committed reads the
+// post-frame sequence N. The cache then refuses an answer pinned at N-1 and
+// stores one pinned at N; had committed read the pre-frame N-1, it would
+// have stored both.
+func TestFollowerAnnouncesPostFrameSeq(t *testing.T) {
+	st, fl, s, _ := replicatedServer(t, nil, Config{MaxStaleness: time.Minute})
+	st.Graph().AddNode(pg.LabelCompany, pg.Properties{"name": "A"})
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	waitFollowerSeq(t, fl, st.Seq())
+	// Pin like a handler: the read lock waits out the frame's apply, observers
+	// included (fl.Seq() moves before they run).
+	_, n, release := s.src.pin()
+	defer release()
+	build := func() (map[string]any, error) { return map[string]any{}, nil }
+	for _, pinned := range []uint64{n - 1, n} {
+		if err := s.answerPoint(httptest.NewRecorder(), pinned, fmt.Sprint("probe:", pinned), qcache.ClassDerived, build); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, stored := s.qc.Get(fmt.Sprint("probe:", pinned)); stored != (pinned == n) {
+			t.Errorf("answer pinned at %d (frame seq %d): stored = %v", pinned, n, stored)
+		}
 	}
 }

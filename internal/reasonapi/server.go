@@ -28,8 +28,9 @@
 // byte-budgeted query-result cache: responses are stamped with the sequence
 // number of the version they are exact for ("seq" in the body) plus an
 // X-Cache: hit|miss header, and the IVM commit classifier decides which
-// commits invalidate which entries — write traffic that cannot move the
-// derived relations keeps hot point answers alive.
+// commits invalidate which entries — a commit evicts only the answers
+// anchored inside its ownership reach, so write traffic elsewhere in the
+// registry keeps hot point answers alive.
 //
 // There is one serving path. Every handler pins a consistent (view, seq)
 // through the server's source and /v1/augment writes through it: the run
@@ -243,7 +244,7 @@ type Server struct {
 
 	// qc caches marshaled point-query responses keyed by goal and stamped
 	// with the sequence they were computed at; invalidated from the commit
-	// stream via the IVM relevance classifier. nil when
+	// stream by each commit's reach (ivm.ReachOf). nil when
 	// Config.QueryCacheBytes is negative.
 	qc *qcache.Cache
 
@@ -312,14 +313,15 @@ func NewServerWith(g *pg.Graph, cfg Config) *Server {
 
 // committed is the single subscription to the commit stream: src calls it
 // once per journal applied to the served graph — an /v1/augment commit or a
-// replicated frame alike — with the sequence the graph then stands at. The
-// cache drops what the journal can have moved (classified by the shared IVM
-// relevance rules: a journal that cannot move the derived relations leaves
-// derived answers standing), and the maintainer queues the journal for the
-// next what-if. Both are cheap: src calls this under its commit lock.
-func (s *Server) committed(seq uint64, journal []pg.Mutation) {
+// replicated frame alike — with the sequence and view the graph then stands
+// at. The cache drops what the journal can have moved (its reach, classified
+// by the IVM rules the maintainer also runs: an answer anchored outside the
+// reach keeps standing), and the maintainer queues the journal for the next
+// what-if. src calls this under its commit lock; the reach walk is the only
+// part that grows with the graph, and only with the commit's own cone.
+func (s *Server) committed(seq uint64, post pg.View, journal []pg.Mutation) {
 	if s.qc != nil {
-		s.qc.OnCommit(seq, ivm.RelevantMutations(journal))
+		s.qc.OnCommit(seq, ivm.ReachOf(post, journal))
 	}
 	s.ivmM.Observe(seq, journal...)
 }
@@ -543,7 +545,6 @@ func (s *Server) govern(next http.Handler) http.Handler {
 		sw := &statusWriter{ResponseWriter: w, reqID: id}
 		sw.Header().Set("X-Request-ID", id)
 		ctx := context.WithValue(r.Context(), ctxKeyRequestID, id)
-		r = r.WithContext(ctx)
 		defer func() {
 			if rec := recover(); rec != nil {
 				log.Printf("reasonapi: %s %s %s: recovered panic: %v", id, r.Method, r.URL.Path, rec)
@@ -579,8 +580,10 @@ func (s *Server) govern(next http.Handler) http.Handler {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, t)
 			defer cancel()
-			r = r.WithContext(ctx)
 		}
+		// One request copy carries both the ID and the deadline (the
+		// deferred recovery above reads r when it runs, so it sees it too).
+		r = r.WithContext(ctx)
 		faultinject.Fire(faultinject.SiteAPIHandler)
 		if s.cfg.Follower != nil && s.followerGate(sw, r) {
 			return
@@ -692,7 +695,7 @@ func (s *Server) handleUBO(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
-	s.servePoint(w, r, seq, fmt.Sprintf("ubo:%d", node), qcache.ClassDerived, func() (map[string]any, error) {
+	s.servePoint(w, r, seq, fmt.Sprintf("ubo:%d", node), qcache.Anchored(nil, &node), func() (map[string]any, error) {
 		type item struct {
 			ID   pg.NodeID `json:"id"`
 			Name any       `json:"name,omitempty"`
@@ -749,7 +752,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
-	s.servePoint(w, r, seq, fmt.Sprintf("explain:%d:%d", from, to), qcache.ClassDerived, func() (map[string]any, error) {
+	s.servePoint(w, r, seq, fmt.Sprintf("explain:%d:%d", from, to), qcache.Anchored(&from, &to), func() (map[string]any, error) {
 		// The explained pair is a fully bound goal: demand derives only the
 		// cone connecting from to to, and the provenance of that cone is all
 		// the tree needs. StripDemandMarkers removes the rewrite's magic and
@@ -853,7 +856,7 @@ func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		key := fmt.Sprintf("control:%d:%d", node, target)
-		s.servePoint(w, r, seq, key, qcache.ClassDerived, func() (map[string]any, error) {
+		s.servePoint(w, r, seq, key, qcache.Anchored(&node, &target), func() (map[string]any, error) {
 			ok, mode, runErr := control.GoalControlsPair(r.Context(), v, node, target, s.engineOptions()...)
 			resp := map[string]any{"node": node, "target": target, "controls": ok, "mode": mode}
 			for k, vv := range truncMeta(runErr) {
@@ -863,7 +866,7 @@ func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	s.servePoint(w, r, seq, fmt.Sprintf("control:%d", node), qcache.ClassDerived, func() (map[string]any, error) {
+	s.servePoint(w, r, seq, fmt.Sprintf("control:%d", node), qcache.Anchored(&node, nil), func() (map[string]any, error) {
 		controlled, mode, runErr := control.GoalControls(r.Context(), v, node, s.engineOptions()...)
 		type item struct {
 			ID   pg.NodeID `json:"id"`
@@ -954,7 +957,7 @@ func (s *Server) handleAccumulated(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
-	s.servePoint(w, r, seq, fmt.Sprintf("accumulated:%d:%d", from, to), qcache.ClassDerived, func() (map[string]any, error) {
+	s.servePoint(w, r, seq, fmt.Sprintf("accumulated:%d:%d", from, to), qcache.Anchored(&from, &to), func() (map[string]any, error) {
 		phi, runErr := closelink.AccumulatedCtx(r.Context(), v, from, to, closelink.Options{})
 		resp := map[string]any{"from": from, "to": to, "phi": phi}
 		for k, vv := range truncMeta(runErr) {

@@ -15,8 +15,8 @@ import (
 //
 // Both announce every journal that changes the served graph through the
 // committed callback they were built with — in commit order, with the
-// sequence the graph stands at afterwards — and the locked one announces a
-// wholesale graph replacement through reset.
+// sequence and the view the graph stands at afterwards — and the locked one
+// announces a wholesale graph replacement through reset.
 type source interface {
 	// pin returns a view that stays consistent until release is called,
 	// together with the sequence number it answers for.
@@ -30,6 +30,11 @@ type source interface {
 	write(fn func(*pg.Overlay)) error
 }
 
+// committedFunc receives one applied journal with the sequence and the view
+// the served graph stands at afterwards; sources call it under their commit
+// lock.
+type committedFunc func(seq uint64, post pg.View, journal []pg.Mutation)
+
 // mvccSource serves a standalone or static-leader graph from a
 // store.Versioned chain: pin is one atomic load, and a write publishes its
 // overlay as the next immutable version.
@@ -41,12 +46,12 @@ type mvccSource struct {
 	master *sync.RWMutex
 }
 
-func newMVCCSource(g *pg.Graph, master *sync.RWMutex, committed func(uint64, []pg.Mutation)) *mvccSource {
+func newMVCCSource(g *pg.Graph, master *sync.RWMutex, committed committedFunc) *mvccSource {
 	vs := store.NewVersioned(g)
 	// The hook runs under the commit lock after the version is published, so
 	// commits are announced in order, exactly once.
 	vs.SetCommitHook(func(next *store.Version, journal []pg.Mutation) {
-		committed(next.Seq(), journal)
+		committed(next.Seq(), next.View(), journal)
 	})
 	return &mvccSource{vs: vs, master: master}
 }
@@ -75,11 +80,11 @@ type lockedSource struct {
 	mu        *sync.RWMutex
 	g         *pg.Graph // re-pointed under mu by a snapshot bootstrap
 	fl        *replication.Follower
-	committed func(uint64, []pg.Mutation)
+	committed committedFunc
 }
 
 func newLockedSource(g *pg.Graph, fl *replication.Follower, mu *sync.RWMutex,
-	committed func(uint64, []pg.Mutation), reset func()) *lockedSource {
+	committed committedFunc, reset func()) *lockedSource {
 	if g == nil {
 		g = fl.Graph()
 	}
@@ -92,8 +97,10 @@ func newLockedSource(g *pg.Graph, fl *replication.Follower, mu *sync.RWMutex,
 		l.g = ng
 		reset()
 	})
+	// The frame has been applied when the observer runs, so fl.Seq() already
+	// reads the post-frame sequence (TestFollowerAnnouncesPostFrameSeq).
 	fl.OnMutation(func(mut pg.Mutation) {
-		committed(uint64(fl.Seq()), []pg.Mutation{mut})
+		committed(uint64(fl.Seq()), l.g, []pg.Mutation{mut})
 	})
 	return l
 }
@@ -123,7 +130,7 @@ func (l *lockedSource) write(fn func(*pg.Overlay)) error {
 	if err := store.Replay(g, journal); err != nil {
 		return err
 	}
-	l.committed(uint64(l.fl.Seq()), journal)
+	l.committed(uint64(l.fl.Seq()), g, journal)
 	return nil
 }
 

@@ -43,21 +43,31 @@ var NodeProps = []string{"name", "birth", "addr", "sector"}
 // CompanyGraphFacts maps a company graph to its relational representation:
 // company(id, props...), person(id, props...), own(from, to, w) — the
 // extensional component of the knowledge graph (Example 3.1).
+//
+// Every demand-driven point query extracts the whole image, so the rows
+// share a few exactly sized backing arrays rather than allocating one
+// argument slice each; each row's slice is capped at its own arguments.
 func CompanyGraphFacts(g pg.View) []datalog.Fact {
-	var facts []datalog.Fact
-	for _, id := range g.Nodes() {
+	nodes := g.Nodes()
+	shares := g.EdgesWithLabel(pg.LabelShareholding)
+	facts := make([]datalog.Fact, 0, len(nodes)+len(shares))
+	args := make([]any, 0, len(nodes)*(1+len(NodeProps)))
+	for _, id := range nodes {
 		n := g.Node(id)
-		args := make([]any, 0, 1+len(NodeProps))
+		pred := PredCompany
+		switch n.Label {
+		case pg.LabelCompany:
+		case pg.LabelPerson:
+			pred = PredPerson
+		default:
+			continue
+		}
+		start := len(args)
 		args = append(args, int64(id))
 		for _, p := range NodeProps {
 			args = append(args, propString(n.Props, p))
 		}
-		switch n.Label {
-		case pg.LabelCompany:
-			facts = append(facts, datalog.Fact{Pred: PredCompany, Args: args})
-		case pg.LabelPerson:
-			facts = append(facts, datalog.Fact{Pred: PredPerson, Args: args})
-		}
+		facts = append(facts, datalog.Fact{Pred: pred, Args: args[start:len(args):len(args)]})
 	}
 	// Parallel shareholding edges aggregate into one own fact per (from, to):
 	// Definition 2.3's direct ownership w(x, y) is the total fraction of y's
@@ -65,9 +75,9 @@ func CompanyGraphFacts(g pg.View) []datalog.Fact {
 	// (⟨Z⟩) would otherwise keep only the largest of several parcels held by
 	// the same owner. Emission order follows the first edge per pair, so the
 	// output stays deterministic.
-	total := map[[2]pg.NodeID]float64{}
-	var order [][2]pg.NodeID
-	for _, eid := range g.EdgesWithLabel(pg.LabelShareholding) {
+	total := make(map[[2]pg.NodeID]float64, len(shares))
+	order := make([][2]pg.NodeID, 0, len(shares))
+	for _, eid := range shares {
 		e := g.Edge(eid)
 		w, _ := e.Weight()
 		key := [2]pg.NodeID{e.From, e.To}
@@ -76,11 +86,11 @@ func CompanyGraphFacts(g pg.View) []datalog.Fact {
 		}
 		total[key] += w
 	}
+	own := make([]any, 0, 3*len(order))
 	for _, key := range order {
-		facts = append(facts, datalog.Fact{
-			Pred: PredOwn,
-			Args: []any{int64(key[0]), int64(key[1]), total[key]},
-		})
+		start := len(own)
+		own = append(own, int64(key[0]), int64(key[1]), total[key])
+		facts = append(facts, datalog.Fact{Pred: PredOwn, Args: own[start:len(own):len(own)]})
 	}
 	return facts
 }

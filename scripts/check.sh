@@ -16,7 +16,10 @@ echo "== go test -race =="
 # Includes the chase scaling regression tests of internal/datalog
 # (TestChaseWorkIsLinearInDisjointGroups, TestDeltaWorkIsIndependentOfOtherGroups,
 # TestDeltaPlans): exact candidate counts, no wall clock, so they hold under
-# the race detector's slowdown.
+# the race detector's slowdown. Also the query cache's soundness property
+# (internal/reasonapi TestCacheSoundnessProperty): after every random commit,
+# through a standalone and a follower-mode server, every cache hit equals a
+# cache-disabled server's answer.
 go test -race ./...
 
 echo "== benchmark driver (bench/ is a nested module: none of the above sees it) =="
