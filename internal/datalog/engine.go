@@ -40,9 +40,6 @@ type options struct {
 	// no limits.
 	Budget Budget
 
-	// TraceFn, when set, receives one line per derived fact (debugging aid).
-	TraceFn func(string)
-
 	// Naive disables semi-naive delta restriction: every round re-evaluates
 	// every rule against the full store. Exists for the ablation benchmarks;
 	// results are identical, only slower.
@@ -934,9 +931,6 @@ func (e *Engine) runRound(jobs []chaseJob) (map[string][]Fact, error) {
 		if b := e.opts.Budget; b.MaxIndexBytes > 0 && e.indexBytes.Load() > int64(b.MaxIndexBytes) {
 			e.trip(LimitIndexMemory, b.MaxIndexBytes, nil)
 		}
-		if e.opts.TraceFn != nil {
-			e.opts.TraceFn("derive " + f.String())
-		}
 		if e.prov != nil {
 			e.prov[key] = Derivation{Rule: rule, Premises: premises}
 		}
@@ -1148,7 +1142,7 @@ func (e *Engine) evalJob(ec *evalCtx, j chaseJob, emit emitFn) error {
 }
 
 // evalJobObserved is evalJob for a job whose emitter inserts as it goes (the
-// sequential chase, ApplyDelta's delta rounds): what the job did is read off
+// sequential chase): what the job did is read off
 // the engine's counters and folded into the per-rule statistics and hooks.
 func (e *Engine) evalJobObserved(ec *evalCtx, j chaseJob, emit emitFn) error {
 	jt := e.ruleStart(j.ri)

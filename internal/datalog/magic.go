@@ -27,8 +27,7 @@
 // (see DESIGN.md §13 for the argument). Rules outside the fragment —
 // negation over intensional predicates, existential head variables, an
 // aggregate target in a bound position — are refused with a typed
-// ErrNotDemandable, and callers fall back to full evaluation, exactly like
-// delta.go's ErrNotIncremental contract.
+// ErrNotDemandable, and callers fall back to full evaluation.
 //
 // The rewritten program is ordinary Datalog: the existing semi-naive,
 // indexed, parallel engine evaluates it unchanged, so Budget, RunContext,

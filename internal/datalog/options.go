@@ -24,11 +24,6 @@ func WithBudget(b Budget) Option {
 	return func(o *options) { o.Budget = b }
 }
 
-// WithTrace installs a per-derivation trace callback (debugging aid).
-func WithTrace(fn func(string)) Option {
-	return func(o *options) { o.TraceFn = fn }
-}
-
 // WithNaive disables semi-naive delta restriction (ablation baseline).
 func WithNaive() Option {
 	return func(o *options) { o.Naive = true }

@@ -74,10 +74,9 @@ type RoundStats struct {
 	Nanos int64 `json:"nanos"`
 }
 
-// ChaseStats is the evaluation report of one Run or ApplyDelta, collected
-// when the engine is built with WithStats. It is the data source for
-// rule-ordering and caching decisions and for the /v1/metrics endpoint of the
-// reasoning API.
+// ChaseStats is the evaluation report of one Run, collected when the engine
+// is built with WithStats. It is the data source for rule-ordering and
+// caching decisions and for the /v1/metrics endpoint of the reasoning API.
 type ChaseStats struct {
 	// Rounds is the number of semi-naive rounds evaluated.
 	Rounds int `json:"rounds"`
@@ -209,8 +208,8 @@ func (st *statsCollector) snapshot(e *Engine) *ChaseStats {
 	return out
 }
 
-// Stats returns the report of the last Run or ApplyDelta, or nil when the
-// engine runs without WithStats (or has not run yet). The report is a
+// Stats returns the report of the last Run, or nil when the engine runs
+// without WithStats (or has not run yet). The report is a
 // snapshot: later evaluations replace it, and reading it concurrently with
 // the accessors is safe.
 func (e *Engine) Stats() *ChaseStats { return e.lastStats }

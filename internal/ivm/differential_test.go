@@ -48,6 +48,7 @@ func differentialMaintenance(t *testing.T, lazy bool) {
 		threshold := thresholds[i%len(thresholds)]
 		d := newDriverFed(t, base, threshold, lazy)
 		name := fmt.Sprintf("case %d (t=%v, %d nodes)", i, threshold, base.NumNodes())
+		checkAgainstOracle(t, name+" seed", d.maintained(), d.oracle())
 
 		commits := 0
 		for c := 0; c < 6; c++ {

@@ -2,22 +2,11 @@
 // accumulated ownership, close links — incrementally under the committed
 // mutation stream, instead of re-chasing the whole graph after every write.
 //
-// The derived state splits along the engine's incremental fault line
-// (datalog.ApplyDelta refuses aggregates):
-//
-//   - control and accown are msum-aggregate relations, so their deltas are
-//     non-local: retracting one contribution shifts a whole group's total.
-//     They are maintained by recompute-per-affected-cone — reverse
-//     shareholding reachability from the journal's changed set gives the
-//     sources whose derived rows may have moved (whatif.ReverseReachable,
-//     the PR-6 scoping machinery), and a scoped chase over the forward
-//     closure of that set re-derives exactly those rows, seeding untouched
-//     baseline rows for the cones it reads but does not own.
-//   - close links are a positive, aggregate-free program over the FINAL
-//     accown rows: strong(x, y) ⇔ Φ(x, y) ≥ t plus iscompany(x). A
-//     persistent mini-engine holds that program materialized, and each
-//     commit feeds it the strong/iscompany deltas through
-//     datalog.ApplyDelta — counting/DRed delete-rederive, no recompute.
+// Each commit is one scoped step (whatif.Baseline.Advance), the same step a
+// what-if scenario takes over its overlay: the sources upstream of the
+// journal's owner seeds re-chase their ownership cones locally, and close
+// links — a non-recursive join over the final accown rows — are re-counted
+// from those sources' witnesses alone.
 //
 // On a registry-scale graph a single shareholding edit touches a tiny cone,
 // which turns a full re-chase (seconds to minutes) into a few milliseconds
@@ -46,22 +35,8 @@ import (
 
 	"vadalink/internal/datalog"
 	"vadalink/internal/pg"
-	"vadalink/internal/relstore"
 	"vadalink/internal/whatif"
 )
-
-// closeLinkDeltaProgram is the aggregate-free close-link program the
-// mini-engine maintains through ApplyDelta. It is the image of the
-// whatif close-link rules under "accown(X, Y, W), W >= t" ⇒ "strong(X, Y)":
-// since the chase's accown rows only improve, a row crosses the threshold
-// iff its final (maximal) value does, so pair formation over final rows
-// derives exactly the close links of the full program.
-const closeLinkDeltaProgram = `
-	strong(X, Y), iscompany(X), iscompany(Y) -> clcand(X, Y).
-	strong(Z, X), strong(Z, Y), X != Y, iscompany(X), iscompany(Y) -> clcand(X, Y).
-	clcand(X, Y) -> clcand(Y, X).
-	clcand(X, Y) -> closelink(X, Y).
-`
 
 // queueCap bounds the observed-but-undrained journal, in mutations; beyond it
 // a full rebuild on the next read beats replaying the backlog.
@@ -77,7 +52,8 @@ type Stats struct {
 	// IncrementalCommits counts commits maintained incrementally.
 	IncrementalCommits int64 `json:"incrementalCommits"`
 	// SkippedCommits counts commits whose journal could not move any derived
-	// fact (no shareholding mutations), acknowledged without any chase.
+	// fact (no owner seeds: no shareholding mutation, no node removal),
+	// acknowledged without any chase.
 	SkippedCommits int64 `json:"skippedCommits"`
 	// FullRebuilds counts seedings from a full baseline chase.
 	FullRebuilds int64 `json:"fullRebuilds"`
@@ -107,7 +83,6 @@ type Maintainer struct {
 	valid bool
 	seq   uint64
 	bl    *whatif.Baseline // published: immutable once stored here
-	cl    *datalog.Engine  // close-link mini-engine (strong/iscompany EDB)
 
 	// queue holds the journals observed since the maintained sequence, in
 	// commit order and gap-free while valid; pending counts their mutations
@@ -143,15 +118,12 @@ type otherBaseline struct {
 // New creates an empty (invalid) maintainer for one close-link threshold;
 // threshold 0 means whatif.DefaultThreshold. The engine options apply to
 // every maintenance chase and must match the ones the seeding baseline was
-// computed with, or seeded rows would not line up with re-derived ones; the
-// whatif convergence default (MinAggDelta) is prepended so explicit caller
-// options still win, mirroring whatif.ComputeBaseline.
+// computed with, or seeded rows would not line up with re-derived ones.
 func New(threshold float64, engineOpts ...datalog.Option) *Maintainer {
 	if threshold == 0 {
 		threshold = whatif.DefaultThreshold
 	}
-	opts := append([]datalog.Option{datalog.WithMinAggDelta(whatif.DefaultMinAggDelta)}, engineOpts...)
-	return &Maintainer{threshold: threshold, opts: opts}
+	return &Maintainer{threshold: threshold, opts: engineOpts}
 }
 
 // Init computes a full baseline of v and seeds the maintainer with it.
@@ -160,24 +132,20 @@ func (m *Maintainer) Init(ctx context.Context, v pg.View, seq uint64) error {
 	if err != nil {
 		return err
 	}
-	return m.Seed(ctx, v, seq, bl)
+	return m.Seed(seq, bl)
 }
 
-// Seed installs an externally computed full baseline of v at seq as the
-// maintained state and materializes the close-link mini-engine from it. The
-// baseline must have been computed with this maintainer's threshold and
-// engine options. A seed never regresses: when the maintainer already holds
-// valid state at seq or later (a reader advanced it while this baseline was
-// being computed), the stale seed is dropped — as is one older than a
-// journal the maintainer no longer holds (observed while invalid, or queued
-// and then discarded by an invalidation), since it could never catch up.
-func (m *Maintainer) Seed(ctx context.Context, v pg.View, seq uint64, bl *whatif.Baseline) error {
+// Seed installs an externally computed full baseline at seq as the
+// maintained state. The baseline must have been computed with this
+// maintainer's threshold and engine options. A seed never regresses: when
+// the maintainer already holds valid state at seq or later (a reader
+// advanced it while this baseline was being computed), the stale seed is
+// dropped — as is one older than a journal the maintainer no longer holds
+// (observed while invalid, or queued and then discarded by an
+// invalidation), since it could never catch up.
+func (m *Maintainer) Seed(seq uint64, bl *whatif.Baseline) error {
 	if bl.Threshold != m.threshold {
 		return fmt.Errorf("ivm: baseline threshold %v does not match maintainer %v", bl.Threshold, m.threshold)
-	}
-	cl, err := m.buildCloseLinkEngine(ctx, v, bl)
-	if err != nil {
-		return err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -188,47 +156,10 @@ func (m *Maintainer) Seed(ctx context.Context, v pg.View, seq uint64, bl *whatif
 	m.valid = true
 	m.seq = seq
 	m.bl = bl
-	m.cl = cl
 	m.stats.FullRebuilds++
 	m.stats.Valid = true
 	m.stats.Seq = seq
 	return nil
-}
-
-// buildCloseLinkEngine materializes the delta program from a baseline's
-// final accown rows and verifies it reproduces the baseline's close-link
-// set — a cheap proof that the strong-row translation is faithful before
-// any increment trusts it.
-func (m *Maintainer) buildCloseLinkEngine(ctx context.Context, v pg.View, bl *whatif.Baseline) (*datalog.Engine, error) {
-	prog, err := datalog.Parse(closeLinkDeltaProgram)
-	if err != nil {
-		return nil, fmt.Errorf("ivm: parsing close-link program: %w", err)
-	}
-	cl, err := datalog.NewEngine(prog, m.opts...)
-	if err != nil {
-		return nil, fmt.Errorf("ivm: preparing close-link engine: %w", err)
-	}
-	for _, id := range v.NodesWithLabel(pg.LabelCompany) {
-		cl.Assert(iscompanyFact(id))
-	}
-	for _, rows := range bl.Accown {
-		for _, f := range strongFacts(rows, m.threshold) {
-			cl.Assert(f)
-		}
-	}
-	if err := cl.RunContext(ctx); err != nil {
-		return nil, fmt.Errorf("ivm: materializing close links: %w", err)
-	}
-	got := closeLinkPairs(cl.Facts("closelink"))
-	if len(got) != len(bl.CloseLink) {
-		return nil, fmt.Errorf("ivm: close-link materialization has %d pairs, baseline %d", len(got), len(bl.CloseLink))
-	}
-	for p := range got {
-		if !bl.CloseLink[p] {
-			return nil, fmt.Errorf("ivm: close-link materialization derived %v outside the baseline", p)
-		}
-	}
-	return cl, nil
 }
 
 // Baseline returns the maintained baseline when it is valid, matches seq,
@@ -294,7 +225,7 @@ func (m *Maintainer) BaselineAt(ctx context.Context, v pg.View, seq uint64, thre
 	if threshold == m.threshold {
 		// Best-effort: a failed or stale seed leaves bl a correct answer for
 		// this caller, and the next reader chases again.
-		_ = m.Seed(ctx, v, seq, bl)
+		_ = m.Seed(seq, bl)
 	} else {
 		m.other.Store(&otherBaseline{seq, threshold, bl})
 	}
@@ -368,7 +299,6 @@ func (m *Maintainer) Reset() {
 func (m *Maintainer) invalidateLocked() {
 	m.valid = false
 	m.bl = nil
-	m.cl = nil
 	m.queue, m.pending = nil, 0
 	m.stats.Valid = false
 }
@@ -405,84 +335,21 @@ func (m *Maintainer) Apply(ctx context.Context, post pg.View, fromSeq, toSeq uin
 // post-state is post. Callers hold m.mu.
 func (m *Maintainer) applyLocked(ctx context.Context, post pg.View, toSeq uint64, muts []pg.Mutation) error {
 	start := time.Now()
-
-	// Classify the journal (relevance.go, shared with the query cache): the
-	// owner sides seed the affected set; company churn feeds the iscompany
-	// relation of the close-link engine.
-	sd, err := classify(muts)
+	next, st, err := m.bl.Advance(ctx, post, muts, m.opts...)
 	if err != nil {
 		return m.failLocked(err)
 	}
-	if len(sd.owners) == 0 && len(sd.companies) == 0 {
-		m.seq = toSeq
-		m.stats.Seq = toSeq
-		m.stats.SkippedCommits++
-		return nil
-	}
-	// Company churn resolves against the post view (a node added and removed
-	// in the same journal nets to absent; ApplyDelta tolerates no-op deltas).
-	var iscoDels, iscoAdds []datalog.Fact
-	for id := range sd.companies {
-		if n := post.Node(id); n != nil && n.Label == pg.LabelCompany {
-			iscoAdds = append(iscoAdds, iscompanyFact(id))
-		} else {
-			iscoDels = append(iscoDels, iscompanyFact(id))
-		}
-	}
-
-	// Affected sources: reverse shareholding reachability from the owner
-	// sides over the post view — the Up set of ReachOf. The post view alone
-	// suffices: a reverse path that existed only pre-commit must start with
-	// a removed edge, and that edge's owner side is already a seed.
-	affected := whatif.ReverseReachable(sd.owners, post)
-
-	// The scoped chase reads the forward ownership closure of the affected
-	// set: every cone an affected source can reach.
-	cone := forwardClosure(post, affected)
-
-	next, controlDelta, err := m.rechaseCones(ctx, post, affected, cone)
-	if err != nil {
-		return m.failLocked(err)
-	}
-
-	// Close links: final-row threshold crossings of re-derived sources plus
-	// company churn, pushed through the mini-engine as extensional deltas.
-	var dels, adds []datalog.Fact
-	for src := range affected {
-		old := strongFacts(m.bl.Accown[src], m.threshold)
-		now := strongFacts(next.Accown[src], m.threshold)
-		oldKeys := make(map[string]bool, len(old))
-		for _, f := range old {
-			oldKeys[f.Key()] = true
-		}
-		nowKeys := make(map[string]bool, len(now))
-		for _, f := range now {
-			nowKeys[f.Key()] = true
-			if !oldKeys[f.Key()] {
-				adds = append(adds, f)
-			}
-		}
-		for _, f := range old {
-			if !nowKeys[f.Key()] {
-				dels = append(dels, f)
-			}
-		}
-	}
-	dels = append(dels, iscoDels...)
-	adds = append(adds, iscoAdds...)
-	clRes, err := m.cl.ApplyDelta(ctx, dels, adds)
-	if err != nil {
-		return m.failLocked(fmt.Errorf("ivm: close-link delta: %w", err))
-	}
-	closeLinkDelta := m.spliceCloseLinks(next, clRes)
-
 	m.bl = next
 	m.seq = toSeq
 	m.stats.Seq = toSeq
+	if st.Affected == 0 {
+		m.stats.SkippedCommits++
+		return nil
+	}
 	m.stats.IncrementalCommits++
-	m.stats.ControlChanged += int64(controlDelta)
-	m.stats.CloseLinkChanged += int64(closeLinkDelta)
-	m.stats.LastAffectedSources = len(affected)
+	m.stats.ControlChanged += int64(len(st.ControlGained) + len(st.ControlLost))
+	m.stats.CloseLinkChanged += int64(len(st.CloseLinkGained) + len(st.CloseLinkLost))
+	m.stats.LastAffectedSources = st.Affected
 	m.stats.LastApplyMillis = float64(time.Since(start).Microseconds()) / 1000
 	return nil
 }
@@ -492,197 +359,4 @@ func (m *Maintainer) failLocked(err error) error {
 	m.stats.Invalidations++
 	m.invalidateLocked()
 	return err
-}
-
-// rechaseCones re-derives control and accown for the affected sources over
-// the forward closure, seeding untouched baseline rows for cone sources the
-// chase reads but does not own, and returns the successor baseline (with
-// the close-link set still the old one — spliceCloseLinks finishes it).
-func (m *Maintainer) rechaseCones(ctx context.Context, post pg.View,
-	affected, cone map[pg.NodeID]bool) (*whatif.Baseline, int, error) {
-
-	prog, err := datalog.Parse(whatif.MaintenanceProgram())
-	if err != nil {
-		return nil, 0, fmt.Errorf("ivm: parsing maintenance program: %w", err)
-	}
-	e, err := datalog.NewEngine(prog, m.opts...)
-	if err != nil {
-		return nil, 0, fmt.Errorf("ivm: preparing maintenance engine: %w", err)
-	}
-	for id := range affected {
-		e.Assert(datalog.Fact{Pred: "affected", Args: []any{int64(id)}})
-		if f, ok := relstore.NodeFact(post, id); ok {
-			e.Assert(f)
-		}
-	}
-	for id := range cone {
-		e.AssertAll(relstore.OwnFacts(post, id))
-		if !affected[id] {
-			e.AssertAll(m.bl.Accown[id])
-		}
-	}
-	if err := e.RunContext(ctx); err != nil {
-		return nil, 0, fmt.Errorf("ivm: scoped maintenance chase: %w", err)
-	}
-
-	// Splice: drop every affected source's old rows, adopt its new ones.
-	// Every control fact of the scoped chase has an affected source (the
-	// affected(X) guard seeds ccand), so unaffected rows carry over verbatim.
-	nextControl := make(map[whatif.Pair]bool, len(m.bl.Control))
-	for p := range m.bl.Control {
-		if !affected[p[0]] {
-			nextControl[p] = true
-		}
-	}
-	controlDelta := 0
-	for _, f := range e.Facts("control") {
-		if p, ok := pairOf(f); ok {
-			nextControl[p] = true
-			if !m.bl.Control[p] {
-				controlDelta++ // gained
-			}
-		}
-	}
-	for p := range m.bl.Control {
-		if affected[p[0]] && !nextControl[p] {
-			controlDelta++ // lost
-		}
-	}
-
-	nextAccown := make(map[pg.NodeID][]datalog.Fact, len(m.bl.Accown))
-	for src, rows := range m.bl.Accown {
-		if !affected[src] {
-			nextAccown[src] = rows
-		}
-	}
-	for _, f := range e.MaxByGroup("accown", 2, 0, 1) {
-		if src, ok := nodeID(f.Args[0]); ok && affected[src] {
-			nextAccown[src] = append(nextAccown[src], f)
-		}
-	}
-	return &whatif.Baseline{
-		Threshold: m.threshold,
-		Control:   nextControl,
-		CloseLink: m.bl.CloseLink, // finished by spliceCloseLinks
-		Accown:    nextAccown,
-	}, controlDelta, nil
-}
-
-// spliceCloseLinks folds the mini-engine's derived close-link deltas into
-// the successor baseline and reports how many canonical pairs changed.
-func (m *Maintainer) spliceCloseLinks(next *whatif.Baseline, res datalog.DeltaResult) int {
-	if len(res.Added) == 0 && len(res.Removed) == 0 {
-		return 0
-	}
-	cl := make(map[whatif.Pair]bool, len(m.bl.CloseLink))
-	for p := range m.bl.CloseLink {
-		cl[p] = true
-	}
-	changed := 0
-	for _, f := range res.Removed {
-		if f.Pred != "closelink" {
-			continue
-		}
-		if p, ok := pairOf(f); ok {
-			if cl[canonical(p)] {
-				changed++
-			}
-			delete(cl, canonical(p))
-		}
-	}
-	for _, f := range res.Added {
-		if f.Pred != "closelink" {
-			continue
-		}
-		if p, ok := pairOf(f); ok {
-			if !cl[canonical(p)] {
-				changed++
-			}
-			cl[canonical(p)] = true
-		}
-	}
-	next.CloseLink = cl
-	return changed
-}
-
-// forwardClosure computes forward shareholding reachability from the seeds.
-func forwardClosure(v pg.View, seeds map[pg.NodeID]bool) map[pg.NodeID]bool {
-	out := make(map[pg.NodeID]bool, len(seeds))
-	queue := make([]pg.NodeID, 0, len(seeds))
-	for n := range seeds {
-		out[n] = true
-		queue = append(queue, n)
-	}
-	for len(queue) > 0 {
-		n := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, e := range v.OutLabel(n, pg.LabelShareholding) {
-			if !out[e.To] {
-				out[e.To] = true
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return out
-}
-
-// strongFacts projects final accown rows to strong(x, y) facts at the
-// threshold.
-func strongFacts(rows []datalog.Fact, threshold float64) []datalog.Fact {
-	var out []datalog.Fact
-	for _, f := range rows {
-		if len(f.Args) != 3 {
-			continue
-		}
-		w, ok := f.Args[2].(float64)
-		if !ok || w < threshold {
-			continue
-		}
-		out = append(out, datalog.Fact{Pred: "strong", Args: []any{f.Args[0], f.Args[1]}})
-	}
-	return out
-}
-
-func iscompanyFact(id pg.NodeID) datalog.Fact {
-	return datalog.Fact{Pred: "iscompany", Args: []any{int64(id)}}
-}
-
-func nodeID(v any) (pg.NodeID, bool) {
-	switch x := v.(type) {
-	case int64:
-		return pg.NodeID(x), true
-	case float64:
-		return pg.NodeID(int64(x)), float64(int64(x)) == x
-	}
-	return 0, false
-}
-
-func pairOf(f datalog.Fact) (whatif.Pair, bool) {
-	if len(f.Args) != 2 {
-		return whatif.Pair{}, false
-	}
-	a, ok1 := nodeID(f.Args[0])
-	b, ok2 := nodeID(f.Args[1])
-	if !ok1 || !ok2 {
-		return whatif.Pair{}, false
-	}
-	return whatif.Pair{a, b}, true
-}
-
-func canonical(p whatif.Pair) whatif.Pair {
-	if p[1] < p[0] {
-		return whatif.Pair{p[1], p[0]}
-	}
-	return p
-}
-
-// closeLinkPairs canonicalizes directed closelink facts into a pair set.
-func closeLinkPairs(facts []datalog.Fact) map[whatif.Pair]bool {
-	out := map[whatif.Pair]bool{}
-	for _, f := range facts {
-		if p, ok := pairOf(f); ok {
-			out[canonical(p)] = true
-		}
-	}
-	return out
 }

@@ -1,64 +1,13 @@
 package ivm
 
 import (
-	"fmt"
-
 	"vadalink/internal/pg"
 	"vadalink/internal/whatif"
 )
 
-// seeds is the classification of one committed journal — the one the
-// maintainer's applyLocked and the query cache's ReachOf both start from.
-// owners holds the owner side of every mutated shareholding edge and every
-// removed node, owned the owned side of every mutated shareholding edge and
-// every removed node, companies every added or removed company node.
-// Everything else (family/control/closelink edges materialized by
-// augmentation, added person nodes) cannot move the derived state.
-type seeds struct {
-	owners, owned, companies map[pg.NodeID]bool
-}
-
-// classify builds the seeds of a journal. A malformed mutation (nil node or
-// edge) or an unknown kind is an error: nobody can say what it moved.
-func classify(muts []pg.Mutation) (seeds, error) {
-	s := seeds{owners: map[pg.NodeID]bool{}, owned: map[pg.NodeID]bool{}, companies: map[pg.NodeID]bool{}}
-	for _, mut := range muts {
-		switch mut.Kind {
-		case pg.MutAddNode:
-			// A new company seeds iscompany (close-link candidates); a new
-			// person with no edges cannot own, control, or link anything.
-			if mut.Node == nil {
-				return s, fmt.Errorf("ivm: node addition without node")
-			}
-			if mut.Node.Label == pg.LabelCompany {
-				s.companies[mut.Node.ID] = true
-			}
-		case pg.MutRemoveNode:
-			if mut.Node == nil {
-				return s, fmt.Errorf("ivm: node removal without node")
-			}
-			s.owners[mut.Node.ID] = true
-			s.owned[mut.Node.ID] = true
-			if mut.Node.Label == pg.LabelCompany {
-				s.companies[mut.Node.ID] = true
-			}
-		case pg.MutAddEdge, pg.MutRemoveEdge, pg.MutSetEdgeWeight:
-			if mut.Edge == nil {
-				return s, fmt.Errorf("ivm: edge mutation without edge")
-			}
-			if mut.Edge.Label == pg.LabelShareholding {
-				s.owners[mut.Edge.From] = true
-				s.owned[mut.Edge.To] = true
-			}
-		default:
-			return s, fmt.Errorf("ivm: unknown mutation kind %d", mut.Kind)
-		}
-	}
-	return s, nil
-}
-
-// Reach is what one committed journal can move in the derived relations
-// (control, accown, closeLink), as the query cache needs to know it.
+// Reach is what one committed journal can move, as the query cache needs to
+// know it: the derived relations (control, accown, closeLink) and the
+// extensional company/person/own relations goals can be asked over.
 //
 // Up is the reverse shareholding reachability, over the post-commit view, of
 // the owner side of every mutated shareholding edge and every removed node:
@@ -75,27 +24,30 @@ type Reach struct {
 	up, down map[pg.NodeID]bool
 }
 
-// ReachOf classifies one committed journal against post, the view it
-// produced. A journal the maintainer would skip (no shareholding mutation, no
-// node removal, no company churn) reaches nothing; a malformed one reaches
-// everything, so a cache never outlives a journal the maintainer would have
-// failed on.
+// ReachOf classifies one committed journal (whatif.Classify, the rule the
+// maintainer's step starts from) against post, the view it produced. A
+// journal that touches no company, person or own fact reaches nothing; a
+// malformed one reaches everything, so a cache never outlives a journal the
+// maintainer would have failed on.
 func ReachOf(post pg.View, muts []pg.Mutation) Reach {
-	s, err := classify(muts)
+	s, err := whatif.Classify(muts)
 	switch {
 	case err != nil:
 		return Reach{relevant: true, all: true}
-	case len(s.owners) == 0 && len(s.companies) == 0:
+	case !s.Relevant:
 		return Reach{}
 	}
 	return Reach{
 		relevant: true,
-		up:       whatif.ReverseReachable(s.owners, post),
-		down:     forwardClosure(post, s.owned),
+		up:       whatif.ReverseReachable(s.Owners, post),
+		down:     whatif.ForwardReachable(s.Owned, post),
 	}
 }
 
-// Relevant reports whether the journal can move any derived relation at all.
+// Relevant reports whether the journal touched the company, person or own
+// relations at all — a superset of the journals the maintainer does not
+// skip, since a node added with no edges moves no derived fact but does move
+// goals over company(…), person(…) and ccand(…).
 func (r Reach) Relevant() bool { return r.relevant }
 
 // Up reports whether the journal can move an answer anchored at source x.

@@ -7,10 +7,11 @@ import (
 )
 
 // TestReachOfClassification pins the commit classifier the query cache and
-// the maintainer share: which journals can move the derived relations at all
-// (Relevant), and for those, which sources (Up) and targets (Down) they
-// reach over the post-commit view. Malformed and unknown mutations reach
-// everything.
+// the maintainer share: which journals touch the company, person or own
+// relations at all (Relevant) — a person or company added with no edges
+// does, though it moves no derived pair — and for those, which sources (Up)
+// and targets (Down) they reach over the post-commit view. Malformed and
+// unknown mutations reach everything.
 func TestReachOfClassification(t *testing.T) {
 	// a and d own b, b owns c; e stands alone.
 	g := pg.New()
@@ -35,7 +36,7 @@ func TestReachOfClassification(t *testing.T) {
 		up, down []pg.NodeID // nil with relevant: everything
 	}{
 		{"empty", nil, false, []pg.NodeID{}, []pg.NodeID{}},
-		{"person add", person, false, []pg.NodeID{}, []pg.NodeID{}},
+		{"person add", person, true, []pg.NodeID{}, []pg.NodeID{}},
 		{"family edge", []pg.Mutation{{Kind: pg.MutAddEdge, Edge: &pg.Edge{From: a, To: e, Label: pg.LabelFamily}}}, false, []pg.NodeID{}, []pg.NodeID{}},
 		{"company add", []pg.Mutation{{Kind: pg.MutAddNode, Node: &pg.Node{ID: 98, Label: pg.LabelCompany}}}, true, []pg.NodeID{}, []pg.NodeID{}},
 		{"shareholding edge b->c", share(b, c), true, []pg.NodeID{a, b, d}, []pg.NodeID{c}},

@@ -147,7 +147,10 @@ func TestInvalidationFollowsIVMClassifier(t *testing.T) {
 		relevant bool
 		survive  []string
 	}{
-		{name: "person add", mutate: func(o *pg.Overlay) { o.AddNode(pg.LabelPerson, nil) }, survive: derived},
+		// A node add moves goals over company/person/ccand (unanchored) and
+		// reaches no anchor: it has no edges.
+		{name: "person add", relevant: true, survive: anchored,
+			mutate: func(o *pg.Overlay) { o.AddNode(pg.LabelPerson, nil) }},
 		{name: "family edge", mutate: func(o *pg.Overlay) {
 			if _, err := o.AddEdge(pg.LabelFamily, id["P"], id["D"], nil); err != nil {
 				t.Fatal(err)

@@ -22,9 +22,10 @@ import (
 // TestCacheSoundnessProperty is the differential property behind scoped
 // eviction (DESIGN.md §13.3): over randomized generated graphs and the IVM
 // harness's random commit streams — share adds (cycles included), removals,
-// reweights, node churn — every anchored point question a server answers
-// from its cache after a commit must equal, apart from the seq stamp, what a
-// cache-disabled server answers on the same graph. It runs through a
+// reweights, node churn — each closed by a commit that only adds a person
+// with no edges, every point question a server answers from its cache after
+// a commit must equal, apart from the seq stamp, what a cache-disabled server
+// answers on the same graph. It runs through a
 // standalone server (one commit hook call per journal) and a follower-mode
 // one (one call per replicated frame). Flushing everything would pass the
 // equality trivially, so the Italian streams — many small components, like
@@ -56,10 +57,13 @@ func cacheSoundness(t *testing.T, follower bool) {
 		}
 		h := newSoundnessHarness(t, base, follower)
 		asked := map[string]question{}
-		for c := 0; c <= commits; c++ {
+		for c := 0; c <= commits+1; c++ {
 			name := fmt.Sprintf("stream %d (%d nodes) after commit %d", i, base.NumNodes(), c)
-			if c > 0 {
-				h.commit(rng)
+			switch {
+			case c == commits+1:
+				h.commit(func(o *pg.Overlay) { o.AddNode(pg.LabelPerson, pg.Properties{"name": "lone"}) })
+			case c > 0:
+				h.commit(func(o *pg.Overlay) { graphgen.RandomCommit(rng, o) })
 			}
 			hits := h.check(name, asked)
 			if italian && c > 0 {
@@ -87,15 +91,15 @@ type soundnessHarness struct {
 	t      *testing.T
 	s      *Server
 	h      http.Handler
-	commit func(rng *rand.Rand)
+	commit func(fn func(o *pg.Overlay))
 }
 
 func newSoundnessHarness(t *testing.T, base *pg.Graph, follower bool) *soundnessHarness {
 	h := &soundnessHarness{t: t}
 	if !follower {
 		h.s = NewServerWith(base.Clone(), Config{})
-		h.commit = func(rng *rand.Rand) {
-			if err := h.s.src.write(func(o *pg.Overlay) { graphgen.RandomCommit(rng, o) }); err != nil {
+		h.commit = func(fn func(o *pg.Overlay)) {
+			if err := h.s.src.write(fn); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -104,10 +108,10 @@ func newSoundnessHarness(t *testing.T, base *pg.Graph, follower bool) *soundness
 		var fl *replication.Follower
 		st, fl, h.s, _ = replicatedServer(t, base.Clone(), Config{MaxStaleness: time.Minute})
 		waitFollowerSeq(t, fl, st.Seq())
-		h.commit = func(rng *rand.Rand) {
+		h.commit = func(fn func(o *pg.Overlay)) {
 			g := st.Graph()
 			o := pg.NewOverlay(g)
-			graphgen.RandomCommit(rng, o)
+			fn(o)
 			journal, _ := o.Journal()
 			if err := store.Replay(g, journal); err != nil {
 				t.Fatal(err)
@@ -162,12 +166,16 @@ func (h *soundnessHarness) check(name string, asked map[string]question) int {
 
 // pointQuestions lists the anchored point questions of a graph — control and
 // query goals per node, UBO and reverse goals per company, and the pair forms
-// per ownership edge — plus the two unanchored ones.
+// per ownership edge — plus the unanchored ones, goals over the extensional
+// company and person relations and over ccand among them: a commit adding a
+// node with no edges moves those and nothing derived.
 func pointQuestions(g *pg.Graph) []question {
-	qs := []question{{"GET", "/v1/control/pairs", ""}, {"GET", "/v1/closelinks", ""}}
-	goal := func(x, y string) question {
-		return question{"POST", "/v1/query", fmt.Sprintf(`{"goal": "control(%s, %s)"}`, x, y)}
+	query := func(goal string) question {
+		return question{"POST", "/v1/query", fmt.Sprintf(`{"goal": %q}`, goal)}
 	}
+	qs := []question{{"GET", "/v1/control/pairs", ""}, {"GET", "/v1/closelinks", ""},
+		query("person(X, N, B, A, S)"), query("company(X, N, B, A, S)"), query("ccand(X, Y)")}
+	goal := func(x, y string) question { return query(fmt.Sprintf("control(%s, %s)", x, y)) }
 	for _, n := range g.Nodes() {
 		qs = append(qs, question{"GET", fmt.Sprintf("/v1/control?node=%d", n), ""}, goal(fmt.Sprint(n), "Y"))
 	}

@@ -79,11 +79,13 @@ func replicatedServer(t *testing.T, base *pg.Graph, cfg Config) (*persist.Store,
 	return st, fl, api, srv
 }
 
-// waitFollowerSeq polls until the follower has applied through seq.
+// waitFollowerSeq polls until the follower has applied through seq and has
+// stamped its freshness: a frame is applied (Seq moves) before the follower
+// records the sync, and until then the read gate answers 503 stale_replica.
 func waitFollowerSeq(t *testing.T, fl *replication.Follower, seq int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for fl.Seq() < seq {
+	for fl.Seq() < seq || !fl.Status().EverSynced {
 		if time.Now().After(deadline) {
 			t.Fatalf("follower stuck at seq %d, want %d (status %+v)", fl.Seq(), seq, fl.Status())
 		}

@@ -112,7 +112,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 		body["status"] = "unready"
 		body["code"] = "not_ready"
-		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.retryAfterSeconds()))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 	}
 	writeJSON(w, status, body)
 }
@@ -155,13 +155,13 @@ func (s *Server) writeCommitErr(w http.ResponseWriter, r *http.Request, err erro
 		// them: the new leader may or may not carry them, so the only
 		// honest answer is "not acknowledged — re-check, then retry against
 		// the new leader".
-		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.retryAfterSeconds()))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 		writeErr(w, r, http.StatusServiceUnavailable, "stale_epoch",
 			"write not acknowledged: leadership changed mid-write (%v); retry against the current leader", err)
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		// Quorum never assembled within the request deadline: the group has
 		// no majority of live, caught-up followers right now.
-		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.retryAfterSeconds()))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 		writeErr(w, r, http.StatusServiceUnavailable, "replication_unavailable",
 			"write not acknowledged: replication quorum unavailable (%v)", err)
 	default:
@@ -206,7 +206,7 @@ func (s *Server) followerGate(w http.ResponseWriter, r *http.Request) (handled b
 	w.Header().Set("X-Replication-Disconnected-Ms", strconv.FormatInt(st.DisconnectedMS, 10))
 	bound := s.cfg.maxStaleness()
 	if bound > 0 && (!st.EverSynced || st.Staleness > bound || st.Disconnected > bound) {
-		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.retryAfterSeconds()))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 		writeErr(w, r, http.StatusServiceUnavailable, "stale_replica",
 			"replica is stale: lag %d records, staleness %dms, disconnected %dms (bound %s)",
 			st.LagRecords, st.StalenessMS, st.DisconnectedMS, bound)

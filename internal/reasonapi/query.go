@@ -105,7 +105,7 @@ type queryRequest struct {
 // against the result ("mode": "full") — same answers, more derivation.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes())
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "bad request body: %v", err)
 		return

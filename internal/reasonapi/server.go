@@ -89,6 +89,13 @@ import (
 // is zero.
 const DefaultTimeout = 30 * time.Second
 
+// retryAfterSeconds is advertised in the Retry-After header (and the
+// retryAfter field) of 503 responses.
+const retryAfterSeconds = 5
+
+// maxBodyBytes caps request bodies on the POST endpoints.
+const maxBodyBytes = 1 << 20
+
 // Config tunes the resource governance of the reasoning API.
 type Config struct {
 	// Timeout is the per-request wall-clock deadline. 0 means
@@ -117,14 +124,6 @@ type Config struct {
 	// 0 means qcache.DefaultMaxBytes (64 MiB); negative disables the cache
 	// entirely — every point query then recomputes.
 	QueryCacheBytes int64
-
-	// RetryAfter is advertised in the Retry-After header of 503 responses.
-	// 0 means 5 seconds.
-	RetryAfter time.Duration
-
-	// MaxBodyBytes caps request bodies on the POST endpoints.
-	// 0 means 1 MiB.
-	MaxBodyBytes int64
 
 	// DisableMetrics turns off the per-endpoint counters and the
 	// GET /v1/metrics endpoint (which then answers 404). Metrics are on by
@@ -199,25 +198,6 @@ func (c Config) timeout() time.Duration {
 		return DefaultTimeout
 	}
 	return c.Timeout
-}
-
-func (c Config) retryAfterSeconds() int {
-	ra := c.RetryAfter
-	if ra <= 0 {
-		ra = 5 * time.Second
-	}
-	s := int(ra / time.Second)
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
-
-func (c Config) maxBodyBytes() int64 {
-	if c.MaxBodyBytes <= 0 {
-		return 1 << 20
-	}
-	return c.MaxBodyBytes
 }
 
 func (c Config) minAggDelta() float64 {
@@ -602,7 +582,7 @@ func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !s.augMu.TryLock() {
-		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.retryAfterSeconds()))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 		writeErr(w, r, http.StatusServiceUnavailable, "busy", "a mutation is in progress; retry later")
 		return
 	}
@@ -980,7 +960,7 @@ type augmentRequest struct {
 func (s *Server) handleAugment(w http.ResponseWriter, r *http.Request) {
 	var req augmentRequest
 	if r.Body != nil {
-		body := http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes())
+		body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		if err := json.NewDecoder(body).Decode(&req); err != nil && err.Error() != "EOF" {
 			writeErr(w, r, http.StatusBadRequest, "bad_request", "bad request body: %v", err)
 			return
@@ -1020,7 +1000,7 @@ func (s *Server) handleAugment(w http.ResponseWriter, r *http.Request) {
 	// One mutation at a time: a second augment gets an immediate 503 with
 	// Retry-After instead of queueing on the write lock forever.
 	if !s.augMu.TryLock() {
-		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.retryAfterSeconds()))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 		writeErr(w, r, http.StatusServiceUnavailable, "busy", "augmentation already in progress; retry later")
 		return
 	}
@@ -1059,12 +1039,12 @@ func (s *Server) handleAugment(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			// Completed rounds persist (augmentation is monotone); a retry
 			// resumes from where this run stopped.
-			w.Header().Set("Retry-After", strconv.Itoa(s.cfg.retryAfterSeconds()))
+			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 			resp := map[string]any{
 				"error":      fmt.Sprintf("augmentation interrupted: %v", err),
 				"code":       "interrupted",
 				"requestID":  requestIDFrom(r),
-				"retryAfter": s.cfg.retryAfterSeconds(),
+				"retryAfter": retryAfterSeconds,
 			}
 			for k, v := range truncMeta(err) {
 				resp[k] = v
@@ -1109,7 +1089,7 @@ type whatifRequest struct {
 // what-if burst is invisible to every other client.
 func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	var req whatifRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes())
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "bad request body: %v", err)
 		return
@@ -1149,12 +1129,12 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 			// The counterfactual chase tripped a limit: nothing partial is
 			// worth returning (a truncated diff would lie), so report 503
 			// like an interrupted augment.
-			w.Header().Set("Retry-After", strconv.Itoa(s.cfg.retryAfterSeconds()))
+			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 			resp := map[string]any{
 				"error":      fmt.Sprintf("what-if interrupted: %v", err),
 				"code":       "interrupted",
 				"requestID":  requestIDFrom(r),
-				"retryAfter": s.cfg.retryAfterSeconds(),
+				"retryAfter": retryAfterSeconds,
 			}
 			for k, v := range truncMeta(err) {
 				resp[k] = v
@@ -1214,7 +1194,7 @@ type reasonRequest struct {
 // "truncated": true and the tripped limit.
 func (s *Server) handleReason(w http.ResponseWriter, r *http.Request) {
 	var req reasonRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes())
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "bad request body: %v", err)
 		return

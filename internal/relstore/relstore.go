@@ -17,7 +17,6 @@ package relstore
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"vadalink/internal/datalog"
 	"vadalink/internal/pg"
@@ -242,14 +241,4 @@ func propString(props pg.Properties, name string) string {
 	default:
 		return fmt.Sprintf("%v", x)
 	}
-}
-
-// Summary renders per-predicate fact counts of an engine, a debugging and
-// reporting aid used by the CLI.
-func Summary(e *datalog.Engine, preds ...string) string {
-	var sb strings.Builder
-	for _, p := range preds {
-		fmt.Fprintf(&sb, "%s: %d\n", p, e.NumFacts(p))
-	}
-	return sb.String()
 }

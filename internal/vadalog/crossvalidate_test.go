@@ -1,9 +1,9 @@
 package vadalog_test
 
 // Cross-validation of the declarative programs against the imperative
-// solvers. These live in an external test package because the control and
-// closelink packages now import vadalog for their goal-mode entry points —
-// an in-package test importing them back would cycle.
+// solvers. These live in an external test package because the control
+// package imports vadalog for its goal-mode entry points — an in-package test
+// importing it back would cycle.
 
 import (
 	"testing"

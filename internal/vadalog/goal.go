@@ -11,8 +11,8 @@ import (
 )
 
 // Goal-oriented evaluation: the entry point behind every demand-driven read
-// path (the goal wrappers in the control and closelink packages, /v1/query,
-// and the point forms of the reasoning endpoints). EvalGoal rewrites the
+// path (the goal wrappers in the control package, /v1/query, and the point
+// forms of the reasoning endpoints). EvalGoal rewrites the
 // program with magic sets when the goal has bound arguments the rewrite can
 // exploit, and transparently falls back to full bottom-up evaluation when
 // the program is outside the demandable fragment — the answers are the same

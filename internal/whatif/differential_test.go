@@ -4,11 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
+	"vadalink/internal/datalog"
 	"vadalink/internal/graphgen"
 	"vadalink/internal/pg"
+	"vadalink/internal/relstore"
+	"vadalink/internal/vadalog"
 )
 
 // randomOps builds a batch of 1–6 scenario ops that is guaranteed to apply
@@ -93,15 +96,52 @@ func diffPairSets(t *testing.T, what string, got, want map[Pair]bool) {
 	t.Errorf("%s mismatch:\n  got  %v\n  want %v", what, sortedPairs(got), sortedPairs(want))
 }
 
+// keys projects a pair map (a bool set or a witness-count map) to its set.
+func keys[V any](m map[Pair]V) map[Pair]bool {
+	out := make(map[Pair]bool, len(m))
+	for p := range m {
+		out[p] = true
+	}
+	return out
+}
+
+// oracle chases vadalog.ControlProgram + vadalog.CloseLinkProgramT(threshold)
+// over v from scratch. Its pairs are formed by rules over every accown row
+// the chase derives — no witness counting, no final-row argument — so it
+// shares none of the code it judges.
+func oracle(t *testing.T, v pg.View, threshold float64) (control, closeLink map[Pair]bool) {
+	t.Helper()
+	prog := datalog.MustParse(vadalog.ControlProgram + vadalog.CloseLinkProgramT(threshold))
+	e, err := datalog.NewEngine(prog, datalog.WithMinAggDelta(DefaultMinAggDelta))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.AssertAll(relstore.CompanyGraphFacts(v))
+	if err := e.Run(); err != nil {
+		t.Fatalf("oracle chase: %v", err)
+	}
+	control, closeLink = map[Pair]bool{}, map[Pair]bool{}
+	for _, f := range e.Facts("control") {
+		if p, ok := pairOf(f); ok {
+			control[p] = true
+		}
+	}
+	for _, f := range e.Facts("closelink") {
+		if p, ok := pairOf(f); ok {
+			closeLink[canonical(p[0], p[1])] = true
+		}
+	}
+	return control, closeLink
+}
+
 // TestDifferentialWhatIf is the ground-truth harness: across 100+ randomized
-// generated graphs and random scenario batches, the scoped evaluation, the
-// unscoped evaluation and the brute-force oracle — flatten the overlay into
-// a standalone graph and re-run the full chase — must agree fact-for-fact on
-// both the control and the close-link relation.
-//
-// Three-way agreement separates failure modes: scoped != unscoped blames the
-// affected-cone scoping or the accown seeding; unscoped != oracle blames the
-// overlay view itself (a read accessor lying about the composite graph).
+// generated graphs and random scenario batches, the scoped evaluation must
+// agree fact-for-fact, on both the control and the close-link relation, with
+// the oracle run on the flattened overlay (a standalone deep copy of the
+// composite graph) — and the baseline it started from with the oracle on the
+// base graph. The reported diffs must be exactly the set differences, and the
+// affected-source count (served as /v1/whatif's affectedSources) must equal
+// the reverse reach of Apply's changed sources over base and overlay.
 func TestDifferentialWhatIf(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential harness is not short")
@@ -138,44 +178,32 @@ func TestDifferentialWhatIf(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: baseline: %v", name, err)
 		}
-		scoped, err := Evaluate(ctx, base, bl, ops, Options{Threshold: threshold})
-		if err != nil {
-			t.Fatalf("%s: scoped: %v", name, err)
-		}
-		unscoped, err := Evaluate(ctx, base, bl, ops, Options{Threshold: threshold, NoScope: true})
-		if err != nil {
-			t.Fatalf("%s: unscoped: %v", name, err)
-		}
+		baseControl, baseCloseLink := oracle(t, base, threshold)
+		diffPairSets(t, name+": baseline vs oracle control", bl.Control, baseControl)
+		diffPairSets(t, name+": baseline vs oracle closelink", keys(bl.CloseLink), baseCloseLink)
 
-		// Oracle: deep-copy the composite into a standalone graph and chase
-		// it from scratch.
+		res, err := Evaluate(ctx, base, bl, ops, Options{Threshold: threshold})
+		if err != nil {
+			t.Fatalf("%s: evaluate: %v", name, err)
+		}
 		o := pg.NewOverlay(base)
-		if _, _, err := Apply(o, ops); err != nil {
+		_, changed, err := Apply(o, ops)
+		if err != nil {
 			t.Fatalf("%s: re-apply: %v", name, err)
 		}
 		flat, err := pg.Flatten(o)
 		if err != nil {
 			t.Fatalf("%s: flatten: %v", name, err)
 		}
-		oracle, err := ComputeBaseline(ctx, flat, threshold)
-		if err != nil {
-			t.Fatalf("%s: oracle chase: %v", name, err)
-		}
+		control, closeLink := oracle(t, flat, threshold)
+		diffPairSets(t, name+": what-if vs oracle control", res.Control, control)
+		diffPairSets(t, name+": what-if vs oracle closelink", keys(res.CloseLink), closeLink)
 
-		diffPairSets(t, name+": scoped vs unscoped control", scoped.Control, unscoped.Control)
-		diffPairSets(t, name+": scoped vs unscoped closelink", scoped.CloseLink, unscoped.CloseLink)
-		diffPairSets(t, name+": unscoped vs oracle control", unscoped.Control, oracle.Control)
-		diffPairSets(t, name+": unscoped vs oracle closelink", unscoped.CloseLink, oracle.CloseLink)
-		diffPairSets(t, name+": scoped vs oracle control", scoped.Control, oracle.Control)
-		diffPairSets(t, name+": scoped vs oracle closelink", scoped.CloseLink, oracle.CloseLink)
+		checkDiff(t, name+": control diff", bl.Control, res.Control, res.ControlGained, res.ControlLost)
+		checkDiff(t, name+": closelink diff", keys(bl.CloseLink), keys(res.CloseLink), res.CloseLinkGained, res.CloseLinkLost)
 
-		// The reported diffs must be exactly the set differences.
-		checkDiff(t, name+": control diff", bl.Control, scoped.Control, scoped.ControlGained, scoped.ControlLost)
-		checkDiff(t, name+": closelink diff", bl.CloseLink, scoped.CloseLink, scoped.CloseLinkGained, scoped.CloseLinkLost)
-
-		if scoped.AffectedSources > unscoped.AffectedSources {
-			t.Errorf("%s: scoped touched %d sources, more than unscoped's %d",
-				name, scoped.AffectedSources, unscoped.AffectedSources)
+		if want := len(ReverseReachable(changed, base, o)); res.AffectedSources != want {
+			t.Errorf("%s: %d affected sources, the base+overlay reach of the changed sources has %d", name, res.AffectedSources, want)
 		}
 		if t.Failed() {
 			t.Fatalf("%s: stopping after first divergence", name)
@@ -186,30 +214,27 @@ func TestDifferentialWhatIf(t *testing.T) {
 	}
 }
 
+// checkDiff asserts that gained and lost are exactly after − before and
+// before − after, sorted.
 func checkDiff(t *testing.T, what string, before, after map[Pair]bool, gained, lost []Pair) {
 	t.Helper()
-	wantGained, wantLost := diffSets(before, after)
-	if !pairSlicesEqual(gained, wantGained) {
-		t.Errorf("%s: gained = %v, want %v", what, gained, wantGained)
-	}
-	if !pairSlicesEqual(lost, wantLost) {
-		t.Errorf("%s: lost = %v, want %v", what, lost, wantLost)
-	}
-	if !sort.SliceIsSorted(gained, func(i, j int) bool {
-		return gained[i][0] < gained[j][0] || (gained[i][0] == gained[j][0] && gained[i][1] < gained[j][1])
-	}) {
-		t.Errorf("%s: gained not sorted: %v", what, gained)
-	}
-}
-
-func pairSlicesEqual(a, b []Pair) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	var wantGained, wantLost []Pair
+	for p := range after {
+		if !before[p] {
+			wantGained = append(wantGained, p)
 		}
 	}
-	return true
+	for p := range before {
+		if !after[p] {
+			wantLost = append(wantLost, p)
+		}
+	}
+	sortPairs(wantGained)
+	sortPairs(wantLost)
+	if !slices.Equal(gained, wantGained) {
+		t.Errorf("%s: gained = %v, want %v", what, gained, wantGained)
+	}
+	if !slices.Equal(lost, wantLost) {
+		t.Errorf("%s: lost = %v, want %v", what, lost, wantLost)
+	}
 }

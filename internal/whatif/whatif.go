@@ -3,31 +3,23 @@
 // the COVID-19 golden-powers follow-up to the Vada-Link paper.
 //
 // A scenario is a batch of hypothetical mutations applied to a copy-on-write
-// overlay (pg.Overlay) over a frozen base view. The chase then runs over the
-// composite view and the derived control/closeLink relations are diffed
-// against a precomputed baseline of the base view. The base graph is never
+// overlay (pg.Overlay) over a frozen base view. The base graph is never
 // copied and never mutated; the WAL never sees a what-if.
 //
-// Evaluation is scoped: control(x, ·) and accumulated ownership accown(x, ·)
-// depend only on the shareholding cone reachable from x, so a source x whose
-// cone contains no mutated edge derives exactly its baseline facts. The
-// evaluator computes the affected-source set (reverse shareholding
-// reachability from every mutated edge's owner side, in both base and
-// composite), re-chases only those sources — seeding the engine with the
-// baseline's accumulated-ownership rows for unaffected sources, sound
-// because msum takes the per-contributor maximum — and splices the result
-// into the baseline. On registry-scale graphs a small scenario touches a
-// tiny cone, which is what makes /v1/whatif interactive where a full
-// re-chase is not. The unscoped path (Options.NoScope) evaluates every
-// source and exists so differential tests can pin scoped == unscoped ==
-// flatten-and-re-chase.
+// Evaluation is one scoped step (Baseline.Advance, step.go) — the same step
+// internal/ivm advances a committed journal with: control(x, ·) and
+// accumulated ownership accown(x, ·) depend only on the shareholding cone
+// reachable from x, so only the sources upstream of a mutated edge are
+// re-chased, over their own cones, and close links are re-counted from those
+// sources' witnesses alone. On registry-scale graphs a small scenario touches
+// a tiny cone, which is what makes /v1/whatif interactive where a full
+// re-chase is not.
 package whatif
 
 import (
 	"context"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"vadalink/internal/datalog"
@@ -90,29 +82,24 @@ func (e *OpError) Unwrap() error { return e.Err }
 // Pair is a directed (or canonicalized symmetric) node pair.
 type Pair = [2]pg.NodeID
 
-// Baseline is the derived state of one base view: the control relation, the
-// (canonicalized) close-link relation, and the final accumulated-ownership
-// rows grouped by source. Computing it costs one full chase; a server caches
-// one per published version and every what-if against that version reuses
-// it.
+// Baseline is the derived state of one view: the control relation, the
+// close-link relation as per-pair witness counts, and the final
+// accumulated-ownership rows grouped by source. Computing it costs one full
+// chase; a server keeps one per published version and every what-if against
+// that version reuses it.
+//
+// A published Baseline is shared by concurrent readers, so all three maps
+// must be treated as immutable: Advance derives a successor by building
+// fresh maps, never by mutating a published one.
 type Baseline struct {
 	Threshold float64
 	Control   map[Pair]bool
-	CloseLink map[Pair]bool
-
-	// Accown holds the final accumulated-ownership rows grouped by source
-	// node. A published Baseline is shared by concurrent readers (the server
-	// caches one per version), so all three maps must be treated as
-	// immutable: derive an updated Baseline by building fresh maps (see
-	// internal/ivm), never by mutating a published one.
+	// CloseLink maps every close-linked pair (canonicalized, A ≤ B) to its
+	// witness count (see witnesses); pairs with no witness are absent.
+	CloseLink map[Pair]int32
+	// Accown holds the final accumulated-ownership rows grouped by source.
 	Accown map[pg.NodeID][]datalog.Fact
 }
-
-// ControlSize reports the number of control pairs in the baseline.
-func (b *Baseline) ControlSize() int { return len(b.Control) }
-
-// CloseLinkSize reports the number of (unordered) close-link pairs.
-func (b *Baseline) CloseLinkSize() int { return len(b.CloseLink) }
 
 // controlAccownText builds the control + accumulated-ownership rules (the
 // aggregate fragment of the chase). When scoped, derivation of control
@@ -133,37 +120,17 @@ func controlAccownText(scoped bool) string {
 	return b.String()
 }
 
-// closeLinkText builds the close-link pair-formation rules over the accown
-// relation at a threshold.
-func closeLinkText(threshold float64) string {
-	t := strconv.FormatFloat(threshold, 'g', -1, 64)
-	var b strings.Builder
-	fmt.Fprintf(&b, "accown(X, Y, W), W >= %s, company(X, N1, B1, A1, S1), company(Y, N2, B2, A2, S2) -> clcand(X, Y).\n", t)
-	b.WriteString("clcand(X, Y) -> clcand(Y, X).\n")
-	fmt.Fprintf(&b, "accown(Z, X, W1), W1 >= %s, accown(Z, Y, W2), W2 >= %s, X != Y, company(X, N1, B1, A1, S1), company(Y, N2, B2, A2, S2) -> clcand(X, Y).\n", t, t)
-	b.WriteString("clcand(X, Y) -> closelink(X, Y).\n")
-	return b.String()
-}
-
-// programText builds the full control + close-link chase program. When
-// scoped, pair formation stays global so baseline-seeded accown rows
-// participate.
-func programText(threshold float64, scoped bool) string {
-	return controlAccownText(scoped) + closeLinkText(threshold)
-}
-
-// MaintenanceProgram is the scoped control + accumulated-ownership program
-// (without the close-link pair formation), the recompute-per-affected-cone
-// fragment of incremental view maintenance (internal/ivm). It is
-// rule-for-rule the aggregate fragment of Programs, so a maintainer that
-// seeds unaffected baseline rows and re-derives affected cones lands on
-// exactly the facts a full chase would.
+// MaintenanceProgram is the scoped control + accumulated-ownership program,
+// rule-for-rule vadalog.ControlProgram plus the accown rules of
+// vadalog.CloseLinkProgram under an affected(X) guard: a chase that seeds
+// unaffected baseline rows and re-derives affected cones lands on exactly
+// the facts a full chase would.
 func MaintenanceProgram() string { return controlAccownText(true) }
 
 // withWhatIfDefaults prepends the package convergence default so explicit
 // caller options still win (later options overwrite earlier ones). The
-// baseline and the scenario chase must run under the same step or the
-// seeded rows would not line up with re-derived ones.
+// baseline and every Advance must chase under the same convergence step or
+// the seeded rows would not line up with re-derived ones.
 func withWhatIfDefaults(opts []datalog.Option) []datalog.Option {
 	return append([]datalog.Option{datalog.WithMinAggDelta(DefaultMinAggDelta)}, opts...)
 }
@@ -178,6 +145,15 @@ func toID(v any) (pg.NodeID, bool) {
 	return 0, false
 }
 
+func pairOf(f datalog.Fact) (Pair, bool) {
+	if len(f.Args) != 2 {
+		return Pair{}, false
+	}
+	a, ok1 := toID(f.Args[0])
+	b, ok2 := toID(f.Args[1])
+	return Pair{a, b}, ok1 && ok2
+}
+
 func canonical(a, b pg.NodeID) Pair {
 	if b < a {
 		a, b = b, a
@@ -185,14 +161,19 @@ func canonical(a, b pg.NodeID) Pair {
 	return Pair{a, b}
 }
 
-// ComputeBaseline runs the full control + close-link chase over a view and
-// captures the state what-if evaluation diffs against. threshold 0 means
-// DefaultThreshold.
+func isCompany(v pg.View, id pg.NodeID) bool {
+	n := v.Node(id)
+	return n != nil && n.Label == pg.LabelCompany
+}
+
+// ComputeBaseline runs the full control + accumulated-ownership chase over a
+// view and counts the close-link witnesses of its final rows. threshold 0
+// means DefaultThreshold.
 func ComputeBaseline(ctx context.Context, v pg.View, threshold float64, engineOpts ...datalog.Option) (*Baseline, error) {
 	if threshold == 0 {
 		threshold = DefaultThreshold
 	}
-	prog, err := datalog.Parse(programText(threshold, false))
+	prog, err := datalog.Parse(controlAccownText(false))
 	if err != nil {
 		return nil, fmt.Errorf("whatif: parsing baseline program: %w", err)
 	}
@@ -206,36 +187,25 @@ func ComputeBaseline(ctx context.Context, v pg.View, threshold float64, engineOp
 	}
 	bl := &Baseline{
 		Threshold: threshold,
-		Control:   pairSet(e, "control", false),
-		CloseLink: pairSet(e, "closelink", true),
+		Control:   map[Pair]bool{},
+		CloseLink: map[Pair]int32{},
 		Accown:    map[pg.NodeID][]datalog.Fact{},
+	}
+	for _, f := range e.Facts("control") {
+		if p, ok := pairOf(f); ok {
+			bl.Control[p] = true
+		}
 	}
 	for _, f := range e.MaxByGroup("accown", 2, 0, 1) {
 		if src, ok := toID(f.Args[0]); ok {
 			bl.Accown[src] = append(bl.Accown[src], f)
 		}
 	}
-	return bl, nil
-}
-
-func pairSet(e *datalog.Engine, pred string, canon bool) map[Pair]bool {
-	out := map[Pair]bool{}
-	for _, f := range e.Facts(pred) {
-		if len(f.Args) != 2 {
-			continue
-		}
-		a, ok1 := toID(f.Args[0])
-		b, ok2 := toID(f.Args[1])
-		if !ok1 || !ok2 {
-			continue
-		}
-		if canon {
-			out[canonical(a, b)] = true
-		} else {
-			out[Pair{a, b}] = true
-		}
+	company := func(id pg.NodeID) bool { return isCompany(v, id) }
+	for z, rows := range bl.Accown {
+		witnesses(z, rows, threshold, company, func(p Pair) { bl.CloseLink[p]++ })
 	}
-	return out
+	return bl, nil
 }
 
 // Options tunes a what-if evaluation.
@@ -243,9 +213,6 @@ type Options struct {
 	// Threshold is the close-link threshold; 0 means DefaultThreshold. It
 	// must match the baseline's.
 	Threshold float64
-	// NoScope disables affected-cone scoping: every source is re-derived.
-	// Slower; exists for differential testing and benchmarking.
-	NoScope bool
 	// Engine options (budget, parallelism, ...) applied to the chase.
 	Engine []datalog.Option
 }
@@ -256,8 +223,7 @@ type Result struct {
 	Created []pg.NodeID
 	// Delta summarizes the overlay the scenario built.
 	Delta pg.Delta
-	// AffectedSources is the number of sources re-derived (equals the total
-	// source count when scoping is off).
+	// AffectedSources is the number of sources re-derived.
 	AffectedSources int
 	// Control/CloseLink diffs versus the baseline, sorted. CloseLink pairs
 	// are canonicalized (A ≤ B); control pairs are directed.
@@ -266,10 +232,10 @@ type Result struct {
 	CloseLinkGained []Pair
 	CloseLinkLost   []Pair
 
-	// Composite relations (full sets on the overlay view), for callers that
-	// need more than the diff.
+	// Composite relations (the successor baseline's maps: read-only), for
+	// callers that need more than the diff.
 	Control   map[Pair]bool
-	CloseLink map[Pair]bool
+	CloseLink map[Pair]int32
 }
 
 // shareEps absorbs float noise when checking the 100%-ownership invariant.
@@ -291,11 +257,11 @@ func incomingShares(v pg.View, to pg.NodeID) float64 {
 }
 
 // Apply validates and applies a scenario batch to an overlay, returning the
-// IDs of created nodes and the set of "changed sources" — the owner-side
-// endpoints of every mutated shareholding edge — that seeds affected-cone
-// scoping.
+// IDs of created nodes and the set of "changed sources" — the owner seeds
+// (Classify) of the journal entries the batch appended.
 func Apply(o *pg.Overlay, ops []Op) (created []pg.NodeID, changed map[pg.NodeID]bool, err error) {
-	changed = map[pg.NodeID]bool{}
+	before, _ := o.Journal()
+	from := len(before)
 	for i, op := range ops {
 		switch op.Op {
 		case "addNode":
@@ -325,7 +291,6 @@ func Apply(o *pg.Overlay, ops []Op) (created []pg.NodeID, changed map[pg.NodeID]
 			if total := incomingShares(o, op.To); total > 1+shareEps {
 				return nil, nil, &OpError{i, fmt.Errorf("incoming shares of %d would total %.4f > 1", op.To, total)}
 			}
-			changed[op.From] = true
 		case "setShare":
 			id := op.Edge
 			if id == 0 && (op.From != 0 || op.To != 0) {
@@ -350,52 +315,31 @@ func Apply(o *pg.Overlay, ops []Op) (created []pg.NodeID, changed map[pg.NodeID]
 			if total := incomingShares(o, e.To); total > 1+shareEps {
 				return nil, nil, &OpError{i, fmt.Errorf("incoming shares of %d would total %.4f > 1", e.To, total)}
 			}
-			changed[e.From] = true
 		case "removeEdge":
-			e := o.Edge(op.Edge)
-			if e == nil {
+			if !o.RemoveEdge(op.Edge) {
 				return nil, nil, &OpError{i, fmt.Errorf("unknown edge %d", op.Edge)}
 			}
-			if e.Label == pg.LabelShareholding {
-				changed[e.From] = true
-			}
-			o.RemoveEdge(op.Edge)
 		case "removeNode":
-			if o.Node(op.Node) == nil {
+			if !o.RemoveNode(op.Node) {
 				return nil, nil, &OpError{i, fmt.Errorf("unknown node %d", op.Node)}
 			}
-			// Every incident shareholding edge disappears: the node itself
-			// and the owners of its shares are changed sources.
-			changed[op.Node] = true
-			for _, e := range o.InLabel(op.Node, pg.LabelShareholding) {
-				changed[e.From] = true
-			}
-			o.RemoveNode(op.Node)
 		default:
 			return nil, nil, &OpError{i, fmt.Errorf("unknown op %q", op.Op)}
 		}
 	}
-	return created, changed, nil
-}
-
-// affectedSources computes reverse shareholding reachability from the
-// changed sources, over both the base and the composite view: every source
-// whose ownership cone can reach a mutated edge, and whose derived facts
-// must therefore be re-chased. Sound for control and accown because both
-// relations for source x depend only on edges among nodes forward-reachable
-// from x.
-func affectedSources(base pg.View, o *pg.Overlay, changed map[pg.NodeID]bool) map[pg.NodeID]bool {
-	return ReverseReachable(changed, base, o)
+	journal, _ := o.Journal()
+	s, err := Classify(journal[from:])
+	if err != nil {
+		return nil, nil, err
+	}
+	return created, s.Owners, nil
 }
 
 // ReverseReachable computes reverse shareholding reachability from a seed set
 // over the union of the given views: every node that can reach a seed by
-// following shareholding edges forward in at least one view. This is the
-// affected-source machinery shared by what-if scoping (seeds = owner-side
-// endpoints of mutated edges, over base + overlay) and incremental view
-// maintenance (seeds = the committed journal's changed set, over the
-// post-commit view alone — sound because any pre-only reverse step starts at
-// a mutated edge, whose owner side is already a seed).
+// following shareholding edges forward in at least one view. Advance walks
+// the post view alone: a reverse step that exists only before the journal
+// starts at a mutated edge, whose owner side is already a seed.
 func ReverseReachable(seeds map[pg.NodeID]bool, views ...pg.View) map[pg.NodeID]bool {
 	affected := make(map[pg.NodeID]bool, len(seeds))
 	queue := make([]pg.NodeID, 0, len(seeds))
@@ -418,9 +362,31 @@ func ReverseReachable(seeds map[pg.NodeID]bool, views ...pg.View) map[pg.NodeID]
 	return affected
 }
 
-// Evaluate applies a scenario to an overlay over base, chases the composite
-// view and diffs the derived relations against the baseline. The base view
-// is read, never copied and never mutated.
+// ForwardReachable computes forward shareholding reachability from a seed
+// set over v: every cone a seed can reach.
+func ForwardReachable(seeds map[pg.NodeID]bool, v pg.View) map[pg.NodeID]bool {
+	out := make(map[pg.NodeID]bool, len(seeds))
+	queue := make([]pg.NodeID, 0, len(seeds))
+	for n := range seeds {
+		out[n] = true
+		queue = append(queue, n)
+	}
+	for len(queue) > 0 {
+		n := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		for _, e := range v.OutLabel(n, pg.LabelShareholding) {
+			if !out[e.To] {
+				out[e.To] = true
+				queue = append(queue, e.To)
+			}
+		}
+	}
+	return out
+}
+
+// Evaluate applies a scenario to an overlay over base, advances the baseline
+// under the overlay's journal and reports the diff. The base view is read,
+// never copied and never mutated.
 func Evaluate(ctx context.Context, base pg.View, bl *Baseline, ops []Op, opt Options) (*Result, error) {
 	threshold := opt.Threshold
 	if threshold == 0 {
@@ -430,99 +396,26 @@ func Evaluate(ctx context.Context, base pg.View, bl *Baseline, ops []Op, opt Opt
 		return nil, fmt.Errorf("whatif: threshold %v does not match baseline %v", threshold, bl.Threshold)
 	}
 	o := pg.NewOverlay(base)
-	created, changed, err := Apply(o, ops)
+	created, _, err := Apply(o, ops)
 	if err != nil {
 		return nil, err
 	}
-
-	var affected map[pg.NodeID]bool
-	if opt.NoScope {
-		affected = map[pg.NodeID]bool{}
-		for _, id := range base.Nodes() {
-			affected[id] = true
-		}
-		for _, id := range o.Nodes() {
-			affected[id] = true
-		}
-	} else {
-		affected = affectedSources(base, o, changed)
-	}
-
-	prog, err := datalog.Parse(programText(threshold, true))
+	journal, _ := o.Journal()
+	next, step, err := bl.Advance(ctx, o, journal, opt.Engine...)
 	if err != nil {
-		return nil, fmt.Errorf("whatif: parsing scenario program: %w", err)
+		return nil, err
 	}
-	e, err := datalog.NewEngine(prog, withWhatIfDefaults(opt.Engine)...)
-	if err != nil {
-		return nil, fmt.Errorf("whatif: preparing scenario engine: %w", err)
-	}
-	e.AssertAll(relstore.CompanyGraphFacts(o))
-	affectedIDs := make([]pg.NodeID, 0, len(affected))
-	for id := range affected {
-		affectedIDs = append(affectedIDs, id)
-	}
-	sort.Slice(affectedIDs, func(i, j int) bool { return affectedIDs[i] < affectedIDs[j] })
-	for _, id := range affectedIDs {
-		e.Assert(datalog.Fact{Pred: "affected", Args: []any{int64(id)}})
-	}
-	// Seed the baseline's final accumulated-ownership rows for unaffected
-	// sources: their cones are untouched, so their rows are already exact;
-	// the affected guard keeps the rules from re-deriving them, and msum's
-	// per-contributor-maximum semantics make a final row an exact stand-in
-	// for the derivation sequence that produced it.
-	seeded := 0
-	for src, rows := range bl.Accown {
-		if affected[src] {
-			continue
-		}
-		e.AssertAll(rows)
-		seeded += len(rows)
-	}
-	if err := e.RunContext(ctx); err != nil {
-		return nil, fmt.Errorf("whatif: scenario chase: %w", err)
-	}
-
-	// Composite control: baseline minus affected sources, plus re-derived.
-	control := make(map[Pair]bool, len(bl.Control))
-	for p := range bl.Control {
-		if !affected[p[0]] {
-			control[p] = true
-		}
-	}
-	for p := range pairSet(e, "control", false) {
-		control[p] = true
-	}
-	// Composite close links come out of the engine whole: pair formation
-	// ran over seeded + re-derived accown rows.
-	closeLink := pairSet(e, "closelink", true)
-
-	res := &Result{
+	return &Result{
 		Created:         created,
 		Delta:           o.Delta(),
-		AffectedSources: len(affected),
-		Control:         control,
-		CloseLink:       closeLink,
-	}
-	res.ControlGained, res.ControlLost = diffSets(bl.Control, control)
-	res.CloseLinkGained, res.CloseLinkLost = diffSets(bl.CloseLink, closeLink)
-	return res, nil
-}
-
-// diffSets returns (after − before, before − after), sorted.
-func diffSets(before, after map[Pair]bool) (gained, lost []Pair) {
-	for p := range after {
-		if !before[p] {
-			gained = append(gained, p)
-		}
-	}
-	for p := range before {
-		if !after[p] {
-			lost = append(lost, p)
-		}
-	}
-	sortPairs(gained)
-	sortPairs(lost)
-	return gained, lost
+		AffectedSources: step.Affected,
+		ControlGained:   step.ControlGained,
+		ControlLost:     step.ControlLost,
+		CloseLinkGained: step.CloseLinkGained,
+		CloseLinkLost:   step.CloseLinkLost,
+		Control:         next.Control,
+		CloseLink:       next.CloseLink,
+	}, nil
 }
 
 func sortPairs(ps []Pair) {
@@ -532,14 +425,4 @@ func sortPairs(ps []Pair) {
 		}
 		return ps[i][1] < ps[j][1]
 	})
-}
-
-// Programs returns the unscoped program text evaluated by ComputeBaseline,
-// for documentation and tests; it is rule-for-rule vadalog.ControlProgram +
-// vadalog.CloseLinkProgramT(threshold).
-func Programs(threshold float64) string {
-	if threshold == 0 {
-		threshold = DefaultThreshold
-	}
-	return programText(threshold, false)
 }

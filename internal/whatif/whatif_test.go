@@ -6,9 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"vadalink/internal/datalog"
 	"vadalink/internal/pg"
-	"vadalink/internal/vadalog"
 )
 
 // acquisitionGraph is the README example: Alpha holds 25% of Beta, Carol
@@ -68,10 +66,10 @@ func TestAcquisitionScenario(t *testing.T) {
 	}
 	// Alpha–Beta become closely linked: Alpha now accumulates 55% ≥ 20% of
 	// Beta (Delta–Beta at 40% was a baseline close link already).
-	if !res.CloseLink[canonical(alpha, beta)] {
-		t.Fatalf("CloseLink = %v, want Alpha–Beta", sortedPairs(res.CloseLink))
+	if res.CloseLink[canonical(alpha, beta)] == 0 {
+		t.Fatalf("CloseLink = %v, want Alpha–Beta", res.CloseLink)
 	}
-	if !bl.CloseLink[canonical(2, beta)] || res.CloseLinkLost != nil {
+	if bl.CloseLink[canonical(2, beta)] == 0 || res.CloseLinkLost != nil {
 		t.Fatalf("Delta–Beta baseline close link disturbed: lost %v", res.CloseLinkLost)
 	}
 	// Scoping: only Alpha's reverse cone (Alpha + Carol) is affected.
@@ -141,8 +139,8 @@ func TestCreatedNodeIDsAreReferenceable(t *testing.T) {
 	if res.Control[Pair{next, beta}] {
 		t.Fatal("35% should not control Beta")
 	}
-	if !res.CloseLink[canonical(next, beta)] {
-		t.Fatalf("CloseLink = %v, want NewCo–Beta at 35%% ≥ 20%%", sortedPairs(res.CloseLink))
+	if res.CloseLink[canonical(next, beta)] == 0 {
+		t.Fatalf("CloseLink = %v, want NewCo–Beta at 35%% ≥ 20%%", res.CloseLink)
 	}
 }
 
@@ -217,27 +215,5 @@ func TestEvaluateNeverTouchesBase(t *testing.T) {
 	}
 	if g.NumNodes() != nodes || g.NumEdges() != edges {
 		t.Fatalf("base graph changed shape: %d/%d nodes, %d/%d edges", g.NumNodes(), nodes, g.NumEdges(), edges)
-	}
-}
-
-// TestProgramsMatchVadalog keeps the generated program text honest against
-// the canonical shipped programs: same rules, same thresholds.
-func TestProgramsMatchVadalog(t *testing.T) {
-	gen, err := datalog.Parse(Programs(0.2))
-	if err != nil {
-		t.Fatalf("generated program: %v", err)
-	}
-	canon, err := datalog.Parse(vadalog.ControlProgram + vadalog.CloseLinkProgramT(0.2))
-	if err != nil {
-		t.Fatalf("canonical program: %v", err)
-	}
-	if len(gen.Rules) != len(canon.Rules) {
-		t.Fatalf("generated program has %d rules, canonical %d", len(gen.Rules), len(canon.Rules))
-	}
-	if !strings.Contains(vadalog.CloseLinkProgramT(0.35), "0.35") {
-		t.Fatal("CloseLinkProgramT(0.35) does not inline the threshold")
-	}
-	if strings.Contains(vadalog.CloseLinkProgramT(0.35), "0.2") {
-		t.Fatal("CloseLinkProgramT(0.35) left the default threshold behind")
 	}
 }

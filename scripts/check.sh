@@ -14,9 +14,9 @@ go build ./...
 
 echo "== go test -race =="
 # Includes the chase scaling regression tests of internal/datalog
-# (TestChaseWorkIsLinearInDisjointGroups, TestDeltaWorkIsIndependentOfOtherGroups,
-# TestDeltaPlans): exact candidate counts, no wall clock, so they hold under
-# the race detector's slowdown. Also the query cache's soundness property
+# (TestChaseWorkIsLinearInDisjointGroups, TestDeltaPlans): exact candidate
+# counts, no wall clock, so they hold under the race detector's slowdown.
+# Also the query cache's soundness property
 # (internal/reasonapi TestCacheSoundnessProperty): after every random commit,
 # through a standalone and a follower-mode server, every cache hit equals a
 # cache-disabled server's answer.
@@ -78,15 +78,17 @@ qcache      QCACHE_COVER_FLOOR  80.0
 FLOORS
 
 echo "== differential what-if harness =="
-# 100+ randomized graphs: scoped overlay evaluation == unscoped == the
-# flatten-and-re-chase oracle, on control and closelink alike.
+# 100+ randomized graphs: the scoped step over a scenario overlay == a chase
+# of the shipped vadalog programs on the flattened overlay (close links formed
+# by rules, not by witness counting), on control and closelink alike.
 go test -run '^TestDifferentialWhatIf$' -v ./internal/whatif | grep -E 'PASS|FAIL|ok '
 
 echo "== differential maintenance harness =="
-# 100+ randomized mutation streams: the mutation-driven differential chase
-# must equal the full re-chase after every commit, on control and closelink
-# alike; the concurrent case runs under -race because maintenance publishes
-# new baselines while snapshot readers walk the old ones.
+# 100+ randomized mutation streams: the maintained baseline must equal a chase
+# of the shipped vadalog programs at the seed and after every commit, on
+# control and closelink alike; the concurrent case runs under -race because
+# maintenance publishes new baselines while snapshot readers walk the old
+# ones.
 go test -run '^TestDifferentialMaintenance$' -v ./internal/ivm | grep -E 'cases|PASS|FAIL|ok '
 go test -race -run '^TestConcurrentReadsDuringApply$' -v ./internal/ivm | grep -E 'PASS|FAIL|ok '
 
