@@ -126,32 +126,55 @@ func TestClusteredFewerComparisonsThanNaive(t *testing.T) {
 }
 
 func TestAugmentationTerminates(t *testing.T) {
-	it := graphgen.NewItalian(graphgen.ItalianConfig{Persons: 80, Companies: 30, Seed: 5})
-	a, _ := New(Config{
-		FirstLevelK: 3,
-		Embed:       embed.Config{Dims: 8, WalkLength: 8, WalksPerNode: 2, Epochs: 1, Seed: 2},
-		Blocker:     cluster.PersonBlocker{},
-		Candidates:  []Candidate{&FamilyCandidate{}},
-		Reembed:     true,
-		MaxRounds:   6,
-	})
-	res, err := a.Run(it.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds > 6 {
-		t.Errorf("rounds = %d exceeded MaxRounds", res.Rounds)
-	}
-	// Fixpoint: a second run adds nothing.
-	res2, err := a.Run(it.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for label, n := range res2.Added {
-		if n != 0 {
-			t.Errorf("second run added %d %s edges; not a fixpoint", n, label)
+	reembedding := func(t *testing.T, maxRounds int) *Augmenter {
+		a, err := New(Config{
+			FirstLevelK: 3,
+			Embed:       embed.Config{Dims: 8, WalkLength: 8, WalksPerNode: 2, Epochs: 1, Seed: 2},
+			Blocker:     cluster.PersonBlocker{},
+			Candidates:  []Candidate{&FamilyCandidate{}},
+			Reembed:     true,
+			MaxRounds:   maxRounds,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		return a
 	}
+	graph := func() *pg.Graph {
+		return graphgen.NewItalian(graphgen.ItalianConfig{Persons: 80, Companies: 30, Seed: 5}).Graph
+	}
+
+	t.Run("fixpoint", func(t *testing.T) {
+		const maxRounds = 30
+		g, a := graph(), reembedding(t, maxRounds)
+		res, err := a.Run(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A run that stopped at the cap proves nothing about the fixpoint.
+		if res.Rounds >= maxRounds {
+			t.Fatalf("rounds = %d reached MaxRounds %d before a fixpoint", res.Rounds, maxRounds)
+		}
+		res2, err := a.Run(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for label, n := range res2.Added {
+			if n != 0 {
+				t.Errorf("second run added %d %s edges; not a fixpoint", n, label)
+			}
+		}
+	})
+
+	t.Run("cap", func(t *testing.T) {
+		res, err := reembedding(t, 2).Run(graph())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rounds != 2 {
+			t.Errorf("rounds = %d, want the MaxRounds cap 2", res.Rounds)
+		}
+	})
 }
 
 func TestRunIsIdempotentOnEdges(t *testing.T) {

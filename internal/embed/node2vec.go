@@ -8,15 +8,22 @@
 //     and the in-out parameter q, sampled either by alias tables (O(1) per
 //     step after preprocessing, the paper's choice) or by linear scan (the
 //     ablation baseline);
-//   - skip-gram with negative sampling trained by plain SGD over the walk
-//     corpus, with a linearly decaying learning rate.
+//   - skip-gram with negative sampling over the walk corpus, trained by the
+//     kernel of word2vec's C trainer: one []int32 walk arena, flat row-major
+//     weight matrices, a precomputed sigmoid table, negatives drawn from the
+//     unigram^0.75 alias table with one RNG draw each, and a linearly
+//     decaying learning rate.
 //
-// Everything is deterministic for a fixed Config.Seed.
+// Training runs on the calling goroutine: word2vec's Hogwild workers race on
+// the shared rows, which the race detector rejects and which makes the
+// result depend on scheduling. Everything is deterministic for a fixed
+// Config.Seed.
 package embed
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -279,6 +286,17 @@ func (t aliasTable) sample(r *rand.Rand) int {
 	return int(t.alias[i])
 }
 
+// pick samples from the table with one 64-bit draw u: the high word of
+// u·n picks the column and the low word, uniform and independent of it,
+// flips the column's coin.
+func (t aliasTable) pick(u uint64) int {
+	i, frac := bits.Mul64(u, uint64(len(t.prob)))
+	if float64(frac>>11)*0x1p-53 < t.prob[i] {
+		return int(i)
+	}
+	return int(t.alias[i])
+}
+
 // walker generates second-order biased walks.
 type walker struct {
 	adj *adjacency
@@ -355,19 +373,37 @@ func (w *walker) next(prev, cur int32) int32 {
 	return ns[t.sample(w.r)]
 }
 
-func (w *walker) walk(start int32) []int32 {
-	out := make([]int32, 0, w.cfg.WalkLength)
-	out = append(out, start)
+// appendWalk appends one walk from start to dst.
+func (w *walker) appendWalk(dst []int32, start int32) []int32 {
+	dst = append(dst, start)
 	prev, cur := int32(-1), start
-	for len(out) < w.cfg.WalkLength {
+	for k := 1; k < w.cfg.WalkLength; k++ {
 		nxt := w.next(prev, cur)
 		if nxt < 0 {
 			break
 		}
-		out = append(out, nxt)
+		dst = append(dst, nxt)
 		prev, cur = cur, nxt
 	}
-	return out
+	return dst
+}
+
+// walkCorpus runs cfg.WalksPerNode rounds of one walk from every node, in
+// order, into one arena: walk i is words[ends[i-1]:ends[i]], with
+// ends[-1] = 0. Walks of a single node teach skip-gram nothing and are
+// dropped.
+func walkCorpus(w *walker, order []int) (words []int32, ends []int) {
+	for rep := 0; rep < w.cfg.WalksPerNode; rep++ {
+		for _, i := range order {
+			start := len(words)
+			if words = w.appendWalk(words, int32(i)); len(words)-start > 1 {
+				ends = append(ends, len(words))
+			} else {
+				words = words[:start]
+			}
+		}
+	}
+	return words, ends
 }
 
 // Learn runs node2vec over the graph and returns the embedding.
@@ -385,49 +421,45 @@ func Learn(g pg.View, cfg Config) (*Embedding, error) {
 
 	// 1. Walk corpus.
 	w := &walker{adj: adj, cfg: cfg, r: r, edgeAlias: make(map[int64]aliasTable)}
-	var corpus [][]int32
-	order := r.Perm(n)
-	for rep := 0; rep < cfg.WalksPerNode; rep++ {
-		for _, i := range order {
-			walk := w.walk(int32(i))
-			if len(walk) > 1 {
-				corpus = append(corpus, walk)
-			}
-		}
-	}
+	words, ends := walkCorpus(w, r.Perm(n))
 
 	// 2. Negative-sampling distribution: unigram^0.75 over walk occurrences.
 	counts := make([]float64, n)
-	for _, walk := range corpus {
-		for _, v := range walk {
-			counts[v]++
-		}
+	for _, v := range words {
+		counts[v]++
 	}
 	for i := range counts {
 		counts[i] = math.Pow(counts[i]+1, 0.75)
 	}
 	negTable := newAliasTable(counts)
 
-	// 3. Skip-gram with negative sampling.
-	in := make([][]float64, n)
-	out := make([][]float64, n)
+	// 3. Skip-gram with negative sampling. Row i of in (out) is node i's
+	// input (output) vector; the three-index slices keep an append to one
+	// row from growing into the next.
+	dims := cfg.Dims
+	in := make([]float64, n*dims)
+	out := make([]float64, n*dims)
 	for i := range in {
-		in[i] = make([]float64, cfg.Dims)
-		out[i] = make([]float64, cfg.Dims)
-		for d := 0; d < cfg.Dims; d++ {
-			in[i][d] = (r.Float64() - 0.5) / float64(cfg.Dims)
-		}
+		in[i] = (r.Float64() - 0.5) / float64(dims)
 	}
-	totalSteps := cfg.Epochs * len(corpus)
+	row := func(m []float64, i int32) []float64 {
+		lo := int(i) * dims
+		return m[lo : lo+dims : lo+dims]
+	}
+	totalSteps := cfg.Epochs * len(ends)
 	step := 0
 	for ep := 0; ep < cfg.Epochs; ep++ {
-		for _, walk := range corpus {
+		begin := 0
+		for _, end := range ends {
+			walk := words[begin:end]
+			begin = end
 			lr := cfg.LR * (1 - float64(step)/float64(totalSteps+1))
 			if lr < cfg.LR*0.01 {
 				lr = cfg.LR * 0.01
 			}
 			step++
 			for ci, center := range walk {
+				cv := row(in, center)
 				lo := ci - cfg.Window
 				if lo < 0 {
 					lo = 0
@@ -441,13 +473,13 @@ func Learn(g pg.View, cfg Config) (*Embedding, error) {
 						continue
 					}
 					ctx := walk[t]
-					trainPair(in[center], out[ctx], 1, lr)
+					trainPair(cv, row(out, ctx), 1, lr)
 					for k := 0; k < cfg.Negatives; k++ {
-						neg := negTable.sample(r)
-						if int32(neg) == ctx {
+						neg := int32(negTable.pick(r.Uint64()))
+						if neg == ctx {
 							continue
 						}
-						trainPair(in[center], out[neg], 0, lr)
+						trainPair(cv, row(out, neg), 0, lr)
 					}
 				}
 			}
@@ -456,20 +488,29 @@ func Learn(g pg.View, cfg Config) (*Embedding, error) {
 
 	vectors := make(map[pg.NodeID][]float64, n)
 	for i, id := range adj.ids {
-		vectors[id] = in[i]
+		vectors[id] = row(in, int32(i))
 	}
-	return &Embedding{Dims: cfg.Dims, Vectors: vectors}, nil
+	return &Embedding{Dims: dims, Vectors: vectors}, nil
 }
 
 // trainPair applies one SGD update for a (center, context) pair with the
-// given label (1 = positive, 0 = negative).
+// given label (1 = positive, 0 = negative). The dot product keeps four
+// independent sums so consecutive multiply-adds do not wait on each other.
 func trainPair(center, ctx []float64, label float64, lr float64) {
-	var dot float64
-	for d := range center {
-		dot += center[d] * ctx[d]
+	ctx = ctx[:len(center)]
+	var s0, s1, s2, s3 float64
+	d := 0
+	for ; d+4 <= len(center); d += 4 {
+		c, x := center[d:d+4:d+4], ctx[d:d+4:d+4]
+		s0 += c[0] * x[0]
+		s1 += c[1] * x[1]
+		s2 += c[2] * x[2]
+		s3 += c[3] * x[3]
 	}
-	pred := sigmoid(dot)
-	g := lr * (label - pred)
+	for ; d < len(center); d++ {
+		s0 += center[d] * ctx[d]
+	}
+	g := lr * (label - sigmoid(s0+s1+s2+s3))
 	for d := range center {
 		cd := center[d]
 		center[d] += g * ctx[d]
@@ -477,12 +518,26 @@ func trainPair(center, ctx []float64, label float64, lr float64) {
 	}
 }
 
+// sigmoidClamp bounds the sigmoid's domain: beyond ±8 it is within 3.4e-4
+// of 0 or 1. sigmoidTable holds its value at the midpoint of each of
+// len(sigmoidTable) equal bins over the clamped domain, which puts a lookup
+// within 2e-3 of the exact value.
+const sigmoidClamp = 8
+
+var sigmoidTable = func() (t [1024]float64) {
+	for i := range t {
+		x := (float64(i)+0.5)*(2*sigmoidClamp)/float64(len(t)) - sigmoidClamp
+		t[i] = 1 / (1 + math.Exp(-x))
+	}
+	return t
+}()
+
 func sigmoid(x float64) float64 {
-	if x > 8 {
+	if x >= sigmoidClamp {
 		return 1
 	}
-	if x < -8 {
+	if !(x > -sigmoidClamp) { // also NaN, which would index out of range
 		return 0
 	}
-	return 1 / (1 + math.Exp(-x))
+	return sigmoidTable[int((x+sigmoidClamp)*(float64(len(sigmoidTable))/(2*sigmoidClamp)))]
 }

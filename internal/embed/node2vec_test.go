@@ -1,12 +1,19 @@
 package embed
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
 
+	"vadalink/internal/graphgen"
 	"vadalink/internal/pg"
 )
+
+// corpusChecksum is the FNV-64a of TestWalkCorpusMatchesPerWalkOutput's
+// walks, recorded from the walk generator before the arena existed.
+const corpusChecksum = 0x3c75e03a99bf4d14
 
 // twoCliques builds two dense 6-node clusters joined by a single bridge
 // edge — the canonical sanity graph for neighbourhood-preserving embeddings.
@@ -60,7 +67,7 @@ func TestLearnPreservesNeighbourhoods(t *testing.T) {
 }
 
 func TestLearnDeterministic(t *testing.T) {
-	g, a, _ := twoCliques()
+	g := graphgen.NewItalian(graphgen.ItalianConfig{Companies: 40, Persons: 80, Seed: 6}).Graph
 	e1, err := Learn(g, Config{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
@@ -69,11 +76,106 @@ func TestLearnDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, v2 := e1.Vector(a[0]), e2.Vector(a[0])
-	for d := range v1 {
-		if v1[d] != v2[d] {
-			t.Fatalf("embedding not deterministic at dim %d: %v vs %v", d, v1[d], v2[d])
+	if len(e1.Vectors) != g.NumNodes() || len(e2.Vectors) != g.NumNodes() {
+		t.Fatalf("vectors = %d and %d, want %d", len(e1.Vectors), len(e2.Vectors), g.NumNodes())
+	}
+	for id, v1 := range e1.Vectors {
+		v2 := e2.Vector(id)
+		if len(v1) != e1.Dims || len(v2) != e1.Dims {
+			t.Fatalf("node %d: vector lengths %d and %d, want %d", id, len(v1), len(v2), e1.Dims)
 		}
+		for d := range v1 {
+			if v1[d] != v2[d] {
+				t.Fatalf("embedding not deterministic at node %d dim %d: %v vs %v", id, d, v1[d], v2[d])
+			}
+		}
+	}
+}
+
+func TestVectorsDoNotShareCapacity(t *testing.T) {
+	g, _, _ := twoCliques()
+	emb, err := Learn(g, Config{Dims: 8, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := map[pg.NodeID][]float64{}
+	for id, v := range emb.Vectors {
+		before[id] = append([]float64(nil), v...)
+	}
+	for id, v := range emb.Vectors {
+		_ = append(v, 1e9, 1e9)
+		for other, ov := range emb.Vectors {
+			for d := range ov {
+				if ov[d] != before[other][d] {
+					t.Fatalf("appending to node %d's vector changed node %d's dim %d", id, other, d)
+				}
+			}
+		}
+	}
+}
+
+func TestSigmoidTableAccuracy(t *testing.T) {
+	worst, at := 0.0, 0.0
+	for x := -10.0; x <= 10; x += 1e-3 {
+		if e := math.Abs(sigmoid(x) - 1/(1+math.Exp(-x))); e > worst {
+			worst, at = e, x
+		}
+	}
+	if worst > 5e-3 {
+		t.Errorf("sigmoid table max abs error %.2e at x = %.3f, want ≤ 5e-3", worst, at)
+	}
+	if s := sigmoid(math.NaN()); s != 0 {
+		t.Errorf("sigmoid(NaN) = %v, want 0", s)
+	}
+}
+
+func TestWalkCorpusMatchesPerWalkOutput(t *testing.T) {
+	g := graphgen.NewItalian(graphgen.ItalianConfig{Companies: 40, Persons: 80, Seed: 4}).Graph
+	adj := buildAdjacency(g)
+	newWalker := func() (*walker, []int) {
+		r := rand.New(rand.NewSource(9))
+		cfg := Config{Seed: 9}.withDefaults()
+		return &walker{adj: adj, cfg: cfg, r: r, edgeAlias: map[int64]aliasTable{}}, r.Perm(len(adj.ids))
+	}
+
+	w, order := newWalker()
+	words, ends := walkCorpus(w, order)
+
+	w, order = newWalker()
+	h := fnv.New64a()
+	begin, k := 0, 0
+	for rep := 0; rep < w.cfg.WalksPerNode; rep++ {
+		for _, i := range order {
+			walk := w.appendWalk(nil, int32(i))
+			if len(walk) < 2 {
+				continue
+			}
+			if k >= len(ends) {
+				t.Fatalf("arena has %d walks, per-walk generation more", len(ends))
+			}
+			got := words[begin:ends[k]]
+			if len(got) != len(walk) {
+				t.Fatalf("walk %d: arena length %d, per-walk %d", k, len(got), len(walk))
+			}
+			for j := range walk {
+				if got[j] != walk[j] {
+					t.Fatalf("walk %d step %d: arena %d, per-walk %d", k, j, got[j], walk[j])
+				}
+			}
+			for _, v := range walk {
+				binary.Write(h, binary.LittleEndian, v)
+			}
+			binary.Write(h, binary.LittleEndian, int32(-1))
+			begin, k = ends[k], k+1
+		}
+	}
+	if k != len(ends) || begin != len(words) {
+		t.Fatalf("arena has %d walks over %d words, per-walk generation %d over %d", len(ends), len(words), k, begin)
+	}
+	// The checksum of the walks the per-walk corpus ([][]int32) produced
+	// before the arena: the training kernel changes no walk.
+	if sum := h.Sum64(); sum != corpusChecksum {
+		t.Errorf("walk corpus checksum %#x, want %#x: walk generation changed", sum, uint64(corpusChecksum))
 	}
 }
 
@@ -139,24 +241,33 @@ func TestCosine(t *testing.T) {
 }
 
 func TestAliasTableDistribution(t *testing.T) {
-	// Sampling frequencies must approximate the weights.
-	weights := []float64{1, 2, 3, 4}
+	// Sampling frequencies must approximate the weights, whether a sample
+	// takes two draws (walk steps) or one (negatives).
+	weights := []float64{1, 2, 3, 4, 0.5, 7}
 	table := newAliasTable(weights)
-	r := rand.New(rand.NewSource(5))
-	counts := make([]int, len(weights))
-	const trials = 100000
-	for i := 0; i < trials; i++ {
-		counts[table.sample(r)]++
-	}
-	var sum float64
-	for _, w := range weights {
-		sum += w
-	}
-	for i, w := range weights {
-		want := w / sum
-		got := float64(counts[i]) / trials
-		if math.Abs(got-want) > 0.01 {
-			t.Errorf("alias sample freq[%d] = %.3f, want %.3f", i, got, want)
+	for _, s := range []struct {
+		name   string
+		sample func(*rand.Rand) int
+	}{
+		{"sample", table.sample},
+		{"pick", func(r *rand.Rand) int { return table.pick(r.Uint64()) }},
+	} {
+		r := rand.New(rand.NewSource(5))
+		counts := make([]int, len(weights))
+		const trials = 200000
+		for i := 0; i < trials; i++ {
+			counts[s.sample(r)]++
+		}
+		var sum float64
+		for _, w := range weights {
+			sum += w
+		}
+		for i, w := range weights {
+			want := w / sum
+			got := float64(counts[i]) / trials
+			if math.Abs(got-want) > 0.01 {
+				t.Errorf("alias %s freq[%d] = %.3f, want %.3f", s.name, i, got, want)
+			}
 		}
 	}
 }
@@ -177,7 +288,7 @@ func TestWalkLengthRespected(t *testing.T) {
 	g, a, _ := twoCliques()
 	adj := buildAdjacency(g)
 	w := &walker{adj: adj, cfg: Config{WalkLength: 10, P: 1, Q: 1}.withDefaults(), r: rand.New(rand.NewSource(3)), edgeAlias: map[int64]aliasTable{}}
-	walk := w.walk(int32(adj.index[a[0]]))
+	walk := w.appendWalk(nil, int32(adj.index[a[0]]))
 	if len(walk) != 10 {
 		t.Errorf("walk length = %d, want 10", len(walk))
 	}
@@ -199,7 +310,7 @@ func TestReturnParameterBiasesWalks(t *testing.T) {
 		w.cfg.P = p
 		returns := 0
 		for i := 0; i < 2000; i++ {
-			walk := w.walk(int32(adj.index[a]))
+			walk := w.appendWalk(nil, int32(adj.index[a]))
 			if len(walk) == 3 && walk[2] == walk[0] {
 				returns++
 			}
@@ -236,7 +347,7 @@ func TestWeightedWalksFollowHeavyEdges(t *testing.T) {
 		w.cfg.Weighted = weighted
 		hits := 0
 		for i := 0; i < 2000; i++ {
-			walk := w.walk(int32(adj.index[center]))
+			walk := w.appendWalk(nil, int32(adj.index[center]))
 			if len(walk) > 1 && adj.ids[walk[1]] == heavy {
 				hits++
 			}

@@ -56,6 +56,11 @@ echo "== coverage floors =="
 #   qcache       sits in front of every point endpoint; a bug here serves stale
 #                answers with a fresh-looking seq. Keeps the invalidation,
 #                eviction and single-flight paths exercised (91.4%).
+#   embed        the hottest code of the augment workload: a tuned training
+#                kernel whose shortcuts (sigmoid table, one-draw negatives,
+#                walk arena) each have a unit test to keep (97.0%).
+#   core         Algorithm 1's loop: fixpoint, round cap, recall and parallel
+#                matching are the paths a regression hides in (89.3%).
 while read -r pkg var floor; do
     floor="${!var:-$floor}"
     go test -coverprofile="/tmp/${pkg}.cover" "./internal/${pkg}" >/dev/null
@@ -75,6 +80,8 @@ store       MVCC_COVER_FLOOR    80.0
 whatif      MVCC_COVER_FLOOR    80.0
 ivm         IVM_COVER_FLOOR     80.0
 qcache      QCACHE_COVER_FLOOR  80.0
+embed       EMBED_COVER_FLOOR   90.0
+core        CORE_COVER_FLOOR    85.0
 FLOORS
 
 echo "== differential what-if harness =="
