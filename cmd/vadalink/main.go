@@ -12,7 +12,7 @@
 //	vadalink query     -in graph.json -goal "control(4, Y)" [-program rules.vada]
 //	vadalink whatif    -in graph.json -ops ops.json [-t 0.2]
 //	vadalink serve     -in graph.json [-addr :8080] [-timeout 30s]
-//	                   [-max-facts N] [-max-rounds N] [-metrics=true]
+//	                   [-max-facts N] [-max-rounds N]
 //	                   [-min-agg-delta 1e-4]
 //	                   [-pprof] [-log-format text|json|off]
 //	                   [-data-dir DIR] [-fsync 2ms]
@@ -24,8 +24,8 @@
 // serve applies a per-request wall-clock deadline and an optional chase
 // budget; truncated answers are marked "truncated" in the JSON. SIGINT and
 // SIGTERM drain in-flight requests before the process exits. Per-endpoint
-// counters and the last chase report are served on GET /v1/metrics (disable
-// with -metrics=false); -pprof mounts net/http/pprof under /debug/pprof/;
+// counters and the last chase report are served on GET /v1/metrics; -pprof
+// mounts net/http/pprof under /debug/pprof/;
 // -log-format selects slog text or JSON access logs on stderr.
 //
 // whatif evaluates a counterfactual scenario — a JSON array of hypothetical
@@ -493,7 +493,6 @@ func cmdServe(args []string) {
 	maxRounds := fs.Int("max-rounds", 0, "chase budget: max evaluation rounds per request (0 = engine default)")
 	minAggDelta := fs.Float64("min-agg-delta", 0, "aggregate convergence step for every chase (0 = 1e-4 default, negative = exact fixpoint; exact is exponential on cyclic ownership)")
 	queryCache := fs.Int64("query-cache-bytes", 0, "point-query result cache budget in bytes (0 = 64 MiB default, negative = disable)")
-	metrics := fs.Bool("metrics", true, "collect per-endpoint metrics and serve GET /v1/metrics")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	logFormat := fs.String("log-format", "text", "access-log format: text | json | off")
 	dataDir := fs.String("data-dir", "", "crash-safe persistence directory (empty = memory-only)")
@@ -511,7 +510,6 @@ func cmdServe(args []string) {
 	cfg.Budget.MaxFacts = *maxFacts
 	cfg.MinAggDelta = *minAggDelta
 	cfg.QueryCacheBytes = *queryCache
-	cfg.DisableMetrics = !*metrics
 	cfg.Pprof = *pprofOn
 	switch *logFormat {
 	case "text":

@@ -3,7 +3,7 @@ package reasonapi
 // Table coverage of the /v1 surface: success, malformed-input, and
 // budget-exceeded behavior for every endpoint, the uniform JSON error
 // envelope (including the mux's own 404/405 responses), the /v1/metrics
-// report shape, and the opt-in debug endpoints (expvar, pprof).
+// report shape, and the opt-in pprof endpoints.
 
 import (
 	"encoding/json"
@@ -102,6 +102,7 @@ func TestEndpointTable(t *testing.T) {
 		{"reason missing program", "POST", "/v1/reason", `{}`, 400, "bad_request"},
 		{"reason parse error", "POST", "/v1/reason", `{"program":"p(X ->"}`, 400, "bad_request"},
 		{"augment ok", "POST", "/v1/augment", `{"classes":["family"],"noCluster":true}`, 200, ""},
+		{"augment empty body", "POST", "/v1/augment", "", 200, ""},
 		{"augment malformed json", "POST", "/v1/augment", `{"classes":`, 400, "bad_request"},
 		{"augment unknown class", "POST", "/v1/augment", `{"classes":["nonsense"]}`, 400, "bad_request"},
 		{"unknown route", "GET", "/v1/nonsense", "", 404, "not_found"},
@@ -117,11 +118,15 @@ func TestEndpointTable(t *testing.T) {
 			if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 				t.Errorf("Content-Type = %q, want application/json", ct)
 			}
-			if resp.Header.Get("X-Request-ID") == "" {
+			id := resp.Header.Get("X-Request-ID")
+			if id == "" {
 				t.Error("no X-Request-ID header")
 			}
 			if tc.wantCode != "" {
 				checkEnvelope(t, body, tc.wantCode)
+				if body["requestID"] != id {
+					t.Errorf("envelope requestID %v, X-Request-ID header %q", body["requestID"], id)
+				}
 			}
 		})
 	}
@@ -254,45 +259,6 @@ func TestMetricsShape(t *testing.T) {
 	}
 	if m2.Endpoints["GET /v1/metrics"].Requests < 1 {
 		t.Error("metrics endpoint does not count itself")
-	}
-}
-
-// TestMetricsDisabled: DisableMetrics turns /v1/metrics into an enveloped
-// 404 and unmounts /debug/vars.
-func TestMetricsDisabled(t *testing.T) {
-	g, _ := pg.Figure2()
-	srv := httptest.NewServer(NewServerWith(g, Config{DisableMetrics: true}).Handler())
-	defer srv.Close()
-	resp, body := doReq(t, "GET", srv.URL+"/v1/metrics", "")
-	if resp.StatusCode != 404 {
-		t.Fatalf("metrics status = %d, want 404", resp.StatusCode)
-	}
-	checkEnvelope(t, body, "not_found")
-	if code := getJSON(t, srv.URL+"/debug/vars", nil); code != 404 {
-		t.Errorf("/debug/vars status = %d, want 404 when metrics are off", code)
-	}
-	// The API itself still works.
-	if code := getJSON(t, srv.URL+"/v1/stats", nil); code != 200 {
-		t.Errorf("stats status = %d", code)
-	}
-}
-
-// TestExpvarPublished: /debug/vars serves the process-wide request counters.
-func TestExpvarPublished(t *testing.T) {
-	srv, _ := testServer(t)
-	if code := getJSON(t, srv.URL+"/v1/stats", nil); code != 200 {
-		t.Fatal("stats request failed")
-	}
-	var vars map[string]any
-	if code := getJSON(t, srv.URL+"/debug/vars", &vars); code != 200 {
-		t.Fatalf("/debug/vars status = %d", code)
-	}
-	reqs, ok := vars["reasonapi.requests"].(map[string]any)
-	if !ok {
-		t.Fatalf("reasonapi.requests not published: %v", vars["reasonapi.requests"])
-	}
-	if n, _ := reqs["GET /v1/stats"].(float64); n < 1 {
-		t.Errorf("expvar GET /v1/stats count = %v, want >= 1", reqs["GET /v1/stats"])
 	}
 }
 

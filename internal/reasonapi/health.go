@@ -201,9 +201,10 @@ func (s *Server) followerGate(w http.ResponseWriter, r *http.Request) (handled b
 	// down — without it, a long-dead follower would keep advertising the
 	// freshness it had the moment it lost the leader.
 	st := s.cfg.Follower.Status()
-	w.Header().Set("X-Replication-Lag", strconv.FormatInt(st.LagRecords, 10))
-	w.Header().Set("X-Replication-Staleness-Ms", strconv.FormatInt(st.StalenessMS, 10))
-	w.Header().Set("X-Replication-Disconnected-Ms", strconv.FormatInt(st.DisconnectedMS, 10))
+	h := w.Header()
+	h["X-Replication-Lag"] = []string{strconv.FormatInt(st.LagRecords, 10)}
+	h["X-Replication-Staleness-Ms"] = []string{strconv.FormatInt(st.StalenessMS, 10)}
+	h["X-Replication-Disconnected-Ms"] = []string{strconv.FormatInt(st.DisconnectedMS, 10)}
 	bound := s.cfg.maxStaleness()
 	if bound > 0 && (!st.EverSynced || st.Staleness > bound || st.Disconnected > bound) {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))

@@ -1,10 +1,8 @@
 package reasonapi
 
 import (
-	"expvar"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -104,7 +102,8 @@ type Metrics struct {
 }
 
 // serverMetrics is one Server's registry: a fixed route map built at Handler
-// time (reads are lock-free) plus the catch-all slot.
+// time plus the catch-all slot. Each route's wrapper holds its own
+// *endpointMetrics, so a request looks nothing up.
 type serverMetrics struct {
 	start  time.Time
 	routes map[string]*endpointMetrics
@@ -117,18 +116,6 @@ func newServerMetrics(routes []string) *serverMetrics {
 		sm.routes[r] = &endpointMetrics{}
 	}
 	return sm
-}
-
-func (sm *serverMetrics) observe(route string, status int, elapsed time.Duration) {
-	m, ok := sm.routes[route]
-	if !ok {
-		m = &sm.other
-	}
-	m.observe(status, elapsed)
-	expvarRequests.Add(route, 1)
-	if status >= 400 {
-		expvarErrors.Add(route, 1)
-	}
 }
 
 func (sm *serverMetrics) snapshot(lastChase *datalog.ChaseStats) Metrics {
@@ -169,21 +156,4 @@ func (m *endpointMetrics) export() EndpointMetrics {
 	}
 	e.Latency["+Inf"] = cum + m.buckets[len(latencyBucketsMs)].Load()
 	return e
-}
-
-// Process-wide expvar maps, published once: expvar panics on duplicate
-// names, and tests construct many Servers in one process. They aggregate
-// request and error counts across every Server; the rich per-Server view is
-// GET /v1/metrics.
-var (
-	expvarRequests *expvar.Map
-	expvarErrors   *expvar.Map
-	expvarOnce     sync.Once
-)
-
-func initExpvar() {
-	expvarOnce.Do(func() {
-		expvarRequests = expvar.NewMap("reasonapi.requests")
-		expvarErrors = expvar.NewMap("reasonapi.errors")
-	})
 }

@@ -17,6 +17,7 @@ import (
 	"hash/fnv"
 	"net/http"
 	"sort"
+	"strconv"
 
 	"vadalink/internal/datalog"
 	"vadalink/internal/pg"
@@ -73,12 +74,13 @@ func (s *Server) answerPoint(w http.ResponseWriter, seq uint64, key string, clas
 	if payload == nil {
 		return err
 	}
-	cache := "miss"
+	cache := cacheMiss
 	if hit {
-		cache = "hit"
+		cache = cacheHit
 	}
-	w.Header().Set("X-Cache", cache)
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h["X-Cache"] = cache
+	h["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(payload)
 	return nil
@@ -132,17 +134,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "parsing program: %v", perr)
 		return
 	}
-	opts := s.engineOptions()
-	b := s.cfg.Budget
-	if req.MaxFacts > 0 && (b.MaxFacts == 0 || req.MaxFacts < b.MaxFacts) {
-		b.MaxFacts = req.MaxFacts
-		opts = append(opts, datalog.WithBudget(b))
-	}
 
 	v, seq, release := s.src.pin()
 	defer release()
 
 	err = s.answerPoint(w, seq, queryKey(goal, progSrc, req.MaxFacts), class, func() (map[string]any, error) {
+		opts := s.engineOptions()
+		if b := s.cfg.Budget; req.MaxFacts > 0 && (b.MaxFacts == 0 || req.MaxFacts < b.MaxFacts) {
+			b.MaxFacts = req.MaxFacts
+			opts = append(opts, datalog.WithBudget(b))
+		}
 		res, err := vadalog.EvalGoal(r.Context(), v, progSrc, goal, opts...)
 		if err != nil {
 			return nil, err
@@ -232,11 +233,34 @@ func goalClass(goal datalog.Atom) qcache.Class {
 }
 
 // queryKey builds the cache key of one /v1/query evaluation. The program
-// text — the built-in one when the caller sent none — is folded to a hash so
-// an arbitrary caller program cannot blow the key budget; the goal stays
-// readable for debugging.
+// text — the built-in one when the caller sent none — is folded to its FNV
+// hash so an arbitrary caller program cannot blow the key budget; the goal
+// stays readable for debugging.
 func queryKey(goal datalog.Atom, progSrc string, maxFacts int) string {
+	h, ok := builtinProgramHashes[progSrc]
+	if !ok {
+		h = programHash(progSrc)
+	}
+	b := make([]byte, 0, 96)
+	b = append(b, "query:"...)
+	b = append(b, goal.String()...)
+	b = append(b, ':')
+	b = strconv.AppendUint(b, h, 16)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(maxFacts), 10)
+	return string(b)
+}
+
+func programHash(src string) uint64 {
 	h := fnv.New64a()
-	_, _ = h.Write([]byte(progSrc))
-	return fmt.Sprintf("query:%s:%x:%d", goal.String(), h.Sum64(), maxFacts)
+	_, _ = h.Write([]byte(src))
+	return h.Sum64()
+}
+
+// builtinProgramHashes holds the programHash of each built-in program,
+// computed once: a query over one of them — the common case — runs FNV over
+// no program text per request.
+var builtinProgramHashes = map[string]uint64{
+	vadalog.ControlProgram:   programHash(vadalog.ControlProgram),
+	vadalog.CloseLinkProgram: programHash(vadalog.CloseLinkProgram),
 }

@@ -1,10 +1,13 @@
 package reasonapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -157,14 +160,59 @@ func TestHandlerPanicRecovery(t *testing.T) {
 	if out.RequestID == "" {
 		t.Error("no requestID in panic response")
 	}
-	if resp.Header.Get("X-Request-ID") == "" {
-		t.Error("no X-Request-ID header")
+	if id := resp.Header.Get("X-Request-ID"); id != out.RequestID {
+		t.Errorf("X-Request-ID header %q, envelope requestID %q", id, out.RequestID)
 	}
 
 	// The process survived: the next request succeeds.
 	faultinject.Clear(faultinject.SiteAPIHandler)
 	if code := getJSON(t, srv.URL+"/v1/stats", nil); code != 200 {
 		t.Fatalf("server dead after panic: status = %d", code)
+	}
+}
+
+// TestPanicLoggedThroughLogger: with Config.Logger set, a recovered panic is
+// one error record in the structured log — a plaintext log.Printf line
+// would corrupt a JSON log stream.
+func TestPanicLoggedThroughLogger(t *testing.T) {
+	var structured, plain bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&plain)
+	t.Cleanup(func() { log.SetOutput(prev) })
+	t.Cleanup(faultinject.Reset)
+
+	g, _ := pg.Figure2()
+	lg := slog.New(slog.NewJSONHandler(&structured, nil))
+	srv := httptest.NewServer(NewServerWith(g, Config{Logger: lg}).Handler())
+	defer srv.Close()
+	faultinject.Set(faultinject.SiteAPIHandler, func() { panic("injected crash") })
+	resp, err := http.Get(srv.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	srv.Close() // waits for the handler, so every record is written
+
+	if plain.Len() != 0 {
+		t.Errorf("panic logged through the standard logger: %q", plain.String())
+	}
+	var found bool
+	for _, line := range strings.Split(strings.TrimSpace(structured.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("non-JSON line in the JSON log: %q", line)
+		}
+		if rec["msg"] != "recovered panic" {
+			continue
+		}
+		found = true
+		if rec["level"] != "ERROR" || rec["id"] != resp.Header.Get("X-Request-ID") ||
+			rec["method"] != "GET" || rec["path"] != "/v1/stats" || rec["panic"] != "injected crash" {
+			t.Errorf("panic record = %v", rec)
+		}
+	}
+	if !found {
+		t.Errorf("no recovered-panic record in %q", structured.String())
 	}
 }
 

@@ -55,12 +55,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -124,11 +125,6 @@ type Config struct {
 	// 0 means qcache.DefaultMaxBytes (64 MiB); negative disables the cache
 	// entirely — every point query then recomputes.
 	QueryCacheBytes int64
-
-	// DisableMetrics turns off the per-endpoint counters and the
-	// GET /v1/metrics endpoint (which then answers 404). Metrics are on by
-	// default: a handful of atomic adds per request.
-	DisableMetrics bool
 
 	// Pprof mounts net/http/pprof under /debug/pprof/ — opt-in, since the
 	// profiling endpoints expose internals and cost CPU while sampling.
@@ -247,10 +243,9 @@ type Server struct {
 	// so load balancers stop sending traffic before the listener closes.
 	draining atomic.Bool
 
-	// metrics is the per-endpoint counter registry (nil when
-	// Config.DisableMetrics); metricsOnce builds it on the first Handler
-	// call. lastChase is the statistics report of the most recent
-	// request-triggered chase, served in /v1/metrics.
+	// metrics is the per-endpoint counter registry; metricsOnce builds it on
+	// the first Handler call. lastChase is the statistics report of the most
+	// recent request-triggered chase, served in /v1/metrics.
 	metrics     *serverMetrics
 	metricsOnce sync.Once
 	lastChase   atomic.Pointer[datalog.ChaseStats]
@@ -363,31 +358,24 @@ func (s *Server) Handler() http.Handler {
 		{"GET /v1/healthz", s.handleHealthz},
 		{"GET /v1/readyz", s.handleReadyz},
 	}
-	if !s.cfg.DisableMetrics {
-		s.metricsOnce.Do(func() {
-			names := make([]string, len(routes))
-			for i, rt := range routes {
-				names[i] = rt.pattern
-			}
-			initExpvar()
-			s.metrics = newServerMetrics(names)
-		})
-	}
+	s.metricsOnce.Do(func() {
+		names := make([]string, len(routes))
+		for i, rt := range routes {
+			names[i] = rt.pattern
+		}
+		s.metrics = newServerMetrics(names)
+	})
 	mux := http.NewServeMux()
 	for _, rt := range routes {
-		pattern, h := rt.pattern, rt.h
-		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-			// Label the response writer so the governance middleware can
-			// attribute metrics and logs to the matched route (the mux
-			// pattern is not exposed on Go 1.22).
+		h, m := rt.h, s.metrics.routes[rt.pattern]
+		mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) {
+			// Hand the governance middleware the matched route's counters
+			// (the mux pattern is not exposed on Go 1.22).
 			if sw, ok := w.(*statusWriter); ok {
-				sw.route = pattern
+				sw.m = m
 			}
 			h(w, r)
 		})
-	}
-	if !s.cfg.DisableMetrics {
-		mux.Handle("GET /debug/vars", expvar.Handler())
 	}
 	if s.cfg.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -412,6 +400,77 @@ func requestIDFrom(r *http.Request) string {
 	return id
 }
 
+// requestCtx is the context the governance middleware hands a request's
+// handlers: it carries the request ID and the deadline t0 + Config.Timeout,
+// but creates the runtime timer behind that deadline only when something
+// asks. The first call to Done, Err, Deadline or Value (for any key but the
+// request ID) arms it: it derives the real context with
+// context.WithDeadline. Every way of waiting on a context — a select on
+// Done, polling Err, deriving a child, context.AfterFunc — goes through one
+// of those methods, so every chase, what-if and quorum wait runs under
+// exactly the deadline an eagerly armed context would give it. A cache hit
+// asks none of them and creates no timer.
+//
+// end runs when the request finishes. It cancels the armed context, or, if
+// nothing armed it, pins it to an already-cancelled one, so a context kept
+// past ServeHTTP reads as cancelled either way, as net/http's own does.
+type requestCtx struct {
+	parent   context.Context
+	id       string
+	deadline time.Time // zero when Config.Timeout disables the deadline
+
+	once   sync.Once
+	armed  context.Context
+	cancel context.CancelFunc
+}
+
+// cancelledCtx is what a requestCtx nothing armed reads as after its
+// request ended.
+var cancelledCtx = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
+
+func (c *requestCtx) ctx() context.Context {
+	c.once.Do(func() {
+		if c.deadline.IsZero() {
+			c.armed, c.cancel = context.WithCancel(c.parent)
+		} else {
+			c.armed, c.cancel = context.WithDeadline(c.parent, c.deadline)
+		}
+	})
+	return c.armed
+}
+
+func (c *requestCtx) end() {
+	c.once.Do(func() { c.armed = cancelledCtx })
+	if c.cancel != nil {
+		c.cancel()
+	}
+}
+
+func (c *requestCtx) Deadline() (time.Time, bool) { return c.ctx().Deadline() }
+func (c *requestCtx) Done() <-chan struct{}       { return c.ctx().Done() }
+func (c *requestCtx) Err() error                  { return c.ctx().Err() }
+
+func (c *requestCtx) Value(key any) any {
+	if key == ctxKeyRequestID {
+		return c.id
+	}
+	return c.ctx().Value(key)
+}
+
+// Response header values assigned by canonical key, skipping Header.Set's
+// canonicalisation and its per-call slice. They are shared and never
+// modified: Set replaces a value, and Add appends to a full slice, which
+// copies it.
+var (
+	jsonContentType = []string{"application/json"}
+	cacheHit        = []string{"hit"}
+	cacheMiss       = []string{"miss"}
+)
+
 // statusWriter tracks the response status for metrics and logs, lets the
 // panic recovery know whether it can still emit a JSON error, and rewrites
 // the mux's plaintext 404/405 fallbacks into the JSON error envelope.
@@ -419,7 +478,7 @@ type statusWriter struct {
 	http.ResponseWriter
 	wrote   bool
 	status  int
-	route   string // mux pattern, "" when no route matched
+	m       *endpointMetrics // the matched route's counters, nil when no route matched
 	reqID   string
 	swallow bool // dropping the plaintext body of a rewritten 404/405
 }
@@ -516,18 +575,34 @@ func (s *Server) awaitMutations(ctx context.Context) error {
 //   - Config.Logger receives one structured access-log record per request;
 //   - a panic in a handler becomes a JSON 500 carrying the request ID — the
 //     process survives;
-//   - the request context gets the configured wall-clock deadline, which
-//     the chase-backed handlers propagate into the engine.
+//   - the request context carries the configured wall-clock deadline, which
+//     the chase-backed handlers propagate into the engine (armed on first
+//     use; see requestCtx).
 func (s *Server) govern(next http.Handler) http.Handler {
+	timeout := s.cfg.timeout()
 	return &governedHandler{s: s, Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := fmt.Sprintf("req-%d", s.reqSeq.Add(1))
 		t0 := time.Now()
+		var buf [24]byte
+		id := string(strconv.AppendUint(append(buf[:0], "req-"...), s.reqSeq.Add(1), 10))
 		sw := &statusWriter{ResponseWriter: w, reqID: id}
-		sw.Header().Set("X-Request-ID", id)
-		ctx := context.WithValue(r.Context(), ctxKeyRequestID, id)
+		sw.Header()["X-Request-Id"] = []string{id}
+		rc := &requestCtx{parent: r.Context(), id: id}
+		if timeout > 0 {
+			rc.deadline = t0.Add(timeout)
+		}
+		defer rc.end()
 		defer func() {
 			if rec := recover(); rec != nil {
-				log.Printf("reasonapi: %s %s %s: recovered panic: %v", id, r.Method, r.URL.Path, rec)
+				if lg := s.cfg.Logger; lg != nil {
+					lg.LogAttrs(context.Background(), slog.LevelError, "recovered panic",
+						slog.String("id", id),
+						slog.String("method", r.Method),
+						slog.String("path", r.URL.Path),
+						slog.Any("panic", rec),
+					)
+				} else {
+					log.Printf("reasonapi: %s %s %s: recovered panic: %v", id, r.Method, r.URL.Path, rec)
+				}
 				if !sw.wrote {
 					writeErr(sw, r, http.StatusInternalServerError, "internal", "internal error: %v", rec)
 				} else {
@@ -539,13 +614,11 @@ func (s *Server) govern(next http.Handler) http.Handler {
 				status = http.StatusOK
 			}
 			elapsed := time.Since(t0)
-			if s.metrics != nil {
-				route := sw.route
-				if route == "" {
-					route = "other"
-				}
-				s.metrics.observe(route, status, elapsed)
+			m := sw.m
+			if m == nil {
+				m = &s.metrics.other
 			}
+			m.observe(status, elapsed)
 			if lg := s.cfg.Logger; lg != nil {
 				lg.LogAttrs(context.Background(), slog.LevelInfo, "request",
 					slog.String("id", id),
@@ -556,14 +629,9 @@ func (s *Server) govern(next http.Handler) http.Handler {
 				)
 			}
 		}()
-		if t := s.cfg.timeout(); t > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, t)
-			defer cancel()
-		}
 		// One request copy carries both the ID and the deadline (the
 		// deferred recovery above reads r when it runs, so it sees it too).
-		r = r.WithContext(ctx)
+		r = r.WithContext(rc)
 		faultinject.Fire(faultinject.SiteAPIHandler)
 		if s.cfg.Follower != nil && s.followerGate(sw, r) {
 			return
@@ -602,10 +670,6 @@ func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 // handleMetrics serves the per-endpoint counters and the last chase report:
 // GET /v1/metrics.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.metrics == nil {
-		writeErr(w, r, http.StatusNotFound, "not_found", "metrics are disabled on this server")
-		return
-	}
 	m := s.metrics.snapshot(s.lastChase.Load())
 	ist := s.ivmM.Stats()
 	m.Incremental = &ist
@@ -670,12 +734,12 @@ func truncMeta(err error) map[string]any {
 func (s *Server) handleUBO(w http.ResponseWriter, r *http.Request) {
 	v, seq, release := s.src.pin()
 	defer release()
-	node, err := parseNode(v, r, "node")
+	node, err := parseNode(v, r.URL.RawQuery, "node")
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
-	s.servePoint(w, r, seq, fmt.Sprintf("ubo:%d", node), qcache.Anchored(nil, &node), func() (map[string]any, error) {
+	s.servePoint(w, r, seq, pointKey("ubo", node), qcache.Anchored(nil, &node), func() (map[string]any, error) {
 		type item struct {
 			ID   pg.NodeID `json:"id"`
 			Name any       `json:"name,omitempty"`
@@ -698,13 +762,13 @@ func (s *Server) handleUBO(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 	v, _, release := s.src.pin()
 	defer release()
-	node, err := parseNode(v, r, "node")
+	node, err := parseNode(v, r.URL.RawQuery, "node")
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
 	hops := 2
-	if raw := r.URL.Query().Get("hops"); raw != "" {
+	if raw := queryParam(r.URL.RawQuery, "hops"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v < 0 || v > 10 {
 			writeErr(w, r, http.StatusBadRequest, "bad_request", "bad hops %q (want 0–10)", raw)
@@ -713,7 +777,7 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 		hops = v
 	}
 	sub, _ := pg.NeighborhoodOf(v, node, hops)
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	_ = sub.WriteJSON(w)
 }
 
@@ -722,17 +786,17 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	v, seq, release := s.src.pin()
 	defer release()
-	from, err := parseNode(v, r, "from")
+	from, err := parseNode(v, r.URL.RawQuery, "from")
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
-	to, err := parseNode(v, r, "to")
+	to, err := parseNode(v, r.URL.RawQuery, "to")
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
-	s.servePoint(w, r, seq, fmt.Sprintf("explain:%d:%d", from, to), qcache.Anchored(&from, &to), func() (map[string]any, error) {
+	s.servePoint(w, r, seq, pointKey("explain", from, to), qcache.Anchored(&from, &to), func() (map[string]any, error) {
 		// The explained pair is a fully bound goal: demand derives only the
 		// cone connecting from to to, and the provenance of that cone is all
 		// the tree needs. StripDemandMarkers removes the rewrite's magic and
@@ -773,7 +837,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
@@ -801,8 +865,45 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, graphstats.Compute(v))
 }
 
-func parseNode(v pg.View, r *http.Request, param string) (pg.NodeID, error) {
-	raw := r.URL.Query().Get(param)
+// queryParam returns the first value of name in the raw query string, with
+// the semantics of url.ParseQuery(raw).Get(name): pairs holding a ';' and
+// pairs that fail to unescape are skipped. It builds no url.Values map, and
+// url.QueryUnescape returns its input as-is when there is no '%' or '+' to
+// decode.
+func queryParam(raw, name string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != name {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
+}
+
+// pointKey is the cache key of a point answer: its kind, then each node ID,
+// colon-separated ("control:4:17").
+func pointKey(kind string, ids ...pg.NodeID) string {
+	b := make([]byte, 0, 64)
+	b = append(b, kind...)
+	for _, id := range ids {
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(id), 10)
+	}
+	return string(b)
+}
+
+// parseNode reads the node ID of one query parameter and checks that the
+// node exists in v.
+func parseNode(v pg.View, query, param string) (pg.NodeID, error) {
+	raw := queryParam(query, param)
 	if raw == "" {
 		return 0, fmt.Errorf("missing %q parameter", param)
 	}
@@ -824,19 +925,19 @@ func parseNode(v pg.View, r *http.Request, param string) (pg.NodeID, error) {
 func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
 	v, seq, release := s.src.pin()
 	defer release()
-	node, err := parseNode(v, r, "node")
+	query := r.URL.RawQuery
+	node, err := parseNode(v, query, "node")
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
-	if r.URL.Query().Get("target") != "" {
-		target, err := parseNode(v, r, "target")
+	if queryParam(query, "target") != "" {
+		target, err := parseNode(v, query, "target")
 		if err != nil {
 			writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
 			return
 		}
-		key := fmt.Sprintf("control:%d:%d", node, target)
-		s.servePoint(w, r, seq, key, qcache.Anchored(&node, &target), func() (map[string]any, error) {
+		s.servePoint(w, r, seq, pointKey("control", node, target), qcache.Anchored(&node, &target), func() (map[string]any, error) {
 			ok, mode, runErr := control.GoalControlsPair(r.Context(), v, node, target, s.engineOptions()...)
 			resp := map[string]any{"node": node, "target": target, "controls": ok, "mode": mode}
 			for k, vv := range truncMeta(runErr) {
@@ -846,7 +947,7 @@ func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	s.servePoint(w, r, seq, fmt.Sprintf("control:%d", node), qcache.Anchored(&node, nil), func() (map[string]any, error) {
+	s.servePoint(w, r, seq, pointKey("control", node), qcache.Anchored(&node, nil), func() (map[string]any, error) {
 		controlled, mode, runErr := control.GoalControls(r.Context(), v, node, s.engineOptions()...)
 		type item struct {
 			ID   pg.NodeID `json:"id"`
@@ -888,7 +989,7 @@ func (s *Server) handleCloseLinks(w http.ResponseWriter, r *http.Request) {
 	v, seq, release := s.src.pin()
 	defer release()
 	t := closelink.DefaultThreshold
-	if raw := r.URL.Query().Get("t"); raw != "" {
+	if raw := queryParam(r.URL.RawQuery, "t"); raw != "" {
 		v, err := strconv.ParseFloat(raw, 64)
 		if err != nil || v <= 0 || v > 1 {
 			writeErr(w, r, http.StatusBadRequest, "bad_request", "bad threshold %q", raw)
@@ -896,7 +997,7 @@ func (s *Server) handleCloseLinks(w http.ResponseWriter, r *http.Request) {
 		}
 		t = v
 	}
-	s.servePoint(w, r, seq, fmt.Sprintf("closelinks:%g", t), qcache.ClassDerived, func() (map[string]any, error) {
+	s.servePoint(w, r, seq, "closelinks:"+strconv.FormatFloat(t, 'g', -1, 64), qcache.ClassDerived, func() (map[string]any, error) {
 		links, runErr := closelink.CloseLinksCtx(r.Context(), v, t, closelink.Options{})
 		type item struct {
 			A      pg.NodeID `json:"a"`
@@ -927,17 +1028,17 @@ func (s *Server) handleCloseLinks(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleAccumulated(w http.ResponseWriter, r *http.Request) {
 	v, seq, release := s.src.pin()
 	defer release()
-	from, err := parseNode(v, r, "from")
+	from, err := parseNode(v, r.URL.RawQuery, "from")
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
-	to, err := parseNode(v, r, "to")
+	to, err := parseNode(v, r.URL.RawQuery, "to")
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
-	s.servePoint(w, r, seq, fmt.Sprintf("accumulated:%d:%d", from, to), qcache.Anchored(&from, &to), func() (map[string]any, error) {
+	s.servePoint(w, r, seq, pointKey("accumulated", from, to), qcache.Anchored(&from, &to), func() (map[string]any, error) {
 		phi, runErr := closelink.AccumulatedCtx(r.Context(), v, from, to, closelink.Options{})
 		resp := map[string]any{"from": from, "to": to, "phi": phi}
 		for k, vv := range truncMeta(runErr) {
@@ -961,7 +1062,7 @@ func (s *Server) handleAugment(w http.ResponseWriter, r *http.Request) {
 	var req augmentRequest
 	if r.Body != nil {
 		body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-		if err := json.NewDecoder(body).Decode(&req); err != nil && err.Error() != "EOF" {
+		if err := json.NewDecoder(body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
 			writeErr(w, r, http.StatusBadRequest, "bad_request", "bad request body: %v", err)
 			return
 		}
@@ -1295,6 +1396,6 @@ func jsonValue(v any) any {
 func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 	v, _, release := s.src.pin()
 	defer release()
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	_ = pg.WriteJSONView(v, w)
 }
