@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet fuzz check bench bench-json cover
+.PHONY: build test race vet fuzz check bench cover
 
 build:
 	$(GO) build ./...
@@ -25,10 +25,6 @@ check:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Regression benchmarks over the graphgen size ladder, emitting BENCH_<n>.json.
-bench-json:
-	./scripts/bench.sh
 
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/datalog

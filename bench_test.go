@@ -1,8 +1,8 @@
 // Benchmarks regenerating the paper's evaluation (Section 6): one benchmark
-// per figure/table plus the design-choice ablations of DESIGN.md §4 and
-// micro-benchmarks of the substrates. Absolute numbers are machine-local;
-// the recorded shapes live in EXPERIMENTS.md. The companion CLI
-// (cmd/benchfig) prints the full data series.
+// per figure/table plus the design-choice ablations of DESIGN.md §4.
+// Absolute numbers are machine-local; the recorded shapes live in
+// EXPERIMENTS.md. The companion CLI (cmd/benchfig) prints the full data
+// series.
 package vadalink_test
 
 import (
@@ -10,16 +10,11 @@ import (
 	"testing"
 
 	"vadalink"
-	"vadalink/internal/closelink"
-	"vadalink/internal/cluster"
-	"vadalink/internal/control"
 	"vadalink/internal/datalog"
 	"vadalink/internal/embed"
 	"vadalink/internal/experiments"
-	"vadalink/internal/family"
 	"vadalink/internal/graphgen"
 	"vadalink/internal/graphstats"
-	"vadalink/internal/pg"
 )
 
 // --- §2 statistics table ---
@@ -254,96 +249,5 @@ func BenchmarkAblationClusterLevels(b *testing.B) {
 		if _, err := experiments.AblationClusterLevels(1000, 1); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- substrate micro-benchmarks ---
-
-func BenchmarkControlFixpoint(b *testing.B) {
-	it := graphgen.NewItalian(graphgen.ItalianConfig{Persons: 5000, Companies: 5000, Seed: 1})
-	persons := it.Graph.NodesWithLabel(pg.LabelPerson)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		control.Controls(it.Graph, persons[i%len(persons)])
-	}
-}
-
-func BenchmarkAccumulatedOwnership(b *testing.B) {
-	it := graphgen.NewItalian(graphgen.ItalianConfig{Persons: 5000, Companies: 5000, Seed: 1})
-	nodes := it.Graph.Nodes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		closelink.AccumulatedFrom(it.Graph, nodes[i%len(nodes)], closelink.Options{})
-	}
-}
-
-func BenchmarkCloseLinksFull(b *testing.B) {
-	it := graphgen.NewItalian(graphgen.ItalianConfig{Persons: 1000, Companies: 1000, Seed: 1})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		closelink.CloseLinks(it.Graph, 0.2, closelink.Options{})
-	}
-}
-
-func BenchmarkDatalogControlProgram(b *testing.B) {
-	it := graphgen.NewItalian(graphgen.ItalianConfig{Persons: 500, Companies: 500, Seed: 1})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := vadalink.NewReasoner(it.Graph, vadalink.TaskControl)
-		if err := r.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkNode2vec(b *testing.B) {
-	g := graphgen.Barabasi(1000, 2, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := embed.Learn(g, embed.Config{Dims: 32, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKMeans(b *testing.B) {
-	g := graphgen.Barabasi(2000, 2, 1)
-	emb, err := embed.Learn(g, embed.Config{Dims: 32, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	vecs := map[pg.NodeID][]float64{}
-	for _, id := range g.Nodes() {
-		if v := emb.Vector(id); v != nil {
-			vecs[id] = v
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cluster.KMeans(vecs, 20, 1, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFamilyClassifier(b *testing.B) {
-	clf := family.NewMulti()
-	x := family.Person{Name: "Mario", Surname: "Rossi", Birth: 1960, Addr: "Via Garibaldi 12", City: "Roma"}
-	y := family.Person{Name: "Luigi", Surname: "Rossi", Birth: 1962, Addr: "Via Garibaldi 12", City: "Roma"}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clf.Classify(x, y)
-	}
-}
-
-func BenchmarkLevenshtein(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		family.Levenshtein("esposito", "expósito")
-	}
-}
-
-func BenchmarkGraphGeneration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		graphgen.NewItalian(graphgen.ItalianConfig{Persons: 2000, Companies: 2000, Seed: int64(i + 1)})
 	}
 }

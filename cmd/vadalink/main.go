@@ -13,7 +13,6 @@
 //	vadalink whatif    -in graph.json -ops ops.json [-t 0.2]
 //	vadalink serve     -in graph.json [-addr :8080] [-timeout 30s]
 //	                   [-max-facts N] [-max-rounds N]
-//	                   [-min-agg-delta 1e-4]
 //	                   [-pprof] [-log-format text|json|off]
 //	                   [-data-dir DIR] [-fsync 2ms]
 //	                   [-replicate :7070] [-follow HOST:7070]
@@ -491,7 +490,6 @@ func cmdServe(args []string) {
 	timeout := fs.Duration("timeout", 0, "per-request deadline (0 = 30s default, negative = none)")
 	maxFacts := fs.Int("max-facts", 0, "chase budget: max derived facts per request (0 = unlimited)")
 	maxRounds := fs.Int("max-rounds", 0, "chase budget: max evaluation rounds per request (0 = engine default)")
-	minAggDelta := fs.Float64("min-agg-delta", 0, "aggregate convergence step for every chase (0 = 1e-4 default, negative = exact fixpoint; exact is exponential on cyclic ownership)")
 	queryCache := fs.Int64("query-cache-bytes", 0, "point-query result cache budget in bytes (0 = 64 MiB default, negative = disable)")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	logFormat := fs.String("log-format", "text", "access-log format: text | json | off")
@@ -508,7 +506,6 @@ func cmdServe(args []string) {
 	_ = fs.Parse(args)
 	cfg := vadalink.APIConfig{Timeout: *timeout, MaxRounds: *maxRounds}
 	cfg.Budget.MaxFacts = *maxFacts
-	cfg.MinAggDelta = *minAggDelta
 	cfg.QueryCacheBytes = *queryCache
 	cfg.Pprof = *pprofOn
 	switch *logFormat {

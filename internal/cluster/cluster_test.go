@@ -121,18 +121,6 @@ func TestKMeansEveryNodeAssigned(t *testing.T) {
 	}
 }
 
-func TestSizesSumToNodes(t *testing.T) {
-	vectors, _ := blobs(4, 25, 3, 7)
-	res, _ := KMeans(vectors, 4, 1, 0)
-	total := 0
-	for _, s := range res.Sizes() {
-		total += s
-	}
-	if total != len(vectors) {
-		t.Errorf("sizes sum = %d, want %d", total, len(vectors))
-	}
-}
-
 func personNode(g *pg.Graph, surname string, birth float64, city string) pg.NodeID {
 	return g.AddNode(pg.LabelPerson, pg.Properties{
 		"surname": surname, "birth": birth, "city": city,

@@ -138,26 +138,6 @@ func sqDist(a, b []float64) float64 {
 	return s
 }
 
-// Inertia computes the within-cluster sum of squared distances, the standard
-// k-means objective; tests use it to check Lloyd iterations never increase
-// the objective.
-func (r *KMeansResult) Inertia(vectors map[pg.NodeID][]float64) float64 {
-	var s float64
-	for id, c := range r.Assignment {
-		s += sqDist(vectors[id], r.Centroids[c])
-	}
-	return s
-}
-
-// Sizes returns per-cluster member counts.
-func (r *KMeansResult) Sizes() []int {
-	sizes := make([]int, r.K)
-	for _, c := range r.Assignment {
-		sizes[c]++
-	}
-	return sizes
-}
-
 // --- second-level blocking (#GenerateBlocks) ---
 
 // Blocker assigns a node to a second-level block. Implementations are the

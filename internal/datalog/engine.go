@@ -62,8 +62,8 @@ type options struct {
 
 	// NoIndex disables the per-predicate positional hash indexes: lookup and
 	// Match fall back to scanning every fact of the relation. This is the
-	// pre-index baseline, kept for the BenchmarkChase ablation and the
-	// differential test harness.
+	// pre-index baseline, kept for the differential test harness and as the
+	// remedy a tripped Budget.MaxIndexBytes names.
 	NoIndex bool
 
 	// Stats enables ChaseStats collection during Run (see WithStats). When

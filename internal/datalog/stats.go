@@ -118,26 +118,6 @@ type ChaseStats struct {
 	PerRound []RoundStats `json:"perRound"`
 }
 
-// TopRules returns the indices of the n most expensive rules by EvalNanos,
-// most expensive first — the shortlist a rule-ordering optimizer (or a human
-// reading /v1/metrics) starts from.
-func (s *ChaseStats) TopRules(n int) []int {
-	idx := make([]int, len(s.Rules))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Insertion sort by descending EvalNanos: rule counts are small.
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && s.Rules[idx[j]].EvalNanos > s.Rules[idx[j-1]].EvalNanos; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-	if n > 0 && len(idx) > n {
-		idx = idx[:n]
-	}
-	return idx
-}
-
 // statsCollector is the engine's per-Run mutable statistics state. The
 // per-rule and per-round slices are written only by the goroutine driving
 // the chase (workers report through job-indexed slots merged there); the

@@ -1,8 +1,8 @@
 package datalog
 
 // Coverage for the observability layer: ChaseStats collection (sequential
-// and parallel, indexed and scan mode), the lifecycle hooks, budget-trip
-// notification, and the TopRules shortlist.
+// and parallel, indexed and scan mode), the lifecycle hooks and budget-trip
+// notification.
 
 import (
 	"errors"
@@ -312,23 +312,5 @@ func TestBudgetTripHookFiresOnce(t *testing.T) {
 			t.Errorf("parallel=%d: stats not marked truncated: truncated=%v limit=%q",
 				parallel, st.Truncated, st.Limit)
 		}
-	}
-}
-
-func TestTopRules(t *testing.T) {
-	st := &ChaseStats{Rules: []RuleStats{
-		{Rule: "cheap", EvalNanos: 10},
-		{Rule: "hot", EvalNanos: 1000},
-		{Rule: "warm", EvalNanos: 100},
-	}}
-	if got := st.TopRules(0); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 0 {
-		t.Errorf("TopRules(0) = %v, want [1 2 0]", got)
-	}
-	if got := st.TopRules(2); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("TopRules(2) = %v, want [1 2]", got)
-	}
-	empty := &ChaseStats{}
-	if got := empty.TopRules(5); len(got) != 0 {
-		t.Errorf("TopRules on empty stats = %v", got)
 	}
 }

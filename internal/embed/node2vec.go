@@ -108,41 +108,6 @@ func (e *Embedding) Cosine(a, b pg.NodeID) float64 {
 	return Cosine(va, vb)
 }
 
-// Nearest returns the k nodes most cosine-similar to id (excluding id
-// itself), ordered by descending similarity — a diagnostic for clustering
-// quality.
-func (e *Embedding) Nearest(id pg.NodeID, k int) []pg.NodeID {
-	v := e.Vectors[id]
-	if v == nil || k <= 0 {
-		return nil
-	}
-	type scored struct {
-		id  pg.NodeID
-		sim float64
-	}
-	var all []scored
-	for other, ov := range e.Vectors {
-		if other == id {
-			continue
-		}
-		all = append(all, scored{id: other, sim: Cosine(v, ov)})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].sim != all[j].sim {
-			return all[i].sim > all[j].sim
-		}
-		return all[i].id < all[j].id
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]pg.NodeID, k)
-	for i := 0; i < k; i++ {
-		out[i] = all[i].id
-	}
-	return out
-}
-
 // Cosine returns the cosine similarity of two vectors.
 func Cosine(a, b []float64) float64 {
 	var dot, na, nb float64

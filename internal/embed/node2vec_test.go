@@ -375,31 +375,3 @@ func TestWeightedLearnRuns(t *testing.T) {
 		t.Error("weighted learn produced no vectors")
 	}
 }
-
-func TestNearestReturnsCliqueMates(t *testing.T) {
-	g, a, _ := twoCliques()
-	emb, err := Learn(g, Config{Dims: 16, WalkLength: 15, WalksPerNode: 8, Epochs: 4, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	near := emb.Nearest(a[1], 3)
-	if len(near) != 3 {
-		t.Fatalf("Nearest returned %d ids", len(near))
-	}
-	inA := map[pg.NodeID]bool{}
-	for _, id := range a {
-		inA[id] = true
-	}
-	hits := 0
-	for _, id := range near {
-		if inA[id] {
-			hits++
-		}
-	}
-	if hits < 2 {
-		t.Errorf("only %d/3 nearest neighbours are clique mates: %v", hits, near)
-	}
-	if got := emb.Nearest(pg.NodeID(999), 3); got != nil {
-		t.Error("Nearest of unknown node should be nil")
-	}
-}

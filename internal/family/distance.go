@@ -72,78 +72,6 @@ func NormalizedLevenshtein(a, b string) float64 {
 	return float64(Levenshtein(a, b)) / float64(longest)
 }
 
-// JaroWinkler computes the Jaro–Winkler similarity in [0, 1] (1 = equal),
-// commonly used in record linkage for short name strings; we expose the
-// complementary distance 1 − sim through FeatureKinds.
-func JaroWinkler(a, b string) float64 {
-	ra, rb := []rune(a), []rune(b)
-	la, lb := len(ra), len(rb)
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	if la == 0 || lb == 0 {
-		return 0
-	}
-	window := la
-	if lb > window {
-		window = lb
-	}
-	window = window/2 - 1
-	if window < 0 {
-		window = 0
-	}
-	matchA := make([]bool, la)
-	matchB := make([]bool, lb)
-	matches := 0
-	for i := 0; i < la; i++ {
-		lo := i - window
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + window + 1
-		if hi > lb {
-			hi = lb
-		}
-		for j := lo; j < hi; j++ {
-			if matchB[j] || ra[i] != rb[j] {
-				continue
-			}
-			matchA[i] = true
-			matchB[j] = true
-			matches++
-			break
-		}
-	}
-	if matches == 0 {
-		return 0
-	}
-	transpositions := 0
-	j := 0
-	for i := 0; i < la; i++ {
-		if !matchA[i] {
-			continue
-		}
-		for !matchB[j] {
-			j++
-		}
-		if ra[i] != rb[j] {
-			transpositions++
-		}
-		j++
-	}
-	m := float64(matches)
-	jaro := (m/float64(la) + m/float64(lb) + (m-float64(transpositions)/2)/m) / 3
-	// Winkler prefix bonus (common prefix up to 4 runes, scaling 0.1).
-	prefix := 0
-	for i := 0; i < la && i < lb && i < 4; i++ {
-		if ra[i] != rb[i] {
-			break
-		}
-		prefix++
-	}
-	return jaro + float64(prefix)*0.1*(1-jaro)
-}
-
 // Soundex computes the classic 4-character Soundex code of a name; equal
 // codes mean phonetically similar surnames. Non-ASCII letters are mapped by
 // stripping to their base where trivial, otherwise ignored.

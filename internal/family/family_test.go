@@ -57,28 +57,6 @@ func TestNormalizedLevenshteinRange(t *testing.T) {
 	}
 }
 
-func TestJaroWinkler(t *testing.T) {
-	if s := JaroWinkler("rossi", "rossi"); s != 1 {
-		t.Errorf("JW identical = %v, want 1", s)
-	}
-	if s := JaroWinkler("abc", "xyz"); s != 0 {
-		t.Errorf("JW disjoint = %v, want 0", s)
-	}
-	// Winkler prefix bonus: shared prefix scores higher.
-	withPrefix := JaroWinkler("rossi", "rossa")
-	noPrefix := JaroWinkler("rossi", "issor")
-	if withPrefix <= noPrefix {
-		t.Errorf("prefix bonus missing: %v vs %v", withPrefix, noPrefix)
-	}
-	f := func(a, b string) bool {
-		s := JaroWinkler(a, b)
-		return s >= 0 && s <= 1+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSoundex(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"Robert", "R163"},

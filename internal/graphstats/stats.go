@@ -7,7 +7,6 @@ package graphstats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"vadalink/internal/pg"
@@ -260,40 +259,6 @@ func powerLawAlpha(undirected []map[int32]bool) float64 {
 		return 0
 	}
 	return 1 + float64(count)/sum
-}
-
-// DegreeHistogram returns the undirected degree → node-count histogram,
-// sorted by degree; used to eyeball the power-law shape.
-func DegreeHistogram(g pg.View) [][2]int {
-	deg := map[pg.NodeID]map[pg.NodeID]bool{}
-	for _, eid := range g.Edges() {
-		e := g.Edge(eid)
-		if e.From == e.To {
-			continue
-		}
-		if deg[e.From] == nil {
-			deg[e.From] = map[pg.NodeID]bool{}
-		}
-		if deg[e.To] == nil {
-			deg[e.To] = map[pg.NodeID]bool{}
-		}
-		deg[e.From][e.To] = true
-		deg[e.To][e.From] = true
-	}
-	hist := map[int]int{}
-	for _, id := range g.Nodes() {
-		hist[len(deg[id])]++
-	}
-	var ds []int
-	for d := range hist {
-		ds = append(ds, d)
-	}
-	sort.Ints(ds)
-	out := make([][2]int, 0, len(ds))
-	for _, d := range ds {
-		out = append(out, [2]int{d, hist[d]})
-	}
-	return out
 }
 
 // String renders the profile in the style of the §2 description.

@@ -116,17 +116,6 @@ func TestStarDegrees(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := chain(4) // degrees (undirected): 1,2,2,1
-	h := DegreeHistogram(g)
-	want := map[int]int{1: 2, 2: 2}
-	for _, row := range h {
-		if want[row[0]] != row[1] {
-			t.Errorf("degree %d count = %d, want %d", row[0], row[1], want[row[0]])
-		}
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	s := Compute(chain(3))
 	out := s.String()

@@ -152,7 +152,7 @@ func New() *Graph {
 // SetMutationHook installs fn as the graph's mutation observer; nil removes
 // it. The hook runs synchronously inside AddNode/AddEdge/RemoveEdge, after
 // the change is applied, on the mutating goroutine — it must not mutate the
-// graph (that would recurse). Clone and Neighborhood subgraphs do not
+// graph (that would recurse). Clone and NeighborhoodOf subgraphs do not
 // inherit the hook, and Restore does not fire it (bulk reconstruction is not
 // new history).
 func (g *Graph) SetMutationHook(fn func(Mutation)) { g.onMutate = fn }
@@ -406,15 +406,6 @@ func (g *Graph) HasEdge(label Label, from, to NodeID) bool {
 		}
 	}
 	return false
-}
-
-// Neighborhood returns the induced subgraph around a node: every node within
-// the given number of hops (edges followed in both directions) plus all the
-// edges among them. Node and edge identities are freshly assigned; the
-// returned mapping translates original → subgraph node IDs. The ego network
-// is what a supervision UI shows when an analyst opens a company.
-func (g *Graph) Neighborhood(center NodeID, hops int) (*Graph, map[NodeID]NodeID) {
-	return NeighborhoodOf(g, center, hops)
 }
 
 // Clone returns a deep copy of the graph (nodes, edges and property maps are

@@ -165,43 +165,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEdgeCSVRoundTrip(t *testing.T) {
-	g := New()
-	a := g.AddNode(LabelCompany, nil)
-	b := g.AddNode(LabelCompany, nil)
-	c := g.AddNode(LabelCompany, nil)
-	g.MustAddEdge(LabelShareholding, a, b, Properties{WeightProp: 0.25})
-	g.MustAddEdge(LabelShareholding, b, c, Properties{WeightProp: 0.75})
-	var buf bytes.Buffer
-	if err := g.WriteEdgeCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadEdgeCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumEdges() != 2 {
-		t.Fatalf("round trip edges = %d, want 2", got.NumEdges())
-	}
-	if !got.HasEdge(LabelShareholding, a, b) || !got.HasEdge(LabelShareholding, b, c) {
-		t.Error("round trip lost edges")
-	}
-}
-
-func TestReadEdgeCSVErrors(t *testing.T) {
-	cases := []string{
-		"from,to,w\n1,2\n",     // short row handled by csv reader as error or by us
-		"from,to,w\nx,2,0.5\n", // bad from
-		"from,to,w\n1,y,0.5\n", // bad to
-		"from,to,w\n1,2,zzz\n", // bad weight
-	}
-	for _, c := range cases {
-		if _, err := ReadEdgeCSV(strings.NewReader(c)); err == nil {
-			t.Errorf("ReadEdgeCSV(%q): want error, got nil", c)
-		}
-	}
-}
-
 func TestFigure1Invariants(t *testing.T) {
 	g, b := Figure1()
 	if err := g.Validate(); err != nil {
@@ -305,7 +268,7 @@ func TestWriteDOT(t *testing.T) {
 func TestNeighborhood(t *testing.T) {
 	g, b := Figure1()
 	// 1 hop around D: P1 (owner), E and F (owned).
-	sub, mapping := g.Neighborhood(b.ID("D"), 1)
+	sub, mapping := NeighborhoodOf(g, b.ID("D"), 1)
 	if len(mapping) != 4 {
 		t.Fatalf("1-hop ego of D has %d nodes, want 4 (D, P1, E, F)", len(mapping))
 	}
@@ -319,12 +282,12 @@ func TestNeighborhood(t *testing.T) {
 		t.Errorf("induced edges = %d, want 5", sub.NumEdges())
 	}
 	// 0 hops: just the center.
-	solo, m := g.Neighborhood(b.ID("D"), 0)
+	solo, m := NeighborhoodOf(g, b.ID("D"), 0)
 	if solo.NumNodes() != 1 || len(m) != 1 {
 		t.Errorf("0-hop ego = %d nodes", solo.NumNodes())
 	}
 	// Unknown center: empty.
-	empty, _ := g.Neighborhood(NodeID(999), 2)
+	empty, _ := NeighborhoodOf(g, NodeID(999), 2)
 	if empty.NumNodes() != 0 {
 		t.Error("unknown center produced nodes")
 	}

@@ -1,11 +1,9 @@
 package pg
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 )
 
 // jsonGraph is the serialized form of a Graph.
@@ -68,80 +66,6 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 		g.byEdgeLabel[e.Label] = append(g.byEdgeLabel[e.Label], e.ID)
 		if e.ID >= g.nextEdge {
 			g.nextEdge = e.ID + 1
-		}
-	}
-	return g, nil
-}
-
-// WriteEdgeCSV writes shareholding edges as "from,to,w" rows, the exchange
-// format used by the ETL examples. Only Shareholding edges are exported.
-func (g *Graph) WriteEdgeCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"from", "to", "w"}); err != nil {
-		return err
-	}
-	for _, eid := range g.Edges() {
-		e := g.edges[eid]
-		if e.Label != LabelShareholding {
-			continue
-		}
-		wt, _ := e.Weight()
-		rec := []string{
-			strconv.FormatInt(int64(e.From), 10),
-			strconv.FormatInt(int64(e.To), 10),
-			strconv.FormatFloat(wt, 'g', -1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadEdgeCSV loads shareholding edges from "from,to,w" rows into a fresh
-// graph, creating Company nodes for every mentioned ID.
-func ReadEdgeCSV(r io.Reader) (*Graph, error) {
-	cr := csv.NewReader(r)
-	recs, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("pg: read csv: %w", err)
-	}
-	g := New()
-	seen := map[NodeID]bool{}
-	ensure := func(id NodeID) {
-		if !seen[id] {
-			seen[id] = true
-			g.nodes[id] = &Node{ID: id, Label: LabelCompany, Props: Properties{}}
-			g.byNodeLabel[LabelCompany] = append(g.byNodeLabel[LabelCompany], id)
-			if id >= g.nextNode {
-				g.nextNode = id + 1
-			}
-		}
-	}
-	for i, rec := range recs {
-		if i == 0 && len(rec) >= 1 && rec[0] == "from" {
-			continue // header
-		}
-		if len(rec) < 3 {
-			return nil, fmt.Errorf("pg: read csv: row %d: want 3 fields, got %d", i, len(rec))
-		}
-		from, err := strconv.ParseInt(rec[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("pg: read csv: row %d: bad from: %w", i, err)
-		}
-		to, err := strconv.ParseInt(rec[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("pg: read csv: row %d: bad to: %w", i, err)
-		}
-		wt, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("pg: read csv: row %d: bad weight: %w", i, err)
-		}
-		ensure(NodeID(from))
-		ensure(NodeID(to))
-		if _, err := g.AddShare(NodeID(from), NodeID(to), wt); err != nil {
-			return nil, err
 		}
 	}
 	return g, nil

@@ -112,14 +112,6 @@ type Config struct {
 	// 0 keeps the engine default.
 	MaxRounds int
 
-	// MinAggDelta is the minimum monotonic-aggregate improvement the chase
-	// re-derives on. 0 means whatif.DefaultMinAggDelta (1e-4) — on cyclic
-	// ownership graphs the engine's exact-convergence default (1e-9) makes
-	// the aggregate fixpoint exponential in −log(ε), turning sub-second
-	// chases into minutes. A negative value restores the engine default for
-	// callers that need near-exact totals and accept the cost.
-	MinAggDelta float64
-
 	// QueryCacheBytes bounds the query-result cache behind the point
 	// endpoints (/v1/query and the goal forms of the reasoning reads).
 	// 0 means qcache.DefaultMaxBytes (64 MiB); negative disables the cache
@@ -194,17 +186,6 @@ func (c Config) timeout() time.Duration {
 		return DefaultTimeout
 	}
 	return c.Timeout
-}
-
-func (c Config) minAggDelta() float64 {
-	switch {
-	case c.MinAggDelta > 0:
-		return c.MinAggDelta
-	case c.MinAggDelta < 0:
-		return 0 // the engine resolves 0 to its exact-convergence default
-	default:
-		return whatif.DefaultMinAggDelta
-	}
 }
 
 // Server serves the reasoning API over a company graph.
@@ -312,13 +293,16 @@ func (s *Server) reset() {
 
 // engineOptions is the budgeted engine configuration for request-triggered
 // chases. Stats collection is on so /v1/reason and /v1/metrics can report
-// what the chase did. The aggregate-convergence step (Config.MinAggDelta)
-// rides along so every chase the server runs — baselines, what-ifs,
-// augmentations, ad-hoc programs, incremental maintenance — shares one ε:
-// mixing steps would make seeded rows and re-derived rows disagree.
+// what the chase did. The aggregate-convergence step
+// (whatif.DefaultMinAggDelta, 1e-4) rides along so every chase the server
+// runs — baselines, what-ifs, augmentations, ad-hoc programs, incremental
+// maintenance — shares one ε: mixing steps would make seeded rows and
+// re-derived rows disagree, and on cyclic ownership the engine's
+// exact-convergence default (1e-9) makes the aggregate fixpoint exponential
+// in −log(ε), turning sub-second chases into minutes.
 func (s *Server) engineOptions() []datalog.Option {
 	return []datalog.Option{
-		datalog.WithMinAggDelta(s.cfg.minAggDelta()),
+		datalog.WithMinAggDelta(whatif.DefaultMinAggDelta),
 		datalog.WithBudget(s.cfg.Budget),
 		datalog.WithMaxRounds(s.cfg.MaxRounds),
 		datalog.WithStats(),

@@ -45,20 +45,12 @@ type FollowerOptions struct {
 	// ack forces a WAL fsync). Heartbeats and handshakes always ack.
 	// Default 2ms.
 	AckEvery time.Duration
-	// OnLeaderHint, when set, observes leader redirects: a dialed node that
-	// answered "not leader" names its best guess of who is. The node layer
-	// re-points discovery; the API layer re-points 421 responses.
-	OnLeaderHint func(addr, apiAddr string)
 	// Backoff paces reconnect attempts. Zero value gets a sane default
 	// (50ms base doubling to 2s, half-jittered).
 	Backoff backoff.Policy
 	// OnBackoff, when set, observes every reconnect delay (attempt number
 	// and chosen delay). Test instrumentation.
 	OnBackoff func(attempt int, d time.Duration)
-	// OnGraphSwap, when set, is called — under the follower's apply lock —
-	// whenever a snapshot bootstrap replaces the graph object. Serving
-	// layers that cache the *pg.Graph pointer use it to re-point.
-	OnGraphSwap func(*pg.Graph)
 	// Logger receives connection lifecycle events. Default: discard.
 	Logger *slog.Logger
 }
@@ -140,8 +132,8 @@ type Follower struct {
 	errMu   sync.Mutex
 	lastErr string
 
-	// swapFns are additional graph-swap observers (see OnSwap), invoked —
-	// like FollowerOptions.OnGraphSwap — under the apply lock.
+	// swapFns are graph-swap observers (see OnSwap), invoked under the apply
+	// lock.
 	swapFns []func(*pg.Graph)
 
 	// mutFns are applied-mutation observers (see OnMutation), invoked under
@@ -184,10 +176,9 @@ func OpenFollower(dir string, opts FollowerOptions) (*Follower, error) {
 // safe by construction.
 func (f *Follower) SetLock(l sync.Locker) { f.lock = l }
 
-// OnSwap registers an additional bootstrap observer, called under the
-// apply lock whenever a snapshot bootstrap replaces the graph object.
-// Serving layers that cache the *pg.Graph pointer re-point it here. Call
-// before Run.
+// OnSwap registers a bootstrap observer, called under the apply lock
+// whenever a snapshot bootstrap replaces the graph object. Serving layers
+// that cache the *pg.Graph pointer re-point it here. Call before Run.
 func (f *Follower) OnSwap(fn func(*pg.Graph)) { f.swapFns = append(f.swapFns, fn) }
 
 // OnMutation registers an observer of every mutation a shipped frame applies
@@ -198,7 +189,7 @@ func (f *Follower) OnSwap(fn func(*pg.Graph)) { f.swapFns = append(f.swapFns, fn
 func (f *Follower) OnMutation(fn func(pg.Mutation)) { f.mutFns = append(f.mutFns, fn) }
 
 // Graph returns the follower's current graph. After a snapshot bootstrap
-// this is a different object — cache the pointer only via OnGraphSwap.
+// this is a different object — cache the pointer only via OnSwap.
 func (f *Follower) Graph() *pg.Graph { return f.store.Graph() }
 
 // Store returns the follower's local durable store.
@@ -233,9 +224,6 @@ func (f *Follower) LeaderHint() (addr, apiAddr string) {
 func (f *Follower) setLeaderHint(addr, apiAddr string) {
 	f.leaderHint.Store(addr)
 	f.leaderAPIHint.Store(apiAddr)
-	if f.opts.OnLeaderHint != nil {
-		f.opts.OnLeaderHint(addr, apiAddr)
-	}
 }
 
 // Close releases the local store. Call after Run has returned.
@@ -552,9 +540,6 @@ func (f *Follower) bootstrap(conn net.Conn, h hello) error {
 	f.lock.Lock()
 	err := f.store.ReplaceGraphMarks(g, marks)
 	if err == nil {
-		if f.opts.OnGraphSwap != nil {
-			f.opts.OnGraphSwap(g)
-		}
 		for _, fn := range f.swapFns {
 			fn(g)
 		}

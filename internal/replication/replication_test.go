@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,7 +43,7 @@ func testLeader(t *testing.T, opts LeaderOptions) (*persist.Store, *Leader, stri
 }
 
 // testFollower opens a follower in a temp dir and runs it against addr.
-func testFollower(t *testing.T, addr string, opts FollowerOptions) *Follower {
+func testFollower(t *testing.T, addr string, opts FollowerOptions, beforeRun ...func(*Follower)) *Follower {
 	t.Helper()
 	if opts.Leader == "" && opts.LeaderFunc == nil {
 		opts.Leader = addr
@@ -50,6 +51,9 @@ func testFollower(t *testing.T, addr string, opts FollowerOptions) *Follower {
 	fl, err := OpenFollower(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, fn := range beforeRun {
+		fn(fl)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -351,7 +355,16 @@ func TestDivergedFollowerResets(t *testing.T) {
 	}
 }
 
-// OnGraphSwap fires under the apply lock when a bootstrap replaces the
+// heldLock is a mutex that reports whether it is held.
+type heldLock struct {
+	sync.Mutex
+	held atomic.Bool
+}
+
+func (l *heldLock) Lock()   { l.Mutex.Lock(); l.held.Store(true) }
+func (l *heldLock) Unlock() { l.held.Store(false); l.Mutex.Unlock() }
+
+// An OnSwap observer fires under the apply lock when a bootstrap replaces the
 // graph, and the new pointer matches Graph().
 func TestOnGraphSwap(t *testing.T) {
 	st, _, addr := testLeader(t, LeaderOptions{Heartbeat: 10 * time.Millisecond})
@@ -365,28 +378,34 @@ func TestOnGraphSwap(t *testing.T) {
 
 	var mu sync.Mutex
 	var swapped *pg.Graph
-	fl := testFollower(t, addr, FollowerOptions{
-		OnGraphSwap: func(ng *pg.Graph) {
+	var underLock bool
+	lock := &heldLock{}
+	fl := testFollower(t, addr, FollowerOptions{}, func(fl *Follower) {
+		fl.SetLock(lock)
+		fl.OnSwap(func(ng *pg.Graph) {
 			mu.Lock()
-			swapped = ng
+			swapped, underLock = ng, lock.held.Load()
 			mu.Unlock()
-		},
+		})
 	})
 	// Seq reaches 10 inside the same critical section that fires the swap
 	// callback, but a hair earlier — poll for the callback itself.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		mu.Lock()
-		got := swapped
+		got, locked := swapped, underLock
 		mu.Unlock()
 		if got != nil {
+			if !locked {
+				t.Fatal("OnSwap callback ran outside the apply lock")
+			}
 			if got != fl.Graph() {
-				t.Fatalf("OnGraphSwap pointer %p != Graph() %p", got, fl.Graph())
+				t.Fatalf("OnSwap pointer %p != Graph() %p", got, fl.Graph())
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("OnGraphSwap never fired (status %+v)", fl.Status())
+			t.Fatalf("OnSwap never fired (status %+v)", fl.Status())
 		}
 		time.Sleep(time.Millisecond)
 	}
