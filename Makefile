@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet fuzz check bench cover
+.PHONY: build test race vet check bench
 
 build:
 	$(GO) build ./...
@@ -15,9 +15,6 @@ race:
 vet:
 	$(GO) vet ./...
 
-fuzz:
-	FUZZTIME=$(FUZZTIME) ./scripts/check.sh
-
 # The full gate CI runs: vet + build + race tests + the bench/ module's
 # build, vet and smoke test + short fuzz.
 check:
@@ -26,6 +23,3 @@ check:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-cover:
-	$(GO) test -coverprofile=cover.out ./internal/datalog
-	$(GO) tool cover -func=cover.out | tail -1

@@ -217,37 +217,6 @@ func CloseLinksCtx(ctx context.Context, g pg.View, t float64, opts Options) ([]L
 	return out, nil
 }
 
-// CommonOwners returns every entity z (person or company) whose accumulated
-// ownership reaches t in both x and y — the third parties that justify a
-// condition-(iii) close link, with their Φ values. This is the evidence a
-// compliance analyst attaches to an eligibility rejection.
-func CommonOwners(g pg.View, x, y pg.NodeID, t float64, opts Options) []CommonOwner {
-	if t <= 0 {
-		t = DefaultThreshold
-	}
-	var out []CommonOwner
-	for _, z := range g.Nodes() {
-		if z == x || z == y {
-			continue
-		}
-		if len(g.OutLabel(z, pg.LabelShareholding)) == 0 {
-			continue
-		}
-		acc := AccumulatedFrom(g, z, opts)
-		if acc[x] >= t && acc[y] >= t {
-			out = append(out, CommonOwner{Owner: z, PhiX: acc[x], PhiY: acc[y]})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Owner < out[j].Owner })
-	return out
-}
-
-// CommonOwner is one common-third-party finding.
-type CommonOwner struct {
-	Owner      pg.NodeID
-	PhiX, PhiY float64
-}
-
 // FamilyCloseLinks implements the family extension (Algorithm 9): two
 // companies are closely linked when two *different* members i ≠ j of the same
 // family group have Φ(i, x) ≥ t and Φ(j, y) ≥ t. families maps a family

@@ -216,25 +216,3 @@ func TestPruningBoundsWork(t *testing.T) {
 		t.Error("MinProduct 0.8 should prune D (product 0.729)")
 	}
 }
-
-func TestCommonOwners(t *testing.T) {
-	g, b := pg.Figure2()
-	// P3 owns 40% of C4 and 50% of C6 (Example 2.7, condition (iii)).
-	owners := CommonOwners(g, b.ID("C4"), b.ID("C6"), 0.2, Options{})
-	found := false
-	for _, o := range owners {
-		if o.Owner == b.ID("P3") {
-			found = true
-			if o.PhiX < 0.39 || o.PhiY < 0.49 {
-				t.Errorf("P3 evidence Φ = %.2f/%.2f, want 0.4/0.5", o.PhiX, o.PhiY)
-			}
-		}
-	}
-	if !found {
-		t.Errorf("P3 missing from common owners: %v", owners)
-	}
-	// No common owner holds ≥90%% of both.
-	if got := CommonOwners(g, b.ID("C4"), b.ID("C6"), 0.9, Options{}); len(got) != 0 {
-		t.Errorf("common owners at t=0.9 = %v, want none", got)
-	}
-}

@@ -72,7 +72,8 @@ type Metrics struct {
 	// (404s, bad methods) aggregate under "other".
 	Endpoints map[string]EndpointMetrics `json:"endpoints"`
 	// LastChase is the statistics report of the most recent chase any
-	// request triggered (/v1/reason, /v1/explain), nil before the first.
+	// request triggered (/v1/reason and every goal-backed miss: /v1/query,
+	// /v1/control, /v1/ubo, /v1/explain), nil before the first.
 	LastChase *datalog.ChaseStats `json:"lastChase,omitempty"`
 	// Incremental is the incremental view maintenance counter set
 	// (commits maintained vs skipped vs full rebuilds, last apply cost). It

@@ -11,6 +11,7 @@ package reasonapi
 // is exact for ("seq" in the body) and an X-Cache: hit|miss header.
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -34,8 +35,8 @@ import (
 //
 // build returns the response body (which servePoint stamps with "seq") plus
 // the chase error, if any: a non-nil body with a non-nil error is a partial
-// (budget-truncated) answer, served with 200 but never cached; a nil body is
-// a hard failure, answered as a 500.
+// (budget-truncated) answer, served with 200 and the truncMeta fields but
+// never cached; a nil body is a hard failure, answered as a 500.
 func (s *Server) servePoint(w http.ResponseWriter, r *http.Request, seq uint64, key string, class qcache.Class, build func() (map[string]any, error)) {
 	if err := s.answerPoint(w, seq, key, class, build); err != nil {
 		writeErr(w, r, http.StatusInternalServerError, "internal", "query failed: %v", err)
@@ -53,6 +54,9 @@ func (s *Server) answerPoint(w http.ResponseWriter, seq uint64, key string, clas
 				err = errors.New("empty response")
 			}
 			return nil, err
+		}
+		for k, v := range truncMeta(err) {
+			body[k] = v
 		}
 		body["seq"] = seq
 		payload, merr := json.Marshal(body)
@@ -139,35 +143,75 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	err = s.answerPoint(w, seq, queryKey(goal, progSrc, req.MaxFacts), class, func() (map[string]any, error) {
-		opts := s.engineOptions()
+		var tighter []datalog.Option
 		if b := s.cfg.Budget; req.MaxFacts > 0 && (b.MaxFacts == 0 || req.MaxFacts < b.MaxFacts) {
 			b.MaxFacts = req.MaxFacts
-			opts = append(opts, datalog.WithBudget(b))
+			tighter = append(tighter, datalog.WithBudget(b))
 		}
-		res, err := vadalog.EvalGoal(r.Context(), v, progSrc, goal, opts...)
+		res, err := s.evalGoal(r.Context(), v, progSrc, goal, tighter...)
 		if err != nil {
 			return nil, err
 		}
-		if res.Engine != nil {
-			s.recordChase(res.Engine.Stats())
-		}
-		if res.RunErr != nil && !interrupted(res.RunErr) {
-			return nil, res.RunErr
-		}
-		resp := map[string]any{
+		return map[string]any{
 			"goal":    goal.String(),
 			"mode":    res.Mode,
 			"answers": answerRows(res.Answers),
 			"count":   len(res.Answers),
-		}
-		for k, vv := range truncMeta(res.RunErr) {
-			resp[k] = vv
-		}
-		return resp, res.RunErr
+		}, res.RunErr
 	})
 	if err != nil {
 		writeErr(w, r, http.StatusUnprocessableEntity, "unprocessable", "evaluating goal: %v", err)
 	}
+}
+
+// evalGoal is the one goal engine behind every goal-backed read —
+// /v1/control (both forms), /v1/ubo, /v1/explain and /v1/query: it answers
+// goal under progSrc over v by vadalog.EvalGoal, with the server's engine
+// options followed by extra, and publishes the chase as /v1/metrics'
+// lastChase. A tripped limit leaves the partial answers in res with
+// res.RunErr set; any other failure, of the chase included, is err.
+//
+// The built-in control program reads the relational image (relstore), which
+// aggregates every shareholding edge by weight, while the imperative solver
+// of internal/control also discounts non-voting rights (bare ownership,
+// pledge). The two agree on graphs without such rights; the cross-check
+// tests keep that honest.
+func (s *Server) evalGoal(ctx context.Context, v pg.View, progSrc string, goal datalog.Atom, extra ...datalog.Option) (*vadalog.GoalResult, error) {
+	res, err := vadalog.EvalGoal(ctx, v, progSrc, goal, append(s.engineOptions(), extra...)...)
+	if err != nil {
+		return nil, err
+	}
+	s.recordChase(res.Engine.Stats())
+	if res.RunErr != nil && !interrupted(res.RunErr) {
+		return nil, res.RunErr
+	}
+	return res, nil
+}
+
+// The variables of the control goals the point endpoints ask.
+var varX, varY = datalog.Variable("X"), datalog.Variable("Y")
+
+// controlGoal is the atom control(x, y) of the built-in control program.
+func controlGoal(x, y datalog.Term) datalog.Atom {
+	return datalog.Atom{Pred: "control", Terms: []datalog.Term{x, y}}
+}
+
+// bindingIDs projects one variable of each binding to a sorted node-ID set.
+func bindingIDs(bs []datalog.Binding, v datalog.Variable) []pg.NodeID {
+	seen := map[pg.NodeID]bool{}
+	var out []pg.NodeID
+	for _, b := range bs {
+		id, ok := b[v].(int64)
+		if !ok {
+			continue
+		}
+		if n := pg.NodeID(id); !seen[n] {
+			seen[n] = true
+			out = append(out, n)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }
 
 // answerRows renders goal bindings as JSON objects keyed by variable name,

@@ -15,9 +15,10 @@ import (
 	"testing"
 	"time"
 
-	"vadalink/internal/control"
+	"vadalink/internal/datalog"
 	"vadalink/internal/pg"
 	"vadalink/internal/qcache"
+	"vadalink/internal/vadalog"
 )
 
 // postQuery issues one POST /v1/query and returns the response + body map.
@@ -217,6 +218,71 @@ func TestControlPairsEnvelope(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("pairs %v miss P2→C7", pairs)
+	}
+}
+
+// goalRoute is one request whose miss runs a goal chase through
+// Server.evalGoal.
+type goalRoute struct {
+	name, method, path, body string
+}
+
+// goalRoutes are the five goal-backed point reads on Figure 2.
+func goalRoutes(b *pg.Builder) []goalRoute {
+	p2, c7 := itoa(b.ID("P2")), itoa(b.ID("C7"))
+	return []goalRoute{
+		{"control", "GET", "/v1/control?node=" + p2, ""},
+		{"control pair", "GET", "/v1/control?node=" + p2 + "&target=" + c7, ""},
+		{"ubo", "GET", "/v1/ubo?node=" + c7, ""},
+		{"explain", "GET", "/v1/explain?from=" + p2 + "&to=" + c7, ""},
+		{"query", "POST", "/v1/query", `{"goal": "control(` + p2 + `, Y)"}`},
+	}
+}
+
+// Every goal-backed miss publishes its chase as /v1/metrics' lastChase, not
+// only /v1/query and /v1/explain.
+func TestEveryGoalMissPublishesItsChase(t *testing.T) {
+	_, b := pg.Figure2()
+	for _, rt := range goalRoutes(b) {
+		t.Run(rt.name, func(t *testing.T) {
+			srv, _ := testServer(t)
+			if resp, body := doReq(t, rt.method, srv.URL+rt.path, rt.body); resp.StatusCode != 200 {
+				t.Fatalf("status = %d %v, want 200", resp.StatusCode, body)
+			}
+			var m Metrics
+			if code := getJSON(t, srv.URL+"/v1/metrics", &m); code != 200 {
+				t.Fatalf("metrics status = %d", code)
+			}
+			if m.LastChase == nil || m.LastChase.Rounds < 1 {
+				t.Fatalf("lastChase = %+v, want the miss's chase (rounds ≥ 1)", m.LastChase)
+			}
+		})
+	}
+}
+
+// A budget trip on any goal-backed point read answers 200 with the
+// truncation fields answerPoint adds, and the partial answer is never
+// stored.
+func TestGoalRoutesTruncateUnderBudget(t *testing.T) {
+	g, b := pg.Figure2()
+	srv := httptest.NewServer(NewServerWith(g, Config{Budget: datalog.Budget{MaxFacts: 1}}).Handler())
+	defer srv.Close()
+	for _, rt := range goalRoutes(b) {
+		t.Run(rt.name, func(t *testing.T) {
+			resp, body := doReq(t, rt.method, srv.URL+rt.path, rt.body)
+			if resp.StatusCode != 200 {
+				t.Fatalf("status = %d %v, want 200", resp.StatusCode, body)
+			}
+			if body["truncated"] != true || body["limit"] != "max-facts" {
+				t.Fatalf("body = %v, want truncated: true, limit: max-facts", body)
+			}
+			if d, _ := body["detail"].(string); d == "" {
+				t.Fatalf("body = %v, want a detail string", body)
+			}
+			if resp, _ := doReq(t, rt.method, srv.URL+rt.path, rt.body); resp.Header.Get("X-Cache") != "miss" {
+				t.Fatalf("second ask X-Cache = %q, want miss (truncated answers are not stored)", resp.Header.Get("X-Cache"))
+			}
+		})
 	}
 }
 
@@ -440,8 +506,11 @@ func TestAnswerPinnedBeforeACommitIsNotCached(t *testing.T) {
 	}
 	w := httptest.NewRecorder()
 	err := s.answerPoint(w, seq, fmt.Sprintf("control:%d", p2), qcache.Anchored(&p2, nil), func() (map[string]any, error) {
-		ids, _, err := control.GoalControls(context.Background(), v, p2)
-		return map[string]any{"node": p2, "controls": ids}, err
+		res, err := s.evalGoal(context.Background(), v, vadalog.ControlProgram, controlGoal(datalog.Int(int64(p2)), varY))
+		if err != nil {
+			return nil, err
+		}
+		return map[string]any{"node": p2, "controls": bindingIDs(res.Answers, varY)}, res.RunErr
 	})
 	if err != nil || w.Header().Get("X-Cache") != "miss" {
 		t.Fatalf("pinned answer: err = %v, X-Cache = %q", err, w.Header().Get("X-Cache"))

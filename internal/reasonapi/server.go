@@ -728,16 +728,17 @@ func (s *Server) handleUBO(w http.ResponseWriter, r *http.Request) {
 			ID   pg.NodeID `json:"id"`
 			Name any       `json:"name,omitempty"`
 		}
-		ubos, mode, runErr := control.GoalUltimateControllers(r.Context(), v, node, s.engineOptions()...)
-		out := make([]item, 0, len(ubos))
-		for _, id := range ubos {
-			out = append(out, item{ID: id, Name: v.Node(id).Props["name"]})
+		res, err := s.evalGoal(r.Context(), v, vadalog.ControlProgram, controlGoal(varX, datalog.Int(int64(node))))
+		if err != nil {
+			return nil, err
 		}
-		resp := map[string]any{"node": node, "ultimateControllers": out, "mode": mode}
-		for k, vv := range truncMeta(runErr) {
-			resp[k] = vv
+		out := []item{}
+		for _, id := range bindingIDs(res.Answers, varX) {
+			if n := v.Node(id); n != nil && n.Label == pg.LabelPerson {
+				out = append(out, item{ID: id, Name: n.Props["name"]})
+			}
 		}
-		return resp, runErr
+		return map[string]any{"node": node, "ultimateControllers": out, "mode": res.Mode}, res.RunErr
 	})
 }
 
@@ -785,38 +786,26 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		// cone connecting from to to, and the provenance of that cone is all
 		// the tree needs. StripDemandMarkers removes the rewrite's magic and
 		// bridge bookkeeping so the "why" reads exactly like the full chase's.
-		goal := datalog.Atom{Pred: "control", Terms: []datalog.Term{
-			datalog.Int(int64(from)), datalog.Int(int64(to)),
-		}}
-		opts := append(s.engineOptions(), datalog.WithProvenance())
-		res, err := vadalog.EvalGoal(r.Context(), v, vadalog.ControlProgram, goal, opts...)
+		goal := controlGoal(datalog.Int(int64(from)), datalog.Int(int64(to)))
+		res, err := s.evalGoal(r.Context(), v, vadalog.ControlProgram, goal, datalog.WithProvenance())
 		if err != nil {
 			return nil, err
-		}
-		e, runErr := res.Engine, res.RunErr
-		s.recordChase(e.Stats())
-		if runErr != nil && !interrupted(runErr) {
-			return nil, runErr
 		}
 		// On a budget trip the partial derivations remain readable: the tree
 		// is reported if the pair was already derived, marked truncated
 		// otherwise.
 		var tree []string
 		f := datalog.Fact{Pred: "control", Args: []any{int64(from), int64(to)}}
-		if e.Has(f) {
-			tree = datalog.StripDemandMarkers(e.ExplainTree(f, 0))
+		if res.Engine.Has(f) {
+			tree = datalog.StripDemandMarkers(res.Engine.ExplainTree(f, 0))
 		}
-		resp := map[string]any{
+		return map[string]any{
 			"from":     from,
 			"to":       to,
 			"controls": tree != nil,
 			"why":      tree,
 			"mode":     res.Mode,
-		}
-		for k, vv := range truncMeta(runErr) {
-			resp[k] = vv
-		}
-		return resp, runErr
+		}, res.RunErr
 	})
 }
 
@@ -922,30 +911,30 @@ func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.servePoint(w, r, seq, pointKey("control", node, target), qcache.Anchored(&node, &target), func() (map[string]any, error) {
-			ok, mode, runErr := control.GoalControlsPair(r.Context(), v, node, target, s.engineOptions()...)
-			resp := map[string]any{"node": node, "target": target, "controls": ok, "mode": mode}
-			for k, vv := range truncMeta(runErr) {
-				resp[k] = vv
+			goal := controlGoal(datalog.Int(int64(node)), datalog.Int(int64(target)))
+			res, err := s.evalGoal(r.Context(), v, vadalog.ControlProgram, goal)
+			if err != nil {
+				return nil, err
 			}
-			return resp, runErr
+			return map[string]any{"node": node, "target": target, "controls": len(res.Answers) > 0, "mode": res.Mode}, res.RunErr
 		})
 		return
 	}
 	s.servePoint(w, r, seq, pointKey("control", node), qcache.Anchored(&node, nil), func() (map[string]any, error) {
-		controlled, mode, runErr := control.GoalControls(r.Context(), v, node, s.engineOptions()...)
+		res, err := s.evalGoal(r.Context(), v, vadalog.ControlProgram, controlGoal(datalog.Int(int64(node)), varY))
+		if err != nil {
+			return nil, err
+		}
 		type item struct {
 			ID   pg.NodeID `json:"id"`
 			Name any       `json:"name,omitempty"`
 		}
+		controlled := bindingIDs(res.Answers, varY)
 		out := make([]item, 0, len(controlled))
 		for _, id := range controlled {
 			out = append(out, item{ID: id, Name: v.Node(id).Props["name"]})
 		}
-		resp := map[string]any{"node": node, "controls": out, "mode": mode}
-		for k, vv := range truncMeta(runErr) {
-			resp[k] = vv
-		}
-		return resp, runErr
+		return map[string]any{"node": node, "controls": out, "mode": res.Mode}, res.RunErr
 	})
 }
 
@@ -961,11 +950,7 @@ func (s *Server) handleControlPairs(w http.ResponseWriter, r *http.Request) {
 		for _, p := range pairs {
 			out = append(out, map[string]pg.NodeID{"from": p.From, "to": p.To})
 		}
-		resp := map[string]any{"pairs": out}
-		for k, vv := range truncMeta(runErr) {
-			resp[k] = vv
-		}
-		return resp, runErr
+		return map[string]any{"pairs": out}, runErr
 	})
 }
 
@@ -997,11 +982,7 @@ func (s *Server) handleCloseLinks(w http.ResponseWriter, r *http.Request) {
 			}
 			out = append(out, item{A: l.Pair.A, B: l.Pair.B, Reason: reason, Via: l.Via})
 		}
-		resp := map[string]any{"threshold": t, "links": out}
-		for k, vv := range truncMeta(runErr) {
-			resp[k] = vv
-		}
-		return resp, runErr
+		return map[string]any{"threshold": t, "links": out}, runErr
 	})
 }
 
@@ -1024,11 +1005,7 @@ func (s *Server) handleAccumulated(w http.ResponseWriter, r *http.Request) {
 	}
 	s.servePoint(w, r, seq, pointKey("accumulated", from, to), qcache.Anchored(&from, &to), func() (map[string]any, error) {
 		phi, runErr := closelink.AccumulatedCtx(r.Context(), v, from, to, closelink.Options{})
-		resp := map[string]any{"from": from, "to": to, "phi": phi}
-		for k, vv := range truncMeta(runErr) {
-			resp[k] = vv
-		}
-		return resp, runErr
+		return map[string]any{"from": from, "to": to, "phi": phi}, runErr
 	})
 }
 

@@ -11,12 +11,11 @@ import (
 )
 
 // Goal-oriented evaluation: the entry point behind every demand-driven read
-// path (the goal wrappers in the control package, /v1/query, and the point
-// forms of the reasoning endpoints). EvalGoal rewrites the
-// program with magic sets when the goal has bound arguments the rewrite can
-// exploit, and transparently falls back to full bottom-up evaluation when
-// the program is outside the demandable fragment — the answers are the same
-// either way, only the amount of derived state differs.
+// path (/v1/query and the point forms of the reasoning endpoints). EvalGoal
+// rewrites the program with magic sets when the goal has bound arguments the
+// rewrite can exploit, and transparently falls back to full bottom-up
+// evaluation when the program is outside the demandable fragment — the
+// answers are the same either way, only the amount of derived state differs.
 
 // GoalModeMagic and GoalModeFull report how a goal was evaluated.
 const (

@@ -151,9 +151,9 @@ func TestGoalDifferentialHarness(t *testing.T) {
 	}
 }
 
-// TestGoalWrapperAgreesWithImperativeSolver pins the goal wrappers to the
-// imperative solvers through the declarative equivalence: GoalControls must
-// return exactly the declarative reasoner's pairs from that source.
+// TestGoalControlsMatchesReasoner pins the forward control goal the server's
+// /v1/control asks to the declarative reasoner: control(x, Y) under EvalGoal
+// must return exactly the reasoner's pairs from source x.
 func TestGoalControlsMatchesReasoner(t *testing.T) {
 	g, _ := pg.Figure2()
 	r := NewReasoner(g, TaskControl)

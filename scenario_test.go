@@ -2,8 +2,8 @@ package vadalink_test
 
 // The scenario test builds one realistic conglomerate and walks it through
 // every subsystem: direct solvers, declarative programs, augmentation,
-// explanation, statistics and temporal reasoning — the end-to-end behaviour
-// a supervision analyst would rely on.
+// explanation and statistics — the end-to-end behaviour a supervision
+// analyst would rely on.
 
 import (
 	"strings"
@@ -170,37 +170,6 @@ func TestScenarioUBO(t *testing.T) {
 	}
 	if !orphans[b.ID("RetailGamma")] || !orphans[b.ID("EnerDelta")] {
 		t.Error("RetailGamma and EnerDelta have no single person controller; must be orphans")
-	}
-}
-
-func TestScenarioTemporalTakeover(t *testing.T) {
-	// Replay the conglomerate with a 2015 takeover of BancaAlfa by Fondo.
-	tg := vadalink.NewTemporalGraph()
-	g := tg.Graph
-	aldo := g.AddNode(vadalink.LabelPerson, vadalink.Properties{"name": "Aldo"})
-	fondo := g.AddNode(vadalink.LabelPerson, vadalink.Properties{"name": "Fondo"})
-	alfa := g.AddNode(vadalink.LabelCompany, vadalink.Properties{"name": "BancaAlfa"})
-	if _, err := tg.AddShareDuring(aldo, alfa, 0.60, 2005, 2015); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tg.AddShareDuring(fondo, alfa, 0.60, 2015, 0); err != nil {
-		t.Fatal(err)
-	}
-	changes := tg.ControlChanges(2010, 2016)
-	if len(changes) != 2 {
-		t.Fatalf("changes = %v, want lost+gained", changes)
-	}
-	gained, lost := false, false
-	for _, c := range changes {
-		if c.Gained && c.From == fondo {
-			gained = true
-		}
-		if !c.Gained && c.From == aldo {
-			lost = true
-		}
-	}
-	if !gained || !lost {
-		t.Errorf("takeover not detected: %v", changes)
 	}
 }
 

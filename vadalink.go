@@ -34,7 +34,6 @@ import (
 	"io"
 	"net/http"
 
-	"vadalink/internal/backoff"
 	"vadalink/internal/closelink"
 	"vadalink/internal/cluster"
 	"vadalink/internal/control"
@@ -42,7 +41,6 @@ import (
 	"vadalink/internal/datalog"
 	"vadalink/internal/embed"
 	"vadalink/internal/etl"
-	"vadalink/internal/family"
 	"vadalink/internal/graphgen"
 	"vadalink/internal/graphstats"
 	"vadalink/internal/persist"
@@ -50,7 +48,6 @@ import (
 	"vadalink/internal/reasonapi"
 	"vadalink/internal/replication"
 	"vadalink/internal/store"
-	"vadalink/internal/temporal"
 	"vadalink/internal/vadalog"
 )
 
@@ -58,14 +55,8 @@ import (
 type (
 	// Graph is a property graph (Definition 2.1).
 	Graph = pg.Graph
-	// Node is a labelled node with properties.
-	Node = pg.Node
-	// Edge is a labelled directed edge with properties.
-	Edge = pg.Edge
 	// NodeID identifies a node.
 	NodeID = pg.NodeID
-	// EdgeID identifies an edge.
-	EdgeID = pg.EdgeID
 	// Label is a node or edge label.
 	Label = pg.Label
 	// Properties maps property names to values.
@@ -85,9 +76,6 @@ const (
 	LabelSiblingOf    = pg.LabelSiblingOf
 	LabelParentOf     = pg.LabelParentOf
 )
-
-// NewGraph returns an empty property graph.
-func NewGraph() *Graph { return pg.New() }
 
 // NewBuilder returns a by-name company-graph builder.
 func NewBuilder() *Builder { return pg.NewBuilder() }
@@ -138,37 +126,6 @@ func CloseLinks(g *Graph, t float64) []CloseLinkResult {
 	return closelink.CloseLinks(g, t, closelink.Options{})
 }
 
-// CommonOwner is evidence for a condition-(iii) close link: a third party
-// holding ≥ t of both companies.
-type CommonOwner = closelink.CommonOwner
-
-// CommonOwners returns the third parties with accumulated ownership ≥ t in
-// both x and y — the evidence behind a close-link rejection.
-func CommonOwners(g *Graph, x, y NodeID, t float64) []CommonOwner {
-	return closelink.CommonOwners(g, x, y, t, closelink.Options{})
-}
-
-// --- personal connections ---
-
-// Person is the feature view of a person used by the link classifier.
-type Person = family.Person
-
-// LinkClass is a personal-connection class.
-type LinkClass = family.LinkClass
-
-// Family link classes.
-const (
-	PartnerOf = family.PartnerOf
-	SiblingOf = family.SiblingOf
-	ParentOf  = family.ParentOf
-)
-
-// FamilyClassifier is the multi-class Bayesian link classifier.
-type FamilyClassifier = family.Multi
-
-// NewFamilyClassifier returns the default multi-class classifier.
-func NewFamilyClassifier() *FamilyClassifier { return family.NewMulti() }
-
 // --- KG augmentation (Algorithm 1) ---
 
 // AugmentConfig configures an augmentation run.
@@ -180,31 +137,14 @@ type AugmentResult = core.Result
 // Candidate is the polymorphic per-class candidate predicate.
 type Candidate = core.Candidate
 
-// Candidate implementations for the paper's three problems.
-type (
-	// FamilyCandidate predicts family links (Algorithm 7).
-	FamilyCandidate = core.FamilyCandidate
-	// ControlCandidate predicts control links (Algorithm 5).
-	ControlCandidate = core.ControlCandidate
-	// CloseLinkCandidate predicts close links (Algorithm 6).
-	CloseLinkCandidate = core.CloseLinkCandidate
-)
+// FamilyCandidate predicts family links (Algorithm 7).
+type FamilyCandidate = core.FamilyCandidate
 
 // EmbedConfig configures the node2vec step.
 type EmbedConfig = embed.Config
 
-// Blocker assigns nodes to second-level blocks.
-type Blocker = cluster.Blocker
-
-// Blockers for the shipped domains.
-type (
-	// PersonBlocker blocks persons by phonetic surname and birth decade.
-	PersonBlocker = cluster.PersonBlocker
-	// CompanyBlocker blocks companies by sector.
-	CompanyBlocker = cluster.CompanyBlocker
-	// FeatureHashBlocker hashes feature vectors into K blocks.
-	FeatureHashBlocker = cluster.FeatureHashBlocker
-)
+// PersonBlocker blocks persons by phonetic surname and birth decade.
+type PersonBlocker = cluster.PersonBlocker
 
 // Augment runs the KG-augmentation loop of Algorithm 1 on g, inserting the
 // predicted edges, and returns the run report.
@@ -326,16 +266,6 @@ type DurableStore = persist.Store
 // group-commit interval (0 fsyncs every append).
 type DurableOptions = persist.Options
 
-// RecoveryInfo reports what OpenDurable replayed: snapshot generation, WAL
-// records, torn tails truncated, and the recovery duration.
-type RecoveryInfo = persist.RecoveryInfo
-
-// DurableSnapshotInfo reports one DurableStore.Snapshot call.
-type DurableSnapshotInfo = persist.SnapshotInfo
-
-// DurableStats is the live WAL/snapshot counter set of a DurableStore.
-type DurableStats = persist.Stats
-
 // OpenDurable opens the durable store in dir, creating it if empty and
 // recovering crash-surviving state otherwise. Mutations of the returned
 // store's Graph() are change-captured from that point on.
@@ -354,10 +284,6 @@ type ReplicationLeader = replication.Leader
 // WAL poll interval).
 type ReplicationLeaderOptions = replication.LeaderOptions
 
-// ReplicationLeaderStatus is the leader-side counter snapshot (connected
-// followers, frames and snapshots shipped).
-type ReplicationLeaderStatus = replication.LeaderStatus
-
 // Follower tails a leader's WAL stream into its own durable store; its
 // replication position survives kill -9 because it is recomputed from the
 // recovered graph, not read from a position file.
@@ -366,14 +292,6 @@ type Follower = replication.Follower
 // FollowerOptions tunes a Follower: leader address, dial/read timeouts,
 // reconnect backoff, local group-commit interval.
 type FollowerOptions = replication.FollowerOptions
-
-// FollowerStatus is a follower's live position: applied sequence, leader
-// sequence, lag, staleness, reconnect and bootstrap counts.
-type FollowerStatus = replication.FollowerStatus
-
-// BackoffPolicy is the capped, jittered exponential backoff shared by the
-// follower's reconnect loop and the ETL loaders' retry logic.
-type BackoffPolicy = backoff.Policy
 
 // NewReplicationLeader wraps a durable store with a replication leader.
 // Run it with Leader.Serve on a listener of your choice.
@@ -402,19 +320,6 @@ type ReplicaNode = replication.Node
 // failover time.
 type ReplicaNodeOptions = replication.NodeOptions
 
-// ReplicaNodeStatus is a node's live group view: role, epoch, sequence,
-// leader belief, lease health and failover counters.
-type ReplicaNodeStatus = replication.NodeStatus
-
-// ReplicaFailoverEvent records one role transition and its cause.
-type ReplicaFailoverEvent = replication.FailoverEvent
-
-// Replica-group role names, as reported in ReplicaNodeStatus.Role.
-const (
-	ReplicaRoleLeader   = replication.RoleLeader
-	ReplicaRoleFollower = replication.RoleFollower
-)
-
 // Replica-group write errors: ErrNotLeader refuses a write on a non-leader
 // (retry against the hinted leader); ErrStaleEpoch reports a leadership
 // change mid-write — the write was NOT acknowledged and may or may not
@@ -430,19 +335,6 @@ var (
 func OpenReplicaNode(dir string, opts ReplicaNodeOptions) (*ReplicaNode, error) {
 	return replication.OpenNode(dir, opts)
 }
-
-// --- temporal dimension (the 2005–2018 register; Example 3.2 intervals) ---
-
-// TemporalGraph is a property graph whose edges carry validity intervals,
-// with yearly snapshots and control-relation diffs across years.
-type TemporalGraph = temporal.Graph
-
-// NewTemporalGraph returns an empty temporal graph.
-func NewTemporalGraph() *TemporalGraph { return temporal.New() }
-
-// WrapTemporal makes an existing graph temporal (untimed edges are valid
-// forever).
-func WrapTemporal(g *Graph) *TemporalGraph { return temporal.Wrap(g) }
 
 // --- reasoning API (§5 architecture) ---
 
@@ -483,12 +375,8 @@ type EngineOption = datalog.Option
 var (
 	// WithBudget bounds a Run's resources (facts, delta queue, index memory).
 	WithBudget = datalog.WithBudget
-	// WithMaxRounds caps the semi-naive rounds of one Run.
-	WithMaxRounds = datalog.WithMaxRounds
 	// WithParallel sets the chase worker count (0 = GOMAXPROCS).
 	WithParallel = datalog.WithParallel
-	// WithNoIndex disables the positional hash indexes (scan mode).
-	WithNoIndex = datalog.WithNoIndex
 	// WithProvenance records derivations, enabling Explain/ExplainTree.
 	WithProvenance = datalog.WithProvenance
 	// WithStats collects an EngineStats report during each Run.
@@ -497,7 +385,7 @@ var (
 	WithHook = datalog.WithHook
 )
 
-// --- observability (chase statistics and API metrics) ---
+// --- observability (chase statistics) ---
 
 // EngineStats is the evaluation report of one chase Run — per-rule firings,
 // derivations, duplicates and timings, per-round deltas, index hit/scan
@@ -505,12 +393,5 @@ var (
 // WithStats; read it with Engine.Stats().
 type EngineStats = datalog.ChaseStats
 
-// EngineRuleStats is the per-rule slice of an EngineStats report.
-type EngineRuleStats = datalog.RuleStats
-
 // EngineHook is the chase lifecycle callback set installed by WithHook.
 type EngineHook = datalog.Hook
-
-// APIMetrics is the snapshot served by GET /v1/metrics: per-endpoint request
-// counters and latency histograms plus the last chase's per-rule statistics.
-type APIMetrics = reasonapi.Metrics
