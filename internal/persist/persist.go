@@ -121,6 +121,11 @@ type Store struct {
 
 	snapshots int64
 	capErr    error // first record-capture failure (sticky, surfaced by Sync)
+
+	// flushed backs Flushed: nil until someone waits, closed and dropped on
+	// every WAL flush and rotation.
+	flushMu sync.Mutex
+	flushed chan struct{}
 }
 
 // EpochMark records the opening of one replication epoch: a leader that
@@ -224,7 +229,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if n := len(s.epochs); n > 0 {
 		s.epoch.Store(s.epochs[n-1].Epoch)
 	}
-	w, err := openWAL(walPath(dir, s.gen), opts.SyncEvery)
+	w, err := openWAL(walPath(dir, s.gen), opts.SyncEvery, s.notifyFlushed)
 	if err != nil {
 		return nil, err
 	}
@@ -322,7 +327,7 @@ func (s *Store) rotateLocked() (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	w, err := openWAL(walPath(s.dir, s.gen+1), s.opts.SyncEvery)
+	w, err := openWAL(walPath(s.dir, s.gen+1), s.opts.SyncEvery, s.notifyFlushed)
 	if err != nil {
 		return 0, err
 	}
@@ -339,7 +344,32 @@ func (s *Store) rotateLocked() (int64, error) {
 	if oldGen > 0 {
 		os.Remove(snapPath(s.dir, oldGen))
 	}
+	// Waiters re-read Position under s.mu, so they see the new generation.
+	s.notifyFlushed()
 	return n, nil
+}
+
+// Flushed returns a channel that is closed the next time new WAL bytes reach
+// the file (a successful flush and fsync) or the WAL rotates. Take it before
+// reading the log: a reader that then finds nothing new can block on it
+// without missing a flush. Drained replication streams wait here.
+func (s *Store) Flushed() <-chan struct{} {
+	s.flushMu.Lock()
+	defer s.flushMu.Unlock()
+	if s.flushed == nil {
+		s.flushed = make(chan struct{})
+	}
+	return s.flushed
+}
+
+// notifyFlushed wakes every Flushed waiter. Free when nobody waits.
+func (s *Store) notifyFlushed() {
+	s.flushMu.Lock()
+	if s.flushed != nil {
+		close(s.flushed)
+		s.flushed = nil
+	}
+	s.flushMu.Unlock()
 }
 
 // ReplaceGraph swaps the store's graph for g wholesale and makes the new

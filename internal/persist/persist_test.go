@@ -291,6 +291,45 @@ func TestGroupCommitAndStats(t *testing.T) {
 	}
 }
 
+// Flushed closes when new frames reach the file and on every rotation — and
+// not before, nor on a Sync that had nothing to flush.
+func TestFlushedSignal(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), Options{SyncEvery: time.Hour})
+	defer s.Close()
+	closed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	ch := s.Flushed()
+	s.Graph().AddNode(pg.LabelCompany, nil)
+	if closed(ch) {
+		t.Fatal("Flushed closed before the append was flushed")
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if !closed(ch) {
+		t.Fatal("Flushed not closed by the Sync that flushed the append")
+	}
+	ch = s.Flushed()
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if closed(ch) {
+		t.Fatal("Flushed closed by a Sync with nothing to flush")
+	}
+	if _, err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if !closed(ch) {
+		t.Fatal("Flushed not closed by a rotation")
+	}
+}
+
 // fsync failure is fail-stop: the first error sticks, Sync keeps refusing,
 // and no later acknowledgement can pretend durability.
 func TestSyncFailureIsSticky(t *testing.T) {
@@ -367,7 +406,7 @@ func TestRecoveryRefusesUndecodableRecord(t *testing.T) {
 	s.Sync()
 	s.Close()
 
-	w, err := openWAL(walPath(dir, 0), 0)
+	w, err := openWAL(walPath(dir, 0), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,6 +45,8 @@ type walWriter struct {
 	dirty     bool
 	closed    bool
 	err       error // sticky first failure; fail-stop
+	// onFlush runs (under mu) after every sync that put new bytes on disk.
+	onFlush func()
 
 	appends int64
 	syncs   int64
@@ -55,8 +57,9 @@ type walWriter struct {
 }
 
 // openWAL opens (creating if needed) the log at path for appending and
-// starts the group-commit loop when syncEvery > 0.
-func openWAL(path string, syncEvery time.Duration) (*walWriter, error) {
+// starts the group-commit loop when syncEvery > 0. onFlush, if non-nil, is
+// called after each sync that flushed new frames to the file.
+func openWAL(path string, syncEvery time.Duration, onFlush func()) (*walWriter, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("persist: opening wal: %w", err)
@@ -71,6 +74,7 @@ func openWAL(path string, syncEvery time.Duration) (*walWriter, error) {
 		bw:        bufio.NewWriterSize(f, 1<<16),
 		path:      path,
 		syncEvery: syncEvery,
+		onFlush:   onFlush,
 		bytes:     st.Size(),
 		stopc:     make(chan struct{}),
 	}
@@ -164,6 +168,9 @@ func (w *walWriter) syncLocked() error {
 	}
 	w.dirty = false
 	w.syncs++
+	if w.onFlush != nil {
+		w.onFlush()
+	}
 	return nil
 }
 

@@ -139,7 +139,7 @@ func TestWALAppendSyncReopenAppend(t *testing.T) {
 	// The append-only contract across restarts: records written in two
 	// separate openWAL sessions all replay, in order.
 	path := filepath.Join(t.TempDir(), "wal-0.log")
-	w, err := openWAL(path, 0)
+	w, err := openWAL(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestWALAppendSyncReopenAppend(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w2, err := openWAL(path, 0)
+	w2, err := openWAL(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,10 @@ func replicatedServer(t *testing.T, base *pg.Graph, cfg Config) (*persist.Store,
 			t.Fatal(err)
 		}
 	}
-	ld := replication.NewLeader(st, replication.LeaderOptions{Heartbeat: 20 * time.Millisecond})
+	// No heartbeats: a follower here becomes fresh, and frames arrive, only
+	// through the events that should cause them, so a lost wake-up hangs
+	// the test instead of being papered over by the next heartbeat.
+	ld := replication.NewLeader(st, replication.LeaderOptions{Heartbeat: time.Hour})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -275,6 +278,34 @@ func TestFollowerServesReadsRedirectsWrites(t *testing.T) {
 	}
 	if code := getJSON(t, srv.URL+"/v1/readyz", &rz); code != 200 || rz.Status != "ready" {
 		t.Fatalf("readyz on synced follower = %d %+v, want 200 ready", code, rz)
+	}
+}
+
+// A follower that bootstraps from an idle leader serves at once: the snapshot
+// it adopted is the leader's position, so readiness and reads must not wait
+// for a heartbeat (the pair's leader sends none).
+func TestBootstrappedFollowerReadyAtOnce(t *testing.T) {
+	g, b := pg.Figure2()
+	_, fl, _, srv := replicatedServer(t, g, Config{})
+	deadline := time.Now().Add(10 * time.Second)
+	for fl.Status().Bootstraps == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never bootstrapped (status %+v)", fl.Status())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	booted := time.Now()
+	for !fl.Status().EverSynced {
+		if time.Since(booted) > 100*time.Millisecond {
+			t.Fatalf("bootstrapped follower not fresh after 100ms (status %+v)", fl.Status())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if code := getJSON(t, srv.URL+"/v1/readyz", nil); code != 200 {
+		t.Fatalf("readyz on bootstrapped follower = %d, want 200", code)
+	}
+	if code := getJSON(t, srv.URL+"/v1/control?node="+itoa(b.ID("P2")), nil); code != 200 {
+		t.Fatalf("point read on bootstrapped follower = %d, want 200", code)
 	}
 }
 

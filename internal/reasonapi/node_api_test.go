@@ -38,7 +38,6 @@ func startAPINodeIn(t *testing.T, dir string, peers func() []string, cfg Config)
 		PeersFunc: peers,
 		Lease:     400 * time.Millisecond,
 		SyncEvery: time.Millisecond,
-		AckEvery:  time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

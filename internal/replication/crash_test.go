@@ -170,7 +170,7 @@ func TestReplicationCrashLoop(t *testing.T) {
 
 	// Phase 2: serve the final leader state in-process and let both
 	// followers — from their battle-scarred local stores — converge to it.
-	ld := NewLeader(st, LeaderOptions{Heartbeat: 10 * time.Millisecond, Poll: time.Millisecond})
+	ld := NewLeader(st, LeaderOptions{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +257,7 @@ func runCrashLeader(dir, addrPath, ackPath string, die func(int, string, ...any)
 		}
 	}
 
-	ld := NewLeader(st, LeaderOptions{Heartbeat: 20 * time.Millisecond, Poll: time.Millisecond})
+	ld := NewLeader(st, LeaderOptions{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		die(replExitInternal, "listen: %v", err)

@@ -277,7 +277,6 @@ func runFailoverMember(idx int, base string, die func(int, string, ...any)) {
 		},
 		Lease:     replFailoverLease,
 		SyncEvery: 2 * time.Millisecond,
-		AckEvery:  time.Millisecond,
 	})
 	if err != nil {
 		die(replFailoverExitOpen, "recovery refused: %v", err)

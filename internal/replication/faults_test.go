@@ -96,7 +96,7 @@ func TestCorruptFrameOnWireRejected(t *testing.T) {
 // leader is back.
 func TestReconnectBackoffLadder(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	st, _, addr := testLeader(t, LeaderOptions{Heartbeat: 10 * time.Millisecond})
+	st, _, addr := testLeader(t, LeaderOptions{})
 	g := st.Graph()
 	g.AddNode(pg.LabelCompany, nil)
 	if err := st.Sync(); err != nil {
@@ -158,7 +158,7 @@ func TestReconnectBackoffLadder(t *testing.T) {
 // succeed again.
 func TestAcceptRefusedRetries(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	st, ld, addr := testLeader(t, LeaderOptions{Heartbeat: 10 * time.Millisecond})
+	st, ld, addr := testLeader(t, LeaderOptions{})
 	g := st.Graph()
 	g.AddNode(pg.LabelCompany, nil)
 	if err := st.Sync(); err != nil {
@@ -187,7 +187,7 @@ func TestAcceptRefusedRetries(t *testing.T) {
 // past its position must re-bootstrap from a snapshot instead of waiting
 // for frames that no longer exist.
 func TestRunningFollowerLagsPastTruncation(t *testing.T) {
-	st, _, addr := testLeader(t, LeaderOptions{Heartbeat: 10 * time.Millisecond})
+	st, _, addr := testLeader(t, LeaderOptions{})
 	g := st.Graph()
 	for i := 0; i < 5; i++ {
 		g.AddNode(pg.LabelCompany, nil)
@@ -257,7 +257,7 @@ func TestRunningFollowerLagsPastTruncation(t *testing.T) {
 // race window.
 func TestConcurrentReadsWhileApplying(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	st, _, addr := testLeader(t, LeaderOptions{Heartbeat: 10 * time.Millisecond})
+	st, _, addr := testLeader(t, LeaderOptions{})
 	g := st.Graph()
 
 	var rw sync.RWMutex
@@ -332,7 +332,7 @@ func TestConcurrentReadsWhileApplying(t *testing.T) {
 // A follower that falls behind reports lag; catching up restores freshness.
 func TestLagIsVisibleAndRecovers(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	st, _, addr := testLeader(t, LeaderOptions{Heartbeat: 5 * time.Millisecond})
+	st, _, addr := testLeader(t, LeaderOptions{})
 	g := st.Graph()
 	for i := 0; i < 50; i++ {
 		g.AddNode(pg.LabelCompany, nil)

@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -41,10 +42,6 @@ type FollowerOptions struct {
 	// API is this node's advertised HTTP API address, carried in the
 	// request line so a promoted candidate can hint redirecting clients.
 	API string
-	// AckEvery rate-limits durable-ack lines while frames are flowing (an
-	// ack forces a WAL fsync). Heartbeats and handshakes always ack.
-	// Default 2ms.
-	AckEvery time.Duration
 	// Backoff paces reconnect attempts. Zero value gets a sane default
 	// (50ms base doubling to 2s, half-jittered).
 	Backoff backoff.Policy
@@ -152,9 +149,6 @@ func OpenFollower(dir string, opts FollowerOptions) (*Follower, error) {
 	}
 	if opts.ReadTimeout <= 0 {
 		opts.ReadTimeout = 10 * time.Second
-	}
-	if opts.AckEvery <= 0 {
-		opts.AckEvery = 2 * time.Millisecond
 	}
 	if opts.Backoff == (backoff.Policy{}) {
 		opts.Backoff = backoff.Policy{Base: 50 * time.Millisecond, Max: 2 * time.Second, Jitter: 0.5}
@@ -360,7 +354,10 @@ func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
 		return false, fmt.Errorf("replication: sending request: %w", err)
 	}
 
-	h, err := f.readHello(conn)
+	// One reader for the whole session: how much it holds unread tells the
+	// stream loop when the leader's burst has drained.
+	br := bufio.NewReader(conn)
+	h, err := f.readHello(conn, br)
 	if err != nil {
 		return false, err
 	}
@@ -390,7 +387,7 @@ func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
 	// against such a leader must not postpone elections forever.
 
 	if h.Snapshot || h.Reset {
-		if err := f.bootstrap(conn, h); err != nil {
+		if err := f.bootstrap(conn, br, h); err != nil {
 			return true, err
 		}
 	} else {
@@ -411,17 +408,20 @@ func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
 			}
 		}
 	}
+	// The hello's LeaderSeq was observed before the bootstrap moved our
+	// seq: a follower that now holds the leader's position is fresh at
+	// once, not at the next heartbeat.
+	f.markFreshIfCaughtUp()
 	// First durable ack: tells the leader where we are and arms its lease.
 	sessEpoch := h.Epoch
 	if err := f.sendAck(conn); err != nil {
 		return true, err
 	}
-	lastAck := time.Now()
 
 	// Stream loop: frames and heartbeats until something breaks.
 	for {
 		conn.SetReadDeadline(time.Now().Add(f.opts.ReadTimeout))
-		typ, payload, err := readMsg(conn)
+		typ, payload, err := readMsg(br)
 		if err != nil {
 			return true, fmt.Errorf("replication: stream read: %w", err)
 		}
@@ -435,11 +435,13 @@ func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
 			if newEpoch > sessEpoch {
 				sessEpoch = newEpoch
 			}
-			if time.Since(lastAck) >= f.opts.AckEvery {
+			// Ack (one fsync) once the burst has drained: every frame the
+			// leader sent is then covered, and a waiting commit is released
+			// now rather than at the next heartbeat.
+			if br.Buffered() == 0 {
 				if err := f.sendAck(conn); err != nil {
 					return true, err
 				}
-				lastAck = time.Now()
 			}
 		case msgHeartbeat:
 			var hb heartbeat
@@ -454,7 +456,6 @@ func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
 			if err := f.sendAck(conn); err != nil {
 				return true, err
 			}
-			lastAck = time.Now()
 		default:
 			return true, fmt.Errorf("replication: unexpected %q message mid-stream", typ)
 		}
@@ -492,9 +493,9 @@ func (f *Follower) sendAck(conn net.Conn) error {
 	return nil
 }
 
-func (f *Follower) readHello(conn net.Conn) (hello, error) {
+func (f *Follower) readHello(conn net.Conn, br *bufio.Reader) (hello, error) {
 	conn.SetReadDeadline(time.Now().Add(f.opts.ReadTimeout))
-	typ, payload, err := readMsg(conn)
+	typ, payload, err := readMsg(br)
 	if err != nil {
 		return hello{}, fmt.Errorf("replication: reading hello: %w", err)
 	}
@@ -513,14 +514,14 @@ func (f *Follower) readHello(conn net.Conn) (hello, error) {
 // adopted graph is published atomically under the apply lock and made
 // durable (the follower's store rotates to a fresh snapshot) before any
 // frame is applied on top.
-func (f *Follower) bootstrap(conn net.Conn, h hello) error {
+func (f *Follower) bootstrap(conn net.Conn, br *bufio.Reader, h hello) error {
 	g := pg.New()
 	// The adopted epoch history: the snapshot's own marks when one ships
 	// (they describe exactly the shipped state), the handshake's otherwise.
 	marks := h.Marks
 	if h.Snapshot {
 		conn.SetReadDeadline(time.Now().Add(f.opts.ReadTimeout))
-		typ, payload, err := readMsg(conn)
+		typ, payload, err := readMsg(br)
 		if err != nil {
 			return fmt.Errorf("replication: reading snapshot: %w", err)
 		}

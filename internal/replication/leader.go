@@ -23,9 +23,6 @@ type LeaderOptions struct {
 	// Heartbeat is how often an idle stream sends a 'P' message so
 	// followers can measure freshness. Default 500ms.
 	Heartbeat time.Duration
-	// Poll is how often a drained stream re-checks the WAL file for new
-	// bytes. Default 10ms.
-	Poll time.Duration
 	// RequestTimeout bounds how long the leader waits for a follower's
 	// request line before dropping the connection. Default 10s.
 	RequestTimeout time.Duration
@@ -72,6 +69,35 @@ type Leader struct {
 	// groups are small — and reconnecting followers overwrite their slot.
 	ackMu sync.Mutex
 	acks  map[string]ackState
+
+	// changed fires on every durable ack, and the node layer fires it on
+	// every deposition and role change: the events Node.Commit waits on.
+	changed broadcast
+}
+
+// broadcast wakes every waiter at once: a waiter takes wait() before it
+// checks its condition, then blocks on the channel; fire closes it.
+type broadcast struct {
+	mu sync.Mutex
+	ch chan struct{}
+}
+
+func (b *broadcast) wait() <-chan struct{} {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.ch == nil {
+		b.ch = make(chan struct{})
+	}
+	return b.ch
+}
+
+func (b *broadcast) fire() {
+	b.mu.Lock()
+	if b.ch != nil {
+		close(b.ch)
+		b.ch = nil
+	}
+	b.mu.Unlock()
 }
 
 // ackState is one follower's newest durable ack and when it arrived.
@@ -86,9 +112,6 @@ type ackState struct {
 func NewLeader(store *persist.Store, opts LeaderOptions) *Leader {
 	if opts.Heartbeat <= 0 {
 		opts.Heartbeat = 500 * time.Millisecond
-	}
-	if opts.Poll <= 0 {
-		opts.Poll = 10 * time.Millisecond
 	}
 	if opts.RequestTimeout <= 0 {
 		opts.RequestTimeout = 10 * time.Second
@@ -132,6 +155,7 @@ func (l *Leader) observeAck(id string, a ack) {
 	if a.Epoch > l.store.Epoch() && l.opts.OnHigherEpoch != nil {
 		l.opts.OnHigherEpoch(a.Epoch)
 	}
+	l.changed.fire()
 }
 
 // AckedAtLeast counts distinct followers whose newest durable ack covers
@@ -318,9 +342,11 @@ func (l *Leader) serveStream(ctx context.Context, conn net.Conn, br *bufio.Reade
 }
 
 // stream ships WAL frames of generation gen starting at frame index
-// skip, then follows the file as it grows. It returns nil when the store
-// rotates to a new generation and every frame of the old one has been
-// shipped — the follower reconnects and renegotiates at the new base.
+// skip, then follows the file as it grows, waking on the store's flush
+// signal (persist.Store.Flushed) and otherwise only to heartbeat an idle
+// follower. It returns nil when the store rotates to a new generation and
+// every frame of the old one has been shipped — the follower reconnects
+// and renegotiates at the new base.
 func (l *Leader) stream(ctx context.Context, conn net.Conn, gen uint64, skip int64) error {
 	f, err := os.Open(l.store.WALFile(gen))
 	if err != nil {
@@ -328,7 +354,7 @@ func (l *Leader) stream(ctx context.Context, conn net.Conn, gen uint64, skip int
 			return fmt.Errorf("replication: opening wal for streaming: %w", err)
 		}
 		// A fresh generation may not have a WAL file yet (no mutation since
-		// rotation). Treat it as empty and poll for its creation below.
+		// rotation). Treat it as empty and retry the open on each wake-up.
 		f = nil
 	}
 	defer func() {
@@ -347,6 +373,10 @@ func (l *Leader) stream(ctx context.Context, conn net.Conn, gen uint64, skip int
 		if ctx.Err() != nil {
 			return nil
 		}
+		// Take the flush signal before draining: a flush or rotation that
+		// lands after this line closes it, so the wait below cannot sleep
+		// through bytes the drain missed.
+		flushed := l.store.Flushed()
 		// Drain what the file has beyond what we've consumed.
 		grew := false
 		if f == nil {
@@ -432,11 +462,14 @@ func (l *Leader) stream(ctx context.Context, conn net.Conn, gen uint64, skip int
 			}
 			lastSend = time.Now()
 		}
+		// Sleep until the WAL flushes or rotates, or the heartbeat is due.
+		hb := time.NewTimer(hbEvery - time.Since(lastSend))
 		select {
 		case <-ctx.Done():
-			return nil
-		case <-time.After(l.opts.Poll):
+		case <-flushed:
+		case <-hb.C:
 		}
+		hb.Stop()
 	}
 }
 

@@ -98,8 +98,6 @@ type NodeOptions struct {
 	ProbeTimeout time.Duration
 	// SyncEvery is the local store's WAL group-commit interval.
 	SyncEvery time.Duration
-	// AckEvery rate-limits follower durable acks (see FollowerOptions).
-	AckEvery time.Duration
 	// Backoff paces follower reconnects. Zero gets the follower default.
 	Backoff backoff.Policy
 	// OnRoleChange, when set, observes every transition with the new role
@@ -188,7 +186,6 @@ func OpenNode(dir string, opts NodeOptions) (*Node, error) {
 		ID:         opts.Self,
 		API:        opts.API,
 		SyncEvery:  opts.SyncEvery,
-		AckEvery:   opts.AckEvery,
 		Backoff:    opts.Backoff,
 		Logger:     opts.Logger,
 	})
@@ -312,9 +309,10 @@ func (n *Node) observeHigherEpoch(epoch uint64) {
 	for {
 		cur := n.deposedBy.Load()
 		if epoch <= cur || n.deposedBy.CompareAndSwap(cur, epoch) {
-			return
+			break
 		}
 	}
+	n.ld.changed.fire() // a waiting Commit must refuse now
 }
 
 // Serve answers the node's replication listener until ctx is cancelled:
@@ -448,6 +446,7 @@ func (n *Node) answerProbe(conn net.Conn, req request) error {
 						(req.LastEpoch == lastEpoch && req.FenceStart >= seq))
 			})
 			if granted && err == nil {
+				n.ld.changed.fire() // the store's epoch moved
 				st.Granted = true
 				st.Epoch = req.Fence
 				// Adopt the candidate as the leader to dial next: it wins
@@ -651,6 +650,7 @@ func (n *Node) transition(role, cause string) {
 	} else if wasLeader {
 		n.depositions.Add(1)
 	}
+	n.ld.changed.fire()
 	ev := &FailoverEvent{At: time.Now(), Role: role, Cause: cause, Epoch: n.Store().Epoch()}
 	n.lastFailover.Store(ev)
 	n.opts.Logger.Info("role transition", "role", role, "cause", cause, "epoch", ev.Epoch)
@@ -746,14 +746,20 @@ func (n *Node) Commit(ctx context.Context) error {
 		return err
 	}
 	need := n.majority() - 1
+	stale := func() bool {
+		return n.deposedBy.Load() > epoch || n.Store().Epoch() != epoch || !n.IsLeader()
+	}
 	for {
-		if n.deposedBy.Load() > epoch || n.Store().Epoch() != epoch || !n.IsLeader() {
+		// Take the wake-up before checking: an ack, deposition or role
+		// change that lands after this line closes it.
+		changed := n.ld.changed.wait()
+		if stale() {
 			return ErrStaleEpoch
 		}
 		if n.ld.AckedAtLeast(seq, epoch, n.opts.Lease) >= need {
 			// Re-check after counting: a deposition between the count and
 			// the acknowledgement would let a dual-epoch ack slip out.
-			if n.deposedBy.Load() > epoch || n.Store().Epoch() != epoch || !n.IsLeader() {
+			if stale() {
 				return ErrStaleEpoch
 			}
 			return nil
@@ -761,7 +767,7 @@ func (n *Node) Commit(ctx context.Context) error {
 		select {
 		case <-ctx.Done():
 			return fmt.Errorf("replication: commit quorum: %w", ctx.Err())
-		case <-time.After(time.Millisecond):
+		case <-changed:
 		}
 	}
 }

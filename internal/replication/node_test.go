@@ -50,7 +50,6 @@ func startMember(t *testing.T, dir string, lease time.Duration, peersFn func() [
 		PeersFunc: peersFn,
 		Lease:     lease,
 		SyncEvery: time.Millisecond,
-		AckEvery:  time.Millisecond,
 	})
 	if err != nil {
 		ln.Close()

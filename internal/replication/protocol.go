@@ -1,33 +1,45 @@
-// Package replication ships the write-ahead log from a leader to read-only
-// followers over a plain TCP stream.
+// Package replication ships the write-ahead log from a leader to followers
+// over a plain TCP stream, and runs self-healing replica groups on top of it
+// (node.go).
 //
-// The protocol is deliberately small. A follower connects, states the one
-// thing the leader needs to know — the sequence number of the last mutation
-// it holds durably — and from then on only reads:
+// The protocol is deliberately small. Every connection opens with one JSON
+// request line (see request); the answering side replies with typed
+// messages, and a streaming follower writes durable-ack lines back:
 //
-//	follower → leader:  {"seq": N}\n                (single JSON request line)
-//	leader → follower:  [1-byte type][u32le length][payload]...
+//	requester → answerer:  {"seq": N, "epoch": E, ...}\n   (single request line)
+//	answerer → requester:  [1-byte type][u32le length][payload]...
+//	follower → leader:     {"ack": N, "epoch": E}\n ...    (stream only)
 //
-// Message types:
+// The request line has three shapes: a stream request (the follower's seq,
+// epoch and identity), a status probe and a fence request. Message types:
 //
 //	'H'  hello      JSON: generation, base, first shipped seq, whether a
-//	                snapshot precedes the frames, the leader's current seq,
-//	                and whether the follower must discard local state.
-//	'S'  snapshot   one snapshot file, byte-for-byte (VKGSNAP1 envelope,
-//	                verified by the follower with the same checks used on
-//	                disk).
+//	                snapshot precedes the frames, whether the follower must
+//	                discard local state, the leader's current seq, epoch,
+//	                epoch history and API address — or notLeader with a hint
+//	                of who leads.
+//	'S'  snapshot   one snapshot file, byte-for-byte (VKGSNAP2 envelope with
+//	                its epoch header, verified by the follower with the same
+//	                checks used on disk).
 //	'F'  frame      one WAL frame, byte-for-byte ([len][crc][payload]); the
 //	                follower re-verifies the CRC, so corruption on the wire
 //	                is detected exactly like corruption on disk.
-//	'P'  heartbeat  JSON: the leader's current seq; lets an idle follower
-//	                measure its lag and freshness.
+//	'P'  heartbeat  JSON: the leader's current seq and epoch, sent when the
+//	                stream has been idle for a heartbeat interval; lets an
+//	                idle follower measure its freshness and renews the lease.
+//	'T'  status     JSON PeerStatus: the one-shot answer to a probe or fence
+//	                request, after which the connection closes.
+//
+// A follower acks (fsync, then the ack line) after the handshake, after
+// every heartbeat and whenever it has drained a burst of frames; the leader
+// counts fresh acks to renew its lease and to release Node.Commit.
 //
 // The sequence number is a pure function of graph state
 // (persist.SeqOfGraph), so position negotiation is stateless: any anomaly —
 // torn stream, bad frame, rotation, leader restart — is handled by dropping
 // the connection and reconnecting with whatever sequence number the
-// follower's recovered graph implies. There is no ack channel and no
-// session state to corrupt.
+// follower's recovered graph implies. Acks are progress reports, not session
+// state: a lost one is superseded by the next.
 package replication
 
 import (

@@ -17,7 +17,13 @@ import (
 // Cleanup tears the whole thing down.
 func testLeader(t *testing.T, opts LeaderOptions) (*persist.Store, *Leader, string) {
 	t.Helper()
-	st, err := persist.Open(t.TempDir(), persist.Options{})
+	return testLeaderStore(t, persist.Options{}, opts)
+}
+
+// testLeaderStore is testLeader with the leader store's options chosen.
+func testLeaderStore(t *testing.T, sopts persist.Options, opts LeaderOptions) (*persist.Store, *Leader, string) {
+	t.Helper()
+	st, err := persist.Open(t.TempDir(), sopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +119,7 @@ func sameFacts(t *testing.T, leader, follower *pg.Graph) {
 // through node adds, edge adds and removals, and converges to an identical
 // graph.
 func TestFollowerTailsLeader(t *testing.T) {
-	st, ld, addr := testLeader(t, LeaderOptions{Heartbeat: 20 * time.Millisecond})
+	st, ld, addr := testLeader(t, LeaderOptions{})
 	g := st.Graph()
 
 	// Pre-existing state before the follower ever connects.
@@ -182,7 +188,7 @@ func TestTwoFollowersConvergeAndStayFresh(t *testing.T) {
 // A follower that reconnects mid-generation resumes from its own sequence
 // number: the leader skips frames the follower already holds.
 func TestFollowerResumesMidGeneration(t *testing.T) {
-	st, _, addr := testLeader(t, LeaderOptions{Heartbeat: 10 * time.Millisecond})
+	st, _, addr := testLeader(t, LeaderOptions{})
 	g := st.Graph()
 	for i := 0; i < 10; i++ {
 		g.AddNode(pg.LabelCompany, nil)
@@ -241,7 +247,7 @@ func TestFollowerResumesMidGeneration(t *testing.T) {
 // A fresh follower connecting after the leader rotated (truncating the log)
 // bootstraps from the shipped snapshot, then applies the tail frames.
 func TestLaggedFollowerBootstrapsFromSnapshot(t *testing.T) {
-	st, ld, addr := testLeader(t, LeaderOptions{Heartbeat: 10 * time.Millisecond})
+	st, ld, addr := testLeader(t, LeaderOptions{})
 	g := st.Graph()
 	for i := 0; i < 20; i++ {
 		g.AddNode(pg.LabelCompany, pg.Properties{"i": int64(i)})
@@ -277,7 +283,7 @@ func TestLaggedFollowerBootstrapsFromSnapshot(t *testing.T) {
 // the stream close, reconnects, and picks up the new generation without
 // losing or duplicating a record.
 func TestStreamingAcrossRotation(t *testing.T) {
-	st, _, addr := testLeader(t, LeaderOptions{Heartbeat: 10 * time.Millisecond, Poll: time.Millisecond})
+	st, _, addr := testLeader(t, LeaderOptions{})
 	g := st.Graph()
 
 	fl := testFollower(t, addr, FollowerOptions{
@@ -303,7 +309,7 @@ func TestStreamingAcrossRotation(t *testing.T) {
 // A diverged follower — holding mutations the leader never durably had —
 // is reset to the leader's authoritative state.
 func TestDivergedFollowerResets(t *testing.T) {
-	st, _, addr := testLeader(t, LeaderOptions{Heartbeat: 10 * time.Millisecond})
+	st, _, addr := testLeader(t, LeaderOptions{})
 	g := st.Graph()
 	g.AddNode(pg.LabelCompany, pg.Properties{"name": "real"})
 	if err := st.Sync(); err != nil {
@@ -367,7 +373,7 @@ func (l *heldLock) Unlock() { l.held.Store(false); l.Mutex.Unlock() }
 // An OnSwap observer fires under the apply lock when a bootstrap replaces the
 // graph, and the new pointer matches Graph().
 func TestOnGraphSwap(t *testing.T) {
-	st, _, addr := testLeader(t, LeaderOptions{Heartbeat: 10 * time.Millisecond})
+	st, _, addr := testLeader(t, LeaderOptions{})
 	g := st.Graph()
 	for i := 0; i < 10; i++ {
 		g.AddNode(pg.LabelCompany, nil)
@@ -427,7 +433,7 @@ func backoffFast() backoff.Policy {
 // OnMutation observer sees every applied mutation in order with the new
 // kinds resolved.
 func TestFollowerReplicatesWeightEditAndNodeRemoval(t *testing.T) {
-	st, _, addr := testLeader(t, LeaderOptions{Heartbeat: 20 * time.Millisecond})
+	st, _, addr := testLeader(t, LeaderOptions{})
 	g := st.Graph()
 	a := g.AddNode(pg.LabelCompany, pg.Properties{"name": "A"})
 	b := g.AddNode(pg.LabelCompany, pg.Properties{"name": "B"})

@@ -19,8 +19,10 @@ echo "== go test -race =="
 # Also the query cache's soundness property
 # (internal/reasonapi TestCacheSoundnessProperty): after every random commit,
 # through a standalone and a follower-mode server, every cache hit equals a
-# cache-disabled server's answer.
-go test -race ./...
+# cache-disabled server's answer. The kill -9 harnesses and the ivm race
+# harness are skipped here: each runs once, under -race, in its own stanza
+# below.
+go test -race -skip '^(TestCrashRecoveryLoop|TestReplicationCrashLoop|TestReplicationFailoverLoop|TestConcurrentReadsDuringApply)$' ./...
 
 echo "== benchmark driver (bench/ is a nested module: none of the above sees it) =="
 # The benchmark harness compiles against internal/* names, so a rename there

@@ -281,7 +281,7 @@ func OpenDurable(dir string, opts DurableOptions) (*DurableStore, error) {
 type ReplicationLeader = replication.Leader
 
 // ReplicationLeaderOptions tunes the leader's stream (heartbeat cadence,
-// WAL poll interval).
+// request timeout).
 type ReplicationLeaderOptions = replication.LeaderOptions
 
 // Follower tails a leader's WAL stream into its own durable store; its
