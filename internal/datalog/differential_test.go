@@ -58,6 +58,10 @@ func randomEDB(rng *rand.Rand) []Fact {
 // (the reference evaluator does not implement them; they get their own
 // deterministic tests). Bodies run to three atoms and include self-joins, so
 // every permutation the delta planner produces is held against the reference.
+// They also carry the shapes a slot compiler can get wrong: a variable
+// repeated inside one atom, a constant argument, an assignment to a variable
+// an earlier atom bound (the equality-check branch), and a negated atom with
+// a wildcard.
 func randomProgram(rng *rand.Rand) string {
 	var rules []string
 	layers := 2 + rng.Intn(3) // IDB layers
@@ -73,6 +77,10 @@ func randomProgram(rng *rand.Rand) string {
 		// three-atom chain and a self-join on the owner
 		"own(X, Y, _), own(Y, Z, _), own(Z, V, _), X != V -> p0(X, V).",
 		"own(Z, X, W), W > 0.3, own(Z, Y, U), X != Y -> p0(X, Y).",
+		// a constant argument in a body atom
+		`company(X, _, _, _, "bank"), own(Y, X, W) -> p0(Y, X).`,
+		// W is bound by the first atom, so the assignment only checks it
+		"own(X, Y, W), own(Y, Z, U), W = U -> p0(X, Z).",
 	}
 	nBase := 1 + rng.Intn(3)
 	for i := 0; i < nBase; i++ {
@@ -106,6 +114,12 @@ func randomProgram(rng *rand.Rand) string {
 			fmt.Sprintf("%s(X, Y), %s(Y, Z), X != Z -> %s(X, Z).", cur, cur, cur),
 			fmt.Sprintf("own(X, A, _), %s(A, B), own(B, Y, W), W > 0.1 -> %s(X, Y).", cur, cur),
 			fmt.Sprintf("%s(Z, X), %s(Z, Y), X != Y -> %s(X, Y).", prev, prev, cur),
+			// a variable repeated inside one body atom
+			fmt.Sprintf("%s(X, X), own(X, Y, _) -> %s(X, Y).", prev, cur),
+			// an assignment to a bound variable: an equality check on 2-cycles
+			fmt.Sprintf("%s(X, Y), own(Y, Z, _), X = Z -> %s(Y, X).", prev, cur),
+			// a negated atom with a wildcard
+			fmt.Sprintf("own(X, Y, _), not %s(Y, _) -> %s(X, Y).", prev, cur),
 		}
 		nRules := 1 + rng.Intn(3)
 		seeded := false

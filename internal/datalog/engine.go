@@ -134,8 +134,9 @@ type Engine struct {
 
 // evalCtx is the per-goroutine evaluation state of one chase worker: the
 // cooperative-cancellation step counter, the frame of the chase job in flight
-// (rule, plan, delta, binding and its undo trail), and the provenance premise
-// stack of the rule instantiation in flight. The engine's shared state stays
+// (rule, plan, delta, slot binding and its undo trail), the scratch buffers
+// keys and head arguments are built in, and the provenance premise stack of
+// the rule instantiation in flight. The engine's shared state stays
 // read-only while workers hold evalCtxs; everything mutable lives here or in
 // the per-job emission buffers.
 type evalCtx struct {
@@ -152,10 +153,20 @@ type evalCtx struct {
 	deltaFacts []Fact
 	deltaLit   int
 	emit       emitFn
-	binding    map[Variable]any
-	// trail lists the variables bound so far, in binding order; a join level
-	// undoes its bindings by unwinding to the mark it took (see bindAtom).
-	trail []Variable
+
+	// The slot binding (slots.go): vals[s] holds variable s's value while
+	// set[s]. trail lists the slots bound so far, in binding order; a join
+	// level undoes its bindings by unwinding to the mark it took (see bind).
+	vals  []any
+	set   []bool
+	trail []int
+
+	// Scratch, reused across emissions: the head arguments and fact key of
+	// the emission in flight (copied only for a new fact), an index probe's
+	// encoded value, and the frontier, group and contributor keys (allocated
+	// only for a new group or contributor).
+	args                        []any
+	key, pkey, fkey, gkey, ckey []byte
 
 	// candidates counts the facts offered to unification (ChaseStats). A
 	// plain add per join level, folded into the report only under WithStats.
@@ -170,13 +181,14 @@ type evalCtx struct {
 }
 
 func (e *Engine) newEvalCtx() *evalCtx {
-	return &evalCtx{e: e, nextCheck: e.opts.Budget.checkEvery(), binding: make(map[Variable]any)}
+	return &evalCtx{e: e, nextCheck: e.opts.Budget.checkEvery()}
 }
 
-// emitFn receives a head instantiation together with the evalCtx that
-// produced it (for premise capture). Sequential evaluation inserts directly;
-// parallel evaluation buffers.
-type emitFn func(Fact, *evalCtx)
+// emitFn receives a head instantiation from the evalCtx that produced it:
+// args is scratch and ec.key holds the fact's key, so an emitter copies both
+// only for a new fact (and reads the premises off ec). Sequential evaluation
+// inserts directly; parallel evaluation buffers.
+type emitFn func(ec *evalCtx, pred string, args []any)
 
 // Approximate per-entry costs of the positional indexes, used for the
 // MaxIndexBytes budget: a new distinct key costs its encoded bytes plus map
@@ -282,10 +294,6 @@ func (r *relation) ensureIndex(pos int) (int, bool) {
 	return bytes, true
 }
 
-func (r *relation) bucket(pos int, key string) []int {
-	return r.index[pos][key]
-}
-
 // probe is the candidate set of one lookup: the facts at idxs when the lookup
 // went through an index bucket, every fact otherwise. Both slices are headers
 // taken at lookup time, so a join level iterating a probe sees the relation as
@@ -317,12 +325,20 @@ type ruleMeta struct {
 	// deltaOrder[i] is the order of the jobs whose body atom i is restricted
 	// to a delta; nil where body literal i is not a positive atom.
 	deltaOrder [][]int
-	headVars   []Variable        // universally-quantified head variables
+	headVars   []Variable        // universally-quantified head variables, sorted
 	existVars  map[Variable]bool // head variables that are existential
 	aggLit     int               // body index of the aggregate literal, -1 if none
 	aggHead    int               // head atom defining the aggregation group
-	aggSkip    map[int]bool      // positions of aggHead holding the aggregate target
+	aggSkip    []bool            // positions of aggHead holding the aggregate target
 	label      string            // cached "label: rule text" for provenance
+
+	// The slot form (compileRule): the number of variable slots, the
+	// compiled body literals by body position, the compiled head atoms, and
+	// the slot of each of headVars.
+	nslots   int
+	lits     []clit
+	head     []catom
+	frontier []int
 }
 
 // parallelSafe reports whether the rule may evaluate on a chase worker.
@@ -527,71 +543,24 @@ func matchPattern(f Fact, pattern []any) bool {
 // probe goes through the positional hash index (built on first use) instead
 // of scanning the relation; the remaining positions verify per candidate.
 func (e *Engine) Match(pred string, pattern ...any) []Fact {
-	r, ok := e.rels[pred]
-	if !ok {
+	if _, ok := e.rels[pred]; !ok {
 		return nil
 	}
-	var out []Fact
-	if pos, key, indexed := e.chooseIndex(r, pattern); indexed {
-		for _, i := range r.bucket(pos, key) {
-			if f := r.facts[i]; matchPattern(f, pattern) {
-				out = append(out, f)
-			}
+	a := catom{pred: pred, terms: make([]cterm, len(pattern))}
+	for i, p := range pattern {
+		a.terms[i] = cterm{kind: termWild}
+		if p != nil {
+			a.terms[i] = cterm{kind: termConst, val: p}
 		}
-	} else {
-		for _, f := range r.facts {
-			if matchPattern(f, pattern) {
-				out = append(out, f)
-			}
+	}
+	var out []Fact
+	for c, i := e.lookup(&evalCtx{}, &a), 0; i < c.len(); i++ {
+		if f := c.at(i); matchPattern(f, pattern) {
+			out = append(out, f)
 		}
 	}
 	SortFacts(out)
 	return out
-}
-
-// chooseIndex selects the index position to probe for a pattern of bound
-// values (nil entries unbound): the smallest bucket among built indexes, or
-// a fresh index on the first bound position when none is built yet. It
-// reports (position, encoded key, ok).
-func (e *Engine) chooseIndex(r *relation, pattern []any) (int, string, bool) {
-	if e.opts.NoIndex {
-		return 0, "", false
-	}
-	bestPos, bestLen := -1, -1
-	var bestKey string
-	firstBound := -1
-	var firstKey string
-	for i, p := range pattern {
-		if p == nil || i >= len(r.index) || i >= 64 {
-			continue
-		}
-		k := encodeValue(p)
-		if firstBound == -1 {
-			firstBound, firstKey = i, k
-		}
-		if r.hasIndex(i) {
-			n := len(r.bucket(i, k))
-			if bestPos == -1 || n < bestLen {
-				bestPos, bestLen, bestKey = i, n, k
-			}
-		}
-	}
-	if bestPos >= 0 {
-		return bestPos, bestKey, true
-	}
-	if firstBound >= 0 {
-		bytes, built := r.ensureIndex(firstBound)
-		e.addIndexBytes(bytes)
-		if built {
-			if st := e.stats; st != nil {
-				st.indexBuilds.Add(1)
-			}
-		}
-		if r.hasIndex(firstBound) {
-			return firstBound, firstKey, true
-		}
-	}
-	return 0, "", false
 }
 
 // Binding is one answer to a Query: variable name → ground value.
@@ -607,38 +576,58 @@ type Binding map[Variable]any
 // indexes once its variables are bound by earlier atoms. Duplicate bindings
 // are deduplicated.
 func (e *Engine) Query(goal ...Atom) []Binding {
+	// Slots in name order, so an answer's dedup key lists its variables
+	// sorted.
+	var names []Variable
+	known := map[Variable]bool{}
+	for _, a := range goal {
+		for _, t := range a.Terms {
+			if v, ok := t.(Variable); ok && v != "_" && !known[v] {
+				known[v] = true
+				names = append(names, v)
+			}
+		}
+	}
+	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
+	slots := slotter{}
+	for _, v := range names {
+		slots.of(v)
+	}
+	atoms := make([]catom, len(goal))
+	for i, a := range goal {
+		atoms[i] = slots.compileAtom(a)
+	}
+
 	var out []Binding
 	seen := map[string]bool{}
-	binding := make(map[Variable]any)
-	var trail []Variable
+	ec := &evalCtx{e: e}
+	ec.reset(len(names))
 	var rec func(i int)
 	rec = func(i int) {
-		if i == len(goal) {
-			b := make(Binding, len(binding))
-			var key strings.Builder
-			vars := make([]Variable, 0, len(binding))
-			for v := range binding {
-				vars = append(vars, v)
+		if i == len(atoms) {
+			ec.key = ec.key[:0]
+			for s, v := range names {
+				ec.key = append(ec.key, v...)
+				ec.key = append(ec.key, '=')
+				ec.key = appendValue(ec.key, ec.vals[s])
+				ec.key = append(ec.key, '|')
 			}
-			sort.Slice(vars, func(a, b int) bool { return vars[a] < vars[b] })
-			for _, v := range vars {
-				b[v] = binding[v]
-				key.WriteString(string(v))
-				key.WriteByte('=')
-				appendValue(&key, binding[v])
-				key.WriteByte('|')
+			if seen[string(ec.key)] {
+				return
 			}
-			if !seen[key.String()] {
-				seen[key.String()] = true
-				out = append(out, b)
+			seen[string(ec.key)] = true
+			b := make(Binding, len(names))
+			for s, v := range names {
+				b[v] = ec.vals[s]
 			}
+			out = append(out, b)
 			return
 		}
-		mark := len(trail)
-		for c, j := e.lookup(goal[i], binding), 0; j < c.len(); j++ {
-			if bindAtom(goal[i], c.at(j), binding, &trail) {
+		mark := len(ec.trail)
+		for c, j := e.lookup(ec, &atoms[i]), 0; j < c.len(); j++ {
+			if ec.bind(&atoms[i], c.at(j)) {
 				rec(i + 1)
-				unbind(binding, &trail, mark)
+				ec.unbind(mark)
 			}
 		}
 	}
@@ -656,8 +645,9 @@ func (e *Engine) MaxByGroup(pred string, valueCol int, groupCols ...int) []Fact 
 	if !ok {
 		return nil
 	}
-	best := make(map[string]Fact)
-	var kb strings.Builder
+	out := []Fact{}
+	best := make(map[string]int) // group key → index in out
+	var kb []byte
 	for _, f := range r.facts {
 		if valueCol >= len(f.Args) {
 			continue
@@ -666,23 +656,20 @@ func (e *Engine) MaxByGroup(pred string, valueCol int, groupCols ...int) []Fact 
 		if !ok {
 			continue
 		}
-		kb.Reset()
+		kb = kb[:0]
 		for _, c := range groupCols {
-			appendValue(&kb, f.Args[c])
-			kb.WriteByte('|')
+			kb = appendValue(kb, f.Args[c])
+			kb = append(kb, '|')
 		}
-		k := kb.String()
-		if cur, ok := best[k]; ok {
-			cv, _ := toFloat(cur.Args[valueCol])
-			if v <= cv {
-				continue
-			}
+		i, ok := best[string(kb)]
+		if !ok {
+			best[string(kb)] = len(out)
+			out = append(out, f)
+			continue
 		}
-		best[k] = f
-	}
-	out := make([]Fact, 0, len(best))
-	for _, f := range best {
-		out = append(out, f)
+		if cv, _ := toFloat(out[i].Args[valueCol]); v > cv {
+			out[i] = f
+		}
 	}
 	SortFacts(out)
 	return out
@@ -946,14 +933,15 @@ func (e *Engine) runRound(jobs []chaseJob) (map[string][]Fact, error) {
 
 	if e.workerCount(parallelJobs) <= 1 {
 		// Sequential path: direct insertion, premises snapshotted at insert.
-		emit := func(f Fact, ec *evalCtx) {
-			key := f.Key()
-			isNew, bytes := e.rel(f.Pred).insert(f, key)
-			e.addIndexBytes(bytes)
-			if !isNew {
+		emit := func(ec *evalCtx, pred string, args []any) {
+			r := e.rel(pred)
+			if r.keys[string(ec.key)] {
 				e.dupCount++
 				return
 			}
+			f, key := ec.newFact(pred, args)
+			_, bytes := r.insert(f, key)
+			e.addIndexBytes(bytes)
 			var premises []Fact
 			var rule string
 			if e.prov != nil {
@@ -1132,8 +1120,7 @@ func (e *Engine) evalJob(ec *evalCtx, j chaseJob, emit emitFn) error {
 		ec.order = meta.deltaOrder[j.deltaLit]
 	}
 	ec.deltaFacts, ec.deltaLit, ec.emit = j.deltaFacts, j.deltaLit, emit
-	clear(ec.binding) // a job stopped by an error or a panic leaves bindings behind
-	ec.trail = ec.trail[:0]
+	ec.reset(meta.nslots) // a job stopped by an error or a panic leaves bindings behind
 	if e.prov != nil {
 		ec.curRule = meta.label
 		ec.curPremises = ec.curPremises[:0]
@@ -1161,16 +1148,16 @@ func (e *Engine) evalJobBuffered(ec *evalCtx, j chaseJob, buf *[]pendingFact) (i
 	seen := map[string]bool{}
 	dups := 0
 	maxFacts := e.opts.Budget.MaxFacts
-	emit := func(f Fact, ec *evalCtx) {
-		k := f.Key()
-		if seen[k] {
+	emit := func(ec *evalCtx, pred string, args []any) {
+		if seen[string(ec.key)] {
 			dups++
 			return
 		}
-		if r, ok := e.rels[f.Pred]; ok && r.keys[k] {
+		if r, ok := e.rels[pred]; ok && r.keys[string(ec.key)] {
 			dups++
 			return
 		}
+		f, k := ec.newFact(pred, args)
 		seen[k] = true
 		p := pendingFact{f: f, key: k}
 		if e.prov != nil {
@@ -1188,6 +1175,14 @@ func (e *Engine) evalJobBuffered(ec *evalCtx, j chaseJob, buf *[]pendingFact) (i
 	return dups, err
 }
 
+// newFact copies an emission that turned out to be new out of the scratch:
+// its arguments and its key.
+func (ec *evalCtx) newFact(pred string, args []any) (Fact, string) {
+	f := Fact{Pred: pred, Args: make([]any, len(args))}
+	copy(f.Args, args)
+	return f, string(ec.key)
+}
+
 // evalBody extends the frame's binding over the plan from position pos on,
 // firing the head for every complete match. The delta occurrence comes first
 // in its plan (planOrder), so it is the outer loop and every other atom is an
@@ -1202,13 +1197,12 @@ func (e *Engine) evalBody(ec *evalCtx, pos int) error {
 		return e.fireHead(ec)
 	}
 	li := ec.order[pos]
-	l := &ec.rule.Body[li]
-	binding := ec.binding
+	l, cl := &ec.rule.Body[li], &ec.meta.lits[li]
 	switch l.Kind {
 	case LitAtom:
 		c := probe{facts: ec.deltaFacts}
 		if li != ec.deltaLit {
-			c = e.lookup(l.Atom, binding)
+			c = e.lookup(ec, &cl.atom)
 		}
 		n := c.len()
 		ec.candidates += int64(n)
@@ -1216,7 +1210,7 @@ func (e *Engine) evalBody(ec *evalCtx, pos int) error {
 		mark := len(ec.trail)
 		for i := 0; i < n; i++ {
 			f := c.at(i)
-			if !bindAtom(l.Atom, f, binding, &ec.trail) {
+			if !ec.bind(&cl.atom, f) {
 				continue
 			}
 			if prov {
@@ -1228,22 +1222,22 @@ func (e *Engine) evalBody(ec *evalCtx, pos int) error {
 			if prov {
 				ec.curPremises = ec.curPremises[:len(ec.curPremises)-1]
 			}
-			unbind(binding, &ec.trail, mark)
+			ec.unbind(mark)
 		}
 		return nil
 
 	case LitNot:
-		if e.existsMatch(ec, l.Atom) {
+		if e.existsMatch(ec, &cl.atom) {
 			return nil
 		}
 		return e.evalBody(ec, pos+1)
 
 	case LitCmp:
-		lv, err := e.evalExpr(l.Left, binding)
+		lv, err := ec.eval(&cl.l)
 		if err != nil {
 			return err
 		}
-		rv, err := e.evalExpr(l.Right, binding)
+		rv, err := ec.eval(&cl.r)
 		if err != nil {
 			return err
 		}
@@ -1253,24 +1247,25 @@ func (e *Engine) evalBody(ec *evalCtx, pos int) error {
 		return e.evalBody(ec, pos+1)
 
 	case LitAssign:
-		v, err := e.evalExpr(l.Expr, binding)
+		v, err := ec.eval(&cl.l)
 		if err != nil {
 			return err
 		}
-		if old, bound := binding[l.Var]; bound {
+		if ec.set[cl.target] {
 			// Re-assignment acts as an equality check.
-			if !valueEqual(old, v) {
+			if !valueEqual(ec.vals[cl.target], v) {
 				return nil
 			}
 			return e.evalBody(ec, pos+1)
 		}
-		binding[l.Var] = v
+		mark := len(ec.trail)
+		ec.bindSlot(cl.target, v)
 		err = e.evalBody(ec, pos+1)
-		delete(binding, l.Var)
+		ec.unbind(mark)
 		return err
 
 	case LitAgg:
-		v, err := e.evalExpr(l.AggValue, binding)
+		v, err := ec.eval(&cl.l)
 		if err != nil {
 			return err
 		}
@@ -1278,32 +1273,32 @@ func (e *Engine) evalBody(ec *evalCtx, pos int) error {
 		if !ok {
 			return fmt.Errorf("datalog: rule %q: aggregate value %v is not numeric", ec.rule.Label, v)
 		}
-		groupKey, err := e.groupKey(ec)
+		st, err := e.aggGroupOf(ec, l.Agg)
 		if err != nil {
 			return err
 		}
-		contribKey := fmt.Sprintf("r%d|%s", ec.ri, contributorKey(l.Contributors, binding))
-		total, changed := e.updateAgg(ec.ri, groupKey, l.Agg, contribKey, fv)
+		ec.ckey = ec.appendContrib(ec.ckey[:0], cl.contrib)
+		total, changed := e.updateAgg(st, l.Agg, ec.ckey, fv)
 		if !changed {
 			// The contribution is absorbed without a new derivation, but its
 			// premises still belong to the group's explanation.
 			if e.prov != nil {
-				e.recordAggPremises(ec, groupKey)
+				ec.recordAggPremises(st)
 			}
 			return nil
 		}
 		var savedExtra []Fact
 		if e.prov != nil {
-			st := e.aggState[groupKey]
 			savedExtra = ec.aggExtra
 			// Prior contributions explain the running total; the current
 			// body facts are on curPremises already.
 			ec.aggExtra = append(append([]Fact(nil), savedExtra...), st.premises...)
-			e.recordAggPremises(ec, groupKey)
+			ec.recordAggPremises(st)
 		}
-		binding[l.Var] = total
+		mark := len(ec.trail)
+		ec.bindSlot(cl.target, total)
 		err = e.evalBody(ec, pos+1)
-		delete(binding, l.Var)
+		ec.unbind(mark)
 		if e.prov != nil {
 			ec.aggExtra = savedExtra
 		}
@@ -1313,99 +1308,57 @@ func (e *Engine) evalBody(ec *evalCtx, pos int) error {
 }
 
 // fireHead instantiates the head atoms under the binding, inventing nulls for
-// existential variables.
+// existential variables, and emits each. The arguments and the key are built
+// in the evalCtx's scratch; the emitter copies them only for a new fact.
 func (e *Engine) fireHead(ec *evalCtx) error {
-	rule, meta, binding := ec.rule, ec.meta, ec.binding
-	var frontier string
+	meta := ec.meta
 	if len(meta.existVars) > 0 {
-		frontier = frontierKey(ec.ri, meta.headVars, binding)
+		ec.fkey = ec.appendFrontier(ec.fkey[:0])
 	}
-	for _, h := range rule.Head {
-		args := make([]any, len(h.Terms))
-		for i, t := range h.Terms {
-			switch tt := t.(type) {
-			case Constant:
-				args[i] = tt.Value
-			case Variable:
-				if v, ok := binding[tt]; ok {
-					args[i] = v
-				} else if meta.existVars[tt] {
-					args[i] = Null{ID: hashKey(frontier + "|" + string(tt))}
-				} else {
-					return fmt.Errorf("datalog: rule %q: head variable %s unbound", rule.Label, tt)
+	for hi := range meta.head {
+		h := &meta.head[hi]
+		args := ec.args[:0]
+		for i := range h.terms {
+			switch t := &h.terms[i]; t.kind {
+			case termConst:
+				args = append(args, t.val)
+			case termSlot:
+				if !ec.set[t.slot] {
+					return fmt.Errorf("datalog: rule %q: head variable %s unbound", ec.rule.Label, t.name)
 				}
+				args = append(args, ec.vals[t.slot])
+			case termExist:
+				// The null of (frontier, variable): FNV-1a of "frontier|name".
+				id := fnv1a(fnv1a(fnv1a(fnvOffset64, ec.fkey), "|"), t.name)
+				args = append(args, Null{ID: id})
 			}
 		}
-		ec.emit(Fact{Pred: h.Pred, Args: args}, ec)
+		ec.args = args
+		ec.key = appendFactKey(ec.key[:0], h.pred, args)
+		ec.emit(ec, h.pred, args)
 	}
 	return nil
 }
 
-func frontierKey(ri int, headVars []Variable, binding map[Variable]any) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "r%d", ri)
-	for _, v := range headVars {
-		if val, ok := binding[v]; ok {
-			sb.WriteByte('|')
-			sb.WriteString(string(v))
-			sb.WriteByte('=')
-			appendValue(&sb, val)
-		}
+// aggGroupOf returns the aggregation group of the frame's body match
+// (appendGroupKey), creating it on first contribution; only a new group
+// allocates its key.
+func (e *Engine) aggGroupOf(ec *evalCtx, op AggOp) (*aggGroup, error) {
+	var err error
+	if ec.gkey, err = ec.appendGroupKey(ec.gkey[:0]); err != nil {
+		return nil, err
 	}
-	return sb.String()
-}
-
-// groupKey identifies the aggregation group of a body match: the head atom's
-// predicate plus the values of its non-target arguments. Keying on the head
-// predicate (not the rule) lets the msum calls of several rules contribute to
-// one total, as the paper requires for Algorithm 8 ("the two monotonic
-// summations of Rules (2) and (3) contribute to the same total, one for each
-// (F, y) pair").
-func (e *Engine) groupKey(ec *evalCtx) (string, error) {
-	rule, meta, binding := ec.rule, ec.meta, ec.binding
-	h := rule.Head[meta.aggHead]
-	var sb strings.Builder
-	sb.WriteString(h.Pred)
-	for i, t := range h.Terms {
-		sb.WriteByte('|')
-		if meta.aggSkip[i] {
-			sb.WriteByte('@') // target position: excluded from the group
-			continue
-		}
-		switch tt := t.(type) {
-		case Constant:
-			appendValue(&sb, tt.Value)
-		case Variable:
-			val, ok := binding[tt]
-			if !ok {
-				return "", fmt.Errorf("datalog: rule %q: aggregation group variable %s unbound", rule.Label, tt)
-			}
-			appendValue(&sb, val)
-		}
+	st, ok := e.aggState[string(ec.gkey)]
+	if !ok {
+		st = &aggGroup{op: op, contrib: make(map[string]float64)}
+		e.aggState[string(ec.gkey)] = st
 	}
-	return sb.String(), nil
-}
-
-func contributorKey(vars []Variable, binding map[Variable]any) string {
-	var sb strings.Builder
-	for i, v := range vars {
-		if i > 0 {
-			sb.WriteByte('|')
-		}
-		if val, ok := binding[v]; ok {
-			appendValue(&sb, val)
-		}
-	}
-	return sb.String()
+	return st, nil
 }
 
 // recordAggPremises folds the current body premises into the aggregate
 // group's explanation set (deduplicated).
-func (e *Engine) recordAggPremises(ec *evalCtx, groupKey string) {
-	st := e.aggState[groupKey]
-	if st == nil {
-		return
-	}
+func (ec *evalCtx) recordAggPremises(st *aggGroup) {
 	if st.premKeys == nil {
 		st.premKeys = map[string]bool{}
 	}
@@ -1417,29 +1370,22 @@ func (e *Engine) recordAggPremises(ec *evalCtx, groupKey string) {
 	}
 }
 
-// updateAgg applies a contribution to the monotonic aggregate state of
-// (rule, group) and reports the new total plus whether it changed enough to
-// trigger a derivation. Contributions are keyed by contributor tuple: a
-// contributor counts once, at its best (maximal) contribution so far —
-// matching Vadalog's stateful msum with ⟨contributor⟩ notation.
-func (e *Engine) updateAgg(ri int, groupKey string, op AggOp, contribKey string, v float64) (float64, bool) {
-	key := groupKey
-	st, ok := e.aggState[key]
-	if !ok {
-		st = &aggGroup{op: op, contrib: make(map[string]float64)}
-		e.aggState[key] = st
-	}
+// updateAgg applies a contribution to the monotonic aggregate state of a
+// group and reports the new total plus whether it changed enough to trigger
+// a derivation. Contributions are keyed by contributor tuple: a contributor
+// counts once, at its best (maximal) contribution so far — matching
+// Vadalog's stateful msum with ⟨contributor⟩ notation.
+func (e *Engine) updateAgg(st *aggGroup, op AggOp, contribKey []byte, v float64) (float64, bool) {
 	eps := e.opts.MinAggDelta
-	cur, seen := st.contrib[contribKey]
+	// Reading under string(contribKey) allocates nothing; a write stores the
+	// key, so it happens only when a contribution changes.
+	cur, seen := st.contrib[string(contribKey)]
 	switch op {
 	case AggSum:
 		if seen && v <= cur+eps {
 			return st.total, false
 		}
-		if !seen {
-			cur = 0
-		}
-		st.contrib[contribKey] = v
+		st.contrib[string(contribKey)] = v
 		st.total += v - cur
 		st.init = true
 		return st.total, true
@@ -1447,18 +1393,18 @@ func (e *Engine) updateAgg(ri int, groupKey string, op AggOp, contribKey string,
 		if seen {
 			return st.total, false
 		}
-		st.contrib[contribKey] = 1
+		st.contrib[string(contribKey)] = 1
 		st.total++
 		st.init = true
 		return st.total, true
 	case AggMax:
 		if st.init && v <= st.total+eps {
 			if !seen || v > cur {
-				st.contrib[contribKey] = v
+				st.contrib[string(contribKey)] = v
 			}
 			return st.total, false
 		}
-		st.contrib[contribKey] = v
+		st.contrib[string(contribKey)] = v
 		st.total = v
 		st.init = true
 		return st.total, true
@@ -1466,7 +1412,7 @@ func (e *Engine) updateAgg(ri int, groupKey string, op AggOp, contribKey string,
 		if st.init && v >= st.total-eps {
 			return st.total, false
 		}
-		st.contrib[contribKey] = v
+		st.contrib[string(contribKey)] = v
 		st.total = v
 		st.init = true
 		return st.total, true
@@ -1481,21 +1427,22 @@ func (e *Engine) updateAgg(ri int, groupKey string, op AggOp, contribKey string,
 		if seen && cur != 0 {
 			st.total /= cur
 		}
-		st.contrib[contribKey] = v
+		st.contrib[string(contribKey)] = v
 		st.total *= v
 		return st.total, true
 	}
 	return 0, false
 }
 
-// lookup returns candidate facts for an atom under the current binding,
+// lookup returns candidate facts for an atom under the frame's binding,
 // probing the best available positional index: the smallest bucket among
 // built indexes of bound positions, or a freshly built index on the first
 // bound position when none exists yet. Unbound atoms (or NoIndex mode) fall
-// back to the full relation. The probe aliases the relation's storage rather
-// than copying the bucket (see probe).
-func (e *Engine) lookup(a Atom, binding map[Variable]any) probe {
-	r, ok := e.rels[a.Pred]
+// back to the full relation. A probe's value is encoded into the evalCtx's
+// scratch and looked up without allocating; the probe aliases the
+// relation's storage rather than copying the bucket (see probe).
+func (e *Engine) lookup(ec *evalCtx, a *catom) probe {
+	r, ok := e.rels[a.pred]
 	if !ok {
 		return probe{}
 	}
@@ -1506,33 +1453,24 @@ func (e *Engine) lookup(a Atom, binding map[Variable]any) probe {
 		}
 		return probe{facts: r.facts}
 	}
-	bestPos, bestLen := -1, -1
-	var bestKey string
+	bestPos := -1
+	var best []int
 	firstBound := -1
-	var firstKey string
-	for i, t := range a.Terms {
+	for i := range a.terms {
 		if i >= len(r.index) || i >= 64 {
 			break
 		}
-		var val any
-		switch tt := t.(type) {
-		case Constant:
-			val = tt.Value
-		case Variable:
-			v, bound := binding[tt]
-			if !bound {
-				continue
-			}
-			val = v
+		val, bound := ec.value(&a.terms[i])
+		if !bound {
+			continue
 		}
-		k := encodeValue(val)
 		if firstBound == -1 {
-			firstBound, firstKey = i, k
+			firstBound = i
 		}
 		if r.hasIndex(i) {
-			n := len(r.bucket(i, k))
-			if bestPos == -1 || n < bestLen {
-				bestPos, bestLen, bestKey = i, n, k
+			ec.pkey = appendValue(ec.pkey[:0], val)
+			if b := r.index[i][string(ec.pkey)]; bestPos == -1 || len(b) < len(best) {
+				bestPos, best = i, b
 			}
 		}
 	}
@@ -1543,14 +1481,16 @@ func (e *Engine) lookup(a Atom, binding map[Variable]any) probe {
 			st.indexBuilds.Add(1)
 		}
 		if r.hasIndex(firstBound) {
-			bestPos, bestKey = firstBound, firstKey
+			val, _ := ec.value(&a.terms[firstBound])
+			ec.pkey = appendValue(ec.pkey[:0], val)
+			bestPos, best = firstBound, r.index[firstBound][string(ec.pkey)]
 		}
 	}
 	if bestPos >= 0 {
 		if st != nil {
 			st.indexHits.Add(1)
 		}
-		return probe{facts: r.facts, idxs: r.bucket(bestPos, bestKey), indexed: true}
+		return probe{facts: r.facts, idxs: best, indexed: true}
 	}
 	if st != nil {
 		st.indexScans.Add(1)
@@ -1560,131 +1500,16 @@ func (e *Engine) lookup(a Atom, binding map[Variable]any) probe {
 
 // existsMatch reports whether any stored fact unifies with the (fully bound)
 // atom under the frame's binding, which it leaves unchanged.
-func (e *Engine) existsMatch(ec *evalCtx, a Atom) bool {
+func (e *Engine) existsMatch(ec *evalCtx, a *catom) bool {
 	mark := len(ec.trail)
-	for c, i := e.lookup(a, ec.binding), 0; i < c.len(); i++ {
+	for c, i := e.lookup(ec, a), 0; i < c.len(); i++ {
 		ec.candidates++
-		if bindAtom(a, c.at(i), ec.binding, &ec.trail) {
-			unbind(ec.binding, &ec.trail, mark)
+		if ec.bind(a, c.at(i)) {
+			ec.unbind(mark)
 			return true
 		}
 	}
 	return false
-}
-
-// bindAtom unifies an atom with a fact under the binding, pushing every
-// variable it binds onto the trail. A failed unification undoes its own
-// bindings; a successful one is undone by unbind to the trail length the
-// caller noted before the call.
-func bindAtom(a Atom, f Fact, binding map[Variable]any, trail *[]Variable) bool {
-	if len(a.Terms) != len(f.Args) || a.Pred != f.Pred {
-		return false
-	}
-	mark := len(*trail)
-	for i, t := range a.Terms {
-		switch tt := t.(type) {
-		case Constant:
-			if !valueEqual(tt.Value, f.Args[i]) {
-				unbind(binding, trail, mark)
-				return false
-			}
-		case Variable:
-			if tt == "_" {
-				continue
-			}
-			if v, bound := binding[tt]; bound {
-				if !valueEqual(v, f.Args[i]) {
-					unbind(binding, trail, mark)
-					return false
-				}
-			} else {
-				binding[tt] = f.Args[i]
-				*trail = append(*trail, tt)
-			}
-		}
-	}
-	return true
-}
-
-// unbind removes the variables bound since the trail was mark long.
-func unbind(binding map[Variable]any, trail *[]Variable, mark int) {
-	for _, v := range (*trail)[mark:] {
-		delete(binding, v)
-	}
-	*trail = (*trail)[:mark]
-}
-
-// evalExpr evaluates an expression under a binding. It delegates to
-// evalExprWith so the test-only reference evaluator shares builtin dispatch
-// without sharing the join machinery under test.
-func (e *Engine) evalExpr(ex Expr, binding map[Variable]any) (any, error) {
-	return evalExprWith(e.builtins, ex, binding)
-}
-
-// evalExprWith evaluates an expression under a binding with an explicit
-// builtin table.
-func evalExprWith(builtins map[string]Builtin, ex Expr, binding map[Variable]any) (any, error) {
-	switch x := ex.(type) {
-	case TermExpr:
-		switch t := x.Term.(type) {
-		case Constant:
-			return t.Value, nil
-		case Variable:
-			v, ok := binding[t]
-			if !ok {
-				return nil, fmt.Errorf("datalog: unbound variable %s in expression", t)
-			}
-			return v, nil
-		}
-	case BinExpr:
-		lv, err := evalExprWith(builtins, x.L, binding)
-		if err != nil {
-			return nil, err
-		}
-		rv, err := evalExprWith(builtins, x.R, binding)
-		if err != nil {
-			return nil, err
-		}
-		lf, lok := toFloat(lv)
-		rf, rok := toFloat(rv)
-		if !lok || !rok {
-			if x.Op == '+' {
-				// String concatenation.
-				return fmt.Sprintf("%v%v", lv, rv), nil
-			}
-			return nil, fmt.Errorf("datalog: arithmetic on non-numeric values %v, %v", lv, rv)
-		}
-		switch x.Op {
-		case '+':
-			return lf + rf, nil
-		case '-':
-			return lf - rf, nil
-		case '*':
-			return lf * rf, nil
-		case '/':
-			if rf == 0 {
-				return nil, fmt.Errorf("datalog: division by zero")
-			}
-			return lf / rf, nil
-		}
-	case CallExpr:
-		args := make([]any, len(x.Args))
-		for i, a := range x.Args {
-			v, err := evalExprWith(builtins, a, binding)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
-		}
-		if fn, ok := builtins[x.Name]; ok {
-			return fn(args)
-		}
-		if strings.HasPrefix(x.Name, "sk") {
-			return NewSkolem(x.Name, args...), nil
-		}
-		return nil, fmt.Errorf("datalog: unknown builtin #%s", x.Name)
-	}
-	return nil, fmt.Errorf("datalog: bad expression %v", ex)
 }
 
 func toFloat(v any) (float64, bool) {
@@ -1740,7 +1565,8 @@ func compare(op CmpOp, l, r any) bool {
 
 // planRule computes the per-rule evaluation plans — the round-0 order and
 // one order per positive body atom for the jobs that restrict that atom to a
-// delta (planOrder) — plus the head variables and the existential set.
+// delta (planOrder) — plus the head variables, the existential set and the
+// rule's slot form (compileRule).
 func planRule(r Rule) (ruleMeta, error) {
 	order, bound, err := planOrder(r, -1)
 	if err != nil {
@@ -1775,7 +1601,7 @@ func planRule(r Rule) (ruleMeta, error) {
 	sort.Slice(headVars, func(i, j int) bool { return headVars[i] < headVars[j] })
 
 	aggHead := 0
-	aggSkip := map[int]bool{}
+	var aggSkip []bool
 	if aggLit >= 0 {
 		target := r.Body[aggLit].Var
 		// The group is defined by the first head atom mentioning the target;
@@ -1794,14 +1620,17 @@ func planRule(r Rule) (ruleMeta, error) {
 				break
 			}
 		}
+		aggSkip = make([]bool, len(r.Head[aggHead].Terms))
 		for i, t := range r.Head[aggHead].Terms {
 			if v, ok := t.(Variable); ok && v == target {
 				aggSkip[i] = true
 			}
 		}
 	}
-	return ruleMeta{order: order, deltaOrder: deltaOrder, headVars: headVars, existVars: exist,
-		aggLit: aggLit, aggHead: aggHead, aggSkip: aggSkip}, nil
+	m := ruleMeta{order: order, deltaOrder: deltaOrder, headVars: headVars, existVars: exist,
+		aggLit: aggLit, aggHead: aggHead, aggSkip: aggSkip}
+	compileRule(r, &m)
+	return m, nil
 }
 
 // planOrder orders a rule body greedily: filters, assignments and negations

@@ -1,8 +1,10 @@
 package datalog
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -369,6 +371,36 @@ func TestBuiltinRegistration(t *testing.T) {
 	}
 	if got := e.Match("out", nil, "a"); len(got) != 2 {
 		t.Errorf("bucket a = %v, want 2 entries", got)
+	}
+}
+
+// TestCompiledArithmetic covers every operator of a compiled expression,
+// string concatenation, and the evaluation errors.
+func TestCompiledArithmetic(t *testing.T) {
+	e := run(t, `v(A, B), S = A + B, D = A - B, P = A * B, Q = A / B -> r(S, D, P, Q).
+		w(X), Y = X + "!" -> s(Y).`, []Fact{
+		{Pred: "v", Args: []any{6.0, int64(4)}},
+		{Pred: "w", Args: []any{"hi"}},
+	})
+	if got := e.Facts("r"); len(got) != 1 || fmt.Sprint(got[0].Args) != "[10 2 24 1.5]" {
+		t.Errorf("r = %v, want r(10, 2, 24, 1.5)", got)
+	}
+	if got := e.Facts("s"); len(got) != 1 || got[0].Args[0] != "hi!" {
+		t.Errorf("s = %v, want s(\"hi!\")", got)
+	}
+	for _, c := range []struct{ src, want string }{
+		{`v(A, B), Q = A / 0 -> r(Q).`, "division by zero"},
+		{`w(X), Y = X - 1 -> r(Y).`, "arithmetic on non-numeric"},
+		{`v(A, B), Y = A * "x" -> r(Y).`, "arithmetic on non-numeric"},
+	} {
+		e, err := NewEngine(MustParse(c.src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.AssertAll([]Fact{{Pred: "v", Args: []any{1.0, 2.0}}, {Pred: "w", Args: []any{"a"}}})
+		if err := e.Run(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want %q", c.src, err, c.want)
+		}
 	}
 }
 

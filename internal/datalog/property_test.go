@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -252,6 +253,50 @@ func TestQueryDeduplicates(t *testing.T) {
 	if n := len(e.Query(Atom{Pred: "reach", Terms: []Term{Variable("X")}})); n != 1 {
 		t.Errorf("answers = %d, want 1 (deduplicated)", n)
 	}
+}
+
+// TestQuerySharedVariableAndWildcard: a goal whose atoms share a variable,
+// repeat one inside an atom and carry a wildcard answers exactly the
+// brute-force join over random graphs, and "_" never appears in an answer.
+func TestQuerySharedVariableAndWildcard(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		edb := randomEDB(rand.New(rand.NewSource(seed)))
+		e := run2(t, `own(X, Y, W) -> link(X, Y).
+			own(X, Y, W) -> link(Y, Y).`, edb)
+		// own(X, Y, _), link(Y, Y), own(Y, Z, W): two hops through a node
+		// that is owned by someone.
+		goal := []Atom{
+			{Pred: "own", Terms: []Term{Variable("X"), Variable("Y"), Variable("_")}},
+			{Pred: "link", Terms: []Term{Variable("Y"), Variable("Y")}},
+			{Pred: "own", Terms: []Term{Variable("Y"), Variable("Z"), Variable("W")}},
+		}
+		var want []Binding
+		for _, a := range edb {
+			for _, b := range edb {
+				if a.Pred == "own" && b.Pred == "own" && valueEqual(a.Args[1], b.Args[0]) {
+					want = append(want, Binding{"X": a.Args[0], "Y": a.Args[1], "Z": b.Args[1], "W": b.Args[2]})
+				}
+			}
+		}
+		got := e.Query(goal...)
+		for _, b := range got {
+			if _, ok := b["_"]; ok || len(b) != 4 {
+				t.Fatalf("seed %d: answer %v binds the wildcard or misses a variable", seed, b)
+			}
+		}
+		checkSame(t, uniqueKeys(answerKeys(want)), answerKeys(got), fmt.Sprintf("seed %d", seed))
+	}
+}
+
+// uniqueKeys drops repeats from a sorted key list.
+func uniqueKeys(keys []string) []string {
+	out := keys[:0]
+	for i, k := range keys {
+		if i == 0 || k != keys[i-1] {
+			out = append(out, k)
+		}
+	}
+	return out
 }
 
 // run2 mirrors the run helper from engine_test without Options.

@@ -9,24 +9,26 @@ package datalog
 // restriction, buffered merge, or typed equality shows up as a fact-set
 // divergence rather than being mirrored by shared code.
 //
-// The reference deliberately shares three things with the engine, all of
-// which are specification rather than execution machinery:
-//
-//   - planRule, for the body-literal evaluation order (assignment and
-//     condition literals are only evaluable once their inputs are bound, and
-//     the set of bound head variables defines the existential frontier);
-//   - frontierKey/hashKey, so invented nulls coincide — the chase is
-//     deterministic, and the paper's set semantics makes null identity part
-//     of the expected output;
-//   - evalExprWith, the arithmetic/builtin evaluator, which is orthogonal to
-//     the join path under test.
+// The reference deliberately shares one piece of the engine, which is
+// specification rather than execution machinery: planRule, for the
+// body-literal evaluation order (assignment and condition literals are only
+// evaluable once their inputs are bound, and the set of bound head variables
+// defines the existential frontier). It uses none of the slot form planRule
+// also compiles: bindings are maps, expressions evaluate over them
+// (refEvalExpr), and invented nulls hash a frontier key it builds itself
+// (refFrontierKey) — null identity is part of the expected output of a
+// deterministic chase, so the engine's key format is held against it too.
+// The arithmetic and comparison primitives (arith, compare, toFloat) are
+// shared: they are the value semantics, not the binding machinery.
 //
 // Monotonic aggregation is out of scope (the random programs never emit it);
 // newReference rejects aggregate rules loudly.
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
+	"strings"
 )
 
 func sortStrings(s []string) { sort.Strings(s) }
@@ -141,11 +143,11 @@ func (r *refEvaluator) bodyBindings(rule Rule, meta ruleMeta) ([]map[Variable]an
 					next = append(next, b)
 				}
 			case LitCmp:
-				lv, err := evalExprWith(r.builtins, l.Left, b)
+				lv, err := refEvalExpr(r.builtins, l.Left, b)
 				if err != nil {
 					return nil, err
 				}
-				rv, err := evalExprWith(r.builtins, l.Right, b)
+				rv, err := refEvalExpr(r.builtins, l.Right, b)
 				if err != nil {
 					return nil, err
 				}
@@ -153,7 +155,7 @@ func (r *refEvaluator) bodyBindings(rule Rule, meta ruleMeta) ([]map[Variable]an
 					next = append(next, b)
 				}
 			case LitAssign:
-				v, err := evalExprWith(r.builtins, l.Expr, b)
+				v, err := refEvalExpr(r.builtins, l.Expr, b)
 				if err != nil {
 					return nil, err
 				}
@@ -195,7 +197,7 @@ func (r *refEvaluator) run() error {
 				for _, b := range bindings {
 					var frontier string
 					if len(meta.existVars) > 0 {
-						frontier = frontierKey(ri, meta.headVars, b)
+						frontier = refFrontierKey(ri, meta.headVars, b)
 					}
 					for _, h := range rule.Head {
 						args := make([]any, len(h.Terms))
@@ -207,7 +209,9 @@ func (r *refEvaluator) run() error {
 								if v, ok := b[tt]; ok {
 									args[i] = v
 								} else if meta.existVars[tt] {
-									args[i] = Null{ID: hashKey(frontier + "|" + string(tt))}
+									h := fnv.New64a()
+									h.Write([]byte(frontier + "|" + string(tt)))
+									args[i] = Null{ID: h.Sum64()}
 								} else {
 									return fmt.Errorf("reference: head variable %s unbound in rule %d", tt, ri)
 								}
@@ -235,4 +239,60 @@ func (r *refEvaluator) factSet(preds []string) []string {
 	}
 	sortStrings(out)
 	return out
+}
+
+// refFrontierKey renders the existential frontier of a binding: the rule
+// number, then "|V=value" for every bound head variable in name order.
+func refFrontierKey(ri int, headVars []Variable, b map[Variable]any) string {
+	key := fmt.Sprintf("r%d", ri)
+	for _, v := range headVars {
+		if val, ok := b[v]; ok {
+			key += "|" + string(v) + "=" + encodeValue(val)
+		}
+	}
+	return key
+}
+
+// refEvalExpr evaluates an expression over a binding map.
+func refEvalExpr(builtins map[string]Builtin, ex Expr, b map[Variable]any) (any, error) {
+	switch x := ex.(type) {
+	case TermExpr:
+		switch t := x.Term.(type) {
+		case Constant:
+			return t.Value, nil
+		case Variable:
+			v, ok := b[t]
+			if !ok {
+				return nil, fmt.Errorf("reference: unbound variable %s in expression", t)
+			}
+			return v, nil
+		}
+	case BinExpr:
+		lv, err := refEvalExpr(builtins, x.L, b)
+		if err != nil {
+			return nil, err
+		}
+		rv, err := refEvalExpr(builtins, x.R, b)
+		if err != nil {
+			return nil, err
+		}
+		return arith(x.Op, lv, rv)
+	case CallExpr:
+		args := make([]any, len(x.Args))
+		for i, a := range x.Args {
+			v, err := refEvalExpr(builtins, a, b)
+			if err != nil {
+				return nil, err
+			}
+			args[i] = v
+		}
+		if fn, ok := builtins[x.Name]; ok {
+			return fn(args)
+		}
+		if strings.HasPrefix(x.Name, "sk") {
+			return NewSkolem(x.Name, args...), nil
+		}
+		return nil, fmt.Errorf("reference: unknown builtin #%s", x.Name)
+	}
+	return nil, fmt.Errorf("reference: bad expression %v", ex)
 }

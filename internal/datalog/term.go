@@ -24,7 +24,6 @@ package datalog
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"strconv"
@@ -96,14 +95,15 @@ func (s SkolemID) String() string { return "#" + s.Fn + "(" + s.Key + ")" }
 
 // NewSkolem applies the Skolem function named fn to ground args.
 func NewSkolem(fn string, args ...any) SkolemID {
-	var sb strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for i, a := range args {
 		if i > 0 {
-			sb.WriteByte('|')
+			b = append(b, '|')
 		}
-		appendValue(&sb, a)
+		b = appendValue(b, a)
 	}
-	return SkolemID{Fn: fn, Key: sb.String()}
+	return SkolemID{Fn: fn, Key: string(b)}
 }
 
 // Str, Num, Int and Bool are convenience constructors for constants.
@@ -116,50 +116,45 @@ func Bool(b bool) Constant   { return Constant{Value: b} }
 // keys and Skolem keys. The one-letter prefix keeps types disjoint
 // (e.g. string "1" ≠ int 1 ≠ float 1.0).
 func encodeValue(v any) string {
-	var sb strings.Builder
-	appendValue(&sb, v)
-	return sb.String()
+	var buf [32]byte
+	return string(appendValue(buf[:0], v))
 }
 
-// appendValue writes the canonical encoding of a ground value into a builder
-// without allocating an intermediate string — the hot-path form of
-// encodeValue, used when building fact keys and index probes. Numbers are
-// formatted into a stack buffer: every fact a bulk load asserts passes
-// through here.
-func appendValue(sb *strings.Builder, v any) {
-	var num [32]byte
+// appendValue appends the canonical encoding of a ground value to dst — the
+// hot-path form of encodeValue, used when building fact keys, index probes
+// and aggregation keys into reused buffers.
+func appendValue(dst []byte, v any) []byte {
 	switch x := v.(type) {
 	case string:
-		sb.WriteByte('s')
-		sb.WriteString(x)
+		dst = append(dst, 's')
+		return append(dst, x...)
 	case float64:
-		sb.WriteByte('f')
+		dst = append(dst, 'f')
 		if x == math.Trunc(x) && math.Abs(x) < 1e15 {
 			// Normalize integral floats so 1.0 and 1 compare equal when both
 			// arrive as float64 through different arithmetic paths.
-			sb.Write(strconv.AppendFloat(num[:0], x, 'f', 1, 64))
-			return
+			return strconv.AppendFloat(dst, x, 'f', 1, 64)
 		}
-		sb.Write(strconv.AppendFloat(num[:0], x, 'g', 17, 64))
+		return strconv.AppendFloat(dst, x, 'g', 17, 64)
 	case int64:
-		sb.WriteByte('i')
-		sb.Write(strconv.AppendInt(num[:0], x, 10))
+		dst = append(dst, 'i')
+		return strconv.AppendInt(dst, x, 10)
 	case int:
-		sb.WriteByte('i')
-		sb.Write(strconv.AppendInt(num[:0], int64(x), 10))
+		dst = append(dst, 'i')
+		return strconv.AppendInt(dst, int64(x), 10)
 	case bool:
-		sb.WriteByte('b')
-		sb.WriteString(strconv.FormatBool(x))
+		dst = append(dst, 'b')
+		return strconv.AppendBool(dst, x)
 	case Null:
-		sb.WriteByte('n')
-		sb.WriteString(strconv.FormatUint(x.ID, 10))
+		dst = append(dst, 'n')
+		return strconv.AppendUint(dst, x.ID, 10)
 	case SkolemID:
-		sb.WriteByte('k')
-		sb.WriteString(x.Fn)
-		sb.WriteByte(':')
-		sb.WriteString(x.Key)
+		dst = append(dst, 'k')
+		dst = append(dst, x.Fn...)
+		dst = append(dst, ':')
+		return append(dst, x.Key...)
 	default:
-		fmt.Fprintf(sb, "?%v", x)
+		return fmt.Appendf(dst, "?%v", x)
 	}
 }
 
@@ -214,21 +209,25 @@ type Fact struct {
 
 // Key returns the canonical identity of the fact (set semantics).
 func (f Fact) Key() string {
-	var sb strings.Builder
-	// One scratch buffer for a typical row instead of one per doubling; the
-	// key itself is copied out at its exact length, since a relation's key
-	// set keeps it for as long as the engine lives.
-	sb.Grow(len(f.Pred) + 2 + 16*len(f.Args))
-	sb.WriteString(f.Pred)
-	sb.WriteByte('(')
-	for i, a := range f.Args {
+	// A typical row fits the stack buffer, so the key costs one allocation at
+	// its exact length: a relation's key set keeps it as long as the engine.
+	var buf [128]byte
+	return string(appendFactKey(buf[:0], f.Pred, f.Args))
+}
+
+// appendFactKey appends the canonical key of the fact pred(args...) to dst:
+// the form of Key that the chase builds into a reused buffer, so an emission
+// that turns out to be a duplicate allocates nothing.
+func appendFactKey(dst []byte, pred string, args []any) []byte {
+	dst = append(dst, pred...)
+	dst = append(dst, '(')
+	for i, a := range args {
 		if i > 0 {
-			sb.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		appendValue(&sb, a)
+		dst = appendValue(dst, a)
 	}
-	sb.WriteByte(')')
-	return strings.Clone(sb.String())
+	return append(dst, ')')
 }
 
 func (f Fact) String() string {
@@ -239,15 +238,54 @@ func (f Fact) String() string {
 	return f.Pred + "(" + strings.Join(parts, ", ") + ")"
 }
 
-// hashKey hashes a canonical string to a uint64, used for deterministic null
-// invention.
-func hashKey(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+// FNV-1a, 64 bit: the hash of invented nulls (fireHead).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv1a folds s into the running FNV-1a hash h; start from fnvOffset64.
+func fnv1a[T ~string | ~[]byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
 }
 
 // SortFacts orders facts by their canonical keys, for deterministic output.
+// Every key is built once, into one shared buffer, and the facts sort
+// together with their keys. sort.Sort runs the same pattern-defeating
+// quicksort as sort.Slice, so the order — ties included — is the one a
+// comparator calling Key twice per comparison produced, without its
+// O(n log n) key strings.
 func SortFacts(fs []Fact) {
-	sort.Slice(fs, func(i, j int) bool { return fs[i].Key() < fs[j].Key() })
+	if len(fs) < 2 {
+		return
+	}
+	buf := make([]byte, 0, len(fs)*(len(fs[0].Pred)+2+12*len(fs[0].Args)))
+	ends := make([]int, len(fs))
+	for i, f := range fs {
+		buf = appendFactKey(buf, f.Pred, f.Args)
+		ends[i] = len(buf)
+	}
+	all, start := string(buf), 0
+	k := keyedFacts{facts: fs, keys: make([]string, len(fs))}
+	for i, end := range ends {
+		k.keys[i], start = all[start:end], end
+	}
+	sort.Sort(k)
+}
+
+// keyedFacts sorts facts by the key beside each.
+type keyedFacts struct {
+	facts []Fact
+	keys  []string
+}
+
+func (k keyedFacts) Len() int           { return len(k.facts) }
+func (k keyedFacts) Less(i, j int) bool { return k.keys[i] < k.keys[j] }
+func (k keyedFacts) Swap(i, j int) {
+	k.facts[i], k.facts[j] = k.facts[j], k.facts[i]
+	k.keys[i], k.keys[j] = k.keys[j], k.keys[i]
 }
