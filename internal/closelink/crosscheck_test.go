@@ -2,9 +2,9 @@ package closelink_test
 
 // Consumer-level cross-checks of the declarative close-link program through
 // the reworked engine: the accumulated-ownership aggregation (a recursive
-// msum over share paths) must be identical across the sequential, parallel,
-// and scan-mode chase configurations, and on DAGs it must agree with the
-// imperative simple-path solver. Lives in package closelink_test because it
+// msum over share paths) must be identical across the indexed and scan-mode
+// chase configurations, and on DAGs it must agree with the imperative
+// simple-path solver. Lives in package closelink_test because it
 // imports the vadalog reasoner.
 
 import (
@@ -29,42 +29,33 @@ func runReasoner(t *testing.T, g *pg.Graph, opts ...datalog.Option) *vadalog.Rea
 }
 
 // TestCloseLinkEngineConfigsAgree runs the close-link program on random
-// graphgen graphs under every engine configuration and asserts identical
-// closelink pairs and accumulated-ownership values (up to float-association
-// noise in the summation order).
+// graphgen graphs with and without the positional indexes and asserts
+// identical closelink pairs and accumulated-ownership values (up to
+// float-association noise in the summation order).
 func TestCloseLinkEngineConfigsAgree(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		it := graphgen.NewItalian(graphgen.ItalianConfig{Persons: 12, Companies: 25, Seed: seed})
-		base := runReasoner(t, it.Graph, datalog.WithParallel(1))
+		base := runReasoner(t, it.Graph)
 		wantPairs := base.CloseLinkPairs()
 		wantAcc := base.AccumulatedOwnership()
 
-		for _, cfg := range []struct {
-			name string
-			opts []datalog.Option
-		}{
-			{"par4", []datalog.Option{datalog.WithParallel(4)}},
-			{"seq-noindex", []datalog.Option{datalog.WithParallel(1), datalog.WithNoIndex()}},
-		} {
-			opts := cfg.name
-			r := runReasoner(t, it.Graph, cfg.opts...)
-			gotPairs := r.CloseLinkPairs()
-			if len(gotPairs) != len(wantPairs) {
-				t.Fatalf("seed %d opts %+v: %d pairs, want %d", seed, opts, len(gotPairs), len(wantPairs))
+		r := runReasoner(t, it.Graph, datalog.WithNoIndex())
+		gotPairs := r.CloseLinkPairs()
+		if len(gotPairs) != len(wantPairs) {
+			t.Fatalf("seed %d noindex: %d pairs, want %d", seed, len(gotPairs), len(wantPairs))
+		}
+		for i := range wantPairs {
+			if gotPairs[i] != wantPairs[i] {
+				t.Fatalf("seed %d noindex: pair %d = %v, want %v", seed, i, gotPairs[i], wantPairs[i])
 			}
-			for i := range wantPairs {
-				if gotPairs[i] != wantPairs[i] {
-					t.Fatalf("seed %d opts %+v: pair %d = %v, want %v", seed, opts, i, gotPairs[i], wantPairs[i])
-				}
-			}
-			gotAcc := r.AccumulatedOwnership()
-			if len(gotAcc) != len(wantAcc) {
-				t.Fatalf("seed %d opts %+v: %d accown groups, want %d", seed, opts, len(gotAcc), len(wantAcc))
-			}
-			for k, v := range wantAcc {
-				if g, ok := gotAcc[k]; !ok || math.Abs(g-v) > 1e-9 {
-					t.Fatalf("seed %d opts %+v: accown%v = %v, want %v", seed, opts, k, gotAcc[k], v)
-				}
+		}
+		gotAcc := r.AccumulatedOwnership()
+		if len(gotAcc) != len(wantAcc) {
+			t.Fatalf("seed %d noindex: %d accown groups, want %d", seed, len(gotAcc), len(wantAcc))
+		}
+		for k, v := range wantAcc {
+			if g, ok := gotAcc[k]; !ok || math.Abs(g-v) > 1e-9 {
+				t.Fatalf("seed %d noindex: accown%v = %v, want %v", seed, k, gotAcc[k], v)
 			}
 		}
 	}
@@ -94,7 +85,7 @@ func TestAccumulatedMatchesImperativeOnDAG(t *testing.T) {
 		}
 	}
 
-	r := runReasoner(t, g, datalog.WithParallel(4))
+	r := runReasoner(t, g)
 	acc := r.AccumulatedOwnership()
 	for _, x := range layers[0] {
 		imp := closelink.AccumulatedFrom(g, x, closelink.Options{})

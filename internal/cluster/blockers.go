@@ -70,19 +70,3 @@ func (b PersonBlocker) AllKeys(n *pg.Node) []string {
 	}
 	return keys
 }
-
-// CompanyBlocker blocks company nodes by sector (the Section 4.2 example:
-// "in case of companies, the industrial sector may be relevant").
-type CompanyBlocker struct{}
-
-// Key implements Blocker.
-func (CompanyBlocker) Key(n *pg.Node) string {
-	if n.Label != pg.LabelCompany {
-		return ""
-	}
-	sector, _ := n.Props["sector"].(string)
-	if sector == "" {
-		return "company"
-	}
-	return "sector|" + sector
-}

@@ -151,24 +151,6 @@ func TestPersonBlocker(t *testing.T) {
 	}
 }
 
-func TestCompanyBlocker(t *testing.T) {
-	g := pg.New()
-	a := g.AddNode(pg.LabelCompany, pg.Properties{"sector": "finance"})
-	b := g.AddNode(pg.LabelCompany, pg.Properties{"sector": "finance"})
-	c := g.AddNode(pg.LabelCompany, pg.Properties{"sector": "retail"})
-	p := personNode(g, "Rossi", 1960, "Roma")
-	blk := CompanyBlocker{}
-	if blk.Key(g.Node(a)) != blk.Key(g.Node(b)) {
-		t.Error("same-sector companies must share a block")
-	}
-	if blk.Key(g.Node(a)) == blk.Key(g.Node(c)) {
-		t.Error("different sectors must not share a block")
-	}
-	if blk.Key(g.Node(p)) != "" {
-		t.Error("persons must be unblocked by CompanyBlocker")
-	}
-}
-
 func TestFeatureHashBlockerBucketCount(t *testing.T) {
 	g := pg.New()
 	var ids []pg.NodeID

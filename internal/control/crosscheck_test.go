@@ -3,9 +3,9 @@ package control_test
 // Cross-validation of the imperative company-control solver against the
 // declarative Vadalog control program on randomized graphgen graphs — both
 // implement Definition 2.3, so their AllPairs sets must coincide on every
-// input. The declarative side runs through the indexed parallel chase, so
-// this doubles as an end-to-end consumer check of the engine work: a bug in
-// index maintenance or delta merging that survived the datalog-level
+// input. The declarative side runs through the indexed chase, so this
+// doubles as an end-to-end consumer check of the engine work: a bug in index
+// maintenance or delta restriction that survived the datalog-level
 // differential tests would surface here as a control-pair divergence.
 //
 // The test lives in package control_test (not control) because it imports
@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"vadalink/internal/control"
-	"vadalink/internal/datalog"
 	"vadalink/internal/graphgen"
 	"vadalink/internal/pg"
 	"vadalink/internal/vadalog"
@@ -32,24 +31,20 @@ func TestAllPairsMatchesDeclarativeOnRandomGraphs(t *testing.T) {
 			want[fmt.Sprintf("%d->%d", p.From, p.To)] = true
 		}
 
-		for _, parallel := range []int{1, 4} {
-			r := vadalog.NewReasoner(g, vadalog.TaskControl)
-			r.EngineOptions = []datalog.Option{datalog.WithParallel(parallel)}
-			if err := r.Run(); err != nil {
-				t.Fatalf("seed %d parallel %d: %v", seed, parallel, err)
-			}
-			got := map[string]bool{}
-			for _, p := range r.ControlPairs() {
-				got[fmt.Sprintf("%d->%d", p[0], p[1])] = true
-			}
-			if len(got) != len(want) {
-				t.Fatalf("seed %d parallel %d: %d declarative pairs, %d imperative",
-					seed, parallel, len(got), len(want))
-			}
-			for k := range want {
-				if !got[k] {
-					t.Fatalf("seed %d parallel %d: imperative pair %s missing from declarative result", seed, parallel, k)
-				}
+		r := vadalog.NewReasoner(g, vadalog.TaskControl)
+		if err := r.Run(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		got := map[string]bool{}
+		for _, p := range r.ControlPairs() {
+			got[fmt.Sprintf("%d->%d", p[0], p[1])] = true
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d declarative pairs, %d imperative", seed, len(got), len(want))
+		}
+		for k := range want {
+			if !got[k] {
+				t.Fatalf("seed %d: imperative pair %s missing from declarative result", seed, k)
 			}
 		}
 	}

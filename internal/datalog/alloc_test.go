@@ -47,7 +47,7 @@ func TestChaseAllocations(t *testing.T) {
 	prog := datalog.MustParse(vadalog.ControlProgram + vadalog.CloseLinkProgram)
 	derived := 0
 	run := func() {
-		e, err := datalog.NewEngine(prog, datalog.WithParallel(1), datalog.WithMinAggDelta(1e-4))
+		e, err := datalog.NewEngine(prog, datalog.WithMinAggDelta(1e-4))
 		if err != nil {
 			t.Fatal(err)
 		}

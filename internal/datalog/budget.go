@@ -115,8 +115,9 @@ func (e *BudgetExceededError) Error() string {
 func (e *BudgetExceededError) Unwrap() error { return e.Cause }
 
 // trip records a budget violation on the engine; the evaluation unwinds at
-// the next cooperative check. It is safe to call from chase workers: the
-// first trip wins, later ones return the recorded error.
+// the next cooperative check. It is safe for concurrent use — Match/Query
+// callers building indexes after a Run may trip the index budget at once —
+// and the first trip wins, later ones return the recorded error.
 func (e *Engine) trip(limit Limit, bound int, cause error) *BudgetExceededError {
 	e.stopMu.Lock()
 	first := e.stopErr == nil
@@ -134,7 +135,7 @@ func (e *Engine) trip(limit Limit, bound int, cause error) *BudgetExceededError 
 	err := e.stopErr
 	e.stopMu.Unlock()
 	// The BudgetTrip hook fires outside stopMu so a callback reading engine
-	// state cannot deadlock against another worker tripping concurrently.
+	// state cannot deadlock against another caller tripping concurrently.
 	if first {
 		if fn := e.opts.Hook.BudgetTrip; fn != nil {
 			fn(err)
@@ -175,8 +176,7 @@ func (e *Engine) checkCtx() error {
 
 // step is the cooperative cancellation point of the inner evaluation loops:
 // it returns a pending budget error immediately and polls the context every
-// Budget.CheckEvery steps. Each chase worker counts steps on its own evalCtx,
-// so one enormous join round honors deadlines no matter which worker runs it.
+// Budget.CheckEvery steps, so even one enormous join round honors deadlines.
 func (ec *evalCtx) step() error {
 	e := ec.e
 	if e.stopped.Load() {

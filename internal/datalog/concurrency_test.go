@@ -1,24 +1,23 @@
 package datalog
 
-// Concurrency coverage for the parallel chase and the lazily built indexes,
-// written to run under -race: concurrent read-only access after a Run,
-// worker-pool evaluation, mid-chase cancellation landed at the delta-merge
-// point through the faultinject harness, and worker panic propagation.
+// Concurrency coverage for the lazily built indexes and the chase's
+// cancellation, written to run under -race: concurrent read-only access after
+// a Run, independent engines running at once, a deadline landed mid-chase
+// through the faultinject harness, and builtin panic propagation.
 
 import (
 	"context"
 	"errors"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"vadalink/internal/faultinject"
 )
 
-// closureProgram is aggregate-free, so every rule is parallel-safe and the
-// chase actually exercises the worker pool.
+// closureProgram is a recursive reachability closure with a negated
+// stratum: enough rounds and index probes to exercise the chase.
 const closureProgram = `
 own(X, Y, _) -> reach(X, Y).
 reach(X, Y), own(Y, Z, _), X != Z -> reach(X, Z).
@@ -35,28 +34,11 @@ func closureEngine(t *testing.T, opts ...Option) *Engine {
 	return e
 }
 
-// TestParallelChaseWorkers runs the worker-pool path (Parallel well above
-// GOMAXPROCS) and cross-checks the result against the sequential path.
-func TestParallelChaseWorkers(t *testing.T) {
-	seq := closureEngine(t, WithParallel(1))
-	if err := seq.Run(); err != nil {
-		t.Fatal(err)
-	}
-	par := closureEngine(t, WithParallel(8))
-	if err := par.Run(); err != nil {
-		t.Fatal(err)
-	}
-	preds := []string{"reach", "oneway"}
-	if d := diffFactSets(engineFactSet(seq, preds), engineFactSet(par, preds)); d != "missing=[] extra=[]" {
-		t.Fatalf("parallel chase diverges from sequential: %s", d)
-	}
-}
-
 // TestConcurrentReadsAfterRun hammers the read-only accessors — including
 // Match patterns that trigger lazy index builds — from many goroutines at
 // once. Under -race this verifies the double-checked index publication.
 func TestConcurrentReadsAfterRun(t *testing.T) {
-	e := closureEngine(t, WithParallel(4))
+	e := closureEngine(t)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +89,7 @@ func TestConcurrentEngineRuns(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			e, err := NewEngine(MustParse(closureProgram), WithParallel(2))
+			e, err := NewEngine(MustParse(closureProgram))
 			if err != nil {
 				t.Error(err)
 				return
@@ -121,51 +103,11 @@ func TestConcurrentEngineRuns(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCancelAtMergePoint lands a cancellation exactly at the delta-merge
-// site of the parallel chase and verifies the run stops with a cancellation
-// trip, the partial state stays readable, and the engine recovers on re-run.
-func TestCancelAtMergePoint(t *testing.T) {
-	e := closureEngine(t, WithParallel(4), WithBudget(Budget{CheckEvery: 1}))
-	ctx, cancel := context.WithCancel(context.Background())
-	var merges atomic.Int64
-	faultinject.Set(faultinject.SiteDatalogMerge, func() {
-		if merges.Add(1) == 1 {
-			cancel()
-		}
-	})
-	t.Cleanup(faultinject.Reset)
-
-	err := e.RunContext(ctx)
-	if merges.Load() == 0 {
-		t.Skip("chase finished before any parallel merge (GOMAXPROCS=1 single-job rounds)")
-	}
-	var be *BudgetExceededError
-	if !errors.As(err, &be) || be.Limit != LimitCancelled {
-		t.Fatalf("want cancellation trip, got %v", err)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("trip does not unwrap to context.Canceled: %v", err)
-	}
-
-	// Partial state must be readable, and a fresh run must complete.
-	_ = e.Facts("reach")
-	faultinject.Reset()
-	if err := e.RunContext(context.Background()); err != nil {
-		t.Fatalf("re-run after cancellation: %v", err)
-	}
-	want := closureEngine(t, WithParallel(1))
-	if err := want.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if d := diffFactSets(engineFactSet(want, []string{"reach", "oneway"}), engineFactSet(e, []string{"reach", "oneway"})); d != "missing=[] extra=[]" {
-		t.Fatalf("post-recovery fact set diverges: %s", d)
-	}
-}
-
 // TestDeadlineMidChase cancels by deadline while rounds are stretched at the
-// round boundary, under the parallel configuration.
+// round boundary, then checks that the partial state stays readable and that
+// a re-run reaches the fixpoint of an uninterrupted chase.
 func TestDeadlineMidChase(t *testing.T) {
-	e := closureEngine(t, WithParallel(4), WithBudget(Budget{CheckEvery: 1}))
+	e := closureEngine(t, WithBudget(Budget{CheckEvery: 1}))
 	faultinject.Set(faultinject.SiteDatalogRound, func() { time.Sleep(20 * time.Millisecond) })
 	t.Cleanup(faultinject.Reset)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
@@ -175,24 +117,50 @@ func TestDeadlineMidChase(t *testing.T) {
 	if !errors.As(err, &be) || be.Limit != LimitDeadline {
 		t.Fatalf("want deadline trip, got %v", err)
 	}
+
+	_ = e.Facts("reach")
+	faultinject.Reset()
+	if err := e.Run(); err != nil {
+		t.Fatalf("re-run after the deadline: %v", err)
+	}
+	want := closureEngine(t)
+	if err := want.Run(); err != nil {
+		t.Fatal(err)
+	}
+	preds := []string{"reach", "oneway"}
+	if d := diffFactSets(engineFactSet(want, preds), engineFactSet(e, preds)); d != "missing=[] extra=[]" {
+		t.Fatalf("re-run fact set diverges from an uninterrupted chase: %s", d)
+	}
 }
 
-// TestWorkerPanicPropagates asserts the parallel path preserves the
-// sequential contract: a panic inside a builtin reaches the Run caller.
+// TestWorkerPanicPropagates asserts the Builtin contract: a panic inside a
+// builtin reaches the Run caller, and the engine recovers on a re-run.
 func TestWorkerPanicPropagates(t *testing.T) {
 	prog := MustParse(`own(X, Y, W), V = #boom(W) -> p(X, V).`)
-	e, err := NewEngine(prog, WithParallel(4))
+	e, err := NewEngine(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.RegisterBuiltin("boom", func(args []any) (any, error) { panic("builtin exploded") })
 	e.AssertAll(randomEDB(rand.New(rand.NewSource(5))))
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("panic did not propagate from chase worker")
-		}
+	func() {
+		defer func() {
+			if r := recover(); r != "builtin exploded" {
+				t.Fatalf("Run caller recovered %v, want the builtin's panic", r)
+			}
+		}()
+		_ = e.Run()
+		t.Fatal("Run returned although a builtin panicked")
 	}()
-	_ = e.Run()
+
+	// The bindings the panic left behind must not leak into a re-run.
+	e.RegisterBuiltin("boom", func(args []any) (any, error) { return args[0], nil })
+	if err := e.Run(); err != nil {
+		t.Fatalf("re-run after the panic: %v", err)
+	}
+	if got, want := e.NumFacts("p"), len(e.Facts("own")); got == 0 || got > want {
+		t.Fatalf("re-run derived %d p facts from %d own facts", got, want)
+	}
 }
 
 // TestIndexMemoryBudget trips LimitIndexMemory on a tiny index budget and

@@ -3,7 +3,6 @@ package datalog
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -14,9 +13,8 @@ import (
 )
 
 // Builtin is a host function callable from rule bodies as #name(args...).
-// When the engine runs with more than one worker (WithParallel), builtins
-// may be called from several chase workers at once and must be safe for
-// concurrent use (the shipped #linkprob and Skolem builtins are).
+// The chase calls it on the goroutine that called Run; a panic in it reaches
+// that caller.
 type Builtin func(args []any) (any, error)
 
 // options is the engine configuration the functional Options fill in.
@@ -50,15 +48,6 @@ type options struct {
 	// explainability claim ("Vada-Link decisions are explainable and
 	// unambiguous"). Costs memory proportional to the derived facts.
 	Provenance bool
-
-	// Parallel is the number of workers evaluating the independent rule
-	// instantiations of one chase round. 0 means GOMAXPROCS; 1 forces the
-	// sequential path. With more than one worker, each round's rules run
-	// against the store frozen at round start and emit into per-job buffers
-	// that merge in deterministic job order, so the result is identical for
-	// any worker count (see DESIGN.md §7.2). Aggregate rules always evaluate
-	// on the merging goroutine because monotonic-aggregation state is shared.
-	Parallel int
 
 	// NoIndex disables the per-predicate positional hash indexes: lookup and
 	// Match fall back to scanning every fact of the relation. This is the
@@ -120,25 +109,19 @@ type Engine struct {
 	lastStats *ChaseStats
 
 	// indexBytes is the estimated memory of all positional indexes, accrued
-	// atomically because chase workers may build indexes lazily while
-	// evaluating in parallel. Checked against Budget.MaxIndexBytes.
+	// atomically because concurrent Match/Query callers may build indexes
+	// lazily after a Run. Checked against Budget.MaxIndexBytes.
 	indexBytes atomic.Int64
-
-	// bufferedFacts counts facts pending in this round's job buffers, an
-	// early MaxFacts backstop for workers whose emissions have not merged yet.
-	bufferedFacts atomic.Int64
 
 	// prov holds the first derivation per fact key (WithProvenance).
 	prov map[string]Derivation
 }
 
-// evalCtx is the per-goroutine evaluation state of one chase worker: the
-// cooperative-cancellation step counter, the frame of the chase job in flight
-// (rule, plan, delta, slot binding and its undo trail), the scratch buffers
-// keys and head arguments are built in, and the provenance premise stack of
-// the rule instantiation in flight. The engine's shared state stays
-// read-only while workers hold evalCtxs; everything mutable lives here or in
-// the per-job emission buffers.
+// evalCtx is the evaluation state of one chase round (or one Match/Query
+// call): the cooperative-cancellation step counter, the frame of the chase
+// job in flight (rule, plan, delta, slot binding and its undo trail), the
+// scratch buffers keys and head arguments are built in, the round's delta,
+// and the provenance premise stack of the rule instantiation in flight.
 type evalCtx struct {
 	e         *Engine
 	steps     int
@@ -152,7 +135,6 @@ type evalCtx struct {
 	order      []int // the plan being followed: meta.order or one of meta.deltaOrder
 	deltaFacts []Fact
 	deltaLit   int
-	emit       emitFn
 
 	// The slot binding (slots.go): vals[s] holds variable s's value while
 	// set[s]. trail lists the slots bound so far, in binding order; a join
@@ -172,6 +154,11 @@ type evalCtx struct {
 	// plain add per join level, folded into the report only under WithStats.
 	candidates int64
 
+	// delta collects the round's newly derived facts per predicate (derive);
+	// pending is their count, checked against Budget.MaxDeltaQueue.
+	delta   map[string][]Fact
+	pending int
+
 	// provenance state: the rule being evaluated, the premise stack of the
 	// evaluation in flight, and the prior contributions of the active
 	// aggregate group.
@@ -183,12 +170,6 @@ type evalCtx struct {
 func (e *Engine) newEvalCtx() *evalCtx {
 	return &evalCtx{e: e, nextCheck: e.opts.Budget.checkEvery()}
 }
-
-// emitFn receives a head instantiation from the evalCtx that produced it:
-// args is scratch and ec.key holds the fact's key, so an emitter copies both
-// only for a new fact (and reads the premises off ec). Sequential evaluation
-// inserts directly; parallel evaluation buffers.
-type emitFn func(ec *evalCtx, pred string, args []any)
 
 // Approximate per-entry costs of the positional indexes, used for the
 // MaxIndexBytes budget: a new distinct key costs its encoded bytes plus map
@@ -261,8 +242,8 @@ func (r *relation) insert(f Fact, k string) (bool, int) {
 // ensureIndex builds the positional index for pos if missing, returning the
 // estimated bytes it added and whether this call performed the build. Safe
 // for concurrent callers: the build is double-checked under mu and published
-// through the built mask, so parallel chase workers and concurrent
-// Match/Query calls race only on the mutex.
+// through the built mask, so concurrent Match/Query calls after a Run race
+// only on the mutex.
 func (r *relation) ensureIndex(pos int) (int, bool) {
 	if pos < 0 || pos >= len(r.index) || pos >= 64 {
 		return 0, false
@@ -341,11 +322,6 @@ type ruleMeta struct {
 	frontier []int
 }
 
-// parallelSafe reports whether the rule may evaluate on a chase worker.
-// Aggregate rules mutate the shared monotonic-aggregation state, so they
-// always run on the merging goroutine in deterministic order.
-func (m ruleMeta) parallelSafe() bool { return m.aggLit < 0 }
-
 // aggGroup is the monotonic aggregation state of one (rule, group) pair.
 type aggGroup struct {
 	op      AggOp
@@ -361,7 +337,7 @@ type aggGroup struct {
 }
 
 // NewEngine prepares a program for evaluation, configured by functional
-// options (WithBudget, WithParallel, WithStats, ...). It returns an error if
+// options (WithBudget, WithStats, WithProvenance, ...). It returns an error if
 // a rule is invalid or negation is not stratifiable.
 func NewEngine(prog *Program, with ...Option) (*Engine, error) {
 	var opts options
@@ -771,22 +747,6 @@ func (e *Engine) RunContext(ctx context.Context) error {
 // including a partial Run stopped by the budget.
 func (e *Engine) DerivedCount() int { return e.derivedCount }
 
-// workerCount resolves WithParallel against GOMAXPROCS and the number of
-// parallel-safe jobs of a round.
-func (e *Engine) workerCount(parallelJobs int) int {
-	w := e.opts.Parallel
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > parallelJobs {
-		w = parallelJobs
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // chaseJob is one rule instantiation of a chase round: a rule evaluated
 // either against the full store (deltaLit < 0) or with one body occurrence
 // restricted to the previous round's delta (semi-naive evaluation).
@@ -794,14 +754,6 @@ type chaseJob struct {
 	ri         int
 	deltaFacts []Fact
 	deltaLit   int
-}
-
-// pendingFact is a buffered derivation awaiting the round's merge.
-type pendingFact struct {
-	f        Fact
-	key      string
-	premises []Fact // deduplicated premise snapshot (Provenance only)
-	rule     string
 }
 
 func (e *Engine) runStratum(ruleIdxs []int) error {
@@ -893,200 +845,22 @@ func (e *Engine) runRoundObserved(jobs []chaseJob) (map[string][]Fact, error) {
 	return delta, err
 }
 
-// runRound evaluates one chase round's jobs and returns the delta of newly
-// derived facts per predicate. With one worker the rules evaluate in order
-// with immediate insertion (facts derived by an earlier rule are visible to
-// later rules of the same round); with several workers the rules evaluate
-// against the store frozen at round start and their buffered emissions merge
-// in deterministic job order — the fixpoint is the same either way, only the
-// round count may differ.
+// runRound evaluates one chase round's jobs in order and returns the delta of
+// newly derived facts per predicate. Derivations insert as they are made, so
+// facts derived by an earlier job are visible to later jobs of the same round.
 func (e *Engine) runRound(jobs []chaseJob) (map[string][]Fact, error) {
-	delta := make(map[string][]Fact)
-	pending := 0 // facts across delta, against Budget.MaxDeltaQueue
-
-	// afterInsert applies the bookkeeping of one newly inserted fact:
-	// budget accounting, tracing, provenance, delta tracking.
-	afterInsert := func(f Fact, key, rule string, premises []Fact) {
-		e.derivedCount++
-		if b := e.opts.Budget; b.MaxFacts > 0 && e.derivedCount > b.MaxFacts {
-			e.trip(LimitFacts, b.MaxFacts, nil)
-		}
-		pending++
-		if b := e.opts.Budget; b.MaxDeltaQueue > 0 && pending > b.MaxDeltaQueue {
-			e.trip(LimitDeltaQueue, b.MaxDeltaQueue, nil)
-		}
-		if b := e.opts.Budget; b.MaxIndexBytes > 0 && e.indexBytes.Load() > int64(b.MaxIndexBytes) {
-			e.trip(LimitIndexMemory, b.MaxIndexBytes, nil)
-		}
-		if e.prov != nil {
-			e.prov[key] = Derivation{Rule: rule, Premises: premises}
-		}
-		delta[f.Pred] = append(delta[f.Pred], f)
-	}
-
-	parallelJobs := 0
-	for _, j := range jobs {
-		if e.ruleMeta[j.ri].parallelSafe() {
-			parallelJobs++
-		}
-	}
-
-	if e.workerCount(parallelJobs) <= 1 {
-		// Sequential path: direct insertion, premises snapshotted at insert.
-		emit := func(ec *evalCtx, pred string, args []any) {
-			r := e.rel(pred)
-			if r.keys[string(ec.key)] {
-				e.dupCount++
-				return
-			}
-			f, key := ec.newFact(pred, args)
-			_, bytes := r.insert(f, key)
-			e.addIndexBytes(bytes)
-			var premises []Fact
-			var rule string
-			if e.prov != nil {
-				premises = ec.snapshotPremises()
-				rule = ec.curRule
-			}
-			afterInsert(f, key, rule, premises)
-		}
-		ec := e.newEvalCtx()
-		for _, j := range jobs {
-			if err := e.evalJobObserved(ec, j, emit); err != nil {
-				return delta, err
-			}
-		}
-		return delta, nil
-	}
-
-	// Parallel path: workers evaluate the parallel-safe jobs against the
-	// frozen store into per-job buffers; aggregate jobs follow on this
-	// goroutine (shared aggregation state); then every buffer merges in job
-	// order, so the outcome is independent of worker scheduling.
-	buffers := make([][]pendingFact, len(jobs))
-	errs := make([]error, len(jobs))
-	panics := make([]any, len(jobs))
-	e.bufferedFacts.Store(0)
-
-	var parIdx, seqIdx []int
-	for i, j := range jobs {
-		if e.ruleMeta[j.ri].parallelSafe() {
-			parIdx = append(parIdx, i)
-		} else {
-			seqIdx = append(seqIdx, i)
-		}
-	}
-
-	// Per-job instrumentation slots, filled lock-free: each worker owns the
-	// slots of the jobs it runs, and the merge (single goroutine) folds them
-	// into the per-rule statistics together with the insert counts.
-	instr := e.instrumenting()
-	var jobNanos, jobCands []int64
-	var jobDups []int
-	if instr {
-		jobNanos = make([]int64, len(jobs))
-		jobCands = make([]int64, len(jobs))
-		jobDups = make([]int, len(jobs))
-	}
-	// evalTimed evaluates job idx into its buffer and fills its slots.
-	evalTimed := func(ec *evalCtx, idx int) {
-		jt := e.ruleStart(jobs[idx].ri)
-		c0 := ec.candidates
-		dups, err := e.evalJobBuffered(ec, jobs[idx], &buffers[idx])
-		errs[idx] = err
-		if instr {
-			jobNanos[idx] = int64(time.Since(jt))
-			jobCands[idx] = ec.candidates - c0
-			jobDups[idx] = dups
-		}
-	}
-
-	workers := e.workerCount(len(parIdx))
-	var poolStart time.Time
-	if st := e.stats; st != nil {
-		if workers > st.workers {
-			st.workers = workers
-		}
-		poolStart = time.Now()
-	}
-	jobCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ec := e.newEvalCtx()
-			for idx := range jobCh {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panics[idx] = r
-						}
-					}()
-					evalTimed(ec, idx)
-				}()
-			}
-		}()
-	}
-	for _, idx := range parIdx {
-		jobCh <- idx
-	}
-	close(jobCh)
-	wg.Wait()
-	if st := e.stats; st != nil {
-		st.parWallNanos += int64(time.Since(poolStart))
-		for _, idx := range parIdx {
-			st.parBusyNanos += jobNanos[idx]
-		}
-	}
-
-	// Aggregate rules evaluate here, after the workers, still against the
-	// frozen store: updateAgg mutates shared per-group state, so their order
-	// must be the deterministic job order.
 	ec := e.newEvalCtx()
-	for _, idx := range seqIdx {
-		evalTimed(ec, idx)
-	}
-
-	// Re-panic worker panics on the calling goroutine, preserving the
-	// sequential contract that a panicking builtin reaches the Run caller.
-	for i := range jobs {
-		if panics[i] != nil {
-			panic(panics[i])
+	ec.delta = make(map[string][]Fact)
+	for _, j := range jobs {
+		jt := e.ruleStart(j.ri)
+		d0, dup0, c0 := e.derivedCount, e.dupCount, ec.candidates
+		err := e.evalJob(ec, j)
+		e.ruleDone(j.ri, jt, e.derivedCount-d0, e.dupCount-dup0, ec.candidates-c0)
+		if err != nil {
+			return ec.delta, err
 		}
 	}
-
-	// Merge in job order. Cross-job duplicates fall out here.
-	faultinject.Fire(faultinject.SiteDatalogMerge)
-	var firstErr error
-	for i := range jobs {
-		inserted, mergeDups := 0, 0
-		for _, p := range buffers[i] {
-			isNew, bytes := e.rel(p.f.Pred).insert(p.f, p.key)
-			e.addIndexBytes(bytes)
-			if !isNew {
-				mergeDups++
-				continue
-			}
-			inserted++
-			afterInsert(p.f, p.key, p.rule, p.premises)
-		}
-		if instr {
-			dups := jobDups[i] + mergeDups
-			e.dupCount += dups
-			e.ruleDoneNanos(jobs[i].ri, jobNanos[i], inserted, dups, jobCands[i])
-		}
-		if errs[i] != nil && firstErr == nil {
-			firstErr = errs[i]
-		}
-	}
-	if firstErr != nil {
-		return delta, firstErr
-	}
-	if se := e.stopError(); se != nil {
-		return delta, se
-	}
-	return delta, nil
+	return ec.delta, nil
 }
 
 // snapshotPremises copies and deduplicates the premise stack plus the active
@@ -1109,17 +883,17 @@ func (ec *evalCtx) snapshotPremises() []Fact {
 	return premises
 }
 
-// evalJob evaluates one job with the given emitter: it loads the job into
-// the evalCtx's frame — following the plan that starts at the job's delta
-// occurrence, or the round-0 plan without one — and walks the body.
-func (e *Engine) evalJob(ec *evalCtx, j chaseJob, emit emitFn) error {
+// evalJob evaluates one job: it loads the job into the evalCtx's frame —
+// following the plan that starts at the job's delta occurrence, or the
+// round-0 plan without one — and walks the body.
+func (e *Engine) evalJob(ec *evalCtx, j chaseJob) error {
 	meta := &e.ruleMeta[j.ri]
 	ec.ri, ec.rule, ec.meta = j.ri, &e.prog.Rules[j.ri], meta
 	ec.order = meta.order
 	if j.deltaLit >= 0 {
 		ec.order = meta.deltaOrder[j.deltaLit]
 	}
-	ec.deltaFacts, ec.deltaLit, ec.emit = j.deltaFacts, j.deltaLit, emit
+	ec.deltaFacts, ec.deltaLit = j.deltaFacts, j.deltaLit
 	ec.reset(meta.nslots) // a job stopped by an error or a panic leaves bindings behind
 	if e.prov != nil {
 		ec.curRule = meta.label
@@ -1128,59 +902,37 @@ func (e *Engine) evalJob(ec *evalCtx, j chaseJob, emit emitFn) error {
 	return e.evalBody(ec, 0)
 }
 
-// evalJobObserved is evalJob for a job whose emitter inserts as it goes (the
-// sequential chase): what the job did is read off
-// the engine's counters and folded into the per-rule statistics and hooks.
-func (e *Engine) evalJobObserved(ec *evalCtx, j chaseJob, emit emitFn) error {
-	jt := e.ruleStart(j.ri)
-	d0, dup0, c0 := e.derivedCount, e.dupCount, ec.candidates
-	err := e.evalJob(ec, j, emit)
-	e.ruleDone(j.ri, jt, e.derivedCount-d0, e.dupCount-dup0, ec.candidates-c0)
-	return err
-}
-
-// evalJobBuffered evaluates one job into its buffer: emissions deduplicate
-// against the frozen store and the job's own prior emissions, and premises
-// snapshot at emission time. It only reads shared engine state (except
-// aggregation state for aggregate jobs, which run single-threaded). It
-// reports the number of emissions absorbed as duplicates.
-func (e *Engine) evalJobBuffered(ec *evalCtx, j chaseJob, buf *[]pendingFact) (int, error) {
-	seen := map[string]bool{}
-	dups := 0
-	maxFacts := e.opts.Budget.MaxFacts
-	emit := func(ec *evalCtx, pred string, args []any) {
-		if seen[string(ec.key)] {
-			dups++
-			return
-		}
-		if r, ok := e.rels[pred]; ok && r.keys[string(ec.key)] {
-			dups++
-			return
-		}
-		f, k := ec.newFact(pred, args)
-		seen[k] = true
-		p := pendingFact{f: f, key: k}
-		if e.prov != nil {
-			p.premises = ec.snapshotPremises()
-			p.rule = ec.curRule
-		}
-		*buf = append(*buf, p)
-		if buffered := e.bufferedFacts.Add(1); maxFacts > 0 && int(buffered)+e.derivedCount > maxFacts {
-			// Early backstop: the merge performs the authoritative check,
-			// but workers must not buffer unboundedly past the budget.
-			e.trip(LimitFacts, maxFacts, nil)
-		}
+// derive inserts the head instantiation held in ec's scratch (args, and its
+// key in ec.key) unless the store already has it, copying both only for a
+// new fact, and applies the new fact's bookkeeping: budget accounting,
+// provenance and the round's delta.
+func (e *Engine) derive(ec *evalCtx, pred string, args []any) {
+	r := e.rel(pred)
+	if r.keys[string(ec.key)] {
+		e.dupCount++
+		return
 	}
-	err := e.evalJob(ec, j, emit)
-	return dups, err
-}
-
-// newFact copies an emission that turned out to be new out of the scratch:
-// its arguments and its key.
-func (ec *evalCtx) newFact(pred string, args []any) (Fact, string) {
 	f := Fact{Pred: pred, Args: make([]any, len(args))}
 	copy(f.Args, args)
-	return f, string(ec.key)
+	key := string(ec.key)
+	_, bytes := r.insert(f, key)
+	e.addIndexBytes(bytes)
+	e.derivedCount++
+	b := e.opts.Budget
+	if b.MaxFacts > 0 && e.derivedCount > b.MaxFacts {
+		e.trip(LimitFacts, b.MaxFacts, nil)
+	}
+	ec.pending++
+	if b.MaxDeltaQueue > 0 && ec.pending > b.MaxDeltaQueue {
+		e.trip(LimitDeltaQueue, b.MaxDeltaQueue, nil)
+	}
+	if b.MaxIndexBytes > 0 && e.indexBytes.Load() > int64(b.MaxIndexBytes) {
+		e.trip(LimitIndexMemory, b.MaxIndexBytes, nil)
+	}
+	if e.prov != nil {
+		e.prov[key] = Derivation{Rule: ec.curRule, Premises: ec.snapshotPremises()}
+	}
+	ec.delta[pred] = append(ec.delta[pred], f)
 }
 
 // evalBody extends the frame's binding over the plan from position pos on,
@@ -1308,8 +1060,8 @@ func (e *Engine) evalBody(ec *evalCtx, pos int) error {
 }
 
 // fireHead instantiates the head atoms under the binding, inventing nulls for
-// existential variables, and emits each. The arguments and the key are built
-// in the evalCtx's scratch; the emitter copies them only for a new fact.
+// existential variables, and derives each. The arguments and the key are
+// built in the evalCtx's scratch; derive copies them only for a new fact.
 func (e *Engine) fireHead(ec *evalCtx) error {
 	meta := ec.meta
 	if len(meta.existVars) > 0 {
@@ -1335,7 +1087,7 @@ func (e *Engine) fireHead(ec *evalCtx) error {
 		}
 		ec.args = args
 		ec.key = appendFactKey(ec.key[:0], h.pred, args)
-		ec.emit(ec, h.pred, args)
+		e.derive(ec, h.pred, args)
 	}
 	return nil
 }

@@ -30,7 +30,7 @@
 // ErrNotDemandable, and callers fall back to full evaluation.
 //
 // The rewritten program is ordinary Datalog: the existing semi-naive,
-// indexed, parallel engine evaluates it unchanged, so Budget, RunContext,
+// indexed engine evaluates it unchanged, so Budget, RunContext,
 // stats, hooks and provenance all keep working.
 package datalog
 

@@ -2,7 +2,7 @@ package datalog
 
 // Option configures an Engine at construction. Build engines as
 //
-//	e, err := NewEngine(prog, WithBudget(b), WithParallel(4), WithStats())
+//	e, err := NewEngine(prog, WithBudget(b), WithStats())
 //
 // Options compose left to right; later options win.
 type Option func(*options)
@@ -35,10 +35,12 @@ func WithProvenance() Option {
 	return func(o *options) { o.Provenance = true }
 }
 
-// WithParallel sets the chase worker count: 0 means GOMAXPROCS, 1 forces
-// the sequential path.
-func WithParallel(n int) Option {
-	return func(o *options) { o.Parallel = n }
+// WithParallel is ignored: the chase has one evaluation path, on the
+// goroutine that called Run.
+//
+// Deprecated: it stays only because the benchmark harness still passes it.
+func WithParallel(int) Option {
+	return func(*options) {}
 }
 
 // WithNoIndex disables the positional hash indexes (scan-mode ablation
@@ -48,8 +50,8 @@ func WithNoIndex() Option {
 }
 
 // WithStats enables ChaseStats collection: per-rule firings, derivations,
-// duplicates and evaluation time, per-round deltas, index hit/scan counts
-// and worker-pool utilization, readable through Engine.Stats after a Run.
+// duplicates and evaluation time, per-round deltas and index hit/scan
+// counts, readable through Engine.Stats after a Run.
 // Collection costs a few percent of chase time; engines built without it
 // pay nothing.
 func WithStats() Option {

@@ -1,12 +1,12 @@
 package datalog
 
 // The reference evaluator: a deliberately naive Datalog± interpreter used as
-// the differential-testing oracle for the indexed, parallel production
+// the differential-testing oracle for the indexed production
 // engine. It re-implements matching and fixpoint computation from scratch —
 // full linear scans for every candidate lookup, copied binding maps instead
 // of undo closures, canonical-encoding string comparison instead of
 // valueEqual — so a bug in the engine's index maintenance, delta
-// restriction, buffered merge, or typed equality shows up as a fact-set
+// restriction, or typed equality shows up as a fact-set
 // divergence rather than being mirrored by shared code.
 //
 // The reference deliberately shares one piece of the engine, which is

@@ -49,11 +49,11 @@ func own(from, to int64, w float64) datalog.Fact {
 	return datalog.Fact{Pred: "own", Args: []any{from, to, w}}
 }
 
-// registryEngine loads k disjoint copies of the group into a sequential,
+// registryEngine loads k disjoint copies of the group into a
 // stats-collecting engine for src and runs it to fixpoint.
 func registryEngine(t *testing.T, src string, k int) *datalog.Engine {
 	t.Helper()
-	e, err := datalog.NewEngine(datalog.MustParse(src), datalog.WithParallel(1), datalog.WithStats())
+	e, err := datalog.NewEngine(datalog.MustParse(src), datalog.WithStats())
 	if err != nil {
 		t.Fatal(err)
 	}

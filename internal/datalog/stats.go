@@ -6,10 +6,10 @@ import (
 )
 
 // Hook receives chase lifecycle events — the tracing seam of the engine.
-// Every field is optional; a nil callback is skipped. With WithParallel
-// greater than one, RuleStart and BudgetTrip may fire concurrently from
-// several chase workers, so the callbacks must be safe for concurrent use;
-// RuleDone and RoundDone always fire on the goroutine that called Run.
+// Every field is optional; a nil callback is skipped. Every callback fires on
+// the goroutine that called Run, in chase order: a job's RuleStart is
+// followed by its RuleDone before the next job's RuleStart, and a round's
+// RoundDone follows the RuleDone of its last job.
 //
 // Hooks run inline with the chase: a slow callback slows evaluation. They
 // exist for tracing, progress reporting, and test instrumentation — keep
@@ -56,9 +56,8 @@ type RuleStats struct {
 	// growing with the relation under a bad one, whatever the index hit
 	// ratio says.
 	Candidates int64 `json:"candidates"`
-	// EvalNanos is the total evaluation time of the rule's jobs. Under a
-	// parallel chase jobs overlap, so the per-rule times can sum to more
-	// than the wall clock.
+	// EvalNanos is the total evaluation time of the rule's jobs. Jobs run
+	// one at a time, so the per-rule times sum to at most the wall clock.
 	EvalNanos int64 `json:"evalNanos"`
 }
 
@@ -99,14 +98,11 @@ type ChaseStats struct {
 	IndexBuilds int64 `json:"indexBuilds"`
 	IndexBytes  int64 `json:"indexBytes"`
 
-	// Workers is the largest worker-pool size any round used (1 for a
-	// sequential chase). WorkerBusyNanos sums the evaluation time spent on
-	// pool workers; Utilization is WorkerBusyNanos over the pool's
-	// wall-clock capacity (workers × time the pool was running), 1 for a
-	// fully sequential Run.
-	Workers         int     `json:"workers"`
-	WorkerBusyNanos int64   `json:"workerBusyNanos"`
-	Utilization     float64 `json:"utilization"`
+	// Utilization is always 1: the chase evaluates on the goroutine that
+	// called Run.
+	//
+	// Deprecated: it stays only because the benchmark harness still reads it.
+	Utilization float64 `json:"utilization"`
 
 	// Truncated is set when a budget limit stopped the Run; Limit names it.
 	Truncated bool  `json:"truncated,omitempty"`
@@ -120,9 +116,8 @@ type ChaseStats struct {
 
 // statsCollector is the engine's per-Run mutable statistics state. The
 // per-rule and per-round slices are written only by the goroutine driving
-// the chase (workers report through job-indexed slots merged there); the
-// index counters are atomics because chase workers probe indexes
-// concurrently.
+// the chase; the index counters are atomics because Match/Query callers may
+// probe indexes concurrently after a Run.
 type statsCollector struct {
 	start    time.Time
 	rules    []RuleStats
@@ -131,10 +126,6 @@ type statsCollector struct {
 	indexHits   atomic.Int64
 	indexScans  atomic.Int64
 	indexBuilds atomic.Int64
-
-	workers      int
-	parWallNanos int64
-	parBusyNanos int64
 }
 
 // startStats installs a fresh collector for one evaluation under WithStats
@@ -158,28 +149,20 @@ func (e *Engine) startStats() func() {
 // snapshot freezes the collector into an immutable report.
 func (st *statsCollector) snapshot(e *Engine) *ChaseStats {
 	out := &ChaseStats{
-		Rounds:          e.rounds,
-		Derived:         e.derivedCount,
-		Duplicates:      e.dupCount,
-		TotalNanos:      int64(time.Since(st.start)),
-		IndexHits:       st.indexHits.Load(),
-		IndexScans:      st.indexScans.Load(),
-		IndexBuilds:     st.indexBuilds.Load(),
-		IndexBytes:      e.indexBytes.Load(),
-		Workers:         st.workers,
-		WorkerBusyNanos: st.parBusyNanos,
-		Utilization:     1,
-		Rules:           append([]RuleStats(nil), st.rules...),
-		PerRound:        append([]RoundStats(nil), st.perRound...),
+		Rounds:      e.rounds,
+		Derived:     e.derivedCount,
+		Duplicates:  e.dupCount,
+		TotalNanos:  int64(time.Since(st.start)),
+		IndexHits:   st.indexHits.Load(),
+		IndexScans:  st.indexScans.Load(),
+		IndexBuilds: st.indexBuilds.Load(),
+		IndexBytes:  e.indexBytes.Load(),
+		Utilization: 1,
+		Rules:       append([]RuleStats(nil), st.rules...),
+		PerRound:    append([]RoundStats(nil), st.perRound...),
 	}
 	for i := range out.Rules {
 		out.Candidates += out.Rules[i].Candidates
-	}
-	if out.Workers < 1 {
-		out.Workers = 1
-	}
-	if st.parWallNanos > 0 && st.workers > 0 {
-		out.Utilization = float64(st.parBusyNanos) / (float64(st.workers) * float64(st.parWallNanos))
 	}
 	if se := e.stopError(); se != nil {
 		out.Truncated = true
@@ -213,17 +196,12 @@ func (e *Engine) ruleStart(ri int) time.Time {
 }
 
 // ruleDone folds one finished chase job into the per-rule statistics and
-// fires the RuleDone hook. Called only on the goroutine driving the chase.
+// fires the RuleDone hook.
 func (e *Engine) ruleDone(ri int, t0 time.Time, derived, duplicates int, candidates int64) {
 	if t0.IsZero() {
 		return
 	}
-	e.ruleDoneNanos(ri, int64(time.Since(t0)), derived, duplicates, candidates)
-}
-
-// ruleDoneNanos is ruleDone for jobs whose duration was measured elsewhere
-// (parallel workers time their own jobs; the merge applies the result here).
-func (e *Engine) ruleDoneNanos(ri int, nanos int64, derived, duplicates int, candidates int64) {
+	nanos := int64(time.Since(t0))
 	if st := e.stats; st != nil {
 		rs := &st.rules[ri]
 		rs.Firings++

@@ -1,11 +1,12 @@
 package datalog
 
-// Coverage for the observability layer: ChaseStats collection (sequential
-// and parallel, indexed and scan mode), the lifecycle hooks and budget-trip
-// notification.
+// Coverage for the observability layer: ChaseStats collection (indexed and
+// scan mode), the lifecycle hooks and budget-trip notification.
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -40,7 +41,7 @@ func statsEngine(t *testing.T, opts ...Option) *Engine {
 }
 
 func TestChaseStatsSequential(t *testing.T) {
-	e := statsEngine(t, WithStats(), WithParallel(1))
+	e := statsEngine(t, WithStats())
 	if e.Stats() != nil {
 		t.Fatal("Stats() non-nil before the first Run")
 	}
@@ -63,8 +64,8 @@ func TestChaseStatsSequential(t *testing.T) {
 	if st.TotalNanos <= 0 {
 		t.Errorf("TotalNanos = %d", st.TotalNanos)
 	}
-	if st.Workers != 1 || st.Utilization != 1 {
-		t.Errorf("sequential run: Workers = %d, Utilization = %v, want 1, 1", st.Workers, st.Utilization)
+	if st.Utilization != 1 {
+		t.Errorf("Utilization = %v, want 1", st.Utilization)
 	}
 	if st.Truncated || st.Limit != "" {
 		t.Errorf("complete run marked truncated: %+v", st)
@@ -149,48 +150,6 @@ func TestChaseStatsNoIndexMode(t *testing.T) {
 	}
 }
 
-func TestChaseStatsParallelMatchesSequential(t *testing.T) {
-	seq := statsEngine(t, WithStats(), WithParallel(1))
-	if err := seq.Run(); err != nil {
-		t.Fatal(err)
-	}
-	par := statsEngine(t, WithStats(), WithParallel(4))
-	if err := par.Run(); err != nil {
-		t.Fatal(err)
-	}
-	ss, ps := seq.Stats(), par.Stats()
-	// Duplicates may legitimately differ (sequential jobs see facts inserted
-	// earlier in the same round), but the derived total is the fact count.
-	if ps.Derived != ss.Derived {
-		t.Errorf("parallel stats diverge: derived %d, sequential %d", ps.Derived, ss.Derived)
-	}
-	if ps.Workers < 1 {
-		t.Errorf("Workers = %d", ps.Workers)
-	}
-	if ps.Workers > 1 {
-		if ps.Utilization <= 0 || ps.Utilization > 1.0001 {
-			t.Errorf("Utilization = %v, want in (0, 1]", ps.Utilization)
-		}
-		if ps.WorkerBusyNanos <= 0 {
-			t.Errorf("WorkerBusyNanos = %d with a pool in use", ps.WorkerBusyNanos)
-		}
-	}
-	sum := 0
-	var cands int64
-	for _, r := range ps.Rules {
-		sum += r.Derived
-		cands += r.Candidates
-	}
-	if sum != ps.Derived {
-		t.Errorf("parallel per-rule Derived sums to %d, total %d", sum, ps.Derived)
-	}
-	// Workers count candidates on their own evalCtx; the merge folds them.
-	if cands != ps.Candidates || ps.Candidates < int64(ps.Derived+ps.Duplicates) {
-		t.Errorf("parallel per-rule Candidates sums to %d, total %d, for %d head instantiations",
-			cands, ps.Candidates, ps.Derived+ps.Duplicates)
-	}
-}
-
 // TestChaseStatsReset verifies a second Run replaces the report instead of
 // accumulating into it.
 func TestChaseStatsReset(t *testing.T) {
@@ -215,32 +174,64 @@ func TestChaseStatsReset(t *testing.T) {
 	}
 }
 
+// goroutineID parses the calling goroutine's id off its stack header,
+// "goroutine N [running]:".
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+// TestHooksFire checks the Hook contract: every callback fires on the
+// goroutine that called Run, each RuleStart is followed by its own RuleDone
+// before the next RuleStart, and the counts agree with the engine.
 func TestHooksFire(t *testing.T) {
 	var mu sync.Mutex
+	runner := goroutineID()
 	starts, dones, derivedViaHook := 0, 0, 0
 	var rounds []int
+	open := "" // the rule whose RuleStart has not seen its RuleDone yet
+	onRunner := func(cb string) {
+		if id := goroutineID(); id != runner {
+			t.Errorf("%s fired on goroutine %s, Run was called on %s", cb, id, runner)
+		}
+	}
 	h := Hook{
 		RuleStart: func(rule string, round int) {
 			mu.Lock()
 			defer mu.Unlock()
+			onRunner("RuleStart")
 			if rule == "" {
 				t.Error("RuleStart with empty label")
 			}
+			if open != "" {
+				t.Errorf("RuleStart(%q) before the RuleDone of %q", rule, open)
+			}
+			open = rule
 			starts++
 		},
 		RuleDone: func(rule string, round int, derived, duplicates int, elapsed time.Duration) {
 			mu.Lock()
 			defer mu.Unlock()
+			onRunner("RuleDone")
+			if rule != open {
+				t.Errorf("RuleDone(%q) while %q is the open RuleStart", rule, open)
+			}
+			open = ""
 			dones++
 			derivedViaHook += derived
 		},
 		RoundDone: func(round, stratum, newFacts int, elapsed time.Duration) {
 			mu.Lock()
 			defer mu.Unlock()
+			onRunner("RoundDone")
+			if open != "" {
+				t.Errorf("RoundDone(%d) before the RuleDone of %q", round, open)
+			}
 			rounds = append(rounds, newFacts)
 		},
 	}
-	e := statsEngine(t, WithHook(h), WithStats(), WithParallel(4))
+	e := statsEngine(t, WithHook(h), WithStats())
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -283,34 +274,30 @@ func TestHooksWithoutStats(t *testing.T) {
 }
 
 func TestBudgetTripHookFiresOnce(t *testing.T) {
-	for _, parallel := range []int{1, 4} {
-		var trips atomic.Int64
-		var tripped *BudgetExceededError
-		e := statsEngine(t,
-			WithStats(),
-			WithParallel(parallel),
-			WithBudget(Budget{MaxFacts: 2, CheckEvery: 1}),
-			WithHook(Hook{BudgetTrip: func(err *BudgetExceededError) {
-				if trips.Add(1) == 1 {
-					tripped = err
-				}
-			}}),
-		)
-		err := e.Run()
-		var be *BudgetExceededError
-		if !errors.As(err, &be) || be.Limit != LimitFacts {
-			t.Fatalf("parallel=%d: want max-facts trip, got %v", parallel, err)
-		}
-		if n := trips.Load(); n != 1 {
-			t.Errorf("parallel=%d: BudgetTrip fired %d times, want once", parallel, n)
-		}
-		if tripped == nil || tripped.Limit != LimitFacts {
-			t.Errorf("parallel=%d: hook received %+v", parallel, tripped)
-		}
-		st := e.Stats()
-		if !st.Truncated || st.Limit != LimitFacts {
-			t.Errorf("parallel=%d: stats not marked truncated: truncated=%v limit=%q",
-				parallel, st.Truncated, st.Limit)
-		}
+	var trips atomic.Int64
+	var tripped *BudgetExceededError
+	e := statsEngine(t,
+		WithStats(),
+		WithBudget(Budget{MaxFacts: 2, CheckEvery: 1}),
+		WithHook(Hook{BudgetTrip: func(err *BudgetExceededError) {
+			if trips.Add(1) == 1 {
+				tripped = err
+			}
+		}}),
+	)
+	err := e.Run()
+	var be *BudgetExceededError
+	if !errors.As(err, &be) || be.Limit != LimitFacts {
+		t.Fatalf("want max-facts trip, got %v", err)
+	}
+	if n := trips.Load(); n != 1 {
+		t.Errorf("BudgetTrip fired %d times, want once", n)
+	}
+	if tripped == nil || tripped.Limit != LimitFacts {
+		t.Errorf("hook received %+v", tripped)
+	}
+	st := e.Stats()
+	if !st.Truncated || st.Limit != LimitFacts {
+		t.Errorf("stats not marked truncated: truncated=%v limit=%q", st.Truncated, st.Limit)
 	}
 }

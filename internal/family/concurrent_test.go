@@ -1,10 +1,12 @@
 package family
 
-// The datalog engine calls registered builtins — including the #linkprob
-// hook backed by Classifier.LinkProbability — from several chase workers at
-// once when Options.Parallel > 1. This test pins the implicit contract that
-// a trained Classifier is read-only at prediction time: concurrent
-// LinkProbability calls must race-cleanly produce identical results.
+// core.Augment with Config.Parallel matches blocks on one worker per CPU,
+// and every block's family candidate classifies through one shared Multi,
+// whose base Classifier also backs the #linkprob builtins. That block
+// matching is why those builtins must be safe for concurrent use. This test
+// pins the implicit contract that a trained Classifier is read-only at
+// prediction time: concurrent LinkProbability calls must race-cleanly
+// produce identical results.
 
 import (
 	"sync"

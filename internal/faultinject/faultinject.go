@@ -18,11 +18,6 @@ const (
 	// SiteDatalogRound fires at the start of every semi-naive round of the
 	// chase (internal/datalog). Hooks here simulate slow strata.
 	SiteDatalogRound = "datalog.round"
-	// SiteDatalogMerge fires when a parallel chase round starts merging its
-	// per-job buffers into the fact store (internal/datalog). Hooks here
-	// stretch the window between worker evaluation and merge to surface
-	// races and to land cancellations mid-merge.
-	SiteDatalogMerge = "datalog.merge"
 	// SiteAPIHandler fires on entry of every reasonapi request, inside the
 	// panic-recovery middleware. Hooks here simulate handler crashes.
 	SiteAPIHandler = "reasonapi.handler"

@@ -6,11 +6,6 @@ package vadalog
 // expected outputs live in testdata/golden/*.golden; regenerate with
 //
 //	go test ./internal/vadalog -run TestGolden -update
-//
-// Each case runs twice — sequential chase and a 4-worker parallel chase —
-// against the same golden file, pinning both the program semantics and the
-// engine-configuration independence that the differential harness checks on
-// random programs.
 
 import (
 	"flag"
@@ -21,7 +16,6 @@ import (
 	"strings"
 	"testing"
 
-	"vadalink/internal/datalog"
 	"vadalink/internal/graphgen"
 )
 
@@ -33,15 +27,14 @@ func goldenGraph() *graphgen.Italian {
 
 // goldenLines runs the reasoner for one task set and renders the derived
 // facts of the named predicates as sorted lines.
-func goldenLines(t *testing.T, it *graphgen.Italian, tasks Task, parallel int, preds []string, withAccown bool) []string {
+func goldenLines(t *testing.T, it *graphgen.Italian, tasks Task, preds []string, withAccown bool) []string {
 	t.Helper()
 	r := NewReasoner(it.Graph, tasks)
-	r.EngineOptions = []datalog.Option{datalog.WithParallel(parallel)}
 	if tasks&TaskFamilyControl != 0 {
 		r.Families = it.Families
 	}
 	if err := r.Run(); err != nil {
-		t.Fatalf("reasoner run (parallel=%d): %v", parallel, err)
+		t.Fatalf("reasoner run: %v", err)
 	}
 	var lines []string
 	for _, pred := range preds {
@@ -52,7 +45,7 @@ func goldenLines(t *testing.T, it *graphgen.Italian, tasks Task, parallel int, p
 	if withAccown {
 		// Accumulated ownership renders at 6 decimals: enough to pin the
 		// semantics, coarse enough to absorb float-association differences
-		// between sequential and parallel summation order.
+		// when the summation order changes.
 		acc := r.AccumulatedOwnership()
 		for k, v := range acc {
 			lines = append(lines, fmt.Sprintf("accown(%d, %d) = %.6f", k[0], k[1], v))
@@ -77,12 +70,12 @@ func TestGoldenPrograms(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join("testdata", "golden", tc.name+".golden")
-			seq := goldenLines(t, it, tc.tasks, 1, tc.preds, tc.withAccown)
+			got := goldenLines(t, it, tc.tasks, tc.preds, tc.withAccown)
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(path, []byte(strings.Join(seq, "\n")+"\n"), 0o644); err != nil {
+				if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -91,22 +84,12 @@ func TestGoldenPrograms(t *testing.T) {
 				t.Fatalf("reading golden file (run with -update to create): %v", err)
 			}
 			want := strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
-			for _, run := range []struct {
-				name     string
-				parallel int
-			}{{"sequential", 1}, {"parallel4", 4}} {
-				got := seq
-				if run.parallel != 1 {
-					got = goldenLines(t, it, tc.tasks, run.parallel, tc.preds, tc.withAccown)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s: %d lines, golden has %d\nfirst lines got: %s",
-						run.name, len(got), len(want), head(got, 5))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s: line %d:\n got: %s\nwant: %s", run.name, i+1, got[i], want[i])
-					}
+			if len(got) != len(want) {
+				t.Fatalf("%d lines, golden has %d\nfirst lines got: %s", len(got), len(want), head(got, 5))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("line %d:\n got: %s\nwant: %s", i+1, got[i], want[i])
 				}
 			}
 		})

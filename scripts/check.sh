@@ -39,9 +39,10 @@ echo "== coverage floors =="
 # each is held:
 #   datalog      the hottest and most-refactored code in the repo; held at the
 #                level the indexing/parallelism PR established (87.3%; 91.3%
-#                measured with slot-compiled bindings) so later perf work can't
-#                silently shed tests. The allocation guard, TestChaseAllocations,
-#                runs here: the race step above skips it.
+#                measured with slot-compiled bindings, 90.8% once the worker
+#                pool went and the chase kept one round evaluator) so later
+#                perf work can't silently shed tests. The allocation guard,
+#                TestChaseAllocations, runs here: the race step above skips it.
 #   reasonapi    the HTTP surface carries the error-envelope and observability
 #                contracts, and the hit-path guards (allocations per hit, a
 #                deadline armed only by misses, queryParam vs url.ParseQuery)

@@ -194,7 +194,6 @@ func ParseRules(src string) (*datalog.Program, error) { return datalog.Parse(src
 //
 //	e, err := vadalink.NewEngine(p,
 //	    vadalink.WithBudget(vadalink.Budget{MaxFacts: 1e6}),
-//	    vadalink.WithParallel(4),
 //	    vadalink.WithStats())
 func NewEngine(p *datalog.Program, opts ...EngineOption) (*datalog.Engine, error) {
 	return datalog.NewEngine(p, opts...)
@@ -375,8 +374,6 @@ type EngineOption = datalog.Option
 var (
 	// WithBudget bounds a Run's resources (facts, delta queue, index memory).
 	WithBudget = datalog.WithBudget
-	// WithParallel sets the chase worker count (0 = GOMAXPROCS).
-	WithParallel = datalog.WithParallel
 	// WithProvenance records derivations, enabling Explain/ExplainTree.
 	WithProvenance = datalog.WithProvenance
 	// WithStats collects an EngineStats report during each Run.
@@ -388,9 +385,9 @@ var (
 // --- observability (chase statistics) ---
 
 // EngineStats is the evaluation report of one chase Run — per-rule firings,
-// derivations, duplicates and timings, per-round deltas, index hit/scan
-// counts and worker-pool utilization. Collected when the engine runs with
-// WithStats; read it with Engine.Stats().
+// derivations, duplicates and timings, per-round deltas and index hit/scan
+// counts. Collected when the engine runs with WithStats; read it with
+// Engine.Stats().
 type EngineStats = datalog.ChaseStats
 
 // EngineHook is the chase lifecycle callback set installed by WithHook.
