@@ -218,31 +218,6 @@ func BenchmarkAblationRecursiveReembed(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationParallelMatching compares sequential and parallel block
-// matching in the augmentation loop.
-func BenchmarkAblationParallelMatching(b *testing.B) {
-	it := graphgen.NewItalian(graphgen.ItalianConfig{Persons: 3000, Companies: 1000, Seed: 1})
-	for _, parallel := range []bool{false, true} {
-		name := "sequential"
-		if parallel {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				g := it.Graph.Clone()
-				_, err := vadalink.Augment(g, vadalink.AugmentConfig{
-					Blocker:    vadalink.PersonBlocker{},
-					Candidates: []vadalink.Candidate{&vadalink.FamilyCandidate{}},
-					Parallel:   parallel,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationClusterLevels compares the four clustering configurations.
 func BenchmarkAblationClusterLevels(b *testing.B) {
 	for i := 0; i < b.N; i++ {

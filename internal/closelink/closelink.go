@@ -216,83 +216,3 @@ func CloseLinksCtx(ctx context.Context, g pg.View, t float64, opts Options) ([]L
 	})
 	return out, nil
 }
-
-// FamilyCloseLinks implements the family extension (Algorithm 9): two
-// companies are closely linked when two *different* members i ≠ j of the same
-// family group have Φ(i, x) ≥ t and Φ(j, y) ≥ t. families maps a family
-// identifier to its member nodes.
-func FamilyCloseLinks(g pg.View, families map[string][]pg.NodeID, t float64, opts Options) []Link {
-	if t <= 0 {
-		t = DefaultThreshold
-	}
-	isCompany := func(n pg.NodeID) bool { return g.Node(n).Label == pg.LabelCompany }
-	seen := make(map[Pair]bool)
-	var out []Link
-
-	famIDs := make([]string, 0, len(families))
-	for f := range families {
-		famIDs = append(famIDs, f)
-	}
-	sort.Strings(famIDs)
-
-	for _, f := range famIDs {
-		members := families[f]
-		// Heavy targets per member.
-		heavy := make([][]pg.NodeID, len(members))
-		for i, m := range members {
-			for y, v := range AccumulatedFrom(g, m, opts) {
-				if v >= t && isCompany(y) {
-					heavy[i] = append(heavy[i], y)
-				}
-			}
-			sort.Slice(heavy[i], func(a, b int) bool { return heavy[i][a] < heavy[i][b] })
-		}
-		for i := 0; i < len(members); i++ {
-			for j := 0; j < len(members); j++ {
-				if i == j {
-					continue
-				}
-				for _, x := range heavy[i] {
-					for _, y := range heavy[j] {
-						if x == y {
-							continue
-						}
-						a, b := x, y
-						if b < a {
-							a, b = b, a
-						}
-						p := Pair{A: a, B: b}
-						if seen[p] {
-							continue
-						}
-						seen[p] = true
-						out = append(out, Link{Pair: p, Reason: ReasonCommonOwner, Via: members[i]})
-					}
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pair.A != out[j].Pair.A {
-			return out[i].Pair.A < out[j].Pair.A
-		}
-		return out[i].Pair.B < out[j].Pair.B
-	})
-	return out
-}
-
-// Annotate adds CloseLink edges (both directions, since close links are
-// symmetric per Definition 2.6) for every finding. It returns the number of
-// edges added.
-func Annotate(g pg.Mutable, t float64, opts Options) int {
-	added := 0
-	for _, l := range CloseLinks(g, t, opts) {
-		for _, d := range [][2]pg.NodeID{{l.Pair.A, l.Pair.B}, {l.Pair.B, l.Pair.A}} {
-			if !g.HasEdge(pg.LabelCloseLink, d[0], d[1]) {
-				g.MustAddEdge(pg.LabelCloseLink, d[0], d[1], nil)
-				added++
-			}
-		}
-	}
-	return added
-}

@@ -144,50 +144,6 @@ func TestCloseLinkThresholdBoundary(t *testing.T) {
 	}
 }
 
-func TestFamilyCloseLinks(t *testing.T) {
-	// P1 and P2 are family; P1 owns 40% of D, P2 owns 60% of G → D–G close
-	// link through the family (the §1 discussion of D and G).
-	g, b := pg.Figure1()
-	fams := map[string][]pg.NodeID{
-		"rossi": {b.ID("P1"), b.ID("P2")},
-	}
-	links := FamilyCloseLinks(g, fams, 0.2, Options{})
-	dID, gID := b.ID("D"), b.ID("G")
-	if gID < dID {
-		dID, gID = gID, dID
-	}
-	found := false
-	for _, l := range links {
-		if l.Pair.A == dID && l.Pair.B == gID {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("missing family close link (D, G); got %v", links)
-	}
-	// A single-member family adds nothing beyond ordinary close links
-	// (requires i ≠ j).
-	solo := FamilyCloseLinks(g, map[string][]pg.NodeID{"x": {b.ID("P1")}}, 0.2, Options{})
-	if len(solo) != 0 {
-		t.Errorf("single-member family produced links: %v", solo)
-	}
-}
-
-func TestAnnotateSymmetric(t *testing.T) {
-	g, b := pg.Figure2()
-	added := Annotate(g, 0.2, Options{})
-	if added == 0 {
-		t.Fatal("no close-link edges added")
-	}
-	if !g.HasEdge(pg.LabelCloseLink, b.ID("C4"), b.ID("C7")) ||
-		!g.HasEdge(pg.LabelCloseLink, b.ID("C7"), b.ID("C4")) {
-		t.Error("close-link edges must be added in both directions")
-	}
-	if again := Annotate(g, 0.2, Options{}); again != 0 {
-		t.Errorf("second Annotate added %d, want 0", again)
-	}
-}
-
 func TestPruningBoundsWork(t *testing.T) {
 	// A long chain of 0.9 shares: with MaxDepth 3 only 3 hops accumulate.
 	b := pg.NewBuilder()

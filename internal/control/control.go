@@ -256,16 +256,3 @@ func Orphans(g pg.View) []pg.NodeID {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// Annotate adds a Control edge to the graph for every control relationship,
-// skipping existing ones. It returns the number of edges added.
-func Annotate(g pg.Mutable) int {
-	added := 0
-	for _, p := range AllPairs(g) {
-		if !g.HasEdge(pg.LabelControl, p.From, p.To) {
-			g.MustAddEdge(pg.LabelControl, p.From, p.To, nil)
-			added++
-		}
-	}
-	return added
-}

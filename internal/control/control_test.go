@@ -165,20 +165,6 @@ func TestAllPairsMatchesPerSource(t *testing.T) {
 	_ = b
 }
 
-func TestAnnotateAddsControlEdges(t *testing.T) {
-	g, b := pg.Figure2()
-	added := Annotate(g)
-	if added == 0 {
-		t.Fatal("Annotate added no edges")
-	}
-	if !g.HasEdge(pg.LabelControl, b.ID("P2"), b.ID("C7")) {
-		t.Error("missing P2→C7 control edge")
-	}
-	if again := Annotate(g); again != 0 {
-		t.Errorf("second Annotate added %d edges, want 0", again)
-	}
-}
-
 func TestUltimateControllers(t *testing.T) {
 	g, b := pg.Figure1()
 	// L has no single ultimate controller (P1 and P2 only jointly).

@@ -21,8 +21,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"vadalink/internal/cluster"
@@ -71,14 +69,6 @@ type Config struct {
 	MaxRounds int
 	// Nodes restricts augmentation to these nodes; nil means all nodes.
 	Nodes []pg.NodeID
-	// Parallel evaluates the candidate predicates of different blocks on
-	// parallel workers (one per CPU). Blocks are matched against the graph
-	// as of the start of the round and insertions applied serially, so the
-	// result is identical to sequential mode for candidates that do not read
-	// the edges they predict (all the shipped ones: control and close-link
-	// candidates read only Shareholding edges; the family candidate reads
-	// only node features).
-	Parallel bool
 }
 
 // Result reports what an augmentation run did.
@@ -183,80 +173,24 @@ func (a *Augmenter) RunContext(ctx context.Context, g pg.Mutable) (*Result, erro
 	return res, nil
 }
 
-// matchBlocks runs every candidate over every block and returns the
-// proposals plus the comparison count. With cfg.Parallel, blocks are
-// distributed over one worker per CPU; results keep block order so the run
-// stays deterministic. Cancellation is checked between blocks; already
-// matched blocks' proposals are discarded with the error (the caller
-// reports a cancelled round without applying it).
+// matchBlocks runs every candidate over every block, in block order, and
+// returns the proposals plus the comparison count. Cancellation is checked
+// between blocks; already matched blocks' proposals are discarded with the
+// error (the caller reports a cancelled round without applying it).
 func (a *Augmenter) matchBlocks(ctx context.Context, g pg.View, blocks [][]pg.NodeID) ([]ProposedEdge, int64, error) {
-	matchOne := func(block []pg.NodeID) ([]ProposedEdge, int64) {
-		if len(block) < 2 {
-			return nil, 0
-		}
-		var edges []ProposedEdge
-		var cmp int64
-		for _, cand := range a.cfg.Candidates {
-			cmp += int64(len(block)) * int64(len(block)-1)
-			edges = append(edges, cand.Propose(g, block)...)
-		}
-		return edges, cmp
-	}
-
-	if !a.cfg.Parallel || len(blocks) < 2 {
-		var all []ProposedEdge
-		var cmp int64
-		for _, block := range blocks {
-			if err := ctx.Err(); err != nil {
-				return nil, cmp, err
-			}
-			e, c := matchOne(block)
-			all = append(all, e...)
-			cmp += c
-		}
-		return all, cmp, nil
-	}
-
-	type result struct {
-		edges []ProposedEdge
-		cmp   int64
-	}
-	results := make([]result, len(blocks))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(blocks) {
-		workers = len(blocks)
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				e, c := matchOne(blocks[i])
-				results[i] = result{edges: e, cmp: c}
-			}
-		}()
-	}
-	var feedErr error
-	for i := range blocks {
-		if err := ctx.Err(); err != nil {
-			feedErr = err
-			break
-		}
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
 	var all []ProposedEdge
 	var cmp int64
-	for _, r := range results {
-		all = append(all, r.edges...)
-		cmp += r.cmp
-	}
-	if feedErr != nil {
-		return nil, cmp, feedErr
+	for _, block := range blocks {
+		if err := ctx.Err(); err != nil {
+			return nil, cmp, err
+		}
+		if len(block) < 2 {
+			continue
+		}
+		for _, cand := range a.cfg.Candidates {
+			cmp += int64(len(block)) * int64(len(block)-1)
+			all = append(all, cand.Propose(g, block)...)
+		}
 	}
 	return all, cmp, nil
 }

@@ -206,47 +206,3 @@ func TestProposedEdgesCarryProbability(t *testing.T) {
 		}
 	}
 }
-
-func TestParallelMatchesSequential(t *testing.T) {
-	it := graphgen.NewItalian(graphgen.ItalianConfig{Persons: 300, Companies: 100, Seed: 12})
-
-	seq := it.Graph.Clone()
-	seqAug, _ := New(Config{
-		Blocker:    cluster.PersonBlocker{},
-		Candidates: []Candidate{&FamilyCandidate{}},
-	})
-	seqRes, err := seqAug.Run(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	par := it.Graph.Clone()
-	parAug, _ := New(Config{
-		Blocker:    cluster.PersonBlocker{},
-		Candidates: []Candidate{&FamilyCandidate{}},
-		Parallel:   true,
-	})
-	parRes, err := parAug.Run(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if seqRes.Comparisons != parRes.Comparisons {
-		t.Errorf("comparisons differ: %d vs %d", seqRes.Comparisons, parRes.Comparisons)
-	}
-	for label, n := range seqRes.Added {
-		if parRes.Added[label] != n {
-			t.Errorf("%s edges: sequential %d, parallel %d", label, n, parRes.Added[label])
-		}
-	}
-	// Edge sets are identical.
-	if seq.NumEdges() != par.NumEdges() {
-		t.Fatalf("edge counts differ: %d vs %d", seq.NumEdges(), par.NumEdges())
-	}
-	for _, eid := range seq.Edges() {
-		e := seq.Edge(eid)
-		if !par.HasEdge(e.Label, e.From, e.To) {
-			t.Fatalf("parallel run missing edge %v", e)
-		}
-	}
-}

@@ -64,7 +64,7 @@ const (
 
 // BudgetExceededError reports that a Run stopped before fixpoint because a
 // resource limit tripped. The engine state remains valid: every fact derived
-// before the trip is readable through Facts/Match/Query, so callers can
+// before the trip is readable through Facts/Query, so callers can
 // serve partial results while telling "timed out" apart from "diverged"
 // (Limit) and "done" (nil error).
 type BudgetExceededError struct {
@@ -115,7 +115,7 @@ func (e *BudgetExceededError) Error() string {
 func (e *BudgetExceededError) Unwrap() error { return e.Cause }
 
 // trip records a budget violation on the engine; the evaluation unwinds at
-// the next cooperative check. It is safe for concurrent use — Match/Query
+// the next cooperative check. It is safe for concurrent use — Query
 // callers building indexes after a Run may trip the index budget at once —
 // and the first trip wins, later ones return the recorded error.
 func (e *Engine) trip(limit Limit, bound int, cause error) *BudgetExceededError {

@@ -60,7 +60,7 @@ func TestMaxRoundsTypedError(t *testing.T) {
 		t.Errorf("Facts = %d, DerivedCount = %d, want matching non-zero", be.Facts, e.DerivedCount())
 	}
 	// Partial results stay readable.
-	if n := e.NumFacts("p"); n == 0 {
+	if n := len(e.Facts("p")); n == 0 {
 		t.Error("no partial p facts after round-limit trip")
 	}
 }
@@ -115,7 +115,7 @@ func TestMaxFactsBudget(t *testing.T) {
 	if n := e.DerivedCount(); n <= 100 || n > 200 {
 		t.Errorf("DerivedCount = %d, want just past 100", n)
 	}
-	if e.NumFacts("q") == 0 {
+	if len(e.Facts("q")) == 0 {
 		t.Error("no partial q facts after fact-budget trip")
 	}
 }
@@ -154,7 +154,7 @@ func TestBudgetZeroIsUnlimited(t *testing.T) {
 	if err := e.RunContext(context.Background()); err != nil {
 		t.Fatalf("zero budget tripped: %v", err)
 	}
-	if n := e.NumFacts("p"); n != 50*51/2 {
+	if n := len(e.Facts("p")); n != 50*51/2 {
 		t.Errorf("p facts = %d, want %d", n, 50*51/2)
 	}
 }
@@ -195,14 +195,14 @@ func TestRunContextAfterTripIsReusable(t *testing.T) {
 	if err := e.Run(); err == nil {
 		t.Fatal("want trip")
 	}
-	before := e.NumFacts("q")
+	before := len(e.Facts("q"))
 	e.opts.Budget.MaxFacts = 120
 	err := e.Run()
 	var be *BudgetExceededError
 	if !errors.As(err, &be) || be.Limit != LimitFacts {
 		t.Fatalf("second run err = %v", err)
 	}
-	if after := e.NumFacts("q"); after <= before {
+	if after := len(e.Facts("q")); after <= before {
 		t.Errorf("no progress on re-run: %d -> %d", before, after)
 	}
 }

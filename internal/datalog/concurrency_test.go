@@ -35,7 +35,7 @@ func closureEngine(t *testing.T, opts ...Option) *Engine {
 }
 
 // TestConcurrentReadsAfterRun hammers the read-only accessors — including
-// Match patterns that trigger lazy index builds — from many goroutines at
+// Query patterns that trigger lazy index builds — from many goroutines at
 // once. Under -race this verifies the double-checked index publication.
 func TestConcurrentReadsAfterRun(t *testing.T) {
 	e := closureEngine(t)
@@ -55,12 +55,12 @@ func TestConcurrentReadsAfterRun(t *testing.T) {
 				f := reach[(g*13+i)%len(reach)]
 				// Probe both argument positions: each may build its index
 				// lazily, racing with the other goroutines.
-				if got := e.Match("reach", f.Args[0], nil); len(got) == 0 {
-					t.Errorf("Match(reach, %v, _) empty", f.Args[0])
+				if got := match(e, "reach", f.Args[0], nil); len(got) == 0 {
+					t.Errorf("match(reach, %v, _) empty", f.Args[0])
 					return
 				}
-				if got := e.Match("reach", nil, f.Args[1]); len(got) == 0 {
-					t.Errorf("Match(reach, _, %v) empty", f.Args[1])
+				if got := match(e, "reach", nil, f.Args[1]); len(got) == 0 {
+					t.Errorf("match(reach, _, %v) empty", f.Args[1])
 					return
 				}
 				if !e.Has(f) {
@@ -158,7 +158,7 @@ func TestWorkerPanicPropagates(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatalf("re-run after the panic: %v", err)
 	}
-	if got, want := e.NumFacts("p"), len(e.Facts("own")); got == 0 || got > want {
+	if got, want := len(e.Facts("p")), len(e.Facts("own")); got == 0 || got > want {
 		t.Fatalf("re-run derived %d p facts from %d own facts", got, want)
 	}
 }

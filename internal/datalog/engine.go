@@ -50,7 +50,7 @@ type options struct {
 	Provenance bool
 
 	// NoIndex disables the per-predicate positional hash indexes: lookup and
-	// Match fall back to scanning every fact of the relation. This is the
+	// Query fall back to scanning every fact of the relation. This is the
 	// pre-index baseline, kept for the differential test harness and as the
 	// remedy a tripped Budget.MaxIndexBytes names.
 	NoIndex bool
@@ -76,7 +76,7 @@ type Derivation struct {
 //
 // Concurrency contract: an Engine must not be mutated concurrently — Assert
 // and Run/RunContext need exclusive access. After a Run completes, the
-// read-only accessors (Facts, Match, Query, Has, Explain, ...) are safe to
+// read-only accessors (Facts, Query, Has, Explain, ...) are safe to
 // call from many goroutines at once; lazy index builds they may trigger are
 // internally synchronized.
 type Engine struct {
@@ -109,7 +109,7 @@ type Engine struct {
 	lastStats *ChaseStats
 
 	// indexBytes is the estimated memory of all positional indexes, accrued
-	// atomically because concurrent Match/Query callers may build indexes
+	// atomically because concurrent Query callers may build indexes
 	// lazily after a Run. Checked against Budget.MaxIndexBytes.
 	indexBytes atomic.Int64
 
@@ -117,7 +117,7 @@ type Engine struct {
 	prov map[string]Derivation
 }
 
-// evalCtx is the evaluation state of one chase round (or one Match/Query
+// evalCtx is the evaluation state of one chase round (or one Query
 // call): the cooperative-cancellation step counter, the frame of the chase
 // job in flight (rule, plan, delta, slot binding and its undo trail), the
 // scratch buffers keys and head arguments are built in, the round's delta,
@@ -242,7 +242,7 @@ func (r *relation) insert(f Fact, k string) (bool, int) {
 // ensureIndex builds the positional index for pos if missing, returning the
 // estimated bytes it added and whether this call performed the build. Safe
 // for concurrent callers: the build is double-checked under mu and published
-// through the built mask, so concurrent Match/Query calls after a Run race
+// through the built mask, so concurrent Query calls after a Run race
 // only on the mutex.
 func (r *relation) ensureIndex(pos int) (int, bool) {
 	if pos < 0 || pos >= len(r.index) || pos >= 64 {
@@ -486,57 +486,10 @@ func (e *Engine) FactsN(pred string, n int) []Fact {
 	return out
 }
 
-// NumFacts reports the number of facts of a predicate.
-func (e *Engine) NumFacts(pred string) int {
-	if r, ok := e.rels[pred]; ok {
-		return len(r.facts)
-	}
-	return 0
-}
-
 // Has reports whether the exact ground fact is present.
 func (e *Engine) Has(f Fact) bool {
 	r, ok := e.rels[f.Pred]
 	return ok && r.keys[f.Key()]
-}
-
-// matchPattern reports whether a fact matches a wildcard pattern (nil means
-// any value at that position).
-func matchPattern(f Fact, pattern []any) bool {
-	if len(f.Args) != len(pattern) {
-		return false
-	}
-	for i, p := range pattern {
-		if p != nil && !valueEqual(f.Args[i], p) {
-			return false
-		}
-	}
-	return true
-}
-
-// Match returns the facts of pred whose arguments equal the non-nil entries
-// of pattern (nil is a wildcard). When a pattern position is bound, the
-// probe goes through the positional hash index (built on first use) instead
-// of scanning the relation; the remaining positions verify per candidate.
-func (e *Engine) Match(pred string, pattern ...any) []Fact {
-	if _, ok := e.rels[pred]; !ok {
-		return nil
-	}
-	a := catom{pred: pred, terms: make([]cterm, len(pattern))}
-	for i, p := range pattern {
-		a.terms[i] = cterm{kind: termWild}
-		if p != nil {
-			a.terms[i] = cterm{kind: termConst, val: p}
-		}
-	}
-	var out []Fact
-	for c, i := e.lookup(&evalCtx{}, &a), 0; i < c.len(); i++ {
-		if f := c.at(i); matchPattern(f, pattern) {
-			out = append(out, f)
-		}
-	}
-	SortFacts(out)
-	return out
 }
 
 // Binding is one answer to a Query: variable name → ground value.
@@ -719,7 +672,7 @@ func (e *Engine) Run() error { return e.RunContext(context.Background()) }
 // RunContext evaluates the program to fixpoint under the context's deadline
 // and the configured Budget. When a limit trips, it returns a
 // *BudgetExceededError naming the limit; the facts derived before the trip
-// remain readable through Facts/Match/Query, so callers can serve partial
+// remain readable through Facts/Query, so callers can serve partial
 // results and distinguish "timed out" from "diverged" from "done".
 func (e *Engine) RunContext(ctx context.Context) error {
 	if ctx == nil {

@@ -25,6 +25,21 @@ func run(t *testing.T, src string, edb []Fact, opts ...Option) *Engine {
 	return e
 }
 
+// match is a pattern probe through Query: nil positions of pattern are
+// fresh variables, the others constants. It returns one binding per
+// matching fact.
+func match(e *Engine, pred string, pattern ...any) []Binding {
+	a := Atom{Pred: pred, Terms: make([]Term, len(pattern))}
+	for i, p := range pattern {
+		if p == nil {
+			a.Terms[i] = Variable(fmt.Sprintf("V%d", i))
+		} else {
+			a.Terms[i] = Constant{Value: p}
+		}
+	}
+	return e.Query(a)
+}
+
 func TestTransitiveClosure(t *testing.T) {
 	src := `
 		edge(X, Y) -> path(X, Y).
@@ -36,7 +51,7 @@ func TestTransitiveClosure(t *testing.T) {
 		{Pred: "edge", Args: []any{"c", "d"}},
 	}
 	e := run(t, src, edb)
-	if n := e.NumFacts("path"); n != 6 {
+	if n := len(e.Facts("path")); n != 6 {
 		t.Errorf("path facts = %d, want 6: %v", n, e.Facts("path"))
 	}
 	if !e.Has(Fact{Pred: "path", Args: []any{"a", "d"}}) {
@@ -55,7 +70,7 @@ func TestTransitiveClosureCycle(t *testing.T) {
 	}
 	e := run(t, src, edb)
 	// Cycle: paths a→b, b→a, a→a, b→b; must terminate.
-	if n := e.NumFacts("path"); n != 4 {
+	if n := len(e.Facts("path")); n != 4 {
 		t.Errorf("path facts = %d, want 4: %v", n, e.Facts("path"))
 	}
 }
@@ -70,7 +85,7 @@ func TestConstantsInAtoms(t *testing.T) {
 		{Pred: "typed", Args: []any{"c1", "company"}},
 	}
 	e := run(t, src, edb)
-	if n := e.NumFacts("pair"); n != 2 {
+	if n := len(e.Facts("pair")); n != 2 {
 		t.Errorf("pair facts = %d, want 2 (p1,p2 and p2,p1): %v", n, e.Facts("pair"))
 	}
 }
@@ -369,7 +384,7 @@ func TestBuiltinRegistration(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Match("out", nil, "a"); len(got) != 2 {
+	if got := match(e, "out", nil, "a"); len(got) != 2 {
 		t.Errorf("bucket a = %v, want 2 entries", got)
 	}
 }
@@ -420,7 +435,7 @@ func TestMultipleHeadAtoms(t *testing.T) {
 	`
 	edb := []Fact{{Pred: "own", Args: []any{"a", "b", 0.5}}}
 	e := run(t, src, edb)
-	if e.NumFacts("link") != 1 || e.NumFacts("edgetype") != 1 {
+	if len(e.Facts("link")) != 1 || len(e.Facts("edgetype")) != 1 {
 		t.Fatalf("link=%v edgetype=%v", e.Facts("link"), e.Facts("edgetype"))
 	}
 	l, et := e.Facts("link")[0], e.Facts("edgetype")[0]
@@ -443,7 +458,7 @@ func TestSemiNaiveRoundsBounded(t *testing.T) {
 	}
 	e := run(t, src, edb)
 	want := n * (n + 1) / 2
-	if got := e.NumFacts("path"); got != want {
+	if got := len(e.Facts("path")); got != want {
 		t.Errorf("path facts = %d, want %d", got, want)
 	}
 	if e.Rounds() > n+5 {
@@ -458,11 +473,11 @@ func TestMatchWildcard(t *testing.T) {
 		{Pred: "own", Args: []any{"b", "c", 0.2}},
 	}
 	e := run(t, `own(X, Y, W) -> o2(X, Y).`, edb)
-	if got := e.Match("own", "a", nil, nil); len(got) != 2 {
-		t.Errorf("Match(own, a, _, _) = %v, want 2", got)
+	if got := match(e, "own", "a", nil, nil); len(got) != 2 {
+		t.Errorf("match(own, a, _, _) = %v, want 2", got)
 	}
-	if got := e.Match("own", nil, "c", nil); len(got) != 2 {
-		t.Errorf("Match(own, _, c, _) = %v, want 2", got)
+	if got := match(e, "own", nil, "c", nil); len(got) != 2 {
+		t.Errorf("match(own, _, c, _) = %v, want 2", got)
 	}
 }
 
@@ -473,7 +488,7 @@ func TestAnonymousVariable(t *testing.T) {
 		{Pred: "own", Args: []any{"a", "c", 0.3}},
 	}
 	e := run(t, src, edb)
-	if n := e.NumFacts("owner"); n != 1 {
+	if n := len(e.Facts("owner")); n != 1 {
 		t.Errorf("owner facts = %d, want 1 (dedup)", n)
 	}
 }
@@ -486,7 +501,7 @@ func TestIntFloatEquivalence(t *testing.T) {
 		{Pred: "b", Args: []any{1.0}},
 	}
 	e := run(t, src, edb)
-	if e.NumFacts("same") != 1 {
+	if len(e.Facts("same")) != 1 {
 		t.Errorf("int/float comparison failed: %v", e.Facts("same"))
 	}
 }
@@ -498,7 +513,7 @@ func TestFactsDefensiveCopy(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	before := e.NumFacts("path")
+	before := len(e.Facts("path"))
 
 	fs := e.Facts("path")
 	if len(fs) == 0 {
@@ -514,12 +529,12 @@ func TestFactsDefensiveCopy(t *testing.T) {
 	if got := e.Facts("path"); !reflect.DeepEqual(got[0], orig) && !e.Has(orig) {
 		t.Errorf("store changed after caller mutation: %v", got[0])
 	}
-	if e.NumFacts("path") != before {
-		t.Errorf("fact count changed: %d -> %d", before, e.NumFacts("path"))
+	if len(e.Facts("path")) != before {
+		t.Errorf("fact count changed: %d -> %d", before, len(e.Facts("path")))
 	}
 	// Indexed lookups still see the uncorrupted argument.
-	if got := e.Match("path", orig.Args[0], nil); len(got) == 0 {
-		t.Errorf("Match(path, %v, _) empty after caller mutation", orig.Args[0])
+	if got := match(e, "path", orig.Args[0], nil); len(got) == 0 {
+		t.Errorf("match(path, %v, _) empty after caller mutation", orig.Args[0])
 	}
 
 	page := e.FactsN("path", 2)

@@ -94,7 +94,7 @@ func TestNaiveEqualsSemiNaiveProperty(t *testing.T) {
 			if err := e.Run(); err != nil {
 				return -1, -1
 			}
-			return e.NumFacts("path"), e.NumFacts("scc")
+			return len(e.Facts("path")), len(e.Facts("scc"))
 		}
 		p1, s1 := run(false)
 		p2, s2 := run(true)
@@ -137,7 +137,7 @@ func TestEmptyProgramAndEDBOnly(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if e.NumFacts("a") != 1 {
+	if len(e.Facts("a")) != 1 {
 		t.Error("EDB lost")
 	}
 }
@@ -149,8 +149,8 @@ func TestArityMismatchDoesNotUnify(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if e.NumFacts("b") != 1 {
-		t.Errorf("b facts = %d, want 1 (only the arity-2 a)", e.NumFacts("b"))
+	if len(e.Facts("b")) != 1 {
+		t.Errorf("b facts = %d, want 1 (only the arity-2 a)", len(e.Facts("b")))
 	}
 }
 
@@ -163,7 +163,7 @@ func TestStringComparisons(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if e.NumFacts("b") != 1 {
+	if len(e.Facts("b")) != 1 {
 		t.Errorf("b = %v", e.Facts("b"))
 	}
 }
@@ -177,8 +177,8 @@ func TestAssertDuplicateFactIdempotent(t *testing.T) {
 	if e.Assert(f) {
 		t.Error("duplicate assert returned true")
 	}
-	if e.NumFacts("a") != 1 {
-		t.Errorf("facts = %d", e.NumFacts("a"))
+	if len(e.Facts("a")) != 1 {
+		t.Errorf("facts = %d", len(e.Facts("a")))
 	}
 }
 

@@ -116,7 +116,7 @@ type ChaseStats struct {
 
 // statsCollector is the engine's per-Run mutable statistics state. The
 // per-rule and per-round slices are written only by the goroutine driving
-// the chase; the index counters are atomics because Match/Query callers may
+// the chase; the index counters are atomics because Query callers may
 // probe indexes concurrently after a Run.
 type statsCollector struct {
 	start    time.Time

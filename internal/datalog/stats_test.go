@@ -55,8 +55,8 @@ func TestChaseStatsSequential(t *testing.T) {
 	if st.Rounds != e.Rounds() {
 		t.Errorf("Rounds = %d, engine reports %d", st.Rounds, e.Rounds())
 	}
-	if st.Derived != e.NumFacts("path") {
-		t.Errorf("Derived = %d, want %d (the path facts)", st.Derived, e.NumFacts("path"))
+	if st.Derived != len(e.Facts("path")) {
+		t.Errorf("Derived = %d, want %d (the path facts)", st.Derived, len(e.Facts("path")))
 	}
 	if st.Duplicates == 0 {
 		t.Error("Duplicates = 0 on a diamond closure; the re-derivation was not counted")
@@ -240,8 +240,8 @@ func TestHooksFire(t *testing.T) {
 	if starts == 0 || starts != dones {
 		t.Errorf("RuleStart fired %d times, RuleDone %d", starts, dones)
 	}
-	if derivedViaHook != e.NumFacts("path") {
-		t.Errorf("RuleDone derived sums to %d, want %d", derivedViaHook, e.NumFacts("path"))
+	if derivedViaHook != len(e.Facts("path")) {
+		t.Errorf("RuleDone derived sums to %d, want %d", derivedViaHook, len(e.Facts("path")))
 	}
 	if len(rounds) != e.Rounds() {
 		t.Errorf("RoundDone fired %d times, engine ran %d rounds", len(rounds), e.Rounds())

@@ -98,30 +98,6 @@ type Embedding struct {
 // Vector returns the embedding of a node (nil if unknown).
 func (e *Embedding) Vector(id pg.NodeID) []float64 { return e.Vectors[id] }
 
-// Cosine returns the cosine similarity of two nodes' vectors (0 when either
-// is missing or zero).
-func (e *Embedding) Cosine(a, b pg.NodeID) float64 {
-	va, vb := e.Vectors[a], e.Vectors[b]
-	if va == nil || vb == nil {
-		return 0
-	}
-	return Cosine(va, vb)
-}
-
-// Cosine returns the cosine similarity of two vectors.
-func Cosine(a, b []float64) float64 {
-	var dot, na, nb float64
-	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(na*nb)
-}
-
 // adjacency is the undirected neighbourhood view used for walks: node2vec
 // treats ownership edges as a social structure, direction-agnostic. Edge
 // weights (share fractions) are kept per neighbour, with the maximum over

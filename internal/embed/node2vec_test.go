@@ -51,11 +51,11 @@ func TestLearnPreservesNeighbourhoods(t *testing.T) {
 	ni, nx := 0, 0
 	for i := 0; i < len(a); i++ {
 		for j := i + 1; j < len(a); j++ {
-			intra += emb.Cosine(a[i], a[j])
+			intra += cosine(emb.Vector(a[i]), emb.Vector(a[j]))
 			ni++
 		}
 		for j := 0; j < len(b); j++ {
-			inter += emb.Cosine(a[i], b[j])
+			inter += cosine(emb.Vector(a[i]), emb.Vector(b[j]))
 			nx++
 		}
 	}
@@ -218,25 +218,40 @@ func TestLinearVsAliasSameDistributionShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	intra := emb.Cosine(a[0], a[1])
-	inter := emb.Cosine(a[0], b[3])
+	intra := cosine(emb.Vector(a[0]), emb.Vector(a[1]))
+	inter := cosine(emb.Vector(a[0]), emb.Vector(b[3]))
 	if intra <= inter {
 		t.Errorf("linear sampling: intra %.3f ≤ inter %.3f", intra, inter)
 	}
 }
 
+// cosine is the cosine similarity of two vectors, 0 when either is zero:
+// the measure the embedding-quality tests compare clusters by.
+func cosine(a, b []float64) float64 {
+	var dot, na, nb float64
+	for i := range a {
+		dot += a[i] * b[i]
+		na += a[i] * a[i]
+		nb += b[i] * b[i]
+	}
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return dot / math.Sqrt(na*nb)
+}
+
 func TestCosine(t *testing.T) {
-	if c := Cosine([]float64{1, 0}, []float64{1, 0}); math.Abs(c-1) > 1e-12 {
-		t.Errorf("Cosine identical = %v", c)
+	if c := cosine([]float64{1, 0}, []float64{1, 0}); math.Abs(c-1) > 1e-12 {
+		t.Errorf("cosine identical = %v", c)
 	}
-	if c := Cosine([]float64{1, 0}, []float64{0, 1}); math.Abs(c) > 1e-12 {
-		t.Errorf("Cosine orthogonal = %v", c)
+	if c := cosine([]float64{1, 0}, []float64{0, 1}); math.Abs(c) > 1e-12 {
+		t.Errorf("cosine orthogonal = %v", c)
 	}
-	if c := Cosine([]float64{1, 0}, []float64{-1, 0}); math.Abs(c+1) > 1e-12 {
-		t.Errorf("Cosine opposite = %v", c)
+	if c := cosine([]float64{1, 0}, []float64{-1, 0}); math.Abs(c+1) > 1e-12 {
+		t.Errorf("cosine opposite = %v", c)
 	}
-	if c := Cosine([]float64{0, 0}, []float64{1, 0}); c != 0 {
-		t.Errorf("Cosine zero vector = %v, want 0", c)
+	if c := cosine([]float64{0, 0}, []float64{1, 0}); c != 0 {
+		t.Errorf("cosine zero vector = %v, want 0", c)
 	}
 }
 

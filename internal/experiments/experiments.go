@@ -5,7 +5,7 @@
 //
 // Paper → harness map (see DESIGN.md §3 for the full index):
 //
-//	§2 statistics table → StatsProfile
+//	§2 statistics table → StatsAndConcentration
 //	Figure 4(a)         → Fig4a  (time vs nodes, real-world-like, vs naive)
 //	Figure 4(b)         → Fig4b  (time vs nodes, dense synthetic)
 //	Figure 4(c)         → Fig4c  (time vs number of clusters)
@@ -41,16 +41,10 @@ func strongEmbed(seed int64) embed.Config {
 	return embed.Config{Dims: 32, WalkLength: 20, WalksPerNode: 8, Window: 5, Epochs: 3, Seed: seed}
 }
 
-// StatsProfile generates a scaled-down Italian company graph and computes
-// its structural profile, the reproduction of the §2 statistics (scaled: the
-// paper's graph has 4.059M nodes; ratios, not absolutes, are the target).
-func StatsProfile(persons, companies int, seed int64) graphstats.Stats {
-	s, _ := StatsAndConcentration(persons, companies, seed)
-	return s
-}
-
-// StatsAndConcentration additionally reports the ownership-concentration
-// profile of the generated graph.
+// StatsAndConcentration generates a scaled-down Italian company graph and
+// computes its structural profile, the reproduction of the §2 statistics
+// (scaled: the paper's graph has 4.059M nodes; ratios, not absolutes, are the
+// target), and its ownership-concentration profile.
 func StatsAndConcentration(persons, companies int, seed int64) (graphstats.Stats, graphstats.Concentration) {
 	it := graphgen.NewItalian(graphgen.ItalianConfig{Persons: persons, Companies: companies, Seed: seed})
 	return graphstats.Compute(it.Graph), graphstats.ComputeConcentration(it.Graph)

@@ -5,7 +5,7 @@ import (
 )
 
 func TestStatsProfileShape(t *testing.T) {
-	s := StatsProfile(2000, 2000, 1)
+	s, _ := StatsAndConcentration(2000, 2000, 1)
 	if s.Nodes != 4000 {
 		t.Fatalf("nodes = %d", s.Nodes)
 	}

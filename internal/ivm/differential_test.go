@@ -54,7 +54,6 @@ func differentialMaintenance(t *testing.T, lazy bool) {
 		for c := 0; c < 6; c++ {
 			txn := d.vs.Begin()
 			if graphgen.RandomCommit(rng, txn.Overlay()) == 0 {
-				txn.Abort()
 				continue
 			}
 			if _, err := txn.Commit(); err != nil {
@@ -131,7 +130,6 @@ func TestConcurrentReadsDuringApply(t *testing.T) {
 	for c := 0; c < 25; c++ {
 		txn := d.vs.Begin()
 		if graphgen.RandomCommit(rng, txn.Overlay()) == 0 {
-			txn.Abort()
 			continue
 		}
 		if _, err := txn.Commit(); err != nil {

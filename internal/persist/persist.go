@@ -372,30 +372,19 @@ func (s *Store) notifyFlushed() {
 	s.flushMu.Unlock()
 }
 
-// ReplaceGraph swaps the store's graph for g wholesale and makes the new
-// state durable as a fresh snapshot generation — the follower-side half of a
-// replication snapshot bootstrap: a replica that lagged past the leader's
-// log truncation (or diverged ahead of a restarted leader) adopts the
-// leader's snapshot and resumes tailing from its sequence number. The caller
-// must exclude concurrent mutations and readers for the duration (hold the
-// serving tier's write lock), and must stop using the previous Graph().
-func (s *Store) ReplaceGraph(g *pg.Graph) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.replaceGraphLocked(g, s.epochs)
-}
-
-// ReplaceGraphMarks is ReplaceGraph for a bootstrap that also adopts the
-// leader's epoch history: the shipped snapshot carries the marks, and a
-// replica that adopts the state must adopt the history that produced it or
-// its own divergence answers would lie.
+// ReplaceGraphMarks swaps the store's graph for g and its epoch history for
+// marks wholesale, and makes the new state durable as a fresh snapshot
+// generation — the follower-side half of a replication snapshot bootstrap: a
+// replica that lagged past the leader's log truncation (or diverged ahead of
+// a restarted leader) adopts the leader's snapshot and resumes tailing from
+// its sequence number. The shipped snapshot carries the marks, and a replica
+// that adopts the state must adopt the history that produced it or its own
+// divergence answers would lie. The caller must exclude concurrent mutations
+// and readers for the duration (hold the serving tier's write lock), and
+// must stop using the previous Graph().
 func (s *Store) ReplaceGraphMarks(g *pg.Graph, marks []EpochMark) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.replaceGraphLocked(g, marks)
-}
-
-func (s *Store) replaceGraphLocked(g *pg.Graph, marks []EpochMark) error {
 	if s.capErr != nil {
 		return s.capErr
 	}

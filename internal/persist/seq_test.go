@@ -94,7 +94,7 @@ func TestPositionAcrossRotation(t *testing.T) {
 	}
 }
 
-// ReplaceGraph adopts a foreign graph wholesale (the snapshot-bootstrap
+// ReplaceGraphMarks adopts a foreign graph wholesale (the snapshot-bootstrap
 // path): the store's position jumps to the new graph's sequence number, the
 // state is durable immediately, and capture follows the new graph.
 func TestReplaceGraph(t *testing.T) {
@@ -112,11 +112,11 @@ func TestReplaceGraph(t *testing.T) {
 	}
 	leader.MustAddEdgeWeighted(0, 1, 0.6)
 	adopted := leader.Clone()
-	if err := s.ReplaceGraph(adopted); err != nil {
+	if err := s.ReplaceGraphMarks(adopted, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := s.Seq(), SeqOfGraph(leader); got != want {
-		t.Fatalf("Seq after ReplaceGraph = %d, want %d", got, want)
+		t.Fatalf("Seq after ReplaceGraphMarks = %d, want %d", got, want)
 	}
 	if s.Graph() != adopted {
 		t.Fatal("Graph() does not return the adopted graph")
@@ -186,7 +186,7 @@ func TestNextFrameAndDecodeFrame(t *testing.T) {
 	}
 }
 
-// DecodeSnapshot accepts exactly what readSnapshot accepts and rejects a
+// DecodeSnapshotMarks accepts exactly what readSnapshot accepts and rejects a
 // flipped byte anywhere in the payload.
 func TestDecodeSnapshotBytes(t *testing.T) {
 	dir := t.TempDir()
@@ -202,9 +202,9 @@ func TestDecodeSnapshotBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeSnapshot(data)
+	got, _, err := DecodeSnapshotMarks(data)
 	if err != nil {
-		t.Fatalf("DecodeSnapshot: %v", err)
+		t.Fatalf("DecodeSnapshotMarks: %v", err)
 	}
 	if got.NumNodes() != 2 || got.NumEdges() != 1 {
 		t.Fatalf("decoded %d nodes / %d edges, want 2 / 1", got.NumNodes(), got.NumEdges())
@@ -218,8 +218,8 @@ func TestDecodeSnapshotBytes(t *testing.T) {
 		}
 		bad := append([]byte(nil), data...)
 		bad[i] ^= 0x55
-		if _, err := DecodeSnapshot(bad); err == nil {
-			t.Fatalf("DecodeSnapshot accepted a byte flip at offset %d", i)
+		if _, _, err := DecodeSnapshotMarks(bad); err == nil {
+			t.Fatalf("DecodeSnapshotMarks accepted a byte flip at offset %d", i)
 		}
 	}
 }

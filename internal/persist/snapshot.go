@@ -112,13 +112,6 @@ func readSnapshot(path string) (*pg.Graph, []EpochMark, error) {
 	return g, marks, nil
 }
 
-// DecodeSnapshot verifies and decodes the contents of a snapshot file,
-// discarding the epoch history. See DecodeSnapshotMarks.
-func DecodeSnapshot(data []byte) (*pg.Graph, error) {
-	g, _, err := DecodeSnapshotMarks(data)
-	return g, err
-}
-
 // DecodeSnapshotMarks verifies and decodes the contents of a snapshot file
 // (VKGSNAP2 envelope; VKGSNAP1 accepted with an empty epoch history). The
 // replication follower runs the bytes a leader ships through it, so a

@@ -71,10 +71,6 @@ func NewOverlay(base View) *Overlay {
 // Base returns the view this overlay is stacked on.
 func (o *Overlay) Base() View { return o.base }
 
-// Depth reports how many overlay layers sit between this view and the
-// flat graph at the bottom of the chain.
-func (o *Overlay) Depth() int { return o.depth }
-
 // Delta summarizes an overlay's changes against its base.
 type Delta struct {
 	AddedNodes   int `json:"addedNodes"`

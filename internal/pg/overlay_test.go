@@ -196,7 +196,7 @@ func TestOverlayChainMatchesFlatten(t *testing.T) {
 			mutateOverlay(rng, o, true)
 			v = o
 		}
-		if got := v.(*Overlay).Depth(); got != 3 {
+		if got := v.(*Overlay).depth; got != 3 {
 			t.Fatalf("seed %d: depth %d, want 3", seed, got)
 		}
 		flat, err := Flatten(v)

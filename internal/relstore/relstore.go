@@ -22,17 +22,11 @@ import (
 	"vadalink/internal/pg"
 )
 
-// Predicate names of the relational representation (lower-cased labels) and
-// of the generic promoted model.
+// Predicate names of the relational representation (lower-cased labels).
 const (
 	PredCompany = "company"
 	PredPerson  = "person"
 	PredOwn     = "own"
-
-	PredNode     = "node"
-	PredNodeType = "nodetype"
-	PredLink     = "link"
-	PredEdgeType = "edgetype"
 )
 
 // NodeProps is the total order of person/company property names exported to
@@ -90,38 +84,6 @@ func CompanyGraphFacts(g pg.View) []datalog.Fact {
 		start := len(own)
 		own = append(own, int64(key[0]), int64(key[1]), total[key])
 		facts = append(facts, datalog.Fact{Pred: PredOwn, Args: own[start:len(own):len(own)]})
-	}
-	return facts
-}
-
-// GenericFacts promotes a property graph to the generic model of Algorithm 2:
-// node(id, props...), nodetype(id, type), link(id, from, to, w),
-// edgetype(id, type). Every label is promoted, so predicted edges round-trip
-// too.
-func GenericFacts(g pg.View) []datalog.Fact {
-	var facts []datalog.Fact
-	for _, id := range g.Nodes() {
-		n := g.Node(id)
-		args := make([]any, 0, 1+len(NodeProps))
-		args = append(args, int64(id))
-		for _, p := range NodeProps {
-			args = append(args, propString(n.Props, p))
-		}
-		facts = append(facts,
-			datalog.Fact{Pred: PredNode, Args: args},
-			datalog.Fact{Pred: PredNodeType, Args: []any{int64(id), string(n.Label)}},
-		)
-	}
-	for _, eid := range g.Edges() {
-		e := g.Edge(eid)
-		w, ok := e.Weight()
-		if !ok {
-			w = 0
-		}
-		facts = append(facts,
-			datalog.Fact{Pred: PredLink, Args: []any{int64(eid), int64(e.From), int64(e.To), w}},
-			datalog.Fact{Pred: PredEdgeType, Args: []any{int64(eid), string(e.Label)}},
-		)
 	}
 	return facts
 }

@@ -39,30 +39,6 @@ func TestCompanyGraphFacts(t *testing.T) {
 	}
 }
 
-func TestGenericFactsPromoteEverything(t *testing.T) {
-	g, _ := pg.Figure1()
-	facts := GenericFacts(g)
-	nodes, types, links, etypes := 0, 0, 0, 0
-	for _, f := range facts {
-		switch f.Pred {
-		case PredNode:
-			nodes++
-		case PredNodeType:
-			types++
-		case PredLink:
-			links++
-		case PredEdgeType:
-			etypes++
-		}
-	}
-	if nodes != g.NumNodes() || types != g.NumNodes() {
-		t.Errorf("node facts = %d/%d, want %d", nodes, types, g.NumNodes())
-	}
-	if links != g.NumEdges() || etypes != g.NumEdges() {
-		t.Errorf("link facts = %d/%d, want %d", links, etypes, g.NumEdges())
-	}
-}
-
 func TestApplyPredictedLinks(t *testing.T) {
 	g, b := pg.Figure2()
 	prog := datalog.MustParse(`in(X, Y) -> control(X, Y).`)
@@ -124,10 +100,10 @@ func TestRoundTripThroughInputMappingRules(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.NumFacts("gnode"); got != g.NumNodes() {
+	if got := len(e.Facts("gnode")); got != g.NumNodes() {
 		t.Errorf("gnode facts = %d, want %d", got, g.NumNodes())
 	}
-	if got := e.NumFacts("glink"); got != g.NumEdges() {
+	if got := len(e.Facts("glink")); got != g.NumEdges() {
 		t.Errorf("glink facts = %d, want %d", got, g.NumEdges())
 	}
 }

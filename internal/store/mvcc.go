@@ -44,10 +44,6 @@ func (v *Version) View() pg.View { return v.view }
 // version, +1 per committed transaction).
 func (v *Version) Seq() uint64 { return v.seq }
 
-// Depth reports the overlay-chain depth of the version's view (0 = flat
-// graph).
-func (v *Version) Depth() int { return v.depth }
-
 // Versioned is a multi-version store over a property graph. It keeps one
 // mutable writer "master" — the graph handed to NewVersioned, which retains
 // its mutation hook, so a WAL-capturing persist layer keeps observing every
@@ -175,10 +171,6 @@ func (t *Txn) Commit() (*Version, error) {
 	}
 	return next, nil
 }
-
-// Abort discards the transaction. The overlay is dropped; nothing was ever
-// visible to readers or the master.
-func (t *Txn) Abort() { t.done = true }
 
 // Replay applies an overlay journal onto g, the graph the overlay's base
 // mirrors — the writer master of a Versioned store, or any graph that has not

@@ -21,8 +21,8 @@ func TestVersionedCommitPublishes(t *testing.T) {
 	g := seedGraph()
 	vs := NewVersioned(g)
 	v0 := vs.Current()
-	if v0.Seq() != 0 || v0.Depth() != 0 {
-		t.Fatalf("initial version seq=%d depth=%d, want 0/0", v0.Seq(), v0.Depth())
+	if v0.Seq() != 0 || v0.depth != 0 {
+		t.Fatalf("initial version seq=%d depth=%d, want 0/0", v0.Seq(), v0.depth)
 	}
 
 	txn := vs.Begin()
@@ -121,11 +121,11 @@ func TestVersionedFlattens(t *testing.T) {
 		if err != nil {
 			t.Fatalf("commit %d: %v", i, err)
 		}
-		if v.Depth() >= 2 {
-			t.Fatalf("commit %d: depth %d not flattened", i, v.Depth())
+		if v.depth >= 2 {
+			t.Fatalf("commit %d: depth %d not flattened", i, v.depth)
 		}
-		if _, isGraph := v.View().(*pg.Graph); (v.Depth() == 0) != isGraph {
-			t.Fatalf("commit %d: depth %d but view flat=%v", i, v.Depth(), isGraph)
+		if _, isGraph := v.View().(*pg.Graph); (v.depth == 0) != isGraph {
+			t.Fatalf("commit %d: depth %d but view flat=%v", i, v.depth, isGraph)
 		}
 		if got, want := v.View().NumNodes(), 3+i+1; got != want {
 			t.Fatalf("commit %d: %d nodes, want %d", i, got, want)
@@ -213,8 +213,12 @@ func TestVersionedCommitHook(t *testing.T) {
 	}
 }
 
+// TestVersionedTxnBaseAndAbort: a transaction is aborted by dropping it.
+// Its staged mutations reach neither readers nor the master, and it holds
+// nothing that blocks the next transaction.
 func TestVersionedTxnBaseAndAbort(t *testing.T) {
-	vs := NewVersioned(seedGraph())
+	g := seedGraph()
+	vs := NewVersioned(g)
 	base := vs.Current()
 
 	txn := vs.Begin()
@@ -222,11 +226,15 @@ func TestVersionedTxnBaseAndAbort(t *testing.T) {
 		t.Fatalf("Base() = seq %d, want the version current at Begin (seq %d)", txn.Base().Seq(), base.Seq())
 	}
 	txn.Overlay().AddNode(pg.LabelCompany, nil)
-	txn.Abort()
 	if got := vs.Current(); got != base {
-		t.Fatalf("Abort published seq %d, want store unchanged at seq %d", got.Seq(), base.Seq())
+		t.Fatalf("a dropped txn published seq %d, want store unchanged at seq %d", got.Seq(), base.Seq())
 	}
-	if _, err := txn.Commit(); !errors.Is(err, ErrTxnDone) {
-		t.Fatalf("Commit after Abort = %v, want ErrTxnDone", err)
+	if got, want := g.NumNodes(), base.View().NumNodes(); got != want {
+		t.Fatalf("a dropped txn reached the master: %d nodes, want %d", got, want)
+	}
+	next := vs.Begin()
+	next.Overlay().AddNode(pg.LabelCompany, nil)
+	if v, err := next.Commit(); err != nil || v.Seq() != base.Seq()+1 {
+		t.Fatalf("commit after a dropped txn = (%v, %v), want seq %d", v, err, base.Seq()+1)
 	}
 }

@@ -1,9 +1,9 @@
 package vadalog_test
 
 // Cross-validation of the declarative programs against the imperative
-// solvers. These live in an external test package because the control
-// package imports vadalog for its goal-mode entry points — an in-package test
-// importing it back would cycle.
+// solvers of internal/control and internal/closelink. Neither solver imports
+// vadalog; the external test package keeps these checks on vadalog's
+// exported API.
 
 import (
 	"testing"

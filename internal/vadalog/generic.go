@@ -140,7 +140,7 @@ func RunGeneric(g *pg.Graph, cfg GenericConfig) (*GenericResult, error) {
 			family.PersonFromNode(g.Node(x)), family.PersonFromNode(g.Node(y))), nil
 	})
 
-	engine.AssertAll(companyFactsFor(g))
+	engine.AssertAll(relstore.CompanyGraphFacts(g))
 	if err := engine.Run(); err != nil {
 		return nil, err
 	}
@@ -159,12 +159,6 @@ func RunGeneric(g *pg.Graph, cfg GenericConfig) (*GenericResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// companyFactsFor builds the relational facts the InputMapping consumes —
-// the same shape relstore.CompanyGraphFacts produces.
-func companyFactsFor(g *pg.Graph) []datalog.Fact {
-	return relstore.CompanyGraphFacts(g)
 }
 
 // skolemNode recovers the concrete node ID from a #skp/#skc OID (their key

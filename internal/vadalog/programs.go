@@ -18,16 +18,17 @@ import (
 
 // InputMapping is Algorithm 2: promotion of the concrete company schema into
 // generic nodes and links with types. Skolem functions invent node OIDs with
-// disjoint ranges for persons and companies; edge OIDs are existential.
+// disjoint ranges for persons and companies; edge OIDs are existential. Each
+// shareholding is promoted once, typed by the kind of its owner.
 const InputMapping = `
 % Algorithm 2 — input mapping for the company property graph.
 company(Id, Name, Birth, Addr, Sector), Z = #skc(Id) ->
     gnode(Z, Name, Birth, Addr, Sector), gnodetype(Z, "Company"), gid(Z, Id).
 person(Id, Name, Birth, Addr, Sector), Z = #skp(Id) ->
     gnode(Z, Name, Birth, Addr, Sector), gnodetype(Z, "Person"), gid(Z, Id).
-own(X, Y, W), F = #skc(X), T = #skc(Y) ->
+own(X, Y, W), company(X, _, _, _, _), F = #skc(X), T = #skc(Y) ->
     glink(E, F, T, W), gedgetype(E, "comp_share").
-own(X, Y, W), F = #skp(X), T = #skc(Y) ->
+own(X, Y, W), person(X, _, _, _, _), F = #skp(X), T = #skc(Y) ->
     glink(E, F, T, W), gedgetype(E, "pers_share").
 `
 

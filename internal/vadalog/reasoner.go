@@ -39,7 +39,7 @@ type Reasoner struct {
 	// Algorithms 8 and 9.
 	Families map[string][]pg.NodeID
 	// EngineOptions tunes the underlying engine — budget, round bounds,
-	// provenance, parallelism, stats — applied in order at Run.
+	// provenance, stats — applied in order at Run.
 	EngineOptions []datalog.Option
 }
 
@@ -178,37 +178,6 @@ func (r *Reasoner) CloseLinkPairs() [][2]pg.NodeID { return r.pairFacts("closeli
 // PartnerPairs returns the derived partnerof(x, y) relationships.
 func (r *Reasoner) PartnerPairs() [][2]pg.NodeID { return r.pairFacts("partnerof") }
 
-// FamilyControls returns family → controlled-company pairs.
-func (r *Reasoner) FamilyControls() []FamilyControl {
-	if r.engine == nil {
-		return nil
-	}
-	var out []FamilyControl
-	for _, f := range r.engine.Facts("familycontrol") {
-		if len(f.Args) != 2 {
-			continue
-		}
-		fam, ok1 := f.Args[0].(string)
-		y, ok2 := toID(f.Args[1])
-		if ok1 && ok2 {
-			out = append(out, FamilyControl{Family: fam, Company: y})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Family != out[j].Family {
-			return out[i].Family < out[j].Family
-		}
-		return out[i].Company < out[j].Company
-	})
-	return out
-}
-
-// FamilyControl is one family-control finding.
-type FamilyControl struct {
-	Family  string
-	Company pg.NodeID
-}
-
 // AccumulatedOwnership reads the final (maximal) accumulated-ownership value
 // per (x, y) pair from the close-link program's accown predicate.
 func (r *Reasoner) AccumulatedOwnership() map[[2]pg.NodeID]float64 {
@@ -232,20 +201,10 @@ func (r *Reasoner) AccumulatedOwnership() map[[2]pg.NodeID]float64 {
 // It requires the engine to run with datalog.WithProvenance(); otherwise (or
 // for an unknown pair) it returns nil.
 func (r *Reasoner) ExplainControl(x, y pg.NodeID) []string {
-	return r.explainPair("control", x, y)
-}
-
-// ExplainCloseLink renders the derivation tree of a closelink(x, y)
-// decision. Requires datalog.WithProvenance().
-func (r *Reasoner) ExplainCloseLink(x, y pg.NodeID) []string {
-	return r.explainPair("closelink", x, y)
-}
-
-func (r *Reasoner) explainPair(pred string, x, y pg.NodeID) []string {
 	if r.engine == nil {
 		return nil
 	}
-	f := datalog.Fact{Pred: pred, Args: []any{int64(x), int64(y)}}
+	f := datalog.Fact{Pred: "control", Args: []any{int64(x), int64(y)}}
 	if !r.engine.Has(f) {
 		return nil
 	}

@@ -7,6 +7,7 @@ import (
 
 	"vadalink/internal/datalog"
 	"vadalink/internal/pg"
+	"vadalink/internal/relstore"
 )
 
 func TestAllProgramsParse(t *testing.T) {
@@ -130,13 +131,13 @@ func TestFamilyControlProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := map[pg.NodeID]bool{}
-	for _, fc := range r.FamilyControls() {
-		if fc.Family == "rossi" {
-			found[fc.Company] = true
+	for _, f := range r.Engine().Facts("familycontrol") {
+		if y, ok := toID(f.Args[1]); ok && f.Args[0] == "rossi" {
+			found[y] = true
 		}
 	}
 	if !found[b.ID("L")] {
-		t.Errorf("family must control L; got %v", r.FamilyControls())
+		t.Errorf("family must control L; got %v", r.Engine().Facts("familycontrol"))
 	}
 	// And everything the members control individually.
 	for _, c := range []string{"C", "D", "E", "F", "G", "H", "I"} {
@@ -224,7 +225,7 @@ func TestInfluenceProgramExample32(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.AssertAll(relstoreFacts(g))
+	e.AssertAll(relstore.CompanyGraphFacts(g))
 	e.Assert(datalog.Fact{Pred: "married", Args: []any{int64(x), int64(y)}})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -251,9 +252,6 @@ func TestInfluenceProgramExample32(t *testing.T) {
 		t.Errorf("spouse interval is not a labeled null: %v", spouses[0])
 	}
 }
-
-// relstoreFacts is a tiny local alias to keep the test readable.
-func relstoreFacts(g *pg.Graph) []datalog.Fact { return companyFactsFor(g) }
 
 // TestShippedProgramsWarded checks the paper's complexity claim end to end:
 // every rule program this repository ships lies in the warded fragment, so

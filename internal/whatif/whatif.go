@@ -213,7 +213,7 @@ type Options struct {
 	// Threshold is the close-link threshold; 0 means DefaultThreshold. It
 	// must match the baseline's.
 	Threshold float64
-	// Engine options (budget, parallelism, ...) applied to the chase.
+	// Engine options (budget, stats, ...) applied to the chase.
 	Engine []datalog.Option
 }
 

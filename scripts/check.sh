@@ -67,7 +67,7 @@ echo "== coverage floors =="
 #   embed        the hottest code of the augment workload: a tuned training
 #                kernel whose shortcuts (sigmoid table, one-draw negatives,
 #                walk arena) each have a unit test to keep (97.0%).
-#   core         Algorithm 1's loop: fixpoint, round cap, recall and parallel
+#   core         Algorithm 1's loop: fixpoint, round cap, recall and block
 #                matching are the paths a regression hides in (89.3%).
 while read -r pkg var floor; do
     floor="${!var:-$floor}"

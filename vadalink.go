@@ -211,13 +211,6 @@ func LoadCSV(companies, persons, shareholdings io.Reader) (*etl.Result, error) {
 	return etl.Load(companies, persons, shareholdings)
 }
 
-// RunGenericPipeline executes the fully declarative Algorithm 2→3→4
-// pipeline (input mapping, two-level clustering with builtin hooks,
-// candidate generation, output mapping) over a company graph.
-func RunGenericPipeline(g *Graph, cfg vadalog.GenericConfig) (*vadalog.GenericResult, error) {
-	return vadalog.RunGeneric(g, cfg)
-}
-
 // --- data generation and statistics ---
 
 // ItalianConfig configures the synthetic Italian company graph generator.
