@@ -606,6 +606,7 @@ func cmdServe(args []string) {
 		fl, err = vadalink.OpenFollower(*dataDir, vadalink.FollowerOptions{
 			Leader:    *follow,
 			SyncEvery: *fsync,
+			Logger:    cfg.Logger,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -651,7 +652,7 @@ func cmdServe(args []string) {
 	if *replicate != "" {
 		// Leader mode: ship this store's WAL to followers. A follower can
 		// also replicate onward (relay), since it keeps a full WAL of its own.
-		ld := vadalink.NewReplicationLeader(ps, vadalink.ReplicationLeaderOptions{})
+		ld := vadalink.NewReplicationLeader(ps, vadalink.ReplicationLeaderOptions{Logger: cfg.Logger})
 		ln, err := net.Listen("tcp", *replicate)
 		if err != nil {
 			log.Fatal(err)

@@ -57,23 +57,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 	selected := map[string]bool{} // names used as x.Name anywhere
 	bare := map[string]bool{}     // dir + "\x00" + name used as a bare identifier
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	err := parseModule(fset, func(path string, f *ast.File) {
 		dir := filepath.ToSlash(filepath.Dir(path))
 		internal := strings.HasPrefix(dir, "internal/")
 		for _, d := range f.Decls {
@@ -107,7 +91,6 @@ func TestEveryExportHasACaller(t *testing.T) {
 			}
 			ast.Inspect(d, visit)
 		}
-		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,6 +118,31 @@ func TestEveryExportHasACaller(t *testing.T) {
 	for _, f := range fails {
 		t.Error(f)
 	}
+}
+
+// parseModule parses every non-test .go file of the module, bench/ included,
+// and hands each to fn with its slash-separated path.
+func parseModule(fset *token.FileSet, fn func(path string, f *ast.File)) error {
+	return filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(filepath.ToSlash(path), f)
+		return nil
+	})
 }
 
 // usesSelf reports whether id is fn's own name used inside fn (recursion),

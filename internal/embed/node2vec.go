@@ -37,23 +37,20 @@ type Config struct {
 	WalkLength   int     // steps per walk (default 20)
 	WalksPerNode int     // walks started at every node (default 4)
 	Window       int     // skip-gram context window (default 4)
-	Negatives    int     // negative samples per positive pair (default 3)
 	Epochs       int     // passes over the walk corpus (default 2)
 	P            float64 // return parameter p (default 1)
 	Q            float64 // in-out parameter q (default 1)
-	LR           float64 // initial learning rate (default 0.025)
 	Seed         int64   // RNG seed (default 1)
 
 	// LinearSampling disables alias tables and samples each walk step by a
 	// linear scan over the neighbourhood (ablation baseline).
 	LinearSampling bool
-
-	// Weighted biases every transition by the edge weight (share fraction)
-	// in addition to the p/q bias, the weighted-graph variant of node2vec —
-	// a natural fit for ownership graphs, where a 60% stake is a stronger
-	// tie than a 2% one. Unweighted edges count as weight 1.
-	Weighted bool
 }
+
+const (
+	negatives = 3     // negative samples per positive pair
+	initialLR = 0.025 // learning rate at the first walk, decaying linearly
+)
 
 func (c Config) withDefaults() Config {
 	if c.Dims == 0 {
@@ -68,9 +65,6 @@ func (c Config) withDefaults() Config {
 	if c.Window == 0 {
 		c.Window = 4
 	}
-	if c.Negatives == 0 {
-		c.Negatives = 3
-	}
 	if c.Epochs == 0 {
 		c.Epochs = 2
 	}
@@ -79,9 +73,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Q == 0 {
 		c.Q = 1
-	}
-	if c.LR == 0 {
-		c.LR = 0.025
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -99,14 +90,12 @@ type Embedding struct {
 func (e *Embedding) Vector(id pg.NodeID) []float64 { return e.Vectors[id] }
 
 // adjacency is the undirected neighbourhood view used for walks: node2vec
-// treats ownership edges as a social structure, direction-agnostic. Edge
-// weights (share fractions) are kept per neighbour, with the maximum over
-// parallel/reciprocal edges.
+// treats ownership edges as a social structure, direction-agnostic, and
+// parallel or reciprocal edges as one neighbour.
 type adjacency struct {
-	ids    []pg.NodeID
-	index  map[pg.NodeID]int
-	neigh  [][]int32   // sorted neighbour indices
-	weight [][]float64 // weight per neighbour, parallel to neigh
+	ids   []pg.NodeID
+	index map[pg.NodeID]int
+	neigh [][]int32 // sorted neighbour indices
 }
 
 func buildAdjacency(g pg.View) *adjacency {
@@ -115,41 +104,30 @@ func buildAdjacency(g pg.View) *adjacency {
 	for i, id := range ids {
 		index[id] = i
 	}
-	sets := make([]map[int32]float64, len(ids))
-	add := func(a, b int32, w float64) {
+	sets := make([]map[int32]struct{}, len(ids))
+	add := func(a, b int32) {
 		if a == b {
 			return
 		}
 		if sets[a] == nil {
-			sets[a] = make(map[int32]float64)
+			sets[a] = make(map[int32]struct{})
 		}
-		if w > sets[a][b] {
-			sets[a][b] = w
-		}
+		sets[a][b] = struct{}{}
 	}
 	for _, eid := range g.Edges() {
 		e := g.Edge(eid)
 		u, v := int32(index[e.From]), int32(index[e.To])
-		w, ok := e.Weight()
-		if !ok || w <= 0 {
-			w = 1
-		}
-		add(u, v, w)
-		add(v, u, w)
+		add(u, v)
+		add(v, u)
 	}
 	neigh := make([][]int32, len(ids))
-	weight := make([][]float64, len(ids))
 	for i, s := range sets {
 		for n := range s {
 			neigh[i] = append(neigh[i], n)
 		}
 		sort.Slice(neigh[i], func(a, b int) bool { return neigh[i][a] < neigh[i][b] })
-		weight[i] = make([]float64, len(neigh[i]))
-		for j, n := range neigh[i] {
-			weight[i][j] = s[n]
-		}
 	}
-	return &adjacency{ids: ids, index: index, neigh: neigh, weight: weight}
+	return &adjacency{ids: ids, index: index, neigh: neigh}
 }
 
 func (a *adjacency) hasEdge(u, v int32) bool {
@@ -259,9 +237,6 @@ func (w *walker) stepWeights(prev, cur int32) []float64 {
 		default:
 			weights[i] = 1 / w.cfg.Q
 		}
-		if w.cfg.Weighted {
-			weights[i] *= w.adj.weight[cur][i]
-		}
 	}
 	return weights
 }
@@ -272,23 +247,8 @@ func (w *walker) next(prev, cur int32) int32 {
 		return -1
 	}
 	if prev < 0 {
-		// First step: uniform over neighbours (weight-proportional in
-		// weighted mode).
-		if !w.cfg.Weighted {
-			return ns[w.r.Intn(len(ns))]
-		}
-		var sum float64
-		for _, x := range w.adj.weight[cur] {
-			sum += x
-		}
-		u := w.r.Float64() * sum
-		for i, x := range w.adj.weight[cur] {
-			u -= x
-			if u <= 0 {
-				return ns[i]
-			}
-		}
-		return ns[len(ns)-1]
+		// First step: uniform over neighbours.
+		return ns[w.r.Intn(len(ns))]
 	}
 	if w.cfg.LinearSampling {
 		weights := w.stepWeights(prev, cur)
@@ -394,9 +354,9 @@ func Learn(g pg.View, cfg Config) (*Embedding, error) {
 		for _, end := range ends {
 			walk := words[begin:end]
 			begin = end
-			lr := cfg.LR * (1 - float64(step)/float64(totalSteps+1))
-			if lr < cfg.LR*0.01 {
-				lr = cfg.LR * 0.01
+			lr := initialLR * (1 - float64(step)/float64(totalSteps+1))
+			if lr < initialLR*0.01 {
+				lr = initialLR * 0.01
 			}
 			step++
 			for ci, center := range walk {
@@ -415,7 +375,7 @@ func Learn(g pg.View, cfg Config) (*Embedding, error) {
 					}
 					ctx := walk[t]
 					trainPair(cv, row(out, ctx), 1, lr)
-					for k := 0; k < cfg.Negatives; k++ {
+					for k := 0; k < negatives; k++ {
 						neg := int32(negTable.pick(r.Uint64()))
 						if neg == ctx {
 							continue

@@ -338,55 +338,3 @@ func TestReturnParameterBiasesWalks(t *testing.T) {
 		t.Errorf("return bias inverted: returns(p=0.05)=%d ≤ returns(p=20)=%d", lowP, highP)
 	}
 }
-
-func TestWeightedWalksFollowHeavyEdges(t *testing.T) {
-	// Star: center with one heavy (0.9) and nine light (0.01) edges. In
-	// weighted mode, first steps overwhelmingly take the heavy edge.
-	g := pg.New()
-	center := g.AddNode(pg.LabelCompany, nil)
-	heavy := g.AddNode(pg.LabelCompany, nil)
-	g.MustAddEdge(pg.LabelShareholding, center, heavy, pg.Properties{pg.WeightProp: 0.9})
-	var lights []pg.NodeID
-	for i := 0; i < 9; i++ {
-		l := g.AddNode(pg.LabelCompany, nil)
-		lights = append(lights, l)
-		g.MustAddEdge(pg.LabelShareholding, center, l, pg.Properties{pg.WeightProp: 0.01})
-	}
-	adj := buildAdjacency(g)
-	count := func(weighted bool) int {
-		w := &walker{
-			adj: adj,
-			cfg: Config{WalkLength: 2, P: 1, Q: 1, Weighted: weighted}.withDefaults(),
-			r:   rand.New(rand.NewSource(4)), edgeAlias: map[int64]aliasTable{},
-		}
-		w.cfg.Weighted = weighted
-		hits := 0
-		for i := 0; i < 2000; i++ {
-			walk := w.appendWalk(nil, int32(adj.index[center]))
-			if len(walk) > 1 && adj.ids[walk[1]] == heavy {
-				hits++
-			}
-		}
-		return hits
-	}
-	weighted := count(true)
-	uniform := count(false)
-	// Weighted: ~90% of first steps to the heavy node; uniform: ~10%.
-	if weighted < 1500 {
-		t.Errorf("weighted walks took the heavy edge only %d/2000 times", weighted)
-	}
-	if uniform > 600 {
-		t.Errorf("uniform walks took the heavy edge %d/2000 times, want ≈ 200", uniform)
-	}
-}
-
-func TestWeightedLearnRuns(t *testing.T) {
-	g, a, b := twoCliques()
-	emb, err := Learn(g, Config{Weighted: true, Seed: 3, Dims: 8, Epochs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if emb.Vector(a[0]) == nil || emb.Vector(b[0]) == nil {
-		t.Error("weighted learn produced no vectors")
-	}
-}

@@ -261,7 +261,7 @@ func ReembedRecall(k int, reembed bool, cfg Fig4eConfig) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	removed := sampleEdges(rng, res.AddedEdges, cfg.RemoveFrac)
+	removed := sampleEdges(rng, res.AddedEdges, removeFrac)
 	if len(removed) == 0 {
 		return 0, fmt.Errorf("experiments: nothing to remove")
 	}
@@ -302,12 +302,14 @@ type Fig4eRow struct {
 // removal sets × 20 cluster configurations, which is hours of compute — the
 // defaults here shrink the repetition counts, not the protocol.
 type Fig4eConfig struct {
-	Persons     int     // persons per generated graph (default 400)
-	Graphs      int     // independent graphs Sᵢ (default 3)
-	RemovalSets int     // removal sets Θᵢⱼ per graph (default 3)
-	RemoveFrac  float64 // fraction of predicted links removed (default 0.2)
+	Persons     int // persons per generated graph (default 400)
+	Graphs      int // independent graphs Sᵢ (default 3)
+	RemovalSets int // removal sets Θᵢⱼ per graph (default 3)
 	Seed        int64
 }
+
+// removeFrac is the fraction of predicted links each removal set takes out.
+const removeFrac = 0.2
 
 func (c Fig4eConfig) withDefaults() Fig4eConfig {
 	if c.Persons == 0 {
@@ -318,9 +320,6 @@ func (c Fig4eConfig) withDefaults() Fig4eConfig {
 	}
 	if c.RemovalSets == 0 {
 		c.RemovalSets = 3
-	}
-	if c.RemoveFrac == 0 {
-		c.RemoveFrac = 0.2
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -370,7 +369,7 @@ func Fig4e(clusterCounts []int, cfg Fig4eConfig) ([]Fig4eRow, error) {
 		trials := 0
 		for _, gc := range cases {
 			for rs := 0; rs < cfg.RemovalSets; rs++ {
-				removed := sampleEdges(rng, gc.predicted, cfg.RemoveFrac)
+				removed := sampleEdges(rng, gc.predicted, removeFrac)
 				if len(removed) == 0 {
 					continue
 				}

@@ -13,15 +13,17 @@ import (
 type ItalianConfig struct {
 	Persons   int // number of person nodes (default 1000)
 	Companies int // number of company nodes (default Persons)
-	// ShareEdges is the number of shareholding edges; default ≈
-	// 0.98·(Persons+Companies), reproducing the §2 average degree ≈ 1.
-	ShareEdges int
-	// SelfLoopRate is the fraction of companies owning shares of themselves
-	// (the buy-back phenomenon); default 0.0007, matching ≈3K self-loops on
-	// 4.06M nodes.
-	SelfLoopRate float64
-	Seed         int64
+	Seed      int64
 }
+
+const (
+	// shareEdgesPerNode scales the number of shareholding edges to
+	// 0.98·(Persons+Companies), reproducing the §2 average degree ≈ 1.
+	shareEdgesPerNode = 0.98
+	// selfLoopRate is the fraction of companies owning shares of themselves
+	// (the buy-back phenomenon), matching ≈3K self-loops on 4.06M nodes.
+	selfLoopRate = 0.0007
+)
 
 func (c ItalianConfig) withDefaults() ItalianConfig {
 	if c.Persons == 0 {
@@ -29,12 +31,6 @@ func (c ItalianConfig) withDefaults() ItalianConfig {
 	}
 	if c.Companies == 0 {
 		c.Companies = c.Persons
-	}
-	if c.ShareEdges == 0 {
-		c.ShareEdges = int(0.98 * float64(c.Persons+c.Companies))
-	}
-	if c.SelfLoopRate == 0 {
-		c.SelfLoopRate = 0.0007
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -180,7 +176,8 @@ func NewItalian(cfg ItalianConfig) *Italian {
 		}
 		return companies[r.Intn(len(companies))]
 	}
-	for i := 0; i < cfg.ShareEdges; i++ {
+	shareEdges := int(shareEdgesPerNode * float64(cfg.Persons+cfg.Companies))
+	for i := 0; i < shareEdges; i++ {
 		from := pickSource()
 		to := pickTarget()
 		if from == to {
@@ -193,7 +190,7 @@ func NewItalian(cfg ItalianConfig) *Italian {
 	}
 
 	// 4. Buy-back self-loops.
-	loops := int(cfg.SelfLoopRate * float64(len(companies)))
+	loops := int(selfLoopRate * float64(len(companies)))
 	for i := 0; i < loops; i++ {
 		c := companies[r.Intn(len(companies))]
 		g.MustAddEdge(pg.LabelShareholding, c, c,

@@ -308,7 +308,7 @@ func runCrashLeader(dir, addrPath, ackPath string, die func(int, string, ...any)
 
 func runCrashFollower(dir, addrPath string, die func(int, string, ...any)) {
 	fl, err := OpenFollower(dir, FollowerOptions{
-		LeaderFunc: func() (string, error) {
+		leaderFunc: func() (string, error) {
 			b, err := os.ReadFile(addrPath)
 			if err != nil || len(b) == 0 {
 				return "", fmt.Errorf("leader address not published yet")

@@ -118,7 +118,7 @@ func TestReconnectBackoffLadder(t *testing.T) {
 
 	fl := testFollower(t, addr, FollowerOptions{
 		Backoff: backoffFast(), // Base 1ms, Max 10ms, Jitter 0.5
-		OnBackoff: func(attempt int, d time.Duration) {
+		onBackoff: func(attempt int, d time.Duration) {
 			mu.Lock()
 			if len(delays) < failures {
 				delays = append(delays, d)

@@ -20,18 +20,8 @@ import (
 
 // FollowerOptions tunes the tailing side of replication.
 type FollowerOptions struct {
-	// Leader is the leader's replication address (host:port). Ignored when
-	// LeaderFunc is set.
+	// Leader is the leader's replication address (host:port).
 	Leader string
-	// LeaderFunc, when set, is called before every dial; it lets a follower
-	// track a leader whose address changes across restarts.
-	LeaderFunc func() (string, error)
-	// DialTimeout bounds one connection attempt. Default 2s.
-	DialTimeout time.Duration
-	// ReadTimeout bounds one read on an established stream; a healthy leader
-	// heartbeats well inside it, so expiry means the leader is gone without
-	// the kernel noticing. Default 10s.
-	ReadTimeout time.Duration
 	// SyncEvery is the follower's own WAL group-commit interval (see
 	// persist.Options).
 	SyncEvery time.Duration
@@ -45,12 +35,25 @@ type FollowerOptions struct {
 	// Backoff paces reconnect attempts. Zero value gets a sane default
 	// (50ms base doubling to 2s, half-jittered).
 	Backoff backoff.Policy
-	// OnBackoff, when set, observes every reconnect delay (attempt number
-	// and chosen delay). Test instrumentation.
-	OnBackoff func(attempt int, d time.Duration)
 	// Logger receives connection lifecycle events. Default: discard.
 	Logger *slog.Logger
+
+	// leaderFunc, when set, overrides Leader and is called before every
+	// dial; a replica-group member resolves its current leader through it.
+	leaderFunc func() (string, error)
+	// onBackoff, when set, observes every reconnect delay (attempt number
+	// and chosen delay).
+	onBackoff func(attempt int, d time.Duration)
 }
+
+const (
+	// dialTimeout bounds one connection attempt.
+	dialTimeout = 2 * time.Second
+	// readTimeout bounds one read on an established stream; a healthy
+	// leader heartbeats well inside it, so expiry means the leader is gone
+	// without the kernel noticing.
+	readTimeout = 10 * time.Second
+)
 
 // FollowerStatus is a snapshot of a follower's replication state.
 type FollowerStatus struct {
@@ -122,7 +125,7 @@ type Follower struct {
 
 	// leaderHint is the redirect target learned from a NotLeader hello
 	// (atomic string; "" = none). Used for the next dial when no
-	// LeaderFunc overrides discovery, cleared when dialing it fails.
+	// leaderFunc overrides discovery, cleared when dialing it fails.
 	leaderHint    atomic.Value
 	leaderAPIHint atomic.Value
 
@@ -144,12 +147,6 @@ type Follower struct {
 // returned follower serves its recovered graph immediately; Run connects it
 // to the leader.
 func OpenFollower(dir string, opts FollowerOptions) (*Follower, error) {
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 2 * time.Second
-	}
-	if opts.ReadTimeout <= 0 {
-		opts.ReadTimeout = 10 * time.Second
-	}
 	if opts.Backoff == (backoff.Policy{}) {
 		opts.Backoff = backoff.Policy{Base: 50 * time.Millisecond, Max: 2 * time.Second, Jitter: 0.5}
 	}
@@ -287,8 +284,8 @@ func (f *Follower) Run(ctx context.Context) error {
 			retry.Reset()
 		}
 		d := retry.Next()
-		if f.opts.OnBackoff != nil {
-			f.opts.OnBackoff(retry.Attempt(), d)
+		if f.opts.onBackoff != nil {
+			f.opts.onBackoff(retry.Attempt(), d)
 		}
 		select {
 		case <-ctx.Done():
@@ -313,8 +310,8 @@ func (f *Follower) markDisconnected() {
 func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
 	addr := f.opts.Leader
 	usedHint := false
-	if f.opts.LeaderFunc != nil {
-		if addr, err = f.opts.LeaderFunc(); err != nil {
+	if f.opts.leaderFunc != nil {
+		if addr, err = f.opts.leaderFunc(); err != nil {
 			return false, fmt.Errorf("replication: resolving leader: %w", err)
 		}
 		// A resolver that returned the current hint gets the same dead-hint
@@ -329,7 +326,7 @@ func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
 	if ferr := faultinject.FireErr(faultinject.SiteReplDial); ferr != nil {
 		return false, fmt.Errorf("replication: dial %s: %w", addr, ferr)
 	}
-	conn, err := net.DialTimeout("tcp", addr, f.opts.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		if usedHint {
 			// The hinted leader is unreachable; fall back to the configured
@@ -420,7 +417,7 @@ func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
 
 	// Stream loop: frames and heartbeats until something breaks.
 	for {
-		conn.SetReadDeadline(time.Now().Add(f.opts.ReadTimeout))
+		conn.SetReadDeadline(time.Now().Add(readTimeout))
 		typ, payload, err := readMsg(br)
 		if err != nil {
 			return true, fmt.Errorf("replication: stream read: %w", err)
@@ -494,7 +491,7 @@ func (f *Follower) sendAck(conn net.Conn) error {
 }
 
 func (f *Follower) readHello(conn net.Conn, br *bufio.Reader) (hello, error) {
-	conn.SetReadDeadline(time.Now().Add(f.opts.ReadTimeout))
+	conn.SetReadDeadline(time.Now().Add(readTimeout))
 	typ, payload, err := readMsg(br)
 	if err != nil {
 		return hello{}, fmt.Errorf("replication: reading hello: %w", err)
@@ -520,7 +517,7 @@ func (f *Follower) bootstrap(conn net.Conn, br *bufio.Reader, h hello) error {
 	// (they describe exactly the shipped state), the handshake's otherwise.
 	marks := h.Marks
 	if h.Snapshot {
-		conn.SetReadDeadline(time.Now().Add(f.opts.ReadTimeout))
+		conn.SetReadDeadline(time.Now().Add(readTimeout))
 		typ, payload, err := readMsg(br)
 		if err != nil {
 			return fmt.Errorf("replication: reading snapshot: %w", err)

@@ -23,21 +23,23 @@ type LeaderOptions struct {
 	// Heartbeat is how often an idle stream sends a 'P' message so
 	// followers can measure freshness. Default 500ms.
 	Heartbeat time.Duration
-	// RequestTimeout bounds how long the leader waits for a follower's
-	// request line before dropping the connection. Default 10s.
-	RequestTimeout time.Duration
-	// OnHigherEpoch, when set, is called whenever the leader observes a
-	// higher epoch than its own — in a follower's stream request or in a
-	// durable ack. A replica-group node steps down on it: someone fenced a
-	// newer epoch, so this leader is deposed and must stop acknowledging.
-	OnHigherEpoch func(epoch uint64)
 	// API is this leader's advertised HTTP API address, stamped into every
 	// stream hello so followers learn where writes belong without static
 	// configuration.
 	API string
 	// Logger receives connection lifecycle events. Default: discard.
 	Logger *slog.Logger
+
+	// onHigherEpoch, when set, is called whenever the leader observes a
+	// higher epoch than its own — in a follower's stream request or in a
+	// durable ack. A replica-group node steps down on it: someone fenced a
+	// newer epoch, so this leader is deposed and must stop acknowledging.
+	onHigherEpoch func(epoch uint64)
 }
+
+// requestTimeout bounds how long a listener waits for a connection's
+// request line before dropping it.
+const requestTimeout = 10 * time.Second
 
 // LeaderStatus is a snapshot of the leader's replication counters.
 type LeaderStatus struct {
@@ -113,9 +115,6 @@ func NewLeader(store *persist.Store, opts LeaderOptions) *Leader {
 	if opts.Heartbeat <= 0 {
 		opts.Heartbeat = 500 * time.Millisecond
 	}
-	if opts.RequestTimeout <= 0 {
-		opts.RequestTimeout = 10 * time.Second
-	}
 	if opts.Logger == nil {
 		opts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -152,24 +151,25 @@ func (l *Leader) observeAck(id string, a ack) {
 		l.acks[id] = ackState{seq: a.Seq, epoch: a.Epoch, at: time.Now()}
 	}
 	l.ackMu.Unlock()
-	if a.Epoch > l.store.Epoch() && l.opts.OnHigherEpoch != nil {
-		l.opts.OnHigherEpoch(a.Epoch)
+	if a.Epoch > l.store.Epoch() && l.opts.onHigherEpoch != nil {
+		l.opts.onHigherEpoch(a.Epoch)
 	}
 	l.changed.fire()
 }
 
-// AckedAtLeast counts distinct followers whose newest durable ack covers
-// seq, carries exactly epoch, and arrived within window. The replica-group
-// leader uses it both as the commit barrier (majority-1 followers hold the
-// fact fsynced at the current epoch) and as the lease signal (fresh acks
-// prove the followers still follow this leader).
-func (l *Leader) AckedAtLeast(seq int64, epoch uint64, window time.Duration) int {
+// AckedAtLeast counts the members whose newest durable ack covers seq,
+// carries exactly epoch, and arrived within window. Acks from any other
+// follower — a learner tailing this leader — are recorded but never
+// counted. The replica-group leader uses it both as the commit barrier
+// (majority-1 members hold the fact fsynced at the current epoch) and as
+// the lease signal (fresh acks prove the members still follow this leader).
+func (l *Leader) AckedAtLeast(members []string, seq int64, epoch uint64, window time.Duration) int {
 	l.ackMu.Lock()
 	defer l.ackMu.Unlock()
 	n := 0
 	now := time.Now()
-	for _, a := range l.acks {
-		if a.seq >= seq && a.epoch == epoch && now.Sub(a.at) <= window {
+	for _, id := range members {
+		if a, ok := l.acks[id]; ok && a.seq >= seq && a.epoch == epoch && now.Sub(a.at) <= window {
 			n++
 		}
 	}
@@ -181,6 +181,23 @@ func (l *Leader) AckedAtLeast(seq int64, epoch uint64, window time.Duration) int
 // stream has wound down.
 func (l *Leader) Serve(ctx context.Context, ln net.Listener) error {
 	l.addr.Store(ln.Addr().String())
+	return serve(ctx, ln, l.opts.Logger, func(ctx context.Context, conn net.Conn) error {
+		l.accepted.Add(1)
+		l.connected.Add(1)
+		defer l.connected.Add(-1)
+		req, br, err := readRequest(conn)
+		if err != nil {
+			return err
+		}
+		return l.serveStream(ctx, conn, br, req)
+	})
+}
+
+// serve accepts connections on ln until ctx is cancelled and runs handle
+// for each on its own goroutine. Cancellation closes the listener and every
+// open connection, which unwinds the handlers; serve returns once all of
+// them have.
+func serve(ctx context.Context, ln net.Listener, logger *slog.Logger, handle func(context.Context, net.Conn) error) error {
 	stop := context.AfterFunc(ctx, func() { ln.Close() })
 	defer stop()
 
@@ -195,45 +212,32 @@ func (l *Leader) Serve(ctx context.Context, ln net.Listener) error {
 			return fmt.Errorf("replication: accept: %w", err)
 		}
 		if ferr := faultinject.FireErr(faultinject.SiteReplAccept); ferr != nil {
-			// Injected accept-time crash: the follower sees the connection
+			// Injected accept-time crash: the peer sees the connection
 			// vanish before the hello, exactly like a leader dying between
 			// accept and negotiate.
 			conn.Close()
 			continue
 		}
-		l.accepted.Add(1)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			l.connected.Add(1)
-			defer l.connected.Add(-1)
-			// Cancellation closes the socket out from under the stream
-			// loop, which surfaces as a write/read error and unwinds it.
+			// Cancellation closes the socket out from under the handler,
+			// which surfaces as a write/read error and unwinds it.
 			stopConn := context.AfterFunc(ctx, func() { conn.Close() })
 			defer stopConn()
 			defer conn.Close()
-			if err := l.handle(ctx, conn); err != nil && ctx.Err() == nil {
-				l.opts.Logger.Debug("replication stream ended", "remote", conn.RemoteAddr().String(), "err", err)
+			if err := handle(ctx, conn); err != nil && ctx.Err() == nil {
+				logger.Debug("replication connection ended", "remote", conn.RemoteAddr().String(), "err", err)
 			}
 		}()
 	}
 }
 
-// handle negotiates with one follower and streams until error, rotation or
-// cancellation.
-func (l *Leader) handle(ctx context.Context, conn net.Conn) error {
-	req, br, err := readRequest(conn, l.opts.RequestTimeout)
-	if err != nil {
-		return err
-	}
-	return l.serveStream(ctx, conn, br, req)
-}
-
 // readRequest reads and validates the single JSON request line that opens
 // every connection. The returned reader holds any bytes read past the
 // newline (the follower's first ack may already be buffered behind it).
-func readRequest(conn net.Conn, timeout time.Duration) (request, *bufio.Reader, error) {
-	conn.SetReadDeadline(time.Now().Add(timeout))
+func readRequest(conn net.Conn) (request, *bufio.Reader, error) {
+	conn.SetReadDeadline(time.Now().Add(requestTimeout))
 	br := bufio.NewReaderSize(conn, 4096)
 	line, err := br.ReadBytes('\n')
 	if err != nil {
@@ -255,8 +259,8 @@ func (l *Leader) serveStream(ctx context.Context, conn net.Conn, br *bufio.Reade
 	if req.Epoch > myEpoch {
 		// The follower is fenced into a newer epoch than ours: we are the
 		// deposed one. Tell the node layer, answer not-a-leader, drop.
-		if l.opts.OnHigherEpoch != nil {
-			l.opts.OnHigherEpoch(req.Epoch)
+		if l.opts.onHigherEpoch != nil {
+			l.opts.onHigherEpoch(req.Epoch)
 		}
 		hb, err := json.Marshal(hello{Epoch: myEpoch, NotLeader: true})
 		if err != nil {

@@ -94,8 +94,6 @@ type NodeOptions struct {
 	// see majority acks for Lease steps down; a follower that hears nothing
 	// from a leader for Lease starts an election. Default 3s.
 	Lease time.Duration
-	// ProbeTimeout bounds one election probe round-trip. Default Lease/3.
-	ProbeTimeout time.Duration
 	// SyncEvery is the local store's WAL group-commit interval.
 	SyncEvery time.Duration
 	// Backoff paces follower reconnects. Zero gets the follower default.
@@ -161,8 +159,6 @@ type Node struct {
 	lastFailover atomic.Value // *FailoverEvent
 	started      time.Time
 	rr           atomic.Int64 // round-robin cursor for leaderless discovery
-
-	wg sync.WaitGroup
 }
 
 // OpenNode opens (or recovers) the member's durable store in dir. Serve and
@@ -174,20 +170,17 @@ func OpenNode(dir string, opts NodeOptions) (*Node, error) {
 	if opts.Lease <= 0 {
 		opts.Lease = 3 * time.Second
 	}
-	if opts.ProbeTimeout <= 0 {
-		opts.ProbeTimeout = opts.Lease / 3
-	}
 	if opts.Logger == nil {
 		opts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	n := &Node{opts: opts, started: time.Now()}
 	fl, err := OpenFollower(dir, FollowerOptions{
-		LeaderFunc: n.resolveLeader,
 		ID:         opts.Self,
 		API:        opts.API,
 		SyncEvery:  opts.SyncEvery,
 		Backoff:    opts.Backoff,
 		Logger:     opts.Logger,
+		leaderFunc: n.resolveLeader,
 	})
 	if err != nil {
 		return nil, err
@@ -195,9 +188,9 @@ func OpenNode(dir string, opts NodeOptions) (*Node, error) {
 	n.fl = fl
 	n.ld = NewLeader(fl.Store(), LeaderOptions{
 		Heartbeat:     opts.Lease / 6,
-		OnHigherEpoch: n.observeHigherEpoch,
 		API:           opts.API,
 		Logger:        opts.Logger,
+		onHigherEpoch: n.observeHigherEpoch,
 	})
 	return n, nil
 }
@@ -320,38 +313,12 @@ func (n *Node) observeHigherEpoch(epoch uint64) {
 // not-a-leader redirects otherwise.
 func (n *Node) Serve(ctx context.Context, ln net.Listener) error {
 	n.ld.addr.Store(ln.Addr().String())
-	stop := context.AfterFunc(ctx, func() { ln.Close() })
-	defer stop()
-	defer n.wg.Wait()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			return fmt.Errorf("replication: accept: %w", err)
-		}
-		if ferr := faultinject.FireErr(faultinject.SiteReplAccept); ferr != nil {
-			conn.Close()
-			continue
-		}
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			stopConn := context.AfterFunc(ctx, func() { conn.Close() })
-			defer stopConn()
-			defer conn.Close()
-			if err := n.handleConn(ctx, conn); err != nil && ctx.Err() == nil {
-				n.opts.Logger.Debug("replica-group connection ended",
-					"remote", conn.RemoteAddr().String(), "err", err)
-			}
-		}()
-	}
+	return serve(ctx, ln, n.opts.Logger, n.handleConn)
 }
 
 // handleConn routes one inbound connection by its request shape.
 func (n *Node) handleConn(ctx context.Context, conn net.Conn) error {
-	req, br, err := readRequest(conn, n.ld.opts.RequestTimeout)
+	req, br, err := readRequest(conn)
 	if err != nil {
 		return err
 	}
@@ -467,7 +434,8 @@ func (n *Node) answerProbe(conn net.Conn, req request) error {
 }
 
 // probePeers sends req to every peer in parallel and collects the replies
-// that arrive within ProbeTimeout. Unreachable peers are simply absent.
+// that arrive within a third of the lease. Unreachable peers are simply
+// absent.
 func (n *Node) probePeers(peers []string, req request) []PeerStatus {
 	out := make([]PeerStatus, 0, len(peers))
 	var mu sync.Mutex
@@ -476,7 +444,7 @@ func (n *Node) probePeers(peers []string, req request) []PeerStatus {
 		wg.Add(1)
 		go func(peer string) {
 			defer wg.Done()
-			st, err := probeOne(peer, req, n.opts.ProbeTimeout)
+			st, err := probeOne(peer, req, n.opts.Lease/3)
 			if err != nil {
 				return
 			}
@@ -697,9 +665,19 @@ func (n *Node) runFollower(ctx context.Context) (leaseExpired bool) {
 	}
 }
 
+// quorumAcked reports whether majority-1 members — the leader's own store
+// is the last vote — hold seq fsynced at epoch, by acks that arrived within
+// the lease. Only the roster's acks count: a plain follower tailing this
+// node is a learner, which never votes in an election, so its acks must not
+// make a fact durable or keep a lease alive.
+func (n *Node) quorumAcked(seq int64, epoch uint64) bool {
+	peers := n.peerList()
+	return n.ld.AckedAtLeast(peers, seq, epoch, n.opts.Lease) >= (len(peers)+1)/2
+}
+
 // runLeader serves writes until the lease collapses or a higher epoch
 // appears, returning the step-down cause. The lease condition mirrors
-// Commit's barrier: majority-1 followers must have acked at the current
+// Commit's barrier: majority-1 members must have acked at the current
 // epoch within the lease window (a single-node group renews trivially).
 func (n *Node) runLeader(ctx context.Context) (cause string) {
 	epoch := n.Store().Epoch()
@@ -723,7 +701,7 @@ func (n *Node) runLeader(ctx context.Context) (cause string) {
 		if ferr := faultinject.FireErr(faultinject.SiteReplLease); ferr != nil {
 			return "lease_expired"
 		}
-		if n.ld.AckedAtLeast(0, epoch, n.opts.Lease) >= n.majority()-1 {
+		if n.quorumAcked(0, epoch) {
 			n.lastQuorum.Store(time.Now().UnixNano())
 		}
 		if time.Since(time.Unix(0, n.lastQuorum.Load())) > n.opts.Lease {
@@ -745,7 +723,6 @@ func (n *Node) Commit(ctx context.Context) error {
 	if err := n.Store().Sync(); err != nil {
 		return err
 	}
-	need := n.majority() - 1
 	stale := func() bool {
 		return n.deposedBy.Load() > epoch || n.Store().Epoch() != epoch || !n.IsLeader()
 	}
@@ -756,7 +733,7 @@ func (n *Node) Commit(ctx context.Context) error {
 		if stale() {
 			return ErrStaleEpoch
 		}
-		if n.ld.AckedAtLeast(seq, epoch, n.opts.Lease) >= need {
+		if n.quorumAcked(seq, epoch) {
 			// Re-check after counting: a deposition between the count and
 			// the acknowledgement would let a dual-epoch ack slip out.
 			if stale() {

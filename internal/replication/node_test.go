@@ -256,6 +256,39 @@ func TestFailoverPreservesAckedFacts(t *testing.T) {
 	commitOnGroup(t, survivors, "after-failover")
 }
 
+// A plain follower tailing a group member is a learner: it never votes in
+// an election, so its acks must neither acknowledge a write nor renew the
+// leader's lease. Otherwise a fact held only by the leader and the learner
+// is acknowledged, and a failover to either stopped member loses it.
+func TestLearnerAcksDoNotCount(t *testing.T) {
+	t.Parallel()
+	const lease = 500 * time.Millisecond
+	members := startGroup(t, 3, lease)
+	leader := waitLeader(t, members, 10*time.Second)
+	commitOne(t, leader, "acked by members")
+	learner := testFollower(t, leader.addr(), FollowerOptions{Backoff: backoffFast()})
+	waitSeq(t, learner, leader.n.Store().Seq())
+	for _, m := range members {
+		if m != leader {
+			m.stop()
+		}
+	}
+
+	leader.gmu.Lock()
+	leader.n.Store().Graph().AddNode(pg.LabelCompany, pg.Properties{"name": "learner only"})
+	seq := leader.n.Store().Seq()
+	leader.gmu.Unlock()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*lease)
+	defer cancel()
+	if err := leader.n.Commit(ctx); err == nil {
+		t.Fatal("Commit acknowledged a fact that only the leader and a learner hold")
+	}
+	waitSeq(t, learner, seq)
+	waitFor(t, 10*time.Second, "leader steps down without a member quorum", func() bool {
+		return !leader.n.IsLeader()
+	})
+}
+
 func TestLeaseLossStepsLeaderDown(t *testing.T) {
 	members := startGroup(t, 3, 250*time.Millisecond)
 	leader := waitLeader(t, members, 10*time.Second)

@@ -51,7 +51,7 @@ func testLeaderStore(t *testing.T, sopts persist.Options, opts LeaderOptions) (*
 // testFollower opens a follower in a temp dir and runs it against addr.
 func testFollower(t *testing.T, addr string, opts FollowerOptions, beforeRun ...func(*Follower)) *Follower {
 	t.Helper()
-	if opts.Leader == "" && opts.LeaderFunc == nil {
+	if opts.Leader == "" && opts.leaderFunc == nil {
 		opts.Leader = addr
 	}
 	fl, err := OpenFollower(t.TempDir(), opts)

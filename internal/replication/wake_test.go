@@ -76,7 +76,7 @@ func TestBurstCommitAckedOnDrain(t *testing.T) {
 	leader := waitLeader(t, members, 20*time.Second)
 	epoch := leader.n.Epoch()
 	waitFor(t, 10*time.Second, "both followers acking", func() bool {
-		return leader.n.Leader().AckedAtLeast(leader.n.Store().Seq(), epoch, time.Second) == 2
+		return leader.n.Leader().AckedAtLeast(leader.n.peerList(), leader.n.Store().Seq(), epoch, time.Second) == 2
 	})
 	for round := 0; round < 10; round++ {
 		leader.gmu.Lock()

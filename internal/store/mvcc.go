@@ -21,11 +21,11 @@ var (
 	ErrTxnDone = errors.New("store: transaction already finished")
 )
 
-// DefaultFlattenDepth is the overlay-chain depth at which a commit folds
-// the chain into a flat clone of the writer master. Depth-1 chains keep
-// commits O(delta); flattening bounds the per-read indirection cost and is
-// paid by the (rare, already O(graph)) write path, never by readers.
-const DefaultFlattenDepth = 4
+// flattenDepth is the overlay-chain depth at which a commit folds the chain
+// into a flat clone of the writer master. Depth-1 chains keep commits
+// O(delta); flattening bounds the per-read indirection cost and is paid by
+// the (rare, already O(graph)) write path, never by readers.
+const flattenDepth = 4
 
 // Version is one immutable published state of a versioned graph. Its View
 // is frozen — safe for unsynchronized concurrent reads for as long as any
@@ -60,26 +60,18 @@ func (v *Version) Seq() uint64 { return v.seq }
 //     pointer swap. Concurrency control is optimistic: a commit that lost
 //     the race to a newer version fails with ErrConflict.
 //
-// Every FlattenDepth commits the chain is folded into a flat clone of the
+// Every flattenDepth commits the chain is folded into a flat clone of the
 // master so read indirection stays bounded.
 type Versioned struct {
-	master       *pg.Graph
-	mu           sync.Mutex // serializes commits (master replay + publish)
-	curr         atomic.Pointer[Version]
-	flattenDepth int
+	master *pg.Graph
+	mu     sync.Mutex // serializes commits (master replay + publish)
+	curr   atomic.Pointer[Version]
 
 	// onCommit, when set, observes every published version together with the
 	// journal that produced it — the seam an incremental view maintainer
 	// hangs on. It runs under mu, after the version is visible to readers,
 	// so observers see commits in publication order exactly once.
 	onCommit func(next *Version, journal []pg.Mutation)
-}
-
-// VersionedOptions tunes a Versioned store.
-type VersionedOptions struct {
-	// FlattenDepth is the overlay-chain depth at which commits flatten;
-	// 0 means DefaultFlattenDepth.
-	FlattenDepth int
 }
 
 // NewVersioned wraps g as the writer master of a versioned store and
@@ -91,12 +83,8 @@ type VersionedOptions struct {
 // After NewVersioned the caller must stop mutating g directly — every
 // change goes through Begin/Commit, which keeps master and published
 // versions in lockstep.
-func NewVersioned(g *pg.Graph, opts ...VersionedOptions) *Versioned {
-	fd := DefaultFlattenDepth
-	if len(opts) > 0 && opts[0].FlattenDepth > 0 {
-		fd = opts[0].FlattenDepth
-	}
-	vs := &Versioned{master: g, flattenDepth: fd}
+func NewVersioned(g *pg.Graph) *Versioned {
+	vs := &Versioned{master: g}
 	vs.curr.Store(&Version{view: g.Clone(), seq: 0, depth: 0})
 	return vs
 }
@@ -161,7 +149,7 @@ func (t *Txn) Commit() (*Version, error) {
 	t.done = true
 	faultinject.Fire(faultinject.SiteStoreSwap)
 	next := &Version{view: t.o, seq: t.base.seq + 1, depth: t.base.depth + 1}
-	if next.depth >= vs.flattenDepth {
+	if next.depth >= flattenDepth {
 		next.view = vs.master.Clone()
 		next.depth = 0
 	}

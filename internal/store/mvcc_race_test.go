@@ -28,7 +28,7 @@ import (
 func TestSnapshotIsolationRace(t *testing.T) {
 	g := seedGraph()
 	baseNodes, baseEdges := g.NumNodes(), g.NumEdges()
-	vs := NewVersioned(g, VersionedOptions{FlattenDepth: 3})
+	vs := NewVersioned(g)
 
 	var swapChecks atomic.Int64
 	faultinject.Set(faultinject.SiteStoreSwap, func() {

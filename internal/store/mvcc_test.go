@@ -113,15 +113,15 @@ func TestVersionedCommitsWeightEditAndNodeRemoval(t *testing.T) {
 
 func TestVersionedFlattens(t *testing.T) {
 	g := seedGraph()
-	vs := NewVersioned(g, VersionedOptions{FlattenDepth: 2})
-	for i := 0; i < 5; i++ {
+	vs := NewVersioned(g)
+	for i := 0; i < 2*flattenDepth+1; i++ {
 		txn := vs.Begin()
 		txn.Overlay().AddNode(pg.LabelCompany, nil)
 		v, err := txn.Commit()
 		if err != nil {
 			t.Fatalf("commit %d: %v", i, err)
 		}
-		if v.depth >= 2 {
+		if v.depth >= flattenDepth {
 			t.Fatalf("commit %d: depth %d not flattened", i, v.depth)
 		}
 		if _, isGraph := v.View().(*pg.Graph); (v.depth == 0) != isGraph {

@@ -273,7 +273,7 @@ func OpenDurable(dir string, opts DurableOptions) (*DurableStore, error) {
 type ReplicationLeader = replication.Leader
 
 // ReplicationLeaderOptions tunes the leader's stream (heartbeat cadence,
-// request timeout).
+// advertised API address, logger).
 type ReplicationLeaderOptions = replication.LeaderOptions
 
 // Follower tails a leader's WAL stream into its own durable store; its
@@ -281,8 +281,8 @@ type ReplicationLeaderOptions = replication.LeaderOptions
 // recovered graph, not read from a position file.
 type Follower = replication.Follower
 
-// FollowerOptions tunes a Follower: leader address, dial/read timeouts,
-// reconnect backoff, local group-commit interval.
+// FollowerOptions tunes a Follower: leader address, reconnect backoff,
+// local group-commit interval.
 type FollowerOptions = replication.FollowerOptions
 
 // NewReplicationLeader wraps a durable store with a replication leader.
