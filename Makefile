@@ -15,7 +15,7 @@ race:
 vet:
 	$(GO) vet ./...
 
-# The full gate CI runs: vet + build + race tests + the bench/ module's
+# The full gate CI runs: vet + gofmt + build + race tests + the bench/ module's
 # build, vet and smoke test + short fuzz.
 check:
 	FUZZTIME=$(FUZZTIME) ./scripts/check.sh

@@ -1,14 +1,12 @@
-// Package backoff is the shared retry-delay policy: capped exponential
-// backoff with bounded random jitter.
+// Package backoff is the retry-delay policy of the replication follower's
+// reconnect loop: capped exponential backoff with bounded random jitter.
 //
-// It exists because two different retry loops — the ETL input-stream reader
-// and the replication follower's reconnect loop — must not share a
-// deterministic delay ladder. A fleet of followers that all lose their
-// leader at the same instant and all sleep exactly 1ms, 2ms, 4ms, ... will
-// all reconnect at the same instant too, hammering the recovering leader in
-// synchronized waves (the thundering herd). Jitter decorrelates them; the
-// cap keeps the worst-case wait bounded and the base keeps the common case
-// fast.
+// A deterministic delay ladder would not do. A fleet of followers that all
+// lose their leader at the same instant and all sleep exactly 1ms, 2ms, 4ms,
+// ... will all reconnect at the same instant too, hammering the recovering
+// leader in synchronized waves (the thundering herd). Jitter decorrelates
+// them; the cap keeps the worst-case wait bounded and the base keeps the
+// common case fast.
 package backoff
 
 import (

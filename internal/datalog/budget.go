@@ -115,51 +115,24 @@ func (e *BudgetExceededError) Error() string {
 func (e *BudgetExceededError) Unwrap() error { return e.Cause }
 
 // trip records a budget violation on the engine; the evaluation unwinds at
-// the next cooperative check. It is safe for concurrent use — Query
-// callers building indexes after a Run may trip the index budget at once —
-// and the first trip wins, later ones return the recorded error.
+// the next cooperative check. The first trip wins and fires the BudgetTrip
+// hook; later ones return the recorded error.
 func (e *Engine) trip(limit Limit, bound int, cause error) *BudgetExceededError {
-	e.stopMu.Lock()
-	first := e.stopErr == nil
-	if first {
-		e.stopErr = &BudgetExceededError{
-			Limit:   limit,
-			Bound:   bound,
-			Facts:   e.derivedCount,
-			Rounds:  e.rounds,
-			Stratum: e.curStratum,
-			Cause:   cause,
-		}
-		e.stopped.Store(true)
+	if e.stopErr != nil {
+		return e.stopErr
 	}
-	err := e.stopErr
-	e.stopMu.Unlock()
-	// The BudgetTrip hook fires outside stopMu so a callback reading engine
-	// state cannot deadlock against another caller tripping concurrently.
-	if first {
-		if fn := e.opts.Hook.BudgetTrip; fn != nil {
-			fn(err)
-		}
+	e.stopErr = &BudgetExceededError{
+		Limit:   limit,
+		Bound:   bound,
+		Facts:   e.derivedCount,
+		Rounds:  e.rounds,
+		Stratum: e.curStratum,
+		Cause:   cause,
 	}
-	return err
-}
-
-// stopError returns the recorded budget violation, if any.
-func (e *Engine) stopError() *BudgetExceededError {
-	if !e.stopped.Load() {
-		return nil
+	if fn := e.opts.Hook.BudgetTrip; fn != nil {
+		fn(e.stopErr)
 	}
-	e.stopMu.Lock()
-	defer e.stopMu.Unlock()
 	return e.stopErr
-}
-
-// resetStop clears the sticky budget violation at the start of a Run.
-func (e *Engine) resetStop() {
-	e.stopMu.Lock()
-	defer e.stopMu.Unlock()
-	e.stopErr = nil
-	e.stopped.Store(false)
 }
 
 // checkCtx classifies and records a context failure.
@@ -179,8 +152,8 @@ func (e *Engine) checkCtx() error {
 // Budget.CheckEvery steps, so even one enormous join round honors deadlines.
 func (ec *evalCtx) step() error {
 	e := ec.e
-	if e.stopped.Load() {
-		return e.stopError()
+	if e.stopErr != nil {
+		return e.stopErr
 	}
 	ec.steps++
 	if ec.steps >= ec.nextCheck {

@@ -1,9 +1,9 @@
 package datalog
 
-// Concurrency coverage for the lazily built indexes and the chase's
-// cancellation, written to run under -race: concurrent read-only access after
-// a Run, independent engines running at once, a deadline landed mid-chase
-// through the faultinject harness, and builtin panic propagation.
+// Coverage for the lazily built indexes and the chase's cancellation, written
+// to run under -race: read-only access after a Run, independent engines
+// running at once, a deadline landed mid-chase through the faultinject
+// harness, and builtin panic propagation.
 
 import (
 	"context"
@@ -34,10 +34,11 @@ func closureEngine(t *testing.T, opts ...Option) *Engine {
 	return e
 }
 
-// TestConcurrentReadsAfterRun hammers the read-only accessors — including
-// Query patterns that trigger lazy index builds — from many goroutines at
-// once. Under -race this verifies the double-checked index publication.
-func TestConcurrentReadsAfterRun(t *testing.T) {
+// TestReadsAfterRun drives the read-only accessors after a Run, Query
+// patterns that build an index lazily included: the chase never probes own by
+// its weight, so the first Query binding only the weight builds that index,
+// and its answers must equal a filter over Facts.
+func TestReadsAfterRun(t *testing.T) {
 	e := closureEngine(t)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -46,39 +47,41 @@ func TestConcurrentReadsAfterRun(t *testing.T) {
 	if len(reach) == 0 {
 		t.Fatal("no reach facts derived")
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				f := reach[(g*13+i)%len(reach)]
-				// Probe both argument positions: each may build its index
-				// lazily, racing with the other goroutines.
-				if got := match(e, "reach", f.Args[0], nil); len(got) == 0 {
-					t.Errorf("match(reach, %v, _) empty", f.Args[0])
-					return
-				}
-				if got := match(e, "reach", nil, f.Args[1]); len(got) == 0 {
-					t.Errorf("match(reach, _, %v) empty", f.Args[1])
-					return
-				}
-				if !e.Has(f) {
-					t.Errorf("Has(%v) = false", f)
-					return
-				}
-				bs := e.Query(
-					Atom{Pred: "reach", Terms: []Term{Variable("X"), Variable("Y")}},
-					Atom{Pred: "own", Terms: []Term{Variable("Y"), Variable("Z"), Variable("W")}},
-				)
-				if len(bs) == 0 {
-					t.Error("two-atom Query returned nothing")
-					return
-				}
-			}
-		}(g)
+	for i := 0; i < 400; i++ {
+		f := reach[(i*13)%len(reach)]
+		if got := match(e, "reach", f.Args[0], nil); len(got) == 0 {
+			t.Fatalf("match(reach, %v, _) empty", f.Args[0])
+		}
+		if got := match(e, "reach", nil, f.Args[1]); len(got) == 0 {
+			t.Fatalf("match(reach, _, %v) empty", f.Args[1])
+		}
+		if !e.Has(f) {
+			t.Fatalf("Has(%v) = false", f)
+		}
+		bs := e.Query(
+			Atom{Pred: "reach", Terms: []Term{Variable("X"), Variable("Y")}},
+			Atom{Pred: "own", Terms: []Term{Variable("Y"), Variable("Z"), Variable("W")}},
+		)
+		if len(bs) == 0 {
+			t.Fatal("two-atom Query returned nothing")
+		}
 	}
-	wg.Wait()
+
+	own := e.Facts("own")
+	w := own[len(own)/2].Args[2]
+	want := 0
+	for _, f := range own {
+		if f.Args[2] == w {
+			want++
+		}
+	}
+	before := e.IndexBytes()
+	if got := len(match(e, "own", nil, nil, w)); got != want {
+		t.Fatalf("match(own, _, _, %v) = %d answers, want %d", w, got, want)
+	}
+	if e.IndexBytes() <= before {
+		t.Fatalf("IndexBytes() stayed %d: the weight Query built no index", before)
+	}
 }
 
 // TestConcurrentEngineRuns runs several independent engines at once — the

@@ -3,10 +3,9 @@ package datalog
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"vadalink/internal/faultinject"
@@ -74,11 +73,11 @@ type Derivation struct {
 // Engine evaluates a Program over a growing fact store using a semi-naive
 // bottom-up chase, stratified on negation.
 //
-// Concurrency contract: an Engine must not be mutated concurrently — Assert
-// and Run/RunContext need exclusive access. After a Run completes, the
-// read-only accessors (Facts, Query, Has, Explain, ...) are safe to
-// call from many goroutines at once; lazy index builds they may trigger are
-// internally synchronized.
+// Concurrency contract: an Engine belongs to one goroutine at a time. Every
+// method, the read-only accessors (Facts, Query, Has, Explain, ...) included,
+// may build an index lazily or record a budget trip, so none is safe to call
+// concurrently with another on the same Engine. Independent Engines run in
+// parallel freely.
 type Engine struct {
 	prog     *Program
 	opts     options
@@ -93,11 +92,8 @@ type Engine struct {
 	rounds int // total semi-naive rounds of the last Run
 
 	// per-Run budget state: the run's context, the first budget violation
-	// (sticky until the evaluation unwinds; guarded by stopMu with the
-	// stopped flag as the fast-path check), and the derived-fact count.
+	// (sticky until the evaluation unwinds), and the derived-fact count.
 	ctx          context.Context
-	stopMu       sync.Mutex
-	stopped      atomic.Bool
 	stopErr      *BudgetExceededError
 	derivedCount int
 	dupCount     int // emissions absorbed as already-known facts
@@ -108,10 +104,9 @@ type Engine struct {
 	stats     *statsCollector
 	lastStats *ChaseStats
 
-	// indexBytes is the estimated memory of all positional indexes, accrued
-	// atomically because concurrent Query callers may build indexes
-	// lazily after a Run. Checked against Budget.MaxIndexBytes.
-	indexBytes atomic.Int64
+	// indexBytes is the estimated memory of all positional indexes, checked
+	// against Budget.MaxIndexBytes.
+	indexBytes int64
 
 	// prov holds the first derivation per fact key (WithProvenance).
 	prov map[string]Derivation
@@ -182,19 +177,16 @@ const (
 // relation stores the facts of one predicate with a key set for set
 // semantics and lazily built per-position hash indexes for joins: argument
 // position → encoded value → fact indices. An index position is built the
-// first time a lookup probes it (double-checked under mu, published through
-// the built mask) and maintained incrementally by insert from then on, so
-// semi-naive delta inserts stay O(#built positions).
+// first time a lookup probes it and maintained incrementally by insert from
+// then on, so semi-naive delta inserts stay O(#built positions).
 type relation struct {
 	facts []Fact
 	keys  map[string]bool
 	index []map[string][]int // position → encoded value → fact indices
 
-	// built has bit p set once index[p] is built; readers check it with an
-	// atomic load before touching index[p], writers publish under mu. Only
-	// the first 64 argument positions are indexable.
-	built atomic.Uint64
-	mu    sync.Mutex
+	// built has bit p set once index[p] is built. Only the first 64
+	// argument positions are indexable.
+	built uint64
 }
 
 func newRelation() *relation {
@@ -202,14 +194,13 @@ func newRelation() *relation {
 }
 
 func (r *relation) hasIndex(pos int) bool {
-	return pos < 64 && r.built.Load()&(1<<uint(pos)) != 0
+	return pos < 64 && r.built&(1<<uint(pos)) != 0
 }
 
 // insert adds a fact under its key k == f.Key() (callers need the key again
 // for provenance and delta bookkeeping, so they build it once and pass it),
 // maintaining every built index. It reports whether the fact is new and the
-// estimated index bytes the insertion added. Insert requires exclusive access
-// (engine mutation contract).
+// estimated index bytes the insertion added.
 func (r *relation) insert(f Fact, k string) (bool, int) {
 	if r.keys[k] {
 		return false, 0
@@ -221,7 +212,7 @@ func (r *relation) insert(f Fact, k string) (bool, int) {
 		r.index = make([]map[string][]int, len(f.Args))
 	}
 	bytes := 0
-	if mask := r.built.Load(); mask != 0 {
+	if mask := r.built; mask != 0 {
 		for pos := range f.Args {
 			if pos >= len(r.index) || pos >= 64 || mask&(1<<uint(pos)) == 0 {
 				continue
@@ -240,20 +231,9 @@ func (r *relation) insert(f Fact, k string) (bool, int) {
 }
 
 // ensureIndex builds the positional index for pos if missing, returning the
-// estimated bytes it added and whether this call performed the build. Safe
-// for concurrent callers: the build is double-checked under mu and published
-// through the built mask, so concurrent Query calls after a Run race
-// only on the mutex.
+// estimated bytes it added and whether this call performed the build.
 func (r *relation) ensureIndex(pos int) (int, bool) {
-	if pos < 0 || pos >= len(r.index) || pos >= 64 {
-		return 0, false
-	}
-	if r.hasIndex(pos) {
-		return 0, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.built.Load()&(1<<uint(pos)) != 0 {
+	if pos < 0 || pos >= len(r.index) || pos >= 64 || r.hasIndex(pos) {
 		return 0, false
 	}
 	bytes := 0
@@ -271,7 +251,7 @@ func (r *relation) ensureIndex(pos int) (int, bool) {
 		bytes += indexBucketSlotCost
 	}
 	r.index[pos] = m
-	r.built.Store(r.built.Load() | 1<<uint(pos))
+	r.built |= 1 << uint(pos)
 	return bytes, true
 }
 
@@ -389,9 +369,7 @@ func (e *Engine) RegisterBuiltin(name string, fn Builtin) {
 // Assert adds an extensional fact. It reports whether the fact is new.
 func (e *Engine) Assert(f Fact) bool {
 	ok, bytes := e.rel(f.Pred).insert(f, f.Key())
-	if bytes > 0 {
-		e.indexBytes.Add(int64(bytes))
-	}
+	e.indexBytes += int64(bytes)
 	return ok
 }
 
@@ -432,14 +410,14 @@ func (e *Engine) addIndexBytes(bytes int) {
 	if bytes <= 0 {
 		return
 	}
-	total := e.indexBytes.Add(int64(bytes))
-	if b := e.opts.Budget; b.MaxIndexBytes > 0 && total > int64(b.MaxIndexBytes) {
+	e.indexBytes += int64(bytes)
+	if b := e.opts.Budget; b.MaxIndexBytes > 0 && e.indexBytes > int64(b.MaxIndexBytes) {
 		e.trip(LimitIndexMemory, b.MaxIndexBytes, nil)
 	}
 }
 
 // IndexBytes reports the estimated memory held by the positional indexes.
-func (e *Engine) IndexBytes() int64 { return e.indexBytes.Load() }
+func (e *Engine) IndexBytes() int64 { return e.indexBytes }
 
 // cloneFacts deep-copies a fact slice down to the argument slices, so the
 // result shares no mutable storage with the engine. The argument values
@@ -679,7 +657,7 @@ func (e *Engine) RunContext(ctx context.Context) error {
 		ctx = context.Background()
 	}
 	e.ctx = ctx
-	e.resetStop()
+	e.stopErr = nil
 	e.rounds = 0
 	e.derivedCount = 0
 	e.dupCount = 0
@@ -689,8 +667,8 @@ func (e *Engine) RunContext(ctx context.Context) error {
 		if err := e.runStratum(stratum); err != nil {
 			return err
 		}
-		if se := e.stopError(); se != nil {
-			return se
+		if e.stopErr != nil {
+			return e.stopErr
 		}
 	}
 	return nil
@@ -732,8 +710,8 @@ func (e *Engine) runStratum(ruleIdxs []int) error {
 
 	for len(delta) > 0 {
 		faultinject.Fire(faultinject.SiteDatalogRound)
-		if se := e.stopError(); se != nil {
-			return se
+		if e.stopErr != nil {
+			return e.stopErr
 		}
 		if err := e.checkCtx(); err != nil {
 			return err
@@ -879,7 +857,7 @@ func (e *Engine) derive(ec *evalCtx, pred string, args []any) {
 	if b.MaxDeltaQueue > 0 && ec.pending > b.MaxDeltaQueue {
 		e.trip(LimitDeltaQueue, b.MaxDeltaQueue, nil)
 	}
-	if b.MaxIndexBytes > 0 && e.indexBytes.Load() > int64(b.MaxIndexBytes) {
+	if b.MaxIndexBytes > 0 && e.indexBytes > int64(b.MaxIndexBytes) {
 		e.trip(LimitIndexMemory, b.MaxIndexBytes, nil)
 	}
 	if e.prov != nil {
@@ -1154,7 +1132,7 @@ func (e *Engine) lookup(ec *evalCtx, a *catom) probe {
 	st := e.stats
 	if e.opts.NoIndex {
 		if st != nil {
-			st.indexScans.Add(1)
+			st.indexScans++
 		}
 		return probe{facts: r.facts}
 	}
@@ -1183,7 +1161,7 @@ func (e *Engine) lookup(ec *evalCtx, a *catom) probe {
 		bytes, built := r.ensureIndex(firstBound)
 		e.addIndexBytes(bytes)
 		if built && st != nil {
-			st.indexBuilds.Add(1)
+			st.indexBuilds++
 		}
 		if r.hasIndex(firstBound) {
 			val, _ := ec.value(&a.terms[firstBound])
@@ -1193,12 +1171,12 @@ func (e *Engine) lookup(ec *evalCtx, a *catom) probe {
 	}
 	if bestPos >= 0 {
 		if st != nil {
-			st.indexHits.Add(1)
+			st.indexHits++
 		}
 		return probe{facts: r.facts, idxs: best, indexed: true}
 	}
 	if st != nil {
-		st.indexScans.Add(1)
+		st.indexScans++
 	}
 	return probe{facts: r.facts}
 }
@@ -1273,7 +1251,7 @@ func compare(op CmpOp, l, r any) bool {
 // delta (planOrder) — plus the head variables, the existential set and the
 // rule's slot form (compileRule).
 func planRule(r Rule) (ruleMeta, error) {
-	order, bound, err := planOrder(r, -1)
+	order, bound, err := planOrder(r, nil, -1, textual)
 	if err != nil {
 		return ruleMeta{}, err
 	}
@@ -1282,7 +1260,7 @@ func planRule(r Rule) (ruleMeta, error) {
 	for i, l := range r.Body {
 		switch l.Kind {
 		case LitAtom:
-			if deltaOrder[i], _, err = planOrder(r, i); err != nil {
+			if deltaOrder[i], _, err = planOrder(r, nil, i, sharesBound); err != nil {
 				return ruleMeta{}, err
 			}
 		case LitAgg:
@@ -1338,22 +1316,30 @@ func planRule(r Rule) (ruleMeta, error) {
 	return m, nil
 }
 
-// planOrder orders a rule body greedily: filters, assignments and negations
-// as soon as their inputs are bound, then one more atom, aggregates once
-// nothing else can be placed. It returns the order and the variables bound.
+// planOrder orders a rule body greedily. It starts from the variables
+// already bound (a magic adornment's bound head arguments; none in the chase)
+// and, when first >= 0, from body atom first. Each pass places every
+// condition, assignment and negation whose inputs are bound, then the
+// unplaced atom of highest score, the textually first among ties. An
+// aggregate is placed only when no atom is left and the pass placed no
+// condition, so it never counts a row that a condition of its rule rejects.
+// It returns the order and the variables bound.
 //
-// first < 0 gives the round-0 plan: atoms in textual order, every one a probe
-// under whatever the atoms before it bound. first >= 0 gives the plan of the
-// jobs whose body atom first is restricted to a delta: that atom comes first,
-// and each next atom is the textually first one sharing an already-bound
-// variable (any atom only when none does), so the join walks outward from the
-// delta through index probes. Left in its textual place, a delta occurrence
-// behind another atom made every round scan that atom's whole relation and,
-// per row, the whole delta.
-func planOrder(r Rule, first int) ([]int, map[Variable]bool, error) {
+// Three scores are in use. The round-0 plan scores every atom alike
+// (textual), so atoms keep textual order, each a probe under whatever the
+// atoms before it bound. The plan of the jobs whose body atom first is
+// restricted to a delta ranks atoms sharing a bound variable first
+// (sharesBound), so the join walks outward from the delta through index
+// probes; left in its textual place, a delta occurrence behind another atom
+// made every round scan that atom's whole relation and, per row, the whole
+// delta. The magic rewrite ranks atoms by their bound positions
+// (boundPositions), which is what turns a second-argument-bound goal into
+// reverse-reachability demand.
+func planOrder(r Rule, given map[Variable]bool, first int, score func(Atom, map[Variable]bool) int) ([]int, map[Variable]bool, error) {
 	n := len(r.Body)
 	used := make([]bool, n)
-	bound := make(map[Variable]bool)
+	bound := make(map[Variable]bool, len(given))
+	maps.Copy(bound, given)
 	order := make([]int, 0, n)
 	place := func(i int) {
 		used[i] = true
@@ -1389,21 +1375,6 @@ func planOrder(r Rule, first int) ([]int, map[Variable]bool, error) {
 		}
 		return true
 	}
-	nextAtom := func() int {
-		fallback := -1
-		for i, l := range r.Body {
-			if used[i] || l.Kind != LitAtom {
-				continue
-			}
-			if first < 0 || sharesVar(l.Atom, bound) {
-				return i
-			}
-			if fallback < 0 {
-				fallback = i
-			}
-		}
-		return fallback
-	}
 
 	if first >= 0 {
 		place(first)
@@ -1416,8 +1387,19 @@ func planOrder(r Rule, first int) ([]int, map[Variable]bool, error) {
 				progress = true
 			}
 		}
-		if i := nextAtom(); i >= 0 {
-			place(i)
+		best, bestScore := -1, -1
+		for i, l := range r.Body {
+			if !used[i] && l.Kind == LitAtom {
+				if sc := score(l.Atom, bound); sc > bestScore {
+					best, bestScore = i, sc
+				}
+			}
+		}
+		if best >= 0 {
+			place(best)
+			continue
+		}
+		if progress {
 			continue
 		}
 		for i, l := range r.Body {
@@ -1433,14 +1415,17 @@ func planOrder(r Rule, first int) ([]int, map[Variable]bool, error) {
 	return order, bound, nil
 }
 
-// sharesVar reports whether the atom mentions a variable of the set.
-func sharesVar(a Atom, set map[Variable]bool) bool {
+// textual scores every atom alike: planOrder keeps them in textual order.
+func textual(Atom, map[Variable]bool) int { return 0 }
+
+// sharesBound scores an atom 1 when it mentions a bound variable, 0 otherwise.
+func sharesBound(a Atom, bound map[Variable]bool) int {
 	for _, t := range a.Terms {
-		if v, ok := t.(Variable); ok && v != "_" && set[v] {
-			return true
+		if v, ok := t.(Variable); ok && v != "_" && bound[v] {
+			return 1
 		}
 	}
-	return false
+	return 0
 }
 
 // stratify partitions rules into strata such that negated predicates are

@@ -329,9 +329,9 @@ func (rw *rewriter) adornRule(r Rule, pred, adorn string) error {
 		}
 	}
 
-	order, err := demandOrder(r, bound)
+	order, _, err := planOrder(r, bound, -1, boundPositions)
 	if err != nil {
-		return err
+		return &ErrNotDemandable{Reason: fmt.Sprintf("rule %q: cannot order body literals", r.Label)}
 	}
 
 	guard := Literal{Kind: LitAtom, Atom: Atom{
@@ -404,116 +404,21 @@ func trivialMagic(r Rule) bool {
 	return r.Head[0].String() == r.Body[0].Atom.String()
 }
 
-// demandOrder computes a binding-aware body order: ready filters and
-// assignments first, then atoms preferring the most bound argument
-// positions (sideways information passing — this is what turns a
-// second-argument-bound goal into reverse-reachability demand), aggregates
-// once everything they need is bound, dependent conditions after them.
-func demandOrder(r Rule, headBound map[Variable]bool) ([]int, error) {
-	n := len(r.Body)
-	used := make([]bool, n)
-	bound := map[Variable]bool{}
-	for v := range headBound {
-		bound[v] = true
-	}
-	allBound := func(set map[Variable]bool) bool {
-		for v := range set {
-			if !bound[v] {
-				return false
-			}
-		}
-		return true
-	}
-	ready := func(l Literal) bool {
-		set := map[Variable]bool{}
-		switch l.Kind {
-		case LitAssign:
-			l.Expr.vars(set)
-		case LitCmp:
-			l.Left.vars(set)
-			l.Right.vars(set)
-		case LitNot:
-			bodyVarsOfAtom(l.Atom, set)
-		case LitAgg:
-			l.AggValue.vars(set)
-			for _, c := range l.Contributors {
-				set[c] = true
-			}
-		}
-		return allBound(set)
-	}
-	boundCount := func(a Atom) int {
-		c := 0
-		for _, tm := range a.Terms {
-			switch tt := tm.(type) {
-			case Constant:
+// boundPositions scores an atom by its constant and bound argument
+// positions: the magic rewrite's sideways information passing.
+func boundPositions(a Atom, bound map[Variable]bool) int {
+	c := 0
+	for _, tm := range a.Terms {
+		switch tt := tm.(type) {
+		case Constant:
+			c++
+		case Variable:
+			if bound[tt] {
 				c++
-			case Variable:
-				if bound[tt] {
-					c++
-				}
 			}
-		}
-		return c
-	}
-	markBound := func(l Literal) {
-		switch l.Kind {
-		case LitAtom:
-			bodyVarsOfAtom(l.Atom, bound)
-		case LitAssign, LitAgg:
-			bound[l.Var] = true
 		}
 	}
-
-	var order []int
-	for len(order) < n {
-		progress := false
-		// Ready filters, negations and assignments bind/prune early.
-		for i := 0; i < n; i++ {
-			l := r.Body[i]
-			if used[i] || l.Kind == LitAtom || l.Kind == LitAgg || !ready(l) {
-				continue
-			}
-			used[i] = true
-			order = append(order, i)
-			markBound(l)
-			progress = true
-		}
-		// Most-bound positive atom next (textual order breaks ties).
-		best, bestScore := -1, -1
-		for i := 0; i < n; i++ {
-			if used[i] || r.Body[i].Kind != LitAtom {
-				continue
-			}
-			if sc := boundCount(r.Body[i].Atom); sc > bestScore {
-				best, bestScore = i, sc
-			}
-		}
-		if best >= 0 {
-			used[best] = true
-			order = append(order, best)
-			markBound(r.Body[best])
-			continue
-		}
-		if progress {
-			continue
-		}
-		// Only aggregates (and literals depending on them) remain.
-		for i := 0; i < n; i++ {
-			l := r.Body[i]
-			if used[i] || l.Kind != LitAgg || !ready(l) {
-				continue
-			}
-			used[i] = true
-			order = append(order, i)
-			markBound(l)
-			progress = true
-		}
-		if !progress {
-			return nil, &ErrNotDemandable{Reason: fmt.Sprintf("rule %q: cannot order body literals", r.Label)}
-		}
-	}
-	return order, nil
+	return c
 }
 
 // freshVars invents n distinct head variables for generated rules.

@@ -283,6 +283,55 @@ func TestGoalEngineControlDifferential(t *testing.T) {
 	}
 }
 
+// TestAggregateWaitsForConditions: an aggregate counts only the rows that
+// pass every condition of its rule, also when an assignment later in the body
+// binds a condition's input, under either textual order of the conditions,
+// and goal mode agrees with the full chase.
+func TestAggregateWaitsForConditions(t *testing.T) {
+	for _, tc := range []struct {
+		rules []string // one rule, its two conditions in both textual orders
+		facts []Fact
+		goal  string
+		want  float64 // the one answer S of the goal
+	}{
+		{
+			rules: []string{
+				`p(X, W, K), Z > 5, Z = K * 1, S = msum(W, <K>) -> t(X, S).`,
+				`p(X, W, K), Z = K * 1, Z > 5, S = msum(W, <K>) -> t(X, S).`,
+			},
+			facts: []Fact{
+				{Pred: "p", Args: []any{int64(1), 0.3, int64(1)}},
+				{Pred: "p", Args: []any{int64(1), 0.4, int64(10)}},
+			},
+			goal: "t(1, S)",
+			want: 0.4,
+		},
+		{
+			rules: []string{
+				`own(X, Y, W), P > 5, P = W * 10, S = msum(W, <Y>) -> big(X, S).`,
+				`own(X, Y, W), P = W * 10, P > 5, S = msum(W, <Y>) -> big(X, S).`,
+			},
+			facts: []Fact{
+				{Pred: "own", Args: []any{int64(1), int64(2), 0.3}},
+				{Pred: "own", Args: []any{int64(1), int64(3), 0.7}},
+			},
+			goal: "big(1, S)",
+			want: 0.7,
+		},
+	} {
+		goal, err := ParseGoal(tc.goal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := answerKeys([]Binding{{"S": tc.want}})
+		for _, src := range tc.rules {
+			full := runFull(t, src, tc.facts, goal)
+			checkSame(t, want, full, "want vs full chase of "+src)
+			checkSame(t, full, runGoal(t, src, tc.facts, goal), src+" goal "+tc.goal)
+		}
+	}
+}
+
 // accownTotals evaluates and reduces accown to its final per-(X,Y) totals —
 // the engine stores every intermediate monotone-aggregate value as a fact,
 // and those intermediates depend on evaluation order, so the differential

@@ -1,9 +1,6 @@
 package datalog
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Hook receives chase lifecycle events — the tracing seam of the engine.
 // Every field is optional; a nil callback is skipped. Every callback fires on
@@ -114,18 +111,15 @@ type ChaseStats struct {
 	PerRound []RoundStats `json:"perRound"`
 }
 
-// statsCollector is the engine's per-Run mutable statistics state. The
-// per-rule and per-round slices are written only by the goroutine driving
-// the chase; the index counters are atomics because Query callers may
-// probe indexes concurrently after a Run.
+// statsCollector is the engine's per-Run mutable statistics state.
 type statsCollector struct {
 	start    time.Time
 	rules    []RuleStats
 	perRound []RoundStats
 
-	indexHits   atomic.Int64
-	indexScans  atomic.Int64
-	indexBuilds atomic.Int64
+	indexHits   int64
+	indexScans  int64
+	indexBuilds int64
 }
 
 // startStats installs a fresh collector for one evaluation under WithStats
@@ -153,10 +147,10 @@ func (st *statsCollector) snapshot(e *Engine) *ChaseStats {
 		Derived:     e.derivedCount,
 		Duplicates:  e.dupCount,
 		TotalNanos:  int64(time.Since(st.start)),
-		IndexHits:   st.indexHits.Load(),
-		IndexScans:  st.indexScans.Load(),
-		IndexBuilds: st.indexBuilds.Load(),
-		IndexBytes:  e.indexBytes.Load(),
+		IndexHits:   st.indexHits,
+		IndexScans:  st.indexScans,
+		IndexBuilds: st.indexBuilds,
+		IndexBytes:  e.indexBytes,
 		Utilization: 1,
 		Rules:       append([]RuleStats(nil), st.rules...),
 		PerRound:    append([]RoundStats(nil), st.perRound...),
@@ -164,17 +158,16 @@ func (st *statsCollector) snapshot(e *Engine) *ChaseStats {
 	for i := range out.Rules {
 		out.Candidates += out.Rules[i].Candidates
 	}
-	if se := e.stopError(); se != nil {
+	if e.stopErr != nil {
 		out.Truncated = true
-		out.Limit = se.Limit
+		out.Limit = e.stopErr.Limit
 	}
 	return out
 }
 
 // Stats returns the report of the last Run, or nil when the engine runs
-// without WithStats (or has not run yet). The report is a
-// snapshot: later evaluations replace it, and reading it concurrently with
-// the accessors is safe.
+// without WithStats (or has not run yet). The report is a snapshot: a later
+// Run installs a new one and leaves this one as it was.
 func (e *Engine) Stats() *ChaseStats { return e.lastStats }
 
 // instrumenting reports whether the current Run collects per-job timings

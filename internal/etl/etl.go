@@ -101,14 +101,9 @@ type Result struct {
 // may be nil, in which case that entity class is absent. Malformed rows
 // (bad syntax, over-wide or over-size records, unknown IDs, out-of-range
 // shares) are collected and returned together as a *LoadError; rows beyond
-// the bounds are skipped, never partially applied.
-// Transient read errors (anything reporting Temporary() true) are retried
-// with capped exponential backoff before the row parser ever sees them; see
-// retry.go.
+// the bounds are skipped, never partially applied. A read error of a stream
+// aborts the load and is returned wrapped.
 func Load(companies, persons, shareholdings io.Reader) (*Result, error) {
-	companies = newRetryReader(companies)
-	persons = newRetryReader(persons)
-	shareholdings = newRetryReader(shareholdings)
 	res := &Result{Graph: pg.New(), IDs: map[string]pg.NodeID{}}
 	var c errCollector
 	if companies != nil {

@@ -1,6 +1,7 @@
 package etl
 
 import (
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -99,4 +100,28 @@ func readerOrNil(s string) io.Reader {
 		return nil
 	}
 	return strings.NewReader(s)
+}
+
+// failingReader fails every Read with err and counts the calls.
+type failingReader struct {
+	err   error
+	reads int
+}
+
+func (r *failingReader) Read([]byte) (int, error) {
+	r.reads++
+	return 0, r.err
+}
+
+// A read error aborts the load on the first attempt and comes back from Load.
+func TestPermanentErrorAbortsImmediately(t *testing.T) {
+	permanent := errors.New("disk on fire")
+	r := &failingReader{err: permanent}
+	_, err := Load(r, nil, nil)
+	if !errors.Is(err, permanent) {
+		t.Fatalf("Load error = %v, want the read failure", err)
+	}
+	if r.reads != 1 {
+		t.Fatalf("the failing stream was read %d times, want 1", r.reads)
+	}
 }

@@ -31,10 +31,6 @@ const (
 	// keep seeing the prior version until the atomic publish.
 	SiteStoreSwap = "store.swap"
 
-	// SiteIORead fires on every Read of a retrying input stream
-	// (internal/etl). Error hooks here simulate transient reader hiccups —
-	// flaky NFS mounts, droppy network fetches — to exercise backoff.
-	SiteIORead = "io.read"
 	// SitePersistAppend fires before a WAL record is written
 	// (internal/persist). An error hook makes the writer emit a deliberately
 	// torn (half-written) record and fail, simulating a crash mid-write.

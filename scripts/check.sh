@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# check.sh — the full verification gate: vet, build, race-enabled tests,
+# check.sh — the full verification gate: vet, gofmt, build, race-enabled tests,
 # and a short run of every fuzz target. CI runs exactly this script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -8,6 +8,15 @@ FUZZTIME="${FUZZTIME:-10s}"
 
 echo "== go vet =="
 go vet ./...
+
+echo "== gofmt =="
+# Fails on any Go file, bench/ included, that gofmt would rewrite.
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+    echo "gofmt would reformat:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "== go build =="
 go build ./...
