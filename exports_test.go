@@ -120,6 +120,38 @@ func TestEveryExportHasACaller(t *testing.T) {
 	}
 }
 
+// TestDatalogImportsNoSync fails when a non-test file of internal/datalog
+// imports sync or sync/atomic. An Engine belongs to one goroutine and a
+// Compiled program is immutable (DESIGN.md §7.7), so the package needs no
+// lock; the memos of compiled shipped programs live in the packages that
+// ship them.
+func TestDatalogImportsNoSync(t *testing.T) {
+	files, err := filepath.Glob("internal/datalog/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	checked := 0
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked++
+		for _, imp := range f.Imports {
+			if p := strings.Trim(imp.Path.Value, `"`); p == "sync" || p == "sync/atomic" {
+				t.Errorf("%s imports %s; internal/datalog takes no locks", fset.Position(imp.Pos()), p)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no non-test files under internal/datalog")
+	}
+}
+
 // parseModule parses every non-test .go file of the module, bench/ included,
 // and hands each to fn with its slash-separated path.
 func parseModule(fset *token.FileSet, fn func(path string, f *ast.File)) error {

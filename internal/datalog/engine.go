@@ -77,15 +77,13 @@ type Derivation struct {
 // method, the read-only accessors (Facts, Query, Has, Explain, ...) included,
 // may build an index lazily or record a budget trip, so none is safe to call
 // concurrently with another on the same Engine. Independent Engines run in
-// parallel freely.
+// parallel freely, engines of one Compiled program included.
 type Engine struct {
-	prog     *Program
+	plan     *Compiled
 	opts     options
 	builtins map[string]Builtin
 
-	rels     map[string]*relation
-	strata   [][]int // rule indices per stratum, in evaluation order
-	ruleMeta []ruleMeta
+	rels map[string]*relation
 
 	aggState map[string]*aggGroup // keyed by head predicate + group values
 
@@ -316,10 +314,53 @@ type aggGroup struct {
 	premKeys map[string]bool
 }
 
+// Compiled is a program validated, planned, slot-compiled and stratified
+// once (DESIGN.md §7.7). It is immutable: any number of engines, on any
+// goroutines, instantiate it with NewEngine and never plan again. The
+// Program it was compiled from must not change afterwards.
+type Compiled struct {
+	prog     *Program
+	strata   [][]int // rule indices per stratum, in evaluation order
+	ruleMeta []ruleMeta
+}
+
+// Compile validates and plans every rule of prog and stratifies it. It
+// returns an error if a rule is invalid or negation is not stratifiable.
+func Compile(prog *Program) (*Compiled, error) {
+	c := &Compiled{prog: prog, ruleMeta: make([]ruleMeta, 0, len(prog.Rules))}
+	for i, r := range prog.Rules {
+		if err := r.Validate(); err != nil {
+			return nil, err
+		}
+		meta, err := planRule(r)
+		if err != nil {
+			return nil, fmt.Errorf("datalog: rule %d (%s): %w", i, r.Label, err)
+		}
+		meta.label = r.Label + ": " + r.String()
+		c.ruleMeta = append(c.ruleMeta, meta)
+	}
+	strata, err := stratify(prog)
+	if err != nil {
+		return nil, err
+	}
+	c.strata = strata
+	return c, nil
+}
+
 // NewEngine prepares a program for evaluation, configured by functional
-// options (WithBudget, WithStats, WithProvenance, ...). It returns an error if
-// a rule is invalid or negation is not stratifiable.
+// options (WithBudget, WithStats, WithProvenance, ...): Compile, then
+// Compiled.NewEngine. It returns Compile's error.
 func NewEngine(prog *Program, with ...Option) (*Engine, error) {
+	c, err := Compile(prog)
+	if err != nil {
+		return nil, err
+	}
+	return c.NewEngine(with...), nil
+}
+
+// NewEngine instantiates an empty engine over the compiled program,
+// configured by functional options.
+func (c *Compiled) NewEngine(with ...Option) *Engine {
 	var opts options
 	for _, opt := range with {
 		opt(&opts)
@@ -331,7 +372,7 @@ func NewEngine(prog *Program, with ...Option) (*Engine, error) {
 		opts.MaxRounds = 1_000_000
 	}
 	e := &Engine{
-		prog:     prog,
+		plan:     c,
 		opts:     opts,
 		builtins: make(map[string]Builtin),
 		rels:     make(map[string]*relation),
@@ -340,23 +381,7 @@ func NewEngine(prog *Program, with ...Option) (*Engine, error) {
 	if opts.Provenance {
 		e.prov = make(map[string]Derivation)
 	}
-	for i, r := range prog.Rules {
-		if err := r.Validate(); err != nil {
-			return nil, err
-		}
-		meta, err := planRule(r)
-		if err != nil {
-			return nil, fmt.Errorf("datalog: rule %d (%s): %w", i, r.Label, err)
-		}
-		meta.label = r.Label + ": " + r.String()
-		e.ruleMeta = append(e.ruleMeta, meta)
-	}
-	strata, err := stratify(prog)
-	if err != nil {
-		return nil, err
-	}
-	e.strata = strata
-	return e, nil
+	return e
 }
 
 // RegisterBuiltin installs a host function callable as #name(...). Functions
@@ -662,7 +687,7 @@ func (e *Engine) RunContext(ctx context.Context) error {
 	e.derivedCount = 0
 	e.dupCount = 0
 	defer e.startStats()()
-	for si, stratum := range e.strata {
+	for si, stratum := range e.plan.strata {
 		e.curStratum = si
 		if err := e.runStratum(stratum); err != nil {
 			return err
@@ -691,7 +716,7 @@ func (e *Engine) runStratum(ruleIdxs []int) error {
 	// Predicates derived inside this stratum: delta-tracking applies to them.
 	inStratum := make(map[string]bool)
 	for _, ri := range ruleIdxs {
-		for _, h := range e.prog.Rules[ri].Head {
+		for _, h := range e.plan.prog.Rules[ri].Head {
 			inStratum[h.Pred] = true
 		}
 	}
@@ -728,7 +753,7 @@ func (e *Engine) runStratum(ruleIdxs []int) error {
 			// rule with that occurrence restricted to the delta. Overlap
 			// between occurrences is harmless under set semantics.
 			for _, ri := range ruleIdxs {
-				rule := e.prog.Rules[ri]
+				rule := e.plan.prog.Rules[ri]
 				for li, l := range rule.Body {
 					if l.Kind != LitAtom || !inStratum[l.Atom.Pred] {
 						continue
@@ -818,8 +843,8 @@ func (ec *evalCtx) snapshotPremises() []Fact {
 // following the plan that starts at the job's delta occurrence, or the
 // round-0 plan without one — and walks the body.
 func (e *Engine) evalJob(ec *evalCtx, j chaseJob) error {
-	meta := &e.ruleMeta[j.ri]
-	ec.ri, ec.rule, ec.meta = j.ri, &e.prog.Rules[j.ri], meta
+	meta := &e.plan.ruleMeta[j.ri]
+	ec.ri, ec.rule, ec.meta = j.ri, &e.plan.prog.Rules[j.ri], meta
 	ec.order = meta.order
 	if j.deltaLit >= 0 {
 		ec.order = meta.deltaOrder[j.deltaLit]

@@ -194,33 +194,76 @@ func MagicRewrite(prog *Program, goal Atom) (*Demand, error) {
 		Label: "magic-bridge " + goal.Pred,
 	})
 
-	seedArgs := make([]any, 0, len(goal.Terms))
-	for _, t := range goal.Terms {
-		if c, ok := t.(Constant); ok {
-			seedArgs = append(seedArgs, c.Value)
-		}
-	}
 	return &Demand{
 		Program: &Program{Rules: rw.rules},
-		Seed:    Fact{Pred: magicName(goal.Pred, goalAdorn), Args: seedArgs},
+		Seed:    seedOf(goal, goalAdorn),
 		Goal:    goal,
 	}, nil
 }
 
-// NewGoalEngine rewrites prog for the goal and prepares an engine over the
-// rewritten program with the magic seed already asserted; callers AssertAll
-// their extensional facts and Run as usual, then Query(goal) for answers.
-func NewGoalEngine(prog *Program, goal Atom, opts ...Option) (*Engine, error) {
+// seedOf is the magic seed of a goal under its adornment: the goal's
+// constants, under the magic predicate of its binding pattern.
+func seedOf(goal Atom, adorn string) Fact {
+	args := make([]any, 0, len(goal.Terms))
+	for _, t := range goal.Terms {
+		if c, ok := t.(Constant); ok {
+			args = append(args, c.Value)
+		}
+	}
+	return Fact{Pred: magicName(goal.Pred, adorn), Args: args}
+}
+
+// CompiledGoal is the demand rewrite of a program for one goal predicate and
+// binding pattern, compiled once. The rewrite depends on nothing else — the
+// seed fact carries the goal's constants — so every goal of that shape
+// instantiates it. Like Compiled it is immutable.
+type CompiledGoal struct {
+	plan  *Compiled
+	shape string // GoalShape of the goal compiled for
+}
+
+// GoalShape names what the demand rewrite of a goal depends on: its
+// predicate and which of its arguments are constants ("control#bf" for
+// control(4, Y)).
+func GoalShape(goal Atom) string { return adornedName(goal.Pred, adornOf(goal, nil)) }
+
+// CompileGoal rewrites prog for the predicate and binding pattern of goal
+// (MagicRewrite) and compiles the result. A goal outside the demandable
+// fragment yields MagicRewrite's *ErrNotDemandable.
+func CompileGoal(prog *Program, goal Atom) (*CompiledGoal, error) {
 	d, err := MagicRewrite(prog, goal)
 	if err != nil {
 		return nil, err
 	}
-	e, err := NewEngine(d.Program, opts...)
+	c, err := Compile(d.Program)
 	if err != nil {
 		return nil, err
 	}
-	e.Assert(d.Seed)
+	return &CompiledGoal{plan: c, shape: GoalShape(goal)}, nil
+}
+
+// NewEngine instantiates an engine for goal and asserts its magic seed. The
+// goal must have the shape g was compiled for.
+func (g *CompiledGoal) NewEngine(goal Atom, with ...Option) (*Engine, error) {
+	adorn := adornOf(goal, nil)
+	if adornedName(goal.Pred, adorn) != g.shape {
+		return nil, fmt.Errorf("datalog: goal %s is not of the compiled shape %s", goal, g.shape)
+	}
+	e := g.plan.NewEngine(with...)
+	e.Assert(seedOf(goal, adorn))
 	return e, nil
+}
+
+// NewGoalEngine rewrites prog for the goal and prepares an engine over the
+// rewritten program with the magic seed already asserted (CompileGoal, then
+// CompiledGoal.NewEngine); callers AssertAll their extensional facts and Run
+// as usual, then Query(goal) for answers.
+func NewGoalEngine(prog *Program, goal Atom, opts ...Option) (*Engine, error) {
+	g, err := CompileGoal(prog, goal)
+	if err != nil {
+		return nil, err
+	}
+	return g.NewEngine(goal, opts...)
 }
 
 // demand enqueues an adorned predicate for processing once.

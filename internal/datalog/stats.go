@@ -132,9 +132,9 @@ func (e *Engine) startStats() func() {
 	if !e.opts.Stats {
 		return func() {}
 	}
-	st := &statsCollector{start: time.Now(), rules: make([]RuleStats, len(e.ruleMeta))}
-	for i := range e.ruleMeta {
-		st.rules[i].Rule = e.ruleMeta[i].label
+	st := &statsCollector{start: time.Now(), rules: make([]RuleStats, len(e.plan.ruleMeta))}
+	for i := range e.plan.ruleMeta {
+		st.rules[i].Rule = e.plan.ruleMeta[i].label
 	}
 	e.stats = st
 	return func() { e.lastStats = st.snapshot(e) }
@@ -183,7 +183,7 @@ func (e *Engine) ruleStart(ri int) time.Time {
 		return time.Time{}
 	}
 	if fn := e.opts.Hook.RuleStart; fn != nil {
-		fn(e.ruleMeta[ri].label, e.rounds)
+		fn(e.plan.ruleMeta[ri].label, e.rounds)
 	}
 	return time.Now()
 }
@@ -204,6 +204,6 @@ func (e *Engine) ruleDone(ri int, t0 time.Time, derived, duplicates int, candida
 		rs.EvalNanos += nanos
 	}
 	if fn := e.opts.Hook.RuleDone; fn != nil {
-		fn(e.ruleMeta[ri].label, e.rounds, derived, duplicates, time.Duration(nanos))
+		fn(e.plan.ruleMeta[ri].label, e.rounds, derived, duplicates, time.Duration(nanos))
 	}
 }

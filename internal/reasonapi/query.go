@@ -126,6 +126,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	progSrc, class := req.Program, qcache.ClassAny
+	var prog *datalog.Program // the caller's program, parsed once
 	if progSrc == "" {
 		var ok bool
 		if progSrc, ok = vadalog.ProgramForGoal(goal.Pred); !ok {
@@ -134,8 +135,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		class = goalClass(goal)
-	} else if _, perr := datalog.Parse(progSrc); perr != nil {
-		writeErr(w, r, http.StatusBadRequest, "bad_request", "parsing program: %v", perr)
+	} else if prog, err = datalog.Parse(progSrc); err != nil {
+		writeErr(w, r, http.StatusBadRequest, "bad_request", "parsing program: %v", err)
 		return
 	}
 
@@ -148,7 +149,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			b.MaxFacts = req.MaxFacts
 			tighter = append(tighter, datalog.WithBudget(b))
 		}
-		res, err := s.evalGoal(r.Context(), v, progSrc, goal, tighter...)
+		res, err := s.evalGoal(r.Context(), v, progSrc, prog, goal, tighter...)
 		if err != nil {
 			return nil, err
 		}
@@ -166,9 +167,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // evalGoal is the one goal engine behind every goal-backed read —
 // /v1/control (both forms), /v1/ubo, /v1/explain and /v1/query: it answers
-// goal under progSrc over v by vadalog.EvalGoal, with the server's engine
-// options followed by extra, and publishes the chase as /v1/metrics'
-// lastChase. A tripped limit leaves the partial answers in res with
+// goal under progSrc over v by vadalog.EvalGoal — or under prog by
+// vadalog.EvalParsedGoal when the caller's program text progSrc was parsed
+// already (nil for a shipped program) — with the server's engine options
+// followed by extra, and publishes the chase as /v1/metrics' lastChase. A tripped limit leaves the partial answers in res with
 // res.RunErr set; any other failure, of the chase included, is err.
 //
 // The built-in control program reads the relational image (relstore), which
@@ -176,8 +178,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // of internal/control also discounts non-voting rights (bare ownership,
 // pledge). The two agree on graphs without such rights; the cross-check
 // tests keep that honest.
-func (s *Server) evalGoal(ctx context.Context, v pg.View, progSrc string, goal datalog.Atom, extra ...datalog.Option) (*vadalog.GoalResult, error) {
-	res, err := vadalog.EvalGoal(ctx, v, progSrc, goal, append(s.engineOptions(), extra...)...)
+func (s *Server) evalGoal(ctx context.Context, v pg.View, progSrc string, prog *datalog.Program, goal datalog.Atom, extra ...datalog.Option) (*vadalog.GoalResult, error) {
+	opts := append(s.engineOptions(), extra...)
+	var res *vadalog.GoalResult
+	var err error
+	if prog != nil {
+		res, err = vadalog.EvalParsedGoal(ctx, v, prog, goal, opts...)
+	} else {
+		res, err = vadalog.EvalGoal(ctx, v, progSrc, goal, opts...)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -728,7 +728,7 @@ func (s *Server) handleUBO(w http.ResponseWriter, r *http.Request) {
 			ID   pg.NodeID `json:"id"`
 			Name any       `json:"name,omitempty"`
 		}
-		res, err := s.evalGoal(r.Context(), v, vadalog.ControlProgram, controlGoal(varX, datalog.Int(int64(node))))
+		res, err := s.evalGoal(r.Context(), v, vadalog.ControlProgram, nil, controlGoal(varX, datalog.Int(int64(node))))
 		if err != nil {
 			return nil, err
 		}
@@ -787,7 +787,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		// the tree needs. StripDemandMarkers removes the rewrite's magic and
 		// bridge bookkeeping so the "why" reads exactly like the full chase's.
 		goal := controlGoal(datalog.Int(int64(from)), datalog.Int(int64(to)))
-		res, err := s.evalGoal(r.Context(), v, vadalog.ControlProgram, goal, datalog.WithProvenance())
+		res, err := s.evalGoal(r.Context(), v, vadalog.ControlProgram, nil, goal, datalog.WithProvenance())
 		if err != nil {
 			return nil, err
 		}
@@ -912,7 +912,7 @@ func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
 		}
 		s.servePoint(w, r, seq, pointKey("control", node, target), qcache.Anchored(&node, &target), func() (map[string]any, error) {
 			goal := controlGoal(datalog.Int(int64(node)), datalog.Int(int64(target)))
-			res, err := s.evalGoal(r.Context(), v, vadalog.ControlProgram, goal)
+			res, err := s.evalGoal(r.Context(), v, vadalog.ControlProgram, nil, goal)
 			if err != nil {
 				return nil, err
 			}
@@ -921,7 +921,7 @@ func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.servePoint(w, r, seq, pointKey("control", node), qcache.Anchored(&node, nil), func() (map[string]any, error) {
-		res, err := s.evalGoal(r.Context(), v, vadalog.ControlProgram, controlGoal(datalog.Int(int64(node)), varY))
+		res, err := s.evalGoal(r.Context(), v, vadalog.ControlProgram, nil, controlGoal(datalog.Int(int64(node)), varY))
 		if err != nil {
 			return nil, err
 		}

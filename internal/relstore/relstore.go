@@ -17,6 +17,7 @@ package relstore
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"vadalink/internal/datalog"
 	"vadalink/internal/pg"
@@ -192,6 +193,9 @@ func toNodeID(v any) (pg.NodeID, bool) {
 	return 0, false
 }
 
+// propString renders a node property as a fact argument, byte-identical to
+// fmt's %v. The kinds graphs hold (a person's float birth year on every
+// extraction) are formatted by strconv, which skips fmt's reflection.
 func propString(props pg.Properties, name string) string {
 	v, ok := props[name]
 	if !ok {
@@ -200,7 +204,15 @@ func propString(props pg.Properties, name string) string {
 	switch x := v.(type) {
 	case string:
 		return x
+	case float64:
+		return strconv.FormatFloat(x, 'g', -1, 64)
+	case int64:
+		return strconv.FormatInt(x, 10)
+	case int:
+		return strconv.Itoa(x)
+	case bool:
+		return strconv.FormatBool(x)
 	default:
-		return fmt.Sprintf("%v", x)
+		return fmt.Sprint(x)
 	}
 }

@@ -1,6 +1,8 @@
 package relstore
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"vadalink/internal/datalog"
@@ -105,5 +107,24 @@ func TestRoundTripThroughInputMappingRules(t *testing.T) {
 	}
 	if got := len(e.Facts("glink")); got != g.NumEdges() {
 		t.Errorf("glink facts = %d, want %d", got, g.NumEdges())
+	}
+}
+
+// TestPropStringMatchesFmt pins propString's strconv formatting to fmt's %v,
+// byte for byte, on every kind it formats without fmt.
+func TestPropStringMatchesFmt(t *testing.T) {
+	for _, v := range []any{
+		float64(1970), 1970.5, 1e21, 1e-7, math.Copysign(0, -1), 1234567.0, 0.1, math.Inf(1), math.NaN(),
+		int64(-42), int64(1 << 62), 7,
+		true, false,
+		"Rome", []int{1, 2},
+	} {
+		got := propString(pg.Properties{"p": v}, "p")
+		if want := fmt.Sprint(v); got != want {
+			t.Errorf("propString(%#v) = %q, fmt.Sprint gives %q", v, got, want)
+		}
+	}
+	if got := propString(pg.Properties{}, "p"); got != "" {
+		t.Errorf("missing property renders %q, want \"\"", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sort"
+	"sync"
 
 	"vadalink/internal/datalog"
 	"vadalink/internal/pg"
@@ -61,28 +62,142 @@ func ProgramForGoal(pred string) (string, bool) {
 // typed refusal (ErrNotDemandable) downgrades to full evaluation with the
 // mode reported in the result. Any other construction or parse error is
 // returned as-is.
+//
+// A shipped program text (ControlProgram, CloseLinkProgram) is parsed and
+// compiled once per process, and so is its demand plan for each goal shape
+// asked of it; any other text is parsed and compiled on every call.
 func EvalGoal(ctx context.Context, g pg.View, progSrc string, goal datalog.Atom, opts ...datalog.Option) (*GoalResult, error) {
+	if compiled, ok := shippedPrograms[progSrc]; ok {
+		sp, err := compiled()
+		if err != nil {
+			return nil, err
+		}
+		plan, err := sp.goalPlan(goal)
+		if err != nil {
+			return nil, err
+		}
+		return runGoal(ctx, g, sp.prog, goal, plan, sp.full, opts)
+	}
 	prog, err := datalog.Parse(progSrc)
 	if err != nil {
 		return nil, err
 	}
-	res := &GoalResult{Mode: GoalModeMagic}
-	e, err := datalog.NewGoalEngine(prog, goal, opts...)
+	return EvalParsedGoal(ctx, g, prog, goal, opts...)
+}
+
+// EvalParsedGoal is EvalGoal over a program its caller has parsed already.
+// It compiles the program for the goal on every call.
+func EvalParsedGoal(ctx context.Context, g pg.View, prog *datalog.Program, goal datalog.Atom, opts ...datalog.Option) (*GoalResult, error) {
+	plan, err := compileGoal(prog, goal)
 	if err != nil {
-		var nd *datalog.ErrNotDemandable
-		if !errors.As(err, &nd) {
+		return nil, err
+	}
+	var full *datalog.Compiled
+	if plan == nil {
+		if full, err = datalog.Compile(prog); err != nil {
 			return nil, err
 		}
+	}
+	return runGoal(ctx, g, prog, goal, plan, full, opts)
+}
+
+// compileGoal is datalog.CompileGoal with a refusal (ErrNotDemandable) turned
+// into a nil plan: the goal is answered by full evaluation.
+func compileGoal(prog *datalog.Program, goal datalog.Atom) (*datalog.CompiledGoal, error) {
+	plan, err := datalog.CompileGoal(prog, goal)
+	var nd *datalog.ErrNotDemandable
+	if errors.As(err, &nd) {
+		return nil, nil
+	}
+	return plan, err
+}
+
+// runGoal answers goal over g on an engine of the demand plan, or of full —
+// prog compiled whole — when plan is nil.
+func runGoal(ctx context.Context, g pg.View, prog *datalog.Program, goal datalog.Atom, plan *datalog.CompiledGoal, full *datalog.Compiled, opts []datalog.Option) (*GoalResult, error) {
+	res := &GoalResult{Mode: GoalModeMagic}
+	var e *datalog.Engine
+	if plan != nil {
+		var err error
+		if e, err = plan.NewEngine(goal, opts...); err != nil {
+			return nil, err
+		}
+	} else {
 		res.Mode = GoalModeFull
-		if e, err = datalog.NewEngine(prog, opts...); err != nil {
-			return nil, err
-		}
+		e = full.NewEngine(opts...)
 	}
 	e.AssertAll(relstore.CompanyGraphFacts(g))
 	res.Engine = e
 	res.RunErr = e.RunContext(ctx)
 	res.Answers = finalizeAnswers(prog, goal, e)
 	return res, nil
+}
+
+// shippedPrograms are the program texts EvalGoal compiles once: the ones
+// ProgramForGoal names, which are all the server asks goals under.
+var shippedPrograms = map[string]func() (*shippedProgram, error){
+	ControlProgram:   compileOnce(ControlProgram),
+	CloseLinkProgram: compileOnce(CloseLinkProgram),
+}
+
+// shippedProgram is a shipped program text parsed and compiled whole, with
+// the demand plan of every goal shape asked of it so far.
+type shippedProgram struct {
+	prog *datalog.Program
+	full *datalog.Compiled
+	// arity holds the arity of every predicate prog mentions. Only goals of
+	// those predicates and arities are memoized, which bounds the memo by
+	// the program: a goal of any other shape is compiled on every call.
+	arity map[string]int
+	// plans maps a goal shape (datalog.GoalShape) to its
+	// *datalog.CompiledGoal, nil when the goal is answered by full
+	// evaluation.
+	plans sync.Map
+}
+
+// compileOnce returns a function that parses and compiles src on its first
+// call and returns that result on every call.
+func compileOnce(src string) func() (*shippedProgram, error) {
+	return sync.OnceValues(func() (*shippedProgram, error) {
+		prog, err := datalog.Parse(src)
+		if err != nil {
+			return nil, err
+		}
+		full, err := datalog.Compile(prog)
+		if err != nil {
+			return nil, err
+		}
+		sp := &shippedProgram{prog: prog, full: full, arity: map[string]int{}}
+		for _, r := range prog.Rules {
+			for _, h := range r.Head {
+				sp.arity[h.Pred] = len(h.Terms)
+			}
+			for _, l := range r.Body {
+				if l.Kind == datalog.LitAtom || l.Kind == datalog.LitNot {
+					sp.arity[l.Atom.Pred] = len(l.Atom.Terms)
+				}
+			}
+		}
+		return sp, nil
+	})
+}
+
+// goalPlan returns the memoized demand plan of goal's shape (nil: full
+// evaluation), compiling it on first use.
+func (sp *shippedProgram) goalPlan(goal datalog.Atom) (*datalog.CompiledGoal, error) {
+	if n, ok := sp.arity[goal.Pred]; !ok || n != len(goal.Terms) {
+		return compileGoal(sp.prog, goal)
+	}
+	shape := datalog.GoalShape(goal)
+	if plan, ok := sp.plans.Load(shape); ok {
+		return plan.(*datalog.CompiledGoal), nil
+	}
+	plan, err := compileGoal(sp.prog, goal)
+	if err != nil {
+		return nil, err
+	}
+	stored, _ := sp.plans.LoadOrStore(shape, plan)
+	return stored.(*datalog.CompiledGoal), nil
 }
 
 // finalizeAnswers extracts the goal's answers from a finished engine. For

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"vadalink/internal/datalog"
 	"vadalink/internal/family"
@@ -51,25 +52,51 @@ func NewReasoner(g pg.View, tasks Task) *Reasoner {
 	return &Reasoner{g: g, tasks: tasks}
 }
 
-// program assembles the rule text for the selected tasks.
-func (r *Reasoner) program() string {
+// programOf assembles the rule text for a task set.
+func programOf(tasks Task) string {
 	var parts []string
-	if r.tasks&TaskControl != 0 || r.tasks&TaskFamilyControl != 0 {
+	if tasks&TaskControl != 0 || tasks&TaskFamilyControl != 0 {
 		parts = append(parts, ControlProgram)
 	}
-	if r.tasks&TaskCloseLink != 0 || r.tasks&TaskFamilyCloseLink != 0 {
+	if tasks&TaskCloseLink != 0 || tasks&TaskFamilyCloseLink != 0 {
 		parts = append(parts, CloseLinkProgram)
 	}
-	if r.tasks&TaskPartner != 0 {
+	if tasks&TaskPartner != 0 {
 		parts = append(parts, PartnerProgram)
 	}
-	if r.tasks&TaskFamilyControl != 0 {
+	if tasks&TaskFamilyControl != 0 {
 		parts = append(parts, FamilyControlProgram)
 	}
-	if r.tasks&TaskFamilyCloseLink != 0 {
+	if tasks&TaskFamilyCloseLink != 0 {
 		parts = append(parts, FamilyCloseLinkProgram)
 	}
 	return strings.Join(parts, "\n")
+}
+
+// taskPlans holds the compiled program of every task set a Reasoner has run,
+// keyed by its text: at most one per subset of the five tasks.
+var taskPlans sync.Map
+
+// compiledTasks returns the compiled program of a task set, compiling it on
+// first use.
+func compiledTasks(tasks Task) (*datalog.Compiled, error) {
+	src := programOf(tasks)
+	if c, ok := taskPlans.Load(src); ok {
+		return c.(*datalog.Compiled), nil
+	}
+	if src == "" {
+		return nil, fmt.Errorf("vadalog: no tasks selected")
+	}
+	prog, err := datalog.Parse(src)
+	if err != nil {
+		return nil, fmt.Errorf("vadalog: parsing shipped programs: %w", err)
+	}
+	c, err := datalog.Compile(prog)
+	if err != nil {
+		return nil, fmt.Errorf("vadalog: preparing engine: %w", err)
+	}
+	stored, _ := taskPlans.LoadOrStore(src, c)
+	return stored.(*datalog.Compiled), nil
 }
 
 // Run loads the graph's relational representation, evaluates the selected
@@ -82,18 +109,11 @@ func (r *Reasoner) Run() error { return r.RunContext(context.Background()) }
 // trip remain readable through the accessors, so callers can serve partial
 // results marked as truncated.
 func (r *Reasoner) RunContext(ctx context.Context) error {
-	src := r.program()
-	if src == "" {
-		return fmt.Errorf("vadalog: no tasks selected")
-	}
-	prog, err := datalog.Parse(src)
+	plan, err := compiledTasks(r.tasks)
 	if err != nil {
-		return fmt.Errorf("vadalog: parsing shipped programs: %w", err)
+		return err
 	}
-	engine, err := datalog.NewEngine(prog, r.EngineOptions...)
-	if err != nil {
-		return fmt.Errorf("vadalog: preparing engine: %w", err)
-	}
+	engine := plan.NewEngine(r.EngineOptions...)
 
 	clf := r.Classifier
 	if clf == nil {

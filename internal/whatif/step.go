@@ -103,14 +103,11 @@ func (b *Baseline) Advance(ctx context.Context, post pg.View, journal []pg.Mutat
 	affected := ReverseReachable(s.Owners, post)
 	cone := ForwardReachable(affected, post)
 
-	prog, err := datalog.Parse(MaintenanceProgram())
+	plan, err := maintenancePlan()
 	if err != nil {
-		return nil, Step{}, fmt.Errorf("whatif: parsing maintenance program: %w", err)
+		return nil, Step{}, fmt.Errorf("whatif: compiling maintenance program: %w", err)
 	}
-	e, err := datalog.NewEngine(prog, withWhatIfDefaults(opts)...)
-	if err != nil {
-		return nil, Step{}, fmt.Errorf("whatif: preparing maintenance engine: %w", err)
-	}
+	e := plan.NewEngine(withWhatIfDefaults(opts)...)
 	for id := range affected {
 		e.Assert(datalog.Fact{Pred: "affected", Args: []any{int64(id)}})
 		if f, ok := relstore.NodeFact(post, id); ok {

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"vadalink/internal/datalog"
 	"vadalink/internal/pg"
@@ -127,6 +128,21 @@ func controlAccownText(scoped bool) string {
 // the facts a full chase would.
 func MaintenanceProgram() string { return controlAccownText(true) }
 
+// The baseline and maintenance programs, each compiled once per process: a
+// what-if or an ivm drain step instantiates an engine and plans nothing.
+var (
+	baselinePlan    = sync.OnceValues(func() (*datalog.Compiled, error) { return compile(controlAccownText(false)) })
+	maintenancePlan = sync.OnceValues(func() (*datalog.Compiled, error) { return compile(MaintenanceProgram()) })
+)
+
+func compile(src string) (*datalog.Compiled, error) {
+	prog, err := datalog.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return datalog.Compile(prog)
+}
+
 // withWhatIfDefaults prepends the package convergence default so explicit
 // caller options still win (later options overwrite earlier ones). The
 // baseline and every Advance must chase under the same convergence step or
@@ -173,14 +189,11 @@ func ComputeBaseline(ctx context.Context, v pg.View, threshold float64, engineOp
 	if threshold == 0 {
 		threshold = DefaultThreshold
 	}
-	prog, err := datalog.Parse(controlAccownText(false))
+	plan, err := baselinePlan()
 	if err != nil {
-		return nil, fmt.Errorf("whatif: parsing baseline program: %w", err)
+		return nil, fmt.Errorf("whatif: compiling baseline program: %w", err)
 	}
-	e, err := datalog.NewEngine(prog, withWhatIfDefaults(engineOpts)...)
-	if err != nil {
-		return nil, fmt.Errorf("whatif: preparing baseline engine: %w", err)
-	}
+	e := plan.NewEngine(withWhatIfDefaults(engineOpts)...)
 	e.AssertAll(relstore.CompanyGraphFacts(v))
 	if err := e.RunContext(ctx); err != nil {
 		return nil, fmt.Errorf("whatif: baseline chase: %w", err)
