@@ -1,9 +1,14 @@
 package vadalink_test
 
 import (
+	"errors"
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
@@ -19,7 +24,9 @@ var exportAllowlist = map[string]string{
 	"vadalog.RunGeneric":                    "executes the shipped GenericAugmentProgram (Algorithm 3), kept for a cross-check against core.Augment",
 	"vadalog.Reasoner.AccumulatedOwnership": "oracle the golden and close-link cross-check tests read",
 	// Seams tests use to reach failure paths.
+	"faultinject.Set":    "the seam tests inject faults through",
 	"faultinject.SetErr": "the seam tests inject faults through",
+	"faultinject.Reset":  "the seam tests inject faults through",
 	"faultinject.Clear":  "the seam tests inject faults through",
 	// Ablations and differential legs (DESIGN.md §4).
 	"datalog.WithNaive":   "naive-evaluation ablation and differential leg",
@@ -31,77 +38,77 @@ var exportAllowlist = map[string]string{
 	"pg.Graph.MustAddEdgeWeighted": "test helper shared across packages",
 	"vadalog.CloseLinkProgramT":    "builds the close-link program at a test's threshold",
 	"experiments.ReembedRecall":    "Figure 4(e) harness the root ablation benchmark runs",
-	// Interface methods, called through sort.Interface or errors.Unwrap.
+	// Methods reached only through an interface the errors package declares
+	// inside a function body, where no package scope shows it.
 	"datalog.BudgetExceededError.Unwrap": "errors.Is/As reach it through the Unwrap interface",
-	"datalog.keyedFacts.Len":             "sort.Interface method",
-	"datalog.keyedFacts.Less":            "sort.Interface method",
-	"reasonapi.rowSorter.Len":            "sort.Interface method",
-	"reasonapi.rowSorter.Less":           "sort.Interface method",
 	"whatif.OpError.Unwrap":              "errors.Is/As reach it through the Unwrap interface",
 }
 
 // TestEveryExportHasACaller fails on an exported func or method under
 // internal/ that no non-test file of the module (bench/ included) uses,
-// unless exportAllowlist names it. A name counts as used when it appears as
-// the selector of any selector expression anywhere, or as a bare identifier
-// in its own package outside its own declaration. The check is by name, so
-// it errs towards "used"; an allowlist entry that no longer names an uncalled
-// export fails too, which keeps the list honest.
+// unless exportAllowlist names it. The module is type-checked, so a use is
+// an identifier or selector that resolves to that very func or method (a
+// func calling itself does not count), never just a name it shares. A
+// method also counts as used when its receiver type implements an interface
+// that declares it — sort.Interface, error, an interface of the module —
+// since calls through the interface select the interface's method, not the
+// concrete one. An allowlist entry that no longer names an uncalled export
+// fails too, which keeps the list honest.
 func TestEveryExportHasACaller(t *testing.T) {
-	type decl struct {
-		key, dir, name string
-		method         bool
-		pos            token.Position
-	}
-	var decls []decl
-	selected := map[string]bool{} // names used as x.Name anywhere
-	bare := map[string]bool{}     // dir + "\x00" + name used as a bare identifier
 	fset := token.NewFileSet()
-	err := parseModule(fset, func(path string, f *ast.File) {
-		dir := filepath.ToSlash(filepath.Dir(path))
-		internal := strings.HasPrefix(dir, "internal/")
-		for _, d := range f.Decls {
-			fn, _ := d.(*ast.FuncDecl)
-			var self *ast.Ident
-			if fn != nil {
-				self = fn.Name
-			}
-			if fn != nil && internal && fn.Name.IsExported() {
-				key := f.Name.Name + "." + fn.Name.Name
-				if fn.Recv != nil {
-					key = f.Name.Name + "." + recvName(fn.Recv.List[0].Type) + "." + fn.Name.Name
-				}
-				decls = append(decls, decl{key, dir, fn.Name.Name, fn.Recv != nil, fset.Position(fn.Pos())})
-			}
-			var visit func(n ast.Node) bool
-			visit = func(n ast.Node) bool {
-				switch x := n.(type) {
-				case *ast.SelectorExpr:
-					// x.Sel is a use by selector, never a bare identifier
-					// of this package.
-					selected[x.Sel.Name] = true
-					ast.Inspect(x.X, visit)
-					return false
-				case *ast.Ident:
-					if x != self && !usesSelf(fn, x) {
-						bare[dir+"\x00"+x.Name] = true
-					}
-				}
-				return true
-			}
-			ast.Inspect(d, visit)
-		}
-	})
+	pkgs, err := typeCheckModule(fset)
 	if err != nil {
 		t.Fatal(err)
 	}
+	used := map[*types.Func]bool{}
+	var ifaces []*types.Interface
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				var self types.Object
+				if fn, ok := d.(*ast.FuncDecl); ok {
+					self = p.info.Defs[fn.Name]
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						if fn, ok := p.info.Uses[id].(*types.Func); ok && fn != self {
+							used[fn.Origin()] = true
+						}
+					}
+					return true
+				})
+			}
+		}
+		for _, tv := range p.info.Types {
+			if it, ok := tv.Type.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+				ifaces = append(ifaces, it)
+			}
+		}
+	}
+	ifaces = append(ifaces, namedInterfaces(pkgs)...)
 
 	uncalled := map[string]token.Position{}
-	for _, d := range decls {
-		if selected[d.name] || (!d.method && bare[d.dir+"\x00"+d.name]) {
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.dir, "internal/") {
 			continue
 		}
-		uncalled[d.key] = d.pos
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok || !fn.Name.IsExported() {
+					continue
+				}
+				obj := p.info.Defs[fn.Name].(*types.Func)
+				if used[obj] || implementsInterface(obj, ifaces) {
+					continue
+				}
+				key := p.pkg.Name() + "." + obj.Name()
+				if recv := obj.Type().(*types.Signature).Recv(); recv != nil {
+					key = p.pkg.Name() + "." + receiverNamed(recv.Type()).Obj().Name() + "." + obj.Name()
+				}
+				uncalled[key] = fset.Position(fn.Pos())
+			}
+		}
 	}
 	var fails []string
 	for key, pos := range uncalled {
@@ -118,6 +125,159 @@ func TestEveryExportHasACaller(t *testing.T) {
 	for _, f := range fails {
 		t.Error(f)
 	}
+}
+
+// implementsInterface reports whether fn is a method whose receiver type, as
+// a value or a pointer, implements one of ifaces that declares a method of
+// fn's name.
+func implementsInterface(fn *types.Func, ifaces []*types.Interface) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	named := receiverNamed(recv.Type())
+	if named.TypeParams().Len() > 0 {
+		return false
+	}
+	for _, it := range ifaces {
+		if !it.IsMethodSet() {
+			continue
+		}
+		if obj, _, _ := types.LookupFieldOrMethod(it, false, fn.Pkg(), fn.Name()); obj == nil {
+			continue
+		}
+		if types.Implements(named, it) || types.Implements(types.NewPointer(named), it) {
+			return true
+		}
+	}
+	return false
+}
+
+// receiverNamed is the named type of a method receiver: T or *T.
+func receiverNamed(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return t.(*types.Named)
+}
+
+// namedInterfaces returns the non-generic named interfaces with methods
+// declared at package level in pkgs and every package they import, plus
+// error.
+func namedInterfaces(pkgs []*modulePackage) []*types.Interface {
+	out := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	seen := map[*types.Package]bool{}
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok || named.TypeParams().Len() > 0 {
+				continue
+			}
+			if it, ok := named.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+				out = append(out, it)
+			}
+		}
+		for _, imp := range p.Imports() {
+			walk(imp)
+		}
+	}
+	for _, p := range pkgs {
+		walk(p.pkg)
+	}
+	return out
+}
+
+// modulePackage is one type-checked package of the module: its
+// slash-separated directory, its non-test files and their type information.
+type modulePackage struct {
+	dir   string
+	files []*ast.File
+	pkg   *types.Package
+	info  *types.Info
+}
+
+// moduleImporter type-checks the module's packages from source on demand,
+// bench/ as vadalink/bench, and imports the standard library from source.
+type moduleImporter struct {
+	fset  *token.FileSet
+	std   types.Importer
+	pkgs  map[string]*modulePackage
+	order []*modulePackage
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	if path != "vadalink" && !strings.HasPrefix(path, "vadalink/") {
+		return m.std.Import(path)
+	}
+	if p, ok := m.pkgs[path]; ok {
+		if p.pkg == nil {
+			return nil, fmt.Errorf("import cycle through %s", path)
+		}
+		return p.pkg, nil
+	}
+	dir := "."
+	if path != "vadalink" {
+		dir = strings.TrimPrefix(path, "vadalink/")
+	}
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	p := &modulePackage{dir: dir, info: &types.Info{
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+	}}
+	m.pkgs[path] = p
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		p.files = append(p.files, f)
+	}
+	conf := types.Config{Importer: m}
+	if p.pkg, err = conf.Check(path, m.fset, p.files, p.info); err != nil {
+		return nil, err
+	}
+	m.order = append(m.order, p)
+	return p.pkg, nil
+}
+
+// typeCheckModule type-checks every directory of the module holding non-test
+// Go files, bench/ included.
+func typeCheckModule(fset *token.FileSet) ([]*modulePackage, error) {
+	m := &moduleImporter{fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*modulePackage{}}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		importPath := "vadalink"
+		if path != "." {
+			importPath += "/" + filepath.ToSlash(path)
+		}
+		if _, err := m.Import(importPath); err != nil {
+			var noGo *build.NoGoError
+			if errors.As(err, &noGo) {
+				return nil
+			}
+			return err
+		}
+		return nil
+	})
+	return m.order, err
 }
 
 // TestDatalogImportsNoSync fails when a non-test file of internal/datalog
@@ -175,28 +335,4 @@ func parseModule(fset *token.FileSet, fn func(path string, f *ast.File)) error {
 		fn(filepath.ToSlash(path), f)
 		return nil
 	})
-}
-
-// usesSelf reports whether id is fn's own name used inside fn (recursion),
-// which does not count as a caller. fn is nil outside a func declaration.
-func usesSelf(fn *ast.FuncDecl, id *ast.Ident) bool {
-	return fn != nil && fn.Recv == nil && id.Name == fn.Name.Name
-}
-
-// recvName is the type name of a method receiver: T, *T, T[P] or *T[P].
-func recvName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return "?"
-		}
-	}
 }

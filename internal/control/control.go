@@ -204,35 +204,20 @@ func AllPairsCtx(ctx context.Context, g pg.View) ([]Pair, error) {
 // question of the anti-money-laundering use case the paper's introduction
 // names. The result is sorted.
 func UltimateControllers(g pg.View, y pg.NodeID) []pg.NodeID {
-	out, _ := UltimateControllersCtx(context.Background(), g, y)
-	return out
-}
-
-// UltimateControllersCtx is UltimateControllers under a context: it stops
-// between candidate persons when the context is cancelled, returning the
-// controllers found so far plus the context's error.
-func UltimateControllersCtx(ctx context.Context, g pg.View, y pg.NodeID) ([]pg.NodeID, error) {
 	var out []pg.NodeID
 	for _, p := range g.NodesWithLabel(pg.LabelPerson) {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
 		if len(g.OutLabel(p, pg.LabelShareholding)) == 0 {
 			continue
 		}
-		cs, err := ControlsCtx(ctx, g, p)
-		for _, c := range cs {
+		for _, c := range Controls(g, p) {
 			if c == y {
 				out = append(out, p)
 				break
 			}
 		}
-		if err != nil {
-			return out, err
-		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	return out
 }
 
 // Orphans returns the companies with no ultimate controller — widely-held

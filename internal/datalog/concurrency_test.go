@@ -75,11 +75,11 @@ func TestReadsAfterRun(t *testing.T) {
 			want++
 		}
 	}
-	before := e.IndexBytes()
+	before := e.indexBytes
 	if got := len(match(e, "own", nil, nil, w)); got != want {
 		t.Fatalf("match(own, _, _, %v) = %d answers, want %d", w, got, want)
 	}
-	if e.IndexBytes() <= before {
+	if e.indexBytes <= before {
 		t.Fatalf("IndexBytes() stayed %d: the weight Query built no index", before)
 	}
 }
@@ -175,8 +175,8 @@ func TestIndexMemoryBudget(t *testing.T) {
 	if !errors.As(err, &be) || be.Limit != LimitIndexMemory {
 		t.Fatalf("want index-memory trip, got %v", err)
 	}
-	if e.IndexBytes() <= 64 {
-		t.Fatalf("IndexBytes() = %d, want > budget", e.IndexBytes())
+	if e.indexBytes <= 64 {
+		t.Fatalf("IndexBytes() = %d, want > budget", e.indexBytes)
 	}
 
 	// Scan mode never builds indexes, so the same budget passes.
@@ -184,7 +184,7 @@ func TestIndexMemoryBudget(t *testing.T) {
 	if err := noidx.Run(); err != nil {
 		t.Fatalf("NoIndex run tripped: %v", err)
 	}
-	if noidx.IndexBytes() != 0 {
-		t.Fatalf("NoIndex engine accrued %d index bytes", noidx.IndexBytes())
+	if noidx.indexBytes != 0 {
+		t.Fatalf("NoIndex engine accrued %d index bytes", noidx.indexBytes)
 	}
 }

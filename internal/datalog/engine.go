@@ -441,9 +441,6 @@ func (e *Engine) addIndexBytes(bytes int) {
 	}
 }
 
-// IndexBytes reports the estimated memory held by the positional indexes.
-func (e *Engine) IndexBytes() int64 { return e.indexBytes }
-
 // cloneFacts deep-copies a fact slice down to the argument slices, so the
 // result shares no mutable storage with the engine. The argument values
 // themselves are immutable (strings, numbers, Null/Skolem values).

@@ -121,8 +121,8 @@ func TestChaseStatsSequential(t *testing.T) {
 	if st.IndexHits == 0 || st.IndexBuilds == 0 {
 		t.Errorf("indexed run: IndexHits = %d, IndexBuilds = %d, want > 0", st.IndexHits, st.IndexBuilds)
 	}
-	if st.IndexBytes != e.IndexBytes() {
-		t.Errorf("IndexBytes = %d, engine reports %d", st.IndexBytes, e.IndexBytes())
+	if st.IndexBytes != e.indexBytes {
+		t.Errorf("IndexBytes = %d, engine reports %d", st.IndexBytes, e.indexBytes)
 	}
 }
 

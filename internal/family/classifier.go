@@ -233,34 +233,6 @@ func (c *Classifier) Linked(x, y Person) bool {
 	return c.LinkProbability(x, y) > 0.5
 }
 
-// FeatureEvidence explains one feature's contribution to a pair decision.
-type FeatureEvidence struct {
-	Feature  string
-	Distance float64
-	Fired    bool    // distance below the feature threshold
-	P        float64 // pᵢ = P(L | observation)
-}
-
-// Explain returns the per-feature evidence behind a pair's combined
-// probability — which features fired, their distances, and their individual
-// pᵢ values. The Graham combination of the P column equals
-// LinkProbability(x, y).
-func (c *Classifier) Explain(x, y Person) []FeatureEvidence {
-	out := make([]FeatureEvidence, len(c.Features))
-	for i := range c.Features {
-		f := &c.Features[i]
-		d := f.Distance(x, y)
-		fired := d < f.Threshold
-		out[i] = FeatureEvidence{
-			Feature:  f.Name,
-			Distance: d,
-			Fired:    fired,
-			P:        c.featureProbability(f, fired),
-		}
-	}
-	return out
-}
-
 // Multi is a multi-class classifier: one binary classifier per link class
 // plus class-specific refinements (e.g. partners rarely share a birth year
 // ±0 while siblings are close in age).

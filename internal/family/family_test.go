@@ -212,19 +212,18 @@ func TestFeatureProbabilityClamped(t *testing.T) {
 	}
 }
 
+// TestExplainFeatureEvidence: the per-feature evidence behind a pair —
+// which features fire and their pᵢ — combines to LinkProbability.
 func TestExplainFeatureEvidence(t *testing.T) {
 	c := NewClassifier()
 	mario, luigi, anna := samplePersons()
-	ev := c.Explain(mario, luigi)
-	if len(ev) != len(c.Features) {
-		t.Fatalf("evidence entries = %d, want %d", len(ev), len(c.Features))
-	}
-	// The Graham combination of the evidence equals LinkProbability.
-	ps := make([]float64, len(ev))
+	ps := make([]float64, len(c.Features))
 	firedCount := 0
-	for i, e := range ev {
-		ps[i] = e.P
-		if e.Fired {
+	for i := range c.Features {
+		f := &c.Features[i]
+		fired := f.Fires(mario, luigi)
+		ps[i] = c.featureProbability(f, fired)
+		if fired {
 			firedCount++
 		}
 	}
@@ -235,8 +234,8 @@ func TestExplainFeatureEvidence(t *testing.T) {
 		t.Error("no features fired for two brothers at the same address")
 	}
 	// Unrelated pair: surname feature must not fire.
-	for _, e := range c.Explain(mario, anna) {
-		if e.Feature == "surname" && e.Fired {
+	for i := range c.Features {
+		if f := &c.Features[i]; f.Name == "surname" && f.Fires(mario, anna) {
 			t.Error("surname fired for Rossi vs Bianchi")
 		}
 	}

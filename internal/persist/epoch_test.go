@@ -205,7 +205,7 @@ func TestSnapshotV1Compat(t *testing.T) {
 
 // FrameOp classifies frames without decoding them.
 func TestFrameOp(t *testing.T) {
-	payload, err := appendRecord(nil, Record{Op: OpEpoch, ID: 7, From: 3})
+	payload, err := appendRecord(nil, epochRec(7, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestFrameOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Op != OpEpoch || rec.ID != 7 || rec.From != 3 {
+	if rec.Mutation.Kind != 0 || rec.Epoch != (EpochMark{Epoch: 7, StartSeq: 3}) {
 		t.Fatalf("decoded epoch record = %+v", rec)
 	}
 }

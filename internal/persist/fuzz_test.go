@@ -16,10 +16,13 @@ import (
 //     cycle through log→memory→log forever without silent drift).
 func FuzzWALDecode(f *testing.F) {
 	seedRecords := []Record{
-		{Op: OpAddNode, ID: 0, Label: "Company"},
-		{Op: OpAddNode, ID: 42, Label: "Person", Props: map[string]any{"name": "A", "w": 0.5, "n": int64(9), "b": true}},
-		{Op: OpAddEdge, ID: 3, Label: "Shareholding", From: 1, To: 2, Props: map[string]any{"weight": 0.51}},
-		{Op: OpRemoveEdge, ID: 3},
+		addNodeRec(0, "Company", nil),
+		addNodeRec(42, "Person", map[string]any{"name": "A", "w": 0.5, "n": int64(9), "b": true}),
+		addEdgeRec(3, "Shareholding", 1, 2, map[string]any{"weight": 0.51}),
+		removeEdgeRec(3),
+		weightRec(3, 0.25),
+		removeNodeRec(2),
+		epochRec(7, 3),
 	}
 	for _, r := range seedRecords {
 		payload, err := appendRecord(nil, r)

@@ -204,12 +204,13 @@ func Open(dir string, opts Options) (*Store, error) {
 		// arithmetic below.
 		applied := 0
 		_, torn, err := replayWAL(walPath(dir, wg), func(r Record) error {
-			if r.Op == OpEpoch {
-				s.noteEpoch(EpochMark{Epoch: uint64(r.ID), StartSeq: r.From})
+			if r.Mutation.Kind == 0 {
+				s.noteEpoch(r.Epoch)
 				return nil
 			}
 			applied++
-			return apply(g, r)
+			_, err := g.Replay(r.Mutation)
+			return err
 		})
 		if err != nil {
 			return nil, err
@@ -262,11 +263,7 @@ func Open(dir string, opts Options) (*Store, error) {
 // so the only honest report is "stop acknowledging".
 func (s *Store) capture(m pg.Mutation) {
 	s.seq.Add(1)
-	rec, err := recordFor(m)
-	if err == nil {
-		err = s.wal.Append(rec)
-	}
-	if err != nil {
+	if err := s.wal.Append(Record{Mutation: m}); err != nil {
 		s.mu.Lock()
 		if s.capErr == nil {
 			s.capErr = err
@@ -440,7 +437,7 @@ func (s *Store) RecordEpoch(m EpochMark) error {
 	if seq := s.seq.Load(); m.StartSeq < seq {
 		m.StartSeq = seq
 	}
-	if err := s.wal.Append(Record{Op: OpEpoch, ID: int64(m.Epoch), From: m.StartSeq}); err != nil {
+	if err := s.wal.Append(Record{Epoch: m}); err != nil {
 		s.mu.Unlock()
 		return err
 	}

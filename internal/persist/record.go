@@ -29,23 +29,24 @@ const (
 	OpRemoveEdge
 	OpSetEdgeWeight
 	OpRemoveNode
-	// OpEpoch is a replication-epoch mark, not a graph mutation: ID carries
-	// the epoch number, From the sequence number the epoch opened at. It is
-	// sequence-neutral (SeqOfGraph stays a pure function of graph state), so
-	// recovery intercepts it before graph replay instead of applying it.
+	// OpEpoch is a replication-epoch mark, not a graph mutation: the epoch
+	// number sits where a mutation's identifier does, followed by the
+	// sequence number the epoch opened at. It is sequence-neutral
+	// (SeqOfGraph stays a pure function of graph state), so recovery and
+	// followers record it instead of replaying it onto the graph.
 	OpEpoch
 )
 
-// Record is one logged mutation. IDs are explicit — replay asserts that the
-// graph reassigns the same identifiers, so a log applied to the wrong base
-// state fails loudly instead of silently weaving a graph that never existed.
+// Record is one WAL record: a graph mutation, or — when Mutation.Kind is
+// zero — a replication-epoch mark. A mutation names its element by
+// identifier, and recovery replays it through pg.Graph.Replay, which refuses
+// one whose identifiers the graph would not assign: a log applied to the
+// wrong base state fails loudly instead of silently weaving a graph that
+// never existed. On the wire a removal carries only its identifier and a
+// weight edit only its identifier and weight.
 type Record struct {
-	Op       Op
-	ID       int64 // node ID for OpAddNode/OpRemoveNode, edge ID otherwise
-	Label    string
-	From, To int64   // OpAddEdge only
-	W        float64 // OpSetEdgeWeight only: the new share amount
-	Props    pg.Properties
+	Mutation pg.Mutation
+	Epoch    EpochMark
 }
 
 // Property value type tags.
@@ -60,37 +61,53 @@ const (
 // Unsupported property value types are an error: the WAL must not silently
 // drop state it cannot re-create.
 func appendRecord(buf []byte, r Record) ([]byte, error) {
-	buf = append(buf, byte(r.Op))
-	buf = binary.AppendVarint(buf, r.ID)
-	switch r.Op {
-	case OpAddNode:
-		buf = appendString(buf, r.Label)
-	case OpAddEdge:
-		buf = appendString(buf, r.Label)
-		buf = binary.AppendVarint(buf, r.From)
-		buf = binary.AppendVarint(buf, r.To)
-	case OpRemoveEdge, OpRemoveNode:
-		return buf, nil // no label or props logged for removals
-	case OpSetEdgeWeight:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.W))
-		return buf, nil
-	case OpEpoch:
-		buf = binary.AppendVarint(buf, r.From)
-		return buf, nil
+	m := r.Mutation
+	var props pg.Properties
+	switch m.Kind {
+	case 0:
+		buf = append(buf, byte(OpEpoch))
+		buf = binary.AppendVarint(buf, int64(r.Epoch.Epoch))
+		return binary.AppendVarint(buf, r.Epoch.StartSeq), nil
+	case pg.MutAddNode:
+		buf = append(buf, byte(OpAddNode))
+		buf = binary.AppendVarint(buf, int64(m.Node.ID))
+		buf = appendString(buf, string(m.Node.Label))
+		props = m.Node.Props
+	case pg.MutAddEdge:
+		buf = append(buf, byte(OpAddEdge))
+		buf = binary.AppendVarint(buf, int64(m.Edge.ID))
+		buf = appendString(buf, string(m.Edge.Label))
+		buf = binary.AppendVarint(buf, int64(m.Edge.From))
+		buf = binary.AppendVarint(buf, int64(m.Edge.To))
+		props = m.Edge.Props
+	case pg.MutRemoveEdge:
+		buf = append(buf, byte(OpRemoveEdge))
+		return binary.AppendVarint(buf, int64(m.Edge.ID)), nil
+	case pg.MutRemoveNode:
+		buf = append(buf, byte(OpRemoveNode))
+		return binary.AppendVarint(buf, int64(m.Node.ID)), nil
+	case pg.MutSetEdgeWeight:
+		w, ok := m.Edge.Weight()
+		if !ok {
+			return nil, fmt.Errorf("persist: weight edit of edge %d carries no weight", m.Edge.ID)
+		}
+		buf = append(buf, byte(OpSetEdgeWeight))
+		buf = binary.AppendVarint(buf, int64(m.Edge.ID))
+		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(w)), nil
 	default:
-		return nil, fmt.Errorf("persist: unknown op %d", r.Op)
+		return nil, fmt.Errorf("persist: unknown mutation kind %d", m.Kind)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(r.Props)))
+	buf = binary.AppendUvarint(buf, uint64(len(props)))
 	// Sorted keys make the encoding canonical: the same record always
 	// produces the same bytes, so decode∘encode is the identity and the
 	// fuzz harness can assert it.
-	keys := make([]string, 0, len(r.Props))
-	for k := range r.Props {
+	keys := make([]string, 0, len(props))
+	for k := range props {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		v := r.Props[k]
+		v := props[k]
 		buf = appendString(buf, k)
 		switch x := v.(type) {
 		case string:
@@ -133,105 +150,128 @@ func decodeRecord(b []byte) (Record, error) {
 	if !ok {
 		return r, errTruncatedRecord
 	}
-	r.Op = Op(op)
-	if r.ID, ok = d.varint(); !ok {
+	id, ok := d.varint()
+	if !ok {
 		return r, errTruncatedRecord
 	}
-	switch r.Op {
+	var props *pg.Properties
+	switch Op(op) {
 	case OpAddNode:
-		if r.Label, ok = d.str(); !ok {
+		n := &pg.Node{ID: pg.NodeID(id)}
+		label, ok := d.str()
+		if !ok {
 			return r, errTruncatedRecord
 		}
+		n.Label = pg.Label(label)
+		r.Mutation = pg.Mutation{Kind: pg.MutAddNode, Node: n}
+		props = &n.Props
 	case OpAddEdge:
-		if r.Label, ok = d.str(); !ok {
+		e := &pg.Edge{ID: pg.EdgeID(id)}
+		label, ok := d.str()
+		if !ok {
 			return r, errTruncatedRecord
 		}
-		if r.From, ok = d.varint(); !ok {
+		e.Label = pg.Label(label)
+		from, ok := d.varint()
+		if !ok {
 			return r, errTruncatedRecord
 		}
-		if r.To, ok = d.varint(); !ok {
+		to, ok := d.varint()
+		if !ok {
 			return r, errTruncatedRecord
 		}
-	case OpRemoveEdge, OpRemoveNode:
-		if len(d.b) != d.off {
-			return r, fmt.Errorf("persist: %d trailing bytes after record", len(d.b)-d.off)
-		}
-		return r, nil
+		e.From, e.To = pg.NodeID(from), pg.NodeID(to)
+		r.Mutation = pg.Mutation{Kind: pg.MutAddEdge, Edge: e}
+		props = &e.Props
+	case OpRemoveEdge:
+		r.Mutation = pg.Mutation{Kind: pg.MutRemoveEdge, Edge: &pg.Edge{ID: pg.EdgeID(id)}}
+	case OpRemoveNode:
+		r.Mutation = pg.Mutation{Kind: pg.MutRemoveNode, Node: &pg.Node{ID: pg.NodeID(id)}}
 	case OpSetEdgeWeight:
 		v, ok := d.u64()
 		if !ok {
 			return r, errTruncatedRecord
 		}
-		r.W = math.Float64frombits(v)
-		if len(d.b) != d.off {
-			return r, fmt.Errorf("persist: %d trailing bytes after record", len(d.b)-d.off)
-		}
-		return r, nil
+		w := math.Float64frombits(v)
+		r.Mutation = pg.Mutation{Kind: pg.MutSetEdgeWeight,
+			Edge: &pg.Edge{ID: pg.EdgeID(id), Props: pg.Properties{pg.WeightProp: w}}}
 	case OpEpoch:
-		if r.From, ok = d.varint(); !ok {
+		start, ok := d.varint()
+		if !ok {
 			return r, errTruncatedRecord
 		}
-		if len(d.b) != d.off {
-			return r, fmt.Errorf("persist: %d trailing bytes after record", len(d.b)-d.off)
-		}
-		return r, nil
+		r.Epoch = EpochMark{Epoch: uint64(id), StartSeq: start}
 	default:
 		return r, fmt.Errorf("persist: unknown op %d", op)
 	}
-	n, ok := d.uvarint()
-	if !ok {
-		return r, errTruncatedRecord
-	}
-	// Each property needs at least 3 bytes (empty key, tag, empty value);
-	// a count beyond that is a lie about the buffer.
-	if n > uint64(len(d.b)-d.off) {
-		return r, fmt.Errorf("persist: property count %d exceeds record size", n)
-	}
-	if n > 0 {
-		r.Props = make(pg.Properties, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		k, ok := d.str()
-		if !ok {
-			return r, errTruncatedRecord
+	if props != nil {
+		p, err := d.props()
+		if err != nil {
+			return r, err
 		}
-		tag, ok := d.byte()
-		if !ok {
-			return r, errTruncatedRecord
-		}
-		switch tag {
-		case tagString:
-			v, ok := d.str()
-			if !ok {
-				return r, errTruncatedRecord
-			}
-			r.Props[k] = v
-		case tagFloat:
-			v, ok := d.u64()
-			if !ok {
-				return r, errTruncatedRecord
-			}
-			r.Props[k] = math.Float64frombits(v)
-		case tagInt:
-			v, ok := d.varint()
-			if !ok {
-				return r, errTruncatedRecord
-			}
-			r.Props[k] = v
-		case tagBool:
-			v, ok := d.byte()
-			if !ok {
-				return r, errTruncatedRecord
-			}
-			r.Props[k] = v != 0
-		default:
-			return r, fmt.Errorf("persist: unknown property tag %q", tag)
-		}
+		*props = p
 	}
 	if len(d.b) != d.off {
 		return r, fmt.Errorf("persist: %d trailing bytes after record", len(d.b)-d.off)
 	}
 	return r, nil
+}
+
+// props parses a property map: a count, then sorted key/tag/value triples.
+// An empty map decodes as nil.
+func (d *decoder) props() (pg.Properties, error) {
+	n, ok := d.uvarint()
+	if !ok {
+		return nil, errTruncatedRecord
+	}
+	// Each property needs at least 3 bytes (empty key, tag, empty value);
+	// a count beyond that is a lie about the buffer.
+	if n > uint64(len(d.b)-d.off) {
+		return nil, fmt.Errorf("persist: property count %d exceeds record size", n)
+	}
+	var props pg.Properties
+	if n > 0 {
+		props = make(pg.Properties, n)
+	}
+	for i := uint64(0); i < n; i++ {
+		k, ok := d.str()
+		if !ok {
+			return nil, errTruncatedRecord
+		}
+		tag, ok := d.byte()
+		if !ok {
+			return nil, errTruncatedRecord
+		}
+		switch tag {
+		case tagString:
+			v, ok := d.str()
+			if !ok {
+				return nil, errTruncatedRecord
+			}
+			props[k] = v
+		case tagFloat:
+			v, ok := d.u64()
+			if !ok {
+				return nil, errTruncatedRecord
+			}
+			props[k] = math.Float64frombits(v)
+		case tagInt:
+			v, ok := d.varint()
+			if !ok {
+				return nil, errTruncatedRecord
+			}
+			props[k] = v
+		case tagBool:
+			v, ok := d.byte()
+			if !ok {
+				return nil, errTruncatedRecord
+			}
+			props[k] = v != 0
+		default:
+			return nil, fmt.Errorf("persist: unknown property tag %q", tag)
+		}
+	}
+	return props, nil
 }
 
 var errTruncatedRecord = fmt.Errorf("persist: truncated record")
@@ -286,84 +326,4 @@ func (d *decoder) u64() (uint64, bool) {
 	v := binary.LittleEndian.Uint64(d.b[d.off:])
 	d.off += 8
 	return v, true
-}
-
-// recordFor translates a committed pg mutation into its WAL record.
-func recordFor(m pg.Mutation) (Record, error) {
-	switch m.Kind {
-	case pg.MutAddNode:
-		return Record{Op: OpAddNode, ID: int64(m.Node.ID), Label: string(m.Node.Label), Props: m.Node.Props}, nil
-	case pg.MutAddEdge:
-		return Record{Op: OpAddEdge, ID: int64(m.Edge.ID), Label: string(m.Edge.Label),
-			From: int64(m.Edge.From), To: int64(m.Edge.To), Props: m.Edge.Props}, nil
-	case pg.MutRemoveEdge:
-		return Record{Op: OpRemoveEdge, ID: int64(m.Edge.ID)}, nil
-	case pg.MutSetEdgeWeight:
-		w, ok := m.Edge.Weight()
-		if !ok {
-			return Record{}, fmt.Errorf("persist: weight edit of edge %d carries no weight", m.Edge.ID)
-		}
-		return Record{Op: OpSetEdgeWeight, ID: int64(m.Edge.ID), W: w}, nil
-	case pg.MutRemoveNode:
-		return Record{Op: OpRemoveNode, ID: int64(m.Node.ID)}, nil
-	}
-	return Record{}, fmt.Errorf("persist: unknown mutation kind %d", m.Kind)
-}
-
-// Apply replays one record onto g under the same discipline as recovery:
-// the graph must assign exactly the identifiers the record claims, or the
-// record does not belong on this base state. The replication follower runs
-// every shipped frame through it, so a stream applied out of order — or to
-// a replica that silently diverged — fails loudly instead of weaving a
-// graph the leader never had.
-func Apply(g *pg.Graph, r Record) error { return apply(g, r) }
-
-// apply replays one record onto g, asserting that the graph assigns the
-// identifiers the record claims. A mismatch means the log does not belong to
-// this base state — corrupt, refuse.
-func apply(g *pg.Graph, r Record) error {
-	switch r.Op {
-	case OpAddNode:
-		id := g.AddNode(pg.Label(r.Label), r.Props)
-		if int64(id) != r.ID {
-			return fmt.Errorf("persist: replayed node got id %d, log says %d", id, r.ID)
-		}
-	case OpAddEdge:
-		id, err := g.AddEdge(pg.Label(r.Label), pg.NodeID(r.From), pg.NodeID(r.To), r.Props)
-		if err != nil {
-			return fmt.Errorf("persist: replaying edge %d: %w", r.ID, err)
-		}
-		if int64(id) != r.ID {
-			return fmt.Errorf("persist: replayed edge got id %d, log says %d", id, r.ID)
-		}
-	case OpRemoveEdge:
-		if !g.RemoveEdge(pg.EdgeID(r.ID)) {
-			return fmt.Errorf("persist: replayed removal of unknown edge %d", r.ID)
-		}
-	case OpSetEdgeWeight:
-		if err := g.SetEdgeWeight(pg.EdgeID(r.ID), r.W); err != nil {
-			return fmt.Errorf("persist: replaying weight edit of edge %d: %w", r.ID, err)
-		}
-	case OpEpoch:
-		// Epoch marks are metadata, not mutations: recovery and the
-		// replication follower both intercept them before graph replay.
-		// Reaching here means an interception was skipped.
-		return fmt.Errorf("persist: epoch record reached graph replay (epoch %d)", r.ID)
-	case OpRemoveNode:
-		// Every incident-edge removal was logged as its own OpRemoveEdge
-		// ahead of this record, so the node must be edge-free here. A node
-		// that still has live edges means the log is incomplete or out of
-		// order — removing them implicitly would silently diverge from the
-		// leader's weight-edit/seq accounting, so refuse instead.
-		id := pg.NodeID(r.ID)
-		if n := len(g.Out(id)) + len(g.In(id)); n > 0 {
-			return fmt.Errorf("persist: replayed removal of node %d with %d live incident edges", r.ID, n)
-		}
-		if !g.RemoveNode(id) {
-			return fmt.Errorf("persist: replayed removal of unknown node %d", r.ID)
-		}
-	default:
-		return fmt.Errorf("persist: unknown op %d", r.Op)
-	}
-	return nil
 }

@@ -147,7 +147,7 @@ func TestReplaceGraph(t *testing.T) {
 // NextFrame cuts exactly the frames scanFrames would accept, and
 // DecodeFrame round-trips a record while rejecting corruption.
 func TestNextFrameAndDecodeFrame(t *testing.T) {
-	rec := Record{Op: OpAddNode, ID: 7, Label: "Company", Props: pg.Properties{"name": "ACME"}}
+	rec := addNodeRec(7, "Company", pg.Properties{"name": "ACME"})
 	payload, err := appendRecord(nil, rec)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestNextFrameAndDecodeFrame(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeFrame: %v", err)
 	}
-	if got.ID != rec.ID || got.Label != rec.Label || got.Props["name"] != "ACME" {
+	if n := got.Mutation.Node; got.Mutation.Kind != pg.MutAddNode || n.ID != 7 || n.Label != "Company" || n.Props["name"] != "ACME" {
 		t.Fatalf("DecodeFrame = %+v, want %+v", got, rec)
 	}
 

@@ -26,13 +26,12 @@ func encodeFrame(t *testing.T, r Record) []byte {
 
 func TestRecordCodecRoundTrip(t *testing.T) {
 	cases := []Record{
-		{Op: OpAddNode, ID: 0, Label: "Company", Props: pg.Properties{"name": "ACME"}},
-		{Op: OpAddNode, ID: 1 << 40, Label: "Person",
-			Props: pg.Properties{"name": "X", "age": int64(-3), "pep": false, "w": 0.25}},
-		{Op: OpAddNode, ID: 2, Label: ""},
-		{Op: OpAddEdge, ID: 7, Label: "Shareholding", From: 1, To: 2,
-			Props: pg.Properties{"weight": 0.51}},
-		{Op: OpRemoveEdge, ID: 7},
+		addNodeRec(0, "Company", pg.Properties{"name": "ACME"}),
+		addNodeRec(1<<40, "Person",
+			pg.Properties{"name": "X", "age": int64(-3), "pep": false, "w": 0.25}),
+		addNodeRec(2, "", nil),
+		addEdgeRec(7, "Shareholding", 1, 2, pg.Properties{"weight": 0.51}),
+		removeEdgeRec(7),
 	}
 	for _, want := range cases {
 		buf, err := appendRecord(nil, want)
@@ -51,8 +50,8 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 }
 
 func TestRecordEncodeRejectsUnloggableProp(t *testing.T) {
-	_, err := appendRecord(nil, Record{Op: OpAddNode, ID: 0, Label: "X",
-		Props: pg.Properties{"bad": []string{"not", "loggable"}}})
+	_, err := appendRecord(nil, addNodeRec(0, "X",
+		pg.Properties{"bad": []string{"not", "loggable"}}))
 	if err == nil {
 		t.Fatal("slice-valued property encoded silently")
 	}
@@ -61,9 +60,9 @@ func TestRecordEncodeRejectsUnloggableProp(t *testing.T) {
 func TestScanFramesCleanLog(t *testing.T) {
 	var log []byte
 	want := []Record{
-		{Op: OpAddNode, ID: 0, Label: "Company", Props: pg.Properties{"name": "A"}},
-		{Op: OpAddEdge, ID: 0, Label: "Shareholding", From: 0, To: 0, Props: pg.Properties{"weight": 1.0}},
-		{Op: OpRemoveEdge, ID: 0},
+		addNodeRec(0, "Company", pg.Properties{"name": "A"}),
+		addEdgeRec(0, "Shareholding", 0, 0, pg.Properties{"weight": 1.0}),
+		removeEdgeRec(0),
 	}
 	for _, r := range want {
 		log = append(log, encodeFrame(t, r)...)
@@ -86,7 +85,7 @@ func TestScanFramesCleanLog(t *testing.T) {
 }
 
 func TestScanFramesTornTails(t *testing.T) {
-	full := encodeFrame(t, Record{Op: OpAddNode, ID: 0, Label: "Company"})
+	full := encodeFrame(t, addNodeRec(0, "Company", nil))
 	flipped := append([]byte(nil), full...)
 	flipped[len(flipped)-1] ^= 0x01
 	huge := make([]byte, frameHeaderLen)
@@ -115,7 +114,7 @@ func TestScanFramesTornTails(t *testing.T) {
 func TestReplayWALTruncatesInPlace(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal-0.log")
-	full := encodeFrame(t, Record{Op: OpAddNode, ID: 0, Label: "Company"})
+	full := encodeFrame(t, addNodeRec(0, "Company", nil))
 	log := append(append([]byte(nil), full...), full[:5]...) // torn second frame
 	if err := os.WriteFile(path, log, 0o644); err != nil {
 		t.Fatal(err)
@@ -143,7 +142,7 @@ func TestWALAppendSyncReopenAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(Record{Op: OpAddNode, ID: 0, Label: "A"}); err != nil {
+	if err := w.Append(addNodeRec(0, "A", nil)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -153,14 +152,14 @@ func TestWALAppendSyncReopenAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.Append(Record{Op: OpAddNode, ID: 1, Label: "B"}); err != nil {
+	if err := w2.Append(addNodeRec(1, "B", nil)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var ids []int64
-	n, torn, err := replayWAL(path, func(r Record) error { ids = append(ids, r.ID); return nil })
+	var ids []pg.NodeID
+	n, torn, err := replayWAL(path, func(r Record) error { ids = append(ids, r.Mutation.Node.ID); return nil })
 	if err != nil || torn || n != 2 {
 		t.Fatalf("replay: n=%d torn=%v err=%v", n, torn, err)
 	}

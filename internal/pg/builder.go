@@ -7,9 +7,9 @@ import "fmt"
 // to by identifiers like "C4" or "P1", and shareholding edges by
 // (owner, owned, share) triples.
 //
-// The error-returning methods (AddNode, AddOwnership, AddEdge, Lookup) are
-// the primary API — use them when the input is untrusted (ETL, request
-// payloads). Own, Link and ID are Must-style wrappers that panic on
+// The error-returning methods (AddNode, AddOwnership, Lookup) are the
+// primary API — use them when the input is untrusted (ETL, request
+// payloads). Own and ID are Must-style wrappers that panic on
 // malformed input; they keep the chained literal style of the figure
 // constructors and tests, where a failure is a programming error.
 type Builder struct {
@@ -88,28 +88,6 @@ func (b *Builder) AddOwnership(owner, owned string, w float64) (EdgeID, error) {
 // Own is AddOwnership in chained Must style: it panics on malformed input.
 func (b *Builder) Own(owner, owned string, w float64) *Builder {
 	if _, err := b.AddOwnership(owner, owned, w); err != nil {
-		panic(err.Error())
-	}
-	return b
-}
-
-// AddEdge adds an arbitrary labelled edge between two named nodes,
-// reporting unknown endpoints as errors.
-func (b *Builder) AddEdge(label Label, from, to string, props Properties) (EdgeID, error) {
-	f, ok := b.byKey[from]
-	if !ok {
-		return 0, fmt.Errorf("pg: builder: unknown node %q", from)
-	}
-	t, ok := b.byKey[to]
-	if !ok {
-		return 0, fmt.Errorf("pg: builder: unknown node %q", to)
-	}
-	return b.g.AddEdge(label, f, t, props)
-}
-
-// Link is AddEdge in chained Must style: it panics on malformed input.
-func (b *Builder) Link(label Label, from, to string, props Properties) *Builder {
-	if _, err := b.AddEdge(label, from, to, props); err != nil {
 		panic(err.Error())
 	}
 	return b

@@ -27,21 +27,6 @@ func TestBuilderAddOwnershipErrors(t *testing.T) {
 	}
 }
 
-func TestBuilderAddEdgeErrors(t *testing.T) {
-	b := NewBuilder()
-	b.Company("C1")
-	b.Person("P1")
-	if _, err := b.AddEdge(LabelControl, "P1", "C1", nil); err != nil {
-		t.Fatalf("valid edge rejected: %v", err)
-	}
-	if _, err := b.AddEdge(LabelControl, "P1", "nope", nil); err == nil {
-		t.Error("unknown endpoint accepted")
-	}
-	if _, err := b.AddEdge(LabelControl, "nope", "C1", nil); err == nil {
-		t.Error("unknown source accepted")
-	}
-}
-
 func TestBuilderAddNodeLabelConflict(t *testing.T) {
 	b := NewBuilder()
 	id, err := b.AddNode("X", LabelCompany)

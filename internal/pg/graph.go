@@ -98,7 +98,8 @@ const (
 // its incident edges were removed); Edge for MutAddEdge, MutRemoveEdge (the
 // edge as it was) and MutSetEdgeWeight (the edge with its new weight already
 // applied). The pointed-to structs are the graph's own — observers must not
-// mutate them.
+// mutate them. Overlay journals, WAL records and replicated frames carry the
+// same type, and Graph.Replay applies one to a graph.
 type Mutation struct {
 	Kind MutationKind
 	Node *Node
@@ -150,11 +151,11 @@ func New() *Graph {
 }
 
 // SetMutationHook installs fn as the graph's mutation observer; nil removes
-// it. The hook runs synchronously inside AddNode/AddEdge/RemoveEdge, after
-// the change is applied, on the mutating goroutine — it must not mutate the
-// graph (that would recurse). Clone and NeighborhoodOf subgraphs do not
-// inherit the hook, and Restore does not fire it (bulk reconstruction is not
-// new history).
+// it. The hook runs synchronously inside every mutating method, Replay
+// included, after the change is applied, on the mutating goroutine — it
+// must not mutate the graph (that would recurse). Clone and NeighborhoodOf
+// subgraphs do not inherit the hook, and Restore does not fire it (bulk
+// reconstruction is not new history).
 func (g *Graph) SetMutationHook(fn func(Mutation)) { g.onMutate = fn }
 
 // AddNode inserts a node with the given label and properties and returns its
@@ -293,6 +294,75 @@ func (g *Graph) RemoveNode(id NodeID) bool {
 	return true
 }
 
+// Replay applies a recorded mutation — an overlay journal entry, a decoded
+// WAL record, a replicated frame — onto g and returns it as g fired it on
+// its mutation hook, pointing at g's own structs. The mutation names its
+// element by identifier, and Replay refuses, before g moves, one that does
+// not fit g: an add must name exactly NextNodeID or NextEdgeID, a removal a
+// live element, a node removal a node whose incident edges were already
+// removed by their own records, and a weight edit must carry a weight. A
+// refusal means the record does not belong on this state (a log applied to
+// the wrong base, a graph mutated behind an overlay's back), so it leaves g,
+// its counters and its hook untouched. Property maps are copied: g shares
+// none with the overlay or decoded record they came from.
+func (g *Graph) Replay(m Mutation) (Mutation, error) {
+	switch m.Kind {
+	case MutAddNode:
+		if m.Node.ID != g.nextNode {
+			return Mutation{}, fmt.Errorf("pg: replay: add of node %d, the graph assigns %d next", m.Node.ID, g.nextNode)
+		}
+		id := g.AddNode(m.Node.Label, m.Node.Props.clone())
+		return Mutation{Kind: m.Kind, Node: g.nodes[id]}, nil
+	case MutAddEdge:
+		if m.Edge.ID != g.nextEdge {
+			return Mutation{}, fmt.Errorf("pg: replay: add of edge %d, the graph assigns %d next", m.Edge.ID, g.nextEdge)
+		}
+		id, err := g.AddEdge(m.Edge.Label, m.Edge.From, m.Edge.To, m.Edge.Props.clone())
+		if err != nil {
+			return Mutation{}, fmt.Errorf("pg: replay: %w", err)
+		}
+		return Mutation{Kind: m.Kind, Edge: g.edges[id]}, nil
+	case MutRemoveEdge:
+		e := g.edges[m.Edge.ID]
+		if e == nil {
+			return Mutation{}, fmt.Errorf("pg: replay: removal of unknown edge %d", m.Edge.ID)
+		}
+		g.RemoveEdge(e.ID)
+		return Mutation{Kind: m.Kind, Edge: e}, nil
+	case MutSetEdgeWeight:
+		w, ok := m.Edge.Weight()
+		if !ok {
+			return Mutation{}, fmt.Errorf("pg: replay: weight edit of edge %d carries no weight", m.Edge.ID)
+		}
+		if err := g.SetEdgeWeight(m.Edge.ID, w); err != nil {
+			return Mutation{}, fmt.Errorf("pg: replay: %w", err)
+		}
+		return Mutation{Kind: m.Kind, Edge: g.edges[m.Edge.ID]}, nil
+	case MutRemoveNode:
+		n := g.nodes[m.Node.ID]
+		if n == nil {
+			return Mutation{}, fmt.Errorf("pg: replay: removal of unknown node %d", m.Node.ID)
+		}
+		// Removing the incident edges here would fire records the stream
+		// does not hold and move the sequence number past it.
+		if k := len(g.out[n.ID]) + len(g.in[n.ID]); k > 0 {
+			return Mutation{}, fmt.Errorf("pg: replay: removal of node %d with %d live incident edges", n.ID, k)
+		}
+		g.RemoveNode(n.ID)
+		return Mutation{Kind: m.Kind, Node: n}, nil
+	}
+	return Mutation{}, fmt.Errorf("pg: replay: unknown mutation kind %d", m.Kind)
+}
+
+// clone returns a copy of p that is never nil.
+func (p Properties) clone() Properties {
+	c := make(Properties, len(p))
+	for k, v := range p {
+		c[k] = v
+	}
+	return c
+}
+
 // WeightEdits reports the number of committed SetEdgeWeight mutations in the
 // graph's history (see the field comment; persist.SeqOfGraph consumes it).
 func (g *Graph) WeightEdits() int64 { return g.weightEdits }
@@ -419,18 +489,10 @@ func (g *Graph) Clone() *Graph {
 	c.nextEdge = g.nextEdge
 	c.weightEdits = g.weightEdits
 	for id, n := range g.nodes {
-		props := make(Properties, len(n.Props))
-		for k, v := range n.Props {
-			props[k] = v
-		}
-		c.nodes[id] = &Node{ID: id, Label: n.Label, Props: props}
+		c.nodes[id] = &Node{ID: id, Label: n.Label, Props: n.Props.clone()}
 	}
 	for id, e := range g.edges {
-		props := make(Properties, len(e.Props))
-		for k, v := range e.Props {
-			props[k] = v
-		}
-		c.edges[id] = &Edge{ID: id, Label: e.Label, From: e.From, To: e.To, Props: props}
+		c.edges[id] = &Edge{ID: id, Label: e.Label, From: e.From, To: e.To, Props: e.Props.clone()}
 	}
 	for label, ids := range g.byNodeLabel {
 		c.byNodeLabel[label] = append([]NodeID(nil), ids...)
@@ -467,11 +529,7 @@ func Restore(nodes []Node, edges []Edge, nextNode NodeID, nextEdge EdgeID) (*Gra
 		if _, dup := g.nodes[n.ID]; dup {
 			return nil, fmt.Errorf("pg: restore: duplicate node id %d", n.ID)
 		}
-		props := make(Properties, len(n.Props))
-		for k, v := range n.Props {
-			props[k] = v
-		}
-		g.nodes[n.ID] = &Node{ID: n.ID, Label: n.Label, Props: props}
+		g.nodes[n.ID] = &Node{ID: n.ID, Label: n.Label, Props: n.Props.clone()}
 		g.byNodeLabel[n.Label] = append(g.byNodeLabel[n.Label], n.ID)
 	}
 	for i := range edges {
@@ -488,11 +546,7 @@ func Restore(nodes []Node, edges []Edge, nextNode NodeID, nextEdge EdgeID) (*Gra
 		if _, ok := g.nodes[e.To]; !ok {
 			return nil, fmt.Errorf("pg: restore: edge %d: unknown target node %d", e.ID, e.To)
 		}
-		props := make(Properties, len(e.Props))
-		for k, v := range e.Props {
-			props[k] = v
-		}
-		g.edges[e.ID] = &Edge{ID: e.ID, Label: e.Label, From: e.From, To: e.To, Props: props}
+		g.edges[e.ID] = &Edge{ID: e.ID, Label: e.Label, From: e.From, To: e.To, Props: e.Props.clone()}
 		g.out[e.From] = append(g.out[e.From], e.ID)
 		g.in[e.To] = append(g.in[e.To], e.ID)
 		g.byEdgeLabel[e.Label] = append(g.byEdgeLabel[e.Label], e.ID)

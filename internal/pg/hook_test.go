@@ -134,3 +134,89 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 		}
 	}
 }
+
+// refusedReplays are mutations Graph.Replay must refuse on replayBase's
+// graph: each names an identifier the graph would not assign, an element it
+// does not hold, or a change it cannot make.
+func refusedReplays() map[string]Mutation {
+	return map[string]Mutation{
+		"add node, wrong id":      {Kind: MutAddNode, Node: &Node{ID: 7, Label: LabelCompany}},
+		"add node, reused id":     {Kind: MutAddNode, Node: &Node{ID: 0, Label: LabelCompany}},
+		"add edge, wrong id":      {Kind: MutAddEdge, Edge: &Edge{ID: 9, Label: LabelShareholding, From: 0, To: 1}},
+		"add edge, unknown end":   {Kind: MutAddEdge, Edge: &Edge{ID: 1, Label: LabelShareholding, From: 0, To: 99}},
+		"remove unknown edge":     {Kind: MutRemoveEdge, Edge: &Edge{ID: 5}},
+		"remove unknown node":     {Kind: MutRemoveNode, Node: &Node{ID: 5}},
+		"remove node, live edges": {Kind: MutRemoveNode, Node: &Node{ID: 0}},
+		"weight edit, no weight":  {Kind: MutSetEdgeWeight, Edge: &Edge{ID: 0, Props: Properties{}}},
+		"weight edit, bad weight": {Kind: MutSetEdgeWeight, Edge: &Edge{ID: 0, Props: Properties{WeightProp: 1.5}}},
+		"unknown kind":            {Kind: 42},
+	}
+}
+
+// replayBase is two companies and a share between them, with a counting
+// mutation hook.
+func replayBase() (*Graph, *int) {
+	g := New()
+	a := g.AddNode(LabelCompany, nil)
+	b := g.AddNode(LabelCompany, nil)
+	g.MustAddEdgeWeighted(a, b, 0.5)
+	calls := new(int)
+	g.SetMutationHook(func(Mutation) { *calls++ })
+	return g, calls
+}
+
+// TestReplayRefusalChangesNothing: a refused record leaves the graph, its
+// counters and its hook exactly as they were.
+func TestReplayRefusalChangesNothing(t *testing.T) {
+	for name, m := range refusedReplays() {
+		g, calls := replayBase()
+		if _, err := g.Replay(m); err == nil {
+			t.Errorf("%s: Replay accepted it", name)
+		}
+		if g.NumNodes() != 2 || g.NumEdges() != 1 || g.NextNodeID() != 2 || g.NextEdgeID() != 1 ||
+			g.WeightEdits() != 0 || *calls != 0 {
+			t.Errorf("%s: refusal moved the graph: %d nodes, %d edges, next %d/%d, %d weight edits, %d hook calls",
+				name, g.NumNodes(), g.NumEdges(), g.NextNodeID(), g.NextEdgeID(), g.WeightEdits(), *calls)
+		}
+		if e := g.Edge(0); e == nil || e.Props[WeightProp] != 0.5 {
+			t.Errorf("%s: refusal moved edge 0 to %+v", name, e)
+		}
+	}
+}
+
+// TestReplayReturnsTheFiredMutation: Replay hands back what the hook saw,
+// pointing at the graph's own structs, and copies property maps in.
+func TestReplayReturnsTheFiredMutation(t *testing.T) {
+	g, _ := replayBase()
+	var fired []Mutation
+	g.SetMutationHook(func(m Mutation) { fired = append(fired, m) })
+	props := Properties{"name": "C"}
+	stream := []Mutation{
+		{Kind: MutAddNode, Node: &Node{ID: 2, Label: LabelCompany, Props: props}},
+		{Kind: MutAddEdge, Edge: &Edge{ID: 1, Label: LabelShareholding, From: 2, To: 1, Props: Properties{WeightProp: 0.2}}},
+		{Kind: MutSetEdgeWeight, Edge: &Edge{ID: 1, Props: Properties{WeightProp: 0.3}}},
+		{Kind: MutRemoveEdge, Edge: &Edge{ID: 1}},
+		{Kind: MutRemoveNode, Node: &Node{ID: 2}},
+	}
+	for i, m := range stream {
+		got, err := g.Replay(m)
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if len(fired) != i+1 || got != fired[i] {
+			t.Fatalf("step %d: Replay returned %+v, the hook saw %+v", i, got, fired)
+		}
+		if i == 0 {
+			props["name"] = "changed"
+			if got.Node != g.Node(2) || got.Node.Props["name"] != "C" {
+				t.Fatalf("added node %+v is not the graph's own copy", got.Node)
+			}
+		}
+	}
+	if w, _ := fired[2].Edge.Weight(); w != 0.3 || fired[2].Edge.From != 2 {
+		t.Fatalf("weight edit fired %+v, want the graph's edge at 0.3", fired[2].Edge)
+	}
+	if g.NumNodes() != 2 || g.NumEdges() != 1 || g.WeightEdits() != 1 {
+		t.Fatalf("after the stream: %d nodes, %d edges, %d weight edits", g.NumNodes(), g.NumEdges(), g.WeightEdits())
+	}
+}

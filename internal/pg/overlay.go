@@ -68,9 +68,6 @@ func NewOverlay(base View) *Overlay {
 	}
 }
 
-// Base returns the view this overlay is stacked on.
-func (o *Overlay) Base() View { return o.base }
-
 // Delta summarizes an overlay's changes against its base.
 type Delta struct {
 	AddedNodes   int `json:"addedNodes"`
@@ -439,10 +436,7 @@ func (o *Overlay) SetEdgeWeight(id EdgeID, w float64) error {
 	if _, added := o.addedEdges[id]; added || o.editedEdges[id] != nil {
 		e.Props[WeightProp] = w // overlay-owned copy: edit in place
 	} else {
-		props := make(Properties, len(e.Props))
-		for k, v := range e.Props {
-			props[k] = v
-		}
+		props := e.Props.clone()
 		props[WeightProp] = w
 		e = &Edge{ID: e.ID, Label: e.Label, From: e.From, To: e.To, Props: props}
 		o.editedEdges[id] = e

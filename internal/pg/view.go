@@ -53,8 +53,8 @@ type View interface {
 	NextEdgeID() EdgeID
 }
 
-// Mutable is a property graph that accepts the three committed mutation
-// kinds. *Graph and *Overlay satisfy it; the KG-augmentation loop writes
+// Mutable is a property graph that accepts additions and edge removals, the
+// mutations an augmentation writes. *Graph and *Overlay satisfy it; the KG-augmentation loop writes
 // through this interface so a whole augment can run against an overlay
 // transaction instead of the base graph.
 type Mutable interface {
@@ -159,22 +159,14 @@ func NeighborhoodOf(v View, center NodeID, hops int) (*Graph, map[NodeID]NodeID)
 			continue
 		}
 		n := v.Node(id)
-		props := make(Properties, len(n.Props))
-		for k, val := range n.Props {
-			props[k] = val
-		}
-		mapping[id] = sub.AddNode(n.Label, props)
+		mapping[id] = sub.AddNode(n.Label, n.Props.clone())
 	}
 	for _, eid := range v.Edges() {
 		e := v.Edge(eid)
 		if !inSet[e.From] || !inSet[e.To] {
 			continue
 		}
-		props := make(Properties, len(e.Props))
-		for k, val := range e.Props {
-			props[k] = val
-		}
-		sub.MustAddEdge(e.Label, mapping[e.From], mapping[e.To], props)
+		sub.MustAddEdge(e.Label, mapping[e.From], mapping[e.To], e.Props.clone())
 	}
 	return sub, mapping
 }

@@ -16,7 +16,6 @@ import (
 	"vadalink/internal/persist"
 	"vadalink/internal/pg"
 	"vadalink/internal/replication"
-	"vadalink/internal/store"
 )
 
 // TestCacheSoundnessProperty is the differential property behind scoped
@@ -113,8 +112,10 @@ func newSoundnessHarness(t *testing.T, base *pg.Graph, follower bool) *soundness
 			o := pg.NewOverlay(g)
 			fn(o)
 			journal, _ := o.Journal()
-			if err := store.Replay(g, journal); err != nil {
-				t.Fatal(err)
+			for _, m := range journal {
+				if _, err := g.Replay(m); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if err := st.Sync(); err != nil {
 				t.Fatal(err)

@@ -59,7 +59,7 @@ func startAPINodeIn(t *testing.T, dir string, peers func() []string, cfg Config)
 		cancel()
 		<-runDone
 		<-serveDone
-		node.Close()
+		node.Store().Close()
 	})
 	srv := httptest.NewServer(api.Handler())
 	t.Cleanup(srv.Close)

@@ -526,7 +526,7 @@ func TestAnswerPinnedBeforeACommitIsNotCached(t *testing.T) {
 }
 
 // TestFollowerAnnouncesPostFrameSeq pins what the follower source hands the
-// cache: OnMutation observers run after persist.Apply, whose mutation hook
+// cache: OnMutation observers run after pg.Graph.Replay, whose mutation hook
 // has already advanced the store, so fl.Seq() inside committed reads the
 // post-frame sequence N. The cache then refuses an answer pinned at N-1 and
 // stores one pinned at N; had committed read the pre-frame N-1, it would

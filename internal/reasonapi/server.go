@@ -832,6 +832,23 @@ func writeErr(w http.ResponseWriter, r *http.Request, status int, code string, f
 	writeJSON(w, status, body)
 }
 
+// writeInterrupted answers a run that tripped a limit (see interrupted) with
+// 503: the error envelope, a Retry-After header, and the limit that tripped
+// (truncMeta). what names the run in the message.
+func writeInterrupted(w http.ResponseWriter, r *http.Request, what string, err error) {
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
+	resp := map[string]any{
+		"error":      fmt.Sprintf("%s interrupted: %v", what, err),
+		"code":       "interrupted",
+		"requestID":  requestIDFrom(r),
+		"retryAfter": retryAfterSeconds,
+	}
+	for k, v := range truncMeta(err) {
+		resp[k] = v
+	}
+	writeJSON(w, http.StatusServiceUnavailable, resp)
+}
+
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	v, _, release := s.src.pin()
 	defer release()
@@ -1101,17 +1118,7 @@ func (s *Server) handleAugment(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			// Completed rounds persist (augmentation is monotone); a retry
 			// resumes from where this run stopped.
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-			resp := map[string]any{
-				"error":      fmt.Sprintf("augmentation interrupted: %v", err),
-				"code":       "interrupted",
-				"requestID":  requestIDFrom(r),
-				"retryAfter": retryAfterSeconds,
-			}
-			for k, v := range truncMeta(err) {
-				resp[k] = v
-			}
-			writeJSON(w, http.StatusServiceUnavailable, resp)
+			writeInterrupted(w, r, "augmentation", err)
 			return
 		}
 		writeErr(w, r, http.StatusInternalServerError, "internal", "augmentation failed: %v", err)
@@ -1191,17 +1198,7 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 			// The counterfactual chase tripped a limit: nothing partial is
 			// worth returning (a truncated diff would lie), so report 503
 			// like an interrupted augment.
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-			resp := map[string]any{
-				"error":      fmt.Sprintf("what-if interrupted: %v", err),
-				"code":       "interrupted",
-				"requestID":  requestIDFrom(r),
-				"retryAfter": retryAfterSeconds,
-			}
-			for k, v := range truncMeta(err) {
-				resp[k] = v
-			}
-			writeJSON(w, http.StatusServiceUnavailable, resp)
+			writeInterrupted(w, r, "what-if", err)
 		default:
 			writeErr(w, r, http.StatusInternalServerError, "internal", "what-if failed: %v", err)
 		}

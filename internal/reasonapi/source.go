@@ -126,11 +126,17 @@ func (l *lockedSource) write(fn func(*pg.Overlay)) error {
 	}
 	// Replaying onto the follower's graph fires its WAL hook, exactly as a
 	// shipped frame would: the records reach the local log and, through the
-	// leader half, the rest of the group.
-	if err := store.Replay(g, journal); err != nil {
-		return err
+	// leader half, the rest of the group. The commit stream carries the
+	// mutations as the graph applied them, as it does for frames.
+	applied := make([]pg.Mutation, 0, len(journal))
+	for _, m := range journal {
+		am, err := g.Replay(m)
+		if err != nil {
+			return err
+		}
+		applied = append(applied, am)
 	}
-	l.committed(uint64(l.fl.Seq()), g, journal)
+	l.committed(uint64(l.fl.Seq()), g, applied)
 	return nil
 }
 

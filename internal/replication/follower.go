@@ -567,8 +567,8 @@ func (f *Follower) applyFrame(frame []byte, sessEpoch uint64) (newEpoch uint64, 
 		f.badFrames.Add(1)
 		return 0, fmt.Errorf("replication: frame rejected: %w", err)
 	}
-	if rec.Op == persist.OpEpoch {
-		m := persist.EpochMark{Epoch: uint64(rec.ID), StartSeq: rec.From}
+	if rec.Mutation.Kind == 0 {
+		m := rec.Epoch
 		f.seqMu.Lock()
 		if m.Epoch > f.store.Epoch() {
 			if err := f.store.RecordEpoch(m); err != nil {
@@ -593,31 +593,12 @@ func (f *Follower) applyFrame(frame []byte, sessEpoch uint64) (newEpoch uint64, 
 	f.lock.Lock()
 	// Applying the record mutates the graph, which fires the store's
 	// mutation hook: the frame lands in the follower's own WAL and advances
-	// its sequence number. Durability and position tracking come free.
-	g := f.store.Graph()
-	// Removal mutations carry the element as it was — resolve before apply.
-	var removed pg.Mutation
-	if len(f.mutFns) > 0 {
-		switch rec.Op {
-		case persist.OpRemoveEdge:
-			removed = pg.Mutation{Kind: pg.MutRemoveEdge, Edge: g.Edge(pg.EdgeID(rec.ID))}
-		case persist.OpRemoveNode:
-			removed = pg.Mutation{Kind: pg.MutRemoveNode, Node: g.Node(pg.NodeID(rec.ID))}
-		}
-	}
-	err = persist.Apply(g, rec)
-	if err == nil && len(f.mutFns) > 0 {
-		m := removed
-		switch rec.Op {
-		case persist.OpAddNode:
-			m = pg.Mutation{Kind: pg.MutAddNode, Node: g.Node(pg.NodeID(rec.ID))}
-		case persist.OpAddEdge:
-			m = pg.Mutation{Kind: pg.MutAddEdge, Edge: g.Edge(pg.EdgeID(rec.ID))}
-		case persist.OpSetEdgeWeight:
-			m = pg.Mutation{Kind: pg.MutSetEdgeWeight, Edge: g.Edge(pg.EdgeID(rec.ID))}
-		}
+	// its sequence number. Durability and position tracking come free. A
+	// record the graph refuses leaves graph, WAL and seq as they were.
+	applied, err := f.store.Graph().Replay(rec.Mutation)
+	if err == nil {
 		for _, fn := range f.mutFns {
-			fn(m)
+			fn(applied)
 		}
 	}
 	f.lock.Unlock()

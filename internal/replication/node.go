@@ -207,9 +207,6 @@ func (n *Node) Leader() *Leader { return n.ld }
 // Store returns the node's durable store.
 func (n *Node) Store() *persist.Store { return n.fl.Store() }
 
-// Close releases the local store. Call after Run and Serve have returned.
-func (n *Node) Close() error { return n.fl.Close() }
-
 // IsLeader reports whether this node currently holds the leader role. The
 // authoritative write barrier is Commit — a deposed leader may see true
 // here for up to a lease tick, but can never get a Commit acknowledged.

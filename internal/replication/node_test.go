@@ -33,7 +33,7 @@ func (m *testMember) addr() string { return m.ln.Addr().String() }
 func (m *testMember) stop() {
 	m.cancel()
 	<-m.done
-	m.n.Close()
+	m.n.Store().Close()
 }
 
 // startMember opens a member in dir listening on a fresh port. peersFn
@@ -66,7 +66,7 @@ func startMember(t *testing.T, dir string, lease time.Duration, peersFn func() [
 	t.Cleanup(func() {
 		cancel()
 		<-m.done
-		n.Close()
+		n.Store().Close()
 	})
 	return m
 }
@@ -353,7 +353,7 @@ func TestPromotionLosesToCompetingFence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenNode: %v", err)
 	}
-	defer n.Close()
+	defer n.Store().Close()
 	// Single-member group: elect needs no peers, so the race window is the
 	// only thing between deciding and promoting.
 	faultinject.Set(faultinject.SiteReplPromote, func() {
@@ -381,7 +381,7 @@ func TestFenceGrantRules(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenNode: %v", err)
 	}
-	defer n.Close()
+	defer n.Store().Close()
 	n.Store().Graph().AddNode(pg.LabelCompany, pg.Properties{"name": "x"})
 	seq := n.Store().Seq()
 

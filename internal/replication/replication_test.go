@@ -3,6 +3,7 @@ package replication
 import (
 	"context"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -519,5 +520,56 @@ func TestFollowerReplicatesWeightEditAndNodeRemoval(t *testing.T) {
 	}
 	if tail[2].Kind != pg.MutRemoveNode || tail[2].Node == nil || tail[2].Node.ID != c {
 		t.Fatalf("mutation -1 = %+v, want removal of node %d", tail[2], c)
+	}
+}
+
+// TestRefusedFrameLeavesFollower: a frame whose add names an identifier the
+// follower's graph would not assign is refused before the graph moves — no
+// node, no WAL record, no seq step, no observer call — and the frame that
+// does fit applies and reaches observers as the graph's own mutation.
+func TestRefusedFrameLeavesFollower(t *testing.T) {
+	src, err := persist.Open(t.TempDir(), persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	src.Graph().AddNode(pg.LabelCompany, pg.Properties{"name": "A"})
+	src.Graph().AddNode(pg.LabelCompany, pg.Properties{"name": "B"})
+	if err := src.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	gen, _, _ := src.Position()
+	log, err := os.ReadFile(src.WALFile(gen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, ok := persist.NextFrame(log)
+	if !ok {
+		t.Fatal("no first frame")
+	}
+	first, second := log[:n], log[n:]
+
+	fl, err := OpenFollower(t.TempDir(), FollowerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	var seen []pg.Mutation
+	fl.OnMutation(func(m pg.Mutation) { seen = append(seen, m) })
+
+	if _, err := fl.applyFrame(second, 0); err == nil {
+		t.Fatal("follower applied node 1 onto an empty graph")
+	}
+	if fl.Seq() != 0 || fl.Graph().NumNodes() != 0 || fl.Graph().NextNodeID() != 0 ||
+		fl.Store().Stats().WALAppends != 0 || len(seen) != 0 {
+		t.Fatalf("refused frame moved the follower: seq %d, %d nodes, %d WAL appends, %d observed",
+			fl.Seq(), fl.Graph().NumNodes(), fl.Store().Stats().WALAppends, len(seen))
+	}
+
+	if _, err := fl.applyFrame(first, 0); err != nil {
+		t.Fatal(err)
+	}
+	if fl.Seq() != 1 || len(seen) != 1 || seen[0].Node != fl.Graph().Node(0) {
+		t.Fatalf("after the fitting frame: seq %d, observed %+v", fl.Seq(), seen)
 	}
 }

@@ -142,7 +142,7 @@ func TestBlockedCommitRefusesOnDeposition(t *testing.T) {
 			t.Cleanup(func() {
 				cancel()
 				<-served
-				n.Close()
+				n.Store().Close()
 			})
 			if err := n.Store().RecordEpoch(persist.EpochMark{Epoch: 1}); err != nil {
 				t.Fatal(err)

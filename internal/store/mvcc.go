@@ -122,9 +122,6 @@ func (vs *Versioned) Begin() *Txn {
 // it are invisible to readers until Commit.
 func (t *Txn) Overlay() *pg.Overlay { return t.o }
 
-// Base returns the version the transaction is stacked on.
-func (t *Txn) Base() *Version { return t.base }
-
 // Commit publishes the transaction as the next version. It fails with
 // ErrConflict if a newer version was published after Begin and with
 // ErrTxnDone if the transaction already finished. On success the overlay
@@ -143,8 +140,13 @@ func (t *Txn) Commit() (*Version, error) {
 	if vs.curr.Load() != t.base {
 		return nil, ErrConflict
 	}
-	if err := Replay(vs.master, journal); err != nil {
-		return nil, err
+	// Overlays assign IDs continuing from their base's counters, so the
+	// master assigns the same ones; a refusal means it was mutated outside a
+	// transaction, and the history must not fork.
+	for _, m := range journal {
+		if _, err := vs.master.Replay(m); err != nil {
+			return nil, fmt.Errorf("store: commit: %w", err)
+		}
 	}
 	t.done = true
 	faultinject.Fire(faultinject.SiteStoreSwap)
@@ -158,61 +160,4 @@ func (t *Txn) Commit() (*Version, error) {
 		vs.onCommit(next, journal)
 	}
 	return next, nil
-}
-
-// Replay applies an overlay journal onto g, the graph the overlay's base
-// mirrors — the writer master of a Versioned store, or any graph that has not
-// changed since the overlay was stacked on it. Each mutation fires g's
-// mutation hook, which is where WAL records originate. Overlays assign IDs
-// continuing from their base's counters, so replayed IDs must come out
-// identical; any divergence means g was mutated behind the overlay's back
-// and Replay fails loudly rather than fork the history.
-func Replay(g *pg.Graph, journal []pg.Mutation) error {
-	for _, m := range journal {
-		switch m.Kind {
-		case pg.MutAddNode:
-			id := g.AddNode(m.Node.Label, cloneProps(m.Node.Props))
-			if id != m.Node.ID {
-				return fmt.Errorf("store: commit replay: node id %d, overlay assigned %d (master mutated outside a transaction?)", id, m.Node.ID)
-			}
-		case pg.MutAddEdge:
-			id, err := g.AddEdge(m.Edge.Label, m.Edge.From, m.Edge.To, cloneProps(m.Edge.Props))
-			if err != nil {
-				return fmt.Errorf("store: commit replay: %w", err)
-			}
-			if id != m.Edge.ID {
-				return fmt.Errorf("store: commit replay: edge id %d, overlay assigned %d (master mutated outside a transaction?)", id, m.Edge.ID)
-			}
-		case pg.MutRemoveEdge:
-			if !g.RemoveEdge(m.Edge.ID) {
-				return fmt.Errorf("store: commit replay: remove of unknown edge %d", m.Edge.ID)
-			}
-		case pg.MutSetEdgeWeight:
-			w, ok := m.Edge.Weight()
-			if !ok {
-				return fmt.Errorf("store: commit replay: weight edit of edge %d carries no weight", m.Edge.ID)
-			}
-			if err := g.SetEdgeWeight(m.Edge.ID, w); err != nil {
-				return fmt.Errorf("store: commit replay: %w", err)
-			}
-		case pg.MutRemoveNode:
-			// The overlay journals the incident-edge removals ahead of the
-			// node removal, so by now the master node is edge-free and this
-			// fires exactly one MutRemoveNode on the master's hook.
-			if !g.RemoveNode(m.Node.ID) {
-				return fmt.Errorf("store: commit replay: remove of unknown node %d", m.Node.ID)
-			}
-		default:
-			return fmt.Errorf("store: commit replay: unknown mutation kind %d", m.Kind)
-		}
-	}
-	return nil
-}
-
-func cloneProps(p pg.Properties) pg.Properties {
-	c := make(pg.Properties, len(p))
-	for k, v := range p {
-		c[k] = v
-	}
-	return c
 }

@@ -213,17 +213,18 @@ func TestVersionedCommitHook(t *testing.T) {
 	}
 }
 
-// TestVersionedTxnBaseAndAbort: a transaction is aborted by dropping it.
-// Its staged mutations reach neither readers nor the master, and it holds
-// nothing that blocks the next transaction.
+// TestVersionedTxnBaseAndAbort: a transaction is stacked on the version
+// current at Begin and is aborted by dropping it. Its staged mutations reach
+// neither readers nor the master, and it holds nothing that blocks the next
+// transaction.
 func TestVersionedTxnBaseAndAbort(t *testing.T) {
 	g := seedGraph()
 	vs := NewVersioned(g)
 	base := vs.Current()
 
 	txn := vs.Begin()
-	if txn.Base() != base {
-		t.Fatalf("Base() = seq %d, want the version current at Begin (seq %d)", txn.Base().Seq(), base.Seq())
+	if txn.base != base {
+		t.Fatalf("txn stacked on seq %d, want the version current at Begin (seq %d)", txn.base.Seq(), base.Seq())
 	}
 	txn.Overlay().AddNode(pg.LabelCompany, nil)
 	if got := vs.Current(); got != base {

@@ -38,7 +38,7 @@ func goldenLines(t *testing.T, it *graphgen.Italian, tasks Task, preds []string,
 	}
 	var lines []string
 	for _, pred := range preds {
-		for _, f := range r.Engine().Facts(pred) {
+		for _, f := range r.engine.Facts(pred) {
 			lines = append(lines, f.String())
 		}
 	}

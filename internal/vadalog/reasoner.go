@@ -160,9 +160,6 @@ func toID(v any) (pg.NodeID, bool) {
 	return 0, false
 }
 
-// Engine exposes the evaluated engine (nil before Run).
-func (r *Reasoner) Engine() *datalog.Engine { return r.engine }
-
 // pairFacts converts binary facts over node ids into pairs.
 func (r *Reasoner) pairFacts(pred string) [][2]pg.NodeID {
 	if r.engine == nil {

@@ -13,6 +13,7 @@ import (
 // keyed as "package.Type.Field", each with its reason.
 var optionAllowlist = map[string]string{
 	"replication.NodeOptions.PeersFunc": "the crash harness and reasonapi tests learn peer addresses at runtime",
+	"embed.Config.P":                    "node2vec's return parameter; BenchmarkAblationAliasSampling sets it",
 	"embed.Config.Q":                    "node2vec's in-out parameter; BenchmarkAblationAliasSampling sets it",
 	"embed.Config.LinearSampling":       "the alias-versus-linear sampling ablation of DESIGN.md §4",
 	"closelink.Options.MinProduct":      "frozen bench/batch.go spells closelink.Options{}, so the type changes only with the benchmark",
