@@ -1,6 +1,8 @@
 package datalog_test
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
 	"vadalink/internal/datalog"
@@ -34,15 +36,16 @@ func registryFacts() []datalog.Fact {
 // allocates, loading included, on a fixed registry. The parent of the slot
 // compiler (a map binding, a fresh string per index probe, per emitted
 // fact's key and per aggregate contributor key) allocated 44,365 times here;
-// slot bindings and key scratch brought it to 12,849 — what remains is
-// mostly per new fact, group and contributor — and the budget leaves ~13 %
-// headroom. A chase that starts allocating per candidate or per duplicate
-// again fails here.
+// slot bindings and key scratch brought it to 12,849, and value rows (no
+// []any per fact, no key strings, flat aggregate tables; DESIGN.md §7.8) to
+// 1,101 — what remains is mostly table growth. The budget leaves ~13 %
+// headroom. A chase that starts allocating per fact, per candidate or per
+// duplicate again fails here.
 func TestChaseAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	const budget = 14_500
+	const budget = 1_250
 	facts := registryFacts()
 	prog := datalog.MustParse(vadalog.ControlProgram + vadalog.CloseLinkProgram)
 	derived := 0
@@ -64,5 +67,62 @@ func TestChaseAllocations(t *testing.T) {
 	t.Logf("%d derived facts, %.0f allocations", derived, got)
 	if got > budget {
 		t.Errorf("a chase allocates %.0f times, budget %d", got, budget)
+	}
+}
+
+// TestGoalMissAllocations pins what one point-cold-shaped goal miss
+// allocates: the relational image of a fixed generated registry
+// (relstore.CompanyGraphFacts), loaded into an engine of the compiled demand
+// plan of control(X, Y) with X bound, chased and queried — the path of every
+// qcache miss on a control question. Extraction is included. Before value
+// rows a miss here allocated 39,333 times and 2.81 MB; now 14,017 times and
+// 1.79 MB, mostly extraction's boxed numbers and the relations' arenas. The
+// budgets leave ~13 % headroom.
+func TestGoalMissAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const allocBudget, byteBudget = 15_850, 2_020_000
+	g := graphgen.NewItalian(graphgen.ItalianConfig{Companies: 2000, Persons: 1000, Seed: 11}).Graph
+	goalOf := func(x int64) datalog.Atom {
+		return datalog.Atom{Pred: "control", Terms: []datalog.Term{datalog.Int(x), datalog.Variable("Y")}}
+	}
+	plan, err := datalog.CompileGoal(datalog.MustParse(vadalog.ControlProgram), goalOf(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var goal datalog.Atom
+	answers, facts := 0, 0
+	miss := func() {
+		e, err := plan.NewEngine(goal, datalog.WithMinAggDelta(1e-4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		edb := relstore.CompanyGraphFacts(g)
+		e.AssertAll(edb)
+		if err := e.RunContext(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		answers, facts = len(e.Query(goal)), len(edb)
+	}
+	// The first node that controls another, so the chase has work to do.
+	for x := int64(0); answers == 0 && x < 100; x++ {
+		goal = goalOf(x)
+		miss()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(5, miss)
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / 6 // AllocsPerRun adds a warm-up run
+	if answers == 0 {
+		t.Fatalf("vacuous goal: no answers over %d facts", facts)
+	}
+	t.Logf("%d facts, %d answers: %.0f allocations, %.0f bytes per miss", facts, answers, allocs, bytes)
+	if allocs > allocBudget {
+		t.Errorf("a goal miss allocates %.0f times, budget %d", allocs, allocBudget)
+	}
+	if bytes > byteBudget {
+		t.Errorf("a goal miss allocates %.0f bytes, budget %d", bytes, byteBudget)
 	}
 }

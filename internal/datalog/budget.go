@@ -26,12 +26,12 @@ type Budget struct {
 	// deadline latency at a small CPU cost. 0 means the default of 2048.
 	CheckEvery int
 
-	// MaxIndexBytes caps the estimated memory held by the per-predicate
-	// positional hash indexes the engine builds for join matching (DESIGN.md
-	// §7.1). The estimate counts encoded-key bytes plus per-entry overhead;
-	// it is approximate but monotone. Index memory is cumulative engine
-	// state, so the cap applies across re-runs of one engine. 0 means
-	// unlimited.
+	// MaxIndexBytes caps the memory held by the per-predicate positional
+	// hash indexes the engine builds for join matching (DESIGN.md §7.1,
+	// §7.3): 16 bytes per bucket-table slot and 4 per row a built index
+	// chains. Tables and chains only grow, so the count is monotone. Index
+	// memory is cumulative engine state, so the cap applies across re-runs
+	// of one engine. 0 means unlimited.
 	MaxIndexBytes int
 }
 

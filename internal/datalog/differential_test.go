@@ -12,29 +12,41 @@ package datalog
 // import cycle (graphgen depends on datalog through relstore in tests); it
 // produces the same relational shapes relstore.CompanyGraphFacts emits —
 // company(id, p1..p4), person(id, p1..p4), own(from, to, w) — over a small
-// random ownership graph.
+// random ownership graph. Two property columns draw from tricky, the values
+// a joined or type-prefixed encoding would confuse.
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 )
+
+// tricky holds values that only exact value identity keeps apart: strings
+// holding the separators and type-prefix letters of Fact.Key and Skolem keys
+// ("a,sb" beside "a" and "b,sc"), int64(1) beside 1.0 and "1", 0.0 beside
+// -0.0, and bools.
+var tricky = []any{
+	"a,sb", "a", "b,sc", "c", "x|y", "x", "y)", "s1", "i1", "f1.0", "b|sc", "a|sb",
+	int64(1), 1.0, "1", 0.0, math.Copysign(0, -1), true, false,
+}
 
 // randomEDB builds a small random company graph in relational form.
 func randomEDB(rng *rand.Rand) []Fact {
 	nCompanies := 6 + rng.Intn(10)
 	nPersons := 2 + rng.Intn(5)
 	sectors := []string{"bank", "energy", "tech"}
+	pick := func() any { return tricky[rng.Intn(len(tricky))] }
 	var facts []Fact
 	for i := 0; i < nCompanies; i++ {
 		facts = append(facts, Fact{Pred: "company", Args: []any{
-			int64(i), fmt.Sprintf("C%d", i), "", "", sectors[rng.Intn(len(sectors))],
+			int64(i), fmt.Sprintf("C%d", i), pick(), pick(), sectors[rng.Intn(len(sectors))],
 		}})
 	}
 	for i := 0; i < nPersons; i++ {
 		facts = append(facts, Fact{Pred: "person", Args: []any{
-			int64(nCompanies + i), fmt.Sprintf("P%d", i), "1970", "", "",
+			int64(nCompanies + i), fmt.Sprintf("P%d", i), pick(), "", pick(),
 		}})
 	}
 	n := nCompanies + nPersons
@@ -48,19 +60,26 @@ func randomEDB(rng *rand.Rand) []Fact {
 		w := float64(rng.Intn(100)+1) / 100.0
 		facts = append(facts, Fact{Pred: "own", Args: []any{from, to, w}})
 	}
+	// A whole share as int64(1) beside 1.0: two distinct own facts.
+	if rng.Intn(2) == 0 {
+		facts = append(facts,
+			Fact{Pred: "own", Args: []any{int64(nCompanies), int64(0), int64(1)}},
+			Fact{Pred: "own", Args: []any{int64(nCompanies), int64(0), 1.0}})
+	}
 	return facts
 }
 
 // randomProgram builds a random stratified program over the EDB predicates.
 // IDB predicates are layered (p0, p1, ...) so that negation only ever looks
-// down the layering — stratified by construction. Aggregates are excluded
-// (the reference evaluator does not implement them; they get their own
-// deterministic tests). Bodies run to three atoms and include self-joins, so
+// down the layering — stratified by construction. Bodies run to three atoms
+// and include self-joins, so
 // every permutation the delta planner produces is held against the reference.
 // They also carry the shapes a slot compiler can get wrong: a variable
 // repeated inside one atom, a constant argument, an assignment to a variable
 // an earlier atom bound (the equality-check branch), and a negated atom with
-// a wildcard.
+// a wildcard. Joins on the tricky columns and a projection of them hold
+// value identity to the reference; aggregate rules over fresh predicates
+// (aggTemplates) hold the monotonic aggregates to it.
 func randomProgram(rng *rand.Rand) string {
 	var rules []string
 	layers := 2 + rng.Intn(3) // IDB layers
@@ -80,6 +99,9 @@ func randomProgram(rng *rand.Rand) string {
 		`company(X, _, _, _, "bank"), own(Y, X, W) -> p0(Y, X).`,
 		// W is bound by the first atom, so the assignment only checks it
 		"own(X, Y, W), own(Y, Z, U), W = U -> p0(X, Z).",
+		// joins on the tricky columns: equal only where the values are
+		"company(X, _, A, _, _), company(Y, _, A, _, _), X != Y -> p0(X, Y).",
+		"company(X, _, _, B, _), person(Y, _, B, _, _) -> p0(X, Y).",
 	}
 	nBase := 1 + rng.Intn(3)
 	for i := 0; i < nBase; i++ {
@@ -136,11 +158,109 @@ func randomProgram(rng *rand.Rand) string {
 
 	// Occasionally add an existential rule at the top — null invention must
 	// coincide between engines.
+	top := fmt.Sprintf("p%d", layers-1)
 	if rng.Intn(3) == 0 {
-		top := fmt.Sprintf("p%d", layers-1)
 		rules = append(rules, fmt.Sprintf("%s(X, Y) -> holds(X, Y, E).", top))
 	}
+	// A projection of the tricky columns: facts only a collision-free
+	// identity keeps apart.
+	if rng.Intn(2) == 0 {
+		rules = append(rules, "company(_, _, A, B, _) -> pair(A, B).", "person(_, _, A, _, B) -> pair(A, B).")
+	}
+	for n := rng.Intn(3); n > 0; n-- {
+		rules = append(rules, strings.ReplaceAll(aggTemplates[rng.Intn(len(aggTemplates))], "TOP", top))
+	}
 	return strings.Join(rules, "\n")
+}
+
+// aggTemplates are the aggregate rules randomProgram draws, each defining
+// fresh predicates no other rule reads; TOP stands for the top layer. A
+// threshold sits between multiples of 0.01, so no sum of the drawn weights
+// lands on it whatever order rounds it in.
+var aggTemplates = []string{
+	// An assignment, then a condition, then the aggregate: it must not count
+	// rows the condition rejects, whichever of the two comes first in the
+	// text.
+	"own(X, Y, W), V = W * 2.0, V > 0.3, S = msum(V, <X>) -> asum(Y, S).",
+	"own(X, Y, W), V > 0.3, V = W * 2.0, S = msum(V, <X>) -> asum2(Y, S).",
+	// Company control's shape: a recursive msum feeding a threshold.
+	"company(X, _, _, _, _) -> acand(X, X).\n" +
+		"acand(X, Z), own(Z, Y, W), X != Y, S = msum(W, <Z>), S > 0.505 -> acand(X, Y).",
+	"own(X, Y, _), C = mcount(1, <X>) -> acount(Y, C).",
+	"own(X, Y, W), M = mmax(W, <X>) -> amax(Y, M).",
+	"own(X, Y, W), M = mmin(W, <X>) -> amin(Y, M).",
+	// Factors above 1, so the running product only grows.
+	"own(X, Y, W), V = W + 1.0, P = mprod(V, <X>) -> aprod(Y, P).",
+	// Over a derived layer, and with the total only feeding a condition.
+	"TOP(X, Y), own(Y, Z, W), S = msum(W, <Y>) -> atop(X, S).",
+	"own(X, Y, W), S = msum(W, <X>), S > 0.505 -> amaj(Y).",
+}
+
+// aggTarget is where an aggregate puts its total: the head predicate, the
+// target position and the operator.
+type aggTarget struct {
+	pos int
+	op  AggOp
+}
+
+// aggTargets finds every predicate whose head records an aggregate total.
+func aggTargets(prog *Program) map[string]aggTarget {
+	out := map[string]aggTarget{}
+	for _, r := range prog.Rules {
+		for _, l := range r.Body {
+			if l.Kind != LitAgg {
+				continue
+			}
+			for _, h := range r.Head {
+				for i, t := range h.Terms {
+					if v, ok := t.(Variable); ok && v == l.Var {
+						out[h.Pred] = aggTarget{pos: i, op: l.Agg}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// finalValues projects the facts of an aggregate-valued predicate to the
+// final total of every group (DESIGN.md §5): the largest recorded, or the
+// smallest under mmin. Which intermediate totals a head records depends on
+// evaluation order; the final one does not.
+func finalValues(fs []Fact, t aggTarget) map[string]float64 {
+	out := map[string]float64{}
+	for _, f := range fs {
+		v, ok := toFloat(f.Args[t.pos])
+		if !ok {
+			continue
+		}
+		group := Fact{Pred: f.Pred, Args: append(append([]any(nil), f.Args[:t.pos]...), f.Args[t.pos+1:]...)}
+		k := refKey(group)
+		if cur, seen := out[k]; !seen || (t.op == AggMin && v < cur) || (t.op != AggMin && v > cur) {
+			out[k] = v
+		}
+	}
+	return out
+}
+
+// diffFinalValues compares two projections of finalValues, to a relative
+// 1e-9: the engine and the reference sum the same contributions in
+// different orders.
+func diffFinalValues(want, got map[string]float64) string {
+	var out []string
+	for k, w := range want {
+		g, ok := got[k]
+		if !ok || math.Abs(g-w) > 1e-9*math.Max(1, math.Abs(w)) {
+			out = append(out, fmt.Sprintf("%s: want %v got %v (present %v)", k, w, g, ok))
+		}
+	}
+	for k, g := range got {
+		if _, ok := want[k]; !ok {
+			out = append(out, fmt.Sprintf("%s: unexpected %v", k, g))
+		}
+	}
+	sortStrings(out)
+	return strings.Join(out, "; ")
 }
 
 // headPreds collects the derived predicates of a program.
@@ -163,7 +283,7 @@ func engineFactSet(e *Engine, preds []string) []string {
 	var out []string
 	for _, p := range preds {
 		for _, f := range e.Facts(p) {
-			out = append(out, f.Key())
+			out = append(out, refKey(f))
 		}
 	}
 	sortStrings(out)
@@ -215,7 +335,15 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: generated program does not parse: %v\n%s", seed, err, progText)
 		}
-		preds := headPreds(prog)
+		// Aggregate-valued predicates compare by final total per group,
+		// every other predicate by its exact fact set.
+		targets := aggTargets(prog)
+		var preds []string
+		for _, p := range headPreds(prog) {
+			if _, ok := targets[p]; !ok {
+				preds = append(preds, p)
+			}
+		}
 
 		ref, err := newReference(prog)
 		if err != nil {
@@ -243,14 +371,18 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 				t.Fatalf("seed %d [%s]: fact sets diverge: %s\nprogram:\n%s",
 					seed, cfg.name, diffFactSets(want, got), progText)
 			}
+			for p, tg := range targets {
+				if d := diffFinalValues(finalValues(ref.facts[p], tg), finalValues(e.Facts(p), tg)); d != "" {
+					t.Fatalf("seed %d [%s]: final %s totals diverge: %s\nprogram:\n%s", seed, cfg.name, p, d, progText)
+				}
+			}
 		}
 	}
 }
 
 // TestDifferentialControlProgram runs the paper's company-control shape (a
-// recursive aggregate program) through the engine configurations only —
-// the reference cannot do aggregates — asserting all engine modes agree
-// with each other over random graphs.
+// recursive aggregate program) through the reference and both engine
+// configurations over random graphs, asserting one control set.
 func TestDifferentialControlProgram(t *testing.T) {
 	const prog = `
 company(X, _, _, _, _) -> ccand(X, X).
@@ -263,7 +395,17 @@ ccand(X, Y), X != Y -> control(X, Y).
 		seed := int64(9000 + c)
 		edb := randomEDB(rand.New(rand.NewSource(seed)))
 
-		var want []string
+		ref, err := newReference(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range edb {
+			ref.assert(f)
+		}
+		if err := ref.run(); err != nil {
+			t.Fatal(err)
+		}
+		want := ref.factSet([]string{"control"})
 		for i, opts := range [][]Option{
 			nil,
 			{WithNoIndex()},
@@ -276,13 +418,8 @@ ccand(X, Y), X != Y -> control(X, Y).
 			if err := e.Run(); err != nil {
 				t.Fatal(err)
 			}
-			got := engineFactSet(e, []string{"control"})
-			if i == 0 {
-				want = got
-				continue
-			}
-			if diffFactSets(want, got) != "missing=[] extra=[]" {
-				t.Fatalf("seed %d config %d: control sets diverge: %s", seed, i, diffFactSets(want, got))
+			if got := engineFactSet(e, []string{"control"}); diffFactSets(want, got) != "missing=[] extra=[]" {
+				t.Fatalf("seed %d config %d: control sets diverge from the reference: %s", seed, i, diffFactSets(want, got))
 			}
 		}
 	}

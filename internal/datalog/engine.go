@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -83,11 +84,20 @@ type Engine struct {
 	opts     options
 	builtins map[string]Builtin
 
+	// syms holds the values rows refer to by index (value.go); rels maps a
+	// predicate to its relation, which chains the predicate's other arities.
+	syms symtab
 	rels map[string]*relation
 
-	aggState map[string]*aggGroup // keyed by head predicate + group values
+	// aggs holds, by rule index, the state of the rule's aggregate (nil until
+	// it first contributes). aggTabs holds the group tables by head predicate
+	// and target positions (ruleMeta.aggKey): the aggregates of several rules
+	// with one head share their groups.
+	aggs    []*aggRule
+	aggTabs map[string]*aggTable
 
-	rounds int // total semi-naive rounds of the last Run
+	rounds   int // total semi-naive rounds of the last Run
+	roundSeq int // numbers every runRound, for relation.seq
 
 	// per-Run budget state: the run's context, the first budget violation
 	// (sticky until the evaluation unwinds), and the derived-fact count.
@@ -106,176 +116,73 @@ type Engine struct {
 	// against Budget.MaxIndexBytes.
 	indexBytes int64
 
-	// prov holds the first derivation per fact key (WithProvenance).
-	prov map[string]Derivation
+	// row is the scratch row a Fact of the API converts into.
+	row []value
+
+	// prov holds the first derivation per derived row (WithProvenance).
+	prov map[rowRef]Derivation
+}
+
+// rowRef names a stored row: a premise of provenance.
+type rowRef struct {
+	r   *relation
+	row int
 }
 
 // evalCtx is the evaluation state of one chase round (or one Query
 // call): the cooperative-cancellation step counter, the frame of the chase
 // job in flight (rule, plan, delta, slot binding and its undo trail), the
-// scratch buffers keys and head arguments are built in, the round's delta,
-// and the provenance premise stack of the rule instantiation in flight.
+// scratch rows and keys emissions are built in, the round's delta, and the
+// provenance premise stack of the rule instantiation in flight.
 type evalCtx struct {
 	e         *Engine
+	sy        *symtab
 	steps     int
 	nextCheck int
 
 	// The job in flight, set by evalJob: evalBody recurses over order with
 	// nothing but a position, so a join level costs no argument copying.
-	ri         int
-	rule       *Rule
-	meta       *ruleMeta
-	order      []int // the plan being followed: meta.order or one of meta.deltaOrder
-	deltaFacts []Fact
-	deltaLit   int
+	ri       int
+	rule     *Rule
+	meta     *ruleMeta
+	order    []int // the plan being followed: meta.order or one of meta.deltaOrder
+	delta    probe
+	deltaLit int
 
 	// The slot binding (slots.go): vals[s] holds variable s's value while
 	// set[s]. trail lists the slots bound so far, in binding order; a join
 	// level undoes its bindings by unwinding to the mark it took (see bind).
-	vals  []any
+	vals  []value
 	set   []bool
 	trail []int
 
-	// Scratch, reused across emissions: the head arguments and fact key of
-	// the emission in flight (copied only for a new fact), an index probe's
-	// encoded value, and the frontier, group and contributor keys (allocated
-	// only for a new group or contributor).
-	args                        []any
-	key, pkey, fkey, gkey, ckey []byte
+	// Scratch, reused across emissions: the head row of the emission in
+	// flight (copied only for a new fact), an aggregate's group and
+	// contributor rows, the argument stack of builtin calls, and the
+	// frontier key.
+	args, grow, crow, stack []value
+	fkey                    []byte
 
 	// candidates counts the facts offered to unification (ChaseStats). A
 	// plain add per join level, folded into the report only under WithStats.
 	candidates int64
 
-	// delta collects the round's newly derived facts per predicate (derive);
-	// pending is their count, checked against Budget.MaxDeltaQueue.
-	delta   map[string][]Fact
+	// touched lists the relations the round appended rows to (derive), whose
+	// new rows are the round's delta; pending is their count, checked
+	// against Budget.MaxDeltaQueue.
+	touched []*relation
 	pending int
 
 	// provenance state: the rule being evaluated, the premise stack of the
 	// evaluation in flight, and the prior contributions of the active
 	// aggregate group.
 	curRule     string
-	curPremises []Fact
-	aggExtra    []Fact
+	curPremises []rowRef
+	aggExtra    []rowRef
 }
 
 func (e *Engine) newEvalCtx() *evalCtx {
-	return &evalCtx{e: e, nextCheck: e.opts.Budget.checkEvery()}
-}
-
-// Approximate per-entry costs of the positional indexes, used for the
-// MaxIndexBytes budget: a new distinct key costs its encoded bytes plus map
-// overhead, every fact reference costs one slot in a bucket.
-const (
-	indexKeyOverhead    = 48
-	indexBucketSlotCost = 8
-)
-
-// relation stores the facts of one predicate with a key set for set
-// semantics and lazily built per-position hash indexes for joins: argument
-// position → encoded value → fact indices. An index position is built the
-// first time a lookup probes it and maintained incrementally by insert from
-// then on, so semi-naive delta inserts stay O(#built positions).
-type relation struct {
-	facts []Fact
-	keys  map[string]bool
-	index []map[string][]int // position → encoded value → fact indices
-
-	// built has bit p set once index[p] is built. Only the first 64
-	// argument positions are indexable.
-	built uint64
-}
-
-func newRelation() *relation {
-	return &relation{keys: make(map[string]bool)}
-}
-
-func (r *relation) hasIndex(pos int) bool {
-	return pos < 64 && r.built&(1<<uint(pos)) != 0
-}
-
-// insert adds a fact under its key k == f.Key() (callers need the key again
-// for provenance and delta bookkeeping, so they build it once and pass it),
-// maintaining every built index. It reports whether the fact is new and the
-// estimated index bytes the insertion added.
-func (r *relation) insert(f Fact, k string) (bool, int) {
-	if r.keys[k] {
-		return false, 0
-	}
-	r.keys[k] = true
-	idx := len(r.facts)
-	r.facts = append(r.facts, f)
-	if r.index == nil {
-		r.index = make([]map[string][]int, len(f.Args))
-	}
-	bytes := 0
-	if mask := r.built; mask != 0 {
-		for pos := range f.Args {
-			if pos >= len(r.index) || pos >= 64 || mask&(1<<uint(pos)) == 0 {
-				continue
-			}
-			ev := encodeValue(f.Args[pos])
-			m := r.index[pos]
-			b, ok := m[ev]
-			if !ok {
-				bytes += len(ev) + indexKeyOverhead
-			}
-			m[ev] = append(b, idx)
-			bytes += indexBucketSlotCost
-		}
-	}
-	return true, bytes
-}
-
-// ensureIndex builds the positional index for pos if missing, returning the
-// estimated bytes it added and whether this call performed the build.
-func (r *relation) ensureIndex(pos int) (int, bool) {
-	if pos < 0 || pos >= len(r.index) || pos >= 64 || r.hasIndex(pos) {
-		return 0, false
-	}
-	bytes := 0
-	m := make(map[string][]int, len(r.facts))
-	for i, f := range r.facts {
-		if pos >= len(f.Args) {
-			continue
-		}
-		ev := encodeValue(f.Args[pos])
-		b, ok := m[ev]
-		if !ok {
-			bytes += len(ev) + indexKeyOverhead
-		}
-		m[ev] = append(b, i)
-		bytes += indexBucketSlotCost
-	}
-	r.index[pos] = m
-	r.built |= 1 << uint(pos)
-	return bytes, true
-}
-
-// probe is the candidate set of one lookup: the facts at idxs when the lookup
-// went through an index bucket, every fact otherwise. Both slices are headers
-// taken at lookup time, so a join level iterating a probe sees the relation as
-// of its lookup even while its own emissions append to the same relation and
-// bucket (insert only ever appends; remove never runs during a join).
-type probe struct {
-	facts   []Fact
-	idxs    []int
-	indexed bool
-}
-
-func (p probe) len() int {
-	if p.indexed {
-		return len(p.idxs)
-	}
-	return len(p.facts)
-}
-
-func (p probe) at(i int) Fact {
-	if p.indexed {
-		return p.facts[p.idxs[i]]
-	}
-	return p.facts[i]
+	return &evalCtx{e: e, sy: &e.syms, nextCheck: e.opts.Budget.checkEvery()}
 }
 
 // ruleMeta is the per-rule evaluation plan computed at engine construction.
@@ -289,7 +196,12 @@ type ruleMeta struct {
 	aggLit     int               // body index of the aggregate literal, -1 if none
 	aggHead    int               // head atom defining the aggregation group
 	aggSkip    []bool            // positions of aggHead holding the aggregate target
-	label      string            // cached "label: rule text" for provenance
+	// aggKey names the group table of the rule's aggregate: aggHead's
+	// predicate and target positions. aggArity is the width of a group row
+	// (aggHead's other positions).
+	aggKey   string
+	aggArity int
+	label    string // cached "label: rule text" for provenance
 
 	// The slot form (compileRule): the number of variable slots, the
 	// compiled body literals by body position, the compiled head atoms, and
@@ -300,18 +212,35 @@ type ruleMeta struct {
 	frontier []int
 }
 
-// aggGroup is the monotonic aggregation state of one (rule, group) pair.
-type aggGroup struct {
-	op      AggOp
-	contrib map[string]float64 // contributor key → current contribution
-	total   float64
-	init    bool
-	// premises accumulates the body facts of every contribution when
-	// provenance is on, so aggregate-based decisions explain completely
+// aggTable holds the monotonic aggregation groups of one head predicate and
+// target positions: group g is row g of groups (the head atom's non-target
+// arguments) with its running total. Keying on the head predicate (not the
+// rule) lets the msum calls of several rules contribute to one total, as the
+// paper requires for Algorithm 8 ("the two monotonic summations of Rules (2)
+// and (3) contribute to the same total, one for each (F, y) pair").
+type aggTable struct {
+	groups tuples
+	total  []float64
+	init   []bool
+	// prov, by group under WithProvenance, accumulates the body facts of
+	// every contribution, so aggregate-based decisions explain completely
 	// (e.g. a control decision lists all the shareholdings in the sum, not
 	// just the one that crossed the threshold).
-	premises []Fact
-	premKeys map[string]bool
+	prov []aggProv
+}
+
+type aggProv struct {
+	premises []rowRef
+	seen     map[rowRef]bool
+}
+
+// aggRule is the state of one rule's aggregate: its group table, and its
+// contributions, keyed by (group, contributor values...), each with the
+// contributor's current contribution in cur.
+type aggRule struct {
+	tab     *aggTable
+	contrib tuples
+	cur     []float64
 }
 
 // Compiled is a program validated, planned, slot-compiled and stratified
@@ -322,6 +251,8 @@ type Compiled struct {
 	prog     *Program
 	strata   [][]int // rule indices per stratum, in evaluation order
 	ruleMeta []ruleMeta
+	// syms holds the program's constants; an engine's table starts as it.
+	syms symtab
 }
 
 // Compile validates and plans every rule of prog and stratifies it. It
@@ -336,6 +267,7 @@ func Compile(prog *Program) (*Compiled, error) {
 		if err != nil {
 			return nil, fmt.Errorf("datalog: rule %d (%s): %w", i, r.Label, err)
 		}
+		compileRule(r, &meta, &c.syms)
 		meta.label = r.Label + ": " + r.String()
 		c.ruleMeta = append(c.ruleMeta, meta)
 	}
@@ -375,11 +307,13 @@ func (c *Compiled) NewEngine(with ...Option) *Engine {
 		plan:     c,
 		opts:     opts,
 		builtins: make(map[string]Builtin),
-		rels:     make(map[string]*relation),
-		aggState: make(map[string]*aggGroup),
+		// Capped, so the engine's first entry copies the program's table
+		// rather than writing into it.
+		syms: symtab{objs: slices.Clip(c.syms.objs), pinned: len(c.syms.objs)},
+		rels: make(map[string]*relation),
 	}
 	if opts.Provenance {
-		e.prov = make(map[string]Derivation)
+		e.prov = make(map[rowRef]Derivation)
 	}
 	return e
 }
@@ -393,40 +327,108 @@ func (e *Engine) RegisterBuiltin(name string, fn Builtin) {
 
 // Assert adds an extensional fact. It reports whether the fact is new.
 func (e *Engine) Assert(f Fact) bool {
-	ok, bytes := e.rel(f.Pred).insert(f, f.Key())
+	return e.assert(e.rel(f.Pred, len(f.Args)), f.Args)
+}
+
+// assert inserts args into r.
+func (e *Engine) assert(r *relation, args []any) bool {
+	m := e.syms.mark()
+	_, ok, bytes := r.insert(&e.syms, e.rowOf(args))
+	if !ok {
+		e.syms.release(m)
+	}
 	e.indexBytes += int64(bytes)
 	return ok
 }
 
-// AssertAll adds many extensional facts. The fact slice of a relation the
-// batch starts is sized for it up front, so loading a graph's relational
-// image does not regrow it log(n) times. (The key set is left to grow: a
-// map sized from a hint can come out a third larger than a grown one, and
-// long-lived engines keep it.)
+// AssertAll adds many extensional facts. A relation the batch starts is
+// sized for its facts up front — its rows and its dedup table — and so is
+// the symbol table, at as many entries per fact as the first fact of its
+// predicate takes, so loading a graph's relational image grows none of them
+// log(n) times.
 func (e *Engine) AssertAll(fs []Fact) {
-	n := map[string]int{}
+	type batch struct{ n, arity, syms int }
+	sizes := map[string]batch{}
 	for _, f := range fs {
-		n[f.Pred]++
+		b, ok := sizes[f.Pred]
+		if !ok {
+			b.arity = len(f.Args)
+			for _, a := range f.Args {
+				if boxed(a) {
+					b.syms++
+				}
+			}
+		}
+		b.n++
+		sizes[f.Pred] = b
 	}
-	for pred, k := range n {
-		if r := e.rel(pred); len(r.facts) == 0 {
-			r.facts = make([]Fact, 0, k)
+	syms := 0
+	for pred, b := range sizes {
+		if r := e.rel(pred, b.arity); r.n == 0 {
+			r.reserve(b.n)
+			syms += b.n * b.syms
 		}
 	}
+	e.syms.objs = slices.Grow(e.syms.objs, syms)
+	var r *relation
 	for _, f := range fs {
-		e.Assert(f)
+		if r == nil || r.pred != f.Pred || r.arity != len(f.Args) {
+			r = e.rel(f.Pred, len(f.Args))
+		}
+		e.assert(r, f.Args)
 	}
 }
 
-// rel returns the relation of pred, creating it if missing. Mutating path
-// only — read paths use the map directly so they never grow it.
-func (e *Engine) rel(pred string) *relation {
-	r, ok := e.rels[pred]
-	if !ok {
-		r = newRelation()
-		e.rels[pred] = r
+// rowOf converts API arguments into the engine's scratch row.
+func (e *Engine) rowOf(args []any) []value {
+	row := e.row[:0]
+	for _, a := range args {
+		row = append(row, e.syms.of(a))
+	}
+	e.row = row
+	return row
+}
+
+// rel returns the relation of pred at arity, creating it if missing.
+// Mutating path only — read paths use relOf, so they never grow the store.
+func (e *Engine) rel(pred string, arity int) *relation {
+	head := e.rels[pred]
+	for r := head; r != nil; r = r.other {
+		if r.arity == arity {
+			return r
+		}
+	}
+	r := &relation{pred: pred, tuples: tuples{arity: arity}, other: head}
+	e.rels[pred] = r
+	return r
+}
+
+// relOf returns the relation of pred at arity, or nil.
+func (e *Engine) relOf(pred string, arity int) *relation {
+	r := e.rels[pred]
+	for r != nil && r.arity != arity {
+		r = r.other
 	}
 	return r
+}
+
+// find returns the row of r equal to args.
+func (e *Engine) find(r *relation, args []any) (int, bool) {
+	m := e.syms.mark()
+	row := e.rowOf(args)
+	i, ok := r.find(&e.syms, row, e.syms.hashRow(row))
+	e.syms.release(m)
+	return i, ok
+}
+
+// factOf converts a stored row to an API fact.
+func (e *Engine) factOf(x rowRef) Fact {
+	row := x.r.row(x.row)
+	args := make([]any, len(row))
+	for i, v := range row {
+		args[i] = e.syms.any(v)
+	}
+	return Fact{Pred: x.r.pred, Args: args}
 }
 
 // addIndexBytes accrues lazily built index memory and trips the budget when
@@ -441,55 +443,57 @@ func (e *Engine) addIndexBytes(bytes int) {
 	}
 }
 
-// cloneFacts deep-copies a fact slice down to the argument slices, so the
-// result shares no mutable storage with the engine. The argument values
-// themselves are immutable (strings, numbers, Null/Skolem values).
-func cloneFacts(fs []Fact) []Fact {
-	out := make([]Fact, len(fs))
-	for i, f := range fs {
-		args := make([]any, len(f.Args))
-		copy(args, f.Args)
-		out[i] = Fact{Pred: f.Pred, Args: args}
-	}
-	return out
-}
-
 // Facts returns all facts of a predicate, sorted canonically. The result is
-// a deep copy: mutating the returned facts (or their Args) cannot corrupt
-// the engine's store or its indexes.
-func (e *Engine) Facts(pred string) []Fact {
-	r, ok := e.rels[pred]
-	if !ok {
-		return nil
-	}
-	out := cloneFacts(r.facts)
-	SortFacts(out)
-	return out
-}
+// a copy: mutating the returned facts (or their Args) cannot corrupt the
+// engine's store or its indexes.
+func (e *Engine) Facts(pred string) []Fact { return e.FactsN(pred, 0) }
 
 // FactsN returns up to n facts of a predicate, taken in derivation order
 // and then sorted. Unlike Facts it never sorts the whole relation, so a
 // deadline-truncated caller serving a small page of a huge partial result
 // does not spend the latency its budget just saved. n <= 0 means all. Like
-// Facts, the result is a deep copy that cannot corrupt the store.
+// Facts, the result is a copy that cannot corrupt the store.
 func (e *Engine) FactsN(pred string, n int) []Fact {
-	r, ok := e.rels[pred]
+	head, ok := e.rels[pred]
 	if !ok {
 		return nil
 	}
-	fs := r.facts
-	if n > 0 && len(fs) > n {
-		fs = fs[:n]
+	take := func(r *relation, taken int) int {
+		if n > 0 {
+			return min(r.n, n-taken)
+		}
+		return r.n
 	}
-	out := cloneFacts(fs)
+	rows, cells := 0, 0
+	for r := head; r != nil; r = r.other {
+		k := take(r, rows)
+		rows += k
+		cells += k * r.arity
+	}
+	out := make([]Fact, 0, rows)
+	args := make([]any, cells)
+	for r := head; r != nil; r = r.other {
+		for i, k := 0, take(r, len(out)); i < k; i++ {
+			a := args[:r.arity:r.arity]
+			args = args[r.arity:]
+			for j, v := range r.row(i) {
+				a[j] = e.syms.any(v)
+			}
+			out = append(out, Fact{Pred: pred, Args: a})
+		}
+	}
 	SortFacts(out)
 	return out
 }
 
 // Has reports whether the exact ground fact is present.
 func (e *Engine) Has(f Fact) bool {
-	r, ok := e.rels[f.Pred]
-	return ok && r.keys[f.Key()]
+	r := e.relOf(f.Pred, len(f.Args))
+	if r == nil {
+		return false
+	}
+	_, ok := e.find(r, f.Args)
+	return ok
 }
 
 // Binding is one answer to a Query: variable name → ground value.
@@ -505,8 +509,9 @@ type Binding map[Variable]any
 // indexes once its variables are bound by earlier atoms. Duplicate bindings
 // are deduplicated.
 func (e *Engine) Query(goal ...Atom) []Binding {
-	// Slots in name order, so an answer's dedup key lists its variables
-	// sorted.
+	// The goal's constants enter the symbol table for the query only.
+	defer e.syms.release(e.syms.mark())
+	// Slots in name order, so an answer row lists its variables sorted.
 	var names []Variable
 	known := map[Variable]bool{}
 	for _, a := range goal {
@@ -524,37 +529,31 @@ func (e *Engine) Query(goal ...Atom) []Binding {
 	}
 	atoms := make([]catom, len(goal))
 	for i, a := range goal {
-		atoms[i] = slots.compileAtom(a)
+		atoms[i] = slots.compileAtom(a, &e.syms)
 	}
 
 	var out []Binding
-	seen := map[string]bool{}
-	ec := &evalCtx{e: e}
+	seen := tuples{arity: len(names)}
+	ec := e.newEvalCtx()
 	ec.reset(len(names))
 	var rec func(i int)
 	rec = func(i int) {
 		if i == len(atoms) {
-			ec.key = ec.key[:0]
-			for s, v := range names {
-				ec.key = append(ec.key, v...)
-				ec.key = append(ec.key, '=')
-				ec.key = appendValue(ec.key, ec.vals[s])
-				ec.key = append(ec.key, '|')
-			}
-			if seen[string(ec.key)] {
+			row := ec.vals[:len(names)]
+			if _, ok := seen.add(ec.sy, row, ec.sy.hashRow(row)); !ok {
 				return
 			}
-			seen[string(ec.key)] = true
 			b := make(Binding, len(names))
 			for s, v := range names {
-				b[v] = ec.vals[s]
+				b[v] = ec.sy.any(ec.vals[s])
 			}
 			out = append(out, b)
 			return
 		}
 		mark := len(ec.trail)
-		for c, j := e.lookup(ec, &atoms[i]), 0; j < c.len(); j++ {
-			if ec.bind(&atoms[i], c.at(j)) {
+		c := e.lookup(ec, &atoms[i])
+		for j, row := 0, c.lo; j < c.n; j, row = j+1, c.step(row) {
+			if ec.bind(&atoms[i], c.at(row)) {
 				rec(i + 1)
 				ec.unbind(mark)
 			}
@@ -570,35 +569,38 @@ func (e *Engine) Query(goal ...Atom) []Binding {
 // monotone aggregate is its maximum). The projection is one linear pass —
 // group-by over the whole relation touches every fact by definition.
 func (e *Engine) MaxByGroup(pred string, valueCol int, groupCols ...int) []Fact {
-	r, ok := e.rels[pred]
+	head, ok := e.rels[pred]
 	if !ok {
 		return nil
 	}
-	out := []Fact{}
-	best := make(map[string]int) // group key → index in out
-	var kb []byte
-	for _, f := range r.facts {
-		if valueCol >= len(f.Args) {
+	var best []rowRef
+	var bestV []float64
+	groups := tuples{arity: len(groupCols)}
+	key := make([]value, len(groupCols))
+	for r := head; r != nil; r = r.other {
+		if valueCol >= r.arity {
 			continue
 		}
-		v, ok := toFloat(f.Args[valueCol])
-		if !ok {
-			continue
+		for i := 0; i < r.n; i++ {
+			row := r.row(i)
+			v, ok := row[valueCol].float()
+			if !ok {
+				continue
+			}
+			for j, c := range groupCols {
+				key[j] = row[c]
+			}
+			g, isNew := groups.add(&e.syms, key, e.syms.hashRow(key))
+			if isNew {
+				best, bestV = append(best, rowRef{r, i}), append(bestV, v)
+			} else if v > bestV[g] {
+				best[g], bestV[g] = rowRef{r, i}, v
+			}
 		}
-		kb = kb[:0]
-		for _, c := range groupCols {
-			kb = appendValue(kb, f.Args[c])
-			kb = append(kb, '|')
-		}
-		i, ok := best[string(kb)]
-		if !ok {
-			best[string(kb)] = len(out)
-			out = append(out, f)
-			continue
-		}
-		if cv, _ := toFloat(out[i].Args[valueCol]); v > cv {
-			out[i] = f
-		}
+	}
+	out := make([]Fact, len(best))
+	for i, x := range best {
+		out[i] = e.factOf(x)
 	}
 	SortFacts(out)
 	return out
@@ -614,7 +616,15 @@ func (e *Engine) Explain(f Fact) (Derivation, bool) {
 	if e.prov == nil {
 		return Derivation{}, false
 	}
-	d, ok := e.prov[f.Key()]
+	r := e.relOf(f.Pred, len(f.Args))
+	if r == nil {
+		return Derivation{}, false
+	}
+	i, ok := e.find(r, f.Args)
+	if !ok {
+		return Derivation{}, false
+	}
+	d, ok := e.prov[rowRef{r, i}]
 	return d, ok
 }
 
@@ -704,9 +714,9 @@ func (e *Engine) DerivedCount() int { return e.derivedCount }
 // either against the full store (deltaLit < 0) or with one body occurrence
 // restricted to the previous round's delta (semi-naive evaluation).
 type chaseJob struct {
-	ri         int
-	deltaFacts []Fact
-	deltaLit   int
+	ri       int
+	delta    probe
+	deltaLit int
 }
 
 func (e *Engine) runStratum(ruleIdxs []int) error {
@@ -755,11 +765,11 @@ func (e *Engine) runStratum(ruleIdxs []int) error {
 					if l.Kind != LitAtom || !inStratum[l.Atom.Pred] {
 						continue
 					}
-					df := delta[l.Atom.Pred]
-					if len(df) == 0 {
-						continue
+					for _, d := range delta {
+						if d.r.pred == l.Atom.Pred && d.r.arity == len(l.Atom.Terms) {
+							jobs = append(jobs, chaseJob{ri: ri, delta: d, deltaLit: li})
+						}
 					}
-					jobs = append(jobs, chaseJob{ri: ri, deltaFacts: df, deltaLit: li})
 				}
 			}
 		}
@@ -774,7 +784,7 @@ func (e *Engine) runStratum(ruleIdxs []int) error {
 
 // runRoundObserved wraps runRound with the per-round statistics and the
 // RoundDone hook; with both off it is a direct call.
-func (e *Engine) runRoundObserved(jobs []chaseJob) (map[string][]Fact, error) {
+func (e *Engine) runRoundObserved(jobs []chaseJob) ([]probe, error) {
 	if e.stats == nil && e.opts.Hook.RoundDone == nil {
 		return e.runRound(jobs)
 	}
@@ -783,8 +793,8 @@ func (e *Engine) runRoundObserved(jobs []chaseJob) (map[string][]Fact, error) {
 	delta, err := e.runRound(jobs)
 	elapsed := time.Since(t0)
 	newFacts := 0
-	for _, fs := range delta {
-		newFacts += len(fs)
+	for _, d := range delta {
+		newFacts += d.n
 	}
 	if st := e.stats; st != nil {
 		st.perRound = append(st.perRound, RoundStats{
@@ -798,39 +808,41 @@ func (e *Engine) runRoundObserved(jobs []chaseJob) (map[string][]Fact, error) {
 	return delta, err
 }
 
-// runRound evaluates one chase round's jobs in order and returns the delta of
-// newly derived facts per predicate. Derivations insert as they are made, so
-// facts derived by an earlier job are visible to later jobs of the same round.
-func (e *Engine) runRound(jobs []chaseJob) (map[string][]Fact, error) {
+// runRound evaluates one chase round's jobs in order and returns its delta:
+// per relation the rows the round appended. Derivations insert as they are
+// made, so facts derived by an earlier job are visible to later jobs of the
+// same round.
+func (e *Engine) runRound(jobs []chaseJob) ([]probe, error) {
 	ec := e.newEvalCtx()
-	ec.delta = make(map[string][]Fact)
+	e.roundSeq++
+	var err error
 	for _, j := range jobs {
 		jt := e.ruleStart(j.ri)
 		d0, dup0, c0 := e.derivedCount, e.dupCount, ec.candidates
-		err := e.evalJob(ec, j)
+		err = e.evalJob(ec, j)
 		e.ruleDone(j.ri, jt, e.derivedCount-d0, e.dupCount-dup0, ec.candidates-c0)
 		if err != nil {
-			return ec.delta, err
+			break
 		}
 	}
-	return ec.delta, nil
+	delta := make([]probe, len(ec.touched))
+	for i, r := range ec.touched {
+		delta[i] = r.rows(r.lo, r.n)
+	}
+	return delta, err
 }
 
 // snapshotPremises copies and deduplicates the premise stack plus the active
 // aggregate group's contributions.
 func (ec *evalCtx) snapshotPremises() []Fact {
-	seen := map[string]bool{}
+	seen := map[rowRef]bool{}
 	var premises []Fact
-	for _, p := range ec.curPremises {
-		if k := p.Key(); !seen[k] {
-			seen[k] = true
-			premises = append(premises, p)
-		}
-	}
-	for _, p := range ec.aggExtra {
-		if k := p.Key(); !seen[k] {
-			seen[k] = true
-			premises = append(premises, p)
+	for _, stack := range [2][]rowRef{ec.curPremises, ec.aggExtra} {
+		for _, p := range stack {
+			if !seen[p] {
+				seen[p] = true
+				premises = append(premises, ec.e.factOf(p))
+			}
 		}
 	}
 	return premises
@@ -846,7 +858,7 @@ func (e *Engine) evalJob(ec *evalCtx, j chaseJob) error {
 	if j.deltaLit >= 0 {
 		ec.order = meta.deltaOrder[j.deltaLit]
 	}
-	ec.deltaFacts, ec.deltaLit = j.deltaFacts, j.deltaLit
+	ec.delta, ec.deltaLit = j.delta, j.deltaLit
 	ec.reset(meta.nslots) // a job stopped by an error or a panic leaves bindings behind
 	if e.prov != nil {
 		ec.curRule = meta.label
@@ -855,20 +867,15 @@ func (e *Engine) evalJob(ec *evalCtx, j chaseJob) error {
 	return e.evalBody(ec, 0)
 }
 
-// derive inserts the head instantiation held in ec's scratch (args, and its
-// key in ec.key) unless the store already has it, copying both only for a
-// new fact, and applies the new fact's bookkeeping: budget accounting,
-// provenance and the round's delta.
-func (e *Engine) derive(ec *evalCtx, pred string, args []any) {
-	r := e.rel(pred)
-	if r.keys[string(ec.key)] {
+// derive inserts the head row held in ec's scratch unless the relation
+// already has it — only a new row is copied — and applies the new fact's
+// bookkeeping: budget accounting, provenance and the round's delta.
+func (e *Engine) derive(ec *evalCtx, r *relation, row []value) {
+	i, ok, bytes := r.insert(ec.sy, row)
+	if !ok {
 		e.dupCount++
 		return
 	}
-	f := Fact{Pred: pred, Args: make([]any, len(args))}
-	copy(f.Args, args)
-	key := string(ec.key)
-	_, bytes := r.insert(f, key)
 	e.addIndexBytes(bytes)
 	e.derivedCount++
 	b := e.opts.Budget
@@ -883,9 +890,12 @@ func (e *Engine) derive(ec *evalCtx, pred string, args []any) {
 		e.trip(LimitIndexMemory, b.MaxIndexBytes, nil)
 	}
 	if e.prov != nil {
-		e.prov[key] = Derivation{Rule: ec.curRule, Premises: ec.snapshotPremises()}
+		e.prov[rowRef{r, i}] = Derivation{Rule: ec.curRule, Premises: ec.snapshotPremises()}
 	}
-	ec.delta[pred] = append(ec.delta[pred], f)
+	if r.seq != e.roundSeq {
+		r.seq, r.lo = e.roundSeq, i
+		ec.touched = append(ec.touched, r)
+	}
 }
 
 // evalBody extends the frame's binding over the plan from position pos on,
@@ -905,21 +915,19 @@ func (e *Engine) evalBody(ec *evalCtx, pos int) error {
 	l, cl := &ec.rule.Body[li], &ec.meta.lits[li]
 	switch l.Kind {
 	case LitAtom:
-		c := probe{facts: ec.deltaFacts}
+		c := ec.delta
 		if li != ec.deltaLit {
 			c = e.lookup(ec, &cl.atom)
 		}
-		n := c.len()
-		ec.candidates += int64(n)
+		ec.candidates += int64(c.n)
 		prov := e.prov != nil
 		mark := len(ec.trail)
-		for i := 0; i < n; i++ {
-			f := c.at(i)
-			if !ec.bind(&cl.atom, f) {
+		for i, row := 0, c.lo; i < c.n; i, row = i+1, c.step(row) {
+			if !ec.bind(&cl.atom, c.at(row)) {
 				continue
 			}
 			if prov {
-				ec.curPremises = append(ec.curPremises, f)
+				ec.curPremises = append(ec.curPremises, rowRef{c.r, row})
 			}
 			if err := e.evalBody(ec, pos+1); err != nil {
 				return err
@@ -938,6 +946,9 @@ func (e *Engine) evalBody(ec *evalCtx, pos int) error {
 		return e.evalBody(ec, pos+1)
 
 	case LitCmp:
+		// Values an expression makes (a concatenation, a builtin's string)
+		// are dropped again unless a row stored meanwhile may hold them.
+		m := ec.sy.mark()
 		lv, err := ec.eval(&cl.l)
 		if err != nil {
 			return err
@@ -946,62 +957,67 @@ func (e *Engine) evalBody(ec *evalCtx, pos int) error {
 		if err != nil {
 			return err
 		}
-		if !compare(l.Cmp, lv, rv) {
+		ok := ec.sy.compare(l.Cmp, lv, rv)
+		ec.sy.release(m)
+		if !ok {
 			return nil
 		}
 		return e.evalBody(ec, pos+1)
 
 	case LitAssign:
+		m := ec.sy.mark()
 		v, err := ec.eval(&cl.l)
 		if err != nil {
 			return err
 		}
 		if ec.set[cl.target] {
 			// Re-assignment acts as an equality check.
-			if !valueEqual(ec.vals[cl.target], v) {
-				return nil
+			if ec.sy.eq(ec.vals[cl.target], v) {
+				err = e.evalBody(ec, pos+1)
 			}
-			return e.evalBody(ec, pos+1)
+		} else {
+			mark := len(ec.trail)
+			ec.bindSlot(cl.target, v)
+			err = e.evalBody(ec, pos+1)
+			ec.unbind(mark)
 		}
-		mark := len(ec.trail)
-		ec.bindSlot(cl.target, v)
-		err = e.evalBody(ec, pos+1)
-		ec.unbind(mark)
+		ec.sy.release(m)
 		return err
 
 	case LitAgg:
+		m := ec.sy.mark()
 		v, err := ec.eval(&cl.l)
 		if err != nil {
 			return err
 		}
-		fv, ok := toFloat(v)
+		fv, ok := v.float()
 		if !ok {
-			return fmt.Errorf("datalog: rule %q: aggregate value %v is not numeric", ec.rule.Label, v)
+			return fmt.Errorf("datalog: rule %q: aggregate value %v is not numeric", ec.rule.Label, ec.sy.any(v))
 		}
-		st, err := e.aggGroupOf(ec, l.Agg)
+		ec.sy.release(m)
+		a, g, err := e.aggGroupOf(ec)
 		if err != nil {
 			return err
 		}
-		ec.ckey = ec.appendContrib(ec.ckey[:0], cl.contrib)
-		total, changed := e.updateAgg(st, l.Agg, ec.ckey, fv)
+		total, changed := e.updateAgg(ec, a, g, l.Agg, fv)
 		if !changed {
 			// The contribution is absorbed without a new derivation, but its
 			// premises still belong to the group's explanation.
 			if e.prov != nil {
-				ec.recordAggPremises(st)
+				ec.recordAggPremises(&a.tab.prov[g])
 			}
 			return nil
 		}
-		var savedExtra []Fact
+		var savedExtra []rowRef
 		if e.prov != nil {
 			savedExtra = ec.aggExtra
 			// Prior contributions explain the running total; the current
 			// body facts are on curPremises already.
-			ec.aggExtra = append(append([]Fact(nil), savedExtra...), st.premises...)
-			ec.recordAggPremises(st)
+			ec.aggExtra = append(append([]rowRef(nil), savedExtra...), a.tab.prov[g].premises...)
+			ec.recordAggPremises(&a.tab.prov[g])
 		}
 		mark := len(ec.trail)
-		ec.bindSlot(cl.target, total)
+		ec.bindSlot(cl.target, floatValue(total))
 		err = e.evalBody(ec, pos+1)
 		ec.unbind(mark)
 		if e.prov != nil {
@@ -1013,8 +1029,8 @@ func (e *Engine) evalBody(ec *evalCtx, pos int) error {
 }
 
 // fireHead instantiates the head atoms under the binding, inventing nulls for
-// existential variables, and derives each. The arguments and the key are
-// built in the evalCtx's scratch; derive copies them only for a new fact.
+// existential variables, and derives each. The head row is built in the
+// evalCtx's scratch; derive copies it only for a new fact.
 func (e *Engine) fireHead(ec *evalCtx) error {
 	meta := ec.meta
 	if len(meta.existVars) > 0 {
@@ -1035,120 +1051,153 @@ func (e *Engine) fireHead(ec *evalCtx) error {
 			case termExist:
 				// The null of (frontier, variable): FNV-1a of "frontier|name".
 				id := fnv1a(fnv1a(fnv1a(fnvOffset64, ec.fkey), "|"), t.name)
-				args = append(args, Null{ID: id})
+				args = append(args, value{kindNull, id})
 			}
 		}
 		ec.args = args
-		ec.key = appendFactKey(ec.key[:0], h.pred, args)
-		e.derive(ec, h.pred, args)
+		e.derive(ec, e.rel(h.pred, len(args)), args)
 	}
 	return nil
 }
 
-// aggGroupOf returns the aggregation group of the frame's body match
-// (appendGroupKey), creating it on first contribution; only a new group
-// allocates its key.
-func (e *Engine) aggGroupOf(ec *evalCtx, op AggOp) (*aggGroup, error) {
-	var err error
-	if ec.gkey, err = ec.appendGroupKey(ec.gkey[:0]); err != nil {
-		return nil, err
+// aggGroupOf returns the aggregate state of the frame's rule and the group of
+// its body match (groupRow), creating either on first contribution.
+func (e *Engine) aggGroupOf(ec *evalCtx) (*aggRule, int, error) {
+	if e.aggs == nil {
+		e.aggs = make([]*aggRule, len(e.plan.ruleMeta))
+		e.aggTabs = make(map[string]*aggTable)
 	}
-	st, ok := e.aggState[string(ec.gkey)]
-	if !ok {
-		st = &aggGroup{op: op, contrib: make(map[string]float64)}
-		e.aggState[string(ec.gkey)] = st
+	a := e.aggs[ec.ri]
+	if a == nil {
+		meta := ec.meta
+		t := e.aggTabs[meta.aggKey]
+		if t == nil {
+			t = &aggTable{groups: tuples{arity: meta.aggArity}}
+			e.aggTabs[meta.aggKey] = t
+		}
+		a = &aggRule{tab: t, contrib: tuples{arity: 1 + len(meta.lits[meta.aggLit].contrib)}}
+		e.aggs[ec.ri] = a
 	}
-	return st, nil
+	row, err := ec.groupRow()
+	if err != nil {
+		return nil, 0, err
+	}
+	t := a.tab
+	g, isNew := t.groups.add(ec.sy, row, ec.sy.hashRow(row))
+	if isNew {
+		ec.sy.pin()
+		t.total = append(t.total, 0)
+		t.init = append(t.init, false)
+		if e.prov != nil {
+			t.prov = append(t.prov, aggProv{})
+		}
+	}
+	return a, g, nil
 }
 
 // recordAggPremises folds the current body premises into the aggregate
 // group's explanation set (deduplicated).
-func (ec *evalCtx) recordAggPremises(st *aggGroup) {
-	if st.premKeys == nil {
-		st.premKeys = map[string]bool{}
+func (ec *evalCtx) recordAggPremises(p *aggProv) {
+	if p.seen == nil {
+		p.seen = map[rowRef]bool{}
 	}
-	for _, p := range ec.curPremises {
-		if k := p.Key(); !st.premKeys[k] {
-			st.premKeys[k] = true
-			st.premises = append(st.premises, p)
+	for _, x := range ec.curPremises {
+		if !p.seen[x] {
+			p.seen[x] = true
+			p.premises = append(p.premises, x)
 		}
 	}
 }
 
-// updateAgg applies a contribution to the monotonic aggregate state of a
-// group and reports the new total plus whether it changed enough to trigger
-// a derivation. Contributions are keyed by contributor tuple: a contributor
+// updateAgg applies a contribution to the monotonic aggregate state of group
+// g and reports the new total plus whether it changed enough to trigger a
+// derivation. Contributions are keyed by contributor tuple: a contributor
 // counts once, at its best (maximal) contribution so far — matching
 // Vadalog's stateful msum with ⟨contributor⟩ notation.
-func (e *Engine) updateAgg(st *aggGroup, op AggOp, contribKey []byte, v float64) (float64, bool) {
+func (e *Engine) updateAgg(ec *evalCtx, a *aggRule, g int, op AggOp, v float64) (float64, bool) {
 	eps := e.opts.MinAggDelta
-	// Reading under string(contribKey) allocates nothing; a write stores the
-	// key, so it happens only when a contribution changes.
-	cur, seen := st.contrib[string(contribKey)]
+	t := a.tab
+	// A contribution is looked up without storing its row; a write stores
+	// it, so it happens only when a contribution changes.
+	row := ec.contribRow(g)
+	h := ec.sy.hashRow(row)
+	ci, seen := a.contrib.find(ec.sy, row, h)
+	cur := 0.0
+	if seen {
+		cur = a.cur[ci]
+	}
+	set := func(x float64) {
+		if seen {
+			a.cur[ci] = x
+			return
+		}
+		a.contrib.add(ec.sy, row, h)
+		a.cur = append(a.cur, x)
+		ec.sy.pin()
+	}
 	switch op {
 	case AggSum:
 		if seen && v <= cur+eps {
-			return st.total, false
+			return t.total[g], false
 		}
-		st.contrib[string(contribKey)] = v
-		st.total += v - cur
-		st.init = true
-		return st.total, true
+		set(v)
+		t.total[g] += v - cur
+		t.init[g] = true
+		return t.total[g], true
 	case AggCount:
 		if seen {
-			return st.total, false
+			return t.total[g], false
 		}
-		st.contrib[string(contribKey)] = 1
-		st.total++
-		st.init = true
-		return st.total, true
+		set(1)
+		t.total[g]++
+		t.init[g] = true
+		return t.total[g], true
 	case AggMax:
-		if st.init && v <= st.total+eps {
+		if t.init[g] && v <= t.total[g]+eps {
 			if !seen || v > cur {
-				st.contrib[string(contribKey)] = v
+				set(v)
 			}
-			return st.total, false
+			return t.total[g], false
 		}
-		st.contrib[string(contribKey)] = v
-		st.total = v
-		st.init = true
-		return st.total, true
+		set(v)
+		t.total[g] = v
+		t.init[g] = true
+		return v, true
 	case AggMin:
-		if st.init && v >= st.total-eps {
-			return st.total, false
+		if t.init[g] && v >= t.total[g]-eps {
+			return t.total[g], false
 		}
-		st.contrib[string(contribKey)] = v
-		st.total = v
-		st.init = true
-		return st.total, true
+		set(v)
+		t.total[g] = v
+		t.init[g] = true
+		return v, true
 	case AggProd:
 		if seen && v <= cur+eps {
-			return st.total, false
+			return t.total[g], false
 		}
-		if !st.init {
-			st.total = 1
-			st.init = true
+		if !t.init[g] {
+			t.total[g] = 1
+			t.init[g] = true
 		}
 		if seen && cur != 0 {
-			st.total /= cur
+			t.total[g] /= cur
 		}
-		st.contrib[string(contribKey)] = v
-		st.total *= v
-		return st.total, true
+		set(v)
+		t.total[g] *= v
+		return t.total[g], true
 	}
 	return 0, false
 }
 
-// lookup returns candidate facts for an atom under the frame's binding,
+// lookup returns candidate rows for an atom under the frame's binding,
 // probing the best available positional index: the smallest bucket among
 // built indexes of bound positions, or a freshly built index on the first
 // bound position when none exists yet. Unbound atoms (or NoIndex mode) fall
-// back to the full relation. A probe's value is encoded into the evalCtx's
-// scratch and looked up without allocating; the probe aliases the
-// relation's storage rather than copying the bucket (see probe).
+// back to the full relation. The probe aliases the relation's storage
+// rather than copying the bucket (see probe).
 func (e *Engine) lookup(ec *evalCtx, a *catom) probe {
-	r, ok := e.rels[a.pred]
-	if !ok {
+	r := e.relOf(a.pred, len(a.terms))
+	if r == nil {
 		return probe{}
 	}
 	st := e.stats
@@ -1156,13 +1205,13 @@ func (e *Engine) lookup(ec *evalCtx, a *catom) probe {
 		if st != nil {
 			st.indexScans++
 		}
-		return probe{facts: r.facts}
+		return r.rows(0, r.n)
 	}
 	bestPos := -1
-	var best []int
+	var best bucket
 	firstBound := -1
 	for i := range a.terms {
-		if i >= len(r.index) || i >= 64 {
+		if i >= len(r.index) {
 			break
 		}
 		val, bound := ec.value(&a.terms[i])
@@ -1173,43 +1222,42 @@ func (e *Engine) lookup(ec *evalCtx, a *catom) probe {
 			firstBound = i
 		}
 		if r.hasIndex(i) {
-			ec.pkey = appendValue(ec.pkey[:0], val)
-			if b := r.index[i][string(ec.pkey)]; bestPos == -1 || len(b) < len(best) {
+			if b := r.index[i].find(ec.sy, r, i, val); bestPos == -1 || b.n < best.n {
 				bestPos, best = i, b
 			}
 		}
 	}
 	if bestPos == -1 && firstBound >= 0 {
-		bytes, built := r.ensureIndex(firstBound)
+		bytes, built := r.ensureIndex(ec.sy, firstBound)
 		e.addIndexBytes(bytes)
 		if built && st != nil {
 			st.indexBuilds++
 		}
 		if r.hasIndex(firstBound) {
 			val, _ := ec.value(&a.terms[firstBound])
-			ec.pkey = appendValue(ec.pkey[:0], val)
-			bestPos, best = firstBound, r.index[firstBound][string(ec.pkey)]
+			bestPos, best = firstBound, r.index[firstBound].find(ec.sy, r, firstBound, val)
 		}
 	}
 	if bestPos >= 0 {
 		if st != nil {
 			st.indexHits++
 		}
-		return probe{facts: r.facts, idxs: best, indexed: true}
+		return r.chain(bestPos, best)
 	}
 	if st != nil {
 		st.indexScans++
 	}
-	return probe{facts: r.facts}
+	return r.rows(0, r.n)
 }
 
 // existsMatch reports whether any stored fact unifies with the (fully bound)
 // atom under the frame's binding, which it leaves unchanged.
 func (e *Engine) existsMatch(ec *evalCtx, a *catom) bool {
 	mark := len(ec.trail)
-	for c, i := e.lookup(ec, a), 0; i < c.len(); i++ {
+	c := e.lookup(ec, a)
+	for i, row := 0, c.lo; i < c.n; i, row = i+1, c.step(row) {
 		ec.candidates++
-		if ec.bind(a, c.at(i)) {
+		if ec.bind(a, c.at(row)) {
 			ec.unbind(mark)
 			return true
 		}
@@ -1235,35 +1283,31 @@ func compare(op CmpOp, l, r any) bool {
 	lf, lok := toFloat(l)
 	rf, rok := toFloat(r)
 	if lok && rok {
-		switch op {
-		case OpEq:
-			return lf == rf
-		case OpNeq:
-			return lf != rf
-		case OpLt:
-			return lf < rf
-		case OpLeq:
-			return lf <= rf
-		case OpGt:
-			return lf > rf
-		case OpGeq:
-			return lf >= rf
+		return cmpOrdered(op, lf, rf)
+	}
+	if ls, ok := l.(string); ok {
+		if rs, ok := r.(string); ok {
+			// Both encodings carry the prefix 's': compare what follows it.
+			return cmpOrdered(op, ls, rs)
 		}
 	}
-	ls, rs := encodeValue(l), encodeValue(r)
+	return cmpOrdered(op, encodeValue(l), encodeValue(r))
+}
+
+func cmpOrdered[T float64 | string](op CmpOp, l, r T) bool {
 	switch op {
 	case OpEq:
-		return ls == rs
+		return l == r
 	case OpNeq:
-		return ls != rs
+		return l != r
 	case OpLt:
-		return ls < rs
+		return l < r
 	case OpLeq:
-		return ls <= rs
+		return l <= r
 	case OpGt:
-		return ls > rs
+		return l > r
 	case OpGeq:
-		return ls >= rs
+		return l >= r
 	}
 	return false
 }
@@ -1271,7 +1315,7 @@ func compare(op CmpOp, l, r any) bool {
 // planRule computes the per-rule evaluation plans — the round-0 order and
 // one order per positive body atom for the jobs that restrict that atom to a
 // delta (planOrder) — plus the head variables, the existential set and the
-// rule's slot form (compileRule).
+// aggregate's group. Compile adds the rule's slot form (compileRule).
 func planRule(r Rule) (ruleMeta, error) {
 	order, bound, err := planOrder(r, nil, -1, textual)
 	if err != nil {
@@ -1305,8 +1349,9 @@ func planRule(r Rule) (ruleMeta, error) {
 	}
 	sort.Slice(headVars, func(i, j int) bool { return headVars[i] < headVars[j] })
 
-	aggHead := 0
+	aggHead, aggArity := 0, 0
 	var aggSkip []bool
+	var aggKey string
 	if aggLit >= 0 {
 		target := r.Body[aggLit].Var
 		// The group is defined by the first head atom mentioning the target;
@@ -1326,15 +1371,20 @@ func planRule(r Rule) (ruleMeta, error) {
 			}
 		}
 		aggSkip = make([]bool, len(r.Head[aggHead].Terms))
+		key := []byte(r.Head[aggHead].Pred + "/")
 		for i, t := range r.Head[aggHead].Terms {
 			if v, ok := t.(Variable); ok && v == target {
 				aggSkip[i] = true
+				key = append(key, '@')
+			} else {
+				key = append(key, '.')
+				aggArity++
 			}
 		}
+		aggKey = string(key)
 	}
 	m := ruleMeta{order: order, deltaOrder: deltaOrder, headVars: headVars, existVars: exist,
-		aggLit: aggLit, aggHead: aggHead, aggSkip: aggSkip}
-	compileRule(r, &m)
+		aggLit: aggLit, aggHead: aggHead, aggSkip: aggSkip, aggKey: aggKey, aggArity: aggArity}
 	return m, nil
 }
 

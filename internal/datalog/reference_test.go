@@ -21,13 +21,20 @@ package datalog
 // The arithmetic and comparison primitives (arith, compare, toFloat) are
 // shared: they are the value semantics, not the binding machinery.
 //
-// Monotonic aggregation is out of scope (the random programs never emit it);
-// newReference rejects aggregate rules loudly.
+// Monotonic aggregation follows DESIGN.md §5 by naive fixpoint: every
+// contributor tuple keeps its best contribution (the largest, the smallest
+// under mmin), a group's total is recomputed from all of them, and the
+// iteration runs until neither a fact nor a contribution changes. Only the
+// final total per group is specified — the intermediate totals a head
+// records depend on evaluation order — so the harness compares
+// aggregate-valued predicates by their final value per group.
 
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -41,6 +48,11 @@ type refEvaluator struct {
 
 	facts map[string][]Fact
 	keys  map[string]bool
+
+	// agg holds the contributions: group key → contributor key → best
+	// contribution. aggChanged records a change in the iteration running.
+	agg        map[string]map[string]float64
+	aggChanged bool
 }
 
 func newReference(prog *Program) (*refEvaluator, error) {
@@ -49,15 +61,11 @@ func newReference(prog *Program) (*refEvaluator, error) {
 		builtins: map[string]Builtin{},
 		facts:    map[string][]Fact{},
 		keys:     map[string]bool{},
+		agg:      map[string]map[string]float64{},
 	}
-	for i, rule := range prog.Rules {
+	for _, rule := range prog.Rules {
 		if err := rule.Validate(); err != nil {
 			return nil, err
-		}
-		for _, l := range rule.Body {
-			if l.Kind == LitAgg {
-				return nil, fmt.Errorf("reference evaluator does not support aggregates (rule %d)", i)
-			}
 		}
 		meta, err := planRule(rule)
 		if err != nil {
@@ -73,8 +81,23 @@ func newReference(prog *Program) (*refEvaluator, error) {
 	return r, nil
 }
 
+// refKey is the reference's fact identity: the predicate and every
+// argument's canonical encoding, each length-prefixed, so no two argument
+// lists share a key (Fact.Key joins them with ',', and p("a,sb", "c") and
+// p("a", "b,sc") both render as p(sa,sb,sc)).
+func refKey(f Fact) string {
+	b := append([]byte(f.Pred), '(')
+	for _, a := range f.Args {
+		enc := encodeValue(a)
+		b = strconv.AppendInt(b, int64(len(enc)), 10)
+		b = append(b, ':')
+		b = append(b, enc...)
+	}
+	return string(append(b, ')'))
+}
+
 func (r *refEvaluator) assert(f Fact) bool {
-	k := f.Key()
+	k := refKey(f)
 	if r.keys[k] {
 		return false
 	}
@@ -117,8 +140,9 @@ func refUnify(a Atom, f Fact, b map[Variable]any) (map[Variable]any, bool) {
 }
 
 // bodyBindings enumerates every binding satisfying the rule body, by
-// exhaustive linear scans.
-func (r *refEvaluator) bodyBindings(rule Rule, meta ruleMeta) ([]map[Variable]any, error) {
+// exhaustive linear scans. An aggregate literal records each binding's
+// contribution and binds the group's total as it stands.
+func (r *refEvaluator) bodyBindings(ri int, rule Rule, meta ruleMeta) ([]map[Variable]any, error) {
 	bindings := []map[Variable]any{{}}
 	for _, li := range meta.order {
 		l := rule.Body[li]
@@ -171,6 +195,17 @@ func (r *refEvaluator) bodyBindings(rule Rule, meta ruleMeta) ([]map[Variable]an
 				}
 				nb[l.Var] = v
 				next = append(next, nb)
+			case LitAgg:
+				total, err := r.contribute(ri, rule, meta, l, b)
+				if err != nil {
+					return nil, err
+				}
+				nb := make(map[Variable]any, len(b)+1)
+				for k, vv := range b {
+					nb[k] = vv
+				}
+				nb[l.Var] = total
+				next = append(next, nb)
 			}
 		}
 		bindings = next
@@ -187,10 +222,11 @@ func (r *refEvaluator) run() error {
 	for _, stratum := range r.strata {
 		for changed := true; changed; {
 			changed = false
+			r.aggChanged = false
 			for _, ri := range stratum {
 				rule := r.prog.Rules[ri]
 				meta := r.metas[ri]
-				bindings, err := r.bodyBindings(rule, meta)
+				bindings, err := r.bodyBindings(ri, rule, meta)
 				if err != nil {
 					return err
 				}
@@ -223,9 +259,82 @@ func (r *refEvaluator) run() error {
 					}
 				}
 			}
+			changed = changed || r.aggChanged
 		}
 	}
 	return nil
+}
+
+// contribute records the contribution of binding b to its group — the head
+// predicate of the rule's aggregate group atom and that atom's non-target
+// arguments, as the engine keys it — under its contributor key (the rule
+// and the contributor values), and returns the group's total.
+func (r *refEvaluator) contribute(ri int, rule Rule, meta ruleMeta, l Literal, b map[Variable]any) (float64, error) {
+	v, err := refEvalExpr(r.builtins, l.AggValue, b)
+	if err != nil {
+		return 0, err
+	}
+	fv, ok := toFloat(v)
+	if !ok {
+		return 0, fmt.Errorf("reference: aggregate value %v is not numeric", v)
+	}
+	h := rule.Head[meta.aggHead]
+	group := Fact{Pred: h.Pred + "/"}
+	for i, t := range h.Terms {
+		if meta.aggSkip[i] {
+			group.Pred += "@"
+			continue
+		}
+		group.Pred += "."
+		switch tt := t.(type) {
+		case Constant:
+			group.Args = append(group.Args, tt.Value)
+		case Variable:
+			gv, ok := b[tt]
+			if !ok {
+				return 0, fmt.Errorf("reference: aggregation group variable %s unbound", tt)
+			}
+			group.Args = append(group.Args, gv)
+		}
+	}
+	contrib := Fact{Pred: fmt.Sprintf("r%d", ri)}
+	for _, c := range l.Contributors {
+		contrib.Args = append(contrib.Args, b[c])
+	}
+	gk, ck := refKey(group), refKey(contrib)
+	g := r.agg[gk]
+	if g == nil {
+		g = map[string]float64{}
+		r.agg[gk] = g
+	}
+	if cur, seen := g[ck]; !seen || (l.Agg == AggMin && fv < cur) || (l.Agg != AggMin && fv > cur) {
+		g[ck] = fv
+		r.aggChanged = true
+	}
+	total := 0.0
+	switch l.Agg {
+	case AggCount:
+		total = float64(len(g))
+	case AggMax:
+		total = math.Inf(-1)
+	case AggMin:
+		total = math.Inf(1)
+	case AggProd:
+		total = 1
+	}
+	for _, c := range g {
+		switch l.Agg {
+		case AggSum:
+			total += c
+		case AggMax:
+			total = math.Max(total, c)
+		case AggMin:
+			total = math.Min(total, c)
+		case AggProd:
+			total *= c
+		}
+	}
+	return total, nil
 }
 
 // factSet renders every fact of the given predicates as a sorted key list —
@@ -234,7 +343,7 @@ func (r *refEvaluator) factSet(preds []string) []string {
 	var out []string
 	for _, p := range preds {
 		for _, f := range r.facts[p] {
-			out = append(out, f.Key())
+			out = append(out, refKey(f))
 		}
 	}
 	sortStrings(out)

@@ -12,6 +12,8 @@ import (
 // evalCtx.vals[slot] and undoes it by clearing evalCtx.set[slot], where it
 // once inserted into and deleted from a map[Variable]any. Query compiles its
 // goal the same way, so the chase and goal answering share one evaluator.
+// Slots, constants and every value an expression yields are values
+// (value.go), as the rows they are matched against are.
 
 // termKind discriminates compiled terms.
 type termKind uint8
@@ -27,7 +29,7 @@ const (
 type cterm struct {
 	kind termKind
 	slot int      // termSlot
-	val  any      // termConst
+	val  value    // termConst
 	name Variable // termSlot, termExist: for error messages and null invention
 }
 
@@ -70,12 +72,13 @@ func (s slotter) of(v Variable) int {
 }
 
 // compileAtom compiles a body or goal atom: "_" is a wildcard there.
-func (s slotter) compileAtom(a Atom) catom {
+// Constants enter sy.
+func (s slotter) compileAtom(a Atom, sy *symtab) catom {
 	c := catom{pred: a.Pred, terms: make([]cterm, len(a.Terms))}
 	for i, t := range a.Terms {
 		switch tt := t.(type) {
 		case Constant:
-			c.terms[i] = cterm{kind: termConst, val: tt.Value}
+			c.terms[i] = cterm{kind: termConst, val: sy.of(tt.Value)}
 		case Variable:
 			if tt == "_" {
 				c.terms[i] = cterm{kind: termWild}
@@ -87,21 +90,21 @@ func (s slotter) compileAtom(a Atom) catom {
 	return c
 }
 
-func (s slotter) compileExpr(ex Expr) cexpr {
+func (s slotter) compileExpr(ex Expr, sy *symtab) cexpr {
 	switch x := ex.(type) {
 	case TermExpr:
 		switch t := x.Term.(type) {
 		case Constant:
-			return cexpr{term: cterm{kind: termConst, val: t.Value}}
+			return cexpr{term: cterm{kind: termConst, val: sy.of(t.Value)}}
 		case Variable:
 			return cexpr{term: cterm{kind: termSlot, slot: s.of(t), name: t}}
 		}
 	case BinExpr:
-		return cexpr{op: x.Op, args: []cexpr{s.compileExpr(x.L), s.compileExpr(x.R)}}
+		return cexpr{op: x.Op, args: []cexpr{s.compileExpr(x.L, sy), s.compileExpr(x.R, sy)}}
 	case CallExpr:
 		c := cexpr{op: '#', name: x.Name, args: make([]cexpr, len(x.Args))}
 		for i, a := range x.Args {
-			c.args[i] = s.compileExpr(a)
+			c.args[i] = s.compileExpr(a, sy)
 		}
 		return c
 	}
@@ -111,21 +114,21 @@ func (s slotter) compileExpr(ex Expr) cexpr {
 
 // compileRule fills in the slot form of a planned rule: its body literals,
 // head atoms (existential variables become invented nulls) and the slots of
-// the frontier that keys those nulls.
-func compileRule(r Rule, m *ruleMeta) {
+// the frontier that keys those nulls. Constants enter sy.
+func compileRule(r Rule, m *ruleMeta, sy *symtab) {
 	s := slotter{}
 	m.lits = make([]clit, len(r.Body))
 	for i, l := range r.Body {
 		c := &m.lits[i]
 		switch l.Kind {
 		case LitAtom, LitNot:
-			c.atom = s.compileAtom(l.Atom)
+			c.atom = s.compileAtom(l.Atom, sy)
 		case LitCmp:
-			c.l, c.r = s.compileExpr(l.Left), s.compileExpr(l.Right)
+			c.l, c.r = s.compileExpr(l.Left, sy), s.compileExpr(l.Right, sy)
 		case LitAssign:
-			c.l, c.target = s.compileExpr(l.Expr), s.of(l.Var)
+			c.l, c.target = s.compileExpr(l.Expr, sy), s.of(l.Var)
 		case LitAgg:
-			c.l, c.target = s.compileExpr(l.AggValue), s.of(l.Var)
+			c.l, c.target = s.compileExpr(l.AggValue, sy), s.of(l.Var)
 			for _, v := range l.Contributors {
 				c.contrib = append(c.contrib, s.of(v))
 			}
@@ -137,7 +140,7 @@ func compileRule(r Rule, m *ruleMeta) {
 		for i, t := range h.Terms {
 			switch tt := t.(type) {
 			case Constant:
-				c.terms[i] = cterm{kind: termConst, val: tt.Value}
+				c.terms[i] = cterm{kind: termConst, val: sy.of(tt.Value)}
 			case Variable:
 				if m.existVars[tt] {
 					c.terms[i] = cterm{kind: termExist, name: tt}
@@ -158,7 +161,7 @@ func compileRule(r Rule, m *ruleMeta) {
 // reset sizes the slot frame for n variables, all unbound.
 func (ec *evalCtx) reset(n int) {
 	if cap(ec.vals) < n {
-		ec.vals, ec.set = make([]any, n), make([]bool, n)
+		ec.vals, ec.set = make([]value, n), make([]bool, n)
 	}
 	ec.vals, ec.set = ec.vals[:n], ec.set[:n]
 	clear(ec.set)
@@ -166,48 +169,45 @@ func (ec *evalCtx) reset(n int) {
 }
 
 // value returns a term's value under the frame and whether it has one.
-func (ec *evalCtx) value(t *cterm) (any, bool) {
+func (ec *evalCtx) value(t *cterm) (value, bool) {
 	switch t.kind {
 	case termConst:
 		return t.val, true
 	case termSlot:
 		return ec.vals[t.slot], ec.set[t.slot]
 	}
-	return nil, false
+	return value{}, false
 }
 
 // bindSlot binds a slot and pushes it on the trail.
-func (ec *evalCtx) bindSlot(slot int, v any) {
+func (ec *evalCtx) bindSlot(slot int, v value) {
 	ec.vals[slot], ec.set[slot] = v, true
 	ec.trail = append(ec.trail, slot)
 }
 
-// bind unifies an atom with a fact of its relation under the frame, pushing
+// bind unifies an atom with a row of its relation under the frame, pushing
 // every slot it binds onto the trail. A failed unification undoes its own
 // bindings; a successful one is undone by unbind to the trail length the
-// caller noted before the call. The fact comes from the atom's own relation
-// (or its delta), so only the arity is checked, not the predicate.
-func (ec *evalCtx) bind(a *catom, f Fact) bool {
-	if len(a.terms) != len(f.Args) {
-		return false
-	}
+// caller noted before the call. The row comes from the atom's own relation
+// (or its delta), so it has the atom's arity.
+func (ec *evalCtx) bind(a *catom, row []value) bool {
 	mark := len(ec.trail)
 	for i := range a.terms {
 		t := &a.terms[i]
 		switch t.kind {
 		case termConst:
-			if !valueEqual(t.val, f.Args[i]) {
+			if !ec.sy.eq(t.val, row[i]) {
 				ec.unbind(mark)
 				return false
 			}
 		case termSlot:
 			if ec.set[t.slot] {
-				if !valueEqual(ec.vals[t.slot], f.Args[i]) {
+				if !ec.sy.eq(ec.vals[t.slot], row[i]) {
 					ec.unbind(mark)
 					return false
 				}
 			} else {
-				ec.bindSlot(t.slot, f.Args[i])
+				ec.bindSlot(t.slot, row[i])
 			}
 		}
 	}
@@ -223,42 +223,54 @@ func (ec *evalCtx) unbind(mark int) {
 }
 
 // eval evaluates a compiled expression under the frame.
-func (ec *evalCtx) eval(x *cexpr) (any, error) {
+func (ec *evalCtx) eval(x *cexpr) (value, error) {
 	switch x.op {
 	case 0:
 		v, ok := ec.value(&x.term)
 		if !ok {
-			return nil, fmt.Errorf("datalog: unbound variable %s in expression", x.term.name)
+			return value{}, fmt.Errorf("datalog: unbound variable %s in expression", x.term.name)
 		}
 		return v, nil
 	case '+', '-', '*', '/':
 		lv, err := ec.eval(&x.args[0])
 		if err != nil {
-			return nil, err
+			return value{}, err
 		}
 		rv, err := ec.eval(&x.args[1])
 		if err != nil {
-			return nil, err
+			return value{}, err
 		}
-		return arith(x.op, lv, rv)
+		return ec.sy.arith(x.op, lv, rv)
 	case '#':
-		args := make([]any, len(x.args))
+		// The arguments go on a stack shared with nested calls, which pop
+		// their own before returning.
+		base := len(ec.stack)
+		defer func() { ec.stack = ec.stack[:base] }()
 		for i := range x.args {
 			v, err := ec.eval(&x.args[i])
 			if err != nil {
-				return nil, err
+				return value{}, err
 			}
-			args[i] = v
+			ec.stack = append(ec.stack, v)
 		}
-		if fn, ok := ec.e.builtins[x.name]; ok {
-			return fn(args)
+		fn, ok := ec.e.builtins[x.name]
+		if !ok && !strings.HasPrefix(x.name, "sk") {
+			return value{}, fmt.Errorf("datalog: unknown builtin #%s", x.name)
 		}
-		if strings.HasPrefix(x.name, "sk") {
-			return NewSkolem(x.name, args...), nil
+		args := make([]any, len(x.args))
+		for i, v := range ec.stack[base:] {
+			args[i] = ec.sy.any(v)
 		}
-		return nil, fmt.Errorf("datalog: unknown builtin #%s", x.name)
+		if !ok {
+			return ec.sy.of(NewSkolem(x.name, args...)), nil
+		}
+		out, err := fn(args)
+		if err != nil {
+			return value{}, err
+		}
+		return ec.sy.of(out), nil
 	}
-	return nil, fmt.Errorf("datalog: bad expression %s", x.name)
+	return value{}, fmt.Errorf("datalog: bad expression %s", x.name)
 }
 
 // arith applies a binary arithmetic operator; '+' on a non-number
@@ -272,6 +284,10 @@ func arith(op byte, lv, rv any) (any, error) {
 		}
 		return nil, fmt.Errorf("datalog: arithmetic on non-numeric values %v, %v", lv, rv)
 	}
+	return arithFloat(op, lf, rf)
+}
+
+func arithFloat(op byte, lf, rf float64) (float64, error) {
 	switch op {
 	case '+':
 		return lf + rf, nil
@@ -281,7 +297,7 @@ func arith(op byte, lv, rv any) (any, error) {
 		return lf * rf, nil
 	}
 	if rf == 0 {
-		return nil, fmt.Errorf("datalog: division by zero")
+		return 0, fmt.Errorf("datalog: division by zero")
 	}
 	return lf / rf, nil
 }
@@ -298,50 +314,46 @@ func (ec *evalCtx) appendFrontier(dst []byte) []byte {
 			dst = append(dst, '|')
 			dst = append(dst, meta.headVars[i]...)
 			dst = append(dst, '=')
-			dst = appendValue(dst, ec.vals[s])
+			dst = ec.sy.appendEnc(dst, ec.vals[s])
 		}
 	}
 	return dst
 }
 
-// appendGroupKey appends the aggregation group of the frame's body match:
-// the predicate of the head atom the aggregate defines plus the values of
-// its non-target arguments. Keying on the head predicate (not the rule) lets
-// the msum calls of several rules contribute to one total, as the paper
-// requires for Algorithm 8 ("the two monotonic summations of Rules (2) and
-// (3) contribute to the same total, one for each (F, y) pair").
-func (ec *evalCtx) appendGroupKey(dst []byte) ([]byte, error) {
+// groupRow builds the aggregation group of the frame's body match in
+// scratch: the values of the non-target arguments of the head atom the
+// aggregate defines (the table, ruleMeta.aggKey, names the predicate and
+// the target positions).
+func (ec *evalCtx) groupRow() ([]value, error) {
 	meta := ec.meta
 	h := &meta.head[meta.aggHead]
-	dst = append(dst, h.pred...)
+	row := ec.grow[:0]
 	for i := range h.terms {
-		dst = append(dst, '|')
 		if meta.aggSkip[i] {
-			dst = append(dst, '@') // target position: excluded from the group
 			continue
 		}
 		v, ok := ec.value(&h.terms[i])
 		if !ok {
-			return dst, fmt.Errorf("datalog: rule %q: aggregation group variable %s unbound", ec.rule.Label, h.terms[i].name)
+			return nil, fmt.Errorf("datalog: rule %q: aggregation group variable %s unbound", ec.rule.Label, h.terms[i].name)
 		}
-		dst = appendValue(dst, v)
+		row = append(row, v)
 	}
-	return dst, nil
+	ec.grow = row
+	return row, nil
 }
 
-// appendContrib appends the contributor key of an aggregate literal: the
-// rule number and the contributor values.
-func (ec *evalCtx) appendContrib(dst []byte, slots []int) []byte {
-	dst = append(dst, 'r')
-	dst = strconv.AppendInt(dst, int64(ec.ri), 10)
-	dst = append(dst, '|')
-	for i, s := range slots {
-		if i > 0 {
-			dst = append(dst, '|')
-		}
+// contribRow builds the contributor key of the frame's aggregate in scratch:
+// the group, then the contributor values (the zero value for an unbound
+// one).
+func (ec *evalCtx) contribRow(g int) []value {
+	row := append(ec.crow[:0], value{kindInt, uint64(g)})
+	for _, s := range ec.meta.lits[ec.meta.aggLit].contrib {
+		var v value
 		if ec.set[s] {
-			dst = appendValue(dst, ec.vals[s])
+			v = ec.vals[s]
 		}
+		row = append(row, v)
 	}
-	return dst
+	ec.crow = row
+	return row
 }

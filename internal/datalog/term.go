@@ -93,17 +93,33 @@ type SkolemID struct {
 
 func (s SkolemID) String() string { return "#" + s.Fn + "(" + s.Key + ")" }
 
-// NewSkolem applies the Skolem function named fn to ground args.
+// NewSkolem applies the Skolem function named fn to ground args. The key
+// joins the arguments' canonical encodings with '|', escaping each '|' and
+// backslash inside an argument with a backslash, so distinct argument lists
+// never share a key; a key without those characters is the plain join.
 func NewSkolem(fn string, args ...any) SkolemID {
 	var buf [64]byte
+	var enc [32]byte
 	b := buf[:0]
 	for i, a := range args {
 		if i > 0 {
 			b = append(b, '|')
 		}
-		b = appendValue(b, a)
+		b = appendEscaped(b, appendValue(enc[:0], a))
 	}
 	return SkolemID{Fn: fn, Key: string(b)}
+}
+
+// appendEscaped appends enc with every '|' and backslash escaped by a
+// backslash.
+func appendEscaped(dst, enc []byte) []byte {
+	for _, c := range enc {
+		if c == '|' || c == '\\' {
+			dst = append(dst, '\\')
+		}
+		dst = append(dst, c)
+	}
+	return dst
 }
 
 // Str, Num, Int and Bool are convenience constructors for constants.
@@ -129,25 +145,15 @@ func appendValue(dst []byte, v any) []byte {
 		dst = append(dst, 's')
 		return append(dst, x...)
 	case float64:
-		dst = append(dst, 'f')
-		if x == math.Trunc(x) && math.Abs(x) < 1e15 {
-			// Normalize integral floats so 1.0 and 1 compare equal when both
-			// arrive as float64 through different arithmetic paths.
-			return strconv.AppendFloat(dst, x, 'f', 1, 64)
-		}
-		return strconv.AppendFloat(dst, x, 'g', 17, 64)
+		return appendFloatEnc(dst, x)
 	case int64:
-		dst = append(dst, 'i')
-		return strconv.AppendInt(dst, x, 10)
+		return appendIntEnc(dst, x)
 	case int:
-		dst = append(dst, 'i')
-		return strconv.AppendInt(dst, int64(x), 10)
+		return appendIntEnc(dst, int64(x))
 	case bool:
-		dst = append(dst, 'b')
-		return strconv.AppendBool(dst, x)
+		return appendBoolEnc(dst, x)
 	case Null:
-		dst = append(dst, 'n')
-		return strconv.AppendUint(dst, x.ID, 10)
+		return appendNullEnc(dst, x.ID)
 	case SkolemID:
 		dst = append(dst, 'k')
 		dst = append(dst, x.Fn...)
@@ -156,6 +162,28 @@ func appendValue(dst []byte, v any) []byte {
 	default:
 		return fmt.Appendf(dst, "?%v", x)
 	}
+}
+
+func appendFloatEnc(dst []byte, x float64) []byte {
+	dst = append(dst, 'f')
+	if x == math.Trunc(x) && math.Abs(x) < 1e15 {
+		// Normalize integral floats so 1.0 and 1 compare equal when both
+		// arrive as float64 through different arithmetic paths.
+		return strconv.AppendFloat(dst, x, 'f', 1, 64)
+	}
+	return strconv.AppendFloat(dst, x, 'g', 17, 64)
+}
+
+func appendIntEnc(dst []byte, x int64) []byte {
+	return strconv.AppendInt(append(dst, 'i'), x, 10)
+}
+
+func appendBoolEnc(dst []byte, x bool) []byte {
+	return strconv.AppendBool(append(dst, 'b'), x)
+}
+
+func appendNullEnc(dst []byte, id uint64) []byte {
+	return strconv.AppendUint(append(dst, 'n'), id, 10)
 }
 
 // valueEqual reports whether two ground values have equal canonical
@@ -207,17 +235,16 @@ type Fact struct {
 	Args []any
 }
 
-// Key returns the canonical identity of the fact (set semantics).
+// Key returns the canonical key of the fact, the one SortFacts orders by.
+// It joins the arguments' encodings with ',' unescaped, so two facts can
+// share a key (p("a,sb", "c") and p("a", "b,sc")); the engine decides fact
+// identity on values instead (DESIGN.md §7.8).
 func (f Fact) Key() string {
-	// A typical row fits the stack buffer, so the key costs one allocation at
-	// its exact length: a relation's key set keeps it as long as the engine.
 	var buf [128]byte
 	return string(appendFactKey(buf[:0], f.Pred, f.Args))
 }
 
-// appendFactKey appends the canonical key of the fact pred(args...) to dst:
-// the form of Key that the chase builds into a reused buffer, so an emission
-// that turns out to be a duplicate allocates nothing.
+// appendFactKey appends the canonical key of the fact pred(args...) to dst.
 func appendFactKey(dst []byte, pred string, args []any) []byte {
 	dst = append(dst, pred...)
 	dst = append(dst, '(')

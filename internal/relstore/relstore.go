@@ -59,7 +59,7 @@ func CompanyGraphFacts(g pg.View) []datalog.Fact {
 		start := len(args)
 		args = append(args, int64(id))
 		for _, p := range NodeProps {
-			args = append(args, propString(n.Props, p))
+			args = append(args, propValue(n.Props, p))
 		}
 		facts = append(facts, datalog.Fact{Pred: pred, Args: args[start:len(args):len(args)]})
 	}
@@ -110,7 +110,7 @@ func NodeFact(g pg.View, id pg.NodeID) (datalog.Fact, bool) {
 	args := make([]any, 0, 1+len(NodeProps))
 	args = append(args, int64(id))
 	for _, p := range NodeProps {
-		args = append(args, propString(n.Props, p))
+		args = append(args, propValue(n.Props, p))
 	}
 	return datalog.Fact{Pred: pred, Args: args}, true
 }
@@ -193,17 +193,19 @@ func toNodeID(v any) (pg.NodeID, bool) {
 	return 0, false
 }
 
-// propString renders a node property as a fact argument, byte-identical to
-// fmt's %v. The kinds graphs hold (a person's float birth year on every
-// extraction) are formatted by strconv, which skips fmt's reflection.
-func propString(props pg.Properties, name string) string {
+// propValue renders a node property as a fact argument: the string fmt's %v
+// gives. A string property is returned as the interface value the graph
+// already holds, so extraction does not box it again; the other kinds graphs
+// hold (a person's float birth year on every extraction) are formatted by
+// strconv, which skips fmt's reflection.
+func propValue(props pg.Properties, name string) any {
 	v, ok := props[name]
 	if !ok {
 		return ""
 	}
 	switch x := v.(type) {
 	case string:
-		return x
+		return v
 	case float64:
 		return strconv.FormatFloat(x, 'g', -1, 64)
 	case int64:

@@ -110,21 +110,31 @@ func TestRoundTripThroughInputMappingRules(t *testing.T) {
 	}
 }
 
-// TestPropStringMatchesFmt pins propString's strconv formatting to fmt's %v,
-// byte for byte, on every kind it formats without fmt.
+// TestPropStringMatchesFmt pins the rendering of a property as a fact
+// argument to fmt's %v, byte for byte, on every kind propValue handles: each
+// comes out as that string.
 func TestPropStringMatchesFmt(t *testing.T) {
 	for _, v := range []any{
 		float64(1970), 1970.5, 1e21, 1e-7, math.Copysign(0, -1), 1234567.0, 0.1, math.Inf(1), math.NaN(),
 		int64(-42), int64(1 << 62), 7,
 		true, false,
-		"Rome", []int{1, 2},
+		"Rome", "", []int{1, 2},
 	} {
-		got := propString(pg.Properties{"p": v}, "p")
-		if want := fmt.Sprint(v); got != want {
-			t.Errorf("propString(%#v) = %q, fmt.Sprint gives %q", v, got, want)
+		got := propValue(pg.Properties{"p": v}, "p")
+		if want := fmt.Sprint(v); got != any(want) {
+			t.Errorf("propValue(%#v) = %#v, fmt.Sprint gives %q", v, got, want)
 		}
 	}
-	if got := propString(pg.Properties{}, "p"); got != "" {
-		t.Errorf("missing property renders %q, want \"\"", got)
+	if got := propValue(pg.Properties{}, "p"); got != any("") {
+		t.Errorf("missing property renders %#v, want \"\"", got)
+	}
+}
+
+// TestPropValueKeepsStrings pins that a string property reaches the fact as
+// the interface value the graph holds: extraction allocates nothing for it.
+func TestPropValueKeepsStrings(t *testing.T) {
+	props := pg.Properties{"name": "Rome"}
+	if n := testing.AllocsPerRun(100, func() { _ = propValue(props, "name") }); n != 0 {
+		t.Errorf("a string property allocates %.0f times, want 0", n)
 	}
 }

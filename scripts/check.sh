@@ -49,9 +49,12 @@ echo "== coverage floors =="
 #   datalog      the hottest and most-refactored code in the repo; held at the
 #                level the indexing/parallelism PR established (87.3%; 91.3%
 #                measured with slot-compiled bindings, 90.8% once the worker
-#                pool went and the chase kept one round evaluator) so later
-#                perf work can't silently shed tests. The allocation guard,
-#                TestChaseAllocations, runs here: the race step above skips it.
+#                pool went and the chase kept one round evaluator, 93.0% on
+#                value rows) so later perf work can't silently shed tests. The
+#                allocation guards, TestChaseAllocations (one full chase) and
+#                TestGoalMissAllocations (one point-cold-shaped goal miss,
+#                extraction included), run here: the race step above skips
+#                them.
 #   reasonapi    the HTTP surface carries the error-envelope and observability
 #                contracts, and the hit-path guards (allocations per hit, a
 #                deadline armed only by misses, queryParam vs url.ParseQuery)
@@ -78,6 +81,9 @@ echo "== coverage floors =="
 #                walk arena) each have a unit test to keep (97.0%).
 #   core         Algorithm 1's loop: fixpoint, round cap, recall and block
 #                matching are the paths a regression hides in (89.3%).
+#   relstore     the §3 relational image every chase loads; its extraction is
+#                half of a point miss, and its rendering of properties is what
+#                the reasoning programs match on (67.4%).
 while read -r pkg var floor; do
     floor="${!var:-$floor}"
     go test -coverprofile="/tmp/${pkg}.cover" "./internal/${pkg}" >/dev/null
@@ -99,6 +105,7 @@ ivm         IVM_COVER_FLOOR     80.0
 qcache      QCACHE_COVER_FLOOR  80.0
 embed       EMBED_COVER_FLOOR   90.0
 core        CORE_COVER_FLOOR    85.0
+relstore    RELSTORE_COVER_FLOOR 67.4
 FLOORS
 
 echo "== differential what-if harness =="
