@@ -336,3 +336,92 @@ func parseModule(fset *token.FileSet, fn func(path string, f *ast.File)) error {
 		return nil
 	})
 }
+
+// TestElementsAreImmutable fails on a write to the Props map of a pg.Node or
+// pg.Edge in a non-test file of the module, bench/ included: an assignment
+// to the field or to one of its keys, or a delete, clear, maps.Copy or
+// maps.DeleteFunc on it. Clones, store versions and overlays share elements
+// (DESIGN.md §11.1), so a write through one would change every graph that
+// holds the element; a change builds a new element instead, as
+// pg.Graph.SetEdgeWeight does.
+func TestElementsAreImmutable(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := typeCheckModule(fset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, p := range pkgs {
+		// isProps reports whether x is the Props field of a pg.Node or
+		// pg.Edge, or a key of it.
+		isProps := func(x ast.Expr) bool {
+			x = ast.Unparen(x)
+			if ix, ok := x.(*ast.IndexExpr); ok {
+				x = ast.Unparen(ix.X)
+			}
+			sel, ok := x.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "Props" {
+				return false
+			}
+			typ := p.info.TypeOf(sel.X)
+			if ptr, ok := typ.(*types.Pointer); ok {
+				typ = ptr.Elem()
+			}
+			named, ok := typ.(*types.Named)
+			if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "vadalink/internal/pg" {
+				return false
+			}
+			return named.Obj().Name() == "Node" || named.Obj().Name() == "Edge"
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				var written []ast.Expr
+				switch s := n.(type) {
+				case *ast.SelectorExpr:
+					if isProps(s) {
+						seen++
+					}
+				case *ast.AssignStmt:
+					written = s.Lhs
+				case *ast.IncDecStmt:
+					written = []ast.Expr{s.X}
+				case *ast.CallExpr:
+					if len(s.Args) > 0 && writesFirstArg(p.info, s.Fun) {
+						written = s.Args[:1]
+					}
+				}
+				for _, x := range written {
+					if isProps(x) {
+						t.Errorf("%s: writes the Props of a pg element, which clones and versions share; build a new element instead",
+							fset.Position(x.Pos()))
+					}
+				}
+				return true
+			})
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no Props field of a pg element found in the module")
+	}
+}
+
+// writesFirstArg reports whether fun is a builtin or standard-library map
+// function that writes the map passed as its first argument.
+func writesFirstArg(info *types.Info, fun ast.Expr) bool {
+	var id *ast.Ident
+	switch f := ast.Unparen(fun).(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	default:
+		return false
+	}
+	switch obj := info.Uses[id].(type) {
+	case *types.Builtin:
+		return obj.Name() == "delete" || obj.Name() == "clear"
+	case *types.Func:
+		return obj.Pkg() != nil && obj.Pkg().Path() == "maps" && (obj.Name() == "Copy" || obj.Name() == "DeleteFunc")
+	}
+	return false
+}

@@ -92,6 +92,7 @@ func BarabasiWith(cfg BarabasiConfig) *pg.Graph {
 	g := pg.New()
 
 	ids := make([]pg.NodeID, 0, n)
+	var shares []share
 	// repeated holds node indices once per degree unit — sampling an element
 	// uniformly implements preferential attachment.
 	var repeated []pg.NodeID
@@ -131,34 +132,41 @@ func BarabasiWith(cfg BarabasiConfig) *pg.Graph {
 				continue
 			}
 			targets[to] = true
-			g.MustAddEdge(pg.LabelShareholding, id, to,
-				pg.Properties{pg.WeightProp: 0.05 + 0.95*r.Float64()})
+			shares = append(shares, share{id, to, 0.05 + 0.95*r.Float64()})
 			repeated = append(repeated, to, id)
 		}
 	}
-	NormalizeShares(g)
+	addShares(g, shares)
 	return g
 }
 
-// NormalizeShares rescales the incoming shareholding weights of every node
-// whose total exceeds 1 so they sum to exactly 1, preserving proportions —
-// the company-graph invariant that no more than 100% of a company is owned.
-func NormalizeShares(g *pg.Graph) {
-	for _, id := range g.Nodes() {
-		var sum float64
-		var edges []*pg.Edge
-		for _, e := range g.InLabel(id, pg.LabelShareholding) {
-			if w, ok := e.Weight(); ok {
-				sum += w
-				edges = append(edges, e)
-			}
-		}
-		if sum <= 1 {
-			continue
-		}
-		for _, e := range edges {
-			w, _ := e.Weight()
-			e.Props[pg.WeightProp] = w / sum
+// share is a shareholding edge a generator has drawn but not yet added.
+type share struct {
+	from, to pg.NodeID
+	w        float64
+}
+
+// addShares normalizes the drawn shares and adds them to g in draw order.
+// Weights are final before an edge is added: a graph never writes to an edge
+// it holds.
+func addShares(g *pg.Graph, shares []share) {
+	normalizeShares(shares)
+	for _, s := range shares {
+		g.MustAddEdge(pg.LabelShareholding, s.from, s.to, pg.Properties{pg.WeightProp: s.w})
+	}
+}
+
+// normalizeShares rescales the weights of the shares into every target whose
+// total exceeds 1 so they sum to exactly 1, preserving proportions — the
+// company-graph invariant that no more than 100% of a company is owned.
+func normalizeShares(shares []share) {
+	sum := map[pg.NodeID]float64{}
+	for _, s := range shares {
+		sum[s.to] += s.w
+	}
+	for i := range shares {
+		if total := sum[shares[i].to]; total > 1 {
+			shares[i].w /= total
 		}
 	}
 }

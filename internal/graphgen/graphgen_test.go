@@ -54,9 +54,7 @@ func TestNormalizeShares(t *testing.T) {
 	a := g.AddNode(pg.LabelCompany, nil)
 	b := g.AddNode(pg.LabelCompany, nil)
 	c := g.AddNode(pg.LabelCompany, nil)
-	g.MustAddEdge(pg.LabelShareholding, a, c, pg.Properties{pg.WeightProp: 0.9})
-	g.MustAddEdge(pg.LabelShareholding, b, c, pg.Properties{pg.WeightProp: 0.9})
-	NormalizeShares(g)
+	addShares(g, []share{{a, c, 0.9}, {b, c, 0.9}, {a, b, 0.5}})
 	var sum float64
 	for _, e := range g.InLabel(c, pg.LabelShareholding) {
 		w, _ := e.Weight()
@@ -71,6 +69,10 @@ func TestNormalizeShares(t *testing.T) {
 	w1, _ := es[1].Weight()
 	if w0 != w1 {
 		t.Errorf("proportions not preserved: %v vs %v", w0, w1)
+	}
+	// A target owned at most 100% keeps its weight.
+	if w, _ := g.InLabel(b, pg.LabelShareholding)[0].Weight(); w != 0.5 {
+		t.Errorf("share into an under-allocated target rescaled to %v", w)
 	}
 }
 

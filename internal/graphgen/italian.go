@@ -177,14 +177,14 @@ func NewItalian(cfg ItalianConfig) *Italian {
 		return companies[r.Intn(len(companies))]
 	}
 	shareEdges := int(shareEdgesPerNode * float64(cfg.Persons+cfg.Companies))
+	var shares []share
 	for i := 0; i < shareEdges; i++ {
 		from := pickSource()
 		to := pickTarget()
 		if from == to {
 			continue
 		}
-		g.MustAddEdge(pg.LabelShareholding, from, to,
-			pg.Properties{pg.WeightProp: shareAmount(r)})
+		shares = append(shares, share{from, to, shareAmount(r)})
 		inRepeated = append(inRepeated, to)
 		outRepeated = append(outRepeated, from)
 	}
@@ -193,8 +193,7 @@ func NewItalian(cfg ItalianConfig) *Italian {
 	loops := int(selfLoopRate * float64(len(companies)))
 	for i := 0; i < loops; i++ {
 		c := companies[r.Intn(len(companies))]
-		g.MustAddEdge(pg.LabelShareholding, c, c,
-			pg.Properties{pg.WeightProp: 0.01 + 0.1*r.Float64()})
+		shares = append(shares, share{c, c, 0.01 + 0.1*r.Float64()})
 	}
 
 	// 5. Cross-ownership rings: small groups of companies holding minority
@@ -212,8 +211,7 @@ func NewItalian(cfg ItalianConfig) *Italian {
 			if a == b {
 				continue
 			}
-			g.MustAddEdge(pg.LabelShareholding, a, b,
-				pg.Properties{pg.WeightProp: 0.02 + 0.1*r.Float64()})
+			shares = append(shares, share{a, b, 0.02 + 0.1*r.Float64()})
 		}
 	}
 
@@ -229,12 +227,13 @@ func NewItalian(cfg ItalianConfig) *Italian {
 		if a == c1 || a == c2 || c1 == c2 {
 			continue
 		}
-		g.MustAddEdge(pg.LabelShareholding, a, c1, pg.Properties{pg.WeightProp: shareAmount(r)})
-		g.MustAddEdge(pg.LabelShareholding, a, c2, pg.Properties{pg.WeightProp: shareAmount(r)})
-		g.MustAddEdge(pg.LabelShareholding, c1, c2, pg.Properties{pg.WeightProp: 0.02 + 0.1*r.Float64()})
+		shares = append(shares,
+			share{a, c1, shareAmount(r)},
+			share{a, c2, shareAmount(r)},
+			share{c1, c2, 0.02 + 0.1*r.Float64()})
 	}
 
-	NormalizeShares(g)
+	addShares(g, shares)
 	return out
 }
 

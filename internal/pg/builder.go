@@ -1,6 +1,9 @@
 package pg
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+)
 
 // Builder constructs company graphs by name, the way the paper's running
 // examples (Figures 1 and 2) are written: companies and persons are referred
@@ -32,12 +35,23 @@ func (b *Builder) Person(key string) NodeID {
 	return b.node(key, LabelPerson)
 }
 
-// PersonWith ensures a person node exists and merges the given properties.
+// PersonWith ensures a person node exists and merges the given properties
+// over its own. A new person is added with the merged map; an existing one
+// is replaced by a merged copy, since a graph never writes to a node it
+// holds.
 func (b *Builder) PersonWith(key string, props Properties) NodeID {
-	id := b.node(key, LabelPerson)
-	for k, v := range props {
-		b.g.Node(id).Props[k] = v
+	id, exists := b.byKey[key]
+	if !exists {
+		merged := Properties{"name": key}
+		maps.Copy(merged, props)
+		id = b.g.AddNode(LabelPerson, merged)
+		b.byKey[key] = id
+		return id
 	}
+	b.node(key, LabelPerson) // panics when key names a company
+	merged := b.g.nodes[id].Props.clone()
+	maps.Copy(merged, props)
+	b.g.nodes[id] = &Node{ID: id, Label: LabelPerson, Props: merged}
 	return id
 }
 

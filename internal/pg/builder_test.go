@@ -64,3 +64,34 @@ func TestBuilderOwnPanicsOnUnknown(t *testing.T) {
 	}()
 	NewBuilder().Own("nope", "also-nope", 0.5)
 }
+
+// TestBuilderPersonWith: the properties are merged over the person's name
+// before the node is added, and merging into an existing person replaces the
+// node instead of writing it, so a clone taken in between keeps the old one.
+func TestBuilderPersonWith(t *testing.T) {
+	b := NewBuilder()
+	id := b.PersonWith("P", Properties{"city": "Roma"})
+	if got := b.Graph().Node(id).Props; got["name"] != "P" || got["city"] != "Roma" {
+		t.Fatalf("new person props = %v", got)
+	}
+	before := b.Graph().Clone()
+	if again := b.PersonWith("P", Properties{"city": "Milano", "birth": 1970.0}); again != id {
+		t.Fatalf("PersonWith of an existing person returned %d, want %d", again, id)
+	}
+	if got := b.Graph().Node(id).Props; got["name"] != "P" || got["city"] != "Milano" || got["birth"] != 1970.0 {
+		t.Errorf("merged person props = %v", got)
+	}
+	if got := before.Node(id).Props; len(got) != 2 || got["city"] != "Roma" {
+		t.Errorf("a clone taken before the merge reads %v", got)
+	}
+	if n := len(b.Graph().NodesWithLabel(LabelPerson)); n != 1 {
+		t.Errorf("%d persons after merging into one", n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("PersonWith on a company key did not panic")
+		}
+	}()
+	b.Company("C")
+	b.PersonWith("C", nil)
+}

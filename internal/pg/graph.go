@@ -10,6 +10,7 @@ package pg
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -46,7 +47,11 @@ type Value = any
 // element).
 type Properties map[string]Value
 
-// Node is a labelled node with properties.
+// Node is a labelled node with properties. Once a graph or overlay holds a
+// node, neither the struct nor its Props map is written again: a change
+// builds a new Node. Clones, versions and overlays therefore share nodes
+// instead of copying them, and a pointer obtained from any View reads the
+// same values for as long as it is held.
 type Node struct {
 	ID    NodeID
 	Label Label
@@ -54,7 +59,9 @@ type Node struct {
 }
 
 // Edge is a labelled, directed edge with properties. For shareholding edges
-// the property "w" holds the share amount σ(e, w) ∈ (0, 1].
+// the property "w" holds the share amount σ(e, w) ∈ (0, 1]. Edges are
+// immutable once held by a graph, as nodes are: SetEdgeWeight replaces the
+// edge with a new struct and a new Props map.
 type Edge struct {
 	ID    EdgeID
 	Label Label
@@ -159,14 +166,12 @@ func New() *Graph {
 func (g *Graph) SetMutationHook(fn func(Mutation)) { g.onMutate = fn }
 
 // AddNode inserts a node with the given label and properties and returns its
-// ID. Props may be nil.
+// ID. Props may be nil. The graph takes ownership of props: the caller must
+// not write to the map afterwards, since clones and versions share it.
 func (g *Graph) AddNode(label Label, props Properties) NodeID {
 	id := g.nextNode
 	g.nextNode++
-	if props == nil {
-		props = Properties{}
-	}
-	n := &Node{ID: id, Label: label, Props: props}
+	n := &Node{ID: id, Label: label, Props: props.orEmpty()}
 	g.nodes[id] = n
 	g.byNodeLabel[label] = append(g.byNodeLabel[label], id)
 	if g.onMutate != nil {
@@ -176,7 +181,8 @@ func (g *Graph) AddNode(label Label, props Properties) NodeID {
 }
 
 // AddEdge inserts a directed edge from → to and returns its ID. It returns an
-// error if either endpoint does not exist.
+// error if either endpoint does not exist. Like AddNode, it takes ownership
+// of props.
 func (g *Graph) AddEdge(label Label, from, to NodeID, props Properties) (EdgeID, error) {
 	if _, ok := g.nodes[from]; !ok {
 		return 0, fmt.Errorf("pg: add edge: unknown source node %d", from)
@@ -186,10 +192,7 @@ func (g *Graph) AddEdge(label Label, from, to NodeID, props Properties) (EdgeID,
 	}
 	id := g.nextEdge
 	g.nextEdge++
-	if props == nil {
-		props = Properties{}
-	}
-	e := &Edge{ID: id, Label: label, From: from, To: to, Props: props}
+	e := &Edge{ID: id, Label: label, From: from, To: to, Props: props.orEmpty()}
 	g.edges[id] = e
 	g.out[from] = append(g.out[from], id)
 	g.in[to] = append(g.in[to], id)
@@ -242,8 +245,10 @@ func (g *Graph) RemoveEdge(id EdgeID) bool {
 	return true
 }
 
-// SetEdgeWeight changes the share amount of a Shareholding edge in place and
-// fires MutSetEdgeWeight (the hook observes the edge with the new weight).
+// SetEdgeWeight changes the share amount of a Shareholding edge and fires
+// MutSetEdgeWeight (the hook observes the edge with the new weight). The edge
+// is copied on write: a new Edge with a new Props map replaces it, so a clone
+// or published version sharing the old one keeps reading the old weight.
 // Only shareholding edges carry a weight, and Definition 2.2 bounds it to
 // (0, 1] — retracting a share entirely is RemoveEdge, not a zero weight.
 func (g *Graph) SetEdgeWeight(id EdgeID, w float64) error {
@@ -257,7 +262,8 @@ func (g *Graph) SetEdgeWeight(id EdgeID, w float64) error {
 	if w <= 0 || w > 1 {
 		return fmt.Errorf("pg: set edge weight: weight %v outside (0, 1]", w)
 	}
-	e.Props[WeightProp] = w
+	e = e.withWeight(w)
+	g.edges[id] = e
 	g.weightEdits++
 	if g.onMutate != nil {
 		g.onMutate(Mutation{Kind: MutSetEdgeWeight, Edge: e})
@@ -352,6 +358,22 @@ func (g *Graph) Replay(m Mutation) (Mutation, error) {
 		return Mutation{Kind: m.Kind, Node: n}, nil
 	}
 	return Mutation{}, fmt.Errorf("pg: replay: unknown mutation kind %d", m.Kind)
+}
+
+// withWeight returns a copy of e whose weight property is w; e is unchanged.
+func (e *Edge) withWeight(w float64) *Edge {
+	props := e.Props.clone()
+	props[WeightProp] = w
+	return &Edge{ID: e.ID, Label: e.Label, From: e.From, To: e.To, Props: props}
+}
+
+// orEmpty returns p, or an empty map for a nil p: an element's Props is
+// never nil.
+func (p Properties) orEmpty() Properties {
+	if p == nil {
+		return Properties{}
+	}
+	return p
 }
 
 // clone returns a copy of p that is never nil.
@@ -478,33 +500,41 @@ func (g *Graph) HasEdge(label Label, from, to NodeID) bool {
 	return false
 }
 
-// Clone returns a deep copy of the graph (nodes, edges and property maps are
-// copied; property values are shared, which is safe because values are
-// immutable scalars). Index and adjacency slices are copied verbatim, so the
-// clone preserves the original's insertion orders — NodesWithLabel, Out and
-// friends read identically on graph and clone, which MVCC snapshots rely on.
+// Clone returns a copy of the graph that shares its nodes, edges and
+// property maps with g, which is safe because a graph never writes to an
+// element it holds (see Node). Only the identifier maps and the adjacency and
+// label slices are copied, so a clone costs its index, not its data. The
+// slices are copied verbatim, so the clone preserves the original's insertion
+// orders — NodesWithLabel, Out and friends read identically on graph and
+// clone, which MVCC snapshots rely on.
 func (g *Graph) Clone() *Graph {
-	c := New()
-	c.nextNode = g.nextNode
-	c.nextEdge = g.nextEdge
-	c.weightEdits = g.weightEdits
-	for id, n := range g.nodes {
-		c.nodes[id] = &Node{ID: id, Label: n.Label, Props: n.Props.clone()}
+	return &Graph{
+		nodes:       maps.Clone(g.nodes),
+		edges:       maps.Clone(g.edges),
+		nextNode:    g.nextNode,
+		nextEdge:    g.nextEdge,
+		out:         cloneIndex(g.out),
+		in:          cloneIndex(g.in),
+		byNodeLabel: cloneIndex(g.byNodeLabel),
+		byEdgeLabel: cloneIndex(g.byEdgeLabel),
+		weightEdits: g.weightEdits,
 	}
-	for id, e := range g.edges {
-		c.edges[id] = &Edge{ID: id, Label: e.Label, From: e.From, To: e.To, Props: e.Props.clone()}
+}
+
+// cloneIndex copies an index of ID slices into one backing array. Each copy
+// is capped at its length, so an append on the clone reallocates rather than
+// run into its neighbour's IDs.
+func cloneIndex[K comparable, V any](m map[K][]V) map[K][]V {
+	n := 0
+	for _, ids := range m {
+		n += len(ids)
 	}
-	for label, ids := range g.byNodeLabel {
-		c.byNodeLabel[label] = append([]NodeID(nil), ids...)
-	}
-	for label, ids := range g.byEdgeLabel {
-		c.byEdgeLabel[label] = append([]EdgeID(nil), ids...)
-	}
-	for id, ids := range g.out {
-		c.out[id] = append([]EdgeID(nil), ids...)
-	}
-	for id, ids := range g.in {
-		c.in[id] = append([]EdgeID(nil), ids...)
+	buf := make([]V, 0, n)
+	c := make(map[K][]V, len(m))
+	for k, ids := range m {
+		start := len(buf)
+		buf = append(buf, ids...)
+		c[k] = buf[start:len(buf):len(buf)]
 	}
 	return c
 }
@@ -514,7 +544,9 @@ func (g *Graph) Clone() *Graph {
 // where the persisted graph left off (so identifiers assigned after a
 // restore never collide with removed ones). It exists for the durability
 // layer — AddNode/AddEdge always assign fresh IDs, which a snapshot loader
-// must not do. Property maps are copied; the mutation hook is not fired.
+// must not do. The graph keeps the property maps it is given (a nil map is
+// stored as an empty one) and owns them from then on, as AddNode does; the
+// mutation hook is not fired.
 //
 // Restore validates what it is given (duplicate or out-of-range IDs, edges
 // with unknown endpoints) and fails rather than build a graph that never
@@ -529,7 +561,7 @@ func Restore(nodes []Node, edges []Edge, nextNode NodeID, nextEdge EdgeID) (*Gra
 		if _, dup := g.nodes[n.ID]; dup {
 			return nil, fmt.Errorf("pg: restore: duplicate node id %d", n.ID)
 		}
-		g.nodes[n.ID] = &Node{ID: n.ID, Label: n.Label, Props: n.Props.clone()}
+		g.nodes[n.ID] = &Node{ID: n.ID, Label: n.Label, Props: n.Props.orEmpty()}
 		g.byNodeLabel[n.Label] = append(g.byNodeLabel[n.Label], n.ID)
 	}
 	for i := range edges {
@@ -546,7 +578,7 @@ func Restore(nodes []Node, edges []Edge, nextNode NodeID, nextEdge EdgeID) (*Gra
 		if _, ok := g.nodes[e.To]; !ok {
 			return nil, fmt.Errorf("pg: restore: edge %d: unknown target node %d", e.ID, e.To)
 		}
-		g.edges[e.ID] = &Edge{ID: e.ID, Label: e.Label, From: e.From, To: e.To, Props: e.Props.clone()}
+		g.edges[e.ID] = &Edge{ID: e.ID, Label: e.Label, From: e.From, To: e.To, Props: e.Props.orEmpty()}
 		g.out[e.From] = append(g.out[e.From], e.ID)
 		g.in[e.To] = append(g.in[e.To], e.ID)
 		g.byEdgeLabel[e.Label] = append(g.byEdgeLabel[e.Label], e.ID)

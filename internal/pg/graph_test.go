@@ -2,6 +2,7 @@ package pg
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -124,18 +125,97 @@ func TestValidateCompanyGraph(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	g, b := Figure1()
-	c := g.Clone()
-	// Mutating the clone must not affect the original.
-	c.Node(b.ID("C")).Props["name"] = "mutated"
-	id, _ := c.AddShare(b.ID("C"), b.ID("D"), 0.1)
-	_ = id
-	if g.Node(b.ID("C")).Props["name"] != "C" {
-		t.Error("clone shares node property map with original")
+// dumpGraph renders everything a graph holds by value — elements with their
+// properties, adjacency and label orders, counters — so a write through a
+// shared element shows up in every graph that shares it.
+func dumpGraph(t *testing.T, g *Graph) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := g.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if g.NumEdges() == c.NumEdges() {
-		t.Error("adding edge to clone changed original edge count")
+	fmt.Fprintf(&buf, "next %d/%d, %d weight edits\n", g.NextNodeID(), g.NextEdgeID(), g.WeightEdits())
+	for _, id := range g.Nodes() {
+		fmt.Fprintf(&buf, "%d out %v in %v\n", id, g.Out(id), g.In(id))
+	}
+	for _, l := range []Label{LabelCompany, LabelPerson} {
+		fmt.Fprintf(&buf, "%s %v\n", l, g.NodesWithLabel(l))
+	}
+	fmt.Fprintf(&buf, "%s %v\n", LabelShareholding, g.EdgesWithLabel(LabelShareholding))
+	return buf.String()
+}
+
+// TestCloneDiverges: a clone shares its elements with its origin, so every
+// mutation must leave the other graph as it was — in both directions — and
+// an element stays pointer-equal in both until one of them writes it.
+func TestCloneDiverges(t *testing.T) {
+	_, b := Figure1()
+	share := b.Graph().Out(b.ID("P1"))[0]
+	mutations := map[string]func(g *Graph) error{
+		"AddNode": func(g *Graph) error { g.AddNode(LabelCompany, Properties{"name": "M"}); return nil },
+		"AddEdge": func(g *Graph) error { _, err := g.AddShare(b.ID("P2"), b.ID("L"), 0.1); return err },
+		"RemoveEdge": func(g *Graph) error {
+			if !g.RemoveEdge(share) {
+				return fmt.Errorf("edge %d missing", share)
+			}
+			return nil
+		},
+		"RemoveNode": func(g *Graph) error {
+			if !g.RemoveNode(b.ID("E")) {
+				return fmt.Errorf("node E missing")
+			}
+			return nil
+		},
+		"SetEdgeWeight": func(g *Graph) error { return g.SetEdgeWeight(share, 0.35) },
+		"Replay": func(g *Graph) error {
+			_, err := g.Replay(Mutation{Kind: MutSetEdgeWeight, Edge: &Edge{ID: share, Props: Properties{WeightProp: 0.45}}})
+			return err
+		},
+	}
+	for name, mutate := range mutations {
+		for _, writeClone := range []bool{true, false} {
+			g, _ := Figure1()
+			c := g.Clone()
+			written, kept, side := g, c, "origin"
+			if writeClone {
+				written, kept, side = c, g, "clone"
+			}
+			before := dumpGraph(t, kept)
+			if err := mutate(written); err != nil {
+				t.Fatalf("%s on the %s: %v", name, side, err)
+			}
+			if dumpGraph(t, written) == before {
+				t.Fatalf("%s on the %s changed nothing", name, side)
+			}
+			if got := dumpGraph(t, kept); got != before {
+				t.Errorf("%s on the %s moved the other graph:\n%s\nwant\n%s", name, side, got, before)
+			}
+		}
+	}
+
+	g, _ := Figure1()
+	c := g.Clone()
+	for _, id := range g.Nodes() {
+		if c.Node(id) != g.Node(id) {
+			t.Errorf("node %d copied by Clone, want shared", id)
+		}
+	}
+	for _, id := range g.Edges() {
+		if c.Edge(id) != g.Edge(id) {
+			t.Errorf("edge %d copied by Clone, want shared", id)
+		}
+	}
+	old := g.Edge(share)
+	if err := c.SetEdgeWeight(share, 0.35); err != nil {
+		t.Fatal(err)
+	}
+	if c.Edge(share) == old || g.Edge(share) != old {
+		t.Errorf("a weight edit on the clone did not replace its edge %d, or replaced the origin's", share)
+	}
+	for _, id := range g.Edges() {
+		if id != share && c.Edge(id) != g.Edge(id) {
+			t.Errorf("edge %d unshared by a write to edge %d", id, share)
+		}
 	}
 }
 

@@ -39,11 +39,7 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 	}
 	g := New()
 	for _, n := range doc.Nodes {
-		props := Properties{}
-		for k, v := range n.Props {
-			props[k] = v
-		}
-		g.nodes[n.ID] = &Node{ID: n.ID, Label: n.Label, Props: props}
+		g.nodes[n.ID] = &Node{ID: n.ID, Label: n.Label, Props: Properties(n.Props).orEmpty()}
 		g.byNodeLabel[n.Label] = append(g.byNodeLabel[n.Label], n.ID)
 		if n.ID >= g.nextNode {
 			g.nextNode = n.ID + 1
@@ -56,11 +52,7 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 		if _, ok := g.nodes[e.To]; !ok {
 			return nil, fmt.Errorf("pg: read json: edge %d references missing node %d", e.ID, e.To)
 		}
-		props := Properties{}
-		for k, v := range e.Props {
-			props[k] = v
-		}
-		g.edges[e.ID] = &Edge{ID: e.ID, Label: e.Label, From: e.From, To: e.To, Props: props}
+		g.edges[e.ID] = &Edge{ID: e.ID, Label: e.Label, From: e.From, To: e.To, Props: Properties(e.Props).orEmpty()}
 		g.out[e.From] = append(g.out[e.From], e.ID)
 		g.in[e.To] = append(g.in[e.To], e.ID)
 		g.byEdgeLabel[e.Label] = append(g.byEdgeLabel[e.Label], e.ID)

@@ -350,10 +350,7 @@ func (o *Overlay) NextEdgeID() EdgeID { return o.nextEdge }
 func (o *Overlay) AddNode(label Label, props Properties) NodeID {
 	id := o.nextNode
 	o.nextNode++
-	if props == nil {
-		props = Properties{}
-	}
-	n := &Node{ID: id, Label: label, Props: props}
+	n := &Node{ID: id, Label: label, Props: props.orEmpty()}
 	o.addedNodes[id] = n
 	o.byNodeLabel[label] = append(o.byNodeLabel[label], id)
 	o.journal = append(o.journal, Mutation{Kind: MutAddNode, Node: n})
@@ -371,10 +368,7 @@ func (o *Overlay) AddEdge(label Label, from, to NodeID, props Properties) (EdgeI
 	}
 	id := o.nextEdge
 	o.nextEdge++
-	if props == nil {
-		props = Properties{}
-	}
-	e := &Edge{ID: id, Label: label, From: from, To: to, Props: props}
+	e := &Edge{ID: id, Label: label, From: from, To: to, Props: props.orEmpty()}
 	o.addedEdges[id] = e
 	o.out[from] = append(o.out[from], id)
 	o.in[to] = append(o.in[to], id)
@@ -419,9 +413,9 @@ func (o *Overlay) RemoveEdge(id EdgeID) bool {
 }
 
 // SetEdgeWeight overrides the shareholding weight of a visible edge,
-// copy-on-write, and journals a MutSetEdgeWeight. Editing the same edge
-// twice journals the shared copy twice; replay applies the final weight both
-// times, converging on the same state, which is all a journal promises.
+// copy-on-write, and journals a MutSetEdgeWeight. Every edit builds a new
+// Edge, whether the edge came from the base or the overlay added it, so each
+// journal entry keeps the weight it was written with.
 func (o *Overlay) SetEdgeWeight(id EdgeID, w float64) error {
 	e := o.Edge(id)
 	if e == nil {
@@ -433,12 +427,10 @@ func (o *Overlay) SetEdgeWeight(id EdgeID, w float64) error {
 	if w <= 0 || w > 1 {
 		return fmt.Errorf("pg: set weight: share amount %v outside (0,1]", w)
 	}
-	if _, added := o.addedEdges[id]; added || o.editedEdges[id] != nil {
-		e.Props[WeightProp] = w // overlay-owned copy: edit in place
+	e = e.withWeight(w)
+	if _, added := o.addedEdges[id]; added {
+		o.addedEdges[id] = e
 	} else {
-		props := e.Props.clone()
-		props[WeightProp] = w
-		e = &Edge{ID: e.ID, Label: e.Label, From: e.From, To: e.To, Props: props}
 		o.editedEdges[id] = e
 	}
 	o.journal = append(o.journal, Mutation{Kind: MutSetEdgeWeight, Edge: e})

@@ -292,6 +292,11 @@ func TestOverlayJournal(t *testing.T) {
 	if w, _ := last.Edge.Weight(); w != 0.9 {
 		t.Fatalf("journaled weight = %v, want 0.9", w)
 	}
+	// The add that journaled e1 keeps the weight it was written with: an
+	// edit replaces the overlay's own edge instead of writing it.
+	if w, _ := journal[2].Edge.Weight(); journal[2].Kind != MutAddEdge || w != 0.4 {
+		t.Fatalf("journaled add of edge %d = %+v, want weight 0.4", e1, journal[2].Edge)
+	}
 }
 
 // TestOverlayWhatIfMutations covers the what-if-only ops' semantics.
@@ -312,6 +317,13 @@ func TestOverlayWhatIfMutations(t *testing.T) {
 	}
 	if w, _ := base.Edge(ab).Weight(); w != 0.6 {
 		t.Fatalf("base weight changed to %v", w)
+	}
+	edited := o.Edge(ab)
+	if err := o.SetEdgeWeight(ab, 0.3); err != nil {
+		t.Fatal(err)
+	}
+	if w, _ := edited.Weight(); w != 0.25 || o.Edge(ab) == edited {
+		t.Fatalf("a second edit of edge %d wrote the overlay's edited copy in place", ab)
 	}
 	if err := o.SetEdgeWeight(ab, 1.5); err == nil {
 		t.Fatal("SetEdgeWeight(1.5) accepted")

@@ -12,6 +12,11 @@ import (
 // serialization — can run indifferently against a flat graph, a frozen MVCC
 // snapshot, or a what-if overlay stacked on one.
 //
+// The nodes and edges a View returns, and their Props maps, are immutable
+// and may be shared with other graphs, overlays and versions (see Node):
+// callers must not write to them. A change replaces an element; it never
+// edits one.
+//
 // A View obtained from a published store version is frozen: it never changes
 // and is safe for unsynchronized concurrent reads. A View of a graph or
 // overlay that is still being mutated follows the owning type's rules
@@ -126,8 +131,8 @@ func ValidateView(v View) error {
 // NeighborhoodOf returns the induced subgraph around a node of any view:
 // every node within the given number of hops (edges followed in both
 // directions) plus all the edges among them. Node and edge identities are
-// freshly assigned; the returned mapping translates original → subgraph node
-// IDs.
+// freshly assigned, and the property maps are shared with v; the returned
+// mapping translates original → subgraph node IDs.
 func NeighborhoodOf(v View, center NodeID, hops int) (*Graph, map[NodeID]NodeID) {
 	if v.Node(center) == nil {
 		return New(), map[NodeID]NodeID{}
@@ -159,14 +164,14 @@ func NeighborhoodOf(v View, center NodeID, hops int) (*Graph, map[NodeID]NodeID)
 			continue
 		}
 		n := v.Node(id)
-		mapping[id] = sub.AddNode(n.Label, n.Props.clone())
+		mapping[id] = sub.AddNode(n.Label, n.Props)
 	}
 	for _, eid := range v.Edges() {
 		e := v.Edge(eid)
 		if !inSet[e.From] || !inSet[e.To] {
 			continue
 		}
-		sub.MustAddEdge(e.Label, mapping[e.From], mapping[e.To], e.Props.clone())
+		sub.MustAddEdge(e.Label, mapping[e.From], mapping[e.To], e.Props)
 	}
 	return sub, mapping
 }

@@ -74,8 +74,8 @@ func (m *mvccSource) write(fn func(*pg.Overlay)) error {
 // place — every static follower and every member of a replica group, the
 // elected leader included. Readers share mu with the frame applier, and the
 // sequence is the store's applied position. It stays on the locked graph
-// rather than a version chain because a chain costs one deep clone of the
-// graph per replica (DESIGN.md §11.3).
+// rather than a version chain because a chain costs one clone of the graph
+// per replica (DESIGN.md §11.3).
 type lockedSource struct {
 	mu        *sync.RWMutex
 	g         *pg.Graph // re-pointed under mu by a snapshot bootstrap

@@ -75,7 +75,9 @@ type Versioned struct {
 }
 
 // NewVersioned wraps g as the writer master of a versioned store and
-// publishes a flat clone of it as version 0. The clone does not inherit
+// publishes a flat clone of it as version 0. The clone shares g's nodes and
+// edges (pg.Graph.Clone), which the master's copy-on-write weight edits keep
+// safe, so it costs g's index, not its data. The clone does not inherit
 // g's mutation hook (pg.Clone never does), so published read views are
 // invisible to the WAL: durability capture happens exactly once, on the
 // master, at commit time.

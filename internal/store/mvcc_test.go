@@ -2,9 +2,11 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"vadalink/internal/pg"
+	"vadalink/internal/relstore"
 )
 
 func seedGraph() *pg.Graph {
@@ -237,5 +239,72 @@ func TestVersionedTxnBaseAndAbort(t *testing.T) {
 	next.Overlay().AddNode(pg.LabelCompany, nil)
 	if v, err := next.Commit(); err != nil || v.Seq() != base.Seq()+1 {
 		t.Fatalf("commit after a dropped txn = (%v, %v), want seq %d", v, err, base.Seq()+1)
+	}
+}
+
+// TestPinnedVersionKeepsWeight: published versions share nodes and edges with
+// the master and with each other — version 0 and every flattened version are
+// clones of the master — so a committed weight edit must replace the edge,
+// never write it. Every version pinned along a chain of weight edits that
+// crosses a flatten keeps reading its own weight through Edge, OutLabel,
+// InLabel and the relational image the chase loads, while the master and
+// the newest version read the newest.
+func TestPinnedVersionKeepsWeight(t *testing.T) {
+	g := seedGraph()
+	vs := NewVersioned(g)
+	ab := g.EdgesWithLabel(pg.LabelShareholding)[0]
+	a, b := g.Edge(ab).From, g.Edge(ab).To
+	check := func(name string, v pg.View, want float64) {
+		t.Helper()
+		got := map[string]float64{}
+		got["Edge"], _ = v.Edge(ab).Weight()
+		for _, e := range v.OutLabel(a, pg.LabelShareholding) {
+			if e.ID == ab {
+				got["OutLabel"], _ = e.Weight()
+			}
+		}
+		for _, e := range v.InLabel(b, pg.LabelShareholding) {
+			if e.ID == ab {
+				got["InLabel"], _ = e.Weight()
+			}
+		}
+		for _, f := range relstore.CompanyGraphFacts(v) {
+			if f.Pred == relstore.PredOwn && f.Args[0] == int64(a) && f.Args[1] == int64(b) {
+				got["CompanyGraphFacts"] = f.Args[2].(float64)
+			}
+		}
+		for _, via := range []string{"Edge", "OutLabel", "InLabel", "CompanyGraphFacts"} {
+			if got[via] != want {
+				t.Errorf("%s reads weight %v through %s, want %v", name, got[via], via, want)
+			}
+		}
+	}
+
+	type pinned struct {
+		v *Version
+		w float64
+	}
+	w0, _ := g.Edge(ab).Weight()
+	versions := []pinned{{vs.Current(), w0}}
+	flattened := false
+	for i := 1; i <= flattenDepth+2; i++ {
+		w := w0 / float64(i+1)
+		txn := vs.Begin()
+		if err := txn.Overlay().SetEdgeWeight(ab, w); err != nil {
+			t.Fatal(err)
+		}
+		next, err := txn.Commit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		flattened = flattened || next.depth == 0
+		versions = append(versions, pinned{next, w})
+		check("the master", g, w)
+		for _, p := range versions {
+			check(fmt.Sprintf("after commit %d, version %d (depth %d)", i, p.v.Seq(), p.v.depth), p.v.View(), p.w)
+		}
+	}
+	if !flattened {
+		t.Fatalf("no commit of %d flattened the chain", flattenDepth+2)
 	}
 }

@@ -137,7 +137,7 @@ func oracle(t *testing.T, v pg.View, threshold float64) (control, closeLink map[
 // TestDifferentialWhatIf is the ground-truth harness: across 100+ randomized
 // generated graphs and random scenario batches, the scoped evaluation must
 // agree fact-for-fact, on both the control and the close-link relation, with
-// the oracle run on the flattened overlay (a standalone deep copy of the
+// the oracle run on the flattened overlay (a standalone flat copy of the
 // composite graph) — and the baseline it started from with the oracle on the
 // base graph. The reported diffs must be exactly the set differences, and the
 // affected-source count (served as /v1/whatif's affectedSources) must equal

@@ -65,10 +65,16 @@ echo "== coverage floors =="
 #   replication  the failure paths (reconnect, re-request, snapshot
 #                re-bootstrap) only run when things go wrong; the floor keeps
 #                fault coverage from eroding (85.8%).
-#   pg store whatif  the MVCC substrate: overlay composition, version-chain
-#                commit/conflict, scoped what-if evaluation. Correctness is
-#                proven by the differential and race harnesses; the floors keep
-#                that proof from eroding (92.6 / 83.5 / 90.2).
+#   pg           the graph every version, clone and overlay shares elements
+#                of: copy-on-write weight edits, sharing clones, overlay
+#                composition. Held at its measured coverage (94.2%) rather
+#                than the shared MVCC floor, since a write through a shared
+#                element corrupts every version at once. The allocation guard,
+#                TestCloneAllocations, runs here: the race step above skips it.
+#   store whatif the rest of the MVCC substrate: version-chain commit/conflict,
+#                scoped what-if evaluation. Correctness is proven by the
+#                differential and race harnesses; the floors keep that proof
+#                from eroding (83.5 / 90.2).
 #   ivm          maintenance silently corrupting derived state is the worst
 #                failure mode in the repo: reads keep succeeding with stale
 #                answers. Keeps the invalidation/retraction paths exercised
@@ -98,7 +104,7 @@ datalog     COVER_FLOOR         87.3
 reasonapi   API_COVER_FLOOR     85.0
 persist     PERSIST_COVER_FLOOR 80.0
 replication REPL_COVER_FLOOR    80.0
-pg          MVCC_COVER_FLOOR    80.0
+pg          PG_COVER_FLOOR      94.2
 store       MVCC_COVER_FLOOR    80.0
 whatif      MVCC_COVER_FLOOR    80.0
 ivm         IVM_COVER_FLOOR     80.0
