@@ -544,8 +544,6 @@ func cmdServe(args []string) {
 
 	var g *vadalink.Graph
 	var ps *vadalink.DurableStore
-	var fl *vadalink.Follower
-	var node *vadalink.ReplicaNode
 	if *replicaSelf != "" {
 		// Replica-group mode: this member and its -peers elect a leader among
 		// themselves and fail over automatically. The graph is whatever the
@@ -565,7 +563,7 @@ func cmdServe(args []string) {
 				roster = append(roster, p)
 			}
 		}
-		node, err = vadalink.OpenReplicaNode(*dataDir, vadalink.ReplicaNodeOptions{
+		node, err := vadalink.OpenReplicaNode(*dataDir, vadalink.ReplicaNodeOptions{
 			Self:      *replicaSelf,
 			API:       *apiAdvertise,
 			Peers:     roster,
@@ -583,7 +581,6 @@ func cmdServe(args []string) {
 		cfg.LeaderAPI = *leaderAPI
 		cfg.MaxStaleness = *maxStaleness
 		ps = node.Store()
-		g = ps.Graph()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -602,8 +599,7 @@ func cmdServe(args []string) {
 		// Follower mode: the graph arrives over the replication stream, so
 		// -in never seeds it. The store recovers whatever an earlier run
 		// replicated and the follower resumes from that position.
-		var err error
-		fl, err = vadalink.OpenFollower(*dataDir, vadalink.FollowerOptions{
+		fl, err := vadalink.OpenFollower(*dataDir, vadalink.FollowerOptions{
 			Leader:    *follow,
 			SyncEvery: *fsync,
 			Logger:    cfg.Logger,
@@ -616,7 +612,6 @@ func cmdServe(args []string) {
 		cfg.MaxStaleness = *maxStaleness
 		cfg.Persist = fl.Store()
 		ps = fl.Store()
-		g = fl.Graph()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -668,14 +663,14 @@ func cmdServe(args []string) {
 		log.Printf("serving replication stream on %s", ln.Addr())
 	}
 
-	log.Printf("serving reasoning API on %s (%d nodes, %d edges)", *addr, g.NumNodes(), g.NumEdges())
-	var handler = vadalink.APIHandlerWith(g, cfg)
-	if fl != nil || node != nil {
-		// Let the server adopt the follower's (or the replica node's tailing
-		// half's) graph and track it across snapshot bootstraps.
-		handler = vadalink.APIHandlerWith(nil, cfg)
+	if g != nil {
+		log.Printf("serving reasoning API on %s (%d nodes, %d edges)", *addr, g.NumNodes(), g.NumEdges())
+	} else {
+		// A follower or replica-group member serves its replication
+		// follower's version chain, across snapshot bootstraps too.
+		log.Printf("serving reasoning API on %s (replicated graph)", *addr)
 	}
-	if err := vadalink.ServeAPI(ctx, *addr, handler); err != nil {
+	if err := vadalink.ServeAPI(ctx, *addr, vadalink.APIHandlerWith(g, cfg)); err != nil {
 		log.Fatal(err)
 	}
 	wg.Wait() // replication goroutines stop on the same signal context

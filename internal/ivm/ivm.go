@@ -14,10 +14,10 @@
 // incremental == full re-chase across mutation streams.
 //
 // Maintenance is lazy: the commit stream only hands journals to Observe,
-// which queues them, and the reader that next asks BaselineAt for a newer
-// sequence pays for the catch-up. Commits therefore never run a chase — not
-// under the MVCC commit lock, not under a follower's frame-apply lock — and
-// a maintainer nobody reads from does no work at all.
+// which queues them under a lock of its own, and the reader that next asks
+// BaselineAt for a newer sequence pays for the catch-up. Commits therefore
+// never run a chase, nor wait for one, under the version chain's commit
+// lock, and a maintainer nobody reads from does no work at all.
 //
 // A Maintainer is invalid until seeded and after any error; BaselineAt then
 // falls back to a full baseline computation and re-seeds. All methods are
@@ -76,7 +76,11 @@ type Stats struct {
 // Maintainer owns the incrementally maintained derived state of one graph at
 // one close-link threshold.
 type Maintainer struct {
-	mu        sync.Mutex
+	// mu guards the maintained state and is held across a drain's chase;
+	// qmu guards the observed queue and never is, so Observe never waits for
+	// a drain. valid is written under both and read under either. Where both
+	// are taken, mu comes first.
+	mu, qmu   sync.Mutex
 	threshold float64
 	opts      []datalog.Option
 
@@ -90,9 +94,16 @@ type Maintainer struct {
 	// maintainer is invalid every journal up to it is gone — never queued, or
 	// discarded by the invalidation — so a seed below it could never be
 	// advanced without silently skipping those commits, and Seed refuses it.
-	queue   []observed
-	pending int
-	newest  uint64
+	// overflowed records a backlog Observe dropped past queueCap; lockQueue
+	// turns it into an invalidation.
+	queue      []observed
+	pending    int
+	newest     uint64
+	overflowed bool
+
+	// floor is the lowest sequence a seed or the other-threshold cache may
+	// come from: readers may still hold versions of a graph Reset replaced.
+	floor atomic.Uint64
 
 	// other caches the baseline of one (sequence, threshold) pair at a
 	// threshold this maintainer does not maintain, so a burst of what-ifs
@@ -132,24 +143,27 @@ func (m *Maintainer) Init(ctx context.Context, v pg.View, seq uint64) error {
 	if err != nil {
 		return err
 	}
-	return m.Seed(seq, bl)
+	return m.seed(seq, bl)
 }
 
-// Seed installs an externally computed full baseline at seq as the
+// seed installs an externally computed full baseline at seq as the
 // maintained state. The baseline must have been computed with this
 // maintainer's threshold and engine options. A seed never regresses: when
 // the maintainer already holds valid state at seq or later (a reader
 // advanced it while this baseline was being computed), the stale seed is
 // dropped — as is one older than a journal the maintainer no longer holds
 // (observed while invalid, or queued and then discarded by an
-// invalidation), since it could never catch up.
-func (m *Maintainer) Seed(seq uint64, bl *whatif.Baseline) error {
+// invalidation), since it could never catch up, and one below the floor of
+// the last Reset.
+func (m *Maintainer) seed(seq uint64, bl *whatif.Baseline) error {
 	if bl.Threshold != m.threshold {
 		return fmt.Errorf("ivm: baseline threshold %v does not match maintainer %v", bl.Threshold, m.threshold)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if (m.valid && m.seq >= seq) || (!m.valid && m.newest > seq) {
+	m.lockQueue()
+	defer m.qmu.Unlock()
+	if (m.valid && m.seq >= seq) || (!m.valid && m.newest > seq) || seq < m.floor.Load() {
 		return nil
 	}
 	m.dropQueued(m.queuedThrough(seq))
@@ -179,19 +193,29 @@ func (m *Maintainer) Baseline(seq uint64, threshold float64) *whatif.Baseline {
 // Observe hands the maintainer one committed journal: muts produced the
 // state at seq from the previous one. It only queues — the chase runs when a
 // reader next asks BaselineAt for seq or later — and is a no-op while nothing
-// is seeded, so a commit or frame-apply lock that calls it never runs a chase
-// of its own. It can still wait for one: it shares the maintainer's mutex
-// with a reader's in-flight drain. A backlog past queueCap invalidates
-// instead of growing.
+// is seeded, so a commit lock that calls it never runs a chase of its own,
+// nor waits for a reader's: the queue has its own lock. A backlog past
+// queueCap is dropped instead of growing, and the next drain invalidates.
 func (m *Maintainer) Observe(seq uint64, muts ...pg.Mutation) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.qmu.Lock()
+	defer m.qmu.Unlock()
 	m.newest = seq
-	if !m.valid {
+	if !m.valid || m.overflowed {
 		return
 	}
 	m.queue = append(m.queue, observed{seq, muts})
 	if m.pending += len(muts); m.pending > queueCap {
+		m.queue, m.pending = nil, 0
+		m.overflowed = true
+	}
+}
+
+// lockQueue takes qmu, mu being held, and turns a backlog Observe dropped
+// into an invalidation of the maintained state.
+func (m *Maintainer) lockQueue() {
+	m.qmu.Lock()
+	if m.overflowed {
+		m.overflowed = false
 		m.stats.Invalidations++
 		m.invalidateLocked()
 	}
@@ -225,8 +249,8 @@ func (m *Maintainer) BaselineAt(ctx context.Context, v pg.View, seq uint64, thre
 	if threshold == m.threshold {
 		// Best-effort: a failed or stale seed leaves bl a correct answer for
 		// this caller, and the next reader chases again.
-		_ = m.Seed(seq, bl)
-	} else {
+		_ = m.seed(seq, bl)
+	} else if seq >= m.floor.Load() {
 		m.other.Store(&otherBaseline{seq, threshold, bl})
 	}
 	return bl, nil
@@ -238,29 +262,37 @@ func (m *Maintainer) BaselineAt(ctx context.Context, v pg.View, seq uint64, thre
 func (m *Maintainer) catchUp(ctx context.Context, v pg.View, seq uint64) *whatif.Baseline {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.valid || m.seq > seq {
+	// The chase runs under mu alone: Observe keeps queueing meanwhile.
+	if muts, ok := m.takeQueued(seq); !ok || (muts != nil && m.applyLocked(ctx, v, seq, muts) != nil) {
 		return nil
 	}
-	if m.seq < seq {
-		n := m.queuedThrough(seq)
-		// v is the post-state of the drained journals only if they end
-		// exactly at seq. They may not yet: a version is pinnable a moment
-		// before its commit hook delivers the journal.
-		if n == 0 || m.queue[n-1].seq != seq {
-			return nil
-		}
-		var muts []pg.Mutation
-		for _, o := range m.queue[:n] {
-			if o.seq > m.seq { // older ones predate the seed
-				muts = append(muts, o.muts...)
-			}
-		}
-		m.dropQueued(n)
-		if m.applyLocked(ctx, v, seq, muts) != nil {
-			return nil
+	return m.bl
+}
+
+// takeQueued dequeues the mutations that carry the valid maintained state
+// to seq; ok is false when the queue cannot. Callers hold mu.
+func (m *Maintainer) takeQueued(seq uint64) (muts []pg.Mutation, ok bool) {
+	m.lockQueue()
+	defer m.qmu.Unlock()
+	if !m.valid || m.seq > seq {
+		return nil, false
+	}
+	if m.seq == seq {
+		return nil, true
+	}
+	n := m.queuedThrough(seq)
+	// v is the post-state of the drained journals only if they end exactly
+	// at seq, which a journal observed late breaks.
+	if n == 0 || m.queue[n-1].seq != seq {
+		return nil, false
+	}
+	for _, o := range m.queue[:n] {
+		if o.seq > m.seq { // older ones predate the seed
+			muts = append(muts, o.muts...)
 		}
 	}
-	return m.bl
+	m.dropQueued(n)
+	return muts, true
 }
 
 // queuedThrough counts the queued journals at or below seq.
@@ -284,18 +316,25 @@ func (m *Maintainer) dropQueued(n int) {
 
 // Reset discards the maintained state and every observed journal (e.g. after
 // a follower snapshot bootstrap replaced the graph wholesale: no journal
-// describes that jump).
-func (m *Maintainer) Reset() {
+// describes that jump). Readers may still hold versions of the replaced
+// graph, at any sequence below floor, so nothing below it is seeded or
+// cached any more.
+func (m *Maintainer) Reset(floor uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.lockQueue()
+	defer m.qmu.Unlock()
 	if m.valid {
 		m.stats.Invalidations++
 	}
 	m.invalidateLocked()
 	m.newest = 0 // the sequence may restart below it
+	m.floor.Store(max(m.floor.Load(), floor))
 	m.other.Store(nil)
 }
 
+// invalidateLocked drops the maintained state and the queue. Callers hold
+// both locks.
 func (m *Maintainer) invalidateLocked() {
 	m.valid = false
 	m.bl = nil
@@ -307,6 +346,8 @@ func (m *Maintainer) invalidateLocked() {
 func (m *Maintainer) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.lockQueue()
+	defer m.qmu.Unlock()
 	return m.stats
 }
 
@@ -355,7 +396,10 @@ func (m *Maintainer) applyLocked(ctx context.Context, post pg.View, toSeq uint64
 }
 
 // failLocked invalidates the maintainer and passes the error through.
+// Callers hold mu.
 func (m *Maintainer) failLocked(err error) error {
+	m.lockQueue()
+	defer m.qmu.Unlock()
 	m.stats.Invalidations++
 	m.invalidateLocked()
 	return err

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"vadalink/internal/datalog"
 	"vadalink/internal/pg"
@@ -40,12 +43,15 @@ func newDriverFed(t *testing.T, g *pg.Graph, threshold float64, lazy bool) *driv
 	if err := d.m.Init(context.Background(), cur.View(), cur.Seq()); err != nil {
 		t.Fatalf("Init: %v", err)
 	}
+	prev := cur.Seq()
 	d.vs.SetCommitHook(func(next *store.Version, journal []pg.Mutation) {
+		from := prev
+		prev = next.Seq()
 		if lazy {
 			d.m.Observe(next.Seq(), journal...)
 			return
 		}
-		if err := d.m.Apply(context.Background(), next.View(), next.Seq()-1, next.Seq(), journal); err != nil {
+		if err := d.m.Apply(context.Background(), next.View(), from, next.Seq(), journal); err != nil {
 			d.applyErrs = append(d.applyErrs, err)
 		}
 	})
@@ -367,7 +373,7 @@ func TestSeedRejectsThresholdMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := New(whatif.DefaultThreshold)
-	if err := m.Seed(0, bl); err == nil {
+	if err := m.seed(0, bl); err == nil {
 		t.Fatal("Seed accepted a baseline at a different threshold")
 	}
 }
@@ -378,7 +384,7 @@ func TestResetAndReseed(t *testing.T) {
 	ctx := context.Background()
 	cur := d.vs.Current()
 
-	d.m.Reset()
+	d.m.Reset(0)
 	if d.m.Baseline(cur.Seq(), d.m.threshold) != nil {
 		t.Fatal("Baseline served after Reset")
 	}
@@ -501,7 +507,7 @@ func TestOtherThresholdIsCachedPerVersion(t *testing.T) {
 	if next := d.baselineAt(v1, 0.35); next == first {
 		t.Fatal("cached baseline served across a commit")
 	}
-	d.m.Reset()
+	d.m.Reset(0)
 	if d.m.other.Load() != nil {
 		t.Fatal("Reset kept the other-threshold cache")
 	}
@@ -535,7 +541,7 @@ func TestUnseededMaintainerDropsJournals(t *testing.T) {
 	if len(m.queue) != 0 {
 		t.Fatal("Observe queued a journal with nothing seeded")
 	}
-	if err := m.Seed(v0.Seq(), stale); err != nil {
+	if err := m.seed(v0.Seq(), stale); err != nil {
 		t.Fatal(err)
 	}
 	if st := m.Stats(); st.Valid || st.FullRebuilds != 0 {
@@ -552,16 +558,27 @@ func TestUnseededMaintainerDropsJournals(t *testing.T) {
 		t.Fatalf("seeded baseline misses control(b, c): %v", bl.Control)
 	}
 
-	// A Reset forgets the dropped journal too: after a follower bootstrap
-	// the sequence may restart below it, and seeds there must land.
-	m.Reset()
-	m.Observe(v1.Seq())
-	m.Reset()
-	if err := m.Seed(v0.Seq(), stale); err != nil {
+	// A Reset forgets the dropped journal too — after a follower bootstrap
+	// the sequence may restart below it — but not the replaced graph:
+	// readers may still hold its versions, at any seq below the floor Reset
+	// is given, so seeds from there are refused and seeds at the floor land.
+	floor := v1.Seq() + 1
+	m.Reset(floor)
+	m.Observe(floor + 5)
+	m.Reset(floor)
+	for _, seq := range []uint64{v0.Seq(), v1.Seq()} {
+		if err := m.seed(seq, stale); err != nil {
+			t.Fatal(err)
+		}
+		if st := m.Stats(); st.Valid {
+			t.Fatalf("a seed at %d below the floor %d was accepted: %+v", seq, floor, st)
+		}
+	}
+	if err := m.seed(floor, stale); err != nil {
 		t.Fatal(err)
 	}
-	if st := m.Stats(); !st.Valid || st.Seq != v0.Seq() {
-		t.Fatalf("a seed after Reset was refused: %+v", st)
+	if st := m.Stats(); !st.Valid || st.Seq != floor {
+		t.Fatalf("a seed at the floor after Reset was refused: %+v", st)
 	}
 }
 
@@ -625,8 +642,9 @@ func TestInvalidationFencesDiscardedJournals(t *testing.T) {
 			dd := g.AddNode(pg.LabelCompany, pg.Properties{"name": "D"})
 			e := g.AddNode(pg.LabelCompany, pg.Properties{"name": "E"})
 			d := newDriverFed(t, g, whatif.DefaultThreshold, true)
+			v0 := d.vs.Current()
 			d.vs.SetCommitHook(func(next *store.Version, journal []pg.Mutation) {
-				if tc.overflow && next.Seq() == 2 {
+				if tc.overflow && next.Seq() == v0.Seq()+2 { // v2: one record per commit
 					journal = append(make([]pg.Mutation, queueCap), journal...)
 				}
 				d.m.Observe(next.Seq(), journal...)
@@ -658,5 +676,61 @@ func TestInvalidationFencesDiscardedJournals(t *testing.T) {
 				t.Fatalf("stats = %+v, want a re-seed at v3 and nothing incremental", st)
 			}
 		})
+	}
+}
+
+// TestObserveDoesNotWaitForADrain: a reader's drain chases under the
+// maintainer's lock, and the version chain calls Observe under its commit
+// lock, so Observe must not share the drain's lock — else a slow what-if
+// would stall every commit and replicated frame behind it. A drain parked
+// mid-chase leaves Observe free to queue, and the queued journal is then
+// maintained like any other.
+func TestObserveDoesNotWaitForADrain(t *testing.T) {
+	g, ids := chainGraph()
+	a, b, c := ids[0], ids[1], ids[2]
+	var park atomic.Bool
+	parked, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	defer releaseOnce.Do(func() { close(release) })
+	d := &driver{t: t, vs: store.NewVersioned(g), lazy: true, m: New(whatif.DefaultThreshold,
+		datalog.WithHook(datalog.Hook{RuleStart: func(string, int) {
+			if park.CompareAndSwap(true, false) {
+				close(parked)
+				<-release
+			}
+		}}))}
+	v0 := d.vs.Current()
+	if err := d.m.Init(context.Background(), v0.View(), v0.Seq()); err != nil {
+		t.Fatal(err)
+	}
+	d.vs.SetCommitHook(func(next *store.Version, journal []pg.Mutation) { d.m.Observe(next.Seq(), journal...) })
+	v1 := d.commit(func(o *pg.Overlay) { o.AddShare(b, c, 0.6) })
+
+	park.Store(true)
+	drained := make(chan error, 1)
+	go func() {
+		_, err := d.m.BaselineAt(context.Background(), v1.View(), v1.Seq(), 0)
+		drained <- err
+	}()
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the drain never reached the chase")
+	}
+	observed := make(chan *store.Version, 1)
+	go func() { observed <- d.commit(func(o *pg.Overlay) { o.AddShare(a, c, 0.3) }) }()
+	var v2 *store.Version
+	select {
+	case v2 = <-observed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a commit's Observe waited for a drain parked mid-chase")
+	}
+	releaseOnce.Do(func() { close(release) })
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstOracle(t, "after the parked drain", d.baselineAt(v2, 0), d.oracleAt(v2))
+	if st := d.m.Stats(); st.FullRebuilds != 1 || st.IncrementalCommits != 2 {
+		t.Fatalf("stats = %+v, want both commits maintained incrementally", st)
 	}
 }

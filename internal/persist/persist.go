@@ -91,8 +91,8 @@ type Stats struct {
 //
 // Concurrency: Append capture is internally serialized, but the graph
 // itself keeps pg's rules — one mutator at a time. Snapshot must not run
-// concurrently with mutations (hold your write lock around it, as
-// reasonapi does).
+// concurrently with mutations (reasonapi runs it under its version chain's
+// commit lock).
 type Store struct {
 	mu   sync.Mutex
 	dir  string
@@ -104,7 +104,7 @@ type Store struct {
 
 	// seq is the replication sequence number: the count of mutation records
 	// ever applied to this graph (snapshot state included). It is a pure
-	// function of graph state — see SeqOfGraph — maintained incrementally
+	// function of graph state — see pg.Graph.Seq — maintained incrementally
 	// here so readers never touch the graph's counters concurrently with a
 	// mutator. base is seq as of the current generation's snapshot, i.e. the
 	// sequence number the first frame of the current WAL follows.
@@ -135,23 +135,6 @@ type Store struct {
 type EpochMark struct {
 	Epoch    uint64 `json:"epoch"`
 	StartSeq int64  `json:"startSeq"`
-}
-
-// SeqOfGraph computes the replication sequence number of a graph: the total
-// number of mutation records (AddNode, AddEdge, RemoveEdge, SetEdgeWeight,
-// RemoveNode) ever applied to reach its state. Each AddNode advances the
-// node-ID counter, each AddEdge the edge-ID counter, each removal widens the
-// gap between elements ever created and elements live, and each weight edit
-// bumps the graph's weight-edit counter (carried through snapshots) — so the
-// count is derivable from any graph alone, with no position file to keep in
-// sync. A follower recovering from kill -9 computes its replication position
-// from its recovered graph. Graphs restored from snapshots that predate
-// weight edits report WeightEdits() == 0, which is exact: that code could
-// not have logged any.
-func SeqOfGraph(g *pg.Graph) int64 {
-	return 2*int64(g.NextNodeID()) - int64(g.NumNodes()) +
-		2*int64(g.NextEdgeID()) - int64(g.NumEdges()) +
-		g.WeightEdits()
 }
 
 // Open recovers the store in dir (creating it if empty) and arms change
@@ -225,7 +208,7 @@ func Open(dir string, opts Options) (*Store, error) {
 
 	s.g = g
 	s.gen = maxGen
-	s.seq.Store(SeqOfGraph(g))
+	s.seq.Store(g.Seq())
 	s.base = s.seq.Load() - int64(perGen[maxGen])
 	if n := len(s.epochs); n > 0 {
 		s.epoch.Store(s.epochs[n-1].Epoch)
@@ -377,8 +360,8 @@ func (s *Store) notifyFlushed() {
 // its sequence number. The shipped snapshot carries the marks, and a replica
 // that adopts the state must adopt the history that produced it or its own
 // divergence answers would lie. The caller must exclude concurrent mutations
-// and readers for the duration (hold the serving tier's write lock), and
-// must stop using the previous Graph().
+// for the duration (a follower runs it under its version chain's commit
+// lock), and must stop using the previous Graph().
 func (s *Store) ReplaceGraphMarks(g *pg.Graph, marks []EpochMark) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -388,7 +371,7 @@ func (s *Store) ReplaceGraphMarks(g *pg.Graph, marks []EpochMark) error {
 	s.g.SetMutationHook(nil)
 	s.g = g
 	g.SetMutationHook(s.capture)
-	s.seq.Store(SeqOfGraph(g))
+	s.seq.Store(g.Seq())
 	s.epochs = append([]EpochMark(nil), marks...)
 	if n := len(s.epochs); n > 0 {
 		s.epoch.Store(s.epochs[n-1].Epoch)
@@ -535,7 +518,7 @@ func (s *Store) Import(g *pg.Graph) error {
 	s.g.SetMutationHook(nil)
 	s.g = g
 	g.SetMutationHook(s.capture)
-	s.seq.Store(SeqOfGraph(g))
+	s.seq.Store(g.Seq())
 	s.mu.Unlock()
 	_, err := s.Snapshot()
 	return err

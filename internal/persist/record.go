@@ -32,7 +32,7 @@ const (
 	// OpEpoch is a replication-epoch mark, not a graph mutation: the epoch
 	// number sits where a mutation's identifier does, followed by the
 	// sequence number the epoch opened at. It is sequence-neutral
-	// (SeqOfGraph stays a pure function of graph state), so recovery and
+	// (pg.Graph.Seq stays a pure function of graph state), so recovery and
 	// followers record it instead of replaying it onto the graph.
 	OpEpoch
 )

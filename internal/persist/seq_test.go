@@ -31,8 +31,8 @@ func TestSeqTracksEveryMutationKind(t *testing.T) {
 	if got := s.Seq(); got != 5 {
 		t.Fatalf("Seq after 5 mutations = %d, want 5", got)
 	}
-	if got := SeqOfGraph(g); got != 5 {
-		t.Fatalf("SeqOfGraph = %d, want 5", got)
+	if got := g.Seq(); got != 5 {
+		t.Fatalf("Seq = %d, want 5", got)
 	}
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestReplaceGraph(t *testing.T) {
 	if err := s.ReplaceGraphMarks(adopted, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s.Seq(), SeqOfGraph(leader); got != want {
+	if got, want := s.Seq(), leader.Seq(); got != want {
 		t.Fatalf("Seq after ReplaceGraphMarks = %d, want %d", got, want)
 	}
 	if s.Graph() != adopted {
@@ -133,7 +133,7 @@ func TestReplaceGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if got, want := s2.Seq(), SeqOfGraph(leader)+1; got != want {
+	if got, want := s2.Seq(), leader.Seq()+1; got != want {
 		t.Fatalf("recovered Seq = %d, want %d", got, want)
 	}
 	if n := s2.Graph().NumNodes(); n != 5 {
@@ -209,8 +209,8 @@ func TestDecodeSnapshotBytes(t *testing.T) {
 	if got.NumNodes() != 2 || got.NumEdges() != 1 {
 		t.Fatalf("decoded %d nodes / %d edges, want 2 / 1", got.NumNodes(), got.NumEdges())
 	}
-	if SeqOfGraph(got) != SeqOfGraph(g) {
-		t.Fatalf("decoded seq %d != original %d", SeqOfGraph(got), SeqOfGraph(g))
+	if got.Seq() != g.Seq() {
+		t.Fatalf("decoded seq %d != original %d", got.Seq(), g.Seq())
 	}
 	for i := range data {
 		if i%7 != 0 { // sampling keeps the test fast; corruption anywhere must fail

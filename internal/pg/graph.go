@@ -130,11 +130,11 @@ type Graph struct {
 	byEdgeLabel map[Label][]EdgeID
 
 	// weightEdits counts committed SetEdgeWeight mutations over the graph's
-	// history. Weight edits change no node or edge count, so the durability
-	// layer's position formula (persist.SeqOfGraph) needs this counter to
-	// recompute a WAL position from a recovered graph. Snapshots persist it;
-	// graphs restored from pre-weight-edit snapshots start at zero, which is
-	// exactly right because that code could not log weight edits.
+	// history. Weight edits change no node or edge count, so the position
+	// formula (Seq) needs this counter to recompute a WAL position from a
+	// recovered graph. Snapshots persist it; graphs restored from
+	// pre-weight-edit snapshots start at zero, which is exactly right because
+	// that code could not log weight edits.
 	weightEdits int64
 
 	// onMutate, when set, observes every committed mutation — the
@@ -304,25 +304,20 @@ func (g *Graph) RemoveNode(id NodeID) bool {
 // WAL record, a replicated frame — onto g and returns it as g fired it on
 // its mutation hook, pointing at g's own structs. The mutation names its
 // element by identifier, and Replay refuses, before g moves, one that does
-// not fit g: an add must name exactly NextNodeID or NextEdgeID, a removal a
-// live element, a node removal a node whose incident edges were already
-// removed by their own records, and a weight edit must carry a weight. A
-// refusal means the record does not belong on this state (a log applied to
-// the wrong base, a graph mutated behind an overlay's back), so it leaves g,
-// its counters and its hook untouched. Property maps are copied: g shares
-// none with the overlay or decoded record they came from.
+// not fit g (see replayable). A refusal means the record does not belong on
+// this state (a log applied to the wrong base, a graph mutated behind an
+// overlay's back), so it leaves g, its counters and its hook untouched.
+// Property maps are copied: g shares none with the overlay or decoded
+// record they came from.
 func (g *Graph) Replay(m Mutation) (Mutation, error) {
+	if err := replayable(g, m); err != nil {
+		return Mutation{}, err
+	}
 	switch m.Kind {
 	case MutAddNode:
-		if m.Node.ID != g.nextNode {
-			return Mutation{}, fmt.Errorf("pg: replay: add of node %d, the graph assigns %d next", m.Node.ID, g.nextNode)
-		}
 		id := g.AddNode(m.Node.Label, m.Node.Props.clone())
 		return Mutation{Kind: m.Kind, Node: g.nodes[id]}, nil
 	case MutAddEdge:
-		if m.Edge.ID != g.nextEdge {
-			return Mutation{}, fmt.Errorf("pg: replay: add of edge %d, the graph assigns %d next", m.Edge.ID, g.nextEdge)
-		}
 		id, err := g.AddEdge(m.Edge.Label, m.Edge.From, m.Edge.To, m.Edge.Props.clone())
 		if err != nil {
 			return Mutation{}, fmt.Errorf("pg: replay: %w", err)
@@ -330,34 +325,57 @@ func (g *Graph) Replay(m Mutation) (Mutation, error) {
 		return Mutation{Kind: m.Kind, Edge: g.edges[id]}, nil
 	case MutRemoveEdge:
 		e := g.edges[m.Edge.ID]
-		if e == nil {
-			return Mutation{}, fmt.Errorf("pg: replay: removal of unknown edge %d", m.Edge.ID)
-		}
 		g.RemoveEdge(e.ID)
 		return Mutation{Kind: m.Kind, Edge: e}, nil
 	case MutSetEdgeWeight:
-		w, ok := m.Edge.Weight()
-		if !ok {
-			return Mutation{}, fmt.Errorf("pg: replay: weight edit of edge %d carries no weight", m.Edge.ID)
-		}
+		w, _ := m.Edge.Weight()
 		if err := g.SetEdgeWeight(m.Edge.ID, w); err != nil {
 			return Mutation{}, fmt.Errorf("pg: replay: %w", err)
 		}
 		return Mutation{Kind: m.Kind, Edge: g.edges[m.Edge.ID]}, nil
-	case MutRemoveNode:
+	default: // MutRemoveNode
 		n := g.nodes[m.Node.ID]
-		if n == nil {
-			return Mutation{}, fmt.Errorf("pg: replay: removal of unknown node %d", m.Node.ID)
-		}
-		// Removing the incident edges here would fire records the stream
-		// does not hold and move the sequence number past it.
-		if k := len(g.out[n.ID]) + len(g.in[n.ID]); k > 0 {
-			return Mutation{}, fmt.Errorf("pg: replay: removal of node %d with %d live incident edges", n.ID, k)
-		}
 		g.RemoveNode(n.ID)
 		return Mutation{Kind: m.Kind, Node: n}, nil
 	}
-	return Mutation{}, fmt.Errorf("pg: replay: unknown mutation kind %d", m.Kind)
+}
+
+// replayable is the refusal rule Graph.Replay and Overlay.Replay share: why
+// m does not fit v, the state it would be replayed onto, or nil. An add must
+// name exactly NextNodeID or NextEdgeID, a removal a live element, a node
+// removal a node whose incident edges were removed by their own records
+// (removing them here would fire records the stream does not hold), and a
+// weight edit must carry a weight. The mutators check the rest (endpoints,
+// weight range, label) alike on both types.
+func replayable(v View, m Mutation) error {
+	switch m.Kind {
+	case MutAddNode:
+		if m.Node.ID != v.NextNodeID() {
+			return fmt.Errorf("pg: replay: add of node %d, the graph assigns %d next", m.Node.ID, v.NextNodeID())
+		}
+	case MutAddEdge:
+		if m.Edge.ID != v.NextEdgeID() {
+			return fmt.Errorf("pg: replay: add of edge %d, the graph assigns %d next", m.Edge.ID, v.NextEdgeID())
+		}
+	case MutRemoveEdge:
+		if v.Edge(m.Edge.ID) == nil {
+			return fmt.Errorf("pg: replay: removal of unknown edge %d", m.Edge.ID)
+		}
+	case MutSetEdgeWeight:
+		if _, ok := m.Edge.Weight(); !ok {
+			return fmt.Errorf("pg: replay: weight edit of edge %d carries no weight", m.Edge.ID)
+		}
+	case MutRemoveNode:
+		if v.Node(m.Node.ID) == nil {
+			return fmt.Errorf("pg: replay: removal of unknown node %d", m.Node.ID)
+		}
+		if k := len(v.Out(m.Node.ID)) + len(v.In(m.Node.ID)); k > 0 {
+			return fmt.Errorf("pg: replay: removal of node %d with %d live incident edges", m.Node.ID, k)
+		}
+	default:
+		return fmt.Errorf("pg: replay: unknown mutation kind %d", m.Kind)
+	}
+	return nil
 }
 
 // withWeight returns a copy of e whose weight property is w; e is unchanged.
@@ -386,8 +404,25 @@ func (p Properties) clone() Properties {
 }
 
 // WeightEdits reports the number of committed SetEdgeWeight mutations in the
-// graph's history (see the field comment; persist.SeqOfGraph consumes it).
+// graph's history (see the field comment; Seq consumes it).
 func (g *Graph) WeightEdits() int64 { return g.weightEdits }
+
+// Seq returns the graph's sequence number: the total number of mutation
+// records (AddNode, AddEdge, RemoveEdge, SetEdgeWeight, RemoveNode) ever
+// applied to reach its state. Each AddNode advances the node-ID counter,
+// each AddEdge the edge-ID counter, each removal widens the gap between
+// elements ever created and elements live, and each weight edit bumps the
+// weight-edit counter (carried through snapshots) — so the count is
+// derivable from any graph alone, with no position file to keep in sync. It
+// is the replication position a follower recovers from its graph after
+// kill -9, and the seq store.Versioned stamps its first version with. Graphs
+// restored from snapshots that predate weight edits report WeightEdits() ==
+// 0, which is exact: that code could not have logged any.
+func (g *Graph) Seq() int64 {
+	return 2*int64(g.nextNode) - int64(len(g.nodes)) +
+		2*int64(g.nextEdge) - int64(len(g.edges)) +
+		g.weightEdits
+}
 
 // SetWeightEdits overwrites the weight-edit counter. It exists for the
 // durability layer restoring a snapshot — like Restore, it rebuilds recorded

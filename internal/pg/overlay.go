@@ -101,6 +101,32 @@ func (o *Overlay) Journal() ([]Mutation, error) {
 	return o.journal, nil
 }
 
+// Replay applies a recorded mutation onto the overlay. It refuses, before
+// the overlay moves, exactly what Graph.Replay refuses (see replayable), so
+// a burst of records the writer master applied replays onto an overlay of
+// the version before it: that is how a store version publishes them. The
+// overlay takes the record's property maps as its own, as AddNode does.
+func (o *Overlay) Replay(m Mutation) error {
+	if err := replayable(o, m); err != nil {
+		return err
+	}
+	var err error
+	switch m.Kind {
+	case MutAddNode:
+		o.AddNode(m.Node.Label, m.Node.Props)
+	case MutAddEdge:
+		_, err = o.AddEdge(m.Edge.Label, m.Edge.From, m.Edge.To, m.Edge.Props)
+	case MutRemoveEdge:
+		o.RemoveEdge(m.Edge.ID)
+	case MutSetEdgeWeight:
+		w, _ := m.Edge.Weight()
+		err = o.SetEdgeWeight(m.Edge.ID, w)
+	default: // MutRemoveNode
+		o.RemoveNode(m.Node.ID)
+	}
+	return err
+}
+
 // --- View ---
 
 // Node returns the visible node with the given ID, or nil.

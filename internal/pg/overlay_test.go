@@ -353,3 +353,47 @@ func TestOverlayWhatIfMutations(t *testing.T) {
 	}
 	assertViewsEqual(t, o, flat)
 }
+
+// TestOverlayReplayRefusesWhatGraphRefuses: Overlay.Replay shares
+// Graph.Replay's refusal rule, so every record the graph refuses is refused
+// by an overlay over the same state too, before the overlay moves.
+func TestOverlayReplayRefusesWhatGraphRefuses(t *testing.T) {
+	for name, m := range refusedReplays() {
+		g, _ := replayBase()
+		o := NewOverlay(g)
+		if err := o.Replay(m); err == nil {
+			t.Errorf("%s: Overlay.Replay accepted it", name)
+		}
+		if journal, _ := o.Journal(); len(journal) != 0 || o.Delta() != (Delta{}) || o.NextNodeID() != 2 || o.NextEdgeID() != 1 {
+			t.Errorf("%s: refusal moved the overlay: %d journaled, delta %+v", name, len(journal), o.Delta())
+		}
+	}
+}
+
+// TestOverlayReplayMatchesGraphReplay: the records a graph applied, replayed
+// onto an overlay of the graph as it was, give the graph's state — the way a
+// store version publishes a burst of replicated frames.
+func TestOverlayReplayMatchesGraphReplay(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomBase(rng)
+		before := g.Clone()
+		var applied []Mutation
+		g.SetMutationHook(func(m Mutation) { applied = append(applied, m) })
+		src := NewOverlay(g.Clone())
+		mutateOverlay(rng, src, true)
+		journal, _ := src.Journal()
+		for _, m := range journal {
+			if _, err := g.Replay(m); err != nil {
+				t.Fatalf("seed %d: graph refused its own overlay's record: %v", seed, err)
+			}
+		}
+		o := NewOverlay(before)
+		for _, m := range applied {
+			if err := o.Replay(m); err != nil {
+				t.Fatalf("seed %d: overlay refused a record the graph applied: %v", seed, err)
+			}
+		}
+		assertViewsEqual(t, o, g)
+	}
+}

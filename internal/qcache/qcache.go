@@ -149,10 +149,9 @@ type Cache struct {
 	entries  map[string]*entry
 	lru      *list.List // front = most recent; values are *entry
 	inflight map[string]*call
-	gen      uint64 // bumped on every Flush; stales in-flight calls
-	// committed is the newest sequence OnCommit was told about: a
-	// computation pinned below it may have read a version a commit since
-	// moved, and is not stored.
+	// committed is the newest sequence OnCommit was told about, or the floor
+	// of the last Flush: a computation pinned below it may have read a
+	// version a commit or a bootstrap since moved, and is not stored.
 	committed uint64
 
 	hits, misses, evictions, invalidations, kept uint64
@@ -212,9 +211,15 @@ func (c *Cache) Do(key string, class Class, seq uint64, compute func() ([]byte, 
 		return cl.val, cl.seq, true, cl.err
 	}
 	c.misses++
+	if seq < c.committed {
+		// Pinned behind a commit or a flush: computed for this caller
+		// alone, neither stored nor shared.
+		c.mu.Unlock()
+		val, err = compute()
+		return val, seq, false, err
+	}
 	cl := &call{done: make(chan struct{}), seq: seq}
 	c.inflight[key] = cl
-	gen := c.gen
 	c.mu.Unlock()
 
 	cl.val, cl.err = compute()
@@ -228,7 +233,7 @@ func (c *Cache) Do(key string, class Class, seq uint64, compute func() ([]byte, 
 	// payload computed against a pre-commit view must not serve post-commit
 	// readers, whether the commit landed before the computation started or
 	// while it ran.
-	if cl.err == nil && gen == c.gen && seq >= c.committed {
+	if cl.err == nil && seq >= c.committed {
 		c.storeLocked(key, cl.val, seq, class)
 	}
 	c.mu.Unlock()
@@ -299,14 +304,15 @@ func (c *Cache) OnCommit(seq uint64, r Reach) {
 }
 
 // Flush drops every entry (used on follower snapshot re-bootstraps, where no
-// journal describes the jump) and stales in-flight computations. The
-// sequence may restart below the newest one committed before, so the cache
-// forgets it.
-func (c *Cache) Flush() {
+// journal describes the jump) and stales in-flight computations: readers may
+// still hold versions from before the jump, and the sequence may restart
+// below theirs, so from here on only computations pinned at floor or later —
+// above every version the old graph had — are stored or shared.
+func (c *Cache) Flush(floor uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.gen++
-	c.committed = 0
+	c.committed = max(c.committed, floor)
+	c.inflight = map[string]*call{}
 	for el := c.lru.Front(); el != nil; {
 		next := el.Next()
 		c.removeLocked(el.Value.(*entry))

@@ -239,11 +239,49 @@ func TestComputationBehindACommitIsNotStored(t *testing.T) {
 	if _, seq, ok := c.Get("k"); !ok || seq != 6 {
 		t.Fatalf("a computation at the committed seq was not stored (ok=%v seq=%d)", ok, seq)
 	}
-	// A bootstrap may restart the sequence below it: Flush forgets it.
-	c.Flush()
-	c.Do("k", ClassDerived, 2, func() ([]byte, error) { return []byte("after bootstrap"), nil })
-	if _, seq, ok := c.Get("k"); !ok || seq != 2 {
-		t.Fatalf("after Flush a computation at seq 2 was not stored (ok=%v seq=%d)", ok, seq)
+	// A bootstrap replaces the graph: readers of its old versions (seq 6
+	// and below) may still be computing, and the sequence may restart below
+	// theirs, so only computations at the floor or later are stored.
+	c.Flush(7)
+	for _, seq := range []uint64{6, 2} {
+		c.Do("k", ClassDerived, seq, func() ([]byte, error) { return []byte("below the floor"), nil })
+		if _, _, ok := c.Get("k"); ok {
+			t.Fatalf("after Flush(7) a computation at seq %d was stored", seq)
+		}
+	}
+	c.Do("k", ClassDerived, 7, func() ([]byte, error) { return []byte("after bootstrap"), nil })
+	if _, seq, ok := c.Get("k"); !ok || seq != 7 {
+		t.Fatalf("after Flush(7) a computation at seq 7 was not stored (ok=%v seq=%d)", ok, seq)
+	}
+}
+
+// TestFlushSharesNothingAcross: a computation in flight when Flush lands, or
+// started after it on a version below the floor, answers its own caller and
+// nobody else — a reader of the new graph computes its own answer.
+func TestFlushSharesNothingAcross(t *testing.T) {
+	c := New(1 << 20)
+	started, finish := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.Do("k", ClassDerived, 5, func() ([]byte, error) {
+			close(started)
+			<-finish
+			return []byte("old graph"), nil
+		})
+	}()
+	<-started
+	c.Flush(6)
+	if v, _, hit, _ := c.Do("k", ClassDerived, 2, func() ([]byte, error) { return []byte("old graph, late"), nil }); hit || string(v) != "old graph, late" {
+		t.Fatalf("a reader below the floor got %q (hit %v)", v, hit)
+	}
+	if v, seq, hit, _ := c.Do("k", ClassDerived, 6, func() ([]byte, error) { return []byte("new graph"), nil }); hit || seq != 6 || string(v) != "new graph" {
+		t.Fatalf("a reader of the new graph got %q at seq %d (hit %v)", v, seq, hit)
+	}
+	close(finish)
+	<-done
+	if v, seq, ok := c.Get("k"); !ok || seq != 6 || string(v) != "new graph" {
+		t.Fatalf("cache holds %q at seq %d (ok %v), want the new graph's answer", v, seq, ok)
 	}
 }
 
@@ -278,7 +316,7 @@ func TestFlush(t *testing.T) {
 	c := New(1 << 20)
 	c.Put("a", ClassDerived, 1, []byte("x"))
 	c.Put("b", ClassAny, 1, []byte("y"))
-	c.Flush()
+	c.Flush(0)
 	st := c.Stats()
 	if st.Entries != 0 || st.Bytes != 0 || st.Invalidations != 2 {
 		t.Fatalf("after Flush: %+v", st)

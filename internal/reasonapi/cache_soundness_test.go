@@ -98,7 +98,7 @@ func newSoundnessHarness(t *testing.T, base *pg.Graph, follower bool) *soundness
 	if !follower {
 		h.s = NewServerWith(base.Clone(), Config{})
 		h.commit = func(fn func(o *pg.Overlay)) {
-			if err := h.s.src.write(fn); err != nil {
+			if err := writeTo(h.s, fn); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -131,9 +131,7 @@ func newSoundnessHarness(t *testing.T, base *pg.Graph, follower bool) *soundness
 // and compares each cache hit with a cache-disabled server over a copy of
 // the same graph. It returns the number of hits.
 func (h *soundnessHarness) check(name string, asked map[string]question) int {
-	v, _, release := h.s.src.pin()
-	flat, err := pg.Flatten(v)
-	release()
+	flat, err := pg.Flatten(h.s.vs.Current().View())
 	if err != nil {
 		h.t.Fatal(err)
 	}

@@ -3,13 +3,16 @@ package reasonapi
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"vadalink/internal/graphgen"
 	"vadalink/internal/persist"
 	"vadalink/internal/pg"
 	"vadalink/internal/replication"
@@ -390,5 +393,103 @@ func TestNegativeMaxStalenessServesStaleReads(t *testing.T) {
 	var stats struct{ Nodes int }
 	if code := getJSON(t, srv.URL+"/v1/stats", &stats); code != 200 {
 		t.Fatalf("stats with staleness gate disabled = %d, want 200", code)
+	}
+}
+
+// parkedWriter is a ResponseWriter whose first Write parks until release
+// closes: a request writing to it stays mid-flight, holding whatever it
+// read, for as long as the test wants.
+type parkedWriter struct {
+	header  http.Header
+	parked  chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func newParkedWriter() *parkedWriter {
+	return &parkedWriter{header: http.Header{}, parked: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (p *parkedWriter) Header() http.Header { return p.header }
+func (p *parkedWriter) WriteHeader(int)     {}
+func (p *parkedWriter) Write(b []byte) (int, error) {
+	p.once.Do(func() { close(p.parked) })
+	<-p.release
+	return len(b), nil
+}
+
+// seqOf asks a point question about node and returns the seq its answer is
+// stamped with: the seq of the version read, when nothing cached answers it.
+func seqOf(t *testing.T, url string, node int) float64 {
+	t.Helper()
+	resp, body := doReq(t, "GET", fmt.Sprintf("%s/v1/control?node=%d", url, node), "")
+	seq, ok := body["seq"].(float64)
+	if resp.StatusCode != 200 || !ok {
+		t.Fatalf("control read = %d %v, want 200 with a seq", resp.StatusCode, body)
+	}
+	return seq
+}
+
+// A follower keeps applying frames while a reader holds the version it read
+// mid-request: Follower.Seq advances, and the next read is stamped with the
+// new seq. No lock is shared between readers and the frame applier, so a
+// request parked mid-response cannot stop replication.
+func TestFollowerAppliesFramesUnderAParkedReader(t *testing.T) {
+	base := pg.New()
+	base.AddNode(pg.LabelCompany, pg.Properties{"name": "A"})
+	st, fl, api, srv := replicatedServer(t, base, Config{MaxStaleness: time.Minute})
+	waitFollowerSeq(t, fl, st.Seq())
+
+	w := newParkedWriter()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		api.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/v1/graph", nil))
+	}()
+	// Runs before the pair's own cleanup, which waits for the follower.
+	t.Cleanup(func() {
+		close(w.release)
+		<-served
+	})
+	<-w.parked
+
+	before := fl.Seq()
+	st.Graph().AddNode(pg.LabelCompany, pg.Properties{"name": "B"})
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for fl.Seq() == before {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower stuck at seq %d behind a parked reader, leader at %d", before, st.Seq())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if got := seqOf(t, srv.URL, 0); got != float64(st.Seq()) || fl.Seq() != st.Seq() {
+		t.Fatalf("read after the frame stamped seq %v (follower %d), want the leader's %d", got, fl.Seq(), st.Seq())
+	}
+}
+
+// A durable static leader and its follower stamp the same seq for the same
+// state — the WAL position — before and after a write through the leader's
+// API.
+func TestStaticLeaderAndFollowerStampOneSeq(t *testing.T) {
+	it := graphgen.NewItalian(graphgen.ItalianConfig{Persons: 60, Companies: 20, Seed: 3})
+	st, fl, _, fsrv := replicatedServer(t, it.Graph, Config{MaxStaleness: time.Minute})
+	lsrv := httptest.NewServer(NewServerWith(st.Graph(), Config{Persist: st}).Handler())
+	t.Cleanup(lsrv.Close)
+	waitFollowerSeq(t, fl, st.Seq())
+	if l, f := seqOf(t, lsrv.URL, 0), seqOf(t, fsrv.URL, 0); l != f || l != float64(st.Seq()) {
+		t.Fatalf("loaded state: leader stamps %v, follower %v, WAL at %d", l, f, st.Seq())
+	}
+
+	resp, body := doReq(t, "POST", lsrv.URL+"/v1/augment", `{"classes":["family"],"noCluster":true}`)
+	if resp.StatusCode != 200 {
+		t.Fatalf("augment on the leader = %d %v", resp.StatusCode, body)
+	}
+	waitFollowerSeq(t, fl, st.Seq())
+	// A node not asked about before: no cached answer keeps an older seq.
+	if l, f := seqOf(t, lsrv.URL, 1), seqOf(t, fsrv.URL, 1); l != f || l != float64(st.Seq()) {
+		t.Fatalf("after the augment: leader stamps %v, follower %v, WAL at %d", l, f, st.Seq())
 	}
 }

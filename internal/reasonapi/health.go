@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"vadalink/internal/replication"
+	"vadalink/internal/store"
 )
 
 // Health and readiness probes, plus the follower serving gate.
@@ -149,12 +150,12 @@ func (s *Server) writeCommitErr(w http.ResponseWriter, r *http.Request, err erro
 	switch {
 	case errors.Is(err, replication.ErrNotLeader):
 		s.writeNotLeader(w, r, "this node lost the leader role; send writes to the leader")
-	case errors.Is(err, replication.ErrStaleEpoch):
-		// The leadership changed while the write was in flight. The facts
-		// reached the local WAL but were fenced off before a majority held
-		// them: the new leader may or may not carry them, so the only
-		// honest answer is "not acknowledged — re-check, then retry against
-		// the new leader".
+	case errors.Is(err, replication.ErrStaleEpoch) || errors.Is(err, store.ErrConflict):
+		// The leadership changed while the write was in flight: its facts
+		// were fenced off before a majority held them (the new leader may
+		// or may not carry them), or a frame of the new leader landed first
+		// and they never reached the graph. The only honest answer is "not
+		// acknowledged — re-check, then retry against the new leader".
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 		writeErr(w, r, http.StatusServiceUnavailable, "stale_epoch",
 			"write not acknowledged: leadership changed mid-write (%v); retry against the current leader", err)

@@ -3,13 +3,17 @@ package reasonapi
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"vadalink/internal/faultinject"
+	"vadalink/internal/graphgen"
 	"vadalink/internal/persist"
 	"vadalink/internal/pg"
 	"vadalink/internal/replication"
@@ -186,5 +190,48 @@ func TestNodeModeFollowerRedirectsToLiveLeader(t *testing.T) {
 		if resp.Header.Get(h) == "" {
 			t.Fatalf("follower read missing %s header: %+v", h, resp.Header)
 		}
+	}
+}
+
+// A replica-group leader's write that a replicated frame overtakes mid-run
+// is answered 503 stale_epoch, and neither the graph nor the WAL moves past
+// the frame: the frame's records are the only ones that land, whether its
+// burst was already published when the write commits or not.
+func TestNodeModeWriteRacingAFrameIsStaleEpoch(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	for _, published := range []bool{true, false} {
+		t.Run(fmt.Sprintf("published=%v", published), func(t *testing.T) {
+			it := graphgen.NewItalian(graphgen.ItalianConfig{Persons: 60, Companies: 20, Seed: 3})
+			api, srv := leadingAPINode(t, it.Graph, Config{})
+			st := api.cfg.Persist
+			g := st.Graph()
+			seq, appends, nodes := st.Seq(), st.Stats().WALAppends, g.NumNodes()
+
+			// The frame lands on the chain exactly as applyFrame lands one,
+			// while the augment runs on its transaction's overlay.
+			var once sync.Once
+			faultinject.Set(faultinject.SiteAugmentRound, func() {
+				once.Do(func() {
+					frame := pg.Mutation{Kind: pg.MutAddNode, Node: &pg.Node{ID: g.NextNodeID(), Label: pg.LabelCompany}}
+					if err := api.vs.Replay(frame); err != nil {
+						t.Error(err)
+					}
+					if published {
+						api.vs.Publish()
+					}
+				})
+			})
+			resp, body := doReq(t, "POST", srv.URL+"/v1/augment", `{"classes":["family"],"noCluster":true}`)
+			faultinject.Clear(faultinject.SiteAugmentRound)
+			if resp.StatusCode != http.StatusServiceUnavailable || body["code"] != "stale_epoch" {
+				t.Fatalf("augment overtaken by a frame = %d %v, want 503 stale_epoch", resp.StatusCode, body)
+			}
+			api.vs.Publish()
+			if st.Seq() != seq+1 || st.Stats().WALAppends != appends+1 || g.NumNodes() != nodes+1 ||
+				g.NumEdges() != it.Graph.NumEdges() || api.vs.Current().Seq() != uint64(seq+1) {
+				t.Fatalf("the refused write moved the member: seq %d→%d, WAL appends %d→%d, nodes %d→%d, chain at %d",
+					seq, st.Seq(), appends, st.Stats().WALAppends, nodes, g.NumNodes(), api.vs.Current().Seq())
+			}
+		})
 	}
 }

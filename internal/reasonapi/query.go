@@ -140,8 +140,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	v, seq, release := s.src.pin()
-	defer release()
+	cur := s.vs.Current()
+	v, seq := cur.View(), cur.Seq()
 
 	err = s.answerPoint(w, seq, queryKey(goal, progSrc, req.MaxFacts), class, func() (map[string]any, error) {
 		var tighter []datalog.Option

@@ -303,7 +303,7 @@ func TestQueryCacheInvalidationFollowsCommitClassifier(t *testing.T) {
 	seq0 := body0["seq"]
 
 	// Irrelevant commit: a bare person node cannot move the control relation.
-	if err := s.src.write(func(o *pg.Overlay) {
+	if err := writeTo(s, func(o *pg.Overlay) {
 		o.AddNode(pg.LabelPerson, pg.Properties{"name": "bystander"})
 	}); err != nil {
 		t.Fatal(err)
@@ -318,7 +318,7 @@ func TestQueryCacheInvalidationFollowsCommitClassifier(t *testing.T) {
 
 	// Relevant commit elsewhere: two new companies and a stake between them
 	// move derived relations, but nothing P2 owns into.
-	if err := s.src.write(func(o *pg.Overlay) {
+	if err := writeTo(s, func(o *pg.Overlay) {
 		x := o.AddNode(pg.LabelCompany, pg.Properties{"name": "X"})
 		y := o.AddNode(pg.LabelCompany, pg.Properties{"name": "Y"})
 		if _, err := o.AddShare(x, y, 0.7); err != nil {
@@ -338,7 +338,7 @@ func TestQueryCacheInvalidationFollowsCommitClassifier(t *testing.T) {
 	}
 
 	// Relevant commit reaching the anchor: a new stake held by P2.
-	if err := s.src.write(func(o *pg.Overlay) {
+	if err := writeTo(s, func(o *pg.Overlay) {
 		if _, err := o.AddShare(b.ID("P2"), b.ID("C4"), 0.9); err != nil {
 			t.Error(err)
 		}
@@ -495,9 +495,9 @@ func TestAnswerPinnedBeforeACommitIsNotCached(t *testing.T) {
 	defer srv.Close()
 	p2, c4 := b.ID("P2"), b.ID("C4")
 
-	v, seq, release := s.src.pin()
-	defer release()
-	if err := s.src.write(func(o *pg.Overlay) {
+	cur := s.vs.Current()
+	v, seq := cur.View(), cur.Seq()
+	if err := writeTo(s, func(o *pg.Overlay) {
 		if _, err := o.AddShare(p2, c4, 0.9); err != nil {
 			t.Error(err)
 		}
@@ -525,11 +525,64 @@ func TestAnswerPinnedBeforeACommitIsNotCached(t *testing.T) {
 	}
 }
 
-// TestFollowerAnnouncesPostFrameSeq pins what the follower source hands the
-// cache: OnMutation observers run after pg.Graph.Replay, whose mutation hook
-// has already advanced the store, so fl.Seq() inside committed reads the
-// post-frame sequence N. The cache then refuses an answer pinned at N-1 and
-// stores one pinned at N; had committed read the pre-frame N-1, it would
+// TestReaderAcrossABootstrapFeedsNothing: a bootstrap replaces the served
+// graph while a reader is still answering from a version of the old one. Its
+// answer is served, but it enters neither the cache nor the maintainer, even
+// though the new graph's sequence restarts below the old one's: the next
+// readers get the new graph's answers.
+func TestReaderAcrossABootstrapFeedsNothing(t *testing.T) {
+	g, b := pg.Figure2()
+	s := NewServerWith(g, Config{})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	p2 := b.ID("P2")
+	old := s.vs.Current()
+
+	// The new graph: P2 alone, controlling nothing, at a lower seq.
+	ng := pg.New()
+	ng.AddNode(pg.LabelPerson, pg.Properties{"name": "P2"})
+	for ng.NextNodeID() <= p2 {
+		ng.AddNode(pg.LabelCompany, nil)
+	}
+	if err := s.vs.Reset(ng, func() error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if s.vs.Current().Seq() >= old.Seq() {
+		t.Fatalf("the new graph is at seq %d, want below the old %d", s.vs.Current().Seq(), old.Seq())
+	}
+
+	w := httptest.NewRecorder()
+	key := fmt.Sprintf("control:%d", p2)
+	err := s.answerPoint(w, old.Seq(), key, qcache.Anchored(&p2, nil), func() (map[string]any, error) {
+		res, err := s.evalGoal(context.Background(), old.View(), vadalog.ControlProgram, nil, controlGoal(datalog.Int(int64(p2)), varY))
+		if err != nil {
+			return nil, err
+		}
+		return map[string]any{"node": p2, "controls": bindingIDs(res.Answers, varY)}, res.RunErr
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ivmM.BaselineAt(context.Background(), old.View(), old.Seq(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.ivmM.Stats(); st.Valid {
+		t.Fatalf("a reader of the replaced graph seeded the maintainer: %+v", st)
+	}
+
+	resp, body := doReq(t, "GET", srv.URL+"/v1/control?node="+itoa(p2), "")
+	if resp.Header.Get("X-Cache") != "miss" || body["seq"] != float64(s.vs.Current().Seq()) {
+		t.Fatalf("after the bootstrap: X-Cache %q, body %v, want a miss at seq %d", resp.Header.Get("X-Cache"), body, s.vs.Current().Seq())
+	}
+	if controls, _ := body["controls"].([]any); len(controls) != 0 {
+		t.Fatalf("P2 controls %v in the new graph, want nothing", controls)
+	}
+}
+
+// TestFollowerAnnouncesPostFrameSeq pins what a follower's chain hands the
+// cache: the commit hook runs once the burst's version is published, with
+// that version's seq N. The cache then refuses an answer pinned at N-1 and
+// stores one pinned at N; had the hook announced the pre-frame N-1, it would
 // have stored both.
 func TestFollowerAnnouncesPostFrameSeq(t *testing.T) {
 	st, fl, s, _ := replicatedServer(t, nil, Config{MaxStaleness: time.Minute})
@@ -538,10 +591,7 @@ func TestFollowerAnnouncesPostFrameSeq(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFollowerSeq(t, fl, st.Seq())
-	// Pin like a handler: the read lock waits out the frame's apply, observers
-	// included (fl.Seq() moves before they run).
-	_, n, release := s.src.pin()
-	defer release()
+	n := s.vs.Current().Seq()
 	build := func() (map[string]any, error) { return map[string]any{}, nil }
 	for _, pinned := range []uint64{n - 1, n} {
 		if err := s.answerPoint(httptest.NewRecorder(), pinned, fmt.Sprint("probe:", pinned), qcache.ClassDerived, build); err != nil {

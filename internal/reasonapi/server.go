@@ -32,17 +32,16 @@
 // anchored inside its ownership reach, so write traffic elsewhere in the
 // registry keeps hot point answers alive.
 //
-// There is one serving path. Every handler pins a consistent (view, seq)
-// through the server's source and /v1/augment writes through it: the run
-// happens on a copy-on-write overlay while reads keep being served, then the
-// overlay's journal is applied in a short critical section — an in-flight
-// augmentation never blocks a read, and a reader never observes a
-// half-applied mutation. /v1/whatif layers a further private overlay on the
-// pinned view, so counterfactuals touch neither the served graph nor the
-// WAL. Where the graph lives — a store.Versioned chain of immutable versions
-// (standalone, static leader) or the graph a replication follower applies
-// frames to under a lock (followers and replica-group members) — is the
-// source's business alone; see source.go.
+// There is one serving path in every mode: a store.Versioned chain of
+// immutable versions. Every handler reads the current version, lock-free,
+// and answers for its seq; /v1/augment runs on a copy-on-write transaction
+// overlay while reads keep being served, then commits it as the next
+// version — an in-flight augmentation never blocks a read, and a reader
+// never observes a half-applied mutation. /v1/whatif layers a further
+// private overlay on the read version, so counterfactuals touch neither the
+// served graph nor the WAL. A standalone or static-leader server owns its
+// chain; a follower or replica-group member serves its replication
+// Follower's, on which frames publish once per drained burst.
 //
 // Every request runs under a wall-clock deadline (Config.Timeout) and the
 // chase-backed endpoints under a resource Budget; when a limit trips, the
@@ -82,6 +81,7 @@ import (
 	"vadalink/internal/qcache"
 	"vadalink/internal/relstore"
 	"vadalink/internal/replication"
+	"vadalink/internal/store"
 	"vadalink/internal/vadalog"
 	"vadalink/internal/whatif"
 )
@@ -135,11 +135,11 @@ type Config struct {
 	Persist *persist.Store
 
 	// Follower puts the server in read-only replica mode: reads are served
-	// from the follower's graph (with replication lag and staleness
+	// from the follower's version chain (with replication lag and staleness
 	// headers), writes are rejected with a typed redirect-to-leader error,
 	// and reads staler than MaxStaleness get 503 + Retry-After. The server
-	// wires its own read lock and graph pointer into the follower at
-	// construction; callers only need to Run it.
+	// hangs its commit observer on the chain at construction; callers only
+	// need to Run the follower.
 	Follower *replication.Follower
 
 	// LeaderAPI is the leader's API base address ("host:port" or URL)
@@ -192,12 +192,13 @@ func (c Config) timeout() time.Duration {
 type Server struct {
 	cfg Config
 
-	// src is where the served graph lives: every read pins it, /v1/augment
-	// writes through it, and it reports every applied journal to committed.
-	src source
-	// mu is the lock src mutates the durable graph under — the admin
-	// snapshot takes it so it never captures a half-applied journal.
-	mu sync.RWMutex
+	// vs is the served version chain: every read takes its current
+	// version, /v1/augment commits through it, and its commit hook reports
+	// every publication to committed.
+	vs *store.Versioned
+	// resetFloor is one above the newest seq the chain had published before
+	// its last Reset; only committed, under the chain's commit lock, uses it.
+	resetFloor uint64
 
 	// qc caches marshaled point-query responses keyed by goal and stamped
 	// with the sequence they were computed at; invalidated from the commit
@@ -210,7 +211,7 @@ type Server struct {
 	ivmM *ivm.Maintainer
 
 	// augMu serializes /v1/augment; TryLock turns contention into 503
-	// instead of an unbounded queue on mu.
+	// instead of an unbounded queue of writers.
 	augMu sync.Mutex
 
 	// activeMut counts in-flight graph mutations (augment runs, admin
@@ -236,9 +237,10 @@ type Server struct {
 // deadline, unlimited facts).
 func NewServer(g *pg.Graph) *Server { return NewServerWith(g, Config{}) }
 
-// NewServerWith wraps a graph with explicit resource governance. In
-// follower mode (cfg.Follower set) g may be nil — the server serves the
-// follower's recovered graph and tracks it across snapshot bootstraps.
+// NewServerWith wraps a graph with explicit resource governance. g is
+// ignored when cfg.Follower or cfg.Node is set: the server then serves the
+// follower's version chain, across snapshot bootstraps too, and callers
+// pass nil.
 func NewServerWith(g *pg.Graph, cfg Config) *Server {
 	if nd := cfg.Node; nd != nil {
 		// Replica-group mode serves the graph of the node's tailing half —
@@ -258,37 +260,40 @@ func NewServerWith(g *pg.Graph, cfg Config) *Server {
 	if cfg.QueryCacheBytes >= 0 {
 		s.qc = qcache.New(cfg.QueryCacheBytes)
 	}
-	// The one place that chooses where the graph lives.
 	if fl := cfg.Follower; fl != nil {
-		s.src = newLockedSource(g, fl, &s.mu, s.committed, s.reset)
+		s.vs = fl.Chain()
 	} else {
-		s.src = newMVCCSource(g, &s.mu, s.committed)
+		s.vs = store.NewVersioned(g)
 	}
+	s.vs.SetCommitHook(s.committed)
 	return s
 }
 
-// committed is the single subscription to the commit stream: src calls it
-// once per journal applied to the served graph — an /v1/augment commit or a
-// replicated frame alike — with the sequence and view the graph then stands
-// at. The cache drops what the journal can have moved (its reach, classified
-// by the IVM rules the maintainer also runs: an answer anchored outside the
-// reach keeps standing), and the maintainer queues the journal for the next
-// what-if. src calls this under its commit lock; the reach walk is the only
-// part that grows with the graph, and only with the commit's own cone.
-func (s *Server) committed(seq uint64, post pg.View, journal []pg.Mutation) {
-	if s.qc != nil {
-		s.qc.OnCommit(seq, ivm.ReachOf(post, journal))
+// committed is the single subscription to the commit stream: the chain calls
+// it once per published version — an /v1/augment commit or a burst of
+// replicated frames alike — under its commit lock, before next is visible.
+// The cache drops what the journal can have moved (its reach, classified by
+// the IVM rules the maintainer also runs: an answer anchored outside it
+// keeps standing), and the maintainer queues the journal for the next
+// what-if. The reach walk is the only part that grows with the graph, and
+// only with the commit's own cone. A nil journal is a follower's snapshot
+// bootstrap, a jump no journal describes: everything derived from the old
+// graph goes, and since readers may still be answering from its versions —
+// at any seq up to Current's, the newest it reached — nothing computed below
+// the floor above them is kept from then on.
+func (s *Server) committed(next *store.Version, journal []pg.Mutation) {
+	if journal == nil {
+		s.resetFloor = max(s.resetFloor, s.vs.Current().Seq()+1)
+		if s.qc != nil {
+			s.qc.Flush(s.resetFloor)
+		}
+		s.ivmM.Reset(s.resetFloor)
+		return
 	}
-	s.ivmM.Observe(seq, journal...)
-}
-
-// reset is committed's counterpart for a jump no journal describes (a
-// follower's snapshot bootstrap): everything derived from the old graph goes.
-func (s *Server) reset() {
 	if s.qc != nil {
-		s.qc.Flush()
+		s.qc.OnCommit(next.Seq(), ivm.ReachOf(next.View(), journal))
 	}
-	s.ivmM.Reset()
+	s.ivmM.Observe(next.Seq(), journal...)
 }
 
 // engineOptions is the budgeted engine configuration for request-triggered
@@ -641,9 +646,11 @@ func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 	defer s.augMu.Unlock()
 	s.activeMut.Add(1)
 	defer s.activeMut.Add(-1)
-	s.mu.Lock()
-	info, err := ps.Snapshot()
-	s.mu.Unlock()
+	var info persist.SnapshotInfo
+	err := s.vs.Exclusive(func() (err error) {
+		info, err = ps.Snapshot()
+		return err
+	})
 	if err != nil {
 		writeErr(w, r, http.StatusInternalServerError, "persist_failed", "snapshot failed: %v", err)
 		return
@@ -716,8 +723,8 @@ func truncMeta(err error) map[string]any {
 // the second argument, so only node's reverse ownership cone is derived
 // instead of running the control fixpoint from every person in the graph.
 func (s *Server) handleUBO(w http.ResponseWriter, r *http.Request) {
-	v, seq, release := s.src.pin()
-	defer release()
+	cur := s.vs.Current()
+	v, seq := cur.View(), cur.Seq()
 	node, err := parseNode(v, r.URL.RawQuery, "node")
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
@@ -745,8 +752,7 @@ func (s *Server) handleUBO(w http.ResponseWriter, r *http.Request) {
 // handleNeighborhood returns the ego network of a node as graph JSON:
 // GET /v1/neighborhood?node=ID&hops=2.
 func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
-	v, _, release := s.src.pin()
-	defer release()
+	v := s.vs.Current().View()
 	node, err := parseNode(v, r.URL.RawQuery, "node")
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
@@ -769,8 +775,8 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 // handleExplain returns the derivation tree of a control decision — the §5
 // explainability property over HTTP: GET /v1/explain?from=ID&to=ID.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	v, seq, release := s.src.pin()
-	defer release()
+	cur := s.vs.Current()
+	v, seq := cur.View(), cur.Seq()
 	from, err := parseNode(v, r.URL.RawQuery, "from")
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
@@ -850,8 +856,7 @@ func writeInterrupted(w http.ResponseWriter, r *http.Request, what string, err e
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	v, _, release := s.src.pin()
-	defer release()
+	v := s.vs.Current().View()
 	writeJSON(w, http.StatusOK, graphstats.Compute(v))
 }
 
@@ -913,8 +918,8 @@ func parseNode(v pg.View, query, param string) (pg.NodeID, error) {
 // boolean (fully bound demand — only the derivation cone connecting the two
 // is explored). Both route through the goal engine and the result cache.
 func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
-	v, seq, release := s.src.pin()
-	defer release()
+	cur := s.vs.Current()
+	v, seq := cur.View(), cur.Seq()
 	query := r.URL.RawQuery
 	node, err := parseNode(v, query, "node")
 	if err != nil {
@@ -959,8 +964,8 @@ func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
 // The response is the {"pairs": [{"from", "to"}, ...]} envelope — earlier
 // releases leaked a bare capitalized array on the success path; see API.md.
 func (s *Server) handleControlPairs(w http.ResponseWriter, r *http.Request) {
-	v, seq, release := s.src.pin()
-	defer release()
+	cur := s.vs.Current()
+	v, seq := cur.View(), cur.Seq()
 	s.servePoint(w, r, seq, "control/pairs", qcache.ClassDerived, func() (map[string]any, error) {
 		pairs, runErr := control.AllPairsCtx(r.Context(), v)
 		out := make([]map[string]pg.NodeID, 0, len(pairs))
@@ -972,8 +977,8 @@ func (s *Server) handleControlPairs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCloseLinks(w http.ResponseWriter, r *http.Request) {
-	v, seq, release := s.src.pin()
-	defer release()
+	cur := s.vs.Current()
+	v, seq := cur.View(), cur.Seq()
 	t := closelink.DefaultThreshold
 	if raw := queryParam(r.URL.RawQuery, "t"); raw != "" {
 		v, err := strconv.ParseFloat(raw, 64)
@@ -1008,8 +1013,8 @@ func (s *Server) handleCloseLinks(w http.ResponseWriter, r *http.Request) {
 // cyclic graphs are part of the endpoint's contract); the response rides the
 // result cache and carries the seq and X-Cache stamps like every point read.
 func (s *Server) handleAccumulated(w http.ResponseWriter, r *http.Request) {
-	v, seq, release := s.src.pin()
-	defer release()
+	cur := s.vs.Current()
+	v, seq := cur.View(), cur.Seq()
 	from, err := parseNode(v, r.URL.RawQuery, "from")
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
@@ -1077,7 +1082,7 @@ func (s *Server) handleAugment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// One mutation at a time: a second augment gets an immediate 503 with
-	// Retry-After instead of queueing on the write lock forever.
+	// Retry-After instead of queueing behind the first.
 	if !s.augMu.TryLock() {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 		writeErr(w, r, http.StatusServiceUnavailable, "busy", "augmentation already in progress; retry later")
@@ -1088,11 +1093,12 @@ func (s *Server) handleAugment(w http.ResponseWriter, r *http.Request) {
 	// The run happens on a copy-on-write overlay: readers keep being served
 	// the untouched graph for as long as it takes. Its journal is committed
 	// even after an interrupted run, because completed rounds are monotone
-	// and must persist.
-	var res *core.Result
-	if cerr := s.src.write(func(o *pg.Overlay) {
-		res, err = aug.RunContext(r.Context(), o)
-	}); cerr != nil {
+	// and must persist. In replica-group mode a replicated frame can land
+	// under the run only when the node lost the leader role; the commit
+	// then conflicts and is answered as a stale epoch.
+	txn := s.vs.Begin()
+	res, err := aug.RunContext(r.Context(), txn.Overlay())
+	if _, cerr := txn.Commit(); cerr != nil {
 		s.activeMut.Add(-1)
 		s.writeCommitErr(w, r, cerr)
 		return
@@ -1176,13 +1182,13 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The pin is held across the chase: the baseline must describe exactly
+	// One version serves the whole chase: the baseline must describe exactly
 	// the view the scenario is evaluated on. The maintainer answers from its
 	// incrementally maintained state where it can and falls back to a full
 	// chase where it cannot, so steady-state what-ifs skip the re-chase every
 	// out-of-band write would otherwise force.
-	v, seq, release := s.src.pin()
-	defer release()
+	cur := s.vs.Current()
+	v, seq := cur.View(), cur.Seq()
 	var res *whatif.Result
 	bl, err := s.ivmM.BaselineAt(r.Context(), v, seq, threshold)
 	if err == nil {
@@ -1279,11 +1285,8 @@ func (s *Server) handleReason(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Extract the relational image of the pinned read view, then run the
-	// chase without holding the pin.
-	v, _, release := s.src.pin()
-	facts := relstore.CompanyGraphFacts(v)
-	release()
+	// Extract the relational image of the current version, then chase it.
+	facts := relstore.CompanyGraphFacts(s.vs.Current().View())
 	engine.AssertAll(facts)
 
 	runErr := engine.RunContext(r.Context())
@@ -1352,8 +1355,7 @@ func jsonValue(v any) any {
 }
 
 func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
-	v, _, release := s.src.pin()
-	defer release()
+	v := s.vs.Current().View()
 	w.Header()["Content-Type"] = jsonContentType
 	_ = pg.WriteJSONView(v, w)
 }

@@ -19,6 +19,15 @@ func testServer(t *testing.T) (*httptest.Server, *pg.Builder) {
 	return srv, b
 }
 
+// writeTo commits fn's changes to s's version chain the way /v1/augment
+// does.
+func writeTo(s *Server, fn func(o *pg.Overlay)) error {
+	txn := s.vs.Begin()
+	fn(txn.Overlay())
+	_, err := txn.Commit()
+	return err
+}
+
 func getJSON(t *testing.T, url string, out any) int {
 	t.Helper()
 	resp, err := http.Get(url)

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -281,8 +280,6 @@ func runFailoverMember(idx int, base string, die func(int, string, ...any)) {
 	if err != nil {
 		die(replFailoverExitOpen, "recovery refused: %v", err)
 	}
-	var gmu sync.Mutex
-	node.Follower().SetLock(&gmu)
 	logger.Info("recovered", "seq", node.Store().Seq(),
 		"epoch", node.Store().Epoch(), "lastEpoch", node.Store().LastEpoch())
 
@@ -316,14 +313,14 @@ func runFailoverMember(idx int, base string, die func(int, string, ...any)) {
 			time.Sleep(5 * time.Millisecond)
 			continue
 		}
-		gmu.Lock()
 		val := fmt.Sprintf("m%d-p%d-i%d", idx, pid, i)
-		id := node.Store().Graph().AddNode(pg.LabelCompany, pg.Properties{"val": val})
-		seq := node.Store().Seq()
+		id, seq, err := addCompany(node, pg.Properties{"val": val})
+		if err != nil { // a frame of a newer leader landed first
+			continue
+		}
 		epoch := node.Store().Epoch()
-		gmu.Unlock()
 		cctx, cancel := context.WithTimeout(ctx, 2*replFailoverLease)
-		err := node.Commit(cctx)
+		err = node.Commit(cctx)
 		cancel()
 		if err != nil {
 			time.Sleep(10 * time.Millisecond)

@@ -251,21 +251,20 @@ func TestRunningFollowerLagsPastTruncation(t *testing.T) {
 	}
 }
 
-// A slow follower applying frames while readers hammer the graph through
-// the shared RWMutex. Run under -race this is the proof that SetLock makes
-// "serve reads while replicating" safe; the injected apply delay widens the
-// race window.
+// A slow follower applying frames while readers hammer the versions its
+// chain publishes, with no lock between them. Run under -race this is the
+// proof that "serve reads while replicating" is safe: a published version
+// is never written again, however many frames land on the graph behind it.
+// The injected apply delay widens the race window.
 func TestConcurrentReadsWhileApplying(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	st, _, addr := testLeader(t, LeaderOptions{})
 	g := st.Graph()
 
-	var rw sync.RWMutex
 	fl, err := OpenFollower(t.TempDir(), FollowerOptions{Leader: addr, Backoff: backoffFast()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl.SetLock(&rw)
 	ctx, cancel := newTestCtx()
 	done := make(chan struct{})
 	go func() { defer close(done); fl.Run(ctx) }()
@@ -277,9 +276,9 @@ func TestConcurrentReadsWhileApplying(t *testing.T) {
 
 	faultinject.Set(faultinject.SiteReplApply, func() { time.Sleep(50 * time.Microsecond) })
 
-	// Readers: walk whatever graph the follower currently serves, under the
-	// read lock, re-fetching the pointer each pass (it changes on
-	// bootstrap). Each pass yields so the applier is contended, not starved.
+	// Readers: walk whatever version the follower currently serves,
+	// re-fetching it each pass and checking it stays put while walked. Each
+	// pass yields so the applier is contended, not starved.
 	stopReaders := make(chan struct{})
 	var readers sync.WaitGroup
 	var reads atomic.Int64
@@ -293,14 +292,15 @@ func TestConcurrentReadsWhileApplying(t *testing.T) {
 					return
 				default:
 				}
-				rw.RLock()
-				fg := fl.Graph()
-				total := 0
-				for _, id := range fg.Nodes() {
-					total += len(fg.Out(id))
+				v := fl.Chain().Current().View()
+				n, total := v.NumNodes(), 0
+				for _, id := range v.Nodes() {
+					total += len(v.Out(id))
+				}
+				if v.NumNodes() != n || len(v.Nodes()) != n {
+					t.Errorf("a published version moved under its reader: %d nodes, then %d", n, v.NumNodes())
 				}
 				_ = total
-				rw.RUnlock()
 				reads.Add(1)
 				time.Sleep(100 * time.Microsecond)
 			}

@@ -16,6 +16,7 @@ import (
 	"vadalink/internal/faultinject"
 	"vadalink/internal/persist"
 	"vadalink/internal/pg"
+	"vadalink/internal/store"
 )
 
 // FollowerOptions tunes the tailing side of replication.
@@ -85,16 +86,16 @@ type FollowerStatus struct {
 // Follower tails a leader's WAL stream into a local durable store. Every
 // applied frame flows through the same mutation-capture path as a leader
 // write, so the follower's own WAL and snapshots make its position —
-// persist.SeqOfGraph of whatever graph it recovers — survive kill -9 with
+// pg.Graph.Seq of whatever graph it recovers — survive kill -9 with
 // no separate position file to tear.
+//
+// Readers see the store's graph through a version chain (Chain): frames
+// replay onto the graph as they land, and the chain publishes each drained
+// burst as one immutable version before the ack that covers it.
 type Follower struct {
 	store *persist.Store
 	opts  FollowerOptions
-
-	// lock serializes frame application against readers. Defaults to a
-	// private mutex; a serving layer hands in the write side of its own
-	// RWMutex via SetLock so reads exclude half-applied mutations.
-	lock sync.Locker
+	vs    *store.Versioned
 
 	// seqMu serializes every compound operation on the store's (seq, epoch)
 	// pair: frame application (epoch gate + apply), ack construction (sync
@@ -103,7 +104,7 @@ type Follower struct {
 	// in-flight apply is about to advance — the follower then acks the new
 	// record under the old epoch, the old leader counts the ack as a
 	// commit, and the freshly fenced candidate leads without the committed
-	// record. Taken outside lock where both are held.
+	// record. Taken outside the chain's commit lock where both are held.
 	seqMu sync.Mutex
 
 	connected  atomic.Bool
@@ -131,16 +132,6 @@ type Follower struct {
 
 	errMu   sync.Mutex
 	lastErr string
-
-	// swapFns are graph-swap observers (see OnSwap), invoked under the apply
-	// lock.
-	swapFns []func(*pg.Graph)
-
-	// mutFns are applied-mutation observers (see OnMutation), invoked under
-	// the apply lock after each shipped frame lands. An incremental view
-	// maintainer tails them to keep derived facts current without
-	// re-chasing on read.
-	mutFns []func(pg.Mutation)
 }
 
 // OpenFollower opens (or recovers) the follower's local store in dir. The
@@ -157,42 +148,33 @@ func OpenFollower(dir string, opts FollowerOptions) (*Follower, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Follower{store: st, opts: opts, lock: &sync.Mutex{}}
+	f := &Follower{store: st, opts: opts, vs: store.NewVersioned(st.Graph())}
 	f.downSince.Store(time.Now().UnixNano())
 	return f, nil
 }
 
-// SetLock replaces the apply lock. Call before Run. Passing the write side
-// of the RWMutex that guards reads makes "concurrent reads while applying"
-// safe by construction.
-func (f *Follower) SetLock(l sync.Locker) { f.lock = l }
+// Chain returns the version chain readers see the follower's graph
+// through. Frames publish on it once per drained burst, a snapshot
+// bootstrap Resets it, and its commit hook observes both. A replica-group
+// member's writes, while it leads, commit through it too.
+func (f *Follower) Chain() *store.Versioned { return f.vs }
 
-// OnSwap registers a bootstrap observer, called under the apply lock
-// whenever a snapshot bootstrap replaces the graph object. Serving layers
-// that cache the *pg.Graph pointer re-point it here. Call before Run.
-func (f *Follower) OnSwap(fn func(*pg.Graph)) { f.swapFns = append(f.swapFns, fn) }
-
-// OnMutation registers an observer of every mutation a shipped frame applies
-// to the follower's graph, called under the apply lock with the same
-// pg.Mutation a leader-side hook would have seen. A snapshot bootstrap does
-// NOT replay through it — register an OnSwap observer to resynchronize from
-// scratch on bootstrap. Call before Run.
-func (f *Follower) OnMutation(fn func(pg.Mutation)) { f.mutFns = append(f.mutFns, fn) }
-
-// Graph returns the follower's current graph. After a snapshot bootstrap
-// this is a different object — cache the pointer only via OnSwap.
+// Graph returns the follower's current graph, the writer master of Chain.
+// After a snapshot bootstrap this is a different object; readers go
+// through Chain instead.
 func (f *Follower) Graph() *pg.Graph { return f.store.Graph() }
 
 // Store returns the follower's local durable store.
 func (f *Follower) Store() *persist.Store { return f.store }
 
-// Seq returns the follower's applied (not necessarily fsynced) sequence
-// number.
-func (f *Follower) Seq() int64 { return f.store.Seq() }
+// Seq returns the sequence number of the latest version readers can see:
+// every frame applied before the last ack is in it, and the store's applied
+// position may run a burst ahead.
+func (f *Follower) Seq() int64 { return int64(f.vs.Current().Seq()) }
 
-// LastContact returns when the follower last heard any protocol message
+// lastContactAt returns when the follower last heard any protocol message
 // from a live leader (zero time = never). The lease watchdog reads it.
-func (f *Follower) LastContact() time.Time {
+func (f *Follower) lastContactAt() time.Time {
 	ns := f.lastContact.Load()
 	if ns == 0 {
 		return time.Time{}
@@ -200,9 +182,9 @@ func (f *Follower) LastContact() time.Time {
 	return time.Unix(0, ns)
 }
 
-// LeaderHint returns the replication and API addresses of the last leader
+// hint returns the replication and API addresses of the last leader
 // this follower was redirected to or streamed from ("" when unknown).
-func (f *Follower) LeaderHint() (addr, apiAddr string) {
+func (f *Follower) hint() (addr, apiAddr string) {
 	if v, ok := f.leaderHint.Load().(string); ok {
 		addr = v
 	}
@@ -316,10 +298,10 @@ func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
 		}
 		// A resolver that returned the current hint gets the same dead-hint
 		// cleanup as direct hint use below.
-		if hint, _ := f.LeaderHint(); hint != "" && hint == addr {
+		if hint, _ := f.hint(); hint != "" && hint == addr {
 			usedHint = true
 		}
-	} else if hint, _ := f.LeaderHint(); hint != "" {
+	} else if hint, _ := f.hint(); hint != "" {
 		addr = hint
 		usedHint = true
 	}
@@ -338,6 +320,8 @@ func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
 	defer conn.Close()
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
+	// A session cut mid-burst leaves frames applied and unpublished.
+	defer f.vs.Publish()
 
 	mySeq := f.store.Seq()
 	reqLine, err := json.Marshal(request{
@@ -462,14 +446,17 @@ func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
 // touchContact stamps the liveness clock the lease watchdog reads.
 func (f *Follower) touchContact() { f.lastContact.Store(time.Now().UnixNano()) }
 
-// sendAck fsyncs local state and reports the durable position to the
-// leader. The sync-before-write order is the whole point: an acked sequence
-// number survives this follower's kill -9, which is what lets a leader
-// treat majority acks as commit. The (seq, epoch) pair is read under seqMu
-// so an ack is always internally consistent: a fence granted concurrently
-// either lands before the read (the ack carries the new epoch and the old
-// leader refuses it) or after (the grant re-check saw this ack's seq).
+// sendAck publishes the frames applied since the last ack, fsyncs local
+// state and reports the durable position to the leader. The
+// sync-before-write order is the whole point: an acked sequence number
+// survives this follower's kill -9, which is what lets a leader treat
+// majority acks as commit. Publishing first means an acked record is also
+// visible to readers. The (seq, epoch) pair is read under seqMu so an ack
+// is always internally consistent: a fence granted concurrently either
+// lands before the read (the ack carries the new epoch and the old leader
+// refuses it) or after (the grant re-check saw this ack's seq).
 func (f *Follower) sendAck(conn net.Conn) error {
+	f.vs.Publish()
 	f.seqMu.Lock()
 	err := f.store.Sync()
 	var a ack
@@ -508,9 +495,9 @@ func (f *Follower) readHello(conn net.Conn, br *bufio.Reader) (hello, error) {
 
 // bootstrap discards local state and adopts the leader's: either the
 // shipped snapshot, or — for a generation-0 leader — the empty graph. The
-// adopted graph is published atomically under the apply lock and made
-// durable (the follower's store rotates to a fresh snapshot) before any
-// frame is applied on top.
+// adopted graph is made durable (the follower's store rotates to a fresh
+// snapshot) and published as one flat version by one Reset of the chain
+// before any frame is applied on top.
 func (f *Follower) bootstrap(conn net.Conn, br *bufio.Reader, h hello) error {
 	g := pg.New()
 	// The adopted epoch history: the snapshot's own marks when one ships
@@ -530,20 +517,12 @@ func (f *Follower) bootstrap(conn net.Conn, br *bufio.Reader, h hello) error {
 			return fmt.Errorf("replication: snapshot rejected: %w", err)
 		}
 	}
-	if got := persist.SeqOfGraph(g); got != h.From {
+	if got := g.Seq(); got != h.From {
 		return fmt.Errorf("replication: bootstrap graph is at seq %d, hello promised %d", got, h.From)
 	}
 	f.seqMu.Lock()
 	defer f.seqMu.Unlock()
-	f.lock.Lock()
-	err := f.store.ReplaceGraphMarks(g, marks)
-	if err == nil {
-		for _, fn := range f.swapFns {
-			fn(g)
-		}
-	}
-	f.lock.Unlock()
-	if err != nil {
+	if err := f.vs.Reset(g, func() error { return f.store.ReplaceGraphMarks(g, marks) }); err != nil {
 		return fmt.Errorf("replication: adopting bootstrap state: %w", err)
 	}
 	f.bootstraps.Add(1)
@@ -590,18 +569,12 @@ func (f *Follower) applyFrame(frame []byte, sessEpoch uint64) (newEpoch uint64, 
 		return 0, fmt.Errorf("%w: frame from epoch %d session, local epoch %d",
 			ErrStaleLeader, sessEpoch, cur)
 	}
-	f.lock.Lock()
-	// Applying the record mutates the graph, which fires the store's
-	// mutation hook: the frame lands in the follower's own WAL and advances
-	// its sequence number. Durability and position tracking come free. A
-	// record the graph refuses leaves graph, WAL and seq as they were.
-	applied, err := f.store.Graph().Replay(rec.Mutation)
-	if err == nil {
-		for _, fn := range f.mutFns {
-			fn(applied)
-		}
-	}
-	f.lock.Unlock()
+	// Replaying the record onto the chain's master mutates the graph, which
+	// fires the store's mutation hook: the frame lands in the follower's own
+	// WAL and advances its sequence number. Durability and position
+	// tracking come free. A record the graph refuses leaves graph, WAL and
+	// seq as they were. Readers see the record at the next publication.
+	err = f.vs.Replay(rec.Mutation)
 	f.seqMu.Unlock()
 	if err != nil {
 		return 0, fmt.Errorf("replication: applying frame: %w", err)

@@ -121,16 +121,9 @@ func NewLeader(store *persist.Store, opts LeaderOptions) *Leader {
 	return &Leader{store: store, opts: opts, acks: make(map[string]ackState)}
 }
 
-// Addr reports the listener address once Serve is running ("" before).
-func (l *Leader) Addr() string {
-	if v, ok := l.addr.Load().(string); ok {
-		return v
-	}
-	return ""
-}
-
 // Status snapshots the leader's counters.
 func (l *Leader) Status() LeaderStatus {
+	addr, _ := l.addr.Load().(string) // "" until Serve runs
 	return LeaderStatus{
 		Connected:        l.connected.Load(),
 		Accepted:         l.accepted.Load(),
@@ -138,7 +131,7 @@ func (l *Leader) Status() LeaderStatus {
 		SnapshotsShipped: l.snapshots.Load(),
 		Seq:              l.store.Seq(),
 		Epoch:            l.store.Epoch(),
-		Addr:             l.Addr(),
+		Addr:             addr,
 	}
 }
 
@@ -157,13 +150,13 @@ func (l *Leader) observeAck(id string, a ack) {
 	l.changed.fire()
 }
 
-// AckedAtLeast counts the members whose newest durable ack covers seq,
+// ackedAtLeast counts the members whose newest durable ack covers seq,
 // carries exactly epoch, and arrived within window. Acks from any other
 // follower — a learner tailing this leader — are recorded but never
 // counted. The replica-group leader uses it both as the commit barrier
 // (majority-1 members hold the fact fsynced at the current epoch) and as
 // the lease signal (fresh acks prove the members still follow this leader).
-func (l *Leader) AckedAtLeast(members []string, seq int64, epoch uint64, window time.Duration) int {
+func (l *Leader) ackedAtLeast(members []string, seq int64, epoch uint64, window time.Duration) int {
 	l.ackMu.Lock()
 	defer l.ackMu.Unlock()
 	n := 0

@@ -195,8 +195,8 @@ func OpenNode(dir string, opts NodeOptions) (*Node, error) {
 	return n, nil
 }
 
-// Follower returns the node's tailing half — the serving tier wires its
-// locks, swap and mutation observers through it exactly as it would for a
+// Follower returns the node's tailing half — the serving tier reads and,
+// while the node leads, writes through its Chain exactly as it would for a
 // standalone follower.
 func (n *Node) Follower() *Follower { return n.fl }
 
@@ -220,7 +220,7 @@ func (n *Node) LeaderHint() (addr, apiAddr string) {
 	if n.IsLeader() {
 		return n.opts.Self, n.opts.API
 	}
-	return n.fl.LeaderHint()
+	return n.fl.hint()
 }
 
 // Status snapshots the node's failover state.
@@ -248,7 +248,7 @@ func (n *Node) Status() NodeStatus {
 		}
 		return st
 	}
-	if last := n.fl.LastContact(); !last.IsZero() {
+	if last := n.fl.lastContactAt(); !last.IsZero() {
 		age := time.Since(last)
 		st.LeaseMS = age.Milliseconds()
 		st.LeaseOK = age <= n.opts.Lease
@@ -283,7 +283,7 @@ func (n *Node) majority() int { return (len(n.peerList())+1)/2 + 1 }
 // current hint when one exists, otherwise peers in round-robin until one of
 // them streams or redirects.
 func (n *Node) resolveLeader() (string, error) {
-	if hint, _ := n.fl.LeaderHint(); hint != "" && hint != n.opts.Self {
+	if hint, _ := n.fl.hint(); hint != "" && hint != n.opts.Self {
 		return hint, nil
 	}
 	peers := n.peerList()
@@ -382,7 +382,7 @@ func (n *Node) answerProbe(conn net.Conn, req request) error {
 	if n.IsLeader() {
 		st.Role = RoleLeader
 		st.LeaderFreshMS = 0
-	} else if last := n.fl.LastContact(); last.IsZero() {
+	} else if last := n.fl.lastContactAt(); last.IsZero() {
 		st.LeaderFreshMS = -1
 	} else {
 		st.LeaderFreshMS = time.Since(last).Milliseconds()
@@ -636,7 +636,7 @@ func (n *Node) runFollower(ctx context.Context) (leaseExpired bool) {
 		_ = n.fl.Run(sctx)
 	}()
 	since := func() time.Duration {
-		if last := n.fl.LastContact(); !last.IsZero() {
+		if last := n.fl.lastContactAt(); !last.IsZero() {
 			return time.Since(last)
 		}
 		return time.Since(n.started)
@@ -669,7 +669,7 @@ func (n *Node) runFollower(ctx context.Context) (leaseExpired bool) {
 // make a fact durable or keep a lease alive.
 func (n *Node) quorumAcked(seq int64, epoch uint64) bool {
 	peers := n.peerList()
-	return n.ld.AckedAtLeast(peers, seq, epoch, n.opts.Lease) >= (len(peers)+1)/2
+	return n.ld.ackedAtLeast(peers, seq, epoch, n.opts.Lease) >= (len(peers)+1)/2
 }
 
 // runLeader serves writes until the lease collapses or a higher epoch

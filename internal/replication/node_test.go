@@ -12,16 +12,16 @@ import (
 	"vadalink/internal/faultinject"
 	"vadalink/internal/persist"
 	"vadalink/internal/pg"
+	"vadalink/internal/store"
 )
 
 // testMember is one in-process replica-group member: a Node plus its
-// listener and the goroutines running Serve and Run. gmu is the apply lock
-// shared between the follower session and test-side graph access.
+// listener and the goroutines running Serve and Run. Test-side reads and
+// writes go through the member's version chain, as the serving tier's do.
 type testMember struct {
 	n      *Node
 	dir    string
 	ln     net.Listener
-	gmu    sync.Mutex
 	cancel context.CancelFunc
 	done   chan struct{}
 }
@@ -57,7 +57,6 @@ func startMember(t *testing.T, dir string, lease time.Duration, peersFn func() [
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &testMember{n: n, dir: dir, ln: ln, cancel: cancel, done: make(chan struct{})}
-	n.Follower().SetLock(&m.gmu)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() { defer wg.Done(); _ = n.Serve(ctx, ln) }()
@@ -119,14 +118,27 @@ func waitLeader(t *testing.T, members []*testMember, within time.Duration) *test
 	return nil
 }
 
+// addCompany commits one company node through n's version chain, the way
+// the serving tier writes while n leads, and returns its ID and the seq the
+// commit published. A frame that lands first makes the commit conflict.
+func addCompany(n *Node, props pg.Properties) (pg.NodeID, int64, error) {
+	txn := n.Follower().Chain().Begin()
+	id := txn.Overlay().AddNode(pg.LabelCompany, props)
+	v, err := txn.Commit()
+	if err != nil {
+		return 0, 0, err
+	}
+	return id, int64(v.Seq()), nil
+}
+
 // commitOne appends one company fact on the leader and runs the group
 // write barrier, returning the sequence number the ack covers.
 func commitOne(t *testing.T, m *testMember, name string) int64 {
 	t.Helper()
-	m.gmu.Lock()
-	m.n.Store().Graph().AddNode(pg.LabelCompany, pg.Properties{"name": name})
-	seq := m.n.Store().Seq()
-	m.gmu.Unlock()
+	_, seq, err := addCompany(m.n, pg.Properties{"name": name})
+	if err != nil {
+		t.Fatalf("commit on the leader's chain: %v", err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := m.n.Commit(ctx); err != nil {
@@ -145,17 +157,16 @@ func commitOnGroup(t *testing.T, members []*testMember, name string) (*testMembe
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		m := waitLeader(t, members, 15*time.Second)
-		m.gmu.Lock()
-		m.n.Store().Graph().AddNode(pg.LabelCompany, pg.Properties{"name": name})
-		seq := m.n.Store().Seq()
-		m.gmu.Unlock()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		err := m.n.Commit(ctx)
-		cancel()
+		_, seq, err := addCompany(m.n, pg.Properties{"name": name})
+		if err == nil {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			err = m.n.Commit(ctx)
+			cancel()
+		}
 		if err == nil {
 			return m, seq
 		}
-		if !errors.Is(err, ErrStaleEpoch) && !errors.Is(err, ErrNotLeader) {
+		if !errors.Is(err, ErrStaleEpoch) && !errors.Is(err, ErrNotLeader) && !errors.Is(err, store.ErrConflict) {
 			t.Fatalf("Commit: %v", err)
 		}
 	}
@@ -274,10 +285,10 @@ func TestLearnerAcksDoNotCount(t *testing.T) {
 		}
 	}
 
-	leader.gmu.Lock()
-	leader.n.Store().Graph().AddNode(pg.LabelCompany, pg.Properties{"name": "learner only"})
-	seq := leader.n.Store().Seq()
-	leader.gmu.Unlock()
+	_, seq, err := addCompany(leader.n, pg.Properties{"name": "learner only"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*lease)
 	defer cancel()
 	if err := leader.n.Commit(ctx); err == nil {
@@ -430,7 +441,7 @@ func TestFenceGrantRules(t *testing.T) {
 	if got := n.Store().Epoch(); got != 9 {
 		t.Fatalf("store epoch %d, want 9", got)
 	}
-	if hint, api := n.fl.LeaderHint(); hint != "cand:1" || api != "cand-api" {
+	if hint, api := n.fl.hint(); hint != "cand:1" || api != "cand-api" {
 		t.Fatalf("leader hint %q/%q, want candidate", hint, api)
 	}
 	// Fresh leader contact blocks further grants.
@@ -492,11 +503,9 @@ func TestRejoinedStaleLeaderIsReset(t *testing.T) {
 	mu.Unlock()
 
 	waitFor(t, 20*time.Second, "rejoined member adopts the new history", func() bool {
-		rejoined.gmu.Lock()
-		defer rejoined.gmu.Unlock()
-		st := rejoined.n.Store()
-		return st.Epoch() >= next.n.Epoch() && st.Seq() >= ackedSeq &&
-			len(st.Graph().NodesWithLabel(pg.LabelPerson)) == 0
+		v := rejoined.n.Follower().Chain().Current()
+		return rejoined.n.Epoch() >= next.n.Epoch() && int64(v.Seq()) >= ackedSeq &&
+			len(v.View().NodesWithLabel(pg.LabelPerson)) == 0
 	})
 }
 

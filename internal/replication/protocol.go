@@ -35,7 +35,7 @@
 // counts fresh acks to renew its lease and to release Node.Commit.
 //
 // The sequence number is a pure function of graph state
-// (persist.SeqOfGraph), so position negotiation is stateless: any anomaly —
+// (pg.Graph.Seq), so position negotiation is stateless: any anomaly —
 // torn stream, bad frame, rotation, leader restart — is handled by dropping
 // the connection and reconnecting with whatever sequence number the
 // follower's recovered graph implies. Acks are progress reports, not session

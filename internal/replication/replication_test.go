@@ -5,13 +5,13 @@ import (
 	"net"
 	"os"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"vadalink/internal/backoff"
 	"vadalink/internal/persist"
 	"vadalink/internal/pg"
+	"vadalink/internal/store"
 )
 
 // testLeader spins up a leader store + serving loop on an ephemeral port.
@@ -275,7 +275,7 @@ func TestLaggedFollowerBootstrapsFromSnapshot(t *testing.T) {
 	// The bootstrap state is durable locally: a reopened store starts at
 	// the bootstrapped position, not at zero.
 	g2 := fl.Graph()
-	if got := persist.SeqOfGraph(g2); got != 27 {
+	if got := g2.Seq(); got != 27 {
 		t.Fatalf("follower graph seq = %d, want 27", got)
 	}
 }
@@ -362,18 +362,10 @@ func TestDivergedFollowerResets(t *testing.T) {
 	}
 }
 
-// heldLock is a mutex that reports whether it is held.
-type heldLock struct {
-	sync.Mutex
-	held atomic.Bool
-}
-
-func (l *heldLock) Lock()   { l.Mutex.Lock(); l.held.Store(true) }
-func (l *heldLock) Unlock() { l.held.Store(false); l.Mutex.Unlock() }
-
-// An OnSwap observer fires under the apply lock when a bootstrap replaces the
-// graph, and the new pointer matches Graph().
-func TestOnGraphSwap(t *testing.T) {
+// A snapshot bootstrap publishes the adopted graph as one flat version at
+// the hello's seq, and the chain's observer sees it as a reset: a nil
+// journal, since no journal describes the jump.
+func TestBootstrapPublishesFlatVersion(t *testing.T) {
 	st, _, addr := testLeader(t, LeaderOptions{})
 	g := st.Graph()
 	for i := 0; i < 10; i++ {
@@ -384,37 +376,29 @@ func TestOnGraphSwap(t *testing.T) {
 	}
 
 	var mu sync.Mutex
-	var swapped *pg.Graph
-	var underLock bool
-	lock := &heldLock{}
+	var reset *store.Version
 	fl := testFollower(t, addr, FollowerOptions{}, func(fl *Follower) {
-		fl.SetLock(lock)
-		fl.OnSwap(func(ng *pg.Graph) {
-			mu.Lock()
-			swapped, underLock = ng, lock.held.Load()
-			mu.Unlock()
+		fl.Chain().SetCommitHook(func(next *store.Version, journal []pg.Mutation) {
+			if journal == nil {
+				mu.Lock()
+				reset = next
+				mu.Unlock()
+			}
 		})
 	})
-	// Seq reaches 10 inside the same critical section that fires the swap
-	// callback, but a hair earlier — poll for the callback itself.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	waitFor(t, 10*time.Second, "the bootstrap's reset", func() bool {
 		mu.Lock()
-		got, locked := swapped, underLock
-		mu.Unlock()
-		if got != nil {
-			if !locked {
-				t.Fatal("OnSwap callback ran outside the apply lock")
-			}
-			if got != fl.Graph() {
-				t.Fatalf("OnSwap pointer %p != Graph() %p", got, fl.Graph())
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("OnSwap never fired (status %+v)", fl.Status())
-		}
-		time.Sleep(time.Millisecond)
+		defer mu.Unlock()
+		return reset != nil
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	if reset.Seq() != 10 {
+		t.Fatalf("bootstrap published seq %d, want the hello's 10", reset.Seq())
+	}
+	flat, ok := reset.View().(*pg.Graph)
+	if !ok || flat.NumNodes() != 10 || flat == fl.Graph() {
+		t.Fatalf("bootstrap published %T with %d nodes, want a flat clone of the adopted graph", reset.View(), reset.View().NumNodes())
 	}
 	waitSeq(t, fl, 10)
 }
@@ -431,8 +415,8 @@ func backoffFast() backoff.Policy {
 
 // Weight edits and node removals ship as ordinary WAL frames: a follower
 // tailing a leader through them converges on the identical graph, and the
-// OnMutation observer sees every applied mutation in order with the new
-// kinds resolved.
+// chain's observer sees every applied mutation in order with the new kinds
+// resolved.
 func TestFollowerReplicatesWeightEditAndNodeRemoval(t *testing.T) {
 	st, _, addr := testLeader(t, LeaderOptions{})
 	g := st.Graph()
@@ -451,9 +435,9 @@ func TestFollowerReplicatesWeightEditAndNodeRemoval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl.OnMutation(func(m pg.Mutation) {
+	fl.Chain().SetCommitHook(func(_ *store.Version, journal []pg.Mutation) {
 		mu.Lock()
-		seen = append(seen, m)
+		seen = append(seen, journal...)
 		mu.Unlock()
 	})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -489,20 +473,14 @@ func TestFollowerReplicatesWeightEditAndNodeRemoval(t *testing.T) {
 	if fg.Node(c) != nil {
 		t.Fatal("follower still has removed node")
 	}
-	if got, want := persist.SeqOfGraph(fg), st.Seq(); got != want {
-		t.Fatalf("follower SeqOfGraph = %d, leader seq %d", got, want)
+	if got, want := fg.Seq(), st.Seq(); got != want {
+		t.Fatalf("follower graph Seq = %d, leader seq %d", got, want)
 	}
 
 	// The observer saw the post-bootstrap stream: the weight edit (with the
 	// new weight resolved), the incident-edge removal, then the bare node
-	// removal — in apply order. The store seq advances inside the apply
-	// before the observer callback fires, so waitSeq can return a beat
-	// before the final mutation is recorded — wait for it explicitly.
-	waitFor(t, 5*time.Second, "observer to record the node removal", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(seen) >= 3 && seen[len(seen)-1].Kind == pg.MutRemoveNode
-	})
+	// removal — in apply order. The hook runs once the version is published,
+	// which is what waitSeq waited for.
 	mu.Lock()
 	defer mu.Unlock()
 	if len(seen) < 3 {
@@ -526,7 +504,8 @@ func TestFollowerReplicatesWeightEditAndNodeRemoval(t *testing.T) {
 // TestRefusedFrameLeavesFollower: a frame whose add names an identifier the
 // follower's graph would not assign is refused before the graph moves — no
 // node, no WAL record, no seq step, no observer call — and the frame that
-// does fit applies and reaches observers as the graph's own mutation.
+// does fit applies and, once published, reaches the chain's observer as the
+// graph's own mutation.
 func TestRefusedFrameLeavesFollower(t *testing.T) {
 	src, err := persist.Open(t.TempDir(), persist.Options{})
 	if err != nil {
@@ -555,20 +534,26 @@ func TestRefusedFrameLeavesFollower(t *testing.T) {
 	}
 	defer fl.Close()
 	var seen []pg.Mutation
-	fl.OnMutation(func(m pg.Mutation) { seen = append(seen, m) })
+	fl.Chain().SetCommitHook(func(_ *store.Version, journal []pg.Mutation) { seen = append(seen, journal...) })
 
 	if _, err := fl.applyFrame(second, 0); err == nil {
 		t.Fatal("follower applied node 1 onto an empty graph")
 	}
-	if fl.Seq() != 0 || fl.Graph().NumNodes() != 0 || fl.Graph().NextNodeID() != 0 ||
+	fl.Chain().Publish()
+	if fl.Store().Seq() != 0 || fl.Graph().NumNodes() != 0 || fl.Graph().NextNodeID() != 0 ||
 		fl.Store().Stats().WALAppends != 0 || len(seen) != 0 {
 		t.Fatalf("refused frame moved the follower: seq %d, %d nodes, %d WAL appends, %d observed",
-			fl.Seq(), fl.Graph().NumNodes(), fl.Store().Stats().WALAppends, len(seen))
+			fl.Store().Seq(), fl.Graph().NumNodes(), fl.Store().Stats().WALAppends, len(seen))
 	}
 
 	if _, err := fl.applyFrame(first, 0); err != nil {
 		t.Fatal(err)
 	}
+	if fl.Store().Seq() != 1 || fl.Seq() != 0 || len(seen) != 0 {
+		t.Fatalf("an applied frame was visible before its burst published: store seq %d, chain seq %d, observed %+v",
+			fl.Store().Seq(), fl.Seq(), seen)
+	}
+	fl.Chain().Publish()
 	if fl.Seq() != 1 || len(seen) != 1 || seen[0].Node != fl.Graph().Node(0) {
 		t.Fatalf("after the fitting frame: seq %d, observed %+v", fl.Seq(), seen)
 	}

@@ -62,7 +62,7 @@ func TestFramesShipOnFlushAcrossRotation(t *testing.T) {
 		}
 	}
 	sameFacts(t, g, fl.Graph())
-	if got, want := persist.SeqOfGraph(fl.Graph()), st.Seq(); got != want {
+	if got, want := fl.Graph().Seq(), st.Seq(); got != want {
 		t.Fatalf("follower graph at seq %d, leader at %d", got, want)
 	}
 }
@@ -76,14 +76,16 @@ func TestBurstCommitAckedOnDrain(t *testing.T) {
 	leader := waitLeader(t, members, 20*time.Second)
 	epoch := leader.n.Epoch()
 	waitFor(t, 10*time.Second, "both followers acking", func() bool {
-		return leader.n.Leader().AckedAtLeast(leader.n.peerList(), leader.n.Store().Seq(), epoch, time.Second) == 2
+		return leader.n.Leader().ackedAtLeast(leader.n.peerList(), leader.n.Store().Seq(), epoch, time.Second) == 2
 	})
 	for round := 0; round < 10; round++ {
-		leader.gmu.Lock()
+		txn := leader.n.Follower().Chain().Begin()
 		for i := 0; i < 20; i++ {
-			leader.n.Store().Graph().AddNode(pg.LabelCompany, pg.Properties{"round": int64(round), "i": int64(i)})
+			txn.Overlay().AddNode(pg.LabelCompany, pg.Properties{"round": int64(round), "i": int64(i)})
 		}
-		leader.gmu.Unlock()
+		if _, err := txn.Commit(); err != nil {
+			t.Fatalf("round %d: commit on the leader's chain: %v", round, err)
+		}
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		start := time.Now()
 		err := leader.n.Commit(ctx)

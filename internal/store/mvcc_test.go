@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"vadalink/internal/pg"
 	"vadalink/internal/relstore"
@@ -23,8 +24,8 @@ func TestVersionedCommitPublishes(t *testing.T) {
 	g := seedGraph()
 	vs := NewVersioned(g)
 	v0 := vs.Current()
-	if v0.Seq() != 0 || v0.depth != 0 {
-		t.Fatalf("initial version seq=%d depth=%d, want 0/0", v0.Seq(), v0.depth)
+	if v0.Seq() != 5 || v0.depth != 0 {
+		t.Fatalf("initial version seq=%d depth=%d, want 5/0 (3 nodes and 2 edges behind it)", v0.Seq(), v0.depth)
 	}
 
 	txn := vs.Begin()
@@ -44,8 +45,8 @@ func TestVersionedCommitPublishes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
-	if vs.Current() != v1 || v1.Seq() != 1 {
-		t.Fatalf("Current() != committed version (seq %d)", v1.Seq())
+	if vs.Current() != v1 || v1.Seq() != v0.Seq()+2 {
+		t.Fatalf("Current() != committed version (seq %d, want %d: one per record)", v1.Seq(), v0.Seq()+2)
 	}
 	if got := v1.View().NumNodes(); got != 4 {
 		t.Fatalf("post-commit view has %d nodes, want 4", got)
@@ -98,8 +99,9 @@ func TestVersionedCommitsWeightEditAndNodeRemoval(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Commit of weight-edit + node-removal overlay: %v", err)
 	}
-	if v.Seq() != 1 {
-		t.Fatalf("published seq = %d, want 1", v.Seq())
+	// One weight edit, two incident-edge removals, one node removal.
+	if v.Seq() != 5+4 || uint64(g.Seq()) != v.Seq() {
+		t.Fatalf("published seq = %d (master %d), want 9", v.Seq(), g.Seq())
 	}
 	// The replayed master and the published view agree.
 	if g.Node(victim) != nil || v.View().Node(victim) != nil {
@@ -181,15 +183,15 @@ func TestVersionedCommitHook(t *testing.T) {
 		return next
 	}
 
-	// The hook observes each commit once, with its journal, after the
-	// version is published.
+	// The hook observes each commit once, with its journal, just before
+	// the version is published: readers cannot hold it yet.
 	var order []string
 	vs.SetCommitHook(func(next *Version, journal []pg.Mutation) {
 		if len(journal) != 1 || journal[0].Kind != pg.MutAddNode {
 			t.Errorf("hook a observed journal %v, want one MutAddNode", journal)
 		}
-		if next != vs.Current() {
-			t.Errorf("hook saw seq %d, current is %d", next.Seq(), vs.Current().Seq())
+		if cur := vs.Current(); cur == next || cur.Seq()+1 != next.Seq() {
+			t.Errorf("hook saw seq %d while seq %d was current, want the version before it", next.Seq(), cur.Seq())
 		}
 		order = append(order, "a")
 	})
@@ -306,5 +308,156 @@ func TestPinnedVersionKeepsWeight(t *testing.T) {
 	}
 	if !flattened {
 		t.Fatalf("no commit of %d flattened the chain", flattenDepth+2)
+	}
+}
+
+// TestVersionedReplayPublishesPerBurst: records replayed onto the master stay
+// invisible until Publish, which makes the whole burst one version at the
+// master's record count and hands the hook the records as the master applied
+// them. Commits conflict while a burst is unpublished, a refused record
+// leaves the chain as it was, and bursts flatten like commits do.
+func TestVersionedReplayPublishesPerBurst(t *testing.T) {
+	g := seedGraph()
+	vs := NewVersioned(g)
+	v0 := vs.Current()
+	var journals [][]pg.Mutation
+	vs.SetCommitHook(func(next *Version, journal []pg.Mutation) { journals = append(journals, journal) })
+
+	stale := vs.Begin()
+	stale.Overlay().AddNode(pg.LabelPerson, nil)
+	share := g.EdgesWithLabel(pg.LabelShareholding)[0]
+	burst := []pg.Mutation{
+		{Kind: pg.MutAddNode, Node: &pg.Node{ID: g.NextNodeID(), Label: pg.LabelCompany}},
+		{Kind: pg.MutAddEdge, Edge: &pg.Edge{ID: g.NextEdgeID(), Label: pg.LabelShareholding, From: 0, To: g.NextNodeID(),
+			Props: pg.Properties{pg.WeightProp: 0.3}}},
+		{Kind: pg.MutSetEdgeWeight, Edge: &pg.Edge{ID: share, Props: pg.Properties{pg.WeightProp: 0.7}}},
+	}
+	for _, m := range burst {
+		if err := vs.Replay(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if vs.Current() != v0 || len(journals) != 0 {
+		t.Fatalf("an unpublished burst is visible: seq %d, %d hook calls", vs.Current().Seq(), len(journals))
+	}
+	if _, err := stale.Commit(); !errors.Is(err, ErrConflict) {
+		t.Fatalf("commit beside an unpublished burst: err = %v, want ErrConflict", err)
+	}
+	if err := vs.Replay(burst[0]); err == nil {
+		t.Fatal("the master accepted a node id it already assigned")
+	}
+	vs.Publish()
+	v1 := vs.Current()
+	if v1.Seq() != v0.Seq()+3 || uint64(g.Seq()) != v1.Seq() {
+		t.Fatalf("burst published at seq %d (master %d), want %d", v1.Seq(), g.Seq(), v0.Seq()+3)
+	}
+	if len(journals) != 1 || len(journals[0]) != 3 || journals[0][0].Node != g.Node(burst[0].Node.ID) {
+		t.Fatalf("hook saw %v, want one journal of the master's own 3 records", journals)
+	}
+	if w, _ := v1.View().Edge(share).Weight(); w != 0.7 || v1.View().NumNodes() != 4 || v1.View().NumEdges() != 3 {
+		t.Fatalf("published view: weight %v, %d nodes, %d edges", w, v1.View().NumNodes(), v1.View().NumEdges())
+	}
+	if w, _ := v0.View().Edge(share).Weight(); w != 0.6 {
+		t.Fatalf("the burst moved the version before it: weight %v", w)
+	}
+	vs.Publish()
+	if vs.Current() != v1 || len(journals) != 1 {
+		t.Fatal("an empty Publish published a version")
+	}
+
+	for i := 0; i < 2*flattenDepth; i++ {
+		if err := vs.Replay(pg.Mutation{Kind: pg.MutAddNode, Node: &pg.Node{ID: g.NextNodeID(), Label: pg.LabelCompany}}); err != nil {
+			t.Fatal(err)
+		}
+		vs.Publish()
+		v := vs.Current()
+		if _, flat := v.View().(*pg.Graph); v.depth >= flattenDepth || (v.depth == 0) != flat {
+			t.Fatalf("publication %d: depth %d, flat %v", i, v.depth, flat)
+		}
+		if v.View().NumNodes() != g.NumNodes() {
+			t.Fatalf("publication %d: %d nodes, master %d", i, v.View().NumNodes(), g.NumNodes())
+		}
+	}
+	txn := vs.Begin()
+	txn.Overlay().AddNode(pg.LabelPerson, nil)
+	if _, err := txn.Commit(); err != nil {
+		t.Fatalf("commit once the bursts are published: %v", err)
+	}
+}
+
+// TestVersionedReset: Reset adopts a new master and publishes a flat clone
+// of it at its own seq, drops what was pending on the old one, and tells the
+// hook with a nil journal; a failing adopt leaves the store untouched.
+func TestVersionedReset(t *testing.T) {
+	g := seedGraph()
+	vs := NewVersioned(g)
+	v0 := vs.Current()
+	var resets []*Version
+	vs.SetCommitHook(func(next *Version, journal []pg.Mutation) {
+		if journal == nil {
+			resets = append(resets, next)
+		}
+	})
+	if err := vs.Replay(pg.Mutation{Kind: pg.MutAddNode, Node: &pg.Node{ID: g.NextNodeID(), Label: pg.LabelCompany}}); err != nil {
+		t.Fatal(err)
+	}
+
+	adopted := pg.New()
+	for i := 0; i < 7; i++ {
+		adopted.AddNode(pg.LabelCompany, nil)
+	}
+	refused := errors.New("refused")
+	if err := vs.Reset(adopted, func() error { return refused }); !errors.Is(err, refused) {
+		t.Fatalf("Reset with a failing adopt: err = %v", err)
+	}
+	if vs.Current() != v0 || len(resets) != 0 {
+		t.Fatal("a failed adopt moved the store")
+	}
+	if err := vs.Reset(adopted, func() error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	v1 := vs.Current()
+	if flat, ok := v1.View().(*pg.Graph); !ok || flat == adopted || v1.Seq() != 7 || flat.NumNodes() != 7 {
+		t.Fatalf("Reset published %T at seq %d with %d nodes, want a flat clone at 7", v1.View(), v1.Seq(), v1.View().NumNodes())
+	}
+	if len(resets) != 1 || resets[0] != v1 {
+		t.Fatalf("hook saw %d resets, want the published version once", len(resets))
+	}
+	vs.Publish()
+	if vs.Current() != v1 {
+		t.Fatal("the record replayed onto the old master was published after the Reset")
+	}
+	txn := vs.Begin()
+	txn.Overlay().AddNode(pg.LabelPerson, nil)
+	if _, err := txn.Commit(); err != nil || adopted.NumNodes() != 8 || g.NumNodes() != 4 {
+		t.Fatalf("commit after Reset: err %v, adopted %d nodes, old master %d", err, adopted.NumNodes(), g.NumNodes())
+	}
+}
+
+// TestVersionedExclusiveHoldsReplays: no record reaches the master while an
+// Exclusive function runs.
+func TestVersionedExclusiveHoldsReplays(t *testing.T) {
+	g := seedGraph()
+	vs := NewVersioned(g)
+	replayed := make(chan error)
+	err := vs.Exclusive(func() error {
+		go func() {
+			replayed <- vs.Replay(pg.Mutation{Kind: pg.MutAddNode, Node: &pg.Node{ID: g.NextNodeID(), Label: pg.LabelCompany}})
+		}()
+		select {
+		case <-replayed:
+			return errors.New("a record was replayed inside Exclusive")
+		case <-time.After(20 * time.Millisecond):
+		}
+		if g.NumNodes() != 3 {
+			return fmt.Errorf("master moved to %d nodes inside Exclusive", g.NumNodes())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-replayed; err != nil || g.NumNodes() != 4 {
+		t.Fatalf("replay after Exclusive: err %v, %d nodes", err, g.NumNodes())
 	}
 }

@@ -32,7 +32,7 @@ const (
 // payload is the gob-encoded snapshot body. NextNode/NextEdge are the
 // graph's ID counters (version 2; zero in version-1 snapshots, where they
 // are reconstructed as "dense"). WeightEdits is the graph's weight-edit
-// counter, part of the WAL-position arithmetic (persist.SeqOfGraph); gob
+// counter, part of the WAL-position arithmetic (pg.Graph.Seq); gob
 // field semantics version-gate it for free — snapshots written before the
 // field existed decode with WeightEdits == 0, which is correct because that
 // code could not log weight edits.

@@ -161,6 +161,6 @@ for pkg in $(go list ./...); do
 done
 
 # The size figure every change reports (ROADMAP.md): informational, no floor.
-echo "non-test Go lines outside bench/: $(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 cat | wc -l)"
+echo "non-test Go lines outside bench/: $(scripts/loc.sh)"
 
 echo "== all checks passed =="
