@@ -312,6 +312,30 @@ func TestDatalogImportsNoSync(t *testing.T) {
 	}
 }
 
+// TestNoGobImports fails when a non-test file of the module, bench/
+// included, imports encoding/gob. Graph state has one codec, persist's
+// record codec: a snapshot is the compacted log that rebuilds the graph
+// (DESIGN.md §9.1), and a second encoder would bring back a second way to
+// write and load it.
+func TestNoGobImports(t *testing.T) {
+	fset := token.NewFileSet()
+	checked := 0
+	err := parseModule(fset, func(path string, f *ast.File) {
+		checked++
+		for _, imp := range f.Imports {
+			if strings.Trim(imp.Path.Value, `"`) == "encoding/gob" {
+				t.Errorf("%s imports encoding/gob; graph state is written through internal/persist's record codec", fset.Position(imp.Pos()))
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("no non-test files parsed")
+	}
+}
+
 // parseModule parses every non-test .go file of the module, bench/ included,
 // and hands each to fn with its slash-separated path.
 func parseModule(fset *token.FileSet, fn func(path string, f *ast.File)) error {

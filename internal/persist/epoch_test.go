@@ -1,9 +1,6 @@
 package persist
 
 import (
-	"encoding/binary"
-	"hash/crc32"
-	"os"
 	"testing"
 
 	"vadalink/internal/pg"
@@ -157,49 +154,6 @@ func TestDivergedSince(t *testing.T) {
 		if got := s.DivergedSince(c.epoch, c.seq); got != c.want {
 			t.Errorf("DivergedSince(%d, %d) = %v, want %v", c.epoch, c.seq, got, c.want)
 		}
-	}
-}
-
-// A V1 snapshot (no epoch header) still loads, with an empty history — the
-// upgrade path from pre-epoch data directories.
-func TestSnapshotV1Compat(t *testing.T) {
-	g := pg.New()
-	g.AddNode(pg.LabelCompany, pg.Properties{"name": "A"})
-	dir := t.TempDir()
-	path, _, err := writeSnapshot(dir, 1, g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Decode the V2 bytes, then re-encode the payload as a V1 file: same
-	// store payload, V1 magic, no epoch header.
-	got, marks, err := DecodeSnapshotMarks(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(marks) != 0 {
-		t.Fatalf("fresh snapshot carries marks %v", marks)
-	}
-	if got.NumNodes() != 1 {
-		t.Fatalf("decoded %d nodes, want 1", got.NumNodes())
-	}
-	// Re-wrap the bare store payload as a V1 file: V1 magic, no epoch
-	// header, trailer recomputed for the shorter payload.
-	storePayload := data[len(snapMagic)+4 : len(data)-snapTrailerLen]
-	var trailer [snapTrailerLen]byte
-	binary.LittleEndian.PutUint64(trailer[0:8], uint64(len(storePayload)))
-	binary.LittleEndian.PutUint32(trailer[8:12], crc32.Checksum(storePayload, crcTable))
-	v1 := append([]byte(snapMagicV1), storePayload...)
-	v1 = append(v1, trailer[:]...)
-	g1, marks1, err := DecodeSnapshotMarks(v1)
-	if err != nil {
-		t.Fatalf("V1 snapshot rejected: %v", err)
-	}
-	if len(marks1) != 0 || g1.NumNodes() != 1 {
-		t.Fatalf("V1 decode: %d nodes, marks %v", g1.NumNodes(), marks1)
 	}
 }
 

@@ -2,7 +2,11 @@ package persist
 
 import (
 	"bytes"
+	"encoding/hex"
+	"reflect"
 	"testing"
+
+	"vadalink/internal/pg"
 )
 
 // FuzzWALDecode feeds arbitrary bytes — truncations, bit flips, hostile
@@ -69,4 +73,37 @@ func encodeFrameBytes(payload []byte) []byte {
 	frame := make([]byte, frameHeaderLen, frameHeaderLen+len(payload))
 	putFrameHeader(frame, payload)
 	return append(frame, payload...)
+}
+
+// FuzzDecodeSnapshot feeds arbitrary bytes through DecodeSnapshotMarks, the
+// decoder a follower runs on every shipped snapshot: as a whole file, and
+// sealed as a payload with a valid trailer so mutations reach the frames
+// past the checksum. It must never panic, and whatever it accepts must
+// re-encode and decode to an equal graph, seq and epoch history — compared
+// by their canonical encoding, which is exact even for NaN properties.
+func FuzzDecodeSnapshot(f *testing.F) {
+	golden, err := hex.DecodeString(goldenSnapshotHex)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add(golden[len(snapMagic) : len(golden)-snapTrailerLen])
+	f.Add(encodeSnapshot(f, pg.New(), nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, reseal(data)} {
+			g, marks, err := DecodeSnapshotMarks(in)
+			if err != nil {
+				continue
+			}
+			enc := encodeSnapshot(t, g, marks)
+			again, againMarks, err := DecodeSnapshotMarks(enc)
+			if err != nil {
+				t.Fatalf("accepted snapshot re-encodes to one that is refused: %v", err)
+			}
+			if again.Seq() != g.Seq() || !reflect.DeepEqual(againMarks, marks) ||
+				!bytes.Equal(encodeSnapshot(t, again, againMarks), enc) {
+				t.Fatalf("accepted snapshot does not survive a re-encoding")
+			}
+		}
+	})
 }

@@ -3,9 +3,11 @@ package persist
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vadalink/internal/pg"
@@ -140,21 +142,35 @@ func writeGoldenDir(t *testing.T, dir string) {
 	}
 }
 
-const goldenWAL = "wal-0000000000000001.log"
+const (
+	goldenWAL  = "wal-0000000000000001.log"
+	goldenSnap = "snap-0000000000000001.vsnap"
+)
 
-// The checked-in data dir, written before Record carried a pg.Mutation,
-// recovers to the state it was written with.
-func TestOpenGoldenDataDir(t *testing.T) {
+// copyGoldenDir copies the checked-in data dir testdata/<name> into a fresh
+// temp dir and returns it.
+func copyGoldenDir(t *testing.T, name string) string {
+	t.Helper()
 	dir := t.TempDir()
-	for _, name := range []string{"snap-0000000000000001.vsnap", goldenWAL} {
-		data, err := os.ReadFile(filepath.Join("testdata", "datadir", name))
+	for _, file := range []string{goldenSnap, goldenWAL} {
+		data, err := os.ReadFile(filepath.Join("testdata", name, file))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, file), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return dir
+}
+
+// The checked-in data dirs: testdata/datadir3 holds the WAL written before
+// Record carried a pg.Mutation and a VKGSNAP3 snapshot, and recovers to the
+// state it was written with. testdata/datadir holds the same WAL beside the
+// VKGSNAP2 (gob) snapshot earlier builds wrote: Open refuses it with an error
+// naming the format and leaves both files in place.
+func TestOpenGoldenDataDir(t *testing.T) {
+	dir := copyGoldenDir(t, "datadir3")
 	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -178,6 +194,50 @@ func TestOpenGoldenDataDir(t *testing.T) {
 	}
 	if g.Edge(1) != nil || g.Node(4) != nil || g.WeightEdits() != 1 {
 		t.Fatal("a removal or the weight edit did not replay")
+	}
+
+	wal3, err := os.ReadFile(filepath.Join("testdata", "datadir3", goldenWAL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := copyGoldenDir(t, "datadir")
+	wal2, err := os.ReadFile(filepath.Join(old, goldenWAL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wal2, wal3) {
+		t.Fatal("the two checked-in data dirs hold different WALs")
+	}
+	if s, err := Open(old, Options{}); !errors.Is(err, errOldSnapshot) || !strings.Contains(err.Error(), "VKGSNAP2") {
+		if err == nil {
+			s.Close()
+		}
+		t.Fatalf("Open of a VKGSNAP2 data dir: err %v, want the old-format error naming VKGSNAP2", err)
+	}
+	for _, file := range []string{goldenSnap, goldenWAL} {
+		got, err := os.ReadFile(filepath.Join(old, file))
+		want, _ := os.ReadFile(filepath.Join("testdata", "datadir", file))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("refused Open moved %s: %v", file, err)
+		}
+	}
+}
+
+// A store written today cuts exactly the bytes of the checked-in VKGSNAP3
+// snapshot.
+func TestSnapshotBytesMatchGoldenDataDir(t *testing.T) {
+	dir := t.TempDir()
+	writeGoldenDir(t, dir)
+	got, err := os.ReadFile(filepath.Join(dir, goldenSnap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "datadir3", goldenSnap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("snapshot differs from the checked-in one:\n got %x\nwant %x", got, want)
 	}
 }
 

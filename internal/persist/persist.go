@@ -13,18 +13,21 @@
 //
 //   - a fact is durable once Sync returns (callers sync before
 //     acknowledging; the group-commit loop bounds the window for the rest);
-//   - recovery loads the newest snapshot whose checksum verifies, then
-//     replays every WAL of that generation and later, truncating a torn
-//     final record instead of failing;
+//   - recovery loads the newest snapshot that verifies (passing over a
+//     corrupt one only when the older generation's WAL is still there to
+//     rebuild from), then replays every WAL of that generation and later,
+//     truncating a torn final record instead of failing;
 //   - recovery REFUSES to serve corrupt state: a CRC-valid record that does
 //     not decode, or one whose replay diverges from the log (wrong IDs,
 //     unknown endpoints), is an Open error, not a shrug.
 package persist
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -48,8 +51,8 @@ type RecoveryInfo struct {
 	// SnapshotGen is the generation of the snapshot that loaded (0 = none,
 	// recovery started from an empty graph).
 	SnapshotGen uint64 `json:"snapshotGen"`
-	// SnapshotsSkipped counts newer snapshots that failed their checksum
-	// and were passed over.
+	// SnapshotsSkipped counts newer snapshots that failed verification and
+	// were passed over for an older generation whose WAL was still on disk.
 	SnapshotsSkipped int `json:"snapshotsSkipped,omitempty"`
 	// WALFiles is the number of log files replayed.
 	WALFiles int `json:"walFiles"`
@@ -151,12 +154,23 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 
-	// Newest verifiable snapshot wins; corrupt ones (torn rename survivors,
-	// disk rot) are skipped, falling back generation by generation.
+	// Newest verifiable snapshot wins. A corrupt one (disk rot, a torn
+	// rename survivor) is skipped, falling back to the next older
+	// generation, but only while that generation's WAL still exists (wal-0
+	// for the empty graph): without it the fallback would serve a graph
+	// missing everything the snapshot held, and the sweep below would delete
+	// the snapshot. An old format is never skipped.
 	var g *pg.Graph
 	for i := len(snaps) - 1; i >= 0; i-- {
 		loaded, marks, err := readSnapshot(snapPath(dir, snaps[i]))
 		if err != nil {
+			fallback := uint64(0)
+			if i > 0 {
+				fallback = snaps[i-1]
+			}
+			if errors.Is(err, errOldSnapshot) || !slices.Contains(wals, fallback) {
+				return nil, err
+			}
 			s.rec.SnapshotsSkipped++
 			continue
 		}
@@ -303,7 +317,7 @@ func (s *Store) rotateLocked() (int64, error) {
 	if err := s.wal.Sync(); err != nil {
 		return 0, err
 	}
-	_, n, err := writeSnapshot(s.dir, s.gen+1, s.g, s.epochs)
+	n, err := WriteSnapshot(snapPath(s.dir, s.gen+1), s.g, s.epochs)
 	if err != nil {
 		return 0, err
 	}

@@ -194,8 +194,8 @@ func TestDecodeSnapshotBytes(t *testing.T) {
 	a := g.AddNode(pg.LabelCompany, pg.Properties{"name": "A"})
 	b := g.AddNode(pg.LabelCompany, pg.Properties{"name": "B"})
 	g.MustAddEdgeWeighted(a, b, 0.9)
-	path, _, err := writeSnapshot(dir, 3, g, nil)
-	if err != nil {
+	path := snapPath(dir, 3)
+	if _, err := WriteSnapshot(path, g, nil); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

@@ -103,14 +103,10 @@ func (w *walWriter) groupCommitLoop() {
 // once the bytes are buffered — call Sync before acknowledging the mutation
 // to anyone. With SyncEvery zero the frame is also synced before returning.
 func (w *walWriter) Append(r Record) error {
-	payload, err := appendRecord(nil, r)
+	frame, err := appendFrame(nil, r)
 	if err != nil {
 		return w.fail(err)
 	}
-	frame := make([]byte, frameHeaderLen, frameHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	frame = append(frame, payload...)
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -137,6 +133,20 @@ func (w *walWriter) Append(r Record) error {
 		return w.syncLocked()
 	}
 	return nil
+}
+
+// appendFrame appends r to buf as one frame: header, then the record.
+func appendFrame(buf []byte, r Record) ([]byte, error) {
+	start := len(buf)
+	buf = append(buf, make([]byte, frameHeaderLen)...)
+	buf, err := appendRecord(buf, r)
+	if err != nil {
+		return nil, err
+	}
+	payload := buf[start+frameHeaderLen:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
+	return buf, nil
 }
 
 // Sync flushes buffered frames and fsyncs the file. After Sync returns nil,
@@ -297,6 +307,20 @@ func scanFrames(data []byte, fn func(payload []byte) error) (goodLen int, torn b
 	}
 }
 
+// replayFrames decodes the framed log in data and hands each record to fn,
+// in order: the one loop that rebuilds graph state, over a snapshot's frames
+// and a WAL's alike. goodLen and torn are scanFrames'; a record that does
+// not decode, or an error from fn, aborts the walk and is returned.
+func replayFrames(data []byte, fn func(Record) error) (goodLen int, torn bool, err error) {
+	return scanFrames(data, func(payload []byte) error {
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			return err
+		}
+		return fn(rec)
+	})
+}
+
 // replayWAL reads the log at path, applies every valid record via fn, and
 // truncates a torn tail in place so the next append continues from a clean
 // boundary. Missing files replay as empty. It returns the number of records
@@ -309,16 +333,12 @@ func replayWAL(path string, fn func(Record) error) (records int, torn bool, err 
 		}
 		return 0, false, fmt.Errorf("persist: reading wal: %w", err)
 	}
-	goodLen, torn, scanErr := scanFrames(data, func(payload []byte) error {
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			return err
-		}
+	goodLen, torn, err := replayFrames(data, func(r Record) error {
 		records++
-		return fn(rec)
+		return fn(r)
 	})
-	if scanErr != nil {
-		return records, torn, fmt.Errorf("persist: wal %s: %w", path, scanErr)
+	if err != nil {
+		return records, torn, fmt.Errorf("persist: wal %s: %w", path, err)
 	}
 	if torn {
 		if err := os.Truncate(path, int64(goodLen)); err != nil {

@@ -132,9 +132,7 @@ type Graph struct {
 	// weightEdits counts committed SetEdgeWeight mutations over the graph's
 	// history. Weight edits change no node or edge count, so the position
 	// formula (Seq) needs this counter to recompute a WAL position from a
-	// recovered graph. Snapshots persist it; graphs restored from
-	// pre-weight-edit snapshots start at zero, which is exactly right because
-	// that code could not log weight edits.
+	// recovered graph. Snapshots persist it.
 	weightEdits int64
 
 	// onMutate, when set, observes every committed mutation — the
@@ -160,9 +158,8 @@ func New() *Graph {
 // SetMutationHook installs fn as the graph's mutation observer; nil removes
 // it. The hook runs synchronously inside every mutating method, Replay
 // included, after the change is applied, on the mutating goroutine — it
-// must not mutate the graph (that would recurse). Clone and NeighborhoodOf
-// subgraphs do not inherit the hook, and Restore does not fire it (bulk
-// reconstruction is not new history).
+// must not mutate the graph (that would recurse). Clone, Flatten and
+// NeighborhoodOf graphs do not inherit the hook.
 func (g *Graph) SetMutationHook(fn func(Mutation)) { g.onMutate = fn }
 
 // AddNode inserts a node with the given label and properties and returns its
@@ -415,9 +412,7 @@ func (g *Graph) WeightEdits() int64 { return g.weightEdits }
 // weight-edit counter (carried through snapshots) — so the count is
 // derivable from any graph alone, with no position file to keep in sync. It
 // is the replication position a follower recovers from its graph after
-// kill -9, and the seq store.Versioned stamps its first version with. Graphs
-// restored from snapshots that predate weight edits report WeightEdits() ==
-// 0, which is exact: that code could not have logged any.
+// kill -9, and the seq store.Versioned stamps its first version with.
 func (g *Graph) Seq() int64 {
 	return 2*int64(g.nextNode) - int64(len(g.nodes)) +
 		2*int64(g.nextEdge) - int64(len(g.edges)) +
@@ -425,8 +420,9 @@ func (g *Graph) Seq() int64 {
 }
 
 // SetWeightEdits overwrites the weight-edit counter. It exists for the
-// durability layer restoring a snapshot — like Restore, it rebuilds recorded
-// history rather than creating new history, so no hook fires.
+// durability layer loading a snapshot, which holds each edge at its current
+// weight and the count of edits that led there: it rebuilds recorded history
+// rather than creating new history, so no hook fires.
 func (g *Graph) SetWeightEdits(n int64) { g.weightEdits = n }
 
 func removeID[T comparable](s []T, x T) []T {
@@ -574,19 +570,17 @@ func cloneIndex[K comparable, V any](m map[K][]V) map[K][]V {
 	return c
 }
 
-// Restore reconstructs a graph verbatim from persisted state: nodes and
-// edges keep their original identifiers, and the internal ID counters resume
-// where the persisted graph left off (so identifiers assigned after a
-// restore never collide with removed ones). It exists for the durability
-// layer — AddNode/AddEdge always assign fresh IDs, which a snapshot loader
-// must not do. The graph keeps the property maps it is given (a nil map is
-// stored as an empty one) and owns them from then on, as AddNode does; the
-// mutation hook is not fired.
+// restore builds a graph verbatim from a view's elements: nodes and edges
+// keep their identifiers, and the ID counters resume where the view left off
+// (so identifiers assigned later never collide with removed ones) — which
+// AddNode/AddEdge, always assigning fresh IDs, cannot do. Flatten uses it.
+// The graph keeps the property maps it is given (a nil map is stored as an
+// empty one), as AddNode does.
 //
-// Restore validates what it is given (duplicate or out-of-range IDs, edges
+// restore validates what it is given (duplicate or out-of-range IDs, edges
 // with unknown endpoints) and fails rather than build a graph that never
-// existed — a corrupt snapshot must not be served.
-func Restore(nodes []Node, edges []Edge, nextNode NodeID, nextEdge EdgeID) (*Graph, error) {
+// existed.
+func restore(nodes []Node, edges []Edge, nextNode NodeID, nextEdge EdgeID) (*Graph, error) {
 	g := New()
 	for i := range nodes {
 		n := nodes[i]

@@ -86,7 +86,7 @@ func TestRestoreRoundTrip(t *testing.T) {
 	for _, id := range g.Edges() {
 		edges = append(edges, *g.Edge(id))
 	}
-	r, err := Restore(nodes, edges, g.nextNode, g.nextEdge)
+	r, err := restore(nodes, edges, g.nextNode, g.nextEdge)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +129,8 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 		{"edge id beyond counter", []Node{n0, n1}, []Edge{{ID: 9, Label: LabelControl, From: 0, To: 1}}, 2, 3},
 	}
 	for _, c := range cases {
-		if _, err := Restore(c.nodes, c.edges, NodeID(c.nextNode), EdgeID(c.nextEdge)); err == nil {
-			t.Errorf("%s: Restore accepted corrupt state", c.name)
+		if _, err := restore(c.nodes, c.edges, NodeID(c.nextNode), EdgeID(c.nextEdge)); err == nil {
+			t.Errorf("%s: restore accepted corrupt state", c.name)
 		}
 	}
 }

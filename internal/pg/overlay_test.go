@@ -166,7 +166,7 @@ func assertViewsEqual(t *testing.T, got, want View) {
 // TestOverlayMatchesFlatten is the pg-level differential: a random overlay
 // (including weight edits and node removals) must read identically to its
 // flattened materialization, which is built through the independent
-// Restore path.
+// restore path.
 func TestOverlayMatchesFlatten(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))

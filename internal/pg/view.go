@@ -97,7 +97,7 @@ func Flatten(v View) (*Graph, error) {
 	for _, id := range edgeIDs {
 		edges = append(edges, *v.Edge(id))
 	}
-	return Restore(nodes, edges, v.NextNodeID(), v.NextEdgeID())
+	return restore(nodes, edges, v.NextNodeID(), v.NextEdgeID())
 }
 
 // ValidateView checks the company-graph invariants of Definition 2.2 over

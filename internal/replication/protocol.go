@@ -18,9 +18,9 @@
 //	                discard local state, the leader's current seq, epoch,
 //	                epoch history and API address — or notLeader with a hint
 //	                of who leads.
-//	'S'  snapshot   one snapshot file, byte-for-byte (VKGSNAP2 envelope with
-//	                its epoch header, verified by the follower with the same
-//	                checks used on disk).
+//	'S'  snapshot   one snapshot file, byte-for-byte (VKGSNAP3: the epoch
+//	                header, then the graph as WAL frames, which the follower
+//	                verifies and replays with the same code used on disk).
 //	'F'  frame      one WAL frame, byte-for-byte ([len][crc][payload]); the
 //	                follower re-verifies the CRC, so corruption on the wire
 //	                is detected exactly like corruption on disk.

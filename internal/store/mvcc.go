@@ -1,3 +1,9 @@
+// Package store is the version chain of the §5 architecture: one mutable
+// writer graph behind a chain of immutable published versions, so readers
+// and the chase run lock-free against a frozen view while writes, whether
+// local commits or replicated frames, land on the master. Durability is
+// internal/persist's: its WAL captures the master's mutations through the
+// graph's hook, and its snapshots are the compacted log that rebuilds it.
 package store
 
 import (

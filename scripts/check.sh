@@ -61,7 +61,8 @@ echo "== coverage floors =="
 #                keep a cache hit cheap (88.7%). The allocation guard,
 #                TestHitAllocations, runs here: the race step above skips it.
 #   persist      the durability layer is where silent regressions cost real
-#                data (83.7%).
+#                data (83.7%; 88.4% measured once snapshots became the
+#                compacted replay log, floor raised to 88.0).
 #   replication  the failure paths (reconnect, re-request, snapshot
 #                re-bootstrap) only run when things go wrong; the floor keeps
 #                fault coverage from eroding (85.8%).
@@ -74,7 +75,8 @@ echo "== coverage floors =="
 #   store whatif the rest of the MVCC substrate: version-chain commit/conflict,
 #                scoped what-if evaluation. Correctness is proven by the
 #                differential and race harnesses; the floors keep that proof
-#                from eroding (83.5 / 90.2).
+#                from eroding (83.5 / 90.2; store 95.5% measured once the gob
+#                snapshot codec left the package, floor raised to 95.0).
 #   ivm          maintenance silently corrupting derived state is the worst
 #                failure mode in the repo: reads keep succeeding with stale
 #                answers. Keeps the invalidation/retraction paths exercised
@@ -102,10 +104,10 @@ while read -r pkg var floor; do
 done <<'FLOORS'
 datalog     COVER_FLOOR         87.3
 reasonapi   API_COVER_FLOOR     85.0
-persist     PERSIST_COVER_FLOOR 80.0
+persist     PERSIST_COVER_FLOOR 88.0
 replication REPL_COVER_FLOOR    80.0
 pg          PG_COVER_FLOOR      94.2
-store       MVCC_COVER_FLOOR    80.0
+store       MVCC_COVER_FLOOR    95.0
 whatif      MVCC_COVER_FLOOR    80.0
 ivm         IVM_COVER_FLOOR     80.0
 qcache      QCACHE_COVER_FLOOR  80.0

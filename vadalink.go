@@ -33,6 +33,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"os"
 
 	"vadalink/internal/closelink"
 	"vadalink/internal/cluster"
@@ -47,7 +48,6 @@ import (
 	"vadalink/internal/pg"
 	"vadalink/internal/reasonapi"
 	"vadalink/internal/replication"
-	"vadalink/internal/store"
 	"vadalink/internal/vadalog"
 )
 
@@ -238,12 +238,22 @@ type Concentration = graphstats.Concentration
 // OwnershipConcentration computes the concentration profile of a graph.
 func OwnershipConcentration(g *Graph) Concentration { return graphstats.ComputeConcentration(g) }
 
-// SaveSnapshot writes the graph to path as a versioned binary snapshot,
-// atomically.
-func SaveSnapshot(path string, g *Graph) error { return store.Save(path, g) }
+// SaveSnapshot writes the graph to path as a checksummed snapshot, the
+// format a DurableStore's snapshots have, crash-atomically.
+func SaveSnapshot(path string, g *Graph) error {
+	_, err := persist.WriteSnapshot(path, g, nil)
+	return err
+}
 
 // LoadSnapshot reads a snapshot written by SaveSnapshot.
-func LoadSnapshot(path string) (*Graph, error) { return store.Load(path) }
+func LoadSnapshot(path string) (*Graph, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	g, _, err := persist.DecodeSnapshotMarks(data)
+	return g, err
+}
 
 // --- crash-safe persistence (WAL + checksummed snapshots; DESIGN.md §9) ---
 
