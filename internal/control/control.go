@@ -16,7 +16,6 @@
 package control
 
 import (
-	"context"
 	"sort"
 
 	"vadalink/internal/pg"
@@ -52,21 +51,10 @@ func votes(e *pg.Edge) float64 {
 	return w
 }
 
-// checkInterval is how many fixpoint iterations pass between context polls
-// in the Ctx solver variants: frequent enough for sub-millisecond
-// cancellation latency, rare enough to stay off the profile.
-const checkInterval = 256
-
 // Controls computes the set of companies controlled by x, per Definition
 // 2.3. The result excludes x itself and is sorted.
 func Controls(g pg.View, x pg.NodeID) []pg.NodeID {
 	return GroupControls(g, []pg.NodeID{x})
-}
-
-// ControlsCtx is Controls under a context: the fixpoint aborts with the
-// context's error when it is cancelled or its deadline expires.
-func ControlsCtx(ctx context.Context, g pg.View, x pg.NodeID) ([]pg.NodeID, error) {
-	return GroupControlsCtx(ctx, g, []pg.NodeID{x})
 }
 
 // GroupControls computes the set of companies jointly controlled by the
@@ -75,14 +63,6 @@ func ControlsCtx(ctx context.Context, g pg.View, x pg.NodeID) ([]pg.NodeID, erro
 // group-controlled companies jointly own more than 50% of y. Members
 // themselves are never reported as controlled.
 func GroupControls(g pg.View, members []pg.NodeID) []pg.NodeID {
-	out, _ := GroupControlsCtx(context.Background(), g, members)
-	return out
-}
-
-// GroupControlsCtx is GroupControls under a context. The fixpoint polls the
-// context between holder expansions and returns its error on cancellation;
-// the partial result computed so far is returned alongside.
-func GroupControlsCtx(ctx context.Context, g pg.View, members []pg.NodeID) ([]pg.NodeID, error) {
 	holders := make(map[pg.NodeID]bool, len(members))
 	for _, m := range members {
 		holders[m] = true
@@ -116,15 +96,7 @@ func GroupControlsCtx(ctx context.Context, g pg.View, members []pg.NodeID) ([]pg
 	}
 
 	queue := append([]pg.NodeID(nil), members...)
-	var cancelErr error
-	steps := 0
 	for len(queue) > 0 {
-		if steps++; steps%checkInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				cancelErr = err
-				break
-			}
-		}
 		h := queue[0]
 		queue = queue[1:]
 		for _, y := range addHolder(h) {
@@ -153,7 +125,7 @@ func GroupControlsCtx(ctx context.Context, g pg.View, members []pg.NodeID) ([]pg
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, cancelErr
+	return out
 }
 
 // Pair is one control relationship: From controls To.
@@ -166,28 +138,13 @@ type Pair struct {
 // sorted by (From, To). This is the quadratic-in-the-worst-case baseline the
 // clustered augmentation of the core package avoids.
 func AllPairs(g pg.View) []Pair {
-	out, _ := AllPairsCtx(context.Background(), g)
-	return out
-}
-
-// AllPairsCtx is AllPairs under a context: it stops between source nodes
-// when the context is cancelled, returning the pairs found so far plus the
-// context's error.
-func AllPairsCtx(ctx context.Context, g pg.View) ([]Pair, error) {
 	var out []Pair
 	for _, x := range g.Nodes() {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
 		if len(g.OutLabel(x, pg.LabelShareholding)) == 0 {
 			continue
 		}
-		ys, err := ControlsCtx(ctx, g, x)
-		for _, y := range ys {
+		for _, y := range Controls(g, x) {
 			out = append(out, Pair{From: x, To: y})
-		}
-		if err != nil {
-			return out, err
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -196,7 +153,7 @@ func AllPairsCtx(ctx context.Context, g pg.View) ([]Pair, error) {
 		}
 		return out[i].To < out[j].To
 	})
-	return out, nil
+	return out
 }
 
 // UltimateControllers returns the persons who control company y, directly

@@ -193,6 +193,37 @@ func TestReasonResponseEmbedsStats(t *testing.T) {
 	}
 }
 
+// /v1/reason stamps its answer with the seq of the version it chased: two
+// calls around a commit carry the seqs before and after it.
+func TestReasonStampsTheSeqItRead(t *testing.T) {
+	g, _ := pg.Figure2()
+	s := NewServer(g)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	reason := func() any {
+		t.Helper()
+		resp, body := doReq(t, "POST", srv.URL+"/v1/reason", `{"program":"own(X,Y,W) -> linked(X,Y)."}`)
+		if resp.StatusCode != 200 {
+			t.Fatalf("status = %d (%v)", resp.StatusCode, body)
+		}
+		return body["seq"]
+	}
+	before := s.vs.Current().Seq()
+	if got := reason(); got != float64(before) {
+		t.Fatalf("seq before the commit = %v, want %d", got, before)
+	}
+	if err := writeTo(s, func(o *pg.Overlay) { o.AddNode(pg.LabelCompany, nil) }); err != nil {
+		t.Fatal(err)
+	}
+	after := s.vs.Current().Seq()
+	if after == before {
+		t.Fatal("the commit did not advance the seq")
+	}
+	if got := reason(); got != float64(after) {
+		t.Fatalf("seq after the commit = %v, want %d", got, after)
+	}
+}
+
 // jsonQuote JSON-quotes a program for embedding in a request body.
 func jsonQuote(s string) string {
 	b, _ := json.Marshal(s)

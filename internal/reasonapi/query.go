@@ -23,6 +23,7 @@ import (
 	"vadalink/internal/datalog"
 	"vadalink/internal/pg"
 	"vadalink/internal/qcache"
+	"vadalink/internal/relstore"
 	"vadalink/internal/vadalog"
 )
 
@@ -165,19 +166,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// evalGoal is the one goal engine behind every goal-backed read —
-// /v1/control (both forms), /v1/ubo, /v1/explain and /v1/query: it answers
-// goal under progSrc over v by vadalog.EvalGoal — or under prog by
-// vadalog.EvalParsedGoal when the caller's program text progSrc was parsed
-// already (nil for a shipped program) — with the server's engine options
-// followed by extra, and publishes the chase as /v1/metrics' lastChase. A tripped limit leaves the partial answers in res with
-// res.RunErr set; any other failure, of the chase included, is err.
+// evalGoal is the one goal engine behind every goal-backed read:
+// /v1/control (both forms), /v1/control/pairs, /v1/ubo, /v1/explain and
+// /v1/query. It answers goal under progSrc over v by vadalog.EvalGoal, or
+// under prog by vadalog.EvalParsedGoal when the caller's program text progSrc
+// was parsed already (nil for a shipped program). The server's engine options
+// come first, then extra. The chase is published as /v1/metrics' lastChase.
+// A tripped limit leaves the partial answers in res with res.RunErr set; any
+// other failure, of the chase included, is err.
 //
 // The built-in control program reads the relational image (relstore), which
-// aggregates every shareholding edge by weight, while the imperative solver
-// of internal/control also discounts non-voting rights (bare ownership,
-// pledge). The two agree on graphs without such rights; the cross-check
-// tests keep that honest.
+// aggregates every shareholding edge by weight, so every control route counts
+// every share. The library solver of internal/control also discounts
+// non-voting rights (bare ownership, pledge); the two agree on graphs without
+// such rights, and the cross-check tests keep that honest (DESIGN.md §5).
 func (s *Server) evalGoal(ctx context.Context, v pg.View, progSrc string, prog *datalog.Program, goal datalog.Atom, extra ...datalog.Option) (*vadalog.GoalResult, error) {
 	opts := append(s.engineOptions(), extra...)
 	var res *vadalog.GoalResult
@@ -210,11 +212,11 @@ func bindingIDs(bs []datalog.Binding, v datalog.Variable) []pg.NodeID {
 	seen := map[pg.NodeID]bool{}
 	var out []pg.NodeID
 	for _, b := range bs {
-		id, ok := b[v].(int64)
+		n, ok := relstore.NodeID(b[v])
 		if !ok {
 			continue
 		}
-		if n := pg.NodeID(id); !seen[n] {
+		if !seen[n] {
 			seen[n] = true
 			out = append(out, n)
 		}

@@ -221,13 +221,34 @@ func TestControlPairsEnvelope(t *testing.T) {
 	}
 }
 
+// Every control route serves one definition of control: a pledged share
+// counts like any other, so A's pledged 60% of B is control on the node form
+// and in the pairs listing alike.
+func TestPledgedShareControlsOnEveryRoute(t *testing.T) {
+	b := pg.NewBuilder()
+	a, c := b.Company("A"), b.Company("B")
+	g := b.Graph()
+	g.MustAddEdge(pg.LabelShareholding, a, c, pg.Properties{pg.WeightProp: 0.6, "right": "pledge"})
+	srv := httptest.NewServer(NewServer(g).Handler())
+	defer srv.Close()
+
+	_, body := doReq(t, "GET", srv.URL+"/v1/control?node="+itoa(a), "")
+	if fmt.Sprint(body["controls"]) != fmt.Sprintf("[map[id:%d name:B]]", c) {
+		t.Errorf("/v1/control?node=A = %v, want B", body)
+	}
+	_, body = doReq(t, "GET", srv.URL+"/v1/control/pairs", "")
+	if fmt.Sprint(body["pairs"]) != fmt.Sprintf("[map[from:%d to:%d]]", a, c) {
+		t.Errorf("/v1/control/pairs = %v, want (A, B)", body)
+	}
+}
+
 // goalRoute is one request whose miss runs a goal chase through
 // Server.evalGoal.
 type goalRoute struct {
 	name, method, path, body string
 }
 
-// goalRoutes are the five goal-backed point reads on Figure 2.
+// goalRoutes are the six goal-backed point reads on Figure 2.
 func goalRoutes(b *pg.Builder) []goalRoute {
 	p2, c7 := itoa(b.ID("P2")), itoa(b.ID("C7"))
 	return []goalRoute{
@@ -236,6 +257,7 @@ func goalRoutes(b *pg.Builder) []goalRoute {
 		{"ubo", "GET", "/v1/ubo?node=" + c7, ""},
 		{"explain", "GET", "/v1/explain?from=" + p2 + "&to=" + c7, ""},
 		{"query", "POST", "/v1/query", `{"goal": "control(` + p2 + `, Y)"}`},
+		{"pairs", "GET", "/v1/control/pairs", ""},
 	}
 }
 

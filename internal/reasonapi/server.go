@@ -51,6 +51,7 @@
 package reasonapi
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -61,6 +62,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -69,7 +71,6 @@ import (
 
 	"vadalink/internal/closelink"
 	"vadalink/internal/cluster"
-	"vadalink/internal/control"
 	"vadalink/internal/core"
 	"vadalink/internal/datalog"
 	"vadalink/internal/embed"
@@ -961,18 +962,33 @@ func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleControlPairs enumerates every control pair: GET /v1/control/pairs.
-// The response is the {"pairs": [{"from", "to"}, ...]} envelope — earlier
-// releases leaked a bare capitalized array on the success path; see API.md.
+// It answers the unbound goal control(X, Y) through the same goal engine as
+// every other control read, in the {"pairs": [{"from", "to"}, ...]}
+// envelope sorted by (from, to); see API.md.
 func (s *Server) handleControlPairs(w http.ResponseWriter, r *http.Request) {
 	cur := s.vs.Current()
 	v, seq := cur.View(), cur.Seq()
 	s.servePoint(w, r, seq, "control/pairs", qcache.ClassDerived, func() (map[string]any, error) {
-		pairs, runErr := control.AllPairsCtx(r.Context(), v)
-		out := make([]map[string]pg.NodeID, 0, len(pairs))
-		for _, p := range pairs {
-			out = append(out, map[string]pg.NodeID{"from": p.From, "to": p.To})
+		res, err := s.evalGoal(r.Context(), v, vadalog.ControlProgram, nil, controlGoal(varX, varY))
+		if err != nil {
+			return nil, err
 		}
-		return map[string]any{"pairs": out}, runErr
+		type pair struct {
+			From pg.NodeID `json:"from"`
+			To   pg.NodeID `json:"to"`
+		}
+		pairs := make([]pair, 0, len(res.Answers))
+		for _, b := range res.Answers {
+			from, ok1 := relstore.NodeID(b[varX])
+			to, ok2 := relstore.NodeID(b[varY])
+			if ok1 && ok2 {
+				pairs = append(pairs, pair{from, to})
+			}
+		}
+		slices.SortFunc(pairs, func(a, b pair) int {
+			return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+		})
+		return map[string]any{"pairs": pairs}, res.RunErr
 	})
 }
 
@@ -1285,9 +1301,10 @@ func (s *Server) handleReason(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Extract the relational image of the current version, then chase it.
-	facts := relstore.CompanyGraphFacts(s.vs.Current().View())
-	engine.AssertAll(facts)
+	// Extract the relational image of one pinned version, then chase it; the
+	// answer is stamped with that version's seq.
+	cur := s.vs.Current()
+	engine.AssertAll(relstore.CompanyGraphFacts(cur.View()))
 
 	runErr := engine.RunContext(r.Context())
 	s.recordChase(engine.Stats())
@@ -1331,6 +1348,7 @@ func (s *Server) handleReason(w http.ResponseWriter, r *http.Request) {
 		"facts":   factsOut,
 		"rounds":  engine.Rounds(),
 		"derived": engine.DerivedCount(),
+		"seq":     cur.Seq(),
 	}
 	if st := engine.Stats(); st != nil {
 		resp["stats"] = st

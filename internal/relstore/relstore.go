@@ -165,8 +165,8 @@ func ApplyPredictedLinks(g pg.Mutable, e *datalog.Engine) (int, error) {
 			if len(f.Args) < 2 {
 				return added, fmt.Errorf("relstore: %s fact has %d args, want ≥ 2", pred, len(f.Args))
 			}
-			from, ok1 := toNodeID(f.Args[0])
-			to, ok2 := toNodeID(f.Args[1])
+			from, ok1 := NodeID(f.Args[0])
+			to, ok2 := NodeID(f.Args[1])
 			if !ok1 || !ok2 {
 				return added, fmt.Errorf("relstore: %s fact has non-integer node ids: %v", pred, f)
 			}
@@ -183,7 +183,9 @@ func ApplyPredictedLinks(g pg.Mutable, e *datalog.Engine) (int, error) {
 	return added, nil
 }
 
-func toNodeID(v any) (pg.NodeID, bool) {
+// NodeID decodes a node-ID argument of a fact. The relational image writes
+// node IDs as int64; a float64 holding an integral value decodes too.
+func NodeID(v any) (pg.NodeID, bool) {
 	switch x := v.(type) {
 	case int64:
 		return pg.NodeID(x), true

@@ -152,8 +152,8 @@ func RunGeneric(g *pg.Graph, cfg GenericConfig) (*GenericResult, error) {
 	}
 	res.Blocks = len(blocks)
 	for _, f := range engine.Facts("partnerof") {
-		a, ok1 := toID(f.Args[0])
-		b, ok2 := toID(f.Args[1])
+		a, ok1 := relstore.NodeID(f.Args[0])
+		b, ok2 := relstore.NodeID(f.Args[1])
 		if ok1 && ok2 {
 			res.Pairs = append(res.Pairs, [2]pg.NodeID{a, b})
 		}

@@ -123,8 +123,8 @@ func (r *Reasoner) RunContext(ctx context.Context) error {
 		if len(args) != 2 {
 			return nil, fmt.Errorf("vadalog: #linkprob wants 2 args, got %d", len(args))
 		}
-		x, ok1 := toID(args[0])
-		y, ok2 := toID(args[1])
+		x, ok1 := relstore.NodeID(args[0])
+		y, ok2 := relstore.NodeID(args[1])
 		if !ok1 || !ok2 {
 			return nil, fmt.Errorf("vadalog: #linkprob: non-integer node ids %v, %v", args[0], args[1])
 		}
@@ -150,16 +150,6 @@ func (r *Reasoner) RunContext(ctx context.Context) error {
 	return nil
 }
 
-func toID(v any) (pg.NodeID, bool) {
-	switch x := v.(type) {
-	case int64:
-		return pg.NodeID(x), true
-	case float64:
-		return pg.NodeID(int64(x)), float64(int64(x)) == x
-	}
-	return 0, false
-}
-
 // pairFacts converts binary facts over node ids into pairs.
 func (r *Reasoner) pairFacts(pred string) [][2]pg.NodeID {
 	if r.engine == nil {
@@ -170,8 +160,8 @@ func (r *Reasoner) pairFacts(pred string) [][2]pg.NodeID {
 		if len(f.Args) != 2 {
 			continue
 		}
-		a, ok1 := toID(f.Args[0])
-		b, ok2 := toID(f.Args[1])
+		a, ok1 := relstore.NodeID(f.Args[0])
+		b, ok2 := relstore.NodeID(f.Args[1])
 		if ok1 && ok2 {
 			out = append(out, [2]pg.NodeID{a, b})
 		}
@@ -203,8 +193,8 @@ func (r *Reasoner) AccumulatedOwnership() map[[2]pg.NodeID]float64 {
 	}
 	out := map[[2]pg.NodeID]float64{}
 	for _, f := range r.engine.MaxByGroup("accown", 2, 0, 1) {
-		a, ok1 := toID(f.Args[0])
-		b, ok2 := toID(f.Args[1])
+		a, ok1 := relstore.NodeID(f.Args[0])
+		b, ok2 := relstore.NodeID(f.Args[1])
 		v, ok3 := f.Args[2].(float64)
 		if ok1 && ok2 && ok3 {
 			out[[2]pg.NodeID{a, b}] = v

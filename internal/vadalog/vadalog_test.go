@@ -132,7 +132,7 @@ func TestFamilyControlProgram(t *testing.T) {
 	}
 	found := map[pg.NodeID]bool{}
 	for _, f := range r.engine.Facts("familycontrol") {
-		if y, ok := toID(f.Args[1]); ok && f.Args[0] == "rossi" {
+		if y, ok := relstore.NodeID(f.Args[1]); ok && f.Args[0] == "rossi" {
 			found[y] = true
 		}
 	}

@@ -161,7 +161,7 @@ func (b *Baseline) Advance(ctx context.Context, post pg.View, journal []pg.Mutat
 		}
 	}
 	for _, f := range e.MaxByGroup("accown", 2, 0, 1) {
-		if src, ok := toID(f.Args[0]); ok && affected[src] {
+		if src, ok := relstore.NodeID(f.Args[0]); ok && affected[src] {
 			next.Accown[src] = append(next.Accown[src], f)
 		}
 	}
@@ -215,7 +215,7 @@ func witnesses(z pg.NodeID, rows []datalog.Fact, t float64, isCompany func(pg.No
 		if len(f.Args) != 3 {
 			continue
 		}
-		y, ok := toID(f.Args[1])
+		y, ok := relstore.NodeID(f.Args[1])
 		w, okW := f.Args[2].(float64)
 		if ok && okW && w >= t && isCompany(y) {
 			strong = append(strong, y)

@@ -151,22 +151,12 @@ func withWhatIfDefaults(opts []datalog.Option) []datalog.Option {
 	return append([]datalog.Option{datalog.WithMinAggDelta(DefaultMinAggDelta)}, opts...)
 }
 
-func toID(v any) (pg.NodeID, bool) {
-	switch x := v.(type) {
-	case int64:
-		return pg.NodeID(x), true
-	case float64:
-		return pg.NodeID(int64(x)), float64(int64(x)) == x
-	}
-	return 0, false
-}
-
 func pairOf(f datalog.Fact) (Pair, bool) {
 	if len(f.Args) != 2 {
 		return Pair{}, false
 	}
-	a, ok1 := toID(f.Args[0])
-	b, ok2 := toID(f.Args[1])
+	a, ok1 := relstore.NodeID(f.Args[0])
+	b, ok2 := relstore.NodeID(f.Args[1])
 	return Pair{a, b}, ok1 && ok2
 }
 
@@ -210,7 +200,7 @@ func ComputeBaseline(ctx context.Context, v pg.View, threshold float64, engineOp
 		}
 	}
 	for _, f := range e.MaxByGroup("accown", 2, 0, 1) {
-		if src, ok := toID(f.Args[0]); ok {
+		if src, ok := relstore.NodeID(f.Args[0]); ok {
 			bl.Accown[src] = append(bl.Accown[src], f)
 		}
 	}

@@ -43,9 +43,9 @@ go vet -C bench ./...
 go test -C bench ./...
 
 echo "== coverage floors =="
-# One row per package: the package under internal/, the environment variable
-# that overrides its floor, and the floor (statement coverage, percent). Why
-# each is held:
+# One row per package: its directory, the environment variable that
+# overrides its floor, and the floor (statement coverage, percent). Why each
+# is held:
 #   datalog      the hottest and most-refactored code in the repo; held at the
 #                level the indexing/parallelism PR established (87.3%; 91.3%
 #                measured with slot-compiled bindings, 90.8% once the worker
@@ -92,28 +92,34 @@ echo "== coverage floors =="
 #   relstore     the §3 relational image every chase loads; its extraction is
 #                half of a point miss, and its rendering of properties is what
 #                the reasoning programs match on (67.4%).
+#   cmd/vadalink the CLI asks the reasoning API's handler in process, and its
+#                tests pin that every routed subcommand prints the handler's
+#                body unchanged; held at its measured coverage (43.4%), which
+#                serve, untested in process, keeps low.
 while read -r pkg var floor; do
     floor="${!var:-$floor}"
-    go test -coverprofile="/tmp/${pkg}.cover" "./internal/${pkg}" >/dev/null
-    cov="$(go tool cover -func="/tmp/${pkg}.cover" | awk '/^total:/ { gsub(/%/, "", $3); print $3 }')"
-    echo "internal/${pkg} coverage: ${cov}% (floor ${floor}%)"
+    profile="/tmp/${pkg##*/}.cover"
+    go test -coverprofile="$profile" "./${pkg}" >/dev/null
+    cov="$(go tool cover -func="$profile" | awk '/^total:/ { gsub(/%/, "", $3); print $3 }')"
+    echo "${pkg} coverage: ${cov}% (floor ${floor}%)"
     awk -v c="$cov" -v f="$floor" 'BEGIN { exit (c + 0 >= f + 0) ? 0 : 1 }' || {
-        echo "internal/${pkg} coverage ${cov}% fell below the ${floor}% floor" >&2
+        echo "${pkg} coverage ${cov}% fell below the ${floor}% floor" >&2
         exit 1
     }
 done <<'FLOORS'
-datalog     COVER_FLOOR         87.3
-reasonapi   API_COVER_FLOOR     85.0
-persist     PERSIST_COVER_FLOOR 88.0
-replication REPL_COVER_FLOOR    80.0
-pg          PG_COVER_FLOOR      94.2
-store       MVCC_COVER_FLOOR    95.0
-whatif      MVCC_COVER_FLOOR    80.0
-ivm         IVM_COVER_FLOOR     80.0
-qcache      QCACHE_COVER_FLOOR  80.0
-embed       EMBED_COVER_FLOOR   90.0
-core        CORE_COVER_FLOOR    85.0
-relstore    RELSTORE_COVER_FLOOR 67.4
+internal/datalog     COVER_FLOOR          87.3
+internal/reasonapi   API_COVER_FLOOR      85.0
+internal/persist     PERSIST_COVER_FLOOR  88.0
+internal/replication REPL_COVER_FLOOR     80.0
+internal/pg          PG_COVER_FLOOR       94.2
+internal/store       MVCC_COVER_FLOOR     95.0
+internal/whatif      MVCC_COVER_FLOOR     80.0
+internal/ivm         IVM_COVER_FLOOR      80.0
+internal/qcache      QCACHE_COVER_FLOOR   80.0
+internal/embed       EMBED_COVER_FLOOR    90.0
+internal/core        CORE_COVER_FLOOR     85.0
+internal/relstore    RELSTORE_COVER_FLOOR 67.4
+cmd/vadalink         CLI_COVER_FLOOR      43.4
 FLOORS
 
 echo "== differential what-if harness =="
