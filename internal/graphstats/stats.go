@@ -14,28 +14,28 @@ import (
 
 // Stats is the structural profile of a graph (the §2 numbers).
 type Stats struct {
-	Nodes int
-	Edges int
+	Nodes int `json:"nodes"`
+	Edges int `json:"edges"`
 
-	SCCCount   int
-	LargestSCC int
-	WCCCount   int
-	LargestWCC int
+	SCCCount   int `json:"sccCount"`
+	LargestSCC int `json:"largestScc"`
+	WCCCount   int `json:"wccCount"`
+	LargestWCC int `json:"largestWcc"`
 
-	AvgInDegree  float64
-	AvgOutDegree float64
-	MaxInDegree  int
-	MaxOutDegree int
+	AvgInDegree  float64 `json:"avgInDegree"`
+	AvgOutDegree float64 `json:"avgOutDegree"`
+	MaxInDegree  int     `json:"maxInDegree"`
+	MaxOutDegree int     `json:"maxOutDegree"`
 
-	SelfLoops int
+	SelfLoops int `json:"selfLoops"`
 
 	// AvgClustering is the average local clustering coefficient over nodes
 	// with degree ≥ 2 (undirected view).
-	AvgClustering float64
+	AvgClustering float64 `json:"avgClustering"`
 
 	// PowerLawAlpha is the MLE exponent of the degree distribution
 	// (Clauset–Shalizi–Newman estimator with dmin = 1), 0 when degenerate.
-	PowerLawAlpha float64
+	PowerLawAlpha float64 `json:"powerLawAlpha"`
 }
 
 // Compute derives the full profile of a graph.

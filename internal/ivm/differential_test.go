@@ -110,9 +110,8 @@ func TestConcurrentReadsDuringApply(t *testing.T) {
 				}
 				// Walk every shared map the way a reader would.
 				n := 0
-				for p := range bl.Control {
-					_ = p
-					n++
+				for _, row := range bl.Control {
+					n += len(row)
 				}
 				for p := range bl.CloseLink {
 					_ = p

@@ -327,3 +327,99 @@ func TestRequestIDsDistinct(t *testing.T) {
 		t.Errorf("envelope requestID does not echo the header: %v / %q", body1["requestID"], id1)
 	}
 }
+
+// rawReq issues one request and returns its status, X-Cache header and body
+// bytes as served.
+func rawReq(t *testing.T, method, url, body string) (int, string, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, resp.Header.Get("X-Cache"), raw
+}
+
+// TestBodiesEndInOneNewline: every JSON body ends in exactly one newline,
+// whether a point route computed it, replayed it from the cache, or
+// writeJSON encoded it, so a CLI or curl leaves the prompt on its own line.
+func TestBodiesEndInOneNewline(t *testing.T) {
+	srv, b := testServer(t)
+	node, company := itoa(b.ID("P2")), itoa(b.ID("C7"))
+	oneNewline := func(t *testing.T, raw []byte) {
+		t.Helper()
+		if !strings.HasSuffix(string(raw), "\n") || strings.HasSuffix(string(raw), "\n\n") {
+			t.Errorf("body %q does not end in exactly one newline", raw)
+		}
+	}
+	for _, path := range []string{
+		"/v1/control?node=" + node,
+		"/v1/control?node=" + node + "&target=" + company,
+		"/v1/control/pairs",
+		"/v1/closelinks",
+		"/v1/accumulated?from=" + node + "&to=" + company,
+		"/v1/explain?from=" + node + "&to=" + company,
+		"/v1/ubo?node=" + company,
+	} {
+		t.Run(path, func(t *testing.T) {
+			for _, want := range []string{"miss", "hit"} {
+				code, cache, raw := rawReq(t, "GET", srv.URL+path, "")
+				if code != 200 || cache != want {
+					t.Fatalf("status %d, X-Cache %q, want a 200 %s: %s", code, cache, want, raw)
+				}
+				oneNewline(t, raw)
+			}
+		})
+	}
+	t.Run("query", func(t *testing.T) {
+		for _, want := range []string{"miss", "hit"} {
+			code, cache, raw := rawReq(t, "POST", srv.URL+"/v1/query", `{"goal": "control(`+node+`, Y)"}`)
+			if code != 200 || cache != want {
+				t.Fatalf("status %d, X-Cache %q, want a 200 %s: %s", code, cache, want, raw)
+			}
+			oneNewline(t, raw)
+		}
+	})
+	for _, tc := range []struct{ method, path, body string }{
+		{"GET", "/v1/stats", ""},
+		{"GET", "/v1/metrics", ""},
+		{"GET", "/v1/healthz", ""},
+		{"GET", "/v1/readyz", ""},
+		{"POST", "/v1/reason", `{"program":"own(X,Y,W) -> linked(X,Y)."}`},
+		{"POST", "/v1/whatif", `{"ops":[{"op":"addNode"}]}`},
+		{"POST", "/v1/augment", `{"classes":["family"],"noCluster":true}`},
+		{"POST", "/v1/admin/snapshot", ""},
+		{"GET", "/v1/control?node=xyz", ""},
+	} {
+		t.Run(tc.method+" "+tc.path, func(t *testing.T) {
+			_, _, raw := rawReq(t, tc.method, srv.URL+tc.path, tc.body)
+			oneNewline(t, raw)
+		})
+	}
+}
+
+// TestStatsKeysAreLowerCamel: /v1/stats answers the lowerCamel keys every
+// other route does, not graphstats.Stats's Go field names.
+func TestStatsKeysAreLowerCamel(t *testing.T) {
+	srv, _ := testServer(t)
+	var body map[string]json.RawMessage
+	if code := getJSON(t, srv.URL+"/v1/stats", &body); code != 200 {
+		t.Fatalf("status = %d", code)
+	}
+	if len(body) == 0 {
+		t.Fatal("empty stats body")
+	}
+	for k := range body {
+		if r := k[0]; r < 'a' || r > 'z' {
+			t.Errorf("key %q does not start lower-case", k)
+		}
+	}
+}

@@ -64,7 +64,9 @@ func (s *Server) answerPoint(w http.ResponseWriter, seq uint64, key string, clas
 		if merr != nil {
 			return nil, merr
 		}
-		return payload, err
+		// End in a newline as writeJSON's encoder does, once, before qcache
+		// stores the payload: a hit writes the cached bytes as they are.
+		return append(payload, '\n'), err
 	}
 	var (
 		payload []byte

@@ -3,8 +3,9 @@ package whatif
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
-	"slices"
+	"reflect"
 	"testing"
 
 	"vadalink/internal/datalog"
@@ -96,6 +97,25 @@ func diffPairSets(t *testing.T, what string, got, want map[Pair]bool) {
 	t.Errorf("%s mismatch:\n  got  %v\n  want %v", what, sortedPairs(got), sortedPairs(want))
 }
 
+// controlSet flattens a by-source control relation to its pair set, failing
+// on a row that is empty, unsorted or repeats a target.
+func controlSet(t *testing.T, m map[pg.NodeID][]pg.NodeID) map[Pair]bool {
+	t.Helper()
+	out := map[Pair]bool{}
+	for x, row := range m {
+		if len(row) == 0 {
+			t.Errorf("control row of %d is empty", x)
+		}
+		for i, y := range row {
+			if i > 0 && row[i-1] >= y {
+				t.Errorf("control row of %d is %v, want sorted, no repeats", x, row)
+			}
+			out[Pair{x, y}] = true
+		}
+	}
+	return out
+}
+
 // keys projects a pair map (a bool set or a witness-count map) to its set.
 func keys[V any](m map[Pair]V) map[Pair]bool {
 	out := make(map[Pair]bool, len(m))
@@ -139,9 +159,12 @@ func oracle(t *testing.T, v pg.View, threshold float64) (control, closeLink map[
 // agree fact-for-fact, on both the control and the close-link relation, with
 // the oracle run on the flattened overlay (a standalone flat copy of the
 // composite graph) — and the baseline it started from with the oracle on the
-// base graph. The reported diffs must be exactly the set differences, and the
-// affected-source count (served as /v1/whatif's affectedSources) must equal
-// the reverse reach of Apply's changed sources over base and overlay.
+// base graph. Evaluate reports only the diff, so the composite is
+// (baseline \ lost) ∪ gained, with gained disjoint from the baseline and lost
+// inside it; Advance's successor must equal that composite and its step
+// Evaluate's diff. The affected-source count (served as /v1/whatif's
+// affectedSources) must equal the reverse reach of Apply's changed sources
+// over base and overlay.
 func TestDifferentialWhatIf(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential harness is not short")
@@ -179,7 +202,8 @@ func TestDifferentialWhatIf(t *testing.T) {
 			t.Fatalf("%s: baseline: %v", name, err)
 		}
 		baseControl, baseCloseLink := oracle(t, base, threshold)
-		diffPairSets(t, name+": baseline vs oracle control", bl.Control, baseControl)
+		before := controlSet(t, bl.Control)
+		diffPairSets(t, name+": baseline vs oracle control", before, baseControl)
 		diffPairSets(t, name+": baseline vs oracle closelink", keys(bl.CloseLink), baseCloseLink)
 
 		res, err := Evaluate(ctx, base, bl, ops, Options{Threshold: threshold})
@@ -196,11 +220,21 @@ func TestDifferentialWhatIf(t *testing.T) {
 			t.Fatalf("%s: flatten: %v", name, err)
 		}
 		control, closeLink := oracle(t, flat, threshold)
-		diffPairSets(t, name+": what-if vs oracle control", res.Control, control)
-		diffPairSets(t, name+": what-if vs oracle closelink", keys(res.CloseLink), closeLink)
+		afterControl := compose(t, name+": control diff", before, res.ControlGained, res.ControlLost)
+		afterCloseLink := compose(t, name+": closelink diff", keys(bl.CloseLink), res.CloseLinkGained, res.CloseLinkLost)
+		diffPairSets(t, name+": what-if vs oracle control", afterControl, control)
+		diffPairSets(t, name+": what-if vs oracle closelink", afterCloseLink, closeLink)
 
-		checkDiff(t, name+": control diff", bl.Control, res.Control, res.ControlGained, res.ControlLost)
-		checkDiff(t, name+": closelink diff", keys(bl.CloseLink), keys(res.CloseLink), res.CloseLinkGained, res.CloseLinkLost)
+		journal, _ := o.Journal()
+		next, st, err := bl.Advance(ctx, o, journal)
+		if err != nil {
+			t.Fatalf("%s: advance: %v", name, err)
+		}
+		diffPairSets(t, name+": successor vs composite control", controlSet(t, next.Control), afterControl)
+		diffPairSets(t, name+": successor vs composite closelink", keys(next.CloseLink), afterCloseLink)
+		if want := (Step{res.AffectedSources, res.ControlGained, res.ControlLost, res.CloseLinkGained, res.CloseLinkLost}); !reflect.DeepEqual(st, want) {
+			t.Errorf("%s: Advance step %+v, Evaluate diff %+v", name, st, want)
+		}
 
 		if want := len(ReverseReachable(changed, base, o)); res.AffectedSources != want {
 			t.Errorf("%s: %d affected sources, the base+overlay reach of the changed sources has %d", name, res.AffectedSources, want)
@@ -214,27 +248,31 @@ func TestDifferentialWhatIf(t *testing.T) {
 	}
 }
 
-// checkDiff asserts that gained and lost are exactly after − before and
-// before − after, sorted.
-func checkDiff(t *testing.T, what string, before, after map[Pair]bool, gained, lost []Pair) {
+// compose returns (before \ lost) ∪ gained, after checking that gained and
+// lost are sorted without repeats, that gained is disjoint from before and
+// that lost lies inside it.
+func compose(t *testing.T, what string, before map[Pair]bool, gained, lost []Pair) map[Pair]bool {
 	t.Helper()
-	var wantGained, wantLost []Pair
-	for p := range after {
+	for _, ps := range [][]Pair{gained, lost} {
+		for i := 1; i < len(ps); i++ {
+			if a, b := ps[i-1], ps[i]; a[0] > b[0] || (a[0] == b[0] && a[1] >= b[1]) {
+				t.Errorf("%s: %v is not sorted without repeats", what, ps)
+				break
+			}
+		}
+	}
+	after := maps.Clone(before)
+	for _, p := range lost {
 		if !before[p] {
-			wantGained = append(wantGained, p)
+			t.Errorf("%s: lost %v is not in the baseline", what, p)
 		}
+		delete(after, p)
 	}
-	for p := range before {
-		if !after[p] {
-			wantLost = append(wantLost, p)
+	for _, p := range gained {
+		if before[p] {
+			t.Errorf("%s: gained %v is already in the baseline", what, p)
 		}
+		after[p] = true
 	}
-	sortPairs(wantGained)
-	sortPairs(wantLost)
-	if !slices.Equal(gained, wantGained) {
-		t.Errorf("%s: gained = %v, want %v", what, gained, wantGained)
-	}
-	if !slices.Equal(lost, wantLost) {
-		t.Errorf("%s: lost = %v, want %v", what, lost, wantLost)
-	}
+	return after
 }

@@ -7,6 +7,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"slices"
 
 	"vadalink/internal/datalog"
 	"vadalink/internal/pg"
@@ -78,34 +79,65 @@ type Step struct {
 	CloseLinkGained, CloseLinkLost []Pair
 }
 
+// change is what one journal moves in a baseline: the affected sources'
+// re-derived rows and the new witness counts of the close-link pairs their
+// witnesses touch. It is read from the parent by key and costs the cone, not
+// the registry.
+type change struct {
+	Step
+	affected map[pg.NodeID]bool
+	// control and accown hold the affected sources' new rows; a source
+	// without rows is absent.
+	control map[pg.NodeID][]pg.NodeID
+	accown  map[pg.NodeID][]datalog.Fact
+	// closeLink holds the new witness count of every pair whose count moved;
+	// 0 means the pair is gone.
+	closeLink map[Pair]int32
+}
+
 // Advance returns the successor of b under journal, the exact, ordered
 // mutations that produced post from b's view. It reads b and never mutates
-// it.
+// it: diff computes what moved, and splice copies b with the affected
+// sources' rows and the touched pairs' counts overwritten. With no owner
+// seeds b itself is returned.
+func (b *Baseline) Advance(ctx context.Context, post pg.View, journal []pg.Mutation, opts ...datalog.Option) (*Baseline, Step, error) {
+	c, err := b.diff(ctx, post, journal, opts)
+	if err != nil {
+		return nil, Step{}, err
+	}
+	if c.Affected == 0 {
+		return b, Step{}, nil
+	}
+	return b.splice(c), c.Step, nil
+}
+
+// diff computes what journal moves in b, reading b by key only.
 //
 //  1. Classify the journal. With no owner seeds nothing derived moves (a new
-//     company has no witnesses until an edge names it) and b is returned.
+//     company has no witnesses until an edge names it): the change is empty.
 //  2. affected: the reverse reach of the owner seeds over post — every
 //     source whose control/accown rows may have moved.
 //  3. The cone: the forward reach of affected, every row the chase reads.
 //  4. Chase MaintenanceProgram over the cone, seeding the untouched rows of
 //     cone sources that are not affected.
-//  5. Splice: affected sources' Control and Accown rows are replaced.
+//  5. Compare each affected source's new control row with its old one.
 //  6. Re-count the close links: each affected source withdraws its old
-//     witnesses and gives its new ones.
-func (b *Baseline) Advance(ctx context.Context, post pg.View, journal []pg.Mutation, opts ...datalog.Option) (*Baseline, Step, error) {
+//     witnesses and gives its new ones; a touched pair's new count is its
+//     old one plus that local delta.
+func (b *Baseline) diff(ctx context.Context, post pg.View, journal []pg.Mutation, opts []datalog.Option) (*change, error) {
 	s, err := Classify(journal)
 	if err != nil {
-		return nil, Step{}, err
+		return nil, err
 	}
 	if len(s.Owners) == 0 {
-		return b, Step{}, nil
+		return &change{}, nil
 	}
 	affected := ReverseReachable(s.Owners, post)
 	cone := ForwardReachable(affected, post)
 
 	plan, err := maintenancePlan()
 	if err != nil {
-		return nil, Step{}, fmt.Errorf("whatif: compiling maintenance program: %w", err)
+		return nil, fmt.Errorf("whatif: compiling maintenance program: %w", err)
 	}
 	e := plan.NewEngine(withWhatIfDefaults(opts)...)
 	for id := range affected {
@@ -124,45 +156,39 @@ func (b *Baseline) Advance(ctx context.Context, post pg.View, journal []pg.Mutat
 		}
 	}
 	if err := e.RunContext(ctx); err != nil {
-		return nil, Step{}, fmt.Errorf("whatif: scoped chase: %w", err)
+		return nil, fmt.Errorf("whatif: scoped chase: %w", err)
 	}
 
-	next := &Baseline{Threshold: b.Threshold, Accown: make(map[pg.NodeID][]datalog.Fact, len(b.Accown))}
-	st := Step{Affected: len(affected)}
-
+	c := &change{
+		Step:     Step{Affected: len(affected)},
+		affected: affected,
+		control:  make(map[pg.NodeID][]pg.NodeID, len(affected)),
+		accown:   make(map[pg.NodeID][]datalog.Fact, len(affected)),
+	}
 	// Every control fact of the scoped chase has an affected source (the
-	// affected(X) guard seeds ccand), so unaffected rows carry over verbatim.
-	next.Control = make(map[Pair]bool, len(b.Control))
-	var dropped []Pair
-	for p := range b.Control {
-		if affected[p[0]] {
-			dropped = append(dropped, p)
-		} else {
-			next.Control[p] = true
-		}
-	}
+	// affected(X) guard seeds ccand), so only affected rows can move.
 	for _, f := range e.Facts("control") {
 		if p, ok := pairOf(f); ok {
-			next.Control[p] = true
-			if !b.Control[p] {
-				st.ControlGained = append(st.ControlGained, p)
+			c.control[p[0]] = append(c.control[p[0]], p[1])
+		}
+	}
+	for src := range affected {
+		before, after := b.Control[src], c.control[src]
+		slices.Sort(after)
+		for _, y := range after {
+			if _, ok := slices.BinarySearch(before, y); !ok {
+				c.ControlGained = append(c.ControlGained, Pair{src, y})
 			}
 		}
-	}
-	for _, p := range dropped {
-		if !next.Control[p] {
-			st.ControlLost = append(st.ControlLost, p)
-		}
-	}
-
-	for src, rows := range b.Accown {
-		if !affected[src] {
-			next.Accown[src] = rows
+		for _, y := range before {
+			if _, ok := slices.BinarySearch(after, y); !ok {
+				c.ControlLost = append(c.ControlLost, Pair{src, y})
+			}
 		}
 	}
 	for _, f := range e.MaxByGroup("accown", 2, 0, 1) {
 		if src, ok := relstore.NodeID(f.Args[0]); ok && affected[src] {
-			next.Accown[src] = append(next.Accown[src], f)
+			c.accown[src] = append(c.accown[src], f)
 		}
 	}
 
@@ -174,32 +200,67 @@ func (b *Baseline) Advance(ctx context.Context, post pg.View, journal []pg.Mutat
 	// or the journal removed it as one".
 	was := func(id pg.NodeID) bool { return s.RemovedCompanies[id] || isCompany(post, id) }
 	now := func(id pg.NodeID) bool { return isCompany(post, id) }
-	next.CloseLink = maps.Clone(b.CloseLink)
-	touched := map[Pair]bool{}
+	delta := map[Pair]int32{}
 	for src := range affected {
-		witnesses(src, b.Accown[src], b.Threshold, was, func(p Pair) { next.CloseLink[p]--; touched[p] = true })
-		witnesses(src, next.Accown[src], b.Threshold, now, func(p Pair) { next.CloseLink[p]++; touched[p] = true })
+		witnesses(src, b.Accown[src], b.Threshold, was, func(p Pair) { delta[p]-- })
+		witnesses(src, c.accown[src], b.Threshold, now, func(p Pair) { delta[p]++ })
 	}
-	for p := range touched {
-		n := next.CloseLink[p]
+	// delta becomes the new counts in place: ranging over a map may delete
+	// and overwrite the entry it is at.
+	for p, d := range delta {
+		if d == 0 {
+			delete(delta, p)
+			continue
+		}
+		before := b.CloseLink[p]
+		n := before + d
 		if n < 0 {
-			return nil, Step{}, fmt.Errorf("whatif: close-link pair %v has %d witnesses", p, n)
+			return nil, fmt.Errorf("whatif: close-link pair %v has %d witnesses", p, n)
 		}
-		if n == 0 {
-			delete(next.CloseLink, p)
-		}
-		_, before := b.CloseLink[p]
+		delta[p] = n
 		switch {
-		case n > 0 && !before:
-			st.CloseLinkGained = append(st.CloseLinkGained, p)
-		case n == 0 && before:
-			st.CloseLinkLost = append(st.CloseLinkLost, p)
+		case n > 0 && before == 0:
+			c.CloseLinkGained = append(c.CloseLinkGained, p)
+		case n == 0 && before > 0:
+			c.CloseLinkLost = append(c.CloseLinkLost, p)
 		}
 	}
-	for _, ps := range [][]Pair{st.ControlGained, st.ControlLost, st.CloseLinkGained, st.CloseLinkLost} {
+	c.closeLink = delta
+	for _, ps := range [][]Pair{c.ControlGained, c.ControlLost, c.CloseLinkGained, c.CloseLinkLost} {
 		sortPairs(ps)
 	}
-	return next, st, nil
+	return c, nil
+}
+
+// splice returns a copy of b with c's rows and counts written over it. The
+// copy is the only O(registry) work of a step, and only a commit pays it.
+func (b *Baseline) splice(c *change) *Baseline {
+	next := &Baseline{
+		Threshold: b.Threshold,
+		Control:   maps.Clone(b.Control),
+		CloseLink: maps.Clone(b.CloseLink),
+		Accown:    maps.Clone(b.Accown),
+	}
+	for src := range c.affected {
+		if row := c.control[src]; len(row) > 0 {
+			next.Control[src] = row
+		} else {
+			delete(next.Control, src)
+		}
+		if rows := c.accown[src]; len(rows) > 0 {
+			next.Accown[src] = rows
+		} else {
+			delete(next.Accown, src)
+		}
+	}
+	for p, n := range c.closeLink {
+		if n > 0 {
+			next.CloseLink[p] = n
+		} else {
+			delete(next.CloseLink, p)
+		}
+	}
+	return next
 }
 
 // witnesses calls fn once per close-link witness that source z gives through

@@ -6,19 +6,22 @@
 // overlay (pg.Overlay) over a frozen base view. The base graph is never
 // copied and never mutated; the WAL never sees a what-if.
 //
-// Evaluation is one scoped step (Baseline.Advance, step.go) — the same step
+// Evaluation is the diff half of one scoped step (step.go), the same diff
 // internal/ivm advances a committed journal with: control(x, ·) and
 // accumulated ownership accown(x, ·) depend only on the shareholding cone
 // reachable from x, so only the sources upstream of a mutated edge are
 // re-chased, over their own cones, and close links are re-counted from those
-// sources' witnesses alone. On registry-scale graphs a small scenario touches
-// a tiny cone, which is what makes /v1/whatif interactive where a full
+// sources' witnesses alone. The diff reads the baseline by key and builds no
+// successor; only a commit (Baseline.Advance) splices one. On registry-scale
+// graphs a small scenario touches a tiny cone, so a what-if costs its cone,
+// not the registry, which is what makes /v1/whatif interactive where a full
 // re-chase is not.
 package whatif
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -83,18 +86,20 @@ func (e *OpError) Unwrap() error { return e.Err }
 // Pair is a directed (or canonicalized symmetric) node pair.
 type Pair = [2]pg.NodeID
 
-// Baseline is the derived state of one view: the control relation, the
-// close-link relation as per-pair witness counts, and the final
-// accumulated-ownership rows grouped by source. Computing it costs one full
+// Baseline is the derived state of one view: the control relation and the
+// final accumulated-ownership rows, both grouped by source, and the
+// close-link relation as per-pair witness counts. Computing it costs one full
 // chase; a server keeps one per published version and every what-if against
 // that version reuses it.
 //
 // A published Baseline is shared by concurrent readers, so all three maps
-// must be treated as immutable: Advance derives a successor by building
-// fresh maps, never by mutating a published one.
+// must be treated as immutable: Advance derives a successor by copying the
+// maps, never by mutating a published one.
 type Baseline struct {
 	Threshold float64
-	Control   map[Pair]bool
+	// Control maps every controlling source to the nodes it controls,
+	// sorted; sources controlling nothing are absent.
+	Control map[pg.NodeID][]pg.NodeID
 	// CloseLink maps every close-linked pair (canonicalized, A ≤ B) to its
 	// witness count (see witnesses); pairs with no witness are absent.
 	CloseLink map[Pair]int32
@@ -190,14 +195,17 @@ func ComputeBaseline(ctx context.Context, v pg.View, threshold float64, engineOp
 	}
 	bl := &Baseline{
 		Threshold: threshold,
-		Control:   map[Pair]bool{},
+		Control:   map[pg.NodeID][]pg.NodeID{},
 		CloseLink: map[Pair]int32{},
 		Accown:    map[pg.NodeID][]datalog.Fact{},
 	}
 	for _, f := range e.Facts("control") {
 		if p, ok := pairOf(f); ok {
-			bl.Control[p] = true
+			bl.Control[p[0]] = append(bl.Control[p[0]], p[1])
 		}
+	}
+	for _, row := range bl.Control {
+		slices.Sort(row)
 	}
 	for _, f := range e.MaxByGroup("accown", 2, 0, 1) {
 		if src, ok := relstore.NodeID(f.Args[0]); ok {
@@ -220,7 +228,8 @@ type Options struct {
 	Engine []datalog.Option
 }
 
-// Result reports one evaluated scenario.
+// Result reports one evaluated scenario: the diff against the baseline, not
+// the composite relations (Evaluate builds no successor).
 type Result struct {
 	// Created lists the node IDs assigned to addNode ops, in op order.
 	Created []pg.NodeID
@@ -234,11 +243,6 @@ type Result struct {
 	ControlLost     []Pair
 	CloseLinkGained []Pair
 	CloseLinkLost   []Pair
-
-	// Composite relations (the successor baseline's maps: read-only), for
-	// callers that need more than the diff.
-	Control   map[Pair]bool
-	CloseLink map[Pair]int32
 }
 
 // shareEps absorbs float noise when checking the 100%-ownership invariant.
@@ -387,9 +391,10 @@ func ForwardReachable(seeds map[pg.NodeID]bool, v pg.View) map[pg.NodeID]bool {
 	return out
 }
 
-// Evaluate applies a scenario to an overlay over base, advances the baseline
-// under the overlay's journal and reports the diff. The base view is read,
-// never copied and never mutated.
+// Evaluate applies a scenario to an overlay over base and reports what the
+// overlay's journal moves in the baseline. It reads the baseline by key and
+// builds no successor, so it costs the scenario's cone, not the registry.
+// The base view is read, never copied and never mutated.
 func Evaluate(ctx context.Context, base pg.View, bl *Baseline, ops []Op, opt Options) (*Result, error) {
 	threshold := opt.Threshold
 	if threshold == 0 {
@@ -404,20 +409,18 @@ func Evaluate(ctx context.Context, base pg.View, bl *Baseline, ops []Op, opt Opt
 		return nil, err
 	}
 	journal, _ := o.Journal()
-	next, step, err := bl.Advance(ctx, o, journal, opt.Engine...)
+	c, err := bl.diff(ctx, o, journal, opt.Engine)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{
 		Created:         created,
 		Delta:           o.Delta(),
-		AffectedSources: step.Affected,
-		ControlGained:   step.ControlGained,
-		ControlLost:     step.ControlLost,
-		CloseLinkGained: step.CloseLinkGained,
-		CloseLinkLost:   step.CloseLinkLost,
-		Control:         next.Control,
-		CloseLink:       next.CloseLink,
+		AffectedSources: c.Affected,
+		ControlGained:   c.ControlGained,
+		ControlLost:     c.ControlLost,
+		CloseLinkGained: c.CloseLinkGained,
+		CloseLinkLost:   c.CloseLinkLost,
 	}, nil
 }
 

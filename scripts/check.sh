@@ -72,15 +72,20 @@ echo "== coverage floors =="
 #                than the shared MVCC floor, since a write through a shared
 #                element corrupts every version at once. The allocation guard,
 #                TestCloneAllocations, runs here: the race step above skips it.
-#   store whatif the rest of the MVCC substrate: version-chain commit/conflict,
-#                scoped what-if evaluation. Correctness is proven by the
-#                differential and race harnesses; the floors keep that proof
-#                from eroding (83.5 / 90.2; store 95.5% measured once the gob
+#   store        the version chain every serving mode reads: commit/conflict.
+#                Correctness is proven by the race harnesses; the floor keeps
+#                that proof from eroding (83.5%; 95.5% measured once the gob
 #                snapshot codec left the package, floor raised to 95.0).
+#   whatif       the scoped step behind every what-if and every maintained
+#                commit: the diff and the splice. Proven by the differential
+#                harness and the allocation guards, TestAdvanceAllocations and
+#                TestEvaluateCostIsIndependentOfRegistry, which run here: the
+#                race step above skips them. Held at its measured coverage
+#                (92.9% once a what-if stopped building a successor).
 #   ivm          maintenance silently corrupting derived state is the worst
 #                failure mode in the repo: reads keep succeeding with stale
 #                answers. Keeps the invalidation/retraction paths exercised
-#                (90.0%).
+#                (99.3% measured, floor 90.0).
 #   qcache       sits in front of every point endpoint; a bug here serves stale
 #                answers with a fresh-looking seq. Keeps the invalidation,
 #                eviction and single-flight paths exercised (91.4%).
@@ -113,8 +118,8 @@ internal/persist     PERSIST_COVER_FLOOR  88.0
 internal/replication REPL_COVER_FLOOR     80.0
 internal/pg          PG_COVER_FLOOR       94.2
 internal/store       MVCC_COVER_FLOOR     95.0
-internal/whatif      MVCC_COVER_FLOOR     80.0
-internal/ivm         IVM_COVER_FLOOR      80.0
+internal/whatif      WHATIF_COVER_FLOOR   92.9
+internal/ivm         IVM_COVER_FLOOR      90.0
 internal/qcache      QCACHE_COVER_FLOOR   80.0
 internal/embed       EMBED_COVER_FLOOR    90.0
 internal/core        CORE_COVER_FLOOR     85.0
