@@ -41,6 +41,48 @@ func TestBuildYourOwnGraph(t *testing.T) {
 	}
 }
 
+// names maps node IDs to their names.
+func names(g *vadalink.Graph, ids []vadalink.NodeID) map[string]bool {
+	out := map[string]bool{}
+	for _, id := range ids {
+		out[g.Node(id).Props["name"].(string)] = true
+	}
+	return out
+}
+
+// TestFigure1FamilyControl checks the family-business conclusion of the
+// introduction: P1 and P2 together control L (F owns 20%, I owns 40%, and
+// the pair controls both F and I).
+func TestFigure1FamilyControl(t *testing.T) {
+	g, b := vadalink.Figure1()
+	joint := names(g, vadalink.GroupControls(g, []vadalink.NodeID{b.ID("P1"), b.ID("P2")}))
+	if !joint["L"] {
+		t.Errorf("P1+P2 should jointly control L; got %v", joint)
+	}
+	// Joint control subsumes individual control.
+	for _, want := range []string{"C", "D", "E", "F", "G", "H", "I"} {
+		if !joint[want] {
+			t.Errorf("P1+P2 should jointly control %s; got %v", want, joint)
+		}
+	}
+	if joint["P1"] || joint["P2"] {
+		t.Errorf("members are reported as controlled: %v", joint)
+	}
+}
+
+func TestOrphans(t *testing.T) {
+	g, _ := vadalink.Figure1()
+	orphans := names(g, vadalink.Orphans(g))
+	if !orphans["L"] {
+		t.Errorf("L should be an orphan (no single controller); got %v", orphans)
+	}
+	for _, c := range []string{"C", "D", "E", "F", "G", "H", "I"} {
+		if orphans[c] {
+			t.Errorf("%s has an ultimate controller; must not be an orphan", c)
+		}
+	}
+}
+
 func TestAugmentThroughFacade(t *testing.T) {
 	it := vadalink.NewItalian(vadalink.ItalianConfig{Persons: 100, Companies: 40, Seed: 2})
 	res, err := vadalink.DetectFamilies(it.Graph, 1)

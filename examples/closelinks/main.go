@@ -42,9 +42,9 @@ func main() {
 	closelinked := map[[2]vadalink.NodeID]bool{}
 	for _, l := range links {
 		fmt.Printf("  %s – %s (common third party: %s)\n",
-			name(l.Pair.A), name(l.Pair.B), name(l.Via))
-		closelinked[[2]vadalink.NodeID{l.Pair.A, l.Pair.B}] = true
-		closelinked[[2]vadalink.NodeID{l.Pair.B, l.Pair.A}] = true
+			name(l.A), name(l.B), name(l.Via))
+		closelinked[[2]vadalink.NodeID{l.A, l.B}] = true
+		closelinked[[2]vadalink.NodeID{l.B, l.A}] = true
 	}
 
 	verdict := func(x, y string) {

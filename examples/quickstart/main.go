@@ -40,6 +40,6 @@ func main() {
 		vadalink.Accumulated(g2, b2.ID("C4"), b2.ID("C7")))
 	for _, l := range vadalink.CloseLinks(g2, 0.2) {
 		fmt.Printf("close link: %s – %s (via %s)\n",
-			name2(l.Pair.A), name2(l.Pair.B), name2(l.Via))
+			name2(l.A), name2(l.B), name2(l.Via))
 	}
 }

@@ -280,6 +280,34 @@ func typeCheckModule(fset *token.FileSet) ([]*modulePackage, error) {
 	return m.order, err
 }
 
+// TestOraclesStayOutOfProduction fails when a non-test package outside
+// bench/ imports internal/control or internal/closelink. Production reads
+// control and Φ from the served programs (DESIGN.md §5); those two packages
+// are the reference solvers that tests and the benchmark check it against.
+func TestOraclesStayOutOfProduction(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := typeCheckModule(fset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracles := map[string]bool{"vadalink/internal/control": true, "vadalink/internal/closelink": true}
+	checked := 0
+	for _, p := range pkgs {
+		if p.dir == "bench" || strings.HasPrefix(p.dir, "bench/") {
+			continue
+		}
+		checked++
+		for _, imp := range p.pkg.Imports() {
+			if oracles[imp.Path()] {
+				t.Errorf("%s imports %s; read control and Φ from the served programs instead", p.pkg.Path(), imp.Path())
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no non-test packages outside bench/ type-checked")
+	}
+}
+
 // TestDatalogImportsNoSync fails when a non-test file of internal/datalog
 // imports sync or sync/atomic. An Engine belongs to one goroutine and a
 // Compiled program is immutable (DESIGN.md §7.7), so the package needs no

@@ -88,7 +88,7 @@ func TestAccumulatedMatchesImperativeOnDAG(t *testing.T) {
 	r := runReasoner(t, g)
 	acc := r.AccumulatedOwnership()
 	for _, x := range layers[0] {
-		imp := closelink.AccumulatedFrom(g, x, closelink.Options{})
+		imp := closelink.AccumulatedFrom(g, x)
 		for y, want := range imp {
 			got, ok := acc[[2]pg.NodeID{x, y}]
 			if !ok || math.Abs(got-want) > 1e-9 {

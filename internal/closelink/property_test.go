@@ -70,7 +70,7 @@ func TestAccumulatedMatchesBruteForceProperty(t *testing.T) {
 			if x == y {
 				continue
 			}
-			got := Accumulated(g, x, y, Options{})
+			got := AccumulatedFrom(g, x)[y]
 			want := bruteForcePhi(g, x, y)
 			if math.Abs(got-want) > 1e-9 {
 				t.Logf("seed %d: Φ(%d,%d) = %v, brute force %v", seed, x, y, got, want)
@@ -93,12 +93,12 @@ func TestAccumulatedMonotoneProperty(t *testing.T) {
 		g := randomDAGish(r, 6, 8)
 		ids := g.Nodes()
 		x, y := ids[0], ids[len(ids)-1]
-		before := Accumulated(g, x, y, Options{})
+		before := AccumulatedFrom(g, x)[y]
 		a, b := ids[r.Intn(len(ids))], ids[r.Intn(len(ids))]
 		if a != b {
 			g.MustAddEdgeWeighted(a, b, 0.3)
 		}
-		after := Accumulated(g, x, y, Options{})
+		after := AccumulatedFrom(g, x)[y]
 		return after >= before-1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -131,7 +131,7 @@ func TestAccumulatedBoundedProperty(t *testing.T) {
 			g.MustAddEdgeWeighted(a, b, w)
 		}
 		for _, x := range ids {
-			for y, v := range AccumulatedFrom(g, x, Options{}) {
+			for y, v := range AccumulatedFrom(g, x) {
 				if v > 1+1e-9 {
 					t.Logf("seed %d: Φ(%d,%d) = %v > 1", seed, x, y, v)
 					return false

@@ -8,26 +8,6 @@ import (
 	"vadalink/internal/pg"
 )
 
-func TestBareOwnershipCarriesNoVotes(t *testing.T) {
-	b := pg.NewBuilder()
-	b.Person("P")
-	b.Company("C")
-	g := b.Graph()
-	g.MustAddEdge(pg.LabelShareholding, b.ID("P"), b.ID("C"), pg.Properties{
-		pg.WeightProp: 0.8, RightProp: "bare ownership",
-	})
-	if got := Controls(g, b.ID("P")); len(got) != 0 {
-		t.Errorf("bare ownership granted control: %v", got)
-	}
-	// Full ownership does.
-	g.MustAddEdge(pg.LabelShareholding, b.ID("P"), b.ID("C"), pg.Properties{
-		pg.WeightProp: 0.6, RightProp: "ownership",
-	})
-	if got := Controls(g, b.ID("P")); len(got) != 1 {
-		t.Errorf("voting shares should control: %v", got)
-	}
-}
-
 // randomOwnership builds a random ownership graph over n companies and p
 // persons, with incoming shares per company normalized to at most 1.
 func randomOwnership(r *rand.Rand, companies, persons, edges int) *pg.Graph {

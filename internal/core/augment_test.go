@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"vadalink/internal/cluster"
@@ -8,6 +10,7 @@ import (
 	"vadalink/internal/family"
 	"vadalink/internal/graphgen"
 	"vadalink/internal/pg"
+	"vadalink/internal/whatif"
 )
 
 func TestNewRequiresCandidates(t *testing.T) {
@@ -16,9 +19,55 @@ func TestNewRequiresCandidates(t *testing.T) {
 	}
 }
 
+// baselineOf chases the derived state the control and close-link
+// candidates propose from.
+func baselineOf(t *testing.T, g pg.View) *whatif.Baseline {
+	t.Helper()
+	bl, err := whatif.ComputeBaseline(context.Background(), g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bl
+}
+
+// Augmentation adds no shareholding edge, so the baseline the control and
+// close-link candidates were given stays the graph's for every round: after
+// a clustered multi-round run over all three classes, a fresh chase of the
+// augmented graph lands on the same state.
+func TestAugmentationKeepsTheBaselineExact(t *testing.T) {
+	g := graphgen.NewItalian(graphgen.ItalianConfig{Persons: 40, Companies: 40, Seed: 5}).Graph
+	bl := baselineOf(t, g)
+	a, err := New(Config{
+		FirstLevelK: 2,
+		Embed:       embed.Config{Seed: 1, Dims: 8, WalksPerNode: 2, WalkLength: 10, Epochs: 1},
+		Reembed:     true,
+		Candidates:  []Candidate{&FamilyCandidate{}, ControlCandidate{bl}, CloseLinkCandidate{bl}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := a.Run(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Added[pg.LabelControl] == 0 || res.Added[pg.LabelCloseLink] == 0 || res.Rounds < 2 {
+		t.Fatalf("added %v in %d rounds: the run must weave control and close links over rounds", res.Added, res.Rounds)
+	}
+	for _, e := range res.AddedEdges {
+		if e.Label == pg.LabelShareholding {
+			t.Fatalf("augmentation added a shareholding edge %v", e)
+		}
+	}
+	after := baselineOf(t, g)
+	if !reflect.DeepEqual(after.Control, bl.Control) || !reflect.DeepEqual(after.CloseLink, bl.CloseLink) ||
+		!reflect.DeepEqual(after.Accown, bl.Accown) {
+		t.Fatal("the augmented graph's baseline differs from the one the candidates were given")
+	}
+}
+
 func TestNoClusterControlMatchesDirectSolver(t *testing.T) {
 	g, b := pg.Figure2()
-	a, err := New(Config{NoCluster: true, Candidates: []Candidate{ControlCandidate{}}})
+	a, err := New(Config{NoCluster: true, Candidates: []Candidate{ControlCandidate{baselineOf(t, g)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +88,7 @@ func TestNoClusterControlMatchesDirectSolver(t *testing.T) {
 
 func TestNoClusterCloseLinksFigure2(t *testing.T) {
 	g, b := pg.Figure2()
-	a, err := New(Config{NoCluster: true, Candidates: []Candidate{CloseLinkCandidate{Threshold: 0.2}}})
+	a, err := New(Config{NoCluster: true, Candidates: []Candidate{CloseLinkCandidate{baselineOf(t, g)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +228,7 @@ func TestAugmentationTerminates(t *testing.T) {
 
 func TestRunIsIdempotentOnEdges(t *testing.T) {
 	g, _ := pg.Figure2()
-	a, _ := New(Config{NoCluster: true, Candidates: []Candidate{ControlCandidate{}}})
+	a, _ := New(Config{NoCluster: true, Candidates: []Candidate{ControlCandidate{baselineOf(t, g)}}})
 	if _, err := a.Run(g); err != nil {
 		t.Fatal(err)
 	}

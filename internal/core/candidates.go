@@ -1,12 +1,12 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
-	"vadalink/internal/closelink"
-	"vadalink/internal/control"
 	"vadalink/internal/family"
 	"vadalink/internal/pg"
+	"vadalink/internal/whatif"
 )
 
 // FamilyCandidate predicts personal connections (Algorithm 7) with the
@@ -69,26 +69,25 @@ func (f *FamilyCandidate) Propose(g pg.View, block []pg.NodeID) []ProposedEdge {
 }
 
 // ControlCandidate predicts company-control links (Algorithm 5 /
-// Definition 2.3). Ownership chains may leave the block, so the fixpoint
-// runs on the full graph; only pairs whose two endpoints share the block are
-// emitted — the completeness/granularity trade-off Section 4.4 discusses.
-type ControlCandidate struct{}
+// Definition 2.3): the control pairs of Baseline whose two endpoints share
+// the block. Ownership chains may leave the block, so the baseline is chased
+// on the full graph; keeping only in-block pairs is the
+// completeness/granularity trade-off Section 4.4 discusses.
+type ControlCandidate struct {
+	// Baseline is the derived state of the graph being augmented. It stays
+	// exact for every round: augmentation adds no shareholding edge.
+	Baseline *whatif.Baseline
+}
 
 // Class implements Candidate.
 func (ControlCandidate) Class() pg.Label { return pg.LabelControl }
 
 // Propose implements Candidate.
-func (ControlCandidate) Propose(g pg.View, block []pg.NodeID) []ProposedEdge {
-	inBlock := make(map[pg.NodeID]bool, len(block))
-	for _, id := range block {
-		inBlock[id] = true
-	}
+func (c ControlCandidate) Propose(_ pg.View, block []pg.NodeID) []ProposedEdge {
+	inBlock := blockSet(block)
 	var out []ProposedEdge
 	for _, x := range block {
-		if len(g.OutLabel(x, pg.LabelShareholding)) == 0 {
-			continue
-		}
-		for _, y := range control.Controls(g, x) {
+		for _, y := range c.Baseline.Control[x] {
 			if inBlock[y] {
 				out = append(out, ProposedEdge{From: x, To: y, Label: pg.LabelControl})
 			}
@@ -97,69 +96,44 @@ func (ControlCandidate) Propose(g pg.View, block []pg.NodeID) []ProposedEdge {
 	return out
 }
 
-// CloseLinkCandidate predicts close links (Algorithm 6 / Definition 2.6)
-// among block members, with accumulated ownership computed on the full
-// graph.
+// CloseLinkCandidate predicts close links (Algorithm 6 / Definition 2.6):
+// the close-link pairs of Baseline whose two endpoints share the block, at
+// the baseline's threshold, each proposed in both directions.
 type CloseLinkCandidate struct {
-	// Threshold t of Definition 2.6; 0 means the ECB default 0.2.
-	Threshold float64
-	Opts      closelink.Options
+	// Baseline is the derived state of the graph being augmented, as for
+	// ControlCandidate.
+	Baseline *whatif.Baseline
 }
 
 // Class implements Candidate.
 func (CloseLinkCandidate) Class() pg.Label { return pg.LabelCloseLink }
 
 // Propose implements Candidate.
-func (c CloseLinkCandidate) Propose(g pg.View, block []pg.NodeID) []ProposedEdge {
-	t := c.Threshold
-	if t == 0 {
-		t = closelink.DefaultThreshold
+func (c CloseLinkCandidate) Propose(_ pg.View, block []pg.NodeID) []ProposedEdge {
+	inBlock := blockSet(block)
+	var pairs []whatif.Pair
+	for p := range c.Baseline.CloseLink {
+		if inBlock[p[0]] && inBlock[p[1]] {
+			pairs = append(pairs, p)
+		}
 	}
-	inBlock := make(map[pg.NodeID]bool, len(block))
-	for _, id := range block {
-		inBlock[id] = true
-	}
-	var out []ProposedEdge
-	emit := func(a, b pg.NodeID) {
+	slices.SortFunc(pairs, func(x, y whatif.Pair) int {
+		return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
+	})
+	out := make([]ProposedEdge, 0, 2*len(pairs))
+	for _, p := range pairs {
 		out = append(out,
-			ProposedEdge{From: a, To: b, Label: pg.LabelCloseLink},
-			ProposedEdge{From: b, To: a, Label: pg.LabelCloseLink})
-	}
-	seen := map[[2]pg.NodeID]bool{}
-	emitOnce := func(a, b pg.NodeID) {
-		if b < a {
-			a, b = b, a
-		}
-		k := [2]pg.NodeID{a, b}
-		if !seen[k] {
-			seen[k] = true
-			emit(a, b)
-		}
-	}
-	isCompany := func(n pg.NodeID) bool { return g.Node(n).Label == pg.LabelCompany }
-
-	for _, z := range block {
-		if len(g.OutLabel(z, pg.LabelShareholding)) == 0 {
-			continue
-		}
-		acc := closelink.AccumulatedFrom(g, z, c.Opts)
-		var heavy []pg.NodeID
-		for y, v := range acc {
-			if v >= t && inBlock[y] && isCompany(y) {
-				heavy = append(heavy, y)
-			}
-		}
-		sort.Slice(heavy, func(i, j int) bool { return heavy[i] < heavy[j] })
-		if isCompany(z) {
-			for _, y := range heavy {
-				emitOnce(z, y)
-			}
-		}
-		for i := 0; i < len(heavy); i++ {
-			for j := i + 1; j < len(heavy); j++ {
-				emitOnce(heavy[i], heavy[j])
-			}
-		}
+			ProposedEdge{From: p[0], To: p[1], Label: pg.LabelCloseLink},
+			ProposedEdge{From: p[1], To: p[0], Label: pg.LabelCloseLink})
 	}
 	return out
+}
+
+// blockSet is the membership set of a block.
+func blockSet(block []pg.NodeID) map[pg.NodeID]bool {
+	in := make(map[pg.NodeID]bool, len(block))
+	for _, id := range block {
+		in[id] = true
+	}
+	return in
 }

@@ -569,6 +569,24 @@ func (e *Engine) Query(goal ...Atom) []Binding {
 // monotone aggregate is its maximum). The projection is one linear pass —
 // group-by over the whole relation touches every fact by definition.
 func (e *Engine) MaxByGroup(pred string, valueCol int, groupCols ...int) []Fact {
+	return e.maxByGroup(pred, valueCol, groupCols, -1, nil)
+}
+
+// MaxByGroupOf is MaxByGroup over the facts of pred whose column col holds
+// one of keys. It reads them through col's positional index, so it costs
+// those facts, not the relation.
+func (e *Engine) MaxByGroupOf(pred string, valueCol, col int, keys []any, groupCols ...int) []Fact {
+	defer e.syms.release(e.syms.mark())
+	vals := make([]value, len(keys))
+	for i, k := range keys {
+		vals[i] = e.syms.of(k)
+	}
+	return e.maxByGroup(pred, valueCol, groupCols, col, vals)
+}
+
+// maxByGroup is the projection of MaxByGroup over every row of pred when col
+// is negative, else over the rows holding one of keys at col.
+func (e *Engine) maxByGroup(pred string, valueCol int, groupCols []int, col int, keys []value) []Fact {
 	head, ok := e.rels[pred]
 	if !ok {
 		return nil
@@ -577,12 +595,9 @@ func (e *Engine) MaxByGroup(pred string, valueCol int, groupCols ...int) []Fact 
 	var bestV []float64
 	groups := tuples{arity: len(groupCols)}
 	key := make([]value, len(groupCols))
-	for r := head; r != nil; r = r.other {
-		if valueCol >= r.arity {
-			continue
-		}
-		for i := 0; i < r.n; i++ {
-			row := r.row(i)
+	visit := func(p probe) {
+		for k, i := 0, p.lo; k < p.n; k, i = k+1, p.step(i) {
+			row := p.at(i)
 			v, ok := row[valueCol].float()
 			if !ok {
 				continue
@@ -592,11 +607,30 @@ func (e *Engine) MaxByGroup(pred string, valueCol int, groupCols ...int) []Fact 
 			}
 			g, isNew := groups.add(&e.syms, key, e.syms.hashRow(key))
 			if isNew {
-				best, bestV = append(best, rowRef{r, i}), append(bestV, v)
+				best, bestV = append(best, rowRef{p.r, i}), append(bestV, v)
 			} else if v > bestV[g] {
-				best[g], bestV[g] = rowRef{r, i}, v
+				best[g], bestV[g] = rowRef{p.r, i}, v
 			}
 		}
+	}
+	for r := head; r != nil; r = r.other {
+		switch {
+		case valueCol >= r.arity:
+		case col < 0:
+			visit(r.rows(0, r.n))
+		case col < r.arity:
+			bytes, _ := r.ensureIndex(&e.syms, col)
+			e.addIndexBytes(bytes)
+			if !r.hasIndex(col) {
+				continue // no row was ever inserted
+			}
+			for _, k := range keys {
+				visit(r.chain(col, r.index[col].find(&e.syms, r, col, k)))
+			}
+		}
+	}
+	if len(best) == 0 {
+		return nil
 	}
 	out := make([]Fact, len(best))
 	for i, x := range best {

@@ -298,6 +298,19 @@ func TestAccumulatedOwnershipDAG(t *testing.T) {
 	if math.Abs(phiXY-0.5) > 1e-9 {
 		t.Errorf("Φ(x,y) = %v, want 0.5", phiXY)
 	}
+	// Keyed on a source, the projection is the whole one's rows of that
+	// source; a key no row holds adds none.
+	for _, src := range []string{"x", "a", "b", "y"} {
+		var want []Fact
+		for _, f := range finals {
+			if f.Args[0] == src {
+				want = append(want, f)
+			}
+		}
+		if got := e.MaxByGroupOf("accown", 2, 0, []any{src, "nobody"}, 0, 1); !reflect.DeepEqual(got, want) {
+			t.Errorf("MaxByGroupOf(%s) = %v, want %v", src, got, want)
+		}
+	}
 }
 
 func TestAggregationOnCycleTerminates(t *testing.T) {

@@ -169,19 +169,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // evalGoal is the one goal engine behind every goal-backed read:
-// /v1/control (both forms), /v1/control/pairs, /v1/ubo, /v1/explain and
-// /v1/query. It answers goal under progSrc over v by vadalog.EvalGoal, or
-// under prog by vadalog.EvalParsedGoal when the caller's program text progSrc
-// was parsed already (nil for a shipped program). The server's engine options
-// come first, then extra. The chase is published as /v1/metrics' lastChase.
+// /v1/control (both forms), /v1/control/pairs, /v1/ubo, /v1/explain,
+// /v1/accumulated and /v1/query. It answers goal under progSrc over v by
+// vadalog.EvalGoal, or under prog by vadalog.EvalParsedGoal when the
+// caller's program text progSrc was parsed already (nil for a shipped
+// program). The server's engine options come first, then extra. The chase is published as /v1/metrics' lastChase.
 // A tripped limit leaves the partial answers in res with res.RunErr set; any
 // other failure, of the chase included, is err.
 //
 // The built-in control program reads the relational image (relstore), which
 // aggregates every shareholding edge by weight, so every control route counts
-// every share. The library solver of internal/control also discounts
-// non-voting rights (bare ownership, pledge); the two agree on graphs without
-// such rights, and the cross-check tests keep that honest (DESIGN.md §5).
+// every share, whatever its right (DESIGN.md §5).
 func (s *Server) evalGoal(ctx context.Context, v pg.View, progSrc string, prog *datalog.Program, goal datalog.Atom, extra ...datalog.Option) (*vadalog.GoalResult, error) {
 	opts := append(s.engineOptions(), extra...)
 	var res *vadalog.GoalResult
@@ -201,8 +199,8 @@ func (s *Server) evalGoal(ctx context.Context, v pg.View, progSrc string, prog *
 	return res, nil
 }
 
-// The variables of the control goals the point endpoints ask.
-var varX, varY = datalog.Variable("X"), datalog.Variable("Y")
+// The variables of the goals the point endpoints ask.
+var varX, varY, varS = datalog.Variable("X"), datalog.Variable("Y"), datalog.Variable("S")
 
 // controlGoal is the atom control(x, y) of the built-in control program.
 func controlGoal(x, y datalog.Term) datalog.Atom {

@@ -242,6 +242,29 @@ func TestPledgedShareControlsOnEveryRoute(t *testing.T) {
 	}
 }
 
+// A baseline is exact or absent: when its chase trips the budget,
+// /v1/closelinks and the derived classes of /v1/augment answer 503 with the
+// limit, and nothing partial is served or cached.
+func TestBaselineReadsRefuseUnderBudget(t *testing.T) {
+	g, _ := pg.Figure2()
+	srv := httptest.NewServer(NewServerWith(g, Config{Budget: datalog.Budget{MaxFacts: 1}}).Handler())
+	defer srv.Close()
+	for _, rt := range []goalRoute{
+		{"closelinks", "GET", "/v1/closelinks", ""},
+		{"augment control", "POST", "/v1/augment", `{"classes": ["control"], "noCluster": true}`},
+		{"augment closelink", "POST", "/v1/augment", `{"classes": ["closelink"], "noCluster": true}`},
+	} {
+		t.Run(rt.name, func(t *testing.T) {
+			for i := 0; i < 2; i++ {
+				resp, body := doReq(t, rt.method, srv.URL+rt.path, rt.body)
+				if resp.StatusCode != http.StatusServiceUnavailable || body["code"] != "interrupted" || body["limit"] != "max-facts" {
+					t.Fatalf("ask %d: status %d, body %v; want 503 interrupted at max-facts", i, resp.StatusCode, body)
+				}
+			}
+		})
+	}
+}
+
 // goalRoute is one request whose miss runs a goal chase through
 // Server.evalGoal.
 type goalRoute struct {

@@ -69,7 +69,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vadalink/internal/closelink"
 	"vadalink/internal/cluster"
 	"vadalink/internal/core"
 	"vadalink/internal/datalog"
@@ -992,10 +991,14 @@ func (s *Server) handleControlPairs(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleCloseLinks lists the close links at threshold t: GET
+// /v1/closelinks?t=. It reads the baseline of the pinned version the
+// maintainer keeps (Algorithm 6's fixpoint, DESIGN.md §5), the state
+// /v1/whatif reads, and names each pair by its first witness.
 func (s *Server) handleCloseLinks(w http.ResponseWriter, r *http.Request) {
 	cur := s.vs.Current()
 	v, seq := cur.View(), cur.Seq()
-	t := closelink.DefaultThreshold
+	t := whatif.DefaultThreshold
 	if raw := queryParam(r.URL.RawQuery, "t"); raw != "" {
 		v, err := strconv.ParseFloat(raw, 64)
 		if err != nil || v <= 0 || v > 1 {
@@ -1004,30 +1007,26 @@ func (s *Server) handleCloseLinks(w http.ResponseWriter, r *http.Request) {
 		}
 		t = v
 	}
-	s.servePoint(w, r, seq, "closelinks:"+strconv.FormatFloat(t, 'g', -1, 64), qcache.ClassDerived, func() (map[string]any, error) {
-		links, runErr := closelink.CloseLinksCtx(r.Context(), v, t, closelink.Options{})
-		type item struct {
-			A      pg.NodeID `json:"a"`
-			B      pg.NodeID `json:"b"`
-			Reason string    `json:"reason"`
-			Via    pg.NodeID `json:"via"`
+	err := s.answerPoint(w, seq, "closelinks:"+strconv.FormatFloat(t, 'g', -1, 64), qcache.ClassDerived, func() (map[string]any, error) {
+		bl, err := s.ivmM.BaselineAt(r.Context(), v, seq, t)
+		if err != nil {
+			return nil, err
 		}
-		out := make([]item, 0, len(links))
-		for _, l := range links {
-			reason := "direct"
-			if l.Reason == closelink.ReasonCommonOwner {
-				reason = "common-owner"
-			}
-			out = append(out, item{A: l.Pair.A, B: l.Pair.B, Reason: reason, Via: l.Via})
-		}
-		return map[string]any{"threshold": t, "links": out}, runErr
+		return map[string]any{"threshold": t, "links": bl.Links(v)}, nil
 	})
+	switch {
+	case err == nil:
+	case interrupted(err):
+		// A baseline is exact or absent: there is no partial list to serve.
+		writeInterrupted(w, r, "close-link baseline", err)
+	default:
+		writeErr(w, r, http.StatusInternalServerError, "internal", "query failed: %v", err)
+	}
 }
 
-// handleAccumulated answers Φ(from, to): GET /v1/accumulated?from=&to=.
-// The compute stays the simple-path enumeration (its cutoff semantics on
-// cyclic graphs are part of the endpoint's contract); the response rides the
-// result cache and carries the seq and X-Cache stamps like every point read.
+// handleAccumulated answers Φ(from, to): GET /v1/accumulated?from=&to=. It
+// asks the goal accown(from, to, S) of the close-link program through the
+// goal engine, as POST /v1/query does; phi is 0 when there is no row.
 func (s *Server) handleAccumulated(w http.ResponseWriter, r *http.Request) {
 	cur := s.vs.Current()
 	v, seq := cur.View(), cur.Seq()
@@ -1042,8 +1041,16 @@ func (s *Server) handleAccumulated(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.servePoint(w, r, seq, pointKey("accumulated", from, to), qcache.Anchored(&from, &to), func() (map[string]any, error) {
-		phi, runErr := closelink.AccumulatedCtx(r.Context(), v, from, to, closelink.Options{})
-		return map[string]any{"from": from, "to": to, "phi": phi}, runErr
+		goal := datalog.Atom{Pred: "accown", Terms: []datalog.Term{datalog.Int(int64(from)), datalog.Int(int64(to)), varS}}
+		res, err := s.evalGoal(r.Context(), v, vadalog.CloseLinkProgram, nil, goal)
+		if err != nil {
+			return nil, err
+		}
+		phi := 0.0
+		for _, b := range res.Answers {
+			phi, _ = b[varS].(float64)
+		}
+		return map[string]any{"from": from, "to": to, "phi": phi}, res.RunErr
 	})
 }
 
@@ -1069,33 +1076,11 @@ func (s *Server) handleAugment(w http.ResponseWriter, r *http.Request) {
 	if len(req.Classes) == 0 {
 		req.Classes = []string{"family"}
 	}
-	var cands []core.Candidate
 	for _, c := range req.Classes {
-		switch c {
-		case "family":
-			cands = append(cands, &core.FamilyCandidate{})
-		case "control":
-			cands = append(cands, core.ControlCandidate{})
-		case "closelink":
-			cands = append(cands, core.CloseLinkCandidate{})
-		default:
+		if c != "family" && c != "control" && c != "closelink" {
 			writeErr(w, r, http.StatusBadRequest, "bad_request", "unknown link class %q", c)
 			return
 		}
-	}
-	cfg := core.Config{
-		Candidates:  cands,
-		NoCluster:   req.NoCluster,
-		FirstLevelK: req.Clusters,
-		Embed:       embed.Config{Seed: 1},
-	}
-	if !req.NoCluster {
-		cfg.Blocker = cluster.PersonBlocker{}
-	}
-	aug, err := core.New(cfg)
-	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
-		return
 	}
 	// One mutation at a time: a second augment gets an immediate 503 with
 	// Retry-After instead of queueing behind the first.
@@ -1113,7 +1098,7 @@ func (s *Server) handleAugment(w http.ResponseWriter, r *http.Request) {
 	// under the run only when the node lost the leader role; the commit
 	// then conflicts and is answered as a stale epoch.
 	txn := s.vs.Begin()
-	res, err := aug.RunContext(r.Context(), txn.Overlay())
+	res, err := s.augment(r.Context(), txn.Overlay(), req)
 	if _, cerr := txn.Commit(); cerr != nil {
 		s.activeMut.Add(-1)
 		s.writeCommitErr(w, r, cerr)
@@ -1137,7 +1122,7 @@ func (s *Server) handleAugment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		if interrupted(err) {
 			// Completed rounds persist (augmentation is monotone); a retry
 			// resumes from where this run stopped.
 			writeInterrupted(w, r, "augmentation", err)
@@ -1161,6 +1146,38 @@ func (s *Server) handleAugment(w http.ResponseWriter, r *http.Request) {
 			"matchMillis": res.MatchTime.Milliseconds(),
 		},
 	})
+}
+
+// augment runs the augmentation loop req asks for on o. The control and
+// close-link classes propose from one baseline of o, chased under ctx:
+// augmentation adds no shareholding edge, so it stays exact for every round.
+func (s *Server) augment(ctx context.Context, o *pg.Overlay, req augmentRequest) (*core.Result, error) {
+	cfg := core.Config{NoCluster: req.NoCluster, FirstLevelK: req.Clusters, Embed: embed.Config{Seed: 1}}
+	if !req.NoCluster {
+		cfg.Blocker = cluster.PersonBlocker{}
+	}
+	var bl *whatif.Baseline
+	for _, c := range req.Classes {
+		var err error
+		if c != "family" && bl == nil {
+			if bl, err = whatif.ComputeBaseline(ctx, o, whatif.DefaultThreshold, s.engineOptions()...); err != nil {
+				return nil, err
+			}
+		}
+		switch c {
+		case "family":
+			cfg.Candidates = append(cfg.Candidates, &core.FamilyCandidate{})
+		case "control":
+			cfg.Candidates = append(cfg.Candidates, core.ControlCandidate{Baseline: bl})
+		default:
+			cfg.Candidates = append(cfg.Candidates, core.CloseLinkCandidate{Baseline: bl})
+		}
+	}
+	aug, err := core.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return aug.RunContext(ctx, o)
 }
 
 // whatifRequest describes a POST /v1/whatif counterfactual: a batch of

@@ -185,6 +185,22 @@ func (r *Reasoner) CloseLinkPairs() [][2]pg.NodeID { return r.pairFacts("closeli
 // PartnerPairs returns the derived partnerof(x, y) relationships.
 func (r *Reasoner) PartnerPairs() [][2]pg.NodeID { return r.pairFacts("partnerof") }
 
+// FamilyControls returns the companies the family of that ID controls
+// jointly, the derived familycontrol(family, y) facts of Algorithm 8, sorted
+// (Facts sorts them).
+func (r *Reasoner) FamilyControls(family string) []pg.NodeID {
+	if r.engine == nil {
+		return nil
+	}
+	var out []pg.NodeID
+	for _, f := range r.engine.Facts("familycontrol") {
+		if y, ok := relstore.NodeID(f.Args[1]); ok && f.Args[0] == family {
+			out = append(out, y)
+		}
+	}
+	return out
+}
+
 // AccumulatedOwnership reads the final (maximal) accumulated-ownership value
 // per (x, y) pair from the close-link program's accown predicate.
 func (r *Reasoner) AccumulatedOwnership() map[[2]pg.NodeID]float64 {

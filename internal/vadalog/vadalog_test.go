@@ -131,13 +131,11 @@ func TestFamilyControlProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := map[pg.NodeID]bool{}
-	for _, f := range r.engine.Facts("familycontrol") {
-		if y, ok := relstore.NodeID(f.Args[1]); ok && f.Args[0] == "rossi" {
-			found[y] = true
-		}
+	for _, y := range r.FamilyControls("rossi") {
+		found[y] = true
 	}
 	if !found[b.ID("L")] {
-		t.Errorf("family must control L; got %v", r.engine.Facts("familycontrol"))
+		t.Errorf("family must control L; got %v", r.FamilyControls("rossi"))
 	}
 	// And everything the members control individually.
 	for _, c := range []string{"C", "D", "E", "F", "G", "H", "I"} {

@@ -186,10 +186,15 @@ func (b *Baseline) diff(ctx context.Context, post pg.View, journal []pg.Mutation
 			}
 		}
 	}
-	for _, f := range e.MaxByGroup("accown", 2, 0, 1) {
-		if src, ok := relstore.NodeID(f.Args[0]); ok && affected[src] {
-			c.accown[src] = append(c.accown[src], f)
-		}
+	// Only the affected sources' rows are read: the seeded rows of the other
+	// cone sources are the parent's, unchanged.
+	srcs := make([]any, 0, len(affected))
+	for src := range affected {
+		srcs = append(srcs, int64(src))
+	}
+	for _, f := range e.MaxByGroupOf("accown", 2, 0, srcs, 0, 1) {
+		src, _ := relstore.NodeID(f.Args[0])
+		c.accown[src] = append(c.accown[src], f)
 	}
 
 	// Witnesses of an unaffected source cannot have moved: its rows are the

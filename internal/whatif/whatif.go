@@ -19,6 +19,7 @@
 package whatif
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -217,6 +218,45 @@ func ComputeBaseline(ctx context.Context, v pg.View, threshold float64, engineOp
 		witnesses(z, rows, threshold, company, func(p Pair) { bl.CloseLink[p]++ })
 	}
 	return bl, nil
+}
+
+// Link is one close link of a baseline, A < B, named by a witness: Via is
+// the source that gives it. Reason is "direct" when Via is A or B (Def 2.6
+// (i), (ii)), "common-owner" otherwise (iii).
+type Link struct {
+	A      pg.NodeID `json:"a"`
+	B      pg.NodeID `json:"b"`
+	Reason string    `json:"reason"`
+	Via    pg.NodeID `json:"via"`
+}
+
+// Links lists the close links of b, the baseline of v, sorted by pair. They
+// are the pairs CloseLink counts, from the same witnesses: the sources are
+// visited in ascending ID, and a pair's first witness names it.
+func (b *Baseline) Links(v pg.View) []Link {
+	company := func(id pg.NodeID) bool { return isCompany(v, id) }
+	named := make(map[Pair]bool, len(b.CloseLink))
+	out := make([]Link, 0, len(b.CloseLink))
+	sources := make([]pg.NodeID, 0, len(b.Accown))
+	for z := range b.Accown {
+		sources = append(sources, z)
+	}
+	slices.Sort(sources)
+	for _, z := range sources {
+		witnesses(z, b.Accown[z], b.Threshold, company, func(p Pair) {
+			if named[p] {
+				return
+			}
+			named[p] = true
+			l := Link{A: p[0], B: p[1], Reason: "common-owner", Via: z}
+			if z == p[0] || z == p[1] {
+				l.Reason = "direct"
+			}
+			out = append(out, l)
+		})
+	}
+	slices.SortFunc(out, func(x, y Link) int { return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B)) })
+	return out
 }
 
 // Options tunes a what-if evaluation.

@@ -3,6 +3,7 @@ package whatif
 import (
 	"context"
 	"errors"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -240,5 +241,34 @@ func TestEvaluateNeverTouchesBase(t *testing.T) {
 	}
 	if g.NumNodes() != nodes || g.NumEdges() != edges {
 		t.Fatalf("base graph changed shape: %d/%d nodes, %d/%d edges", g.NumNodes(), nodes, g.NumEdges(), edges)
+	}
+}
+
+// Links lists exactly the pairs CloseLink counts, each named by its first
+// witness in ascending source order: (A, C) has a direct witness from A and a
+// common-owner one from P, and A comes first.
+func TestLinksNameEachPairByItsFirstWitness(t *testing.T) {
+	b := pg.NewBuilder()
+	a, bb, c := b.Company("A"), b.Company("B"), b.Company("C")
+	p := b.Person("P")
+	b.Own("P", "A", 0.3).Own("P", "B", 0.3).Own("A", "C", 0.5).Own("P", "C", 0.1)
+	g := b.Graph()
+	bl := baseline(t, g)
+	want := []Link{
+		{A: a, B: bb, Reason: "common-owner", Via: p},
+		{A: a, B: c, Reason: "direct", Via: a},
+		{A: bb, B: c, Reason: "common-owner", Via: p},
+	}
+	got := bl.Links(g)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Links = %+v, want %+v", got, want)
+	}
+	if len(bl.CloseLink) != len(got) {
+		t.Fatalf("CloseLink counts %d pairs, Links lists %d", len(bl.CloseLink), len(got))
+	}
+	for _, l := range got {
+		if bl.CloseLink[Pair{l.A, l.B}] == 0 {
+			t.Errorf("listed pair %v has no witness count", l)
+		}
 	}
 }

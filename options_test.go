@@ -16,8 +16,6 @@ var optionAllowlist = map[string]string{
 	"embed.Config.P":                    "node2vec's return parameter; BenchmarkAblationAliasSampling sets it",
 	"embed.Config.Q":                    "node2vec's in-out parameter; BenchmarkAblationAliasSampling sets it",
 	"embed.Config.LinearSampling":       "the alias-versus-linear sampling ablation of DESIGN.md §4",
-	"closelink.Options.MinProduct":      "frozen bench/batch.go spells closelink.Options{}, so the type changes only with the benchmark",
-	"closelink.Options.MaxDepth":        "frozen bench/batch.go spells closelink.Options{}, so the type changes only with the benchmark",
 	"datalog.Budget.MaxDeltaQueue":      "safety limit reachable through reasonapi.Config.Budget",
 	"datalog.Budget.MaxIndexBytes":      "safety limit reachable through reasonapi.Config.Budget",
 	"datalog.Budget.CheckEvery":         "safety limit reachable through reasonapi.Config.Budget",

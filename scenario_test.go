@@ -91,7 +91,7 @@ func TestScenarioCloseLinks(t *testing.T) {
 			a, c = c, a
 		}
 		for _, l := range links {
-			if l.Pair.A == a && l.Pair.B == c {
+			if l.A == a && l.B == c {
 				return true
 			}
 		}

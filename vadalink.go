@@ -10,9 +10,9 @@
 //   - property graphs and the company-graph model (Definitions 2.1/2.2);
 //   - the three reasoning problems — company control (Definition 2.3),
 //     close links / asset eligibility (Definitions 2.5/2.6), and detection
-//     of personal connections (Section 2) — each available both as a direct
-//     Go solver and as a declarative Vadalog program evaluated by the
-//     embedded Datalog± engine;
+//     of personal connections (Section 2) — as the paper's Vadalog programs
+//     evaluated by the embedded Datalog± engine, which the facade's reads,
+//     the augmentation loop and the HTTP API all answer from;
 //   - the KG-augmentation loop of Algorithm 1 (two-level clustering:
 //     node2vec embeddings + feature blocking, with polymorphic candidate
 //     predicates);
@@ -34,10 +34,9 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 
-	"vadalink/internal/closelink"
 	"vadalink/internal/cluster"
-	"vadalink/internal/control"
 	"vadalink/internal/core"
 	"vadalink/internal/datalog"
 	"vadalink/internal/embed"
@@ -47,8 +46,10 @@ import (
 	"vadalink/internal/persist"
 	"vadalink/internal/pg"
 	"vadalink/internal/reasonapi"
+	"vadalink/internal/relstore"
 	"vadalink/internal/replication"
 	"vadalink/internal/vadalog"
+	"vadalink/internal/whatif"
 )
 
 // Graph model re-exports.
@@ -86,44 +87,112 @@ func Figure1() (*Graph, *Builder) { return pg.Figure1() }
 // Figure2 builds the Italian company graph of the paper's Figure 2.
 func Figure2() (*Graph, *Builder) { return pg.Figure2() }
 
-// --- company control (Definition 2.3) ---
+// --- company control (Definition 2.3), close links (Definitions 2.5, 2.6) ---
 
-// Controls returns the companies controlled by x.
-func Controls(g *Graph, x NodeID) []NodeID { return control.Controls(g, x) }
-
-// GroupControls returns the companies jointly controlled by a group pooling
-// its shares (family control).
-func GroupControls(g *Graph, members []NodeID) []NodeID { return control.GroupControls(g, members) }
-
-// ControlPair is one control relationship.
-type ControlPair = control.Pair
-
-// AllControlPairs computes every control relationship in the graph.
-func AllControlPairs(g *Graph) []ControlPair { return control.AllPairs(g) }
-
-// UltimateControllers returns the persons ultimately controlling company y
-// (the anti-money-laundering UBO question).
-func UltimateControllers(g *Graph, y NodeID) []NodeID {
-	return control.UltimateControllers(g, y)
+// baseline is the served state every read below answers from, as the API's
+// does (DESIGN.md §5): control is Algorithm 5 over own/3, where every share
+// counts whatever its right, and Φ is Algorithm 6's fixpoint, a sum over
+// walks that equals Definition 2.5's simple-path sum on acyclic graphs.
+// t is the close-link threshold (0 means 0.2).
+func baseline(g *Graph, t float64) *whatif.Baseline {
+	bl, err := whatif.ComputeBaseline(context.Background(), g, t)
+	if err != nil {
+		panic(err) // unbudgeted and never cancelled, a shipped program's chase cannot fail
+	}
+	return bl
 }
 
-// Orphans returns companies with no ultimate (person) controller.
-func Orphans(g *Graph) []NodeID { return control.Orphans(g) }
+// Controls returns the companies controlled by x, sorted.
+func Controls(g *Graph, x NodeID) []NodeID { return baseline(g, 0).Control[x] }
 
-// --- close links (Definitions 2.5, 2.6) ---
+// GroupControls returns the companies jointly controlled by a group pooling
+// its shares (family control): Algorithm 8 with the members as one family.
+func GroupControls(g *Graph, members []NodeID) []NodeID {
+	r := vadalog.NewReasoner(g, vadalog.TaskFamilyControl)
+	r.Families = map[string][]NodeID{"group": members}
+	if err := r.Run(); err != nil {
+		panic(err) // as in baseline
+	}
+	return slices.DeleteFunc(r.FamilyControls("group"), func(y NodeID) bool { return slices.Contains(members, y) })
+}
 
-// CloseLinkResult is one close-link finding.
-type CloseLinkResult = closelink.Link
+// ControlPair is one control relationship: From controls To.
+type ControlPair struct{ From, To NodeID }
 
-// Accumulated computes the accumulated ownership Φ(x, y) over simple paths.
+// AllControlPairs computes every control relationship in the graph, sorted
+// by (From, To).
+func AllControlPairs(g *Graph) []ControlPair {
+	bl := baseline(g, 0)
+	var out []ControlPair
+	for _, x := range g.Nodes() {
+		for _, y := range bl.Control[x] {
+			out = append(out, ControlPair{x, y})
+		}
+	}
+	return out
+}
+
+// UltimateControllers returns the persons ultimately controlling company y
+// (the anti-money-laundering UBO question), sorted.
+func UltimateControllers(g *Graph, y NodeID) []NodeID {
+	bl := baseline(g, 0)
+	var out []NodeID
+	for _, p := range g.NodesWithLabel(LabelPerson) {
+		if _, ok := slices.BinarySearch(bl.Control[p], y); ok {
+			out = append(out, p)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// Orphans returns the companies no person controls, sorted.
+func Orphans(g *Graph) []NodeID {
+	bl := baseline(g, 0)
+	controlled := map[NodeID]bool{}
+	for _, p := range g.NodesWithLabel(LabelPerson) {
+		for _, c := range bl.Control[p] {
+			controlled[c] = true
+		}
+	}
+	var out []NodeID
+	for _, c := range g.NodesWithLabel(LabelCompany) {
+		if !controlled[c] {
+			out = append(out, c)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// Accumulated computes the accumulated ownership Φ(x, y); 0 when x holds
+// nothing of y.
 func Accumulated(g *Graph, x, y NodeID) float64 {
-	return closelink.Accumulated(g, x, y, closelink.Options{})
+	for _, f := range baseline(g, 0).Accown[x] {
+		if to, _ := relstore.NodeID(f.Args[1]); to == y {
+			return f.Args[2].(float64)
+		}
+	}
+	return 0
+}
+
+// CloseLinkResult is one close-link finding: companies A < B, named by a
+// witness Via. Reason is "direct" when Via is A or B and holds at least t of
+// the other, "common-owner" when Via holds at least t of both.
+type CloseLinkResult struct {
+	A, B   NodeID
+	Reason string
+	Via    NodeID
 }
 
 // CloseLinks returns every close-link pair among companies for threshold t
-// (use 0.2 for the ECB rule).
+// (use 0.2 for the ECB rule; t ≤ 0 means 0.2), sorted by pair.
 func CloseLinks(g *Graph, t float64) []CloseLinkResult {
-	return closelink.CloseLinks(g, t, closelink.Options{})
+	var out []CloseLinkResult
+	for _, l := range baseline(g, max(t, 0)).Links(g) {
+		out = append(out, CloseLinkResult(l))
+	}
+	return out
 }
 
 // --- KG augmentation (Algorithm 1) ---
