@@ -1,8 +1,13 @@
 package vadalink_test
 
 import (
+	"cmp"
+	"errors"
+	"math"
 	"net/http/httptest"
+	"slices"
 	"testing"
+	"time"
 
 	"vadalink"
 )
@@ -16,7 +21,10 @@ func TestQuickstartSnippet(t *testing.T) {
 	if len(controlled) != 4 {
 		t.Errorf("P1 controls %d companies, want 4 (C, D, E, F)", len(controlled))
 	}
-	links := vadalink.CloseLinks(g, 0.2)
+	links, err := vadalink.CloseLinks(g, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(links) == 0 {
 		t.Error("no close links on Figure 1")
 	}
@@ -36,8 +44,59 @@ func TestBuildYourOwnGraph(t *testing.T) {
 	if len(got) != 2 {
 		t.Errorf("Alice controls %d, want 2", len(got))
 	}
-	if phi := vadalink.Accumulated(g, b.ID("Alice"), b.ID("Sub")); phi != 0.48 {
-		t.Errorf("Φ(Alice, Sub) = %v, want 0.48", phi)
+	if phi, err := vadalink.Accumulated(g, b.ID("Alice"), b.ID("Sub")); err != nil || phi != 0.48 {
+		t.Errorf("Φ(Alice, Sub) = %v, %v; want 0.48", phi, err)
+	}
+}
+
+// On a full cross-holding (A and B holding 100 % of each other, B holding
+// 15 % of C) the walk-sum Φ(A, C) diverges. Control does not need Φ, so every
+// control read answers; Accumulated answers pairs whose cone avoids the
+// cycle and fails, rather than running on, for pairs whose cone holds it;
+// CloseLinks, which chases Φ from every source, fails.
+func TestFacadeTerminatesOnAFullCrossHolding(t *testing.T) {
+	b := vadalink.NewBuilder()
+	b.Person("P")
+	for _, c := range []string{"A", "B", "C", "D", "E"} {
+		b.Company(c)
+	}
+	b.Own("A", "B", 1).Own("B", "A", 1).Own("B", "C", 0.15).Own("P", "D", 0.6).Own("D", "E", 0.6)
+	g := b.Graph()
+	id := b.ID
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if got := vadalink.Controls(g, id("A")); !slices.Equal(got, []vadalink.NodeID{id("B")}) {
+			t.Errorf("Controls(A) = %v, want [B]", got)
+		}
+		want := []vadalink.ControlPair{{id("A"), id("B")}, {id("B"), id("A")}, {id("D"), id("E")}, {id("P"), id("D")}, {id("P"), id("E")}}
+		slices.SortFunc(want, func(x, y vadalink.ControlPair) int {
+			return cmp.Or(cmp.Compare(x.From, y.From), cmp.Compare(x.To, y.To))
+		})
+		if got := vadalink.AllControlPairs(g); !slices.Equal(got, want) {
+			t.Errorf("AllControlPairs = %v, want %v", got, want)
+		}
+		if got := vadalink.UltimateControllers(g, id("E")); !slices.Equal(got, []vadalink.NodeID{id("P")}) {
+			t.Errorf("UltimateControllers(E) = %v, want [P]", got)
+		}
+		if got := vadalink.Orphans(g); !slices.Equal(got, []vadalink.NodeID{id("A"), id("B"), id("C")}) {
+			t.Errorf("Orphans = %v, want [A B C]", got)
+		}
+		if phi, err := vadalink.Accumulated(g, id("P"), id("E")); err != nil || math.Abs(phi-0.36) > 1e-12 {
+			t.Errorf("Φ(P, E) = %v, %v; want 0.36", phi, err)
+		}
+		var be *vadalink.BudgetExceededError
+		if phi, err := vadalink.Accumulated(g, id("A"), id("C")); !errors.As(err, &be) {
+			t.Errorf("Φ(A, C) = %v, %v; want a budget error: the walk sum diverges", phi, err)
+		}
+		if links, err := vadalink.CloseLinks(g, 0.2); !errors.As(err, &be) {
+			t.Errorf("CloseLinks = %v, %v; want a budget error: the walk sum diverges", links, err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("the facade reads did not return within a minute")
 	}
 }
 

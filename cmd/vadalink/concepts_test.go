@@ -225,7 +225,11 @@ func TestOneAnswerPerConcept(t *testing.T) {
 			}
 
 			links := map[string][]pair{}
-			for _, l := range vadalink.CloseLinks(g, 0.2) {
+			facadeLinks, err := vadalink.CloseLinks(g, 0.2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, l := range facadeLinks {
 				links["facade CloseLinks"] = append(links["facade CloseLinks"], pair{l.A, l.B})
 			}
 			var linksBody struct {
@@ -277,7 +281,10 @@ func TestOneAnswerPerConcept(t *testing.T) {
 					p := pair{x, y}
 					var acc struct{ Phi float64 }
 					answer(t, h, "GET", fmt.Sprintf("/v1/accumulated?from=%d&to=%d", x, y), "", &acc)
-					facade := vadalink.Accumulated(g, x, y)
+					facade, err := vadalink.Accumulated(g, x, y)
+					if err != nil {
+						t.Fatal(err)
+					}
 					if math.Abs(acc.Phi-facade) > eps || math.Abs(goal[p]-facade) > eps {
 						t.Errorf("Φ%v: /v1/accumulated %v, /v1/query accown %v, facade %v", p, acc.Phi, goal[p], facade)
 					}

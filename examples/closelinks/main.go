@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"vadalink"
 )
@@ -33,12 +34,18 @@ func main() {
 	for _, pair := range [][2]string{
 		{"Vehicle", "Borrower"}, {"Vehicle", "Guarantor"}, {"Vehicle", "CleanCo"},
 	} {
-		phi := vadalink.Accumulated(g, b.ID(pair[0]), b.ID(pair[1]))
+		phi, err := vadalink.Accumulated(g, b.ID(pair[0]), b.ID(pair[1]))
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  Φ(%s, %s) = %.3f\n", pair[0], pair[1], phi)
 	}
 
 	fmt.Println("\nclose links at the ECB threshold t = 0.2 (Definition 2.6):")
-	links := vadalink.CloseLinks(g, 0.2)
+	links, err := vadalink.CloseLinks(g, 0.2)
+	if err != nil {
+		log.Fatal(err)
+	}
 	closelinked := map[[2]vadalink.NodeID]bool{}
 	for _, l := range links {
 		fmt.Printf("  %s – %s (common third party: %s)\n",

@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"vadalink"
 )
@@ -36,9 +37,16 @@ func main() {
 	g2, b2 := vadalink.Figure2()
 	name2 := func(id vadalink.NodeID) string { return g2.Node(id).Props["name"].(string) }
 
-	fmt.Printf("accumulated ownership Φ(C4, C7) = %.2f\n",
-		vadalink.Accumulated(g2, b2.ID("C4"), b2.ID("C7")))
-	for _, l := range vadalink.CloseLinks(g2, 0.2) {
+	phi, err := vadalink.Accumulated(g2, b2.ID("C4"), b2.ID("C7"))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("accumulated ownership Φ(C4, C7) = %.2f\n", phi)
+	links, err := vadalink.CloseLinks(g2, 0.2)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, l := range links {
 		fmt.Printf("close link: %s – %s (via %s)\n",
 			name2(l.A), name2(l.B), name2(l.Via))
 	}

@@ -41,7 +41,7 @@ func TestAugmentationKeepsTheBaselineExact(t *testing.T) {
 		FirstLevelK: 2,
 		Embed:       embed.Config{Seed: 1, Dims: 8, WalksPerNode: 2, WalkLength: 10, Epochs: 1},
 		Reembed:     true,
-		Candidates:  []Candidate{&FamilyCandidate{}, ControlCandidate{bl}, CloseLinkCandidate{bl}},
+		Candidates:  []Candidate{&FamilyCandidate{}, ControlCandidate{bl.Control}, CloseLinkCandidate{bl}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestAugmentationKeepsTheBaselineExact(t *testing.T) {
 
 func TestNoClusterControlMatchesDirectSolver(t *testing.T) {
 	g, b := pg.Figure2()
-	a, err := New(Config{NoCluster: true, Candidates: []Candidate{ControlCandidate{baselineOf(t, g)}}})
+	a, err := New(Config{NoCluster: true, Candidates: []Candidate{ControlCandidate{baselineOf(t, g).Control}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestAugmentationTerminates(t *testing.T) {
 
 func TestRunIsIdempotentOnEdges(t *testing.T) {
 	g, _ := pg.Figure2()
-	a, _ := New(Config{NoCluster: true, Candidates: []Candidate{ControlCandidate{baselineOf(t, g)}}})
+	a, _ := New(Config{NoCluster: true, Candidates: []Candidate{ControlCandidate{baselineOf(t, g).Control}}})
 	if _, err := a.Run(g); err != nil {
 		t.Fatal(err)
 	}

@@ -69,14 +69,15 @@ func (f *FamilyCandidate) Propose(g pg.View, block []pg.NodeID) []ProposedEdge {
 }
 
 // ControlCandidate predicts company-control links (Algorithm 5 /
-// Definition 2.3): the control pairs of Baseline whose two endpoints share
-// the block. Ownership chains may leave the block, so the baseline is chased
-// on the full graph; keeping only in-block pairs is the
-// completeness/granularity trade-off Section 4.4 discusses.
+// Definition 2.3): the pairs of Control whose two endpoints share the block.
+// Ownership chains may leave the block, so Control is derived on the full
+// graph; keeping only in-block pairs is the completeness/granularity
+// trade-off Section 4.4 discusses.
 type ControlCandidate struct {
-	// Baseline is the derived state of the graph being augmented. It stays
+	// Control is the control relation of the graph being augmented: each
+	// controller's controlled nodes, in the order they are proposed. It stays
 	// exact for every round: augmentation adds no shareholding edge.
-	Baseline *whatif.Baseline
+	Control map[pg.NodeID][]pg.NodeID
 }
 
 // Class implements Candidate.
@@ -87,7 +88,7 @@ func (c ControlCandidate) Propose(_ pg.View, block []pg.NodeID) []ProposedEdge {
 	inBlock := blockSet(block)
 	var out []ProposedEdge
 	for _, x := range block {
-		for _, y := range c.Baseline.Control[x] {
+		for _, y := range c.Control[x] {
 			if inBlock[y] {
 				out = append(out, ProposedEdge{From: x, To: y, Label: pg.LabelControl})
 			}
@@ -100,8 +101,8 @@ func (c ControlCandidate) Propose(_ pg.View, block []pg.NodeID) []ProposedEdge {
 // the close-link pairs of Baseline whose two endpoints share the block, at
 // the baseline's threshold, each proposed in both directions.
 type CloseLinkCandidate struct {
-	// Baseline is the derived state of the graph being augmented, as for
-	// ControlCandidate.
+	// Baseline is the derived state of the graph being augmented; like
+	// ControlCandidate.Control it stays exact for every round.
 	Baseline *whatif.Baseline
 }
 

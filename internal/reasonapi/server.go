@@ -1148,28 +1148,40 @@ func (s *Server) handleAugment(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// augment runs the augmentation loop req asks for on o. The control and
-// close-link classes propose from one baseline of o, chased under ctx:
-// augmentation adds no shareholding edge, so it stays exact for every round.
+// augment runs the augmentation loop req asks for on o. The control class
+// proposes the answers of the goal control(X, Y), as /v1/control/pairs does;
+// the close-link class proposes from a baseline of o, so only it chases Φ.
+// Both are derived under ctx before the loop runs: augmentation adds no
+// shareholding edge, so they stay exact for every round.
 func (s *Server) augment(ctx context.Context, o *pg.Overlay, req augmentRequest) (*core.Result, error) {
 	cfg := core.Config{NoCluster: req.NoCluster, FirstLevelK: req.Clusters, Embed: embed.Config{Seed: 1}}
 	if !req.NoCluster {
 		cfg.Blocker = cluster.PersonBlocker{}
 	}
-	var bl *whatif.Baseline
 	for _, c := range req.Classes {
-		var err error
-		if c != "family" && bl == nil {
-			if bl, err = whatif.ComputeBaseline(ctx, o, whatif.DefaultThreshold, s.engineOptions()...); err != nil {
-				return nil, err
-			}
-		}
 		switch c {
 		case "family":
 			cfg.Candidates = append(cfg.Candidates, &core.FamilyCandidate{})
 		case "control":
-			cfg.Candidates = append(cfg.Candidates, core.ControlCandidate{Baseline: bl})
+			res, err := s.evalGoal(ctx, o, vadalog.ControlProgram, nil, controlGoal(varX, varY))
+			if err == nil {
+				err = res.RunErr
+			}
+			if err != nil {
+				return nil, err
+			}
+			control := map[pg.NodeID][]pg.NodeID{}
+			for _, b := range res.Answers {
+				x, _ := relstore.NodeID(b[varX])
+				y, _ := relstore.NodeID(b[varY])
+				control[x] = append(control[x], y)
+			}
+			cfg.Candidates = append(cfg.Candidates, core.ControlCandidate{Control: control})
 		default:
+			bl, err := whatif.ComputeBaseline(ctx, o, whatif.DefaultThreshold, s.engineOptions()...)
+			if err != nil {
+				return nil, err
+			}
 			cfg.Candidates = append(cfg.Candidates, core.CloseLinkCandidate{Baseline: bl})
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"vadalink/internal/graphgen"
 	"vadalink/internal/pg"
@@ -165,6 +166,37 @@ func TestAugmentEndpoint(t *testing.T) {
 	}
 	if out.Comparisons == 0 {
 		t.Error("no comparisons reported")
+	}
+}
+
+// On a full cross-holding (A and B holding 100 % of each other) the walk-sum
+// Φ of B→C diverges, but control does not need Φ: the control class of
+// /v1/augment answers from the goal control(X, Y), as /v1/control/pairs
+// does, while the close-link class, which chases Φ, runs into the deadline.
+func TestAugmentControlClassDoesNotChasePhi(t *testing.T) {
+	b := pg.NewBuilder()
+	for _, c := range []string{"A", "B", "C"} {
+		b.Company(c)
+	}
+	b.Own("A", "B", 1).Own("B", "A", 1).Own("B", "C", 0.15)
+	srv := httptest.NewServer(NewServerWith(b.Graph(), Config{Timeout: 300 * time.Millisecond}).Handler())
+	defer srv.Close()
+	augment := func(class string) (int, map[string]int) {
+		resp, err := http.Post(srv.URL+"/v1/augment", "application/json",
+			strings.NewReader(`{"classes":["`+class+`"],"noCluster":true}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out struct{ Added map[string]int }
+		_ = json.NewDecoder(resp.Body).Decode(&out)
+		return resp.StatusCode, out.Added
+	}
+	if code, added := augment("control"); code != 200 || added[string(pg.LabelControl)] != 2 {
+		t.Errorf("control class: status %d, added %v; want 200 and the two control links A⇄B", code, added)
+	}
+	if code, _ := augment("closelink"); code != http.StatusServiceUnavailable {
+		t.Errorf("close-link class: status %d, want 503: its baseline chases the diverging Φ", code)
 	}
 }
 

@@ -59,8 +59,12 @@ func TestServedDefinitionsMatchTheOracles(t *testing.T) {
 					}
 				}
 			}
+			links, err := vadalink.CloseLinks(g, th)
+			if err != nil {
+				t.Fatal(err)
+			}
 			served := map[[2]pg.NodeID]vadalink.CloseLinkResult{}
-			for _, l := range vadalink.CloseLinks(g, th) {
+			for _, l := range links {
 				if !near[l.A] && !near[l.B] {
 					served[[2]pg.NodeID{l.A, l.B}] = l
 				}

@@ -84,7 +84,10 @@ func TestScenarioFamilyControl(t *testing.T) {
 
 func TestScenarioCloseLinks(t *testing.T) {
 	g, b := buildConglomerate()
-	links := vadalink.CloseLinks(g, 0.2)
+	links, err := vadalink.CloseLinks(g, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	has := func(x, y string) bool {
 		a, c := b.ID(x), b.ID(y)
 		if c < a {

@@ -24,12 +24,13 @@
 //
 //	g, b := vadalink.Figure1()
 //	controlled := vadalink.Controls(g, b.ID("P1"))   // C, D, E, F
-//	links := vadalink.CloseLinks(g, 0.2)             // incl. (G, I) via P2
+//	links, err := vadalink.CloseLinks(g, 0.2)        // incl. (G, I) via P2
 //
 // See examples/ for runnable programs and DESIGN.md for the architecture.
 package vadalink
 
 import (
+	"cmp"
 	"context"
 	"io"
 	"net/http"
@@ -89,21 +90,52 @@ func Figure2() (*Graph, *Builder) { return pg.Figure2() }
 
 // --- company control (Definition 2.3), close links (Definitions 2.5, 2.6) ---
 
-// baseline is the served state every read below answers from, as the API's
-// does (DESIGN.md §5): control is Algorithm 5 over own/3, where every share
-// counts whatever its right, and Φ is Algorithm 6's fixpoint, a sum over
-// walks that equals Definition 2.5's simple-path sum on acyclic graphs.
-// t is the close-link threshold (0 means 0.2).
-func baseline(g *Graph, t float64) *whatif.Baseline {
-	bl, err := whatif.ComputeBaseline(context.Background(), g, t)
+// The reads below ask the programs the API serves, at its aggregate step
+// (DESIGN.md §5). Control's msum ranges over distinct intermediaries, so its
+// chase always ends. The walk-sum Φ diverges on a cross-holding wholly owned
+// inside itself (A and B holding 100 % of each other), so the Φ reads stop
+// after phiRounds rounds (a cycle gain of 0.998 converges within them, 0.999
+// does not) and return the engine's *BudgetExceededError.
+const phiRounds = 10_000
+
+// The goal variables of the facade's reads.
+var varX, varY, varS = datalog.Variable("X"), datalog.Variable("Y"), datalog.Variable("S")
+
+// ask answers the goal pred(terms...) of the shipped program prog over g,
+// magic sets restricting the chase to the bound arguments' cones.
+func ask(g *Graph, prog, pred string, terms ...datalog.Term) ([]datalog.Binding, error) {
+	res, err := vadalog.EvalGoal(context.Background(), g, prog, datalog.Atom{Pred: pred, Terms: terms},
+		datalog.WithMinAggDelta(whatif.DefaultMinAggDelta), datalog.WithMaxRounds(phiRounds))
 	if err != nil {
-		panic(err) // unbudgeted and never cancelled, a shipped program's chase cannot fail
+		return nil, err
 	}
-	return bl
+	return res.Answers, res.RunErr
 }
 
-// Controls returns the companies controlled by x, sorted.
-func Controls(g *Graph, x NodeID) []NodeID { return baseline(g, 0).Control[x] }
+// control answers the goal control(x, y) of Algorithm 5.
+func control(g *Graph, x, y datalog.Term) []datalog.Binding {
+	bs, err := ask(g, vadalog.ControlProgram, "control", x, y)
+	if err != nil {
+		panic(err) // never cancelled, the control chase ends well within phiRounds
+	}
+	return bs
+}
+
+// ids projects variable v of each binding to a sorted node-ID list.
+func ids(bs []datalog.Binding, v datalog.Variable) []NodeID {
+	out := make([]NodeID, 0, len(bs))
+	for _, b := range bs {
+		n, _ := relstore.NodeID(b[v])
+		out = append(out, n)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// Controls returns the nodes x controls, sorted.
+func Controls(g *Graph, x NodeID) []NodeID {
+	return ids(control(g, datalog.Int(int64(x)), varY), varY)
+}
 
 // GroupControls returns the companies jointly controlled by a group pooling
 // its shares (family control): Algorithm 8 with the members as one family.
@@ -111,7 +143,7 @@ func GroupControls(g *Graph, members []NodeID) []NodeID {
 	r := vadalog.NewReasoner(g, vadalog.TaskFamilyControl)
 	r.Families = map[string][]NodeID{"group": members}
 	if err := r.Run(); err != nil {
-		panic(err) // as in baseline
+		panic(err) // as in control: Algorithm 8's msums range over distinct owners
 	}
 	return slices.DeleteFunc(r.FamilyControls("group"), func(y NodeID) bool { return slices.Contains(members, y) })
 }
@@ -122,77 +154,62 @@ type ControlPair struct{ From, To NodeID }
 // AllControlPairs computes every control relationship in the graph, sorted
 // by (From, To).
 func AllControlPairs(g *Graph) []ControlPair {
-	bl := baseline(g, 0)
 	var out []ControlPair
-	for _, x := range g.Nodes() {
-		for _, y := range bl.Control[x] {
-			out = append(out, ControlPair{x, y})
-		}
+	for _, b := range control(g, varX, varY) {
+		from, _ := relstore.NodeID(b[varX])
+		to, _ := relstore.NodeID(b[varY])
+		out = append(out, ControlPair{from, to})
 	}
+	slices.SortFunc(out, func(a, b ControlPair) int { return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To)) })
 	return out
 }
 
 // UltimateControllers returns the persons ultimately controlling company y
 // (the anti-money-laundering UBO question), sorted.
 func UltimateControllers(g *Graph, y NodeID) []NodeID {
-	bl := baseline(g, 0)
-	var out []NodeID
-	for _, p := range g.NodesWithLabel(LabelPerson) {
-		if _, ok := slices.BinarySearch(bl.Control[p], y); ok {
-			out = append(out, p)
-		}
-	}
-	slices.Sort(out)
-	return out
+	return slices.DeleteFunc(ids(control(g, varX, datalog.Int(int64(y))), varX), func(x NodeID) bool {
+		return g.Node(x).Label != LabelPerson
+	})
 }
 
 // Orphans returns the companies no person controls, sorted.
 func Orphans(g *Graph) []NodeID {
-	bl := baseline(g, 0)
 	controlled := map[NodeID]bool{}
-	for _, p := range g.NodesWithLabel(LabelPerson) {
-		for _, c := range bl.Control[p] {
-			controlled[c] = true
-		}
+	for _, p := range AllControlPairs(g) {
+		controlled[p.To] = controlled[p.To] || g.Node(p.From).Label == LabelPerson
 	}
-	var out []NodeID
-	for _, c := range g.NodesWithLabel(LabelCompany) {
-		if !controlled[c] {
-			out = append(out, c)
-		}
-	}
+	out := slices.DeleteFunc(g.NodesWithLabel(LabelCompany), func(c NodeID) bool { return controlled[c] })
 	slices.Sort(out)
 	return out
 }
 
-// Accumulated computes the accumulated ownership Φ(x, y); 0 when x holds
-// nothing of y.
-func Accumulated(g *Graph, x, y NodeID) float64 {
-	for _, f := range baseline(g, 0).Accown[x] {
-		if to, _ := relstore.NodeID(f.Args[1]); to == y {
-			return f.Args[2].(float64)
-		}
+// Accumulated computes the accumulated ownership Φ(x, y), 0 when x holds
+// nothing of y. Its chase covers x's cone, so it fails only when that cone
+// holds a cycle Φ does not converge on.
+func Accumulated(g *Graph, x, y NodeID) (float64, error) {
+	bs, err := ask(g, vadalog.CloseLinkProgram, "accown", datalog.Int(int64(x)), datalog.Int(int64(y)), varS)
+	phi := 0.0
+	for _, b := range bs {
+		phi, _ = b[varS].(float64)
 	}
-	return 0
+	return phi, err
 }
 
 // CloseLinkResult is one close-link finding: companies A < B, named by a
 // witness Via. Reason is "direct" when Via is A or B and holds at least t of
 // the other, "common-owner" when Via holds at least t of both.
-type CloseLinkResult struct {
-	A, B   NodeID
-	Reason string
-	Via    NodeID
-}
+type CloseLinkResult = whatif.Link
 
 // CloseLinks returns every close-link pair among companies for threshold t
-// (use 0.2 for the ECB rule; t ≤ 0 means 0.2), sorted by pair.
-func CloseLinks(g *Graph, t float64) []CloseLinkResult {
-	var out []CloseLinkResult
-	for _, l := range baseline(g, max(t, 0)).Links(g) {
-		out = append(out, CloseLinkResult(l))
+// (use 0.2 for the ECB rule; t ≤ 0 means 0.2), sorted by pair. It chases Φ
+// from every source, so it fails when any cycle of g is one Φ does not
+// converge on.
+func CloseLinks(g *Graph, t float64) ([]CloseLinkResult, error) {
+	bl, err := whatif.ComputeBaseline(context.Background(), g, max(t, 0), datalog.WithMaxRounds(phiRounds))
+	if err != nil {
+		return nil, err
 	}
-	return out
+	return bl.Links(g), nil
 }
 
 // --- KG augmentation (Algorithm 1) ---
