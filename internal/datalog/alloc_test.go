@@ -38,7 +38,8 @@ func registryFacts() []datalog.Fact {
 // fact's key and per aggregate contributor key) allocated 44,365 times here;
 // slot bindings and key scratch brought it to 12,849, and value rows (no
 // []any per fact, no key strings, flat aggregate tables; DESIGN.md §7.8) to
-// 1,101 — what remains is mostly table growth. The budget leaves ~13 %
+// 1,101 — what remains is mostly table growth; compiling the program's
+// column liveness (DESIGN.md §7.9) adds 8. The budget leaves ~13 %
 // headroom. A chase that starts allocating per fact, per candidate or per
 // duplicate again fails here.
 func TestChaseAllocations(t *testing.T) {
@@ -71,11 +72,13 @@ func TestChaseAllocations(t *testing.T) {
 }
 
 // TestGoalMissAllocations pins what one point-cold-shaped goal miss
-// allocates: the relational image of a fixed generated registry
-// (relstore.CompanyGraphFacts), loaded into an engine of the compiled demand
-// plan of control(X, Y) with X bound, chased and queried — the path of every
-// qcache miss on a control question. Extraction is included. Before value
-// rows a miss here allocated 39,333 times and 2.81 MB; now 14,017 times and
+// allocates on the extract-then-assert path: the relational image of a fixed
+// generated registry as facts (relstore.CompanyGraphFacts), asserted whole
+// into an engine of the compiled demand plan of control(X, Y) with X bound,
+// chased and queried. The server streams the image instead (vadalog's
+// TestEvalGoalAllocations pins that path); this one is the path the
+// benchmark's traced replay times. Extraction is included. Before value rows
+// a miss here allocated 39,333 times and 2.81 MB; now 14,017 times and
 // 1.79 MB, mostly extraction's boxed numbers and the relations' arenas. The
 // budgets leave ~13 % headroom.
 func TestGoalMissAllocations(t *testing.T) {

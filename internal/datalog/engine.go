@@ -121,6 +121,11 @@ type Engine struct {
 
 	// prov holds the first derivation per derived row (WithProvenance).
 	prov map[rowRef]Derivation
+
+	// prune is set by Prune: loads store "" at the plan's dead positions,
+	// except in keep's relations.
+	prune bool
+	keep  string
 }
 
 // rowRef names a stored row: a premise of provenance.
@@ -253,6 +258,10 @@ type Compiled struct {
 	ruleMeta []ruleMeta
 	// syms holds the program's constants; an engine's table starts as it.
 	syms symtab
+	// live holds the observable positions of the extensional relations the
+	// rules read, and heads the predicates the rules derive (liveness).
+	live  map[relKey]uint64
+	heads map[string]bool
 }
 
 // Compile validates and plans every rule of prog and stratifies it. It
@@ -276,6 +285,8 @@ func Compile(prog *Program) (*Compiled, error) {
 		return nil, err
 	}
 	c.strata = strata
+	c.heads = prog.HeadPreds()
+	c.live = liveness(prog, c.heads)
 	return c, nil
 }
 
@@ -333,9 +344,15 @@ func (e *Engine) Assert(f Fact) bool {
 // assert inserts args into r.
 func (e *Engine) assert(r *relation, args []any) bool {
 	m := e.syms.mark()
-	_, ok, bytes := r.insert(&e.syms, e.rowOf(args))
+	return e.store(r, e.rowOf(args), m)
+}
+
+// store inserts row into r, dropping the symbol table entries made since
+// mark when the row is a duplicate.
+func (e *Engine) store(r *relation, row []value, mark int) bool {
+	_, ok, bytes := r.insert(&e.syms, row)
 	if !ok {
-		e.syms.release(m)
+		e.syms.release(mark)
 	}
 	e.indexBytes += int64(bytes)
 	return ok
@@ -369,7 +386,7 @@ func (e *Engine) AssertAll(fs []Fact) {
 			syms += b.n * b.syms
 		}
 	}
-	e.syms.objs = slices.Grow(e.syms.objs, syms)
+	e.syms.reserve(syms)
 	var r *relation
 	for _, f := range fs {
 		if r == nil || r.pred != f.Pred || r.arity != len(f.Args) {

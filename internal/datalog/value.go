@@ -126,6 +126,16 @@ func (sy *symtab) any(v value) any {
 	return sy.objs[v.bits]
 }
 
+// reserve makes room for n more entries, exactly: a table a load sizes
+// ahead keeps no growth slack.
+func (sy *symtab) reserve(n int) {
+	if cap(sy.objs)-len(sy.objs) < n {
+		objs := make([]any, len(sy.objs), len(sy.objs)+n)
+		copy(objs, sy.objs)
+		sy.objs = objs
+	}
+}
+
 // mark, pin and release bound the table by what is stored: a value made
 // while matching (an Assert's duplicate, a probe of Has, a Skolem term of a
 // derivation that turned out known) is dropped again unless a stored row

@@ -9,9 +9,11 @@ package reasonapi
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -66,6 +68,62 @@ func TestQueryEndpointAnswersGoal(t *testing.T) {
 	}
 	if body2["seq"] != body["seq"] {
 		t.Fatalf("cached seq = %v, want %v", body2["seq"], body["seq"])
+	}
+}
+
+// TestGoalRoutesReadRealProperties pins that the routes which show a node's
+// properties see the graph's own: a goal on company/5 or person/5 through
+// POST /v1/query, a custom program's head that carries a property, and the
+// leaf facts of a /v1/explain tree. Goal engines load every other relation
+// pruned to the columns their rules read, so these are the places a padded
+// property would show.
+func TestGoalRoutesReadRealProperties(t *testing.T) {
+	g := pg.New()
+	acme := g.AddNode(pg.LabelCompany, pg.Properties{"name": "Acme", "addr": "Via Roma 1", "sector": "bank"})
+	rossi := g.AddNode(pg.LabelPerson, pg.Properties{"name": "Rossi", "birth": 1970.0, "addr": "Milano"})
+	g.MustAddEdgeWeighted(rossi, acme, 0.6)
+	srv := httptest.NewServer(NewServer(g).Handler())
+	t.Cleanup(srv.Close)
+
+	for _, c := range []struct {
+		goal, program string
+		want          map[string]any
+	}{
+		{fmt.Sprintf("company(%d, N, B, A, S)", acme), "",
+			map[string]any{"N": "Acme", "B": "", "A": "Via Roma 1", "S": "bank"}},
+		{fmt.Sprintf("person(%d, N, B, A, S)", rossi), "",
+			map[string]any{"N": "Rossi", "B": "1970", "A": "Milano", "S": ""}},
+		{fmt.Sprintf("holder(%d, N)", acme), "own(X, Y, W), person(X, N, B, A, S) -> holder(Y, N).",
+			map[string]any{"N": "Rossi"}},
+	} {
+		body, _ := json.Marshal(map[string]string{"goal": c.goal, "program": c.program})
+		resp, out := postQuery(t, srv.URL, string(body))
+		answers, _ := out["answers"].([]any)
+		if resp.StatusCode != 200 || len(answers) != 1 {
+			t.Fatalf("%s = %d %v, want one answer", c.goal, resp.StatusCode, out)
+		}
+		row := answers[0].(map[string]any)
+		for k, v := range c.want {
+			if row[k] != v {
+				t.Errorf("%s: %s = %v, want %v", c.goal, k, row[k], v)
+			}
+		}
+	}
+
+	var explain struct {
+		Why []string `json:"why"`
+	}
+	if code := getJSON(t, fmt.Sprintf("%s/v1/explain?from=%d&to=%d", srv.URL, rossi, acme), &explain); code != 200 {
+		t.Fatalf("explain status = %d", code)
+	}
+	leaves := strings.Join(explain.Why, "\n")
+	for _, leaf := range []string{
+		fmt.Sprintf(`person(%d, "Rossi", "1970", "Milano", "")`, rossi),
+		fmt.Sprintf("own(%d, %d, 0.6)", rossi, acme),
+	} {
+		if !strings.Contains(leaves, leaf) {
+			t.Errorf("explain tree lacks the leaf %s:\n%s", leaf, leaves)
+		}
 	}
 }
 

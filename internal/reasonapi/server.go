@@ -1330,10 +1330,10 @@ func (s *Server) handleReason(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Extract the relational image of one pinned version, then chase it; the
-	// answer is stamped with that version's seq.
+	// Stream the relational image of one pinned version into the engine,
+	// then chase it; the answer is stamped with that version's seq.
 	cur := s.vs.Current()
-	engine.AssertAll(relstore.CompanyGraphFacts(cur.View()))
+	relstore.Load(engine, cur.View())
 
 	runErr := engine.RunContext(r.Context())
 	s.recordChase(engine.Stats())

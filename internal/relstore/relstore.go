@@ -34,108 +34,156 @@ const (
 // the relational representation. Missing properties export as "".
 var NodeProps = []string{"name", "birth", "addr", "sector"}
 
-// CompanyGraphFacts maps a company graph to its relational representation:
-// company(id, props...), person(id, props...), own(from, to, w) — the
-// extensional component of the knowledge graph (Example 3.1).
-//
-// Every demand-driven point query extracts the whole image, so the rows
-// share a few exactly sized backing arrays rather than allocating one
-// argument slice each; each row's slice is capped at its own arguments.
-func CompanyGraphFacts(g pg.View) []datalog.Fact {
-	nodes := g.Nodes()
-	shares := g.EdgesWithLabel(pg.LabelShareholding)
-	facts := make([]datalog.Fact, 0, len(nodes)+len(shares))
-	args := make([]any, 0, len(nodes)*(1+len(NodeProps)))
-	for _, id := range nodes {
-		n := g.Node(id)
-		pred := PredCompany
-		switch n.Label {
-		case pg.LabelCompany:
-		case pg.LabelPerson:
-			pred = PredPerson
-		default:
+// rows is what a walk of the relational image writes into: a
+// *datalog.Loader streaming the rows into an engine (Load), or factRows
+// collecting them as facts (CompanyGraphFacts). Every row of the image is
+// written by nodeRow or ownRows, so every consumer reads one definition.
+type rows interface {
+	// Live reports whether the reader observes position pos; nodeRow reads
+	// no property for a dead one.
+	Live(pos int) bool
+	Int(x int64)
+	Float(x float64)
+	Value(a any)
+	Add() bool
+}
+
+// nodeRels are the node relations of the image, in load order.
+var nodeRels = [...]struct {
+	label pg.Label
+	pred  string
+}{{pg.LabelCompany, PredCompany}, {pg.LabelPerson, PredPerson}}
+
+// nodeArity is the arity of a company or person row: the ID, then NodeProps.
+func nodeArity() int { return 1 + len(NodeProps) }
+
+// nodeRow writes the row of node id: its ID, then its properties in
+// NodeProps order. The node is looked up only when w observes a property.
+func nodeRow(g pg.View, id pg.NodeID, w rows) {
+	w.Int(int64(id))
+	var n *pg.Node
+	for i, name := range NodeProps {
+		if !w.Live(1 + i) {
+			w.Value("")
 			continue
 		}
-		start := len(args)
-		args = append(args, int64(id))
-		for _, p := range NodeProps {
-			args = append(args, propValue(n.Props, p))
+		if n == nil {
+			n = g.Node(id)
 		}
-		facts = append(facts, datalog.Fact{Pred: pred, Args: args[start:len(args):len(args)]})
+		w.Value(propValue(n.Props, name))
 	}
-	// Parallel shareholding edges aggregate into one own fact per (from, to):
-	// Definition 2.3's direct ownership w(x, y) is the total fraction of y's
-	// shares held by x, and the reasoning programs' per-contributor msum
-	// (⟨Z⟩) would otherwise keep only the largest of several parcels held by
-	// the same owner. Emission order follows the first edge per pair, so the
-	// output stays deterministic.
-	total := make(map[[2]pg.NodeID]float64, len(shares))
-	order := make([][2]pg.NodeID, 0, len(shares))
-	for _, eid := range shares {
-		e := g.Edge(eid)
-		w, _ := e.Weight()
+	w.Add()
+}
+
+// ownRows writes one own(from, to, w) row per (from, to) pair among n
+// shareholding edges, edge(i) the i-th. Parallel edges aggregate: Definition
+// 2.3's direct ownership w(x, y) is the total fraction of y's shares held by
+// x, and the reasoning programs' per-contributor msum (⟨Z⟩) would otherwise
+// keep only the largest of several parcels held by the same owner. Rows
+// follow the first edge of each pair, so the order is deterministic. open
+// returns the rows to write into, given their number.
+func ownRows(n int, edge func(int) *pg.Edge, open func(pairs int) rows) {
+	index := make(map[[2]pg.NodeID]int, n) // a pair's position in pairs
+	pairs := make([][2]pg.NodeID, 0, n)
+	sums := make([]float64, 0, n)
+	for i := 0; i < n; i++ {
+		e := edge(i)
+		x, _ := e.Weight()
 		key := [2]pg.NodeID{e.From, e.To}
-		if _, seen := total[key]; !seen {
-			order = append(order, key)
+		if j, seen := index[key]; seen {
+			sums[j] += x
+			continue
 		}
-		total[key] += w
+		index[key] = len(pairs)
+		pairs = append(pairs, key)
+		sums = append(sums, x)
 	}
-	own := make([]any, 0, 3*len(order))
-	for _, key := range order {
-		start := len(own)
-		own = append(own, int64(key[0]), int64(key[1]), total[key])
-		facts = append(facts, datalog.Fact{Pred: PredOwn, Args: own[start:len(own):len(own)]})
+	w := open(len(pairs))
+	for j, key := range pairs {
+		w.Int(int64(key[0]))
+		w.Int(int64(key[1]))
+		w.Float(sums[j])
+		w.Add()
 	}
+}
+
+// walk writes g's relational image: company and person rows by label, then
+// own rows. open returns the rows of one relation, for n of them at most.
+func walk(g pg.View, open func(pred string, arity, n int) rows) {
+	for _, nr := range nodeRels {
+		ids := g.NodesWithLabel(nr.label)
+		w := open(nr.pred, nodeArity(), len(ids))
+		for _, id := range ids {
+			nodeRow(g, id, w)
+		}
+	}
+	shares := g.EdgesWithLabel(pg.LabelShareholding)
+	ownRows(len(shares), func(i int) *pg.Edge { return g.Edge(shares[i]) },
+		func(pairs int) rows { return open(PredOwn, 3, pairs) })
+}
+
+// Load streams g's relational image — company(id, props...), person(id,
+// props...), own(from, to, w), the extensional component of the knowledge
+// graph (Example 3.1) — into e, with no Fact in between. Where e prunes
+// (datalog.Engine.Prune), a property e cannot observe is never read.
+func Load(e *datalog.Engine, g pg.View) {
+	walk(g, func(pred string, arity, n int) rows { return e.Load(pred, arity, n) })
+}
+
+// LoadScope streams into e the part of g's image a scoped chase reads: the
+// rows of the nodes and the own rows of the sources, the rows Load streams
+// for them.
+func LoadScope(e *datalog.Engine, g pg.View, nodes, sources map[pg.NodeID]bool) {
+	var loaders [len(nodeRels)]*datalog.Loader
+	for id := range nodes {
+		n := g.Node(id)
+		if n == nil {
+			continue
+		}
+		for i, nr := range nodeRels {
+			if n.Label == nr.label {
+				if loaders[i] == nil {
+					loaders[i] = e.Load(nr.pred, nodeArity(), len(nodes))
+				}
+				nodeRow(g, id, loaders[i])
+			}
+		}
+	}
+	own := e.Load(PredOwn, 3, len(sources))
+	for id := range sources {
+		out := g.OutLabel(id, pg.LabelShareholding)
+		ownRows(len(out), func(i int) *pg.Edge { return out[i] }, func(int) rows { return own })
+	}
+}
+
+// CompanyGraphFacts maps a company graph to its relational representation
+// as facts: the rows Load streams, in the order it streams them, every
+// property included.
+func CompanyGraphFacts(g pg.View) []datalog.Fact {
+	facts := make([]datalog.Fact, 0, g.NumNodes()+g.NumEdges())
+	walk(g, func(pred string, arity, n int) rows {
+		return &factRows{facts: &facts, pred: pred, args: make([]any, 0, n*arity), arity: arity}
+	})
 	return facts
 }
 
-// NodeFact returns the relational row of one node — company(id, props...) or
-// person(id, props...) — for scoped fact extraction (incremental maintenance
-// re-asserts only the affected cone instead of the whole graph). ok is false
-// for missing nodes and labels outside the company-graph model.
-func NodeFact(g pg.View, id pg.NodeID) (datalog.Fact, bool) {
-	n := g.Node(id)
-	if n == nil {
-		return datalog.Fact{}, false
-	}
-	var pred string
-	switch n.Label {
-	case pg.LabelCompany:
-		pred = PredCompany
-	case pg.LabelPerson:
-		pred = PredPerson
-	default:
-		return datalog.Fact{}, false
-	}
-	args := make([]any, 0, 1+len(NodeProps))
-	args = append(args, int64(id))
-	for _, p := range NodeProps {
-		args = append(args, propValue(n.Props, p))
-	}
-	return datalog.Fact{Pred: pred, Args: args}, true
+// factRows collects rows as facts, every position live. The rows of one
+// relation share one backing array, each capped at its own arguments.
+type factRows struct {
+	facts *[]datalog.Fact
+	pred  string
+	args  []any
+	arity int
 }
 
-// OwnFacts returns the own(from, to, w) rows of one source node, aggregating
-// parallel shareholding edges per target exactly like CompanyGraphFacts, so a
-// scoped extraction produces the same rows the full extraction would.
-func OwnFacts(g pg.View, from pg.NodeID) []datalog.Fact {
-	total := map[pg.NodeID]float64{}
-	var order []pg.NodeID
-	for _, e := range g.OutLabel(from, pg.LabelShareholding) {
-		w, _ := e.Weight()
-		if _, seen := total[e.To]; !seen {
-			order = append(order, e.To)
-		}
-		total[e.To] += w
-	}
-	facts := make([]datalog.Fact, 0, len(order))
-	for _, to := range order {
-		facts = append(facts, datalog.Fact{
-			Pred: PredOwn,
-			Args: []any{int64(from), int64(to), total[to]},
-		})
-	}
-	return facts
+func (f *factRows) Live(int) bool   { return true }
+func (f *factRows) Int(x int64)     { f.args = append(f.args, x) }
+func (f *factRows) Float(x float64) { f.args = append(f.args, x) }
+func (f *factRows) Value(a any)     { f.args = append(f.args, a) }
+func (f *factRows) Add() bool {
+	n := len(f.args)
+	*f.facts = append(*f.facts, datalog.Fact{Pred: f.pred, Args: f.args[n-f.arity : n : n]})
+	return true
 }
 
 // LinkClassPredicates maps output-mapping predicate names (Algorithm 4) to

@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"testing"
 
@@ -136,5 +137,103 @@ func TestPropValueKeepsStrings(t *testing.T) {
 	props := pg.Properties{"name": "Rome"}
 	if n := testing.AllocsPerRun(100, func() { _ = propValue(props, "name") }); n != 0 {
 		t.Errorf("a string property allocates %.0f times, want 0", n)
+	}
+}
+
+// nodeReads counts the node lookups made through a view.
+type nodeReads struct {
+	pg.View
+	n int
+}
+
+func (v *nodeReads) Node(id pg.NodeID) *pg.Node {
+	v.n++
+	return v.View.Node(id)
+}
+
+// factSet renders the facts of the image's relations held by e, or given.
+func factSet(e *datalog.Engine, facts []datalog.Fact) map[string]bool {
+	if e != nil {
+		facts = nil
+		for _, p := range []string{PredCompany, PredPerson, PredOwn} {
+			facts = append(facts, e.Facts(p)...)
+		}
+	}
+	out := map[string]bool{}
+	for _, f := range facts {
+		out[f.Key()] = true
+	}
+	return out
+}
+
+// propGraph is Figure 2 with properties on two nodes and a second parcel
+// P2 → C5, seen through an overlay that adds one more.
+func propGraph() (pg.View, *pg.Builder) {
+	_, b := pg.Figure2()
+	b.PersonWith("P2", pg.Properties{"birth": 1970.0, "addr": "Milano"})
+	g := b.Graph()
+	g.MustAddEdgeWeighted(b.ID("P2"), b.ID("C5"), 0.1)
+	o := pg.NewOverlay(g)
+	o.MustAddEdge(pg.LabelShareholding, b.ID("P3"), b.ID("C5"), pg.Properties{"w": 0.05})
+	return o, b
+}
+
+// TestLoadStreamsTheImage pins that Load streams exactly CompanyGraphFacts'
+// rows into an engine that does not prune, and that an engine pruning to a
+// program that reads no property never looks a node up.
+func TestLoadStreamsTheImage(t *testing.T) {
+	v, b := propGraph()
+	want := factSet(nil, CompanyGraphFacts(v))
+	if !want[datalog.Fact{Pred: PredOwn, Args: []any{int64(b.ID("P2")), int64(b.ID("C5")), 0.7}}.Key()] {
+		t.Errorf("parallel parcels P2 → C5 do not sum to 0.7: %v", want)
+	}
+	if !want[datalog.Fact{Pred: PredPerson, Args: []any{int64(b.ID("P2")), "P2", "1970", "Milano", ""}}.Key()] {
+		t.Errorf("P2's row lacks its properties: %v", want)
+	}
+
+	prog := datalog.MustParse(`
+company(X, N, B, A, S) -> ccand(X, X).
+person(X, N, B, A, S) -> ccand(X, X).
+ccand(X, Z), own(Z, Y, W), X != Y, S = msum(W, <Z>), S > 0.5 -> ccand(X, Y).
+ccand(X, Y), X != Y -> control(X, Y).
+`)
+	e, _ := datalog.NewEngine(prog)
+	Load(e, v)
+	if got := factSet(e, nil); !maps.Equal(got, want) {
+		t.Errorf("Load streamed %v, want %v", got, want)
+	}
+
+	counted := &nodeReads{View: v}
+	e, _ = datalog.NewEngine(prog)
+	e.Prune("control")
+	Load(e, counted)
+	if counted.n != 0 {
+		t.Errorf("a pruned load looked %d nodes up", counted.n)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !e.Has(datalog.Fact{Pred: "control", Args: []any{int64(b.ID("P2")), int64(b.ID("C7"))}}) {
+		t.Error("the pruned image lost control(P2, C7)")
+	}
+}
+
+// TestLoadScope pins that a scoped load streams the rows Load streams for
+// its nodes and sources, and nothing else.
+func TestLoadScope(t *testing.T) {
+	v, b := propGraph()
+	nodes := map[pg.NodeID]bool{b.ID("P2"): true, b.ID("C7"): true}
+	sources := map[pg.NodeID]bool{b.ID("P2"): true, b.ID("C4"): true}
+	want := map[string]bool{}
+	for _, f := range CompanyGraphFacts(v) {
+		id, _ := NodeID(f.Args[0])
+		if f.Pred == PredOwn && sources[id] || f.Pred != PredOwn && nodes[id] {
+			want[f.Key()] = true
+		}
+	}
+	e, _ := datalog.NewEngine(datalog.MustParse(`own(X, Y, W) -> p(X, Y).`))
+	LoadScope(e, v, nodes, sources)
+	if got := factSet(e, nil); len(want) != 5 || !maps.Equal(got, want) {
+		t.Errorf("LoadScope streamed %v, want %v", got, want)
 	}
 }

@@ -140,7 +140,7 @@ func RunGeneric(g *pg.Graph, cfg GenericConfig) (*GenericResult, error) {
 			family.PersonFromNode(g.Node(x)), family.PersonFromNode(g.Node(y))), nil
 	})
 
-	engine.AssertAll(relstore.CompanyGraphFacts(g))
+	relstore.Load(engine, g)
 	if err := engine.Run(); err != nil {
 		return nil, err
 	}

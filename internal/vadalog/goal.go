@@ -35,7 +35,9 @@ type GoalResult struct {
 	// after an ErrNotDemandable fallback.
 	Mode string
 	// Engine is the engine the goal ran on, exposed for explanation
-	// (ExplainTree) and stats.
+	// (ExplainTree) and stats. Unless it records provenance, it loaded the
+	// relational image pruned (datalog.Engine.Prune): a relation other than
+	// the goal's holds "" where the program never reads.
 	Engine *datalog.Engine
 	// RunErr is the chase error, if any: a budget exhaustion leaves the
 	// partial answers readable, exactly like Reasoner.Run.
@@ -113,7 +115,9 @@ func compileGoal(prog *datalog.Program, goal datalog.Atom) (*datalog.CompiledGoa
 }
 
 // runGoal answers goal over g on an engine of the demand plan, or of full —
-// prog compiled whole — when plan is nil.
+// prog compiled whole — when plan is nil. The engine loads g's relational
+// image streamed and pruned to what the plan can observe, the goal's own
+// relation whole.
 func runGoal(ctx context.Context, g pg.View, prog *datalog.Program, goal datalog.Atom, plan *datalog.CompiledGoal, full *datalog.Compiled, opts []datalog.Option) (*GoalResult, error) {
 	res := &GoalResult{Mode: GoalModeMagic}
 	var e *datalog.Engine
@@ -126,7 +130,8 @@ func runGoal(ctx context.Context, g pg.View, prog *datalog.Program, goal datalog
 		res.Mode = GoalModeFull
 		e = full.NewEngine(opts...)
 	}
-	e.AssertAll(relstore.CompanyGraphFacts(g))
+	e.Prune(goal.Pred)
+	relstore.Load(e, g)
 	res.Engine = e
 	res.RunErr = e.RunContext(ctx)
 	res.Answers = finalizeAnswers(prog, goal, e)

@@ -201,3 +201,48 @@ func TestProgramForGoal(t *testing.T) {
 		}
 	}
 }
+
+// TestGoalEnginesLoadPruned pins where a goal engine prunes the relational
+// image: a control goal never reads a node's properties, so its engine holds
+// none; a goal on company/5 answers them whole; and an engine with
+// provenance, whose derivation trees print leaf facts, holds them all.
+func TestGoalEnginesLoadPruned(t *testing.T) {
+	g, b := pg.Figure2()
+	p2, c5 := int64(b.ID("P2")), int64(b.ID("C5"))
+	names := func(res *GoalResult, pred string) map[any]bool {
+		out := map[any]bool{}
+		for _, f := range res.Engine.Facts(pred) {
+			out[f.Args[1]] = true
+		}
+		return out
+	}
+	control := datalog.Atom{Pred: "control", Terms: []datalog.Term{datalog.Int(p2), datalog.Variable("Y")}}
+	res, err := EvalGoal(context.Background(), g, ControlProgram, control)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := names(res, "person"); len(got) != 1 || !got[""] {
+		t.Errorf("control goal loaded person names %v, want none", got)
+	}
+	if len(res.Answers) != 3 {
+		t.Errorf("control(P2, Y) = %v, want 3 answers", res.Answers)
+	}
+
+	res, err = EvalGoal(context.Background(), g, ControlProgram, control, datalog.WithProvenance())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := names(res, "person"); !got["P2"] {
+		t.Errorf("provenance engine loaded person names %v, want P2's", got)
+	}
+
+	company := datalog.Atom{Pred: "company", Terms: []datalog.Term{datalog.Int(c5),
+		datalog.Variable("N"), datalog.Variable("B"), datalog.Variable("A"), datalog.Variable("S")}}
+	res, err = EvalGoal(context.Background(), g, ControlProgram, company)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Answers) != 1 || res.Answers[0]["N"] != "C5" {
+		t.Errorf("company(C5, N, B, A, S) = %v, want its name", res.Answers)
+	}
+}

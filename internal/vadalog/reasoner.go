@@ -135,7 +135,7 @@ func (r *Reasoner) RunContext(ctx context.Context) error {
 		return clf.LinkProbability(family.PersonFromNode(nx), family.PersonFromNode(ny)), nil
 	})
 
-	engine.AssertAll(relstore.CompanyGraphFacts(r.g))
+	relstore.Load(engine, r.g)
 	for famID, members := range r.Families {
 		for _, m := range members {
 			engine.Assert(datalog.Fact{Pred: "fammember", Args: []any{int64(m), famID}})

@@ -142,15 +142,12 @@ func (b *Baseline) diff(ctx context.Context, post pg.View, journal []pg.Mutation
 	e := plan.NewEngine(withWhatIfDefaults(opts)...)
 	for id := range affected {
 		e.Assert(datalog.Fact{Pred: "affected", Args: []any{int64(id)}})
-		if f, ok := relstore.NodeFact(post, id); ok {
-			e.Assert(f)
-		}
 	}
+	relstore.LoadScope(e, post, affected, cone)
 	// A cone source that is not affected reaches no mutated edge: its final
 	// rows are exact, and msum's per-contributor maximum makes a final row an
 	// exact stand-in for the derivation sequence that produced it.
 	for id := range cone {
-		e.AssertAll(relstore.OwnFacts(post, id))
 		if !affected[id] {
 			e.AssertAll(b.Accown[id])
 		}

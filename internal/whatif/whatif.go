@@ -56,8 +56,10 @@ const DefaultMinAggDelta = 1e-4
 //     base view's NextNodeID, so later ops in the same batch can reference
 //     them.
 //   - "addShare": add a shareholding From → To with weight W in (0, 1].
-//     The incoming shares of To must stay ≤ 1 — nobody acquires more of a
-//     company than exists, and the bound keeps the chase convergent.
+//     The incoming shares of To must stay ≤ 1: nobody acquires more of a
+//     company than exists. The bound does not make the chase converge. A⇄B
+//     at 100 % each meets it, and the walk-sum Φ over such a cycle grows
+//     without end, so only the request deadline stops that scenario.
 //   - "setShare": override the weight of the shareholding edge Edge — or,
 //     when Edge is zero and From/To are set, of the unique shareholding edge
 //     From → To — to W.
@@ -190,7 +192,7 @@ func ComputeBaseline(ctx context.Context, v pg.View, threshold float64, engineOp
 		return nil, fmt.Errorf("whatif: compiling baseline program: %w", err)
 	}
 	e := plan.NewEngine(withWhatIfDefaults(engineOpts)...)
-	e.AssertAll(relstore.CompanyGraphFacts(v))
+	relstore.Load(e, v)
 	if err := e.RunContext(ctx); err != nil {
 		return nil, fmt.Errorf("whatif: baseline chase: %w", err)
 	}
