@@ -121,8 +121,7 @@ func TestUBOWithoutNodeListsOrphans(t *testing.T) {
 
 // query asks the server's goal engine, so its ε applies: on an ownership
 // cycle, where the aggregate fixpoint is reached only to within ε, the CLI
-// prints the value POST /v1/query serves, not the one EvalGoal's default
-// step gives.
+// prints the value POST /v1/query serves, not the one a finer step gives.
 func TestQueryPrintsTheServedValueOnACycle(t *testing.T) {
 	b := vadalink.NewBuilder()
 	b.Company("A")
@@ -152,7 +151,7 @@ func TestQueryPrintsTheServedValueOnACycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := vadalog.EvalGoal(context.Background(), b.Graph(), vadalog.CloseLinkProgram, atom)
+	exact, err := vadalog.EvalGoal(context.Background(), b.Graph(), vadalog.CloseLinkProgram, atom, datalog.WithMinAggDelta(1e-9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +162,7 @@ func TestQueryPrintsTheServedValueOnACycle(t *testing.T) {
 		}
 		for _, e := range exact.Answers {
 			if e["Y"] == c && e["S"] == a.S {
-				t.Fatalf("S = %v is EvalGoal's default-step value; the case no longer tells the two steps apart", a.S)
+				t.Fatalf("S = %v is the 1e-9 step's value; the case no longer tells the two steps apart", a.S)
 			}
 		}
 		return

@@ -32,11 +32,11 @@ var exportAllowlist = map[string]string{
 	"datalog.WithNaive":   "naive-evaluation ablation and differential leg",
 	"datalog.WithNoIndex": "scan-only ablation and differential leg",
 	// Test helpers that live in non-test files so other packages' tests share them.
-	"datalog.MustParse":            "test helper shared across packages",
 	"graphgen.RandomCommit":        "test helper shared across packages",
 	"pg.Builder.PersonWith":        "builds the root scenario tests' graphs",
 	"pg.Graph.MustAddEdgeWeighted": "test helper shared across packages",
 	"vadalog.CloseLinkProgramT":    "builds the close-link program at a test's threshold",
+	"vadalog.MaintenanceProgram":   "the scoped program's text, which the shared-plan and ivm round-count tests chase",
 	"experiments.ReembedRecall":    "Figure 4(e) harness the root ablation benchmark runs",
 	// Methods reached only through an interface the errors package declares
 	// inside a function body, where no package scope shows it.
@@ -305,6 +305,37 @@ func TestOraclesStayOutOfProduction(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no non-test packages outside bench/ type-checked")
+	}
+}
+
+// TestOneAggregateStep fails when a non-test file outside bench/ and
+// internal/datalog refers to datalog.WithMinAggDelta. Every chase runs at the
+// engine's default step, datalog.DefaultMinAggDelta (DESIGN.md §5): a path
+// that sets its own would read a second Φ for the same pair.
+func TestOneAggregateStep(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := typeCheckModule(fset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var setter types.Object
+	for _, p := range pkgs {
+		if p.dir == "internal/datalog" {
+			setter = p.pkg.Scope().Lookup("WithMinAggDelta")
+		}
+	}
+	if setter == nil {
+		t.Fatal("datalog.WithMinAggDelta not found: the guard checks nothing")
+	}
+	for _, p := range pkgs {
+		if p.dir == "internal/datalog" || p.dir == "bench" || strings.HasPrefix(p.dir, "bench/") {
+			continue
+		}
+		for id, obj := range p.info.Uses {
+			if obj == setter {
+				t.Errorf("%s sets the aggregate step; chase at the engine's default", fset.Position(id.Pos()))
+			}
+		}
 	}
 }
 

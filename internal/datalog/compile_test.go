@@ -8,7 +8,6 @@ import (
 
 	"vadalink/internal/datalog"
 	"vadalink/internal/vadalog"
-	"vadalink/internal/whatif"
 )
 
 // derivedKeys returns the sorted keys of every fact of the program's head
@@ -43,7 +42,7 @@ func TestSharedCompiledPlan(t *testing.T) {
 		facts []datalog.Fact
 	}{
 		{"control+closelink", vadalog.ControlProgram + vadalog.CloseLinkProgram, facts},
-		{"maintenance", whatif.MaintenanceProgram(), maintenanceFacts},
+		{"maintenance", vadalog.MaintenanceProgram(), maintenanceFacts},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := datalog.MustParse(tc.src)

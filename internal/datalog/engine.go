@@ -21,9 +21,9 @@ type Builtin func(args []any) (any, error)
 type options struct {
 	// MinAggDelta is the minimum improvement of a monotonic aggregate that
 	// triggers a new derivation. On cyclic inputs (e.g. accumulated ownership
-	// over share cycles) the exact fixpoint is a geometric limit; stopping at
-	// MinAggDelta guarantees termination with bounded error. Zero means the
-	// default of 1e-9.
+	// over share cycles) the exact fixpoint is a geometric limit, which the
+	// chase reaches only to within MinAggDelta's tail. Zero means
+	// DefaultMinAggDelta.
 	MinAggDelta float64
 
 	// MaxRounds bounds the total number of semi-naive rounds of one Run as
@@ -309,7 +309,7 @@ func (c *Compiled) NewEngine(with ...Option) *Engine {
 		opt(&opts)
 	}
 	if opts.MinAggDelta == 0 {
-		opts.MinAggDelta = 1e-9
+		opts.MinAggDelta = DefaultMinAggDelta
 	}
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = 1_000_000
@@ -1164,7 +1164,8 @@ func (ec *evalCtx) recordAggPremises(p *aggProv) {
 // g and reports the new total plus whether it changed enough to trigger a
 // derivation. Contributions are keyed by contributor tuple: a contributor
 // counts once, at its best (maximal) contribution so far — matching
-// Vadalog's stateful msum with ⟨contributor⟩ notation.
+// Vadalog's stateful msum with ⟨contributor⟩ notation. ε bounds only an
+// msum or mprod contributor's growth; mmax and mmin compare exactly.
 func (e *Engine) updateAgg(ec *evalCtx, a *aggRule, g int, op AggOp, v float64) (float64, bool) {
 	eps := e.opts.MinAggDelta
 	t := a.tab
@@ -1204,7 +1205,7 @@ func (e *Engine) updateAgg(ec *evalCtx, a *aggRule, g int, op AggOp, v float64) 
 		t.init[g] = true
 		return t.total[g], true
 	case AggMax:
-		if t.init[g] && v <= t.total[g]+eps {
+		if t.init[g] && v <= t.total[g] {
 			if !seen || v > cur {
 				set(v)
 			}
@@ -1215,7 +1216,7 @@ func (e *Engine) updateAgg(ec *evalCtx, a *aggRule, g int, op AggOp, v float64) 
 		t.init[g] = true
 		return v, true
 	case AggMin:
-		if t.init[g] && v >= t.total[g]-eps {
+		if t.init[g] && v >= t.total[g] {
 			return t.total[g], false
 		}
 		set(v)

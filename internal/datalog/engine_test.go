@@ -270,6 +270,34 @@ func TestMonotonicMaxMin(t *testing.T) {
 	}
 }
 
+// The aggregate step ε bounds only how far an msum or mprod contributor must
+// grow to re-fire; mmax and mmin compare exactly, so under the default step
+// a new extreme 1e-5 past the old one still wins, in either read order.
+func TestMaxMinCloserThanTheStep(t *testing.T) {
+	src := `
+		v(X, W), M = mmax(W, <X>) -> best(M).
+		v(X, W), M = mmin(W, <X>) -> worst(M).
+	`
+	edb := []Fact{
+		{Pred: "v", Args: []any{"a", 0.5}},
+		{Pred: "v", Args: []any{"b", 0.50001}},
+		{Pred: "v", Args: []any{"c", 0.49999}},
+	}
+	for _, order := range [][]Fact{edb, {edb[2], edb[1], edb[0]}} {
+		e := run(t, src, order)
+		best, worst := math.Inf(-1), math.Inf(1)
+		for _, f := range e.Facts("best") {
+			best = math.Max(best, f.Args[0].(float64))
+		}
+		for _, f := range e.Facts("worst") {
+			worst = math.Min(worst, f.Args[0].(float64))
+		}
+		if best != 0.50001 || worst != 0.49999 {
+			t.Errorf("read in order %v: best %v, worst %v; want 0.50001 and 0.49999", order, best, worst)
+		}
+	}
+}
+
 func TestAccumulatedOwnershipDAG(t *testing.T) {
 	// Algorithm 6 rules 1–2 on a DAG: Φ(x,y) sums products over paths. Both
 	// rules' msum calls contribute to the same per-(X,Y) total (the paper's

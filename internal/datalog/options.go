@@ -7,8 +7,23 @@ package datalog
 // Options compose left to right; later options win.
 type Option func(*options)
 
-// WithMinAggDelta sets the minimum monotonic-aggregate improvement that
-// triggers a new derivation (termination epsilon on cyclic inputs).
+// DefaultMinAggDelta is the aggregate step ε of every engine that
+// WithMinAggDelta does not override, and so of every served chase (DESIGN.md
+// §5): the scoped step seeds rows of one chase into another, which line up
+// only at one step. An msum or mprod contributor re-fires only when it grows
+// by more than ε; mmax and mmin compare exactly. On an ownership cycle of
+// gain g the rounds grow as log ε / log g, so at 1e-9 a chase of seconds
+// takes minutes. The price is the series' tail, about ε·g/(1−g) per
+// contributor, not ε: at g = 0.990 (A and B hold 99.5 % of each other, A
+// holds 0.206 % of C) Φ(A, C) reads 0.196514 against an exact 0.206516, and
+// ROADMAP item 7's exact solve is the fix. Acyclic graphs pay too, as a
+// contributor's rise of ε or less is dropped: with x→a at 1, a→y and a→b at
+// 0.5 and b→y at 1e-4, Φ(x, y) reads 0.5 against an exact 0.50005.
+const DefaultMinAggDelta = 1e-4
+
+// WithMinAggDelta overrides DefaultMinAggDelta, the minimum monotonic-
+// aggregate improvement that triggers a new derivation. Only tests and the
+// benchmark set it: every served chase runs at the default.
 func WithMinAggDelta(eps float64) Option {
 	return func(o *options) { o.MinAggDelta = eps }
 }

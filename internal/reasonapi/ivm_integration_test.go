@@ -10,6 +10,7 @@ import (
 	"vadalink/internal/datalog"
 	"vadalink/internal/pg"
 	"vadalink/internal/relstore"
+	"vadalink/internal/vadalog"
 	"vadalink/internal/whatif"
 )
 
@@ -44,7 +45,7 @@ func cyclicOwnershipGraph(t *testing.T) *pg.Graph {
 // options and reports how many semi-naive rounds it took.
 func chaseRounds(t *testing.T, g *pg.Graph, s *Server) int {
 	t.Helper()
-	prog, err := datalog.Parse(whatif.MaintenanceProgram())
+	prog, err := datalog.Parse(vadalog.MaintenanceProgram())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -298,16 +298,10 @@ func (s *Server) committed(next *store.Version, journal []pg.Mutation) {
 
 // engineOptions is the budgeted engine configuration for request-triggered
 // chases. Stats collection is on so /v1/reason and /v1/metrics can report
-// what the chase did. The aggregate-convergence step
-// (whatif.DefaultMinAggDelta, 1e-4) rides along so every chase the server
-// runs — baselines, what-ifs, augmentations, ad-hoc programs, incremental
-// maintenance — shares one ε: mixing steps would make seeded rows and
-// re-derived rows disagree, and on cyclic ownership the engine's
-// exact-convergence default (1e-9) makes the aggregate fixpoint exponential
-// in −log(ε), turning sub-second chases into minutes.
+// what the chase did. The aggregate step is the engine's default
+// (datalog.DefaultMinAggDelta), the one every chase runs at.
 func (s *Server) engineOptions() []datalog.Option {
 	return []datalog.Option{
-		datalog.WithMinAggDelta(whatif.DefaultMinAggDelta),
 		datalog.WithBudget(s.cfg.Budget),
 		datalog.WithMaxRounds(s.cfg.MaxRounds),
 		datalog.WithStats(),
@@ -1256,7 +1250,7 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"version":         seq,
+		"seq":             seq,
 		"threshold":       threshold,
 		"created":         res.Created,
 		"delta":           res.Delta,

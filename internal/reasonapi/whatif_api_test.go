@@ -44,7 +44,7 @@ func acquisitionServer(t *testing.T) (*httptest.Server, *Server, pg.NodeID, pg.N
 }
 
 type whatifResponse struct {
-	Version         uint64         `json:"version"`
+	Seq             uint64         `json:"seq"`
 	Threshold       float64        `json:"threshold"`
 	Created         []pg.NodeID    `json:"created"`
 	Delta           map[string]int `json:"delta"`
@@ -60,7 +60,7 @@ type whatifResponse struct {
 }
 
 // TestWhatifEndpoint runs the README scenario against every serving mode:
-// the answer is the same, and so is "version", the sequence the baseline was
+// the answer is the same, and so is "seq", the sequence the baseline was
 // evaluated at — the number of mutation records behind the served graph, in
 // every mode.
 func TestWhatifEndpoint(t *testing.T) {
@@ -96,7 +96,7 @@ func TestWhatifEndpoint(t *testing.T) {
 	}
 }
 
-func whatifScenario(t *testing.T, url string, alpha, beta pg.NodeID, version uint64) {
+func whatifScenario(t *testing.T, url string, alpha, beta pg.NodeID, seq uint64) {
 	var before, after struct{ Nodes, Edges int }
 	if code := getJSON(t, url+"/v1/stats", &before); code != 200 {
 		t.Fatalf("stats status %d", code)
@@ -112,8 +112,8 @@ func whatifScenario(t *testing.T, url string, alpha, beta pg.NodeID, version uin
 	if err := json.Unmarshal(b, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Version != version {
-		t.Errorf("version = %d, want %d, the sequence the baseline was evaluated at", out.Version, version)
+	if out.Seq != seq {
+		t.Errorf("seq = %d, want %d, the sequence the baseline was evaluated at", out.Seq, seq)
 	}
 	if out.Threshold != 0.2 {
 		t.Errorf("threshold = %v, want the 0.2 default", out.Threshold)

@@ -65,12 +65,13 @@ func ProgramForGoal(pred string) (string, bool) {
 // mode reported in the result. Any other construction or parse error is
 // returned as-is.
 //
-// A shipped program text (ControlProgram, CloseLinkProgram) is parsed and
-// compiled once per process, and so is its demand plan for each goal shape
-// asked of it; any other text is parsed and compiled on every call.
+// A program ProgramForGoal names (ControlProgram, CloseLinkProgram) is
+// parsed and compiled once per process, and so is its demand plan for each
+// goal shape asked of it; any other text is parsed and compiled on every
+// call.
 func EvalGoal(ctx context.Context, g pg.View, progSrc string, goal datalog.Atom, opts ...datalog.Option) (*GoalResult, error) {
-	if compiled, ok := shippedPrograms[progSrc]; ok {
-		sp, err := compiled()
+	if progSrc == ControlProgram || progSrc == CloseLinkProgram {
+		sp, err := shipped(progSrc)
 		if err != nil {
 			return nil, err
 		}
@@ -138,12 +139,11 @@ func runGoal(ctx context.Context, g pg.View, prog *datalog.Program, goal datalog
 	return res, nil
 }
 
-// shippedPrograms are the program texts EvalGoal compiles once: the ones
-// ProgramForGoal names, which are all the server asks goals under.
-var shippedPrograms = map[string]func() (*shippedProgram, error){
-	ControlProgram:   compileOnce(ControlProgram),
-	CloseLinkProgram: compileOnce(CloseLinkProgram),
-}
+// programs memoizes the shipped programs by text: this package's programs,
+// the Reasoner's task sets and the what-if step's programs derived from
+// them. No text a client supplies reaches it, so it holds at most a few
+// dozen entries.
+var programs sync.Map // string → *shippedProgram
 
 // shippedProgram is a shipped program text parsed and compiled whole, with
 // the demand plan of every goal shape asked of it so far.
@@ -160,31 +160,51 @@ type shippedProgram struct {
 	plans sync.Map
 }
 
-// compileOnce returns a function that parses and compiles src on its first
-// call and returns that result on every call.
-func compileOnce(src string) func() (*shippedProgram, error) {
-	return sync.OnceValues(func() (*shippedProgram, error) {
-		prog, err := datalog.Parse(src)
-		if err != nil {
-			return nil, err
+// BaselinePlan returns the compiled baseline program (the rules of
+// ControlProgram and CloseLinkProgram that derive ccand, control and
+// accown); MaintenancePlan returns the compiled MaintenanceProgram. Both are
+// compiled when the package initializes, so a what-if or ivm drain step
+// looks up no text.
+func BaselinePlan() *datalog.Compiled    { return baselineShipped.full }
+func MaintenancePlan() *datalog.Compiled { return maintenanceShipped.full }
+
+var baselineShipped, maintenanceShipped = mustShip(baselineProgram), mustShip(maintenanceProgram)
+
+func mustShip(src string) *shippedProgram {
+	sp, err := shipped(src)
+	if err != nil {
+		panic(err)
+	}
+	return sp
+}
+
+// shipped returns the memo entry of src, parsing and compiling it on first
+// use. Two first uses may both compile; one result is kept.
+func shipped(src string) (*shippedProgram, error) {
+	if sp, ok := programs.Load(src); ok {
+		return sp.(*shippedProgram), nil
+	}
+	prog, err := datalog.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	full, err := datalog.Compile(prog)
+	if err != nil {
+		return nil, err
+	}
+	sp := &shippedProgram{prog: prog, full: full, arity: map[string]int{}}
+	for _, r := range prog.Rules {
+		for _, h := range r.Head {
+			sp.arity[h.Pred] = len(h.Terms)
 		}
-		full, err := datalog.Compile(prog)
-		if err != nil {
-			return nil, err
-		}
-		sp := &shippedProgram{prog: prog, full: full, arity: map[string]int{}}
-		for _, r := range prog.Rules {
-			for _, h := range r.Head {
-				sp.arity[h.Pred] = len(h.Terms)
+		for _, l := range r.Body {
+			if l.Kind == datalog.LitAtom || l.Kind == datalog.LitNot {
+				sp.arity[l.Atom.Pred] = len(l.Atom.Terms)
 			}
-			for _, l := range r.Body {
-				if l.Kind == datalog.LitAtom || l.Kind == datalog.LitNot {
-					sp.arity[l.Atom.Pred] = len(l.Atom.Terms)
-				}
-			}
 		}
-		return sp, nil
-	})
+	}
+	stored, _ := programs.LoadOrStore(src, sp)
+	return stored.(*shippedProgram), nil
 }
 
 // goalPlan returns the memoized demand plan of goal's shape (nil: full

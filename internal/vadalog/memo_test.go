@@ -114,7 +114,7 @@ func TestMemoizedGoalPlans(t *testing.T) {
 		t.Fatalf("vacuous: only %d of %d goals have answers", n, len(asks))
 	}
 
-	sp, err := shippedPrograms[ControlProgram]()
+	sp, err := shipped(ControlProgram)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,11 @@
 package vadalog
 
 import (
+	"slices"
 	"strconv"
 	"strings"
+
+	"vadalink/internal/datalog"
 )
 
 // InputMapping is Algorithm 2: promotion of the concrete company schema into
@@ -121,3 +124,42 @@ glink(Z, X, Y, W), gedgetype(Z, "CloseLink"), gid(X, Xi), gid(Y, Yi) -> closelin
 glink(Z, X, Y, W), gedgetype(Z, "PartnerOf"), gid(X, Xi), gid(Y, Yi) -> partnerof(Xi, Yi).
 glink(Z, X, Y, W), gedgetype(Z, "ParentOf"), gid(X, Xi), gid(Y, Yi) -> parentof(Xi, Yi).
 `
+
+// The what-if step's two programs (internal/whatif), derived from the rules
+// above so that no rule is spelled twice.
+var baselineProgram, maintenanceProgram = deriveScopedPrograms()
+
+// MaintenanceProgram is the scoped control + accumulated-ownership program:
+// the baseline program with an affected(X) guard on every rule that starts
+// the derivation of a source X. A chase that seeds unaffected baseline rows
+// and re-derives affected cones lands on exactly the facts a full chase
+// would.
+func MaintenanceProgram() string { return maintenanceProgram }
+
+// deriveScopedPrograms returns the baseline program — the rules of
+// ControlProgram and CloseLinkProgram that derive ccand, control and accown
+// — and the maintenance program, which inserts affected(X) after the first
+// body literal of every baseline rule whose head's first argument X is the
+// first argument of no intensional body atom. (A rule continuing a
+// derivation from such an atom inherits its source's guard.)
+func deriveScopedPrograms() (baseline, maintenance string) {
+	var base, scoped datalog.Program
+	for _, r := range datalog.MustParse(ControlProgram + CloseLinkProgram).Rules {
+		switch r.Head[0].Pred {
+		case "ccand", "control", "accown":
+			base.Rules = append(base.Rules, r)
+		}
+	}
+	intensional := base.HeadPreds()
+	for _, r := range base.Rules {
+		x := r.Head[0].Terms[0]
+		if !slices.ContainsFunc(r.Body, func(l datalog.Literal) bool {
+			return l.Kind == datalog.LitAtom && intensional[l.Atom.Pred] && l.Atom.Terms[0] == x
+		}) {
+			guard := datalog.Literal{Kind: datalog.LitAtom, Atom: datalog.Atom{Pred: "affected", Terms: []datalog.Term{x}}}
+			r.Body = slices.Insert(slices.Clone(r.Body), 1, guard)
+		}
+		scoped.Rules = append(scoped.Rules, r)
+	}
+	return base.String(), scoped.String()
+}

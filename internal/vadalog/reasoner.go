@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"vadalink/internal/datalog"
 	"vadalink/internal/family"
@@ -73,32 +72,6 @@ func programOf(tasks Task) string {
 	return strings.Join(parts, "\n")
 }
 
-// taskPlans holds the compiled program of every task set a Reasoner has run,
-// keyed by its text: at most one per subset of the five tasks.
-var taskPlans sync.Map
-
-// compiledTasks returns the compiled program of a task set, compiling it on
-// first use.
-func compiledTasks(tasks Task) (*datalog.Compiled, error) {
-	src := programOf(tasks)
-	if c, ok := taskPlans.Load(src); ok {
-		return c.(*datalog.Compiled), nil
-	}
-	if src == "" {
-		return nil, fmt.Errorf("vadalog: no tasks selected")
-	}
-	prog, err := datalog.Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("vadalog: parsing shipped programs: %w", err)
-	}
-	c, err := datalog.Compile(prog)
-	if err != nil {
-		return nil, fmt.Errorf("vadalog: preparing engine: %w", err)
-	}
-	stored, _ := taskPlans.LoadOrStore(src, c)
-	return stored.(*datalog.Compiled), nil
-}
-
 // Run loads the graph's relational representation, evaluates the selected
 // programs and leaves the derived facts available through the accessors.
 func (r *Reasoner) Run() error { return r.RunContext(context.Background()) }
@@ -109,11 +82,15 @@ func (r *Reasoner) Run() error { return r.RunContext(context.Background()) }
 // trip remain readable through the accessors, so callers can serve partial
 // results marked as truncated.
 func (r *Reasoner) RunContext(ctx context.Context) error {
-	plan, err := compiledTasks(r.tasks)
-	if err != nil {
-		return err
+	src := programOf(r.tasks)
+	if src == "" {
+		return fmt.Errorf("vadalog: no tasks selected")
 	}
-	engine := plan.NewEngine(r.EngineOptions...)
+	sp, err := shipped(src)
+	if err != nil {
+		return fmt.Errorf("vadalog: preparing engine: %w", err)
+	}
+	engine := sp.full.NewEngine(r.EngineOptions...)
 
 	clf := r.Classifier
 	if clf == nil {

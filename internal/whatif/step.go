@@ -12,6 +12,7 @@ import (
 	"vadalink/internal/datalog"
 	"vadalink/internal/pg"
 	"vadalink/internal/relstore"
+	"vadalink/internal/vadalog"
 )
 
 // Seeds is the classification of one journal — the one Advance and the query
@@ -118,7 +119,7 @@ func (b *Baseline) Advance(ctx context.Context, post pg.View, journal []pg.Mutat
 //  2. affected: the reverse reach of the owner seeds over post — every
 //     source whose control/accown rows may have moved.
 //  3. The cone: the forward reach of affected, every row the chase reads.
-//  4. Chase MaintenanceProgram over the cone, seeding the untouched rows of
+//  4. Chase vadalog.MaintenanceProgram over the cone, seeding the untouched rows of
 //     cone sources that are not affected.
 //  5. Compare each affected source's new control row with its old one.
 //  6. Re-count the close links: each affected source withdraws its old
@@ -135,11 +136,7 @@ func (b *Baseline) diff(ctx context.Context, post pg.View, journal []pg.Mutation
 	affected := ReverseReachable(s.Owners, post)
 	cone := ForwardReachable(affected, post)
 
-	plan, err := maintenancePlan()
-	if err != nil {
-		return nil, fmt.Errorf("whatif: compiling maintenance program: %w", err)
-	}
-	e := plan.NewEngine(withWhatIfDefaults(opts)...)
+	e := vadalog.MaintenancePlan().NewEngine(opts...)
 	for id := range affected {
 		e.Assert(datalog.Fact{Pred: "affected", Args: []any{int64(id)}})
 	}

@@ -24,28 +24,20 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
-	"sync"
 
 	"vadalink/internal/datalog"
 	"vadalink/internal/pg"
 	"vadalink/internal/relstore"
+	"vadalink/internal/vadalog"
 )
 
 // DefaultThreshold is the close-link threshold when a scenario does not set
 // one (the ECB value).
 const DefaultThreshold = 0.2
 
-// DefaultMinAggDelta is the monotonic-aggregate convergence step used for
-// what-if chases unless Options.Engine overrides it. Scenario mutations
-// routinely create ownership cycles (cross-shareholding), and on a cyclic
-// graph the engine's exact-fixpoint default grinds: every sub-threshold
-// improvement event asserts another stale accown row, and the cascade of
-// improvement events grows exponentially in -log(eps). 1e-4 converges in
-// seconds where 1e-6 takes minutes and 1e-9 effectively never; the bounded
-// error (≤ eps per contributor) is far below the share-fraction precision
-// real registries record.
-const DefaultMinAggDelta = 1e-4
+// DefaultMinAggDelta is the aggregate step every chase runs at, the
+// engine's default.
+const DefaultMinAggDelta = datalog.DefaultMinAggDelta
 
 // Op is one hypothetical mutation of a scenario batch.
 //
@@ -110,55 +102,6 @@ type Baseline struct {
 	Accown map[pg.NodeID][]datalog.Fact
 }
 
-// controlAccownText builds the control + accumulated-ownership rules (the
-// aggregate fragment of the chase). When scoped, derivation of control
-// candidates and accumulated ownership is restricted to sources with an
-// affected(X) fact.
-func controlAccownText(scoped bool) string {
-	guard := ""
-	if scoped {
-		guard = ", affected(X)"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "company(X, N, B, A, S)%s -> ccand(X, X).\n", guard)
-	fmt.Fprintf(&b, "person(X, N, B, A, S)%s -> ccand(X, X).\n", guard)
-	b.WriteString("ccand(X, Z), own(Z, Y, W), X != Y, S = msum(W, <Z>), S > 0.5 -> ccand(X, Y).\n")
-	b.WriteString("ccand(X, Y), X != Y -> control(X, Y).\n")
-	fmt.Fprintf(&b, "own(X, Y, W)%s, X != Y, S = msum(W, <X, Y>) -> accown(X, Y, S).\n", guard)
-	fmt.Fprintf(&b, "own(X, Z, W1)%s, X != Z, accown(Z, Y, W2), X != Y, S = msum(W1 * W2, <Z, Y>) -> accown(X, Y, S).\n", guard)
-	return b.String()
-}
-
-// MaintenanceProgram is the scoped control + accumulated-ownership program,
-// rule-for-rule vadalog.ControlProgram plus the accown rules of
-// vadalog.CloseLinkProgram under an affected(X) guard: a chase that seeds
-// unaffected baseline rows and re-derives affected cones lands on exactly
-// the facts a full chase would.
-func MaintenanceProgram() string { return controlAccownText(true) }
-
-// The baseline and maintenance programs, each compiled once per process: a
-// what-if or an ivm drain step instantiates an engine and plans nothing.
-var (
-	baselinePlan    = sync.OnceValues(func() (*datalog.Compiled, error) { return compile(controlAccownText(false)) })
-	maintenancePlan = sync.OnceValues(func() (*datalog.Compiled, error) { return compile(MaintenanceProgram()) })
-)
-
-func compile(src string) (*datalog.Compiled, error) {
-	prog, err := datalog.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return datalog.Compile(prog)
-}
-
-// withWhatIfDefaults prepends the package convergence default so explicit
-// caller options still win (later options overwrite earlier ones). The
-// baseline and every Advance must chase under the same convergence step or
-// the seeded rows would not line up with re-derived ones.
-func withWhatIfDefaults(opts []datalog.Option) []datalog.Option {
-	return append([]datalog.Option{datalog.WithMinAggDelta(DefaultMinAggDelta)}, opts...)
-}
-
 func pairOf(f datalog.Fact) (Pair, bool) {
 	if len(f.Args) != 2 {
 		return Pair{}, false
@@ -187,11 +130,7 @@ func ComputeBaseline(ctx context.Context, v pg.View, threshold float64, engineOp
 	if threshold == 0 {
 		threshold = DefaultThreshold
 	}
-	plan, err := baselinePlan()
-	if err != nil {
-		return nil, fmt.Errorf("whatif: compiling baseline program: %w", err)
-	}
-	e := plan.NewEngine(withWhatIfDefaults(engineOpts)...)
+	e := vadalog.BaselinePlan().NewEngine(engineOpts...)
 	relstore.Load(e, v)
 	if err := e.RunContext(ctx); err != nil {
 		return nil, fmt.Errorf("whatif: baseline chase: %w", err)

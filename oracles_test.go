@@ -12,8 +12,8 @@ import (
 	"vadalink/internal/pg"
 )
 
-// oracleSlack brackets a close-link threshold: the served Φ converges to
-// within the aggregate step per contributor, so a pair whose witness sits
+// oracleSlack brackets a close-link threshold: the served Φ stops a cycle's
+// series short of its limit (DESIGN.md §5), so a pair whose witness sits
 // that close to t may fall on either side (the benchmark's oracle uses the
 // same slack).
 const oracleSlack = 1e-3

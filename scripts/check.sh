@@ -52,9 +52,11 @@ echo "== coverage floors =="
 #                pool went and the chase kept one round evaluator, 93.0% on
 #                value rows) so later perf work can't silently shed tests. The
 #                allocation guards, TestChaseAllocations (one full chase) and
-#                TestGoalMissAllocations (one point-cold-shaped goal miss on
-#                the extract-then-assert path, extraction included), run
-#                here: the race step above skips them.
+#                TestGoalMissAllocations (one goal miss on the
+#                extract-then-assert path the benchmark's replay still times;
+#                a served miss streams a pruned load, guarded by vadalog's
+#                TestEvalGoalAllocations), run here: the race step above
+#                skips them.
 #   reasonapi    the HTTP surface carries the error-envelope and observability
 #                contracts, and the hit-path guards (allocations per hit, a
 #                deadline armed only by misses, queryParam vs url.ParseQuery)

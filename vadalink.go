@@ -105,7 +105,7 @@ var varX, varY, varS = datalog.Variable("X"), datalog.Variable("Y"), datalog.Var
 // magic sets restricting the chase to the bound arguments' cones.
 func ask(g *Graph, prog, pred string, terms ...datalog.Term) ([]datalog.Binding, error) {
 	res, err := vadalog.EvalGoal(context.Background(), g, prog, datalog.Atom{Pred: pred, Terms: terms},
-		datalog.WithMinAggDelta(whatif.DefaultMinAggDelta), datalog.WithMaxRounds(phiRounds))
+		datalog.WithMaxRounds(phiRounds))
 	if err != nil {
 		return nil, err
 	}
@@ -269,8 +269,15 @@ const (
 	TaskFamilyCloseLink = vadalog.TaskFamilyCloseLink
 )
 
-// NewReasoner prepares a reasoner for the selected tasks.
-func NewReasoner(g *Graph, tasks vadalog.Task) *Reasoner { return vadalog.NewReasoner(g, tasks) }
+// NewReasoner prepares a reasoner for the selected tasks. Its chase stops
+// after phiRounds rounds, like the facade's Φ reads, so a cycle Φ does not
+// converge on ends in the engine's *BudgetExceededError; set EngineOptions to
+// change that.
+func NewReasoner(g *Graph, tasks vadalog.Task) *Reasoner {
+	r := vadalog.NewReasoner(g, tasks)
+	r.EngineOptions = []datalog.Option{datalog.WithMaxRounds(phiRounds)}
+	return r
+}
 
 // ParseRules parses a Vadalog-syntax rule program (for custom reasoning).
 func ParseRules(src string) (*datalog.Program, error) { return datalog.Parse(src) }
