@@ -49,6 +49,28 @@ func TestBuildYourOwnGraph(t *testing.T) {
 	}
 }
 
+// TestWholeNumberShareCounts: a share amount given as a whole number, a Go
+// int or an int64, is the share it names. It used to be stored as given, so
+// Edge.Weight read no weight and the relational image held own(A, B, 0):
+// A controlled nothing with "w": 1 and B with "w": 1.0.
+func TestWholeNumberShareCounts(t *testing.T) {
+	for _, w := range []any{1, int64(1), 1.0} {
+		g := vadalink.NewBuilder().Graph()
+		a := g.AddNode(vadalink.LabelCompany, vadalink.Properties{"name": "A"})
+		b := g.AddNode(vadalink.LabelCompany, vadalink.Properties{"name": "B"})
+		e, err := g.AddEdge(vadalink.LabelShareholding, a, b, vadalink.Properties{"w": w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := g.Edge(e).Weight(); !ok || got != 1 {
+			t.Errorf(`"w": %#v reads weight %v, %v`, w, got, ok)
+		}
+		if got := vadalink.Controls(g, a); !slices.Equal(got, []vadalink.NodeID{b}) {
+			t.Errorf(`A with "w": %#v controls %v, want [%d]`, w, got, b)
+		}
+	}
+}
+
 // On a full cross-holding (A and B holding 100 % of each other, B holding
 // 15 % of C) the walk-sum Φ(A, C) diverges. Control does not need Φ, so every
 // control read answers; Accumulated answers pairs whose cone avoids the
@@ -104,7 +126,8 @@ func TestFacadeTerminatesOnAFullCrossHolding(t *testing.T) {
 func names(g *vadalink.Graph, ids []vadalink.NodeID) map[string]bool {
 	out := map[string]bool{}
 	for _, id := range ids {
-		out[g.Node(id).Props["name"].(string)] = true
+		name, _ := g.Node(id).Props.Str("name")
+		out[name] = true
 	}
 	return out
 }

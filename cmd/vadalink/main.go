@@ -375,8 +375,8 @@ func cmdFamily(fs *flag.FlagSet) func(io.Writer) error {
 // person, then its ID.
 func nodeName(g *vadalink.Graph, id vadalink.NodeID) string {
 	if n := g.Node(id); n != nil {
-		if s, ok := n.Props["name"].(string); ok && s != "" {
-			if sn, ok := n.Props["surname"].(string); ok && sn != "" {
+		if s, _ := n.Props.Str("name"); s != "" {
+			if sn, _ := n.Props.Str("surname"); sn != "" {
 				return fmt.Sprintf("%s %s (#%d)", s, sn, id)
 			}
 			return fmt.Sprintf("%s (#%d)", s, id)

@@ -28,7 +28,7 @@ func main() {
 		Own("Investor", "CleanCo", 0.05)  // negligible stake
 	g := b.Graph()
 
-	name := func(id vadalink.NodeID) string { return g.Node(id).Props["name"].(string) }
+	name := func(id vadalink.NodeID) string { s, _ := g.Node(id).Props.Str("name"); return s }
 
 	fmt.Println("accumulated ownership (Definition 2.5):")
 	for _, pair := range [][2]string{

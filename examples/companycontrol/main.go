@@ -30,11 +30,12 @@ func main() {
 						Own("SubB", "OpCo", 0.10).   // …and SubB: 55% jointly
 						Own("Rival", "OpCo", 0.45)   // rival's large stake loses
 	g := b.Graph()
+	name := func(id vadalink.NodeID) string { s, _ := g.Node(id).Props.Str("name"); return s }
 
 	fmt.Println("direct solver (Definition 2.3 fixpoint):")
 	for _, p := range vadalink.AllControlPairs(g) {
 		fmt.Printf("  %s controls %s\n",
-			g.Node(p.From).Props["name"], g.Node(p.To).Props["name"])
+			name(p.From), name(p.To))
 	}
 
 	fmt.Println("\ndeclarative Vadalog program (Algorithm 5):")
@@ -45,7 +46,7 @@ func main() {
 	declarative := r.ControlPairs()
 	for _, p := range declarative {
 		fmt.Printf("  %s controls %s\n",
-			g.Node(p[0]).Props["name"], g.Node(p[1]).Props["name"])
+			name(p[0]), name(p[1]))
 	}
 
 	// Cross-validation.

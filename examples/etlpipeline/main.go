@@ -50,8 +50,8 @@ func main() {
 
 	name := func(id vadalink.NodeID) string {
 		n := g.Node(id)
-		label := fmt.Sprintf("%v", n.Props["name"])
-		if sn, ok := n.Props["surname"].(string); ok && sn != "" {
+		label, _ := n.Props.Str("name")
+		if sn, _ := n.Props.Str("surname"); sn != "" {
 			label += " " + sn
 		}
 		return label

@@ -15,7 +15,8 @@ func main() {
 	g, b := vadalink.Figure1()
 
 	name := func(id vadalink.NodeID) string {
-		return g.Node(id).Props["name"].(string)
+		s, _ := g.Node(id).Props.Str("name")
+		return s
 	}
 
 	for _, p := range []string{"P1", "P2"} {
@@ -35,7 +36,7 @@ func main() {
 
 	fmt.Println("\n== Figure 2: close links (ECB asset-eligibility rule, t = 0.2) ==")
 	g2, b2 := vadalink.Figure2()
-	name2 := func(id vadalink.NodeID) string { return g2.Node(id).Props["name"].(string) }
+	name2 := func(id vadalink.NodeID) string { s, _ := g2.Node(id).Props.Str("name"); return s }
 
 	phi, err := vadalink.Accumulated(g2, b2.ID("C4"), b2.ID("C7"))
 	if err != nil {

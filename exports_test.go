@@ -420,18 +420,42 @@ func parseModule(fset *token.FileSet, fn func(path string, f *ast.File)) error {
 	})
 }
 
-// TestElementsAreImmutable fails on a write to the Props map of a pg.Node or
+// TestElementsAreImmutable fails on a write to the Props of a pg.Node or
 // pg.Edge in a non-test file of the module, bench/ included: an assignment
-// to the field or to one of its keys, or a delete, clear, maps.Copy or
-// maps.DeleteFunc on it. Clones, store versions and overlays share elements
-// (DESIGN.md §11.1), so a write through one would change every graph that
-// holds the element; a change builds a new element instead, as
+// to the field or to one of its keys, taking its address, or a delete,
+// clear, maps.Copy or maps.DeleteFunc on it. It fails too when pg.Record,
+// the type of Props, could be written in place: when it holds anything but
+// strings and numbers (a pointer, slice, map, channel, function or
+// interface), through which a method could change a record after it is
+// built. Clones, store versions and overlays share elements (DESIGN.md
+// §11.1), so a write through one would change every graph that holds the
+// element; a change builds a new element instead, as
 // pg.Graph.SetEdgeWeight does.
 func TestElementsAreImmutable(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := typeCheckModule(fset)
 	if err != nil {
 		t.Fatal(err)
+	}
+	records := 0
+	for _, p := range pkgs {
+		if p.pkg.Path() != "vadalink/internal/pg" {
+			continue
+		}
+		for _, elem := range []string{"Node", "Edge"} {
+			st := p.pkg.Scope().Lookup(elem).Type().Underlying().(*types.Struct)
+			for i := range st.NumFields() {
+				if f := st.Field(i); f.Name() == "Props" {
+					records++
+					if err := valueOnly(f.Type()); err != nil {
+						t.Errorf("pg.%s.Props is %s, which %v; a record must hold only strings and numbers", elem, f.Type(), err)
+					}
+				}
+			}
+		}
+	}
+	if records != 2 {
+		t.Fatalf("found %d Props fields on pg.Node and pg.Edge, want 2", records)
 	}
 	seen := 0
 	for _, p := range pkgs {
@@ -468,6 +492,10 @@ func TestElementsAreImmutable(t *testing.T) {
 					written = s.Lhs
 				case *ast.IncDecStmt:
 					written = []ast.Expr{s.X}
+				case *ast.UnaryExpr:
+					if s.Op == token.AND {
+						written = []ast.Expr{s.X}
+					}
 				case *ast.CallExpr:
 					if len(s.Args) > 0 && writesFirstArg(p.info, s.Fun) {
 						written = s.Args[:1]
@@ -486,6 +514,29 @@ func TestElementsAreImmutable(t *testing.T) {
 	if seen == 0 {
 		t.Fatal("no Props field of a pg element found in the module")
 	}
+}
+
+// valueOnly reports why a value of type t could be written through, or nil
+// when t holds only strings, numbers and bools, directly or in structs and
+// arrays.
+func valueOnly(t types.Type) error {
+	switch u := t.Underlying().(type) {
+	case *types.Basic:
+		if u.Kind() == types.UnsafePointer {
+			return fmt.Errorf("holds an unsafe.Pointer")
+		}
+		return nil
+	case *types.Struct:
+		for i := range u.NumFields() {
+			if err := valueOnly(u.Field(i).Type()); err != nil {
+				return fmt.Errorf("field %s %w", u.Field(i).Name(), err)
+			}
+		}
+		return nil
+	case *types.Array:
+		return valueOnly(u.Elem())
+	}
+	return fmt.Errorf("holds a %s", t.Underlying())
 }
 
 // writesFirstArg reports whether fun is a builtin or standard-library map

@@ -71,14 +71,14 @@ func TestAccumulatedMatchesImperativeOnDAG(t *testing.T) {
 	var layers [3][]pg.NodeID
 	for l := range layers {
 		for i := 0; i < 4; i++ {
-			layers[l] = append(layers[l], g.AddNode(pg.LabelCompany, map[string]any{"name": "c"}))
+			layers[l] = append(layers[l], g.AddNode(pg.LabelCompany, pg.Properties{"name": "c"}))
 		}
 	}
 	w := []float64{0.6, 0.3, 0.25, 0.15}
 	for l := 0; l < 2; l++ {
 		for i, from := range layers[l] {
 			for j, to := range layers[l+1] {
-				if _, err := g.AddEdge(pg.LabelShareholding, from, to, map[string]any{pg.WeightProp: w[(i+j)%len(w)]}); err != nil {
+				if _, err := g.AddEdge(pg.LabelShareholding, from, to, pg.Properties{pg.WeightProp: w[(i+j)%len(w)]}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -44,26 +44,19 @@ func (b PersonBlocker) AllKeys(n *pg.Node) []string {
 		return nil
 	}
 	var keys []string
-	if surname, _ := n.Props["surname"].(string); surname != "" {
-		decade := 0
-		switch v := n.Props["birth"].(type) {
-		case float64:
-			decade = int(v) / 10
-		case int64:
-			decade = int(v) / 10
-		case int:
-			decade = v / 10
-		}
+	if surname, _ := n.Props.Str("surname"); surname != "" {
+		birth, _ := n.Props.Num("birth")
+		decade := int(birth) / 10
 		key := fmt.Sprintf("sn|%s|%d", family.Soundex(surname), decade)
 		if b.ByCity {
-			city, _ := n.Props["city"].(string)
+			city, _ := n.Props.Str("city")
 			key += "|" + city
 		}
 		keys = append(keys, key)
 	}
 	if !b.NoHousehold {
-		addr, _ := n.Props["addr"].(string)
-		city, _ := n.Props["city"].(string)
+		addr, _ := n.Props.Str("addr")
+		city, _ := n.Props.Str("city")
 		if addr != "" {
 			keys = append(keys, "hh|"+city+"|"+addr)
 		}

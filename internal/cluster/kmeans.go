@@ -166,7 +166,8 @@ type FeatureHashBlocker struct {
 func (b FeatureHashBlocker) Key(n *pg.Node) string {
 	h := fnv.New64a()
 	for _, f := range b.Features {
-		fmt.Fprintf(h, "%v|", n.Props[f])
+		v, _ := n.Props.Get(f)
+		fmt.Fprintf(h, "%v|", v)
 	}
 	if b.K <= 0 {
 		return fmt.Sprintf("h%x", h.Sum64())

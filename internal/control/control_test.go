@@ -10,7 +10,7 @@ func names(b *pg.Builder, ids []pg.NodeID) map[string]bool {
 	g := b.Graph()
 	out := map[string]bool{}
 	for _, id := range ids {
-		out[g.Node(id).Props["name"].(string)] = true
+		out[g.Node(id).Props.Map()["name"].(string)] = true
 	}
 	return out
 }
@@ -137,7 +137,7 @@ func TestAllPairsMatchesPerSource(t *testing.T) {
 		want := Controls(g, x)
 		if len(want) != len(byFrom[x]) {
 			t.Errorf("AllPairs disagrees with Controls for %v: %v vs %v",
-				g.Node(x).Props["name"], byFrom[x], want)
+				g.Node(x).Props.Map()["name"], byFrom[x], want)
 		}
 		for _, y := range want {
 			if !byFrom[x][y] {

@@ -78,9 +78,12 @@ func TestChaseAllocations(t *testing.T) {
 // chased and queried. The server streams the image instead (vadalog's
 // TestEvalGoalAllocations pins that path); this one is the path the
 // benchmark's traced replay times. Extraction is included. Before value rows
-// a miss here allocated 39,333 times and 2.81 MB; now 14,017 times and
-// 1.79 MB, mostly extraction's boxed numbers and the relations' arenas. The
-// budgets leave ~13 % headroom.
+// a miss here allocated 39,333 times and 2.81 MB; then 14,017 times and
+// 1.79 MB, mostly extraction's boxed numbers and the relations' arenas. Since
+// elements hold typed records, not maps of boxed values, extraction boxes
+// each string property (~8,000 allocations more), and boxing each node ID
+// and each number's rendering once per extraction pays that back: 13,965
+// times and 1.91 MB. The budgets were set with ~13 % headroom.
 func TestGoalMissAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")

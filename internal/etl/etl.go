@@ -193,53 +193,58 @@ func (r *Result) register(extID string, id pg.NodeID) bool {
 }
 
 func (r *Result) loadCompanies(in io.Reader, c *errCollector) error {
+	var props pg.RecordBuilder
 	return forEachRow(in, "id", 2, "companies", c, func(line int, rec []string) {
 		extID := strings.TrimSpace(rec[0])
 		if _, dup := r.IDs[extID]; dup {
 			c.add("companies", line, "duplicate id %q", extID)
 			return
 		}
-		props := pg.Properties{"name": rec[1]}
+		props.Str("name", rec[1])
 		if len(rec) > 2 {
-			props["sector"] = rec[2]
+			props.Str("sector", rec[2])
 		}
 		if len(rec) > 3 {
-			props["addr"] = rec[3]
+			props.Str("addr", rec[3])
 		}
 		if len(rec) > 4 {
-			props["city"] = rec[4]
+			props.Str("city", rec[4])
 		}
-		r.register(extID, r.Graph.AddNode(pg.LabelCompany, props))
+		r.register(extID, r.Graph.AddNode(pg.LabelCompany, props.Record()))
 	})
 }
 
 func (r *Result) loadPersons(in io.Reader, c *errCollector) error {
+	var props pg.RecordBuilder
 	return forEachRow(in, "id", 3, "persons", c, func(line int, rec []string) {
 		extID := strings.TrimSpace(rec[0])
 		if _, dup := r.IDs[extID]; dup {
 			c.add("persons", line, "duplicate id %q", extID)
 			return
 		}
-		props := pg.Properties{"name": rec[1], "surname": rec[2]}
+		var birth float64
 		if len(rec) > 3 && rec[3] != "" {
-			birth, err := strconv.ParseFloat(rec[3], 64)
-			if err != nil {
+			var err error
+			if birth, err = strconv.ParseFloat(rec[3], 64); err != nil {
 				c.add("persons", line, "bad birth year %q", rec[3])
 				return
 			}
-			props["birth"] = birth
+			props.Float("birth", birth)
 		}
+		props.Str("name", rec[1])
+		props.Str("surname", rec[2])
 		if len(rec) > 4 {
-			props["addr"] = rec[4]
+			props.Str("addr", rec[4])
 		}
 		if len(rec) > 5 {
-			props["city"] = rec[5]
+			props.Str("city", rec[5])
 		}
-		r.register(extID, r.Graph.AddNode(pg.LabelPerson, props))
+		r.register(extID, r.Graph.AddNode(pg.LabelPerson, props.Record()))
 	})
 }
 
 func (r *Result) loadShareholdings(in io.Reader, c *errCollector) error {
+	var props pg.RecordBuilder
 	return forEachRow(in, "owner", 3, "shareholdings", c, func(line int, rec []string) {
 		owner, ok := r.IDs[strings.TrimSpace(rec[0])]
 		if !ok {
@@ -252,15 +257,15 @@ func (r *Result) loadShareholdings(in io.Reader, c *errCollector) error {
 			return
 		}
 		share, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil || share <= 0 || share > 1 {
+		if err != nil || !(share > 0 && share <= 1) {
 			c.add("shareholdings", line, "bad share %q (want a fraction in (0,1])", rec[2])
 			return
 		}
-		props := pg.Properties{pg.WeightProp: share}
+		props.Float(pg.WeightProp, share)
 		if len(rec) > 3 && rec[3] != "" {
-			props["right"] = rec[3]
+			props.Str("right", rec[3])
 		}
-		if _, err := r.Graph.AddEdge(pg.LabelShareholding, owner, owned, props); err != nil {
+		if _, err := r.Graph.AddEdge(pg.LabelShareholding, owner, owned, props.Record()); err != nil {
 			c.add("shareholdings", line, "%v", err)
 		}
 	})

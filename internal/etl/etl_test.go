@@ -40,7 +40,7 @@ func TestLoadFullPipeline(t *testing.T) {
 		t.Fatalf("loaded %d nodes / %d edges, want 4/3", g.NumNodes(), g.NumEdges())
 	}
 	mario := res.IDs["P001"]
-	if g.Node(mario).Label != pg.LabelPerson || g.Node(mario).Props["surname"] != "Rossi" {
+	if g.Node(mario).Label != pg.LabelPerson || g.Node(mario).Props.Map()["surname"] != "Rossi" {
 		t.Errorf("P001 loaded wrong: %+v", g.Node(mario))
 	}
 	// The loaded graph immediately supports reasoning: Mario controls both.
@@ -50,8 +50,8 @@ func TestLoadFullPipeline(t *testing.T) {
 	}
 	// Edge properties carried through.
 	e := g.Edge(g.Out(mario)[0])
-	if e.Props["right"] != "ownership" {
-		t.Errorf("share right = %v", e.Props["right"])
+	if e.Props.Map()["right"] != "ownership" {
+		t.Errorf("share right = %v", e.Props.Map()["right"])
 	}
 }
 
@@ -79,6 +79,7 @@ func TestLoadErrors(t *testing.T) {
 		{"unknown owned", "C1,A\n", "", "C1,CX,0.5\n"},
 		{"bad share", "C1,A\nC2,B\n", "", "C1,C2,1.5\n"},
 		{"zero share", "C1,A\nC2,B\n", "", "C1,C2,0\n"},
+		{"NaN share", "C1,A\nC2,B\n", "", "C1,C2,NaN\n"},
 		{"bad birth", "", "P1,Mario,Rossi,notayear\n", ""},
 		{"short person row", "", "P1,Mario\n", ""},
 		{"share into person", "C1,A\n", "P1,Mario,Rossi,1960\n", "C1,P1,0.5\n"},

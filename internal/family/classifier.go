@@ -31,26 +31,11 @@ type Person struct {
 // person node. Missing properties default to zero values.
 func PersonFromNode(n *pg.Node) Person {
 	p := Person{}
-	if v, ok := n.Props["name"].(string); ok {
-		p.Name = v
-	}
-	if v, ok := n.Props["surname"].(string); ok {
-		p.Surname = v
-	}
-	switch v := n.Props["birth"].(type) {
-	case float64:
-		p.Birth = v
-	case int64:
-		p.Birth = float64(v)
-	case int:
-		p.Birth = float64(v)
-	}
-	if v, ok := n.Props["addr"].(string); ok {
-		p.Addr = v
-	}
-	if v, ok := n.Props["city"].(string); ok {
-		p.City = v
-	}
+	p.Name, _ = n.Props.Str("name")
+	p.Surname, _ = n.Props.Str("surname")
+	p.Birth, _ = n.Props.Num("birth")
+	p.Addr, _ = n.Props.Str("addr")
+	p.City, _ = n.Props.Str("city")
 	return p
 }
 

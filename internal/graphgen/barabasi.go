@@ -90,6 +90,7 @@ func BarabasiWith(cfg BarabasiConfig) *pg.Graph {
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
 	g := pg.New()
+	var props pg.RecordBuilder
 
 	ids := make([]pg.NodeID, 0, n)
 	var shares []share
@@ -100,24 +101,22 @@ func BarabasiWith(cfg BarabasiConfig) *pg.Graph {
 	for i := 0; i < n; i++ {
 		var id pg.NodeID
 		if r.Float64() < cfg.PersonFraction {
-			id = g.AddNode(pg.LabelPerson, pg.Properties{
-				"name":    firstNames[r.Intn(len(firstNames))],
-				"surname": surnames[r.Intn(len(surnames))],
-				"birth":   float64(1935 + r.Intn(70)),
-				"addr":    fmt.Sprintf("%s %d", streets[r.Intn(len(streets))], 1+r.Intn(200)),
-				"city":    cities[r.Intn(len(cities))],
-			})
+			props.Str("name", firstNames[r.Intn(len(firstNames))])
+			props.Str("surname", surnames[r.Intn(len(surnames))])
+			props.Float("birth", float64(1935+r.Intn(70)))
+			props.Str("addr", fmt.Sprintf("%s %d", streets[r.Intn(len(streets))], 1+r.Intn(200)))
+			props.Str("city", cities[r.Intn(len(cities))])
+			id = g.AddNode(pg.LabelPerson, props.Record())
 		} else {
-			id = g.AddNode(pg.LabelCompany, pg.Properties{
-				"name":   companyName(r),
-				"sector": sectors[r.Intn(len(sectors))],
-				"f1":     r.Float64(),
-				"f2":     r.Float64(),
-				"f3":     float64(r.Intn(100)),
-				"f4":     sectors[r.Intn(len(sectors))],
-				"f5":     float64(1950 + r.Intn(70)),
-				"f6":     r.NormFloat64(),
-			})
+			props.Str("name", companyName(r))
+			props.Str("sector", sectors[r.Intn(len(sectors))])
+			props.Float("f1", r.Float64())
+			props.Float("f2", r.Float64())
+			props.Float("f3", float64(r.Intn(100)))
+			props.Str("f4", sectors[r.Intn(len(sectors))])
+			props.Float("f5", float64(1950+r.Intn(70)))
+			props.Float("f6", r.NormFloat64())
+			id = g.AddNode(pg.LabelCompany, props.Record())
 		}
 		ids = append(ids, id)
 		targets := map[pg.NodeID]bool{}
@@ -151,8 +150,10 @@ type share struct {
 // it holds.
 func addShares(g *pg.Graph, shares []share) {
 	normalizeShares(shares)
+	var props pg.RecordBuilder
 	for _, s := range shares {
-		g.MustAddEdge(pg.LabelShareholding, s.from, s.to, pg.Properties{pg.WeightProp: s.w})
+		props.Float(pg.WeightProp, s.w)
+		g.MustAddEdge(pg.LabelShareholding, s.from, s.to, props.Record())
 	}
 }
 

@@ -120,9 +120,9 @@ func TestItalianFamiliesShareAddress(t *testing.T) {
 		if len(members) < 2 {
 			continue
 		}
-		addr := g.Node(members[0]).Props["addr"]
+		addr := g.Node(members[0]).Props.Map()["addr"]
 		for _, m := range members[1:] {
-			if g.Node(m).Props["addr"] != addr {
+			if g.Node(m).Props.Map()["addr"] != addr {
 				t.Errorf("family %s members have different addresses", fam)
 			}
 		}

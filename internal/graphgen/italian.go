@@ -64,6 +64,7 @@ func NewItalian(cfg ItalianConfig) *Italian {
 	cfg = cfg.withDefaults()
 	r := rand.New(rand.NewSource(cfg.Seed))
 	g := pg.New()
+	var props pg.RecordBuilder
 	out := &Italian{Graph: g, Families: map[string][]pg.NodeID{}}
 
 	// 1. Persons in family groups.
@@ -110,13 +111,12 @@ func NewItalian(cfg ItalianConfig) *Italian {
 				// Partners may keep their own surname.
 				sn = surnames[r.Intn(len(surnames))]
 			}
-			id := g.AddNode(pg.LabelPerson, pg.Properties{
-				"name":    firstNames[r.Intn(len(firstNames))],
-				"surname": sn,
-				"birth":   float64(birth),
-				"addr":    addr,
-				"city":    city,
-			})
+			props.Str("name", firstNames[r.Intn(len(firstNames))])
+			props.Str("surname", sn)
+			props.Float("birth", float64(birth))
+			props.Str("addr", addr)
+			props.Str("city", city)
+			id := g.AddNode(pg.LabelPerson, props.Record())
 			members = append(members, member{id: id, birth: birth, role: role})
 			out.Families[famKey] = append(out.Families[famKey], id)
 		}
@@ -142,12 +142,11 @@ func NewItalian(cfg ItalianConfig) *Italian {
 	// 2. Companies.
 	companies := make([]pg.NodeID, 0, cfg.Companies)
 	for i := 0; i < cfg.Companies; i++ {
-		id := g.AddNode(pg.LabelCompany, pg.Properties{
-			"name":   companyName(r),
-			"sector": sectors[r.Intn(len(sectors))],
-			"addr":   fmt.Sprintf("%s %d", streets[r.Intn(len(streets))], 1+r.Intn(200)),
-			"city":   cities[r.Intn(len(cities))],
-		})
+		props.Str("name", companyName(r))
+		props.Str("sector", sectors[r.Intn(len(sectors))])
+		props.Str("addr", fmt.Sprintf("%s %d", streets[r.Intn(len(streets))], 1+r.Intn(200)))
+		props.Str("city", cities[r.Intn(len(cities))])
+		id := g.AddNode(pg.LabelCompany, props.Record())
 		companies = append(companies, id)
 	}
 	if len(companies) == 0 {

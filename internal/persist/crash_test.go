@@ -75,7 +75,7 @@ func TestCrashRecoveryLoop(t *testing.T) {
 	g := s.Graph()
 	for _, seq := range acked {
 		n := g.Node(pg.NodeID(seq - 1))
-		if n == nil || n.Props["seq"] != seq {
+		if n == nil || n.Props.Map()["seq"] != seq {
 			t.Fatalf("acknowledged fact %d lost (node: %+v) after %d kills", seq, n, cycles)
 		}
 	}
@@ -109,7 +109,7 @@ func TestCrashChild(t *testing.T) {
 	// Every fact acknowledged by a previous life must have survived.
 	for _, seq := range acked {
 		n := g.Node(pg.NodeID(seq - 1))
-		if n == nil || n.Props["seq"] != seq {
+		if n == nil || n.Props.Map()["seq"] != seq {
 			die(crashExitFactLost, "acked fact %d missing after recovery (node %+v)", seq, n)
 		}
 	}

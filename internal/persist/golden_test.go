@@ -15,14 +15,23 @@ import (
 
 // Record builders for tests: one per wire op.
 
-func addNodeRec(id pg.NodeID, label pg.Label, props pg.Properties) Record {
-	return Record{Mutation: pg.Mutation{Kind: pg.MutAddNode,
-		Node: &pg.Node{ID: id, Label: label, Props: props}}}
+// props converts a Properties literal, failing loudly on a bad one.
+func props(p pg.Properties) pg.Record {
+	r, err := pg.NewRecord(p)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }
 
-func addEdgeRec(id pg.EdgeID, label pg.Label, from, to pg.NodeID, props pg.Properties) Record {
+func addNodeRec(id pg.NodeID, label pg.Label, p pg.Properties) Record {
+	return Record{Mutation: pg.Mutation{Kind: pg.MutAddNode,
+		Node: &pg.Node{ID: id, Label: label, Props: props(p)}}}
+}
+
+func addEdgeRec(id pg.EdgeID, label pg.Label, from, to pg.NodeID, p pg.Properties) Record {
 	return Record{Mutation: pg.Mutation{Kind: pg.MutAddEdge,
-		Edge: &pg.Edge{ID: id, Label: label, From: from, To: to, Props: props}}}
+		Edge: &pg.Edge{ID: id, Label: label, From: from, To: to, Props: props(p)}}}
 }
 
 func removeEdgeRec(id pg.EdgeID) Record {
@@ -35,7 +44,7 @@ func removeNodeRec(id pg.NodeID) Record {
 
 func weightRec(id pg.EdgeID, w float64) Record {
 	return Record{Mutation: pg.Mutation{Kind: pg.MutSetEdgeWeight,
-		Edge: &pg.Edge{ID: id, Props: pg.Properties{pg.WeightProp: w}}}}
+		Edge: &pg.Edge{ID: id, Props: props(pg.Properties{pg.WeightProp: w})}}}
 }
 
 func epochRec(epoch uint64, start int64) Record {
@@ -100,6 +109,31 @@ func TestWALGoldenPayloads(t *testing.T) {
 		if !reflect.DeepEqual(dec, wantDec) {
 			t.Errorf("%s: decodes to %+v, want %+v", c.name, dec, wantDec)
 		}
+	}
+}
+
+// TestGoldenPayloadPrefixesAreRefused: every proper prefix of every pinned
+// payload is refused as truncated rather than decoded as a shorter record,
+// and a property whose kind byte names no kind is refused too.
+func TestGoldenPayloadPrefixesAreRefused(t *testing.T) {
+	for _, c := range goldenRecords {
+		full, err := hex.DecodeString(c.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := range len(full) {
+			if _, err := decodeRecord(full[:n]); err == nil {
+				t.Errorf("%s: the first %d of %d bytes decode", c.name, n, len(full))
+			}
+		}
+	}
+	bad, err := appendRecord(nil, addNodeRec(0, "Company", pg.Properties{"name": "ACME"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad[bytes.IndexByte(bad, byte(pg.KindString))] = 'x'
+	if _, err := decodeRecord(bad); err == nil || !strings.Contains(err.Error(), "unknown property tag") {
+		t.Errorf("a property of kind 'x' decodes: %v", err)
 	}
 }
 
@@ -186,7 +220,7 @@ func TestOpenGoldenDataDir(t *testing.T) {
 	if marks := s.EpochMarks(); len(marks) != 1 || marks[0] != (EpochMark{Epoch: 3, StartSeq: 7}) {
 		t.Fatalf("epoch marks %v, want [{3 7}]", marks)
 	}
-	if n := g.Node(3); n == nil || n.Props["capital"] != 1.5e6 {
+	if n := g.Node(3); n == nil || n.Props.Map()["capital"] != 1.5e6 {
 		t.Fatalf("node 3 = %+v, want company C", n)
 	}
 	if e := g.Edge(2); e == nil || e.From != 1 || e.To != 3 {

@@ -48,8 +48,8 @@ func TestOpenRecoversAppendedMutations(t *testing.T) {
 	if g2.NumNodes() != 3 || g2.NumEdges() != 1 {
 		t.Fatalf("recovered %d nodes / %d edges, want 3/1", g2.NumNodes(), g2.NumEdges())
 	}
-	if n := g2.Node(p); n == nil || n.Props["name"] != "Alice" || n.Props["age"] != int64(52) ||
-		n.Props["pep"] != true || n.Props["score"] != 0.75 {
+	if n := g2.Node(p); n == nil || n.Props.Map()["name"] != "Alice" || n.Props.Map()["age"] != int64(52) ||
+		n.Props.Map()["pep"] != true || n.Props.Map()["score"] != 0.75 {
 		t.Fatalf("person node lost properties: %+v", g2.Node(p))
 	}
 	if g2.Edge(e1) != nil {

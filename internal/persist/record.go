@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"vadalink/internal/pg"
 )
@@ -49,20 +48,12 @@ type Record struct {
 	Epoch    EpochMark
 }
 
-// Property value type tags.
-const (
-	tagString byte = 's'
-	tagFloat  byte = 'f'
-	tagInt    byte = 'i'
-	tagBool   byte = 'b'
-)
-
-// appendRecord appends the encoding of r to buf and returns the result.
-// Unsupported property value types are an error: the WAL must not silently
-// drop state it cannot re-create.
+// appendRecord appends the encoding of r to buf and returns the result. A
+// property goes on the wire as its key, its kind byte (pg.KindString,
+// KindFloat, KindInt or KindBool: 's', 'f', 'i', 'b') and its value.
 func appendRecord(buf []byte, r Record) ([]byte, error) {
 	m := r.Mutation
-	var props pg.Properties
+	var props pg.Record
 	switch m.Kind {
 	case 0:
 		buf = append(buf, byte(OpEpoch))
@@ -97,40 +88,27 @@ func appendRecord(buf []byte, r Record) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("persist: unknown mutation kind %d", m.Kind)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(props)))
-	// Sorted keys make the encoding canonical: the same record always
-	// produces the same bytes, so decode∘encode is the identity and the
-	// fuzz harness can assert it.
-	keys := make([]string, 0, len(props))
-	for k := range props {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		v := props[k]
+	// A record is sorted by key, which makes the encoding canonical: the
+	// same record always produces the same bytes, so decode∘encode is the
+	// identity and the fuzz harness can assert it.
+	buf = binary.AppendUvarint(buf, uint64(props.Len()))
+	for i := range props.Len() {
+		k, v := props.Field(i)
 		buf = appendString(buf, k)
-		switch x := v.(type) {
-		case string:
-			buf = append(buf, tagString)
-			buf = appendString(buf, x)
-		case float64:
-			buf = append(buf, tagFloat)
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-		case int64:
-			buf = append(buf, tagInt)
-			buf = binary.AppendVarint(buf, x)
-		case int:
-			buf = append(buf, tagInt)
-			buf = binary.AppendVarint(buf, int64(x))
-		case bool:
-			buf = append(buf, tagBool)
-			if x {
+		buf = append(buf, byte(v.Kind()))
+		switch v.Kind() {
+		case pg.KindString:
+			buf = appendString(buf, v.Str())
+		case pg.KindFloat:
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Float()))
+		case pg.KindInt:
+			buf = binary.AppendVarint(buf, v.Int())
+		default: // pg.KindBool
+			if v.Bool() {
 				buf = append(buf, 1)
 			} else {
 				buf = append(buf, 0)
 			}
-		default:
-			return nil, fmt.Errorf("persist: property %q has unloggable type %T", k, v)
 		}
 	}
 	return buf, nil
@@ -154,24 +132,22 @@ func decodeRecord(b []byte) (Record, error) {
 	if !ok {
 		return r, errTruncatedRecord
 	}
-	var props *pg.Properties
 	switch Op(op) {
 	case OpAddNode:
-		n := &pg.Node{ID: pg.NodeID(id)}
 		label, ok := d.str()
 		if !ok {
 			return r, errTruncatedRecord
 		}
-		n.Label = pg.Label(label)
-		r.Mutation = pg.Mutation{Kind: pg.MutAddNode, Node: n}
-		props = &n.Props
+		props, err := d.props()
+		if err != nil {
+			return r, err
+		}
+		r.Mutation = pg.Mutation{Kind: pg.MutAddNode, Node: &pg.Node{ID: pg.NodeID(id), Label: pg.Label(label), Props: props}}
 	case OpAddEdge:
-		e := &pg.Edge{ID: pg.EdgeID(id)}
 		label, ok := d.str()
 		if !ok {
 			return r, errTruncatedRecord
 		}
-		e.Label = pg.Label(label)
 		from, ok := d.varint()
 		if !ok {
 			return r, errTruncatedRecord
@@ -180,9 +156,12 @@ func decodeRecord(b []byte) (Record, error) {
 		if !ok {
 			return r, errTruncatedRecord
 		}
-		e.From, e.To = pg.NodeID(from), pg.NodeID(to)
-		r.Mutation = pg.Mutation{Kind: pg.MutAddEdge, Edge: e}
-		props = &e.Props
+		props, err := d.props()
+		if err != nil {
+			return r, err
+		}
+		r.Mutation = pg.Mutation{Kind: pg.MutAddEdge, Edge: &pg.Edge{ID: pg.EdgeID(id), Label: pg.Label(label),
+			From: pg.NodeID(from), To: pg.NodeID(to), Props: props}}
 	case OpRemoveEdge:
 		r.Mutation = pg.Mutation{Kind: pg.MutRemoveEdge, Edge: &pg.Edge{ID: pg.EdgeID(id)}}
 	case OpRemoveNode:
@@ -192,9 +171,8 @@ func decodeRecord(b []byte) (Record, error) {
 		if !ok {
 			return r, errTruncatedRecord
 		}
-		w := math.Float64frombits(v)
-		r.Mutation = pg.Mutation{Kind: pg.MutSetEdgeWeight,
-			Edge: &pg.Edge{ID: pg.EdgeID(id), Props: pg.Properties{pg.WeightProp: w}}}
+		d.rb.Float(pg.WeightProp, math.Float64frombits(v))
+		r.Mutation = pg.Mutation{Kind: pg.MutSetEdgeWeight, Edge: &pg.Edge{ID: pg.EdgeID(id), Props: d.rb.Record()}}
 	case OpEpoch:
 		start, ok := d.varint()
 		if !ok {
@@ -204,74 +182,63 @@ func decodeRecord(b []byte) (Record, error) {
 	default:
 		return r, fmt.Errorf("persist: unknown op %d", op)
 	}
-	if props != nil {
-		p, err := d.props()
-		if err != nil {
-			return r, err
-		}
-		*props = p
-	}
 	if len(d.b) != d.off {
 		return r, fmt.Errorf("persist: %d trailing bytes after record", len(d.b)-d.off)
 	}
 	return r, nil
 }
 
-// props parses a property map: a count, then sorted key/tag/value triples.
-// An empty map decodes as nil.
-func (d *decoder) props() (pg.Properties, error) {
+// props parses a property record: a count, then key/kind/value triples.
+func (d *decoder) props() (pg.Record, error) {
 	n, ok := d.uvarint()
 	if !ok {
-		return nil, errTruncatedRecord
+		return pg.Record{}, errTruncatedRecord
 	}
-	// Each property needs at least 3 bytes (empty key, tag, empty value);
+	// Each property needs at least 3 bytes (empty key, kind, empty value);
 	// a count beyond that is a lie about the buffer.
 	if n > uint64(len(d.b)-d.off) {
-		return nil, fmt.Errorf("persist: property count %d exceeds record size", n)
+		return pg.Record{}, fmt.Errorf("persist: property count %d exceeds record size", n)
 	}
-	var props pg.Properties
-	if n > 0 {
-		props = make(pg.Properties, n)
-	}
+	b := &d.rb
 	for i := uint64(0); i < n; i++ {
 		k, ok := d.str()
 		if !ok {
-			return nil, errTruncatedRecord
+			return pg.Record{}, errTruncatedRecord
 		}
-		tag, ok := d.byte()
+		kind, ok := d.byte()
 		if !ok {
-			return nil, errTruncatedRecord
+			return pg.Record{}, errTruncatedRecord
 		}
-		switch tag {
-		case tagString:
+		switch pg.Kind(kind) {
+		case pg.KindString:
 			v, ok := d.str()
 			if !ok {
-				return nil, errTruncatedRecord
+				return pg.Record{}, errTruncatedRecord
 			}
-			props[k] = v
-		case tagFloat:
+			b.Str(k, v)
+		case pg.KindFloat:
 			v, ok := d.u64()
 			if !ok {
-				return nil, errTruncatedRecord
+				return pg.Record{}, errTruncatedRecord
 			}
-			props[k] = math.Float64frombits(v)
-		case tagInt:
+			b.Float(k, math.Float64frombits(v))
+		case pg.KindInt:
 			v, ok := d.varint()
 			if !ok {
-				return nil, errTruncatedRecord
+				return pg.Record{}, errTruncatedRecord
 			}
-			props[k] = v
-		case tagBool:
+			b.Int(k, v)
+		case pg.KindBool:
 			v, ok := d.byte()
 			if !ok {
-				return nil, errTruncatedRecord
+				return pg.Record{}, errTruncatedRecord
 			}
-			props[k] = v != 0
+			b.Bool(k, v != 0)
 		default:
-			return nil, fmt.Errorf("persist: unknown property tag %q", tag)
+			return pg.Record{}, fmt.Errorf("persist: unknown property tag %q", kind)
 		}
 	}
-	return props, nil
+	return b.Record(), nil
 }
 
 var errTruncatedRecord = fmt.Errorf("persist: truncated record")
@@ -280,6 +247,7 @@ var errTruncatedRecord = fmt.Errorf("persist: truncated record")
 type decoder struct {
 	b   []byte
 	off int
+	rb  pg.RecordBuilder
 }
 
 func (d *decoder) byte() (byte, bool) {

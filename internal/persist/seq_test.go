@@ -169,7 +169,7 @@ func TestNextFrameAndDecodeFrame(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeFrame: %v", err)
 	}
-	if n := got.Mutation.Node; got.Mutation.Kind != pg.MutAddNode || n.ID != 7 || n.Label != "Company" || n.Props["name"] != "ACME" {
+	if n := got.Mutation.Node; got.Mutation.Kind != pg.MutAddNode || n.ID != 7 || n.Label != "Company" || n.Props.Map()["name"] != "ACME" {
 		t.Fatalf("DecodeFrame = %+v, want %+v", got, rec)
 	}
 

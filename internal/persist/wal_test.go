@@ -49,11 +49,29 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecordEncodeRejectsUnloggableProp: a property the WAL cannot log
+// never reaches it. A slice value is refused where it enters the graph, so
+// no element holds one and no mutation carrying one is fired to the log.
 func TestRecordEncodeRejectsUnloggableProp(t *testing.T) {
-	_, err := appendRecord(nil, addNodeRec(0, "X",
-		pg.Properties{"bad": []string{"not", "loggable"}}))
-	if err == nil {
-		t.Fatal("slice-valued property encoded silently")
+	bad := pg.Properties{"bad": []string{"not", "loggable"}}
+	if _, err := pg.NewRecord(bad); err == nil {
+		t.Fatal("slice-valued property accepted")
+	}
+	g := pg.New()
+	var logged [][]byte
+	g.SetMutationHook(func(m pg.Mutation) {
+		buf, err := appendRecord(nil, Record{Mutation: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		logged = append(logged, buf)
+	})
+	a := g.AddNode("X", nil)
+	if _, err := g.AddEdge("X", a, a, bad); err == nil {
+		t.Fatal("slice-valued property added silently")
+	}
+	if len(logged) != 1 || g.NumEdges() != 0 {
+		t.Fatalf("%d records logged, %d edges, want the node's record alone", len(logged), g.NumEdges())
 	}
 }
 

@@ -41,3 +41,62 @@ func TestCloneAllocations(t *testing.T) {
 		t.Errorf("a clone allocates %.0f bytes, budget %d", bytes, byteBudget)
 	}
 }
+
+// TestGraphBytesPerElement pins the heap a generated registry keeps per node
+// or edge: the elements, their records and the graph's index. Records are
+// one string each, with interned keys and the string values in it: 176 B
+// per element here, against 486 B when every element held a
+// map[string]any. The budget leaves ~15 % headroom; an element that starts
+// holding a map, or a string header per property, again fails here.
+func TestGraphBytesPerElement(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const byteBudget = 202
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	g := graphgen.NewItalian(graphgen.ItalianConfig{Companies: 2000, Persons: 1000, Seed: 11}).Graph
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	elements := g.NumNodes() + g.NumEdges()
+	perElement := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(elements)
+	runtime.KeepAlive(g)
+	t.Logf("%d nodes and edges: %.0f B per element retained", elements, perElement)
+	if perElement > byteBudget {
+		t.Errorf("a graph keeps %.0f B per element, budget %d", perElement, byteBudget)
+	}
+}
+
+// TestPropertyReadsAllocateNothing: the typed reads the hot paths make — a
+// share's weight, a name, a birth year, a key outside the well-known ones —
+// box nothing and allocate nothing.
+func TestPropertyReadsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	it := graphgen.NewItalian(graphgen.ItalianConfig{Companies: 20, Persons: 20, Seed: 11})
+	g := it.Graph
+	person := g.Node(g.NodesWithLabel(pg.LabelPerson)[0])
+	share := g.Edge(g.EdgesWithLabel(pg.LabelShareholding)[0])
+	var b pg.RecordBuilder
+	b.Str("registry-code", "IT-0001")
+	b.Float("capital", 1.5e6)
+	other := b.Record()
+	var sink float64
+	allocs := testing.AllocsPerRun(100, func() {
+		w, _ := share.Weight()
+		name, _ := person.Props.Str("name")
+		birth, _ := person.Props.Num("birth")
+		code, _ := other.Str("registry-code")
+		capital, _ := other.Num("capital")
+		v, _ := person.Props.Lookup("city")
+		sink += w + birth + capital + float64(len(name)+len(code)+len(v.Str()))
+	})
+	if sink == 0 {
+		t.Fatal("the reads read nothing")
+	}
+	if allocs != 0 {
+		t.Errorf("typed property reads allocate %.0f times, want 0", allocs)
+	}
+}

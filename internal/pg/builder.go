@@ -1,17 +1,14 @@
 package pg
 
-import (
-	"fmt"
-	"maps"
-)
+import "fmt"
 
 // Builder constructs company graphs by name, the way the paper's running
 // examples (Figures 1 and 2) are written: companies and persons are referred
 // to by identifiers like "C4" or "P1", and shareholding edges by
 // (owner, owned, share) triples.
 //
-// The error-returning methods (AddNode, AddOwnership, Lookup) are the
-// primary API — use them when the input is untrusted (ETL, request
+// The error-returning methods (AddNode, AddOwnership, PersonWith, Lookup)
+// are the primary API — use them when the input is untrusted (ETL, request
 // payloads). Own and ID are Must-style wrappers that panic on
 // malformed input; they keep the chained literal style of the figure
 // constructors and tests, where a failure is a programming error.
@@ -36,23 +33,36 @@ func (b *Builder) Person(key string) NodeID {
 }
 
 // PersonWith ensures a person node exists and merges the given properties
-// over its own. A new person is added with the merged map; an existing one
-// is replaced by a merged copy, since a graph never writes to a node it
-// holds.
-func (b *Builder) PersonWith(key string, props Properties) NodeID {
+// over its own. A new person is added with the merged record; an existing
+// one is replaced by a merged copy, since a graph never writes to a node it
+// holds. It reports an error when key names a company or a value is outside
+// the four property kinds, and then leaves the graph as it was.
+func (b *Builder) PersonWith(key string, props Properties) (NodeID, error) {
+	var rb RecordBuilder
 	id, exists := b.byKey[key]
 	if !exists {
-		merged := Properties{"name": key}
-		maps.Copy(merged, props)
-		id = b.g.AddNode(LabelPerson, merged)
-		b.byKey[key] = id
-		return id
+		rb.Str("name", key)
+	} else if got := b.g.nodes[id].Label; got != LabelPerson {
+		return 0, fmt.Errorf("pg: builder: node %q already exists with label %s, requested %s", key, got, LabelPerson)
+	} else {
+		old := b.g.nodes[id].Props
+		for i := range old.Len() {
+			k, v := old.Field(i)
+			rb.put(k, v)
+		}
 	}
-	b.node(key, LabelPerson) // panics when key names a company
-	merged := b.g.nodes[id].Props.clone()
-	maps.Copy(merged, props)
-	b.g.nodes[id] = &Node{ID: id, Label: LabelPerson, Props: merged}
-	return id
+	for k, v := range props {
+		if err := rb.Set(k, v); err != nil {
+			return 0, fmt.Errorf("pg: builder: person %q: %w", key, err)
+		}
+	}
+	if !exists {
+		id = b.g.AddNode(LabelPerson, rb.Record())
+		b.byKey[key] = id
+		return id, nil
+	}
+	b.g.nodes[id] = &Node{ID: id, Label: LabelPerson, Props: rb.Record()}
+	return id, nil
 }
 
 // AddNode ensures a node named key with the given label exists and returns
@@ -85,7 +95,7 @@ func (b *Builder) node(key string, label Label) NodeID {
 // Unknown endpoints and out-of-range shares (w must be in (0, 1]) are
 // reported as errors.
 func (b *Builder) AddOwnership(owner, owned string, w float64) (EdgeID, error) {
-	if w <= 0 || w > 1 {
+	if !(w > 0 && w <= 1) {
 		return 0, fmt.Errorf("pg: builder: share %v out of range (0, 1]", w)
 	}
 	from, ok := b.byKey[owner]

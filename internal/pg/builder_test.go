@@ -1,6 +1,7 @@
 package pg
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -24,6 +25,9 @@ func TestBuilderAddOwnershipErrors(t *testing.T) {
 	}
 	if _, err := b.AddOwnership("C1", "C2", -0.1); err == nil {
 		t.Error("negative share accepted")
+	}
+	if _, err := b.AddOwnership("C1", "C2", math.NaN()); err == nil {
+		t.Error("NaN share accepted")
 	}
 }
 
@@ -70,28 +74,37 @@ func TestBuilderOwnPanicsOnUnknown(t *testing.T) {
 // node instead of writing it, so a clone taken in between keeps the old one.
 func TestBuilderPersonWith(t *testing.T) {
 	b := NewBuilder()
-	id := b.PersonWith("P", Properties{"city": "Roma"})
-	if got := b.Graph().Node(id).Props; got["name"] != "P" || got["city"] != "Roma" {
+	id, err := b.PersonWith("P", Properties{"city": "Roma"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Graph().Node(id).Props.Map(); got["name"] != "P" || got["city"] != "Roma" {
 		t.Fatalf("new person props = %v", got)
 	}
 	before := b.Graph().Clone()
-	if again := b.PersonWith("P", Properties{"city": "Milano", "birth": 1970.0}); again != id {
-		t.Fatalf("PersonWith of an existing person returned %d, want %d", again, id)
+	if again, err := b.PersonWith("P", Properties{"city": "Milano", "birth": 1970.0}); err != nil || again != id {
+		t.Fatalf("PersonWith of an existing person returned %d, %v, want %d", again, err, id)
 	}
-	if got := b.Graph().Node(id).Props; got["name"] != "P" || got["city"] != "Milano" || got["birth"] != 1970.0 {
+	if got := b.Graph().Node(id).Props.Map(); got["name"] != "P" || got["city"] != "Milano" || got["birth"] != 1970.0 {
 		t.Errorf("merged person props = %v", got)
 	}
-	if got := before.Node(id).Props; len(got) != 2 || got["city"] != "Roma" {
+	if got := before.Node(id).Props.Map(); len(got) != 2 || got["city"] != "Roma" {
 		t.Errorf("a clone taken before the merge reads %v", got)
 	}
 	if n := len(b.Graph().NodesWithLabel(LabelPerson)); n != 1 {
 		t.Errorf("%d persons after merging into one", n)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("PersonWith on a company key did not panic")
-		}
-	}()
 	b.Company("C")
-	b.PersonWith("C", nil)
+	if _, err := b.PersonWith("C", nil); err == nil || !strings.Contains(err.Error(), `"C"`) {
+		t.Errorf("PersonWith on a company key: %v, want an error naming it", err)
+	}
+	// A value outside the four kinds is refused with the person and key
+	// named, and the person is left as it was.
+	_, err = b.PersonWith("P", Properties{"city": "Torino", "tags": []string{"x"}})
+	if err == nil || !strings.Contains(err.Error(), `person "P"`) || !strings.Contains(err.Error(), `"tags"`) {
+		t.Errorf("PersonWith with a []string value: %v, want an error naming the person and key", err)
+	}
+	if got, _ := b.Graph().Node(id).Props.Str("city"); got != "Milano" {
+		t.Errorf("a refused merge changed the person's city to %q", got)
+	}
 }

@@ -18,11 +18,12 @@ func (g *Graph) WriteDOT(w io.Writer) error {
 
 	for _, id := range g.Nodes() {
 		n := g.Node(id)
-		label := fmt.Sprintf("%v", n.Props["name"])
+		name, _ := n.Props.Get("name")
+		label := fmt.Sprintf("%v", name)
 		if label == "<nil>" || label == "" {
 			label = fmt.Sprintf("n%d", id)
 		}
-		if sn, ok := n.Props["surname"].(string); ok && sn != "" {
+		if sn, _ := n.Props.Str("surname"); sn != "" {
 			label += " " + sn
 		}
 		switch n.Label {

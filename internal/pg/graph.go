@@ -11,6 +11,7 @@ package pg
 import (
 	"fmt"
 	"maps"
+	"math"
 	"sort"
 )
 
@@ -40,48 +41,51 @@ type NodeID int64
 // EdgeID identifies an edge.
 type EdgeID int64
 
-// Value is a property value: string, float64, int64 or bool.
+// Value is a property value as a Properties map holds it: string, float64,
+// int64 or bool (a Go int is accepted and stored as an int64).
 type Value = any
 
 // Properties maps property names to values (the σ function restricted to one
-// element).
+// element). It is the form properties take at the edges — map literals,
+// JSON, CSV, the facade — and AddNode and AddEdge convert it to the Record an
+// element holds.
 type Properties map[string]Value
 
 // Node is a labelled node with properties. Once a graph or overlay holds a
-// node, neither the struct nor its Props map is written again: a change
+// node, its struct is not written again (its Record cannot be): a change
 // builds a new Node. Clones, versions and overlays therefore share nodes
 // instead of copying them, and a pointer obtained from any View reads the
 // same values for as long as it is held.
 type Node struct {
 	ID    NodeID
 	Label Label
-	Props Properties
+	Props Record
 }
 
 // Edge is a labelled, directed edge with properties. For shareholding edges
 // the property "w" holds the share amount σ(e, w) ∈ (0, 1]. Edges are
 // immutable once held by a graph, as nodes are: SetEdgeWeight replaces the
-// edge with a new struct and a new Props map.
+// edge with a new struct and a new Record.
 type Edge struct {
 	ID    EdgeID
 	Label Label
 	From  NodeID
 	To    NodeID
-	Props Properties
+	Props Record
 }
 
 // WeightProp is the property name of the share amount on shareholding edges.
+// Its value is always stored as a float64.
 const WeightProp = "w"
 
 // Weight returns the edge weight property (share fraction) and whether it is
-// set to a float64.
+// set.
 func (e *Edge) Weight() (float64, bool) {
-	v, ok := e.Props[WeightProp]
-	if !ok {
+	v, ok := e.Props.lookupID(keyWeight)
+	if !ok || v.kind != KindFloat {
 		return 0, false
 	}
-	f, ok := v.(float64)
-	return f, ok
+	return math.Float64frombits(v.bits), true
 }
 
 // MutationKind discriminates the committed changes a mutation hook observes.
@@ -163,12 +167,14 @@ func New() *Graph {
 func (g *Graph) SetMutationHook(fn func(Mutation)) { g.onMutate = fn }
 
 // AddNode inserts a node with the given label and properties and returns its
-// ID. Props may be nil. The graph takes ownership of props: the caller must
-// not write to the map afterwards, since clones and versions share it.
-func (g *Graph) AddNode(label Label, props Properties) NodeID {
+// ID. Props may be nil, a Properties map or a Record. It panics, as
+// MustAddEdge does, on a property value outside the four kinds (see
+// NewRecord); input that may hold one is checked with NewRecord first.
+func (g *Graph) AddNode(label Label, props PropSource) NodeID {
+	rec := nodeRecord(g.nextNode, props)
 	id := g.nextNode
 	g.nextNode++
-	n := &Node{ID: id, Label: label, Props: props.orEmpty()}
+	n := &Node{ID: id, Label: label, Props: rec}
 	g.nodes[id] = n
 	g.byNodeLabel[label] = append(g.byNodeLabel[label], id)
 	if g.onMutate != nil {
@@ -177,19 +183,23 @@ func (g *Graph) AddNode(label Label, props Properties) NodeID {
 	return id
 }
 
-// AddEdge inserts a directed edge from → to and returns its ID. It returns an
-// error if either endpoint does not exist. Like AddNode, it takes ownership
-// of props.
-func (g *Graph) AddEdge(label Label, from, to NodeID, props Properties) (EdgeID, error) {
+// AddEdge inserts a directed edge from → to and returns its ID. Props may be
+// nil, a Properties map or a Record. It returns an error if either endpoint
+// does not exist or a property value is outside the four kinds.
+func (g *Graph) AddEdge(label Label, from, to NodeID, props PropSource) (EdgeID, error) {
 	if _, ok := g.nodes[from]; !ok {
 		return 0, fmt.Errorf("pg: add edge: unknown source node %d", from)
 	}
 	if _, ok := g.nodes[to]; !ok {
 		return 0, fmt.Errorf("pg: add edge: unknown target node %d", to)
 	}
+	rec, err := recordOf(props)
+	if err != nil {
+		return 0, fmt.Errorf("pg: add edge %d: %w", g.nextEdge, err)
+	}
 	id := g.nextEdge
 	g.nextEdge++
-	e := &Edge{ID: id, Label: label, From: from, To: to, Props: props.orEmpty()}
+	e := &Edge{ID: id, Label: label, From: from, To: to, Props: rec}
 	g.edges[id] = e
 	g.out[from] = append(g.out[from], id)
 	g.in[to] = append(g.in[to], id)
@@ -202,7 +212,7 @@ func (g *Graph) AddEdge(label Label, from, to NodeID, props Properties) (EdgeID,
 
 // MustAddEdge is AddEdge that panics on error; intended for tests and
 // generators where endpoints are known to exist.
-func (g *Graph) MustAddEdge(label Label, from, to NodeID, props Properties) EdgeID {
+func (g *Graph) MustAddEdge(label Label, from, to NodeID, props PropSource) EdgeID {
 	id, err := g.AddEdge(label, from, to, props)
 	if err != nil {
 		panic(err)
@@ -212,7 +222,7 @@ func (g *Graph) MustAddEdge(label Label, from, to NodeID, props Properties) Edge
 
 // AddShare inserts a Shareholding edge with weight w.
 func (g *Graph) AddShare(from, to NodeID, w float64) (EdgeID, error) {
-	return g.AddEdge(LabelShareholding, from, to, Properties{WeightProp: w})
+	return g.AddEdge(LabelShareholding, from, to, weightRecord(w))
 }
 
 // MustAddEdgeWeighted inserts a Shareholding edge with weight w, panicking
@@ -256,7 +266,7 @@ func (g *Graph) SetEdgeWeight(id EdgeID, w float64) error {
 	if e.Label != LabelShareholding {
 		return fmt.Errorf("pg: set edge weight: edge %d is %s, not Shareholding", id, e.Label)
 	}
-	if w <= 0 || w > 1 {
+	if !(w > 0 && w <= 1) {
 		return fmt.Errorf("pg: set edge weight: weight %v outside (0, 1]", w)
 	}
 	e = e.withWeight(w)
@@ -304,18 +314,18 @@ func (g *Graph) RemoveNode(id NodeID) bool {
 // not fit g (see replayable). A refusal means the record does not belong on
 // this state (a log applied to the wrong base, a graph mutated behind an
 // overlay's back), so it leaves g, its counters and its hook untouched.
-// Property maps are copied: g shares none with the overlay or decoded
-// record they came from.
+// Records are immutable, so g holds the mutation's own: a record carries no
+// value outside the four kinds, and a replay checks none.
 func (g *Graph) Replay(m Mutation) (Mutation, error) {
 	if err := replayable(g, m); err != nil {
 		return Mutation{}, err
 	}
 	switch m.Kind {
 	case MutAddNode:
-		id := g.AddNode(m.Node.Label, m.Node.Props.clone())
+		id := g.AddNode(m.Node.Label, m.Node.Props)
 		return Mutation{Kind: m.Kind, Node: g.nodes[id]}, nil
 	case MutAddEdge:
-		id, err := g.AddEdge(m.Edge.Label, m.Edge.From, m.Edge.To, m.Edge.Props.clone())
+		id, err := g.AddEdge(m.Edge.Label, m.Edge.From, m.Edge.To, m.Edge.Props)
 		if err != nil {
 			return Mutation{}, fmt.Errorf("pg: replay: %w", err)
 		}
@@ -377,27 +387,18 @@ func replayable(v View, m Mutation) error {
 
 // withWeight returns a copy of e whose weight property is w; e is unchanged.
 func (e *Edge) withWeight(w float64) *Edge {
-	props := e.Props.clone()
-	props[WeightProp] = w
+	props := e.Props.with(keyWeight, Scalar{kind: KindFloat, bits: math.Float64bits(w)})
 	return &Edge{ID: e.ID, Label: e.Label, From: e.From, To: e.To, Props: props}
 }
 
-// orEmpty returns p, or an empty map for a nil p: an element's Props is
-// never nil.
-func (p Properties) orEmpty() Properties {
-	if p == nil {
-		return Properties{}
+// nodeRecord converts the properties of node id for AddNode, which reports
+// no error: it panics with one that names the node and key.
+func nodeRecord(id NodeID, props PropSource) Record {
+	rec, err := recordOf(props)
+	if err != nil {
+		panic(fmt.Errorf("pg: add node %d: %w", id, err))
 	}
-	return p
-}
-
-// clone returns a copy of p that is never nil.
-func (p Properties) clone() Properties {
-	c := make(Properties, len(p))
-	for k, v := range p {
-		c[k] = v
-	}
-	return c
+	return rec
 }
 
 // WeightEdits reports the number of committed SetEdgeWeight mutations in the
@@ -531,8 +532,8 @@ func (g *Graph) HasEdge(label Label, from, to NodeID) bool {
 	return false
 }
 
-// Clone returns a copy of the graph that shares its nodes, edges and
-// property maps with g, which is safe because a graph never writes to an
+// Clone returns a copy of the graph that shares its nodes and edges, and so
+// their records, with g, which is safe because a graph never writes to an
 // element it holds (see Node). Only the identifier maps and the adjacency and
 // label slices are copied, so a clone costs its index, not its data. The
 // slices are copied verbatim, so the clone preserves the original's insertion
@@ -573,41 +574,40 @@ func cloneIndex[K comparable, V any](m map[K][]V) map[K][]V {
 // restore builds a graph verbatim from a view's elements: nodes and edges
 // keep their identifiers, and the ID counters resume where the view left off
 // (so identifiers assigned later never collide with removed ones) — which
-// AddNode/AddEdge, always assigning fresh IDs, cannot do. Flatten uses it.
-// The graph keeps the property maps it is given (a nil map is stored as an
-// empty one), as AddNode does.
+// AddNode/AddEdge, always assigning fresh IDs, cannot do. Flatten and
+// ReadJSON use it. The graph keeps the records it is given.
 //
 // restore validates what it is given (duplicate or out-of-range IDs, edges
-// with unknown endpoints) and fails rather than build a graph that never
-// existed.
-func restore(nodes []Node, edges []Edge, nextNode NodeID, nextEdge EdgeID) (*Graph, error) {
+// with unknown endpoints) and fails, with an error naming op and the
+// element, rather than build a graph that never existed.
+func restore(op string, nodes []Node, edges []Edge, nextNode NodeID, nextEdge EdgeID) (*Graph, error) {
 	g := New()
 	for i := range nodes {
 		n := nodes[i]
 		if n.ID < 0 || n.ID >= nextNode {
-			return nil, fmt.Errorf("pg: restore: node id %d outside [0, %d)", n.ID, nextNode)
+			return nil, fmt.Errorf("pg: %s: node id %d outside [0, %d)", op, n.ID, nextNode)
 		}
 		if _, dup := g.nodes[n.ID]; dup {
-			return nil, fmt.Errorf("pg: restore: duplicate node id %d", n.ID)
+			return nil, fmt.Errorf("pg: %s: duplicate node id %d", op, n.ID)
 		}
-		g.nodes[n.ID] = &Node{ID: n.ID, Label: n.Label, Props: n.Props.orEmpty()}
+		g.nodes[n.ID] = &Node{ID: n.ID, Label: n.Label, Props: n.Props}
 		g.byNodeLabel[n.Label] = append(g.byNodeLabel[n.Label], n.ID)
 	}
 	for i := range edges {
 		e := edges[i]
 		if e.ID < 0 || e.ID >= nextEdge {
-			return nil, fmt.Errorf("pg: restore: edge id %d outside [0, %d)", e.ID, nextEdge)
+			return nil, fmt.Errorf("pg: %s: edge id %d outside [0, %d)", op, e.ID, nextEdge)
 		}
 		if _, dup := g.edges[e.ID]; dup {
-			return nil, fmt.Errorf("pg: restore: duplicate edge id %d", e.ID)
+			return nil, fmt.Errorf("pg: %s: duplicate edge id %d", op, e.ID)
 		}
 		if _, ok := g.nodes[e.From]; !ok {
-			return nil, fmt.Errorf("pg: restore: edge %d: unknown source node %d", e.ID, e.From)
+			return nil, fmt.Errorf("pg: %s: edge %d: unknown source node %d", op, e.ID, e.From)
 		}
 		if _, ok := g.nodes[e.To]; !ok {
-			return nil, fmt.Errorf("pg: restore: edge %d: unknown target node %d", e.ID, e.To)
+			return nil, fmt.Errorf("pg: %s: edge %d: unknown target node %d", op, e.ID, e.To)
 		}
-		g.edges[e.ID] = &Edge{ID: e.ID, Label: e.Label, From: e.From, To: e.To, Props: e.Props.orEmpty()}
+		g.edges[e.ID] = &Edge{ID: e.ID, Label: e.Label, From: e.From, To: e.To, Props: e.Props}
 		g.out[e.From] = append(g.out[e.From], e.ID)
 		g.in[e.To] = append(g.in[e.To], e.ID)
 		g.byEdgeLabel[e.Label] = append(g.byEdgeLabel[e.Label], e.ID)

@@ -3,6 +3,7 @@ package pg
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -123,6 +124,16 @@ func TestValidateCompanyGraph(t *testing.T) {
 	if err := bad2.Validate(); err == nil {
 		t.Error("share amount 1.5 accepted, want error")
 	}
+	bad3 := New()
+	a = bad3.AddNode(LabelCompany, nil)
+	b = bad3.AddNode(LabelCompany, nil)
+	e := bad3.MustAddEdge(LabelShareholding, a, b, Properties{WeightProp: math.NaN()})
+	if err := bad3.Validate(); err == nil {
+		t.Error("share amount NaN accepted, want error")
+	}
+	if err := bad3.SetEdgeWeight(e, math.NaN()); err == nil {
+		t.Error("SetEdgeWeight(NaN) accepted")
+	}
 }
 
 // dumpGraph renders everything a graph holds by value — elements with their
@@ -168,7 +179,7 @@ func TestCloneDiverges(t *testing.T) {
 		},
 		"SetEdgeWeight": func(g *Graph) error { return g.SetEdgeWeight(share, 0.35) },
 		"Replay": func(g *Graph) error {
-			_, err := g.Replay(Mutation{Kind: MutSetEdgeWeight, Edge: &Edge{ID: share, Props: Properties{WeightProp: 0.45}}})
+			_, err := g.Replay(Mutation{Kind: MutSetEdgeWeight, Edge: &Edge{ID: share, Props: rec(Properties{WeightProp: 0.45})}})
 			return err
 		},
 	}

@@ -27,7 +27,7 @@ func TestMutationHookObservesAllKinds(t *testing.T) {
 			t.Errorf("mutation %d kind = %d, want %d", i, got[i].Kind, k)
 		}
 	}
-	if got[0].Node == nil || got[0].Node.ID != a || got[0].Node.Props["name"] != "A" {
+	if got[0].Node == nil || got[0].Node.ID != a || got[0].Node.Props.Map()["name"] != "A" {
 		t.Errorf("AddNode mutation carries %+v", got[0].Node)
 	}
 	if got[2].Edge == nil || got[2].Edge.From != a || got[2].Edge.To != b {
@@ -86,7 +86,7 @@ func TestRestoreRoundTrip(t *testing.T) {
 	for _, id := range g.Edges() {
 		edges = append(edges, *g.Edge(id))
 	}
-	r, err := restore(nodes, edges, g.nextNode, g.nextEdge)
+	r, err := restore("restore", nodes, edges, g.nextNode, g.nextEdge)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 		{"edge id beyond counter", []Node{n0, n1}, []Edge{{ID: 9, Label: LabelControl, From: 0, To: 1}}, 2, 3},
 	}
 	for _, c := range cases {
-		if _, err := restore(c.nodes, c.edges, NodeID(c.nextNode), EdgeID(c.nextEdge)); err == nil {
+		if _, err := restore("restore", c.nodes, c.edges, NodeID(c.nextNode), EdgeID(c.nextEdge)); err == nil {
 			t.Errorf("%s: restore accepted corrupt state", c.name)
 		}
 	}
@@ -147,8 +147,8 @@ func refusedReplays() map[string]Mutation {
 		"remove unknown edge":     {Kind: MutRemoveEdge, Edge: &Edge{ID: 5}},
 		"remove unknown node":     {Kind: MutRemoveNode, Node: &Node{ID: 5}},
 		"remove node, live edges": {Kind: MutRemoveNode, Node: &Node{ID: 0}},
-		"weight edit, no weight":  {Kind: MutSetEdgeWeight, Edge: &Edge{ID: 0, Props: Properties{}}},
-		"weight edit, bad weight": {Kind: MutSetEdgeWeight, Edge: &Edge{ID: 0, Props: Properties{WeightProp: 1.5}}},
+		"weight edit, no weight":  {Kind: MutSetEdgeWeight, Edge: &Edge{ID: 0, Props: rec(Properties{})}},
+		"weight edit, bad weight": {Kind: MutSetEdgeWeight, Edge: &Edge{ID: 0, Props: rec(Properties{WeightProp: 1.5})}},
 		"unknown kind":            {Kind: 42},
 	}
 }
@@ -178,23 +178,23 @@ func TestReplayRefusalChangesNothing(t *testing.T) {
 			t.Errorf("%s: refusal moved the graph: %d nodes, %d edges, next %d/%d, %d weight edits, %d hook calls",
 				name, g.NumNodes(), g.NumEdges(), g.NextNodeID(), g.NextEdgeID(), g.WeightEdits(), *calls)
 		}
-		if e := g.Edge(0); e == nil || e.Props[WeightProp] != 0.5 {
+		if e := g.Edge(0); e == nil || e.Props.Map()[WeightProp] != 0.5 {
 			t.Errorf("%s: refusal moved edge 0 to %+v", name, e)
 		}
 	}
 }
 
 // TestReplayReturnsTheFiredMutation: Replay hands back what the hook saw,
-// pointing at the graph's own structs, and copies property maps in.
+// pointing at the graph's own structs, which hold the mutation's records.
 func TestReplayReturnsTheFiredMutation(t *testing.T) {
 	g, _ := replayBase()
 	var fired []Mutation
 	g.SetMutationHook(func(m Mutation) { fired = append(fired, m) })
 	props := Properties{"name": "C"}
 	stream := []Mutation{
-		{Kind: MutAddNode, Node: &Node{ID: 2, Label: LabelCompany, Props: props}},
-		{Kind: MutAddEdge, Edge: &Edge{ID: 1, Label: LabelShareholding, From: 2, To: 1, Props: Properties{WeightProp: 0.2}}},
-		{Kind: MutSetEdgeWeight, Edge: &Edge{ID: 1, Props: Properties{WeightProp: 0.3}}},
+		{Kind: MutAddNode, Node: &Node{ID: 2, Label: LabelCompany, Props: rec(props)}},
+		{Kind: MutAddEdge, Edge: &Edge{ID: 1, Label: LabelShareholding, From: 2, To: 1, Props: rec(Properties{WeightProp: 0.2})}},
+		{Kind: MutSetEdgeWeight, Edge: &Edge{ID: 1, Props: rec(Properties{WeightProp: 0.3})}},
 		{Kind: MutRemoveEdge, Edge: &Edge{ID: 1}},
 		{Kind: MutRemoveNode, Node: &Node{ID: 2}},
 	}
@@ -208,7 +208,7 @@ func TestReplayReturnsTheFiredMutation(t *testing.T) {
 		}
 		if i == 0 {
 			props["name"] = "changed"
-			if got.Node != g.Node(2) || got.Node.Props["name"] != "C" {
+			if got.Node != g.Node(2) || got.Node.Props.Map()["name"] != "C" {
 				t.Fatalf("added node %+v is not the graph's own copy", got.Node)
 			}
 		}

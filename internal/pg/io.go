@@ -1,29 +1,32 @@
 package pg
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 )
 
-// jsonGraph is the serialized form of a Graph.
-type jsonGraph struct {
-	Nodes []jsonNode `json:"nodes"`
-	Edges []jsonEdge `json:"edges"`
+// jsonGraph is the serialized form of a Graph: written with each element's
+// properties as a map, read with them raw so they convert straight to a
+// Record.
+type jsonGraph[P any] struct {
+	Nodes []jsonNode[P] `json:"nodes"`
+	Edges []jsonEdge[P] `json:"edges"`
 }
 
-type jsonNode struct {
-	ID    NodeID         `json:"id"`
-	Label Label          `json:"label"`
-	Props map[string]any `json:"props,omitempty"`
+type jsonNode[P any] struct {
+	ID    NodeID `json:"id"`
+	Label Label  `json:"label"`
+	Props P      `json:"props,omitempty"`
 }
 
-type jsonEdge struct {
-	ID    EdgeID         `json:"id"`
-	Label Label          `json:"label"`
-	From  NodeID         `json:"from"`
-	To    NodeID         `json:"to"`
-	Props map[string]any `json:"props,omitempty"`
+type jsonEdge[P any] struct {
+	ID    EdgeID `json:"id"`
+	Label Label  `json:"label"`
+	From  NodeID `json:"from"`
+	To    NodeID `json:"to"`
+	Props P      `json:"props,omitempty"`
 }
 
 // WriteJSON serializes the graph as a single JSON document.
@@ -31,34 +34,68 @@ func (g *Graph) WriteJSON(w io.Writer) error { return WriteJSONView(g, w) }
 
 // ReadJSON parses a graph previously written with WriteJSON. Node and edge
 // IDs are preserved. Numeric property values decode as float64 (JSON
-// semantics).
+// semantics). It refuses a duplicate or negative ID, an edge whose endpoint
+// is missing, and a property that is null, an array or an object, each with
+// an error naming the element.
 func ReadJSON(r io.Reader) (*Graph, error) {
-	var doc jsonGraph
+	var doc jsonGraph[json.RawMessage]
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
 		return nil, fmt.Errorf("pg: read json: %w", err)
 	}
-	g := New()
-	for _, n := range doc.Nodes {
-		g.nodes[n.ID] = &Node{ID: n.ID, Label: n.Label, Props: Properties(n.Props).orEmpty()}
-		g.byNodeLabel[n.Label] = append(g.byNodeLabel[n.Label], n.ID)
-		if n.ID >= g.nextNode {
-			g.nextNode = n.ID + 1
+	var b RecordBuilder
+	var nextNode NodeID
+	nodes := make([]Node, len(doc.Nodes))
+	for i, n := range doc.Nodes {
+		props, err := jsonRecord(&b, n.Props)
+		if err != nil {
+			return nil, fmt.Errorf("pg: read json: node %d: %w", n.ID, err)
+		}
+		nodes[i] = Node{ID: n.ID, Label: n.Label, Props: props}
+		nextNode = max(nextNode, n.ID+1)
+	}
+	var nextEdge EdgeID
+	edges := make([]Edge, len(doc.Edges))
+	for i, e := range doc.Edges {
+		props, err := jsonRecord(&b, e.Props)
+		if err != nil {
+			return nil, fmt.Errorf("pg: read json: edge %d: %w", e.ID, err)
+		}
+		edges[i] = Edge{ID: e.ID, Label: e.Label, From: e.From, To: e.To, Props: props}
+		nextEdge = max(nextEdge, e.ID+1)
+	}
+	return restore("read json", nodes, edges, nextNode, nextEdge)
+}
+
+// jsonRecord builds the record of one element's raw "props" object with b.
+func jsonRecord(b *RecordBuilder, raw json.RawMessage) (Record, error) {
+	if len(raw) == 0 || string(raw) == "null" {
+		return Record{}, nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return Record{}, fmt.Errorf("props is not an object")
+	}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return Record{}, err
+		}
+		key := tok.(string) // an object's tokens alternate key, value
+		if tok, err = dec.Token(); err != nil {
+			return Record{}, err
+		}
+		switch v := tok.(type) {
+		case string, float64, bool:
+			b.Set(key, v) // of the four kinds, so no error
+		case nil:
+			return Record{}, fmt.Errorf("property %q: unsupported value null (want a string, number or bool)", key)
+		default: // json.Delim: an array or object
+			what := "an array"
+			if v == json.Delim('{') {
+				what = "an object"
+			}
+			return Record{}, fmt.Errorf("property %q: unsupported value: %s (want a string, number or bool)", key, what)
 		}
 	}
-	for _, e := range doc.Edges {
-		if _, ok := g.nodes[e.From]; !ok {
-			return nil, fmt.Errorf("pg: read json: edge %d references missing node %d", e.ID, e.From)
-		}
-		if _, ok := g.nodes[e.To]; !ok {
-			return nil, fmt.Errorf("pg: read json: edge %d references missing node %d", e.ID, e.To)
-		}
-		g.edges[e.ID] = &Edge{ID: e.ID, Label: e.Label, From: e.From, To: e.To, Props: Properties(e.Props).orEmpty()}
-		g.out[e.From] = append(g.out[e.From], e.ID)
-		g.in[e.To] = append(g.in[e.To], e.ID)
-		g.byEdgeLabel[e.Label] = append(g.byEdgeLabel[e.Label], e.ID)
-		if e.ID >= g.nextEdge {
-			g.nextEdge = e.ID + 1
-		}
-	}
-	return g, nil
+	return b.Record(), nil
 }

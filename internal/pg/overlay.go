@@ -105,7 +105,7 @@ func (o *Overlay) Journal() ([]Mutation, error) {
 // the overlay moves, exactly what Graph.Replay refuses (see replayable), so
 // a burst of records the writer master applied replays onto an overlay of
 // the version before it: that is how a store version publishes them. The
-// overlay takes the record's property maps as its own, as AddNode does.
+// overlay holds the mutation's records, as Graph.Replay does.
 func (o *Overlay) Replay(m Mutation) error {
 	if err := replayable(o, m); err != nil {
 		return err
@@ -372,11 +372,13 @@ func (o *Overlay) NextEdgeID() EdgeID { return o.nextEdge }
 // --- Mutable ---
 
 // AddNode inserts a node into the overlay and returns its ID. The base is
-// untouched.
-func (o *Overlay) AddNode(label Label, props Properties) NodeID {
+// untouched. Like Graph.AddNode, it panics on a property value outside the
+// four kinds.
+func (o *Overlay) AddNode(label Label, props PropSource) NodeID {
+	rec := nodeRecord(o.nextNode, props)
 	id := o.nextNode
 	o.nextNode++
-	n := &Node{ID: id, Label: label, Props: props.orEmpty()}
+	n := &Node{ID: id, Label: label, Props: rec}
 	o.addedNodes[id] = n
 	o.byNodeLabel[label] = append(o.byNodeLabel[label], id)
 	o.journal = append(o.journal, Mutation{Kind: MutAddNode, Node: n})
@@ -385,16 +387,20 @@ func (o *Overlay) AddNode(label Label, props Properties) NodeID {
 
 // AddEdge inserts a directed edge from → to into the overlay and returns
 // its ID. Both endpoints must be visible in the composite view.
-func (o *Overlay) AddEdge(label Label, from, to NodeID, props Properties) (EdgeID, error) {
+func (o *Overlay) AddEdge(label Label, from, to NodeID, props PropSource) (EdgeID, error) {
 	if o.Node(from) == nil {
 		return 0, fmt.Errorf("pg: add edge: unknown source node %d", from)
 	}
 	if o.Node(to) == nil {
 		return 0, fmt.Errorf("pg: add edge: unknown target node %d", to)
 	}
+	rec, err := recordOf(props)
+	if err != nil {
+		return 0, fmt.Errorf("pg: add edge %d: %w", o.nextEdge, err)
+	}
 	id := o.nextEdge
 	o.nextEdge++
-	e := &Edge{ID: id, Label: label, From: from, To: to, Props: props.orEmpty()}
+	e := &Edge{ID: id, Label: label, From: from, To: to, Props: rec}
 	o.addedEdges[id] = e
 	o.out[from] = append(o.out[from], id)
 	o.in[to] = append(o.in[to], id)
@@ -404,7 +410,7 @@ func (o *Overlay) AddEdge(label Label, from, to NodeID, props Properties) (EdgeI
 }
 
 // MustAddEdge is AddEdge that panics on error.
-func (o *Overlay) MustAddEdge(label Label, from, to NodeID, props Properties) EdgeID {
+func (o *Overlay) MustAddEdge(label Label, from, to NodeID, props PropSource) EdgeID {
 	id, err := o.AddEdge(label, from, to, props)
 	if err != nil {
 		panic(err)
@@ -414,7 +420,7 @@ func (o *Overlay) MustAddEdge(label Label, from, to NodeID, props Properties) Ed
 
 // AddShare inserts a Shareholding edge with weight w.
 func (o *Overlay) AddShare(from, to NodeID, w float64) (EdgeID, error) {
-	return o.AddEdge(LabelShareholding, from, to, Properties{WeightProp: w})
+	return o.AddEdge(LabelShareholding, from, to, weightRecord(w))
 }
 
 // RemoveEdge hides a base edge or deletes an overlay-added one. Removing a
@@ -450,7 +456,7 @@ func (o *Overlay) SetEdgeWeight(id EdgeID, w float64) error {
 	if e.Label != LabelShareholding {
 		return fmt.Errorf("pg: set weight: edge %d is %s, want Shareholding", id, e.Label)
 	}
-	if w <= 0 || w > 1 {
+	if !(w > 0 && w <= 1) {
 		return fmt.Errorf("pg: set weight: share amount %v outside (0,1]", w)
 	}
 	e = e.withWeight(w)

@@ -1,6 +1,7 @@
 package pg
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -327,6 +328,9 @@ func TestOverlayWhatIfMutations(t *testing.T) {
 	}
 	if err := o.SetEdgeWeight(ab, 1.5); err == nil {
 		t.Fatal("SetEdgeWeight(1.5) accepted")
+	}
+	if err := o.SetEdgeWeight(ab, math.NaN()); err == nil {
+		t.Fatal("SetEdgeWeight(NaN) accepted")
 	}
 	if err := o.SetEdgeWeight(9999, 0.5); err == nil {
 		t.Fatal("SetEdgeWeight on unknown edge accepted")

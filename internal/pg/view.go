@@ -12,7 +12,7 @@ import (
 // serialization — can run indifferently against a flat graph, a frozen MVCC
 // snapshot, or a what-if overlay stacked on one.
 //
-// The nodes and edges a View returns, and their Props maps, are immutable
+// The nodes and edges a View returns, and their Records, are immutable
 // and may be shared with other graphs, overlays and versions (see Node):
 // callers must not write to them. A change replaces an element; it never
 // edits one.
@@ -65,11 +65,11 @@ type View interface {
 type Mutable interface {
 	View
 	// AddNode inserts a node and returns its ID.
-	AddNode(label Label, props Properties) NodeID
+	AddNode(label Label, props PropSource) NodeID
 	// AddEdge inserts a directed edge from → to and returns its ID.
-	AddEdge(label Label, from, to NodeID, props Properties) (EdgeID, error)
+	AddEdge(label Label, from, to NodeID, props PropSource) (EdgeID, error)
 	// MustAddEdge is AddEdge that panics on error.
-	MustAddEdge(label Label, from, to NodeID, props Properties) EdgeID
+	MustAddEdge(label Label, from, to NodeID, props PropSource) EdgeID
 	// RemoveEdge deletes an edge, reporting whether it existed.
 	RemoveEdge(id EdgeID) bool
 }
@@ -97,7 +97,7 @@ func Flatten(v View) (*Graph, error) {
 	for _, id := range edgeIDs {
 		edges = append(edges, *v.Edge(id))
 	}
-	return restore(nodes, edges, v.NextNodeID(), v.NextEdgeID())
+	return restore("flatten", nodes, edges, v.NextNodeID(), v.NextEdgeID())
 }
 
 // ValidateView checks the company-graph invariants of Definition 2.2 over
@@ -114,7 +114,7 @@ func ValidateView(v View) error {
 		if !ok {
 			return fmt.Errorf("pg: edge %d: shareholding edge missing weight", eid)
 		}
-		if w <= 0 || w > 1 {
+		if !(w > 0 && w <= 1) {
 			return fmt.Errorf("pg: edge %d: share amount %v outside (0,1]", eid, w)
 		}
 		from, to := v.Node(e.From), v.Node(e.To)
@@ -131,7 +131,7 @@ func ValidateView(v View) error {
 // NeighborhoodOf returns the induced subgraph around a node of any view:
 // every node within the given number of hops (edges followed in both
 // directions) plus all the edges among them. Node and edge identities are
-// freshly assigned, and the property maps are shared with v; the returned
+// freshly assigned, and the records are shared with v; the returned
 // mapping translates original → subgraph node IDs.
 func NeighborhoodOf(v View, center NodeID, hops int) (*Graph, map[NodeID]NodeID) {
 	if v.Node(center) == nil {
@@ -179,14 +179,14 @@ func NeighborhoodOf(v View, center NodeID, hops int) (*Graph, map[NodeID]NodeID)
 // WriteJSONView serializes any view as a single JSON document, in the same
 // format Graph.WriteJSON produces.
 func WriteJSONView(v View, w io.Writer) error {
-	doc := jsonGraph{}
+	doc := jsonGraph[Properties]{}
 	for _, id := range v.Nodes() {
 		n := v.Node(id)
-		doc.Nodes = append(doc.Nodes, jsonNode{ID: n.ID, Label: n.Label, Props: n.Props})
+		doc.Nodes = append(doc.Nodes, jsonNode[Properties]{ID: n.ID, Label: n.Label, Props: n.Props.Map()})
 	}
 	for _, id := range v.Edges() {
 		e := v.Edge(id)
-		doc.Edges = append(doc.Edges, jsonEdge{ID: e.ID, Label: e.Label, From: e.From, To: e.To, Props: e.Props})
+		doc.Edges = append(doc.Edges, jsonEdge[Properties]{ID: e.ID, Label: e.Label, From: e.From, To: e.To, Props: e.Props.Map()})
 	}
 	return json.NewEncoder(w).Encode(doc)
 }

@@ -727,7 +727,7 @@ func (s *Server) handleUBO(w http.ResponseWriter, r *http.Request) {
 	s.servePoint(w, r, seq, pointKey("ubo", node), qcache.Anchored(nil, &node), func() (map[string]any, error) {
 		type item struct {
 			ID   pg.NodeID `json:"id"`
-			Name any       `json:"name,omitempty"`
+			Name string    `json:"name,omitempty"`
 		}
 		res, err := s.evalGoal(r.Context(), v, vadalog.ControlProgram, nil, controlGoal(varX, datalog.Int(int64(node))))
 		if err != nil {
@@ -736,7 +736,8 @@ func (s *Server) handleUBO(w http.ResponseWriter, r *http.Request) {
 		out := []item{}
 		for _, id := range bindingIDs(res.Answers, varX) {
 			if n := v.Node(id); n != nil && n.Label == pg.LabelPerson {
-				out = append(out, item{ID: id, Name: n.Props["name"]})
+				name, _ := n.Props.Str("name")
+				out = append(out, item{ID: id, Name: name})
 			}
 		}
 		return map[string]any{"node": node, "ultimateControllers": out, "mode": res.Mode}, res.RunErr
@@ -943,12 +944,13 @@ func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
 		}
 		type item struct {
 			ID   pg.NodeID `json:"id"`
-			Name any       `json:"name,omitempty"`
+			Name string    `json:"name,omitempty"`
 		}
 		controlled := bindingIDs(res.Answers, varY)
 		out := make([]item, 0, len(controlled))
 		for _, id := range controlled {
-			out = append(out, item{ID: id, Name: v.Node(id).Props["name"]})
+			name, _ := v.Node(id).Props.Str("name")
+			out = append(out, item{ID: id, Name: name})
 		}
 		return map[string]any{"node": node, "controls": out, "mode": res.Mode}, res.RunErr
 	})

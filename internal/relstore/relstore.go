@@ -34,19 +34,30 @@ const (
 // the relational representation. Missing properties export as "".
 var NodeProps = []string{"name", "birth", "addr", "sector"}
 
-// rows is what a walk of the relational image writes into: a
-// *datalog.Loader streaming the rows into an engine (Load), or factRows
-// collecting them as facts (CompanyGraphFacts). Every row of the image is
-// written by nodeRow or ownRows, so every consumer reads one definition.
+// rows is what a walk of the relational image writes into: loaderRows
+// streaming the rows into an engine (Load), or factRows collecting them as
+// facts (CompanyGraphFacts). Every row of the image is written by nodeRow
+// or ownRows, so every consumer reads one definition.
 type rows interface {
+	sink
+	// Prop appends a property as propValue renders it.
+	Prop(v pg.Scalar)
+}
+
+// sink takes a row's values as a *datalog.Loader does.
+type sink interface {
 	// Live reports whether the reader observes position pos; nodeRow reads
 	// no property for a dead one.
 	Live(pos int) bool
 	Int(x int64)
 	Float(x float64)
-	Value(a any)
 	Add() bool
 }
+
+// loaderRows streams rows into an engine.
+type loaderRows struct{ *datalog.Loader }
+
+func (l loaderRows) Prop(v pg.Scalar) { l.Value(propValue(v)) }
 
 // nodeRels are the node relations of the image, in load order.
 var nodeRels = [...]struct {
@@ -64,13 +75,14 @@ func nodeRow(g pg.View, id pg.NodeID, w rows) {
 	var n *pg.Node
 	for i, name := range NodeProps {
 		if !w.Live(1 + i) {
-			w.Value("")
+			w.Prop(pg.Scalar{})
 			continue
 		}
 		if n == nil {
 			n = g.Node(id)
 		}
-		w.Value(propValue(n.Props, name))
+		v, _ := n.Props.Lookup(name)
+		w.Prop(v)
 	}
 	w.Add()
 }
@@ -127,14 +139,14 @@ func walk(g pg.View, open func(pred string, arity, n int) rows) {
 // graph (Example 3.1) — into e, with no Fact in between. Where e prunes
 // (datalog.Engine.Prune), a property e cannot observe is never read.
 func Load(e *datalog.Engine, g pg.View) {
-	walk(g, func(pred string, arity, n int) rows { return e.Load(pred, arity, n) })
+	walk(g, func(pred string, arity, n int) rows { return loaderRows{e.Load(pred, arity, n)} })
 }
 
 // LoadScope streams into e the part of g's image a scoped chase reads: the
 // rows of the nodes and the own rows of the sources, the rows Load streams
 // for them.
 func LoadScope(e *datalog.Engine, g pg.View, nodes, sources map[pg.NodeID]bool) {
-	var loaders [len(nodeRels)]*datalog.Loader
+	var loaders [len(nodeRels)]rows
 	for id := range nodes {
 		n := g.Node(id)
 		if n == nil {
@@ -143,13 +155,13 @@ func LoadScope(e *datalog.Engine, g pg.View, nodes, sources map[pg.NodeID]bool) 
 		for i, nr := range nodeRels {
 			if n.Label == nr.label {
 				if loaders[i] == nil {
-					loaders[i] = e.Load(nr.pred, nodeArity(), len(nodes))
+					loaders[i] = loaderRows{e.Load(nr.pred, nodeArity(), len(nodes))}
 				}
 				nodeRow(g, id, loaders[i])
 			}
 		}
 	}
-	own := e.Load(PredOwn, 3, len(sources))
+	own := loaderRows{e.Load(PredOwn, 3, len(sources))}
 	for id := range sources {
 		out := g.OutLabel(id, pg.LabelShareholding)
 		ownRows(len(out), func(i int) *pg.Edge { return out[i] }, func(int) rows { return own })
@@ -161,8 +173,9 @@ func LoadScope(e *datalog.Engine, g pg.View, nodes, sources map[pg.NodeID]bool) 
 // property included.
 func CompanyGraphFacts(g pg.View) []datalog.Fact {
 	facts := make([]datalog.Fact, 0, g.NumNodes()+g.NumEdges())
+	box := &boxes{ids: make([]any, g.NextNodeID()), nums: map[pg.Scalar]any{}}
 	walk(g, func(pred string, arity, n int) rows {
-		return &factRows{facts: &facts, pred: pred, args: make([]any, 0, n*arity), arity: arity}
+		return &factRows{facts: &facts, pred: pred, args: make([]any, 0, n*arity), arity: arity, box: box}
 	})
 	return facts
 }
@@ -174,12 +187,42 @@ type factRows struct {
 	pred  string
 	args  []any
 	arity int
+	box   *boxes
 }
 
-func (f *factRows) Live(int) bool   { return true }
-func (f *factRows) Int(x int64)     { f.args = append(f.args, x) }
+// boxes holds the fact arguments one extraction boxed and reuses: a node
+// ID, however many rows name it, and a number's rendering, such as a
+// person's birth year.
+type boxes struct {
+	ids  []any
+	nums map[pg.Scalar]any
+}
+
+func (f *factRows) Live(int) bool { return true }
+
+// Int appends an int64: every one a row holds is the ID of a node of the
+// view, so below its NextNodeID.
+func (f *factRows) Int(x int64) {
+	if f.box.ids[x] == nil {
+		f.box.ids[x] = x
+	}
+	f.args = append(f.args, f.box.ids[x])
+}
+
+func (f *factRows) Prop(v pg.Scalar) {
+	if v.Kind() == pg.KindString || v.Kind() == 0 {
+		f.args = append(f.args, v.Str())
+		return
+	}
+	a, ok := f.box.nums[v]
+	if !ok {
+		a = propValue(v)
+		f.box.nums[v] = a
+	}
+	f.args = append(f.args, a)
+}
+
 func (f *factRows) Float(x float64) { f.args = append(f.args, x) }
-func (f *factRows) Value(a any)     { f.args = append(f.args, a) }
 func (f *factRows) Add() bool {
 	n := len(f.args)
 	*f.facts = append(*f.facts, datalog.Fact{Pred: f.pred, Args: f.args[n-f.arity : n : n]})
@@ -243,28 +286,18 @@ func NodeID(v any) (pg.NodeID, bool) {
 	return 0, false
 }
 
-// propValue renders a node property as a fact argument: the string fmt's %v
-// gives. A string property is returned as the interface value the graph
-// already holds, so extraction does not box it again; the other kinds graphs
-// hold (a person's float birth year on every extraction) are formatted by
-// strconv, which skips fmt's reflection.
-func propValue(props pg.Properties, name string) any {
-	v, ok := props[name]
-	if !ok {
-		return ""
+// propValue renders a property as a fact argument: the string fmt's %v
+// gives, or "" for no value. A string property is the record's own bytes;
+// the other kinds (a person's float birth year on every extraction) are
+// formatted by strconv.
+func propValue(v pg.Scalar) string {
+	switch v.Kind() {
+	case pg.KindFloat:
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
+	case pg.KindInt:
+		return strconv.FormatInt(v.Int(), 10)
+	case pg.KindBool:
+		return strconv.FormatBool(v.Bool())
 	}
-	switch x := v.(type) {
-	case string:
-		return v
-	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
-	case int64:
-		return strconv.FormatInt(x, 10)
-	case int:
-		return strconv.Itoa(x)
-	case bool:
-		return strconv.FormatBool(x)
-	default:
-		return fmt.Sprint(x)
-	}
+	return v.Str()
 }

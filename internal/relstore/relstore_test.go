@@ -119,23 +119,27 @@ func TestPropStringMatchesFmt(t *testing.T) {
 		float64(1970), 1970.5, 1e21, 1e-7, math.Copysign(0, -1), 1234567.0, 0.1, math.Inf(1), math.NaN(),
 		int64(-42), int64(1 << 62), 7,
 		true, false,
-		"Rome", "", []int{1, 2},
+		"Rome", "",
 	} {
-		got := propValue(pg.Properties{"p": v}, "p")
-		if want := fmt.Sprint(v); got != any(want) {
+		props, err := pg.NewRecord(pg.Properties{"p": v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _ := props.Lookup("p")
+		if got, want := propValue(p), fmt.Sprint(v); got != want {
 			t.Errorf("propValue(%#v) = %#v, fmt.Sprint gives %q", v, got, want)
 		}
 	}
-	if got := propValue(pg.Properties{}, "p"); got != any("") {
+	if got := propValue(pg.Scalar{}); got != "" {
 		t.Errorf("missing property renders %#v, want \"\"", got)
 	}
 }
 
-// TestPropValueKeepsStrings pins that a string property reaches the fact as
-// the interface value the graph holds: extraction allocates nothing for it.
+// TestPropValueKeepsStrings pins that a string property is read as the
+// record's own bytes: rendering it allocates nothing.
 func TestPropValueKeepsStrings(t *testing.T) {
-	props := pg.Properties{"name": "Rome"}
-	if n := testing.AllocsPerRun(100, func() { _ = propValue(props, "name") }); n != 0 {
+	props, _ := pg.NewRecord(pg.Properties{"name": "Rome"})
+	if n := testing.AllocsPerRun(100, func() { v, _ := props.Lookup("name"); _ = propValue(v) }); n != 0 {
 		t.Errorf("a string property allocates %.0f times, want 0", n)
 	}
 }

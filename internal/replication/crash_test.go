@@ -214,7 +214,7 @@ func checkAckedFacts(t *testing.T, who string, g *pg.Graph, acked []int64) {
 	t.Helper()
 	for _, seq := range acked {
 		n := g.Node(pg.NodeID(seq - 1))
-		if n == nil || n.Props["seq"] != seq {
+		if n == nil || n.Props.Map()["seq"] != seq {
 			t.Fatalf("%s: acknowledged fact %d lost (node %+v)", who, seq, n)
 		}
 	}
@@ -252,7 +252,7 @@ func runCrashLeader(dir, addrPath, ackPath string, die func(int, string, ...any)
 	g := st.Graph()
 	for _, seq := range acked {
 		n := g.Node(pg.NodeID(seq - 1))
-		if n == nil || n.Props["seq"] != seq {
+		if n == nil || n.Props.Map()["seq"] != seq {
 			die(replExitFactLost, "acked fact %d missing after recovery (node %+v)", seq, n)
 		}
 	}

@@ -180,7 +180,7 @@ func TestReplicationFailoverLoop(t *testing.T) {
 	g := st.Graph()
 	for _, a := range acks {
 		n := g.Node(pg.NodeID(a.nodeID))
-		if n == nil || n.Props["val"] != a.val {
+		if n == nil || n.Props.Map()["val"] != a.val {
 			t.Fatalf("acked fact lost: epoch %d seq %d node %d %q absent from final leader member%d (node %+v)",
 				a.epoch, a.seq, a.nodeID, a.val, last.idx, n)
 		}

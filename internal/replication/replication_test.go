@@ -99,13 +99,8 @@ func sameFacts(t *testing.T, leader, follower *pg.Graph) {
 	}
 	for _, id := range leader.Nodes() {
 		ln, fn := leader.Node(id), follower.Node(id)
-		if fn == nil || fn.Label != ln.Label || len(fn.Props) != len(ln.Props) {
+		if fn == nil || fn.Label != ln.Label || fn.Props != ln.Props {
 			t.Fatalf("node %d differs: leader %+v follower %+v", id, ln, fn)
-		}
-		for k, v := range ln.Props {
-			if fn.Props[k] != v {
-				t.Fatalf("node %d prop %q: leader %v follower %v", id, k, v, fn.Props[k])
-			}
 		}
 	}
 	for _, id := range leader.Edges() {
@@ -357,7 +352,7 @@ func TestDivergedFollowerResets(t *testing.T) {
 	waitSeq(t, fl, 1)
 	// Ghost state must be gone; only the leader's fact remains.
 	fg := fl.Graph()
-	if fg.NumNodes() != 1 || fg.Node(0) == nil || fg.Node(0).Props["name"] != "real" {
+	if fg.NumNodes() != 1 || fg.Node(0) == nil || fg.Node(0).Props.Map()["name"] != "real" {
 		t.Fatalf("follower graph after reset: %d nodes", fg.NumNodes())
 	}
 }

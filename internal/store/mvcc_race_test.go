@@ -224,7 +224,9 @@ func TestReplayPublishRace(t *testing.T) {
 		defer wg.Done()
 		for i := 1; i <= records; i++ {
 			w := 0.1 + 0.8*float64(i%7)/7
-			if err := vs.Replay(pg.Mutation{Kind: pg.MutSetEdgeWeight, Edge: &pg.Edge{ID: share, Props: pg.Properties{pg.WeightProp: w}}}); err != nil {
+			var props pg.RecordBuilder
+			props.Float(pg.WeightProp, w)
+			if err := vs.Replay(pg.Mutation{Kind: pg.MutSetEdgeWeight, Edge: &pg.Edge{ID: share, Props: props.Record()}}); err != nil {
 				t.Errorf("Replay: %v", err)
 				return
 			}

@@ -10,6 +10,15 @@ import (
 	"vadalink/internal/relstore"
 )
 
+// weight converts a Properties literal, failing loudly on a bad one.
+func weight(p pg.Properties) pg.Record {
+	r, err := pg.NewRecord(p)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 func seedGraph() *pg.Graph {
 	g := pg.New()
 	a := g.AddNode(pg.LabelCompany, pg.Properties{"name": "A"})
@@ -329,8 +338,8 @@ func TestVersionedReplayPublishesPerBurst(t *testing.T) {
 	burst := []pg.Mutation{
 		{Kind: pg.MutAddNode, Node: &pg.Node{ID: g.NextNodeID(), Label: pg.LabelCompany}},
 		{Kind: pg.MutAddEdge, Edge: &pg.Edge{ID: g.NextEdgeID(), Label: pg.LabelShareholding, From: 0, To: g.NextNodeID(),
-			Props: pg.Properties{pg.WeightProp: 0.3}}},
-		{Kind: pg.MutSetEdgeWeight, Edge: &pg.Edge{ID: share, Props: pg.Properties{pg.WeightProp: 0.7}}},
+			Props: weight(pg.Properties{pg.WeightProp: 0.3})}},
+		{Kind: pg.MutSetEdgeWeight, Edge: &pg.Edge{ID: share, Props: weight(pg.Properties{pg.WeightProp: 0.7})}},
 	}
 	for _, m := range burst {
 		if err := vs.Replay(m); err != nil {

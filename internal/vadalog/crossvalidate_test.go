@@ -33,7 +33,7 @@ func TestControlProgramMatchesDirectSolver(t *testing.T) {
 	for p := range want {
 		if !got[p] {
 			t.Errorf("datalog program misses control pair %v→%v (%v→%v)",
-				p[0], p[1], g.Node(p[0]).Props["name"], g.Node(p[1]).Props["name"])
+				p[0], p[1], g.Node(p[0]).Props.Map()["name"], g.Node(p[1]).Props.Map()["name"])
 		}
 	}
 	for p := range got {

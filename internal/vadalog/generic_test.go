@@ -54,7 +54,7 @@ func TestGenericPipelineRespectsBlocks(t *testing.T) {
 	b1 := g.AddNode(pg.LabelPerson, pg.Properties{"name": "C", "surname": "Rossi", "birth": 1960.0, "addr": "X 1", "city": "Milano"})
 	b2 := g.AddNode(pg.LabelPerson, pg.Properties{"name": "D", "surname": "Rossi", "birth": 1961.0, "addr": "X 1", "city": "Milano"})
 	blocker := blockerFunc(func(n *pg.Node) string {
-		c, _ := n.Props["city"].(string)
+		c, _ := n.Props.Map()["city"].(string)
 		return c
 	})
 	res, err := RunGeneric(g, GenericConfig{Blocker: blocker})
@@ -62,8 +62,8 @@ func TestGenericPipelineRespectsBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range res.Pairs {
-		cx := g.Node(p[0]).Props["city"]
-		cy := g.Node(p[1]).Props["city"]
+		cx := g.Node(p[0]).Props.Map()["city"]
+		cy := g.Node(p[1]).Props.Map()["city"]
 		if cx != cy {
 			t.Errorf("pair %v crosses blocks (%v vs %v)", p, cx, cy)
 		}

@@ -72,10 +72,14 @@ echo "== coverage floors =="
 #                fault coverage from eroding (85.8%).
 #   pg           the graph every version, clone and overlay shares elements
 #                of: copy-on-write weight edits, sharing clones, overlay
-#                composition. Held at its measured coverage (94.2%) rather
-#                than the shared MVCC floor, since a write through a shared
-#                element corrupts every version at once. The allocation guard,
-#                TestCloneAllocations, runs here: the race step above skips it.
+#                composition, typed property records. Held at its measured
+#                coverage (94.2%) rather than the shared MVCC floor, since a
+#                write through a shared element corrupts every version at
+#                once. The allocation guards, TestCloneAllocations,
+#                TestGraphBytesPerElement (retained bytes per element of a
+#                generated registry) and TestPropertyReadsAllocateNothing
+#                (Edge.Weight and the typed string and number reads), run
+#                here: the race step above skips them.
 #   store        the version chain every serving mode reads: commit/conflict.
 #                Correctness is proven by the race harnesses; the floor keeps
 #                that proof from eroding (83.5%; 95.5% measured once the gob
