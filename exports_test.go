@@ -35,6 +35,8 @@ var exportAllowlist = map[string]string{
 	"graphgen.RandomCommit":        "test helper shared across packages",
 	"pg.Builder.PersonWith":        "builds the root scenario tests' graphs",
 	"pg.Graph.MustAddEdgeWeighted": "test helper shared across packages",
+	"pg.Graph.RemoveNode":          "the named node removal persistence tests write WAL and snapshot streams with",
+	"pg.Graph.Validate":            "facade API (vadalink.Graph) and the Definition 2.2 oracle tests hold the mutator to",
 	"vadalog.CloseLinkProgramT":    "builds the close-link program at a test's threshold",
 	"vadalog.MaintenanceProgram":   "the scoped program's text, which the shared-plan and ivm round-count tests chase",
 	"experiments.ReembedRecall":    "Figure 4(e) harness the root ablation benchmark runs",

@@ -124,9 +124,6 @@ func Load(companies, persons, shareholdings io.Reader) (*Result, error) {
 	if err := c.err(); err != nil {
 		return nil, err
 	}
-	if err := res.Graph.Validate(); err != nil {
-		return nil, err
-	}
 	return res, nil
 }
 
@@ -257,7 +254,7 @@ func (r *Result) loadShareholdings(in io.Reader, c *errCollector) error {
 			return
 		}
 		share, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil || !(share > 0 && share <= 1) {
+		if err != nil {
 			c.add("shareholdings", line, "bad share %q (want a fraction in (0,1])", rec[2])
 			return
 		}

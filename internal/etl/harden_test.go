@@ -24,7 +24,7 @@ func TestLoadReportsManyMalformedRows(t *testing.T) {
 		{File: "companies", Line: 3, Msg: "want ≥ 2 columns, got 1"},
 		{File: "companies", Line: 5, Msg: "want ≥ 2 columns, got 1"},
 		{File: "shareholdings", Line: 3, Msg: `unknown owner "CX"`},
-		{File: "shareholdings", Line: 4, Msg: `bad share "7" (want a fraction in (0,1])`},
+		{File: "shareholdings", Line: 4, Msg: "pg: edge 1: share amount 7 outside (0, 1]"},
 	}
 	for i, want := range wantRows {
 		if i >= len(le.Rows) {

@@ -67,8 +67,8 @@ type BarabasiConfig struct {
 	// PersonFraction relabels this share of nodes as Person nodes with
 	// generated personal features, so the family-detection workload of
 	// Section 6 can run on the dense synthetic graphs of Figures 4(b) and
-	// 4(d). The resulting graphs deliberately stress-test the system and are
-	// not valid company graphs (persons may receive shareholding edges).
+	// 4(d). A person holds shares but is never drawn as a share's target, so
+	// the graphs are valid company graphs (Definition 2.2).
 	PersonFraction float64
 }
 
@@ -127,8 +127,8 @@ func BarabasiWith(cfg BarabasiConfig) *pg.Graph {
 			} else {
 				to = repeated[r.Intn(len(repeated))]
 			}
-			if to == id || targets[to] {
-				continue
+			if to == id || targets[to] || g.Node(to).Label == pg.LabelPerson {
+				continue // the draw is spent either way, so the stream stays aligned
 			}
 			targets[to] = true
 			shares = append(shares, share{id, to, 0.05 + 0.95*r.Float64()})

@@ -100,3 +100,54 @@ func TestPropertyReadsAllocateNothing(t *testing.T) {
 		t.Errorf("typed property reads allocate %.0f times, want 0", allocs)
 	}
 }
+
+// TestMutatorAllocations pins the allocations of one add through the
+// mutator. Measured before the named methods wrote through Replay:
+// Graph.AddShare and Overlay.AddShare 3 each (the weight record, the record
+// boxed as a PropSource, the Edge), and Graph.Replay of a decoded add-edge
+// record 2 (its record boxed again, and a copy of its Edge). The mutator
+// now holds the mutation's own Edge, and AddShare boxes nothing: 2, 2 and
+// 0, the budgets. Index growth amortizes to nothing over the runs. Augment
+// writes its links through AddEdge, and its workload is GC-sensitive, so an
+// add that starts copying again fails here.
+func TestMutatorAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const runs = 1000
+	g := pg.New()
+	a := g.AddNode(pg.LabelCompany, nil)
+	b := g.AddNode(pg.LabelCompany, nil)
+	o := pg.NewOverlay(g)
+	r := pg.New()
+	r.AddNode(pg.LabelCompany, nil)
+	r.AddNode(pg.LabelCompany, nil)
+	share, _ := pg.NewRecord(pg.Properties{pg.WeightProp: 0.001})
+	var records []pg.Mutation // one decoded record per run, warm-up included
+	for id := range pg.EdgeID(runs + 1) {
+		records = append(records, pg.Mutation{Kind: pg.MutAddEdge, Edge: &pg.Edge{
+			ID: id, Label: pg.LabelShareholding, From: a, To: b, Props: share}})
+	}
+	for _, c := range []struct {
+		name   string
+		budget float64
+		add    func() error
+	}{
+		{"Graph.AddShare", 2, func() error { _, err := g.AddShare(a, b, 0.001); return err }},
+		{"Overlay.AddShare", 2, func() error { _, err := o.AddShare(a, b, 0.001); return err }},
+		{"Graph.Replay", 0, func() error { _, err := r.Replay(records[r.NextEdgeID()]); return err }},
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(runs, func() {
+			if e := c.add(); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if allocs > c.budget {
+			t.Errorf("%s allocates %.0f times per add, budget %.0f", c.name, allocs, c.budget)
+		}
+	}
+}

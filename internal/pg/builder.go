@@ -32,36 +32,24 @@ func (b *Builder) Person(key string) NodeID {
 	return b.node(key, LabelPerson)
 }
 
-// PersonWith ensures a person node exists and merges the given properties
-// over its own. A new person is added with the merged record; an existing
-// one is replaced by a merged copy, since a graph never writes to a node it
-// holds. It reports an error when key names a company or a value is outside
-// the four property kinds, and then leaves the graph as it was.
+// PersonWith adds a person node named key with the given properties over
+// its name. It reports an error, and leaves the graph as it was, when key
+// already names a node or a value is outside the four property kinds: a
+// graph changes a node it holds only through its mutator, and a person's
+// properties are set once, when it is added.
 func (b *Builder) PersonWith(key string, props Properties) (NodeID, error) {
-	var rb RecordBuilder
-	id, exists := b.byKey[key]
-	if !exists {
-		rb.Str("name", key)
-	} else if got := b.g.nodes[id].Label; got != LabelPerson {
-		return 0, fmt.Errorf("pg: builder: node %q already exists with label %s, requested %s", key, got, LabelPerson)
-	} else {
-		old := b.g.nodes[id].Props
-		for i := range old.Len() {
-			k, v := old.Field(i)
-			rb.put(k, v)
-		}
+	if id, exists := b.byKey[key]; exists {
+		return 0, fmt.Errorf("pg: builder: node %q already exists as %s", key, b.g.Node(id).Label)
 	}
+	var rb RecordBuilder
+	rb.Str("name", key)
 	for k, v := range props {
 		if err := rb.Set(k, v); err != nil {
 			return 0, fmt.Errorf("pg: builder: person %q: %w", key, err)
 		}
 	}
-	if !exists {
-		id = b.g.AddNode(LabelPerson, rb.Record())
-		b.byKey[key] = id
-		return id, nil
-	}
-	b.g.nodes[id] = &Node{ID: id, Label: LabelPerson, Props: rb.Record()}
+	id := b.g.AddNode(LabelPerson, rb.Record())
+	b.byKey[key] = id
 	return id, nil
 }
 
@@ -92,12 +80,9 @@ func (b *Builder) node(key string, label Label) NodeID {
 // AddOwnership adds a shareholding edge owner → owned with share w. Both
 // endpoints must already exist (create them with AddNode / Company / Person
 // first), mirroring the paper convention that node type is explicit.
-// Unknown endpoints and out-of-range shares (w must be in (0, 1]) are
-// reported as errors.
+// Unknown names are reported as errors, and so is a share the graph
+// refuses (Graph.AddShare).
 func (b *Builder) AddOwnership(owner, owned string, w float64) (EdgeID, error) {
-	if !(w > 0 && w <= 1) {
-		return 0, fmt.Errorf("pg: builder: share %v out of range (0, 1]", w)
-	}
 	from, ok := b.byKey[owner]
 	if !ok {
 		return 0, fmt.Errorf("pg: builder: unknown owner %q", owner)

@@ -69,9 +69,9 @@ func TestBuilderOwnPanicsOnUnknown(t *testing.T) {
 	NewBuilder().Own("nope", "also-nope", 0.5)
 }
 
-// TestBuilderPersonWith: the properties are merged over the person's name
-// before the node is added, and merging into an existing person replaces the
-// node instead of writing it, so a clone taken in between keeps the old one.
+// TestBuilderPersonWith: the properties are set over the person's name
+// before the node is added, and a key that names a node already — a person
+// or a company — is refused and leaves the graph as it was.
 func TestBuilderPersonWith(t *testing.T) {
 	b := NewBuilder()
 	id, err := b.PersonWith("P", Properties{"city": "Roma"})
@@ -81,30 +81,24 @@ func TestBuilderPersonWith(t *testing.T) {
 	if got := b.Graph().Node(id).Props.Map(); got["name"] != "P" || got["city"] != "Roma" {
 		t.Fatalf("new person props = %v", got)
 	}
-	before := b.Graph().Clone()
-	if again, err := b.PersonWith("P", Properties{"city": "Milano", "birth": 1970.0}); err != nil || again != id {
-		t.Fatalf("PersonWith of an existing person returned %d, %v, want %d", again, err, id)
+	seq := b.Graph().Seq()
+	if _, err := b.PersonWith("P", Properties{"city": "Milano"}); err == nil || !strings.Contains(err.Error(), `"P"`) {
+		t.Errorf("PersonWith of an existing person: %v, want an error naming it", err)
 	}
-	if got := b.Graph().Node(id).Props.Map(); got["name"] != "P" || got["city"] != "Milano" || got["birth"] != 1970.0 {
-		t.Errorf("merged person props = %v", got)
-	}
-	if got := before.Node(id).Props.Map(); len(got) != 2 || got["city"] != "Roma" {
-		t.Errorf("a clone taken before the merge reads %v", got)
-	}
-	if n := len(b.Graph().NodesWithLabel(LabelPerson)); n != 1 {
-		t.Errorf("%d persons after merging into one", n)
+	if got, _ := b.Graph().Node(id).Props.Str("city"); got != "Roma" || b.Graph().Seq() != seq {
+		t.Errorf("a refused PersonWith changed the graph: city %q, seq %d → %d", got, seq, b.Graph().Seq())
 	}
 	b.Company("C")
 	if _, err := b.PersonWith("C", nil); err == nil || !strings.Contains(err.Error(), `"C"`) {
 		t.Errorf("PersonWith on a company key: %v, want an error naming it", err)
 	}
 	// A value outside the four kinds is refused with the person and key
-	// named, and the person is left as it was.
-	_, err = b.PersonWith("P", Properties{"city": "Torino", "tags": []string{"x"}})
-	if err == nil || !strings.Contains(err.Error(), `person "P"`) || !strings.Contains(err.Error(), `"tags"`) {
+	// named, and no person is added.
+	_, err = b.PersonWith("Q", Properties{"city": "Torino", "tags": []string{"x"}})
+	if err == nil || !strings.Contains(err.Error(), `person "Q"`) || !strings.Contains(err.Error(), `"tags"`) {
 		t.Errorf("PersonWith with a []string value: %v, want an error naming the person and key", err)
 	}
-	if got, _ := b.Graph().Node(id).Props.Str("city"); got != "Milano" {
-		t.Errorf("a refused merge changed the person's city to %q", got)
+	if _, ok := b.Lookup("Q"); ok || len(b.Graph().NodesWithLabel(LabelPerson)) != 1 {
+		t.Errorf("a refused PersonWith added a person")
 	}
 }

@@ -96,42 +96,42 @@ func TestLabelIndexes(t *testing.T) {
 	}
 }
 
+// TestValidateCompanyGraph: Validate accepts a valid graph, and an edge that
+// breaks Definition 2.2 is refused where it enters; smuggled into the
+// graph's maps past the mutator, it is reported by Validate with the same
+// text, since both walk one check.
 func TestValidateCompanyGraph(t *testing.T) {
 	g := New()
 	c := g.AddNode(LabelCompany, nil)
 	p := g.AddNode(LabelPerson, nil)
-	if _, err := g.AddShare(p, c, 0.4); err != nil {
+	e, err := g.AddShare(p, c, 0.4)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Validate(); err != nil {
 		t.Errorf("valid graph rejected: %v", err)
 	}
-
-	// Shareholding into a person is invalid.
-	bad := New()
-	c2 := bad.AddNode(LabelCompany, nil)
-	p2 := bad.AddNode(LabelPerson, nil)
-	bad.MustAddEdge(LabelShareholding, c2, p2, Properties{WeightProp: 0.5})
-	if err := bad.Validate(); err == nil {
-		t.Error("shareholding into a Person accepted, want error")
+	for name, bad := range map[string]Edge{
+		"into a Person":   {From: c, To: p, Props: weightRecord(0.5)},
+		"share 1.5":       {From: p, To: c, Props: weightRecord(1.5)},
+		"share NaN":       {From: p, To: c, Props: weightRecord(math.NaN())},
+		"no share amount": {From: p, To: c},
+	} {
+		refused := g.Clone()
+		_, err := refused.AddEdge(LabelShareholding, bad.From, bad.To, bad.Props)
+		if err == nil {
+			t.Errorf("%s: AddEdge accepted it", name)
+			continue
+		}
+		smuggled := g.Clone()
+		bad.ID, bad.Label = smuggled.nextEdge, LabelShareholding
+		smuggled.edges[bad.ID] = &bad
+		smuggled.nextEdge++
+		if verr := smuggled.Validate(); verr == nil || verr.Error() != err.Error() {
+			t.Errorf("%s: Validate reports %v, AddEdge refused with %v", name, verr, err)
+		}
 	}
-
-	// Out-of-range weight is invalid.
-	bad2 := New()
-	a := bad2.AddNode(LabelCompany, nil)
-	b := bad2.AddNode(LabelCompany, nil)
-	bad2.MustAddEdge(LabelShareholding, a, b, Properties{WeightProp: 1.5})
-	if err := bad2.Validate(); err == nil {
-		t.Error("share amount 1.5 accepted, want error")
-	}
-	bad3 := New()
-	a = bad3.AddNode(LabelCompany, nil)
-	b = bad3.AddNode(LabelCompany, nil)
-	e := bad3.MustAddEdge(LabelShareholding, a, b, Properties{WeightProp: math.NaN()})
-	if err := bad3.Validate(); err == nil {
-		t.Error("share amount NaN accepted, want error")
-	}
-	if err := bad3.SetEdgeWeight(e, math.NaN()); err == nil {
+	if err := g.SetEdgeWeight(e, math.NaN()); err == nil {
 		t.Error("SetEdgeWeight(NaN) accepted")
 	}
 }

@@ -2,6 +2,7 @@ package pg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -99,32 +100,6 @@ func (o *Overlay) Delta() Delta {
 // not be journaled. Kept so the many call sites compile unchanged.
 func (o *Overlay) Journal() ([]Mutation, error) {
 	return o.journal, nil
-}
-
-// Replay applies a recorded mutation onto the overlay. It refuses, before
-// the overlay moves, exactly what Graph.Replay refuses (see replayable), so
-// a burst of records the writer master applied replays onto an overlay of
-// the version before it: that is how a store version publishes them. The
-// overlay holds the mutation's records, as Graph.Replay does.
-func (o *Overlay) Replay(m Mutation) error {
-	if err := replayable(o, m); err != nil {
-		return err
-	}
-	var err error
-	switch m.Kind {
-	case MutAddNode:
-		o.AddNode(m.Node.Label, m.Node.Props)
-	case MutAddEdge:
-		_, err = o.AddEdge(m.Edge.Label, m.Edge.From, m.Edge.To, m.Edge.Props)
-	case MutRemoveEdge:
-		o.RemoveEdge(m.Edge.ID)
-	case MutSetEdgeWeight:
-		w, _ := m.Edge.Weight()
-		err = o.SetEdgeWeight(m.Edge.ID, w)
-	default: // MutRemoveNode
-		o.RemoveNode(m.Node.ID)
-	}
-	return err
 }
 
 // --- View ---
@@ -375,38 +350,29 @@ func (o *Overlay) NextEdgeID() EdgeID { return o.nextEdge }
 // untouched. Like Graph.AddNode, it panics on a property value outside the
 // four kinds.
 func (o *Overlay) AddNode(label Label, props PropSource) NodeID {
-	rec := nodeRecord(o.nextNode, props)
 	id := o.nextNode
-	o.nextNode++
-	n := &Node{ID: id, Label: label, Props: rec}
-	o.addedNodes[id] = n
-	o.byNodeLabel[label] = append(o.byNodeLabel[label], id)
-	o.journal = append(o.journal, Mutation{Kind: MutAddNode, Node: n})
+	// An add at the next ID is never refused.
+	o.Replay(Mutation{Kind: MutAddNode, Node: &Node{ID: id, Label: label, Props: nodeRecord(id, props)}})
 	return id
 }
 
 // AddEdge inserts a directed edge from → to into the overlay and returns
-// its ID. Both endpoints must be visible in the composite view.
+// its ID. It refuses what Graph.AddEdge refuses; both endpoints must be
+// visible in the composite view.
 func (o *Overlay) AddEdge(label Label, from, to NodeID, props PropSource) (EdgeID, error) {
-	if o.Node(from) == nil {
-		return 0, fmt.Errorf("pg: add edge: unknown source node %d", from)
-	}
-	if o.Node(to) == nil {
-		return 0, fmt.Errorf("pg: add edge: unknown target node %d", to)
-	}
 	rec, err := recordOf(props)
 	if err != nil {
 		return 0, fmt.Errorf("pg: add edge %d: %w", o.nextEdge, err)
 	}
-	id := o.nextEdge
-	o.nextEdge++
-	e := &Edge{ID: id, Label: label, From: from, To: to, Props: rec}
-	o.addedEdges[id] = e
-	o.out[from] = append(o.out[from], id)
-	o.in[to] = append(o.in[to], id)
-	o.byEdgeLabel[label] = append(o.byEdgeLabel[label], id)
-	o.journal = append(o.journal, Mutation{Kind: MutAddEdge, Edge: e})
-	return id, nil
+	return o.addEdge(&Edge{ID: o.nextEdge, Label: label, From: from, To: to, Props: rec})
+}
+
+// addEdge replays the add of e, which names the next edge ID.
+func (o *Overlay) addEdge(e *Edge) (EdgeID, error) {
+	if err := o.Replay(Mutation{Kind: MutAddEdge, Edge: e}); err != nil {
+		return 0, err
+	}
+	return e.ID, nil
 }
 
 // MustAddEdge is AddEdge that panics on error.
@@ -420,53 +386,25 @@ func (o *Overlay) MustAddEdge(label Label, from, to NodeID, props PropSource) Ed
 
 // AddShare inserts a Shareholding edge with weight w.
 func (o *Overlay) AddShare(from, to NodeID, w float64) (EdgeID, error) {
-	return o.AddEdge(LabelShareholding, from, to, weightRecord(w))
+	return o.addEdge(&Edge{ID: o.nextEdge, Label: LabelShareholding, From: from, To: to, Props: weightRecord(w)})
 }
 
 // RemoveEdge hides a base edge or deletes an overlay-added one. Removing a
 // missing edge is a no-op returning false.
 func (o *Overlay) RemoveEdge(id EdgeID) bool {
-	if e, ok := o.addedEdges[id]; ok {
-		delete(o.addedEdges, id)
-		o.out[e.From] = removeID(o.out[e.From], id)
-		o.in[e.To] = removeID(o.in[e.To], id)
-		o.byEdgeLabel[e.Label] = removeID(o.byEdgeLabel[e.Label], id)
-		o.journal = append(o.journal, Mutation{Kind: MutRemoveEdge, Edge: e})
-		return true
-	}
 	e := o.Edge(id)
 	if e == nil {
 		return false
 	}
-	o.removedEdges[id] = true
-	delete(o.editedEdges, id)
-	o.journal = append(o.journal, Mutation{Kind: MutRemoveEdge, Edge: e})
+	o.Replay(Mutation{Kind: MutRemoveEdge, Edge: e}) // a live edge's removal is never refused
 	return true
 }
 
 // SetEdgeWeight overrides the shareholding weight of a visible edge,
-// copy-on-write, and journals a MutSetEdgeWeight. Every edit builds a new
-// Edge, whether the edge came from the base or the overlay added it, so each
-// journal entry keeps the weight it was written with.
+// copy-on-write, and journals a MutSetEdgeWeight. It refuses what
+// Graph.SetEdgeWeight refuses.
 func (o *Overlay) SetEdgeWeight(id EdgeID, w float64) error {
-	e := o.Edge(id)
-	if e == nil {
-		return fmt.Errorf("pg: set weight: unknown edge %d", id)
-	}
-	if e.Label != LabelShareholding {
-		return fmt.Errorf("pg: set weight: edge %d is %s, want Shareholding", id, e.Label)
-	}
-	if !(w > 0 && w <= 1) {
-		return fmt.Errorf("pg: set weight: share amount %v outside (0,1]", w)
-	}
-	e = e.withWeight(w)
-	if _, added := o.addedEdges[id]; added {
-		o.addedEdges[id] = e
-	} else {
-		o.editedEdges[id] = e
-	}
-	o.journal = append(o.journal, Mutation{Kind: MutSetEdgeWeight, Edge: e})
-	return nil
+	return o.Replay(Mutation{Kind: MutSetEdgeWeight, Edge: &Edge{ID: id, Props: weightRecord(w)}})
 }
 
 // RemoveNode hides a visible node and all its visible incident edges.
@@ -479,17 +417,69 @@ func (o *Overlay) RemoveNode(id NodeID) bool {
 	if n == nil {
 		return false
 	}
-	incident := append([]EdgeID(nil), o.Out(id)...)
-	incident = append(incident, o.In(id)...)
-	for _, eid := range incident {
+	for _, eid := range append(slices.Clone(o.Out(id)), o.In(id)...) {
 		o.RemoveEdge(eid)
 	}
-	if _, added := o.addedNodes[id]; added {
-		delete(o.addedNodes, id)
-		o.byNodeLabel[n.Label] = removeID(o.byNodeLabel[n.Label], id)
-	} else {
-		o.removedNodes[id] = true
-	}
-	o.journal = append(o.journal, Mutation{Kind: MutRemoveNode, Node: n})
+	o.Replay(Mutation{Kind: MutRemoveNode, Node: n}) // edge-free now, so never refused
 	return true
+}
+
+// Replay is the overlay's one mutator, as Graph.Replay is the graph's: it
+// refuses, before the overlay moves, exactly what Graph.Replay refuses (see
+// check), applies the rest to the overlay alone and journals it. So a burst
+// of records the writer master applied replays onto an overlay of the
+// version before it: that is how a store version publishes them. The
+// overlay holds an add's own Node or Edge, and every weight edit builds a
+// new Edge, whether the edge came from the base or the overlay added it, so
+// each journal entry keeps the weight it was written with.
+func (o *Overlay) Replay(m Mutation) error {
+	if err := check(o, m); err != nil {
+		return err
+	}
+	switch m.Kind {
+	case MutAddNode:
+		n := m.Node
+		o.nextNode++
+		o.addedNodes[n.ID] = n
+		o.byNodeLabel[n.Label] = append(o.byNodeLabel[n.Label], n.ID)
+	case MutAddEdge:
+		e := m.Edge
+		o.nextEdge++
+		o.addedEdges[e.ID] = e
+		o.out[e.From] = append(o.out[e.From], e.ID)
+		o.in[e.To] = append(o.in[e.To], e.ID)
+		o.byEdgeLabel[e.Label] = append(o.byEdgeLabel[e.Label], e.ID)
+	case MutRemoveEdge:
+		e := o.Edge(m.Edge.ID)
+		if _, added := o.addedEdges[e.ID]; added {
+			delete(o.addedEdges, e.ID)
+			o.out[e.From] = removeID(o.out[e.From], e.ID)
+			o.in[e.To] = removeID(o.in[e.To], e.ID)
+			o.byEdgeLabel[e.Label] = removeID(o.byEdgeLabel[e.Label], e.ID)
+		} else {
+			o.removedEdges[e.ID] = true
+			delete(o.editedEdges, e.ID)
+		}
+		m.Edge = e
+	case MutSetEdgeWeight:
+		w, _ := m.Edge.Weight()
+		e := o.Edge(m.Edge.ID).withWeight(w)
+		if _, added := o.addedEdges[e.ID]; added {
+			o.addedEdges[e.ID] = e
+		} else {
+			o.editedEdges[e.ID] = e
+		}
+		m.Edge = e
+	default: // MutRemoveNode
+		n := o.Node(m.Node.ID)
+		if _, added := o.addedNodes[n.ID]; added {
+			delete(o.addedNodes, n.ID)
+			o.byNodeLabel[n.Label] = removeID(o.byNodeLabel[n.Label], n.ID)
+		} else {
+			o.removedNodes[n.ID] = true
+		}
+		m.Node = n
+	}
+	o.journal = append(o.journal, m)
+	return nil
 }

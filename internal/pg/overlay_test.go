@@ -179,7 +179,7 @@ func TestOverlayMatchesFlatten(t *testing.T) {
 			t.Fatalf("seed %d: Flatten: %v", seed, err)
 		}
 		assertViewsEqual(t, o, flat)
-		if err := ValidateView(o); err != nil {
+		if err := flat.Validate(); err != nil {
 			t.Fatalf("seed %d: overlay invalid: %v", seed, err)
 		}
 	}

@@ -2,7 +2,6 @@ package pg
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -98,34 +97,6 @@ func Flatten(v View) (*Graph, error) {
 		edges = append(edges, *v.Edge(id))
 	}
 	return restore("flatten", nodes, edges, v.NextNodeID(), v.NextEdgeID())
-}
-
-// ValidateView checks the company-graph invariants of Definition 2.2 over
-// any view: shareholding edges carry a weight in (0, 1], shareholding
-// sources are companies or persons, and shareholding targets are companies.
-// It returns the first violation found, or nil.
-func ValidateView(v View) error {
-	for _, eid := range v.Edges() {
-		e := v.Edge(eid)
-		if e.Label != LabelShareholding {
-			continue
-		}
-		w, ok := e.Weight()
-		if !ok {
-			return fmt.Errorf("pg: edge %d: shareholding edge missing weight", eid)
-		}
-		if !(w > 0 && w <= 1) {
-			return fmt.Errorf("pg: edge %d: share amount %v outside (0,1]", eid, w)
-		}
-		from, to := v.Node(e.From), v.Node(e.To)
-		if to.Label != LabelCompany {
-			return fmt.Errorf("pg: edge %d: shareholding target %d is %s, want Company", eid, e.To, to.Label)
-		}
-		if from.Label != LabelCompany && from.Label != LabelPerson {
-			return fmt.Errorf("pg: edge %d: shareholding source %d is %s, want Company or Person", eid, e.From, from.Label)
-		}
-	}
-	return nil
 }
 
 // NeighborhoodOf returns the induced subgraph around a node of any view:

@@ -89,6 +89,9 @@ func TestEndpointTable(t *testing.T) {
 		{"control pairs ok", "GET", "/v1/control/pairs", "", 200, ""},
 		{"closelinks ok", "GET", "/v1/closelinks", "", 200, ""},
 		{"closelinks bad threshold", "GET", "/v1/closelinks?t=7", "", 400, "bad_request"},
+		{"closelinks NaN threshold", "GET", "/v1/closelinks?t=NaN", "", 400, "bad_request"},
+		{"closelinks +Inf threshold", "GET", "/v1/closelinks?t=%2BInf", "", 400, "bad_request"},
+		{"closelinks -Inf threshold", "GET", "/v1/closelinks?t=-Inf", "", 400, "bad_request"},
 		{"accumulated ok", "GET", "/v1/accumulated?from=" + node + "&to=" + company, "", 200, ""},
 		{"accumulated missing to", "GET", "/v1/accumulated?from=" + node, "", 400, "bad_request"},
 		{"explain ok", "GET", "/v1/explain?from=" + node + "&to=" + company, "", 200, ""},

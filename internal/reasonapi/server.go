@@ -997,7 +997,7 @@ func (s *Server) handleCloseLinks(w http.ResponseWriter, r *http.Request) {
 	t := whatif.DefaultThreshold
 	if raw := queryParam(r.URL.RawQuery, "t"); raw != "" {
 		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil || v <= 0 || v > 1 {
+		if err != nil || !(v > 0 && v <= 1) {
 			writeErr(w, r, http.StatusBadRequest, "bad_request", "bad threshold %q", raw)
 			return
 		}

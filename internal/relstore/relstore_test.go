@@ -170,11 +170,24 @@ func factSet(e *datalog.Engine, facts []datalog.Fact) map[string]bool {
 	return out
 }
 
-// propGraph is Figure 2 with properties on two nodes and a second parcel
-// P2 → C5, seen through an overlay that adds one more.
+// propGraph is Figure 2 with properties on P2 and a second parcel P2 → C5,
+// seen through an overlay that adds one more. Node IDs are Figure 2's.
 func propGraph() (pg.View, *pg.Builder) {
-	_, b := pg.Figure2()
+	b := pg.NewBuilder()
+	for _, c := range []string{"C4", "C5", "C6", "C7"} {
+		b.Company(c)
+	}
+	b.Person("P1")
 	b.PersonWith("P2", pg.Properties{"birth": 1970.0, "addr": "Milano"})
+	b.Person("P3")
+	b.Own("P1", "C4", 0.8).
+		Own("P2", "C5", 0.6).
+		Own("P2", "C6", 0.55).
+		Own("C5", "C7", 0.5).
+		Own("C6", "C7", 0.25).
+		Own("P3", "C4", 0.4).
+		Own("P3", "C6", 0.5).
+		Own("C4", "C5", 0.4)
 	g := b.Graph()
 	g.MustAddEdgeWeighted(b.ID("P2"), b.ID("C5"), 0.1)
 	o := pg.NewOverlay(g)

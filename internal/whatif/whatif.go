@@ -267,14 +267,8 @@ func Apply(o *pg.Overlay, ops []Op) (created []pg.NodeID, changed map[pg.NodeID]
 			}
 			created = append(created, o.AddNode(label, props))
 		case "addShare":
-			if op.W <= 0 || op.W > 1 {
-				return nil, nil, &OpError{i, fmt.Errorf("share amount %v outside (0,1]", op.W)}
-			}
 			if _, err := o.AddShare(op.From, op.To, op.W); err != nil {
 				return nil, nil, &OpError{i, err}
-			}
-			if to := o.Node(op.To); to.Label != pg.LabelCompany {
-				return nil, nil, &OpError{i, fmt.Errorf("shareholding target %d is %s, want Company", op.To, to.Label)}
 			}
 			if total := incomingShares(o, op.To); total > 1+shareEps {
 				return nil, nil, &OpError{i, fmt.Errorf("incoming shares of %d would total %.4f > 1", op.To, total)}
