@@ -24,7 +24,8 @@
 //	                   [-api-advertise URL] [-lease 3s]
 //
 // stats, control, closelink, ubo, explain, query and whatif ask the
-// reasoning API in process, with no deadline: each maps its flags to the
+// reasoning API in process, with no deadline and the facade's round bound
+// (vadalink.PhiRounds): each maps its flags to the
 // request of the route that answers it (GET /v1/stats, /v1/control or
 // /v1/control/pairs, /v1/closelinks, /v1/ubo, /v1/explain, POST /v1/query,
 // /v1/whatif; see API.md) and prints the route's JSON body unchanged. A
@@ -236,11 +237,12 @@ type apiError []byte
 
 func (e apiError) Error() string { return string(e) }
 
-// ask serves req on the reasoning API's handler over g, with no deadline, and
-// prints a 2xx body to stdout unchanged; any other answer is an apiError.
+// ask serves req on the reasoning API's handler over g, with no deadline and
+// the facade's round bound, and prints a 2xx body to stdout unchanged; any
+// other answer is an apiError.
 func ask(g *vadalink.Graph, req *http.Request, stdout io.Writer) error {
 	rec := httptest.NewRecorder()
-	vadalink.APIHandlerWith(g, vadalink.APIConfig{Timeout: -1}).ServeHTTP(rec, req)
+	vadalink.APIHandlerWith(g, vadalink.APIConfig{Timeout: -1, MaxRounds: vadalink.PhiRounds}).ServeHTTP(rec, req)
 	if rec.Code/100 != 2 {
 		return apiError(rec.Body.Bytes())
 	}

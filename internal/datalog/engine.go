@@ -178,6 +178,12 @@ type evalCtx struct {
 	touched []*relation
 	pending int
 
+	// aggTab and aggGroup name the aggregate group whose improvement the
+	// head being fired records (aggTab nil otherwise): fireHead makes the
+	// row it derives the group's current one.
+	aggTab   *aggTable
+	aggGroup int
+
 	// provenance state: the rule being evaluated, the premise stack of the
 	// evaluation in flight, and the prior contributions of the active
 	// aggregate group.
@@ -227,6 +233,12 @@ type aggTable struct {
 	groups tuples
 	total  []float64
 	init   []bool
+	// rel is the head relation holding the target (nil when no head atom
+	// mentions it), and head, by group, the row of rel recording the
+	// group's current total (-1: none). An improvement supersedes that row,
+	// so readers see one row per group (DESIGN.md §5).
+	rel  *relation
+	head []int
 	// prov, by group under WithProvenance, accumulates the body facts of
 	// every contribution, so aggregate-based decisions explain completely
 	// (e.g. a control decision lists all the shareholdings in the sum, not
@@ -440,12 +452,7 @@ func (e *Engine) find(r *relation, args []any) (int, bool) {
 
 // factOf converts a stored row to an API fact.
 func (e *Engine) factOf(x rowRef) Fact {
-	row := x.r.row(x.row)
-	args := make([]any, len(row))
-	for i, v := range row {
-		args[i] = e.syms.any(v)
-	}
-	return Fact{Pred: x.r.pred, Args: args}
+	return e.factIn(x.r, x.row, make([]any, x.r.arity))
 }
 
 // addIndexBytes accrues lazily built index memory and trips the budget when
@@ -460,7 +467,8 @@ func (e *Engine) addIndexBytes(bytes int) {
 	}
 }
 
-// Facts returns all facts of a predicate, sorted canonically. The result is
+// Facts returns all facts of a predicate, sorted canonically: of an
+// aggregate's head, one row per group, at its current total. The result is
 // a copy: mutating the returned facts (or their Args) cannot corrupt the
 // engine's store or its indexes.
 func (e *Engine) Facts(pred string) []Fact { return e.FactsN(pred, 0) }
@@ -477,9 +485,9 @@ func (e *Engine) FactsN(pred string, n int) []Fact {
 	}
 	take := func(r *relation, taken int) int {
 		if n > 0 {
-			return min(r.n, n-taken)
+			return min(r.n-r.nsuper, n-taken)
 		}
-		return r.n
+		return r.n - r.nsuper
 	}
 	rows, cells := 0, 0
 	for r := head; r != nil; r = r.other {
@@ -490,17 +498,50 @@ func (e *Engine) FactsN(pred string, n int) []Fact {
 	out := make([]Fact, 0, rows)
 	args := make([]any, cells)
 	for r := head; r != nil; r = r.other {
-		for i, k := 0, take(r, len(out)); i < k; i++ {
-			a := args[:r.arity:r.arity]
-			args = args[r.arity:]
-			for j, v := range r.row(i) {
-				a[j] = e.syms.any(v)
+		for i, k := 0, take(r, len(out)); k > 0; i++ {
+			if r.superseded(i) {
+				continue
 			}
-			out = append(out, Fact{Pred: pred, Args: a})
+			out = append(out, e.factIn(r, i, args[:r.arity:r.arity]))
+			args = args[r.arity:]
+			k--
 		}
 	}
 	SortFacts(out)
 	return out
+}
+
+// FactsAt returns the facts of pred whose column col holds one of keys,
+// sorted. It reads them through col's positional index, so it costs those
+// facts, not the relation.
+func (e *Engine) FactsAt(pred string, col int, keys []any) []Fact {
+	defer e.syms.release(e.syms.mark())
+	var out []Fact
+	for r := e.rels[pred]; r != nil; r = r.other {
+		bytes, _ := r.ensureIndex(&e.syms, col)
+		e.addIndexBytes(bytes)
+		if !r.hasIndex(col) {
+			continue // col is out of range, or no row was ever inserted
+		}
+		for _, k := range keys {
+			p := r.chain(col, r.index[col].find(&e.syms, r, col, e.syms.of(k)))
+			for j, row := 0, p.lo; j < p.n; j, row = j+1, p.step(row) {
+				if !r.superseded(row) {
+					out = append(out, e.factIn(r, row, make([]any, r.arity)))
+				}
+			}
+		}
+	}
+	SortFacts(out)
+	return out
+}
+
+// factIn converts row i of r into a Fact whose arguments fill args.
+func (e *Engine) factIn(r *relation, i int, args []any) Fact {
+	for j, v := range r.row(i) {
+		args[j] = e.syms.any(v)
+	}
+	return Fact{Pred: r.pred, Args: args}
 }
 
 // Has reports whether the exact ground fact is present.
@@ -509,8 +550,8 @@ func (e *Engine) Has(f Fact) bool {
 	if r == nil {
 		return false
 	}
-	_, ok := e.find(r, f.Args)
-	return ok
+	i, ok := e.find(r, f.Args)
+	return ok && !r.superseded(i)
 }
 
 // Binding is one answer to a Query: variable name → ground value.
@@ -570,90 +611,13 @@ func (e *Engine) Query(goal ...Atom) []Binding {
 		mark := len(ec.trail)
 		c := e.lookup(ec, &atoms[i])
 		for j, row := 0, c.lo; j < c.n; j, row = j+1, c.step(row) {
-			if ec.bind(&atoms[i], c.at(row)) {
+			if !c.r.superseded(row) && ec.bind(&atoms[i], c.at(row)) {
 				rec(i + 1)
 				ec.unbind(mark)
 			}
 		}
 	}
 	rec(0)
-	return out
-}
-
-// MaxByGroup projects the facts of pred to the maximum value of column
-// valueCol per distinct combination of the groupCols. This extracts the
-// "final value" of a monotonic aggregation (Section 4: the final value of a
-// monotone aggregate is its maximum). The projection is one linear pass —
-// group-by over the whole relation touches every fact by definition.
-func (e *Engine) MaxByGroup(pred string, valueCol int, groupCols ...int) []Fact {
-	return e.maxByGroup(pred, valueCol, groupCols, -1, nil)
-}
-
-// MaxByGroupOf is MaxByGroup over the facts of pred whose column col holds
-// one of keys. It reads them through col's positional index, so it costs
-// those facts, not the relation.
-func (e *Engine) MaxByGroupOf(pred string, valueCol, col int, keys []any, groupCols ...int) []Fact {
-	defer e.syms.release(e.syms.mark())
-	vals := make([]value, len(keys))
-	for i, k := range keys {
-		vals[i] = e.syms.of(k)
-	}
-	return e.maxByGroup(pred, valueCol, groupCols, col, vals)
-}
-
-// maxByGroup is the projection of MaxByGroup over every row of pred when col
-// is negative, else over the rows holding one of keys at col.
-func (e *Engine) maxByGroup(pred string, valueCol int, groupCols []int, col int, keys []value) []Fact {
-	head, ok := e.rels[pred]
-	if !ok {
-		return nil
-	}
-	var best []rowRef
-	var bestV []float64
-	groups := tuples{arity: len(groupCols)}
-	key := make([]value, len(groupCols))
-	visit := func(p probe) {
-		for k, i := 0, p.lo; k < p.n; k, i = k+1, p.step(i) {
-			row := p.at(i)
-			v, ok := row[valueCol].float()
-			if !ok {
-				continue
-			}
-			for j, c := range groupCols {
-				key[j] = row[c]
-			}
-			g, isNew := groups.add(&e.syms, key, e.syms.hashRow(key))
-			if isNew {
-				best, bestV = append(best, rowRef{p.r, i}), append(bestV, v)
-			} else if v > bestV[g] {
-				best[g], bestV[g] = rowRef{p.r, i}, v
-			}
-		}
-	}
-	for r := head; r != nil; r = r.other {
-		switch {
-		case valueCol >= r.arity:
-		case col < 0:
-			visit(r.rows(0, r.n))
-		case col < r.arity:
-			bytes, _ := r.ensureIndex(&e.syms, col)
-			e.addIndexBytes(bytes)
-			if !r.hasIndex(col) {
-				continue // no row was ever inserted
-			}
-			for _, k := range keys {
-				visit(r.chain(col, r.index[col].find(&e.syms, r, col, k)))
-			}
-		}
-	}
-	if len(best) == 0 {
-		return nil
-	}
-	out := make([]Fact, len(best))
-	for i, x := range best {
-		out[i] = e.factOf(x)
-	}
-	SortFacts(out)
 	return out
 }
 
@@ -920,12 +884,13 @@ func (e *Engine) evalJob(ec *evalCtx, j chaseJob) error {
 
 // derive inserts the head row held in ec's scratch unless the relation
 // already has it — only a new row is copied — and applies the new fact's
-// bookkeeping: budget accounting, provenance and the round's delta.
-func (e *Engine) derive(ec *evalCtx, r *relation, row []value) {
+// bookkeeping: budget accounting, provenance and the round's delta. It
+// returns the row's number and whether it is new.
+func (e *Engine) derive(ec *evalCtx, r *relation, row []value) (int, bool) {
 	i, ok, bytes := r.insert(ec.sy, row)
 	if !ok {
 		e.dupCount++
-		return
+		return i, false
 	}
 	e.addIndexBytes(bytes)
 	e.derivedCount++
@@ -947,6 +912,7 @@ func (e *Engine) derive(ec *evalCtx, r *relation, row []value) {
 		r.seq, r.lo = e.roundSeq, i
 		ec.touched = append(ec.touched, r)
 	}
+	return i, true
 }
 
 // evalBody extends the frame's binding over the plan from position pos on,
@@ -974,7 +940,7 @@ func (e *Engine) evalBody(ec *evalCtx, pos int) error {
 		prov := e.prov != nil
 		mark := len(ec.trail)
 		for i, row := 0, c.lo; i < c.n; i, row = i+1, c.step(row) {
-			if !ec.bind(&cl.atom, c.at(row)) {
+			if c.r.superseded(row) || !ec.bind(&cl.atom, c.at(row)) {
 				continue
 			}
 			if prov {
@@ -1067,10 +1033,20 @@ func (e *Engine) evalBody(ec *evalCtx, pos int) error {
 			ec.aggExtra = append(append([]rowRef(nil), savedExtra...), a.tab.prov[g].premises...)
 			ec.recordAggPremises(&a.tab.prov[g])
 		}
+		// The group's row records a total it no longer has. The head fired
+		// below, if its conditions hold, records the new one.
+		if t := a.tab; t.rel != nil {
+			if old := t.head[g]; old >= 0 {
+				t.rel.supersede(old, true)
+				t.head[g] = -1
+			}
+			ec.aggTab, ec.aggGroup = t, g
+		}
 		mark := len(ec.trail)
 		ec.bindSlot(cl.target, floatValue(total))
 		err = e.evalBody(ec, pos+1)
 		ec.unbind(mark)
+		ec.aggTab = nil
 		if e.prov != nil {
 			ec.aggExtra = savedExtra
 		}
@@ -1106,7 +1082,15 @@ func (e *Engine) fireHead(ec *evalCtx) error {
 			}
 		}
 		ec.args = args
-		e.derive(ec, e.rel(h.pred, len(args)), args)
+		r := e.rel(h.pred, len(args))
+		i, isNew := e.derive(ec, r, args)
+		// A row the aggregate derived (a superseded one only when its total
+		// came back, as an mprod at 0 does) becomes its group's current row;
+		// a row another rule or the EDB holds is left alone.
+		if t := ec.aggTab; t != nil && hi == meta.aggHead && (isNew || r.superseded(i)) {
+			r.supersede(i, false)
+			t.head[ec.aggGroup] = i
+		}
 	}
 	return nil
 }
@@ -1124,6 +1108,9 @@ func (e *Engine) aggGroupOf(ec *evalCtx) (*aggRule, int, error) {
 		t := e.aggTabs[meta.aggKey]
 		if t == nil {
 			t = &aggTable{groups: tuples{arity: meta.aggArity}}
+			if h := meta.head[meta.aggHead]; meta.aggArity < len(h.terms) {
+				t.rel = e.rel(h.pred, len(h.terms))
+			}
 			e.aggTabs[meta.aggKey] = t
 		}
 		a = &aggRule{tab: t, contrib: tuples{arity: 1 + len(meta.lits[meta.aggLit].contrib)}}
@@ -1139,6 +1126,7 @@ func (e *Engine) aggGroupOf(ec *evalCtx) (*aggRule, int, error) {
 		ec.sy.pin()
 		t.total = append(t.total, 0)
 		t.init = append(t.init, false)
+		t.head = append(t.head, -1)
 		if e.prov != nil {
 			t.prov = append(t.prov, aggProv{})
 		}
@@ -1309,7 +1297,7 @@ func (e *Engine) existsMatch(ec *evalCtx, a *catom) bool {
 	c := e.lookup(ec, a)
 	for i, row := 0, c.lo; i < c.n; i, row = i+1, c.step(row) {
 		ec.candidates++
-		if ec.bind(a, c.at(row)) {
+		if !c.r.superseded(row) && ec.bind(a, c.at(row)) {
 			ec.unbind(mark)
 			return true
 		}
@@ -1553,9 +1541,13 @@ func sharesBound(a Atom, bound map[Variable]bool) int {
 }
 
 // stratify partitions rules into strata such that negated predicates are
-// fully computed in earlier strata. It returns an error if a predicate
-// depends negatively on itself (directly or transitively through a cycle).
+// fully computed in earlier strata, and so are the predicates an aggregate
+// writes its total to, wherever a rule outside the aggregate's recursion
+// reads them: that reader sees each group's final total (DESIGN.md §5). It
+// returns an error if a predicate depends negatively on itself (directly or
+// transitively through a cycle).
 func stratify(p *Program) ([][]int, error) {
+	upstream := aggregateUpstream(p)
 	// Predicate stratum numbers via the classic iterative algorithm.
 	stratum := make(map[string]int)
 	preds := make(map[string]bool)
@@ -1582,7 +1574,11 @@ func stratify(p *Program) ([][]int, error) {
 				for _, l := range r.Body {
 					switch l.Kind {
 					case LitAtom:
-						if s := stratum[l.Atom.Pred]; s > hs {
+						s := stratum[l.Atom.Pred]
+						if up := upstream[l.Atom.Pred]; up != nil && !up[h.Pred] {
+							s++
+						}
+						if s > hs {
 							hs = s
 						}
 					case LitNot:
@@ -1623,4 +1619,45 @@ func stratify(p *Program) ([][]int, error) {
 		}
 	}
 	return out, nil
+}
+
+// aggregateUpstream maps each predicate an aggregate writes its total to
+// (the head atom the aggregate's group is defined by, when it mentions the
+// target) to the predicates whose facts feed its derivation, itself
+// included: a rule deriving one of them is inside the aggregate's recursion.
+func aggregateUpstream(p *Program) map[string]map[string]bool {
+	out := map[string]map[string]bool{}
+	for _, r := range p.Rules {
+		for _, l := range r.Body {
+			if l.Kind != LitAgg {
+				continue
+			}
+			for _, h := range r.Head {
+				if slices.ContainsFunc(h.Terms, func(t Term) bool { v, ok := t.(Variable); return ok && v == l.Var }) {
+					out[h.Pred] = nil
+					break
+				}
+			}
+		}
+	}
+	for a := range out {
+		up := map[string]bool{a: true}
+		for todo := []string{a}; len(todo) > 0; {
+			x := todo[len(todo)-1]
+			todo = todo[:len(todo)-1]
+			for _, r := range p.Rules {
+				if !slices.ContainsFunc(r.Head, func(h Atom) bool { return h.Pred == x }) {
+					continue
+				}
+				for _, l := range r.Body {
+					if (l.Kind == LitAtom || l.Kind == LitNot) && !up[l.Atom.Pred] {
+						up[l.Atom.Pred] = true
+						todo = append(todo, l.Atom.Pred)
+					}
+				}
+			}
+		}
+		out[a] = up
+	}
+	return out
 }

@@ -212,7 +212,7 @@ func TestMonotonicSumContributorCountedOnce(t *testing.T) {
 		{Pred: "aux", Args: []any{"b"}},
 	}
 	e := run(t, src, edb)
-	finals := e.MaxByGroup("out", 0)
+	finals := e.Facts("out")
 	if len(finals) != 1 {
 		t.Fatalf("out finals = %v", finals)
 	}
@@ -231,7 +231,7 @@ func TestMonotonicCount(t *testing.T) {
 		{Pred: "item", Args: []any{"c", "g2"}},
 	}
 	e := run(t, src, edb)
-	finals := e.MaxByGroup("groupsize", 1, 0)
+	finals := e.Facts("groupsize")
 	want := map[string]float64{"g1": 2, "g2": 1}
 	if len(finals) != 2 {
 		t.Fatalf("groupsize finals = %v", finals)
@@ -255,18 +255,11 @@ func TestMonotonicMaxMin(t *testing.T) {
 		{Pred: "v", Args: []any{"c", 1.0}},
 	}
 	e := run(t, src, edb)
-	if best := e.MaxByGroup("best", 0); len(best) == 0 || best[len(best)-1].Args[0].(float64) != 7.0 {
-		t.Errorf("best = %v, want final 7", best)
+	if best := e.Facts("best"); len(best) != 1 || best[0].Args[0].(float64) != 7.0 {
+		t.Errorf("best = %v, want the one row 7", best)
 	}
-	worsts := e.Facts("worst")
-	minSeen := math.Inf(1)
-	for _, f := range worsts {
-		if v := f.Args[0].(float64); v < minSeen {
-			minSeen = v
-		}
-	}
-	if minSeen != 1.0 {
-		t.Errorf("worst min = %v, want 1", minSeen)
+	if worst := e.Facts("worst"); len(worst) != 1 || worst[0].Args[0].(float64) != 1.0 {
+		t.Errorf("worst = %v, want the one row 1", worst)
 	}
 }
 
@@ -316,7 +309,7 @@ func TestAccumulatedOwnershipDAG(t *testing.T) {
 		{Pred: "own", Args: []any{"x", "y", 0.1}},
 	}
 	e := run(t, src, edb)
-	finals := e.MaxByGroup("accown", 2, 0, 1)
+	finals := e.Facts("accown")
 	var phiXY float64
 	for _, f := range finals {
 		if f.Args[0] == "x" && f.Args[1] == "y" {
@@ -326,8 +319,8 @@ func TestAccumulatedOwnershipDAG(t *testing.T) {
 	if math.Abs(phiXY-0.5) > 1e-9 {
 		t.Errorf("Φ(x,y) = %v, want 0.5", phiXY)
 	}
-	// Keyed on a source, the projection is the whole one's rows of that
-	// source; a key no row holds adds none.
+	// Keyed on a source, FactsAt reads that source's rows of Facts; a key
+	// no row holds adds none.
 	for _, src := range []string{"x", "a", "b", "y"} {
 		var want []Fact
 		for _, f := range finals {
@@ -335,8 +328,8 @@ func TestAccumulatedOwnershipDAG(t *testing.T) {
 				want = append(want, f)
 			}
 		}
-		if got := e.MaxByGroupOf("accown", 2, 0, []any{src, "nobody"}, 0, 1); !reflect.DeepEqual(got, want) {
-			t.Errorf("MaxByGroupOf(%s) = %v, want %v", src, got, want)
+		if got := e.FactsAt("accown", 0, []any{src, "nobody"}); !reflect.DeepEqual(got, want) {
+			t.Errorf("FactsAt(%s) = %v, want %v", src, got, want)
 		}
 	}
 }
@@ -353,7 +346,7 @@ func TestAggregationOnCycleTerminates(t *testing.T) {
 		{Pred: "own", Args: []any{"b", "a", 0.5}},
 	}
 	e := run(t, src, edb, WithMinAggDelta(1e-6))
-	finals := e.MaxByGroup("accown", 2, 0, 1)
+	finals := e.Facts("accown")
 	// Φ(a,a) limit: 0.25 + 0.25² + ... = 1/3 ≈ 0.3333 (within epsilon).
 	for _, f := range finals {
 		if f.Args[0] == "a" && f.Args[1] == "a" {
@@ -361,6 +354,49 @@ func TestAggregationOnCycleTerminates(t *testing.T) {
 				t.Errorf("Φ(a,a) = %v, want ≈ 1/3", v)
 			}
 		}
+	}
+}
+
+// A reader outside an aggregate's recursion sees each group's final total
+// only: a's total is 0.7, so small(a) does not hold, in either order the
+// shares arrive. Facts, Has and Query all list the one tot row.
+func TestAggregateReaderSeesTheFinalTotal(t *testing.T) {
+	src := `
+		e(X, Y, W), S = msum(W, <Y>) -> tot(X, S).
+		tot(X, S), S < 0.5 -> small(X).
+	`
+	edb := []Fact{
+		{Pred: "e", Args: []any{"a", "b", 0.3}},
+		{Pred: "e", Args: []any{"a", "c", 0.4}},
+	}
+	for _, order := range [][]Fact{edb, {edb[1], edb[0]}} {
+		e := run(t, src, order)
+		tot := e.Facts("tot")
+		if len(tot) != 1 || math.Abs(tot[0].Args[1].(float64)-0.7) > 1e-12 {
+			t.Errorf("tot = %v, want the one row tot(a, 0.7)", tot)
+		}
+		if e.Has(Fact{Pred: "small", Args: []any{"a"}}) {
+			t.Errorf("small(a) derived from an intermediate total; tot = %v", tot)
+		}
+		if got := e.Query(Atom{Pred: "tot", Terms: []Term{Variable("X"), Variable("S")}}); len(got) != 1 {
+			t.Errorf("Query(tot(X, S)) = %v, want one answer", got)
+		}
+	}
+}
+
+// A rule reading an aggregate's head from outside its recursion runs in a
+// later stratum; the recursion through the aggregate stays in one.
+func TestAggregateReadersStratifiedAbove(t *testing.T) {
+	strata, err := stratify(MustParse(`
+		own(X, Y, W), S = msum(W, <X, Y>) -> acc(X, Y, S).
+		own(X, Z, W1), acc(Z, Y, W2), S = msum(W1 * W2, <Z, Y>) -> acc(X, Y, S).
+		acc(X, Y, W), W >= 0.2 -> link(X, Y).
+	`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]int{{0, 1}, {2}}; !reflect.DeepEqual(strata, want) {
+		t.Errorf("strata = %v, want %v", strata, want)
 	}
 }
 

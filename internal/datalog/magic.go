@@ -86,9 +86,9 @@ func ParseGoal(src string) (Atom, error) {
 
 // Demand is the output of MagicRewrite: the rewritten program, the magic
 // seed fact carrying the goal's bound arguments (assert it before running),
-// and the goal atom to Query answers with — the rewrite bridges the
-// demanded cone back to the goal's original predicate name, so answer
-// extraction is identical to the full-evaluation path.
+// and the goal atom to Query answers with — the rewrite derives the goal's
+// own binding pattern under the goal's predicate name, so answer extraction
+// is identical to the full-evaluation path.
 type Demand struct {
 	Program *Program
 	Seed    Fact
@@ -138,6 +138,7 @@ func hasBound(adorn string) bool { return strings.ContainsRune(adorn, 'b') }
 
 // rewriter carries the worklist state of one MagicRewrite.
 type rewriter struct {
+	goal    string // adornedName of the goal's predicate and binding pattern
 	idb     map[string]bool
 	byPred  map[string][]Rule // single-head rules, split from the original
 	done    map[string]bool   // adornedName(pred, adorn) processed
@@ -147,6 +148,16 @@ type rewriter struct {
 }
 
 type adornTask struct{ pred, adorn string }
+
+// name is the relation an adorned predicate is derived into: the goal's own
+// predicate and binding pattern keep the goal's name, so the demanded
+// answers land where the caller reads them; any other is adorned.
+func (rw *rewriter) name(pred, adorn string) string {
+	if n := adornedName(pred, adorn); n != rw.goal {
+		return n
+	}
+	return pred
+}
 
 // MagicRewrite builds the demand-transformed program for a goal. The goal
 // needs at least one bound (constant) argument — an all-free goal demands
@@ -162,6 +173,7 @@ func MagicRewrite(prog *Program, goal Atom) (*Demand, error) {
 	}
 
 	rw := &rewriter{
+		goal:    adornedName(goal.Pred, goalAdorn),
 		idb:     prog.HeadPreds(),
 		byPred:  map[string][]Rule{},
 		done:    map[string]bool{},
@@ -184,15 +196,6 @@ func MagicRewrite(prog *Program, goal Atom) (*Demand, error) {
 			return nil, err
 		}
 	}
-
-	// Bridge the demanded cone back to the goal's own predicate name, so
-	// callers read answers exactly as they would after a full run.
-	bridgeVars := freshVars(len(goal.Terms))
-	rw.rules = append(rw.rules, Rule{
-		Head:  []Atom{{Pred: goal.Pred, Terms: bridgeVars}},
-		Body:  []Literal{{Kind: LitAtom, Atom: Atom{Pred: adornedName(goal.Pred, goalAdorn), Terms: bridgeVars}}},
-		Label: "magic-bridge " + goal.Pred,
-	})
 
 	return &Demand{
 		Program: &Program{Rules: rw.rules},
@@ -283,22 +286,25 @@ func (rw *rewriter) demand(pred, adorn string) {
 func (rw *rewriter) process(t adornTask) error {
 	// Extensional import: magic#p#a(bound...), p(args...) -> p#a(args...).
 	// For predicates that are never asserted the import rule is a no-op; for
-	// mixed intensional/extensional predicates (and for purely extensional
-	// goals) it scopes the stored facts into the demanded relation.
-	vars := freshVars(len(t.adorn))
-	imp := Rule{
-		Head:  []Atom{{Pred: adornedName(t.pred, t.adorn), Terms: vars}},
-		Body:  []Literal{{Kind: LitAtom, Atom: Atom{Pred: t.pred, Terms: vars}}},
-		Label: "magic-import " + adornedName(t.pred, t.adorn),
+	// mixed intensional/extensional predicates it scopes the stored facts
+	// into the demanded relation. The goal's own relation, which keeps the
+	// goal's name, holds its stored facts already.
+	if name := rw.name(t.pred, t.adorn); name != t.pred {
+		vars := freshVars(len(t.adorn))
+		imp := Rule{
+			Head:  []Atom{{Pred: name, Terms: vars}},
+			Body:  []Literal{{Kind: LitAtom, Atom: Atom{Pred: t.pred, Terms: vars}}},
+			Label: "magic-import " + name,
+		}
+		if hasBound(t.adorn) {
+			guard := Literal{Kind: LitAtom, Atom: Atom{
+				Pred:  magicName(t.pred, t.adorn),
+				Terms: boundTerms(Atom{Terms: vars}, t.adorn),
+			}}
+			imp.Body = append([]Literal{guard}, imp.Body...)
+		}
+		rw.emit(imp)
 	}
-	if hasBound(t.adorn) {
-		guard := Literal{Kind: LitAtom, Atom: Atom{
-			Pred:  magicName(t.pred, t.adorn),
-			Terms: boundTerms(Atom{Terms: vars}, t.adorn),
-		}}
-		imp.Body = append([]Literal{guard}, imp.Body...)
-	}
-	rw.emit(imp)
 
 	for _, r := range rw.byPred[t.pred] {
 		if len(r.Head[0].Terms) != len(t.adorn) {
@@ -415,7 +421,7 @@ func (rw *rewriter) adornRule(r Rule, pred, adorn string) error {
 						rw.emit(mr)
 					}
 				}
-				l.Atom = Atom{Pred: adornedName(l.Atom.Pred, subAdorn), Terms: l.Atom.Terms}
+				l.Atom = Atom{Pred: rw.name(l.Atom.Pred, subAdorn), Terms: l.Atom.Terms}
 			}
 			bodyVarsOfAtom(l.Atom, cur)
 		case LitNot:
@@ -431,7 +437,7 @@ func (rw *rewriter) adornRule(r Rule, pred, adorn string) error {
 	}
 
 	rw.emit(Rule{
-		Head:  []Atom{{Pred: adornedName(pred, adorn), Terms: head.Terms}},
+		Head:  []Atom{{Pred: rw.name(pred, adorn), Terms: head.Terms}},
 		Body:  newBody,
 		Label: r.Label,
 	})
@@ -476,7 +482,7 @@ func freshVars(n int) []Term {
 var adornSuffixRe = regexp.MustCompile(`#[bf]+\(`)
 
 // StripDemandMarkers cleans a derivation-tree rendering (ExplainTree) of a
-// goal-mode engine: magic and bridge/import bookkeeping lines drop out and
+// goal-mode engine: magic and import bookkeeping lines drop out and
 // adorned predicate names lose their #bf suffixes, so the "why" of a
 // demand-driven answer reads exactly like the full chase's.
 func StripDemandMarkers(lines []string) []string {
@@ -487,11 +493,11 @@ func StripDemandMarkers(lines []string) []string {
 		if strings.HasPrefix(t, "magic#") {
 			continue
 		}
-		if strings.Contains(line, "[by magic-bridge") || strings.Contains(line, "[by magic-import") {
+		if strings.Contains(line, "[by magic-import") {
 			continue
 		}
 		clean := adornSuffixRe.ReplaceAllStringFunc(line, func(m string) string { return "(" })
-		// Bridge and import hops repeat the fact one level deeper; collapse
+		// Import hops repeat the fact one level deeper; collapse
 		// consecutive duplicates of the same atom text.
 		if factText(clean) != "" && factText(clean) == factText(lastKept) {
 			continue
@@ -500,35 +506,6 @@ func StripDemandMarkers(lines []string) []string {
 		out = append(out, clean)
 	}
 	return out
-}
-
-// UnifyFact matches a fact against a goal atom: constants must equal the
-// fact's argument, variables bind (consistently on repetition). It returns
-// the variable binding, or ok=false when the fact does not match.
-func UnifyFact(goal Atom, f Fact) (Binding, bool) {
-	if goal.Pred != f.Pred || len(goal.Terms) != len(f.Args) {
-		return nil, false
-	}
-	b := Binding{}
-	for i, t := range goal.Terms {
-		switch tt := t.(type) {
-		case Constant:
-			if !valueEqual(tt.Value, f.Args[i]) {
-				return nil, false
-			}
-		case Variable:
-			if prev, ok := b[tt]; ok {
-				if !valueEqual(prev, f.Args[i]) {
-					return nil, false
-				}
-			} else {
-				b[tt] = f.Args[i]
-			}
-		default:
-			return nil, false
-		}
-	}
-	return b, true
 }
 
 // factText extracts the atom portion of an ExplainTree line ("fact   [by …]").

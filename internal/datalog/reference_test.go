@@ -24,15 +24,16 @@ package datalog
 // Monotonic aggregation follows DESIGN.md §5 by naive fixpoint: every
 // contributor tuple keeps its best contribution (the largest, the smallest
 // under mmin), a group's total is recomputed from all of them, and the
-// iteration runs until neither a fact nor a contribution changes. Only the
-// final total per group is specified — the intermediate totals a head
-// records depend on evaluation order — so the harness compares
-// aggregate-valued predicates by their final value per group.
+// iteration runs until neither a fact nor a contribution changes. The head
+// atom an aggregate groups by holds one fact per group, at the group's
+// current total: a change of the total retracts the fact of the old one,
+// and a binding that saw a total the group has since left records none.
 
 import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -51,8 +52,12 @@ type refEvaluator struct {
 
 	// agg holds the contributions: group key → contributor key → best
 	// contribution. aggChanged records a change in the iteration running.
+	// aggTotal holds each group's current total, and aggCur the fact that
+	// records it, if any.
 	agg        map[string]map[string]float64
 	aggChanged bool
+	aggTotal   map[string]float64
+	aggCur     map[string]Fact
 }
 
 func newReference(prog *Program) (*refEvaluator, error) {
@@ -62,6 +67,8 @@ func newReference(prog *Program) (*refEvaluator, error) {
 		facts:    map[string][]Fact{},
 		keys:     map[string]bool{},
 		agg:      map[string]map[string]float64{},
+		aggTotal: map[string]float64{},
+		aggCur:   map[string]Fact{},
 	}
 	for _, rule := range prog.Rules {
 		if err := rule.Validate(); err != nil {
@@ -104,6 +111,20 @@ func (r *refEvaluator) assert(f Fact) bool {
 	r.keys[k] = true
 	r.facts[f.Pred] = append(r.facts[f.Pred], f)
 	return true
+}
+
+// retract removes f from the store. The slice it leaves is a copy, so a
+// loop ranging over the old one is undisturbed.
+func (r *refEvaluator) retract(f Fact) {
+	k := refKey(f)
+	delete(r.keys, k)
+	fs := r.facts[f.Pred]
+	for i := range fs {
+		if refKey(fs[i]) == k {
+			r.facts[f.Pred] = append(fs[:i:i], fs[i+1:]...)
+			return
+		}
+	}
 }
 
 // refUnify matches an atom against a fact under a binding, returning a fresh
@@ -235,7 +256,18 @@ func (r *refEvaluator) run() error {
 					if len(meta.existVars) > 0 {
 						frontier = refFrontierKey(ri, meta.headVars, b)
 					}
-					for _, h := range rule.Head {
+					// The group's fact records only its current total.
+					gk, stale := "", false
+					if meta.aggLit >= 0 && slices.Contains(meta.aggSkip, true) {
+						if gk, err = r.groupKey(rule, meta, b); err != nil {
+							return err
+						}
+						stale = b[rule.Body[meta.aggLit].Var] != r.aggTotal[gk]
+					}
+					for hi, h := range rule.Head {
+						if stale && hi == meta.aggHead {
+							continue
+						}
 						args := make([]any, len(h.Terms))
 						for i, t := range h.Terms {
 							switch tt := t.(type) {
@@ -253,8 +285,12 @@ func (r *refEvaluator) run() error {
 								}
 							}
 						}
-						if r.assert(Fact{Pred: h.Pred, Args: args}) {
+						f := Fact{Pred: h.Pred, Args: args}
+						if r.assert(f) {
 							changed = true
+							if gk != "" && hi == meta.aggHead {
+								r.aggCur[gk] = f
+							}
 						}
 					}
 				}
@@ -265,19 +301,10 @@ func (r *refEvaluator) run() error {
 	return nil
 }
 
-// contribute records the contribution of binding b to its group — the head
-// predicate of the rule's aggregate group atom and that atom's non-target
-// arguments, as the engine keys it — under its contributor key (the rule
-// and the contributor values), and returns the group's total.
-func (r *refEvaluator) contribute(ri int, rule Rule, meta ruleMeta, l Literal, b map[Variable]any) (float64, error) {
-	v, err := refEvalExpr(r.builtins, l.AggValue, b)
-	if err != nil {
-		return 0, err
-	}
-	fv, ok := toFloat(v)
-	if !ok {
-		return 0, fmt.Errorf("reference: aggregate value %v is not numeric", v)
-	}
+// groupKey renders the aggregation group of binding b: the head predicate
+// of the rule's aggregate group atom and that atom's non-target arguments,
+// as the engine keys it.
+func (r *refEvaluator) groupKey(rule Rule, meta ruleMeta, b map[Variable]any) (string, error) {
 	h := rule.Head[meta.aggHead]
 	group := Fact{Pred: h.Pred + "/"}
 	for i, t := range h.Terms {
@@ -292,25 +319,53 @@ func (r *refEvaluator) contribute(ri int, rule Rule, meta ruleMeta, l Literal, b
 		case Variable:
 			gv, ok := b[tt]
 			if !ok {
-				return 0, fmt.Errorf("reference: aggregation group variable %s unbound", tt)
+				return "", fmt.Errorf("reference: aggregation group variable %s unbound", tt)
 			}
 			group.Args = append(group.Args, gv)
 		}
+	}
+	return refKey(group), nil
+}
+
+// contribute records the contribution of binding b to its group under its
+// contributor key (the rule and the contributor values), and returns the
+// group's total. A total that changes retracts the fact recording the old
+// one.
+func (r *refEvaluator) contribute(ri int, rule Rule, meta ruleMeta, l Literal, b map[Variable]any) (float64, error) {
+	v, err := refEvalExpr(r.builtins, l.AggValue, b)
+	if err != nil {
+		return 0, err
+	}
+	fv, ok := toFloat(v)
+	if !ok {
+		return 0, fmt.Errorf("reference: aggregate value %v is not numeric", v)
+	}
+	gk, err := r.groupKey(rule, meta, b)
+	if err != nil {
+		return 0, err
 	}
 	contrib := Fact{Pred: fmt.Sprintf("r%d", ri)}
 	for _, c := range l.Contributors {
 		contrib.Args = append(contrib.Args, b[c])
 	}
-	gk, ck := refKey(group), refKey(contrib)
+	ck := refKey(contrib)
 	g := r.agg[gk]
 	if g == nil {
 		g = map[string]float64{}
 		r.agg[gk] = g
 	}
-	if cur, seen := g[ck]; !seen || (l.Agg == AggMin && fv < cur) || (l.Agg != AggMin && fv > cur) {
-		g[ck] = fv
-		r.aggChanged = true
+	if cur, seen := g[ck]; seen && (l.Agg == AggMin && fv >= cur || l.Agg != AggMin && fv <= cur) {
+		return r.aggTotal[gk], nil
 	}
+	g[ck] = fv
+	r.aggChanged = true
+	// Summed in key order, so an unchanged set of contributions always
+	// gives the same total.
+	keys := make([]string, 0, len(g))
+	for k := range g {
+		keys = append(keys, k)
+	}
+	sortStrings(keys)
 	total := 0.0
 	switch l.Agg {
 	case AggCount:
@@ -322,8 +377,8 @@ func (r *refEvaluator) contribute(ri int, rule Rule, meta ruleMeta, l Literal, b
 	case AggProd:
 		total = 1
 	}
-	for _, c := range g {
-		switch l.Agg {
+	for _, k := range keys {
+		switch c := g[k]; l.Agg {
 		case AggSum:
 			total += c
 		case AggMax:
@@ -332,6 +387,13 @@ func (r *refEvaluator) contribute(ri int, rule Rule, meta ruleMeta, l Literal, b
 			total = math.Min(total, c)
 		case AggProd:
 			total *= c
+		}
+	}
+	if old, seen := r.aggTotal[gk]; !seen || total != old {
+		r.aggTotal[gk] = total
+		if f, ok := r.aggCur[gk]; ok {
+			r.retract(f)
+			delete(r.aggCur, gk)
 		}
 	}
 	return total, nil

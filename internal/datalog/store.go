@@ -120,10 +120,39 @@ type relation struct {
 
 	// Rows from lo on were appended during round seq (the round's delta).
 	seq, lo int
+
+	// dead has bit i set while row i is superseded: it records a total its
+	// aggregate group has since improved past (DESIGN.md §5). Every reader
+	// skips such a row. nsuper counts them; dead stays nil in a relation no
+	// aggregate target is written to.
+	dead   []uint64
+	nsuper int
 }
 
 func (r *relation) hasIndex(pos int) bool {
 	return pos < 64 && r.built&(1<<uint(pos)) != 0
+}
+
+// superseded reports whether row is superseded.
+func (r *relation) superseded(row int) bool {
+	w := row >> 6
+	return w < len(r.dead) && r.dead[w]&(1<<uint(row&63)) != 0
+}
+
+// supersede marks row superseded (on) or current again.
+func (r *relation) supersede(row int, on bool) {
+	if on == r.superseded(row) {
+		return
+	}
+	for len(r.dead) <= row>>6 {
+		r.dead = append(r.dead, 0)
+	}
+	r.dead[row>>6] ^= 1 << uint(row&63)
+	if on {
+		r.nsuper++
+	} else {
+		r.nsuper--
+	}
 }
 
 // insert adds row unless present, maintaining every built index. It returns

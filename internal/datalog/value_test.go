@@ -150,3 +150,46 @@ func TestIndexBytesCountTheTables(t *testing.T) {
 	}
 	check("after asserting into indexed relations")
 }
+
+// valueEqual reports whether two ground values have equal canonical
+// encodings, without building the encodings. The cases mirror appendValue
+// exactly: types are disjoint except int/int64 (both encode with the "i"
+// prefix), and floats compare by bit pattern (the 17-digit 'g' encoding is
+// injective on non-NaN floats, so -0.0 ≠ 0.0 — the same distinction the
+// string form makes). Exotic values fall back to the string comparison.
+func valueEqual(a, b any) bool {
+	switch x := a.(type) {
+	case string:
+		y, ok := b.(string)
+		return ok && x == y
+	case float64:
+		y, ok := b.(float64)
+		return ok && math.Float64bits(x) == math.Float64bits(y)
+	case int64:
+		switch y := b.(type) {
+		case int64:
+			return x == y
+		case int:
+			return x == int64(y)
+		}
+		return false
+	case int:
+		switch y := b.(type) {
+		case int64:
+			return int64(x) == y
+		case int:
+			return x == y
+		}
+		return false
+	case bool:
+		y, ok := b.(bool)
+		return ok && x == y
+	case Null:
+		y, ok := b.(Null)
+		return ok && x.ID == y.ID
+	case SkolemID:
+		y, ok := b.(SkolemID)
+		return ok && x == y
+	}
+	return encodeValue(a) == encodeValue(b)
+}

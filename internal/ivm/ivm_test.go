@@ -127,7 +127,7 @@ func programOracle(t *testing.T, v pg.View, threshold float64) *whatif.Baseline 
 	for _, f := range e.Facts("closelink") {
 		bl.CloseLink[canonical(pairOf(f))] = 1
 	}
-	for _, f := range e.MaxByGroup("accown", 2, 0, 1) {
+	for _, f := range e.Facts("accown") {
 		src := pairOf(f)[0]
 		bl.Accown[src] = append(bl.Accown[src], f)
 	}

@@ -7,7 +7,9 @@ package reasonapi
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,6 +17,7 @@ import (
 
 	"vadalink/internal/datalog"
 	"vadalink/internal/pg"
+	"vadalink/internal/vadalog"
 )
 
 // doReq issues one request and decodes the JSON body into a generic map.
@@ -224,6 +227,54 @@ func TestReasonStampsTheSeqItRead(t *testing.T) {
 	}
 	if got := reason(); got != float64(after) {
 		t.Fatalf("seq after the commit = %v, want %d", got, after)
+	}
+}
+
+// On a 2-cycle every accown total improves over many rounds. /v1/reason
+// with the close-link program and /v1/query's accown goal list the same
+// rows: one per pair, at its final total.
+func TestReasonAndQueryListOneRowPerGroup(t *testing.T) {
+	g := pg.New()
+	a := g.AddNode(pg.LabelCompany, pg.Properties{"name": "A"})
+	b := g.AddNode(pg.LabelCompany, pg.Properties{"name": "B"})
+	c := g.AddNode(pg.LabelCompany, pg.Properties{"name": "C"})
+	g.AddShare(a, b, 0.5)
+	g.AddShare(b, a, 0.5)
+	g.AddShare(b, c, 0.3)
+	srv := httptest.NewServer(NewServer(g).Handler())
+	defer srv.Close()
+
+	resp, body := doReq(t, "POST", srv.URL+"/v1/reason",
+		`{"program":`+jsonQuote(vadalog.CloseLinkProgram)+`,"predicates":["accown"]}`)
+	if resp.StatusCode != 200 {
+		t.Fatalf("reason = %d %v", resp.StatusCode, body)
+	}
+	reasoned := map[string]float64{}
+	for _, r := range body["facts"].(map[string]any)["accown"].([]any) {
+		row := r.([]any)
+		key := fmt.Sprint(row[0], ",", row[1])
+		if _, dup := reasoned[key]; dup {
+			t.Fatalf("/v1/reason lists two accown rows for %s: %v", key, body["facts"])
+		}
+		reasoned[key] = row[2].(float64)
+	}
+
+	resp, body = doReq(t, "POST", srv.URL+"/v1/query", `{"goal":"accown(X, Y, S)"}`)
+	if resp.StatusCode != 200 {
+		t.Fatalf("query = %d %v", resp.StatusCode, body)
+	}
+	queried := map[string]float64{}
+	for _, a := range body["answers"].([]any) {
+		m := a.(map[string]any)
+		queried[fmt.Sprint(m["X"], ",", m["Y"])] = m["S"].(float64)
+	}
+	if len(reasoned) != 4 || len(queried) != len(reasoned) {
+		t.Fatalf("/v1/reason lists %v, /v1/query %v; want the same 4 pairs", reasoned, queried)
+	}
+	for k, v := range reasoned {
+		if w, ok := queried[k]; !ok || math.Abs(v-w) > 1e-12 {
+			t.Errorf("accown(%s): /v1/reason %v, /v1/query %v", k, v, w)
+		}
 	}
 }
 

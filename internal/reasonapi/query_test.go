@@ -198,7 +198,8 @@ func TestQueryEndpointCustomProgramAndTruncation(t *testing.T) {
 }
 
 // The point endpoints carry the seq + X-Cache stamps and replay repeated
-// queries from the cache; /v1/control grows the fully bound target form.
+// queries from the cache, /v1/graph and /v1/neighborhood carry the seq;
+// /v1/control grows the fully bound target form.
 func TestPointEndpointsCacheAndStamps(t *testing.T) {
 	srv, b := testServer(t)
 	p2, c7 := itoa(b.ID("P2")), itoa(b.ID("C7"))
@@ -228,6 +229,15 @@ func TestPointEndpointsCacheAndStamps(t *testing.T) {
 		}
 		if fmt.Sprint(body1["seq"]) != fmt.Sprint(body2["seq"]) {
 			t.Errorf("%s cached seq drifted: %v vs %v", path, body1["seq"], body2["seq"])
+		}
+	}
+
+	// The graph reads cache nothing, and they are stamped with the same seq.
+	_, stamped := doReq(t, "GET", srv.URL+paths[0], "")
+	for _, path := range []string{"/v1/graph", "/v1/neighborhood?node=" + c7 + "&hops=1"} {
+		resp, body := doReq(t, "GET", srv.URL+path, "")
+		if resp.StatusCode != 200 || body["seq"] == nil || body["seq"] != stamped["seq"] {
+			t.Errorf("%s = %d with seq %v, want 200 and seq %v", path, resp.StatusCode, body["seq"], stamped["seq"])
 		}
 	}
 

@@ -51,6 +51,7 @@
 package reasonapi
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -747,7 +748,8 @@ func (s *Server) handleUBO(w http.ResponseWriter, r *http.Request) {
 // handleNeighborhood returns the ego network of a node as graph JSON:
 // GET /v1/neighborhood?node=ID&hops=2.
 func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
-	v := s.vs.Current().View()
+	cur := s.vs.Current()
+	v := cur.View()
 	node, err := parseNode(v, r.URL.RawQuery, "node")
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
@@ -763,8 +765,7 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 		hops = v
 	}
 	sub, _ := pg.NeighborhoodOf(v, node, hops)
-	w.Header()["Content-Type"] = jsonContentType
-	_ = sub.WriteJSON(w)
+	writeGraph(w, sub, cur.Seq())
 }
 
 // handleExplain returns the derivation tree of a control decision — the §5
@@ -786,7 +787,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		// The explained pair is a fully bound goal: demand derives only the
 		// cone connecting from to to, and the provenance of that cone is all
 		// the tree needs. StripDemandMarkers removes the rewrite's magic and
-		// bridge bookkeeping so the "why" reads exactly like the full chase's.
+		// import bookkeeping so the "why" reads exactly like the full chase's.
 		goal := controlGoal(datalog.Int(int64(from)), datalog.Int(int64(to)))
 		res, err := s.evalGoal(r.Context(), v, vadalog.ControlProgram, nil, goal, datalog.WithProvenance())
 		if err != nil {
@@ -1398,7 +1399,17 @@ func jsonValue(v any) any {
 }
 
 func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
-	v := s.vs.Current().View()
+	cur := s.vs.Current()
+	writeGraph(w, cur.View(), cur.Seq())
+}
+
+// writeGraph answers with the graph JSON of v (pg.WriteJSONView), stamped
+// with seq, the version it reads, as one more top-level key: pg.ReadJSON
+// still reads the body.
+func writeGraph(w http.ResponseWriter, v pg.View, seq uint64) {
+	var buf bytes.Buffer
+	_ = pg.WriteJSONView(v, &buf)
 	w.Header()["Content-Type"] = jsonContentType
-	_ = pg.WriteJSONView(v, w)
+	_, _ = fmt.Fprintf(w, `{"seq":%d,`, seq)
+	_, _ = w.Write(buf.Bytes()[1:])
 }

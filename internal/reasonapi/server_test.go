@@ -213,6 +213,8 @@ func TestAugmentRejectsUnknownClass(t *testing.T) {
 	}
 }
 
+// The body of /v1/graph is the graph JSON with a seq stamp beside its
+// nodes and edges, and pg.ReadJSON reads it back.
 func TestGraphEndpointRoundTrips(t *testing.T) {
 	srv, _ := testServer(t)
 	resp, err := http.Get(srv.URL + "/v1/graph")

@@ -3,7 +3,6 @@ package vadalog
 import (
 	"context"
 	"errors"
-	"sort"
 	"sync"
 
 	"vadalink/internal/datalog"
@@ -27,9 +26,8 @@ const (
 // GoalResult carries the answers of one goal evaluation.
 type GoalResult struct {
 	// Answers holds one binding of the goal's free variables per answer,
-	// deduplicated and deterministic. For predicates holding a monotone
-	// aggregate (accown), answers report the final per-group totals, not the
-	// intermediate values the chase materializes along the way.
+	// deduplicated and deterministic. A predicate holding a monotone
+	// aggregate (accown) answers one binding per group, at its final total.
 	Answers []datalog.Binding
 	// Mode is GoalModeMagic when demand transformation ran, GoalModeFull
 	// after an ErrNotDemandable fallback.
@@ -79,7 +77,7 @@ func EvalGoal(ctx context.Context, g pg.View, progSrc string, goal datalog.Atom,
 		if err != nil {
 			return nil, err
 		}
-		return runGoal(ctx, g, sp.prog, goal, plan, sp.full, opts)
+		return runGoal(ctx, g, goal, plan, sp.full, opts)
 	}
 	prog, err := datalog.Parse(progSrc)
 	if err != nil {
@@ -101,7 +99,7 @@ func EvalParsedGoal(ctx context.Context, g pg.View, prog *datalog.Program, goal 
 			return nil, err
 		}
 	}
-	return runGoal(ctx, g, prog, goal, plan, full, opts)
+	return runGoal(ctx, g, goal, plan, full, opts)
 }
 
 // compileGoal is datalog.CompileGoal with a refusal (ErrNotDemandable) turned
@@ -116,10 +114,10 @@ func compileGoal(prog *datalog.Program, goal datalog.Atom) (*datalog.CompiledGoa
 }
 
 // runGoal answers goal over g on an engine of the demand plan, or of full —
-// prog compiled whole — when plan is nil. The engine loads g's relational
-// image streamed and pruned to what the plan can observe, the goal's own
-// relation whole.
-func runGoal(ctx context.Context, g pg.View, prog *datalog.Program, goal datalog.Atom, plan *datalog.CompiledGoal, full *datalog.Compiled, opts []datalog.Option) (*GoalResult, error) {
+// the program compiled whole — when plan is nil. The engine loads g's
+// relational image streamed and pruned to what the plan can observe, the
+// goal's own relation whole.
+func runGoal(ctx context.Context, g pg.View, goal datalog.Atom, plan *datalog.CompiledGoal, full *datalog.Compiled, opts []datalog.Option) (*GoalResult, error) {
 	res := &GoalResult{Mode: GoalModeMagic}
 	var e *datalog.Engine
 	if plan != nil {
@@ -135,7 +133,7 @@ func runGoal(ctx context.Context, g pg.View, prog *datalog.Program, goal datalog
 	relstore.Load(e, g)
 	res.Engine = e
 	res.RunErr = e.RunContext(ctx)
-	res.Answers = finalizeAnswers(prog, goal, e)
+	res.Answers = e.Query(goal)
 	return res, nil
 }
 
@@ -223,59 +221,4 @@ func (sp *shippedProgram) goalPlan(goal datalog.Atom) (*datalog.CompiledGoal, er
 	}
 	stored, _ := sp.plans.LoadOrStore(shape, plan)
 	return stored.(*datalog.CompiledGoal), nil
-}
-
-// finalizeAnswers extracts the goal's answers from a finished engine. For
-// goal predicates carrying a monotone aggregate in some head position, the
-// chase's fact store holds every intermediate total; the meaningful answers
-// are the per-group maxima (the same reduction ivm and AccumulatedOwnership
-// apply), unified back against the goal atom.
-func finalizeAnswers(prog *datalog.Program, goal datalog.Atom, e *datalog.Engine) []datalog.Binding {
-	aggPos := aggregatePositions(prog, goal.Pred, len(goal.Terms))
-	if len(aggPos) == 0 {
-		return e.Query(goal)
-	}
-	pos := aggPos[0]
-	groupCols := make([]int, 0, len(goal.Terms)-1)
-	for i := range goal.Terms {
-		if i != pos {
-			groupCols = append(groupCols, i)
-		}
-	}
-	var out []datalog.Binding
-	for _, f := range e.MaxByGroup(goal.Pred, pos, groupCols...) {
-		if b, ok := datalog.UnifyFact(goal, f); ok {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// aggregatePositions finds the head argument positions of pred that hold a
-// monotone-aggregate target anywhere in the program, sorted.
-func aggregatePositions(prog *datalog.Program, pred string, arity int) []int {
-	set := map[int]bool{}
-	for _, r := range prog.Rules {
-		for _, l := range r.Body {
-			if l.Kind != datalog.LitAgg {
-				continue
-			}
-			for _, h := range r.Head {
-				if h.Pred != pred || len(h.Terms) != arity {
-					continue
-				}
-				for i, t := range h.Terms {
-					if v, ok := t.(datalog.Variable); ok && v == l.Var {
-						set[i] = true
-					}
-				}
-			}
-		}
-	}
-	out := make([]int, 0, len(set))
-	for i := range set {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -34,7 +34,7 @@ func fullAnswers(t *testing.T, g pg.View, progSrc string, goal datalog.Atom) []s
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return bindingKeys(finalizeAnswers(prog, goal, e))
+	return bindingKeys(e.Query(goal))
 }
 
 // goalAnswers evaluates through EvalGoal and asserts demand mode when the

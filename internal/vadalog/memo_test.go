@@ -38,7 +38,7 @@ func freshGoal(t *testing.T, g pg.View, progSrc string, goal datalog.Atom) *Goal
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	res.Answers = finalizeAnswers(prog, goal, e)
+	res.Answers = e.Query(goal)
 	return res
 }
 

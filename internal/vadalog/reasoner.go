@@ -178,14 +178,15 @@ func (r *Reasoner) FamilyControls(family string) []pg.NodeID {
 	return out
 }
 
-// AccumulatedOwnership reads the final (maximal) accumulated-ownership value
-// per (x, y) pair from the close-link program's accown predicate.
+// AccumulatedOwnership reads the final accumulated-ownership value per
+// (x, y) pair: the close-link program's accown predicate holds one row per
+// pair.
 func (r *Reasoner) AccumulatedOwnership() map[[2]pg.NodeID]float64 {
 	if r.engine == nil {
 		return nil
 	}
 	out := map[[2]pg.NodeID]float64{}
-	for _, f := range r.engine.MaxByGroup("accown", 2, 0, 1) {
+	for _, f := range r.engine.Facts("accown") {
 		a, ok1 := relstore.NodeID(f.Args[0])
 		b, ok2 := relstore.NodeID(f.Args[1])
 		v, ok3 := f.Args[2].(float64)

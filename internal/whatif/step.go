@@ -186,7 +186,7 @@ func (b *Baseline) diff(ctx context.Context, post pg.View, journal []pg.Mutation
 	for src := range affected {
 		srcs = append(srcs, int64(src))
 	}
-	for _, f := range e.MaxByGroupOf("accown", 2, 0, srcs, 0, 1) {
+	for _, f := range e.FactsAt("accown", 0, srcs) {
 		src, _ := relstore.NodeID(f.Args[0])
 		c.accown[src] = append(c.accown[src], f)
 	}

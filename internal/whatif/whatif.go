@@ -149,7 +149,7 @@ func ComputeBaseline(ctx context.Context, v pg.View, threshold float64, engineOp
 	for _, row := range bl.Control {
 		slices.Sort(row)
 	}
-	for _, f := range e.MaxByGroup("accown", 2, 0, 1) {
+	for _, f := range e.Facts("accown") {
 		if src, ok := relstore.NodeID(f.Args[0]); ok {
 			bl.Accown[src] = append(bl.Accown[src], f)
 		}

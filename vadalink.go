@@ -94,9 +94,12 @@ func Figure2() (*Graph, *Builder) { return pg.Figure2() }
 // (DESIGN.md §5). Control's msum ranges over distinct intermediaries, so its
 // chase always ends. The walk-sum Φ diverges on a cross-holding wholly owned
 // inside itself (A and B holding 100 % of each other), so the Φ reads stop
-// after phiRounds rounds (a cycle gain of 0.998 converges within them, 0.999
+// after PhiRounds rounds (a cycle gain of 0.998 converges within them, 0.999
 // does not) and return the engine's *BudgetExceededError.
-const phiRounds = 10_000
+//
+// PhiRounds is the round bound of every chase the facade runs; the
+// vadalink CLI serves its in-process requests under it too.
+const PhiRounds = 10_000
 
 // The goal variables of the facade's reads.
 var varX, varY, varS = datalog.Variable("X"), datalog.Variable("Y"), datalog.Variable("S")
@@ -105,7 +108,7 @@ var varX, varY, varS = datalog.Variable("X"), datalog.Variable("Y"), datalog.Var
 // magic sets restricting the chase to the bound arguments' cones.
 func ask(g *Graph, prog, pred string, terms ...datalog.Term) ([]datalog.Binding, error) {
 	res, err := vadalog.EvalGoal(context.Background(), g, prog, datalog.Atom{Pred: pred, Terms: terms},
-		datalog.WithMaxRounds(phiRounds))
+		datalog.WithMaxRounds(PhiRounds))
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +119,7 @@ func ask(g *Graph, prog, pred string, terms ...datalog.Term) ([]datalog.Binding,
 func control(g *Graph, x, y datalog.Term) []datalog.Binding {
 	bs, err := ask(g, vadalog.ControlProgram, "control", x, y)
 	if err != nil {
-		panic(err) // never cancelled, the control chase ends well within phiRounds
+		panic(err) // never cancelled, the control chase ends well within PhiRounds
 	}
 	return bs
 }
@@ -205,7 +208,7 @@ type CloseLinkResult = whatif.Link
 // from every source, so it fails when any cycle of g is one Φ does not
 // converge on.
 func CloseLinks(g *Graph, t float64) ([]CloseLinkResult, error) {
-	bl, err := whatif.ComputeBaseline(context.Background(), g, max(t, 0), datalog.WithMaxRounds(phiRounds))
+	bl, err := whatif.ComputeBaseline(context.Background(), g, max(t, 0), datalog.WithMaxRounds(PhiRounds))
 	if err != nil {
 		return nil, err
 	}
@@ -270,12 +273,12 @@ const (
 )
 
 // NewReasoner prepares a reasoner for the selected tasks. Its chase stops
-// after phiRounds rounds, like the facade's Φ reads, so a cycle Φ does not
+// after PhiRounds rounds, like the facade's Φ reads, so a cycle Φ does not
 // converge on ends in the engine's *BudgetExceededError; set EngineOptions to
 // change that.
 func NewReasoner(g *Graph, tasks vadalog.Task) *Reasoner {
 	r := vadalog.NewReasoner(g, tasks)
-	r.EngineOptions = []datalog.Option{datalog.WithMaxRounds(phiRounds)}
+	r.EngineOptions = []datalog.Option{datalog.WithMaxRounds(PhiRounds)}
 	return r
 }
 
