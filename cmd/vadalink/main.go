@@ -5,7 +5,7 @@
 // Usage:
 //
 //	vadalink stats     -in graph.json
-//	vadalink control   -in graph.json [-node ID]
+//	vadalink control   -in graph.json [-node ID [-target ID]]
 //	vadalink closelink -in graph.json [-t 0.2]
 //	vadalink ubo       -in graph.json [-node ID]
 //	vadalink explain   -in graph.json -from ID -to ID
@@ -24,14 +24,14 @@
 //	                   [-api-advertise URL] [-lease 3s]
 //
 // stats, control, closelink, ubo, explain, query and whatif ask the
-// reasoning API in process, with no deadline and the facade's round bound
-// (vadalink.PhiRounds): each maps its flags to the
-// request of the route that answers it (GET /v1/stats, /v1/control or
-// /v1/control/pairs, /v1/closelinks, /v1/ubo, /v1/explain, POST /v1/query,
-// /v1/whatif; see API.md) and prints the route's JSON body unchanged. A
-// non-2xx answer prints the JSON error envelope to stderr and exits 1. They
-// read the graph from -in or from the -companies/-persons/-shares CSVs. ubo
-// without -node lists the orphan companies, which no route answers.
+// reasoning API in process, with no deadline and the engine's default round
+// bound (vadalink.PhiRounds): each asks the route that answers it (see
+// routes and API.md), the route's query parameters being its flags, and
+// prints the route's JSON body unchanged. A non-2xx answer prints the JSON
+// error envelope to stderr and exits 1. They read the graph from -in or from
+// the -companies/-persons/-shares CSVs. control without -node lists every
+// control pair; ubo without -node lists the orphan companies, which no route
+// answers.
 //
 // whatif's -ops file is the JSON array of hypothetical ops POST /v1/whatif
 // takes ({"op":"addShare","from":1,"to":2,"w":0.3}, addNode, setShare,
@@ -78,8 +78,8 @@ import (
 	"log"
 	"log/slog"
 	"net"
-	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"os/signal"
 	"strings"
@@ -89,6 +89,7 @@ import (
 
 	"vadalink"
 	"vadalink/internal/pg"
+	"vadalink/internal/reasonapi"
 )
 
 func main() {
@@ -110,111 +111,90 @@ var commands = map[string]command{
 	"serve":  cmdServe,
 }
 
-// A route defines a subcommand's flags on fs and returns the function that
-// builds, once they are parsed, the request the reasoning API answers it
-// with.
-type route func(fs *flag.FlagSet) func() (*http.Request, error)
+// A route is a subcommand the reasoning API answers: it asks the route with
+// the pattern, and its flags are that route's query parameters
+// (reasonapi.Params), sent when given.
+type route struct {
+	pattern string
+	// bare answers instead when no parameter flag is given; nil asks the
+	// route anyway.
+	bare func(g *vadalink.Graph, stdout io.Writer) error
+	// body defines the flags of a POST route's JSON body on fs and returns
+	// the function that builds the body once they are parsed.
+	body func(fs *flag.FlagSet) func() (any, error)
+}
 
-// routes maps each subcommand the reasoning API answers to its request. The
+// routes maps each subcommand the reasoning API answers to its route. The
 // request is served in process by ask, so the CLI and the server answer a
 // question on one code path.
 var routes = map[string]route{
-	"stats": func(fs *flag.FlagSet) func() (*http.Request, error) {
-		return func() (*http.Request, error) { return get("/v1/stats") }
-	},
-	"control": func(fs *flag.FlagSet) func() (*http.Request, error) {
-		node := fs.Int64("node", -1, "controller node id (default: all pairs)")
-		return func() (*http.Request, error) {
-			if *node < 0 {
-				return get("/v1/control/pairs")
-			}
-			return get(fmt.Sprintf("/v1/control?node=%d", *node))
-		}
-	},
-	"closelink": func(fs *flag.FlagSet) func() (*http.Request, error) {
-		t := fs.Float64("t", 0.2, "close-link threshold")
-		return func() (*http.Request, error) { return get(fmt.Sprintf("/v1/closelinks?t=%g", *t)) }
-	},
-	"ubo": func(fs *flag.FlagSet) func() (*http.Request, error) {
-		node := fs.Int64("node", -1, "company node id (default: list orphans)")
-		return func() (*http.Request, error) {
-			if *node < 0 {
-				return nil, nil // the orphan listing, answered by the library
-			}
-			return get(fmt.Sprintf("/v1/ubo?node=%d", *node))
-		}
-	},
-	"explain": func(fs *flag.FlagSet) func() (*http.Request, error) {
-		from := fs.Int64("from", -1, "controller node id")
-		to := fs.Int64("to", -1, "controlled node id")
-		return func() (*http.Request, error) {
-			if *from < 0 || *to < 0 {
-				return nil, errors.New("explain needs -from and -to node ids")
-			}
-			return get(fmt.Sprintf("/v1/explain?from=%d&to=%d", *from, *to))
-		}
-	},
-	"query": func(fs *flag.FlagSet) func() (*http.Request, error) {
+	"stats": {pattern: "GET /v1/stats"},
+	"control": {pattern: "GET /v1/control", bare: func(g *vadalink.Graph, stdout io.Writer) error {
+		return ask(g, "GET /v1/control/pairs", nil, nil, stdout)
+	}},
+	"closelink": {pattern: "GET /v1/closelinks"},
+	"ubo": {pattern: "GET /v1/ubo", bare: func(g *vadalink.Graph, stdout io.Writer) error {
+		orphans := append([]vadalink.NodeID{}, vadalink.Orphans(g)...) // which no route answers
+		return json.NewEncoder(stdout).Encode(map[string]any{"orphans": orphans})
+	}},
+	"explain": {pattern: "GET /v1/explain"},
+	"query": {pattern: "POST /v1/query", body: func(fs *flag.FlagSet) func() (any, error) {
 		goal := fs.String("goal", "", `goal atom, e.g. "control(4, Y)"`)
 		progPath := fs.String("program", "", `rule file ("-" reads stdin; default: built-in program of the goal predicate)`)
-		return func() (*http.Request, error) {
+		return func() (any, error) {
 			if *goal == "" {
 				return nil, errors.New(`query needs -goal, e.g. -goal "control(4, Y)"`)
 			}
-			var prog []byte
-			if *progPath != "" {
-				var err error
-				if prog, err = readInput(*progPath); err != nil {
-					return nil, err
-				}
-			}
-			return post("/v1/query", map[string]any{"goal": *goal, "program": string(prog)})
+			prog, err := readInput(*progPath)
+			return map[string]any{"goal": *goal, "program": string(prog)}, err
 		}
-	},
-	"whatif": func(fs *flag.FlagSet) func() (*http.Request, error) {
+	}},
+	"whatif": {pattern: "POST /v1/whatif", body: func(fs *flag.FlagSet) func() (any, error) {
 		t := fs.Float64("t", 0.2, "close-link threshold")
 		opsPath := fs.String("ops", "", `scenario ops JSON array ("-" reads stdin)`)
-		return func() (*http.Request, error) {
+		return func() (any, error) {
 			if *opsPath == "" {
 				return nil, errors.New(`whatif needs -ops ops.json ("-" reads stdin)`)
 			}
 			ops, err := readInput(*opsPath)
-			if err != nil {
-				return nil, err
-			}
-			return post("/v1/whatif", map[string]any{"ops": json.RawMessage(ops), "threshold": *t})
+			return map[string]any{"ops": json.RawMessage(ops), "threshold": *t}, err
 		}
-	},
+	}},
 }
 
-func get(target string) (*http.Request, error) {
-	return http.NewRequest(http.MethodGet, target, nil)
-}
-
-func post(target string, body any) (*http.Request, error) {
-	b, err := json.Marshal(body)
-	if err != nil {
-		return nil, err
-	}
-	return http.NewRequest(http.MethodPost, target, bytes.NewReader(b))
-}
-
-// readInput reads a file, or stdin for "-".
+// readInput reads a file, stdin for "-", and nothing for "".
 func readInput(path string) ([]byte, error) {
-	if path == "-" {
+	switch path {
+	case "":
+		return nil, nil
+	case "-":
 		return io.ReadAll(os.Stdin)
 	}
 	return os.ReadFile(path)
 }
 
 // routed turns a route into a command: it reads the graph from the input
-// flags and asks the route's request of the API handler over it.
+// flags and asks the route of the API handler over it.
 func routed(rt route) command {
 	return func(fs *flag.FlagSet) func(io.Writer) error {
 		inputs := addInputFlags(fs)
-		request := rt(fs)
+		params, _ := reasonapi.Params(rt.pattern)
+		flags := make([]*string, len(params))
+		for i, p := range params {
+			flags[i] = fs.String(p.Name, "", p.Usage)
+		}
+		body := func() (any, error) { return nil, nil }
+		if rt.body != nil {
+			body = rt.body(fs)
+		}
 		return func(stdout io.Writer) error {
-			req, err := request()
+			query := url.Values{}
+			for i, p := range params {
+				if *flags[i] != "" {
+					query.Set(p.Name, *flags[i])
+				}
+			}
+			b, err := body()
 			if err != nil {
 				return err
 			}
@@ -222,11 +202,10 @@ func routed(rt route) command {
 			if err != nil {
 				return err
 			}
-			if req == nil {
-				orphans := append([]vadalink.NodeID{}, vadalink.Orphans(g)...)
-				return json.NewEncoder(stdout).Encode(map[string]any{"orphans": orphans})
+			if len(query) == 0 && rt.bare != nil {
+				return rt.bare(g, stdout)
 			}
-			return ask(g, req, stdout)
+			return ask(g, rt.pattern, query, b, stdout)
 		}
 	}
 }
@@ -237,12 +216,24 @@ type apiError []byte
 
 func (e apiError) Error() string { return string(e) }
 
-// ask serves req on the reasoning API's handler over g, with no deadline and
-// the facade's round bound, and prints a 2xx body to stdout unchanged; any
-// other answer is an apiError.
-func ask(g *vadalink.Graph, req *http.Request, stdout io.Writer) error {
+// ask asks the route with the pattern, with the query and the JSON body (nil:
+// none), of the reasoning API's handler over g, with no deadline, and prints
+// a 2xx body to stdout unchanged; any other answer is an apiError.
+func ask(g *vadalink.Graph, pattern string, query url.Values, body any, stdout io.Writer) error {
+	method, target, _ := strings.Cut(pattern, " ")
+	if len(query) > 0 {
+		target += "?" + query.Encode()
+	}
+	var rd io.Reader
+	if body != nil {
+		b, err := json.Marshal(body)
+		if err != nil {
+			return err
+		}
+		rd = bytes.NewReader(b)
+	}
 	rec := httptest.NewRecorder()
-	vadalink.APIHandlerWith(g, vadalink.APIConfig{Timeout: -1, MaxRounds: vadalink.PhiRounds}).ServeHTTP(rec, req)
+	vadalink.APIHandlerWith(g, vadalink.APIConfig{Timeout: -1}).ServeHTTP(rec, httptest.NewRequest(method, target, rd))
 	if rec.Code/100 != 2 {
 		return apiError(rec.Body.Bytes())
 	}
@@ -391,13 +382,13 @@ func cmdReason(fs *flag.FlagSet) func(io.Writer) error {
 	in := fs.String("in", "", "input graph JSON")
 	task := fs.String("task", "control", "control | closelink | partner")
 	return func(stdout io.Writer) error {
-		sel := vadalink.TaskControl
+		sel, arrow := vadalink.TaskControl, "->"
 		switch *task {
 		case "control":
 		case "closelink":
-			sel = vadalink.TaskCloseLink
+			sel, arrow = vadalink.TaskCloseLink, "–"
 		case "partner":
-			sel = vadalink.TaskPartner
+			sel, arrow = vadalink.TaskPartner, "–"
 		default:
 			return fmt.Errorf("unknown task %q", *task)
 		}
@@ -409,22 +400,12 @@ func cmdReason(fs *flag.FlagSet) func(io.Writer) error {
 		if err := r.Run(); err != nil {
 			return err
 		}
-		switch *task {
-		case "control":
-			for _, p := range r.ControlPairs() {
-				fmt.Fprintf(stdout, "control %s -> %s\n", nodeName(g, p[0]), nodeName(g, p[1]))
-			}
-		case "closelink":
-			for _, p := range r.CloseLinkPairs() {
-				if p[0] < p[1] {
-					fmt.Fprintf(stdout, "closelink %s – %s\n", nodeName(g, p[0]), nodeName(g, p[1]))
-				}
-			}
-		case "partner":
-			for _, p := range r.PartnerPairs() {
-				if p[0] < p[1] {
-					fmt.Fprintf(stdout, "partner %s – %s\n", nodeName(g, p[0]), nodeName(g, p[1]))
-				}
+		pairs := map[string]func() [][2]vadalink.NodeID{
+			"control": r.ControlPairs, "closelink": r.CloseLinkPairs, "partner": r.PartnerPairs,
+		}[*task]()
+		for _, p := range pairs {
+			if arrow == "->" || p[0] < p[1] { // a symmetric relation is listed once
+				fmt.Fprintf(stdout, "%s %s %s %s\n", *task, nodeName(g, p[0]), arrow, nodeName(g, p[1]))
 			}
 		}
 		return nil
@@ -459,7 +440,7 @@ func cmdServe(fs *flag.FlagSet) func(io.Writer) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	timeout := fs.Duration("timeout", 0, "per-request deadline (0 = 30s default, negative = none)")
 	maxFacts := fs.Int("max-facts", 0, "chase budget: max derived facts per request (0 = unlimited)")
-	maxRounds := fs.Int("max-rounds", 0, "chase budget: max evaluation rounds per request (0 = engine default)")
+	maxRounds := fs.Int("max-rounds", 0, "chase budget: max evaluation rounds per request (0 = engine default, 10000)")
 	queryCache := fs.Int64("query-cache-bytes", 0, "point-query result cache budget in bytes (0 = 64 MiB default, negative = disable)")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	logFormat := fs.String("log-format", "text", "access-log format: text | json | off")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"vadalink"
 	"vadalink/internal/datalog"
 	"vadalink/internal/pg"
+	"vadalink/internal/reasonapi"
 	"vadalink/internal/vadalog"
 )
 
@@ -82,6 +84,7 @@ func TestRoutedSubcommandsPrintTheHandlersBody(t *testing.T) {
 		{[]string{"stats"}, "GET", "/v1/stats", ""},
 		{[]string{"control"}, "GET", "/v1/control/pairs", ""},
 		{[]string{"control", "-node", p2}, "GET", "/v1/control?node=" + p2, ""},
+		{[]string{"control", "-node", p2, "-target", c7}, "GET", "/v1/control?node=" + p2 + "&target=" + c7, ""},
 		{[]string{"closelink", "-t", "0.3"}, "GET", "/v1/closelinks?t=0.3", ""},
 		{[]string{"ubo", "-node", c7}, "GET", "/v1/ubo?node=" + c7, ""},
 		{[]string{"explain", "-from", p2, "-to", c7}, "GET", "/v1/explain?from=" + p2 + "&to=" + c7, ""},
@@ -217,11 +220,31 @@ func TestExitStatuses(t *testing.T) {
 		{[]string{"control", "-h"}, 0},
 		{[]string{"control"}, 1},
 		{[]string{"explain", "-in", in}, 1},
+		{[]string{"control", "-in", in, "-target", "1"}, 1},
+		{[]string{"closelink", "-in", in, "-t", "NaN"}, 1},
 		{[]string{"query", "-in", in}, 1},
 		{[]string{"whatif", "-in", in}, 1},
 	} {
 		if code, _, _ := cli(tc.args...); code != tc.code {
 			t.Errorf("%q: exit %d, want %d", tc.args, code, tc.code)
+		}
+	}
+}
+
+// Every routed subcommand asks a route of the API's table, and takes each of
+// that route's query parameters as a flag.
+func TestRoutedSubcommandsAskTheRouteTable(t *testing.T) {
+	for name, rt := range routes {
+		params, ok := reasonapi.Params(rt.pattern)
+		if !ok {
+			t.Errorf("%s asks %s, which the route table does not have", name, rt.pattern)
+		}
+		fs := flag.NewFlagSet(name, flag.ContinueOnError)
+		routed(rt)(fs)
+		for _, p := range params {
+			if f := fs.Lookup(p.Name); f == nil || f.Usage != p.Usage {
+				t.Errorf("%s: flag -%s = %+v, want the route parameter's, usage %q", name, p.Name, f, p.Usage)
+			}
 		}
 	}
 }

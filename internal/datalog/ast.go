@@ -306,8 +306,59 @@ func (r Rule) Validate() error {
 			}
 		}
 	}
+	for _, a := range r.Body {
+		for _, l := range r.Body {
+			if a.Kind == LitAgg && l.Kind == LitCmp && !monotoneOn(l, a, r.Body) {
+				return fmt.Errorf("datalog: rule %q: condition %s can hold of a partial %s total %s and not of "+
+					"the final one (msum, mmax and mcount only rise, mmin only falls, mprod moves either way)",
+					r.Label, l, a.Agg, a.Var)
+			}
+		}
+	}
 	if len(r.Head) == 0 {
 		return fmt.Errorf("datalog: rule %q: empty head", r.Label)
 	}
 	return nil
+}
+
+// monotoneOn reports whether condition l of a rule with the given body stays
+// true as aggregate a's target improves: it mentions neither the target nor
+// a variable the body assigns from it, or compares the target alone, against
+// an expression free of both, in the direction updateAgg moves it — down for
+// mmin, up for msum, mmax and mcount. An mprod moves either way (a factor
+// below 1 lowers it), so no condition on its target is monotone.
+func monotoneOn(l, a Literal, body []Literal) bool {
+	derived := map[Variable]bool{a.Var: true}
+	mentions := func(e Expr) bool {
+		set := map[Variable]bool{}
+		e.vars(set)
+		for v := range set {
+			if derived[v] {
+				return true
+			}
+		}
+		return false
+	}
+	for range body { // each pass reaches one more assignment down a chain
+		for _, b := range body {
+			if b.Kind == LitAssign && mentions(b.Expr) {
+				derived[b.Var] = true
+			}
+		}
+	}
+	if !mentions(l.Left) && !mentions(l.Right) {
+		return true
+	}
+	target := Expr(TermExpr{Term: a.Var})
+	op, other := l.Cmp, l.Right
+	if l.Left != target { // c < S reads S > c
+		op, other = map[CmpOp]CmpOp{OpLt: OpGt, OpLeq: OpGeq, OpGt: OpLt, OpGeq: OpLeq}[op], l.Left
+	}
+	if l.Left != target && l.Right != target || mentions(other) || a.Agg == AggProd {
+		return false
+	}
+	if a.Agg == AggMin {
+		return op == OpLt || op == OpLeq
+	}
+	return op == OpGt || op == OpGeq
 }

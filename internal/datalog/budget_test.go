@@ -66,7 +66,8 @@ func TestMaxRoundsTypedError(t *testing.T) {
 }
 
 func TestDeadlineStopsChase(t *testing.T) {
-	e := divergingEngine(t)
+	// More rounds than the chase runs before the context stops it.
+	e := divergingEngine(t, WithMaxRounds(1_000_000))
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -85,7 +86,8 @@ func TestDeadlineStopsChase(t *testing.T) {
 }
 
 func TestCancellationStopsChase(t *testing.T) {
-	e := divergingEngine(t)
+	// More rounds than the chase runs before the context stops it.
+	e := divergingEngine(t, WithMaxRounds(1_000_000))
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)

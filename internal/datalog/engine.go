@@ -27,9 +27,8 @@ type options struct {
 	MinAggDelta float64
 
 	// MaxRounds bounds the total number of semi-naive rounds of one Run as
-	// a safety net against diverging programs. Zero means the default of
-	// 1_000_000. Exceeding it yields a *BudgetExceededError with
-	// Limit == LimitRounds.
+	// a safety net against diverging programs. Zero means DefaultMaxRounds.
+	// Exceeding it yields a *BudgetExceededError with Limit == LimitRounds.
 	MaxRounds int
 
 	// Budget bounds the resources of one Run (derived facts, pending delta,
@@ -324,7 +323,7 @@ func (c *Compiled) NewEngine(with ...Option) *Engine {
 		opts.MinAggDelta = DefaultMinAggDelta
 	}
 	if opts.MaxRounds == 0 {
-		opts.MaxRounds = 1_000_000
+		opts.MaxRounds = DefaultMaxRounds
 	}
 	e := &Engine{
 		plan:     c,

@@ -28,7 +28,15 @@ func WithMinAggDelta(eps float64) Option {
 	return func(o *options) { o.MinAggDelta = eps }
 }
 
-// WithMaxRounds bounds the semi-naive rounds of one Run.
+// DefaultMaxRounds is the round bound of every chase that sets none. A
+// cross-holding wholly owned inside itself (A and B holding 100 % of each
+// other) makes the walk-sum Φ diverge, each round superseding one
+// aggregate row, so the bound is what turns it into a typed answer in
+// bounded time; a cycle gain of 0.998 converges within it, 0.999 does not.
+const DefaultMaxRounds = 10_000
+
+// WithMaxRounds bounds the semi-naive rounds of one Run; 0 means
+// DefaultMaxRounds.
 func WithMaxRounds(n int) Option {
 	return func(o *options) { o.MaxRounds = n }
 }

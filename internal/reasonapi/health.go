@@ -3,9 +3,9 @@ package reasonapi
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"vadalink/internal/replication"
 	"vadalink/internal/store"
@@ -24,7 +24,7 @@ import (
 // handleHealthz answers liveness: GET /v1/healthz. It is deliberately
 // unconditional — a stale follower or a fail-stopped WAL is a node that
 // should stop RECEIVING traffic (readyz), not a node to kill (healthz).
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, _ args) {
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
 }
 
@@ -36,7 +36,7 @@ type readyCheck struct {
 
 // handleReadyz answers readiness: GET /v1/readyz. 200 when every check
 // passes, 503 with the failing checks named otherwise.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request, _ args) {
 	checks := map[string]readyCheck{}
 	ready := true
 	fail := func(name, detail string) {
@@ -62,8 +62,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		}
 		rec := ps.Recovery()
 		checks["recovery"] = readyCheck{OK: true,
-			Detail: "replayed " + strconv.Itoa(rec.RecordsReplayed) + " records in " +
-				strconv.FormatInt(rec.DurationMillis, 10) + "ms"}
+			Detail: fmt.Sprintf("replayed %d records in %dms", rec.RecordsReplayed, rec.DurationMillis)}
 	}
 
 	// Replica-group mode: readiness follows the role. A leader is ready
@@ -75,8 +74,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if nd := s.cfg.Node; nd != nil {
 		st := nd.Status()
 		leading = st.Role == replication.RoleLeader
-		detail := "role " + st.Role + ", epoch " + strconv.FormatUint(st.Epoch, 10) +
-			", lease age " + strconv.FormatInt(st.LeaseMS, 10) + "ms"
+		detail := fmt.Sprintf("role %s, epoch %d, lease age %dms", st.Role, st.Epoch, st.LeaseMS)
 		if ev := st.LastFailover; ev != nil {
 			detail += ", last failover " + ev.Cause
 		}
@@ -90,10 +88,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if fl := s.cfg.Follower; fl != nil && !leading {
 		st := fl.Status()
 		bound := s.cfg.maxStaleness()
-		detail := "seq " + strconv.FormatInt(st.Seq, 10) +
-			", lag " + strconv.FormatInt(st.LagRecords, 10) +
-			", staleness " + strconv.FormatInt(st.StalenessMS, 10) + "ms" +
-			", disconnected " + strconv.FormatInt(st.DisconnectedMS, 10) + "ms"
+		detail := fmt.Sprintf("seq %d, lag %d, staleness %dms, disconnected %dms",
+			st.Seq, st.LagRecords, st.StalenessMS, st.DisconnectedMS)
 		switch {
 		case !st.EverSynced:
 			fail("replication", "never reached parity with the leader ("+detail+")")
@@ -134,12 +130,7 @@ func (s *Server) leaderAPIHint() string {
 // Misdirected Request with the leader's API address, so a client can
 // re-issue without a discovery step.
 func (s *Server) writeNotLeader(w http.ResponseWriter, r *http.Request, detail string) {
-	writeJSON(w, http.StatusMisdirectedRequest, map[string]any{
-		"error":     detail,
-		"code":      "not_leader",
-		"requestID": requestIDFrom(r),
-		"leader":    s.leaderAPIHint(),
-	})
+	writeEnvelope(w, r, http.StatusMisdirectedRequest, "not_leader", detail, map[string]any{"leader": s.leaderAPIHint()})
 }
 
 // writeCommitErr maps a failed group write barrier (Node.Commit) onto the
@@ -156,13 +147,11 @@ func (s *Server) writeCommitErr(w http.ResponseWriter, r *http.Request, err erro
 		// or may not carry them), or a frame of the new leader landed first
 		// and they never reached the graph. The only honest answer is "not
 		// acknowledged — re-check, then retry against the new leader".
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 		writeErr(w, r, http.StatusServiceUnavailable, "stale_epoch",
 			"write not acknowledged: leadership changed mid-write (%v); retry against the current leader", err)
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		// Quorum never assembled within the request deadline: the group has
 		// no majority of live, caught-up followers right now.
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 		writeErr(w, r, http.StatusServiceUnavailable, "replication_unavailable",
 			"write not acknowledged: replication quorum unavailable (%v)", err)
 	default:
@@ -171,16 +160,15 @@ func (s *Server) writeCommitErr(w http.ResponseWriter, r *http.Request, err erro
 	}
 }
 
-// followerGate enforces replica serving semantics in front of the mux. It
-// reports true when it answered the request itself. In static follower
-// mode (cfg.Follower without cfg.Node) the node never serves writes; in
-// replica-group mode the verdict follows the node's CURRENT role, so a
-// failover re-points writes with no reconfiguration.
-func (s *Server) followerGate(w http.ResponseWriter, r *http.Request) (handled bool) {
-	p := r.URL.Path
-	// Probes, metrics and debug surfaces describe THIS node and always
-	// answer locally, however stale the data is.
-	if p == "/v1/healthz" || p == "/v1/readyz" || p == "/v1/metrics" || strings.HasPrefix(p, "/debug/") {
+// followerGate enforces replica serving semantics in front of a route, by
+// the route's access. It reports true when it answered the request itself.
+// In static follower mode (cfg.Follower without cfg.Node) the node never
+// serves writes; in replica-group mode the verdict follows the node's
+// CURRENT role, so a failover re-points writes with no reconfiguration.
+func (s *Server) followerGate(w http.ResponseWriter, r *http.Request, acc access) (handled bool) {
+	// Probes and metrics (and pprof, outside the table) describe THIS node
+	// and always answer locally, however stale the data is.
+	if acc == local {
 		return false
 	}
 	if nd := s.cfg.Node; nd != nil && nd.IsLeader() {
@@ -191,7 +179,7 @@ func (s *Server) followerGate(w http.ResponseWriter, r *http.Request) (handled b
 	}
 	// Writes belong on the leader. 421 Misdirected Request carries the
 	// leader's address so a client can re-issue without a discovery step.
-	if p == "/v1/augment" || strings.HasPrefix(p, "/v1/admin/") {
+	if acc == write {
 		s.writeNotLeader(w, r, "this node is a read-only follower; send writes to the leader")
 		return true
 	}
@@ -208,7 +196,6 @@ func (s *Server) followerGate(w http.ResponseWriter, r *http.Request) (handled b
 	h["X-Replication-Disconnected-Ms"] = []string{strconv.FormatInt(st.DisconnectedMS, 10)}
 	bound := s.cfg.maxStaleness()
 	if bound > 0 && (!st.EverSynced || st.Staleness > bound || st.Disconnected > bound) {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 		writeErr(w, r, http.StatusServiceUnavailable, "stale_replica",
 			"replica is stale: lag %d records, staleness %dms, disconnected %dms (bound %s)",
 			st.LagRecords, st.StalenessMS, st.DisconnectedMS, bound)

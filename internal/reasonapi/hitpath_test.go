@@ -2,7 +2,7 @@ package reasonapi
 
 // Guards on the cost of a cache hit: what the middleware and the point
 // handlers allocate per hit, that a hit creates no deadline timer while a
-// miss still runs under the full deadline, and that queryParam reads a query
+// miss still runs under the full deadline, and that readQuery reads a query
 // string exactly as url.ParseQuery does.
 
 import (
@@ -90,10 +90,10 @@ func TestDeadlineArmedOnlyByMisses(t *testing.T) {
 		t.Run(fmt.Sprint(timeout), func(t *testing.T) {
 			g, b := pg.Figure2()
 			s := NewServerWith(g, Config{Timeout: timeout})
-			s.Handler() // builds the metrics registry govern feeds
+			control := s.serveRoute(routeOf(t, "GET /v1/control"))
 			var kept []*requestCtx
 			h := s.govern(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				s.handleControl(w, r)
+				control(w, r)
 				kept = append(kept, r.Context().(*requestCtx))
 			}))
 			url := "/v1/control?node=" + itoa(b.ID("P2"))
@@ -169,7 +169,8 @@ func TestRequestCtxConcurrentEnd(t *testing.T) {
 // deadline, and is not cached, so asking again misses again.
 func TestQueryMissStopsAtDeadline(t *testing.T) {
 	g, _ := pg.Figure2()
-	srv := httptest.NewServer(NewServerWith(g, Config{Timeout: 100 * time.Millisecond}).Handler())
+	// More rounds than the chase runs before the deadline stops it.
+	srv := httptest.NewServer(NewServerWith(g, Config{Timeout: 100 * time.Millisecond, MaxRounds: 1_000_000}).Handler())
 	defer srv.Close()
 	body := fmt.Sprintf(`{"goal": "p(1)", "program": %q}`, divergingProgram)
 	for i := 0; i < 2; i++ {
@@ -188,9 +189,11 @@ func TestQueryMissStopsAtDeadline(t *testing.T) {
 	}
 }
 
-// FuzzQueryParam: queryParam reads any query string as
-// url.ParseQuery(raw).Get(name) does, with the parse error ignored as
-// r.URL.Query() ignores it.
+// FuzzQueryParam: readQuery, given a route that declares name, reads any
+// query string as url.ParseQuery does: the value it reads is
+// url.ParseQuery(raw).Get(name), and it refuses exactly the strings
+// ParseQuery reports an error for (and whose bad pairs r.URL.Query() drops),
+// those naming anything but name, and those giving name twice.
 func FuzzQueryParam(f *testing.F) {
 	for _, seed := range []struct{ raw, name string }{
 		{"node=1&node=2", "node"},
@@ -205,9 +208,18 @@ func FuzzQueryParam(f *testing.F) {
 		f.Add(seed.raw, seed.name)
 	}
 	f.Fuzz(func(t *testing.T, raw, name string) {
-		vals, _ := url.ParseQuery(raw)
-		if got, want := queryParam(raw, name), vals.Get(name); got != want {
-			t.Errorf("queryParam(%q, %q) = %q, url.ParseQuery says %q", raw, name, got, want)
+		m, perr := url.ParseQuery(raw)
+		refuse := perr != nil || len(m[name]) > 1
+		for k := range m {
+			refuse = refuse || k != name
+		}
+		var vals [maxParams]value
+		err := readQuery(raw, []Param{{Name: name}}, &vals)
+		if (err != nil) != refuse {
+			t.Fatalf("readQuery(%q) declaring %q: err %v; url.ParseQuery: %v, err %v", raw, name, err, m, perr)
+		}
+		if err == nil && (vals[0].set != m.Has(name) || vals[0].raw != m.Get(name)) {
+			t.Errorf("readQuery(%q) read %q = %+v, url.ParseQuery says %q", raw, name, vals[0], m.Get(name))
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package reasonapi
 
 import (
-	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -72,8 +71,8 @@ type Metrics struct {
 	// (404s, bad methods) aggregate under "other".
 	Endpoints map[string]EndpointMetrics `json:"endpoints"`
 	// LastChase is the statistics report of the most recent chase any
-	// request triggered (/v1/reason and every goal-backed miss: /v1/query,
-	// /v1/control, /v1/ubo, /v1/explain), nil before the first.
+	// request triggered (an ad-hoc program or a goal-backed miss), nil
+	// before the first.
 	LastChase *datalog.ChaseStats `json:"lastChase,omitempty"`
 	// Incremental is the incremental view maintenance counter set
 	// (commits maintained vs skipped vs full rebuilds, last apply cost). It
@@ -102,8 +101,8 @@ type Metrics struct {
 	Cache *qcache.Stats `json:"cache,omitempty"`
 }
 
-// serverMetrics is one Server's registry: a fixed route map built at Handler
-// time plus the catch-all slot. Each route's wrapper holds its own
+// serverMetrics is one Server's registry: one slot per route of the table
+// plus the catch-all slot. Each route's wrapper holds its own
 // *endpointMetrics, so a request looks nothing up.
 type serverMetrics struct {
 	start  time.Time
@@ -111,10 +110,10 @@ type serverMetrics struct {
 	other  endpointMetrics
 }
 
-func newServerMetrics(routes []string) *serverMetrics {
+func newServerMetrics() *serverMetrics {
 	sm := &serverMetrics{start: time.Now(), routes: make(map[string]*endpointMetrics, len(routes))}
-	for _, r := range routes {
-		sm.routes[r] = &endpointMetrics{}
+	for _, rt := range routes {
+		sm.routes[rt.pattern] = &endpointMetrics{}
 	}
 	return sm
 }
@@ -125,13 +124,8 @@ func (sm *serverMetrics) snapshot(lastChase *datalog.ChaseStats) Metrics {
 		Endpoints:     make(map[string]EndpointMetrics, len(sm.routes)+1),
 		LastChase:     lastChase,
 	}
-	names := make([]string, 0, len(sm.routes))
-	for name := range sm.routes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		out.Endpoints[name] = sm.routes[name].export()
+	for name, m := range sm.routes {
+		out.Endpoints[name] = m.export()
 	}
 	if sm.other.count.Load() > 0 {
 		out.Endpoints["other"] = sm.other.export()

@@ -1,14 +1,9 @@
 package reasonapi
 
-// The demand-driven query surface: POST /v1/query answers one goal atom
+// The demand-driven query surface: the goal query answers one goal atom
 // ("control(4, Y)") by magic-sets evaluation of the defining program, and
-// the point forms of the reasoning endpoints route through the same
-// machinery. Responses are cached in a byte-budgeted, seq-stamped result
-// cache (internal/qcache) keyed on the goal and the version the answer was
-// computed at; each commit invalidates the entries its ownership reach can
-// have moved (ivm.ReachOf).
-// Every response answered here carries the sequence number of the version it
-// is exact for ("seq" in the body) and an X-Cache: hit|miss header.
+// the point reads route through the same machinery and the same cache (see
+// the package doc).
 
 import (
 	"context"
@@ -17,8 +12,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 
 	"vadalink/internal/datalog"
 	"vadalink/internal/pg"
@@ -93,8 +89,8 @@ func (s *Server) answerPoint(w http.ResponseWriter, seq uint64, key string, clas
 	return nil
 }
 
-// queryRequest is the body of POST /v1/query: a goal atom, optionally with
-// the program defining it (the built-in control / close-link programs answer
+// queryRequest is the body of a goal query: a goal atom, optionally with the
+// program defining it (the built-in control / close-link programs answer
 // their own predicates when the program is omitted).
 type queryRequest struct {
 	// Goal is the atom to answer, e.g. "control(4, Y)" — constants demand
@@ -104,19 +100,17 @@ type queryRequest struct {
 	// of the goal predicate (control, ccand, accown, closelink, clcand,
 	// company, person, own).
 	Program string `json:"program"`
-	// MaxFacts tightens the server's fact budget for this request only.
-	MaxFacts int `json:"maxFacts"`
+	factCap
 }
 
-// handleQuery answers one goal atom demand-driven: POST /v1/query. The goal
-// is rewritten with magic sets when its bound arguments admit it ("mode":
-// "magic"); otherwise the full program is evaluated and the goal answered
-// against the result ("mode": "full") — same answers, more derivation.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+// handleQuery answers one goal atom demand-driven. The goal is rewritten
+// with magic sets when its bound arguments admit it ("mode": "magic");
+// otherwise the full program is evaluated and the goal answered against the
+// result ("mode": "full") — same answers, more derivation.
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, a args) {
 	var req queryRequest
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, "bad_request", "bad request body: %v", err)
+	tighter, ok := s.decodeBody(w, r, &req)
+	if !ok {
 		return
 	}
 	if req.Goal == "" {
@@ -131,27 +125,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	progSrc, class := req.Program, qcache.ClassAny
 	var prog *datalog.Program // the caller's program, parsed once
 	if progSrc == "" {
-		var ok bool
 		if progSrc, ok = vadalog.ProgramForGoal(goal.Pred); !ok {
 			writeErr(w, r, http.StatusBadRequest, "bad_request",
 				"no built-in program defines %q; supply one in \"program\"", goal.Pred)
 			return
 		}
 		class = goalClass(goal)
-	} else if prog, err = datalog.Parse(progSrc); err != nil {
-		writeErr(w, r, http.StatusBadRequest, "bad_request", "parsing program: %v", err)
+	} else if prog, err = datalog.Parse(progSrc); err == nil {
+		_, err = datalog.Compile(prog) // a program the engine refuses is the caller's fault
+	}
+	if err != nil {
+		writeErr(w, r, http.StatusBadRequest, "bad_request", "program: %v", err)
 		return
 	}
 
-	cur := s.vs.Current()
-	v, seq := cur.View(), cur.Seq()
-
+	v, seq := a.cur.View(), a.cur.Seq()
 	err = s.answerPoint(w, seq, queryKey(goal, progSrc, req.MaxFacts), class, func() (map[string]any, error) {
-		var tighter []datalog.Option
-		if b := s.cfg.Budget; req.MaxFacts > 0 && (b.MaxFacts == 0 || req.MaxFacts < b.MaxFacts) {
-			b.MaxFacts = req.MaxFacts
-			tighter = append(tighter, datalog.WithBudget(b))
-		}
 		res, err := s.evalGoal(r.Context(), v, progSrc, prog, goal, tighter...)
 		if err != nil {
 			return nil, err
@@ -168,12 +157,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// evalGoal is the one goal engine behind every goal-backed read:
-// /v1/control (both forms), /v1/control/pairs, /v1/ubo, /v1/explain,
-// /v1/accumulated and /v1/query. It answers goal under progSrc over v by
-// vadalog.EvalGoal, or under prog by vadalog.EvalParsedGoal when the
-// caller's program text progSrc was parsed already (nil for a shipped
-// program). The server's engine options come first, then extra. The chase is published as /v1/metrics' lastChase.
+// evalGoal is the one goal engine behind every goal-backed read. It answers
+// goal under progSrc over v by vadalog.EvalGoal, or under prog by
+// vadalog.EvalParsedGoal when the caller's program text progSrc was parsed
+// already (nil for a shipped program). The server's engine options come
+// first, then extra. The chase is published as the metrics' lastChase.
 // A tripped limit leaves the partial answers in res with res.RunErr set; any
 // other failure, of the chase included, is err.
 //
@@ -209,56 +197,44 @@ func controlGoal(x, y datalog.Term) datalog.Atom {
 
 // bindingIDs projects one variable of each binding to a sorted node-ID set.
 func bindingIDs(bs []datalog.Binding, v datalog.Variable) []pg.NodeID {
-	seen := map[pg.NodeID]bool{}
 	var out []pg.NodeID
 	for _, b := range bs {
-		n, ok := relstore.NodeID(b[v])
-		if !ok {
-			continue
-		}
-		if !seen[n] {
-			seen[n] = true
+		if n, ok := relstore.NodeID(b[v]); ok {
 			out = append(out, n)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // answerRows renders goal bindings as JSON objects keyed by variable name,
-// in a deterministic order so identical queries marshal identically.
+// in a deterministic order so identical queries marshal identically: by the
+// bindings' "V=value;" renderings, variables in name order.
 func answerRows(bs []datalog.Binding) []map[string]any {
-	rows := make([]map[string]any, 0, len(bs))
-	keys := make([]string, 0, len(bs))
+	type keyed struct {
+		key string
+		row map[string]any
+	}
+	rows := make([]keyed, 0, len(bs))
 	for _, b := range bs {
-		row := make(map[string]any, len(b))
-		k := ""
 		vars := make([]string, 0, len(b))
 		for v := range b {
 			vars = append(vars, string(v))
 		}
-		sort.Strings(vars)
+		slices.Sort(vars)
+		r := keyed{row: make(map[string]any, len(b))}
 		for _, v := range vars {
-			row[v] = jsonValue(b[datalog.Variable(v)])
-			k += fmt.Sprintf("%s=%v;", v, b[datalog.Variable(v)])
+			r.row[v] = jsonValue(b[datalog.Variable(v)])
+			r.key += fmt.Sprintf("%s=%v;", v, b[datalog.Variable(v)])
 		}
-		rows = append(rows, row)
-		keys = append(keys, k)
+		rows = append(rows, r)
 	}
-	sort.Sort(&rowSorter{keys: keys, rows: rows})
-	return rows
-}
-
-type rowSorter struct {
-	keys []string
-	rows []map[string]any
-}
-
-func (s *rowSorter) Len() int           { return len(s.keys) }
-func (s *rowSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *rowSorter) Swap(i, j int) {
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
+	slices.SortFunc(rows, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	out := make([]map[string]any, len(rows))
+	for i, r := range rows {
+		out[i] = r.row
+	}
+	return out
 }
 
 // goalClass is the cache class of a goal over the built-in programs: a
@@ -287,7 +263,7 @@ func goalClass(goal datalog.Atom) qcache.Class {
 	return qcache.Anchored(ends[0], ends[1])
 }
 
-// queryKey builds the cache key of one /v1/query evaluation. The program
+// queryKey builds the cache key of one goal query. The program
 // text — the built-in one when the caller sent none — is folded to its FNV
 // hash so an arbitrary caller program cannot blow the key budget; the goal
 // stays readable for debugging.

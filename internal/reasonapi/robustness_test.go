@@ -48,7 +48,8 @@ func postJSON(t *testing.T, url, body string) (*http.Response, map[string]any) {
 // 100ms budget instead of hanging the server.
 func TestReasonEndpointDeadlineTruncates(t *testing.T) {
 	g, _ := pg.Figure2()
-	srv := httptest.NewServer(NewServerWith(g, Config{Timeout: 100 * time.Millisecond}).Handler())
+	// More rounds than the chase runs before the deadline stops it.
+	srv := httptest.NewServer(NewServerWith(g, Config{Timeout: 100 * time.Millisecond, MaxRounds: 1_000_000}).Handler())
 	defer srv.Close()
 
 	start := time.Now()

@@ -2,35 +2,21 @@
 // the "reasoning API" through which enterprise applications interact with
 // the knowledge graph in the Section 5 architecture.
 //
-// Endpoints (all JSON):
-//
-//	GET  /v1/stats                      — graph profile (§2 statistics)
-//	GET  /v1/control?node=ID            — companies controlled by a node
-//	GET  /v1/control/pairs              — all control pairs
-//	GET  /v1/closelinks?t=0.2           — close-link pairs
-//	GET  /v1/accumulated?from=ID&to=ID  — accumulated ownership Φ(from, to)
-//	POST /v1/augment                    — run KG augmentation (family links)
-//	POST /v1/reason                     — evaluate a Vadalog program (budgeted)
-//	POST /v1/query                      — answer one goal atom demand-driven
-//	POST /v1/whatif                     — counterfactual scenario over an overlay
-//	GET  /v1/graph                      — the property graph as JSON
-//	GET  /v1/explain?from=ID&to=ID      — derivation tree of a control decision
-//	POST /v1/admin/snapshot             — force a durable snapshot (persistence)
-//	GET  /v1/healthz                    — liveness probe (always 200)
-//	GET  /v1/readyz                     — readiness probe (drain, WAL, replication)
+// Every route, with the query parameters it reads, is one entry of the route
+// table (routes.go); API.md documents each (all JSON).
 //
 // The server holds one graph, injected at construction; mutation happens
 // only through /v1/augment, which returns 503 + Retry-After when a mutation
 // is already in flight instead of queueing.
 //
-// The point endpoints (/v1/query, /v1/control, /v1/ubo, /v1/accumulated,
-// /v1/explain, /v1/closelinks, /v1/control/pairs) answer through a
+// The point reads (the goal query, control, ubo, accumulated ownership,
+// explanations, close links and the control pairs) answer through a
 // byte-budgeted query-result cache: responses are stamped with the sequence
 // number of the version they are exact for ("seq" in the body) plus an
 // X-Cache: hit|miss header, and the IVM commit classifier decides which
 // commits invalidate which entries — a commit evicts only the answers
-// anchored inside its ownership reach, so write traffic elsewhere in the
-// registry keeps hot point answers alive.
+// anchored inside its ownership reach (ivm.ReachOf), so write traffic
+// elsewhere in the registry keeps hot point answers alive.
 //
 // There is one serving path in every mode: a store.Versioned chain of
 // immutable versions. Every handler reads the current version, lock-free,
@@ -57,12 +43,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"log/slog"
+	"maps"
 	"net/http"
 	"net/http/pprof"
-	"net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -110,7 +95,7 @@ type Config struct {
 	Budget datalog.Budget
 
 	// MaxRounds caps the engine's semi-naive rounds per evaluation;
-	// 0 keeps the engine default.
+	// 0 keeps the engine default, datalog.DefaultMaxRounds.
 	MaxRounds int
 
 	// QueryCacheBytes bounds the query-result cache behind the point
@@ -175,19 +160,9 @@ type Config struct {
 	Node *replication.Node
 }
 
-func (c Config) maxStaleness() time.Duration {
-	if c.MaxStaleness == 0 {
-		return 5 * time.Second
-	}
-	return c.MaxStaleness
-}
+func (c Config) maxStaleness() time.Duration { return cmp.Or(c.MaxStaleness, 5*time.Second) }
 
-func (c Config) timeout() time.Duration {
-	if c.Timeout == 0 {
-		return DefaultTimeout
-	}
-	return c.Timeout
-}
+func (c Config) timeout() time.Duration { return cmp.Or(c.Timeout, DefaultTimeout) }
 
 // Server serves the reasoning API over a company graph.
 type Server struct {
@@ -226,12 +201,11 @@ type Server struct {
 	// so load balancers stop sending traffic before the listener closes.
 	draining atomic.Bool
 
-	// metrics is the per-endpoint counter registry; metricsOnce builds it on
-	// the first Handler call. lastChase is the statistics report of the most
-	// recent request-triggered chase, served in /v1/metrics.
-	metrics     *serverMetrics
-	metricsOnce sync.Once
-	lastChase   atomic.Pointer[datalog.ChaseStats]
+	// metrics is the per-route counter registry. lastChase is the
+	// statistics report of the most recent request-triggered chase, served
+	// with the metrics.
+	metrics   *serverMetrics
+	lastChase atomic.Pointer[datalog.ChaseStats]
 }
 
 // NewServer wraps a graph with the default governance (30s request
@@ -256,7 +230,7 @@ func NewServerWith(g *pg.Graph, cfg Config) *Server {
 			cfg.Persist = nd.Store()
 		}
 	}
-	s := &Server{cfg: cfg}
+	s := &Server{cfg: cfg, metrics: newServerMetrics()}
 	s.ivmM = ivm.New(whatif.DefaultThreshold, s.engineOptions()...)
 	if cfg.QueryCacheBytes >= 0 {
 		s.qc = qcache.New(cfg.QueryCacheBytes)
@@ -316,51 +290,25 @@ func (s *Server) recordChase(st *datalog.ChaseStats) {
 	}
 }
 
-// Handler returns the HTTP handler with all routes mounted, wrapped in the
-// governance middleware (request IDs, metrics, access logs, panic recovery,
-// per-request deadline).
+// Handler returns the HTTP handler with every route of the table mounted,
+// each in serveRoute, wrapped in the governance middleware (request IDs,
+// metrics, access logs, panic recovery, per-request deadline).
 func (s *Server) Handler() http.Handler {
-	routes := []struct {
-		pattern string
-		h       http.HandlerFunc
-	}{
-		{"GET /v1/stats", s.handleStats},
-		{"GET /v1/control", s.handleControl},
-		{"GET /v1/control/pairs", s.handleControlPairs},
-		{"GET /v1/closelinks", s.handleCloseLinks},
-		{"GET /v1/accumulated", s.handleAccumulated},
-		{"POST /v1/augment", s.handleAugment},
-		{"POST /v1/whatif", s.handleWhatif},
-		{"POST /v1/reason", s.handleReason},
-		{"POST /v1/query", s.handleQuery},
-		{"GET /v1/graph", s.handleGraph},
-		{"GET /v1/explain", s.handleExplain},
-		{"GET /v1/ubo", s.handleUBO},
-		{"GET /v1/neighborhood", s.handleNeighborhood},
-		{"GET /v1/metrics", s.handleMetrics},
-		{"POST /v1/admin/snapshot", s.handleAdminSnapshot},
-		{"GET /v1/healthz", s.handleHealthz},
-		{"GET /v1/readyz", s.handleReadyz},
-	}
-	s.metricsOnce.Do(func() {
-		names := make([]string, len(routes))
-		for i, rt := range routes {
-			names[i] = rt.pattern
-		}
-		s.metrics = newServerMetrics(names)
-	})
 	mux := http.NewServeMux()
-	for _, rt := range routes {
-		h, m := rt.h, s.metrics.routes[rt.pattern]
-		mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) {
-			// Hand the governance middleware the matched route's counters
-			// (the mux pattern is not exposed on Go 1.22).
-			if sw, ok := w.(*statusWriter); ok {
-				sw.m = m
-			}
-			h(w, r)
-		})
+	for i := range routes {
+		mux.HandleFunc(routes[i].pattern, s.serveRoute(&routes[i]))
 	}
+	// What no route matches gets the error envelope: 405 on a path a route
+	// serves under another method, 404 anywhere else.
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		status, code := http.StatusNotFound, "not_found"
+		for _, rt := range routes {
+			if _, path, _ := strings.Cut(rt.pattern, " "); path == r.URL.Path {
+				status, code = http.StatusMethodNotAllowed, "method_not_allowed"
+			}
+		}
+		writeErr(w, r, status, code, "%s", strings.ReplaceAll(code, "_", " "))
+	})
 	if s.cfg.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -455,54 +403,25 @@ var (
 	cacheMiss       = []string{"miss"}
 )
 
-// statusWriter tracks the response status for metrics and logs, lets the
-// panic recovery know whether it can still emit a JSON error, and rewrites
-// the mux's plaintext 404/405 fallbacks into the JSON error envelope.
+// statusWriter tracks the response status for metrics and logs (200 until
+// the handler writes another), and lets the panic recovery know whether it
+// can still emit a JSON error.
 type statusWriter struct {
 	http.ResponseWriter
-	wrote   bool
-	status  int
-	m       *endpointMetrics // the matched route's counters, nil when no route matched
-	reqID   string
-	swallow bool // dropping the plaintext body of a rewritten 404/405
+	wrote  bool
+	status int
+	m      *endpointMetrics // the matched route's counters, the catch-all's until a route matches
 }
 
 func (w *statusWriter) WriteHeader(code int) {
-	if w.wrote {
-		w.ResponseWriter.WriteHeader(code)
-		return
-	}
-	w.wrote = true
-	w.status = code
-	// A plaintext 404/405 at this point is the ServeMux fallback (or a stray
-	// http.Error): rewrite it into the JSON envelope, dropping its body.
-	if (code == http.StatusNotFound || code == http.StatusMethodNotAllowed) &&
-		strings.HasPrefix(w.Header().Get("Content-Type"), "text/plain") {
-		w.swallow = true
-		msg, errCode := "not found", "not_found"
-		if code == http.StatusMethodNotAllowed {
-			msg, errCode = "method not allowed", "method_not_allowed"
-		}
-		h := w.Header()
-		h.Set("Content-Type", "application/json")
-		h.Del("X-Content-Type-Options")
-		w.ResponseWriter.WriteHeader(code)
-		_ = json.NewEncoder(w.ResponseWriter).Encode(map[string]any{
-			"error": msg, "code": errCode, "requestID": w.reqID,
-		})
-		return
+	if !w.wrote {
+		w.wrote, w.status = true, code
 	}
 	w.ResponseWriter.WriteHeader(code)
 }
 
 func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.swallow {
-		return len(b), nil
-	}
-	if !w.wrote {
-		w.wrote = true
-		w.status = http.StatusOK
-	}
+	w.wrote = true
 	return w.ResponseWriter.Write(b)
 }
 
@@ -568,7 +487,7 @@ func (s *Server) govern(next http.Handler) http.Handler {
 		t0 := time.Now()
 		var buf [24]byte
 		id := string(strconv.AppendUint(append(buf[:0], "req-"...), s.reqSeq.Add(1), 10))
-		sw := &statusWriter{ResponseWriter: w, reqID: id}
+		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK, m: &s.metrics.other}
 		sw.Header()["X-Request-Id"] = []string{id}
 		rc := &requestCtx{parent: r.Context(), id: id}
 		if timeout > 0 {
@@ -593,22 +512,14 @@ func (s *Server) govern(next http.Handler) http.Handler {
 					sw.status = http.StatusInternalServerError
 				}
 			}
-			status := sw.status
-			if status == 0 {
-				status = http.StatusOK
-			}
 			elapsed := time.Since(t0)
-			m := sw.m
-			if m == nil {
-				m = &s.metrics.other
-			}
-			m.observe(status, elapsed)
+			sw.m.observe(sw.status, elapsed)
 			if lg := s.cfg.Logger; lg != nil {
 				lg.LogAttrs(context.Background(), slog.LevelInfo, "request",
 					slog.String("id", id),
 					slog.String("method", r.Method),
 					slog.String("path", r.URL.Path),
-					slog.Int("status", status),
+					slog.Int("status", sw.status),
 					slog.Duration("duration", elapsed),
 				)
 			}
@@ -617,24 +528,22 @@ func (s *Server) govern(next http.Handler) http.Handler {
 		// deferred recovery above reads r when it runs, so it sees it too).
 		r = r.WithContext(rc)
 		faultinject.Fire(faultinject.SiteAPIHandler)
-		if s.cfg.Follower != nil && s.followerGate(sw, r) {
-			return
-		}
 		next.ServeHTTP(sw, r)
 	})}
 }
 
-// handleAdminSnapshot forces a durable snapshot + WAL rotation:
-// POST /v1/admin/snapshot. It takes the same exclusive turn as /v1/augment,
-// so a snapshot never captures a half-applied augmentation.
-func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
+// handleAdminSnapshot forces a durable snapshot + WAL rotation. It takes the
+// same exclusive turn as an augmentation, so a snapshot never captures a
+// half-applied one.
+func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request, _ args) {
 	ps := s.cfg.Persist
-	if ps == nil {
+	if _, ok := s.decodeBody(w, r, &struct{}{}); !ok { // it reads no field
+		return
+	} else if ps == nil {
 		writeErr(w, r, http.StatusNotFound, "not_found", "persistence is not configured on this server")
 		return
 	}
 	if !s.augMu.TryLock() {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 		writeErr(w, r, http.StatusServiceUnavailable, "busy", "a mutation is in progress; retry later")
 		return
 	}
@@ -653,9 +562,8 @@ func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, info)
 }
 
-// handleMetrics serves the per-endpoint counters and the last chase report:
-// GET /v1/metrics.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// handleMetrics serves the per-endpoint counters and the last chase report.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, _ args) {
 	m := s.metrics.snapshot(s.lastChase.Load())
 	ist := s.ivmM.Stats()
 	m.Incremental = &ist
@@ -682,107 +590,60 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, m)
 }
 
-// interrupted reports whether err is a tripped limit — chase budget, request
-// deadline or cancellation — rather than a genuine evaluation failure.
-func interrupted(err error) bool {
+// limitOf names the limit err tripped — a chase budget, the request
+// deadline or cancellation — or is "" for a genuine evaluation failure.
+func limitOf(err error) string {
 	var be *datalog.BudgetExceededError
-	return errors.As(err, &be) ||
-		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
+	switch {
+	case errors.As(err, &be):
+		return string(be.Limit)
+	case errors.Is(err, context.DeadlineExceeded):
+		return string(datalog.LimitDeadline)
+	case errors.Is(err, context.Canceled):
+		return string(datalog.LimitCancelled)
+	}
+	return ""
 }
 
-// truncMeta classifies an interruption error into the JSON metadata of a
-// partial response: {"truncated": true, "limit": ..., "detail": ...}.
-// It returns nil for nil errors (complete responses).
+// interrupted reports whether err is a tripped limit (limitOf).
+func interrupted(err error) bool { return limitOf(err) != "" }
+
+// truncMeta is the JSON metadata of a partial response, {"truncated": true,
+// "limit": ..., "detail": ...}, or nil for a nil error (a complete one).
 func truncMeta(err error) map[string]any {
 	if err == nil {
 		return nil
 	}
-	var be *datalog.BudgetExceededError
-	limit := ""
-	switch {
-	case errors.As(err, &be):
-		limit = string(be.Limit)
-	case errors.Is(err, context.DeadlineExceeded):
-		limit = string(datalog.LimitDeadline)
-	case errors.Is(err, context.Canceled):
-		limit = string(datalog.LimitCancelled)
-	default:
-		limit = "error"
-	}
-	return map[string]any{"truncated": true, "limit": limit, "detail": err.Error()}
+	return map[string]any{"truncated": true, "limit": cmp.Or(limitOf(err), "error"), "detail": err.Error()}
 }
 
-// handleUBO lists the ultimate beneficial owners of a company:
-// GET /v1/ubo?node=ID. The reverse question ("who controls this company?")
-// is where demand transformation pays most: the goal control(X, node) binds
-// the second argument, so only node's reverse ownership cone is derived
-// instead of running the control fixpoint from every person in the graph.
-func (s *Server) handleUBO(w http.ResponseWriter, r *http.Request) {
-	cur := s.vs.Current()
-	v, seq := cur.View(), cur.Seq()
-	node, err := parseNode(v, r.URL.RawQuery, "node")
-	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
+// handleUBO lists the ultimate beneficial owners of a company. The reverse
+// question ("who controls this company?") is where demand transformation
+// pays most: the goal control(X, node) binds the second argument, so only
+// node's reverse ownership cone is derived instead of running the control
+// fixpoint from every person in the graph.
+func (s *Server) handleUBO(w http.ResponseWriter, r *http.Request, a args) {
+	v, seq, node := a.cur.View(), a.cur.Seq(), a.vals[0].id
 	s.servePoint(w, r, seq, pointKey("ubo", node), qcache.Anchored(nil, &node), func() (map[string]any, error) {
-		type item struct {
-			ID   pg.NodeID `json:"id"`
-			Name string    `json:"name,omitempty"`
-		}
 		res, err := s.evalGoal(r.Context(), v, vadalog.ControlProgram, nil, controlGoal(varX, datalog.Int(int64(node))))
 		if err != nil {
 			return nil, err
 		}
-		out := []item{}
-		for _, id := range bindingIDs(res.Answers, varX) {
-			if n := v.Node(id); n != nil && n.Label == pg.LabelPerson {
-				name, _ := n.Props.Str("name")
-				out = append(out, item{ID: id, Name: name})
-			}
-		}
+		out := named(v, bindingIDs(res.Answers, varX), pg.LabelPerson)
 		return map[string]any{"node": node, "ultimateControllers": out, "mode": res.Mode}, res.RunErr
 	})
 }
 
-// handleNeighborhood returns the ego network of a node as graph JSON:
-// GET /v1/neighborhood?node=ID&hops=2.
-func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
-	cur := s.vs.Current()
-	v := cur.View()
-	node, err := parseNode(v, r.URL.RawQuery, "node")
-	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
-	hops := 2
-	if raw := queryParam(r.URL.RawQuery, "hops"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v < 0 || v > 10 {
-			writeErr(w, r, http.StatusBadRequest, "bad_request", "bad hops %q (want 0–10)", raw)
-			return
-		}
-		hops = v
-	}
-	sub, _ := pg.NeighborhoodOf(v, node, hops)
-	writeGraph(w, sub, cur.Seq())
+// handleNeighborhood returns the ego network of a node as graph JSON.
+func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request, a args) {
+	sub, _ := pg.NeighborhoodOf(a.cur.View(), a.vals[0].id, int(a.vals[1].num))
+	writeGraph(w, sub, a.cur.Seq())
 }
 
 // handleExplain returns the derivation tree of a control decision — the §5
-// explainability property over HTTP: GET /v1/explain?from=ID&to=ID.
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	cur := s.vs.Current()
-	v, seq := cur.View(), cur.Seq()
-	from, err := parseNode(v, r.URL.RawQuery, "from")
-	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
-	to, err := parseNode(v, r.URL.RawQuery, "to")
-	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
+// explainability property over HTTP.
+func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, a args) {
+	v, seq, from, to := a.cur.View(), a.cur.Seq(), a.vals[0].id, a.vals[1].id
 	s.servePoint(w, r, seq, pointKey("explain", from, to), qcache.Anchored(&from, &to), func() (map[string]any, error) {
 		// The explained pair is a fully bound goal: demand derives only the
 		// cone connecting from to to, and the provenance of that cone is all
@@ -818,65 +679,38 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // writeErr emits the API's uniform JSON error envelope (see DESIGN.md §"HTTP
-// error envelope"): {"error", "code", "requestID"}, plus "retryAfter"
-// (seconds) when a Retry-After header is set on the response.
+// error envelope"): {"error", "code", "requestID"}. A 503 also sets the
+// Retry-After header and mirrors it as "retryAfter" (seconds).
 func writeErr(w http.ResponseWriter, r *http.Request, status int, code string, format string, args ...any) {
-	body := map[string]any{
-		"error":     fmt.Sprintf(format, args...),
-		"code":      code,
-		"requestID": requestIDFrom(r),
+	writeEnvelope(w, r, status, code, fmt.Sprintf(format, args...), nil)
+}
+
+// writeEnvelope is writeErr with the message given and extra top-level
+// fields.
+func writeEnvelope(w http.ResponseWriter, r *http.Request, status int, code, msg string, extra map[string]any) {
+	body := map[string]any{"error": msg, "code": code, "requestID": requestIDFrom(r)}
+	if status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
+		body["retryAfter"] = retryAfterSeconds
 	}
-	if ra := w.Header().Get("Retry-After"); ra != "" {
-		if n, err := strconv.Atoi(ra); err == nil {
-			body["retryAfter"] = n
-		}
-	}
+	maps.Copy(body, extra)
 	writeJSON(w, status, body)
 }
 
-// writeInterrupted answers a run that tripped a limit (see interrupted) with
-// 503: the error envelope, a Retry-After header, and the limit that tripped
-// (truncMeta). what names the run in the message.
-func writeInterrupted(w http.ResponseWriter, r *http.Request, what string, err error) {
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-	resp := map[string]any{
-		"error":      fmt.Sprintf("%s interrupted: %v", what, err),
-		"code":       "interrupted",
-		"requestID":  requestIDFrom(r),
-		"retryAfter": retryAfterSeconds,
+// writeFailed answers a run that failed and has nothing partial to serve.
+// One that tripped a limit (see interrupted) gets 503: the error envelope, a
+// Retry-After header, and the limit that tripped (truncMeta); any other gets
+// 500. what names the run in the message.
+func writeFailed(w http.ResponseWriter, r *http.Request, what string, err error) {
+	if interrupted(err) {
+		writeEnvelope(w, r, http.StatusServiceUnavailable, "interrupted", fmt.Sprintf("%s interrupted: %v", what, err), truncMeta(err))
+	} else {
+		writeErr(w, r, http.StatusInternalServerError, "internal", "%s failed: %v", what, err)
 	}
-	for k, v := range truncMeta(err) {
-		resp[k] = v
-	}
-	writeJSON(w, http.StatusServiceUnavailable, resp)
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	v := s.vs.Current().View()
-	writeJSON(w, http.StatusOK, graphstats.Compute(v))
-}
-
-// queryParam returns the first value of name in the raw query string, with
-// the semantics of url.ParseQuery(raw).Get(name): pairs holding a ';' and
-// pairs that fail to unescape are skipped. It builds no url.Values map, and
-// url.QueryUnescape returns its input as-is when there is no '%' or '+' to
-// decode.
-func queryParam(raw, name string) string {
-	for raw != "" {
-		var pair string
-		pair, raw, _ = strings.Cut(raw, "&")
-		if pair == "" || strings.Contains(pair, ";") {
-			continue
-		}
-		k, v, _ := strings.Cut(pair, "=")
-		if k, err := url.QueryUnescape(k); err != nil || k != name {
-			continue
-		}
-		if v, err := url.QueryUnescape(v); err == nil {
-			return v
-		}
-	}
-	return ""
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, a args) {
+	writeJSON(w, http.StatusOK, graphstats.Compute(a.cur.View()))
 }
 
 // pointKey is the cache key of a point answer: its kind, then each node ID,
@@ -891,43 +725,15 @@ func pointKey(kind string, ids ...pg.NodeID) string {
 	return string(b)
 }
 
-// parseNode reads the node ID of one query parameter and checks that the
-// node exists in v.
-func parseNode(v pg.View, query, param string) (pg.NodeID, error) {
-	raw := queryParam(query, param)
-	if raw == "" {
-		return 0, fmt.Errorf("missing %q parameter", param)
-	}
-	id, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad %q parameter: %v", param, err)
-	}
-	if v.Node(pg.NodeID(id)) == nil {
-		return 0, fmt.Errorf("unknown node %d", id)
-	}
-	return pg.NodeID(id), nil
-}
-
 // handleControl answers the control question in two demand-driven forms:
-// GET /v1/control?node=ID lists the companies the node controls (forward
-// demand), GET /v1/control?node=ID&target=ID answers the single pair as a
-// boolean (fully bound demand — only the derivation cone connecting the two
-// is explored). Both route through the goal engine and the result cache.
-func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
-	cur := s.vs.Current()
-	v, seq := cur.View(), cur.Seq()
-	query := r.URL.RawQuery
-	node, err := parseNode(v, query, "node")
-	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
-	if queryParam(query, "target") != "" {
-		target, err := parseNode(v, query, "target")
-		if err != nil {
-			writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
-			return
-		}
+// the companies the node controls (forward demand), or, given a target, the
+// single pair as a boolean (fully bound demand — only the derivation cone
+// connecting the two is explored). Both route through the goal engine and
+// the result cache.
+func (s *Server) handleControl(w http.ResponseWriter, r *http.Request, a args) {
+	v, seq, node := a.cur.View(), a.cur.Seq(), a.vals[0].id
+	if a.vals[1].set {
+		target := a.vals[1].id
 		s.servePoint(w, r, seq, pointKey("control", node, target), qcache.Anchored(&node, &target), func() (map[string]any, error) {
 			goal := controlGoal(datalog.Int(int64(node)), datalog.Int(int64(target)))
 			res, err := s.evalGoal(r.Context(), v, vadalog.ControlProgram, nil, goal)
@@ -943,27 +749,37 @@ func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		type item struct {
-			ID   pg.NodeID `json:"id"`
-			Name string    `json:"name,omitempty"`
-		}
-		controlled := bindingIDs(res.Answers, varY)
-		out := make([]item, 0, len(controlled))
-		for _, id := range controlled {
-			name, _ := v.Node(id).Props.Str("name")
-			out = append(out, item{ID: id, Name: name})
-		}
+		out := named(v, bindingIDs(res.Answers, varY), "")
 		return map[string]any{"node": node, "controls": out, "mode": res.Mode}, res.RunErr
 	})
 }
 
-// handleControlPairs enumerates every control pair: GET /v1/control/pairs.
-// It answers the unbound goal control(X, Y) through the same goal engine as
-// every other control read, in the {"pairs": [{"from", "to"}, ...]}
-// envelope sorted by (from, to); see API.md.
-func (s *Server) handleControlPairs(w http.ResponseWriter, r *http.Request) {
-	cur := s.vs.Current()
-	v, seq := cur.View(), cur.Seq()
+// namedNode is a node as the point answers list it: its ID and its string
+// name property, omitted when it has none.
+type namedNode struct {
+	ID   pg.NodeID `json:"id"`
+	Name string    `json:"name,omitempty"`
+}
+
+// named lists the nodes of ids in v with the given label (any, for ""),
+// never null.
+func named(v pg.View, ids []pg.NodeID, label pg.Label) []namedNode {
+	out := []namedNode{}
+	for _, id := range ids {
+		if n := v.Node(id); n != nil && (label == "" || n.Label == label) {
+			name, _ := n.Props.Str("name")
+			out = append(out, namedNode{id, name})
+		}
+	}
+	return out
+}
+
+// handleControlPairs enumerates every control pair. It answers the unbound
+// goal control(X, Y) through the same goal engine as every other control
+// read, in the {"pairs": [{"from", "to"}, ...]} envelope sorted by (from,
+// to); see API.md.
+func (s *Server) handleControlPairs(w http.ResponseWriter, r *http.Request, a args) {
+	v, seq := a.cur.View(), a.cur.Seq()
 	s.servePoint(w, r, seq, "control/pairs", qcache.ClassDerived, func() (map[string]any, error) {
 		res, err := s.evalGoal(r.Context(), v, vadalog.ControlProgram, nil, controlGoal(varX, varY))
 		if err != nil {
@@ -988,22 +804,12 @@ func (s *Server) handleControlPairs(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleCloseLinks lists the close links at threshold t: GET
-// /v1/closelinks?t=. It reads the baseline of the pinned version the
-// maintainer keeps (Algorithm 6's fixpoint, DESIGN.md §5), the state
-// /v1/whatif reads, and names each pair by its first witness.
-func (s *Server) handleCloseLinks(w http.ResponseWriter, r *http.Request) {
-	cur := s.vs.Current()
-	v, seq := cur.View(), cur.Seq()
-	t := whatif.DefaultThreshold
-	if raw := queryParam(r.URL.RawQuery, "t"); raw != "" {
-		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil || !(v > 0 && v <= 1) {
-			writeErr(w, r, http.StatusBadRequest, "bad_request", "bad threshold %q", raw)
-			return
-		}
-		t = v
-	}
+// handleCloseLinks lists the close links at the requested threshold. It
+// reads the baseline of the pinned version the maintainer keeps (Algorithm
+// 6's fixpoint, DESIGN.md §5), the state a what-if reads, and names each
+// pair by its first witness.
+func (s *Server) handleCloseLinks(w http.ResponseWriter, r *http.Request, a args) {
+	v, seq, t := a.cur.View(), a.cur.Seq(), a.vals[0].num
 	err := s.answerPoint(w, seq, "closelinks:"+strconv.FormatFloat(t, 'g', -1, 64), qcache.ClassDerived, func() (map[string]any, error) {
 		bl, err := s.ivmM.BaselineAt(r.Context(), v, seq, t)
 		if err != nil {
@@ -1011,32 +817,16 @@ func (s *Server) handleCloseLinks(w http.ResponseWriter, r *http.Request) {
 		}
 		return map[string]any{"threshold": t, "links": bl.Links(v)}, nil
 	})
-	switch {
-	case err == nil:
-	case interrupted(err):
-		// A baseline is exact or absent: there is no partial list to serve.
-		writeInterrupted(w, r, "close-link baseline", err)
-	default:
-		writeErr(w, r, http.StatusInternalServerError, "internal", "query failed: %v", err)
+	if err != nil { // a baseline is exact or absent: there is no partial list
+		writeFailed(w, r, "close-link baseline", err)
 	}
 }
 
-// handleAccumulated answers Φ(from, to): GET /v1/accumulated?from=&to=. It
-// asks the goal accown(from, to, S) of the close-link program through the
-// goal engine, as POST /v1/query does; phi is 0 when there is no row.
-func (s *Server) handleAccumulated(w http.ResponseWriter, r *http.Request) {
-	cur := s.vs.Current()
-	v, seq := cur.View(), cur.Seq()
-	from, err := parseNode(v, r.URL.RawQuery, "from")
-	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
-	to, err := parseNode(v, r.URL.RawQuery, "to")
-	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
+// handleAccumulated answers Φ(from, to). It asks the goal accown(from, to,
+// S) of the close-link program through the goal engine, as a query does; phi
+// is 0 when there is no row.
+func (s *Server) handleAccumulated(w http.ResponseWriter, r *http.Request, a args) {
+	v, seq, from, to := a.cur.View(), a.cur.Seq(), a.vals[0].id, a.vals[1].id
 	s.servePoint(w, r, seq, pointKey("accumulated", from, to), qcache.Anchored(&from, &to), func() (map[string]any, error) {
 		goal := datalog.Atom{Pred: "accown", Terms: []datalog.Term{datalog.Int(int64(from)), datalog.Int(int64(to)), varS}}
 		res, err := s.evalGoal(r.Context(), v, vadalog.CloseLinkProgram, nil, goal)
@@ -1051,7 +841,7 @@ func (s *Server) handleAccumulated(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// augmentRequest configures a POST /v1/augment run.
+// augmentRequest configures an augmentation run.
 type augmentRequest struct {
 	// Classes: any of "family", "control", "closelink". Empty means family.
 	Classes []string `json:"classes"`
@@ -1061,14 +851,10 @@ type augmentRequest struct {
 	NoCluster bool `json:"noCluster"`
 }
 
-func (s *Server) handleAugment(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAugment(w http.ResponseWriter, r *http.Request, _ args) {
 	var req augmentRequest
-	if r.Body != nil {
-		body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-		if err := json.NewDecoder(body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-			writeErr(w, r, http.StatusBadRequest, "bad_request", "bad request body: %v", err)
-			return
-		}
+	if _, ok := s.decodeBody(w, r, &req); !ok {
+		return
 	}
 	if len(req.Classes) == 0 {
 		req.Classes = []string{"family"}
@@ -1082,7 +868,6 @@ func (s *Server) handleAugment(w http.ResponseWriter, r *http.Request) {
 	// One mutation at a time: a second augment gets an immediate 503 with
 	// Retry-After instead of queueing behind the first.
 	if !s.augMu.TryLock() {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 		writeErr(w, r, http.StatusServiceUnavailable, "busy", "augmentation already in progress; retry later")
 		return
 	}
@@ -1119,13 +904,9 @@ func (s *Server) handleAugment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err != nil {
-		if interrupted(err) {
-			// Completed rounds persist (augmentation is monotone); a retry
-			// resumes from where this run stopped.
-			writeInterrupted(w, r, "augmentation", err)
-			return
-		}
-		writeErr(w, r, http.StatusInternalServerError, "internal", "augmentation failed: %v", err)
+		// Completed rounds persist (augmentation is monotone): a retry of an
+		// interrupted run resumes from where it stopped.
+		writeFailed(w, r, "augmentation", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -1189,8 +970,8 @@ func (s *Server) augment(ctx context.Context, o *pg.Overlay, req augmentRequest)
 	return aug.RunContext(ctx, o)
 }
 
-// whatifRequest describes a POST /v1/whatif counterfactual: a batch of
-// hypothetical graph operations plus the close-link threshold to reason at.
+// whatifRequest describes a counterfactual: a batch of hypothetical graph
+// operations plus the close-link threshold to reason at.
 type whatifRequest struct {
 	// Ops are applied in order to a private overlay; see whatif.Op for the
 	// vocabulary (addNode, addShare, setShare, removeEdge, removeNode).
@@ -1199,26 +980,21 @@ type whatifRequest struct {
 	Threshold float64 `json:"threshold"`
 }
 
-// handleWhatif evaluates a counterfactual scenario: POST /v1/whatif. The ops
-// apply to a copy-on-write overlay on the pinned read view, the chase runs
-// over the composite, and the response reports how control and close-link
-// would change. The published graph and the WAL are never touched — a
-// what-if burst is invisible to every other client.
-func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
+// handleWhatif evaluates a counterfactual scenario. The ops apply to a
+// copy-on-write overlay on the pinned read view, the chase runs over the
+// composite, and the response reports how control and close-link would
+// change. The published graph and the WAL are never touched — a what-if
+// burst is invisible to every other client.
+func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request, a args) {
 	var req whatifRequest
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, "bad_request", "bad request body: %v", err)
+	if _, ok := s.decodeBody(w, r, &req); !ok {
 		return
 	}
 	if len(req.Ops) == 0 {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "a what-if scenario needs at least one op")
 		return
 	}
-	threshold := req.Threshold
-	if threshold == 0 {
-		threshold = whatif.DefaultThreshold
-	}
+	threshold := cmp.Or(req.Threshold, whatif.DefaultThreshold)
 	if threshold < 0 || threshold > 1 {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "threshold must be in (0, 1], got %v", req.Threshold)
 		return
@@ -1229,8 +1005,7 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	// incrementally maintained state where it can and falls back to a full
 	// chase where it cannot, so steady-state what-ifs skip the re-chase every
 	// out-of-band write would otherwise force.
-	cur := s.vs.Current()
-	v, seq := cur.View(), cur.Seq()
+	v, seq := a.cur.View(), a.cur.Seq()
 	var res *whatif.Result
 	bl, err := s.ivmM.BaselineAt(r.Context(), v, seq, threshold)
 	if err == nil {
@@ -1242,13 +1017,8 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.As(err, &oe):
 			writeErr(w, r, http.StatusBadRequest, "bad_op", "op %d: %v", oe.Index, oe.Err)
-		case interrupted(err):
-			// The counterfactual chase tripped a limit: nothing partial is
-			// worth returning (a truncated diff would lie), so report 503
-			// like an interrupted augment.
-			writeInterrupted(w, r, "what-if", err)
-		default:
-			writeErr(w, r, http.StatusInternalServerError, "internal", "what-if failed: %v", err)
+		default: // nothing partial is worth returning: a truncated diff would lie
+			writeFailed(w, r, "what-if", err)
 		}
 		return
 	}
@@ -1278,18 +1048,16 @@ func pairObjects(ps []whatif.Pair) []map[string]pg.NodeID {
 	return out
 }
 
-// reasonRequest configures a POST /v1/reason evaluation: a Vadalog program
-// evaluated over the company graph's relational facts, under the server's
-// budget plus any tighter per-request limits.
+// reasonRequest configures the evaluation of an ad-hoc program: a Vadalog
+// program evaluated over the company graph's relational facts, under the
+// server's budget plus any tighter per-request limits.
 type reasonRequest struct {
 	// Program is the rule text (Vadalog subset syntax; see internal/datalog).
 	Program string `json:"program"`
 	// Predicates selects which derived predicates to return. Empty means
 	// every head predicate of the program.
 	Predicates []string `json:"predicates"`
-	// MaxFacts tightens the server's fact budget for this request only
-	// (it can lower the cap, never raise it).
-	MaxFacts int `json:"maxFacts"`
+	factCap
 	// MaxFactsPerPredicate caps the facts returned per predicate in the
 	// response. 0 means 10000.
 	MaxFactsPerPredicate int `json:"maxFactsPerPredicate"`
@@ -1299,11 +1067,10 @@ type reasonRequest struct {
 // not hang the server: the chase stops at the request deadline (or fact
 // budget) and the response reports the partial derivation with
 // "truncated": true and the tripped limit.
-func (s *Server) handleReason(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReason(w http.ResponseWriter, r *http.Request, a args) {
 	var req reasonRequest
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, "bad_request", "bad request body: %v", err)
+	tighter, ok := s.decodeBody(w, r, &req)
+	if !ok {
 		return
 	}
 	if req.Program == "" {
@@ -1315,22 +1082,15 @@ func (s *Server) handleReason(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "parsing program: %v", err)
 		return
 	}
-	opts := s.engineOptions()
-	b := s.cfg.Budget
-	if req.MaxFacts > 0 && (b.MaxFacts == 0 || req.MaxFacts < b.MaxFacts) {
-		b.MaxFacts = req.MaxFacts
-		opts = append(opts, datalog.WithBudget(b))
-	}
-	engine, err := datalog.NewEngine(prog, opts...)
+	engine, err := datalog.NewEngine(prog, append(s.engineOptions(), tighter...)...)
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "preparing engine: %v", err)
 		return
 	}
 
-	// Stream the relational image of one pinned version into the engine,
+	// Stream the relational image of the pinned version into the engine,
 	// then chase it; the answer is stamped with that version's seq.
-	cur := s.vs.Current()
-	relstore.Load(engine, cur.View())
+	relstore.Load(engine, a.cur.View())
 
 	runErr := engine.RunContext(r.Context())
 	s.recordChase(engine.Stats())
@@ -1343,14 +1103,8 @@ func (s *Server) handleReason(w http.ResponseWriter, r *http.Request) {
 
 	preds := req.Predicates
 	if len(preds) == 0 {
-		seen := map[string]bool{}
-		for _, rule := range prog.Rules {
-			for _, h := range rule.Head {
-				if !seen[h.Pred] {
-					seen[h.Pred] = true
-					preds = append(preds, h.Pred)
-				}
-			}
+		for p := range prog.HeadPreds() {
+			preds = append(preds, p)
 		}
 	}
 	perPred := req.MaxFactsPerPredicate
@@ -1374,7 +1128,7 @@ func (s *Server) handleReason(w http.ResponseWriter, r *http.Request) {
 		"facts":   factsOut,
 		"rounds":  engine.Rounds(),
 		"derived": engine.DerivedCount(),
-		"seq":     cur.Seq(),
+		"seq":     a.cur.Seq(),
 	}
 	if st := engine.Stats(); st != nil {
 		resp["stats"] = st
@@ -1398,9 +1152,8 @@ func jsonValue(v any) any {
 	}
 }
 
-func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
-	cur := s.vs.Current()
-	writeGraph(w, cur.View(), cur.Seq())
+func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request, a args) {
+	writeGraph(w, a.cur.View(), a.cur.Seq())
 }
 
 // writeGraph answers with the graph JSON of v (pg.WriteJSONView), stamped

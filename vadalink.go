@@ -97,9 +97,10 @@ func Figure2() (*Graph, *Builder) { return pg.Figure2() }
 // after PhiRounds rounds (a cycle gain of 0.998 converges within them, 0.999
 // does not) and return the engine's *BudgetExceededError.
 //
-// PhiRounds is the round bound of every chase the facade runs; the
-// vadalink CLI serves its in-process requests under it too.
-const PhiRounds = 10_000
+// PhiRounds is the engine's default round bound, the one every chase runs
+// under unless it sets another: the facade's, the vadalink CLI's and the
+// served API's alike.
+const PhiRounds = datalog.DefaultMaxRounds
 
 // The goal variables of the facade's reads.
 var varX, varY, varS = datalog.Variable("X"), datalog.Variable("Y"), datalog.Variable("S")
@@ -107,8 +108,7 @@ var varX, varY, varS = datalog.Variable("X"), datalog.Variable("Y"), datalog.Var
 // ask answers the goal pred(terms...) of the shipped program prog over g,
 // magic sets restricting the chase to the bound arguments' cones.
 func ask(g *Graph, prog, pred string, terms ...datalog.Term) ([]datalog.Binding, error) {
-	res, err := vadalog.EvalGoal(context.Background(), g, prog, datalog.Atom{Pred: pred, Terms: terms},
-		datalog.WithMaxRounds(PhiRounds))
+	res, err := vadalog.EvalGoal(context.Background(), g, prog, datalog.Atom{Pred: pred, Terms: terms})
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +208,7 @@ type CloseLinkResult = whatif.Link
 // from every source, so it fails when any cycle of g is one Φ does not
 // converge on.
 func CloseLinks(g *Graph, t float64) ([]CloseLinkResult, error) {
-	bl, err := whatif.ComputeBaseline(context.Background(), g, max(t, 0), datalog.WithMaxRounds(PhiRounds))
+	bl, err := whatif.ComputeBaseline(context.Background(), g, max(t, 0))
 	if err != nil {
 		return nil, err
 	}
@@ -276,11 +276,7 @@ const (
 // after PhiRounds rounds, like the facade's Φ reads, so a cycle Φ does not
 // converge on ends in the engine's *BudgetExceededError; set EngineOptions to
 // change that.
-func NewReasoner(g *Graph, tasks vadalog.Task) *Reasoner {
-	r := vadalog.NewReasoner(g, tasks)
-	r.EngineOptions = []datalog.Option{datalog.WithMaxRounds(PhiRounds)}
-	return r
-}
+func NewReasoner(g *Graph, tasks vadalog.Task) *Reasoner { return vadalog.NewReasoner(g, tasks) }
 
 // ParseRules parses a Vadalog-syntax rule program (for custom reasoning).
 func ParseRules(src string) (*datalog.Program, error) { return datalog.Parse(src) }
