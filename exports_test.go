@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -57,11 +58,7 @@ var exportAllowlist = map[string]string{
 // concrete one. An allowlist entry that no longer names an uncalled export
 // fails too, which keeps the list honest.
 func TestEveryExportHasACaller(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgs, err := typeCheckModule(fset)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs, fset := typeChecked(t)
 	used := map[*types.Func]bool{}
 	var ifaces []*types.Interface
 	for _, p := range pkgs {
@@ -282,16 +279,30 @@ func typeCheckModule(fset *token.FileSet) ([]*modulePackage, error) {
 	return m.order, err
 }
 
+// moduleFset positions the files of the type-checked module.
+var moduleFset = token.NewFileSet()
+
+// checkedModule type-checks the module (typeCheckModule) once per test
+// binary. The guards share the result and only read it.
+var checkedModule = sync.OnceValues(func() ([]*modulePackage, error) { return typeCheckModule(moduleFset) })
+
+// typeChecked returns the module's type-checked packages and their file set,
+// failing t when the module does not type-check.
+func typeChecked(t *testing.T) ([]*modulePackage, *token.FileSet) {
+	t.Helper()
+	pkgs, err := checkedModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs, moduleFset
+}
+
 // TestOraclesStayOutOfProduction fails when a non-test package outside
 // bench/ imports internal/control or internal/closelink. Production reads
 // control and Φ from the served programs (DESIGN.md §5); those two packages
 // are the reference solvers that tests and the benchmark check it against.
 func TestOraclesStayOutOfProduction(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgs, err := typeCheckModule(fset)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs, _ := typeChecked(t)
 	oracles := map[string]bool{"vadalink/internal/control": true, "vadalink/internal/closelink": true}
 	checked := 0
 	for _, p := range pkgs {
@@ -315,11 +326,7 @@ func TestOraclesStayOutOfProduction(t *testing.T) {
 // engine's default step, datalog.DefaultMinAggDelta (DESIGN.md §5): a path
 // that sets its own would read a second Φ for the same pair.
 func TestOneAggregateStep(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgs, err := typeCheckModule(fset)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs, fset := typeChecked(t)
 	var setter types.Object
 	for _, p := range pkgs {
 		if p.dir == "internal/datalog" {
@@ -337,6 +344,89 @@ func TestOneAggregateStep(t *testing.T) {
 			if obj == setter {
 				t.Errorf("%s sets the aggregate step; chase at the engine's default", fset.Position(id.Pos()))
 			}
+		}
+	}
+}
+
+// programLoaderAllowlist names the functions outside the program table that
+// may build an engine from program text, keyed as "package.Func", each with
+// its reason.
+var programLoaderAllowlist = map[string]string{
+	"vadalink.ParseRules": "the facade's custom-program API: a library caller parses its own rules",
+	"vadalink.NewEngine":  "the facade's custom-program API: a library caller loads and runs its own engine",
+}
+
+// TestOneProgramTable fails when a non-test file outside internal/vadalog,
+// internal/datalog, internal/relstore and bench/ parses or compiles program
+// text (datalog.Parse, MustParse, Compile, CompileGoal, NewGoalEngine,
+// MagicRewrite), builds an engine (datalog.NewEngine, or NewEngine on a
+// *datalog.Compiled or *datalog.CompiledGoal) or loads a graph into one
+// (relstore.Load, LoadScope), unless programLoaderAllowlist names the
+// function it does so in. Every chase starts from a vadalog.Program, whose
+// builders own the ordering rules of a load (DESIGN.md §7.7). An allowlist
+// entry that allows nothing fails too.
+func TestOneProgramTable(t *testing.T) {
+	pkgs, fset := typeChecked(t)
+	loaders := map[types.Object]string{}
+	for _, p := range pkgs {
+		var names []string
+		switch p.dir {
+		case "internal/datalog":
+			names = []string{"Parse", "MustParse", "Compile", "CompileGoal", "NewGoalEngine", "MagicRewrite", "NewEngine"}
+			for _, typ := range []string{"Compiled", "CompiledGoal"} {
+				named := p.pkg.Scope().Lookup(typ).Type().(*types.Named)
+				for i := range named.NumMethods() {
+					if m := named.Method(i); m.Name() == "NewEngine" {
+						loaders[m] = "datalog." + typ + ".NewEngine"
+					}
+				}
+			}
+		case "internal/relstore":
+			names = []string{"Load", "LoadScope"}
+		}
+		for _, name := range names {
+			if obj := p.pkg.Scope().Lookup(name); obj != nil {
+				loaders[obj] = p.pkg.Name() + "." + name
+			}
+		}
+	}
+	if len(loaders) != 11 {
+		t.Fatalf("found %d of the 11 program loaders: the guard checks less than it says", len(loaders))
+	}
+	allowed := map[string]bool{}
+	for _, p := range pkgs {
+		switch {
+		case p.dir == "internal/vadalog", p.dir == "internal/datalog", p.dir == "internal/relstore",
+			p.dir == "bench", strings.HasPrefix(p.dir, "bench/"):
+			continue
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				key := ""
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
+					key = p.pkg.Name() + "." + fn.Name.Name
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					loader, ok := loaders[p.info.Uses[id]]
+					switch {
+					case !ok:
+					case programLoaderAllowlist[key] != "":
+						allowed[key] = true
+					default:
+						t.Errorf("%s: calls %s; start the chase from a vadalog.Program", fset.Position(id.Pos()), loader)
+					}
+					return true
+				})
+			}
+		}
+	}
+	for key := range programLoaderAllowlist {
+		if !allowed[key] {
+			t.Errorf("programLoaderAllowlist entry %s calls no program loader; remove the entry", key)
 		}
 	}
 }
@@ -434,11 +524,7 @@ func parseModule(fset *token.FileSet, fn func(path string, f *ast.File)) error {
 // element; a change builds a new element instead, as
 // pg.Graph.SetEdgeWeight does.
 func TestElementsAreImmutable(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgs, err := typeCheckModule(fset)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs, fset := typeChecked(t)
 	records := 0
 	for _, p := range pkgs {
 		if p.pkg.Path() != "vadalink/internal/pg" {

@@ -3,9 +3,12 @@ package qcache
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"vadalink/internal/ivm"
 	"vadalink/internal/pg"
@@ -70,6 +73,73 @@ func TestSingleFlight(t *testing.T) {
 	if n := computes.Load(); n != 1 {
 		t.Fatalf("thundering herd ran %d computations, want 1", n)
 	}
+}
+
+// TestWaiterSharesTheComputation reaches Do's single-flight wait on every
+// run, not only when a race happens to: the first caller's computation holds
+// until a second caller is parked waiting for it. The waiter runs nothing of
+// its own and gets the first caller's payload and error, as a hit at the
+// computation's seq — a partial payload with its error included.
+func TestWaiterSharesTheComputation(t *testing.T) {
+	boom := errors.New("boom")
+	for _, want := range []struct {
+		val string
+		err error
+	}{{"once", nil}, {"partial", boom}} {
+		c := New(1 << 20)
+		started, release, first := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(first)
+			_, _, _, _ = c.Do("hot", ClassDerived, 3, func() ([]byte, error) {
+				close(started)
+				<-release
+				return []byte(want.val), want.err
+			})
+		}()
+		<-started
+		type result struct {
+			val      []byte
+			seq      uint64
+			hit      bool
+			err      error
+			computed bool
+		}
+		waited := make(chan result)
+		go func() {
+			var r result
+			r.val, r.seq, r.hit, r.err = c.Do("hot", ClassDerived, 4, func() ([]byte, error) {
+				r.computed = true
+				return []byte("own"), nil
+			})
+			waited <- r
+		}()
+		for deadline := time.Now().Add(10 * time.Second); !waiterParked(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the second caller never waited on the first's computation")
+			}
+		}
+		close(release)
+		r := <-waited
+		<-first
+		if r.computed || string(r.val) != want.val || r.seq != 3 || !r.hit || r.err != want.err {
+			t.Errorf("waiter got %q at seq %d, hit %v, err %v, computed %v; want %q at seq 3, hit, err %v, not computed",
+				r.val, r.seq, r.hit, r.err, r.computed, want.val, want.err)
+		}
+	}
+}
+
+// waiterParked reports whether some goroutine is blocked in Do itself on a
+// channel receive: the wait for another caller's computation.
+func waiterParked() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		header, frames, _ := strings.Cut(g, "\n")
+		if strings.Contains(header, "[chan receive") && strings.HasPrefix(frames, "vadalink/internal/qcache.(*Cache).Do(") {
+			return true
+		}
+	}
+	return false
 }
 
 func TestByteBudgetEviction(t *testing.T) {

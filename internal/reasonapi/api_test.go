@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"vadalink/internal/datalog"
+	"vadalink/internal/graphgen"
 	"vadalink/internal/pg"
 	"vadalink/internal/vadalog"
 )
@@ -196,6 +197,42 @@ func TestReasonResponseEmbedsStats(t *testing.T) {
 	}
 	if _, ok := st["perRound"].([]any); !ok {
 		t.Errorf("stats.perRound missing: %v", st)
+	}
+}
+
+// /v1/stats stamps the seq of the version it profiled, and /v1/augment the
+// seq of the version its commit published: the augment that adds edges
+// moves the seq, and both routes then answer the new one.
+func TestStatsAndAugmentStampTheirSeq(t *testing.T) {
+	it := graphgen.NewItalian(graphgen.ItalianConfig{Persons: 60, Companies: 20, Seed: 3})
+	s := NewServer(it.Graph)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	stats := func() any {
+		t.Helper()
+		resp, body := doReq(t, "GET", srv.URL+"/v1/stats", "")
+		if resp.StatusCode != 200 {
+			t.Fatalf("stats status = %d (%v)", resp.StatusCode, body)
+		}
+		return body["seq"]
+	}
+	before := s.vs.Current().Seq()
+	if got := stats(); got != float64(before) {
+		t.Fatalf("stats seq before the augment = %v, want %d", got, before)
+	}
+	resp, body := doReq(t, "POST", srv.URL+"/v1/augment", `{"classes":["family"],"noCluster":true}`)
+	if resp.StatusCode != 200 {
+		t.Fatalf("augment status = %d (%v)", resp.StatusCode, body)
+	}
+	after := s.vs.Current().Seq()
+	if after == before {
+		t.Fatalf("the augment added nothing (%v): the seq did not move", body)
+	}
+	if got := body["seq"]; got != float64(after) {
+		t.Fatalf("augment seq = %v, want %d, the version its commit published", got, after)
+	}
+	if got := stats(); got != float64(after) {
+		t.Fatalf("stats seq after the augment = %v, want %d", got, after)
 	}
 }
 

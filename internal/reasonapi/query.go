@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"slices"
 	"strconv"
@@ -122,26 +121,25 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, a args) {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "bad goal: %v", err)
 		return
 	}
-	progSrc, class := req.Program, qcache.ClassAny
-	var prog *datalog.Program // the caller's program, parsed once
-	if progSrc == "" {
-		if progSrc, ok = vadalog.ProgramForGoal(goal.Pred); !ok {
+	var p *vadalog.Program
+	class := qcache.ClassAny
+	if req.Program == "" {
+		if p, ok = vadalog.ForGoal(goal.Pred); !ok {
 			writeErr(w, r, http.StatusBadRequest, "bad_request",
 				"no built-in program defines %q; supply one in \"program\"", goal.Pred)
 			return
 		}
 		class = goalClass(goal)
-	} else if prog, err = datalog.Parse(progSrc); err == nil {
-		_, err = datalog.Compile(prog) // a program the engine refuses is the caller's fault
-	}
-	if err != nil {
+	} else if p, err = vadalog.Compile(req.Program); err != nil {
+		// A program that does not parse, or that the engine refuses, is the
+		// caller's fault.
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "program: %v", err)
 		return
 	}
 
 	v, seq := a.cur.View(), a.cur.Seq()
-	err = s.answerPoint(w, seq, queryKey(goal, progSrc, req.MaxFacts), class, func() (map[string]any, error) {
-		res, err := s.evalGoal(r.Context(), v, progSrc, prog, goal, tighter...)
+	err = s.answerPoint(w, seq, queryKey(goal, p, req.MaxFacts), class, func() (map[string]any, error) {
+		res, err := s.evalGoal(r.Context(), v, p, goal, tighter...)
 		if err != nil {
 			return nil, err
 		}
@@ -158,25 +156,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, a args) {
 }
 
 // evalGoal is the one goal engine behind every goal-backed read. It answers
-// goal under progSrc over v by vadalog.EvalGoal, or under prog by
-// vadalog.EvalParsedGoal when the caller's program text progSrc was parsed
-// already (nil for a shipped program). The server's engine options come
-// first, then extra. The chase is published as the metrics' lastChase.
-// A tripped limit leaves the partial answers in res with res.RunErr set; any
-// other failure, of the chase included, is err.
+// goal under p over v, the server's engine options first, then extra. The
+// chase is published as the metrics' lastChase. A tripped limit leaves the
+// partial answers in res with res.RunErr set; any other failure, of the
+// chase included, is err.
 //
 // The built-in control program reads the relational image (relstore), which
 // aggregates every shareholding edge by weight, so every control route counts
 // every share, whatever its right (DESIGN.md §5).
-func (s *Server) evalGoal(ctx context.Context, v pg.View, progSrc string, prog *datalog.Program, goal datalog.Atom, extra ...datalog.Option) (*vadalog.GoalResult, error) {
-	opts := append(s.engineOptions(), extra...)
-	var res *vadalog.GoalResult
-	var err error
-	if prog != nil {
-		res, err = vadalog.EvalParsedGoal(ctx, v, prog, goal, opts...)
-	} else {
-		res, err = vadalog.EvalGoal(ctx, v, progSrc, goal, opts...)
-	}
+func (s *Server) evalGoal(ctx context.Context, v pg.View, p *vadalog.Program, goal datalog.Atom, extra ...datalog.Option) (*vadalog.GoalResult, error) {
+	res, err := p.Goal(ctx, v, goal, append(s.engineOptions(), extra...)...)
 	if err != nil {
 		return nil, err
 	}
@@ -263,35 +252,17 @@ func goalClass(goal datalog.Atom) qcache.Class {
 	return qcache.Anchored(ends[0], ends[1])
 }
 
-// queryKey builds the cache key of one goal query. The program
-// text — the built-in one when the caller sent none — is folded to its FNV
-// hash so an arbitrary caller program cannot blow the key budget; the goal
-// stays readable for debugging.
-func queryKey(goal datalog.Atom, progSrc string, maxFacts int) string {
-	h, ok := builtinProgramHashes[progSrc]
-	if !ok {
-		h = programHash(progSrc)
-	}
+// queryKey builds the cache key of one goal query. The program — the
+// built-in one when the caller sent none — is named by its text's FNV hash
+// (vadalog.Program.Hash), so an arbitrary caller program cannot blow the key
+// budget; the goal stays readable for debugging.
+func queryKey(goal datalog.Atom, p *vadalog.Program, maxFacts int) string {
 	b := make([]byte, 0, 96)
 	b = append(b, "query:"...)
 	b = append(b, goal.String()...)
 	b = append(b, ':')
-	b = strconv.AppendUint(b, h, 16)
+	b = strconv.AppendUint(b, p.Hash(), 16)
 	b = append(b, ':')
 	b = strconv.AppendInt(b, int64(maxFacts), 10)
 	return string(b)
-}
-
-func programHash(src string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(src))
-	return h.Sum64()
-}
-
-// builtinProgramHashes holds the programHash of each built-in program,
-// computed once: a query over one of them — the common case — runs FNV over
-// no program text per request.
-var builtinProgramHashes = map[string]uint64{
-	vadalog.ControlProgram:   programHash(vadalog.ControlProgram),
-	vadalog.CloseLinkProgram: programHash(vadalog.CloseLinkProgram),
 }

@@ -619,7 +619,7 @@ func TestAnswerPinnedBeforeACommitIsNotCached(t *testing.T) {
 	}
 	w := httptest.NewRecorder()
 	err := s.answerPoint(w, seq, fmt.Sprintf("control:%d", p2), qcache.Anchored(&p2, nil), func() (map[string]any, error) {
-		res, err := s.evalGoal(context.Background(), v, vadalog.ControlProgram, nil, controlGoal(datalog.Int(int64(p2)), varY))
+		res, err := s.evalGoal(context.Background(), v, vadalog.Control, controlGoal(datalog.Int(int64(p2)), varY))
 		if err != nil {
 			return nil, err
 		}
@@ -667,7 +667,7 @@ func TestReaderAcrossABootstrapFeedsNothing(t *testing.T) {
 	w := httptest.NewRecorder()
 	key := fmt.Sprintf("control:%d", p2)
 	err := s.answerPoint(w, old.Seq(), key, qcache.Anchored(&p2, nil), func() (map[string]any, error) {
-		res, err := s.evalGoal(context.Background(), old.View(), vadalog.ControlProgram, nil, controlGoal(datalog.Int(int64(p2)), varY))
+		res, err := s.evalGoal(context.Background(), old.View(), vadalog.Control, controlGoal(datalog.Int(int64(p2)), varY))
 		if err != nil {
 			return nil, err
 		}

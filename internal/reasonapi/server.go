@@ -625,7 +625,7 @@ func truncMeta(err error) map[string]any {
 func (s *Server) handleUBO(w http.ResponseWriter, r *http.Request, a args) {
 	v, seq, node := a.cur.View(), a.cur.Seq(), a.vals[0].id
 	s.servePoint(w, r, seq, pointKey("ubo", node), qcache.Anchored(nil, &node), func() (map[string]any, error) {
-		res, err := s.evalGoal(r.Context(), v, vadalog.ControlProgram, nil, controlGoal(varX, datalog.Int(int64(node))))
+		res, err := s.evalGoal(r.Context(), v, vadalog.Control, controlGoal(varX, datalog.Int(int64(node))))
 		if err != nil {
 			return nil, err
 		}
@@ -650,7 +650,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, a args) {
 		// the tree needs. StripDemandMarkers removes the rewrite's magic and
 		// import bookkeeping so the "why" reads exactly like the full chase's.
 		goal := controlGoal(datalog.Int(int64(from)), datalog.Int(int64(to)))
-		res, err := s.evalGoal(r.Context(), v, vadalog.ControlProgram, nil, goal, datalog.WithProvenance())
+		res, err := s.evalGoal(r.Context(), v, vadalog.Control, goal, datalog.WithProvenance())
 		if err != nil {
 			return nil, err
 		}
@@ -709,8 +709,13 @@ func writeFailed(w http.ResponseWriter, r *http.Request, what string, err error)
 	}
 }
 
+// handleStats answers the §2 profile of the pinned version, stamped with its
+// seq.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, a args) {
-	writeJSON(w, http.StatusOK, graphstats.Compute(a.cur.View()))
+	writeJSON(w, http.StatusOK, struct {
+		graphstats.Stats
+		Seq uint64 `json:"seq"`
+	}{graphstats.Compute(a.cur.View()), a.cur.Seq()})
 }
 
 // pointKey is the cache key of a point answer: its kind, then each node ID,
@@ -736,7 +741,7 @@ func (s *Server) handleControl(w http.ResponseWriter, r *http.Request, a args) {
 		target := a.vals[1].id
 		s.servePoint(w, r, seq, pointKey("control", node, target), qcache.Anchored(&node, &target), func() (map[string]any, error) {
 			goal := controlGoal(datalog.Int(int64(node)), datalog.Int(int64(target)))
-			res, err := s.evalGoal(r.Context(), v, vadalog.ControlProgram, nil, goal)
+			res, err := s.evalGoal(r.Context(), v, vadalog.Control, goal)
 			if err != nil {
 				return nil, err
 			}
@@ -745,7 +750,7 @@ func (s *Server) handleControl(w http.ResponseWriter, r *http.Request, a args) {
 		return
 	}
 	s.servePoint(w, r, seq, pointKey("control", node), qcache.Anchored(&node, nil), func() (map[string]any, error) {
-		res, err := s.evalGoal(r.Context(), v, vadalog.ControlProgram, nil, controlGoal(datalog.Int(int64(node)), varY))
+		res, err := s.evalGoal(r.Context(), v, vadalog.Control, controlGoal(datalog.Int(int64(node)), varY))
 		if err != nil {
 			return nil, err
 		}
@@ -781,7 +786,7 @@ func named(v pg.View, ids []pg.NodeID, label pg.Label) []namedNode {
 func (s *Server) handleControlPairs(w http.ResponseWriter, r *http.Request, a args) {
 	v, seq := a.cur.View(), a.cur.Seq()
 	s.servePoint(w, r, seq, "control/pairs", qcache.ClassDerived, func() (map[string]any, error) {
-		res, err := s.evalGoal(r.Context(), v, vadalog.ControlProgram, nil, controlGoal(varX, varY))
+		res, err := s.evalGoal(r.Context(), v, vadalog.Control, controlGoal(varX, varY))
 		if err != nil {
 			return nil, err
 		}
@@ -829,7 +834,7 @@ func (s *Server) handleAccumulated(w http.ResponseWriter, r *http.Request, a arg
 	v, seq, from, to := a.cur.View(), a.cur.Seq(), a.vals[0].id, a.vals[1].id
 	s.servePoint(w, r, seq, pointKey("accumulated", from, to), qcache.Anchored(&from, &to), func() (map[string]any, error) {
 		goal := datalog.Atom{Pred: "accown", Terms: []datalog.Term{datalog.Int(int64(from)), datalog.Int(int64(to)), varS}}
-		res, err := s.evalGoal(r.Context(), v, vadalog.CloseLinkProgram, nil, goal)
+		res, err := s.evalGoal(r.Context(), v, vadalog.CloseLink, goal)
 		if err != nil {
 			return nil, err
 		}
@@ -881,7 +886,8 @@ func (s *Server) handleAugment(w http.ResponseWriter, r *http.Request, _ args) {
 	// then conflicts and is answered as a stale epoch.
 	txn := s.vs.Begin()
 	res, err := s.augment(r.Context(), txn.Overlay(), req)
-	if _, cerr := txn.Commit(); cerr != nil {
+	published, cerr := txn.Commit()
+	if cerr != nil {
 		s.activeMut.Add(-1)
 		s.writeCommitErr(w, r, cerr)
 		return
@@ -910,6 +916,7 @@ func (s *Server) handleAugment(w http.ResponseWriter, r *http.Request, _ args) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
+		"seq":         published.Seq(),
 		"added":       res.Added,
 		"rounds":      res.Rounds,
 		"comparisons": res.Comparisons,
@@ -941,7 +948,7 @@ func (s *Server) augment(ctx context.Context, o *pg.Overlay, req augmentRequest)
 		case "family":
 			cfg.Candidates = append(cfg.Candidates, &core.FamilyCandidate{})
 		case "control":
-			res, err := s.evalGoal(ctx, o, vadalog.ControlProgram, nil, controlGoal(varX, varY))
+			res, err := s.evalGoal(ctx, o, vadalog.Control, controlGoal(varX, varY))
 			if err == nil {
 				err = res.RunErr
 			}
@@ -1077,21 +1084,15 @@ func (s *Server) handleReason(w http.ResponseWriter, r *http.Request, a args) {
 		writeErr(w, r, http.StatusBadRequest, "bad_request", "missing program")
 		return
 	}
-	prog, err := datalog.Parse(req.Program)
+	p, err := vadalog.Compile(req.Program)
 	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, "bad_request", "parsing program: %v", err)
-		return
-	}
-	engine, err := datalog.NewEngine(prog, append(s.engineOptions(), tighter...)...)
-	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, "bad_request", "preparing engine: %v", err)
+		writeErr(w, r, http.StatusBadRequest, "bad_request", "program: %v", err)
 		return
 	}
 
-	// Stream the relational image of the pinned version into the engine,
-	// then chase it; the answer is stamped with that version's seq.
-	relstore.Load(engine, a.cur.View())
-
+	// Chase the relational image of the pinned version; the answer is
+	// stamped with that version's seq.
+	engine := p.Engine(a.cur.View(), append(s.engineOptions(), tighter...)...)
 	runErr := engine.RunContext(r.Context())
 	s.recordChase(engine.Stats())
 	if runErr != nil && !interrupted(runErr) {
@@ -1103,8 +1104,8 @@ func (s *Server) handleReason(w http.ResponseWriter, r *http.Request, a args) {
 
 	preds := req.Predicates
 	if len(preds) == 0 {
-		for p := range prog.HeadPreds() {
-			preds = append(preds, p)
+		for pred := range p.HeadPreds() {
+			preds = append(preds, pred)
 		}
 	}
 	perPred := req.MaxFactsPerPredicate

@@ -93,15 +93,11 @@ func RunGeneric(g *pg.Graph, cfg GenericConfig) (*GenericResult, error) {
 		clf = family.NewClassifier()
 	}
 
-	src := InputMapping + "\n" + GenericAugmentProgram
-	prog, err := datalog.Parse(src)
+	p, err := shipped(InputMapping + "\n" + GenericAugmentProgram)
 	if err != nil {
-		return nil, fmt.Errorf("vadalog: parsing generic pipeline: %w", err)
+		return nil, fmt.Errorf("vadalog: compiling generic pipeline: %w", err)
 	}
-	engine, err := datalog.NewEngine(prog, cfg.EngineOptions...)
-	if err != nil {
-		return nil, err
-	}
+	engine := p.Engine(g, cfg.EngineOptions...)
 
 	nodeOf := func(v any) (pg.NodeID, error) {
 		id, ok := skolemNode(v)
@@ -140,7 +136,6 @@ func RunGeneric(g *pg.Graph, cfg GenericConfig) (*GenericResult, error) {
 			family.PersonFromNode(g.Node(x)), family.PersonFromNode(g.Node(y))), nil
 	})
 
-	relstore.Load(engine, g)
 	if err := engine.Run(); err != nil {
 		return nil, err
 	}

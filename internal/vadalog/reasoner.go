@@ -86,11 +86,11 @@ func (r *Reasoner) RunContext(ctx context.Context) error {
 	if src == "" {
 		return fmt.Errorf("vadalog: no tasks selected")
 	}
-	sp, err := shipped(src)
+	p, err := shipped(src)
 	if err != nil {
 		return fmt.Errorf("vadalog: preparing engine: %w", err)
 	}
-	engine := sp.full.NewEngine(r.EngineOptions...)
+	engine := p.Engine(r.g, r.EngineOptions...)
 
 	clf := r.Classifier
 	if clf == nil {
@@ -112,7 +112,6 @@ func (r *Reasoner) RunContext(ctx context.Context) error {
 		return clf.LinkProbability(family.PersonFromNode(nx), family.PersonFromNode(ny)), nil
 	})
 
-	relstore.Load(engine, r.g)
 	for famID, members := range r.Families {
 		for _, m := range members {
 			engine.Assert(datalog.Fact{Pred: "fammember", Args: []any{int64(m), famID}})

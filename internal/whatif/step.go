@@ -119,7 +119,7 @@ func (b *Baseline) Advance(ctx context.Context, post pg.View, journal []pg.Mutat
 //  2. affected: the reverse reach of the owner seeds over post — every
 //     source whose control/accown rows may have moved.
 //  3. The cone: the forward reach of affected, every row the chase reads.
-//  4. Chase vadalog.MaintenanceProgram over the cone, seeding the untouched rows of
+//  4. Chase vadalog.Maintenance over the cone, seeding the untouched rows of
 //     cone sources that are not affected.
 //  5. Compare each affected source's new control row with its old one.
 //  6. Re-count the close links: each affected source withdraws its old
@@ -136,11 +136,10 @@ func (b *Baseline) diff(ctx context.Context, post pg.View, journal []pg.Mutation
 	affected := ReverseReachable(s.Owners, post)
 	cone := ForwardReachable(affected, post)
 
-	e := vadalog.MaintenancePlan().NewEngine(opts...)
+	e := vadalog.Maintenance.ScopedEngine(post, affected, cone, opts...)
 	for id := range affected {
 		e.Assert(datalog.Fact{Pred: "affected", Args: []any{int64(id)}})
 	}
-	relstore.LoadScope(e, post, affected, cone)
 	// A cone source that is not affected reaches no mutated edge: its final
 	// rows are exact, and msum's per-contributor maximum makes a final row an
 	// exact stand-in for the derivation sequence that produced it.

@@ -130,8 +130,7 @@ func ComputeBaseline(ctx context.Context, v pg.View, threshold float64, engineOp
 	if threshold == 0 {
 		threshold = DefaultThreshold
 	}
-	e := vadalog.BaselinePlan().NewEngine(engineOpts...)
-	relstore.Load(e, v)
+	e := vadalog.Baseline.Engine(v, engineOpts...)
 	if err := e.RunContext(ctx); err != nil {
 		return nil, fmt.Errorf("whatif: baseline chase: %w", err)
 	}

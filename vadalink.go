@@ -105,10 +105,10 @@ const PhiRounds = datalog.DefaultMaxRounds
 // The goal variables of the facade's reads.
 var varX, varY, varS = datalog.Variable("X"), datalog.Variable("Y"), datalog.Variable("S")
 
-// ask answers the goal pred(terms...) of the shipped program prog over g,
+// ask answers the goal pred(terms...) of the shipped program p over g,
 // magic sets restricting the chase to the bound arguments' cones.
-func ask(g *Graph, prog, pred string, terms ...datalog.Term) ([]datalog.Binding, error) {
-	res, err := vadalog.EvalGoal(context.Background(), g, prog, datalog.Atom{Pred: pred, Terms: terms})
+func ask(g *Graph, p *vadalog.Program, pred string, terms ...datalog.Term) ([]datalog.Binding, error) {
+	res, err := p.Goal(context.Background(), g, datalog.Atom{Pred: pred, Terms: terms})
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +117,7 @@ func ask(g *Graph, prog, pred string, terms ...datalog.Term) ([]datalog.Binding,
 
 // control answers the goal control(x, y) of Algorithm 5.
 func control(g *Graph, x, y datalog.Term) []datalog.Binding {
-	bs, err := ask(g, vadalog.ControlProgram, "control", x, y)
+	bs, err := ask(g, vadalog.Control, "control", x, y)
 	if err != nil {
 		panic(err) // never cancelled, the control chase ends well within PhiRounds
 	}
@@ -190,7 +190,7 @@ func Orphans(g *Graph) []NodeID {
 // nothing of y. Its chase covers x's cone, so it fails only when that cone
 // holds a cycle Φ does not converge on.
 func Accumulated(g *Graph, x, y NodeID) (float64, error) {
-	bs, err := ask(g, vadalog.CloseLinkProgram, "accown", datalog.Int(int64(x)), datalog.Int(int64(y)), varS)
+	bs, err := ask(g, vadalog.CloseLink, "accown", datalog.Int(int64(x)), datalog.Int(int64(y)), varS)
 	phi := 0.0
 	for _, b := range bs {
 		phi, _ = b[varS].(float64)
