@@ -10,10 +10,8 @@ package pg
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Label is a node or edge label (schema-level concept; maps to a predicate
@@ -123,14 +121,16 @@ type Mutation struct {
 // graphs with New. Graph is not safe for concurrent mutation; concurrent
 // reads are safe once mutation stops.
 type Graph struct {
-	nodes map[NodeID]*Node
-	edges map[EdgeID]*Edge
+	// nodes and edges are indexed by ID, nil where the element was removed.
+	// Every ID below a slice's length was assigned, so the lengths are the
+	// ID counters (NextNodeID, NextEdgeID); numNodes and numEdges count the
+	// live entries.
+	nodes              []*Node
+	edges              []*Edge
+	numNodes, numEdges int
 
-	nextNode NodeID
-	nextEdge EdgeID
-
-	out map[NodeID][]EdgeID // outgoing adjacency
-	in  map[NodeID][]EdgeID // incoming adjacency
+	out [][]EdgeID // outgoing adjacency, indexed by node ID
+	in  [][]EdgeID // incoming adjacency, indexed by node ID
 
 	byNodeLabel map[Label][]NodeID
 	byEdgeLabel map[Label][]EdgeID
@@ -152,10 +152,6 @@ type Graph struct {
 // New returns an empty property graph.
 func New() *Graph {
 	return &Graph{
-		nodes:       make(map[NodeID]*Node),
-		edges:       make(map[EdgeID]*Edge),
-		out:         make(map[NodeID][]EdgeID),
-		in:          make(map[NodeID][]EdgeID),
 		byNodeLabel: make(map[Label][]NodeID),
 		byEdgeLabel: make(map[Label][]EdgeID),
 	}
@@ -173,7 +169,7 @@ func (g *Graph) SetMutationHook(fn func(Mutation)) { g.onMutate = fn }
 // MustAddEdge does, on a property value outside the four kinds (see
 // NewRecord); input that may hold one is checked with NewRecord first.
 func (g *Graph) AddNode(label Label, props PropSource) NodeID {
-	id := g.nextNode
+	id := g.NextNodeID()
 	// An add at the next ID is never refused.
 	g.Replay(Mutation{Kind: MutAddNode, Node: &Node{ID: id, Label: label, Props: nodeRecord(id, props)}})
 	return id
@@ -186,9 +182,9 @@ func (g *Graph) AddNode(label Label, props PropSource) NodeID {
 func (g *Graph) AddEdge(label Label, from, to NodeID, props PropSource) (EdgeID, error) {
 	rec, err := recordOf(props)
 	if err != nil {
-		return 0, fmt.Errorf("pg: add edge %d: %w", g.nextEdge, err)
+		return 0, fmt.Errorf("pg: add edge %d: %w", g.NextEdgeID(), err)
 	}
-	return g.addEdge(&Edge{ID: g.nextEdge, Label: label, From: from, To: to, Props: rec})
+	return g.addEdge(&Edge{ID: g.NextEdgeID(), Label: label, From: from, To: to, Props: rec})
 }
 
 // addEdge replays the add of e, which names the next edge ID.
@@ -211,7 +207,7 @@ func (g *Graph) MustAddEdge(label Label, from, to NodeID, props PropSource) Edge
 
 // AddShare inserts a Shareholding edge with weight w.
 func (g *Graph) AddShare(from, to NodeID, w float64) (EdgeID, error) {
-	return g.addEdge(&Edge{ID: g.nextEdge, Label: LabelShareholding, From: from, To: to, Props: weightRecord(w)})
+	return g.addEdge(&Edge{ID: g.NextEdgeID(), Label: LabelShareholding, From: from, To: to, Props: weightRecord(w)})
 }
 
 // MustAddEdgeWeighted inserts a Shareholding edge with weight w, panicking
@@ -227,7 +223,7 @@ func (g *Graph) MustAddEdgeWeighted(from, to NodeID, w float64) EdgeID {
 // RemoveEdge deletes an edge. Removing a missing edge is a no-op returning
 // false.
 func (g *Graph) RemoveEdge(id EdgeID) bool {
-	e := g.edges[id]
+	e := g.Edge(id)
 	if e == nil {
 		return false
 	}
@@ -253,7 +249,7 @@ func (g *Graph) SetEdgeWeight(id EdgeID, w float64) error {
 // edge-free when its own removal record is observed. Removing a missing node
 // is a no-op returning false.
 func (g *Graph) RemoveNode(id NodeID) bool {
-	n := g.nodes[id]
+	n := g.Node(id)
 	if n == nil {
 		return false
 	}
@@ -284,19 +280,22 @@ func (g *Graph) Replay(m Mutation) (Mutation, error) {
 	switch m.Kind {
 	case MutAddNode:
 		n := m.Node
-		g.nextNode++
-		g.nodes[n.ID] = n
+		g.nodes = appendSlot(g.nodes, n)
+		g.out = appendSlot(g.out, nil)
+		g.in = appendSlot(g.in, nil)
+		g.numNodes++
 		g.byNodeLabel[n.Label] = append(g.byNodeLabel[n.Label], n.ID)
 	case MutAddEdge:
 		e := m.Edge
-		g.nextEdge++
-		g.edges[e.ID] = e
+		g.edges = appendSlot(g.edges, e)
+		g.numEdges++
 		g.out[e.From] = append(g.out[e.From], e.ID)
 		g.in[e.To] = append(g.in[e.To], e.ID)
 		g.byEdgeLabel[e.Label] = append(g.byEdgeLabel[e.Label], e.ID)
 	case MutRemoveEdge:
 		e := g.edges[m.Edge.ID]
-		delete(g.edges, e.ID)
+		g.edges[e.ID] = nil
+		g.numEdges--
 		g.out[e.From] = removeID(g.out[e.From], e.ID)
 		g.in[e.To] = removeID(g.in[e.To], e.ID)
 		g.byEdgeLabel[e.Label] = removeID(g.byEdgeLabel[e.Label], e.ID)
@@ -309,9 +308,9 @@ func (g *Graph) Replay(m Mutation) (Mutation, error) {
 		m.Edge = e
 	default: // MutRemoveNode
 		n := g.nodes[m.Node.ID]
-		delete(g.nodes, n.ID)
-		delete(g.out, n.ID)
-		delete(g.in, n.ID)
+		g.nodes[n.ID] = nil
+		g.numNodes--
+		g.out[n.ID], g.in[n.ID] = nil, nil
 		g.byNodeLabel[n.Label] = removeID(g.byNodeLabel[n.Label], n.ID)
 		m.Node = n
 	}
@@ -319,6 +318,16 @@ func (g *Graph) Replay(m Mutation) (Mutation, error) {
 		g.onMutate(m)
 	}
 	return m, nil
+}
+
+// appendSlot appends x to an ID-indexed slice. A full s grows by a
+// quarter, where append would grow a small or mid-sized one by up to double:
+// a graph is built by adds and then held, so growth slack is heap it keeps.
+func appendSlot[T any](s []T, x T) []T {
+	if len(s) == cap(s) {
+		s = append(make([]T, 0, len(s)+len(s)/4+1), s...)
+	}
+	return append(s, x)
 }
 
 // check is the one rule every change to a Graph or an Overlay passes: why m
@@ -435,8 +444,8 @@ func (g *Graph) WeightEdits() int64 { return g.weightEdits }
 // is the replication position a follower recovers from its graph after
 // kill -9, and the seq store.Versioned stamps its first version with.
 func (g *Graph) Seq() int64 {
-	return 2*int64(g.nextNode) - int64(len(g.nodes)) +
-		2*int64(g.nextEdge) - int64(len(g.edges)) +
+	return 2*int64(len(g.nodes)) - int64(g.numNodes) +
+		2*int64(len(g.edges)) - int64(g.numEdges) +
 		g.weightEdits
 }
 
@@ -457,40 +466,47 @@ func removeID[T comparable](s []T, x T) []T {
 
 // NextNodeID returns the identifier the next AddNode will assign — the
 // node-ID counter a snapshot must preserve for WAL replay to stay aligned.
-func (g *Graph) NextNodeID() NodeID { return g.nextNode }
+func (g *Graph) NextNodeID() NodeID { return NodeID(len(g.nodes)) }
 
 // NextEdgeID returns the identifier the next AddEdge will assign.
-func (g *Graph) NextEdgeID() EdgeID { return g.nextEdge }
+func (g *Graph) NextEdgeID() EdgeID { return EdgeID(len(g.edges)) }
 
 // Node returns the node with the given ID, or nil.
-func (g *Graph) Node(id NodeID) *Node { return g.nodes[id] }
-
-// Edge returns the edge with the given ID, or nil.
-func (g *Graph) Edge(id EdgeID) *Edge { return g.edges[id] }
-
-// NumNodes reports the number of nodes.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
-
-// NumEdges reports the number of edges.
-func (g *Graph) NumEdges() int { return len(g.edges) }
-
-// Nodes returns all node IDs in ascending order.
-func (g *Graph) Nodes() []NodeID {
-	ids := make([]NodeID, 0, len(g.nodes))
-	for id := range g.nodes {
-		ids = append(ids, id)
+func (g *Graph) Node(id NodeID) *Node {
+	if uint64(id) < uint64(len(g.nodes)) {
+		return g.nodes[id]
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return nil
 }
 
-// Edges returns all edge IDs in ascending order.
-func (g *Graph) Edges() []EdgeID {
-	ids := make([]EdgeID, 0, len(g.edges))
-	for id := range g.edges {
-		ids = append(ids, id)
+// Edge returns the edge with the given ID, or nil.
+func (g *Graph) Edge(id EdgeID) *Edge {
+	if uint64(id) < uint64(len(g.edges)) {
+		return g.edges[id]
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return nil
+}
+
+// NumNodes reports the number of nodes.
+func (g *Graph) NumNodes() int { return g.numNodes }
+
+// NumEdges reports the number of edges.
+func (g *Graph) NumEdges() int { return g.numEdges }
+
+// Nodes returns all node IDs in ascending order.
+func (g *Graph) Nodes() []NodeID { return live[NodeID](g.nodes, g.numNodes) }
+
+// Edges returns all edge IDs in ascending order.
+func (g *Graph) Edges() []EdgeID { return live[EdgeID](g.edges, g.numEdges) }
+
+// live returns the indexes of the n non-nil entries of elems, ascending.
+func live[ID ~int64, T any](elems []*T, n int) []ID {
+	ids := make([]ID, 0, n)
+	for i, x := range elems {
+		if x != nil {
+			ids = append(ids, ID(i))
+		}
+	}
 	return ids
 }
 
@@ -503,38 +519,40 @@ func (g *Graph) NodesWithLabel(label Label) []NodeID {
 // EdgesWithLabel returns the IDs of all live edges carrying the label, in
 // insertion order.
 func (g *Graph) EdgesWithLabel(label Label) []EdgeID {
-	ids := g.byEdgeLabel[label]
-	res := make([]EdgeID, 0, len(ids))
-	for _, id := range ids {
-		if _, ok := g.edges[id]; ok {
-			res = append(res, id)
-		}
-	}
-	return res
+	return append([]EdgeID(nil), g.byEdgeLabel[label]...)
 }
 
 // Out returns the outgoing edge IDs of a node.
-func (g *Graph) Out(id NodeID) []EdgeID { return g.out[id] }
+func (g *Graph) Out(id NodeID) []EdgeID {
+	if uint64(id) < uint64(len(g.out)) {
+		return g.out[id]
+	}
+	return nil
+}
 
 // In returns the incoming edge IDs of a node.
-func (g *Graph) In(id NodeID) []EdgeID { return g.in[id] }
+func (g *Graph) In(id NodeID) []EdgeID {
+	if uint64(id) < uint64(len(g.in)) {
+		return g.in[id]
+	}
+	return nil
+}
 
 // OutLabel returns the outgoing edges of n restricted to one label.
 func (g *Graph) OutLabel(n NodeID, label Label) []*Edge {
-	var res []*Edge
-	for _, eid := range g.out[n] {
-		if e := g.edges[eid]; e != nil && e.Label == label {
-			res = append(res, e)
-		}
-	}
-	return res
+	return g.withLabel(g.Out(n), label)
 }
 
 // InLabel returns the incoming edges of n restricted to one label.
 func (g *Graph) InLabel(n NodeID, label Label) []*Edge {
+	return g.withLabel(g.In(n), label)
+}
+
+// withLabel returns the edges of ids carrying the label.
+func (g *Graph) withLabel(ids []EdgeID, label Label) []*Edge {
 	var res []*Edge
-	for _, eid := range g.in[n] {
-		if e := g.edges[eid]; e != nil && e.Label == label {
+	for _, eid := range ids {
+		if e := g.edges[eid]; e.Label == label {
 			res = append(res, e)
 		}
 	}
@@ -543,9 +561,8 @@ func (g *Graph) InLabel(n NodeID, label Label) []*Edge {
 
 // HasEdge reports whether an edge with the given label exists from → to.
 func (g *Graph) HasEdge(label Label, from, to NodeID) bool {
-	for _, eid := range g.out[from] {
-		e := g.edges[eid]
-		if e != nil && e.Label == label && e.To == to {
+	for _, eid := range g.Out(from) {
+		if e := g.edges[eid]; e.Label == label && e.To == to {
 			return true
 		}
 	}
@@ -554,39 +571,58 @@ func (g *Graph) HasEdge(label Label, from, to NodeID) bool {
 
 // Clone returns a copy of the graph that shares its nodes and edges, and so
 // their records, with g, which is safe because a graph never writes to an
-// element it holds (see Node). Only the identifier maps and the adjacency and
-// label slices are copied, so a clone costs its index, not its data. The
-// slices are copied verbatim, so the clone preserves the original's insertion
-// orders — NodesWithLabel, Out and friends read identically on graph and
-// clone, which MVCC snapshots rely on.
+// element it holds (see Node). Only the ID-indexed element slices and the
+// adjacency and label slices are copied, so a clone costs its index, not its
+// data. The slices are copied verbatim, so the clone preserves the original's
+// insertion orders — NodesWithLabel, Out and friends read identically on
+// graph and clone, which MVCC snapshots rely on.
 func (g *Graph) Clone() *Graph {
 	return &Graph{
-		nodes:       maps.Clone(g.nodes),
-		edges:       maps.Clone(g.edges),
-		nextNode:    g.nextNode,
-		nextEdge:    g.nextEdge,
-		out:         cloneIndex(g.out),
-		in:          cloneIndex(g.in),
+		nodes:       slices.Clone(g.nodes),
+		edges:       slices.Clone(g.edges),
+		numNodes:    g.numNodes,
+		numEdges:    g.numEdges,
+		out:         cloneAdjacency(g.out),
+		in:          cloneAdjacency(g.in),
 		byNodeLabel: cloneIndex(g.byNodeLabel),
 		byEdgeLabel: cloneIndex(g.byEdgeLabel),
 		weightEdits: g.weightEdits,
 	}
 }
 
-// cloneIndex copies an index of ID slices into one backing array. Each copy
-// is capped at its length, so an append on the clone reallocates rather than
+// cloneIndex copies a label index into one backing array. Each copy is
+// capped at its length, so an append on the clone reallocates rather than
 // run into its neighbour's IDs.
-func cloneIndex[K comparable, V any](m map[K][]V) map[K][]V {
+func cloneIndex[ID any](m map[Label][]ID) map[Label][]ID {
 	n := 0
 	for _, ids := range m {
 		n += len(ids)
 	}
-	buf := make([]V, 0, n)
-	c := make(map[K][]V, len(m))
+	buf := make([]ID, 0, n)
+	c := make(map[Label][]ID, len(m))
 	for k, ids := range m {
 		start := len(buf)
 		buf = append(buf, ids...)
 		c[k] = buf[start:len(buf):len(buf)]
+	}
+	return c
+}
+
+// cloneAdjacency copies adjacency lists into one backing array, each capped
+// at its length as cloneIndex caps them.
+func cloneAdjacency(adj [][]EdgeID) [][]EdgeID {
+	n := 0
+	for _, ids := range adj {
+		n += len(ids)
+	}
+	buf := make([]EdgeID, 0, n)
+	c := make([][]EdgeID, len(adj))
+	for i, ids := range adj {
+		if len(ids) > 0 {
+			start := len(buf)
+			buf = append(buf, ids...)
+			c[i] = buf[start:len(buf):len(buf)]
+		}
 	}
 	return c
 }
@@ -602,15 +638,20 @@ func cloneIndex[K comparable, V any](m map[K][]V) map[K][]V {
 // error naming the element, rather than build a graph that never existed.
 func restore(op string, nodes []Node, edges []Edge, nextNode NodeID, nextEdge EdgeID) (*Graph, error) {
 	g := New()
+	g.nodes = make([]*Node, max(nextNode, 0))
+	g.edges = make([]*Edge, max(nextEdge, 0))
+	g.out = make([][]EdgeID, len(g.nodes))
+	g.in = make([][]EdgeID, len(g.nodes))
 	for i := range nodes {
 		n := nodes[i]
 		if n.ID < 0 || n.ID >= nextNode {
 			return nil, fmt.Errorf("pg: %s: node id %d outside [0, %d)", op, n.ID, nextNode)
 		}
-		if _, dup := g.nodes[n.ID]; dup {
+		if g.nodes[n.ID] != nil {
 			return nil, fmt.Errorf("pg: %s: duplicate node id %d", op, n.ID)
 		}
 		g.nodes[n.ID] = &n
+		g.numNodes++
 		g.byNodeLabel[n.Label] = append(g.byNodeLabel[n.Label], n.ID)
 	}
 	for i := range edges {
@@ -618,19 +659,18 @@ func restore(op string, nodes []Node, edges []Edge, nextNode NodeID, nextEdge Ed
 		if e.ID < 0 || e.ID >= nextEdge {
 			return nil, fmt.Errorf("pg: %s: edge id %d outside [0, %d)", op, e.ID, nextEdge)
 		}
-		if _, dup := g.edges[e.ID]; dup {
+		if g.edges[e.ID] != nil {
 			return nil, fmt.Errorf("pg: %s: duplicate edge id %d", op, e.ID)
 		}
 		if err := checkEdge(g, &e); err != nil {
 			return nil, err
 		}
 		g.edges[e.ID] = &e
+		g.numEdges++
 		g.out[e.From] = append(g.out[e.From], e.ID)
 		g.in[e.To] = append(g.in[e.To], e.ID)
 		g.byEdgeLabel[e.Label] = append(g.byEdgeLabel[e.Label], e.ID)
 	}
-	g.nextNode = nextNode
-	g.nextEdge = nextEdge
 	return g, nil
 }
 
@@ -641,8 +681,11 @@ func restore(op string, nodes []Node, edges []Edge, nextNode NodeID, nextEdge Ed
 // graph built through this package; it stays as the oracle tests hold the
 // mutator to.
 func (g *Graph) Validate() error {
-	for _, id := range g.Edges() {
-		if err := checkEdge(g, g.edges[id]); err != nil {
+	for _, e := range g.edges {
+		if e == nil {
+			continue
+		}
+		if err := checkEdge(g, e); err != nil {
 			return err
 		}
 	}

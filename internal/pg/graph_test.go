@@ -98,8 +98,8 @@ func TestLabelIndexes(t *testing.T) {
 
 // TestValidateCompanyGraph: Validate accepts a valid graph, and an edge that
 // breaks Definition 2.2 is refused where it enters; smuggled into the
-// graph's maps past the mutator, it is reported by Validate with the same
-// text, since both walk one check.
+// graph's edge slice past the mutator, it is reported by Validate with the
+// same text, since both walk one check.
 func TestValidateCompanyGraph(t *testing.T) {
 	g := New()
 	c := g.AddNode(LabelCompany, nil)
@@ -124,9 +124,9 @@ func TestValidateCompanyGraph(t *testing.T) {
 			continue
 		}
 		smuggled := g.Clone()
-		bad.ID, bad.Label = smuggled.nextEdge, LabelShareholding
-		smuggled.edges[bad.ID] = &bad
-		smuggled.nextEdge++
+		bad.ID, bad.Label = smuggled.NextEdgeID(), LabelShareholding
+		smuggled.edges = append(smuggled.edges, &bad)
+		smuggled.numEdges++
 		if verr := smuggled.Validate(); verr == nil || verr.Error() != err.Error() {
 			t.Errorf("%s: Validate reports %v, AddEdge refused with %v", name, verr, err)
 		}

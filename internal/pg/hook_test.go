@@ -86,7 +86,7 @@ func TestRestoreRoundTrip(t *testing.T) {
 	for _, id := range g.Edges() {
 		edges = append(edges, *g.Edge(id))
 	}
-	r, err := restore("restore", nodes, edges, g.nextNode, g.nextEdge)
+	r, err := restore("restore", nodes, edges, g.NextNodeID(), g.NextEdgeID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +102,12 @@ func TestRestoreRoundTrip(t *testing.T) {
 	// Fresh IDs continue past the persisted counters — no collision with the
 	// removed edge's ID.
 	nid := r.AddNode(LabelCompany, nil)
-	if nid != g.nextNode {
-		t.Errorf("post-restore node id = %d, want %d", nid, g.nextNode)
+	if nid != g.NextNodeID() {
+		t.Errorf("post-restore node id = %d, want %d", nid, g.NextNodeID())
 	}
 	eid := r.MustAddEdgeWeighted(nid, a, 0.3)
-	if eid != g.nextEdge {
-		t.Errorf("post-restore edge id = %d, want %d", eid, g.nextEdge)
+	if eid != g.NextEdgeID() {
+		t.Errorf("post-restore edge id = %d, want %d", eid, g.NextEdgeID())
 	}
 }
 

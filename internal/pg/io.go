@@ -34,9 +34,10 @@ func (g *Graph) WriteJSON(w io.Writer) error { return WriteJSONView(g, w) }
 
 // ReadJSON parses a graph previously written with WriteJSON. Node and edge
 // IDs are preserved. Numeric property values decode as float64 (JSON
-// semantics). It refuses a duplicate or negative ID, an edge whose endpoint
-// is missing, and a property that is null, an array or an object, each with
-// an error naming the element.
+// semantics). It refuses a duplicate or negative ID, an ID at or above
+// idLimit of the document's element count, an edge whose endpoint is
+// missing, and a property that is null, an array or an object, each with an
+// error naming the element.
 func ReadJSON(r io.Reader) (*Graph, error) {
 	var doc jsonGraph[json.RawMessage]
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
@@ -46,6 +47,9 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 	var nextNode NodeID
 	nodes := make([]Node, len(doc.Nodes))
 	for i, n := range doc.Nodes {
+		if int64(n.ID) >= idLimit(len(doc.Nodes)) {
+			return nil, fmt.Errorf("pg: read json: node id %d at or above %d for %d nodes", n.ID, idLimit(len(doc.Nodes)), len(doc.Nodes))
+		}
 		props, err := jsonRecord(&b, n.Props)
 		if err != nil {
 			return nil, fmt.Errorf("pg: read json: node %d: %w", n.ID, err)
@@ -56,6 +60,9 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 	var nextEdge EdgeID
 	edges := make([]Edge, len(doc.Edges))
 	for i, e := range doc.Edges {
+		if int64(e.ID) >= idLimit(len(doc.Edges)) {
+			return nil, fmt.Errorf("pg: read json: edge id %d at or above %d for %d edges", e.ID, idLimit(len(doc.Edges)), len(doc.Edges))
+		}
 		props, err := jsonRecord(&b, e.Props)
 		if err != nil {
 			return nil, fmt.Errorf("pg: read json: edge %d: %w", e.ID, err)
@@ -65,6 +72,13 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 	}
 	return restore("read json", nodes, edges, nextNode, nextEdge)
 }
+
+// idLimit bounds the IDs a document of n nodes, or of n edges, may use. A
+// graph keeps a slot per ID below its counter, so one stray huge ID would
+// allocate for elements that do not exist. A graph written after removals
+// reads back while fewer than 2^16 of its IDs, or than three in four, are
+// gaps.
+func idLimit(n int) int64 { return 4*int64(n) + 1<<16 }
 
 // jsonRecord builds the record of one element's raw "props" object with b.
 func jsonRecord(b *RecordBuilder, raw json.RawMessage) (Record, error) {

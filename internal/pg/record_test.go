@@ -151,9 +151,10 @@ func TestRecordRefusesOtherTypes(t *testing.T) {
 	}
 }
 
-// TestReadJSONRefusesBadInput: a duplicate ID and a property outside the
-// four kinds are refused with the element named, where a document used to
-// load with the last duplicate winning and the value failing later.
+// TestReadJSONRefusesBadInput: a duplicate ID, an ID far beyond the
+// document's elements and a property outside the four kinds are refused
+// with the element named, where a document used to load with the last
+// duplicate winning and the value failing later.
 func TestReadJSONRefusesBadInput(t *testing.T) {
 	for doc, want := range map[string]string{
 		`{"nodes":[{"id":0,"label":"Company"},{"id":0,"label":"Company"},{"id":1,"label":"Company"}]}`:                                           "duplicate node id 0",
@@ -164,6 +165,8 @@ func TestReadJSONRefusesBadInput(t *testing.T) {
 		`{"nodes":[{"id":3,"label":"Person","props":{"x":{"y":1}}}]}`:                         `node 3: property "x": unsupported value: an object`,
 		`{"nodes":[{"id":0},{"id":1}],"edges":[{"id":2,"from":0,"to":1,"props":{"w":null}}]}`: `edge 2: property "w": unsupported value null`,
 		`{"nodes":[{"id":3,"props":7}]}`:                                                      "node 3: props is not an object",
+		`{"nodes":[{"id":70000}]}`:                                                            "node id 70000 at or above 65540 for 1 nodes",
+		`{"nodes":[{"id":0},{"id":1}],"edges":[{"id":1000000000000,"from":0,"to":1}]}`:        "edge id 1000000000000 at or above 65540 for 1 edges",
 	} {
 		_, err := ReadJSON(strings.NewReader(doc))
 		if err == nil || !strings.Contains(err.Error(), want) {

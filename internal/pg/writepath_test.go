@@ -19,6 +19,7 @@ func TestOneWritePath(t *testing.T) {
 	guarded := map[string]bool{
 		"nodes": true, "edges": true, "out": true, "in": true,
 		"byNodeLabel": true, "byEdgeLabel": true, "nextNode": true, "nextEdge": true,
+		"numNodes": true, "numEdges": true,
 		"addedNodes": true, "addedEdges": true, "removedNodes": true, "removedEdges": true,
 		"editedEdges": true, "journal": true,
 	}

@@ -15,7 +15,9 @@
 package relstore
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -69,13 +71,15 @@ var nodeRels = [...]struct {
 func nodeArity() int { return 1 + len(NodeProps) }
 
 // nodeRow writes the row of node id: its ID, then its properties in
-// NodeProps order. The node is looked up only when w observes a property.
+// NodeProps order. The node is looked up only when w observes a property; a
+// position w does not observe gets an empty cell, unrendered (a dead
+// position stores "" whatever it is given).
 func nodeRow(g pg.View, id pg.NodeID, w rows) {
 	w.Int(int64(id))
 	var n *pg.Node
 	for i, name := range NodeProps {
 		if !w.Live(1 + i) {
-			w.Prop(pg.Scalar{})
+			w.Int(0)
 			continue
 		}
 		if n == nil {
@@ -87,51 +91,67 @@ func nodeRow(g pg.View, id pg.NodeID, w rows) {
 	w.Add()
 }
 
-// ownRows writes one own(from, to, w) row per (from, to) pair among n
-// shareholding edges, edge(i) the i-th. Parallel edges aggregate: Definition
-// 2.3's direct ownership w(x, y) is the total fraction of y's shares held by
-// x, and the reasoning programs' per-contributor msum (⟨Z⟩) would otherwise
-// keep only the largest of several parcels held by the same owner. Rows
-// follow the first edge of each pair, so the order is deterministic. open
-// returns the rows to write into, given their number.
-func ownRows(n int, edge func(int) *pg.Edge, open func(pairs int) rows) {
-	index := make(map[[2]pg.NodeID]int, n) // a pair's position in pairs
-	pairs := make([][2]pg.NodeID, 0, n)
-	sums := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		e := edge(i)
-		x, _ := e.Weight()
-		key := [2]pg.NodeID{e.From, e.To}
-		if j, seen := index[key]; seen {
-			sums[j] += x
-			continue
+// shares is the buffer ownRows reuses from one owner to the next.
+type shares []share
+
+// share is one shareholding of an owner: its target and share amount.
+type share struct {
+	to pg.NodeID
+	w  float64
+}
+
+// ownRows writes the own(from, to, w) rows of one owner: a row per company
+// it holds shares in, read from its outgoing shareholding edges. Parallel
+// edges aggregate: Definition 2.3's direct ownership w(x, y) is the total
+// fraction of y's shares held by x, and the reasoning programs'
+// per-contributor msum (⟨Z⟩) would otherwise keep only the largest of
+// several parcels held by the same owner. The parcels of one target are
+// summed in edge order, and the rows follow their targets' IDs.
+func (s *shares) ownRows(g pg.View, from pg.NodeID, w sink) {
+	held := (*s)[:0]
+	for _, eid := range g.Out(from) {
+		if e := g.Edge(eid); e.Label == pg.LabelShareholding {
+			x, _ := e.Weight()
+			held = append(held, share{e.To, x})
 		}
-		index[key] = len(pairs)
-		pairs = append(pairs, key)
-		sums = append(sums, x)
 	}
-	w := open(len(pairs))
-	for j, key := range pairs {
-		w.Int(int64(key[0]))
-		w.Int(int64(key[1]))
-		w.Float(sums[j])
+	if len(held) > 1 {
+		slices.SortStableFunc(held, func(a, b share) int { return cmp.Compare(a.to, b.to) })
+	}
+	for i := 0; i < len(held); {
+		to, sum := held[i].to, held[i].w
+		for i++; i < len(held) && held[i].to == to; i++ {
+			sum += held[i].w
+		}
+		w.Int(int64(from))
+		w.Int(int64(to))
+		w.Float(sum)
 		w.Add()
 	}
+	*s = held
 }
 
 // walk writes g's relational image: company and person rows by label, then
-// own rows. open returns the rows of one relation, for n of them at most.
+// the own rows of every company and person in the same order. Every
+// shareholding runs from a company or a person (Definition 2.2), so that is
+// every own row. open returns the rows of one relation, for n of them at
+// most.
 func walk(g pg.View, open func(pred string, arity, n int) rows) {
-	for _, nr := range nodeRels {
-		ids := g.NodesWithLabel(nr.label)
-		w := open(nr.pred, nodeArity(), len(ids))
-		for _, id := range ids {
+	var owners [len(nodeRels)][]pg.NodeID
+	for i, nr := range nodeRels {
+		owners[i] = g.NodesWithLabel(nr.label)
+		w := open(nr.pred, nodeArity(), len(owners[i]))
+		for _, id := range owners[i] {
 			nodeRow(g, id, w)
 		}
 	}
-	shares := g.EdgesWithLabel(pg.LabelShareholding)
-	ownRows(len(shares), func(i int) *pg.Edge { return g.Edge(shares[i]) },
-		func(pairs int) rows { return open(PredOwn, 3, pairs) })
+	own := open(PredOwn, 3, g.NumEdges())
+	var s shares
+	for _, ids := range owners {
+		for _, id := range ids {
+			s.ownRows(g, id, own)
+		}
+	}
 }
 
 // Load streams g's relational image — company(id, props...), person(id,
@@ -162,9 +182,9 @@ func LoadScope(e *datalog.Engine, g pg.View, nodes, sources map[pg.NodeID]bool) 
 		}
 	}
 	own := loaderRows{e.Load(PredOwn, 3, len(sources))}
+	var s shares
 	for id := range sources {
-		out := g.OutLabel(id, pg.LabelShareholding)
-		ownRows(len(out), func(i int) *pg.Edge { return out[i] }, func(int) rows { return own })
+		s.ownRows(g, id, own)
 	}
 }
 

@@ -40,10 +40,23 @@ func (m *testMember) stop() {
 // yields the full group roster (self included — Node filters it out).
 func startMember(t *testing.T, dir string, lease time.Duration, peersFn func() []string) *testMember {
 	t.Helper()
+	return startMemberOn(t, listen(t), dir, lease, peersFn)
+}
+
+// listen binds a fresh loopback port.
+func listen(t *testing.T) net.Listener {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
+	t.Cleanup(func() { ln.Close() })
+	return ln
+}
+
+// startMemberOn opens a member in dir serving on ln.
+func startMemberOn(t *testing.T, ln net.Listener, dir string, lease time.Duration, peersFn func() []string) *testMember {
+	t.Helper()
 	n, err := OpenNode(dir, NodeOptions{
 		Self:      ln.Addr().String(),
 		API:       "api-" + ln.Addr().String(),
@@ -70,25 +83,21 @@ func startMember(t *testing.T, dir string, lease time.Duration, peersFn func() [
 	return m
 }
 
-// startGroup brings up k members that all know each other's addresses.
+// startGroup brings up k members that all know each other's addresses from
+// the start: every listener is bound before any member runs, so none can
+// elect itself before it sees a lower address.
 func startGroup(t *testing.T, k int, lease time.Duration) []*testMember {
 	t.Helper()
-	var (
-		mu    sync.Mutex
-		addrs []string
-	)
-	peersFn := func() []string {
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]string(nil), addrs...)
+	lns := make([]net.Listener, k)
+	addrs := make([]string, k)
+	for i := range lns {
+		lns[i] = listen(t)
+		addrs[i] = lns[i].Addr().String()
 	}
+	peersFn := func() []string { return append([]string(nil), addrs...) }
 	members := make([]*testMember, 0, k)
-	for i := 0; i < k; i++ {
-		m := startMember(t, t.TempDir(), lease, peersFn)
-		mu.Lock()
-		addrs = append(addrs, m.addr())
-		mu.Unlock()
-		members = append(members, m)
+	for _, ln := range lns {
+		members = append(members, startMemberOn(t, ln, t.TempDir(), lease, peersFn))
 	}
 	return members
 }
