@@ -107,7 +107,8 @@ func TestEveryWriterRefusesInvalidMutations(t *testing.T) {
 			return []error{err}
 		}},
 		{"Overlay.Replay", func(t *testing.T, m pg.Mutation) []error {
-			return []error{pg.NewOverlay(baseGraph(t)).Replay(m)}
+			_, err := pg.NewOverlay(baseGraph(t)).Replay(m)
+			return []error{err}
 		}},
 		{"Builder", func(t *testing.T, m pg.Mutation) []error {
 			w, ok := m.Edge.Weight()

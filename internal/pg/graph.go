@@ -168,47 +168,24 @@ func (g *Graph) SetMutationHook(fn func(Mutation)) { g.onMutate = fn }
 // ID. Props may be nil, a Properties map or a Record. It panics, as
 // MustAddEdge does, on a property value outside the four kinds (see
 // NewRecord); input that may hold one is checked with NewRecord first.
-func (g *Graph) AddNode(label Label, props PropSource) NodeID {
-	id := g.NextNodeID()
-	// An add at the next ID is never refused.
-	g.Replay(Mutation{Kind: MutAddNode, Node: &Node{ID: id, Label: label, Props: nodeRecord(id, props)}})
-	return id
-}
+func (g *Graph) AddNode(label Label, props PropSource) NodeID { return addNode(g, label, props) }
 
 // AddEdge inserts a directed edge from → to and returns its ID. Props may be
 // nil, a Properties map or a Record. It returns check's error when the edge
 // is refused (an unknown endpoint; a shareholding that breaks Definition
 // 2.2), or an error when a property value is outside the four kinds.
 func (g *Graph) AddEdge(label Label, from, to NodeID, props PropSource) (EdgeID, error) {
-	rec, err := recordOf(props)
-	if err != nil {
-		return 0, fmt.Errorf("pg: add edge %d: %w", g.NextEdgeID(), err)
-	}
-	return g.addEdge(&Edge{ID: g.NextEdgeID(), Label: label, From: from, To: to, Props: rec})
-}
-
-// addEdge replays the add of e, which names the next edge ID.
-func (g *Graph) addEdge(e *Edge) (EdgeID, error) {
-	if _, err := g.Replay(Mutation{Kind: MutAddEdge, Edge: e}); err != nil {
-		return 0, err
-	}
-	return e.ID, nil
+	return addEdge(g, label, from, to, props)
 }
 
 // MustAddEdge is AddEdge that panics on error; intended for tests and
 // generators where endpoints are known to exist.
 func (g *Graph) MustAddEdge(label Label, from, to NodeID, props PropSource) EdgeID {
-	id, err := g.AddEdge(label, from, to, props)
-	if err != nil {
-		panic(err)
-	}
-	return id
+	return mustAddEdge(g, label, from, to, props)
 }
 
 // AddShare inserts a Shareholding edge with weight w.
-func (g *Graph) AddShare(from, to NodeID, w float64) (EdgeID, error) {
-	return g.addEdge(&Edge{ID: g.NextEdgeID(), Label: LabelShareholding, From: from, To: to, Props: weightRecord(w)})
-}
+func (g *Graph) AddShare(from, to NodeID, w float64) (EdgeID, error) { return addShare(g, from, to, w) }
 
 // MustAddEdgeWeighted inserts a Shareholding edge with weight w, panicking
 // when it is refused; for tests and generators.
@@ -222,14 +199,7 @@ func (g *Graph) MustAddEdgeWeighted(from, to NodeID, w float64) EdgeID {
 
 // RemoveEdge deletes an edge. Removing a missing edge is a no-op returning
 // false.
-func (g *Graph) RemoveEdge(id EdgeID) bool {
-	e := g.Edge(id)
-	if e == nil {
-		return false
-	}
-	g.Replay(Mutation{Kind: MutRemoveEdge, Edge: e}) // a live edge's removal is never refused
-	return true
-}
+func (g *Graph) RemoveEdge(id EdgeID) bool { return removeEdge(g, id) }
 
 // SetEdgeWeight changes the share amount of a Shareholding edge and fires
 // MutSetEdgeWeight (the hook observes the edge with the new weight). The edge
@@ -237,31 +207,15 @@ func (g *Graph) RemoveEdge(id EdgeID) bool {
 // or published version sharing the old one keeps reading the old weight.
 // Only shareholding edges carry a weight, and Definition 2.2 bounds it to
 // (0, 1] — retracting a share entirely is RemoveEdge, not a zero weight.
-func (g *Graph) SetEdgeWeight(id EdgeID, w float64) error {
-	_, err := g.Replay(Mutation{Kind: MutSetEdgeWeight, Edge: &Edge{ID: id, Props: weightRecord(w)}})
-	return err
-}
+func (g *Graph) SetEdgeWeight(id EdgeID, w float64) error { return setEdgeWeight(g, id, w) }
 
 // RemoveNode deletes a node together with its incident edges. Each incident
-// edge removal fires MutRemoveEdge through RemoveEdge, then the bare node
-// removal fires MutRemoveNode — so a journal or WAL replaying the stream
-// applies the same steps in the same order, and the node is already
-// edge-free when its own removal record is observed. Removing a missing node
-// is a no-op returning false.
-func (g *Graph) RemoveNode(id NodeID) bool {
-	n := g.Node(id)
-	if n == nil {
-		return false
-	}
-	// Copy the incident edge IDs: a removal edits g.out/g.in while we
-	// iterate. A self-loop appears in both lists; RemoveEdge tolerates the
-	// second, already-deleted occurrence.
-	for _, eid := range append(slices.Clone(g.out[id]), g.in[id]...) {
-		g.RemoveEdge(eid)
-	}
-	g.Replay(Mutation{Kind: MutRemoveNode, Node: n}) // edge-free now, so never refused
-	return true
-}
+// edge removal fires MutRemoveEdge, then the bare node removal fires
+// MutRemoveNode — so a journal or WAL replaying the stream applies the same
+// steps in the same order, and the node is already edge-free when its own
+// removal record is observed. Removing a missing node is a no-op returning
+// false.
+func (g *Graph) RemoveNode(id NodeID) bool { return removeNode(g, id) }
 
 // Replay is the graph's one mutator: every change — a named method's, an
 // overlay journal entry, a decoded WAL or snapshot record, a replicated
@@ -420,16 +374,6 @@ func (e *Edge) withWeight(w float64) *Edge {
 	return &Edge{ID: e.ID, Label: e.Label, From: e.From, To: e.To, Props: props}
 }
 
-// nodeRecord converts the properties of node id for AddNode, which reports
-// no error: it panics with one that names the node and key.
-func nodeRecord(id NodeID, props PropSource) Record {
-	rec, err := recordOf(props)
-	if err != nil {
-		panic(fmt.Errorf("pg: add node %d: %w", id, err))
-	}
-	return rec
-}
-
 // WeightEdits reports the number of committed SetEdgeWeight mutations in the
 // graph's history (see the field comment; Seq consumes it).
 func (g *Graph) WeightEdits() int64 { return g.weightEdits }
@@ -539,35 +483,13 @@ func (g *Graph) In(id NodeID) []EdgeID {
 }
 
 // OutLabel returns the outgoing edges of n restricted to one label.
-func (g *Graph) OutLabel(n NodeID, label Label) []*Edge {
-	return g.withLabel(g.Out(n), label)
-}
+func (g *Graph) OutLabel(n NodeID, label Label) []*Edge { return outLabel(g, n, label) }
 
 // InLabel returns the incoming edges of n restricted to one label.
-func (g *Graph) InLabel(n NodeID, label Label) []*Edge {
-	return g.withLabel(g.In(n), label)
-}
-
-// withLabel returns the edges of ids carrying the label.
-func (g *Graph) withLabel(ids []EdgeID, label Label) []*Edge {
-	var res []*Edge
-	for _, eid := range ids {
-		if e := g.edges[eid]; e.Label == label {
-			res = append(res, e)
-		}
-	}
-	return res
-}
+func (g *Graph) InLabel(n NodeID, label Label) []*Edge { return inLabel(g, n, label) }
 
 // HasEdge reports whether an edge with the given label exists from → to.
-func (g *Graph) HasEdge(label Label, from, to NodeID) bool {
-	for _, eid := range g.Out(from) {
-		if e := g.edges[eid]; e.Label == label && e.To == to {
-			return true
-		}
-	}
-	return false
-}
+func (g *Graph) HasEdge(label Label, from, to NodeID) bool { return hasEdge(g, label, from, to) }
 
 // Clone returns a copy of the graph that shares its nodes and edges, and so
 // their records, with g, which is safe because a graph never writes to an

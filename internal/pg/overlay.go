@@ -1,10 +1,6 @@
 package pg
 
-import (
-	"fmt"
-	"slices"
-	"sort"
-)
+import "slices"
 
 // Overlay is a copy-on-write delta stacked on a base View. Reads see the
 // base plus the overlay's added nodes/edges, minus its removals, with
@@ -43,15 +39,10 @@ type Overlay struct {
 	byEdgeLabel map[Label][]EdgeID
 
 	journal []Mutation // all ops, in application order
-	depth   int
 }
 
 // NewOverlay returns an empty overlay over base.
 func NewOverlay(base View) *Overlay {
-	depth := 1
-	if o, ok := base.(*Overlay); ok {
-		depth = o.depth + 1
-	}
 	return &Overlay{
 		base:         base,
 		addedNodes:   map[NodeID]*Node{},
@@ -65,7 +56,6 @@ func NewOverlay(base View) *Overlay {
 		in:           map[NodeID][]EdgeID{},
 		byNodeLabel:  map[Label][]NodeID{},
 		byEdgeLabel:  map[Label][]EdgeID{},
-		depth:        depth,
 	}
 }
 
@@ -97,7 +87,8 @@ func (o *Overlay) Delta() Delta {
 //
 // The error return is always nil; it survives from the era when weight edits
 // and node removals were what-if-only and an overlay containing one could
-// not be journaled. Kept so the many call sites compile unchanged.
+// not be journaled. Its one reason to stay is the benchmark harness, which
+// takes two results (bench/follower.go; ROADMAP item 1 (i)).
 func (o *Overlay) Journal() ([]Mutation, error) {
 	return o.journal, nil
 }
@@ -140,203 +131,72 @@ func (o *Overlay) NumEdges() int {
 }
 
 // Nodes returns all visible node IDs in ascending order. Overlay-assigned
-// IDs are all greater than base IDs, so the merge is a filter + append.
+// IDs are all greater than base IDs, so the sorted added IDs follow the
+// base's.
 func (o *Overlay) Nodes() []NodeID {
-	base := o.base.Nodes()
-	ids := make([]NodeID, 0, len(base)+len(o.addedNodes))
-	if len(o.removedNodes) == 0 {
-		ids = append(ids, base...)
-	} else {
-		for _, id := range base {
-			if !o.removedNodes[id] {
-				ids = append(ids, id)
-			}
-		}
-	}
-	own := make([]NodeID, 0, len(o.addedNodes))
-	for id := range o.addedNodes {
-		own = append(own, id)
-	}
-	sort.Slice(own, func(i, j int) bool { return own[i] < own[j] })
-	return append(ids, own...)
+	return merge(o.base.Nodes(), o.removedNodes, sortedKeys(o.addedNodes))
 }
 
 // Edges returns all visible edge IDs in ascending order.
 func (o *Overlay) Edges() []EdgeID {
-	base := o.base.Edges()
-	ids := make([]EdgeID, 0, len(base)+len(o.addedEdges))
-	if len(o.removedEdges) == 0 {
-		ids = append(ids, base...)
-	} else {
-		for _, id := range base {
-			if !o.removedEdges[id] {
-				ids = append(ids, id)
-			}
-		}
-	}
-	own := make([]EdgeID, 0, len(o.addedEdges))
-	for id := range o.addedEdges {
-		own = append(own, id)
-	}
-	sort.Slice(own, func(i, j int) bool { return own[i] < own[j] })
-	return append(ids, own...)
+	return merge(o.base.Edges(), o.removedEdges, sortedKeys(o.addedEdges))
 }
 
 // NodesWithLabel returns the visible nodes carrying the label, in insertion
 // order (base insertions first, then overlay insertions).
 func (o *Overlay) NodesWithLabel(label Label) []NodeID {
-	base := o.base.NodesWithLabel(label)
-	if len(o.removedNodes) > 0 {
-		kept := base[:0]
-		for _, id := range base {
-			if !o.removedNodes[id] {
-				kept = append(kept, id)
-			}
-		}
-		base = kept
-	}
-	return append(base, o.byNodeLabel[label]...)
+	return merge(o.base.NodesWithLabel(label), o.removedNodes, o.byNodeLabel[label])
 }
 
 // EdgesWithLabel returns the visible edges carrying the label, in insertion
 // order. Weight edits do not change labels, so the base's label index stays
 // authoritative for base edges.
 func (o *Overlay) EdgesWithLabel(label Label) []EdgeID {
-	base := o.base.EdgesWithLabel(label)
-	if len(o.removedEdges) > 0 {
-		kept := base[:0]
-		for _, id := range base {
-			if !o.removedEdges[id] {
-				kept = append(kept, id)
-			}
-		}
-		base = kept
-	}
-	return append(base, o.byEdgeLabel[label]...)
+	return merge(o.base.EdgesWithLabel(label), o.removedEdges, o.byEdgeLabel[label])
 }
 
-// Out returns the outgoing edge IDs of a node.
-func (o *Overlay) Out(id NodeID) []EdgeID {
-	if o.removedNodes[id] {
-		return nil
-	}
-	base := o.base.Out(id)
-	own := o.out[id]
-	if len(o.removedEdges) == 0 && len(own) == 0 {
-		return base
-	}
-	ids := make([]EdgeID, 0, len(base)+len(own))
-	for _, eid := range base {
-		if !o.removedEdges[eid] {
-			ids = append(ids, eid)
-		}
-	}
-	return append(ids, own...)
-}
+// Out returns the outgoing edge IDs of a node. A removed node's base edges
+// were all removed before it, so the merge leaves none.
+func (o *Overlay) Out(id NodeID) []EdgeID { return merge(o.base.Out(id), o.removedEdges, o.out[id]) }
 
 // In returns the incoming edge IDs of a node.
-func (o *Overlay) In(id NodeID) []EdgeID {
-	if o.removedNodes[id] {
-		return nil
-	}
-	base := o.base.In(id)
-	own := o.in[id]
-	if len(o.removedEdges) == 0 && len(own) == 0 {
+func (o *Overlay) In(id NodeID) []EdgeID { return merge(o.base.In(id), o.removedEdges, o.in[id]) }
+
+// merge is the overlay's one read rule: the base's IDs less the removed
+// ones, then the overlay's own. With nothing removed or added it returns
+// base itself.
+func merge[ID comparable](base []ID, removed map[ID]bool, own []ID) []ID {
+	if len(removed) == 0 && len(own) == 0 {
 		return base
 	}
-	ids := make([]EdgeID, 0, len(base)+len(own))
-	for _, eid := range base {
-		if !o.removedEdges[eid] {
-			ids = append(ids, eid)
+	ids := make([]ID, 0, len(base)+len(own))
+	for _, id := range base {
+		if !removed[id] {
+			ids = append(ids, id)
 		}
 	}
 	return append(ids, own...)
+}
+
+// sortedKeys returns the keys of m in ascending order.
+func sortedKeys[ID ~int64, T any](m map[ID]T) []ID {
+	ids := make([]ID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // OutLabel returns the outgoing edges of n restricted to one label.
-func (o *Overlay) OutLabel(n NodeID, label Label) []*Edge {
-	if o.removedNodes[n] {
-		return nil
-	}
-	own := o.out[n]
-	if len(o.removedEdges) == 0 && len(o.editedEdges) == 0 && len(own) == 0 {
-		return o.base.OutLabel(n, label)
-	}
-	var res []*Edge
-	for _, eid := range o.base.Out(n) {
-		if o.removedEdges[eid] {
-			continue
-		}
-		e := o.base.Edge(eid)
-		if edited, ok := o.editedEdges[eid]; ok {
-			e = edited
-		}
-		if e != nil && e.Label == label {
-			res = append(res, e)
-		}
-	}
-	for _, eid := range own {
-		if e := o.addedEdges[eid]; e != nil && e.Label == label {
-			res = append(res, e)
-		}
-	}
-	return res
-}
+func (o *Overlay) OutLabel(n NodeID, label Label) []*Edge { return outLabel(o, n, label) }
 
 // InLabel returns the incoming edges of n restricted to one label.
-func (o *Overlay) InLabel(n NodeID, label Label) []*Edge {
-	if o.removedNodes[n] {
-		return nil
-	}
-	own := o.in[n]
-	if len(o.removedEdges) == 0 && len(o.editedEdges) == 0 && len(own) == 0 {
-		return o.base.InLabel(n, label)
-	}
-	var res []*Edge
-	for _, eid := range o.base.In(n) {
-		if o.removedEdges[eid] {
-			continue
-		}
-		e := o.base.Edge(eid)
-		if edited, ok := o.editedEdges[eid]; ok {
-			e = edited
-		}
-		if e != nil && e.Label == label {
-			res = append(res, e)
-		}
-	}
-	for _, eid := range own {
-		if e := o.addedEdges[eid]; e != nil && e.Label == label {
-			res = append(res, e)
-		}
-	}
-	return res
-}
+func (o *Overlay) InLabel(n NodeID, label Label) []*Edge { return inLabel(o, n, label) }
 
 // HasEdge reports whether a visible edge with the given label exists
 // from → to.
-func (o *Overlay) HasEdge(label Label, from, to NodeID) bool {
-	if o.removedNodes[from] || o.removedNodes[to] {
-		return false
-	}
-	for _, eid := range o.out[from] {
-		if e := o.addedEdges[eid]; e != nil && e.Label == label && e.To == to {
-			return true
-		}
-	}
-	if len(o.removedEdges) == 0 {
-		return o.base.HasEdge(label, from, to)
-	}
-	for _, eid := range o.base.Out(from) {
-		if o.removedEdges[eid] {
-			continue
-		}
-		if e := o.base.Edge(eid); e != nil && e.Label == label && e.To == to {
-			return true
-		}
-	}
-	return false
-}
+func (o *Overlay) HasEdge(label Label, from, to NodeID) bool { return hasEdge(o, label, from, to) }
 
 // NextNodeID returns the identifier the next AddNode will assign.
 func (o *Overlay) NextNodeID() NodeID { return o.nextNode }
@@ -349,80 +209,39 @@ func (o *Overlay) NextEdgeID() EdgeID { return o.nextEdge }
 // AddNode inserts a node into the overlay and returns its ID. The base is
 // untouched. Like Graph.AddNode, it panics on a property value outside the
 // four kinds.
-func (o *Overlay) AddNode(label Label, props PropSource) NodeID {
-	id := o.nextNode
-	// An add at the next ID is never refused.
-	o.Replay(Mutation{Kind: MutAddNode, Node: &Node{ID: id, Label: label, Props: nodeRecord(id, props)}})
-	return id
-}
+func (o *Overlay) AddNode(label Label, props PropSource) NodeID { return addNode(o, label, props) }
 
 // AddEdge inserts a directed edge from → to into the overlay and returns
 // its ID. It refuses what Graph.AddEdge refuses; both endpoints must be
 // visible in the composite view.
 func (o *Overlay) AddEdge(label Label, from, to NodeID, props PropSource) (EdgeID, error) {
-	rec, err := recordOf(props)
-	if err != nil {
-		return 0, fmt.Errorf("pg: add edge %d: %w", o.nextEdge, err)
-	}
-	return o.addEdge(&Edge{ID: o.nextEdge, Label: label, From: from, To: to, Props: rec})
-}
-
-// addEdge replays the add of e, which names the next edge ID.
-func (o *Overlay) addEdge(e *Edge) (EdgeID, error) {
-	if err := o.Replay(Mutation{Kind: MutAddEdge, Edge: e}); err != nil {
-		return 0, err
-	}
-	return e.ID, nil
+	return addEdge(o, label, from, to, props)
 }
 
 // MustAddEdge is AddEdge that panics on error.
 func (o *Overlay) MustAddEdge(label Label, from, to NodeID, props PropSource) EdgeID {
-	id, err := o.AddEdge(label, from, to, props)
-	if err != nil {
-		panic(err)
-	}
-	return id
+	return mustAddEdge(o, label, from, to, props)
 }
 
 // AddShare inserts a Shareholding edge with weight w.
 func (o *Overlay) AddShare(from, to NodeID, w float64) (EdgeID, error) {
-	return o.addEdge(&Edge{ID: o.nextEdge, Label: LabelShareholding, From: from, To: to, Props: weightRecord(w)})
+	return addShare(o, from, to, w)
 }
 
 // RemoveEdge hides a base edge or deletes an overlay-added one. Removing a
 // missing edge is a no-op returning false.
-func (o *Overlay) RemoveEdge(id EdgeID) bool {
-	e := o.Edge(id)
-	if e == nil {
-		return false
-	}
-	o.Replay(Mutation{Kind: MutRemoveEdge, Edge: e}) // a live edge's removal is never refused
-	return true
-}
+func (o *Overlay) RemoveEdge(id EdgeID) bool { return removeEdge(o, id) }
 
 // SetEdgeWeight overrides the shareholding weight of a visible edge,
 // copy-on-write, and journals a MutSetEdgeWeight. It refuses what
 // Graph.SetEdgeWeight refuses.
-func (o *Overlay) SetEdgeWeight(id EdgeID, w float64) error {
-	return o.Replay(Mutation{Kind: MutSetEdgeWeight, Edge: &Edge{ID: id, Props: weightRecord(w)}})
-}
+func (o *Overlay) SetEdgeWeight(id EdgeID, w float64) error { return setEdgeWeight(o, id, w) }
 
-// RemoveNode hides a visible node and all its visible incident edges.
-// Incident-edge removals journal first (through RemoveEdge), then the bare
-// node removal journals as MutRemoveNode — the same order Graph.RemoveNode
-// fires its hooks in, so replaying the journal reproduces the stream.
-// Removing a missing node is a no-op returning false.
-func (o *Overlay) RemoveNode(id NodeID) bool {
-	n := o.Node(id)
-	if n == nil {
-		return false
-	}
-	for _, eid := range append(slices.Clone(o.Out(id)), o.In(id)...) {
-		o.RemoveEdge(eid)
-	}
-	o.Replay(Mutation{Kind: MutRemoveNode, Node: n}) // edge-free now, so never refused
-	return true
-}
+// RemoveNode hides a visible node and all its visible incident edges, in
+// the order Graph.RemoveNode fires its hooks: the incident-edge removals
+// journal first, then the bare MutRemoveNode, so replaying the journal
+// reproduces the stream. Removing a missing node is a no-op returning false.
+func (o *Overlay) RemoveNode(id NodeID) bool { return removeNode(o, id) }
 
 // Replay is the overlay's one mutator, as Graph.Replay is the graph's: it
 // refuses, before the overlay moves, exactly what Graph.Replay refuses (see
@@ -431,10 +250,11 @@ func (o *Overlay) RemoveNode(id NodeID) bool {
 // version before it: that is how a store version publishes them. The
 // overlay holds an add's own Node or Edge, and every weight edit builds a
 // new Edge, whether the edge came from the base or the overlay added it, so
-// each journal entry keeps the weight it was written with.
-func (o *Overlay) Replay(m Mutation) error {
+// each journal entry keeps the weight it was written with. It returns the
+// mutation as journaled, pointing at the overlay's own structs.
+func (o *Overlay) Replay(m Mutation) (Mutation, error) {
 	if err := check(o, m); err != nil {
-		return err
+		return Mutation{}, err
 	}
 	switch m.Kind {
 	case MutAddNode:
@@ -481,5 +301,5 @@ func (o *Overlay) Replay(m Mutation) error {
 		m.Node = n
 	}
 	o.journal = append(o.journal, m)
-	return nil
+	return m, nil
 }

@@ -1,10 +1,11 @@
 package pg
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 )
 
@@ -26,15 +27,25 @@ func randomBase(rng *rand.Rand) *Graph {
 		to := ids[rng.Intn(nCompanies)] // targets must be companies
 		g.MustAddEdgeWeighted(from, to, 0.05+0.9*rng.Float64())
 	}
+	for i := rng.Intn(len(ids)); i > 0; i-- {
+		g.MustAddEdge(randomOtherLabel(rng), ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))], nil)
+	}
 	return g
 }
 
+// randomOtherLabel draws one of the labels the random graphs use besides
+// Shareholding (a Control edge or a family link).
+func randomOtherLabel(rng *rand.Rand) Label {
+	return edgeLabels[1+rng.Intn(len(edgeLabels)-2)]
+}
+
 // mutateOverlay applies a random batch of overlay mutations, including the
-// what-if-only kinds when allowed.
+// what-if-only kinds when allowed, and edges of labels other than
+// Shareholding.
 func mutateOverlay(rng *rand.Rand, o *Overlay, whatIf bool) {
 	ops := 1 + rng.Intn(8)
 	for i := 0; i < ops; i++ {
-		switch k := rng.Intn(5); {
+		switch k := rng.Intn(6); {
 		case k == 0:
 			o.AddNode(LabelCompany, Properties{"name": "N"})
 		case k == 1:
@@ -68,11 +79,49 @@ func mutateOverlay(rng *rand.Rand, o *Overlay, whatIf bool) {
 				continue
 			}
 			o.RemoveNode(nodes[rng.Intn(len(nodes))])
+		case k == 5:
+			nodes := o.Nodes()
+			if len(nodes) == 0 {
+				continue
+			}
+			o.MustAddEdge(randomOtherLabel(rng), nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))], nil)
 		}
 	}
 }
 
-// assertViewsEqual compares every View accessor of got against want.
+// edgeLabels are the edge labels the differential reads through every
+// label accessor: those the random graphs use, and CloseLink, which they do
+// not.
+var edgeLabels = []Label{LabelShareholding, LabelControl, LabelPartnerOf, LabelSiblingOf, LabelParentOf, LabelFamily, LabelCloseLink}
+
+// labelled is an edge as the derived reads are compared: identity, label,
+// endpoints and weight.
+type labelled struct {
+	ID       EdgeID
+	Label    Label
+	From, To NodeID
+	W        float64
+	Weighted bool
+}
+
+func labelledOf(e *Edge) labelled {
+	w, ok := e.Weight()
+	return labelled{e.ID, e.Label, e.From, e.To, w, ok}
+}
+
+// sortedLabelled returns es as labelled values in ID order.
+func sortedLabelled(es []*Edge) []labelled {
+	ls := make([]labelled, 0, len(es))
+	for _, e := range es {
+		ls = append(ls, labelledOf(e))
+	}
+	slices.SortFunc(ls, func(a, b labelled) int { return cmp.Compare(a.ID, b.ID) })
+	return ls
+}
+
+// assertViewsEqual compares every View accessor of got against want, and
+// the derived reads (OutLabel, InLabel, HasEdge) of both against an oracle
+// that scans want's Edges.
 func assertViewsEqual(t *testing.T, got, want View) {
 	t.Helper()
 	if got.NumNodes() != want.NumNodes() {
@@ -81,32 +130,10 @@ func assertViewsEqual(t *testing.T, got, want View) {
 	if got.NumEdges() != want.NumEdges() {
 		t.Fatalf("NumEdges: got %d want %d", got.NumEdges(), want.NumEdges())
 	}
-	eqNodeIDs := func(a, b []NodeID) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	eqEdgeIDs := func(a, b []EdgeID) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if !eqNodeIDs(got.Nodes(), want.Nodes()) {
+	if !slices.Equal(got.Nodes(), want.Nodes()) {
 		t.Fatalf("Nodes: got %v want %v", got.Nodes(), want.Nodes())
 	}
-	if !eqEdgeIDs(got.Edges(), want.Edges()) {
+	if !slices.Equal(got.Edges(), want.Edges()) {
 		t.Fatalf("Edges: got %v want %v", got.Edges(), want.Edges())
 	}
 	if got.NextNodeID() != want.NextNodeID() || got.NextEdgeID() != want.NextEdgeID() {
@@ -114,52 +141,73 @@ func assertViewsEqual(t *testing.T, got, want View) {
 			got.NextNodeID(), got.NextEdgeID(), want.NextNodeID(), want.NextEdgeID())
 	}
 	for _, label := range []Label{LabelCompany, LabelPerson} {
-		if !eqNodeIDs(got.NodesWithLabel(label), want.NodesWithLabel(label)) {
+		if !slices.Equal(got.NodesWithLabel(label), want.NodesWithLabel(label)) {
 			t.Fatalf("NodesWithLabel(%s): got %v want %v", label, got.NodesWithLabel(label), want.NodesWithLabel(label))
 		}
 	}
-	for _, label := range []Label{LabelShareholding, LabelControl} {
-		if !eqEdgeIDs(got.EdgesWithLabel(label), want.EdgesWithLabel(label)) {
+	for _, label := range edgeLabels {
+		if !slices.Equal(got.EdgesWithLabel(label), want.EdgesWithLabel(label)) {
 			t.Fatalf("EdgesWithLabel(%s): got %v want %v", label, got.EdgesWithLabel(label), want.EdgesWithLabel(label))
 		}
+	}
+	// The oracle: want's edges by label and endpoint.
+	type key struct {
+		label Label
+		node  NodeID
+	}
+	type pair struct {
+		label    Label
+		from, to NodeID
+	}
+	outOf, inOf, has := map[key][]*Edge{}, map[key][]*Edge{}, map[pair]bool{}
+	for _, id := range want.Edges() {
+		ge, we := got.Edge(id), want.Edge(id)
+		if ge == nil || ge.Label != we.Label || ge.From != we.From || ge.To != we.To || !reflect.DeepEqual(ge.Props, we.Props) {
+			t.Fatalf("Edge(%d): got %+v want %+v", id, ge, we)
+		}
+		outOf[key{we.Label, we.From}] = append(outOf[key{we.Label, we.From}], we)
+		inOf[key{we.Label, we.To}] = append(inOf[key{we.Label, we.To}], we)
+		has[pair{we.Label, we.From, we.To}] = true
+	}
+	sorted := func(ids []EdgeID) []EdgeID {
+		c := slices.Clone(ids)
+		slices.Sort(c)
+		return c
 	}
 	for _, id := range want.Nodes() {
 		gn, wn := got.Node(id), want.Node(id)
 		if gn == nil || gn.Label != wn.Label || !reflect.DeepEqual(gn.Props, wn.Props) {
 			t.Fatalf("Node(%d): got %+v want %+v", id, gn, wn)
 		}
-		sortEdges := func(ids []EdgeID) []EdgeID {
-			c := append([]EdgeID(nil), ids...)
-			sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-			return c
-		}
-		if !reflect.DeepEqual(sortEdges(got.Out(id)), sortEdges(want.Out(id))) {
+		if !slices.Equal(sorted(got.Out(id)), sorted(want.Out(id))) {
 			t.Fatalf("Out(%d): got %v want %v", id, got.Out(id), want.Out(id))
 		}
-		if !reflect.DeepEqual(sortEdges(got.In(id)), sortEdges(want.In(id))) {
+		if !slices.Equal(sorted(got.In(id)), sorted(want.In(id))) {
 			t.Fatalf("In(%d): got %v want %v", id, got.In(id), want.In(id))
 		}
-		edgeIDs := func(es []*Edge) []EdgeID {
-			var ids []EdgeID
-			for _, e := range es {
-				ids = append(ids, e.ID)
+		for _, label := range edgeLabels {
+			for _, v := range []View{got, want} {
+				if g, w := sortedLabelled(v.OutLabel(id, label)), sortedLabelled(outOf[key{label, id}]); !slices.Equal(g, w) {
+					t.Fatalf("%T.OutLabel(%d, %s): got %+v want %+v", v, id, label, g, w)
+				}
+				if g, w := sortedLabelled(v.InLabel(id, label)), sortedLabelled(inOf[key{label, id}]); !slices.Equal(g, w) {
+					t.Fatalf("%T.InLabel(%d, %s): got %+v want %+v", v, id, label, g, w)
+				}
 			}
-			return sortEdges(ids)
-		}
-		if !reflect.DeepEqual(edgeIDs(got.OutLabel(id, LabelShareholding)), edgeIDs(want.OutLabel(id, LabelShareholding))) {
-			t.Fatalf("OutLabel(%d): mismatch", id)
-		}
-		if !reflect.DeepEqual(edgeIDs(got.InLabel(id, LabelShareholding)), edgeIDs(want.InLabel(id, LabelShareholding))) {
-			t.Fatalf("InLabel(%d): mismatch", id)
 		}
 	}
-	for _, id := range want.Edges() {
-		ge, we := got.Edge(id), want.Edge(id)
-		if ge == nil || ge.Label != we.Label || ge.From != we.From || ge.To != we.To || !reflect.DeepEqual(ge.Props, we.Props) {
-			t.Fatalf("Edge(%d): got %+v want %+v", id, ge, we)
-		}
-		if !got.HasEdge(we.Label, we.From, we.To) {
-			t.Fatalf("HasEdge(%s, %d, %d) = false", we.Label, we.From, we.To)
+	// HasEdge over every pair of IDs ever assigned, removed nodes included,
+	// both ways round, under every label.
+	for from := NodeID(0); from < want.NextNodeID(); from++ {
+		for to := NodeID(0); to < want.NextNodeID(); to++ {
+			for _, label := range edgeLabels {
+				w := has[pair{label, from, to}]
+				for _, v := range []View{got, want} {
+					if v.HasEdge(label, from, to) != w {
+						t.Fatalf("%T.HasEdge(%s, %d, %d) = %v, want %v", v, label, from, to, !w, w)
+					}
+				}
+			}
 		}
 	}
 }
@@ -196,9 +244,6 @@ func TestOverlayChainMatchesFlatten(t *testing.T) {
 			o := NewOverlay(v)
 			mutateOverlay(rng, o, true)
 			v = o
-		}
-		if got := v.(*Overlay).depth; got != 3 {
-			t.Fatalf("seed %d: depth %d, want 3", seed, got)
 		}
 		flat, err := Flatten(v)
 		if err != nil {
@@ -365,7 +410,7 @@ func TestOverlayReplayRefusesWhatGraphRefuses(t *testing.T) {
 	for name, m := range refusedReplays() {
 		g, _ := replayBase()
 		o := NewOverlay(g)
-		if err := o.Replay(m); err == nil {
+		if _, err := o.Replay(m); err == nil {
 			t.Errorf("%s: Overlay.Replay accepted it", name)
 		}
 		if journal, _ := o.Journal(); len(journal) != 0 || o.Delta() != (Delta{}) || o.NextNodeID() != 2 || o.NextEdgeID() != 1 {
@@ -394,10 +439,51 @@ func TestOverlayReplayMatchesGraphReplay(t *testing.T) {
 		}
 		o := NewOverlay(before)
 		for _, m := range applied {
-			if err := o.Replay(m); err != nil {
+			if _, err := o.Replay(m); err != nil {
 				t.Fatalf("seed %d: overlay refused a record the graph applied: %v", seed, err)
 			}
 		}
 		assertViewsEqual(t, o, g)
+	}
+}
+
+// TestHasEdgeRefusesWhatIsNotThere: on a graph and on an overlay alike,
+// HasEdge is false for a removed edge, an edge into a removed node, the
+// reversed pair and another label.
+func TestHasEdgeRefusesWhatIsNotThere(t *testing.T) {
+	for _, overlay := range []bool{false, true} {
+		base := New()
+		a := base.AddNode(LabelCompany, nil)
+		b := base.AddNode(LabelCompany, nil)
+		c := base.AddNode(LabelCompany, nil)
+		d := base.AddNode(LabelCompany, nil)
+		ab := base.MustAddEdgeWeighted(a, b, 0.5)
+		base.MustAddEdgeWeighted(a, c, 0.5)
+		base.MustAddEdgeWeighted(c, d, 0.5)
+		var g interface {
+			Mutable
+			RemoveNode(NodeID) bool
+		} = base
+		if overlay {
+			g = NewOverlay(base)
+		}
+		g.RemoveEdge(ab)
+		g.RemoveNode(d)
+		for _, tc := range []struct {
+			what     string
+			label    Label
+			from, to NodeID
+			want     bool
+		}{
+			{"a kept edge", LabelShareholding, a, c, true},
+			{"a removed edge", LabelShareholding, a, b, false},
+			{"an edge into a removed node", LabelShareholding, c, d, false},
+			{"the reversed pair", LabelShareholding, c, a, false},
+			{"another label", LabelControl, a, c, false},
+		} {
+			if got := g.HasEdge(tc.label, tc.from, tc.to); got != tc.want {
+				t.Errorf("%T: HasEdge of %s = %v, want %v", g, tc.what, got, tc.want)
+			}
+		}
 	}
 }

@@ -2,7 +2,9 @@ package pg
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"slices"
 )
 
 // View is the read-only interface of a property graph. Both *Graph and
@@ -57,10 +59,11 @@ type View interface {
 	NextEdgeID() EdgeID
 }
 
-// Mutable is a property graph that accepts additions and edge removals, the
-// mutations an augmentation writes. *Graph and *Overlay satisfy it; the KG-augmentation loop writes
-// through this interface so a whole augment can run against an overlay
-// transaction instead of the base graph.
+// Mutable is a property graph that accepts changes: Replay, which applies
+// every one, and the additions and edge removals an augmentation writes.
+// *Graph and *Overlay satisfy it; the KG-augmentation loop writes through
+// this interface so a whole augment can run against an overlay transaction
+// instead of the base graph.
 type Mutable interface {
 	View
 	// AddNode inserts a node and returns its ID.
@@ -71,12 +74,124 @@ type Mutable interface {
 	MustAddEdge(label Label, from, to NodeID, props PropSource) EdgeID
 	// RemoveEdge deletes an edge, reporting whether it existed.
 	RemoveEdge(id EdgeID) bool
+	// Replay applies one mutation, or refuses it before anything moves (see
+	// check), and returns it as applied.
+	Replay(m Mutation) (Mutation, error)
 }
 
 var (
 	_ Mutable = (*Graph)(nil)
 	_ Mutable = (*Overlay)(nil)
 )
+
+// The named mutators and the derived reads are written once, here: each is
+// a Replay or a read of the View primitives (Edge, Out, In), so a Graph and
+// an Overlay differ only in their storage and their Replay. An overlay's
+// weight edits and removals reach the derived reads through its Edge and
+// Out.
+
+// addNode is AddNode: an add at the next ID, which is never refused. A
+// property value outside the four kinds panics, naming the node.
+func addNode(g Mutable, label Label, props PropSource) NodeID {
+	id := g.NextNodeID()
+	rec, err := recordOf(props)
+	if err != nil {
+		panic(fmt.Errorf("pg: add node %d: %w", id, err))
+	}
+	g.Replay(Mutation{Kind: MutAddNode, Node: &Node{ID: id, Label: label, Props: rec}})
+	return id
+}
+
+// addEdge is AddEdge.
+func addEdge(g Mutable, label Label, from, to NodeID, props PropSource) (EdgeID, error) {
+	rec, err := recordOf(props)
+	if err != nil {
+		return 0, fmt.Errorf("pg: add edge %d: %w", g.NextEdgeID(), err)
+	}
+	return replayAdd(g, &Edge{ID: g.NextEdgeID(), Label: label, From: from, To: to, Props: rec})
+}
+
+// mustAddEdge is MustAddEdge.
+func mustAddEdge(g Mutable, label Label, from, to NodeID, props PropSource) EdgeID {
+	id, err := addEdge(g, label, from, to, props)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
+// addShare is AddShare.
+func addShare(g Mutable, from, to NodeID, w float64) (EdgeID, error) {
+	return replayAdd(g, &Edge{ID: g.NextEdgeID(), Label: LabelShareholding, From: from, To: to, Props: weightRecord(w)})
+}
+
+// replayAdd replays the add of e, which names the next edge ID.
+func replayAdd(g Mutable, e *Edge) (EdgeID, error) {
+	if _, err := g.Replay(Mutation{Kind: MutAddEdge, Edge: e}); err != nil {
+		return 0, err
+	}
+	return e.ID, nil
+}
+
+// removeEdge is RemoveEdge.
+func removeEdge(g Mutable, id EdgeID) bool {
+	e := g.Edge(id)
+	if e == nil {
+		return false
+	}
+	g.Replay(Mutation{Kind: MutRemoveEdge, Edge: e}) // a live edge's removal is never refused
+	return true
+}
+
+// setEdgeWeight is SetEdgeWeight.
+func setEdgeWeight(g Mutable, id EdgeID, w float64) error {
+	_, err := g.Replay(Mutation{Kind: MutSetEdgeWeight, Edge: &Edge{ID: id, Props: weightRecord(w)}})
+	return err
+}
+
+// removeNode is RemoveNode: one record per incident edge, then the bare
+// node's.
+func removeNode(g Mutable, id NodeID) bool {
+	n := g.Node(id)
+	if n == nil {
+		return false
+	}
+	// Copy the incident edge IDs: a removal edits the lists we iterate. A
+	// self-loop appears in both; removeEdge skips the second, already-removed
+	// occurrence.
+	for _, eid := range append(slices.Clone(g.Out(id)), g.In(id)...) {
+		removeEdge(g, eid)
+	}
+	g.Replay(Mutation{Kind: MutRemoveNode, Node: n}) // edge-free now, so never refused
+	return true
+}
+
+// outLabel is OutLabel.
+func outLabel(v View, n NodeID, label Label) []*Edge { return withLabel(v, v.Out(n), label) }
+
+// inLabel is InLabel.
+func inLabel(v View, n NodeID, label Label) []*Edge { return withLabel(v, v.In(n), label) }
+
+// withLabel returns the edges of ids, as v reads them, that carry the label.
+func withLabel(v View, ids []EdgeID, label Label) []*Edge {
+	var res []*Edge
+	for _, eid := range ids {
+		if e := v.Edge(eid); e.Label == label {
+			res = append(res, e)
+		}
+	}
+	return res
+}
+
+// hasEdge is HasEdge.
+func hasEdge(v View, label Label, from, to NodeID) bool {
+	for _, eid := range v.Out(from) {
+		if e := v.Edge(eid); e.Label == label && e.To == to {
+			return true
+		}
+	}
+	return false
+}
 
 // Flatten materializes any View into a standalone flat Graph. Node and edge
 // identities and the ID counters are preserved, so facts, WAL positions and

@@ -115,8 +115,9 @@ type Follower struct {
 	frames     atomic.Int64
 	badFrames  atomic.Int64
 
-	// lastContact is the unix-nano stamp of the last protocol message from
-	// a live leader (0 = never). The node layer's lease watchdog compares
+	// lastContact is the unix-nano stamp of the leader's last progress (0 =
+	// never): a heartbeat, a frame that applied a mutation, or an epoch mark
+	// that raised the local epoch. The node layer's lease watchdog compares
 	// it against the lease to decide when to run an election.
 	lastContact atomic.Int64
 	// downSince is the unix-nano stamp of when the stream went down (0 =
@@ -172,8 +173,8 @@ func (f *Follower) Store() *persist.Store { return f.store }
 // position may run a burst ahead.
 func (f *Follower) Seq() int64 { return int64(f.vs.Current().Seq()) }
 
-// lastContactAt returns when the follower last heard any protocol message
-// from a live leader (zero time = never). The lease watchdog reads it.
+// lastContactAt returns when the follower last saw a live leader make
+// progress (zero time = never). The lease watchdog reads it.
 func (f *Follower) lastContactAt() time.Time {
 	ns := f.lastContact.Load()
 	if ns == 0 {
@@ -362,10 +363,12 @@ func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
 	f.setLeaderHint(addr, h.LeaderAPI)
 	f.observeLeaderSeq(h.LeaderSeq)
 	// Note: a successful handshake does NOT touch the lease clock. Lease
-	// liveness means the leader is streaming (heartbeats or frames, stamped
-	// in the loop below) — a leader healthy enough to answer a dial but too
-	// wedged to stream must still be replaceable, and reconnect cycles
-	// against such a leader must not postpone elections forever.
+	// liveness means the leader makes progress (a heartbeat, an applied
+	// frame or a raised epoch, stamped in the loop below) — a leader healthy
+	// enough to answer a dial but too wedged to stream must still be
+	// replaceable, and reconnect cycles against such a leader, each of which
+	// re-ships the epoch marks the follower already holds, must not postpone
+	// elections forever.
 
 	if h.Snapshot || h.Reset {
 		if err := f.bootstrap(conn, br, h); err != nil {
@@ -406,7 +409,6 @@ func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
 		if err != nil {
 			return true, fmt.Errorf("replication: stream read: %w", err)
 		}
-		f.touchContact()
 		switch typ {
 		case msgFrame:
 			newEpoch, err := f.applyFrame(payload, sessEpoch)
@@ -433,6 +435,7 @@ func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
 				return true, fmt.Errorf("%w: heartbeat at epoch %d, local epoch %d",
 					ErrStaleLeader, hb.Epoch, f.store.Epoch())
 			}
+			f.touchContact()
 			f.observeLeaderSeq(hb.Seq)
 			if err := f.sendAck(conn); err != nil {
 				return true, err
@@ -443,7 +446,8 @@ func (f *Follower) session(ctx context.Context) (progressed bool, err error) {
 	}
 }
 
-// touchContact stamps the liveness clock the lease watchdog reads.
+// touchContact stamps the liveness clock the lease watchdog reads. Only
+// progress stamps it; a re-shipped mark or a hello does not.
 func (f *Follower) touchContact() { f.lastContact.Store(time.Now().UnixNano()) }
 
 // sendAck publishes the frames applied since the last ack, fsyncs local
@@ -554,6 +558,7 @@ func (f *Follower) applyFrame(frame []byte, sessEpoch uint64) (newEpoch uint64, 
 				f.seqMu.Unlock()
 				return 0, fmt.Errorf("replication: recording shipped epoch: %w", err)
 			}
+			f.touchContact()
 		}
 		f.seqMu.Unlock()
 		f.frames.Add(1)
@@ -579,6 +584,7 @@ func (f *Follower) applyFrame(frame []byte, sessEpoch uint64) (newEpoch uint64, 
 	if err != nil {
 		return 0, fmt.Errorf("replication: applying frame: %w", err)
 	}
+	f.touchContact()
 	f.frames.Add(1)
 	f.markFreshIfCaughtUp()
 	return 0, nil

@@ -7,10 +7,10 @@
 //
 //   - Lease. The leader's authority is a lease renewed by fresh durable
 //     acks from a majority of the group (its own store counts as one
-//     member). Followers track the mirror image — time since the last
-//     protocol message from a live leader. When either side's deadline
-//     passes the lease, the leader steps down / the follower runs an
-//     election.
+//     member). Followers track the mirror image — time since a live
+//     leader last made progress (a heartbeat, an applied frame, a raised
+//     epoch). When either side's deadline passes the lease, the leader
+//     steps down / the follower runs an election.
 //
 //   - Epoch fencing. Every promotion durably opens a new epoch (a
 //     persist.EpochMark: epoch number + the sequence number it opened at).

@@ -161,7 +161,10 @@ func (vs *Versioned) publishLocked() *Version {
 	o := pg.NewOverlay(cur.view)
 	next := &Version{view: o, seq: uint64(vs.master.Seq()), depth: cur.depth + 1}
 	for _, m := range journal {
-		if next.depth < flattenDepth && o.Replay(m) != nil { // the master moved outside the store
+		if next.depth >= flattenDepth {
+			break
+		}
+		if _, err := o.Replay(m); err != nil { // the master moved outside the store
 			next.depth = flattenDepth
 		}
 	}
