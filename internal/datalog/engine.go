@@ -85,8 +85,11 @@ type Engine struct {
 
 	// syms holds the values rows refer to by index (value.go); rels maps a
 	// predicate to its relation, which chains the predicate's other arities.
-	syms symtab
-	rels map[string]*relation
+	// spare holds the relations of the engine's last run, emptied by
+	// Reset, for rel to take up again.
+	syms  symtab
+	rels  map[string]*relation
+	spare map[relKey]*relation
 
 	// aggs holds, by rule index, the state of the rule's aggregate (nil until
 	// it first contributes). aggTabs holds the group tables by head predicate
@@ -315,6 +318,38 @@ func NewEngine(prog *Program, with ...Option) (*Engine, error) {
 // NewEngine instantiates an empty engine over the compiled program,
 // configured by functional options.
 func (c *Compiled) NewEngine(with ...Option) *Engine {
+	e := &Engine{plan: c, rels: make(map[string]*relation)}
+	e.arm(with)
+	return e
+}
+
+// Reset re-arms e, an engine its caller has finished with, as its
+// program's NewEngine(with...) would make it, except that it keeps the
+// buffers of its relations: row arenas, dedup tables and positional index
+// tables, which hold no pointers. Reset empties every relation, and the
+// next load or chase takes a relation up again when it starts it, so a run
+// over a registry of the same size allocates none of them (DESIGN.md
+// §7.10). The symbol table starts again from the program's constants, as a
+// fresh engine's does. Nothing read from e before Reset may be read after
+// it, apart from what is already a copy: Query's bindings, the facts of
+// Facts, and a Stats report.
+func (e *Engine) Reset(with ...Option) {
+	if e.spare == nil {
+		e.spare = make(map[relKey]*relation)
+	}
+	for _, head := range e.rels {
+		for r := head; r != nil; r = r.other {
+			r.reset()
+			e.spare[relKey{r.pred, r.arity}] = r
+		}
+	}
+	clear(e.rels)
+	e.arm(with)
+}
+
+// arm configures e by with and gives it the state a run starts from,
+// keeping only its plan, its relation map and its spare relations.
+func (e *Engine) arm(with []Option) {
 	var opts options
 	for _, opt := range with {
 		opt(&opts)
@@ -325,20 +360,25 @@ func (c *Compiled) NewEngine(with ...Option) *Engine {
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = DefaultMaxRounds
 	}
-	e := &Engine{
+	c := e.plan
+	*e = Engine{
 		plan:     c,
 		opts:     opts,
 		builtins: make(map[string]Builtin),
 		// Capped, so the engine's first entry copies the program's table
 		// rather than writing into it.
-		syms: symtab{objs: slices.Clip(c.syms.objs), pinned: len(c.syms.objs)},
-		rels: make(map[string]*relation),
+		syms:  symtab{objs: slices.Clip(c.syms.objs), pinned: len(c.syms.objs)},
+		rels:  e.rels,
+		spare: e.spare,
 	}
 	if opts.Provenance {
 		e.prov = make(map[rowRef]Derivation)
 	}
-	return e
 }
+
+// RecordsProvenance reports whether the engine records derivations
+// (WithProvenance), so that Explain can answer.
+func (e *Engine) RecordsProvenance() bool { return e.prov != nil }
 
 // RegisterBuiltin installs a host function callable as #name(...). Functions
 // whose name starts with "sk" fall back to Skolem application automatically
@@ -417,8 +457,10 @@ func (e *Engine) rowOf(args []any) []value {
 	return row
 }
 
-// rel returns the relation of pred at arity, creating it if missing.
-// Mutating path only — read paths use relOf, so they never grow the store.
+// rel returns the relation of pred at arity, creating it if missing or
+// taking up the spare Reset emptied. Mutating path only — read paths use
+// relOf, so they never grow the store. It stays small enough to inline:
+// fireHead calls it per emission.
 func (e *Engine) rel(pred string, arity int) *relation {
 	head := e.rels[pred]
 	for r := head; r != nil; r = r.other {
@@ -426,7 +468,14 @@ func (e *Engine) rel(pred string, arity int) *relation {
 			return r
 		}
 	}
-	r := &relation{pred: pred, tuples: tuples{arity: arity}, other: head}
+	k := relKey{pred, arity}
+	r := e.spare[k]
+	if r == nil {
+		r = &relation{pred: pred, tuples: tuples{arity: arity}}
+	} else {
+		delete(e.spare, k)
+	}
+	r.other = head
 	e.rels[pred] = r
 	return r
 }

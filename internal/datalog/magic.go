@@ -248,13 +248,26 @@ func CompileGoal(prog *Program, goal Atom) (*CompiledGoal, error) {
 // NewEngine instantiates an engine for goal and asserts its magic seed. The
 // goal must have the shape g was compiled for.
 func (g *CompiledGoal) NewEngine(goal Atom, with ...Option) (*Engine, error) {
+	e := g.plan.NewEngine(with...)
+	if err := g.Seed(e, goal); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// Seed asserts goal's magic seed into e, an empty engine of g: one
+// NewEngine made, or one of g's that Reset re-armed. The goal must have the
+// shape g was compiled for.
+func (g *CompiledGoal) Seed(e *Engine, goal Atom) error {
 	adorn := adornOf(goal, nil)
 	if adornedName(goal.Pred, adorn) != g.shape {
-		return nil, fmt.Errorf("datalog: goal %s is not of the compiled shape %s", goal, g.shape)
+		return fmt.Errorf("datalog: goal %s is not of the compiled shape %s", goal, g.shape)
 	}
-	e := g.plan.NewEngine(with...)
+	if e.plan != g.plan {
+		return fmt.Errorf("datalog: seeding goal %s into an engine of another program", goal)
+	}
 	e.Assert(seedOf(goal, adorn))
-	return e, nil
+	return nil
 }
 
 // NewGoalEngine rewrites prog for the goal and prepares an engine over the

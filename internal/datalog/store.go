@@ -1,6 +1,9 @@
 package datalog
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // The record store under the chase (DESIGN.md §7.1, §7.8): value rows in one
 // arena per relation, deduplicated through an open-addressing table of row
@@ -35,10 +38,26 @@ func (t *tuples) row(i int) []value {
 	return t.cells[j : j+t.arity : j+t.arity]
 }
 
-// reserve sizes an empty set for n rows.
+// reserve sizes an empty set for n rows. Its arena and table are kept when
+// they are big enough: an empty set's table is clear (relation.reset).
 func (t *tuples) reserve(n int) {
-	t.cells = make([]value, 0, n*t.arity)
-	t.slots = make([]uint64, tableSize(n))
+	if cap(t.cells) < n*t.arity {
+		t.cells = make([]value, 0, n*t.arity)
+	}
+	if len(t.slots) < tableSize(n) {
+		t.slots = make([]uint64, tableSize(n))
+	}
+}
+
+// zeroed returns s resized to n elements, all zero, in its own array when
+// that is big enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // find returns the number of the row equal to row (whose hash is h).
@@ -129,6 +148,17 @@ type relation struct {
 	nsuper int
 }
 
+// reset empties r for Engine.Reset, keeping its row arena, its dedup
+// table, cleared, and its index tables, which ensureIndex clears when it
+// builds on them.
+func (r *relation) reset() {
+	r.n, r.cells = 0, r.cells[:0]
+	clear(r.slots)
+	r.index, r.built = r.index[:0], 0
+	r.seq, r.lo = 0, 0
+	r.dead, r.nsuper = r.dead[:0], 0
+}
+
 func (r *relation) hasIndex(pos int) bool {
 	return pos < 64 && r.built&(1<<uint(pos)) != 0
 }
@@ -163,8 +193,9 @@ func (r *relation) insert(sy *symtab, row []value) (int, bool, int) {
 		return i, false, 0
 	}
 	sy.pin()
-	if r.index == nil {
-		r.index = make([]posIndex, min(r.arity, 64))
+	if len(r.index) == 0 {
+		k := min(r.arity, 64)
+		r.index = slices.Grow(r.index, k)[:k]
 	}
 	bytes := 0
 	for m := r.built; m != 0; m &= m - 1 {
@@ -183,8 +214,8 @@ func (r *relation) ensureIndex(sy *symtab, pos int) (int, bool) {
 		return 0, false
 	}
 	x := &r.index[pos]
-	x.buckets = make([]bucket, tableSize(r.n))
-	x.next = make([]uint32, r.n)
+	x.buckets, x.distinct = zeroed(x.buckets, tableSize(r.n)), 0
+	x.next = zeroed(x.next, r.n)
 	for row := 0; row < r.n; row++ {
 		x.file(sy, r, pos, row)
 	}

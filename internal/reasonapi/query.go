@@ -169,7 +169,7 @@ func (s *Server) evalGoal(ctx context.Context, v pg.View, p *vadalog.Program, go
 	if err != nil {
 		return nil, err
 	}
-	s.recordChase(res.Engine.Stats())
+	s.recordChase(res.Stats)
 	if res.RunErr != nil && !interrupted(res.RunErr) {
 		return nil, res.RunErr
 	}

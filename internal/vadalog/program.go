@@ -5,6 +5,7 @@ import (
 	"errors"
 	"hash/fnv"
 	"sync"
+	"weak"
 
 	"vadalink/internal/datalog"
 	"vadalink/internal/pg"
@@ -37,10 +38,47 @@ type Program struct {
 	// those predicates and arities are memoized, which bounds the memo by
 	// the program: a goal of any other shape is compiled on every call.
 	arity map[string]int
-	// plans maps a goal shape (datalog.GoalShape) to its
-	// *datalog.CompiledGoal, nil when the goal is answered by full
-	// evaluation.
+	// plans maps a goal shape (datalog.GoalShape) to its *goalPlan.
 	plans sync.Map
+}
+
+// goalPlan is the memo entry of one goal shape: its demand plan, nil when
+// the goal is answered by full evaluation, and the engines of its finished
+// goals, whose buffers the next goal of the shape reuses.
+type goalPlan struct {
+	plan *datalog.CompiledGoal
+	free scratch
+}
+
+// scratch is a free list of finished engines. It holds them through weak
+// pointers, so an engine lies idle in it only until the next garbage
+// collection: recycling saves a run of goals their allocations without
+// adding to the heap a collection leaves live, which a sync.Pool, whose
+// victims outlive one collection, would.
+type scratch struct {
+	mu   sync.Mutex
+	free []weak.Pointer[datalog.Engine]
+}
+
+// take returns an idle engine, or nil when none is left.
+func (s *scratch) take() *datalog.Engine {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for n := len(s.free); n > 0; n = len(s.free) {
+		e := s.free[n-1].Value()
+		s.free = s.free[:n-1]
+		if e != nil {
+			return e
+		}
+	}
+	return nil
+}
+
+// put returns a finished engine, which its caller no longer reads.
+func (s *scratch) put(e *datalog.Engine) {
+	s.mu.Lock()
+	s.free = append(s.free, weak.Make(e))
+	s.mu.Unlock()
 }
 
 // Compile parses and compiles a caller's program text. A text that does not
@@ -170,10 +208,11 @@ type GoalResult struct {
 	// Mode is GoalModeMagic when demand transformation ran, GoalModeFull
 	// after an ErrNotDemandable fallback.
 	Mode string
-	// Engine is the engine the goal ran on, exposed for explanation
-	// (ExplainTree) and stats. Unless it records provenance, it loaded the
-	// relational image pruned (datalog.Engine.Prune): a relation other than
-	// the goal's holds "" where the program never reads.
+	// Stats is the chase's report under datalog.WithStats, nil otherwise.
+	Stats *datalog.ChaseStats
+	// Engine is the engine the goal ran on, set only under
+	// datalog.WithProvenance, for explanation (ExplainTree). Every other
+	// goal's engine goes back to its plan's free list.
 	Engine *datalog.Engine
 	// RunErr is the chase error, if any: a budget exhaustion leaves the
 	// partial answers readable, exactly like Reasoner.Run.
@@ -186,27 +225,56 @@ type GoalResult struct {
 // result). The engine loads g's image streamed and pruned to what its plan
 // can observe, the goal's own relation whole. A tripped limit leaves the
 // partial answers in the result with RunErr set.
+//
+// The engine is one of the plan's finished engines, re-armed
+// (datalog.Engine.Reset), when one is idle: the answers and stats are
+// copied out, and the engine goes back for the next goal of the shape,
+// unless it records provenance and the result hands it out.
 func (p *Program) Goal(ctx context.Context, g pg.View, goal datalog.Atom, opts ...datalog.Option) (*GoalResult, error) {
-	plan, err := p.goalPlan(goal)
+	gp, res, e, err := p.goal(ctx, g, goal, opts)
 	if err != nil {
 		return nil, err
 	}
-	res := &GoalResult{Mode: GoalModeMagic}
-	var e *datalog.Engine
-	if plan != nil {
-		if e, err = plan.NewEngine(goal, opts...); err != nil {
-			return nil, err
-		}
+	if e.RecordsProvenance() {
+		res.Engine = e
 	} else {
+		gp.free.put(e)
+	}
+	return res, nil
+}
+
+// goal runs goal on an engine of its plan, taken from the plan's free list
+// when one is idle, and returns the plan, the result and the engine.
+func (p *Program) goal(ctx context.Context, g pg.View, goal datalog.Atom, opts []datalog.Option) (*goalPlan, *GoalResult, *datalog.Engine, error) {
+	gp, err := p.goalPlan(goal)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	res := &GoalResult{Mode: GoalModeMagic}
+	if gp.plan == nil {
 		res.Mode = GoalModeFull
+	}
+	e := gp.free.take()
+	switch {
+	case e != nil:
+		e.Reset(opts...)
+		if gp.plan != nil {
+			err = gp.plan.Seed(e, goal)
+		}
+	case gp.plan != nil:
+		e, err = gp.plan.NewEngine(goal, opts...)
+	default:
 		e = p.full.NewEngine(opts...)
+	}
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	e.Prune(goal.Pred)
 	relstore.Load(e, g)
-	res.Engine = e
 	res.RunErr = e.RunContext(ctx)
 	res.Answers = e.Query(goal)
-	return res, nil
+	res.Stats = e.Stats()
+	return gp, res, e, nil
 }
 
 // EvalGoal is Goal for a program named by its text: ControlProgram and
@@ -228,22 +296,24 @@ func EvalGoal(ctx context.Context, g pg.View, progSrc string, goal datalog.Atom,
 	return p.Goal(ctx, g, goal, opts...)
 }
 
-// goalPlan returns the memoized demand plan of goal's shape (nil: full
-// evaluation), compiling it on first use.
-func (p *Program) goalPlan(goal datalog.Atom) (*datalog.CompiledGoal, error) {
+// goalPlan returns the memo entry of goal's shape, compiling its demand plan
+// on first use. A goal of a shape the program does not define gets an entry
+// of its own, compiled on every call.
+func (p *Program) goalPlan(goal datalog.Atom) (*goalPlan, error) {
 	if n, ok := p.arity[goal.Pred]; !ok || n != len(goal.Terms) {
-		return compileGoal(p.prog, goal)
+		plan, err := compileGoal(p.prog, goal)
+		return &goalPlan{plan: plan}, err
 	}
 	shape := datalog.GoalShape(goal)
-	if plan, ok := p.plans.Load(shape); ok {
-		return plan.(*datalog.CompiledGoal), nil
+	if gp, ok := p.plans.Load(shape); ok {
+		return gp.(*goalPlan), nil
 	}
 	plan, err := compileGoal(p.prog, goal)
 	if err != nil {
 		return nil, err
 	}
-	stored, _ := p.plans.LoadOrStore(shape, plan)
-	return stored.(*datalog.CompiledGoal), nil
+	stored, _ := p.plans.LoadOrStore(shape, &goalPlan{plan: plan})
+	return stored.(*goalPlan), nil
 }
 
 // compileGoal is datalog.CompileGoal with a refusal (ErrNotDemandable) turned

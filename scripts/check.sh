@@ -55,9 +55,19 @@ echo "== coverage floors =="
 #                TestGoalMissAllocations (one goal miss on the
 #                extract-then-assert path the benchmark's replay still times;
 #                a served miss streams a pruned load, guarded by vadalog's
-#                TestEvalGoalAllocations: 152 allocations and 0.70 MB,
-#                budgets 172 and 790 kB), run here: the race step above
+#                TestEvalGoalAllocations), run here: the race step above
 #                skips them.
+#   vadalog      the program table every chase starts from, and the free
+#                lists that recycle a goal plan's engine scratch across
+#                misses. Proven by the recycling harness
+#                (TestRecycledEnginesMatchFresh, also under -race above) and
+#                held at its measured coverage (79.9%). The allocation guard,
+#                TestEvalGoalAllocations (one C=2000 goal miss through
+#                Control.Goal on a recycled engine: 105 allocations and
+#                32 kB, budgets 119 and 36.5 kB; 152 and 0.70 MB on a fresh
+#                one), runs here: the race step above skips it.
+#                TestIdleScratchIsCollected (a burst of misses leaves no idle
+#                engine live after one collection) runs in both.
 #   reasonapi    the HTTP surface carries the error-envelope and observability
 #                contracts, and the hit-path guards (allocations per hit, a
 #                deadline armed only by misses, queryParam vs url.ParseQuery)
@@ -139,6 +149,7 @@ while read -r pkg var floor; do
     }
 done <<'FLOORS'
 internal/datalog     COVER_FLOOR          87.3
+internal/vadalog     VADALOG_COVER_FLOOR  79.9
 internal/reasonapi   API_COVER_FLOOR      91.5
 internal/persist     PERSIST_COVER_FLOOR  88.0
 internal/replication REPL_COVER_FLOOR     80.0
